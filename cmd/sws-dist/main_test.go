@@ -117,15 +117,41 @@ func TestKillProducesFlightDump(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", inspect, "../sws-inspect").CombinedOutput(); err != nil {
 		t.Fatalf("building sws-inspect: %v\n%s", err, out)
 	}
+	// Size the run from a measured fault-free pass of this binary, so the
+	// kill lands mid-run on any box: after every rank has joined (the
+	// delay clears twice the measured start-up) and with at least four
+	// fifths of the work still ahead (each depth level doubles the run).
+	const calDepth = 16
+	start := time.Now()
+	cal, err := exec.Command(bin, "-n", "4", "-depth", fmt.Sprint(calDepth)).CombinedOutput()
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatalf("fault-free calibration run failed: %v\n%s", err, cal)
+	}
+	m := regexp.MustCompile(`world total: .* in (\S+) \[OK\]`).FindSubmatch(cal)
+	if m == nil {
+		t.Fatalf("calibration run printed no verified world total:\n%s", cal)
+	}
+	runTime, err := time.ParseDuration(string(m[1]))
+	if err != nil || runTime <= 0 {
+		t.Fatalf("calibration run time %q: %v", m[1], err)
+	}
+	killAfter := 2*(wall-runTime) + 300*time.Millisecond
+	depth := calDepth
+	for est := runTime; est < 5*killAfter; est *= 2 {
+		depth++
+	}
+	t.Logf("calibration: depth %d ran %v of %v wall; killing after %v at depth %d", calDepth, runTime, wall, killAfter, depth)
+
 	dumps := t.TempDir()
 	cmd := exec.Command(bin,
-		"-n", "4", "-depth", "18",
+		"-n", "4", "-depth", fmt.Sprint(depth),
 		"-op-timeout", "500ms",
 		"-suspect-after", "300ms",
 		"-dead-after", "1s",
 		"-flight-dir", dumps,
 		"-kill-rank", "1",
-		"-kill-after", "1200ms")
+		"-kill-after", killAfter.String())
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("launcher exited zero despite chaos kill (run finished before -kill-after?):\n%s", out)

@@ -168,6 +168,7 @@ func TestReseatWaitsForStaleClaim(t *testing.T) {
 	}
 	opts := Options{Capacity: 8, Epochs: true, Growable: true, MaxGrowth: 1}
 
+	released := make(chan struct{})     // owner -> thief: the block to claim is shared
 	claimed := make(chan struct{})      // thief -> owner: claim is in flight
 	stolen := make(chan []uint64, 2)    // thief -> owner: ids it obtained
 	reseated := make(chan time.Time, 1) // owner -> thief: reseat finished
@@ -195,6 +196,7 @@ func TestReseatWaitsForStaleClaim(t *testing.T) {
 			if moved != 3 {
 				t.Fatalf("release shared %d tasks, want 3", moved)
 			}
+			close(released)
 			<-claimed
 			// Ring holds 6 with capacity 8; pushing through 16 total forces
 			// the grow, whose drain must block on the withheld store.
@@ -265,7 +267,9 @@ func TestReseatWaitsForStaleClaim(t *testing.T) {
 			}
 		case 1:
 			// Manual claim, exactly as Steal would issue it, with the
-			// completion store withheld.
+			// completion store withheld — once the owner has shared the
+			// block (a claim racing the release fetches a closed stealval).
+			<-released
 			old, err := c.FetchAdd64(0, q.StealvalAddr(), AstealsUnit)
 			if err != nil {
 				return err

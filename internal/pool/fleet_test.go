@@ -57,6 +57,12 @@ func treeJob(h *atomic.Uint32, depth int) Job {
 // job and no transport re-attach: the world's attach counter stays at
 // NumPEs across every job.
 func TestFleetWarmJobs(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { testFleetWarmJobs(t, workers) })
+	}
+}
+
+func testFleetWarmJobs(t *testing.T, workers int) {
 	const pes, depth, jobs = 4, 6, 8
 	w, err := shmem.NewWorld(shmem.Config{NumPEs: pes, HeapBytes: 4 << 20})
 	if err != nil {
@@ -64,7 +70,7 @@ func TestFleetWarmJobs(t *testing.T) {
 	}
 	var cs fleetCounters
 	reg, h := treeRegister(&cs)
-	f, err := NewFleet(w, FleetOptions{Pool: Config{Seed: 1}, Register: func(rank int, r *Registry) error { return reg(rank, r) }})
+	f, err := NewFleet(w, FleetOptions{Pool: Config{Seed: 1, Workers: workers}, Register: func(rank int, r *Registry) error { return reg(rank, r) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +87,18 @@ func TestFleetWarmJobs(t *testing.T) {
 		}
 		if got := run.Total().TasksExecuted; got != want {
 			t.Fatalf("job %d: per-job stats report %d tasks, want %d", job, got, want)
+		}
+		if workers > 1 {
+			// The per-worker rows are job-scoped too: they must account
+			// for every task of THIS job, on the first job and every
+			// later one.
+			var rows uint64
+			for _, wk := range run.Total().Workers {
+				rows += wk.TasksExecuted
+			}
+			if rows != want {
+				t.Fatalf("job %d: per-worker rows report %d tasks, want %d", job, rows, want)
+			}
 		}
 		if got := cs.executed.Load() - before; got != want {
 			t.Fatalf("job %d: executed %d tasks, want %d (exactly-once per job)", job, got, want)

@@ -14,15 +14,22 @@ import (
 // local portion is owner-private — so remote spawns go through a separate
 // one-sided inbox ring on the target:
 //
-//   - the sender claims a slot with a remote fetch-add on the write
-//     cursor, waits for the slot to be free (it almost always is), puts
-//     the encoded descriptor, and marks the slot ready with an atomic
-//     store: 3–4 communications per remote spawn, vs 0 for a local one;
+//   - the sender claims a ticket with a remote fetch-add on the write
+//     cursor, waits for its turn on the ticket's slot (it almost always
+//     has it already), puts the encoded descriptor, and marks the slot
+//     ready with an atomic store: 3–4 communications per remote spawn, vs
+//     0 for a local one;
 //   - the owner drains ready slots into its own queue during its regular
-//     progress work, marking them free again.
+//     progress work, handing each slot on to the next lap's sender.
 //
-// Slot states cycle free -> ready -> free; the cursor claim serializes
-// writers per slot, and the state word hands the slot between sender and
+// The slot word is the lap-ticket handoff of internal/ldeque's ring, with
+// turns numbered per slot so the zeroed heap is the initial state: ticket
+// t maps to slot t%slots on lap t/slots; the word reads 2*lap when the
+// slot is that lap's sender's to write, 2*lap+1 once its task is ready,
+// and the owner's drain stores 2*(lap+1). A sender one lap ahead of an
+// undrained slot therefore waits for the drain instead of mistaking
+// "someone else's free" for its own, which a two-state free/ready word
+// cannot tell apart. The state word hands the slot between sender and
 // owner with release/acquire ordering.
 type mailbox struct {
 	ctx   *shmem.Ctx
@@ -30,29 +37,30 @@ type mailbox struct {
 	slots int
 
 	writeAddr shmem.Addr // word: global write cursor (fetch-add by senders)
-	stateAddr shmem.Addr // slots words: slotFree / slotReady
+	stateAddr shmem.Addr // slots words: turn numbers
 	dataAddr  shmem.Addr // slots * slotSize bytes
 
-	readCursor uint64 // owner-local
+	readCursor uint64 // owner-local: the next ticket to drain
 
-	// sendTimeout bounds the wait for a free slot (a full inbox means the
-	// owner is not draining).
+	// sendBuf and drainBuf stage one encoded descriptor each. Both send
+	// and drain run on the PE's owner goroutine only, but a drain may
+	// send (a departing PE forwards what it drains), so they are two.
+	sendBuf, drainBuf []byte
+
+	// sendTimeout bounds the wait for a slot's turn (a full inbox means
+	// the owner is not draining).
 	sendTimeout time.Duration
 }
 
-const (
-	slotFree  = 0
-	slotReady = 1
-
-	defaultMailboxSlots = 256
-)
+const defaultMailboxSlots = 256
 
 // newMailbox collectively allocates the inbox (same order on every PE).
 func newMailbox(ctx *shmem.Ctx, codec task.Codec, slots int, sendTimeout time.Duration) (*mailbox, error) {
 	if slots < 1 {
 		return nil, fmt.Errorf("pool: mailbox needs at least 1 slot, got %d", slots)
 	}
-	m := &mailbox{ctx: ctx, codec: codec, slots: slots, sendTimeout: sendTimeout}
+	m := &mailbox{ctx: ctx, codec: codec, slots: slots, sendTimeout: sendTimeout,
+		sendBuf: make([]byte, codec.SlotSize()), drainBuf: make([]byte, codec.SlotSize())}
 	var err error
 	if m.writeAddr, err = ctx.Alloc(shmem.WordSize); err != nil {
 		return nil, err
@@ -76,23 +84,24 @@ func (m *mailbox) slotData(i int) shmem.Addr {
 
 // send delivers a descriptor into pe's inbox.
 func (m *mailbox) send(pe int, d task.Desc) error {
-	buf := make([]byte, m.codec.SlotSize())
-	if err := m.codec.Encode(buf, d); err != nil {
+	if err := m.codec.Encode(m.sendBuf, d); err != nil {
 		return err
 	}
-	seq, err := m.ctx.FetchAdd64(pe, m.writeAddr, 1)
+	ticket, err := m.ctx.FetchAdd64(pe, m.writeAddr, 1)
 	if err != nil {
 		return err
 	}
-	slot := int(seq % uint64(m.slots))
-	// Wait for the slot to drain if a full ring lap is outstanding.
+	slot := int(ticket % uint64(m.slots))
+	turn := 2 * (ticket / uint64(m.slots))
+	// Wait for the previous lap's task to drain if a full ring lap is
+	// outstanding.
 	deadline := time.Now().Add(m.sendTimeout)
 	for {
 		st, err := m.ctx.Load64(pe, m.slotState(slot))
 		if err != nil {
 			return err
 		}
-		if st == slotFree {
+		if st == turn {
 			break
 		}
 		if werr := m.ctx.Err(); werr != nil {
@@ -104,11 +113,11 @@ func (m *mailbox) send(pe int, d task.Desc) error {
 		}
 		m.ctx.Relax()
 	}
-	if err := m.ctx.Put(pe, m.slotData(slot), buf); err != nil {
+	if err := m.ctx.Put(pe, m.slotData(slot), m.sendBuf); err != nil {
 		return err
 	}
 	// The ready store is the release edge the owner's drain acquires.
-	return m.ctx.Store64(pe, m.slotState(slot), slotReady)
+	return m.ctx.Store64(pe, m.slotState(slot), turn+1)
 }
 
 // drain moves every ready inbox task into the owner's queue via push,
@@ -118,25 +127,27 @@ func (m *mailbox) drain(push func(task.Desc) error) (int, error) {
 	delivered := 0
 	for {
 		slot := int(m.readCursor % uint64(m.slots))
+		turn := 2 * (m.readCursor / uint64(m.slots))
 		st, err := m.ctx.Load64(me, m.slotState(slot))
 		if err != nil {
 			return delivered, err
 		}
-		if st != slotReady {
+		if st != turn+1 {
 			return delivered, nil
 		}
-		buf := make([]byte, m.codec.SlotSize())
-		if err := m.ctx.Get(me, m.slotData(slot), buf); err != nil {
+		if err := m.ctx.Get(me, m.slotData(slot), m.drainBuf); err != nil {
 			return delivered, err
 		}
-		d, err := m.codec.Decode(buf)
+		// Decode copies the payload out, so the staging buffer is free
+		// again before push (which may re-enter send) runs.
+		d, err := m.codec.Decode(m.drainBuf)
 		if err != nil {
 			return delivered, fmt.Errorf("pool: corrupt inbox slot %d: %w", slot, err)
 		}
 		if err := push(d); err != nil {
 			return delivered, err
 		}
-		if err := m.ctx.Store64(me, m.slotState(slot), slotFree); err != nil {
+		if err := m.ctx.Store64(me, m.slotState(slot), turn+2); err != nil {
 			return delivered, err
 		}
 		m.readCursor++

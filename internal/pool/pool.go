@@ -634,6 +634,9 @@ func (p *Pool) execute(d task.Desc) error {
 // jobs.
 func (p *Pool) Stats() stats.PE {
 	st := p.st
+	// The per-worker rows are rewritten in place at every fold; a
+	// snapshot (RunJob's per-job baseline) must not alias them.
+	st.Workers = append([]stats.Worker(nil), p.st.Workers...)
 	st.TasksLost = p.det.Lost
 	st.Degraded = p.det.Degraded
 	if p.coreQ != nil {

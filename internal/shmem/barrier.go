@@ -151,7 +151,8 @@ func (b *heapBarrier) wait() error {
 		return err
 	}
 	myGen := b.gen
-	prev, err := b.w.transport.fetchAdd64(b.rank, 0, barrierArriveAddr, 1, 0)
+	t := b.w.transport
+	prev, _, err := t.blocking(opReq{op: OpFetchAdd, from: b.rank, to: 0, addr: barrierArriveAddr, v1: 1})
 	if err != nil {
 		return fmt.Errorf("shmem: barrier arrive: %w", err)
 	}
@@ -159,20 +160,30 @@ func (b *heapBarrier) wait() error {
 		// Last arriver: reset the count for the next generation, then
 		// release everyone. The order matters — the count must be clean
 		// before any released PE can arrive at the next barrier.
-		if err := b.w.transport.store64(b.rank, 0, barrierArriveAddr, 0, 0); err != nil {
+		if _, _, err := t.blocking(opReq{op: OpStore, from: b.rank, to: 0, addr: barrierArriveAddr}); err != nil {
 			return fmt.Errorf("shmem: barrier reset: %w", err)
 		}
-		if _, err := b.w.transport.fetchAdd64(b.rank, 0, barrierGenAddr, 1, 0); err != nil {
+		if _, _, err := t.blocking(opReq{op: OpFetchAdd, from: b.rank, to: 0, addr: barrierGenAddr, v1: 1}); err != nil {
 			return fmt.Errorf("shmem: barrier release: %w", err)
 		}
 		b.gen++
 		return nil
 	}
 	deadline := time.Now().Add(b.timeout)
-	if sh, ok := b.w.transport.(*shmTransport); ok {
-		// Generation word is in the shared mapping: park on its futex
-		// instead of polling through the transport.
-		g, err := sh.waitBarrierGen(myGen, deadline, b.timeout, b.check)
+	giveUp := func() error {
+		if err := b.check(); err != nil {
+			return err
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("shmem: barrier expired after %v (peer process lost?): %w", b.timeout, ErrBarrierTimeout)
+		}
+		return nil
+	}
+	if b.w.pes[0] != nil {
+		// Rank 0's heap is addressable from this process (a shared
+		// mapping, or we are rank 0): block on the generation word the
+		// way the back-end blocks — on shm, parked on its futex.
+		g, err := t.waitWord(waitReq{rank: b.rank, on: 0, addr: barrierGenAddr, cmp: CmpGT, operand: myGen, check: giveUp})
 		if err != nil {
 			return err
 		}
@@ -180,7 +191,7 @@ func (b *heapBarrier) wait() error {
 		return nil
 	}
 	for {
-		g, err := b.w.transport.load64(b.rank, 0, barrierGenAddr, 0)
+		g, _, err := t.blocking(opReq{op: OpLoad, from: b.rank, to: 0, addr: barrierGenAddr})
 		if err != nil {
 			return fmt.Errorf("shmem: barrier poll: %w", err)
 		}
@@ -188,11 +199,8 @@ func (b *heapBarrier) wait() error {
 			b.gen = g
 			return nil
 		}
-		if err := b.check(); err != nil {
+		if err := giveUp(); err != nil {
 			return err
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("shmem: barrier expired after %v (peer process lost?): %w", b.timeout, ErrBarrierTimeout)
 		}
 		time.Sleep(5 * time.Microsecond)
 	}

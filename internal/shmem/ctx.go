@@ -2,7 +2,6 @@ package shmem
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"sws/internal/trace"
@@ -37,11 +36,6 @@ type Ctx struct {
 	// data paths are unconditionally safe once the trace buffer is
 	// concurrent-mode — counters and heap words are atomics).
 	shared bool
-
-	// relaxes counts Relax calls, for the occasional-sleep backoff used
-	// outside the simulation transport. Atomic: in multi-worker mode any
-	// worker goroutine may Relax.
-	relaxes atomic.Uint64
 }
 
 func (w *World) newCtx(rank int) *Ctx {
@@ -71,10 +65,7 @@ func (c *Ctx) AttachTrace(b *trace.Buffer) { c.tr = b }
 // simulation transport does not: it runs PEs in lockstep, one scheduled
 // goroutine per PE, and a second goroutine entering the scheduler would
 // deadlock the virtual clock.
-func (c *Ctx) MultiWorkerCapable() bool {
-	_, sim := c.w.transport.(*simTransport)
-	return !sim
-}
+func (c *Ctx) MultiWorkerCapable() bool { return c.w.cfg.Transport != TransportSim }
 
 // EnableMultiWorker declares that multiple goroutines of this PE will
 // issue data-path operations on this Ctx (a multi-worker pool: one owner
@@ -171,29 +162,38 @@ type SpanCtx struct {
 func (c *Ctx) WithSpan(span uint64) SpanCtx { return SpanCtx{c: c, span: span} }
 
 // Load64 is Ctx.Load64 carrying the view's span.
-func (s SpanCtx) Load64(pe int, addr Addr) (uint64, error) { return s.c.load64(pe, addr, s.span) }
+func (s SpanCtx) Load64(pe int, addr Addr) (uint64, error) {
+	v, _, err := s.c.do(&opReq{op: OpLoad, to: pe, addr: addr, span: s.span})
+	return v, err
+}
 
 // FetchAdd64 is Ctx.FetchAdd64 carrying the view's span.
 func (s SpanCtx) FetchAdd64(pe int, addr Addr, delta uint64) (uint64, error) {
-	return s.c.fetchAdd64(pe, addr, delta, s.span)
+	v, _, err := s.c.do(&opReq{op: OpFetchAdd, to: pe, addr: addr, v1: delta, span: s.span})
+	return v, err
 }
 
 // Get is Ctx.Get carrying the view's span.
-func (s SpanCtx) Get(pe int, addr Addr, dst []byte) error { return s.c.get(pe, addr, dst, s.span) }
+func (s SpanCtx) Get(pe int, addr Addr, dst []byte) error {
+	_, _, err := s.c.do(&opReq{op: OpGet, to: pe, addr: addr, buf: dst, span: s.span})
+	return err
+}
 
 // GetV is Ctx.GetV carrying the view's span.
 func (s SpanCtx) GetV(pe int, spans []Span, dst []byte) error {
-	return s.c.getV(pe, spans, dst, s.span)
+	_, _, err := s.c.do(&opReq{op: OpGetV, to: pe, spans: spans, buf: dst, span: s.span})
+	return err
 }
 
 // Store64NBI is Ctx.Store64NBI carrying the view's span.
 func (s SpanCtx) Store64NBI(pe int, addr Addr, val uint64) error {
-	return s.c.store64NBI(pe, addr, val, s.span)
+	_, _, err := s.c.do(&opReq{op: OpStoreNBI, to: pe, addr: addr, v1: val, span: s.span})
+	return err
 }
 
 // FetchAddGet is Ctx.FetchAddGet carrying the view's span.
 func (s SpanCtx) FetchAddGet(pe int, addr Addr, delta uint64, id uint64) (uint64, []byte, error) {
-	return s.c.fetchAddGet(pe, addr, delta, id, s.span)
+	return s.c.do(&opReq{op: OpFetchAddGet, to: pe, addr: addr, v1: delta, id: id, span: s.span})
 }
 
 // Rank returns this PE's rank in [0, NumPEs).
@@ -210,14 +210,18 @@ func (c *Ctx) Counters() *Counters { return &c.counters }
 // failure unwinds the whole world instead of leaving peers spinning. A
 // crash-injected PE sees an error wrapping ErrPEKilled so its own loops
 // unwind promptly (without failing the world — see World.Run).
-func (c *Ctx) Err() error {
-	if err := c.selfCheck(); err != nil {
+func (c *Ctx) Err() error { return c.w.errFor(c.rank) }
+
+// errFor is Ctx.Err for rank, for the wait primitives that poll it on a
+// PE's behalf.
+func (w *World) errFor(rank int) error {
+	if err := w.live.selfCheck(rank); err != nil {
 		return err
 	}
-	if !c.w.failed.Load() {
+	if !w.failed.Load() {
 		return nil
 	}
-	if err := c.w.Err(); err != nil {
+	if err := w.Err(); err != nil {
 		return err
 	}
 	return fmt.Errorf("shmem: world failed")
@@ -228,13 +232,12 @@ func (c *Ctx) Liveness() *Liveness { return c.w.live }
 
 // selfCheck fails operations issued by a crash-injected PE. The fast path
 // is a single atomic load that stays zero until the first failure event.
-func (c *Ctx) selfCheck() error {
-	lv := c.w.live
+func (lv *Liveness) selfCheck(rank int) error {
 	if lv.events.Load() == 0 {
 		return nil
 	}
-	if lv.killed[c.rank].Load() {
-		return fmt.Errorf("shmem: PE %d: %w", c.rank, ErrPEKilled)
+	if lv.killed[rank].Load() {
+		return fmt.Errorf("shmem: PE %d: %w", rank, ErrPEKilled)
 	}
 	return nil
 }
@@ -298,18 +301,13 @@ func (c *Ctx) MustAlloc(n int) Addr {
 // Barrier synchronizes all PEs. It also completes this PE's outstanding
 // non-blocking operations first (OpenSHMEM's barrier_all implies quiet).
 func (c *Ctx) Barrier() error {
-	if err := c.selfCheck(); err != nil {
+	if err := c.w.live.selfCheck(c.rank); err != nil {
 		return err
 	}
 	if err := c.Quiet(); err != nil {
 		return err
 	}
-	if st, ok := c.w.transport.(*simTransport); ok {
-		// Under the sim the barrier must be scheduler-visible: a parked
-		// sync.Cond wait would hold the lockstep token forever.
-		return st.barrier(c.rank)
-	}
-	return c.w.barrier.wait()
+	return c.w.transport.barrier(c.rank)
 }
 
 // Quiet blocks until all non-blocking operations issued by this PE have
@@ -322,297 +320,122 @@ func (c *Ctx) Quiet() error { return c.w.transport.quiet(c.rank) }
 // simulation transport it is a cheap yield with occasional sleep; under
 // TransportSim it hands the lockstep token back to the scheduler — a spin
 // loop without it would stall virtual time forever.
-func (c *Ctx) Relax() {
-	if st, ok := c.w.transport.(*simTransport); ok {
-		st.relax(c.rank)
-		return
-	}
-	if c.relaxes.Add(1)%64 == 0 {
-		time.Sleep(time.Microsecond)
-	} else {
-		yield()
-	}
-}
+func (c *Ctx) Relax() { c.w.transport.relax(c.rank) }
 
-// --- Blocking one-sided operations ---------------------------------------
+// --- One-sided operations ---------------------------------------------------
+
+// do is the one front-end of every one-sided operation: the liveness
+// gate, the communication counters, the latency sample and span-tagged
+// journal entry, and the self-target short-circuit (a PE's operations on
+// its own heap are plain memory operations and never reach the
+// transport). r.from is filled in here. The descriptor comes in by
+// pointer (to the wrapper's stack temporary, which does not escape) and
+// is copied exactly once, where it crosses the transport interface.
+func (c *Ctx) do(r *opReq) (uint64, []byte, error) {
+	r.from = c.rank
+	if r.to == c.rank {
+		r.op = r.op.completed()
+		t0 := c.latStart()
+		val, data, err := c.w.apply(c.self, r, nil)
+		if err != nil {
+			return 0, nil, err
+		}
+		c.counters.countLocal()
+		c.latEnd(r.op, false, t0)
+		return val, data, nil
+	}
+	if err := c.peerCheck(r.op, r.to); err != nil {
+		return 0, nil, err
+	}
+	c.counters.countRemote(r.op, len(r.buf))
+	if !r.op.Blocking() {
+		err := c.w.transport.nbi(*r)
+		if r.span != 0 {
+			// Non-blocking injection: no latency to attribute. The opt-in
+			// trace buffer shows the ack was issued (duration 0 = injected);
+			// the flight journal deliberately does not — the issue is implied
+			// by the span-end outcome, and the diagnostic that matters for
+			// weak ordering is the victim-side apply, which the transports
+			// record. Skipping it keeps the always-on steal path at two
+			// clock reads (span start and end).
+			c.tr.RecordSpan(trace.CommOp, int64(r.op), 0, r.span)
+		}
+		return 0, nil, err
+	}
+	t0 := c.latStart()
+	val, data, err := c.w.transport.blocking(*r)
+	c.latEndSpan(r.op, t0, r.span)
+	if r.op == OpFetchAddGet && err == nil {
+		c.counters.bytesGot.Add(uint64(len(data)))
+	}
+	return val, data, err
+}
 
 // Put copies src into PE pe's heap at addr and blocks until complete.
 func (c *Ctx) Put(pe int, addr Addr, src []byte) error {
-	if pe == c.rank {
-		if err := c.self.checkRange(addr, len(src)); err != nil {
-			return err
-		}
-		c.counters.countLocal()
-		t0 := c.latStart()
-		c.self.copyIn(addr, src)
-		c.latEnd(OpPut, false, t0)
-		return nil
-	}
-	if err := c.peerCheck(OpPut, pe); err != nil {
-		return err
-	}
-	c.counters.countRemote(OpPut, len(src))
-	t0 := c.latStart()
-	err := c.w.transport.put(c.rank, pe, addr, src, 0)
-	c.latEnd(OpPut, true, t0)
+	_, _, err := c.do(&opReq{op: OpPut, to: pe, addr: addr, buf: src})
 	return err
 }
 
 // Get copies len(dst) bytes from PE pe's heap at addr into dst.
-func (c *Ctx) Get(pe int, addr Addr, dst []byte) error { return c.get(pe, addr, dst, 0) }
-
-func (c *Ctx) get(pe int, addr Addr, dst []byte, span uint64) error {
-	if pe == c.rank {
-		if err := c.self.checkRange(addr, len(dst)); err != nil {
-			return err
-		}
-		c.counters.countLocal()
-		t0 := c.latStart()
-		c.self.copyOut(addr, dst)
-		c.latEnd(OpGet, false, t0)
-		return nil
-	}
-	if err := c.peerCheck(OpGet, pe); err != nil {
-		return err
-	}
-	c.counters.countRemote(OpGet, len(dst))
-	t0 := c.latStart()
-	err := c.w.transport.get(c.rank, pe, addr, dst, span)
-	c.latEndSpan(OpGet, t0, span)
-	return err
-}
+func (c *Ctx) Get(pe int, addr Addr, dst []byte) error { return c.WithSpan(0).Get(pe, addr, dst) }
 
 // GetV gathers the given spans of PE pe's heap into dst, in order, in ONE
 // blocking round trip (a vectored get). len(dst) must equal the spans'
 // total length. A circular-buffer block that wraps the physical end of
 // the buffer is the motivating case: two spans, still one communication,
 // preserving the protocols' comms-per-steal bounds unconditionally.
-func (c *Ctx) GetV(pe int, spans []Span, dst []byte) error { return c.getV(pe, spans, dst, 0) }
-
-func (c *Ctx) getV(pe int, spans []Span, dst []byte, span uint64) error {
-	total := 0
-	for _, sp := range spans {
-		if sp.N < 0 {
-			return fmt.Errorf("shmem: GetV span with negative length %d", sp.N)
-		}
-		total += sp.N
-	}
-	if total != len(dst) {
-		return fmt.Errorf("shmem: GetV spans cover %d bytes, dst holds %d", total, len(dst))
-	}
-	if pe == c.rank {
-		for _, sp := range spans {
-			if err := c.self.checkRange(sp.Addr, sp.N); err != nil {
-				return err
-			}
-		}
-		c.counters.countLocal()
-		t0 := c.latStart()
-		off := 0
-		for _, sp := range spans {
-			c.self.copyOut(sp.Addr, dst[off:off+sp.N])
-			off += sp.N
-		}
-		c.latEnd(OpGetV, false, t0)
-		return nil
-	}
-	if err := c.peerCheck(OpGetV, pe); err != nil {
-		return err
-	}
-	c.counters.countRemote(OpGetV, len(dst))
-	t0 := c.latStart()
-	err := c.w.transport.getv(c.rank, pe, spans, dst, span)
-	c.latEndSpan(OpGetV, t0, span)
-	return err
+func (c *Ctx) GetV(pe int, spans []Span, dst []byte) error {
+	return c.WithSpan(0).GetV(pe, spans, dst)
 }
 
 // FetchAdd64 atomically adds delta to the word at addr on PE pe and
 // returns the previous value.
 func (c *Ctx) FetchAdd64(pe int, addr Addr, delta uint64) (uint64, error) {
-	return c.fetchAdd64(pe, addr, delta, 0)
-}
-
-func (c *Ctx) fetchAdd64(pe int, addr Addr, delta uint64, span uint64) (uint64, error) {
-	if pe == c.rank {
-		i, err := c.self.checkWord(addr)
-		if err != nil {
-			return 0, err
-		}
-		c.counters.countLocal()
-		t0 := c.latStart()
-		v := atomic.AddUint64(c.self.word(i), delta) - delta
-		c.latEnd(OpFetchAdd, false, t0)
-		return v, nil
-	}
-	if err := c.peerCheck(OpFetchAdd, pe); err != nil {
-		return 0, err
-	}
-	c.counters.countRemote(OpFetchAdd, 0)
-	t0 := c.latStart()
-	v, err := c.w.transport.fetchAdd64(c.rank, pe, addr, delta, span)
-	c.latEndSpan(OpFetchAdd, t0, span)
-	return v, err
+	return c.WithSpan(0).FetchAdd64(pe, addr, delta)
 }
 
 // Swap64 atomically replaces the word at addr on PE pe with val and
 // returns the previous value.
 func (c *Ctx) Swap64(pe int, addr Addr, val uint64) (uint64, error) {
-	if pe == c.rank {
-		i, err := c.self.checkWord(addr)
-		if err != nil {
-			return 0, err
-		}
-		c.counters.countLocal()
-		t0 := c.latStart()
-		v := atomic.SwapUint64(c.self.word(i), val)
-		c.latEnd(OpSwap, false, t0)
-		return v, nil
-	}
-	if err := c.peerCheck(OpSwap, pe); err != nil {
-		return 0, err
-	}
-	c.counters.countRemote(OpSwap, 0)
-	t0 := c.latStart()
-	v, err := c.w.transport.swap64(c.rank, pe, addr, val, 0)
-	c.latEnd(OpSwap, true, t0)
+	v, _, err := c.do(&opReq{op: OpSwap, to: pe, addr: addr, v1: val})
 	return v, err
 }
 
 // CompareSwap64 atomically replaces the word at addr on PE pe with new if
 // it equals old, returning the previous value (OpenSHMEM fetching CAS).
 func (c *Ctx) CompareSwap64(pe int, addr Addr, old, new uint64) (uint64, error) {
-	if pe == c.rank {
-		i, err := c.self.checkWord(addr)
-		if err != nil {
-			return 0, err
-		}
-		c.counters.countLocal()
-		t0 := c.latStart()
-		for {
-			cur := atomic.LoadUint64(c.self.word(i))
-			if cur != old {
-				c.latEnd(OpCompareSwap, false, t0)
-				return cur, nil
-			}
-			if atomic.CompareAndSwapUint64(c.self.word(i), old, new) {
-				c.latEnd(OpCompareSwap, false, t0)
-				return old, nil
-			}
-		}
-	}
-	if err := c.peerCheck(OpCompareSwap, pe); err != nil {
-		return 0, err
-	}
-	c.counters.countRemote(OpCompareSwap, 0)
-	t0 := c.latStart()
-	v, err := c.w.transport.compareSwap64(c.rank, pe, addr, old, new, 0)
-	c.latEnd(OpCompareSwap, true, t0)
+	v, _, err := c.do(&opReq{op: OpCompareSwap, to: pe, addr: addr, v1: old, v2: new})
 	return v, err
 }
 
 // Load64 atomically fetches the word at addr on PE pe.
-func (c *Ctx) Load64(pe int, addr Addr) (uint64, error) { return c.load64(pe, addr, 0) }
-
-func (c *Ctx) load64(pe int, addr Addr, span uint64) (uint64, error) {
-	if pe == c.rank {
-		i, err := c.self.checkWord(addr)
-		if err != nil {
-			return 0, err
-		}
-		c.counters.countLocal()
-		t0 := c.latStart()
-		v := atomic.LoadUint64(c.self.word(i))
-		c.latEnd(OpLoad, false, t0)
-		return v, nil
-	}
-	if err := c.peerCheck(OpLoad, pe); err != nil {
-		return 0, err
-	}
-	c.counters.countRemote(OpLoad, 0)
-	t0 := c.latStart()
-	v, err := c.w.transport.load64(c.rank, pe, addr, span)
-	c.latEndSpan(OpLoad, t0, span)
-	return v, err
-}
+func (c *Ctx) Load64(pe int, addr Addr) (uint64, error) { return c.WithSpan(0).Load64(pe, addr) }
 
 // Store64 atomically stores val to the word at addr on PE pe and blocks
 // until the store is visible at the target.
 func (c *Ctx) Store64(pe int, addr Addr, val uint64) error {
-	if pe == c.rank {
-		i, err := c.self.checkWord(addr)
-		if err != nil {
-			return err
-		}
-		c.counters.countLocal()
-		t0 := c.latStart()
-		atomic.StoreUint64(c.self.word(i), val)
-		c.latEnd(OpStore, false, t0)
-		return nil
-	}
-	if err := c.peerCheck(OpStore, pe); err != nil {
-		return err
-	}
-	c.counters.countRemote(OpStore, 0)
-	t0 := c.latStart()
-	err := c.w.transport.store64(c.rank, pe, addr, val, 0)
-	c.latEnd(OpStore, true, t0)
+	_, _, err := c.do(&opReq{op: OpStore, to: pe, addr: addr, v1: val})
 	return err
 }
-
-// --- Non-blocking one-sided operations ------------------------------------
 
 // Store64NBI injects an atomic store and returns immediately. Completion
 // is observed via Quiet (or Barrier). Self-targeted stores apply
 // immediately.
 func (c *Ctx) Store64NBI(pe int, addr Addr, val uint64) error {
-	return c.store64NBI(pe, addr, val, 0)
-}
-
-func (c *Ctx) store64NBI(pe int, addr Addr, val uint64, span uint64) error {
-	if pe == c.rank {
-		return c.Store64(pe, addr, val)
-	}
-	if err := c.peerCheck(OpStoreNBI, pe); err != nil {
-		return err
-	}
-	c.counters.countRemote(OpStoreNBI, 0)
-	err := c.w.transport.storeNBI(c.rank, pe, addr, val, span)
-	if span != 0 {
-		// Non-blocking injection: no latency to attribute. The opt-in
-		// trace buffer shows the ack was issued (duration 0 = injected);
-		// the flight journal deliberately does not — the issue is implied
-		// by the span-end outcome, and the diagnostic that matters for
-		// weak ordering is the victim-side apply, which the transports
-		// record. Skipping it keeps the always-on steal path at two
-		// clock reads (span start and end).
-		c.tr.RecordSpan(trace.CommOp, int64(OpStoreNBI), 0, span)
-	}
-	return err
+	return c.WithSpan(0).Store64NBI(pe, addr, val)
 }
 
 // Add64NBI injects a non-fetching atomic add and returns immediately.
 func (c *Ctx) Add64NBI(pe int, addr Addr, delta uint64) error {
-	if pe == c.rank {
-		_, err := c.FetchAdd64(pe, addr, delta)
-		return err
-	}
-	if err := c.peerCheck(OpAddNBI, pe); err != nil {
-		return err
-	}
-	c.counters.countRemote(OpAddNBI, 0)
-	return c.w.transport.addNBI(c.rank, pe, addr, delta, 0)
+	_, _, err := c.do(&opReq{op: OpAddNBI, to: pe, addr: addr, v1: delta})
+	return err
 }
 
 // PutNBI injects a bulk put and returns immediately.
 func (c *Ctx) PutNBI(pe int, addr Addr, src []byte) error {
-	if pe == c.rank {
-		return c.Put(pe, addr, src)
-	}
-	if err := c.peerCheck(OpPutNBI, pe); err != nil {
-		return err
-	}
-	c.counters.countRemote(OpPutNBI, len(src))
-	return c.w.transport.putNBI(c.rank, pe, addr, src, 0)
+	_, _, err := c.do(&opReq{op: OpPutNBI, to: pe, addr: addr, buf: src})
+	return err
 }
 
 // --- Point-to-point synchronization ----------------------------------------
@@ -673,50 +496,11 @@ func (c Cmp) eval(a, b uint64) (bool, error) {
 // any message exchange. It returns the satisfying value, or an error if
 // the world fails or the timeout (0 = none) expires.
 func (c *Ctx) WaitUntil64(addr Addr, cmp Cmp, operand uint64, timeout time.Duration) (uint64, error) {
-	i, err := c.self.checkWord(addr)
-	if err != nil {
+	if _, err := c.self.checkWord(addr); err != nil {
 		return 0, err
 	}
-	if st, ok := c.w.transport.(*simTransport); ok {
-		// Park in the scheduler; the wait resolves in virtual time.
-		return st.waitLocal(c.rank, addr, cmp, operand, timeout)
+	if _, err := cmp.eval(0, operand); err != nil {
+		return 0, err // unknown comparison, before any waiting
 	}
-	if sh, ok := c.w.transport.(*shmTransport); ok {
-		// Bounded spin, then park on the heap's futex word: a peer's
-		// one-sided store wakes this PE through the transport's wake
-		// hook instead of being discovered by the next poll iteration.
-		return sh.waitUntil(c, addr, i, cmp, operand, timeout)
-	}
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	for spins := 0; ; spins++ {
-		v := atomic.LoadUint64(c.self.word(i))
-		ok, err := cmp.eval(v, operand)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			return v, nil
-		}
-		if werr := c.Err(); werr != nil {
-			return 0, werr
-		}
-		if c.w.live.AnyDead() {
-			// A peer that could have flipped this word is gone; unwind
-			// with a named error instead of spinning out the timeout.
-			return 0, fmt.Errorf("shmem: WaitUntil64(%#x %v %d) aborted, peer declared dead: %w",
-				uint64(addr), cmp, operand, ErrPeerDead)
-		}
-		if timeout > 0 && time.Now().After(deadline) {
-			return 0, fmt.Errorf("shmem: WaitUntil64(%#x %v %d) timed out after %v (last value %d): %w",
-				uint64(addr), cmp, operand, timeout, v, ErrOpTimeout)
-		}
-		if spins%64 == 63 {
-			time.Sleep(time.Microsecond)
-		} else {
-			yield()
-		}
-	}
+	return c.w.transport.waitWord(waitReq{rank: c.rank, on: c.rank, addr: addr, cmp: cmp, operand: operand, timeout: timeout})
 }

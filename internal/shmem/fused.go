@@ -3,7 +3,6 @@ package shmem
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Fused operations emulate a programmable NIC in the style of the
@@ -75,48 +74,17 @@ func (c *Ctx) RegisterFused(id uint64, f FusedRange) error {
 // the same round trip, returns the bytes selected by the registered
 // handler applied to the prior value. One blocking communication.
 func (c *Ctx) FetchAddGet(pe int, addr Addr, delta uint64, id uint64) (uint64, []byte, error) {
-	return c.fetchAddGet(pe, addr, delta, id, 0)
-}
-
-func (c *Ctx) fetchAddGet(pe int, addr Addr, delta uint64, id uint64, span uint64) (uint64, []byte, error) {
-	if pe == c.rank {
-		i, err := c.self.checkWord(addr)
-		if err != nil {
-			return 0, nil, err
-		}
-		c.counters.countLocal()
-		t0 := c.latStart()
-		old := atomic.AddUint64(c.self.word(i), delta) - delta
-		data, err := c.w.applyFused(c.self, old, id)
-		c.latEnd(OpFetchAddGet, false, t0)
-		return old, data, err
-	}
-	if err := c.peerCheck(OpFetchAddGet, pe); err != nil {
-		return 0, nil, err
-	}
-	c.counters.countRemote(OpFetchAddGet, 0)
-	t0 := c.latStart()
-	old, data, err := c.w.transport.fetchAddGet(c.rank, pe, addr, delta, id, span)
-	c.latEndSpan(OpFetchAddGet, t0, span)
-	if err == nil {
-		c.counters.bytesGot.Add(uint64(len(data)))
-	}
-	return old, data, err
+	return c.do(&opReq{op: OpFetchAddGet, to: pe, addr: addr, v1: delta, id: id})
 }
 
 // applyFused runs the handler against a target heap and gathers the
-// selected bytes (the "NIC-side" half of a fused op). The returned slice
-// is freshly allocated and owned by the caller.
-func (w *World) applyFused(pe *peState, old uint64, id uint64) ([]byte, error) {
-	return w.applyFusedInto(pe, old, id, nil)
-}
-
-// applyFusedInto is applyFused gathering into buf's backing array when its
-// capacity suffices (one pass, no per-span staging — the wrapped-block
-// case is a single vectored gather). The returned slice aliases buf only
-// if cap(buf) covered the spans' total; transports that own a reusable
-// response scratch pass it here to keep the fused path allocation-free.
-func (w *World) applyFusedInto(pe *peState, old uint64, id uint64, buf []byte) ([]byte, error) {
+// selected bytes (the "NIC-side" half of a fused op) into buf's backing
+// array when its capacity suffices (one pass, no per-span staging — the
+// wrapped-block case is a single vectored gather). The returned slice
+// aliases buf only if cap(buf) covered the spans' total, and is otherwise
+// freshly allocated; callers that own a reusable response scratch pass it
+// here to keep the fused path allocation-free.
+func (w *World) applyFused(pe *peState, old uint64, id uint64, buf []byte) ([]byte, error) {
 	f, ok := w.fused.lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("shmem: fused handler %d not registered", id)

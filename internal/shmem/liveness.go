@@ -282,10 +282,12 @@ func (l *Liveness) startProber(selfRank int) {
 				if r == selfRank || !l.Alive(r) {
 					continue
 				}
-				if mv, err := l.w.transport.load64(selfRank, r, membershipAddr, 0); err == nil {
+				probe := opReq{op: OpLoad, from: selfRank, to: r, addr: membershipAddr}
+				if mv, _, err := l.w.transport.blocking(probe); err == nil {
 					l.mirrorMember(r, PeerState(mv))
 				}
-				v, err := l.w.transport.load64(selfRank, r, heartbeatAddr, 0)
+				probe.addr = heartbeatAddr
+				v, _, err := l.w.transport.blocking(probe)
 				p := &peers[r]
 				if err == nil && (!p.seen || v != p.lastVal) {
 					p.seen = true

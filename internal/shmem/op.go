@@ -1,0 +1,185 @@
+package shmem
+
+import (
+	"fmt"
+	"sync/atomic"
+)
+
+// opReq describes one one-sided operation. It is the only representation
+// an operation has between Ctx and a heap: Ctx.do fills one in, the
+// back-ends carry it to where the target heap is addressable, and
+// World.apply executes it there. It crosses the transport interface by
+// value so the op path allocates nothing; below that boundary it travels
+// as a pointer to the callee's copy, because copying its 14 words at
+// every layer is most of what a shared-memory fetch-add costs.
+type opReq struct {
+	op       Op
+	from, to int  // initiator and target ranks
+	addr     Addr // target address; unused by OpGetV, whose ranges are spans
+	// v1 is the operand: the delta of a fetch-add/add, the value of a
+	// swap/store, the expected value of a compare-swap (v2 is its
+	// replacement).
+	v1, v2 uint64
+	id     uint64 // fused-handler id (OpFetchAddGet)
+	buf    []byte // source of a put, destination of a get/getv
+	spans  []Span // OpGetV: the ranges gathered into buf, in order
+	// span is the causal span ID (zero = untagged). The back-ends deliver
+	// it to wherever the op is applied so the victim side of a steal lands
+	// in the target's flight journal under the initiator's span; it never
+	// changes an operation's semantics and is never logged or scheduled on.
+	span uint64
+}
+
+// bulk reports whether the op moves bytes (validated as a byte range)
+// rather than acting on one 64-bit word.
+func (o Op) bulk() bool {
+	switch o {
+	case OpPut, OpGet, OpGetV, OpPutNBI:
+		return true
+	}
+	return false
+}
+
+// completed maps a non-blocking op to the blocking op it is once it has
+// completed. A self-targeted injection completes immediately, so Ctx runs
+// (and counts) it as this op.
+func (o Op) completed() Op {
+	switch o {
+	case OpStoreNBI:
+		return OpStore
+	case OpAddNBI:
+		return OpFetchAdd
+	case OpPutNBI:
+		return OpPut
+	}
+	return o
+}
+
+// redeliverable reports whether a Duplicate fault verdict re-applies the
+// op: stores and injected puts — the deliveries a fabric may retransmit
+// after a lost ack. Atomics are acknowledged with their fetch and never
+// blindly retried.
+func (o Op) redeliverable() bool {
+	switch o {
+	case OpStore, OpStoreNBI, OpPutNBI:
+		return true
+	}
+	return false
+}
+
+// checkBytes validates every byte range a bulk transfer touches.
+func (r *opReq) checkBytes(pe *peState) error {
+	if r.op != OpGetV {
+		return pe.checkRange(r.addr, len(r.buf))
+	}
+	total := 0
+	for _, sp := range r.spans {
+		if err := pe.checkRange(sp.Addr, sp.N); err != nil {
+			return err
+		}
+		total += sp.N
+	}
+	if total != len(r.buf) {
+		return fmt.Errorf("shmem: getv spans cover %d bytes, dst holds %d", total, len(r.buf))
+	}
+	return nil
+}
+
+// apply executes r against pe's heap — the one place an Op turns into
+// loads and stores on heap bytes. Every path that reaches a heap ends
+// here: Ctx's self-target short-circuit, the direct back-end (inline and
+// through its NBI appliers), the tcp service loop after wire decode, and
+// the sim scheduler's wake and delivery steps.
+//
+// val is the fetched word of an atomic; data is the bytes a get gathered
+// (r.buf) or a fused handler selected. Fused payloads are gathered into
+// *scratch when the caller owns a reusable staging buffer (kept grown for
+// the next op); with a nil scratch they are freshly allocated and owned
+// by the caller.
+func (w *World) apply(pe *peState, r *opReq, scratch *[]byte) (val uint64, data []byte, err error) {
+	// Validate first: alignment and bounds of the word an atomic acts on,
+	// bounds of every byte range a transfer touches.
+	var word *uint64
+	if r.op.bulk() {
+		if err := r.checkBytes(pe); err != nil {
+			return 0, nil, err
+		}
+	} else {
+		i, err := pe.checkWord(r.addr)
+		if err != nil {
+			return 0, nil, err
+		}
+		word = pe.word(i)
+	}
+	switch r.op {
+	case OpPut, OpPutNBI:
+		pe.copyIn(r.addr, r.buf)
+	case OpGet:
+		pe.copyOut(r.addr, r.buf)
+		data = r.buf
+	case OpGetV:
+		off := 0
+		for _, sp := range r.spans {
+			pe.copyOut(sp.Addr, r.buf[off:off+sp.N])
+			off += sp.N
+		}
+		data = r.buf
+	case OpFetchAdd, OpAddNBI:
+		val = atomic.AddUint64(word, r.v1) - r.v1
+	case OpSwap:
+		val = atomic.SwapUint64(word, r.v1)
+	case OpCompareSwap:
+		// SHMEM's fetching compare-and-swap: returns the prior value.
+		for {
+			val = atomic.LoadUint64(word)
+			if val != r.v1 || atomic.CompareAndSwapUint64(word, r.v1, r.v2) {
+				break
+			}
+		}
+	case OpLoad:
+		val = atomic.LoadUint64(word)
+	case OpStore, OpStoreNBI:
+		atomic.StoreUint64(word, r.v1)
+	case OpFetchAddGet:
+		val = atomic.AddUint64(word, r.v1) - r.v1
+		var stage []byte
+		if scratch != nil {
+			stage = (*scratch)[:0]
+		}
+		// The handler is SPMD-registered in every process, so whoever
+		// applies the op runs it against the heap directly — the
+		// "NIC-side" gather, with no target CPU involved.
+		if data, err = w.applyFused(pe, val, r.id, stage); err != nil {
+			return 0, nil, err
+		}
+		if scratch != nil && data != nil {
+			*scratch = data
+		}
+	default:
+		return 0, nil, fmt.Errorf("shmem: unknown op %d", int(r.op))
+	}
+	return val, data, nil
+}
+
+// target returns the PE state of rank to, which must be addressable in
+// this process.
+func (w *World) target(to int) (*peState, error) {
+	if to < 0 || to >= len(w.pes) {
+		return nil, fmt.Errorf("shmem: target PE %d out of range [0, %d)", to, len(w.pes))
+	}
+	return w.pes[to], nil
+}
+
+// verdict asks the configured fault injector (if any) about r. Injectors
+// key a vectored get on its leading address.
+func (w *World) verdict(r *opReq) Verdict {
+	f := w.cfg.Fault
+	if f == nil {
+		return Verdict{}
+	}
+	addr := r.addr
+	if r.op == OpGetV && len(r.spans) > 0 {
+		addr = r.spans[0].Addr
+	}
+	return f.Before(r.op, r.from, r.to, addr)
+}

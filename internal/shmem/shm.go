@@ -1,21 +1,21 @@
 package shmem
 
-// This file implements the shm transport: a cross-process symmetric heap
-// over one MAP_SHARED file (typically in /dev/shm), the closest a
-// multi-process Go deployment gets to the paper's NIC-offloaded one-sided
-// operations. Every process maps the same segment, so
+// This file implements the shm heap: a cross-process symmetric heap over
+// one MAP_SHARED file (typically in /dev/shm), the closest a multi-process
+// Go deployment gets to the paper's NIC-offloaded one-sided operations.
+// Every process maps the same segment and the direct back-end (direct.go)
+// applies operations to it exactly as it does to a Go-slice heap, so
 //
-//   - atomics (fetchAdd64/swap64/compareSwap64/load64/store64) are direct
-//     sync/atomic operations on the mapping: zero syscalls, executed by
-//     the initiator, never involving the target process's CPU — the
-//     defining property of hardware atomic offload;
+//   - atomics are direct sync/atomic operations on the mapping: zero
+//     syscalls, executed by the initiator, never involving the target
+//     process's CPU — the defining property of hardware atomic offload;
 //   - bulk transfers (put/get/getv) are memcpy over the mapping;
 //   - non-blocking operations complete at injection, so quiet is a no-op
 //     fence.
 //
 // Blocked waits (WaitUntil64, the heap barrier's generation poll) use a
-// bounded-spin-then-futex policy: spin SpinBudget iterations on the word,
-// then park in the kernel on a per-PE wake sequence word that every
+// bounded-spin-then-futex policy: spin shmDefaultSpin iterations on the
+// word, then park in the kernel on a per-PE wake sequence word that every
 // mutating transport op bumps. On linux the park is futex(2) on the
 // mapping (sub-microsecond cross-process wakeup); elsewhere it degrades
 // to a bounded sleep (futex_fallback.go). Every park is additionally
@@ -44,7 +44,6 @@ package shmem
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -68,11 +67,11 @@ const (
 
 // Header word indices.
 const (
-	shmHdrMagic     = 0
-	shmHdrVersion   = 1
-	shmHdrNumPEs    = 2
-	shmHdrHeapBytes = 3
-	shmHdrReady     = 4
+	shmHdrMagic      = 0
+	shmHdrVersion    = 1
+	shmHdrNumPEs     = 2
+	shmHdrHeapBytes  = 3
+	shmHdrReady      = 4
 	shmHdrAttachBase = 8 // + rank
 )
 
@@ -88,9 +87,8 @@ const (
 const shmMaxPEs = (shmHeaderBytes/WordSize - shmHdrAttachBase) / 3
 
 const (
-	// shmDefaultSpin is the default bounded-spin budget before a blocked
-	// wait parks in the kernel (Config.SpinBudget / ShmConfig.SpinBudget
-	// override; negative parks immediately).
+	// shmDefaultSpin is the bounded-spin budget, in iterations, before a
+	// blocked wait parks in the kernel.
 	shmDefaultSpin = 512
 	// shmParkQuantum bounds every kernel park: a wakeup that bypasses
 	// the transport (self-targeted store fast path) is observed within
@@ -368,50 +366,23 @@ func SweepStaleShmSegments(dir string) ([]string, error) {
 // --- Mapped PE state -------------------------------------------------------
 
 // newPEStateMapped builds a peState whose heap words alias a shared
-// mapping instead of Go-allocated memory; every transport op and Ctx
-// fast path works on it unchanged. The mapping is page-aligned, so the
+// mapping instead of Go-allocated memory; World.apply and the Ctx fast
+// path work on it unchanged. The mapping is page-aligned, so the
 // word view is 8-byte aligned.
 func newPEStateMapped(rank int, mem []byte) *peState {
 	words := aliasWords(mem)
 	return &peState{rank: rank, words: words, bytes: mem[:len(words)*WordSize]}
 }
 
-// --- The transport ---------------------------------------------------------
+// --- The in-process world ---------------------------------------------------
 
-// shmTransport executes one-sided operations directly against the shared
-// mapping from the initiating goroutine — like localTransport, but the
-// "target heap" may belong to another OS process. Where localTransport
-// routes NBI ops through applier goroutines, shm applies them inline: on
-// a cache-coherent mapping injection and completion are the same event,
-// so quiet has nothing to wait for.
-type shmTransport struct {
-	w    *World
-	seg  *shmSegment
-	spin int // bounded-spin budget before a blocked wait parks
-
-	closeOnce sync.Once
-	closeErr  error
-}
-
-// resolveSpinBudget maps the config knob to an iteration count:
-// 0 = default, negative = park immediately.
-func resolveSpinBudget(budget int) int {
-	if budget == 0 {
-		return shmDefaultSpin
-	}
-	if budget < 0 {
-		return 0
-	}
-	return budget
-}
-
-// newShmTransport builds an in-process shm world (NewWorld with
-// TransportShm): PEs are goroutines, but their heaps live in a real
-// MAP_SHARED segment and every op takes the exact cross-process code
-// path. The file is unlinked immediately after creation — the mapping
-// persists until close, and an in-process world can never leak a
-// segment, however it dies.
-func newShmTransport(w *World) (*shmTransport, error) {
+// newShmWorld backs an in-process world (NewWorld with TransportShm) with
+// a real MAP_SHARED segment: PEs are goroutines, but their heaps live in
+// the mapping and every op takes the exact cross-process code path. The
+// file is unlinked immediately after creation — the mapping persists
+// until close, and an in-process world can never leak a segment, however
+// it dies.
+func newShmWorld(w *World) (*shmSegment, error) {
 	if !shmSupported {
 		return nil, fmt.Errorf("shmem: shm transport is not supported on this platform")
 	}
@@ -429,446 +400,7 @@ func newShmTransport(w *World) (*shmTransport, error) {
 		}
 		w.pes[r] = newPEStateMapped(r, seg.heap(r))
 	}
-	return &shmTransport{w: w, seg: seg, spin: resolveSpinBudget(w.cfg.SpinBudget)}, nil
-}
-
-func (t *shmTransport) pe(to int) (*peState, error) {
-	if to < 0 || to >= len(t.w.pes) {
-		return nil, fmt.Errorf("shmem: target PE %d out of range [0, %d)", to, len(t.w.pes))
-	}
-	return t.w.pes[to], nil
-}
-
-func (t *shmTransport) inject(op Op, from, to int, addr Addr) Verdict {
-	if f := t.w.cfg.Fault; f != nil {
-		return f.Before(op, from, to, addr)
-	}
-	return Verdict{}
-}
-
-// wake unparks waiters blocked on pe's heap after a mutating op. The
-// fast path — no one parked — is one atomic load, preserving the
-// zero-syscall property for the common case. Otherwise bump the wake
-// sequence (so a waiter racing toward futexWait sees a changed value
-// and retries) and issue the wake.
-//
-// Seq-cst interleaving argument: the waiter does inc(waiters), read
-// seq, check word, futexWait(seq); the writer does write(word), load
-// (waiters), then bump seq + wake. If the writer's waiters load sees 0,
-// the waiter's inc had not happened, so its later word check sees the
-// write and it never parks on the stale value. Otherwise the writer
-// bumps seq and wakes: either the wake lands, or the bump makes the
-// waiter's futexWait return EAGAIN immediately.
-func (t *shmTransport) wake(pe *peState) {
-	seq, waiters := t.seg.wakeSlot(pe.rank)
-	if atomic.LoadUint64(waiters) == 0 {
-		return
-	}
-	atomic.AddUint64(seq, 1)
-	futexWake(futexHalf(seq), math.MaxInt32)
-}
-
-// --- Blocking one-sided operations ---
-
-func (t *shmTransport) put(from, to int, addr Addr, src []byte, span uint64) error {
-	pe, err := t.pe(to)
-	if err != nil {
-		return err
-	}
-	if err := pe.checkRange(addr, len(src)); err != nil {
-		return err
-	}
-	v := t.inject(OpPut, from, to, addr)
-	at := t.w.cfg.Latency.charge(t.w.cfg.Latency.blockingCost(len(src)) + v.Delay)
-	if err := v.failure(); err != nil {
-		return opError(OpPut, from, to, err)
-	}
-	pe.copyIn(addr, src)
-	t.wake(pe)
-	t.w.flightVictim(at, OpPut, from, to, span)
-	return nil
-}
-
-func (t *shmTransport) get(from, to int, addr Addr, dst []byte, span uint64) error {
-	pe, err := t.pe(to)
-	if err != nil {
-		return err
-	}
-	if err := pe.checkRange(addr, len(dst)); err != nil {
-		return err
-	}
-	v := t.inject(OpGet, from, to, addr)
-	at := t.w.cfg.Latency.charge(t.w.cfg.Latency.blockingCost(len(dst)) + v.Delay)
-	if err := v.failure(); err != nil {
-		return opError(OpGet, from, to, err)
-	}
-	pe.copyOut(addr, dst)
-	t.w.flightVictim(at, OpGet, from, to, span)
-	return nil
-}
-
-func (t *shmTransport) getv(from, to int, spans []Span, dst []byte, span uint64) error {
-	pe, err := t.pe(to)
-	if err != nil {
-		return err
-	}
-	total := 0
-	for _, sp := range spans {
-		if err := pe.checkRange(sp.Addr, sp.N); err != nil {
-			return err
-		}
-		total += sp.N
-	}
-	if total != len(dst) {
-		return fmt.Errorf("shmem: getv spans cover %d bytes, dst holds %d", total, len(dst))
-	}
-	var first Addr
-	if len(spans) > 0 {
-		first = spans[0].Addr
-	}
-	v := t.inject(OpGetV, from, to, first)
-	// One "round trip" covers the whole gather, however many spans.
-	at := t.w.cfg.Latency.charge(t.w.cfg.Latency.blockingCost(len(dst)) + v.Delay)
-	if err := v.failure(); err != nil {
-		return opError(OpGetV, from, to, err)
-	}
-	off := 0
-	for _, sp := range spans {
-		pe.copyOut(sp.Addr, dst[off:off+sp.N])
-		off += sp.N
-	}
-	t.w.flightVictim(at, OpGetV, from, to, span)
-	return nil
-}
-
-func (t *shmTransport) fetchAdd64(from, to int, addr Addr, delta uint64, span uint64) (uint64, error) {
-	pe, err := t.pe(to)
-	if err != nil {
-		return 0, err
-	}
-	i, err := pe.checkWord(addr)
-	if err != nil {
-		return 0, err
-	}
-	v := t.inject(OpFetchAdd, from, to, addr)
-	at := t.w.cfg.Latency.charge(t.w.cfg.Latency.blockingCost(0) + v.Delay)
-	if err := v.failure(); err != nil {
-		return 0, opError(OpFetchAdd, from, to, err)
-	}
-	old := atomic.AddUint64(pe.word(i), delta)
-	t.wake(pe)
-	t.w.flightVictim(at, OpFetchAdd, from, to, span)
-	return old - delta, nil
-}
-
-func (t *shmTransport) swap64(from, to int, addr Addr, val uint64, span uint64) (uint64, error) {
-	pe, err := t.pe(to)
-	if err != nil {
-		return 0, err
-	}
-	i, err := pe.checkWord(addr)
-	if err != nil {
-		return 0, err
-	}
-	v := t.inject(OpSwap, from, to, addr)
-	t.w.cfg.Latency.charge(t.w.cfg.Latency.blockingCost(0) + v.Delay)
-	if err := v.failure(); err != nil {
-		return 0, opError(OpSwap, from, to, err)
-	}
-	old := atomic.SwapUint64(pe.word(i), val)
-	t.wake(pe)
-	return old, nil
-}
-
-func (t *shmTransport) compareSwap64(from, to int, addr Addr, old, new uint64, span uint64) (uint64, error) {
-	pe, err := t.pe(to)
-	if err != nil {
-		return 0, err
-	}
-	i, err := pe.checkWord(addr)
-	if err != nil {
-		return 0, err
-	}
-	v := t.inject(OpCompareSwap, from, to, addr)
-	t.w.cfg.Latency.charge(t.w.cfg.Latency.blockingCost(0) + v.Delay)
-	if err := v.failure(); err != nil {
-		return 0, opError(OpCompareSwap, from, to, err)
-	}
-	// Emulate SHMEM's fetching compare-and-swap: returns the prior value.
-	for {
-		cur := atomic.LoadUint64(pe.word(i))
-		if cur != old {
-			return cur, nil
-		}
-		if atomic.CompareAndSwapUint64(pe.word(i), old, new) {
-			t.wake(pe) // only a successful swap mutates
-			return old, nil
-		}
-	}
-}
-
-func (t *shmTransport) fetchAddGet(from, to int, addr Addr, delta uint64, id uint64, span uint64) (uint64, []byte, error) {
-	pe, err := t.pe(to)
-	if err != nil {
-		return 0, nil, err
-	}
-	i, err := pe.checkWord(addr)
-	if err != nil {
-		return 0, nil, err
-	}
-	fv := t.inject(OpFetchAddGet, from, to, addr)
-	if err := fv.failure(); err != nil {
-		t.w.cfg.Latency.charge(t.w.cfg.Latency.blockingCost(0) + fv.Delay)
-		return 0, nil, opError(OpFetchAddGet, from, to, err)
-	}
-	old := atomic.AddUint64(pe.word(i), delta) - delta
-	t.wake(pe)
-	// The handler is SPMD-registered in every process, so the initiator
-	// runs it against the mapping directly — the "NIC-side" gather with
-	// no target CPU involved, as on real offload hardware.
-	data, err := t.w.applyFused(pe, old, id)
-	if err != nil {
-		return 0, nil, err
-	}
-	// One round trip covers the claim and the dependent payload.
-	at := t.w.cfg.Latency.charge(t.w.cfg.Latency.blockingCost(len(data)) + fv.Delay)
-	t.w.flightVictim(at, OpFetchAddGet, from, to, span)
-	return old, data, nil
-}
-
-func (t *shmTransport) load64(from, to int, addr Addr, span uint64) (uint64, error) {
-	pe, err := t.pe(to)
-	if err != nil {
-		return 0, err
-	}
-	i, err := pe.checkWord(addr)
-	if err != nil {
-		return 0, err
-	}
-	v := t.inject(OpLoad, from, to, addr)
-	at := t.w.cfg.Latency.charge(t.w.cfg.Latency.blockingCost(0) + v.Delay)
-	if err := v.failure(); err != nil {
-		return 0, opError(OpLoad, from, to, err)
-	}
-	t.w.flightVictim(at, OpLoad, from, to, span)
-	return atomic.LoadUint64(pe.word(i)), nil
-}
-
-func (t *shmTransport) store64(from, to int, addr Addr, val uint64, span uint64) error {
-	pe, err := t.pe(to)
-	if err != nil {
-		return err
-	}
-	i, err := pe.checkWord(addr)
-	if err != nil {
-		return err
-	}
-	v := t.inject(OpStore, from, to, addr)
-	t.w.cfg.Latency.charge(t.w.cfg.Latency.blockingCost(0) + v.Delay)
-	if err := v.failure(); err != nil {
-		return opError(OpStore, from, to, err)
-	}
-	atomic.StoreUint64(pe.word(i), val)
-	if v.Duplicate {
-		atomic.StoreUint64(pe.word(i), val)
-	}
-	t.wake(pe)
-	return nil
-}
-
-// --- Non-blocking operations ---
-//
-// On a cache-coherent mapping an injection IS its completion: the ops
-// apply inline (atomically) and return. Fault verdicts are still
-// honored — a drop silently loses the op (Quiet unaffected, exactly the
-// lost-notification failure mode), a delay stalls the injection, and a
-// duplicate reapplies idempotent deliveries (stores and puts only).
-
-func (t *shmTransport) storeNBI(from, to int, addr Addr, val uint64, span uint64) error {
-	pe, err := t.pe(to)
-	if err != nil {
-		return err
-	}
-	i, err := pe.checkWord(addr)
-	if err != nil {
-		return err
-	}
-	v := t.inject(OpStoreNBI, from, to, addr)
-	if v.dropped() {
-		return nil
-	}
-	t.w.cfg.Latency.charge(t.w.cfg.Latency.InjectOverhead)
-	if v.Delay > 0 {
-		time.Sleep(v.Delay)
-	}
-	atomic.StoreUint64(pe.word(i), val)
-	if v.Duplicate {
-		atomic.StoreUint64(pe.word(i), val)
-	}
-	t.wake(pe)
-	t.w.flightVictim(time.Time{}, OpStoreNBI, from, to, span)
-	return nil
-}
-
-func (t *shmTransport) addNBI(from, to int, addr Addr, delta uint64, span uint64) error {
-	pe, err := t.pe(to)
-	if err != nil {
-		return err
-	}
-	i, err := pe.checkWord(addr)
-	if err != nil {
-		return err
-	}
-	v := t.inject(OpAddNBI, from, to, addr)
-	if v.dropped() {
-		return nil
-	}
-	t.w.cfg.Latency.charge(t.w.cfg.Latency.InjectOverhead)
-	if v.Delay > 0 {
-		time.Sleep(v.Delay)
-	}
-	// Duplicating an add is not idempotent; ignore any duplication
-	// verdict, as the other transports do.
-	atomic.AddUint64(pe.word(i), delta)
-	t.wake(pe)
-	t.w.flightVictim(time.Time{}, OpAddNBI, from, to, span)
-	return nil
-}
-
-func (t *shmTransport) putNBI(from, to int, addr Addr, src []byte, span uint64) error {
-	pe, err := t.pe(to)
-	if err != nil {
-		return err
-	}
-	if err := pe.checkRange(addr, len(src)); err != nil {
-		return err
-	}
-	v := t.inject(OpPutNBI, from, to, addr)
-	if v.dropped() {
-		return nil
-	}
-	t.w.cfg.Latency.charge(t.w.cfg.Latency.InjectOverhead)
-	if v.Delay > 0 {
-		time.Sleep(v.Delay)
-	}
-	pe.copyIn(addr, src)
-	if v.Duplicate {
-		pe.copyIn(addr, src)
-	}
-	t.wake(pe)
-	t.w.flightVictim(time.Time{}, OpPutNBI, from, to, span)
-	return nil
-}
-
-// quiet is a no-op fence: every injection on this transport has already
-// been applied by the time it returned.
-func (t *shmTransport) quiet(from int) error { return nil }
-
-func (t *shmTransport) close() error {
-	t.closeOnce.Do(func() {
-		if r := t.w.localRank; r >= 0 {
-			t.seg.detachRank(r)
-		}
-		t.closeErr = t.seg.close()
-	})
-	return t.closeErr
-}
-
-// --- Futex-backed blocked waits --------------------------------------------
-
-// spinThenPark waits until pred holds for pe's heap word at wordIdx,
-// spinning t.spin iterations first and then parking on the PE's wake
-// words. stop is evaluated each iteration (and once per park quantum)
-// to unwind on world failure, peer death, or deadline; it receives the
-// last observed value for error messages.
-func (t *shmTransport) spinThenPark(pe *peState, wordIdx int, pred func(uint64) bool, stop func(uint64) error) (uint64, error) {
-	word := &pe.words[wordIdx]
-	for s := 0; s < t.spin; s++ {
-		v := atomic.LoadUint64(word)
-		if pred(v) {
-			return v, nil
-		}
-		if err := stop(v); err != nil {
-			return 0, err
-		}
-		yield()
-	}
-	seq, waiters := t.seg.wakeSlot(pe.rank)
-	seqP := futexHalf(seq)
-	for {
-		// Register as a waiter BEFORE sampling the sequence and
-		// re-checking the word; see wake() for why this ordering closes
-		// the lost-wakeup window.
-		atomic.AddUint64(waiters, 1)
-		seq := atomic.LoadUint32(seqP)
-		v := atomic.LoadUint64(word)
-		if pred(v) {
-			atomic.AddUint64(waiters, ^uint64(0))
-			return v, nil
-		}
-		if err := stop(v); err != nil {
-			atomic.AddUint64(waiters, ^uint64(0))
-			return 0, err
-		}
-		// The quantum bounds the park so mutations that bypass the
-		// transport (self-targeted fast paths) and missed deadlines are
-		// observed within shmParkQuantum.
-		futexWait(seqP, seq, shmParkQuantum)
-		atomic.AddUint64(waiters, ^uint64(0))
-	}
-}
-
-// waitUntil implements Ctx.WaitUntil64 for the shm transport: identical
-// semantics to the adaptive-spin poll, but a blocked PE parks in the
-// kernel instead of burning a core, and a peer's one-sided store wakes
-// it in sub-microsecond time via the transport's wake hook.
-func (t *shmTransport) waitUntil(c *Ctx, addr Addr, wordIdx int, cmp Cmp, operand uint64, timeout time.Duration) (uint64, error) {
-	if _, err := cmp.eval(0, operand); err != nil {
-		return 0, err // unknown comparison, before any waiting
-	}
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	pred := func(v uint64) bool {
-		ok, _ := cmp.eval(v, operand)
-		return ok
-	}
-	stop := func(v uint64) error {
-		if werr := c.Err(); werr != nil {
-			return werr
-		}
-		if c.w.live.AnyDead() {
-			// A peer that could have flipped this word is gone; unwind
-			// with a named error instead of spinning out the timeout.
-			return fmt.Errorf("shmem: WaitUntil64(%#x %v %d) aborted, peer declared dead: %w",
-				uint64(addr), cmp, operand, ErrPeerDead)
-		}
-		if timeout > 0 && time.Now().After(deadline) {
-			return fmt.Errorf("shmem: WaitUntil64(%#x %v %d) timed out after %v (last value %d): %w",
-				uint64(addr), cmp, operand, timeout, v, ErrOpTimeout)
-		}
-		return nil
-	}
-	return t.spinThenPark(c.self, wordIdx, pred, stop)
-}
-
-// waitBarrierGen implements heapBarrier's generation poll: park until
-// rank 0's generation word passes myGen. The releaser bumps it through
-// the transport, so the wake hook fires across processes.
-func (t *shmTransport) waitBarrierGen(myGen uint64, deadline time.Time, timeout time.Duration, check func() error) (uint64, error) {
-	pe := t.w.pes[0]
-	pred := func(v uint64) bool { return v > myGen }
-	stop := func(uint64) error {
-		if err := check(); err != nil {
-			return err
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("shmem: barrier expired after %v (peer process lost?): %w", timeout, ErrBarrierTimeout)
-		}
-		return nil
-	}
-	return t.spinThenPark(pe, int(barrierGenAddr/WordSize), pred, stop)
+	return seg, nil
 }
 
 // --- Multi-process membership (JoinShm) ------------------------------------
@@ -892,10 +424,6 @@ type ShmConfig struct {
 	// AttachTimeout bounds both mapping the segment and waiting for all
 	// peers to attach. Default 30s.
 	AttachTimeout time.Duration
-	// SpinBudget is the bounded-spin iteration count before a blocked
-	// wait (WaitUntil64, barrier) parks in the kernel. 0 selects the
-	// default (512); negative parks immediately.
-	SpinBudget int
 	// Latency optionally layers the injected cost model on top of the
 	// real memory system.
 	Latency LatencyModel
@@ -959,7 +487,6 @@ func JoinShm(cfg ShmConfig) (*World, error) {
 			Latency:           cfg.Latency,
 			Transport:         TransportShm,
 			Fault:             cfg.Fault,
-			SpinBudget:        cfg.SpinBudget,
 			HeartbeatInterval: cfg.HeartbeatInterval,
 			SuspectAfter:      cfg.SuspectAfter,
 			DeadAfter:         cfg.DeadAfter,
@@ -987,7 +514,7 @@ func JoinShm(cfg ShmConfig) (*World, error) {
 	}
 	w.flight = trace.NewFlightSet(w.cfg.NumPEs, w.cfg.FlightCap)
 	w.live = newLiveness(w, cfg.NumPEs)
-	t := &shmTransport{w: w, seg: seg, spin: resolveSpinBudget(cfg.SpinBudget)}
+	t := newDirectTransport(w, seg)
 	w.transport = t
 	hb := newHeapBarrier(w, cfg.Rank, cfg.NumPEs, cfg.BarrierTimeout)
 	w.barrier = hb

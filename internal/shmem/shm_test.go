@@ -225,12 +225,25 @@ func TestJoinShmExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestShmWaitUntilFutexWake forces the park path (SpinBudget < 0 parks
-// immediately, no spinning) and checks a peer's one-sided store wakes the
-// waiter with the satisfying value.
+// runParked is run on an in-process shm world whose blocked waits park in
+// the kernel immediately, with no bounded spin first.
+func runParked(t *testing.T, numPEs int, body func(*Ctx) error) {
+	t.Helper()
+	w, err := NewWorld(Config{NumPEs: numPEs, Transport: TransportShm})
+	if err != nil {
+		t.Fatalf("NewWorld: %v", err)
+	}
+	w.transport.(*directTransport).spin = 0
+	if err := w.Run(body); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestShmWaitUntilFutexWake forces the park path and checks a peer's
+// one-sided store wakes the waiter with the satisfying value.
 func TestShmWaitUntilFutexWake(t *testing.T) {
 	requireShm(t)
-	run(t, Config{NumPEs: 2, Transport: TransportShm, SpinBudget: -1}, func(c *Ctx) error {
+	runParked(t, 2, func(c *Ctx) error {
 		flag, err := c.Alloc(WordSize)
 		if err != nil {
 			return err
@@ -261,7 +274,7 @@ func TestShmWaitUntilFutexWake(t *testing.T) {
 // interval), with the named error.
 func TestShmWaitUntilTimeoutParked(t *testing.T) {
 	requireShm(t)
-	run(t, Config{NumPEs: 1, Transport: TransportShm, SpinBudget: -1}, func(c *Ctx) error {
+	runParked(t, 1, func(c *Ctx) error {
 		flag, err := c.Alloc(WordSize)
 		if err != nil {
 			return err

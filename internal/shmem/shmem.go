@@ -19,10 +19,15 @@
 //     overhead, so protocol-level communication counts translate into
 //     measured time the same way they do on a real fabric.
 //
-// Two transports are provided: a local transport (PEs are goroutines in
-// one address space; the default, used by all benchmarks) and a TCP
-// transport (operations are marshalled over real sockets to a per-PE
-// service goroutine, exercising a genuine network path).
+// An operation has one representation (opReq) and one implementation
+// (World.apply, see op.go); three back-ends carry it to where the target
+// heap is addressable. The direct back-end has the initiator apply it —
+// to heaps that are Go slices (TransportLocal: PEs are goroutines in one
+// address space; the default) or one mmap'd segment shared by goroutines
+// or processes (TransportShm). The TCP back-end marshals it over real
+// sockets to a per-PE service goroutine, exercising a genuine network
+// path. The sim back-end applies it from a deterministic lockstep
+// scheduler in virtual time.
 //
 // The package deliberately keeps OpenSHMEM's flat, rank-addressed flavor:
 // addresses are byte offsets into the symmetric heap, word operations
@@ -75,8 +80,9 @@ const (
 	// TransportShm maps every PE's symmetric heap into one MAP_SHARED
 	// segment file (typically in /dev/shm): one-sided operations are
 	// direct sync/atomic ops and memcpys on the mapping — zero syscalls,
-	// initiator-executed, and (via JoinShm) cross-process. Blocked waits
-	// use a bounded-spin-then-futex policy; see shm.go and ShmSupported.
+	// executed by the initiator exactly as under TransportLocal, and (via
+	// JoinShm) cross-process. Blocked waits use a bounded-spin-then-futex
+	// policy; see shm.go and ShmSupported.
 	TransportShm
 )
 
@@ -112,11 +118,6 @@ type Config struct {
 	// Sim configures the deterministic simulation transport; ignored by
 	// the other transports.
 	Sim SimOptions
-	// SpinBudget is the shm transport's bounded-spin iteration count
-	// before a blocked wait (WaitUntil64, barrier) parks in the kernel
-	// on a futex. 0 selects the default (512); negative parks
-	// immediately. Ignored by the other transports.
-	SpinBudget int
 	// NoOpLatency disables the per-op latency histograms (two monotonic
 	// clock reads per blocking operation). On by default; the toggle
 	// exists so the overhead benchmark can quantify the cost.
@@ -245,7 +246,10 @@ type World struct {
 	cfg       Config
 	pes       []*peState
 	transport transport
-	barrier   barrier
+	// sim is the transport again when it is the lockstep simulation, whose
+	// scheduler Run must hand each PE goroutine to and take it back from.
+	sim     *simTransport
+	barrier barrier
 
 	// localRank is >= 0 when this World hosts exactly one PE of a larger
 	// distributed world (see Join); -1 for fully local worlds.
@@ -279,6 +283,8 @@ type peState struct {
 	// nbiPending counts non-blocking operations issued *by* this PE that
 	// have not yet been applied at their targets. Quiet spins on it.
 	nbiPending atomic.Int64
+	// pauses counts this PE's poll-loop backoff steps (see pause).
+	pauses atomic.Uint64
 }
 
 func newPEState(rank, heapBytes int) *peState {
@@ -311,7 +317,7 @@ func NewWorld(cfg Config) (*World, error) {
 	})
 	switch cfg.Transport {
 	case TransportLocal:
-		w.transport = newLocalTransport(w)
+		w.transport = newDirectTransport(w, nil)
 	case TransportTCP:
 		t, err := newTCPTransport(w)
 		if err != nil {
@@ -319,13 +325,14 @@ func NewWorld(cfg Config) (*World, error) {
 		}
 		w.transport = t
 	case TransportSim:
-		w.transport = newSimTransport(w)
+		w.sim = newSimTransport(w)
+		w.transport = w.sim
 	case TransportShm:
-		t, err := newShmTransport(w)
+		seg, err := newShmWorld(w)
 		if err != nil {
 			return nil, fmt.Errorf("shmem: starting shm transport: %w", err)
 		}
-		w.transport = t
+		w.transport = newDirectTransport(w, seg)
 	default:
 		return nil, fmt.Errorf("shmem: unknown transport %v", cfg.Transport)
 	}
@@ -339,15 +346,14 @@ func (w *World) NumPEs() int { return w.cfg.NumPEs }
 func (w *World) Flight() *trace.FlightSet { return w.flight }
 
 // flightVictim records the victim-side application of a span-tagged op
-// into the target PE's flight ring; all three transports call it at
-// their apply points so both halves of a steal land under one span. A
+// into the target PE's flight ring; every back-end calls it where it
+// applies an op so both halves of a steal land under one span. A
 // non-zero at (typically the latency wait's exit clock read) stamps the
 // event without another clock read; zero means "read the clock now".
-func (w *World) flightVictim(at time.Time, op Op, from, to int, span uint64) {
-	if span == 0 {
-		return
+func (w *World) flightVictim(at time.Time, r *opReq) {
+	if r.span != 0 {
+		w.flight.PE(r.to).RecordTime(at, trace.VictimOp, int64(r.op), int64(r.from), r.span)
 	}
-	w.flight.PE(to).RecordTime(at, trace.VictimOp, int64(op), int64(from), span)
 }
 
 // flightState journals a failure-detector transition (peer -> new state)
@@ -389,7 +395,7 @@ func (w *World) DumpFlight(reason string) error {
 		// heaps). Dump those rings too, under via-tagged names so each
 		// process's files are distinct; event sets are disjoint across
 		// processes, so post-mortem merging is duplicate-free.
-		if _, ok := w.transport.(*shmTransport); ok {
+		if w.cfg.Transport == TransportShm {
 			for r := 0; r < w.cfg.NumPEs; r++ {
 				f := w.flight.PE(r)
 				if r == w.localRank || f.Len() == 0 {
@@ -449,7 +455,7 @@ func (w *World) Run(body func(*Ctx) error) error {
 		return w.runLocalRank(body)
 	}
 	errs := make([]error, w.cfg.NumPEs)
-	sim, _ := w.transport.(*simTransport)
+	sim := w.sim
 	var wg sync.WaitGroup
 	for rank := 0; rank < w.cfg.NumPEs; rank++ {
 		wg.Add(1)

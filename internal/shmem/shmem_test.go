@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"sws/internal/trace"
 )
 
 // transports runs a subtest for every transport kind.
@@ -525,43 +527,135 @@ func TestDelayFaultsStillComplete(t *testing.T) {
 	})
 }
 
+// dupAll asks for a duplicate of every operation, idempotent or not.
+type dupAll struct{}
+
+func (dupAll) Before(Op, int, int, Addr) Verdict { return Verdict{Duplicate: true} }
+
+// A duplicate verdict may re-apply stores and puts — where a second
+// delivery changes nothing — and must never re-apply an atomic, whatever
+// the injector asks, on every heap kind and over the wire alike.
 func TestDuplicateFaultsIdempotentStores(t *testing.T) {
-	fault := &DuplicateFaults{Fraction: 1.0, Seed: 3}
-	run(t, Config{NumPEs: 2, Fault: fault}, func(c *Ctx) error {
-		addr, err := c.Alloc(16)
+	cases := []struct {
+		name string
+		op   func(c *Ctx, a Addr) error
+		want uint64
+	}{
+		{"store-nbi", func(c *Ctx, a Addr) error { return c.Store64NBI(1, a, 77) }, 77},
+		{"store", func(c *Ctx, a Addr) error { return c.Store64(1, a, 77) }, 77},
+		{"put-nbi", func(c *Ctx, a Addr) error { return c.PutNBI(1, a, []byte{77, 0, 0, 0, 0, 0, 0, 0}) }, 77},
+		{"add-nbi", func(c *Ctx, a Addr) error { return c.Add64NBI(1, a, 5) }, 5},
+		{"fetch-add", func(c *Ctx, a Addr) error { _, err := c.FetchAdd64(1, a, 5); return err }, 5},
+		{"swap", func(c *Ctx, a Addr) error {
+			if old, err := c.Swap64(1, a, 9); err != nil || old != 0 {
+				return fmt.Errorf("swap fetched %d, %v; want 0 (a re-applied swap fetches its own value)", old, err)
+			}
+			return nil
+		}, 9},
+		{"compare-swap", func(c *Ctx, a Addr) error { _, err := c.CompareSwap64(1, a, 0, 9); return err }, 9},
+	}
+	for _, fault := range []FaultInjector{&DuplicateFaults{Fraction: 1.0, Seed: 3}, dupAll{}} {
+		fault := fault
+		transports(t, func(t *testing.T, kind TransportKind) {
+			run(t, Config{NumPEs: 2, Transport: kind, Fault: fault}, func(c *Ctx) error {
+				base, err := c.Alloc(len(cases) * WordSize)
+				if err != nil {
+					return err
+				}
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+				if c.Rank() == 0 {
+					for i, tc := range cases {
+						a := base + Addr(i*WordSize)
+						if err := tc.op(c, a); err != nil {
+							return fmt.Errorf("%s: %w", tc.name, err)
+						}
+						if err := c.Quiet(); err != nil {
+							return err
+						}
+						if v, err := c.Load64(1, a); err != nil || v != tc.want {
+							return fmt.Errorf("%s under a duplicate verdict left %d, %v; want %d", tc.name, v, err, tc.want)
+						}
+					}
+				}
+				return c.Barrier()
+			})
+		})
+	}
+}
+
+// The victim side of a span-tagged op lands in the target's flight ring
+// under the initiator's span, once, AFTER the op applied — for blocking
+// ops and injections alike, on every heap kind and over the wire. The
+// target watches its own ring while the initiator hammers a counter: a
+// stamp that is visible before its add would read as ring > heap.
+func TestVictimStampFollowsApply(t *testing.T) {
+	const span, adds = 0xfeed, 2000
+	transports(t, func(t *testing.T, kind TransportKind) {
+		w, err := NewWorld(Config{NumPEs: 2, Transport: kind})
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			if err := c.Store64NBI(1, addr, 77); err != nil {
-				return err
-			}
-			// Adds must NOT be duplicated even when the injector asks.
-			if err := c.Add64NBI(1, addr+8, 5); err != nil {
-				return err
-			}
-			if err := c.Quiet(); err != nil {
-				return err
-			}
-			v, err := c.Load64(1, addr)
+		ring := w.Flight().PE(1)
+		err = w.Run(func(c *Ctx) error {
+			ctr, err := c.Alloc(2 * WordSize)
 			if err != nil {
 				return err
 			}
-			if v != 77 {
-				return fmt.Errorf("duplicated store produced %d, want 77", v)
-			}
-			v, err = c.Load64(1, addr+8)
-			if err != nil {
+			if err := c.Barrier(); err != nil {
 				return err
 			}
-			if v != 5 {
-				return fmt.Errorf("add applied %d times", v/5)
+			if c.Rank() == 0 {
+				for i := 0; i < adds; i++ {
+					if _, err := c.WithSpan(span).FetchAdd64(1, ctr, 1); err != nil {
+						return err
+					}
+				}
+				// No public op carries a span on an add injection; the
+				// descriptor does, and every back-end must deliver it.
+				if _, _, err := c.do(&opReq{op: OpAddNBI, to: 1, addr: ctr + WordSize, v1: 1, span: span}); err != nil {
+					return err
+				}
+				if err := c.Quiet(); err != nil {
+					return err
+				}
+			} else {
+				for {
+					stamped := ring.Len()
+					applied, err := c.Load64(1, ctr)
+					if err != nil {
+						return err
+					}
+					if uint64(stamped) > applied+1 { // +1: the add injection's stamp
+						return fmt.Errorf("%d victim stamps visible with only %d adds applied", stamped, applied)
+					}
+					if applied == adds {
+						break
+					}
+					c.Relax()
+				}
 			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if c.Rank() == 1 {
+				byOp := map[Op]int{}
+				for _, e := range ring.Events() {
+					if e.Kind != trace.VictimOp || e.Span != span || e.B != 0 {
+						return fmt.Errorf("unexpected event in the target's ring: %+v", e)
+					}
+					byOp[Op(e.A)]++
+				}
+				if byOp[OpFetchAdd] != adds || byOp[OpAddNBI] != 1 || len(byOp) != 2 {
+					return fmt.Errorf("victim stamps by op = %v, want %d fetch-adds and 1 add injection", byOp, adds)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return c.Barrier()
 	})
 }
 

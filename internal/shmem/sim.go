@@ -127,19 +127,10 @@ const (
 )
 
 type simReq struct {
-	kind    int
-	rank    int
-	op      Op
-	to      int
-	addr    Addr
-	v1, v2  uint64
-	id      uint64 // fused-op id for OpFetchAddGet
-	buf     []byte // src for put, dst for get/getv/fetchAddGet payloads
-	spans   []Span
-	cmp     Cmp
-	timeout time.Duration
-	span    uint64 // causal span ID (0 = untagged); never logged, never
-	// scheduled on — determinism is untouched by tagging.
+	kind int
+	rank int
+	op   opReq   // simReqOp, simReqNBI
+	wait waitReq // simReqWait
 }
 
 type simReply struct {
@@ -171,24 +162,21 @@ type simPE struct {
 
 // Scheduler event kinds (simEvent.kind).
 const (
-	simEvNBI  = iota // an NBI delivery landing at its target
+	simEvNBI   = iota // an NBI delivery landing at its target
 	simEvKill         // a scheduled crash injection fires
 	simEvDead         // the failure detector declares a killed PE dead
 	simEvChurn        // a scheduled membership transition begins
 )
 
 type simEvent struct {
-	at         uint64
-	seq        uint64
-	kind       int
-	op         Op
-	from, to   int
-	addr       Addr
-	val        uint64
-	data       []byte
+	at   uint64
+	seq  uint64
+	kind int
+	// op is the NBI delivery; kill, dead and churn events use only its
+	// target rank (and v1 != 0 for a join).
+	op         opReq
 	drop       bool
 	pendingDec bool
-	span       uint64
 }
 
 type simEventHeap []simEvent
@@ -267,8 +255,8 @@ func newSimTransport(w *World) *simTransport {
 			continue
 		}
 		at := uint64(max64(0, int64(k.At)))
-		heap.Push(&t.events, simEvent{at: at, seq: t.nextSeq(), kind: simEvKill, to: k.Rank})
-		heap.Push(&t.events, simEvent{at: at + uint64(w.cfg.DeadAfter), seq: t.nextSeq(), kind: simEvDead, to: k.Rank})
+		heap.Push(&t.events, simEvent{at: at, seq: t.nextSeq(), kind: simEvKill, op: opReq{to: k.Rank}})
+		heap.Push(&t.events, simEvent{at: at + uint64(w.cfg.DeadAfter), seq: t.nextSeq(), kind: simEvDead, op: opReq{to: k.Rank}})
 	}
 	// Membership churn schedules work the same way: virtual events, no
 	// randomness drawn, nothing pushed for an empty schedule.
@@ -281,7 +269,7 @@ func newSimTransport(w *World) *simTransport {
 			join = 1
 		}
 		at := uint64(max64(0, int64(c.At)))
-		heap.Push(&t.events, simEvent{at: at, seq: t.nextSeq(), kind: simEvChurn, to: c.Rank, val: join})
+		heap.Push(&t.events, simEvent{at: at, seq: t.nextSeq(), kind: simEvChurn, op: opReq{to: c.Rank, v1: join}})
 	}
 	go t.run()
 	return t
@@ -335,82 +323,28 @@ func (t *simTransport) barrier(rank int) error {
 
 var errSimWaitTimeout = fmt.Errorf("shmem/sim: wait timed out")
 
-func (t *simTransport) waitLocal(rank int, addr Addr, cmp Cmp, operand uint64, timeout time.Duration) (uint64, error) {
-	if _, err := cmp.eval(0, operand); err != nil {
-		return 0, err
-	}
-	if _, err := t.w.pes[rank].checkWord(addr); err != nil {
-		return 0, err
-	}
-	rep := t.call(simReq{kind: simReqWait, rank: rank, addr: addr, cmp: cmp, v1: operand, timeout: timeout})
+// waitWord parks in the scheduler; the wait resolves in virtual time.
+func (t *simTransport) waitWord(r waitReq) (uint64, error) {
+	rep := t.call(simReq{kind: simReqWait, rank: r.rank, wait: r})
 	if rep.err == errSimWaitTimeout {
-		return 0, fmt.Errorf("shmem: WaitUntil64(%#x %v %d) timed out after %v (last value %d): %w",
-			uint64(addr), cmp, operand, timeout, rep.val, ErrOpTimeout)
+		return 0, r.timeoutErr(rep.val)
 	}
 	return rep.val, rep.err
 }
 
 // --- transport interface ---------------------------------------------------
 
-func (t *simTransport) blocking(from int, op Op, to int, addr Addr, v1, v2, id uint64, buf []byte, spans []Span, span uint64) simReply {
-	return t.call(simReq{kind: simReqOp, rank: from, op: op, to: to, addr: addr, v1: v1, v2: v2, id: id, buf: buf, spans: spans, span: span})
-}
-
-func (t *simTransport) put(from, to int, addr Addr, src []byte, span uint64) error {
-	return t.blocking(from, OpPut, to, addr, 0, 0, 0, src, nil, span).err
-}
-
-func (t *simTransport) get(from, to int, addr Addr, dst []byte, span uint64) error {
-	return t.blocking(from, OpGet, to, addr, 0, 0, 0, dst, nil, span).err
-}
-
-func (t *simTransport) getv(from, to int, spans []Span, dst []byte, span uint64) error {
-	return t.blocking(from, OpGetV, to, 0, 0, 0, 0, dst, spans, span).err
-}
-
-func (t *simTransport) fetchAdd64(from, to int, addr Addr, delta uint64, span uint64) (uint64, error) {
-	rep := t.blocking(from, OpFetchAdd, to, addr, delta, 0, 0, nil, nil, span)
-	return rep.val, rep.err
-}
-
-func (t *simTransport) swap64(from, to int, addr Addr, val uint64, span uint64) (uint64, error) {
-	rep := t.blocking(from, OpSwap, to, addr, val, 0, 0, nil, nil, span)
-	return rep.val, rep.err
-}
-
-func (t *simTransport) compareSwap64(from, to int, addr Addr, old, new uint64, span uint64) (uint64, error) {
-	rep := t.blocking(from, OpCompareSwap, to, addr, old, new, 0, nil, nil, span)
-	return rep.val, rep.err
-}
-
-func (t *simTransport) load64(from, to int, addr Addr, span uint64) (uint64, error) {
-	rep := t.blocking(from, OpLoad, to, addr, 0, 0, 0, nil, nil, span)
-	return rep.val, rep.err
-}
-
-func (t *simTransport) store64(from, to int, addr Addr, val uint64, span uint64) error {
-	return t.blocking(from, OpStore, to, addr, val, 0, 0, nil, nil, span).err
-}
-
-func (t *simTransport) fetchAddGet(from, to int, addr Addr, delta uint64, id uint64, span uint64) (uint64, []byte, error) {
-	rep := t.blocking(from, OpFetchAddGet, to, addr, delta, 0, id, nil, nil, span)
+func (t *simTransport) blocking(r opReq) (uint64, []byte, error) {
+	rep := t.call(simReq{kind: simReqOp, rank: r.from, op: r})
 	return rep.val, rep.data, rep.err
 }
 
-func (t *simTransport) storeNBI(from, to int, addr Addr, val uint64, span uint64) error {
-	t.send(simReq{kind: simReqNBI, rank: from, op: OpStoreNBI, to: to, addr: addr, v1: val, span: span})
-	return nil
-}
-
-func (t *simTransport) addNBI(from, to int, addr Addr, delta uint64, span uint64) error {
-	t.send(simReq{kind: simReqNBI, rank: from, op: OpAddNBI, to: to, addr: addr, v1: delta, span: span})
-	return nil
-}
-
-func (t *simTransport) putNBI(from, to int, addr Addr, src []byte, span uint64) error {
-	data := make([]byte, len(src))
-	copy(data, src)
-	t.send(simReq{kind: simReqNBI, rank: from, op: OpPutNBI, to: to, addr: addr, buf: data, span: span})
+func (t *simTransport) nbi(r opReq) error {
+	// The delivery event outlives the call; it must own its source bytes.
+	if r.buf != nil {
+		r.buf = append([]byte(nil), r.buf...)
+	}
+	t.send(simReq{kind: simReqNBI, rank: r.from, op: r})
 	return nil
 }
 
@@ -479,29 +413,22 @@ func delayNS(d time.Duration) uint64 {
 	return uint64(d)
 }
 
-func (t *simTransport) inject(op Op, from, to int, addr Addr) Verdict {
-	if f := t.w.cfg.Fault; f != nil {
-		return f.Before(op, from, to, addr)
-	}
-	return Verdict{}
-}
-
 // targetCheck fails an in-flight blocking op whose target crashed: dead
 // targets yield ErrPeerDead, crashed-but-undeclared ones ErrOpTimeout.
 // Inert (one atomic load) while no failure events have fired.
-func (t *simTransport) targetCheck(r simReq) error {
+func (t *simTransport) targetCheck(r opReq) error {
 	lv := t.w.live
 	if lv.events.Load() == 0 {
 		return nil
 	}
 	if r.to < 0 || r.to >= len(t.pes) {
-		return nil // range error surfaces in applyOp
+		return nil // range error surfaces when the op is applied
 	}
 	if !lv.Alive(r.to) {
-		return opError(r.op, r.rank, r.to, ErrPeerDead)
+		return opError(r.op, r.from, r.to, ErrPeerDead)
 	}
 	if lv.Killed(r.to) {
-		return opError(r.op, r.rank, r.to, ErrOpTimeout)
+		return opError(r.op, r.from, r.to, ErrOpTimeout)
 	}
 	return nil
 }
@@ -562,31 +489,29 @@ func (t *simTransport) handle(r simReq) {
 		t.logf("%d %d don pe=%d\n", t.nextSeq(), t.now, r.rank)
 		t.replies[r.rank] <- simReply{}
 	case simReqOp:
-		v := t.inject(r.op, r.rank, r.to, r.addr)
+		v := t.w.verdict(&r.op)
 		pe.state = simPEBlockedOp
 		pe.req = r
 		pe.readyAt = pe.vclock + t.drawLatency() + delayNS(v.Delay)
 		pe.failErr = nil
 		if err := v.failure(); err != nil {
-			pe.failErr = opError(r.op, r.rank, r.to, err)
+			pe.failErr = opError(r.op.op, r.rank, r.op.to, err)
 		}
 		t.running--
 	case simReqNBI:
-		t.handleNBI(r)
+		t.handleNBI(r.op)
 	case simReqQuiet, simReqWait:
 		if r.kind == simReqWait && t.w.live.AnyDead() {
 			// The peer that could have flipped the word may be the dead
 			// one; unwind with a named error instead of parking forever.
-			t.replies[r.rank] <- simReply{err: fmt.Errorf(
-				"shmem: WaitUntil64(%#x %v %d) aborted, peer declared dead: %w",
-				uint64(r.addr), r.cmp, r.v1, ErrPeerDead)}
+			t.replies[r.rank] <- simReply{err: r.wait.deadErr()}
 			return
 		}
 		pe.state = simPEBlockedCond
 		pe.req = r
 		pe.deadline = 0
-		if r.kind == simReqWait && r.timeout > 0 {
-			pe.deadline = pe.vclock + uint64(r.timeout)
+		if r.kind == simReqWait && r.wait.timeout > 0 {
+			pe.deadline = pe.vclock + uint64(r.wait.timeout)
 		}
 		t.running--
 	case simReqRelax:
@@ -617,31 +542,27 @@ func (t *simTransport) deadBarrierErr() error {
 	return fmt.Errorf("shmem: barrier cannot complete, PEs %v are dead: %w", dead, ErrPeerDead)
 }
 
-func (t *simTransport) handleNBI(r simReq) {
-	pe := &t.pes[r.rank]
+func (t *simTransport) handleNBI(r opReq) {
+	pe := &t.pes[r.from]
 	if r.to < 0 || r.to >= len(t.w.pes) {
-		t.failWorld(fmt.Sprintf("NBI %v from PE %d targets PE %d out of range", r.op, r.rank, r.to))
+		t.failWorld(fmt.Sprintf("NBI %v from PE %d targets PE %d out of range", r.op, r.from, r.to))
 		return
 	}
-	v := t.inject(r.op, r.rank, r.to, r.addr)
-	if r.op == OpAddNBI {
-		v.Duplicate = false // atomics are never blindly retransmitted
-	}
+	v := t.w.verdict(&r)
+	dup := v.Duplicate && r.op.redeliverable() && !v.dropped()
 	pe.vclock += uint64(t.opts.YieldCost) // injection overhead
 	drop := v.dropped()
 	at := pe.vclock + t.drawLatency() + delayNS(v.Delay)
 	pe.pending++
-	ev := simEvent{at: at, seq: t.nextSeq(), op: r.op, from: r.rank, to: r.to,
-		addr: r.addr, val: r.v1, data: r.buf, drop: drop, pendingDec: true, span: r.span}
+	ev := simEvent{at: at, seq: t.nextSeq(), op: r, drop: drop, pendingDec: true}
 	heap.Push(&t.events, ev)
 	t.logf("%d %d nbi %v %d->%d a=%#x v=%d at=%d drop=%t dup=%t\n",
-		ev.seq, t.now, r.op, r.rank, r.to, uint64(r.addr), r.v1, at, drop, v.Duplicate && !drop)
-	if v.Duplicate && !drop {
-		dup := ev
-		dup.seq = t.nextSeq()
-		dup.at = pe.vclock + t.drawLatency()
-		dup.pendingDec = false
-		heap.Push(&t.events, dup)
+		ev.seq, t.now, r.op, r.from, r.to, uint64(r.addr), r.v1, at, drop, dup)
+	if dup {
+		ev.seq = t.nextSeq()
+		ev.at = pe.vclock + t.drawLatency()
+		ev.pendingDec = false
+		heap.Push(&t.events, ev)
 	}
 }
 
@@ -757,12 +678,15 @@ func (t *simTransport) condSatisfied(pe *simPE) bool {
 	case simReqQuiet:
 		return pe.pending == 0
 	case simReqWait:
-		i, _ := t.w.pes[pe.req.rank].checkWord(pe.req.addr) // validated PE-side
-		v := atomic.LoadUint64(t.w.pes[pe.req.rank].word(i))
-		ok, _ := pe.req.cmp.eval(v, pe.req.v1) // cmp validated PE-side
-		return ok
+		return pe.req.wait.holds(t.waitedWord(pe))
 	}
 	return false
+}
+
+// waitedWord loads the word a parked WaitUntil64 watches (address and
+// comparison were validated PE-side).
+func (t *simTransport) waitedWord(pe *simPE) uint64 {
+	return atomic.LoadUint64(&t.w.pes[pe.req.rank].words[pe.req.wait.addr/WordSize])
 }
 
 // deliver pops and applies the earliest pending event (an NBI delivery, a
@@ -774,52 +698,30 @@ func (t *simTransport) deliver() {
 	}
 	switch ev.kind {
 	case simEvKill:
-		t.deliverKill(ev.to)
+		t.deliverKill(ev.op.to)
 		return
 	case simEvDead:
-		t.deliverDead(ev.to)
+		t.deliverDead(ev.op.to)
 		return
 	case simEvChurn:
-		t.deliverChurn(ev.to, ev.val != 0)
+		t.deliverChurn(ev.op.to, ev.op.v1 != 0)
 		return
 	}
-	if ev.drop || t.w.live.Killed(ev.to) {
+	r := ev.op
+	if ev.drop || t.w.live.Killed(r.to) {
 		// A delivery into a crashed PE's heap is lost in the fabric; the
 		// initiator's pending count still drains so its Quiet completes.
-		ev.drop = true
-	}
-	if ev.drop {
-		t.logf("%d %d dlv %v %d->%d a=%#x dropped\n", t.nextSeq(), t.now, ev.op, ev.from, ev.to, uint64(ev.addr))
+		t.logf("%d %d dlv %v %d->%d a=%#x dropped\n", t.nextSeq(), t.now, r.op, r.from, r.to, uint64(r.addr))
 	} else {
-		target := t.w.pes[ev.to]
-		switch ev.op {
-		case OpStoreNBI:
-			if i, err := target.checkWord(ev.addr); err == nil {
-				atomic.StoreUint64(target.word(i), ev.val)
-			} else {
-				t.failWorld(err.Error())
-				return
-			}
-		case OpAddNBI:
-			if i, err := target.checkWord(ev.addr); err == nil {
-				atomic.AddUint64(target.word(i), ev.val)
-			} else {
-				t.failWorld(err.Error())
-				return
-			}
-		case OpPutNBI:
-			if err := target.checkRange(ev.addr, len(ev.data)); err == nil {
-				target.copyIn(ev.addr, ev.data)
-			} else {
-				t.failWorld(err.Error())
-				return
-			}
+		if _, _, err := t.w.apply(t.w.pes[r.to], &r, nil); err != nil {
+			t.failWorld(err.Error())
+			return
 		}
-		t.w.flightVictim(time.Time{}, ev.op, ev.from, ev.to, ev.span)
-		t.logf("%d %d dlv %v %d->%d a=%#x v=%d\n", t.nextSeq(), t.now, ev.op, ev.from, ev.to, uint64(ev.addr), ev.val)
+		t.w.flightVictim(time.Time{}, &r)
+		t.logf("%d %d dlv %v %d->%d a=%#x v=%d\n", t.nextSeq(), t.now, r.op, r.from, r.to, uint64(r.addr), r.v1)
 	}
 	if ev.pendingDec {
-		t.pes[ev.from].pending--
+		t.pes[r.from].pending--
 	}
 }
 
@@ -888,9 +790,7 @@ func (t *simTransport) deliverDead(rank int) {
 				pe.state = simPERunning
 				pe.vclock = t.now
 				t.running++
-				t.replies[i] <- simReply{err: fmt.Errorf(
-					"shmem: WaitUntil64(%#x %v %d) aborted, peer declared dead: %w",
-					uint64(pe.req.addr), pe.req.cmp, pe.req.v1, ErrPeerDead)}
+				t.replies[i] <- simReply{err: pe.req.wait.deadErr()}
 			}
 		}
 	}
@@ -918,23 +818,21 @@ func (t *simTransport) wake(rank int) {
 		case simReqRelax, simReqBarrier:
 			// Nothing to apply.
 		case simReqOp:
-			if lerr := t.targetCheck(pe.req); lerr != nil {
-				// The target crashed while this op was in flight: the
-				// round trip can never complete.
-				rep = simReply{err: lerr}
+			r := pe.req.op
+			// A target that crashed while this op was in flight can never
+			// complete the round trip; a fault verdict fails it likewise.
+			err := t.targetCheck(r)
+			if err == nil {
+				err = pe.failErr
+			}
+			if err != nil {
+				rep = simReply{err: err}
 				t.logf("%d %d op %v %d->%d a=%#x err=%v\n",
-					t.nextSeq(), t.now, pe.req.op, rank, pe.req.to, uint64(pe.req.addr), lerr)
-			} else if pe.failErr != nil {
-				rep = simReply{err: pe.failErr}
-				t.logf("%d %d op %v %d->%d a=%#x err=%v\n",
-					t.nextSeq(), t.now, pe.req.op, rank, pe.req.to, uint64(pe.req.addr), pe.failErr)
+					t.nextSeq(), t.now, r.op, rank, r.to, uint64(r.addr), err)
 			} else {
-				rep = t.applyOp(pe.req)
-				if rep.err == nil {
-					t.w.flightVictim(time.Time{}, pe.req.op, rank, pe.req.to, pe.req.span)
-				}
+				rep = t.applyOp(r)
 				t.logf("%d %d op %v %d->%d a=%#x v=%d -> %d\n",
-					t.nextSeq(), t.now, pe.req.op, rank, pe.req.to, uint64(pe.req.addr), pe.req.v1, rep.val)
+					t.nextSeq(), t.now, r.op, rank, r.to, uint64(r.addr), r.v1, rep.val)
 			}
 			pe.failErr = nil
 		}
@@ -943,14 +841,13 @@ func (t *simTransport) wake(rank int) {
 		case simReqQuiet:
 			t.logf("%d %d qui pe=%d\n", t.nextSeq(), t.now, rank)
 		case simReqWait:
-			i, _ := t.w.pes[rank].checkWord(pe.req.addr)
-			v := atomic.LoadUint64(t.w.pes[rank].word(i))
-			if ok, _ := pe.req.cmp.eval(v, pe.req.v1); ok {
+			v := t.waitedWord(pe)
+			if pe.req.wait.holds(v) {
 				rep = simReply{val: v}
-				t.logf("%d %d wtu pe=%d a=%#x -> %d\n", t.nextSeq(), t.now, rank, uint64(pe.req.addr), v)
+				t.logf("%d %d wtu pe=%d a=%#x -> %d\n", t.nextSeq(), t.now, rank, uint64(pe.req.wait.addr), v)
 			} else {
 				rep = simReply{val: v, err: errSimWaitTimeout}
-				t.logf("%d %d wtu pe=%d a=%#x timeout\n", t.nextSeq(), t.now, rank, uint64(pe.req.addr))
+				t.logf("%d %d wtu pe=%d a=%#x timeout\n", t.nextSeq(), t.now, rank, uint64(pe.req.wait.addr))
 			}
 		}
 	default:
@@ -962,95 +859,18 @@ func (t *simTransport) wake(rank int) {
 	t.replies[rank] <- rep
 }
 
-// applyOp executes a blocking one-sided operation against the target heap.
-func (t *simTransport) applyOp(r simReq) simReply {
-	if r.to < 0 || r.to >= len(t.w.pes) {
-		return simReply{err: fmt.Errorf("shmem: target PE %d out of range [0, %d)", r.to, len(t.w.pes))}
+// applyOp executes a woken blocking operation against the target heap.
+func (t *simTransport) applyOp(r opReq) simReply {
+	pe, err := t.w.target(r.to)
+	if err != nil {
+		return simReply{err: err}
 	}
-	pe := t.w.pes[r.to]
-	switch r.op {
-	case OpPut:
-		if err := pe.checkRange(r.addr, len(r.buf)); err != nil {
-			return simReply{err: err}
-		}
-		pe.copyIn(r.addr, r.buf)
-		return simReply{}
-	case OpGet:
-		if err := pe.checkRange(r.addr, len(r.buf)); err != nil {
-			return simReply{err: err}
-		}
-		pe.copyOut(r.addr, r.buf)
-		return simReply{}
-	case OpGetV:
-		total := 0
-		for _, sp := range r.spans {
-			if err := pe.checkRange(sp.Addr, sp.N); err != nil {
-				return simReply{err: err}
-			}
-			total += sp.N
-		}
-		if total != len(r.buf) {
-			return simReply{err: fmt.Errorf("shmem: getv spans cover %d bytes, dst holds %d", total, len(r.buf))}
-		}
-		off := 0
-		for _, sp := range r.spans {
-			pe.copyOut(sp.Addr, r.buf[off:off+sp.N])
-			off += sp.N
-		}
-		return simReply{}
-	case OpFetchAdd:
-		i, err := pe.checkWord(r.addr)
-		if err != nil {
-			return simReply{err: err}
-		}
-		return simReply{val: atomic.AddUint64(pe.word(i), r.v1) - r.v1}
-	case OpSwap:
-		i, err := pe.checkWord(r.addr)
-		if err != nil {
-			return simReply{err: err}
-		}
-		return simReply{val: atomic.SwapUint64(pe.word(i), r.v1)}
-	case OpCompareSwap:
-		i, err := pe.checkWord(r.addr)
-		if err != nil {
-			return simReply{err: err}
-		}
-		for {
-			cur := atomic.LoadUint64(pe.word(i))
-			if cur != r.v1 {
-				return simReply{val: cur}
-			}
-			if atomic.CompareAndSwapUint64(pe.word(i), r.v1, r.v2) {
-				return simReply{val: r.v1}
-			}
-		}
-	case OpLoad:
-		i, err := pe.checkWord(r.addr)
-		if err != nil {
-			return simReply{err: err}
-		}
-		return simReply{val: atomic.LoadUint64(pe.word(i))}
-	case OpStore:
-		i, err := pe.checkWord(r.addr)
-		if err != nil {
-			return simReply{err: err}
-		}
-		atomic.StoreUint64(pe.word(i), r.v1)
-		return simReply{}
-	case OpFetchAddGet:
-		i, err := pe.checkWord(r.addr)
-		if err != nil {
-			return simReply{err: err}
-		}
-		old := atomic.AddUint64(pe.word(i), r.v1) - r.v1
-		data, err := t.w.applyFused(pe, old, r.id)
-		if err != nil {
-			return simReply{err: err}
-		}
-		return simReply{val: old, data: data}
-	default:
-		return simReply{err: fmt.Errorf("shmem/sim: unexpected blocking op %v", r.op)}
+	val, data, err := t.w.apply(pe, &r, nil)
+	if err != nil {
+		return simReply{err: err}
 	}
+	t.w.flightVictim(time.Time{}, &r)
+	return simReply{val: val, data: data}
 }
 
 // failWorld records a scheduler-detected failure (deadlock, livelock,
@@ -1091,7 +911,7 @@ func (t *simTransport) stateDump() string {
 		switch pe.state {
 		case simPEBlockedOp:
 			if pe.req.kind == simReqOp {
-				s += fmt.Sprintf(" op=%v to=%d a=%#x ready=%v", pe.req.op, pe.req.to, uint64(pe.req.addr), time.Duration(pe.readyAt))
+				s += fmt.Sprintf(" op=%v to=%d a=%#x ready=%v", pe.req.op.op, pe.req.op.to, uint64(pe.req.op.addr), time.Duration(pe.readyAt))
 			} else {
 				s += fmt.Sprintf(" kind=%d ready=%v", pe.req.kind, time.Duration(pe.readyAt))
 			}
@@ -1099,7 +919,7 @@ func (t *simTransport) stateDump() string {
 			if pe.req.kind == simReqQuiet {
 				s += fmt.Sprintf(" quiet pending=%d", pe.pending)
 			} else {
-				s += fmt.Sprintf(" wait a=%#x %v %d deadline=%v", uint64(pe.req.addr), pe.req.cmp, pe.req.v1, time.Duration(pe.deadline))
+				s += fmt.Sprintf(" wait a=%#x %v %d deadline=%v", uint64(pe.req.wait.addr), pe.req.wait.cmp, pe.req.wait.operand, time.Duration(pe.deadline))
 			}
 		}
 		s += fmt.Sprintf(" vclock=%v pending=%d\n", time.Duration(pe.vclock), pe.pending)

@@ -32,7 +32,7 @@ import (
 // blocking op, Quiet, or the background flusher) force them out, and the
 // server acks batches with a single count frame instead of a byte per op.
 type tcpTransport struct {
-	w         *World
+	hostWaits
 	listeners []net.Listener
 	addrs     []string
 
@@ -175,7 +175,7 @@ func (t *tcpTransport) peerGone(rank int) bool {
 // constructor and the multi-process (dist) one.
 func tcpShell(w *World, numPEs int) *tcpTransport {
 	return &tcpTransport{
-		w:           w,
+		hostWaits:   hostWaits{w},
 		sync_:       make(map[connKey]*syncConn),
 		async:       make(map[connKey]*asyncConn),
 		asyncByFrom: make([][]*asyncConn, numPEs),
@@ -283,6 +283,7 @@ func (t *tcpTransport) handle(rank int, conn net.Conn) {
 		ackFrm  [4]byte
 		reqBuf  []byte // request payload staging
 		rspBuf  []byte // response payload staging (get/getv/fused gather)
+		spanBuf []Span // decoded getv span table
 		pending int    // applied async ops not yet acked
 	)
 	flushAcks := func() error {
@@ -297,7 +298,7 @@ func (t *tcpTransport) handle(rank int, conn net.Conn) {
 		return w.Flush()
 	}
 	for {
-		op, addr, v1, v2, span, payload, err := readRequest(r, reqHdr[:], &reqBuf)
+		req, payload, err := readRequest(r, reqHdr[:], &reqBuf)
 		if err != nil {
 			// An abruptly severed connection from a crashed initiator
 			// (RST, not FIN) is survivable: in distributed worlds and for
@@ -310,13 +311,21 @@ func (t *tcpTransport) handle(rank int, conn net.Conn) {
 			}
 			return
 		}
+		req.from, req.to = from, rank
 		status := byte(0)
 		var rv uint64
 		var rp []byte
-		if aerr := t.applyOp(pe, op, addr, v1, v2, payload, &rv, &rp, &rspBuf); aerr != nil {
+		aerr := decodeOp(&req, payload, len(pe.bytes), &spanBuf, &rspBuf)
+		if aerr == nil {
+			// Exactly what the direct back-end's initiator would run,
+			// gathering any response payload into this connection's
+			// staging (valid until its next op).
+			rv, rp, aerr = t.w.apply(pe, &req, &rspBuf)
+		}
+		if aerr != nil {
 			status, rp = 1, []byte(aerr.Error())
 		} else {
-			t.w.flightVictim(time.Time{}, op, from, rank, span)
+			t.w.flightVictim(time.Time{}, &req)
 		}
 		if kind == connSync {
 			if err := writeResponse(w, rspHdr[:], status, rv, rp); err != nil {
@@ -341,153 +350,107 @@ func (t *tcpTransport) handle(rank int, conn net.Conn) {
 	}
 }
 
-// applyOp executes a one-sided op on the local heap, exactly as the local
-// transport's initiator/applier would. Response payloads are staged in
-// *scratch (grown as needed, reused across ops); *rp may alias it and is
-// only valid until the next applyOp on this connection.
-func (t *tcpTransport) applyOp(pe *peState, op Op, addr Addr, v1, v2 uint64, payload []byte, rv *uint64, rp *[]byte, scratch *[]byte) error {
-	switch op {
-	case OpFetchAddGet:
-		i, err := pe.checkWord(addr)
-		if err != nil {
-			return err
-		}
-		old := atomic.AddUint64(pe.word(i), v1) - v1
-		data, err := t.w.applyFusedInto(pe, old, v2, (*scratch)[:0])
-		if err != nil {
-			return err
-		}
-		if data != nil {
-			*scratch = data // keep any growth for the next op
-		}
-		*rv = old
-		*rp = data
+// encodeOp puts r into wire form: the request payload, and the buffer a
+// success response should be read into. A get travels as its length (v1);
+// a getv as its span count and total (v1, v2) with the span table — staged
+// in a pooled buffer the caller recycles — as payload; a fused op carries
+// its handler id in v2.
+func encodeOp(r *opReq) (payload, into []byte, tbl *[]byte) {
+	switch r.op {
 	case OpPut, OpPutNBI:
-		if err := pe.checkRange(addr, len(payload)); err != nil {
-			return err
-		}
-		pe.copyIn(addr, payload)
+		payload = r.buf
 	case OpGet:
-		n := int(v1)
-		if err := pe.checkRange(addr, n); err != nil {
-			return err
-		}
-		buf := growScratch(scratch, n)
-		pe.copyOut(addr, buf)
-		*rp = buf
+		r.v1, into = uint64(len(r.buf)), r.buf
 	case OpGetV:
-		nspans := int(v1)
-		if nspans < 0 || len(payload) != nspans*spanWireSize {
-			return fmt.Errorf("shmem/tcp: getv span table is %d bytes, want %d", len(payload), nspans*spanWireSize)
+		tbl = getBuf(len(r.spans) * spanWireSize)
+		for i, sp := range r.spans {
+			binary.LittleEndian.PutUint64((*tbl)[i*spanWireSize:], uint64(sp.Addr))
+			binary.LittleEndian.PutUint32((*tbl)[i*spanWireSize+8:], uint32(sp.N))
 		}
-		total := int(v2)
-		if total < 0 {
-			return fmt.Errorf("shmem/tcp: getv negative total %d", total)
+		r.v1, r.v2 = uint64(len(r.spans)), uint64(len(r.buf))
+		payload, into = *tbl, r.buf
+	case OpFetchAddGet:
+		r.v2 = r.id
+	}
+	return payload, into, tbl
+}
+
+// decodeOp is encodeOp's inverse at the target: it turns the wire form of
+// r back into what the initiator described, staging a get's destination in
+// *rsp and a getv's span table in *spans (both reused across the
+// connection's ops). Lengths are bounded before anything is sized by them.
+func decodeOp(r *opReq, payload []byte, heapBytes int, spans *[]Span, rsp *[]byte) error {
+	switch r.op {
+	case OpPut, OpPutNBI:
+		r.buf = payload
+	case OpGet:
+		if r.v1 > uint64(heapBytes) {
+			return fmt.Errorf("shmem/tcp: get of %d bytes exceeds the %d-byte heap", r.v1, heapBytes)
 		}
-		buf := growScratch(scratch, total)
-		off := 0
-		for i := 0; i < nspans; i++ {
-			sa := Addr(binary.LittleEndian.Uint64(payload[i*spanWireSize:]))
-			sn := int(binary.LittleEndian.Uint32(payload[i*spanWireSize+8:]))
-			if err := pe.checkRange(sa, sn); err != nil {
-				return err
+		r.buf = growScratch(rsp, int(r.v1))
+	case OpGetV:
+		if r.v1 > uint64(len(payload)) || len(payload) != int(r.v1)*spanWireSize {
+			return fmt.Errorf("shmem/tcp: getv span table is %d bytes, want %d spans of %d", len(payload), r.v1, spanWireSize)
+		}
+		*spans = (*spans)[:0]
+		total := uint64(0)
+		for off := 0; off < len(payload); off += spanWireSize {
+			sp := Span{
+				Addr: Addr(binary.LittleEndian.Uint64(payload[off:])),
+				N:    int(binary.LittleEndian.Uint32(payload[off+8:])),
 			}
-			if off+sn > total {
-				return fmt.Errorf("shmem/tcp: getv spans overflow total %d", total)
+			if sp.N > heapBytes {
+				return fmt.Errorf("shmem/tcp: getv span of %d bytes exceeds the %d-byte heap", sp.N, heapBytes)
 			}
-			pe.copyOut(sa, buf[off:off+sn])
-			off += sn
+			*spans = append(*spans, sp)
+			total += uint64(sp.N)
 		}
-		if off != total {
-			return fmt.Errorf("shmem/tcp: getv spans cover %d bytes, header claims %d", off, total)
+		if total != r.v2 {
+			return fmt.Errorf("shmem/tcp: getv spans cover %d bytes, header claims %d", total, r.v2)
 		}
-		*rp = buf
-	case OpFetchAdd:
-		i, err := pe.checkWord(addr)
-		if err != nil {
-			return err
-		}
-		*rv = atomic.AddUint64(pe.word(i), v1) - v1
-	case OpSwap:
-		i, err := pe.checkWord(addr)
-		if err != nil {
-			return err
-		}
-		*rv = atomic.SwapUint64(pe.word(i), v1)
-	case OpCompareSwap:
-		i, err := pe.checkWord(addr)
-		if err != nil {
-			return err
-		}
-		for {
-			cur := atomic.LoadUint64(pe.word(i))
-			if cur != v1 {
-				*rv = cur
-				return nil
-			}
-			if atomic.CompareAndSwapUint64(pe.word(i), v1, v2) {
-				*rv = v1
-				return nil
-			}
-		}
-	case OpLoad:
-		i, err := pe.checkWord(addr)
-		if err != nil {
-			return err
-		}
-		*rv = atomic.LoadUint64(pe.word(i))
-	case OpStore, OpStoreNBI:
-		i, err := pe.checkWord(addr)
-		if err != nil {
-			return err
-		}
-		atomic.StoreUint64(pe.word(i), v1)
-	case OpAddNBI:
-		i, err := pe.checkWord(addr)
-		if err != nil {
-			return err
-		}
-		atomic.AddUint64(pe.word(i), v1)
-	default:
-		return fmt.Errorf("shmem/tcp: unknown op %d", op)
+		r.spans, r.buf = *spans, growScratch(rsp, int(total))
+	case OpFetchAddGet:
+		r.id = r.v2
 	}
 	return nil
 }
 
-// readRequest reads one request using the caller's header scratch; a
-// payload, if present, is staged in *payloadBuf (grown as needed) and the
-// returned slice aliases it until the next call.
-func readRequest(r *bufio.Reader, hdr []byte, payloadBuf *[]byte) (Op, Addr, uint64, uint64, uint64, []byte, error) {
+// readRequest reads one request's header fields (op, addr, v1, v2, span)
+// using the caller's header scratch; a payload, if present, is staged in
+// *payloadBuf (grown as needed) and the returned slice aliases it until
+// the next call.
+func readRequest(r *bufio.Reader, hdr []byte, payloadBuf *[]byte) (opReq, []byte, error) {
 	hdr = hdr[:reqHdrSize]
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, 0, 0, 0, 0, nil, err
+		return opReq{}, nil, err
 	}
-	op := Op(hdr[0])
-	addr := Addr(binary.LittleEndian.Uint64(hdr[1:9]))
-	v1 := binary.LittleEndian.Uint64(hdr[9:17])
-	v2 := binary.LittleEndian.Uint64(hdr[17:25])
-	span := binary.LittleEndian.Uint64(hdr[25:33])
-	plen := binary.LittleEndian.Uint32(hdr[33:37])
+	req := opReq{
+		op:   Op(hdr[0]),
+		addr: Addr(binary.LittleEndian.Uint64(hdr[1:9])),
+		v1:   binary.LittleEndian.Uint64(hdr[9:17]),
+		v2:   binary.LittleEndian.Uint64(hdr[17:25]),
+		span: binary.LittleEndian.Uint64(hdr[25:33]),
+	}
 	var payload []byte
-	if plen > 0 {
+	if plen := binary.LittleEndian.Uint32(hdr[33:37]); plen > 0 {
 		payload = growScratch(payloadBuf, int(plen))
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return 0, 0, 0, 0, 0, nil, err
+			return opReq{}, nil, err
 		}
 	}
-	return op, addr, v1, v2, span, payload, nil
+	return req, payload, nil
 }
 
 // writeRequest buffers one request using the caller's header scratch. It
 // does NOT flush: sync callers flush before awaiting the response, async
 // callers coalesce (watermark, blocking op, Quiet, or background flusher).
-func writeRequest(w *bufio.Writer, hdr []byte, op Op, addr Addr, v1, v2, span uint64, payload []byte) error {
+func writeRequest(w *bufio.Writer, hdr []byte, r *opReq, payload []byte) error {
 	hdr = hdr[:reqHdrSize]
-	hdr[0] = byte(op)
-	binary.LittleEndian.PutUint64(hdr[1:9], uint64(addr))
-	binary.LittleEndian.PutUint64(hdr[9:17], v1)
-	binary.LittleEndian.PutUint64(hdr[17:25], v2)
-	binary.LittleEndian.PutUint64(hdr[25:33], span)
+	hdr[0] = byte(r.op)
+	binary.LittleEndian.PutUint64(hdr[1:9], uint64(r.addr))
+	binary.LittleEndian.PutUint64(hdr[9:17], r.v1)
+	binary.LittleEndian.PutUint64(hdr[17:25], r.v2)
+	binary.LittleEndian.PutUint64(hdr[25:33], r.span)
 	binary.LittleEndian.PutUint32(hdr[33:37], uint32(len(payload)))
 	if _, err := w.Write(hdr); err != nil {
 		return err
@@ -718,25 +681,28 @@ func (t *tcpTransport) evictSync(from, to int, sc *syncConn) {
 	sc.c.Close()
 }
 
-// roundTrip performs one blocking request/response on the sync connection,
-// failing fast on a per-op deadline and retrying transient connection
-// errors with bounded exponential backoff. respInto, if non-nil, receives
-// a success payload of exactly matching length without an intermediate
-// copy.
-func (t *tcpTransport) roundTrip(from, to int, op Op, addr Addr, v1, v2, span uint64, payload, respInto []byte) (uint64, []byte, error) {
-	if f := t.w.cfg.Fault; f != nil {
-		v := f.Before(op, from, to, addr)
-		charge(v.Delay)
-		if err := v.failure(); err != nil {
-			return 0, nil, opError(op, from, to, err)
-		}
+// blocking performs one request/response on the sync connection, failing
+// fast on a per-op deadline and retrying transient connection errors with
+// bounded exponential backoff. A get's payload is read straight into the
+// caller's destination without an intermediate copy.
+func (t *tcpTransport) blocking(r opReq) (uint64, []byte, error) {
+	v := t.w.verdict(&r)
+	payload, into, tbl := encodeOp(&r)
+	if tbl != nil {
+		defer putBuf(tbl)
 	}
-	t.w.cfg.Latency.charge(t.w.cfg.Latency.blockingCost(len(payload)))
+	// One round trip: the model's RTT plus bandwidth for the bytes moved
+	// in either direction.
+	lat := t.w.cfg.Latency
+	lat.charge(lat.blockingCost(len(payload)+len(into)) + v.Delay)
+	if err := v.failure(); err != nil {
+		return 0, nil, opError(r.op, r.from, r.to, err)
+	}
 	// A blocking op must not overtake this initiator's coalesced
 	// injections to the same target: flush them first so buffering never
 	// reorders a completion notification after a later round trip.
-	if err := t.flushAsyncTo(from, to); err != nil {
-		return 0, nil, opError(op, from, to, fmt.Errorf("flushing injections: %w", err))
+	if err := t.flushAsyncTo(r.from, r.to); err != nil {
+		return 0, nil, opError(r.op, r.from, r.to, fmt.Errorf("flushing injections: %w", err))
 	}
 	retries := t.w.cfg.OpRetries
 	if retries < 0 {
@@ -744,21 +710,24 @@ func (t *tcpTransport) roundTrip(from, to int, op Op, addr Addr, v1, v2, span ui
 	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		val, rp, wrote, err := t.attemptSync(from, to, op, addr, v1, v2, span, payload, respInto)
+		val, rp, wrote, err := t.attemptSync(&r, payload, into)
 		if err == nil {
+			if into != nil && len(rp) != len(into) {
+				return 0, nil, fmt.Errorf("shmem/tcp: %v from PE %d returned %d bytes, want %d", r.op, r.to, len(rp), len(into))
+			}
 			return val, rp, nil
 		}
 		var rse *remoteStatusErr
 		if errors.As(err, &rse) {
 			// The target executed the request and said no; retrying
 			// cannot change the answer.
-			return 0, nil, opError(op, from, to, err)
+			return 0, nil, opError(r.op, r.from, r.to, err)
 		}
 		lastErr = err
-		if t.peerGone(to) {
-			return 0, nil, opError(op, from, to, fmt.Errorf("%v: %w", err, ErrPeerDead))
+		if t.peerGone(r.to) {
+			return 0, nil, opError(r.op, r.from, r.to, fmt.Errorf("%v: %w", err, ErrPeerDead))
 		}
-		if wrote && !opIdempotent(op) {
+		if wrote && !opIdempotent(r.op) {
 			// The request bytes may have reached the target, which may or
 			// may not have applied the atomic — a retry risks applying it
 			// twice. Surface the failure instead.
@@ -770,16 +739,17 @@ func (t *tcpTransport) roundTrip(from, to int, op Op, addr Addr, v1, v2, span ui
 		time.Sleep(retryBackoff(attempt))
 	}
 	if isNetTimeout(lastErr) {
-		return 0, nil, opError(op, from, to, fmt.Errorf("%v: %w", lastErr, ErrOpTimeout))
+		return 0, nil, opError(r.op, r.from, r.to, fmt.Errorf("%v: %w", lastErr, ErrOpTimeout))
 	}
-	return 0, nil, opError(op, from, to, lastErr)
+	return 0, nil, opError(r.op, r.from, r.to, lastErr)
 }
 
-// attemptSync is one try of roundTrip's request/response exchange. wrote
+// attemptSync is one try of blocking's request/response exchange. wrote
 // reports whether any request bytes may have left this process (false only
 // when establishing the connection failed). Connection-level failures
 // evict the sync conn — its stream can no longer be trusted to be aligned.
-func (t *tcpTransport) attemptSync(from, to int, op Op, addr Addr, v1, v2, span uint64, payload, respInto []byte) (uint64, []byte, bool, error) {
+func (t *tcpTransport) attemptSync(r *opReq, payload, respInto []byte) (uint64, []byte, bool, error) {
+	from, to := r.from, r.to
 	sc, err := t.syncConn(from, to)
 	if err != nil {
 		return 0, nil, false, err
@@ -789,7 +759,7 @@ func (t *tcpTransport) attemptSync(from, to int, op Op, addr Addr, v1, v2, span 
 	if dl := t.w.cfg.OpTimeout; dl > 0 {
 		_ = sc.c.SetDeadline(time.Now().Add(dl))
 	}
-	if err := writeRequest(sc.rw.Writer, sc.whdr[:], op, addr, v1, v2, span, payload); err != nil {
+	if err := writeRequest(sc.rw.Writer, sc.whdr[:], r, payload); err != nil {
 		t.evictSync(from, to, sc)
 		return 0, nil, true, err
 	}
@@ -808,33 +778,28 @@ func (t *tcpTransport) attemptSync(from, to int, op Op, addr Addr, v1, v2, span 
 	return val, rp, true, nil
 }
 
-// injectAsync pipelines one non-blocking request. The write lands in the
+// nbi pipelines one non-blocking request. The write lands in the
 // connection's buffer; it is flushed once AckBatch ops accumulate, or
 // earlier by a blocking op to the same target, Quiet, or the background
 // flusher.
-func (t *tcpTransport) injectAsync(from, to int, op Op, addr Addr, v1, span uint64, payload []byte) error {
-	dup := false
-	if f := t.w.cfg.Fault; f != nil {
-		v := f.Before(op, from, to, addr)
-		charge(v.Delay)
-		if v.dropped() {
-			// Silently lost before reaching the wire: nothing pending,
-			// Quiet unaffected.
-			return nil
-		}
-		dup = v.Duplicate
-		if op == OpAddNBI {
-			dup = false // atomics are never blindly retransmitted
-		}
+func (t *tcpTransport) nbi(r opReq) error {
+	from, to := r.from, r.to
+	v := t.w.verdict(&r)
+	charge(v.Delay)
+	if v.dropped() {
+		// Silently lost before reaching the wire: nothing pending,
+		// Quiet unaffected.
+		return nil
 	}
 	t.w.cfg.Latency.charge(t.w.cfg.Latency.InjectOverhead)
 	ac, err := t.asyncConn(from, to)
 	if err != nil {
 		return err
 	}
+	payload, _, _ := encodeOp(&r)
 	n := int64(1)
-	if dup {
-		n = 2
+	if v.Duplicate && r.op.redeliverable() {
+		n = 2 // the retransmission is a second request on the wire
 	}
 	t.w.pes[from].nbiPending.Add(n)
 	ac.mu.Lock()
@@ -846,130 +811,24 @@ func (t *tcpTransport) injectAsync(from, to int, op Op, addr Addr, v1, span uint
 		ac.reconcile()
 		return nil
 	}
-	if err := writeRequest(ac.w, ac.whdr[:], op, addr, v1, 0, span, payload); err != nil {
-		ac.outstanding.Add(-n)
-		t.w.pes[from].nbiPending.Add(-n)
-		if t.peerGone(to) {
-			ac.markBrokenLocked()
-			return nil
-		}
-		return opError(op, from, to, err)
-	}
-	if dup {
-		if err := writeRequest(ac.w, ac.whdr[:], op, addr, v1, 0, span, payload); err != nil {
-			ac.outstanding.Add(-1)
-			t.w.pes[from].nbiPending.Add(-1)
+	for sent := int64(0); sent < n; sent++ {
+		if err := writeRequest(ac.w, ac.whdr[:], &r, payload); err != nil {
+			ac.outstanding.Add(sent - n)
+			t.w.pes[from].nbiPending.Add(sent - n)
 			if t.peerGone(to) {
 				ac.markBrokenLocked()
 				return nil
 			}
-			return opError(op, from, to, fmt.Errorf("duplicate: %w", err))
+			return opError(r.op, from, to, err)
 		}
 	}
 	ac.unflushed += int(n)
 	if ac.unflushed >= t.w.cfg.AckBatch {
 		if err := ac.flushLocked(); err != nil {
-			return opError(op, from, to, fmt.Errorf("flushing: %w", err))
+			return opError(r.op, from, to, fmt.Errorf("flushing: %w", err))
 		}
 	}
 	return nil
-}
-
-func (t *tcpTransport) put(from, to int, addr Addr, src []byte, span uint64) error {
-	_, _, err := t.roundTrip(from, to, OpPut, addr, 0, 0, span, src, nil)
-	return err
-}
-
-func (t *tcpTransport) get(from, to int, addr Addr, dst []byte, span uint64) error {
-	// Charge bandwidth for the returned payload (request carries none).
-	t.w.cfg.Latency.charge(t.w.cfg.Latency.bandwidth(len(dst)))
-	_, rp, err := t.roundTrip(from, to, OpGet, addr, uint64(len(dst)), 0, span, nil, dst)
-	if err != nil {
-		return err
-	}
-	if len(rp) != len(dst) {
-		return fmt.Errorf("shmem/tcp: get from PE %d returned %d bytes, want %d", to, len(rp), len(dst))
-	}
-	if len(dst) > 0 && &rp[0] != &dst[0] {
-		copy(dst, rp)
-	}
-	return nil
-}
-
-func (t *tcpTransport) getv(from, to int, spans []Span, dst []byte, span uint64) error {
-	total := 0
-	for _, sp := range spans {
-		if sp.N < 0 {
-			return fmt.Errorf("shmem/tcp: getv span with negative length %d", sp.N)
-		}
-		total += sp.N
-	}
-	if total != len(dst) {
-		return fmt.Errorf("shmem/tcp: getv spans cover %d bytes, dst holds %d", total, len(dst))
-	}
-	t.w.cfg.Latency.charge(t.w.cfg.Latency.bandwidth(len(dst)))
-	var first Addr
-	if len(spans) > 0 {
-		first = spans[0].Addr // fault injectors key on the leading address
-	}
-	tbl := getBuf(len(spans) * spanWireSize)
-	for i, sp := range spans {
-		binary.LittleEndian.PutUint64((*tbl)[i*spanWireSize:], uint64(sp.Addr))
-		binary.LittleEndian.PutUint32((*tbl)[i*spanWireSize+8:], uint32(sp.N))
-	}
-	_, rp, err := t.roundTrip(from, to, OpGetV, first, uint64(len(spans)), uint64(total), span, *tbl, dst)
-	putBuf(tbl)
-	if err != nil {
-		return err
-	}
-	if len(rp) != len(dst) {
-		return fmt.Errorf("shmem/tcp: getv from PE %d returned %d bytes, want %d", to, len(rp), len(dst))
-	}
-	if len(dst) > 0 && &rp[0] != &dst[0] {
-		copy(dst, rp)
-	}
-	return nil
-}
-
-func (t *tcpTransport) fetchAdd64(from, to int, addr Addr, delta uint64, span uint64) (uint64, error) {
-	v, _, err := t.roundTrip(from, to, OpFetchAdd, addr, delta, 0, span, nil, nil)
-	return v, err
-}
-
-func (t *tcpTransport) swap64(from, to int, addr Addr, val uint64, span uint64) (uint64, error) {
-	v, _, err := t.roundTrip(from, to, OpSwap, addr, val, 0, span, nil, nil)
-	return v, err
-}
-
-func (t *tcpTransport) compareSwap64(from, to int, addr Addr, old, new uint64, span uint64) (uint64, error) {
-	v, _, err := t.roundTrip(from, to, OpCompareSwap, addr, old, new, span, nil, nil)
-	return v, err
-}
-
-func (t *tcpTransport) load64(from, to int, addr Addr, span uint64) (uint64, error) {
-	v, _, err := t.roundTrip(from, to, OpLoad, addr, 0, 0, span, nil, nil)
-	return v, err
-}
-
-func (t *tcpTransport) store64(from, to int, addr Addr, val uint64, span uint64) error {
-	_, _, err := t.roundTrip(from, to, OpStore, addr, val, 0, span, nil, nil)
-	return err
-}
-
-func (t *tcpTransport) fetchAddGet(from, to int, addr Addr, delta uint64, id uint64, span uint64) (uint64, []byte, error) {
-	return t.roundTrip(from, to, OpFetchAddGet, addr, delta, id, span, nil, nil)
-}
-
-func (t *tcpTransport) storeNBI(from, to int, addr Addr, val uint64, span uint64) error {
-	return t.injectAsync(from, to, OpStoreNBI, addr, val, span, nil)
-}
-
-func (t *tcpTransport) addNBI(from, to int, addr Addr, delta uint64, span uint64) error {
-	return t.injectAsync(from, to, OpAddNBI, addr, delta, span, nil)
-}
-
-func (t *tcpTransport) putNBI(from, to int, addr Addr, src []byte, span uint64) error {
-	return t.injectAsync(from, to, OpPutNBI, addr, 0, span, src)
 }
 
 func (t *tcpTransport) quiet(from int) error {

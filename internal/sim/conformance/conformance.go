@@ -19,6 +19,8 @@
 //     leave asteals bounded by plan + threshold + #thieves (§4.3).
 //   - TerminationQuiescence — the pool terminates only after global
 //     quiescence: all queues empty, every spawned task executed.
+//   - InboxExactlyOnce — four senders flooding one receiver's two-slot
+//     remote-spawn inbox neither lose a task nor deliver one twice.
 //   - ExactlyOncePerJob — a warm fleet serving back-to-back and
 //     interleaved jobs keeps epochs exclusive: per-job audit slots show
 //     exactly one execution each, no task leaks into another job's
@@ -91,6 +93,7 @@ func RunAll(t *testing.T, f Factory) {
 	t.Run("reseat-stale-claim", func(t *testing.T) { ReseatStaleClaim(t, f) })
 	t.Run("exactly-once-per-job", func(t *testing.T) { ExactlyOncePerJob(t, f) })
 	t.Run("exactly-once-churn", func(t *testing.T) { ExactlyOnceUnderChurn(t, f, 23) })
+	t.Run("inbox-exactly-once", func(t *testing.T) { InboxExactlyOnce(t, f) })
 }
 
 // ExactlyOnceUnderKill crash-injects one non-auditor PE at a seed-derived
@@ -437,6 +440,7 @@ func EpochSafeAcquire(t *testing.T, f Factory) {
 		if err != nil {
 			return err
 		}
+		released := ctx.MustAlloc(shmem.WordSize) // owner -> thief: block shared
 		claimed := ctx.MustAlloc(shmem.WordSize)  // thief -> owner: claim made
 		acquired := ctx.MustAlloc(shmem.WordSize) // owner -> thief: acquire done
 		if err := ctx.Barrier(); err != nil {
@@ -454,6 +458,9 @@ func EpochSafeAcquire(t *testing.T, f Factory) {
 			}
 			if shared == 0 {
 				return fmt.Errorf("release shared nothing")
+			}
+			if err := ctx.Store64(1, released, 1); err != nil {
+				return err
 			}
 			// Wait for the thief's in-flight claim (fetch-add done, no
 			// completion store yet).
@@ -503,7 +510,11 @@ func EpochSafeAcquire(t *testing.T, f Factory) {
 			return ctx.Barrier()
 		}
 		// Thief: claim manually so the completion store can be withheld
-		// while the owner acquires — the exact §4.2 window.
+		// while the owner acquires — the exact §4.2 window. Wait for the
+		// release first: a claim racing it fetches a closed stealval.
+		if _, err := ctx.WaitUntil64(released, shmem.CmpEQ, 1, waitTimeout); err != nil {
+			return err
+		}
 		old, err := ctx.FetchAdd64(0, q.StealvalAddr(), core.AstealsUnit)
 		if err != nil {
 			return err

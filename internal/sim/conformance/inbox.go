@@ -1,0 +1,73 @@
+package conformance
+
+import (
+	"fmt"
+	"testing"
+
+	"sws/internal/pool"
+	"sws/internal/shmem"
+	"sws/internal/task"
+)
+
+// InboxExactlyOnce drives the remote-spawn inbox the way nothing else in
+// the suite does: four senders flood one receiver's two-slot ring, so
+// tickets a full lap apart contend for the same slot on nearly every
+// send. Each task marks its own audit slot on rank 0 with a blocking
+// fetch-add; after the run every slot must read exactly 1 — a slot at 0
+// is a spawn the ring lost (two senders wrote one slot, the owner drained
+// it once), a slot above 1 a task delivered twice.
+func InboxExactlyOnce(t *testing.T, f Factory) {
+	const senders = 4
+	const perSender = 24 // 96 sends through 2 slots: 48 laps
+	const total = senders * perSender
+	run(t, f, senders+1, func(ctx *shmem.Ctx) error {
+		slots := ctx.MustAlloc(total * shmem.WordSize)
+		reg := pool.NewRegistry()
+		probe := reg.MustRegister("probe", func(tc *pool.TaskCtx, payload []byte) error {
+			args, err := task.ParseArgs(payload, 1)
+			if err != nil {
+				return err
+			}
+			_, err = tc.Shmem().FetchAdd64(0, slots+shmem.Addr(args[0])*shmem.WordSize, 1)
+			return err
+		})
+		driver := reg.MustRegister("driver", func(tc *pool.TaskCtx, payload []byte) error {
+			args, err := task.ParseArgs(payload, 1)
+			if err != nil {
+				return err
+			}
+			for i := uint64(0); i < perSender; i++ {
+				if err := tc.SpawnOn(0, probe, task.Args(args[0]*perSender+i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		p, err := pool.New(ctx, reg, pool.Config{Protocol: pool.SWS, Seed: 11, MailboxSlots: 2, Workers: poolWorkers(ctx)})
+		if err != nil {
+			return err
+		}
+		if ctx.Rank() > 0 {
+			if err := p.Add(driver, task.Args(uint64(ctx.Rank()-1))); err != nil {
+				return err
+			}
+		}
+		if err := p.Run(); err != nil {
+			return err
+		}
+		if ctx.Rank() == 0 {
+			// Termination means every execution's blocking fetch-add has
+			// landed, so the audit reads stable memory.
+			for i := 0; i < total; i++ {
+				v, err := ctx.Load64(0, slots+shmem.Addr(i)*shmem.WordSize)
+				if err != nil {
+					return err
+				}
+				if v != 1 {
+					return fmt.Errorf("inbox exactly-once violated: task %d delivered %d times", i, v)
+				}
+			}
+		}
+		return ctx.Barrier()
+	})
+}
