@@ -143,7 +143,14 @@ func TestKillProducesFlightDump(t *testing.T) {
 	}
 	t.Logf("calibration: depth %d ran %v of %v wall; killing after %v at depth %d", calDepth, runTime, wall, killAfter, depth)
 
-	dumps := t.TempDir()
+	// SWS_FLIGHT_DUMP_DIR keeps the journals (CI uploads them and runs the
+	// Perfetto export over this same, measured-size run).
+	dumps := os.Getenv("SWS_FLIGHT_DUMP_DIR")
+	if dumps == "" {
+		dumps = t.TempDir()
+	} else if err := os.MkdirAll(dumps, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	cmd := exec.Command(bin,
 		"-n", "4", "-depth", fmt.Sprint(depth),
 		"-op-timeout", "500ms",

@@ -273,14 +273,17 @@ func SingleRunTable(name string, run stats.Run) *Table {
 			[]string{"queue grows/shrinks", fmt.Sprintf("%d/%d", tot.QueueGrows, tot.QueueShrinks)},
 			[]string{"tasks spilled", fmt.Sprint(tot.TasksSpilled)})
 	}
-	// Multi-worker runs carry a per-worker breakdown; surface it so the
-	// intra-PE load balance is visible alongside the PE totals.
-	for _, w := range tot.Workers {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("pe %d worker %d", w.PE, w.ID),
-			fmt.Sprintf("exec %d, spawn %d, exec time %s, idle %d",
-				w.TasksExecuted, w.TasksSpawned, fmtDur(w.ExecTime), w.IdleIters),
-		})
+	// Every PE reports a row per worker; surface them when some PE has
+	// executors, so the intra-PE load balance is visible alongside the PE
+	// totals (with one worker per PE the rows only repeat the PE's own).
+	if len(tot.Workers) > len(run.PEs) {
+		for _, w := range tot.Workers {
+			t.Rows = append(t.Rows, []string{
+				fmt.Sprintf("pe %d worker %d", w.PE, w.ID),
+				fmt.Sprintf("exec %d, spawn %d, exec time %s, idle %d",
+					w.TasksExecuted, w.TasksSpawned, fmtDur(w.ExecTime), w.IdleIters),
+			})
+		}
 	}
 	for _, key := range latencyRowKeys {
 		snap, ok := tot.Lat[key]

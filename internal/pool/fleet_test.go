@@ -85,20 +85,24 @@ func testFleetWarmJobs(t *testing.T, workers int) {
 		if err != nil {
 			t.Fatalf("job %d: %v", job, err)
 		}
-		if got := run.Total().TasksExecuted; got != want {
-			t.Fatalf("job %d: per-job stats report %d tasks, want %d", job, got, want)
+		// The job's ledger balances: every task of THIS job executed, and
+		// every one but the root — seeded before the job's baseline — was
+		// spawned under it.
+		tot := run.Total()
+		if tot.TasksExecuted != want || tot.TasksSpawned+1 != want {
+			t.Fatalf("job %d: per-job stats report %d spawned on top of 1 root, %d executed, want %d tasks",
+				job, tot.TasksSpawned, tot.TasksExecuted, want)
 		}
-		if workers > 1 {
-			// The per-worker rows are job-scoped too: they must account
-			// for every task of THIS job, on the first job and every
-			// later one.
-			var rows uint64
-			for _, wk := range run.Total().Workers {
-				rows += wk.TasksExecuted
-			}
-			if rows != want {
-				t.Fatalf("job %d: per-worker rows report %d tasks, want %d", job, rows, want)
-			}
+		// The per-worker rows are job-scoped too, at any worker count, on
+		// the first job and every later one.
+		var rowExec, rowSpawn uint64
+		for _, wk := range tot.Workers {
+			rowExec += wk.TasksExecuted
+			rowSpawn += wk.TasksSpawned
+		}
+		if len(tot.Workers) != pes*workers || rowExec != tot.TasksExecuted || rowSpawn != tot.TasksSpawned {
+			t.Fatalf("job %d: %d per-worker rows report %d spawned, %d executed, want %d rows summing to %d and %d",
+				job, len(tot.Workers), rowSpawn, rowExec, pes*workers, tot.TasksSpawned, tot.TasksExecuted)
 		}
 		if got := cs.executed.Load() - before; got != want {
 			t.Fatalf("job %d: executed %d tasks, want %d (exactly-once per job)", job, got, want)

@@ -46,20 +46,16 @@ type mailbox struct {
 	// and drain run on the PE's owner goroutine only, but a drain may
 	// send (a departing PE forwards what it drains), so they are two.
 	sendBuf, drainBuf []byte
-
-	// sendTimeout bounds the wait for a slot's turn (a full inbox means
-	// the owner is not draining).
-	sendTimeout time.Duration
 }
 
 const defaultMailboxSlots = 256
 
 // newMailbox collectively allocates the inbox (same order on every PE).
-func newMailbox(ctx *shmem.Ctx, codec task.Codec, slots int, sendTimeout time.Duration) (*mailbox, error) {
+func newMailbox(ctx *shmem.Ctx, codec task.Codec, slots int) (*mailbox, error) {
 	if slots < 1 {
 		return nil, fmt.Errorf("pool: mailbox needs at least 1 slot, got %d", slots)
 	}
-	m := &mailbox{ctx: ctx, codec: codec, slots: slots, sendTimeout: sendTimeout,
+	m := &mailbox{ctx: ctx, codec: codec, slots: slots,
 		sendBuf: make([]byte, codec.SlotSize()), drainBuf: make([]byte, codec.SlotSize())}
 	var err error
 	if m.writeAddr, err = ctx.Alloc(shmem.WordSize); err != nil {
@@ -94,8 +90,8 @@ func (m *mailbox) send(pe int, d task.Desc) error {
 	slot := int(ticket % uint64(m.slots))
 	turn := 2 * (ticket / uint64(m.slots))
 	// Wait for the previous lap's task to drain if a full ring lap is
-	// outstanding.
-	deadline := time.Now().Add(m.sendTimeout)
+	// outstanding (a slot that stays full means the owner is not draining).
+	deadline := time.Now().Add(pushTimeout)
 	for {
 		st, err := m.ctx.Load64(pe, m.slotState(slot))
 		if err != nil {
@@ -109,7 +105,7 @@ func (m *mailbox) send(pe int, d task.Desc) error {
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("pool: PE %d inbox slot %d stayed full for %v (receiver not draining?)",
-				pe, slot, m.sendTimeout)
+				pe, slot, pushTimeout)
 		}
 		m.ctx.Relax()
 	}

@@ -152,35 +152,30 @@ func (p *Pool) forwardTask(d task.Desc) error {
 	if werr := p.ctx.Err(); werr != nil {
 		return werr
 	}
-	return p.execute(d)
+	return p.executeOwned(d)
 }
 
-// flushWorkerTier forwards everything a multi-worker PE's execution layer
-// holds: staged overflow/outbox (counts published first — the ordering
-// term.Publish relies on) and the intra-PE ring. Executors keep running;
-// tasks already in their hands finish locally and any output they stage
-// afterwards is caught by the next flush (drain loop or stepParked).
+// flushWorkerTier forwards everything the execution layer holds: what
+// executors staged and the intra-PE ring. Every task in either was counted
+// by an executor and becomes remotely observable here, so the counts that
+// cover it are published first (the ordering term.Publish relies on) —
+// unconditionally, because a parked PE's executors may still be finishing
+// tasks they held when it left, and this is the only place their counts
+// reach the detector. Any output they stage afterwards is caught by the
+// next flush (drain loop or stepParked). A PE without executors holds
+// nothing here.
 func (p *Pool) flushWorkerTier() error {
-	staged, outbox := p.exec.takeStaged()
-	if len(staged) > 0 || len(outbox) > 0 {
-		if err := p.publishCounts(); err != nil {
-			return err
-		}
-		for _, d := range staged {
-			if err := p.forwardTask(d); err != nil {
-				return err
-			}
-		}
-		for _, o := range outbox {
-			if err := p.sendStagedRemote(o); err != nil {
-				return err
-			}
-		}
+	if err := p.stepPublish(p.forwardTask); err != nil {
+		return err
 	}
 	for {
 		d, ok := p.exec.dq.TryPop()
 		if !ok {
 			return nil
+		}
+		// Spawned by an executor since the publish above, possibly.
+		if err := p.publishCounts(); err != nil {
+			return err
 		}
 		if err := p.forwardTask(d); err != nil {
 			return err
@@ -200,10 +195,8 @@ func (p *Pool) drainOut() error {
 		if err := p.ctx.Err(); err != nil {
 			return err
 		}
-		if p.exec != nil {
-			if err := p.flushWorkerTier(); err != nil {
-				return err
-			}
+		if err := p.flushWorkerTier(); err != nil {
+			return err
 		}
 		d, ok, err := p.q.Pop()
 		if err != nil {
@@ -241,15 +234,13 @@ func (p *Pool) drainOut() error {
 
 // stepParked is a parked PE's whole scheduler iteration: forward any
 // stragglers that raced its departure (inbox arrivals, late executor
-// output on a multi-worker PE, children of a locally-run fallback task)
+// output, children of a locally-run fallback task)
 // and keep answering termination probes so the wave that excludes this
 // rank from new work still counts its history. Reports job termination
 // like stepCheckTermination.
 func (p *Pool) stepParked() (bool, error) {
-	if p.exec != nil {
-		if err := p.flushWorkerTier(); err != nil {
-			return false, err
-		}
+	if err := p.flushWorkerTier(); err != nil {
+		return false, err
 	}
 	if _, err := p.mbox.drain(p.forwardTask); err != nil {
 		return false, err

@@ -14,7 +14,6 @@ import (
 // canonical stats.PE counters stay plain (single-writer, read post-run);
 // the mirror exists so live scrapes never race with the scheduler loop.
 type liveView struct {
-	tasksExecuted, tasksSpawned                        atomic.Uint64
 	stealsOK, stealsEmpty, stealsDisabled, tasksStolen atomic.Uint64
 	releases, acquires                                 atomic.Uint64
 	remoteSent, remoteRecv                             atomic.Uint64
@@ -28,8 +27,8 @@ type liveView struct {
 	queueGrows, queueShrinks, tasksSpilled atomic.Uint64
 	queueCap, spillDepth                   atomic.Int64
 
-	// refillTarget mirrors the adaptive intra-PE ring refill batch
-	// (multi-worker PEs only; stays zero otherwise).
+	// refillTarget mirrors the adaptive intra-PE ring refill batch (stays
+	// zero on a PE without executors, which never refills).
 	refillTarget atomic.Int64
 
 	// Failure-handling counters (stay zero on fault-free runs).
@@ -47,10 +46,28 @@ func (p *Pool) metricsSource() obs.SourceFunc {
 	proto := obs.L("protocol", p.cfg.Protocol.String())
 	lv := p.live
 	return func(e *obs.Emitter) {
+		// Task counts come straight from the workers' own atomics (always
+		// safe to scrape mid-run): the PE totals and the per-worker rows.
+		var executed, spawned uint64
+		for _, ws := range p.exec.workers {
+			wl := obs.L("worker", strconv.Itoa(ws.id))
+			exe, sp := ws.executed.Load(), ws.spawned.Load()
+			executed += exe
+			spawned += sp
+			e.Counter("sws_pool_worker_tasks_executed_total", "Tasks executed per worker.",
+				float64(exe), pe, proto, wl)
+			e.Counter("sws_pool_worker_tasks_spawned_total", "Tasks spawned per worker.",
+				float64(sp), pe, proto, wl)
+			e.Counter("sws_pool_worker_idle_iterations_total", "Loop passes that found nothing to run, per worker.",
+				float64(ws.idleIters.Load()), pe, proto, wl)
+		}
 		e.Counter("sws_pool_tasks_executed_total", "Tasks executed by this PE.",
-			float64(lv.tasksExecuted.Load()), pe, proto)
+			float64(executed), pe, proto)
 		e.Counter("sws_pool_tasks_spawned_total", "Tasks spawned by this PE.",
-			float64(lv.tasksSpawned.Load()), pe, proto)
+			float64(spawned), pe, proto)
+		e.Gauge("sws_pool_ring_refill_target_tasks",
+			"Adaptive intra-PE ring refill batch (0 on a PE without executors).",
+			float64(lv.refillTarget.Load()), pe, proto)
 		for _, o := range []struct {
 			name string
 			v    uint64
@@ -112,23 +129,6 @@ func (p *Pool) metricsSource() obs.SourceFunc {
 				e.Gauge("sws_liveness_peer_state",
 					"Failure-detector state per peer (0=alive, 1=suspect, 2=dead).",
 					float64(live.State(r)), pe, obs.L("peer", strconv.Itoa(r)))
-			}
-		}
-
-		// Multi-worker PEs: per-worker breakdown straight from the worker
-		// atomics (always safe to scrape mid-run).
-		if p.exec != nil {
-			e.Gauge("sws_pool_ring_refill_target_tasks",
-				"Adaptive intra-PE ring refill batch (multi-worker PEs).",
-				float64(lv.refillTarget.Load()), pe, proto)
-			for _, ws := range p.exec.workers {
-				wl := obs.L("worker", strconv.Itoa(ws.id))
-				e.Counter("sws_pool_worker_tasks_executed_total", "Tasks executed per worker.",
-					float64(ws.executed.Load()), pe, proto, wl)
-				e.Counter("sws_pool_worker_tasks_spawned_total", "Tasks spawned per worker.",
-					float64(ws.spawned.Load()), pe, proto, wl)
-				e.Counter("sws_pool_worker_idle_iterations_total", "Empty ring polls per worker.",
-					float64(ws.idleIters.Load()), pe, proto, wl)
 			}
 		}
 

@@ -149,21 +149,15 @@ type Config struct {
 	// derives its own independent stream from Seed, the PE's rank, and
 	// its worker id.
 	Seed int64
-	// Workers is the number of worker goroutines this PE runs. The
-	// default 1 reproduces the paper's single-threaded PE exactly; larger
-	// values add executor workers that share work through an intra-PE
-	// ring (internal/ldeque) while the owner worker alone drives the
-	// inter-PE SWS protocol. Requires a transport whose PEs may issue
-	// operations from multiple goroutines (local, tcp — not sim).
+	// Workers is the number of worker goroutines this PE runs. Worker 0,
+	// the owner, always exists: it runs the scheduler loop and alone drives
+	// the inter-PE SWS protocol. The default 1 is the paper's
+	// single-threaded PE; each worker beyond the first is an executor that
+	// only runs tasks, sharing work with the owner through an intra-PE
+	// ring (internal/ldeque). Executors require a transport whose PEs may
+	// issue operations from multiple goroutines (local, tcp, shm — not
+	// sim).
 	Workers int
-	// LocalQueueCap bounds the intra-PE ring of a multi-worker PE
-	// (rounded up to a power of two). Default 4*Workers, minimum 16: the
-	// ring is kept shallow on purpose so surplus work lives in the
-	// protocol queue where thieves can see it.
-	LocalQueueCap int
-	// PushTimeout bounds how long stolen tasks or spawns may wait for
-	// queue space held by in-flight steal completions. Default 10s.
-	PushTimeout time.Duration
 	// MailboxSlots sizes the remote-spawn inbox ring. Default 256.
 	MailboxSlots int
 	// Trace, if non-nil, records per-PE scheduling events into its ring
@@ -177,6 +171,10 @@ type Config struct {
 	Metrics *obs.Gatherer
 }
 
+// pushTimeout bounds how long a push may wait for queue space held by
+// in-flight steal completions, and a remote spawn for its inbox slot.
+const pushTimeout = 10 * time.Second
+
 func (c *Config) setDefaults() {
 	if c.QueueCapacity == 0 {
 		c.QueueCapacity = 8192
@@ -187,9 +185,6 @@ func (c *Config) setDefaults() {
 	if c.StealTries == 0 {
 		c.StealTries = 2
 	}
-	if c.PushTimeout == 0 {
-		c.PushTimeout = 10 * time.Second
-	}
 	if c.MailboxSlots == 0 {
 		c.MailboxSlots = defaultMailboxSlots
 	}
@@ -198,12 +193,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Workers == 0 {
 		c.Workers = 1
-	}
-	if c.LocalQueueCap == 0 {
-		c.LocalQueueCap = 4 * c.Workers
-		if c.LocalQueueCap < 16 {
-			c.LocalQueueCap = 16
-		}
 	}
 }
 
@@ -278,11 +267,12 @@ type Pool struct {
 	// quar blacklists victims whose steals failed at the transport layer
 	// (zero value: inert until the first strike).
 	quar quarantine
-	// exec is the execution layer of a multi-worker PE; nil when
-	// Workers == 1 (the classic single-goroutine loop).
+	// exec holds the PE's workers — worker 0, the owner, plus any
+	// executors — and the intra-PE tier they share.
 	exec *execLayer
 
-	tc      TaskCtx
+	// st holds the counters the owner alone writes; Stats adds the task
+	// counts and per-worker rows, which live in the workers' atomics.
 	st      stats.PE
 	tr      *trace.Buffer
 	elapsed time.Duration
@@ -368,13 +358,12 @@ type poolLat struct {
 	drain obs.Hist
 }
 
-// TaskCtx is the handle passed to task functions.
+// TaskCtx is the handle passed to task functions. Each worker has its own,
+// so a task's spawns are counted against — and routed by — the worker that
+// ran it: the owner pushes into the protocol queue, an executor into the
+// intra-PE tier.
 type TaskCtx struct {
 	p *Pool
-	// w identifies the executing worker on a multi-worker PE; nil in the
-	// classic single-worker mode. Spawns route through it so they are
-	// counted and enqueued on the intra-PE tier instead of the (owner
-	// serialized) protocol queue.
 	w *workerState
 }
 
@@ -396,10 +385,7 @@ func (tc *TaskCtx) Shmem() *shmem.Ctx { return tc.p.ctx }
 
 // Spawn enqueues a new task on the executing PE's queue.
 func (tc *TaskCtx) Spawn(h task.Handle, payload []byte) error {
-	if tc.w != nil {
-		return tc.p.workerSpawn(tc.w, h, payload)
-	}
-	return tc.p.addTask(task.Desc{Handle: h, Payload: payload})
+	return tc.p.spawn(tc.w, task.Desc{Handle: h, Payload: payload})
 }
 
 // SpawnOn enqueues a new task on PE pe's queue via its remote-spawn
@@ -407,10 +393,7 @@ func (tc *TaskCtx) Spawn(h task.Handle, payload []byte) error {
 // possible "although with more overhead"); prefer Spawn and let stealing
 // move the work unless placement genuinely matters.
 func (tc *TaskCtx) SpawnOn(pe int, h task.Handle, payload []byte) error {
-	if tc.w != nil {
-		return tc.p.workerSpawnOn(tc.w, pe, h, payload)
-	}
-	return tc.p.SpawnOn(pe, h, payload)
+	return tc.p.spawnOn(tc.w, pe, task.Desc{Handle: h, Payload: payload})
 }
 
 // New collectively constructs the pool; every PE calls it with an
@@ -429,26 +412,20 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 		reg: reg,
 		cal: ptimer.Calibrate(),
 	}
-	p.tc = TaskCtx{p: p}
 	p.tr = cfg.Trace.PE(ctx.Rank())
 	ctx.AttachTrace(p.tr)
 	if cfg.Workers > 1 {
-		// The execution layer shares the ctx (and any trace buffer)
-		// across worker goroutines; both must opt in, and the transport
+		// Will this PE have executors? Then they share the ctx (and any
+		// trace buffer) with the owner; both must opt in, and the transport
 		// must support it (the lockstep sim does not).
 		if err := ctx.EnableMultiWorker(); err != nil {
 			return nil, fmt.Errorf("pool: Workers=%d: %w", cfg.Workers, err)
 		}
 		p.tr.EnableConcurrent()
-		p.exec = newExecLayer(p, cfg.Workers, cfg.LocalQueueCap)
 	}
-	// Worker 0's random stream drives victim selection (single-worker
-	// PEs are all worker 0).
-	vrng := rngStream(cfg.Seed, ctx.Rank(), 0)
-	if p.exec != nil {
-		vrng = p.exec.workers[0].rng
-	}
-	p.vic = newVictimSelector(cfg.Victim, cfg.GroupSize, ctx.Rank(), ctx.NumPEs(), vrng)
+	p.exec = newExecLayer(p, cfg.Workers)
+	// Worker 0's random stream drives victim selection.
+	p.vic = newVictimSelector(cfg.Victim, cfg.GroupSize, ctx.Rank(), ctx.NumPEs(), p.exec.workers[0].rng)
 	var err error
 	switch cfg.Protocol {
 	case SWS, SWSFused:
@@ -485,7 +462,7 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.mbox, err = newMailbox(ctx, codec, cfg.MailboxSlots, cfg.PushTimeout); err != nil {
+	if p.mbox, err = newMailbox(ctx, codec, cfg.MailboxSlots); err != nil {
 		return nil, err
 	}
 	p.coreQ, _ = p.rawQ.(*core.Queue)
@@ -504,55 +481,17 @@ func (p *Pool) Queue() wsq.Queue { return p.rawQ }
 // address space use around a run.
 func (p *Pool) Shmem() *shmem.Ctx { return p.ctx }
 
-// Add seeds a task into this PE's queue before (or during) Run.
+// Add seeds a task into this PE's queue before (or during) Run. Like every
+// Pool method it belongs to the PE's own goroutine — it is the owner
+// worker's spawn; task functions use their TaskCtx.
 func (p *Pool) Add(h task.Handle, payload []byte) error {
-	return p.addTask(task.Desc{Handle: h, Payload: payload})
+	return p.spawn(p.exec.workers[0], task.Desc{Handle: h, Payload: payload})
 }
 
-// SpawnOn delivers a task into PE pe's remote-spawn inbox. Safe to call
-// from task functions and from seeding code.
+// SpawnOn delivers a task into PE pe's remote-spawn inbox, from seeding
+// code on the PE's own goroutine (task functions use TaskCtx.SpawnOn).
 func (p *Pool) SpawnOn(pe int, h task.Handle, payload []byte) error {
-	if pe == p.ctx.Rank() {
-		return p.addTask(task.Desc{Handle: h, Payload: payload})
-	}
-	if pe < 0 || pe >= p.ctx.NumPEs() {
-		return fmt.Errorf("pool: SpawnOn target %d out of range [0, %d)", pe, p.ctx.NumPEs())
-	}
-	if lv := p.ctx.Liveness(); lv != nil && lv.Elastic() && !lv.Member(pe) {
-		// Elastic worlds: a spawn aimed at a rank outside the membership
-		// lands here instead, and stealing redistributes it. Placement was
-		// a hint; the rank it named is draining, parked, or gone.
-		return p.addTask(task.Desc{Handle: h, Payload: payload})
-	}
-	// Count the spawn before sending so termination detection sees the
-	// task exist from the moment it can be observed anywhere.
-	p.st.TasksSpawned++
-	if err := p.det.TaskSpawned(1); err != nil {
-		return err
-	}
-	if err := p.mbox.send(pe, task.Desc{Handle: h, Payload: payload}); err != nil {
-		return err
-	}
-	p.st.RemoteSpawnsSent++
-	p.tr.Record(trace.RemoteSpawn, int64(pe), 0)
-	if p.live != nil {
-		p.live.tasksSpawned.Add(1)
-		p.live.remoteSent.Add(1)
-	}
-	return nil
-}
-
-// addTask pushes a descriptor, waiting out transient fullness caused by
-// in-flight steal completions, and records the spawn.
-func (p *Pool) addTask(d task.Desc) error {
-	if err := p.push(d); err != nil {
-		return err
-	}
-	p.st.TasksSpawned++
-	if p.live != nil {
-		p.live.tasksSpawned.Add(1)
-	}
-	return p.det.TaskSpawned(1)
+	return p.spawnOn(p.exec.workers[0], pe, task.Desc{Handle: h, Payload: payload})
 }
 
 // recordEpochFlip notes a new completion epoch on the trace timeline and
@@ -582,7 +521,7 @@ func (p *Pool) push(d task.Desc) error {
 	// here — their cost is the "grow" histogram instead).
 	t0 := time.Now()
 	defer func() { p.lat.pushWait.Record(time.Since(t0)) }()
-	deadline := t0.Add(p.cfg.PushTimeout)
+	deadline := t0.Add(pushTimeout)
 	for {
 		if err := p.q.Progress(); err != nil {
 			return err
@@ -599,31 +538,10 @@ func (p *Pool) push(d task.Desc) error {
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("pool: queue full for %v (capacity %d too small for this workload): %w",
-				p.cfg.PushTimeout, p.cfg.QueueCapacity, err)
+				pushTimeout, p.cfg.QueueCapacity, err)
 		}
 		p.ctx.Relax()
 	}
-}
-
-// execute runs one task.
-func (p *Pool) execute(d task.Desc) error {
-	fn, err := p.reg.fn(d.Handle)
-	if err != nil {
-		return err
-	}
-	t0 := time.Now()
-	if err := fn(&p.tc, d.Payload); err != nil {
-		return fmt.Errorf("pool: task %d failed: %w", d.Handle, err)
-	}
-	el := p.cal.Since(t0)
-	p.st.ExecTime += el
-	p.st.TasksExecuted++
-	p.lat.exec.Record(el)
-	p.tr.Record(trace.TaskExec, int64(d.Handle), int64(el))
-	if p.live != nil {
-		p.live.tasksExecuted.Add(1)
-	}
-	return p.det.TaskExecuted(1)
 }
 
 // Stats returns this PE's counters, including the per-op latency
@@ -634,9 +552,23 @@ func (p *Pool) execute(d task.Desc) error {
 // jobs.
 func (p *Pool) Stats() stats.PE {
 	st := p.st
-	// The per-worker rows are rewritten in place at every fold; a
-	// snapshot (RunJob's per-job baseline) must not alias them.
-	st.Workers = append([]stats.Worker(nil), p.st.Workers...)
+	// Task counts live in the workers' own counters: fold them into the
+	// PE totals and one row per worker (worker 0, the owner, also carries
+	// the steal and search time — it does all inter-PE work).
+	st.Workers = make([]stats.Worker, len(p.exec.workers))
+	for i, ws := range p.exec.workers {
+		w := stats.Worker{
+			PE: p.ctx.Rank(), ID: ws.id,
+			TasksExecuted: ws.executed.Load(), TasksSpawned: ws.spawned.Load(),
+			ExecTime: ws.execTime, IdleIters: ws.idleIters.Load(),
+		}
+		st.TasksExecuted += w.TasksExecuted
+		st.TasksSpawned += w.TasksSpawned
+		st.ExecTime += w.ExecTime
+		st.Workers[i] = w
+	}
+	st.Workers[0].StealTime, st.Workers[0].SearchTime = st.StealTime, st.SearchTime
+	st.IdleIters = st.Workers[0].IdleIters
 	st.TasksLost = p.det.Lost
 	st.Degraded = p.det.Degraded
 	if p.coreQ != nil {

@@ -510,6 +510,9 @@ func TestMetricsAndLatency(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"sws_pool_tasks_executed_total",
+		// The owner is worker 0 of every PE, executors or not.
+		"sws_pool_worker_tasks_executed_total",
+		`worker="0"`,
 		"sws_pool_steals_total",
 		`outcome="ok"`,
 		`sws_pool_queue_depth_tasks{pe="0"`,

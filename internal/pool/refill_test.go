@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"sws/internal/ldeque"
 	"sws/internal/shmem"
 	"sws/internal/task"
 )
@@ -11,7 +12,7 @@ import (
 // The adaptive refill batch climbs under observed executor starvation and
 // decays back to the classic fixed batch when starvation stops.
 func TestAdaptRefill(t *testing.T) {
-	const min, max = 8, 64 // 2x workers=4, LocalQueueCap 64
+	const min, max = 8, 64 // 2x workers=4, ring capacity 64
 	// Bursty: every interval saw idle executors -> the batch doubles each
 	// refill until it saturates at the ring capacity.
 	target := min
@@ -73,10 +74,13 @@ func TestAdaptiveRefillBurstyWorkload(t *testing.T) {
 			}
 			return nil
 		})
-		p, err := New(c, reg, Config{Workers: workers, LocalQueueCap: 64, Seed: 1})
+		p, err := New(c, reg, Config{Workers: workers, Seed: 1})
 		if err != nil {
 			return err
 		}
+		// The refill target is capped by the ring; the derived 16 slots
+		// leave it no headroom over the fixed batch, so test on a deeper one.
+		p.exec.dq = ldeque.MustNew(64)
 		if err := p.Add(gen, task.Args(bursts)); err != nil {
 			return err
 		}

@@ -1,20 +1,22 @@
 // Scheduler layer: the per-PE decision loop, decomposed into small
-// explicit steps. Each step is one scheduling decision — expose work,
-// reclaim protocol space, drain the remote-spawn inbox, run a local task,
-// pull shared work back, steal, probe termination — over the protocol
-// layer (wsq.Queue) underneath. Run dispatches to the single-worker loop
-// (the paper's one-goroutine PE, preserved op-for-op) or the multi-worker
-// loop in worker.go, where the same steps are driven by the owner worker
-// while executors consume the intra-PE tier.
+// explicit steps. Each step is one scheduling decision — make executor
+// output visible, expose work, reclaim protocol space, drain the
+// remote-spawn inbox, run a local task, pull shared work back, steal,
+// probe termination — over the protocol layer (wsq.Queue) underneath.
+// There is one loop, run by the owner worker at every worker count: the
+// paper's one-goroutine PE is the PE with no executors, for which the
+// steps that serve executors find nothing to do.
 package pool
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"sws/internal/shmem"
 	"sws/internal/stats"
+	"sws/internal/task"
 	"sws/internal/trace"
 )
 
@@ -64,13 +66,7 @@ func (p *Pool) RunJob() (JobResult, error) {
 		// survivors proceed straight into a degraded job.
 	}
 	start := time.Now()
-	var err error
-	if p.exec != nil {
-		err = p.runMulti()
-	} else {
-		err = p.runSingle()
-	}
-	if err != nil {
+	if err := p.run(); err != nil {
 		return JobResult{}, err
 	}
 	p.elapsed = time.Since(start)
@@ -91,17 +87,44 @@ func (p *Pool) RunJob() (JobResult, error) {
 	return res, nil
 }
 
-// runSingle is the classic one-goroutine scheduler loop. The step order —
-// release, periodic progress, inbox drain, local pop, acquire, search,
-// termination check — and every communication it performs are identical
-// to the pre-layering monolith, which is what keeps Workers=1 sim runs
-// bit-compatible.
-func (p *Pool) runSingle() error {
+// run is the owner worker's scheduler loop for one job. The step order —
+// membership, executor output, release, periodic progress, inbox drain,
+// run one local task, acquire, search, termination check — is the paper's
+// single-threaded PE; executors, when the PE has any, run beside it for
+// the length of the job and only ever touch the intra-PE tier.
+func (p *Pool) run() (err error) {
+	ex := p.exec
+	owner := ex.workers[0]
+	ex.stop.Store(false) // rearm after any previous job on a warm pool
+	var wg sync.WaitGroup
+	for _, ws := range ex.workers[1:] {
+		wg.Add(1)
+		go func(ws *workerState) {
+			defer wg.Done()
+			p.executorLoop(ws)
+		}(ws)
+	}
+	defer func() {
+		ex.stop.Store(true)
+		wg.Wait()
+		if err == nil {
+			err = ex.firstErr()
+		}
+		// Global termination implies quiescence, so no executor output can
+		// have appeared after the final publish; verify the invariant held.
+		if staged := ex.takeStaged(); err == nil && len(staged) != 0 {
+			err = fmt.Errorf("pool: %d tasks staged after termination (accounting bug)", len(staged))
+		}
+	}()
+
 	iter := 0
 	for {
 		iter++
 		if err := p.ctx.Err(); err != nil {
 			return fmt.Errorf("pool: world failed: %w", err)
+		}
+		if err := ex.firstErr(); err != nil {
+			return err
 		}
 		if err := p.stepMembership(); err != nil {
 			return err
@@ -114,9 +137,12 @@ func (p *Pool) runSingle() error {
 			if done {
 				return nil
 			}
-			p.st.IdleIters++
+			owner.idleIters.Add(1)
 			p.ctx.Relax()
 			continue
+		}
+		if err := p.stepPublish(p.push); err != nil {
+			return err
 		}
 		if err := p.stepRelease(); err != nil {
 			return err
@@ -152,6 +178,11 @@ func (p *Pool) runSingle() error {
 		if found {
 			continue
 		}
+		// Probe termination. Per-PE counts do not balance individually
+		// (stolen tasks execute on a different rank than they spawned on);
+		// only the global sum does, and the publish ordering makes probing
+		// safe at any moment — outstanding work always keeps the global
+		// sums apart.
 		done, err := p.stepCheckTermination()
 		if err != nil {
 			return err
@@ -162,9 +193,35 @@ func (p *Pool) runSingle() error {
 		// Idle PEs keep searching aggressively (the paper's model has
 		// idle processes continuously looking for work); Relax keeps
 		// oversubscribed worlds live and is the sim's scheduling point.
-		p.st.IdleIters++
+		owner.idleIters.Add(1)
 		p.ctx.Relax()
 	}
+}
+
+// stepPublish makes executor output visible: take what executors staged,
+// publish the counts that cover it, and only then hand each local task to
+// keep (the protocol queue; a departing PE's forwarding) and send each
+// remote one — the order that keeps the detector from ever missing
+// outstanding work. It runs every iteration so remote probes see
+// executors' progress; a PE without executors has nothing staged and
+// nothing to publish.
+func (p *Pool) stepPublish(keep func(task.Desc) error) error {
+	staged := p.exec.takeStaged()
+	if err := p.publishCounts(); err != nil {
+		return err
+	}
+	for _, s := range staged {
+		var err error
+		if s.pe == p.ctx.Rank() {
+			err = keep(s.d)
+		} else {
+			err = p.sendRemote(s.pe, s.d)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // stepRelease exposes work to thieves when the shared portion has run dry
@@ -242,14 +299,32 @@ func (p *Pool) stepDrainInbox() (bool, error) {
 	return true, nil
 }
 
-// stepExecuteLocal pops and runs the newest local task (LIFO), reporting
-// whether one ran.
+// stepExecuteLocal runs one local task on the owner, reporting whether
+// the step made progress. The paper's PE pops the newest task of its split
+// queue (LIFO); a PE with executors serves them first — it tops the ring up
+// from the split queue and takes its own task from the ring, the owner
+// being a worker too.
 func (p *Pool) stepExecuteLocal() (bool, error) {
-	d, ok, err := p.q.Pop()
-	if err != nil || !ok {
-		return false, err
+	var (
+		d     task.Desc
+		ok    bool
+		moved int
+		err   error
+	)
+	if ex := p.exec; len(ex.workers) > 1 {
+		// Does this PE have executors? Yes: local work reaches every
+		// worker, the owner included, through the ring.
+		moved, err = p.fillLocalTier()
+		if err == nil {
+			d, ok = ex.dq.TryPop()
+		}
+	} else {
+		d, ok, err = p.q.Pop()
 	}
-	if err := p.execute(d); err != nil {
+	if err != nil || !ok {
+		return moved > 0, err
+	}
+	if err := p.executeOwned(d); err != nil {
 		return false, err
 	}
 	// One scheduling point per task keeps oversubscribed worlds fair:

@@ -1,24 +1,28 @@
-// Execution layer: multi-worker PEs. Config.Workers goroutines share one
-// PE — one designated owner worker drives every protocol owner op
-// (Release/Acquire/Progress/Push/Pop, epoch flips, termination probes,
-// mailbox sends) so the single-owner invariants of internal/core hold
-// unchanged, while executor workers spin on the intra-PE tier (an
-// internal/ldeque MPMC ring) running tasks. Work flows
+// Execution layer: the workers of one PE. Every PE has worker 0, the
+// owner — the goroutine that runs the scheduler loop and alone drives every
+// protocol owner op (Release/Acquire/Progress/Push/Pop, epoch flips,
+// termination probes, mailbox sends), so the single-owner invariants of
+// internal/core hold at any worker count. Config.Workers > 1 adds executor
+// goroutines that spin on the intra-PE tier (an internal/ldeque MPMC ring)
+// running tasks. Work flows
 //
-//	spawn -> ring -> (overflow, staged by owner) -> wsq local -> shared,
-//	wsq local -> ring (owner refill)            -> executors,
+//	executor spawn -> ring -> (overflow, staged for the owner) -> wsq local -> shared,
+//	owner spawn    -> wsq local -> ring (owner refill)          -> executors,
 //
 // so the SWS stealval protocol remains the inter-PE tier only: local
 // workers exchange tasks with process atomics, and remote thieves see the
 // surplus the owner releases — the two-level scheme of Wimmer & Träff
-// style mixed-mode runtimes.
+// style mixed-mode runtimes, with the paper's single-threaded PE as the
+// team of one: no executors, nothing ever staged, the ring never touched.
 //
-// Termination accounting is aggregated: workers keep per-worker atomic
-// (spawned, executed) counters with spawn counted before a task becomes
-// visible and execution counted after its body returns; each owner
-// iteration stages worker output, publishes count deltas (loading
-// executed before spawned — see term.Publish for why that order never
-// under-counts), and only then makes staged tasks remotely observable.
+// Task accounting is one scheme at every worker count: each worker counts
+// its own spawns (before the task becomes visible anywhere) and executions
+// (after the task body returns) in per-worker atomics, and Stats derives
+// the PE totals and the per-worker rows from them. The owner, which may
+// touch the termination detector, publishes its own counts the moment
+// they change; executors' counts reach the detector through publishCounts,
+// which the owner runs before anything an executor staged becomes remotely
+// observable and before it publishes an execution of its own.
 package pool
 
 import (
@@ -30,7 +34,6 @@ import (
 	"time"
 
 	"sws/internal/ldeque"
-	"sws/internal/stats"
 	"sws/internal/task"
 	"sws/internal/trace"
 )
@@ -49,37 +52,43 @@ type workerState struct {
 	// task body returns.
 	spawned  atomic.Uint64
 	executed atomic.Uint64
-
-	execNs    atomic.Int64
+	// idleIters counts loop passes that found nothing to run: scheduler
+	// iterations for the owner, empty ring polls for an executor.
 	idleIters atomic.Uint64
+	// execTime is written by this worker only and read by Stats between
+	// jobs, when executors are stopped (run's WaitGroup orders the two).
+	execTime time.Duration
 }
 
-// remoteSpawn is a worker-issued SpawnOn staged for the owner to send.
-type remoteSpawn struct {
+// stagedTask is executor output awaiting the owner: a spawn the ring had
+// no room for (pe is this rank) or a SpawnOn for the owner to send.
+type stagedTask struct {
 	pe int
 	d  task.Desc
 }
 
-// execLayer holds a multi-worker PE's shared execution state.
+// execLayer holds a PE's workers and the state they share.
 type execLayer struct {
 	dq      *ldeque.Queue
 	workers []*workerState
 
-	// mu guards the overflow/outbox staging areas and the first-error
-	// slot. Workers only append under contention-free short sections; the
-	// owner swaps the slices out wholesale each iteration.
-	mu       sync.Mutex
-	overflow []task.Desc   // local spawns that did not fit in the ring
-	outbox   []remoteSpawn // worker SpawnOn calls awaiting the owner
-	err      error         // first executor failure
+	// mu guards staged. Executors append in short sections and raise
+	// pending; the owner swaps the slice out wholesale, and takes the lock
+	// only when pending says there is something to take.
+	mu      sync.Mutex
+	staged  []stagedTask
+	pending atomic.Bool
+
+	// err is the first executor failure; the owner surfaces it.
+	err atomic.Pointer[error]
 
 	// stop tells executors to exit (set at termination or on error;
 	// rearmed at the start of each job).
 	stop atomic.Bool
 
-	// pubSpawned/pubExecuted are the aggregate counts already published
-	// to the termination detector (owner-only; monotonic across jobs,
-	// like the detector's counters).
+	// pubSpawned/pubExecuted are the executors' aggregate counts already
+	// published to the termination detector (owner-only; monotonic across
+	// jobs, like the detector's counters).
 	pubSpawned  uint64
 	pubExecuted uint64
 
@@ -93,17 +102,13 @@ type execLayer struct {
 	// refillIdleBase is the executor idle-iteration sum already accounted
 	// for by refill adaptation (owner-only).
 	refillIdleBase uint64
-
-	// foldedExec/foldedSpawned/foldedExecNs are the worker-counter totals
-	// fold has already merged into the PE stats, so folding once per job
-	// on a warm pool adds only each job's delta (owner-only).
-	foldedExec    uint64
-	foldedSpawned uint64
-	foldedExecNs  int64
 }
 
-func newExecLayer(p *Pool, workers, ringCap int) *execLayer {
-	ex := &execLayer{dq: ldeque.MustNew(ringCap), refillTarget: 2 * workers}
+// newExecLayer builds the PE's workers. The ring is kept shallow on
+// purpose (4 slots per worker, at least 16) so surplus work lives in the
+// protocol queue where thieves can see it.
+func newExecLayer(p *Pool, workers int) *execLayer {
+	ex := &execLayer{dq: ldeque.MustNew(max(16, 4*workers)), refillTarget: 2 * workers}
 	for i := 0; i < workers; i++ {
 		ws := &workerState{id: i, rng: rngStream(p.cfg.Seed, p.ctx.Rank(), i)}
 		ws.tc = TaskCtx{p: p, w: ws}
@@ -112,92 +117,114 @@ func newExecLayer(p *Pool, workers, ringCap int) *execLayer {
 	return ex
 }
 
-// fail records the first executor error; the owner surfaces it.
-func (ex *execLayer) fail(err error) {
-	ex.mu.Lock()
-	if ex.err == nil {
-		ex.err = err
-	}
-	ex.mu.Unlock()
-}
+// fail records the first executor error.
+func (ex *execLayer) fail(err error) { ex.err.CompareAndSwap(nil, &err) }
 
 func (ex *execLayer) firstErr() error {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	return ex.err
+	if e := ex.err.Load(); e != nil {
+		return *e
+	}
+	return nil
 }
 
-// takeStaged swaps out the staging areas, returning worker output for the
-// owner to publish and forward.
-func (ex *execLayer) takeStaged() ([]task.Desc, []remoteSpawn) {
+// stage hands an executor's already-counted task to the owner.
+func (ex *execLayer) stage(pe int, d task.Desc) {
 	ex.mu.Lock()
-	over, out := ex.overflow, ex.outbox
-	ex.overflow, ex.outbox = nil, nil
+	ex.staged = append(ex.staged, stagedTask{pe: pe, d: d})
+	ex.pending.Store(true)
 	ex.mu.Unlock()
-	return over, out
 }
 
-// workerSpawn is the multi-worker Spawn path: count, copy, ring, with
-// ring overflow staged for the owner to push into the protocol queue.
-func (p *Pool) workerSpawn(ws *workerState, h task.Handle, payload []byte) error {
-	if len(payload) > p.cfg.PayloadCap {
-		return fmt.Errorf("pool: payload %d bytes exceeds PayloadCap %d", len(payload), p.cfg.PayloadCap)
-	}
-	d := task.Desc{Handle: h}
-	if len(payload) > 0 {
-		// The ring keeps a reference (the protocol queue would copy);
-		// copying here preserves Spawn's caller-may-reuse-buffer contract.
-		d.Payload = append([]byte(nil), payload...)
-	}
-	// Count before the task becomes visible — the ordering term.Publish
-	// relies on.
-	ws.spawned.Add(1)
-	if p.live != nil {
-		p.live.tasksSpawned.Add(1)
-	}
-	if p.exec.dq.TryPush(d) {
+// takeStaged swaps out the staging area, returning executor output for the
+// owner to publish and make visible. A PE whose executors staged nothing
+// (or that has none) pays one atomic load.
+func (ex *execLayer) takeStaged() []stagedTask {
+	if !ex.pending.Load() {
 		return nil
 	}
-	p.exec.mu.Lock()
-	p.exec.overflow = append(p.exec.overflow, d)
-	p.exec.mu.Unlock()
-	return nil
+	ex.mu.Lock()
+	staged := ex.staged
+	ex.staged = nil
+	ex.pending.Store(false)
+	ex.mu.Unlock()
+	return staged
 }
 
-// workerSpawnOn is the multi-worker SpawnOn path: remote sends are owner
-// ops (the spawn count must be published before the task is observable on
-// the target), so workers stage them in the outbox.
-func (p *Pool) workerSpawnOn(ws *workerState, pe int, h task.Handle, payload []byte) error {
-	if pe == p.ctx.Rank() {
-		return p.workerSpawn(ws, h, payload)
+// spawn enqueues d on this PE on behalf of worker ws.
+func (p *Pool) spawn(ws *workerState, d task.Desc) error {
+	return p.spawnOn(ws, p.ctx.Rank(), d)
+}
+
+// spawnOn is the one spawn path: validate, count the task against ws, and
+// make it runnable on PE pe. A target outside an elastic world's
+// membership lands here instead, and stealing redistributes it: placement
+// was a hint; the rank it named is draining, parked, or gone.
+func (p *Pool) spawnOn(ws *workerState, pe int, d task.Desc) error {
+	self := p.ctx.Rank()
+	if pe != self {
+		if pe < 0 || pe >= p.ctx.NumPEs() {
+			return fmt.Errorf("pool: SpawnOn target %d out of range [0, %d)", pe, p.ctx.NumPEs())
+		}
+		if lv := p.ctx.Liveness(); lv != nil && lv.Elastic() && !lv.Member(pe) {
+			pe = self
+		}
 	}
-	if pe < 0 || pe >= p.ctx.NumPEs() {
-		return fmt.Errorf("pool: SpawnOn target %d out of range [0, %d)", pe, p.ctx.NumPEs())
+	if len(d.Payload) > p.cfg.PayloadCap {
+		return fmt.Errorf("pool: payload %d bytes exceeds PayloadCap %d", len(d.Payload), p.cfg.PayloadCap)
 	}
-	if lv := p.ctx.Liveness(); lv != nil && lv.Elastic() && !lv.Member(pe) {
-		// See Pool.SpawnOn: non-member targets spawn locally instead.
-		return p.workerSpawn(ws, h, payload)
+	if ws.id != 0 {
+		// Is the caller the owner goroutine? No: an executor may touch
+		// neither the protocol queue, the detector nor the mailbox. It
+		// counts the task, offers a local one to the ring, and stages the
+		// rest for the owner, which publishes the count before the task
+		// can be observed remotely.
+		if len(d.Payload) > 0 {
+			// The ring and the staging area keep a reference (the protocol
+			// queue and the mailbox would copy); copying here preserves
+			// Spawn's caller-may-reuse-buffer contract.
+			d.Payload = append([]byte(nil), d.Payload...)
+		}
+		ws.spawned.Add(1)
+		if pe != self || !p.exec.dq.TryPush(d) {
+			p.exec.stage(pe, d)
+		}
+		return nil
 	}
-	if len(payload) > p.cfg.PayloadCap {
-		return fmt.Errorf("pool: payload %d bytes exceeds PayloadCap %d", len(payload), p.cfg.PayloadCap)
+	if pe == self {
+		// The local portion is owner-private until the owner itself
+		// releases it or refills the ring, so counting after the push (a
+		// full queue fails the spawn uncounted) hides nothing.
+		if err := p.push(d); err != nil {
+			return err
+		}
+		ws.spawned.Add(1)
+		return p.det.TaskSpawned(1)
 	}
-	d := task.Desc{Handle: h}
-	if len(payload) > 0 {
-		d.Payload = append([]byte(nil), payload...)
-	}
+	// Count the spawn before sending so termination detection sees the
+	// task exist from the moment it can be observed anywhere.
 	ws.spawned.Add(1)
-	if p.live != nil {
-		p.live.tasksSpawned.Add(1)
+	if err := p.det.TaskSpawned(1); err != nil {
+		return err
 	}
-	p.exec.mu.Lock()
-	p.exec.outbox = append(p.exec.outbox, remoteSpawn{pe: pe, d: d})
-	p.exec.mu.Unlock()
+	return p.sendRemote(pe, d)
+}
+
+// sendRemote delivers an already-counted (and published) task to pe's
+// inbox.
+func (p *Pool) sendRemote(pe int, d task.Desc) error {
+	if err := p.mbox.send(pe, d); err != nil {
+		return err
+	}
+	p.st.RemoteSpawnsSent++
+	p.tr.Record(trace.RemoteSpawn, int64(pe), 0)
+	if p.live != nil {
+		p.live.remoteSent.Add(1)
+	}
 	return nil
 }
 
-// executeWorker runs one task on behalf of a worker, updating the
-// worker's atomic counters and the shared (atomic) instrumentation.
-func (p *Pool) executeWorker(ws *workerState, d task.Desc) error {
+// execute runs one task on behalf of worker ws and counts it.
+func (p *Pool) execute(ws *workerState, d task.Desc) error {
 	fn, err := p.reg.fn(d.Handle)
 	if err != nil {
 		return err
@@ -207,17 +234,28 @@ func (p *Pool) executeWorker(ws *workerState, d task.Desc) error {
 		return fmt.Errorf("pool: task %d failed: %w", d.Handle, err)
 	}
 	el := p.cal.Since(t0)
-	ws.execNs.Add(int64(el))
+	ws.execTime += el
 	p.lat.exec.Record(el)
 	p.tr.Record(trace.TaskExec, int64(d.Handle), int64(el))
-	if p.live != nil {
-		p.live.tasksExecuted.Add(1)
-	}
 	// Executed counts only after the body returned — by then every child
 	// spawn is in some worker's spawned counter, so the owner's
 	// executed-before-spawned load order covers them.
 	ws.executed.Add(1)
 	return nil
+}
+
+// executeOwned runs one task on the owner goroutine and publishes its
+// execution. The task may have come off the ring with its spawn still in
+// an executor's unpublished counter, so the executors' counts go first:
+// the published pair must never show an execution whose spawn is missing.
+func (p *Pool) executeOwned(d task.Desc) error {
+	if err := p.execute(p.exec.workers[0], d); err != nil {
+		return err
+	}
+	if err := p.publishCounts(); err != nil {
+		return err
+	}
+	return p.det.TaskExecuted(1)
 }
 
 // executorLoop is a non-owner worker: pop from the intra-PE ring, run,
@@ -239,30 +277,30 @@ func (p *Pool) executorLoop(ws *workerState) {
 			continue
 		}
 		spins = 0
-		if err := p.executeWorker(ws, d); err != nil {
+		if err := p.execute(ws, d); err != nil {
 			ex.fail(err)
 			return
 		}
 	}
 }
 
-// publishCounts aggregates the workers' termination counters and
-// publishes the deltas. It loads every executed counter before any
-// spawned counter: a task's spawn increment happens before it becomes
-// poppable and its execution increment happens after its body (and all
-// its child spawns) finished, so this order guarantees the published
-// pair never shows an execution whose spawn — or whose children's spawns
-// — are missing. That invariant is what makes termination probes safe at
-// any moment, even with tasks mid-flight in other workers' hands: every
-// outstanding task keeps some PE's published spawned ahead of the global
-// executed sum.
+// publishCounts aggregates the executors' termination counters and
+// publishes the deltas (the owner publishes its own counts directly). It
+// loads every executed counter before any spawned counter: a task's spawn
+// increment happens before it becomes poppable and its execution increment
+// happens after its body (and all its child spawns) finished, so this
+// order guarantees the published pair never shows an execution whose
+// spawn — or whose children's spawns — are missing. That invariant is what
+// makes termination probes safe at any moment, even with tasks mid-flight
+// in other workers' hands: every outstanding task keeps some PE's
+// published spawned ahead of the global executed sum.
 func (p *Pool) publishCounts() error {
 	ex := p.exec
 	var te, ts uint64
-	for _, ws := range ex.workers {
+	for _, ws := range ex.workers[1:] {
 		te += ws.executed.Load()
 	}
-	for _, ws := range ex.workers {
+	for _, ws := range ex.workers[1:] {
 		ts += ws.spawned.Load()
 	}
 	if ts > ex.pubSpawned || te > ex.pubExecuted {
@@ -315,7 +353,7 @@ func (p *Pool) fillLocalTier() (int, error) {
 	for _, ws := range ex.workers[1:] {
 		idle += ws.idleIters.Load()
 	}
-	ex.refillTarget = adaptRefill(ex.refillTarget, idle-ex.refillIdleBase, 2*w, p.cfg.LocalQueueCap)
+	ex.refillTarget = adaptRefill(ex.refillTarget, idle-ex.refillIdleBase, 2*w, ex.dq.Cap())
 	ex.refillIdleBase = idle
 	if p.live != nil {
 		p.live.refillTarget.Store(int64(ex.refillTarget))
@@ -339,189 +377,4 @@ func (p *Pool) fillLocalTier() (int, error) {
 		moved++
 	}
 	return moved, nil
-}
-
-// sendStagedRemote delivers one staged worker SpawnOn. The covering
-// publishCounts already ran, so the spawn is visible to the detector
-// before the task can be observed remotely.
-func (p *Pool) sendStagedRemote(o remoteSpawn) error {
-	if err := p.mbox.send(o.pe, o.d); err != nil {
-		return err
-	}
-	p.st.RemoteSpawnsSent++
-	p.tr.Record(trace.RemoteSpawn, int64(o.pe), 0)
-	if p.live != nil {
-		p.live.remoteSent.Add(1)
-	}
-	return nil
-}
-
-// runMulti is the owner worker's loop. It drives the same scheduler steps
-// as runSingle, plus the execution-layer choreography: stage worker
-// output, publish aggregated counts, make staged work observable, keep
-// the ring fed, and execute tasks itself between protocol duties.
-func (p *Pool) runMulti() (err error) {
-	ex := p.exec
-	ex.stop.Store(false) // rearm after any previous job on a warm pool
-	var wg sync.WaitGroup
-	for _, ws := range ex.workers[1:] {
-		wg.Add(1)
-		go func(ws *workerState) {
-			defer wg.Done()
-			p.executorLoop(ws)
-		}(ws)
-	}
-	defer func() {
-		ex.stop.Store(true)
-		wg.Wait()
-		if err == nil {
-			err = ex.firstErr()
-		}
-		ex.fold(p)
-	}()
-
-	iter := 0
-	for {
-		iter++
-		if werr := p.ctx.Err(); werr != nil {
-			return fmt.Errorf("pool: world failed: %w", werr)
-		}
-		if ferr := ex.firstErr(); ferr != nil {
-			return ferr
-		}
-		if err := p.stepMembership(); err != nil {
-			return err
-		}
-		if p.parked {
-			done, err := p.stepParked()
-			if err != nil {
-				return err
-			}
-			if done {
-				break
-			}
-			p.st.IdleIters++
-			ex.workers[0].idleIters.Add(1)
-			p.ctx.Relax()
-			continue
-		}
-		// Stage worker output, publish the counts that cover it, and only
-		// then make it remotely observable (push/send) — the order that
-		// keeps the detector from ever missing outstanding work.
-		staged, outbox := ex.takeStaged()
-		if err := p.publishCounts(); err != nil {
-			return err
-		}
-		for _, d := range staged {
-			if err := p.push(d); err != nil {
-				return err
-			}
-		}
-		for _, o := range outbox {
-			if err := p.sendStagedRemote(o); err != nil {
-				return err
-			}
-		}
-		if err := p.stepRelease(); err != nil {
-			return err
-		}
-		if err := p.stepProgress(iter); err != nil {
-			return err
-		}
-		handled, err := p.stepDrainInbox()
-		if err != nil {
-			return err
-		}
-		if handled {
-			continue
-		}
-		moved, err := p.fillLocalTier()
-		if err != nil {
-			return err
-		}
-		// The owner is a worker too: run one task between protocol duties.
-		if d, ok := ex.dq.TryPop(); ok {
-			if err := p.executeWorker(ex.workers[0], d); err != nil {
-				return err
-			}
-			p.ctx.Relax()
-			continue
-		}
-		if moved > 0 {
-			continue
-		}
-		handled, err = p.stepAcquire()
-		if err != nil {
-			return err
-		}
-		if handled {
-			continue
-		}
-		found, err := p.search()
-		if err != nil {
-			return err
-		}
-		if found {
-			continue
-		}
-		// Probe termination. Per-PE counts do not balance individually
-		// (stolen tasks execute on a different rank than they spawned
-		// on); only the global sum does, and the publish ordering above
-		// makes probing safe at any moment — outstanding work always
-		// keeps the global sums apart.
-		done, err := p.stepCheckTermination()
-		if err != nil {
-			return err
-		}
-		if done {
-			break
-		}
-		p.st.IdleIters++
-		ex.workers[0].idleIters.Add(1)
-		p.ctx.Relax()
-	}
-	ex.stop.Store(true)
-	wg.Wait()
-	// Global termination implies quiescence, so no worker output can have
-	// appeared after the final publish; verify the invariant held.
-	if over, out := ex.takeStaged(); len(over) != 0 || len(out) != 0 {
-		return fmt.Errorf("pool: %d tasks staged after termination (accounting bug)", len(over)+len(out))
-	}
-	return nil
-}
-
-// fold merges the workers' atomic counters into the PE's stats, including
-// the per-worker breakdown rows. It runs once per job (after the
-// executors have stopped); the PE totals absorb only the delta since the
-// previous fold, and the per-worker rows are rewritten in place with
-// pool-lifetime cumulative figures — so a warm pool neither double-counts
-// across jobs nor grows a row per job, and stats.PE.Delta can difference
-// the rows by (PE, ID) for per-job worker breakdowns.
-func (ex *execLayer) fold(p *Pool) {
-	rank := p.ctx.Rank()
-	if len(p.st.Workers) != len(ex.workers) {
-		p.st.Workers = make([]stats.Worker, len(ex.workers))
-	}
-	var sumExe, sumSp uint64
-	var sumNs int64
-	for i, ws := range ex.workers {
-		exe, sp := ws.executed.Load(), ws.spawned.Load()
-		ns := ws.execNs.Load()
-		sumExe += exe
-		sumSp += sp
-		sumNs += ns
-		w := stats.Worker{
-			PE: rank, ID: ws.id,
-			TasksExecuted: exe, TasksSpawned: sp,
-			ExecTime: time.Duration(ns), IdleIters: ws.idleIters.Load(),
-		}
-		if ws.id == 0 {
-			w.StealTime, w.SearchTime = p.st.StealTime, p.st.SearchTime
-		}
-		p.st.Workers[i] = w
-	}
-	p.st.TasksExecuted += sumExe - ex.foldedExec
-	p.st.TasksSpawned += sumSp - ex.foldedSpawned
-	p.st.ExecTime += time.Duration(sumNs - ex.foldedExecNs)
-	ex.foldedExec, ex.foldedSpawned, ex.foldedExecNs = sumExe, sumSp, sumNs
 }

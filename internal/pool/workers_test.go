@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sws/internal/shmem"
+	"sws/internal/stats"
 	"sws/internal/task"
 )
 
@@ -195,15 +196,109 @@ func TestMultiWorkerStats(t *testing.T) {
 		if sumExec != st.TasksExecuted {
 			return fmt.Errorf("worker exec sum %d != PE total %d", sumExec, st.TasksExecuted)
 		}
-		// Seeds are added by the owner outside the worker path, so the
-		// per-worker spawn sum may undercount the PE total, never exceed.
-		if sumSpawn > st.TasksSpawned {
-			return fmt.Errorf("worker spawn sum %d > PE total %d", sumSpawn, st.TasksSpawned)
+		// Seeds are worker 0's spawns: there is no accounting path beside
+		// the per-worker counters, so the rows sum to the PE total exactly.
+		if sumSpawn != st.TasksSpawned {
+			return fmt.Errorf("worker spawn sum %d != PE total %d", sumSpawn, st.TasksSpawned)
+		}
+		if c.Rank() == 0 && st.Workers[0].TasksSpawned != tasks {
+			return fmt.Errorf("owner row counts %d spawns, want the %d seeds", st.Workers[0].TasksSpawned, tasks)
 		}
 		return nil
 	})
 	if ran.Load() != tasks {
 		t.Fatalf("ran %d tasks, want %d", ran.Load(), tasks)
+	}
+}
+
+// partitionFrom fails every one-sided operation rank from issues against
+// another PE, leaving that rank able to hear the world but not to reach it.
+type partitionFrom int
+
+func (r partitionFrom) Before(op shmem.Op, from, to int, addr shmem.Addr) shmem.Verdict {
+	if from == int(r) && to != from {
+		return shmem.Verdict{Err: shmem.ErrPartitioned}
+	}
+	return shmem.Verdict{}
+}
+
+// TestDrainRunsInventoryLocally: a draining PE whose every forward is
+// refused (no member is reachable) runs its inventory itself. Those
+// executions, their children's spawns and the seeds all belong to worker 0,
+// so on a PE with an executor the per-worker rows still sum to the PE
+// totals and the world's ledger balances.
+func TestDrainRunsInventoryLocally(t *testing.T) {
+	const roots, kids = 40, 3
+	const total = roots * (1 + kids)
+	w, err := shmem.NewWorld(shmem.Config{NumPEs: 2, HeapBytes: 8 << 20, Fault: partitionFrom(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Live().BeginDrain(1); err != nil {
+		t.Fatal(err)
+	}
+	var ran atomic.Uint64
+	sts := make([]stats.PE, 2) // each PE writes its own element
+	err = w.Run(func(c *shmem.Ctx) error {
+		reg := NewRegistry()
+		leaf := reg.MustRegister("leaf", func(tc *TaskCtx, payload []byte) error {
+			ran.Add(1)
+			return nil
+		})
+		root := reg.MustRegister("root", func(tc *TaskCtx, payload []byte) error {
+			ran.Add(1)
+			for i := 0; i < kids; i++ {
+				if err := tc.Spawn(leaf, nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		p, err := New(c, reg, Config{Seed: 9, Workers: 2})
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			for i := 0; i < roots; i++ {
+				if err := p.Add(root, nil); err != nil {
+					return err
+				}
+			}
+		}
+		if err := p.Run(); err != nil {
+			return err
+		}
+		sts[c.Rank()] = p.Stats()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ran.Load(); got != total {
+		t.Fatalf("ran %d tasks, want %d", got, total)
+	}
+	var sum stats.PE
+	for rank, st := range sts {
+		var rowExec, rowSpawn uint64
+		for _, wk := range st.Workers {
+			rowExec += wk.TasksExecuted
+			rowSpawn += wk.TasksSpawned
+		}
+		if rowExec != st.TasksExecuted || rowSpawn != st.TasksSpawned {
+			t.Fatalf("rank %d: worker rows sum to %d executed / %d spawned, PE totals %d / %d",
+				rank, rowExec, rowSpawn, st.TasksExecuted, st.TasksSpawned)
+		}
+		sum.Add(st)
+	}
+	if sum.TasksSpawned != total || sum.TasksExecuted != total {
+		t.Fatalf("ledger: %d spawned, %d executed, want %d of each", sum.TasksSpawned, sum.TasksExecuted, total)
+	}
+	// Rank 0 may steal some of the inventory before rank 1 notices the
+	// drain (steals are rank 0's operations, which the partition lets
+	// through); whatever rank 1 still held, it ran, and none was forwarded.
+	if sts[1].TasksExecuted == 0 || sts[1].TasksForwarded != 0 || sts[1].MemberDrains != 1 {
+		t.Fatalf("rank 1: executed %d, forwarded %d, drains %d; want a completed drain that ran its inventory locally",
+			sts[1].TasksExecuted, sts[1].TasksForwarded, sts[1].MemberDrains)
 	}
 }
 

@@ -87,7 +87,7 @@ func ExactlyOnceUnderChurn(t *testing.T, f Factory, seed int64) {
 			}
 			return nil
 		})
-		p, err := pool.New(ctx, reg, pool.Config{Protocol: pool.SWS, Seed: seed, Workers: poolWorkers(ctx)})
+		p, err := pool.New(ctx, reg, pool.Config{Protocol: pool.SWS, Seed: seed, Workers: f.workers()})
 		if err != nil {
 			return err
 		}

@@ -57,34 +57,76 @@ type Factory struct {
 	// sim. Factories that cannot schedule kills leave it nil and the kill
 	// oracle skips them.
 	NewKilled func(numPEs, victim int, seed int64) (*shmem.World, error)
+	// Lockstep marks a transport that runs each PE as one goroutine in
+	// lockstep (the sim): its pools cannot have executors, so the
+	// pool-driven oracles stay at one worker there.
+	Lockstep bool
+	// Workers pins the worker count of the pool-driven oracles; RunAll
+	// sets it for the oracles it sweeps. Zero defers to SWS_TEST_WORKERS.
+	Workers int
 }
 
 // waitTimeout bounds every flag wait in the suite. Under the sim
 // transport it is virtual time.
 const waitTimeout = 30 * time.Second
 
-// poolWorkers returns the Workers count the pool-driven oracles run at:
-// SWS_TEST_WORKERS when set (the CI matrix), else 1. Transports that run
-// PEs in single-goroutine lockstep (sim) always fall back to 1 — the
+// envWorkers returns SWS_TEST_WORKERS (the CI matrix pins one worker
+// count per leg with it), or 0 when it is unset or malformed.
+func envWorkers() int {
+	if n, err := strconv.Atoi(os.Getenv("SWS_TEST_WORKERS")); err == nil && n >= 1 {
+		return n
+	}
+	return 0
+}
+
+// workers returns the Workers count the pool-driven oracles run at on
+// this factory: the pinned count, else SWS_TEST_WORKERS, else 1. The
 // oracles themselves are worker-count agnostic, so they must hold
 // unchanged at any setting.
-func poolWorkers(ctx *shmem.Ctx) int {
-	if !ctx.MultiWorkerCapable() {
+func (f Factory) workers() int {
+	if f.Lockstep {
 		return 1
 	}
-	if s := os.Getenv("SWS_TEST_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 1 {
-			return n
-		}
+	if f.Workers > 0 {
+		return f.Workers
+	}
+	if n := envWorkers(); n > 0 {
+		return n
 	}
 	return 1
+}
+
+// workerSweep returns f pinned to each worker count the exactly-once
+// oracles cover by default — the owner alone, and the owner plus one
+// executor: the same scheduler loop with and without an execution layer
+// beside it. SWS_TEST_WORKERS, when set, narrows the sweep to that value.
+func (f Factory) workerSweep() []Factory {
+	counts := []int{1, 2}
+	if f.Lockstep {
+		counts = []int{1}
+	} else if n := envWorkers(); n > 0 {
+		counts = []int{n}
+	}
+	fs := make([]Factory, len(counts))
+	for i, n := range counts {
+		fs[i] = f
+		fs[i].Workers = n
+	}
+	return fs
 }
 
 // RunAll runs the whole suite against one transport factory.
 func RunAll(t *testing.T, f Factory) {
 	t.Run("steal-comm-bounds", func(t *testing.T) { StealCommBounds(t, f) })
 	t.Run("stealval-consistency", func(t *testing.T) { StealvalConsistency(t, f) })
-	t.Run("exactly-once", func(t *testing.T) { ExactlyOnce(t, f) })
+	for _, fw := range f.workerSweep() {
+		fw := fw
+		t.Run(fmt.Sprintf("workers=%d", fw.Workers), func(t *testing.T) {
+			t.Run("exactly-once", func(t *testing.T) { ExactlyOnce(t, fw) })
+			t.Run("exactly-once-churn", func(t *testing.T) { ExactlyOnceUnderChurn(t, fw, 23) })
+			t.Run("inbox-exactly-once", func(t *testing.T) { InboxExactlyOnce(t, fw) })
+		})
+	}
 	t.Run("epoch-safe-acquire", func(t *testing.T) { EpochSafeAcquire(t, f) })
 	t.Run("asteals-bounded", func(t *testing.T) { AstealsBounded(t, f) })
 	t.Run("termination-quiescence", func(t *testing.T) { TerminationQuiescence(t, f) })
@@ -92,8 +134,6 @@ func RunAll(t *testing.T, f Factory) {
 	t.Run("stealval-geom-consistency", func(t *testing.T) { StealvalGeomConsistency(t, f) })
 	t.Run("reseat-stale-claim", func(t *testing.T) { ReseatStaleClaim(t, f) })
 	t.Run("exactly-once-per-job", func(t *testing.T) { ExactlyOncePerJob(t, f) })
-	t.Run("exactly-once-churn", func(t *testing.T) { ExactlyOnceUnderChurn(t, f, 23) })
-	t.Run("inbox-exactly-once", func(t *testing.T) { InboxExactlyOnce(t, f) })
 }
 
 // ExactlyOnceUnderKill crash-injects one non-auditor PE at a seed-derived
@@ -134,7 +174,7 @@ func ExactlyOnceUnderKill(t *testing.T, f Factory, seed int64) {
 			_, err = tc.Shmem().FetchAdd64(0, slots+shmem.Addr(args[0])*shmem.WordSize, 1)
 			return err
 		})
-		p, err := pool.New(ctx, reg, pool.Config{Protocol: pool.SWS, Seed: seed, Workers: poolWorkers(ctx)})
+		p, err := pool.New(ctx, reg, pool.Config{Protocol: pool.SWS, Seed: seed, Workers: f.workers()})
 		if err != nil {
 			return err
 		}
@@ -404,7 +444,7 @@ func ExactlyOnce(t *testing.T, f Factory) {
 			}
 			return nil
 		})
-		p, err := pool.New(ctx, reg, pool.Config{Protocol: pool.SWS, Seed: 7, Workers: poolWorkers(ctx)})
+		p, err := pool.New(ctx, reg, pool.Config{Protocol: pool.SWS, Seed: 7, Workers: f.workers()})
 		if err != nil {
 			return err
 		}
@@ -657,7 +697,7 @@ func TerminationQuiescence(t *testing.T, f Factory) {
 			}
 			return nil
 		})
-		p, err := pool.New(ctx, reg, pool.Config{Protocol: pool.SWS, Seed: 11, Workers: poolWorkers(ctx)})
+		p, err := pool.New(ctx, reg, pool.Config{Protocol: pool.SWS, Seed: 11, Workers: f.workers()})
 		if err != nil {
 			return err
 		}

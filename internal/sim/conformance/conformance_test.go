@@ -68,7 +68,8 @@ func factories() []Factory {
 			NewKilled: inProcKilled(shmem.TransportTCP),
 		},
 		{
-			Name: "sim",
+			Name:     "sim",
+			Lockstep: true,
 			New: func(numPEs int, fault shmem.FaultInjector) (*shmem.World, error) {
 				return shmem.NewWorld(shmem.Config{
 					NumPEs:      numPEs,

@@ -69,7 +69,7 @@ func ExactlyOnceUnderGrow(t *testing.T, f Factory) {
 		p, err := pool.New(ctx, reg, pool.Config{
 			Protocol:      pool.SWS,
 			Seed:          13,
-			Workers:       poolWorkers(ctx),
+			Workers:       f.workers(),
 			QueueCapacity: startCap,
 			Growable:      true,
 		})

@@ -43,7 +43,7 @@ func InboxExactlyOnce(t *testing.T, f Factory) {
 			}
 			return nil
 		})
-		p, err := pool.New(ctx, reg, pool.Config{Protocol: pool.SWS, Seed: 11, MailboxSlots: 2, Workers: poolWorkers(ctx)})
+		p, err := pool.New(ctx, reg, pool.Config{Protocol: pool.SWS, Seed: 11, MailboxSlots: 2, Workers: f.workers()})
 		if err != nil {
 			return err
 		}

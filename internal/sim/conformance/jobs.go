@@ -2,8 +2,6 @@ package conformance
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,21 +10,6 @@ import (
 	"sws/internal/shmem"
 	"sws/internal/task"
 )
-
-// fleetWorkers mirrors poolWorkers for the fleet oracle, where the
-// worker count must be chosen before any Ctx exists: the sim transport
-// runs PEs in single-goroutine lockstep, so it always gets 1.
-func fleetWorkers(transport string) int {
-	if transport == "sim" {
-		return 1
-	}
-	if s := os.Getenv("SWS_TEST_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 1 {
-			return n
-		}
-	}
-	return 1
-}
 
 // ExactlyOncePerJob is the job-epoch isolation oracle: one warm fleet
 // serves a sequence of jobs — back-to-back, then interleaved from
@@ -124,7 +107,7 @@ func ExactlyOncePerJob(t *testing.T, f Factory) {
 	}
 
 	fleet, err := pool.NewFleet(w, pool.FleetOptions{
-		Pool:     pool.Config{Protocol: pool.SWS, Seed: 13, Workers: fleetWorkers(f.Name)},
+		Pool:     pool.Config{Protocol: pool.SWS, Seed: 13, Workers: f.workers()},
 		Register: register,
 		Warmup: func(c *shmem.Ctx, p *pool.Pool) error {
 			execSlots.Store(uint64(c.MustAlloc(jobs * perJob * shmem.WordSize)))

@@ -87,9 +87,9 @@ type PE struct {
 	// the PE spent the run starved rather than working.
 	IdleIters uint64
 
-	// Workers breaks a multi-worker PE's execution down by worker
-	// goroutine (worker 0 is the owner, which also performs all steal and
-	// search work). Empty for classic single-worker PEs.
+	// Workers breaks the PE's execution down by worker goroutine (worker
+	// 0 is the owner, which also performs all steal and search work): one
+	// row per worker, so a single row on the paper's single-threaded PE.
 	Workers []Worker
 
 	// Lat holds per-operation latency distributions recorded during the
@@ -100,8 +100,7 @@ type PE struct {
 	Lat map[string]obs.HistSnap
 }
 
-// Worker is one worker goroutine's share of its PE's work, for the
-// per-worker breakdown of multi-worker runs.
+// Worker is one worker goroutine's share of its PE's work.
 type Worker struct {
 	// PE and ID locate the worker: rank, then worker index within the PE
 	// (0 is the owner worker).

@@ -136,10 +136,11 @@ type Config struct {
 	NoDamping bool
 	// StealTries is the number of victims tried per search round.
 	StealTries int
-	// Workers is the number of executor goroutines per PE (default 1).
-	// With Workers > 1 each PE schedules tasks over an intra-PE ring
-	// before falling back to the inter-PE steal protocol; requires the
-	// local or tcp transport.
+	// Workers is the number of worker goroutines per PE (default 1: the
+	// PE's owner alone, the paper's single-threaded PE). Each worker
+	// beyond the first is an executor sharing tasks with the owner over
+	// an intra-PE ring, while the owner alone drives the inter-PE steal
+	// protocol; executors require the local, tcp or shm transport.
 	Workers int
 	// Seed makes victim selection reproducible.
 	Seed int64
