@@ -37,12 +37,9 @@ func main() {
 		rtt       = flag.Duration("rtt", bench.DefaultLatency().BlockingRTT, "injected blocking round-trip latency")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		seed      = flag.Int64("seed", 1, "victim-selection seed")
-		workers   = flag.Int("workers", 1, "executor goroutines per PE (two-level scheduling when >1)")
-		grow      = flag.Bool("grow", false, "elastic task queues: grow/spill instead of full-queue backpressure")
-		maxGrowth = flag.Int("max-growth", 0, "capacity doublings an elastic queue may perform (0 = default 3)")
-		qcap      = flag.Int("qcap", 0, "task queue capacity in slots (0 = library default; the starting size with -grow)")
 	)
 	obsf := cli.RegisterObsFlags(nil)
+	poolf := cli.RegisterPoolFlags(nil)
 	flag.Parse()
 
 	params := bpc.Params{Depth: *depth, NConsumers: *ncons, ConsumerWork: *tc, ProducerWork: *tp}
@@ -63,7 +60,7 @@ func main() {
 		cfg := bench.Fig7(params, counts, *reps)
 		cfg.Base.Latency = lat
 		cfg.Base.Seed = *seed
-		cfg.Base.Pool.Workers = *workers
+		cfg.Base.Pool.Workers = poolf.Workers
 		if err := obsf.Start(); err != nil {
 			fatal(err)
 		}
@@ -84,8 +81,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	pcfg := pool.Config{PayloadCap: 24, Metrics: obsf.Gatherer(), Workers: *workers,
-		QueueCapacity: *qcap, Growable: *grow, MaxGrowth: *maxGrowth}
+	pcfg := pool.Config{PayloadCap: 24, Metrics: obsf.Gatherer()}
+	poolf.Apply(&pcfg)
 	if pcfg.Trace, err = obsf.NewTrace(*pes); err != nil {
 		fatal(err)
 	}

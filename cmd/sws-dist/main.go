@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"sws/internal/bpc"
+	"sws/internal/cli"
 	"sws/internal/obs"
 	"sws/internal/pool"
 	"sws/internal/shmem"
@@ -45,155 +46,159 @@ import (
 // creation, so launcher and workers must agree).
 const distHeapBytes = 16 << 20
 
+// options is the parsed command line. The launcher and every worker parse
+// the same flags into it: a worker's argv is the launcher's own plus the
+// per-rank flags at the end.
+type options struct {
+	n         int
+	depth     int
+	proto     pool.Protocol
+	workload  string
+	pool      *cli.PoolFlags
+	transport string
+	bind      string
+
+	metricsAddr string
+
+	opTimeout, suspectAfter, deadAfter time.Duration
+
+	flightDir string
+	killRank  int
+	killAfter time.Duration
+
+	members               int
+	joinRank, drainRank   int
+	joinAfter, drainAfter time.Duration
+
+	worker      bool
+	rank        int
+	coordinator string
+	segment     string
+}
+
 func main() {
-	var (
-		n         = flag.Int("n", 4, "number of PEs (one OS process each)")
-		depth     = flag.Int("depth", 14, "binary recursion depth (2^depth leaves)")
-		protoName = flag.String("protocol", "sws", "steal protocol: sws or sdc")
-		workload  = flag.String("workload", "tree", "workload: tree, uts, or bpc")
-		workers   = flag.Int("workers", 1, "executor goroutines per PE (two-level scheduling when >1)")
-		grow      = flag.Bool("grow", false, "elastic task queues: grow/spill instead of full-queue backpressure")
-		maxGrowth = flag.Int("max-growth", 0, "capacity doublings an elastic queue may perform (0 = default 3)")
-		qcap      = flag.Int("qcap", 0, "task queue capacity in slots (0 = library default; the starting size with -grow)")
-		transport = flag.String("transport", "tcp", "inter-process transport: tcp or shm (mmap'd segment, single host)")
-		bind      = flag.String("bind", "127.0.0.1", "address the tcp transport listens on (set a routable address for multi-host runs)")
+	var o options
+	flag.IntVar(&o.n, "n", 4, "number of PEs (one OS process each)")
+	flag.IntVar(&o.depth, "depth", 14, "binary recursion depth (2^depth leaves)")
+	protoName := flag.String("protocol", "sws", "steal protocol: sws or sdc")
+	flag.StringVar(&o.workload, "workload", "tree", "workload: tree, uts, or bpc")
+	o.pool = cli.RegisterPoolFlags(nil)
+	flag.StringVar(&o.transport, "transport", "tcp", "inter-process transport: tcp or shm (mmap'd segment, single host)")
+	flag.StringVar(&o.bind, "bind", "127.0.0.1", "address the tcp transport listens on (set a routable address for multi-host runs)")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve live metrics/pprof; rank r listens on port+r (e.g. :9090 puts rank 2 on :9092)")
+	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live metrics/pprof; rank r listens on port+r (e.g. :9090 puts rank 2 on :9092)")
 
-		opTimeout    = flag.Duration("op-timeout", 0, "per-operation transport deadline (0 = library default)")
-		suspectAfter = flag.Duration("suspect-after", 0, "heartbeat silence before a peer is suspected (0 = library default)")
-		deadAfter    = flag.Duration("dead-after", 0, "heartbeat silence before a peer is declared dead (0 = library default)")
+	flag.DurationVar(&o.opTimeout, "op-timeout", 0, "per-operation transport deadline (0 = library default)")
+	flag.DurationVar(&o.suspectAfter, "suspect-after", 0, "heartbeat silence before a peer is suspected (0 = library default)")
+	flag.DurationVar(&o.deadAfter, "dead-after", 0, "heartbeat silence before a peer is declared dead (0 = library default)")
 
-		flightDir = flag.String("flight-dir", "", "directory for flight-recorder journals, dumped on failure (empty = no dumps)")
-		killRank  = flag.Int("kill-rank", -1, "chaos: SIGKILL this worker rank after -kill-after (launcher side)")
-		killAfter = flag.Duration("kill-after", 2*time.Second, "chaos: delay before -kill-rank fires")
+	flag.StringVar(&o.flightDir, "flight-dir", "", "directory for flight-recorder journals, dumped on failure (empty = no dumps)")
+	flag.IntVar(&o.killRank, "kill-rank", -1, "chaos: SIGKILL this worker rank after -kill-after (launcher side)")
+	flag.DurationVar(&o.killAfter, "kill-after", 2*time.Second, "chaos: delay before -kill-rank fires")
 
-		members    = flag.Int("members", 0, "elastic membership: ranks [members, n) start parked (0 = all ranks are members)")
-		joinRank   = flag.Int("join-rank", -1, "elastic membership: this parked rank joins the world after -join-after")
-		joinAfter  = flag.Duration("join-after", 200*time.Millisecond, "delay before -join-rank begins joining")
-		drainRank  = flag.Int("drain-rank", -1, "elastic membership: this rank drains out of the world after -drain-after")
-		drainAfter = flag.Duration("drain-after", 400*time.Millisecond, "delay before -drain-rank begins draining")
+	flag.IntVar(&o.members, "members", 0, "elastic membership: ranks [members, n) start parked (0 = all ranks are members)")
+	flag.IntVar(&o.joinRank, "join-rank", -1, "elastic membership: this parked rank joins the world after -join-after")
+	flag.DurationVar(&o.joinAfter, "join-after", 200*time.Millisecond, "delay before -join-rank begins joining")
+	flag.IntVar(&o.drainRank, "drain-rank", -1, "elastic membership: this rank drains out of the world after -drain-after")
+	flag.DurationVar(&o.drainAfter, "drain-after", 400*time.Millisecond, "delay before -drain-rank begins draining")
 
-		worker  = flag.Bool("worker", false, "internal: run as a worker process")
-		rank    = flag.Int("rank", -1, "internal: worker rank")
-		coord   = flag.String("coordinator", "", "internal: rendezvous address")
-		segment = flag.String("segment", "", "internal: shm segment path")
-	)
+	flag.BoolVar(&o.worker, "worker", false, "internal: run as a worker process")
+	flag.IntVar(&o.rank, "rank", -1, "internal: worker rank")
+	flag.StringVar(&o.coordinator, "coordinator", "", "internal: rendezvous address")
+	flag.StringVar(&o.segment, "segment", "", "internal: shm segment path")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// Workers are started with flags appended to this argv; anything
+		// that stops flag parsing early would hide them.
+		fatal(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
+	}
 
-	proto, err := pool.ParseProtocol(*protoName)
-	if err != nil {
+	var err error
+	if o.proto, err = pool.ParseProtocol(*protoName); err != nil {
 		fatal(err)
 	}
-	switch *workload {
+	switch o.workload {
 	case "tree", "uts", "bpc":
 	default:
-		fatal(fmt.Errorf("unknown workload %q (want tree, uts, or bpc)", *workload))
+		fatal(fmt.Errorf("unknown workload %q (want tree, uts, or bpc)", o.workload))
 	}
-	switch *transport {
+	switch o.transport {
 	case "tcp":
 	case "shm":
 		if !shmem.ShmSupported() {
 			fatal(fmt.Errorf("-transport shm is not supported on this platform"))
 		}
 	default:
-		fatal(fmt.Errorf("unknown transport %q (want tcp or shm)", *transport))
+		fatal(fmt.Errorf("unknown transport %q (want tcp or shm)", o.transport))
 	}
-	lcfg := livenessFlags{opTimeout: *opTimeout, suspectAfter: *suspectAfter, deadAfter: *deadAfter, flightDir: *flightDir}
-	wcfg := wireFlags{transport: *transport, bind: *bind, coordinator: *coord, segment: *segment}
-	qcfg := queueFlags{grow: *grow, maxGrowth: *maxGrowth, capacity: *qcap}
-	ccfg := churnFlags{members: *members, joinRank: *joinRank, joinAfter: *joinAfter, drainRank: *drainRank, drainAfter: *drainAfter}
-	if err := ccfg.validate(*n); err != nil {
+	if err := o.validateChurn(); err != nil {
 		fatal(err)
 	}
-	if *worker {
-		if err := runWorker(*rank, *n, wcfg, *depth, proto, *workload, *metricsAddr, *workers, qcfg, lcfg, ccfg); err != nil {
-			fatal(fmt.Errorf("rank %d: %w", *rank, err))
+	if o.worker {
+		if err := runWorker(&o); err != nil {
+			fatal(fmt.Errorf("rank %d: %w", o.rank, err))
 		}
 		return
 	}
-	kcfg := killFlags{rank: *killRank, after: *killAfter}
-	if err := launch(*n, *depth, *protoName, *workload, *metricsAddr, *workers, qcfg, wcfg, lcfg, kcfg, ccfg); err != nil {
+	if err := launch(&o); err != nil {
 		fatal(err)
 	}
 }
 
-// wireFlags selects and parameterizes the inter-process transport. The
-// launcher fills in the rendezvous detail (coordinator address for tcp,
-// segment path for shm) before spawning workers.
-type wireFlags struct {
-	transport   string
-	bind        string
-	coordinator string
-	segment     string
-}
-
-// livenessFlags carries the failure-detector tuning from the launcher to
-// every worker process (zero values defer to the library defaults), plus
-// the flight-journal directory shared by workers and supervisor.
-type livenessFlags struct {
-	opTimeout, suspectAfter, deadAfter time.Duration
-	flightDir                          string
-}
-
-// queueFlags carries the elastic-queue tuning from the launcher to every
-// worker process (zero values defer to the library defaults).
-type queueFlags struct {
-	grow      bool
-	maxGrowth int
-	capacity  int
-}
-
-// killFlags is the launcher-side chaos schedule: SIGKILL one worker rank
-// after a delay (rank < 0 disables).
-type killFlags struct {
-	rank  int
-	after time.Duration
-}
-
-// churnFlags is the elastic-membership schedule, carried identically to
-// every worker: how many ranks start as members (the rest start parked),
-// and which rank joins or drains after a wall-clock delay. Each worker
-// drives only its OWN rank's transition — the advertised state
-// propagates to peers through the liveness prober, which is the same
-// path a real autoscaler would use from inside the resized process.
-type churnFlags struct {
-	members               int
-	joinRank, drainRank   int
-	joinAfter, drainAfter time.Duration
-}
-
-func (c churnFlags) validate(n int) error {
-	if c.members < 0 || c.members > n {
-		return fmt.Errorf("-members %d out of range [0, %d]", c.members, n)
+// validateChurn checks the elastic-membership schedule, carried
+// identically to every worker: how many ranks start as members (the rest
+// start parked), and which rank joins or drains after a wall-clock delay.
+// Each worker drives only its OWN rank's transition — the advertised state
+// propagates to peers through the liveness prober, which is the same path
+// a real autoscaler would use from inside the resized process.
+func (o *options) validateChurn() error {
+	n := o.n
+	if o.members < 0 || o.members > n {
+		return fmt.Errorf("-members %d out of range [0, %d]", o.members, n)
 	}
-	if c.joinRank >= 0 {
-		if c.members == 0 {
+	if o.joinRank >= 0 {
+		if o.members == 0 {
 			return fmt.Errorf("-join-rank needs -members < n: with all %d ranks live there is no parked rank to join", n)
 		}
-		if c.joinRank < c.members || c.joinRank >= n {
-			return fmt.Errorf("-join-rank %d is not a parked rank (parked ranks are [%d, %d))", c.joinRank, c.members, n)
+		if o.joinRank < o.members || o.joinRank >= n {
+			return fmt.Errorf("-join-rank %d is not a parked rank (parked ranks are [%d, %d))", o.joinRank, o.members, n)
 		}
 	}
-	if c.drainRank >= n {
-		return fmt.Errorf("-drain-rank %d out of range [0, %d)", c.drainRank, n)
+	if o.drainRank >= n {
+		return fmt.Errorf("-drain-rank %d out of range [0, %d)", o.drainRank, n)
 	}
-	if c.drainRank >= 0 && c.members > 0 && c.drainRank >= c.members && c.drainRank != c.joinRank {
-		return fmt.Errorf("-drain-rank %d starts parked and never joins; pick a member rank [0, %d)", c.drainRank, c.members)
+	if o.drainRank >= 0 && o.members > 0 && o.drainRank >= o.members && o.drainRank != o.joinRank {
+		return fmt.Errorf("-drain-rank %d starts parked and never joins; pick a member rank [0, %d)", o.drainRank, o.members)
 	}
 	return nil
 }
 
-func (c churnFlags) active() bool { return c.members > 0 || c.joinRank >= 0 || c.drainRank >= 0 }
+// world is the description every process of the run shares (zero
+// durations defer to the library defaults).
+func (o *options) world() shmem.Config {
+	cfg := shmem.Config{
+		NumPEs:       o.n,
+		HeapBytes:    distHeapBytes,
+		Transport:    shmem.TransportTCP,
+		OpTimeout:    o.opTimeout,
+		SuspectAfter: o.suspectAfter,
+		DeadAfter:    o.deadAfter,
+		FlightDir:    o.flightDir,
+	}
+	if o.transport == "shm" {
+		cfg.Transport = shmem.TransportShm
+	}
+	return cfg
+}
 
 // grace is how long the launcher waits, after the first worker dies, for
 // the survivors to finish their degraded run before it kills stragglers:
 // the failure-detector window plus generous slack for one termination
 // wave and result reporting.
-func (l livenessFlags) grace() time.Duration {
-	da := l.deadAfter
+func (o *options) grace() time.Duration {
+	da := o.deadAfter
 	if da == 0 {
-		da = 2 * time.Second // shmem library default
+		da = shmem.DefaultDeadAfter
 	}
 	return 2*da + 10*time.Second
 }
@@ -205,12 +210,14 @@ func (l livenessFlags) grace() time.Duration {
 // wave) to finish their degraded run and report partial results, then
 // stragglers are killed; either way the launcher reports per-rank
 // diagnostics and returns an error so the process exits non-zero.
-func launch(n, depth int, protoName, workload, metricsAddr string, workers int, qcfg queueFlags, wcfg wireFlags, lcfg livenessFlags, kcfg killFlags, ccfg churnFlags) error {
+func launch(o *options) error {
+	n := o.n
 	if n < 1 {
 		return fmt.Errorf("need at least one PE, got %d", n)
 	}
-	var rendezvous string
-	switch wcfg.transport {
+	// Where the world assembles: the flag that tells a worker, and its value.
+	var meetFlag, meetAt string
+	switch o.transport {
 	case "shm":
 		// A previous launcher killed mid-run leaves its segment behind
 		// (workers unlink only on clean teardown); sweep segments whose
@@ -223,8 +230,7 @@ func launch(n, depth int, protoName, workload, metricsAddr string, workers int, 
 				fmt.Printf("swept stale shm segment %s\n", p)
 			}
 		}
-		wcfg.segment = filepath.Join(dir, shmem.ShmSegmentName())
-		seg, err := shmem.CreateShmSegment(wcfg.segment, n, distHeapBytes)
+		seg, err := shmem.CreateShmSegment(filepath.Join(dir, shmem.ShmSegmentName()), n, distHeapBytes)
 		if err != nil {
 			return fmt.Errorf("creating shm segment: %w", err)
 		}
@@ -232,20 +238,19 @@ func launch(n, depth int, protoName, workload, metricsAddr string, workers int, 
 		// and chaos runs alike. Only a SIGKILLed launcher leaks the file,
 		// and the next launch's sweep reclaims it.
 		defer seg.Close()
-		rendezvous = "segment " + wcfg.segment
+		meetFlag, meetAt = "segment", seg.Path()
 	default:
-		coord, err := pickCoordinator(wcfg.bind)
+		coord, err := pickCoordinator(o.bind)
 		if err != nil {
 			return err
 		}
-		wcfg.coordinator = coord
-		rendezvous = "coordinator " + coord
+		meetFlag, meetAt = "coordinator", coord
 	}
 	self, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("locating own binary: %w", err)
 	}
-	fmt.Printf("launching %d worker processes over %s (%s)\n", n, wcfg.transport, rendezvous)
+	fmt.Printf("launching %d worker processes over %s (%s %s)\n", n, o.transport, meetFlag, meetAt)
 	procs := make([]*exec.Cmd, n)
 	type exitEvent struct {
 		rank int
@@ -253,30 +258,17 @@ func launch(n, depth int, protoName, workload, metricsAddr string, workers int, 
 	}
 	exits := make(chan exitEvent, n)
 	for rank := 0; rank < n; rank++ {
-		addr, err := rankMetricsAddr(metricsAddr, rank)
-		if err != nil {
-			return err
+		// A worker is this command again: same flags, then the per-rank
+		// ones, which win where they repeat one (-metrics-addr).
+		args := append(append([]string{}, os.Args[1:]...), "-worker", "-rank", fmt.Sprint(rank), "-"+meetFlag, meetAt)
+		if o.metricsAddr != "" {
+			addr, err := rankMetricsAddr(o.metricsAddr, rank)
+			if err != nil {
+				return err
+			}
+			args = append(args, "-metrics-addr", addr)
 		}
-		cmd := exec.Command(self,
-			"-worker", "-rank", fmt.Sprint(rank), "-n", fmt.Sprint(n),
-			"-transport", wcfg.transport, "-bind", wcfg.bind,
-			"-coordinator", wcfg.coordinator, "-segment", wcfg.segment,
-			"-depth", fmt.Sprint(depth),
-			"-protocol", protoName, "-workload", workload,
-			"-workers", fmt.Sprint(workers),
-			"-grow="+fmt.Sprint(qcfg.grow),
-			"-max-growth", fmt.Sprint(qcfg.maxGrowth),
-			"-qcap", fmt.Sprint(qcfg.capacity),
-			"-metrics-addr", addr,
-			"-op-timeout", lcfg.opTimeout.String(),
-			"-suspect-after", lcfg.suspectAfter.String(),
-			"-dead-after", lcfg.deadAfter.String(),
-			"-flight-dir", lcfg.flightDir,
-			"-members", fmt.Sprint(ccfg.members),
-			"-join-rank", fmt.Sprint(ccfg.joinRank),
-			"-join-after", ccfg.joinAfter.String(),
-			"-drain-rank", fmt.Sprint(ccfg.drainRank),
-			"-drain-after", ccfg.drainAfter.String())
+		cmd := exec.Command(self, args...)
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
@@ -295,24 +287,24 @@ func launch(n, depth int, protoName, workload, metricsAddr string, workers int, 
 	firstFail := -1
 	var deadline <-chan time.Time
 	var killTimer <-chan time.Time
-	if kcfg.rank >= 0 && kcfg.rank < n {
-		killTimer = time.After(kcfg.after)
+	if o.killRank >= 0 && o.killRank < n {
+		killTimer = time.After(o.killAfter)
 	}
 	for remaining := n; remaining > 0; {
 		select {
 		case <-killTimer:
 			killTimer = nil
-			if exited[kcfg.rank] {
+			if exited[o.killRank] {
 				break
 			}
-			pid := procs[kcfg.rank].Process.Pid
-			fmt.Fprintf(os.Stderr, "sws-dist: chaos: SIGKILL rank %d (pid %d) after %v\n", kcfg.rank, pid, kcfg.after)
-			_ = procs[kcfg.rank].Process.Kill()
+			pid := procs[o.killRank].Process.Pid
+			fmt.Fprintf(os.Stderr, "sws-dist: chaos: SIGKILL rank %d (pid %d) after %v\n", o.killRank, pid, o.killAfter)
+			_ = procs[o.killRank].Process.Kill()
 			// The killed process's in-memory flight ring dies with it; the
 			// supervisor journals the kill in its place so post-mortem
 			// tooling can name the dead rank even if no survivor observed
 			// the death.
-			if err := writeSupervisorJournal(lcfg.flightDir, n, kcfg.rank, pid, kcfg.after); err != nil {
+			if err := writeSupervisorJournal(o.flightDir, n, o.killRank, pid, o.killAfter); err != nil {
 				fmt.Fprintf(os.Stderr, "sws-dist: supervisor journal: %v\n", err)
 			}
 		case ev := <-exits:
@@ -321,7 +313,7 @@ func launch(n, depth int, protoName, workload, metricsAddr string, workers int, 
 			errs[ev.rank] = ev.err
 			if ev.err != nil && firstFail < 0 {
 				firstFail = ev.rank
-				grace := lcfg.grace()
+				grace := o.grace()
 				fmt.Fprintf(os.Stderr, "sws-dist: rank %d (pid %d) died: %v; waiting up to %v for survivors\n",
 					ev.rank, procs[ev.rank].Process.Pid, ev.err, grace)
 				deadline = time.After(grace)
@@ -365,9 +357,6 @@ func launch(n, depth int, protoName, workload, metricsAddr string, workers int, 
 // rankMetricsAddr offsets the metrics port by rank so each worker process
 // gets its own endpoint. Port 0 (ephemeral) is passed through unchanged.
 func rankMetricsAddr(base string, rank int) (string, error) {
-	if base == "" {
-		return "", nil
-	}
 	host, portStr, err := net.SplitHostPort(base)
 	if err != nil {
 		return "", fmt.Errorf("bad -metrics-addr %q: %w", base, err)
@@ -395,11 +384,12 @@ func pickCoordinator(bind string) (string, error) {
 
 // runWorker is one PE's process: join the world, run the pool, publish
 // per-rank counts into rank 0's heap, and let rank 0 report.
-func runWorker(rank, n int, wcfg wireFlags, depth int, proto pool.Protocol, workload, metricsAddr string, workers int, qcfg queueFlags, lcfg livenessFlags, ccfg churnFlags) error {
+func runWorker(o *options) error {
+	rank, n := o.rank, o.n
 	var gatherer *obs.Gatherer
-	if metricsAddr != "" {
+	if o.metricsAddr != "" {
 		gatherer = obs.NewGatherer()
-		srv, err := obs.Serve(metricsAddr, gatherer)
+		srv, err := obs.Serve(o.metricsAddr, gatherer)
 		if err != nil {
 			return fmt.Errorf("metrics endpoint: %w", err)
 		}
@@ -409,31 +399,7 @@ func runWorker(rank, n int, wcfg wireFlags, depth int, proto pool.Protocol, work
 		defer func() { _ = srv.ShutdownTimeout(2 * time.Second) }()
 		fmt.Fprintf(os.Stderr, "rank %d: metrics on http://%s/metrics\n", rank, srv.Addr())
 	}
-	var w *shmem.World
-	var err error
-	if wcfg.transport == "shm" {
-		w, err = shmem.JoinShm(shmem.ShmConfig{
-			Rank:         rank,
-			NumPEs:       n,
-			Segment:      wcfg.segment,
-			HeapBytes:    distHeapBytes,
-			SuspectAfter: lcfg.suspectAfter,
-			DeadAfter:    lcfg.deadAfter,
-			FlightDir:    lcfg.flightDir,
-		})
-	} else {
-		w, err = shmem.Join(shmem.DistConfig{
-			Rank:         rank,
-			NumPEs:       n,
-			Coordinator:  wcfg.coordinator,
-			Bind:         wcfg.bind,
-			HeapBytes:    distHeapBytes,
-			OpTimeout:    lcfg.opTimeout,
-			SuspectAfter: lcfg.suspectAfter,
-			DeadAfter:    lcfg.deadAfter,
-			FlightDir:    lcfg.flightDir,
-		})
-	}
+	w, err := shmem.Join(o.world(), shmem.Endpoint{Rank: rank, Coordinator: o.coordinator, Bind: o.bind, Segment: o.segment})
 	if err != nil {
 		return err
 	}
@@ -441,34 +407,34 @@ func runWorker(rank, n int, wcfg wireFlags, depth int, proto pool.Protocol, work
 	// process leaves a world the survivors can detect and degrade around
 	// (the supervision smoke test keys on this line).
 	fmt.Printf("rank %d: joined world (pid %d)\n", rank, os.Getpid())
-	if ccfg.members > 0 {
+	if o.members > 0 {
 		// Every process must carve the same initial membership before the
 		// world runs; ranks [members, n) park until a join transitions them.
-		if err := w.SetInitialMembers(ccfg.members); err != nil {
+		if err := w.SetInitialMembers(o.members); err != nil {
 			return err
 		}
-		if rank >= ccfg.members {
-			fmt.Printf("rank %d: starting parked (members 0..%d)\n", rank, ccfg.members-1)
+		if rank >= o.members {
+			fmt.Printf("rank %d: starting parked (members 0..%d)\n", rank, o.members-1)
 		}
 	}
 	// Each worker schedules only its own transition; peers learn of it
 	// from the advertised membership word via the liveness prober.
-	if ccfg.joinRank == rank {
-		time.AfterFunc(ccfg.joinAfter, func() {
+	if o.joinRank == rank {
+		time.AfterFunc(o.joinAfter, func() {
 			if err := w.Live().BeginJoin(rank); err != nil {
-				fmt.Fprintf(os.Stderr, "rank %d: join after %v refused: %v\n", rank, ccfg.joinAfter, err)
+				fmt.Fprintf(os.Stderr, "rank %d: join after %v refused: %v\n", rank, o.joinAfter, err)
 				return
 			}
-			fmt.Printf("rank %d: joining the world after %v\n", rank, ccfg.joinAfter)
+			fmt.Printf("rank %d: joining the world after %v\n", rank, o.joinAfter)
 		})
 	}
-	if ccfg.drainRank == rank {
-		time.AfterFunc(ccfg.drainAfter, func() {
+	if o.drainRank == rank {
+		time.AfterFunc(o.drainAfter, func() {
 			if err := w.Live().BeginDrain(rank); err != nil {
-				fmt.Fprintf(os.Stderr, "rank %d: drain after %v refused: %v\n", rank, ccfg.drainAfter, err)
+				fmt.Fprintf(os.Stderr, "rank %d: drain after %v refused: %v\n", rank, o.drainAfter, err)
 				return
 			}
-			fmt.Printf("rank %d: draining out of the world after %v\n", rank, ccfg.drainAfter)
+			fmt.Printf("rank %d: draining out of the world after %v\n", rank, o.drainAfter)
 		})
 	}
 	runErr := w.Run(func(c *shmem.Ctx) error {
@@ -480,9 +446,9 @@ func runWorker(rank, n int, wcfg wireFlags, depth int, proto pool.Protocol, work
 		reg := pool.NewRegistry()
 		var expect uint64 // expected world task total (0 = unknown)
 		var seed func(p *pool.Pool) error
-		pcfg := pool.Config{Protocol: proto, Seed: int64(n), Metrics: gatherer, Workers: workers,
-			QueueCapacity: qcfg.capacity, Growable: qcfg.grow, MaxGrowth: qcfg.maxGrowth}
-		switch workload {
+		pcfg := pool.Config{Protocol: o.proto, Seed: int64(n), Metrics: gatherer}
+		o.pool.Apply(&pcfg)
+		switch o.workload {
 		case "uts":
 			wl, err := uts.NewWorkload(uts.Small)
 			if err != nil {
@@ -520,12 +486,12 @@ func runWorker(rank, n int, wcfg wireFlags, depth int, proto pool.Protocol, work
 				}
 				return nil
 			})
-			expect = uint64(1)<<(depth+1) - 1
+			expect = uint64(1)<<(o.depth+1) - 1
 			seed = func(p *pool.Pool) error {
 				if c.Rank() != 0 {
 					return nil
 				}
-				return p.Add(h, task.Args(uint64(depth)))
+				return p.Add(h, task.Args(uint64(o.depth)))
 			}
 		}
 		p, err := pool.New(c, reg, pcfg)

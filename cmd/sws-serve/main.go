@@ -40,18 +40,15 @@ func main() {
 		pes         = flag.Int("pes", 4, "PEs serving jobs at startup")
 		minPEs      = flag.Int("min-pes", 1, "floor for POST /v1/fleet/resize")
 		maxPEs      = flag.Int("max-pes", 0, "world size and resize ceiling; surplus over -pes starts parked (0 = -pes, fixed size)")
-		workers     = flag.Int("workers", 1, "executor goroutines per PE (two-level scheduling when >1)")
 		transport   = flag.String("transport", "local", "fleet transport: local, tcp, or shm")
 		protoName   = flag.String("protocol", "sws", "steal protocol: sws or sdc")
 		heapMB      = flag.Int("heap-mb", 64, "symmetric heap per PE, MiB")
-		grow        = flag.Bool("grow", false, "elastic task queues: grow/spill instead of full-queue backpressure")
-		qcap        = flag.Int("qcap", 0, "task queue capacity in slots (0 = library default; the starting size with -grow)")
-		maxGrowth   = flag.Int("max-growth", 0, "capacity doublings an elastic queue may perform (0 = default 3)")
 		seed        = flag.Int64("seed", 1, "victim-selection seed")
 		maxInflight = flag.Int("max-inflight", 0, "max queued+running jobs before 429 (0 = default 64)")
 		tenantQueue = flag.Int("tenant-queue", 0, "max queued jobs per tenant before 429 (0 = default 16)")
 	)
 	obsf := cli.RegisterObsFlags(nil)
+	poolf := cli.RegisterPoolFlags(nil)
 	flag.Parse()
 
 	proto, err := pool.ParseProtocol(*protoName)
@@ -90,16 +87,11 @@ func main() {
 		fatal(err)
 	}
 
+	pcfg := pool.Config{Protocol: proto, Seed: *seed}
+	poolf.Apply(&pcfg)
 	s, err := serve.New(serve.Options{
-		World: world,
-		Pool: pool.Config{
-			Protocol:      proto,
-			Workers:       *workers,
-			Seed:          *seed,
-			Growable:      *grow,
-			QueueCapacity: *qcap,
-			MaxGrowth:     *maxGrowth,
-		},
+		World:       world,
+		Pool:        pcfg,
 		MaxInflight: *maxInflight,
 		TenantQueue: *tenantQueue,
 		LivePEs:     live,

@@ -19,8 +19,6 @@ import (
 	"sws/internal/bench"
 	"sws/internal/bpc"
 	"sws/internal/cli"
-	"sws/internal/pool"
-	"sws/internal/shmem"
 	"sws/internal/uts"
 )
 
@@ -31,7 +29,6 @@ func main() {
 		reps    = flag.Int("reps", 3, "repetitions per sweep point (paper: 10)")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		quick   = flag.Bool("quick", false, "extra-small workloads (for smoke tests)")
-		jsonDir = flag.String("json-dir", "", "also write machine-readable BENCH_<preset>.json files here")
 	)
 	flag.Parse()
 
@@ -104,49 +101,6 @@ func main() {
 			fatal(fmt.Errorf("ablations: %w", err))
 		}
 		emit(tables...)
-	}
-
-	if *jsonDir != "" {
-		type preset struct {
-			name   string
-			cfg    bench.RunConfig
-			protos []pool.Protocol // nil = every protocol
-			f      bench.Factory
-		}
-		presets := []preset{
-			{"bpc",
-				bench.RunConfig{PEs: 4, Latency: bench.DefaultLatency(), Pool: pool.Config{PayloadCap: 24}},
-				nil,
-				func() (bench.Workload, error) { return bpc.NewWorkload(bpcParams) }},
-			{"uts",
-				bench.RunConfig{PEs: 4, Latency: bench.DefaultLatency(), Pool: pool.Config{PayloadCap: uts.PayloadSize}},
-				nil,
-				func() (bench.Workload, error) { return uts.NewWorkload(utsParams) }},
-			// Elastic-queue preset: 64-slot starting rings under the BPC
-			// flood force grow/spill reseats on every PE (the queue_grows
-			// field of the record proves it). SDC is skipped — the baseline
-			// queue is fixed capacity by design.
-			{"grow",
-				bench.RunConfig{PEs: 4, Latency: bench.DefaultLatency(),
-					Pool: pool.Config{PayloadCap: 24, QueueCapacity: 64, Growable: true}},
-				[]pool.Protocol{pool.SWS, pool.SWSFused},
-				func() (bench.Workload, error) { return bpc.NewWorkload(bpcParams) }},
-		}
-		if shmem.ShmSupported() {
-			// No latency model: the shm preset tracks the real mmap'd-segment
-			// wire path (the whole point is that its op cost IS the hardware's).
-			presets = append(presets, preset{"shm",
-				bench.RunConfig{PEs: 4, Transport: shmem.TransportShm, Pool: pool.Config{PayloadCap: uts.PayloadSize}},
-				nil,
-				func() (bench.Workload, error) { return uts.NewWorkload(utsParams) }})
-		}
-		for _, p := range presets {
-			path, err := bench.MachineSuiteProtocols(*jsonDir, p.name, p.protos, p.cfg, p.f)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
 	}
 }
 

@@ -35,13 +35,10 @@ func main() {
 		rtt       = flag.Duration("rtt", bench.DefaultLatency().BlockingRTT, "injected blocking round-trip latency")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		seed      = flag.Int64("seed", 1, "victim-selection seed")
-		workers   = flag.Int("workers", 1, "executor goroutines per PE (two-level scheduling when >1)")
-		grow      = flag.Bool("grow", false, "elastic task queues: grow/spill instead of full-queue backpressure")
-		maxGrowth = flag.Int("max-growth", 0, "capacity doublings an elastic queue may perform (0 = default 3)")
-		qcap      = flag.Int("qcap", 0, "task queue capacity in slots (0 = library default; the starting size with -grow)")
 		traceN    = flag.Int("trace", 0, "dump the last N scheduling events per PE after a single run")
 	)
 	obsf := cli.RegisterObsFlags(nil)
+	poolf := cli.RegisterPoolFlags(nil)
 	flag.Parse()
 
 	params, err := parseTree(*tree)
@@ -62,7 +59,7 @@ func main() {
 		cfg := bench.Fig8(params, counts, *reps)
 		cfg.Base.Latency = lat
 		cfg.Base.Seed = *seed
-		cfg.Base.Pool.Workers = *workers
+		cfg.Base.Pool.Workers = poolf.Workers
 		if err := obsf.Start(); err != nil {
 			fatal(err)
 		}
@@ -87,8 +84,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	pcfg := pool.Config{PayloadCap: uts.PayloadSize, Metrics: obsf.Gatherer(), Workers: *workers,
-		QueueCapacity: *qcap, Growable: *grow, MaxGrowth: *maxGrowth}
+	pcfg := pool.Config{PayloadCap: uts.PayloadSize, Metrics: obsf.Gatherer()}
+	poolf.Apply(&pcfg)
 	var tr *trace.Set
 	if *traceN > 0 {
 		if tr, err = trace.NewSet(*pes, *traceN); err != nil {

@@ -1,0 +1,67 @@
+package sws_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"reflect"
+	"strings"
+	"testing"
+
+	"sws/internal/pool"
+	"sws/internal/shmem"
+)
+
+// TestConfigFieldBudget pins how many independently settable values the
+// runtime exposes. Every field doubles what tests and benchmarks must
+// cover, so a field earns its place only when two callers outside the
+// tests need different values (or it is a deployment setting: an address,
+// a path). To add one: raise the number here and name, in the commit, the
+// two callers that differ. Anything with a single value in use is a
+// constant next to the code that reads it.
+func TestConfigFieldBudget(t *testing.T) {
+	for _, b := range []struct {
+		typ      reflect.Type
+		min, max int
+	}{
+		{reflect.TypeOf(shmem.Config{}), 0, 10},
+		{reflect.TypeOf(shmem.Endpoint{}), 4, 4},
+		{reflect.TypeOf(pool.Config{}), 0, 15},
+	} {
+		n := 0
+		for i := 0; i < b.typ.NumField(); i++ {
+			if b.typ.Field(i).IsExported() {
+				n++
+			}
+		}
+		if n < b.min || n > b.max {
+			t.Errorf("%v has %d exported fields, budget [%d, %d]", b.typ, n, b.min, b.max)
+		}
+	}
+
+	// shmem.Config is the only description of a world: a second *Config
+	// struct in the package is how the same knob came to be declared three
+	// times.
+	pkgs, err := parser.ParseDir(token.NewFileSet(), "internal/shmem", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for name, file := range pkg.Files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				if _, isStruct := ts.Type.(*ast.StructType); isStruct && ts.Name.IsExported() &&
+					strings.HasSuffix(ts.Name.Name, "Config") && ts.Name.Name != "Config" {
+					t.Errorf("%s declares %s: shmem.Config is the one world description", name, ts.Name.Name)
+				}
+				return true
+			})
+		}
+	}
+}

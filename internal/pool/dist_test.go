@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"sws/internal/shmem"
 	"sws/internal/task"
@@ -32,13 +31,8 @@ func TestPoolOverDistributedWorld(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			w, err := shmem.Join(shmem.DistConfig{
-				Rank:           rank,
-				NumPEs:         members,
-				Coordinator:    coord,
-				HeapBytes:      8 << 20,
-				BarrierTimeout: time.Minute,
-			})
+			w, err := shmem.Join(shmem.Config{NumPEs: members, HeapBytes: 8 << 20, Transport: shmem.TransportTCP},
+				shmem.Endpoint{Rank: rank, Coordinator: coord})
 			if err != nil {
 				errs[rank] = err
 				return

@@ -215,7 +215,7 @@ func TestFleetSimTransport(t *testing.T) {
 	const pes, depth, jobs = 3, 4, 3
 	w, err := shmem.NewWorld(shmem.Config{
 		NumPEs: pes, HeapBytes: 4 << 20, Transport: shmem.TransportSim,
-		Sim: shmem.SimOptions{Seed: 1}, NoOpLatency: true,
+		Sim: shmem.SimOptions{Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -56,11 +56,6 @@ const (
 	// VictimSticky retries the last productive victim before falling
 	// back to random — a minimal locality-style heuristic.
 	VictimSticky
-	// VictimHierarchical prefers victims in the thief's locality group
-	// (Config.GroupSize consecutive ranks, e.g. a node's PEs) and falls
-	// back to the whole world on alternate attempts — the hierarchical
-	// stealing idea of Kumar et al. and CHARM++ the paper cites (§2.2).
-	VictimHierarchical
 )
 
 func (v VictimPolicy) String() string {
@@ -71,8 +66,6 @@ func (v VictimPolicy) String() string {
 		return "round-robin"
 	case VictimSticky:
 		return "sticky"
-	case VictimHierarchical:
-		return "hierarchical"
 	default:
 		return fmt.Sprintf("VictimPolicy(%d)", int(v))
 	}
@@ -142,9 +135,6 @@ type Config struct {
 	// the paper's policy; alternatives echo the locality-aware work the
 	// paper cites as orthogonal, §2.2).
 	Victim VictimPolicy
-	// GroupSize is the locality-group width for VictimHierarchical
-	// (consecutive ranks form a group; default 4).
-	GroupSize int
 	// Seed makes victim selection reproducible; each worker goroutine
 	// derives its own independent stream from Seed, the PE's rank, and
 	// its worker id.
@@ -187,9 +177,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.MailboxSlots == 0 {
 		c.MailboxSlots = defaultMailboxSlots
-	}
-	if c.GroupSize == 0 {
-		c.GroupSize = 4
 	}
 	if c.Workers == 0 {
 		c.Workers = 1
@@ -425,7 +412,7 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 	}
 	p.exec = newExecLayer(p, cfg.Workers)
 	// Worker 0's random stream drives victim selection.
-	p.vic = newVictimSelector(cfg.Victim, cfg.GroupSize, ctx.Rank(), ctx.NumPEs(), p.exec.workers[0].rng)
+	p.vic = newVictimSelector(cfg.Victim, ctx.Rank(), ctx.NumPEs(), p.exec.workers[0].rng)
 	var err error
 	switch cfg.Protocol {
 	case SWS, SWSFused:

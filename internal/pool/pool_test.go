@@ -545,12 +545,14 @@ func TestMetricsAndLatency(t *testing.T) {
 	}
 }
 
-// TestNoOpLatencyDisables checks the shmem recording opt-out used by the
-// overhead benchmark: with NoOpLatency set no shmem histograms populate.
-func TestNoOpLatencyDisables(t *testing.T) {
+// TestOpLatencyOffUnderSim checks the other half of the rule
+// TestMetricsAndLatency pins for wall-clock transports: under the sim an
+// op's wall-clock latency means nothing, so no shmem histograms populate
+// (and no clock is read per op).
+func TestOpLatencyOffUnderSim(t *testing.T) {
 	w, err := shmem.NewWorld(shmem.Config{
-		NumPEs: 2, HeapBytes: 1 << 20, Transport: shmem.TransportLocal,
-		NoOpLatency: true,
+		NumPEs: 2, HeapBytes: 1 << 20, Transport: shmem.TransportSim,
+		Sim: shmem.SimOptions{Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -570,7 +572,7 @@ func TestNoOpLatencyDisables(t *testing.T) {
 			return err
 		}
 		if n := len(c.Counters().LatencySnapshots()); n != 0 {
-			return fmt.Errorf("NoOpLatency still recorded %d histograms", n)
+			return fmt.Errorf("sim world recorded %d op-latency histograms", n)
 		}
 		return nil
 	})

@@ -47,7 +47,6 @@ func rngStream(seed int64, rank, worker int) *rand.Rand {
 // bit-compatible with the pre-membership selector.
 type victimSelector struct {
 	policy VictimPolicy
-	group  int // locality-group width for VictimHierarchical
 	rank   int // the thief's own rank (never returned)
 	n      int // world size
 	rng    *rand.Rand
@@ -59,8 +58,8 @@ type victimSelector struct {
 	sticky int // last productive victim rank, or -1
 }
 
-func newVictimSelector(policy VictimPolicy, group, rank, n int, rng *rand.Rand) *victimSelector {
-	s := &victimSelector{policy: policy, group: group, rank: rank, n: n, rng: rng, sticky: -1}
+func newVictimSelector(policy VictimPolicy, rank, n int, rng *rand.Rand) *victimSelector {
+	s := &victimSelector{policy: policy, rank: rank, n: n, rng: rng, sticky: -1}
 	s.members = make([]int, n)
 	for i := range s.members {
 		s.members[i] = i
@@ -111,10 +110,9 @@ func (s *victimSelector) reseat(members []int) {
 // victims reports how many steal targets the current membership offers.
 func (s *victimSelector) victims() int { return len(s.members) - 1 }
 
-// next picks the next steal target. The attempt index lets hierarchical
-// selection alternate between the local group and the whole world.
-// Callers must not invoke it with zero victims (see victims).
-func (s *victimSelector) next(try int) int {
+// next picks the next steal target. Callers must not invoke it with zero
+// victims (see victims).
+func (s *victimSelector) next() int {
 	switch s.policy {
 	case VictimRoundRobin:
 		s.rrNext++
@@ -135,13 +133,6 @@ func (s *victimSelector) next(try int) int {
 			return v
 		}
 		return s.randomVictim()
-	case VictimHierarchical:
-		if try%2 == 0 {
-			if v, ok := s.groupVictim(); ok {
-				return v
-			}
-		}
-		return s.randomVictim()
 	default:
 		return s.randomVictim()
 	}
@@ -153,26 +144,6 @@ func (s *victimSelector) noteSuccess(v int) {
 	if s.policy == VictimSticky {
 		s.sticky = v
 	}
-}
-
-// groupVictim picks a random peer in this PE's locality group (group
-// widths of consecutive member positions; the last group is truncated
-// when the width does not divide the membership size), reporting
-// ok=false when the group contains no other PE.
-func (s *victimSelector) groupVictim() (int, bool) {
-	lo := (s.mypos / s.group) * s.group
-	hi := lo + s.group
-	if hi > len(s.members) {
-		hi = len(s.members)
-	}
-	if hi-lo < 2 {
-		return 0, false
-	}
-	pv := lo + s.rng.IntN(hi-lo-1)
-	if pv >= s.mypos {
-		pv++
-	}
-	return s.members[pv], true
 }
 
 // randomVictim picks a uniformly random member other than this one.
@@ -278,7 +249,7 @@ func (p *Pool) search() (bool, error) {
 		return false, nil
 	}
 	for i := 0; i < p.cfg.StealTries; i++ {
-		v := p.vic.next(i)
+		v := p.vic.next()
 		p.quar.clock++
 		if p.quar.blocked(v) {
 			p.st.StealsQuarantined++

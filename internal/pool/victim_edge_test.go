@@ -6,75 +6,18 @@ import (
 
 // selector builds a victimSelector directly (no world needed): the
 // selection policies are pure state machines over (rank, n, rng).
-func selector(policy VictimPolicy, group, rank, n int, seed int64) *victimSelector {
-	return newVictimSelector(policy, group, rank, n, rngStream(seed, rank, 0))
+func selector(policy VictimPolicy, rank, n int, seed int64) *victimSelector {
+	return newVictimSelector(policy, rank, n, rngStream(seed, rank, 0))
 }
 
-// Hierarchical selection with a group width that does not divide the
-// world size: the truncated last group must still self-exclude and stay
-// in range.
-func TestHierarchicalGroupNotDividing(t *testing.T) {
-	const n, group = 6, 4 // groups {0..3} and the truncated {4,5}
-	for rank := 0; rank < n; rank++ {
-		s := selector(VictimHierarchical, group, rank, n, 21)
-		lo := (rank / group) * group
-		hi := lo + group
-		if hi > n {
-			hi = n
-		}
-		for i := 0; i < 400; i += 2 { // even attempts prefer the group
-			v := s.next(i)
-			if v == rank {
-				t.Fatalf("rank %d picked self", rank)
-			}
-			if v < 0 || v >= n {
-				t.Fatalf("rank %d picked %d out of range", rank, v)
-			}
-			if v < lo || v >= hi {
-				t.Fatalf("rank %d even attempt left group [%d,%d): picked %d", rank, lo, hi, v)
-			}
-		}
-	}
-	// Rank 5's group is {4,5}: its only group victim is 4.
-	s := selector(VictimHierarchical, group, 5, n, 22)
-	for i := 0; i < 100; i += 2 {
-		if v := s.next(i); v != 4 {
-			t.Fatalf("rank 5 group victim = %d, want 4", v)
-		}
-	}
-}
-
-// GroupSize 1 means every PE is alone in its group; hierarchical
-// selection must fall back to uniform random over the world and still
-// cover every peer.
-func TestHierarchicalGroupSizeOne(t *testing.T) {
-	const n = 5
-	s := selector(VictimHierarchical, 1, 2, n, 31)
-	seen := make(map[int]bool)
-	for i := 0; i < 400; i++ {
-		v := s.next(i)
-		if v == 2 {
-			t.Fatal("picked self")
-		}
-		if v < 0 || v >= n {
-			t.Fatalf("picked %d out of range", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != n-1 {
-		t.Fatalf("covered %d victims, want %d", len(seen), n-1)
-	}
-}
-
-// Self-exclusion must hold for every policy at every rank, including the
-// boundary ranks of a truncated group.
+// Self-exclusion must hold for every policy at every rank.
 func TestVictimSelfExclusion(t *testing.T) {
-	for _, policy := range []VictimPolicy{VictimRandom, VictimRoundRobin, VictimSticky, VictimHierarchical} {
+	for _, policy := range []VictimPolicy{VictimRandom, VictimRoundRobin, VictimSticky} {
 		for _, n := range []int{2, 3, 7} {
 			for rank := 0; rank < n; rank++ {
-				s := selector(policy, 3, rank, n, 41)
+				s := selector(policy, rank, n, 41)
 				for i := 0; i < 200; i++ {
-					if v := s.next(i); v == rank {
+					if v := s.next(); v == rank {
 						t.Fatalf("%v rank %d/%d picked self on attempt %d", policy, rank, n, i)
 					} else if v < 0 || v >= n {
 						t.Fatalf("%v rank %d/%d picked %d out of range", policy, rank, n, v)
@@ -90,12 +33,12 @@ func TestVictimSelfExclusion(t *testing.T) {
 // re-armed only by noteSuccess.
 func TestStickyForgetsDeadVictim(t *testing.T) {
 	const n = 8
-	s := selector(VictimSticky, 4, 0, n, 51)
+	s := selector(VictimSticky, 0, n, 51)
 
 	// A productive steal arms the sticky slot; the very next attempt
 	// revisits that victim.
 	s.noteSuccess(5)
-	if v := s.next(0); v != 5 {
+	if v := s.next(); v != 5 {
 		t.Fatalf("armed sticky picked %d, want 5", v)
 	}
 	// The revisit found nothing (no noteSuccess): the victim is forgotten
@@ -104,7 +47,7 @@ func TestStickyForgetsDeadVictim(t *testing.T) {
 	picked5 := 0
 	const tries = 200
 	for i := 0; i < tries; i++ {
-		if v := s.next(i); v == 5 {
+		if v := s.next(); v == 5 {
 			picked5++
 		}
 	}
@@ -113,13 +56,13 @@ func TestStickyForgetsDeadVictim(t *testing.T) {
 	}
 	// Re-arming works after forgetting.
 	s.noteSuccess(2)
-	if v := s.next(0); v != 2 {
+	if v := s.next(); v != 2 {
 		t.Fatalf("re-armed sticky picked %d, want 2", v)
 	}
 
 	// noteSuccess is policy-gated: under other policies it must not
 	// change selection state.
-	r := selector(VictimRandom, 4, 0, n, 52)
+	r := selector(VictimRandom, 0, n, 52)
 	r.noteSuccess(3)
 	if r.sticky != -1 {
 		t.Fatal("noteSuccess armed sticky under VictimRandom")
@@ -132,7 +75,7 @@ func TestStickyForgetsDeadVictim(t *testing.T) {
 // reseat (locality is not reset by unrelated churn).
 func TestStickyForgetsDrainedVictimThenReadopts(t *testing.T) {
 	const n = 6
-	s := selector(VictimSticky, 4, 0, n, 61)
+	s := selector(VictimSticky, 0, n, 61)
 	s.noteSuccess(4)
 	// Rank 4 drains: the reseat must clear the armed slot.
 	s.reseat([]int{0, 1, 2, 3, 5})
@@ -140,14 +83,14 @@ func TestStickyForgetsDrainedVictimThenReadopts(t *testing.T) {
 		t.Fatalf("sticky still %d after its victim drained", s.sticky)
 	}
 	for i := 0; i < 200; i++ {
-		if v := s.next(i); v == 4 {
+		if v := s.next(); v == 4 {
 			t.Fatalf("picked drained rank 4 on attempt %d", i)
 		}
 	}
 	// Rank 4 rejoins and a productive steal re-adopts it.
 	s.reseat([]int{0, 1, 2, 3, 4, 5})
 	s.noteSuccess(4)
-	if v := s.next(0); v != 4 {
+	if v := s.next(); v != 4 {
 		t.Fatalf("re-adopted sticky picked %d, want 4", v)
 	}
 	// Unrelated churn: a sticky victim that stays a member survives.
@@ -164,12 +107,12 @@ func TestStickyForgetsDrainedVictimThenReadopts(t *testing.T) {
 func TestReseatFullMembershipDrawIdentical(t *testing.T) {
 	const n, seed = 7, 71
 	full := []int{0, 1, 2, 3, 4, 5, 6}
-	for _, policy := range []VictimPolicy{VictimRandom, VictimRoundRobin, VictimSticky, VictimHierarchical} {
-		a := selector(policy, 3, 2, n, seed)
-		b := selector(policy, 3, 2, n, seed)
+	for _, policy := range []VictimPolicy{VictimRandom, VictimRoundRobin, VictimSticky} {
+		a := selector(policy, 2, n, seed)
+		b := selector(policy, 2, n, seed)
 		b.reseat(full)
 		for i := 0; i < 300; i++ {
-			if va, vb := a.next(i), b.next(i); va != vb {
+			if va, vb := a.next(), b.next(); va != vb {
 				t.Fatalf("%v: draw %d diverged after full-membership reseat: %d vs %d", policy, i, va, vb)
 			}
 		}
@@ -182,15 +125,15 @@ func TestReseatFullMembershipDrawIdentical(t *testing.T) {
 func TestReseatPartialMembership(t *testing.T) {
 	members := []int{0, 2, 3, 6}
 	in := map[int]bool{0: true, 2: true, 3: true, 6: true}
-	for _, policy := range []VictimPolicy{VictimRandom, VictimRoundRobin, VictimSticky, VictimHierarchical} {
+	for _, policy := range []VictimPolicy{VictimRandom, VictimRoundRobin, VictimSticky} {
 		for _, rank := range members {
-			s := selector(policy, 3, rank, 7, 81)
+			s := selector(policy, rank, 7, 81)
 			s.reseat(members)
 			if got := s.victims(); got != len(members)-1 {
 				t.Fatalf("%v rank %d: victims() = %d, want %d", policy, rank, got, len(members)-1)
 			}
 			for i := 0; i < 200; i++ {
-				v := s.next(i)
+				v := s.next()
 				if v == rank {
 					t.Fatalf("%v rank %d picked self on attempt %d", policy, rank, i)
 				}
@@ -200,10 +143,10 @@ func TestReseatPartialMembership(t *testing.T) {
 			}
 		}
 	}
-	s := selector(VictimRandom, 3, 1, 7, 82)
+	s := selector(VictimRandom, 1, 7, 82)
 	s.reseat(members) // rank 1 itself is not in the list
 	for i := 0; i < 200; i++ {
-		v := s.next(i)
+		v := s.next()
 		if v == 1 || !in[v] {
 			t.Fatalf("departed-rank selector picked %d", v)
 		}

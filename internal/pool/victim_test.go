@@ -21,7 +21,7 @@ func TestVictimPolicyStrings(t *testing.T) {
 
 // Every victim policy must complete the same workload correctly.
 func TestVictimPoliciesCorrect(t *testing.T) {
-	for _, vp := range []VictimPolicy{VictimRandom, VictimRoundRobin, VictimSticky, VictimHierarchical} {
+	for _, vp := range []VictimPolicy{VictimRandom, VictimRoundRobin, VictimSticky} {
 		vp := vp
 		t.Run(vp.String(), func(t *testing.T) {
 			var leaves atomic.Int64
@@ -65,7 +65,7 @@ func TestVictimPoliciesCorrect(t *testing.T) {
 // The round-robin and random policies must never pick the thief itself
 // and must cover all peers.
 func TestVictimSelectionCoverage(t *testing.T) {
-	for _, vp := range []VictimPolicy{VictimRandom, VictimRoundRobin, VictimSticky, VictimHierarchical} {
+	for _, vp := range []VictimPolicy{VictimRandom, VictimRoundRobin, VictimSticky} {
 		vp := vp
 		t.Run(vp.String(), func(t *testing.T) {
 			runWorld(t, 5, shmem.TransportLocal, func(c *shmem.Ctx) error {
@@ -80,7 +80,7 @@ func TestVictimSelectionCoverage(t *testing.T) {
 				}
 				seen := make(map[int]bool)
 				for i := 0; i < 200; i++ {
-					v := p.vic.next(i)
+					v := p.vic.next()
 					if v == c.Rank() {
 						return fmt.Errorf("%v picked self", vp)
 					}
@@ -96,47 +96,4 @@ func TestVictimSelectionCoverage(t *testing.T) {
 			})
 		})
 	}
-}
-
-// Hierarchical selection must bias toward the thief's locality group on
-// even attempts while still covering the world.
-func TestVictimHierarchicalBias(t *testing.T) {
-	runWorld(t, 8, shmem.TransportLocal, func(c *shmem.Ctx) error {
-		reg := NewRegistry()
-		reg.MustRegister("nop", func(tc *TaskCtx, payload []byte) error { return nil })
-		p, err := New(c, reg, Config{Seed: 9, Victim: VictimHierarchical, GroupSize: 4})
-		if err != nil {
-			return err
-		}
-		if c.Rank() != 1 {
-			return nil
-		}
-		inGroup := 0
-		const tries = 400
-		for i := 0; i < tries; i += 2 { // even attempts: group-preferred
-			v := p.vic.next(i)
-			if v == 1 {
-				return fmt.Errorf("picked self")
-			}
-			if v >= 0 && v < 4 {
-				inGroup++
-			}
-		}
-		// All even attempts should land in ranks {0,2,3}.
-		if inGroup != tries/2 {
-			return fmt.Errorf("group hits %d/%d on even attempts", inGroup, tries/2)
-		}
-		// Odd attempts are global: eventually reach outside the group.
-		sawOutside := false
-		for i := 1; i < tries; i += 2 {
-			if v := p.vic.next(i); v >= 4 {
-				sawOutside = true
-				break
-			}
-		}
-		if !sawOutside {
-			return fmt.Errorf("odd attempts never left the group")
-		}
-		return nil
-	})
 }

@@ -112,11 +112,8 @@ type heapBarrier struct {
 	perr     error
 }
 
-func newHeapBarrier(w *World, rank, n int, timeout time.Duration) *heapBarrier {
-	if timeout == 0 {
-		timeout = 5 * time.Minute
-	}
-	return &heapBarrier{w: w, rank: rank, n: n, timeout: timeout}
+func newHeapBarrier(w *World, rank, n int) *heapBarrier {
+	return &heapBarrier{w: w, rank: rank, n: n, timeout: barrierTimeout}
 }
 
 // check returns the reason this barrier can no longer complete, if any:

@@ -21,7 +21,9 @@ type Ctx struct {
 	self     *peState
 	counters Counters
 
-	// rec enables per-op latency histograms (Config.NoOpLatency inverts).
+	// rec enables per-op latency histograms (two monotonic clock reads
+	// per blocking operation): on wherever ops take wall-clock time, off
+	// under the sim, where a wall-clock op latency means nothing.
 	rec bool
 	// tr, when attached, receives a trace.CommOp event per blocking
 	// remote operation (the runtime attaches its per-PE buffer).
@@ -43,7 +45,7 @@ func (w *World) newCtx(rank int) *Ctx {
 	// (distributed barrier state); user allocations start past them so
 	// addresses stay symmetric across deployment modes.
 	w.attaches.Add(1)
-	return &Ctx{w: w, rank: rank, self: w.pes[rank], rec: !w.cfg.NoOpLatency, allocCursor: reservedHeapBytes}
+	return &Ctx{w: w, rank: rank, self: w.pes[rank], rec: w.cfg.Transport != TransportSim, allocCursor: reservedHeapBytes}
 }
 
 // Attaches counts PE attachments to this world's transport — one per Ctx

@@ -21,7 +21,7 @@ import (
 //     weak-ordering property the protocols must tolerate: a
 //     steal-completion store may land at the target well after the thief
 //     has moved on.
-//   - One MAP_SHARED segment (TransportShm and JoinShm; see shm.go). On a
+//   - One MAP_SHARED segment (TransportShm, in-process or joined; see shm.go). On a
 //     cache-coherent mapping an injection IS its completion, so NBI ops
 //     apply inline and Quiet has nothing to wait for; every mutating op
 //     bumps the target's futex wake word, and blocked waits park on it.

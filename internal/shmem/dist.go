@@ -3,221 +3,34 @@ package shmem
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"time"
-
-	"sws/internal/trace"
 )
 
-// DistConfig describes one process's membership in a multi-process world:
-// every process hosts exactly one PE and reaches its peers over TCP. Rank
-// 0 additionally runs the rendezvous service on Coordinator where peers
-// exchange their per-PE listener addresses.
-type DistConfig struct {
-	// Rank is this process's PE rank in [0, NumPEs).
-	Rank int
-	// NumPEs is the world size (number of processes).
-	NumPEs int
-	// Coordinator is the host:port rank 0 listens on for the rendezvous;
-	// other ranks dial it.
-	Coordinator string
-	// Bind is the local address the per-PE service listener binds to
-	// (the address peers dial for one-sided operations). Default
-	// 127.0.0.1 — set it to a routable interface for multi-host runs.
-	Bind string
-	// HeapBytes is the symmetric heap size (identical on every rank).
-	HeapBytes int
-	// Latency optionally layers the injected cost model on top of the
-	// real network.
-	Latency LatencyModel
-	// Fault optionally injects faults (initiator side).
-	Fault FaultInjector
-	// BarrierTimeout bounds barrier waits (default 5m): a lost peer
-	// process surfaces as an error instead of a hang.
-	BarrierTimeout time.Duration
-	// RendezvousTimeout bounds the address exchange (default 30s).
-	RendezvousTimeout time.Duration
-	// DialTimeout, SockBufBytes, AckBatch, and FlushInterval tune the
-	// peer-to-peer wire path exactly as the same-named Config knobs do
-	// (dial bound, bufio sizing, ack/inject coalescing watermark, and
-	// background flush period).
-	DialTimeout   time.Duration
-	SockBufBytes  int
-	AckBatch      int
-	FlushInterval time.Duration
-	// OpTimeout and OpRetries bound blocking one-sided operations exactly
-	// as the same-named Config knobs do (per-attempt deadline, bounded
-	// retry with backoff). Negative disables.
-	OpTimeout time.Duration
-	OpRetries int
-	// HeartbeatInterval, SuspectAfter, and DeadAfter tune the failure
-	// detector exactly as the same-named Config knobs do. Each process
-	// publishes a heartbeat word on its own heap and probes its peers';
-	// a peer whose heartbeat stalls past DeadAfter is declared dead.
-	HeartbeatInterval time.Duration
-	SuspectAfter      time.Duration
-	DeadAfter         time.Duration
-	// FlightCap and FlightDir tune the always-on flight recorder exactly
-	// as the same-named Config knobs do. Each process records (and on a
-	// failure trigger dumps) only its own rank's journal.
-	FlightCap int
-	FlightDir string
-}
-
-func (c *DistConfig) setDefaults() error {
-	if c.NumPEs < 1 {
-		return fmt.Errorf("shmem: NumPEs must be >= 1, got %d", c.NumPEs)
-	}
-	if c.Rank < 0 || c.Rank >= c.NumPEs {
-		return fmt.Errorf("shmem: rank %d out of range [0, %d)", c.Rank, c.NumPEs)
-	}
-	if c.Coordinator == "" {
-		return fmt.Errorf("shmem: Coordinator address required")
-	}
-	if c.Bind == "" {
-		c.Bind = "127.0.0.1"
-	}
-	if c.HeapBytes == 0 {
-		c.HeapBytes = 1 << 20
-	}
-	if c.HeapBytes < WordSize {
-		return fmt.Errorf("shmem: HeapBytes must be >= %d, got %d", WordSize, c.HeapBytes)
-	}
-	c.HeapBytes = (c.HeapBytes + WordSize - 1) &^ (WordSize - 1)
-	if c.RendezvousTimeout == 0 {
-		c.RendezvousTimeout = 30 * time.Second
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 10 * time.Second
-	}
-	if c.SockBufBytes == 0 {
-		c.SockBufBytes = 16 << 10
-	}
-	if c.AckBatch < 1 {
-		c.AckBatch = 64
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 200 * time.Microsecond
-	}
-	return nil
-}
-
-// Join creates this process's slice of a distributed world: it allocates
-// the local PE's heap, starts the PE service listener, exchanges
-// addresses with every peer through the coordinator, and returns a World
-// whose Run executes the body once, for the local rank.
-//
-// Every process must call Join with an identical configuration except
-// Rank. The returned world's one-sided operations against remote ranks
-// travel over TCP to the peer processes ("RMA over RPC").
-func Join(cfg DistConfig) (*World, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
-	}
-	w := &World{
-		cfg: Config{
-			NumPEs:            cfg.NumPEs,
-			HeapBytes:         cfg.HeapBytes,
-			Latency:           cfg.Latency,
-			Transport:         TransportTCP,
-			Fault:             cfg.Fault,
-			DialTimeout:       cfg.DialTimeout,
-			SockBufBytes:      cfg.SockBufBytes,
-			AckBatch:          cfg.AckBatch,
-			FlushInterval:     cfg.FlushInterval,
-			OpTimeout:         cfg.OpTimeout,
-			OpRetries:         cfg.OpRetries,
-			HeartbeatInterval: cfg.HeartbeatInterval,
-			SuspectAfter:      cfg.SuspectAfter,
-			DeadAfter:         cfg.DeadAfter,
-			FlightCap:         cfg.FlightCap,
-			FlightDir:         cfg.FlightDir,
-		},
-		localRank: cfg.Rank,
-	}
-	w.cfg.flightDefaults()
-	w.cfg.livenessDefaults()
-	// Only the local PE's heap exists in this process.
-	w.pes = make([]*peState, cfg.NumPEs)
-	w.pes[cfg.Rank] = newPEState(cfg.Rank, cfg.HeapBytes)
-	w.flight = trace.NewFlightSet(cfg.NumPEs, w.cfg.FlightCap)
-	w.live = newLiveness(w, cfg.NumPEs)
-
-	t, err := newDistTransport(w, cfg)
+// listenJoined is newTCPTransport for a multi-process world: a listener
+// and service loop for the local rank only, plus the rendezvous that fills
+// in every peer's address.
+func (t *tcpTransport) listenJoined(at *Endpoint) error {
+	ln, err := net.Listen("tcp", net.JoinHostPort(at.Bind, "0"))
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("listen for PE %d on %s: %w", at.Rank, at.Bind, err)
 	}
-	w.transport = t
-	hb := newHeapBarrier(w, cfg.Rank, cfg.NumPEs, cfg.BarrierTimeout)
-	w.barrier = hb
-	w.live.OnDeath(func(rank int) {
-		hb.poisonWith(fmt.Errorf("shmem: barrier member PE %d is dead: %w", rank, ErrPeerDead))
-	})
-	// The heartbeat prober starts now and stops with the transport; it is
-	// the only failure-detection input a multi-process world has.
-	w.live.startProber(cfg.Rank)
-	return w, nil
-}
-
-// runLocalRank is World.Run for a distributed world: execute the body for
-// the single local PE, then tear the transport down.
-func (w *World) runLocalRank(body func(*Ctx) error) error {
-	var err error
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("shmem: PE %d panicked: %v", w.localRank, r)
-			}
-		}()
-		err = body(w.newCtx(w.localRank))
-	}()
-	w.live.stopProber()
-	if err != nil {
-		if errors.Is(err, ErrPEKilled) {
-			// A crash-injected PE's unwind is the expected outcome of the
-			// injection, not a runtime failure.
-			err = fmt.Errorf("shmem: PE %d killed: %w", w.localRank, err)
-		} else {
-			w.fail(fmt.Errorf("shmem: PE %d failed: %w", w.localRank, err))
-		}
-	}
-	if cerr := w.transport.close(); cerr != nil && err == nil {
-		err = fmt.Errorf("shmem: closing transport: %w", cerr)
-	}
-	return err
-}
-
-// newDistTransport builds the cross-process TCP transport: a listener and
-// service loop for the local rank, plus the rendezvous that fills in every
-// peer's address.
-func newDistTransport(w *World, cfg DistConfig) (*tcpTransport, error) {
-	t := tcpShell(w, cfg.NumPEs)
-
-	ln, err := net.Listen("tcp", net.JoinHostPort(cfg.Bind, "0"))
-	if err != nil {
-		return nil, fmt.Errorf("shmem: listen for PE %d on %s: %w", cfg.Rank, cfg.Bind, err)
-	}
-	t.listeners[cfg.Rank] = ln
+	t.listeners[at.Rank] = ln
 	self := ln.Addr().String()
 	t.wg.Add(1)
-	go t.serve(cfg.Rank, ln)
+	go t.serve(at.Rank, ln)
 
-	addrs, err := rendezvous(cfg, self)
+	addrs, err := rendezvous(len(t.addrs), at, self)
 	if err != nil {
-		_ = t.close()
-		return nil, err
+		return err
 	}
 	copy(t.addrs, addrs)
-	if t.addrs[cfg.Rank] != self {
-		_ = t.close()
-		return nil, fmt.Errorf("shmem: rendezvous table lists %q for rank %d, want %q",
-			t.addrs[cfg.Rank], cfg.Rank, self)
+	if t.addrs[at.Rank] != self {
+		return fmt.Errorf("rendezvous table lists %q for rank %d, want %q", t.addrs[at.Rank], at.Rank, self)
 	}
-	t.startFlusher()
-	return t, nil
+	return nil
 }
 
 // Rendezvous wire format (all little-endian):
@@ -225,31 +38,31 @@ func newDistTransport(w *World, cfg DistConfig) (*tcpTransport, error) {
 //   coordinator -> peer:  n uint32, then n x (alen uint16, addr bytes)
 
 // rendezvous exchanges PE service addresses through rank 0.
-func rendezvous(cfg DistConfig, self string) ([]string, error) {
-	if cfg.NumPEs == 1 {
+func rendezvous(numPEs int, at *Endpoint, self string) ([]string, error) {
+	if numPEs == 1 {
 		return []string{self}, nil
 	}
-	if cfg.Rank == 0 {
-		return rendezvousServe(cfg, self)
+	if at.Rank == 0 {
+		return rendezvousServe(numPEs, at.Coordinator, self)
 	}
-	return rendezvousDial(cfg, self)
+	return rendezvousDial(numPEs, at, self)
 }
 
-func rendezvousServe(cfg DistConfig, self string) ([]string, error) {
-	ln, err := net.Listen("tcp", cfg.Coordinator)
+func rendezvousServe(numPEs int, coordinator, self string) ([]string, error) {
+	ln, err := net.Listen("tcp", coordinator)
 	if err != nil {
-		return nil, fmt.Errorf("shmem: rendezvous listen on %s: %w", cfg.Coordinator, err)
+		return nil, fmt.Errorf("shmem: rendezvous listen on %s: %w", coordinator, err)
 	}
 	defer ln.Close()
 	type reg struct {
 		conn net.Conn
 		rank int
 	}
-	addrs := make([]string, cfg.NumPEs)
+	addrs := make([]string, numPEs)
 	addrs[0] = self
-	regs := make([]reg, 0, cfg.NumPEs-1)
-	deadline := time.Now().Add(cfg.RendezvousTimeout)
-	for len(regs) < cfg.NumPEs-1 {
+	regs := make([]reg, 0, numPEs-1)
+	deadline := time.Now().Add(joinTimeout)
+	for len(regs) < numPEs-1 {
 		if dl, ok := ln.(*net.TCPListener); ok {
 			if err := dl.SetDeadline(deadline); err != nil {
 				return nil, err
@@ -261,14 +74,14 @@ func rendezvousServe(cfg DistConfig, self string) ([]string, error) {
 				r.conn.Close()
 			}
 			return nil, fmt.Errorf("shmem: rendezvous accept (have %d/%d peers): %w",
-				len(regs), cfg.NumPEs-1, err)
+				len(regs), numPEs-1, err)
 		}
 		rank, addr, err := readRegistration(conn)
 		if err != nil {
 			conn.Close()
 			return nil, fmt.Errorf("shmem: rendezvous registration: %w", err)
 		}
-		if rank <= 0 || rank >= cfg.NumPEs || addrs[rank] != "" {
+		if rank <= 0 || rank >= numPEs || addrs[rank] != "" {
 			conn.Close()
 			return nil, fmt.Errorf("shmem: rendezvous got invalid or duplicate rank %d", rank)
 		}
@@ -276,7 +89,7 @@ func rendezvousServe(cfg DistConfig, self string) ([]string, error) {
 		regs = append(regs, reg{conn, rank})
 	}
 	for _, r := range regs {
-		err := writeTable(r.conn, addrs)
+		err := writeMsg(r.conn, len(addrs), addrs...)
 		r.conn.Close()
 		if err != nil {
 			return nil, fmt.Errorf("shmem: rendezvous reply to rank %d: %w", r.rank, err)
@@ -285,110 +98,90 @@ func rendezvousServe(cfg DistConfig, self string) ([]string, error) {
 	return addrs, nil
 }
 
-func rendezvousDial(cfg DistConfig, self string) ([]string, error) {
+func rendezvousDial(numPEs int, at *Endpoint, self string) ([]string, error) {
 	var conn net.Conn
 	var err error
-	deadline := time.Now().Add(cfg.RendezvousTimeout)
+	deadline := time.Now().Add(joinTimeout)
 	for {
-		conn, err = net.DialTimeout("tcp", cfg.Coordinator, time.Second)
+		conn, err = net.DialTimeout("tcp", at.Coordinator, time.Second)
 		if err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("shmem: rendezvous dial %s: %w", cfg.Coordinator, err)
+			return nil, fmt.Errorf("shmem: rendezvous dial %s: %w", at.Coordinator, err)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(cfg.RendezvousTimeout)); err != nil {
+	if err := conn.SetDeadline(time.Now().Add(joinTimeout)); err != nil {
 		return nil, err
 	}
-	if err := writeRegistration(conn, cfg.Rank, self); err != nil {
+	if err := writeMsg(conn, at.Rank, self); err != nil {
 		return nil, fmt.Errorf("shmem: rendezvous register: %w", err)
 	}
-	addrs, err := readTable(conn, cfg.NumPEs)
+	addrs, err := readTable(conn, numPEs)
 	if err != nil {
 		return nil, fmt.Errorf("shmem: rendezvous table: %w", err)
 	}
 	return addrs, nil
 }
 
-func writeRegistration(conn net.Conn, rank int, addr string) error {
+// writeMsg sends one rendezvous message: a uint32 head (the registering
+// rank, or the table's entry count) and length-prefixed addresses. A
+// bufio.Writer's first error is sticky, so Flush reports it.
+func writeMsg(conn net.Conn, head int, addrs ...string) error {
 	w := bufio.NewWriter(conn)
-	var hdr [6]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(rank))
-	binary.LittleEndian.PutUint16(hdr[4:6], uint16(len(addr)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.WriteString(addr); err != nil {
-		return err
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], uint32(head))
+	w.Write(b[:])
+	for _, a := range addrs {
+		binary.LittleEndian.PutUint16(b[:2], uint16(len(a)))
+		w.Write(b[:2])
+		w.WriteString(a)
 	}
 	return w.Flush()
+}
+
+func readHead(r io.Reader) (int, error) {
+	var b [4]byte
+	_, err := io.ReadFull(r, b[:])
+	return int(binary.LittleEndian.Uint32(b[:])), err
+}
+
+func readAddr(r io.Reader) (string, error) {
+	var alen [2]byte
+	if _, err := io.ReadFull(r, alen[:]); err != nil {
+		return "", err
+	}
+	addr := make([]byte, binary.LittleEndian.Uint16(alen[:]))
+	_, err := io.ReadFull(r, addr)
+	return string(addr), err
 }
 
 func readRegistration(conn net.Conn) (int, string, error) {
 	r := bufio.NewReader(conn)
-	var hdr [6]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	rank, err := readHead(r)
+	if err != nil {
 		return 0, "", err
 	}
-	rank := int(binary.LittleEndian.Uint32(hdr[0:4]))
-	alen := int(binary.LittleEndian.Uint16(hdr[4:6]))
-	addr := make([]byte, alen)
-	if _, err := io.ReadFull(r, addr); err != nil {
-		return 0, "", err
-	}
-	return rank, string(addr), nil
-}
-
-func writeTable(conn net.Conn, addrs []string) error {
-	w := bufio.NewWriter(conn)
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(addrs)))
-	if _, err := w.Write(n[:]); err != nil {
-		return err
-	}
-	for _, a := range addrs {
-		var alen [2]byte
-		binary.LittleEndian.PutUint16(alen[:], uint16(len(a)))
-		if _, err := w.Write(alen[:]); err != nil {
-			return err
-		}
-		if _, err := w.WriteString(a); err != nil {
-			return err
-		}
-	}
-	return w.Flush()
+	addr, err := readAddr(r)
+	return rank, addr, err
 }
 
 func readTable(conn net.Conn, want int) ([]string, error) {
 	r := bufio.NewReader(conn)
-	var nbuf [4]byte
-	if _, err := io.ReadFull(r, nbuf[:]); err != nil {
+	n, err := readHead(r)
+	if err != nil {
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(nbuf[:]))
 	if n != want {
 		return nil, fmt.Errorf("table has %d entries, want %d", n, want)
 	}
 	addrs := make([]string, n)
 	for i := range addrs {
-		var alen [2]byte
-		if _, err := io.ReadFull(r, alen[:]); err != nil {
+		if addrs[i], err = readAddr(r); err != nil {
 			return nil, err
 		}
-		buf := make([]byte, binary.LittleEndian.Uint16(alen[:]))
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		addrs[i] = string(buf)
 	}
 	return addrs, nil
-}
-
-// listenLoopback reserves a loopback TCP listener (exposed for tests and
-// launchers that need to pick a coordinator port).
-func listenLoopback() (net.Listener, error) {
-	return net.Listen("tcp", "127.0.0.1:0")
 }

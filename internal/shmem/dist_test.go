@@ -2,6 +2,8 @@ package shmem
 
 import (
 	"fmt"
+	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -10,7 +12,7 @@ import (
 // freeAddr reserves a loopback port for a coordinator.
 func freeAddr(t *testing.T) string {
 	t.Helper()
-	ln, err := listenLoopback()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,14 +33,7 @@ func joinWorld(t *testing.T, n int, body func(*Ctx) error) []error {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			w, err := Join(DistConfig{
-				Rank:              rank,
-				NumPEs:            n,
-				Coordinator:       coord,
-				HeapBytes:         1 << 20,
-				BarrierTimeout:    time.Minute,
-				RendezvousTimeout: 30 * time.Second,
-			})
+			w, err := Join(Config{NumPEs: n, Transport: TransportTCP}, Endpoint{Rank: rank, Coordinator: coord})
 			if err != nil {
 				errs[rank] = fmt.Errorf("join rank %d: %w", rank, err)
 				return
@@ -50,17 +45,91 @@ func joinWorld(t *testing.T, n int, body func(*Ctx) error) []error {
 	return errs
 }
 
-func TestDistConfigValidation(t *testing.T) {
-	bad := []DistConfig{
-		{Rank: 0, NumPEs: 0, Coordinator: "x"},
-		{Rank: -1, NumPEs: 2, Coordinator: "x"},
-		{Rank: 2, NumPEs: 2, Coordinator: "x"},
-		{Rank: 0, NumPEs: 2},
-		{Rank: 0, NumPEs: 1, Coordinator: "x", HeapBytes: 4},
+// TestWorldValidation drives one table of world descriptions through every
+// way a world is built — NewWorld, Join over tcp, Join over shm — so the
+// three cannot disagree on what a valid world is. A heap must hold the
+// runtime's reserved words (barrier, heartbeat, membership): accepted
+// worlds prove it by completing a barrier.
+func TestWorldValidation(t *testing.T) {
+	builders := []struct {
+		name  string
+		build func(t *testing.T, cfg Config) (*World, error)
+	}{
+		{"NewWorld", func(t *testing.T, cfg Config) (*World, error) { return NewWorld(cfg) }},
+		{"Join/tcp", func(t *testing.T, cfg Config) (*World, error) {
+			cfg.Transport = TransportTCP
+			return Join(cfg, Endpoint{Coordinator: "127.0.0.1:0"})
+		}},
+		{"Join/shm", func(t *testing.T, cfg Config) (*World, error) {
+			requireShm(t)
+			cfg.Transport = TransportShm
+			path := filepath.Join(t.TempDir(), ShmSegmentName())
+			// A description Join must reject has no segment to attach to;
+			// the rejection has to come before Join looks for one.
+			if seg, err := CreateShmSegment(path, cfg.NumPEs, cfg.HeapBytes); err == nil {
+				t.Cleanup(func() { seg.Close() })
+			}
+			return Join(cfg, Endpoint{Segment: path})
+		}},
 	}
-	for i, cfg := range bad {
-		if _, err := Join(cfg); err == nil {
-			t.Errorf("case %d accepted: %+v", i, cfg)
+	cases := []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"no PEs", Config{NumPEs: 0, HeapBytes: 1 << 12}, false},
+		{"negative PEs", Config{NumPEs: -3, HeapBytes: 1 << 12}, false},
+		{"negative heap", Config{NumPEs: 1, HeapBytes: -8}, false},
+		{"heap below a word", Config{NumPEs: 1, HeapBytes: 4}, false},
+		{"heap of one word", Config{NumPEs: 1, HeapBytes: WordSize}, false},
+		{"heap one word short of the reserved region", Config{NumPEs: 1, HeapBytes: reservedHeapBytes - WordSize}, false},
+		{"heap of exactly the reserved region", Config{NumPEs: 1, HeapBytes: reservedHeapBytes}, true},
+		{"heap rounding up to the reserved region", Config{NumPEs: 1, HeapBytes: reservedHeapBytes - 3}, true},
+		{"page heap", Config{NumPEs: 1, HeapBytes: 1 << 12}, true},
+	}
+	for _, b := range builders {
+		for _, tc := range cases {
+			t.Run(b.name+"/"+tc.name, func(t *testing.T) {
+				start := time.Now()
+				w, err := b.build(t, tc.cfg)
+				if !tc.ok {
+					if err == nil {
+						w.Run(func(*Ctx) error { return nil })
+						t.Fatalf("accepted %+v", tc.cfg)
+					}
+					if el := time.Since(start); el > 5*time.Second {
+						t.Errorf("rejected only after %v (%v): validation must precede the rendezvous", el, err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("rejected %+v: %v", tc.cfg, err)
+				}
+				if got := w.Config().HeapBytes; got%WordSize != 0 || got < tc.cfg.HeapBytes || got >= tc.cfg.HeapBytes+WordSize {
+					t.Errorf("HeapBytes %d became %d, want the next word multiple", tc.cfg.HeapBytes, got)
+				}
+				if err := w.Run(func(c *Ctx) error { return c.Barrier() }); err != nil {
+					t.Errorf("barrier on an accepted world: %v", err)
+				}
+			})
+		}
+	}
+
+	// What only a joined world can get wrong: the endpoint.
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		at   Endpoint
+	}{
+		{"negative rank", Config{NumPEs: 2, Transport: TransportTCP}, Endpoint{Rank: -1, Coordinator: "x"}},
+		{"rank past the world", Config{NumPEs: 2, Transport: TransportTCP}, Endpoint{Rank: 2, Coordinator: "x"}},
+		{"tcp without a coordinator", Config{NumPEs: 2, Transport: TransportTCP}, Endpoint{}},
+		{"shm without a segment", Config{NumPEs: 2, Transport: TransportShm}, Endpoint{}},
+		{"in-process transport", Config{NumPEs: 2}, Endpoint{Coordinator: "x", Segment: "x"}},
+		{"sim transport", Config{NumPEs: 2, Transport: TransportSim}, Endpoint{Coordinator: "x", Segment: "x"}},
+	} {
+		if _, err := Join(tc.cfg, tc.at); err == nil {
+			t.Errorf("Join accepted %s: %+v %+v", tc.name, tc.cfg, tc.at)
 		}
 	}
 }

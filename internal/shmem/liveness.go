@@ -239,9 +239,12 @@ func (l *Liveness) MarkDead(rank int) {
 // own beacon word and remotely read each peer's, declaring peers suspect
 // after SuspectAfter without progress and dead after DeadAfter. Read errors
 // count as lack of progress (a SIGKILLed process stops answering at all).
+// The probe period follows SuspectAfter, so shortening the one can never
+// make a single late tick look like silence.
 func (l *Liveness) startProber(selfRank int) {
 	cfg := l.w.cfg
-	if cfg.HeartbeatInterval <= 0 || cfg.NumPEs < 2 {
+	interval := cfg.SuspectAfter / heartbeatsPerSuspect
+	if interval <= 0 || cfg.NumPEs < 2 {
 		return
 	}
 	l.wg.Add(1)
@@ -257,7 +260,7 @@ func (l *Liveness) startProber(selfRank int) {
 		for i := range peers {
 			peers[i].lastChange = start
 		}
-		tick := time.NewTicker(cfg.HeartbeatInterval)
+		tick := time.NewTicker(interval)
 		defer tick.Stop()
 		var beat uint64
 		for {
@@ -267,11 +270,10 @@ func (l *Liveness) startProber(selfRank int) {
 			case <-tick.C:
 			}
 			// Our own beacon: a local atomic store, visible to remote
-			// probers via one-sided loads.
+			// probers via one-sided loads (every heap holds the reserved
+			// words; setDefaults rejects one that could not).
 			beat++
-			if i, err := l.w.pes[selfRank].checkWord(heartbeatAddr); err == nil {
-				atomic.StoreUint64(l.w.pes[selfRank].word(i), beat)
-			}
+			atomic.StoreUint64(l.w.pes[selfRank].word(int(heartbeatAddr/WordSize)), beat)
 			// Re-advertise our own membership state each tick (covers a
 			// transition that raced an earlier publish) and mirror the
 			// peers' advertised states into the local view, so elastic

@@ -124,7 +124,8 @@ func TestHeapBarrierTimeoutNamedError(t *testing.T) {
 	}
 	// A 2-member barrier over a 1-PE world: the second member never
 	// arrives, so wait must expire.
-	b := newHeapBarrier(w, 0, 2, 30*time.Millisecond)
+	b := newHeapBarrier(w, 0, 2)
+	b.timeout = 30 * time.Millisecond
 	start := time.Now()
 	werr := b.wait()
 	if !errors.Is(werr, ErrBarrierTimeout) {
@@ -147,7 +148,6 @@ func simKillWorld(t *testing.T, numPEs int, seed int64, kills []SimKill, log *by
 		NumPEs:       numPEs,
 		HeapBytes:    1 << 16,
 		Transport:    TransportSim,
-		NoOpLatency:  true,
 		SuspectAfter: 200 * time.Microsecond,
 		DeadAfter:    500 * time.Microsecond,
 		Sim:          opts,
@@ -226,18 +226,15 @@ func TestLivenessInertWhenFaultFree(t *testing.T) {
 	run := func(tuned bool) []byte {
 		var log bytes.Buffer
 		cfg := Config{
-			NumPEs:      4,
-			HeapBytes:   1 << 16,
-			Transport:   TransportSim,
-			NoOpLatency: true,
-			Sim:         SimOptions{Seed: 42, MaxVirtualTime: 2 * time.Second, Log: &log},
+			NumPEs:    4,
+			HeapBytes: 1 << 16,
+			Transport: TransportSim,
+			Sim:       SimOptions{Seed: 42, MaxVirtualTime: 2 * time.Second, Log: &log},
 		}
 		if tuned {
 			cfg.SuspectAfter = 123 * time.Microsecond
 			cfg.DeadAfter = 456 * time.Microsecond
-			cfg.HeartbeatInterval = 77 * time.Microsecond
 			cfg.OpTimeout = time.Second
-			cfg.OpRetries = 7
 		}
 		w, err := NewWorld(cfg)
 		if err != nil {

@@ -256,9 +256,7 @@ func (l *Liveness) publishMember(rank int) {
 	if pe == nil {
 		return
 	}
-	if i, err := pe.checkWord(membershipAddr); err == nil {
-		atomic.StoreUint64(pe.word(i), uint64(l.states[rank].Load()))
-	}
+	atomic.StoreUint64(pe.word(int(membershipAddr/WordSize)), uint64(l.states[rank].Load()))
 }
 
 // publishEpoch mirrors the local epoch counter into every reachable
@@ -270,9 +268,7 @@ func (l *Liveness) publishEpoch() {
 		if pe == nil {
 			continue
 		}
-		if i, err := pe.checkWord(membershipEpochAddr); err == nil {
-			atomic.StoreUint64(pe.word(i), ep)
-		}
+		atomic.StoreUint64(pe.word(int(membershipEpochAddr/WordSize)), ep)
 	}
 }
 

@@ -53,8 +53,6 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
-
-	"sws/internal/trace"
 )
 
 // --- Segment layout --------------------------------------------------------
@@ -374,169 +372,60 @@ func newPEStateMapped(rank int, mem []byte) *peState {
 	return &peState{rank: rank, words: words, bytes: mem[:len(words)*WordSize]}
 }
 
-// --- The in-process world ---------------------------------------------------
+// --- Opening a world's segment ---------------------------------------------
 
-// newShmWorld backs an in-process world (NewWorld with TransportShm) with
-// a real MAP_SHARED segment: PEs are goroutines, but their heaps live in
-// the mapping and every op takes the exact cross-process code path. The
-// file is unlinked immediately after creation — the mapping persists
-// until close, and an in-process world can never leak a segment, however
-// it dies.
-func newShmWorld(w *World) (*shmSegment, error) {
+// openShmSegment maps the segment behind a TransportShm world and claims
+// this process's ranks in its attach bitmap.
+//
+// An in-process world (at == nil) creates its own segment, so PEs are
+// goroutines but their heaps live in a real MAP_SHARED mapping and every op
+// takes the exact cross-process code path. The file is unlinked immediately
+// after creation — the mapping persists until close, and an in-process
+// world can never leak a segment, however it dies. A joined world attaches
+// to the launcher's segment at at.Segment and claims at.Rank.
+func openShmSegment(cfg Config, at *Endpoint) (*shmSegment, error) {
 	if !shmSupported {
 		return nil, fmt.Errorf("shmem: shm transport is not supported on this platform")
 	}
+	if at != nil {
+		seg, err := attachShmSegment(at.Segment, cfg.NumPEs, cfg.HeapBytes, joinTimeout)
+		if err != nil {
+			return nil, err
+		}
+		if err := seg.attachRank(at.Rank); err != nil {
+			seg.unmap()
+			return nil, err
+		}
+		return seg, nil
+	}
 	path := filepath.Join(DefaultShmDir(), ShmSegmentName())
-	seg, err := createShmSegment(path, w.cfg.NumPEs, w.cfg.HeapBytes)
+	seg, err := createShmSegment(path, cfg.NumPEs, cfg.HeapBytes)
 	if err != nil {
 		return nil, err
 	}
 	os.Remove(path)
 	seg.owner = false
-	for r := 0; r < w.cfg.NumPEs; r++ {
+	for r := 0; r < cfg.NumPEs; r++ {
 		if err := seg.attachRank(r); err != nil {
 			seg.close()
 			return nil, err
 		}
-		w.pes[r] = newPEStateMapped(r, seg.heap(r))
 	}
 	return seg, nil
 }
 
-// --- Multi-process membership (JoinShm) ------------------------------------
-
-// ShmConfig describes one process's membership in a multi-process world
-// whose PEs share one mapped segment. Every process hosts exactly one PE;
-// the launcher (or rank 0) creates the segment and the others attach by
-// path — the attach bitmap is the rendezvous, no coordinator socket
-// needed.
-type ShmConfig struct {
-	// Rank is this process's PE rank in [0, NumPEs).
-	Rank int
-	// NumPEs is the world size (number of processes).
-	NumPEs int
-	// Segment is the path of the segment file (see CreateShmSegment,
-	// DefaultShmDir, ShmSegmentName).
-	Segment string
-	// HeapBytes is the symmetric heap size (identical on every rank).
-	// Rounded up to a multiple of WordSize. Default 1 MiB.
-	HeapBytes int
-	// AttachTimeout bounds both mapping the segment and waiting for all
-	// peers to attach. Default 30s.
-	AttachTimeout time.Duration
-	// Latency optionally layers the injected cost model on top of the
-	// real memory system.
-	Latency LatencyModel
-	// Fault optionally injects faults (initiator side).
-	Fault FaultInjector
-	// BarrierTimeout bounds barrier waits (default 5m).
-	BarrierTimeout time.Duration
-	// HeartbeatInterval, SuspectAfter, and DeadAfter tune the failure
-	// detector exactly as the same-named Config knobs do. On shm the
-	// prober's remote heartbeat reads are direct atomic loads from the
-	// mapping — zero syscalls.
-	HeartbeatInterval time.Duration
-	SuspectAfter      time.Duration
-	DeadAfter         time.Duration
-	// FlightCap and FlightDir tune the always-on flight recorder exactly
-	// as the same-named Config knobs do.
-	FlightCap int
-	FlightDir string
-}
-
-func (c *ShmConfig) setDefaults() error {
-	if c.NumPEs < 1 {
-		return fmt.Errorf("shmem: NumPEs must be >= 1, got %d", c.NumPEs)
-	}
-	if c.Rank < 0 || c.Rank >= c.NumPEs {
-		return fmt.Errorf("shmem: rank %d out of range [0, %d)", c.Rank, c.NumPEs)
-	}
-	if c.Segment == "" {
-		return fmt.Errorf("shmem: Segment path required")
-	}
-	if c.HeapBytes == 0 {
-		c.HeapBytes = 1 << 20
-	}
-	c.HeapBytes = (c.HeapBytes + WordSize - 1) &^ (WordSize - 1)
-	if c.HeapBytes < reservedHeapBytes {
-		return fmt.Errorf("shmem: HeapBytes must be >= %d, got %d", reservedHeapBytes, c.HeapBytes)
-	}
-	if c.AttachTimeout == 0 {
-		c.AttachTimeout = 30 * time.Second
-	}
-	return nil
-}
-
-// JoinShm creates this process's slice of a multi-process shared-memory
-// world: map the segment, claim our rank in the attach bitmap, wait for
-// every peer, and return a World whose Run executes the body once for
-// the local rank. Unlike Join (TCP), EVERY rank's heap is addressable in
-// this process — one-sided operations against remote ranks are atomics
-// and memcpys on the mapping, with zero syscalls.
-func JoinShm(cfg ShmConfig) (*World, error) {
-	if !shmSupported {
-		return nil, fmt.Errorf("shmem: shm transport is not supported on this platform")
-	}
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
-	}
-	w := &World{
-		cfg: Config{
-			NumPEs:            cfg.NumPEs,
-			HeapBytes:         cfg.HeapBytes,
-			Latency:           cfg.Latency,
-			Transport:         TransportShm,
-			Fault:             cfg.Fault,
-			HeartbeatInterval: cfg.HeartbeatInterval,
-			SuspectAfter:      cfg.SuspectAfter,
-			DeadAfter:         cfg.DeadAfter,
-			FlightCap:         cfg.FlightCap,
-			FlightDir:         cfg.FlightDir,
-		},
-		localRank: cfg.Rank,
-	}
-	w.cfg.flightDefaults()
-	w.cfg.livenessDefaults()
-	seg, err := attachShmSegment(cfg.Segment, cfg.NumPEs, cfg.HeapBytes, cfg.AttachTimeout)
-	if err != nil {
-		return nil, err
-	}
-	if err := seg.attachRank(cfg.Rank); err != nil {
-		seg.unmap()
-		return nil, err
-	}
-	// Every rank's heap is in our address space: populate all peStates so
-	// the liveness prober, heap barrier, and fused handlers work on
-	// direct mapping access.
-	w.pes = make([]*peState, cfg.NumPEs)
-	for r := 0; r < cfg.NumPEs; r++ {
-		w.pes[r] = newPEStateMapped(r, seg.heap(r))
-	}
-	w.flight = trace.NewFlightSet(w.cfg.NumPEs, w.cfg.FlightCap)
-	w.live = newLiveness(w, cfg.NumPEs)
-	t := newDirectTransport(w, seg)
-	w.transport = t
-	hb := newHeapBarrier(w, cfg.Rank, cfg.NumPEs, cfg.BarrierTimeout)
-	w.barrier = hb
-	w.live.OnDeath(func(rank int) {
-		hb.poisonWith(fmt.Errorf("shmem: barrier member PE %d is dead: %w", rank, ErrPeerDead))
-	})
-	// Attach rendezvous: all peers must be in the bitmap BEFORE the
-	// failure detector starts, or a slow-starting peer's zero heartbeat
-	// could be declared dead while it is still exec'ing.
-	deadline := time.Now().Add(cfg.AttachTimeout)
-	for seg.attachedCount() < cfg.NumPEs {
+// awaitAttached is the shm rendezvous: wait until every rank is live in
+// the attach bitmap.
+func (s *shmSegment) awaitAttached() error {
+	deadline := time.Now().Add(joinTimeout)
+	for s.attachedCount() < s.numPEs {
 		if time.Now().After(deadline) {
-			n := seg.attachedCount()
-			seg.detachRank(cfg.Rank)
-			t.close()
-			return nil, fmt.Errorf("shmem: only %d/%d ranks attached to %s after %v",
-				n, cfg.NumPEs, cfg.Segment, cfg.AttachTimeout)
+			return fmt.Errorf("shmem: only %d/%d ranks attached to %s after %v",
+				s.attachedCount(), s.numPEs, s.path, joinTimeout)
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-	w.live.startProber(cfg.Rank)
-	return w, nil
+	return nil
 }
 
 // --- Launcher-side segment handle ------------------------------------------
@@ -564,7 +453,7 @@ func CreateShmSegment(path string, numPEs, heapBytes int) (*ShmSegment, error) {
 	return &ShmSegment{seg: seg}, nil
 }
 
-// Path returns the segment file's path (what workers pass to JoinShm).
+// Path returns the segment file's path (workers' Endpoint.Segment).
 func (s *ShmSegment) Path() string { return s.seg.path }
 
 // AttachedCount returns how many ranks are currently live in the attach

@@ -153,11 +153,11 @@ func TestShmSweep(t *testing.T) {
 	}
 }
 
-// TestJoinShmExactlyOnce runs a real multi-member shm world — every rank
-// a separate JoinShm against one segment, as separate processes would —
+// TestJoinOverShmExactlyOnce runs a real multi-member shm world — every rank
+// a separate Join against one segment, as separate processes would —
 // and checks fetch-add claim accounting is exactly-once: every counter
 // value in [0, total) is claimed by exactly one rank.
-func TestJoinShmExactlyOnce(t *testing.T) {
+func TestJoinOverShmExactlyOnce(t *testing.T) {
 	requireShm(t)
 	const (
 		ranks  = 4
@@ -179,7 +179,7 @@ func TestJoinShmExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			w, err := JoinShm(ShmConfig{Rank: rank, NumPEs: ranks, Segment: path, HeapBytes: 1 << 16})
+			w, err := Join(Config{NumPEs: ranks, HeapBytes: 1 << 16, Transport: TransportShm}, Endpoint{Rank: rank, Segment: path})
 			if err != nil {
 				errs[rank] = err
 				return

@@ -81,7 +81,7 @@ const (
 	// segment file (typically in /dev/shm): one-sided operations are
 	// direct sync/atomic ops and memcpys on the mapping — zero syscalls,
 	// executed by the initiator exactly as under TransportLocal, and (via
-	// JoinShm) cross-process. Blocked waits use a bounded-spin-then-futex
+	// Join) cross-process. Blocked waits use a bounded-spin-then-futex
 	// policy; see shm.go and ShmSupported.
 	TransportShm
 )
@@ -101,144 +101,138 @@ func (k TransportKind) String() string {
 	}
 }
 
-// Config describes a world of PEs.
+// Config describes a world of PEs. It is the whole description: identical
+// on every PE however the world is launched (NewWorld hosts all PEs in this
+// process; Join hosts one and takes the per-process Endpoint alongside).
 type Config struct {
 	// NumPEs is the number of processing elements. Must be >= 1.
 	NumPEs int
-	// HeapBytes is the symmetric heap size per PE, in bytes.
-	// Rounded up to a multiple of WordSize. Default 1 MiB.
+	// HeapBytes is the symmetric heap size per PE, in bytes. Rounded up to
+	// a multiple of WordSize; the first reservedHeapBytes hold the
+	// runtime's own words. Default 1 MiB.
 	HeapBytes int
 	// Latency is the injected communication cost model.
 	// The zero value charges nothing (suitable for correctness tests).
 	Latency LatencyModel
-	// Transport selects the substrate. Default TransportLocal.
+	// Transport selects the substrate. Default TransportLocal; Join
+	// accepts TransportTCP and TransportShm.
 	Transport TransportKind
 	// Fault, if non-nil, intercepts operations for fault injection.
 	Fault FaultInjector
 	// Sim configures the deterministic simulation transport; ignored by
 	// the other transports.
 	Sim SimOptions
-	// NoOpLatency disables the per-op latency histograms (two monotonic
-	// clock reads per blocking operation). On by default; the toggle
-	// exists so the overhead benchmark can quantify the cost.
-	NoOpLatency bool
-
-	// FlightCap sizes each PE's always-on flight-recorder ring (events
-	// retained, overwrite-oldest). 0 selects the default (4096);
-	// negative disables the recorder entirely — every record becomes a
-	// nil-receiver no-op, which is what the overhead benchmark compares
-	// against.
-	FlightCap int
 	// FlightDir, when non-empty, is where flight journals are dumped on
 	// failure triggers (peer death, op timeout, degraded termination,
 	// sim deadlock detection). Empty means no automatic dumps; rings can
 	// still be dumped explicitly via World.Flight().
 	FlightDir string
 
-	// DialTimeout bounds connection establishment on the TCP transports
-	// (per-PE service connections). Default 10s.
-	DialTimeout time.Duration
-	// SockBufBytes sizes the per-connection bufio buffers on the TCP
-	// transports. Default 16 KiB.
-	SockBufBytes int
-	// AckBatch caps how many async operations may ride behind one flush
-	// on a TCP connection, in both directions: the initiator coalesces
-	// NBI injects (flushing on this watermark, before any blocking op to
-	// the same target, and in Quiet), and the target coalesces the
-	// corresponding completion acks into count frames (flushing on the
-	// watermark or when its request stream goes idle). 1 disables
-	// coalescing. Default 64.
-	AckBatch int
-	// FlushInterval is the period of the TCP transports' background
-	// flusher, which pushes out coalesced NBI injects that never reach
-	// the AckBatch watermark — bounding how stale a fire-and-forget
-	// notification can go without the initiator calling Quiet. Negative
-	// disables the background flusher (tests). Default 200µs.
-	FlushInterval time.Duration
-
-	// OpTimeout bounds each blocking round trip on the TCP transports
+	// OpTimeout bounds each blocking round trip on the TCP transport
 	// (connection deadline per attempt); an unresponsive peer surfaces as
 	// an error wrapping ErrOpTimeout instead of a hang. Negative disables
 	// the deadline. Default 10s.
 	OpTimeout time.Duration
-	// OpRetries is how many times a failed TCP round trip is retried
-	// (with exponential backoff and jitter) before giving up. Only
-	// idempotent operations (put/get/getv/load/store) are retried once a
-	// request may have reached the peer; atomics fail immediately rather
-	// than risk double application. Negative disables retries. Default 2.
-	OpRetries int
-
-	// HeartbeatInterval is the failure detector's probe period for
-	// distributed worlds (each process bumps its own heartbeat word and
-	// remotely reads its peers'). In-process and sim worlds do not probe;
-	// their liveness is driven by World.Kill or SimOptions.Kill. Default
-	// 100ms.
-	HeartbeatInterval time.Duration
 	// SuspectAfter is how long a peer's heartbeat may stall before the
-	// detector marks it suspect. Default 500ms (virtual time under the
-	// sim transport).
+	// detector marks it suspect. Multi-process worlds probe every
+	// SuspectAfter/heartbeatsPerSuspect. Default DefaultSuspectAfter
+	// (virtual time under the sim transport).
 	SuspectAfter time.Duration
 	// DeadAfter is how long a peer's heartbeat may stall — or how long
 	// after a crash injection — before the detector declares it dead,
 	// unwinding barriers and waits and failing ops against it with
-	// ErrPeerDead. Default 2s (virtual time under the sim transport).
+	// ErrPeerDead. Default DefaultDeadAfter (virtual time under the sim
+	// transport).
 	DeadAfter time.Duration
 }
 
-func (c *Config) setDefaults() error {
+// Endpoint is what differs per process in a multi-process world: which PE
+// this process hosts and where it meets its peers.
+type Endpoint struct {
+	// Rank is this process's PE rank in [0, NumPEs).
+	Rank int
+	// Coordinator (tcp) is the host:port rank 0 listens on for the address
+	// rendezvous; other ranks dial it.
+	Coordinator string
+	// Bind (tcp) is the local address the PE service listener binds to —
+	// the address peers dial for one-sided operations. Default 127.0.0.1;
+	// set a routable interface for multi-host runs.
+	Bind string
+	// Segment (shm) is the path of the segment file every rank maps (see
+	// CreateShmSegment, DefaultShmDir, ShmSegmentName).
+	Segment string
+}
+
+// Failure-detector defaults, exported for supervisors that must size their
+// own grace windows from the horizon the library will use.
+const (
+	DefaultSuspectAfter = 500 * time.Millisecond
+	DefaultDeadAfter    = 2 * time.Second
+)
+
+// Fixed parameters of every world. Each was once a Config field that no
+// program set; a value that two callers need to differ on comes back as a
+// field, not before.
+const (
+	// heartbeatsPerSuspect is how many probe periods fit in SuspectAfter:
+	// suspicion takes several missed beats, never one late tick.
+	heartbeatsPerSuspect = 5
+	// flightCap is each PE's flight-recorder ring size (events retained,
+	// overwrite-oldest).
+	flightCap = 4096
+	// joinTimeout bounds a multi-process world's rendezvous: the tcp
+	// address exchange, mapping the shm segment, and waiting for every
+	// rank to attach.
+	joinTimeout = 30 * time.Second
+	// barrierTimeout bounds a multi-process barrier wait, so a peer lost
+	// without the detector noticing surfaces as ErrBarrierTimeout.
+	barrierTimeout = 5 * time.Minute
+)
+
+// setDefaults validates the description and fills in unset fields; at is
+// nil for an in-process world.
+func (c *Config) setDefaults(at *Endpoint) error {
 	if c.NumPEs < 1 {
 		return fmt.Errorf("shmem: NumPEs must be >= 1, got %d", c.NumPEs)
 	}
 	if c.HeapBytes == 0 {
 		c.HeapBytes = 1 << 20
 	}
-	if c.HeapBytes < WordSize {
-		return fmt.Errorf("shmem: HeapBytes must be >= %d, got %d", WordSize, c.HeapBytes)
-	}
 	c.HeapBytes = (c.HeapBytes + WordSize - 1) &^ (WordSize - 1)
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 10 * time.Second
+	if c.HeapBytes < reservedHeapBytes {
+		return fmt.Errorf("shmem: HeapBytes must be >= %d (the runtime's reserved words), got %d", reservedHeapBytes, c.HeapBytes)
 	}
-	if c.SockBufBytes == 0 {
-		c.SockBufBytes = 16 << 10
-	}
-	if c.AckBatch < 1 {
-		c.AckBatch = 64
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 200 * time.Microsecond
-	}
-	c.flightDefaults()
-	c.livenessDefaults()
-	return nil
-}
-
-// flightDefaults fills in the flight-recorder knobs; shared with Join,
-// which builds its Config by hand.
-func (c *Config) flightDefaults() {
-	if c.FlightCap == 0 {
-		c.FlightCap = 4096
-	}
-}
-
-// livenessDefaults fills in the fail-fast and failure-detector knobs; it is
-// shared with Join, which builds its Config by hand.
-func (c *Config) livenessDefaults() {
 	if c.OpTimeout == 0 {
 		c.OpTimeout = 10 * time.Second
 	}
-	if c.OpRetries == 0 {
-		c.OpRetries = 2
-	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = 100 * time.Millisecond
-	}
 	if c.SuspectAfter == 0 {
-		c.SuspectAfter = 500 * time.Millisecond
+		c.SuspectAfter = DefaultSuspectAfter
 	}
 	if c.DeadAfter == 0 {
-		c.DeadAfter = 2 * time.Second
+		c.DeadAfter = DefaultDeadAfter
 	}
+	if at == nil {
+		return nil
+	}
+	if at.Rank < 0 || at.Rank >= c.NumPEs {
+		return fmt.Errorf("shmem: rank %d out of range [0, %d)", at.Rank, c.NumPEs)
+	}
+	switch c.Transport {
+	case TransportTCP:
+		if at.Coordinator == "" {
+			return fmt.Errorf("shmem: Endpoint.Coordinator address required")
+		}
+		if at.Bind == "" {
+			at.Bind = "127.0.0.1"
+		}
+	case TransportShm:
+		if at.Segment == "" {
+			return fmt.Errorf("shmem: Endpoint.Segment path required")
+		}
+	default:
+		return fmt.Errorf("shmem: Join needs the tcp or shm transport, got %v", c.Transport)
+	}
+	return nil
 }
 
 // World owns the PEs, their heaps, and the transport.
@@ -261,8 +255,8 @@ type World struct {
 	// live is the membership view / failure detector (liveness.go).
 	live *Liveness
 
-	// flight holds the always-on per-PE flight-recorder rings (nil when
-	// Config.FlightCap < 0); flightDumped makes failure dumps once-only.
+	// flight holds the always-on per-PE flight-recorder rings;
+	// flightDumped makes failure dumps once-only.
 	flight       *trace.FlightSet
 	flightDumped atomic.Bool
 
@@ -296,20 +290,64 @@ func newPEState(rank, heapBytes int) *peState {
 	return &peState{rank: rank, words: words, bytes: bytes}
 }
 
-// NewWorld validates the configuration and builds the world. PEs do not
-// run until Run is called.
-func NewWorld(cfg Config) (*World, error) {
-	if err := cfg.setDefaults(); err != nil {
+// NewWorld validates the configuration and builds a world whose PEs all
+// live in this process. PEs do not run until Run is called.
+func NewWorld(cfg Config) (*World, error) { return newWorld(cfg, nil) }
+
+// Join builds this process's slice of a multi-process world described by
+// cfg: it hosts the one PE at.Rank and meets its peers where at says.
+// Every process calls Join with an identical cfg. cfg.Transport picks how
+// remote heaps are reached:
+//
+//   - TransportTCP: only the local heap exists here; the process listens
+//     on at.Bind, exchanges listener addresses through rank 0's
+//     at.Coordinator, and one-sided operations against remote ranks travel
+//     over TCP to the peer processes ("RMA over RPC").
+//   - TransportShm: every rank maps the segment file at.Segment (made by
+//     the launcher with CreateShmSegment), so EVERY rank's heap is
+//     addressable here and remote operations are atomics and memcpys on
+//     the mapping, with zero syscalls. The attach bitmap is the
+//     rendezvous; no coordinator socket is needed.
+//
+// The returned world's Run executes the body once, for the local rank.
+func Join(cfg Config, at Endpoint) (*World, error) { return newWorld(cfg, &at) }
+
+// newWorld is the one assembly path: heaps, flight set, liveness, barrier
+// with its death hook, transport, prober. at is nil for an in-process
+// world and this process's endpoint for a multi-process one.
+func newWorld(cfg Config, at *Endpoint) (*World, error) {
+	if err := cfg.setDefaults(at); err != nil {
 		return nil, err
 	}
 	w := &World{cfg: cfg, localRank: -1}
-	w.pes = make([]*peState, cfg.NumPEs)
-	for i := range w.pes {
-		w.pes[i] = newPEState(i, cfg.HeapBytes)
+	if at != nil {
+		w.localRank = at.Rank
 	}
-	w.flight = trace.NewFlightSet(cfg.NumPEs, cfg.FlightCap)
+	// The heaps this process can address: all of them on a mapped segment
+	// or in an in-process world, only the local rank's over tcp.
+	w.pes = make([]*peState, cfg.NumPEs)
+	var seg *shmSegment
+	if cfg.Transport == TransportShm {
+		var err error
+		if seg, err = openShmSegment(cfg, at); err != nil {
+			return nil, fmt.Errorf("shmem: starting shm transport: %w", err)
+		}
+	}
+	for r := range w.pes {
+		switch {
+		case seg != nil:
+			w.pes[r] = newPEStateMapped(r, seg.heap(r))
+		case at == nil || r == at.Rank:
+			w.pes[r] = newPEState(r, cfg.HeapBytes)
+		}
+	}
+	w.flight = trace.NewFlightSet(cfg.NumPEs, flightCap)
 	w.live = newLiveness(w, cfg.NumPEs)
-	w.barrier = newCentralBarrier(cfg.NumPEs)
+	if at == nil {
+		w.barrier = newCentralBarrier(cfg.NumPEs)
+	} else {
+		w.barrier = newHeapBarrier(w, at.Rank, cfg.NumPEs)
+	}
 	// A dead member can never arrive: unwind current and future barrier
 	// waits with a named error instead of hanging the survivors.
 	w.live.OnDeath(func(rank int) {
@@ -319,7 +357,7 @@ func NewWorld(cfg Config) (*World, error) {
 	case TransportLocal:
 		w.transport = newDirectTransport(w, nil)
 	case TransportTCP:
-		t, err := newTCPTransport(w)
+		t, err := newTCPTransport(w, at)
 		if err != nil {
 			return nil, fmt.Errorf("shmem: starting tcp transport: %w", err)
 		}
@@ -328,13 +366,23 @@ func NewWorld(cfg Config) (*World, error) {
 		w.sim = newSimTransport(w)
 		w.transport = w.sim
 	case TransportShm:
-		seg, err := newShmWorld(w)
-		if err != nil {
-			return nil, fmt.Errorf("shmem: starting shm transport: %w", err)
-		}
 		w.transport = newDirectTransport(w, seg)
+		if at != nil {
+			// All peers must be in the attach bitmap BEFORE the failure
+			// detector starts, or a slow-starting peer's zero heartbeat
+			// could be declared dead while it is still exec'ing.
+			if err := seg.awaitAttached(); err != nil {
+				w.transport.close()
+				return nil, err
+			}
+		}
 	default:
 		return nil, fmt.Errorf("shmem: unknown transport %v", cfg.Transport)
+	}
+	if at != nil {
+		// The heartbeat prober starts now and stops with the run; it is the
+		// only failure-detection input a multi-process world has.
+		w.live.startProber(at.Rank)
 	}
 	return w, nil
 }
@@ -342,7 +390,7 @@ func NewWorld(cfg Config) (*World, error) {
 // NumPEs returns the number of processing elements in the world.
 func (w *World) NumPEs() int { return w.cfg.NumPEs }
 
-// Flight returns the world's flight-recorder rings (nil when disabled).
+// Flight returns the world's flight-recorder rings.
 func (w *World) Flight() *trace.FlightSet { return w.flight }
 
 // flightVictim records the victim-side application of a span-tagged op
@@ -369,13 +417,12 @@ func (w *World) flightState(peer int, s PeerState) {
 }
 
 // DumpFlight writes this process's flight journals to Config.FlightDir,
-// tagged with reason. No-op when no directory is configured or the
-// recorder is disabled; only the first call dumps (a failing run fires
-// several triggers — peer-death observations, op timeouts, degraded
-// termination — and one journal set per process is what post-mortem
-// tooling wants).
+// tagged with reason. No-op when no directory is configured; only the
+// first call dumps (a failing run fires several triggers — peer-death
+// observations, op timeouts, degraded termination — and one journal set
+// per process is what post-mortem tooling wants).
 func (w *World) DumpFlight(reason string) error {
-	if w.flight == nil || w.cfg.FlightDir == "" {
+	if w.cfg.FlightDir == "" {
 		return nil
 	}
 	if !w.flightDumped.CompareAndSwap(false, true) {
@@ -449,15 +496,15 @@ func (w *World) Err() error {
 // all of them. It returns the first body error, joined with any fatal
 // world error. Run may be called only once per World.
 //
-// For a distributed world (Join), only the local PE runs in this process.
+// For a multi-process world (Join), only the local PE runs in this process.
 func (w *World) Run(body func(*Ctx) error) error {
-	if w.localRank >= 0 {
-		return w.runLocalRank(body)
-	}
 	errs := make([]error, w.cfg.NumPEs)
 	sim := w.sim
 	var wg sync.WaitGroup
 	for rank := 0; rank < w.cfg.NumPEs; rank++ {
+		if w.localRank >= 0 && rank != w.localRank {
+			continue
+		}
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
@@ -496,6 +543,7 @@ func (w *World) Run(body func(*Ctx) error) error {
 		}(rank)
 	}
 	wg.Wait()
+	w.live.stopProber()
 	if cerr := w.transport.close(); cerr != nil {
 		errs = append(errs, fmt.Errorf("shmem: closing transport: %w", cerr))
 	}

@@ -35,25 +35,6 @@ func run(t *testing.T, cfg Config, body func(*Ctx) error) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	if _, err := NewWorld(Config{NumPEs: 0}); err == nil {
-		t.Error("NumPEs=0 accepted")
-	}
-	if _, err := NewWorld(Config{NumPEs: -3}); err == nil {
-		t.Error("NumPEs=-3 accepted")
-	}
-	if _, err := NewWorld(Config{NumPEs: 1, HeapBytes: 4}); err == nil {
-		t.Error("HeapBytes=4 accepted")
-	}
-	w, err := NewWorld(Config{NumPEs: 2, HeapBytes: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Config().HeapBytes != 104 {
-		t.Errorf("HeapBytes not rounded to word multiple: %d", w.Config().HeapBytes)
-	}
-}
-
 func TestPutGetRoundTrip(t *testing.T) {
 	transports(t, func(t *testing.T, kind TransportKind) {
 		run(t, Config{NumPEs: 2, Transport: kind}, func(c *Ctx) error {

@@ -17,11 +17,10 @@ func simWorld(t *testing.T, numPEs int, seed int64, log *bytes.Buffer) *World {
 		opts.Log = log
 	}
 	w, err := NewWorld(Config{
-		NumPEs:      numPEs,
-		HeapBytes:   1 << 16,
-		Transport:   TransportSim,
-		NoOpLatency: true,
-		Sim:         opts,
+		NumPEs:    numPEs,
+		HeapBytes: 1 << 16,
+		Transport: TransportSim,
+		Sim:       opts,
 	})
 	if err != nil {
 		t.Fatalf("NewWorld: %v", err)
@@ -122,11 +121,10 @@ func TestSimChaosDeterministic(t *testing.T) {
 	run := func(seed int64) []byte {
 		var log bytes.Buffer
 		w, err := NewWorld(Config{
-			NumPEs:      4,
-			HeapBytes:   1 << 16,
-			Transport:   TransportSim,
-			NoOpLatency: true,
-			Sim:         SimOptions{Seed: seed, Chaos: true, Log: &log, MaxVirtualTime: 2 * time.Second},
+			NumPEs:    4,
+			HeapBytes: 1 << 16,
+			Transport: TransportSim,
+			Sim:       SimOptions{Seed: seed, Chaos: true, Log: &log, MaxVirtualTime: 2 * time.Second},
 		})
 		if err != nil {
 			t.Fatalf("NewWorld: %v", err)
@@ -198,11 +196,10 @@ func TestSimDeadlockDetection(t *testing.T) {
 // virtual-time budget and fail with a diagnosis instead of hanging.
 func TestSimLivelockBudget(t *testing.T) {
 	w, err := NewWorld(Config{
-		NumPEs:      2,
-		HeapBytes:   1 << 16,
-		Transport:   TransportSim,
-		NoOpLatency: true,
-		Sim:         SimOptions{Seed: 1, MaxVirtualTime: 10 * time.Millisecond},
+		NumPEs:    2,
+		HeapBytes: 1 << 16,
+		Transport: TransportSim,
+		Sim:       SimOptions{Seed: 1, MaxVirtualTime: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("NewWorld: %v", err)
@@ -229,12 +226,11 @@ func TestSimDropFaults(t *testing.T) {
 	run := func() (uint64, uint64) {
 		drops := &DropFaults{Fraction: 0.5, Ops: []Op{OpStoreNBI}, Seed: 9}
 		w, err := NewWorld(Config{
-			NumPEs:      2,
-			HeapBytes:   1 << 16,
-			Transport:   TransportSim,
-			NoOpLatency: true,
-			Fault:       drops,
-			Sim:         SimOptions{Seed: 9, MaxVirtualTime: 2 * time.Second},
+			NumPEs:    2,
+			HeapBytes: 1 << 16,
+			Transport: TransportSim,
+			Fault:     drops,
+			Sim:       SimOptions{Seed: 9, MaxVirtualTime: 2 * time.Second},
 		})
 		if err != nil {
 			t.Fatalf("NewWorld: %v", err)
@@ -294,12 +290,11 @@ func TestSimPartition(t *testing.T) {
 	part := &Partition{}
 	healed := make(chan struct{})
 	w, err := NewWorld(Config{
-		NumPEs:      2,
-		HeapBytes:   1 << 16,
-		Transport:   TransportSim,
-		NoOpLatency: true,
-		Fault:       part,
-		Sim:         SimOptions{Seed: 3, MaxVirtualTime: 2 * time.Second},
+		NumPEs:    2,
+		HeapBytes: 1 << 16,
+		Transport: TransportSim,
+		Fault:     part,
+		Sim:       SimOptions{Seed: 3, MaxVirtualTime: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatalf("NewWorld: %v", err)
@@ -338,11 +333,10 @@ func TestSimForcedChoices(t *testing.T) {
 	run := func(choices []byte) []byte {
 		var log bytes.Buffer
 		w, err := NewWorld(Config{
-			NumPEs:      3,
-			HeapBytes:   1 << 16,
-			Transport:   TransportSim,
-			NoOpLatency: true,
-			Sim:         SimOptions{Seed: 5, Choices: choices, Log: &log, MaxVirtualTime: 2 * time.Second},
+			NumPEs:    3,
+			HeapBytes: 1 << 16,
+			Transport: TransportSim,
+			Sim:       SimOptions{Seed: 5, Choices: choices, Log: &log, MaxVirtualTime: 2 * time.Second},
 		})
 		if err != nil {
 			t.Fatalf("NewWorld: %v", err)

@@ -138,8 +138,10 @@ func TestStressGetVNBIQuiet(t *testing.T) {
 	transports(t, func(t *testing.T, kind TransportKind) {
 		const n = 4
 		const rounds = 60
-		const burst = 20
-		run(t, Config{NumPEs: n, Transport: kind, AckBatch: 8}, func(c *Ctx) error {
+		// Each burst overruns the coalescing watermark, so injections
+		// flush mid-burst as well as before the blocking GetV and in Quiet.
+		const burst = ackBatch + 16
+		run(t, Config{NumPEs: n, Transport: kind}, func(c *Ctx) error {
 			// Layout: a static pattern region plus one accumulator word
 			// per peer writer.
 			pat, err := c.Alloc(256)

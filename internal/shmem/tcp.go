@@ -28,7 +28,7 @@ import (
 // The wire path is allocation-free in steady state: each connection owns
 // header scratch and reusable payload staging, response payloads for get
 // and getv are read directly into the caller's destination, and async
-// traffic is coalesced — injections buffer until Config.AckBatch ops (or a
+// traffic is coalesced — injections buffer until ackBatch ops (or a
 // blocking op, Quiet, or the background flusher) force them out, and the
 // server acks batches with a single count frame instead of a byte per op.
 type tcpTransport struct {
@@ -167,39 +167,76 @@ func (t *tcpTransport) peerGone(rank int) bool {
 	if t.closed.Load() {
 		return true
 	}
-	lv := t.w.live
-	return lv != nil && (lv.Killed(rank) || !lv.Alive(rank))
+	return t.w.live.Killed(rank) || !t.w.live.Alive(rank)
 }
 
-// tcpShell builds the common transport skeleton shared by the in-process
-// constructor and the multi-process (dist) one.
-func tcpShell(w *World, numPEs int) *tcpTransport {
-	return &tcpTransport{
+// Fixed wire-path parameters.
+const (
+	// dialTimeout bounds connection establishment to a PE's service.
+	dialTimeout = 10 * time.Second
+	// sockBufBytes sizes the per-connection bufio buffers.
+	sockBufBytes = 16 << 10
+	// ackBatch caps how many async operations may ride behind one flush,
+	// in both directions: the initiator coalesces NBI injects (flushing on
+	// this watermark, before any blocking op to the same target, and in
+	// Quiet), and the target coalesces the corresponding completion acks
+	// into count frames (flushing on the watermark or when its request
+	// stream goes idle).
+	ackBatch = 64
+	// flushInterval is the period of the background flusher, which pushes
+	// out coalesced NBI injects that never reach the ackBatch watermark —
+	// bounding how stale a fire-and-forget notification can go without the
+	// initiator calling Quiet.
+	flushInterval = 200 * time.Microsecond
+	// opRetries is how many times a failed round trip is retried (with
+	// exponential backoff and jitter) before giving up. Only idempotent
+	// operations are retried once a request may have reached the peer;
+	// atomics fail immediately rather than risk double application.
+	opRetries = 2
+)
+
+// newTCPTransport starts the TCP back-end: one loopback listener and
+// service loop per PE for an in-process world (at == nil), or the local
+// rank's listener plus the address rendezvous for a joined one.
+func newTCPTransport(w *World, at *Endpoint) (*tcpTransport, error) {
+	n := len(w.pes)
+	t := &tcpTransport{
 		hostWaits:   hostWaits{w},
 		sync_:       make(map[connKey]*syncConn),
 		async:       make(map[connKey]*asyncConn),
-		asyncByFrom: make([][]*asyncConn, numPEs),
+		asyncByFrom: make([][]*asyncConn, n),
 		stop:        make(chan struct{}),
-		listeners:   make([]net.Listener, numPEs),
-		addrs:       make([]string, numPEs),
+		listeners:   make([]net.Listener, n),
+		addrs:       make([]string, n),
 	}
+	var err error
+	if at != nil {
+		err = t.listenJoined(at)
+	} else {
+		err = t.listenLoopback()
+	}
+	if err != nil {
+		_ = t.close()
+		return nil, err
+	}
+	t.startFlusher()
+	return t, nil
 }
 
-func newTCPTransport(w *World) (*tcpTransport, error) {
-	t := tcpShell(w, len(w.pes))
-	for i := range w.pes {
+// listenLoopback starts every PE's listener and service loop in this
+// process.
+func (t *tcpTransport) listenLoopback() error {
+	for i := range t.listeners {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			_ = t.close()
-			return nil, fmt.Errorf("listen for PE %d: %w", i, err)
+			return fmt.Errorf("listen for PE %d: %w", i, err)
 		}
 		t.listeners[i] = ln
 		t.addrs[i] = ln.Addr().String()
 		t.wg.Add(1)
 		go t.serve(i, ln)
 	}
-	t.startFlusher()
-	return t, nil
+	return nil
 }
 
 // startFlusher launches the background goroutine that periodically flushes
@@ -209,14 +246,10 @@ func newTCPTransport(w *World) (*tcpTransport, error) {
 // notification can get when neither the watermark nor a blocking op forces
 // it out.
 func (t *tcpTransport) startFlusher() {
-	ivl := t.w.cfg.FlushInterval
-	if ivl <= 0 {
-		return
-	}
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
-		tick := time.NewTicker(ivl)
+		tick := time.NewTicker(flushInterval)
 		defer tick.Stop()
 		for {
 			select {
@@ -267,8 +300,8 @@ func (t *tcpTransport) serve(rank int, ln net.Listener) {
 func (t *tcpTransport) handle(rank int, conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
-	r := bufio.NewReaderSize(conn, t.w.cfg.SockBufBytes)
-	w := bufio.NewWriterSize(conn, t.w.cfg.SockBufBytes)
+	r := bufio.NewReaderSize(conn, sockBufBytes)
+	w := bufio.NewWriterSize(conn, sockBufBytes)
 	var pre [5]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return // peer vanished before preamble; nothing to clean up
@@ -276,7 +309,6 @@ func (t *tcpTransport) handle(rank int, conn net.Conn) {
 	kind := pre[0]
 	from := int(binary.LittleEndian.Uint32(pre[1:]))
 	pe := t.w.pes[rank]
-	ackBatch := t.w.cfg.AckBatch
 	var (
 		reqHdr  [reqHdrSize]byte
 		rspHdr  [rspHdrSize]byte
@@ -510,7 +542,7 @@ func (t *tcpTransport) dial(from, to int, kind byte) (net.Conn, error) {
 	if to < 0 || to >= len(t.addrs) {
 		return nil, fmt.Errorf("shmem/tcp: target PE %d out of range [0, %d)", to, len(t.addrs))
 	}
-	conn, err := net.DialTimeout("tcp", t.addrs[to], t.w.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", t.addrs[to], dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("shmem/tcp: dial PE %d: %w", to, err)
 	}
@@ -538,8 +570,8 @@ func (t *tcpTransport) syncConn(from, to int) (*syncConn, error) {
 	}
 	sc := &syncConn{
 		rw: bufio.NewReadWriter(
-			bufio.NewReaderSize(conn, t.w.cfg.SockBufBytes),
-			bufio.NewWriterSize(conn, t.w.cfg.SockBufBytes)),
+			bufio.NewReaderSize(conn, sockBufBytes),
+			bufio.NewWriterSize(conn, sockBufBytes)),
 		c: conn,
 	}
 	t.mu.Lock()
@@ -565,7 +597,7 @@ func (t *tcpTransport) asyncConn(from, to int) (*asyncConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	ac := &asyncConn{t: t, from: from, to: to, w: bufio.NewWriterSize(conn, t.w.cfg.SockBufBytes), c: conn}
+	ac := &asyncConn{t: t, from: from, to: to, w: bufio.NewWriterSize(conn, sockBufBytes), c: conn}
 	t.mu.Lock()
 	if prior, ok := t.async[key]; ok {
 		t.mu.Unlock()
@@ -704,10 +736,6 @@ func (t *tcpTransport) blocking(r opReq) (uint64, []byte, error) {
 	if err := t.flushAsyncTo(r.from, r.to); err != nil {
 		return 0, nil, opError(r.op, r.from, r.to, fmt.Errorf("flushing injections: %w", err))
 	}
-	retries := t.w.cfg.OpRetries
-	if retries < 0 {
-		retries = 0
-	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		val, rp, wrote, err := t.attemptSync(&r, payload, into)
@@ -733,7 +761,7 @@ func (t *tcpTransport) blocking(r opReq) (uint64, []byte, error) {
 			// twice. Surface the failure instead.
 			break
 		}
-		if attempt >= retries || t.closed.Load() {
+		if attempt >= opRetries || t.closed.Load() {
 			break
 		}
 		time.Sleep(retryBackoff(attempt))
@@ -779,7 +807,7 @@ func (t *tcpTransport) attemptSync(r *opReq, payload, respInto []byte) (uint64, 
 }
 
 // nbi pipelines one non-blocking request. The write lands in the
-// connection's buffer; it is flushed once AckBatch ops accumulate, or
+// connection's buffer; it is flushed once ackBatch ops accumulate, or
 // earlier by a blocking op to the same target, Quiet, or the background
 // flusher.
 func (t *tcpTransport) nbi(r opReq) error {
@@ -823,7 +851,7 @@ func (t *tcpTransport) nbi(r opReq) error {
 		}
 	}
 	ac.unflushed += int(n)
-	if ac.unflushed >= t.w.cfg.AckBatch {
+	if ac.unflushed >= ackBatch {
 		if err := ac.flushLocked(); err != nil {
 			return opError(r.op, from, to, fmt.Errorf("flushing: %w", err))
 		}

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sws/internal/pool"
 	"sws/internal/shmem"
@@ -49,6 +50,22 @@ func ExactlyOnceUnderChurn(t *testing.T, f Factory, seed int64) {
 	}
 	var leaves atomic.Int64
 	var joinOnce, drainOnce sync.Once
+	// slowWhile stretches a leaf that runs while a transition is pending.
+	// The whole run is about a millisecond of work: on a loaded box the
+	// thread running the transitioning rank can sit descheduled for all of
+	// what is left, wake after the last task, and leave with the transition
+	// pending — an oracle that checked nothing. A short sleep per leaf makes
+	// the hundreds of leaves still to run outlast any scheduling hiccup, so
+	// the transition completes with work in flight, which is what the
+	// oracle is for; once it has, leaves run at full speed again. Sleeping,
+	// not waiting: an owner held in a task could not drain the inbox the
+	// draining rank is forwarding into. Not under the lockstep sim, which
+	// is deterministic and where a task may only block through shmem.
+	slowWhile := func(pending bool) {
+		if pending && !f.Lockstep {
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
 	runErr := w.Run(func(ctx *shmem.Ctx) error {
 		slots := ctx.MustAlloc(total * shmem.WordSize)
 		lost := ctx.MustAlloc(shmem.WordSize)
@@ -62,12 +79,16 @@ func ExactlyOnceUnderChurn(t *testing.T, f Factory, seed int64) {
 			if _, err := tc.Shmem().FetchAdd64(0, slots+shmem.Addr(args[0])*shmem.WordSize, 1); err != nil {
 				return err
 			}
-			switch n := leaves.Add(1); {
-			case n == joinAt:
-				joinOnce.Do(func() { _ = w.Live().BeginJoin(joinRank) })
-			case n == drainAt:
-				drainOnce.Do(func() { _ = w.Live().BeginDrain(drainRank) })
+			lv := w.Live()
+			n := leaves.Add(1)
+			switch n {
+			case joinAt:
+				joinOnce.Do(func() { _ = lv.BeginJoin(joinRank) })
+			case drainAt:
+				drainOnce.Do(func() { _ = lv.BeginDrain(drainRank) })
 			}
+			slowWhile(n >= joinAt && !lv.Member(joinRank))
+			slowWhile(n >= drainAt && lv.Drains() == 0)
 			return nil
 		})
 		var producer task.Handle

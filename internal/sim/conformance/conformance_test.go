@@ -72,11 +72,10 @@ func factories() []Factory {
 			Lockstep: true,
 			New: func(numPEs int, fault shmem.FaultInjector) (*shmem.World, error) {
 				return shmem.NewWorld(shmem.Config{
-					NumPEs:      numPEs,
-					HeapBytes:   1 << 20,
-					Transport:   shmem.TransportSim,
-					NoOpLatency: true,
-					Fault:       fault,
+					NumPEs:    numPEs,
+					HeapBytes: 1 << 20,
+					Transport: shmem.TransportSim,
+					Fault:     fault,
 					Sim: shmem.SimOptions{
 						Seed:           1,
 						MaxVirtualTime: 30 * time.Second,
@@ -91,7 +90,6 @@ func factories() []Factory {
 					NumPEs:       numPEs,
 					HeapBytes:    1 << 20,
 					Transport:    shmem.TransportSim,
-					NoOpLatency:  true,
 					SuspectAfter: 200 * time.Microsecond,
 					DeadAfter:    500 * time.Microsecond,
 					Sim: shmem.SimOptions{

@@ -160,7 +160,6 @@ func Run(p Params) ([]byte, error) {
 		NumPEs:       p.PEs,
 		HeapBytes:    4 << 20,
 		Transport:    shmem.TransportSim,
-		NoOpLatency:  true,
 		Fault:        fault,
 		SuspectAfter: p.SuspectAfter,
 		DeadAfter:    p.DeadAfter,
