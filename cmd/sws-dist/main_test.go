@@ -87,6 +87,50 @@ func (w *lineWatcher) waitFor(t *testing.T, re *regexp.Regexp, timeout time.Dura
 	}
 }
 
+// calibration is one measured fault-free 4-PE run of the binary under test.
+// Tests that schedule an event into a run (a kill, a join, a drain) size
+// the run from it instead of assuming what a fixed depth costs: the runtime
+// getting faster must not turn "mid-run" into "after the run".
+type calibration struct {
+	depth   int
+	run     time.Duration // the run's own verified time at depth
+	startup time.Duration // launch, rendezvous and teardown around it
+}
+
+// calibrate runs bin fault-free with 4 PEs (flags select the transport).
+func calibrate(t *testing.T, bin string, flags ...string) calibration {
+	t.Helper()
+	c := calibration{depth: 16}
+	args := append([]string{"-n", "4", "-depth", fmt.Sprint(c.depth)}, flags...)
+	start := time.Now()
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatalf("fault-free calibration run failed: %v\n%s", err, out)
+	}
+	m := regexp.MustCompile(`world total: .* in (\S+) \[OK\]`).FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("calibration run printed no verified world total:\n%s", out)
+	}
+	if c.run, err = time.ParseDuration(string(m[1])); err != nil || c.run <= 0 {
+		t.Fatalf("calibration run time %q: %v", m[1], err)
+	}
+	c.startup = wall - c.run
+	return c
+}
+
+// depthFor returns the tree depth whose run lasts at least five times
+// lastEvent, the latest event the test schedules into it (each depth level
+// doubles the run), so every event lands with most of the work still ahead.
+func (c calibration) depthFor(t *testing.T, lastEvent time.Duration) string {
+	depth := c.depth
+	for est := c.run; est < 5*lastEvent; est *= 2 {
+		depth++
+	}
+	t.Logf("calibration: depth %d ran %v (+%v start-up); last event at %v -> depth %d", c.depth, c.run, c.startup, lastEvent, depth)
+	return fmt.Sprint(depth)
+}
+
 // TestDistSmoke runs a small fault-free 2-PE world end to end and expects
 // a clean exit with a verified task total.
 func TestDistSmoke(t *testing.T) {
@@ -117,31 +161,12 @@ func TestKillProducesFlightDump(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", inspect, "../sws-inspect").CombinedOutput(); err != nil {
 		t.Fatalf("building sws-inspect: %v\n%s", err, out)
 	}
-	// Size the run from a measured fault-free pass of this binary, so the
-	// kill lands mid-run on any box: after every rank has joined (the
+	// The kill lands mid-run on any box: after every rank has joined (the
 	// delay clears twice the measured start-up) and with at least four
-	// fifths of the work still ahead (each depth level doubles the run).
-	const calDepth = 16
-	start := time.Now()
-	cal, err := exec.Command(bin, "-n", "4", "-depth", fmt.Sprint(calDepth)).CombinedOutput()
-	wall := time.Since(start)
-	if err != nil {
-		t.Fatalf("fault-free calibration run failed: %v\n%s", err, cal)
-	}
-	m := regexp.MustCompile(`world total: .* in (\S+) \[OK\]`).FindSubmatch(cal)
-	if m == nil {
-		t.Fatalf("calibration run printed no verified world total:\n%s", cal)
-	}
-	runTime, err := time.ParseDuration(string(m[1]))
-	if err != nil || runTime <= 0 {
-		t.Fatalf("calibration run time %q: %v", m[1], err)
-	}
-	killAfter := 2*(wall-runTime) + 300*time.Millisecond
-	depth := calDepth
-	for est := runTime; est < 5*killAfter; est *= 2 {
-		depth++
-	}
-	t.Logf("calibration: depth %d ran %v of %v wall; killing after %v at depth %d", calDepth, runTime, wall, killAfter, depth)
+	// fifths of the work still ahead.
+	cal := calibrate(t, bin)
+	killAfter := 2*cal.startup + 300*time.Millisecond
+	depth := cal.depthFor(t, killAfter)
 
 	// SWS_FLIGHT_DUMP_DIR keeps the journals (CI uploads them and runs the
 	// Perfetto export over this same, measured-size run).
@@ -152,7 +177,7 @@ func TestKillProducesFlightDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	cmd := exec.Command(bin,
-		"-n", "4", "-depth", fmt.Sprint(depth),
+		"-n", "4", "-depth", depth,
 		"-op-timeout", "500ms",
 		"-suspect-after", "300ms",
 		"-dead-after", "1s",
@@ -206,8 +231,9 @@ func TestDistSurvivesSIGKILL(t *testing.T) {
 	}
 	bin := buildDist(t)
 	const deadAfter = time.Second
+	const killDelay = 200 * time.Millisecond // after rank 1 joined
 	cmd := exec.Command(bin,
-		"-n", "4", "-depth", "18",
+		"-n", "4", "-depth", calibrate(t, bin).depthFor(t, killDelay),
 		"-op-timeout", "500ms",
 		"-suspect-after", "300ms",
 		"-dead-after", deadAfter.String())
@@ -229,7 +255,7 @@ func TestDistSurvivesSIGKILL(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bad pid %q: %v", m[1], err)
 	}
-	time.Sleep(200 * time.Millisecond) // let the run get under way
+	time.Sleep(killDelay) // let the run get under way
 	if err := syscall.Kill(pid, syscall.SIGKILL); err != nil {
 		t.Fatalf("killing rank 1 (pid %d): %v", pid, err)
 	}
@@ -280,12 +306,13 @@ func TestDistChurn(t *testing.T) {
 	for _, tr := range transports {
 		tr := tr
 		t.Run(tr, func(t *testing.T) {
+			const joinAfter, drainAfter = 100 * time.Millisecond, 300 * time.Millisecond
 			cmd := exec.Command(bin,
 				"-transport", tr,
-				"-n", "4", "-depth", "18",
+				"-n", "4", "-depth", calibrate(t, bin, "-transport", tr).depthFor(t, drainAfter),
 				"-members", "3",
-				"-join-rank", "3", "-join-after", "100ms",
-				"-drain-rank", "1", "-drain-after", "300ms")
+				"-join-rank", "3", "-join-after", joinAfter.String(),
+				"-drain-rank", "1", "-drain-after", drainAfter.String())
 			out, err := cmd.CombinedOutput()
 			if err != nil {
 				t.Fatalf("churned run failed: %v\n%s", err, out)
@@ -391,9 +418,10 @@ func TestShmSurvivesSIGKILL(t *testing.T) {
 	bin := buildDist(t)
 	before := shmSegments(t)
 	const deadAfter = time.Second
+	const killDelay = 200 * time.Millisecond // after rank 1 joined
 	cmd := exec.Command(bin,
 		"-transport", "shm",
-		"-n", "4", "-depth", "18",
+		"-n", "4", "-depth", calibrate(t, bin, "-transport", "shm").depthFor(t, killDelay),
 		"-suspect-after", "300ms",
 		"-dead-after", deadAfter.String())
 	watcher := newLineWatcher()
@@ -412,7 +440,7 @@ func TestShmSurvivesSIGKILL(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bad pid %q: %v", m[1], err)
 	}
-	time.Sleep(200 * time.Millisecond)
+	time.Sleep(killDelay)
 	if err := syscall.Kill(pid, syscall.SIGKILL); err != nil {
 		t.Fatalf("killing rank 1 (pid %d): %v", pid, err)
 	}

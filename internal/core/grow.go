@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"sws/internal/ring"
@@ -111,13 +112,12 @@ func (q *Queue) CopyClaimedBlock(victim int, v Stealval) ([]task.Desc, error) {
 }
 
 // publishGeom stores the current geometry word (owner-side local store).
-func (q *Queue) publishGeom() error {
-	w := PackGeom(Geom{
+func (q *Queue) publishGeom() {
+	atomic.StoreUint64(q.geom, PackGeom(Geom{
 		Class:    q.cls,
 		Capacity: q.curRing().Cap(),
 		Reseats:  int(q.grows + q.shrinks),
-	})
-	return q.ctx.Store64(q.ctx.Rank(), q.geomAddr, w)
+	}))
 }
 
 // reseat moves the queue into size class newCls: close the epoch (swap
@@ -162,9 +162,7 @@ func (q *Queue) reseat(newCls int) error {
 		q.shrinks++
 	}
 	q.cls = newCls
-	if err := q.publishGeom(); err != nil {
-		return err
-	}
+	q.publishGeom()
 	if err := q.startEpoch(unclaimed); err != nil {
 		return err
 	}
@@ -173,44 +171,19 @@ func (q *Queue) reseat(newCls int) error {
 }
 
 // copyRegion copies the live window [stail, stail+live) of the current
-// ring into the first live slots of newCls's region, in chunks through a
-// bounded staging buffer (both regions live in this PE's own heap).
+// ring into the first live slots of newCls's region. Both regions are this
+// PE's own memory, and the reseat has drained every in-flight steal, so
+// these are plain copies.
 func (q *Queue) copyRegion(newCls, live int) error {
-	if live == 0 {
-		return nil
-	}
 	slotSize := q.codec.SlotSize()
 	src, dst := q.regions[q.cls], q.regions[newCls]
 	spans, n, err := src.ring.Spans(q.stail, live)
 	if err != nil {
 		return err
 	}
-	const chunk = 64 << 10
-	bufSize := live * slotSize
-	if bufSize > chunk {
-		bufSize = chunk
-	}
-	buf := make([]byte, bufSize)
-	me := q.ctx.Rank()
 	dstOff := 0
-	for i := 0; i < n; i++ {
-		srcOff := spans[i].Start * slotSize
-		remain := spans[i].Count * slotSize
-		for remain > 0 {
-			c := remain
-			if c > len(buf) {
-				c = len(buf)
-			}
-			if err := q.ctx.Get(me, src.addr+shmem.Addr(srcOff), buf[:c]); err != nil {
-				return err
-			}
-			if err := q.ctx.Put(me, dst.addr+shmem.Addr(dstOff), buf[:c]); err != nil {
-				return err
-			}
-			srcOff += c
-			dstOff += c
-			remain -= c
-		}
+	for _, sp := range spans[:n] {
+		dstOff += copy(dst.own[dstOff:], src.own[sp.Start*slotSize:(sp.Start+sp.Count)*slotSize])
 	}
 	return nil
 }
@@ -245,9 +218,7 @@ func (q *Queue) unspill() error {
 		if !ok {
 			return nil
 		}
-		if err := q.ctx.Put(q.ctx.Rank(), q.slotAddr(q.head), buf); err != nil {
-			return err
-		}
+		copy(q.slot(q.head), buf)
 		q.head++
 		q.arena.dropOldest()
 		q.unspilled++

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"sws/internal/obs"
@@ -145,6 +146,9 @@ func (r *epochRec) drained() bool {
 type region struct {
 	addr shmem.Addr
 	ring ring.Ring
+	// own is the region's bytes in THIS PE's heap (shmem.Ctx.OwnBytes): the
+	// owner encodes into and decodes out of its slots in place.
+	own []byte
 }
 
 type Queue struct {
@@ -167,6 +171,14 @@ type Queue struct {
 	geomAddr       shmem.Addr // packed owner geometry, published at reseats
 	completionAddr shmem.Addr // MaxEpochs * wsq.MaxPlanLen words
 
+	// The same three objects in the owner's own heap, as memory: a PE's own
+	// symmetric heap needs no communication layer, so owner ops use
+	// sync/atomic on these words directly (thieves reach them through
+	// one-sided ops, hence atomic, never plain).
+	stealval   *uint64
+	geom       *uint64
+	completion []uint64
+
 	// Owner-side logical positions: rtail <= stail <= split <= head.
 	// [rtail, stail)  claimed by older epochs, awaiting completion;
 	// [stail, split)  the current shared block;
@@ -187,8 +199,10 @@ type Queue struct {
 	// it forms the causal span ID stamped on each attempt's sub-ops.
 	spanSeq uint64
 
-	// scratch is the owner-side slot staging buffer (one slot).
+	// scratch stages one encoded slot on its way into the spill arena;
+	// popBuf holds the payload of the last popped task (see Pop).
 	scratch []byte
+	popBuf  []byte
 
 	// stealBuf and stealSpans are thief-side staging reused across Steal
 	// calls (a Queue handle is driven by one goroutine, so reuse is safe).
@@ -252,6 +266,7 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 		policy:    opts.Policy,
 		emptyMode: make([]bool, ctx.NumPEs()),
 		scratch:   make([]byte, codec.SlotSize()),
+		popBuf:    make([]byte, codec.PayloadCap()),
 	}
 	q.arena.init(codec.SlotSize(), opts.SpillBlock)
 	// Completion arrays are indexed by attempt number, so their size must
@@ -285,6 +300,14 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 	if q.completionAddr, err = ctx.Alloc(MaxEpochs * q.maxSlots * shmem.WordSize); err != nil {
 		return nil, err
 	}
+	meta, err := ctx.OwnWords(q.stealvalAddr, 2)
+	if err != nil {
+		return nil, err
+	}
+	q.stealval, q.geom = &meta[0], &meta[1]
+	if q.completion, err = ctx.OwnWords(q.completionAddr, MaxEpochs*q.maxSlots); err != nil {
+		return nil, err
+	}
 	// Reserve the whole region ladder up front, collectively: every class
 	// a reseat may ever use exists at identical symmetric addresses on
 	// all PEs before the first task is pushed, which is what lets a thief
@@ -303,7 +326,11 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 			}
 			return nil, err
 		}
-		q.regions[c] = region{addr: addr, ring: rg}
+		own, err := ctx.OwnBytes(addr, (opts.Capacity<<c)*codec.SlotSize())
+		if err != nil {
+			return nil, err
+		}
+		q.regions[c] = region{addr: addr, ring: rg, own: own}
 	}
 	if opts.Fused {
 		// The fused handler is a pure function of the fetched stealval
@@ -317,9 +344,7 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 	if err := q.publish(0, 0); err != nil {
 		return nil, err
 	}
-	if err := q.publishGeom(); err != nil {
-		return nil, err
-	}
+	q.publishGeom()
 	q.recs = []epochRec{{start: 0, itasks: 0, parity: 0, claimedBlocks: -1}}
 	return q, nil
 }
@@ -371,13 +396,9 @@ func (q *Queue) LocalCount() int { return q.ringLocal() + q.arena.len() }
 func (q *Queue) ringLocal() int { return ring.Distance(q.split, q.head) }
 
 // SharedAvail returns the owner's view of unclaimed shared tasks in the
-// current block (a local atomic read of its own stealval).
+// current block (an atomic read of its own stealval).
 func (q *Queue) SharedAvail() int {
-	w, err := q.ctx.Load64(q.ctx.Rank(), q.stealvalAddr)
-	if err != nil {
-		return 0
-	}
-	v := q.format.Unpack(w)
+	v := q.format.Unpack(atomic.LoadUint64(q.stealval))
 	if !v.Valid {
 		return 0
 	}
@@ -396,11 +417,16 @@ func (q *Queue) clampAttempts(v Stealval) int {
 // free returns the number of unoccupied slots in the current ring.
 func (q *Queue) free() int { return q.curRing().Cap() - ring.Distance(q.rtail, q.head) }
 
-// slotAddr returns the heap address of the physical slot for a logical
-// position in the current ring.
-func (q *Queue) slotAddr(pos uint64) shmem.Addr {
-	reg := q.regions[q.cls]
-	return reg.addr + shmem.Addr(reg.ring.Slot(pos)*q.codec.SlotSize())
+// slot returns the physical slot for a logical position in the current
+// ring, in the owner's own heap. Plain access is safe for positions outside
+// every advertised block: thieves read only what a stealval they fetched
+// covers, and the stealval's atomic publish/retire and the completion
+// words order those reads against the owner's writes.
+func (q *Queue) slot(pos uint64) []byte {
+	reg := &q.regions[q.cls]
+	n := q.codec.SlotSize()
+	off := reg.ring.Slot(pos) * n
+	return reg.own[off : off+n : off+n]
 }
 
 // Push enqueues a task at the head of the local portion. Purely local: no
@@ -432,10 +458,7 @@ func (q *Queue) Push(d task.Desc) error {
 			}
 		}
 	}
-	if err := q.codec.Encode(q.scratch, d); err != nil {
-		return err
-	}
-	if err := q.ctx.Put(q.ctx.Rank(), q.slotAddr(q.head), q.scratch); err != nil {
+	if err := q.codec.Encode(q.slot(q.head), d); err != nil {
 		return err
 	}
 	q.head++
@@ -444,26 +467,24 @@ func (q *Queue) Push(d task.Desc) error {
 
 // Pop removes the newest task from the local portion (LIFO, giving the
 // depth-first traversal that bounds pool space). Spilled tasks are newer
-// than everything in the ring, so the arena drains first.
+// than everything in the ring, so the arena drains first. The payload is
+// decoded into a buffer the queue reuses: it is valid until the next Pop
+// (see wsq.Queue).
 func (q *Queue) Pop() (task.Desc, bool, error) {
-	if buf, ok := q.arena.popNewest(); ok {
-		d, err := q.codec.Decode(buf)
-		if err != nil {
-			return task.Desc{}, false, err
+	src, spilled := q.arena.popNewest()
+	if !spilled {
+		if q.head == q.split {
+			return task.Desc{}, false, nil
 		}
-		return d, true, nil
+		src = q.slot(q.head - 1)
 	}
-	if q.head == q.split {
-		return task.Desc{}, false, nil
-	}
-	if err := q.ctx.Get(q.ctx.Rank(), q.slotAddr(q.head-1), q.scratch); err != nil {
-		return task.Desc{}, false, err
-	}
-	d, err := q.codec.Decode(q.scratch)
+	d, err := q.codec.DecodeTo(src, q.popBuf)
 	if err != nil {
 		return task.Desc{}, false, err
 	}
-	q.head--
+	if !spilled {
+		q.head--
+	}
 	return d, true, nil
 }
 
@@ -482,7 +503,8 @@ func (q *Queue) publish(itasks int, stail uint64) error {
 	if err != nil {
 		return err
 	}
-	return q.ctx.Store64(q.ctx.Rank(), q.stealvalAddr, w)
+	atomic.StoreUint64(q.stealval, w)
+	return nil
 }
 
 // clsField is the class value packed into published stealvals: the
@@ -505,11 +527,7 @@ func (q *Queue) parity() int {
 // current epoch record, and drops the record immediately if nothing was
 // claimed. It returns the number of unclaimed tasks left in the block.
 func (q *Queue) retire() (unclaimed int, err error) {
-	old, err := q.ctx.Swap64(q.ctx.Rank(), q.stealvalAddr, q.format.Disabled())
-	if err != nil {
-		return 0, err
-	}
-	v := q.format.Unpack(old)
+	v := q.format.Unpack(atomic.SwapUint64(q.stealval, q.format.Disabled()))
 	rec := q.cur()
 	if !v.Valid {
 		// Every retire is paired with a startEpoch before control returns
@@ -534,10 +552,13 @@ func (q *Queue) retire() (unclaimed int, err error) {
 }
 
 // completionSlotAddr returns the heap address of completion slot b for
-// parity p.
+// parity p (what a thief stores to); completionSlot is the same word in
+// the owner's own heap.
 func (q *Queue) completionSlotAddr(p, b int) shmem.Addr {
 	return q.completionAddr + shmem.Addr((p*q.maxSlots+b)*shmem.WordSize)
 }
+
+func (q *Queue) completionSlot(p, b int) *uint64 { return &q.completion[p*q.maxSlots+b] }
 
 // StealvalAddr exposes the queue's stealval heap address so conformance
 // tests can script protocol steps (a manual fetch-add claim) exactly as a
@@ -556,8 +577,8 @@ func (q *Queue) CompletionSlotAddr(epoch, attempt int) shmem.Addr {
 }
 
 // Progress reclaims space for the longest prefix of completed steals,
-// scanning draining epochs oldest-first (§4.2). Purely local reads of the
-// completion arrays.
+// scanning draining epochs oldest-first (§4.2). Purely local: atomic reads
+// of the owner's own completion arrays.
 func (q *Queue) Progress() error {
 	for len(q.recs) > 0 {
 		rec := &q.recs[0]
@@ -566,10 +587,7 @@ func (q *Queue) Progress() error {
 		}
 		for rec.reclaimedBlocks < rec.claimedBlocks {
 			b := rec.reclaimedBlocks
-			w, err := q.ctx.Load64(q.ctx.Rank(), q.completionSlotAddr(rec.parity, b))
-			if err != nil {
-				return err
-			}
+			w := atomic.LoadUint64(q.completionSlot(rec.parity, b))
 			if w == 0 {
 				return nil // oldest outstanding steal still in flight
 			}
@@ -584,9 +602,7 @@ func (q *Queue) Progress() error {
 		// Fully drained: zero its completion slots so the parity can be
 		// reused, then drop the record.
 		for b := 0; b < rec.claimedBlocks; b++ {
-			if err := q.ctx.Store64(q.ctx.Rank(), q.completionSlotAddr(rec.parity, b), 0); err != nil {
-				return err
-			}
+			atomic.StoreUint64(q.completionSlot(rec.parity, b), 0)
 		}
 		q.recs = q.recs[1:]
 	}
@@ -603,8 +619,9 @@ func (q *Queue) Progress() error {
 // closes the stalled slots itself (see forceCloseStalled) instead of
 // wedging the queue forever.
 func (q *Queue) waitParityFree(p int) error {
-	deadline := time.Now().Add(q.opts.ResetPoll)
-	var deadSince time.Time
+	// The parity is nearly always free already: the deadline is computed
+	// only once the wait actually waits.
+	var deadline, deadSince time.Time
 	for {
 		if err := q.Progress(); err != nil {
 			return err
@@ -639,7 +656,9 @@ func (q *Queue) waitParityFree(p int) error {
 				}
 			}
 		}
-		if time.Now().After(deadline) {
+		if deadline.IsZero() {
+			deadline = time.Now().Add(q.opts.ResetPoll)
+		} else if time.Now().After(deadline) {
 			if p < 0 {
 				return fmt.Errorf("core: reseat stalled %v waiting for in-flight steals to drain (lost thief?)",
 					q.opts.ResetPoll)
@@ -669,18 +688,12 @@ func (q *Queue) forceCloseStalled() error {
 		}
 		closed := false
 		for b := rec.reclaimedBlocks; b < rec.claimedBlocks; b++ {
-			addr := q.completionSlotAddr(rec.parity, b)
-			w, err := q.ctx.Load64(q.ctx.Rank(), addr)
-			if err != nil {
-				return err
-			}
-			if w != 0 {
+			slot := q.completionSlot(rec.parity, b)
+			if atomic.LoadUint64(slot) != 0 {
 				continue
 			}
 			want := q.policy.Block(rec.itasks, b)
-			if err := q.ctx.Store64(q.ctx.Rank(), addr, uint64(want)); err != nil {
-				return err
-			}
+			atomic.StoreUint64(slot, uint64(want))
 			q.writtenOff += uint64(want)
 			closed = true
 		}
@@ -701,9 +714,7 @@ func (q *Queue) startEpoch(itasks int) error {
 		return err
 	}
 	for b := 0; b < q.maxSlots; b++ {
-		if err := q.ctx.Store64(q.ctx.Rank(), q.completionSlotAddr(p, b), 0); err != nil {
-			return err
-		}
+		atomic.StoreUint64(q.completionSlot(p, b), 0)
 	}
 	q.recs = append(q.recs, epochRec{start: q.stail, itasks: itasks, parity: p, claimedBlocks: -1})
 	return q.publish(itasks, q.stail)

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"sws/internal/shmem"
@@ -41,6 +42,9 @@ type mailbox struct {
 	dataAddr  shmem.Addr // slots * slotSize bytes
 
 	readCursor uint64 // owner-local: the next ticket to drain
+	// turns is the state array in this PE's own heap, as memory: the owner
+	// polls its next slot's turn word once per scheduler iteration.
+	turns []uint64
 
 	// sendBuf and drainBuf stage one encoded descriptor each. Both send
 	// and drain run on the PE's owner goroutine only, but a drain may
@@ -67,6 +71,9 @@ func newMailbox(ctx *shmem.Ctx, codec task.Codec, slots int) (*mailbox, error) {
 	if m.dataAddr, err = ctx.Alloc(slots * codec.SlotSize()); err != nil {
 		return nil, err
 	}
+	if m.turns, err = ctx.OwnWords(m.stateAddr, slots); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -91,7 +98,9 @@ func (m *mailbox) send(pe int, d task.Desc) error {
 	turn := 2 * (ticket / uint64(m.slots))
 	// Wait for the previous lap's task to drain if a full ring lap is
 	// outstanding (a slot that stays full means the owner is not draining).
-	deadline := time.Now().Add(pushTimeout)
+	// The slot is almost always ours already, so the deadline is computed
+	// only once the wait actually waits.
+	var deadline time.Time
 	for {
 		st, err := m.ctx.Load64(pe, m.slotState(slot))
 		if err != nil {
@@ -103,7 +112,9 @@ func (m *mailbox) send(pe int, d task.Desc) error {
 		if werr := m.ctx.Err(); werr != nil {
 			return werr
 		}
-		if time.Now().After(deadline) {
+		if deadline.IsZero() {
+			deadline = time.Now().Add(pushTimeout)
+		} else if time.Now().After(deadline) {
 			return fmt.Errorf("pool: PE %d inbox slot %d stayed full for %v (receiver not draining?)",
 				pe, slot, pushTimeout)
 		}
@@ -124,11 +135,7 @@ func (m *mailbox) drain(push func(task.Desc) error) (int, error) {
 	for {
 		slot := int(m.readCursor % uint64(m.slots))
 		turn := 2 * (m.readCursor / uint64(m.slots))
-		st, err := m.ctx.Load64(me, m.slotState(slot))
-		if err != nil {
-			return delivered, err
-		}
-		if st != turn+1 {
+		if atomic.LoadUint64(&m.turns[slot]) != turn+1 {
 			return delivered, nil
 		}
 		if err := m.ctx.Get(me, m.slotData(slot), m.drainBuf); err != nil {

@@ -1,0 +1,201 @@
+package pool
+
+import (
+	"sync/atomic"
+	"testing"
+	"time"
+	"unsafe"
+
+	"sws/internal/shmem"
+	"sws/internal/stats"
+	"sws/internal/task"
+	"sws/internal/trace"
+)
+
+// The owner-path guards: counts that are exact on any box, so they gate
+// at 0 %. On a PE with no executors, spawning, popping and running a task
+// allocates nothing, issues no one-sided op on the PE's own heap, sleeps
+// never and reads the clock once in execSampleEvery tasks.
+
+// runTree runs a binary tree of the given depth on a 1-PE world (no peers,
+// so no steals) and returns the PE's statistics, its self-targeted op
+// count and its back-off step count over the run.
+func runTree(t *testing.T, depth uint64, cfg Config) (st stats.PE, local, pauses uint64) {
+	t.Helper()
+	runWorld(t, 1, shmem.TransportLocal, func(c *shmem.Ctx) error {
+		reg := NewRegistry()
+		var h task.Handle
+		h = reg.MustRegister("node", func(tc *TaskCtx, payload []byte) error {
+			args, err := task.ParseArgs(payload, 1)
+			if err != nil || args[0] == 0 {
+				return err
+			}
+			for i := 0; i < 2; i++ {
+				if err := tc.Spawn(h, task.Args(args[0]-1)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		p, err := New(c, reg, cfg)
+		if err != nil {
+			return err
+		}
+		if err := p.Add(h, task.Args(depth)); err != nil {
+			return err
+		}
+		local0, pauses0 := c.Counters().Snapshot().Local, c.Pauses()
+		if err := p.Run(); err != nil {
+			return err
+		}
+		st, local, pauses = p.Stats(), c.Counters().Snapshot().Local-local0, c.Pauses()-pauses0
+		return nil
+	})
+	if want := uint64(1)<<(depth+1) - 1; st.TasksExecuted != want {
+		t.Fatalf("depth %d executed %d tasks, want %d", depth, st.TasksExecuted, want)
+	}
+	return st, local, pauses
+}
+
+// TestOwnerPathAllocs pins the owner's spawn -> pop -> execute cycle of a
+// 24-byte-payload task at zero allocations (next to core.TestStealAllocs,
+// which pins the thief's).
+func TestOwnerPathAllocs(t *testing.T) {
+	runWorld(t, 1, shmem.TransportLocal, func(c *shmem.Ctx) error {
+		reg := NewRegistry()
+		h := reg.MustRegister("leaf", func(*TaskCtx, []byte) error { return nil })
+		p, err := New(c, reg, Config{})
+		if err != nil {
+			return err
+		}
+		payload := make([]byte, 24)
+		cycle := func() {
+			if err := p.Add(h, payload); err != nil {
+				t.Error(err)
+			}
+			d, ok, err := p.q.Pop()
+			if err != nil || !ok || len(d.Payload) != len(payload) {
+				t.Errorf("pop: ok=%v payload=%d err=%v", ok, len(d.Payload), err)
+			}
+			if err := p.executeOwned(d); err != nil {
+				t.Error(err)
+			}
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
+			t.Errorf("owner spawn -> pop -> execute allocates %.2f objects/op, want 0", allocs)
+		}
+		return nil
+	})
+}
+
+// TestOwnerPathBypassesOpPipeline: the owner's queue, detector and inbox
+// words are its own memory, so the self-targeted ops that do go through
+// Ctx.do (counted as Local) follow jobs, releases and acquires — not tasks.
+func TestOwnerPathBypassesOpPipeline(t *testing.T) {
+	for _, depth := range []uint64{8, 14} {
+		st, local, _ := runTree(t, depth, Config{})
+		if budget := 16 + 4*(st.Releases+st.Acquires); local > budget {
+			t.Errorf("depth %d: %d self-targeted ops through Ctx.do for %d tasks, %d releases, %d acquires (budget %d)",
+				depth, local, st.TasksExecuted, st.Releases, st.Acquires, budget)
+		}
+	}
+}
+
+// TestBusyOwnerNeverSleeps: a PE that is its own only worker yields after a
+// task but never enters the poll back-off (every 64th step of which
+// sleeps), so its back-off steps are bounded by its idle iterations. With
+// an executor the owner is the ring's feeder and keeps backing off per
+// task it runs itself.
+func TestBusyOwnerNeverSleeps(t *testing.T) {
+	st, _, pauses := runTree(t, 14, Config{Workers: 1})
+	if pauses > st.IdleIters {
+		t.Errorf("Workers=1: %d back-off steps over %d tasks with %d idle iterations", pauses, st.TasksExecuted, st.IdleIters)
+	}
+	st, _, pauses = runTree(t, 14, Config{Workers: 2})
+	if owner := st.Workers[0].TasksExecuted; owner == 0 || pauses < owner {
+		t.Errorf("Workers=2: %d back-off steps, want at least one per task the owner ran (%d)", pauses, owner)
+	}
+}
+
+// TestExecTimeSampled: the exec clock times one body in execSampleEvery
+// and Stats scales the sum up, so ExecTime still estimates the time spent
+// in task bodies; with a trace buffer attached every task is timed and has
+// its TaskExec event.
+func TestExecTimeSampled(t *testing.T) {
+	const tasks, spin = 16 * execSampleEvery, 10 * time.Microsecond
+	run := func(tr *trace.Set) (st stats.PE, sampled uint64) {
+		runWorld(t, 1, shmem.TransportLocal, func(c *shmem.Ctx) error {
+			reg := NewRegistry()
+			var left atomic.Int64
+			var h task.Handle
+			h = reg.MustRegister("spin", func(tc *TaskCtx, _ []byte) error {
+				for t0 := time.Now(); time.Since(t0) < spin; {
+				}
+				if left.Add(-1) > 0 {
+					return tc.Spawn(h, nil)
+				}
+				return nil
+			})
+			p, err := New(c, reg, Config{Trace: tr})
+			if err != nil {
+				return err
+			}
+			left.Store(tasks)
+			if err := p.Add(h, nil); err != nil {
+				return err
+			}
+			if err := p.Run(); err != nil {
+				return err
+			}
+			st, sampled = p.Stats(), p.exec.workers[0].execSampled
+			return nil
+		})
+		return st, sampled
+	}
+
+	// A sampled estimate is exact only in expectation: one descheduled
+	// sample is scaled up 64-fold, and on a box running the other packages'
+	// tests beside this one a 4 ms timeslice lands inside one of the timed
+	// bodies in a good share of attempts. Attempts are short (10 ms of
+	// spinning) and stop at the first clean one.
+	want := tasks * spin
+	var got time.Duration
+	for attempt := 0; attempt < 20; attempt++ {
+		st, sampled := run(nil)
+		if st.TasksExecuted != tasks || sampled != tasks/execSampleEvery {
+			t.Fatalf("executed %d tasks and timed %d, want %d and %d", st.TasksExecuted, sampled, tasks, tasks/execSampleEvery)
+		}
+		if got = st.ExecTime; got >= want && got <= want+want/4 {
+			break
+		}
+	}
+	if got < want || got > want+want/4 {
+		t.Errorf("ExecTime = %v for %d tasks spinning %v each, want within 25%% above %v", got, tasks, spin, want)
+	}
+
+	tr, err := trace.NewSet(1, 2*tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, sampled := run(tr)
+	if n := tr.CountByKind()[trace.TaskExec]; sampled != tasks || n != tasks {
+		t.Errorf("traced run timed %d of %d tasks and recorded %d TaskExec events", sampled, st.TasksExecuted, n)
+	}
+}
+
+// TestPerTaskWordsOwnTheirCacheLines pins the padding of the two small
+// heap objects a PE writes on every task. Go packs same-size objects into
+// one span, so unpadded, two PEs' guards (or worker counters) can share a
+// cache line — whether they do is decided by goroutine timing at
+// construction, which made whole runs of the same binary 20 % apart. A
+// 128-byte object is its own size class and 128-aligned; adding a field
+// without shrinking the pad would silently undo that.
+func TestPerTaskWordsOwnTheirCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(guardedQueue{}); n != 128 {
+		t.Errorf("guardedQueue is %d bytes, want 128: adjust its pad", n)
+	}
+	if n := unsafe.Sizeof(workerState{}); n != 128 {
+		t.Errorf("workerState is %d bytes, want 128: adjust its pad", n)
+	}
+}

@@ -185,6 +185,8 @@ func (c *Config) setDefaults() {
 
 // Func is a task body. It may spawn subtasks through the TaskCtx; per the
 // Scioto model it must run to completion without blocking on other tasks.
+// The payload is the runtime's buffer, valid for the duration of the call:
+// a body that keeps its input past its return copies it.
 type Func func(tc *TaskCtx, payload []byte) error
 
 // Registry maps task handles to functions. Registration order must be
@@ -303,35 +305,49 @@ type Pool struct {
 // wsq.OwnerGuard, turning any violation of the owner-serialization
 // contract (two goroutines inside owner ops at once) into an immediate
 // panic instead of silent queue corruption. Steal and the read-side
-// counters pass through.
+// counters pass through. The guard word is written twice per owner op, so
+// the struct is padded to two cache lines: unpadded, two PEs' guards can be
+// neighbours in one 24-byte allocation span and every push and pop of one
+// PE then takes the line from the other.
 type guardedQueue struct {
 	wsq.Queue
 	g wsq.OwnerGuard
+	_ [128 - 16 - 4]byte
 }
 
 func (q *guardedQueue) Push(d task.Desc) error {
-	defer q.g.Enter("Push")()
-	return q.Queue.Push(d)
+	q.g.Enter(wsq.OwnerPush)
+	err := q.Queue.Push(d)
+	q.g.Exit()
+	return err
 }
 
 func (q *guardedQueue) Pop() (task.Desc, bool, error) {
-	defer q.g.Enter("Pop")()
-	return q.Queue.Pop()
+	q.g.Enter(wsq.OwnerPop)
+	d, ok, err := q.Queue.Pop()
+	q.g.Exit()
+	return d, ok, err
 }
 
 func (q *guardedQueue) Release() (int, error) {
-	defer q.g.Enter("Release")()
-	return q.Queue.Release()
+	q.g.Enter(wsq.OwnerRelease)
+	n, err := q.Queue.Release()
+	q.g.Exit()
+	return n, err
 }
 
 func (q *guardedQueue) Acquire() (int, error) {
-	defer q.g.Enter("Acquire")()
-	return q.Queue.Acquire()
+	q.g.Enter(wsq.OwnerAcquire)
+	n, err := q.Queue.Acquire()
+	q.g.Exit()
+	return n, err
 }
 
 func (q *guardedQueue) Progress() error {
-	defer q.g.Enter("Progress")()
-	return q.Queue.Progress()
+	q.g.Enter(wsq.OwnerProgress)
+	err := q.Queue.Progress()
+	q.g.Exit()
+	return err
 }
 
 // poolLat groups the pool-level latency histograms: task execution,
@@ -356,6 +372,10 @@ type TaskCtx struct {
 
 // Rank returns the executing PE's rank.
 func (tc *TaskCtx) Rank() int { return tc.p.ctx.Rank() }
+
+// Worker returns the index of the executing worker within its PE (0 is the
+// owner), for task bodies that keep per-worker state.
+func (tc *TaskCtx) Worker() int { return tc.w.id }
 
 // JobSeq returns the sequence number of the job this task runs under
 // (1-based). Tasks of job N never observe any other value: the sequence
@@ -547,7 +567,12 @@ func (p *Pool) Stats() stats.PE {
 		w := stats.Worker{
 			PE: p.ctx.Rank(), ID: ws.id,
 			TasksExecuted: ws.executed.Load(), TasksSpawned: ws.spawned.Load(),
-			ExecTime: ws.execTime, IdleIters: ws.idleIters.Load(),
+			IdleIters: ws.idleIters.Load(),
+		}
+		if ws.execSampled > 0 {
+			// The exec clock is sampled (see execute): scale the timed
+			// bodies' sum up to every body this worker ran.
+			w.ExecTime = time.Duration(float64(ws.execTime) * float64(w.TasksExecuted) / float64(ws.execSampled))
 		}
 		st.TasksExecuted += w.TasksExecuted
 		st.TasksSpawned += w.TasksSpawned

@@ -406,7 +406,11 @@ func TestStatsBalance(t *testing.T) {
 // Tracing must capture the scheduling story of a run: executions on every
 // PE, successful steals, releases, and termination.
 func TestTracing(t *testing.T) {
-	tr, err := trace.NewSet(3, 4096)
+	// The rings keep the newest events, and a PE that idles while a peer is
+	// descheduled records every failed steal and its remote ops: size them
+	// so a loaded box cannot push the 2,047 executions out before
+	// termination.
+	tr, err := trace.NewSet(3, 1<<17)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,13 +227,24 @@ func (p *Pool) stepPublish(keep func(task.Desc) error) error {
 // stepRelease exposes work to thieves when the shared portion has run dry
 // (§3.1: release is invoked when the runtime discovers the imbalance).
 func (p *Pool) stepRelease() error {
-	t0 := time.Now()
+	// This step runs once per task on a busy PE, and almost never moves
+	// anything: read the clock only when the queue's own preconditions say
+	// a release is due. Release itself still runs every call — an elastic
+	// queue does its unspill/shrink maintenance there.
+	var t0 time.Time
+	if p.q.LocalCount() >= 2 && p.q.SharedAvail() == 0 {
+		t0 = time.Now()
+	}
 	released, err := p.q.Release()
 	if err != nil {
 		return err
 	}
 	if released > 0 {
-		p.lat.release.Record(p.cal.Since(t0))
+		// A thief can take the last shared task between the test above and
+		// Release's own; that release is counted but not timed.
+		if !t0.IsZero() {
+			p.lat.release.Record(p.cal.Since(t0))
+		}
 		p.st.Releases++
 		p.tr.Record(trace.Release, 0, int64(released))
 		p.recordEpochFlip(int64(released))
@@ -311,12 +322,13 @@ func (p *Pool) stepExecuteLocal() (bool, error) {
 		moved int
 		err   error
 	)
-	if ex := p.exec; len(ex.workers) > 1 {
+	executors := len(p.exec.workers) > 1
+	if executors {
 		// Does this PE have executors? Yes: local work reaches every
 		// worker, the owner included, through the ring.
 		moved, err = p.fillLocalTier()
 		if err == nil {
-			d, ok = ex.dq.TryPop()
+			d, ok = p.exec.dq.TryPop()
 		}
 	} else {
 		d, ok, err = p.q.Pop()
@@ -329,14 +341,25 @@ func (p *Pool) stepExecuteLocal() (bool, error) {
 	}
 	// One scheduling point per task keeps oversubscribed worlds fair:
 	// thieves get to run between a busy PE's tasks, which is what
-	// dedicated cores would give them.
-	p.ctx.Relax()
+	// dedicated cores would give them. A PE that is its own only worker
+	// just yields — it is busy, and a back-off sleep would idle its core
+	// per task. With executors the owner is their feeder, and backing off
+	// here is what keeps it from competing with them for the ring
+	// (DESIGN §4.18).
+	if executors {
+		p.ctx.Relax()
+	} else {
+		p.ctx.Yield()
+	}
 	return true, nil
 }
 
 // stepAcquire pulls shared work back once the local portion is empty,
 // reporting whether anything moved.
 func (p *Pool) stepAcquire() (bool, error) {
+	if p.q.LocalCount() != 0 {
+		return false, nil // Acquire applies to an empty local portion only
+	}
 	t0 := time.Now()
 	moved, err := p.q.Acquire()
 	if err != nil || moved == 0 {

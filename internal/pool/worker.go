@@ -26,6 +26,7 @@
 package pool
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
@@ -55,9 +56,16 @@ type workerState struct {
 	// idleIters counts loop passes that found nothing to run: scheduler
 	// iterations for the owner, empty ring polls for an executor.
 	idleIters atomic.Uint64
-	// execTime is written by this worker only and read by Stats between
-	// jobs, when executors are stopped (run's WaitGroup orders the two).
-	execTime time.Duration
+	// execTime sums the bodies this worker timed and execSampled counts
+	// them (see execute); both are written by this worker only and read by
+	// Stats between jobs, when executors are stopped (run's WaitGroup
+	// orders the two).
+	execTime    time.Duration
+	execSampled uint64
+	// Pad to two cache lines (72 -> 128 bytes): the counters above are
+	// bumped per task, and unpadded workerStates — another PE's, or this
+	// PE's executors' — are neighbours in one allocation span.
+	_ [56]byte
 }
 
 // stagedTask is executor output awaiting the owner: a spawn the ring had
@@ -223,20 +231,33 @@ func (p *Pool) sendRemote(pe int, d task.Desc) error {
 	return nil
 }
 
+// execSampleEvery is the exec clock's sampling period: a worker times one
+// task body in this many (two clock reads cost about as much as a UTS
+// node), and Stats scales the sampled sum back up. With a trace buffer
+// attached every task is timed, because every task gets a TaskExec event.
+const execSampleEvery = 64
+
 // execute runs one task on behalf of worker ws and counts it.
 func (p *Pool) execute(ws *workerState, d task.Desc) error {
 	fn, err := p.reg.fn(d.Handle)
 	if err != nil {
 		return err
 	}
-	t0 := time.Now()
+	timed := p.tr != nil || ws.executed.Load()%execSampleEvery == 0
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
 	if err := fn(&ws.tc, d.Payload); err != nil {
 		return fmt.Errorf("pool: task %d failed: %w", d.Handle, err)
 	}
-	el := p.cal.Since(t0)
-	ws.execTime += el
-	p.lat.exec.Record(el)
-	p.tr.Record(trace.TaskExec, int64(d.Handle), int64(el))
+	if timed {
+		el := p.cal.Since(t0)
+		ws.execTime += el
+		ws.execSampled++
+		p.lat.exec.Record(el)
+		p.tr.Record(trace.TaskExec, int64(d.Handle), int64(el))
+	}
 	// Executed counts only after the body returned — by then every child
 	// spawn is in some worker's spawned counter, so the owner's
 	// executed-before-spawned load order covers them.
@@ -367,6 +388,9 @@ func (p *Pool) fillLocalTier() (int, error) {
 		if !ok {
 			break
 		}
+		// The ring keeps the descriptor past the next Pop; Pop's payload
+		// buffer does not.
+		d.Payload = bytes.Clone(d.Payload)
 		if !ex.dq.TryPush(d) {
 			// Workers refilled the ring concurrently; put the task back.
 			if err := p.push(d); err != nil {

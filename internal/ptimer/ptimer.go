@@ -10,7 +10,10 @@
 // timer overhead from masquerading as protocol time.
 package ptimer
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // Calibration captures the measured cost of one Now/Since pair.
 type Calibration struct {
@@ -21,9 +24,13 @@ type Calibration struct {
 // calibrateSamples is the number of timer pairs measured by Calibrate.
 const calibrateSamples = 4096
 
-// Calibrate measures the monotonic-clock read overhead on this machine.
-// Call once per run (the paper calibrates per run, too).
-func Calibrate() Calibration {
+// Calibrate returns the monotonic-clock read overhead on this machine,
+// measured once per process (the paper calibrates per run; a process is a
+// run): every pool of every fleet shares the one measurement instead of
+// paying ~0.5 ms of set-up each.
+func Calibrate() Calibration { return calibrated() }
+
+var calibrated = sync.OnceValue(func() Calibration {
 	// Warm the path.
 	for i := 0; i < 64; i++ {
 		_ = time.Since(time.Now())
@@ -38,7 +45,7 @@ func Calibrate() Calibration {
 	// is noise at this sample count.
 	per := total / (calibrateSamples)
 	return Calibration{Overhead: per}
-}
+})
 
 // Since returns the calibrated elapsed time since start: the raw interval
 // minus the measured clock overhead, clamped at zero.

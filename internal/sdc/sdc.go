@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 
 	"sws/internal/ring"
 	"sws/internal/shmem"
@@ -92,6 +93,13 @@ type Queue struct {
 	recsAddr shmem.Addr // Capacity words: completion records, seq % cap
 	taskAddr shmem.Addr
 
+	// The same three objects in the owner's own heap, as memory (see
+	// shmem.Ctx.OwnWords): owner ops use sync/atomic on the words thieves
+	// also reach, and plain access on slots of the local portion.
+	meta  []uint64
+	recs  []uint64
+	slots []byte
+
 	// Owner-side logical positions. tail lives in the heap (thieves
 	// advance it under the lock); split is mirrored in the heap for
 	// thieves but only the owner writes it.
@@ -101,7 +109,7 @@ type Queue struct {
 
 	reclaimSeq uint64 // completion records consumed so far
 
-	scratch []byte
+	popBuf []byte // payload of the last popped task (see wsq.Queue.Pop)
 
 	// Owner/thief statistics.
 	lockContended uint64
@@ -126,11 +134,11 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 		return nil, err
 	}
 	q := &Queue{
-		ctx:     ctx,
-		opts:    opts,
-		codec:   codec,
-		ring:    rg,
-		scratch: make([]byte, codec.SlotSize()),
+		ctx:    ctx,
+		opts:   opts,
+		codec:  codec,
+		ring:   rg,
+		popBuf: make([]byte, codec.PayloadCap()),
 	}
 	if q.metaAddr, err = ctx.Alloc(numMeta * shmem.WordSize); err != nil {
 		return nil, err
@@ -139,6 +147,15 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 		return nil, err
 	}
 	if q.taskAddr, err = ctx.Alloc(opts.Capacity * codec.SlotSize()); err != nil {
+		return nil, err
+	}
+	if q.meta, err = ctx.OwnWords(q.metaAddr, numMeta); err != nil {
+		return nil, err
+	}
+	if q.recs, err = ctx.OwnWords(q.recsAddr, opts.Capacity); err != nil {
+		return nil, err
+	}
+	if q.slots, err = ctx.OwnBytes(q.taskAddr, opts.Capacity*codec.SlotSize()); err != nil {
 		return nil, err
 	}
 	return q, nil
@@ -152,26 +169,21 @@ func (q *Queue) recAddr(seq uint64) shmem.Addr {
 	return q.recsAddr + shmem.Addr(int(seq%uint64(q.opts.Capacity))*shmem.WordSize)
 }
 
-func (q *Queue) slotAddr(pos uint64) shmem.Addr {
-	return q.taskAddr + shmem.Addr(q.ring.Slot(pos)*q.codec.SlotSize())
+// slot returns the owner's own memory for the slot at a logical position.
+func (q *Queue) slot(pos uint64) []byte {
+	n := q.codec.SlotSize()
+	off := q.ring.Slot(pos) * n
+	return q.slots[off : off+n : off+n]
 }
 
-// loadTail reads the heap tail (a local atomic: the owner's own heap).
-func (q *Queue) loadTail() (uint64, error) {
-	return q.ctx.Load64(q.ctx.Rank(), q.metaWordAddr(tailWord))
-}
+// loadTail reads the heap tail (an atomic on the owner's own heap).
+func (q *Queue) loadTail() uint64 { return atomic.LoadUint64(&q.meta[tailWord]) }
 
 // LocalCount returns the number of tasks in the local portion.
 func (q *Queue) LocalCount() int { return ring.Distance(q.split, q.head) }
 
 // SharedAvail returns the owner's view of unclaimed shared tasks.
-func (q *Queue) SharedAvail() int {
-	tail, err := q.loadTail()
-	if err != nil {
-		return 0
-	}
-	return ring.Distance(tail, q.split)
-}
+func (q *Queue) SharedAvail() int { return ring.Distance(q.loadTail(), q.split) }
 
 func (q *Queue) free() int { return q.ring.Cap() - ring.Distance(q.rtail, q.head) }
 
@@ -186,10 +198,7 @@ func (q *Queue) Push(d task.Desc) error {
 			return ErrFull
 		}
 	}
-	if err := q.codec.Encode(q.scratch, d); err != nil {
-		return err
-	}
-	if err := q.ctx.Put(q.ctx.Rank(), q.slotAddr(q.head), q.scratch); err != nil {
+	if err := q.codec.Encode(q.slot(q.head), d); err != nil {
 		return err
 	}
 	q.head++
@@ -201,10 +210,7 @@ func (q *Queue) Pop() (task.Desc, bool, error) {
 	if q.head == q.split {
 		return task.Desc{}, false, nil
 	}
-	if err := q.ctx.Get(q.ctx.Rank(), q.slotAddr(q.head-1), q.scratch); err != nil {
-		return task.Desc{}, false, err
-	}
-	d, err := q.codec.Decode(q.scratch)
+	d, err := q.codec.DecodeTo(q.slot(q.head-1), q.popBuf)
 	if err != nil {
 		return task.Desc{}, false, err
 	}
@@ -223,9 +229,7 @@ func (q *Queue) Release() (int, error) {
 	}
 	moved := local / 2
 	q.split += uint64(moved)
-	if err := q.ctx.Store64(q.ctx.Rank(), q.metaWordAddr(splitWord), q.split); err != nil {
-		return 0, err
-	}
+	atomic.StoreUint64(&q.meta[splitWord], q.split)
 	return moved, nil
 }
 
@@ -236,26 +240,15 @@ func (q *Queue) Acquire() (int, error) {
 	if q.LocalCount() != 0 {
 		return 0, nil
 	}
-	if err := q.lockOwn(); err != nil {
-		return 0, err
-	}
-	tail, err := q.loadTail()
-	if err != nil {
-		q.unlockOwn()
-		return 0, err
-	}
-	avail := ring.Distance(tail, q.split)
+	q.lockOwn()
+	defer q.unlockOwn()
+	avail := ring.Distance(q.loadTail(), q.split)
 	if avail == 0 {
-		q.unlockOwn()
 		return 0, nil
 	}
 	moved := (avail + 1) / 2
 	q.split -= uint64(moved)
-	if err := q.ctx.Store64(q.ctx.Rank(), q.metaWordAddr(splitWord), q.split); err != nil {
-		q.unlockOwn()
-		return 0, err
-	}
-	q.unlockOwn()
+	atomic.StoreUint64(&q.meta[splitWord], q.split)
 	return moved, nil
 }
 
@@ -263,41 +256,26 @@ func (q *Queue) Acquire() (int, error) {
 // must yield between attempts: the holder is a remote thief mid-protocol,
 // and on hosts with fewer cores than PEs the thief needs the core to
 // finish its critical section and release the lock.
-func (q *Queue) lockOwn() error {
+func (q *Queue) lockOwn() {
 	me := uint64(q.ctx.Rank() + 1)
-	for {
-		got, err := q.ctx.CompareSwap64(q.ctx.Rank(), q.metaWordAddr(lockWord), 0, me)
-		if err != nil {
-			return err
-		}
-		if got == 0 {
-			return nil
-		}
+	for !atomic.CompareAndSwapUint64(&q.meta[lockWord], 0, me) {
 		runtime.Gosched()
 	}
 }
 
-func (q *Queue) unlockOwn() {
-	// A failed unlock of our own heap cannot happen (address is valid).
-	_ = q.ctx.Store64(q.ctx.Rank(), q.metaWordAddr(lockWord), 0)
-}
+func (q *Queue) unlockOwn() { atomic.StoreUint64(&q.meta[lockWord], 0) }
 
 // Progress consumes completion records in claim order and reclaims buffer
 // space past fully acknowledged steals (the deferred-copy bookkeeping,
 // §3.1). Local-only.
 func (q *Queue) Progress() error {
 	for {
-		addr := q.recAddr(q.reclaimSeq)
-		v, err := q.ctx.Load64(q.ctx.Rank(), addr)
-		if err != nil {
-			return err
-		}
+		rec := &q.recs[q.reclaimSeq%uint64(q.opts.Capacity)]
+		v := atomic.LoadUint64(rec)
 		if v == 0 {
 			return nil // oldest steal not yet acknowledged
 		}
-		if err := q.ctx.Store64(q.ctx.Rank(), addr, 0); err != nil {
-			return err
-		}
+		atomic.StoreUint64(rec, 0)
 		q.rtail += v
 		q.reclaimSeq++
 		if q.rtail > q.split {

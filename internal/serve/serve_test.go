@@ -541,3 +541,50 @@ func TestServeStartsWithParkedReserve(t *testing.T) {
 		t.Fatalf("job after growing into reserve: %+v", st)
 	}
 }
+
+// Terminal job records are retained in constant number: a daemon that has
+// run 3x retainTerminal jobs through the gateway holds at most
+// retainTerminal of them (with their workloads released), still answers
+// for the newest ids, and answers 404 for an evicted one exactly as for an
+// id that never existed.
+func TestServeTerminalRecordsBounded(t *testing.T) {
+	s := newTestService(t, nil)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	c := &Client{Base: srv.URL, HTTP: srv.Client()}
+	ctx := context.Background()
+
+	const jobs = 3 * retainTerminal
+	ids := make([]string, 0, jobs)
+	for i := 0; i < jobs; i++ {
+		st, err := c.Submit(ctx, graphSpec("default", 1, 1))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if st, err = c.Await(ctx, st.ID); err != nil || st.State != StateDone {
+			t.Fatalf("job %d: %+v, %v", i, st, err)
+		}
+		ids = append(ids, st.ID)
+	}
+
+	s.mu.Lock()
+	held := len(s.jobs)
+	for id, js := range s.jobs {
+		if js.work != nil {
+			t.Errorf("terminal job %s still holds its workload", id)
+		}
+	}
+	s.mu.Unlock()
+	if held != retainTerminal {
+		t.Errorf("service holds %d job records after %d jobs, want %d", held, jobs, retainTerminal)
+	}
+	for _, id := range ids[jobs-retainTerminal:] {
+		if st, err := c.Status(ctx, id, 0); err != nil || st.State != StateDone {
+			t.Fatalf("retained job %s: %+v, %v", id, st, err)
+		}
+	}
+	var apiErr *APIError
+	if _, err := c.Status(ctx, ids[jobs-retainTerminal-1], 0); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
+		t.Errorf("evicted job %s: %v, want 404", ids[jobs-retainTerminal-1], err)
+	}
+}

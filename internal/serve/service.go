@@ -117,11 +117,16 @@ type tenantState struct {
 	submitted uint64
 }
 
+// retainTerminal is how many finished jobs stay answerable by id. A daemon
+// runs jobs for its whole life, so terminal records must not accumulate:
+// older ids answer "not found", exactly like ids that never existed.
+const retainTerminal = 1024
+
 // jobState is the service-side record of one job.
 type jobState struct {
 	id    string
 	spec  JobSpec
-	work  *activeWork
+	work  *activeWork // nil once terminal
 	state string
 
 	errMsg                       string
@@ -174,9 +179,14 @@ type Service struct {
 	// Latency histograms (lock-free; the metrics source snapshots them).
 	queueHist, runHist, e2eHist obs.Hist
 
-	mu       sync.Mutex
-	cond     *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// jobs holds every queued and running job plus the last retainTerminal
+	// terminal ones; retired is the ring of terminal ids in the order they
+	// finished (see retireLocked).
 	jobs     map[string]*jobState
+	retired  [retainTerminal]string
+	nRetired uint64
 	tenants  map[string]*tenantState
 	ring     []string // round-robin rotation of tenants with queued jobs
 	inflight int
@@ -424,7 +434,24 @@ func (s *Service) Wait(id string, timeout time.Duration) (JobStatus, bool) {
 		case <-t.C:
 		}
 	}
-	return s.Status(id)
+	// Answer from the record in hand: a job that finished while we waited
+	// may already have been evicted from the map.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return js.statusLocked(), true
+}
+
+// retireLocked is the one terminal transition: it releases the job's
+// workload, wakes its waiters and files the record in the retention ring,
+// evicting the record that finished retainTerminal jobs ago. Caller holds
+// s.mu and has set the terminal state.
+func (s *Service) retireLocked(js *jobState) {
+	js.work = nil
+	close(js.done)
+	slot := &s.retired[s.nRetired%retainTerminal]
+	delete(s.jobs, *slot)
+	*slot = js.id
+	s.nRetired++
 }
 
 // statusLocked snapshots the job under s.mu.
@@ -515,7 +542,7 @@ func (s *Service) expireLocked(js *jobState, now time.Time) {
 	s.rejected[ReasonDeadline]++
 	s.completed["expired"]++
 	s.queueHist.Record(now.Sub(js.submitted))
-	close(js.done)
+	s.retireLocked(js)
 }
 
 // runJob executes one job as a fleet epoch and finalizes its record.
@@ -561,7 +588,7 @@ func (s *Service) runJob(js *jobState) {
 		s.completed["ok"]++
 		s.tasksTotal += tot.TasksExecuted
 	}
-	close(js.done)
+	s.retireLocked(js)
 }
 
 // seedFor returns the Job.Seed injecting w's root task on rank 0.
@@ -592,7 +619,7 @@ func (s *Service) failQueuedLocked(err error) {
 			js.finished = time.Now()
 			s.inflight--
 			s.completed["failed"]++
-			close(js.done)
+			s.retireLocked(js)
 		}
 		ten.queue = nil
 	}

@@ -81,53 +81,32 @@ func Ops() []Op {
 // memory accesses and do not represent network traffic, which is what
 // Figure 2 of the paper audits.
 //
-// Alongside the counts, Counters holds per-op latency histograms keyed by
-// Op and local-vs-remote target (§5.3 of the paper attributes time, not
-// just counts, to the steal protocol's communications). Recording is a
-// single atomic bucket increment — no mutex on the hot path — so the
-// histograms are safe to scrape live while the PE runs.
+// Alongside the counts, Counters holds one latency histogram per remote Op
+// (§5.3 of the paper attributes time, not just counts, to the steal
+// protocol's communications). A PE's operations on its own heap are plain
+// memory accesses and are not timed. Recording is a single atomic bucket
+// increment — no mutex on the hot path — so the histograms are safe to
+// scrape live while the PE runs.
 type Counters struct {
 	ops      [numOps]atomic.Uint64
 	bytesPut atomic.Uint64
 	bytesGot atomic.Uint64
 	local    atomic.Uint64
 
-	lat [numOps][2]obs.Hist // [0] = local (self-targeted), [1] = remote
+	lat [numOps]obs.Hist
 }
 
-// latTargets names the two latency keys; index matches the lat array.
-var latTargets = [2]string{"local", "remote"}
-
-// recordLat adds one latency sample for op against a local or remote
-// target.
-func (c *Counters) recordLat(op Op, remote bool, d time.Duration) {
-	i := 0
-	if remote {
-		i = 1
-	}
-	c.lat[op][i].Record(d)
-}
-
-// Latency returns the current latency distribution for one op/target.
-func (c *Counters) Latency(op Op, remote bool) obs.HistSnap {
-	i := 0
-	if remote {
-		i = 1
-	}
-	return c.lat[op][i].Snapshot()
-}
+// recordLat adds one latency sample for a remote op.
+func (c *Counters) recordLat(op Op, d time.Duration) { c.lat[op].Record(d) }
 
 // LatencySnapshots returns the non-empty per-op latency distributions,
-// keyed "<op>/<local|remote>" (e.g. "fetch-add/remote"). Safe to call
-// while the PE is running.
+// keyed "<op>/remote" (e.g. "fetch-add/remote"). Safe to call while the PE
+// is running.
 func (c *Counters) LatencySnapshots() map[string]obs.HistSnap {
 	out := make(map[string]obs.HistSnap)
 	for op := Op(0); op < numOps; op++ {
-		for i := range c.lat[op] {
-			s := c.lat[op][i].Snapshot()
-			if !s.Empty() {
-				out[op.String()+"/"+latTargets[i]] = s
-			}
+		if s := c.lat[op].Snapshot(); !s.Empty() {
+			out[op.String()+"/remote"] = s
 		}
 	}
 	return out

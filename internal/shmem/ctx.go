@@ -22,8 +22,8 @@ type Ctx struct {
 	counters Counters
 
 	// rec enables per-op latency histograms (two monotonic clock reads
-	// per blocking operation): on wherever ops take wall-clock time, off
-	// under the sim, where a wall-clock op latency means nothing.
+	// per blocking remote operation): on wherever ops take wall-clock time,
+	// off under the sim, where a wall-clock op latency means nothing.
 	rec bool
 	// tr, when attached, receives a trace.CommOp event per blocking
 	// remote operation (the runtime attaches its per-PE buffer).
@@ -93,17 +93,15 @@ func (c *Ctx) latStart() time.Time {
 	return time.Now()
 }
 
-// latEnd records one operation's latency sample, and — for remote ops
-// with a trace attached — a comm-op timeline event.
-func (c *Ctx) latEnd(op Op, remote bool, t0 time.Time) {
+// latEnd records one remote operation's latency sample and, with a trace
+// attached, a comm-op timeline event.
+func (c *Ctx) latEnd(op Op, t0 time.Time) {
 	if !c.rec {
 		return
 	}
 	d := time.Since(t0)
-	c.counters.recordLat(op, remote, d)
-	if remote {
-		c.tr.Record(trace.CommOp, int64(op), int64(d))
-	}
+	c.counters.recordLat(op, d)
+	c.tr.Record(trace.CommOp, int64(op), int64(d))
 }
 
 // latEndSpan is latEnd for a span-tagged remote operation: besides the
@@ -113,7 +111,7 @@ func (c *Ctx) latEnd(op Op, remote bool, t0 time.Time) {
 // sub-ops.
 func (c *Ctx) latEndSpan(op Op, t0 time.Time, span uint64) {
 	if span == 0 {
-		c.latEnd(op, true, t0)
+		c.latEnd(op, t0)
 		return
 	}
 	// One clock read serves both the latency sample and the journal
@@ -123,7 +121,7 @@ func (c *Ctx) latEndSpan(op Op, t0 time.Time, span uint64) {
 	if c.rec {
 		end = time.Now()
 		d = end.Sub(t0)
-		c.counters.recordLat(op, true, d)
+		c.counters.recordLat(op, d)
 	}
 	c.tr.RecordSpan(trace.CommOp, int64(op), int64(d), span)
 	c.w.flight.PE(c.rank).RecordTime(end, trace.CommOp, int64(op), int64(d), span)
@@ -300,6 +298,31 @@ func (c *Ctx) MustAlloc(n int) Addr {
 	return a
 }
 
+// OwnWords returns the n words at addr of this PE's OWN heap as ordinary
+// memory (as under OpenSHMEM), bounds-checked here once: an owner-side
+// fast path holds the window and uses sync/atomic on its words directly —
+// no descriptor, no counter, no clock. Peers reach the same words through
+// one-sided ops, so a word a peer may touch concurrently needs atomics.
+func (c *Ctx) OwnWords(addr Addr, n int) ([]uint64, error) {
+	if addr%WordSize != 0 {
+		return nil, fmt.Errorf("shmem: unaligned own-heap window at %#x", uint64(addr))
+	}
+	if err := c.self.checkRange(addr, n*WordSize); err != nil {
+		return nil, err
+	}
+	return c.self.words[addr/WordSize:][:n:n], nil
+}
+
+// OwnBytes is OwnWords for a byte range: plain access is safe only where
+// the protocol orders it against peers' transfers (a queue slot outside
+// any advertised block, an inbox slot handed over by its turn word).
+func (c *Ctx) OwnBytes(addr Addr, n int) ([]byte, error) {
+	if err := c.self.checkRange(addr, n); err != nil {
+		return nil, err
+	}
+	return c.self.bytes[addr:][:n:n], nil
+}
+
 // Barrier synchronizes all PEs. It also completes this PE's outstanding
 // non-blocking operations first (OpenSHMEM's barrier_all implies quiet).
 func (c *Ctx) Barrier() error {
@@ -324,26 +347,38 @@ func (c *Ctx) Quiet() error { return c.w.transport.quiet(c.rank) }
 // loop without it would stall virtual time forever.
 func (c *Ctx) Relax() { c.w.transport.relax(c.rank) }
 
+// Yield is the scheduling point of a PE that just made progress (ran a
+// task): it cedes the processor so an oversubscribed world stays fair, but
+// unlike Relax never backs off into a sleep — the caller is busy, not
+// polling. Under TransportSim it is the same lockstep hand-back as Relax.
+func (c *Ctx) Yield() {
+	if c.w.sim != nil {
+		c.w.sim.relax(c.rank)
+		return
+	}
+	yield()
+}
+
+// Pauses counts this PE's poll back-off steps, every 64th of which slept.
+func (c *Ctx) Pauses() uint64 { return c.self.pauses.Load() }
+
 // --- One-sided operations ---------------------------------------------------
 
 // do is the one front-end of every one-sided operation: the liveness
 // gate, the communication counters, the latency sample and span-tagged
 // journal entry, and the self-target short-circuit (a PE's operations on
-// its own heap are plain memory operations and never reach the
-// transport). r.from is filled in here. The descriptor comes in by
+// its own heap are plain memory operations: they never reach the
+// transport and are counted but not timed). r.from is filled in here. The descriptor comes in by
 // pointer (to the wrapper's stack temporary, which does not escape) and
 // is copied exactly once, where it crosses the transport interface.
 func (c *Ctx) do(r *opReq) (uint64, []byte, error) {
 	r.from = c.rank
 	if r.to == c.rank {
-		r.op = r.op.completed()
-		t0 := c.latStart()
 		val, data, err := c.w.apply(c.self, r, nil)
 		if err != nil {
 			return 0, nil, err
 		}
 		c.counters.countLocal()
-		c.latEnd(r.op, false, t0)
 		return val, data, nil
 	}
 	if err := c.peerCheck(r.op, r.to); err != nil {

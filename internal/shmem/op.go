@@ -40,21 +40,6 @@ func (o Op) bulk() bool {
 	return false
 }
 
-// completed maps a non-blocking op to the blocking op it is once it has
-// completed. A self-targeted injection completes immediately, so Ctx runs
-// (and counts) it as this op.
-func (o Op) completed() Op {
-	switch o {
-	case OpStoreNBI:
-		return OpStore
-	case OpAddNBI:
-		return OpFetchAdd
-	case OpPutNBI:
-		return OpPut
-	}
-	return o
-}
-
 // redeliverable reports whether a Duplicate fault verdict re-applies the
 // op: stores and injected puts — the deliveries a fabric may retransmit
 // after a lost ack. Atomics are acknowledged with their fetch and never

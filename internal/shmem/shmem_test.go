@@ -2,6 +2,7 @@ package shmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -395,6 +396,64 @@ func TestRunRecoversPanic(t *testing.T) {
 	if err == nil {
 		t.Fatal("Run swallowed a PE panic")
 	}
+}
+
+// A PE's own heap is memory: the window OwnWords/OwnBytes hand out is the
+// same storage peers reach with one-sided ops, on every transport, and it
+// is bounds- and alignment-checked once, where it is taken.
+func TestOwnHeapWindow(t *testing.T) {
+	transports(t, func(t *testing.T, kind TransportKind) {
+		run(t, Config{NumPEs: 2, HeapBytes: 1024, Transport: kind}, func(c *Ctx) error {
+			addr, err := c.Alloc(4 * WordSize)
+			if err != nil {
+				return err
+			}
+			words, err := c.OwnWords(addr, 4)
+			if err != nil {
+				return err
+			}
+			window, err := c.OwnBytes(addr, 4*WordSize)
+			if err != nil {
+				return err
+			}
+			peer := 1 - c.Rank()
+			atomic.StoreUint64(&words[0], uint64(100+c.Rank()))
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			// The peer reads what this PE stored in place, and stores back.
+			if v, err := c.Load64(peer, addr); err != nil || v != uint64(100+peer) {
+				return fmt.Errorf("peer word = %d, %v; want %d", v, err, 100+peer)
+			}
+			if err := c.Store64(peer, addr+WordSize, uint64(200+c.Rank())); err != nil {
+				return err
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if v := atomic.LoadUint64(&words[1]); v != uint64(200+peer) {
+				return fmt.Errorf("own word after peer store = %d, want %d", v, 200+peer)
+			}
+			if got := binary.NativeEndian.Uint64(window[WordSize:]); got != uint64(200+peer) {
+				return fmt.Errorf("byte window sees %d, want %d", got, 200+peer)
+			}
+			before := c.Counters().Snapshot()
+			atomic.AddUint64(&words[2], 1)
+			if d := c.Counters().Snapshot().Sub(before); d.Local != 0 || d.Total() != 0 {
+				return fmt.Errorf("window access was counted as an op: %+v", d)
+			}
+			if _, err := c.OwnWords(addr+4, 1); err == nil {
+				return fmt.Errorf("unaligned window accepted")
+			}
+			if _, err := c.OwnWords(1024-WordSize, 2); err == nil {
+				return fmt.Errorf("out-of-bounds word window accepted")
+			}
+			if _, err := c.OwnBytes(1000, 25); err == nil {
+				return fmt.Errorf("out-of-bounds byte window accepted")
+			}
+			return c.Barrier()
+		})
+	})
 }
 
 func TestCounters(t *testing.T) {

@@ -79,7 +79,10 @@ type PE struct {
 	// is time spent in failed attempts (the paper's split).
 	StealTime  time.Duration
 	SearchTime time.Duration
-	ExecTime   time.Duration
+	// ExecTime estimates the time spent in task bodies: the pool times one
+	// body in 64 per worker (every body when tracing) and scales the sum
+	// by executed/timed.
+	ExecTime time.Duration
 
 	// IdleIters counts scheduler iterations that found nothing to do —
 	// no local work, no acquirable shared work, no stealable victim — and

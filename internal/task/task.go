@@ -77,7 +77,12 @@ func (c Codec) Encode(dst []byte, d Desc) error {
 // Decode reads a descriptor from src, which must be at least SlotSize
 // bytes. The returned payload is a copy: descriptors outlive their slots
 // (the slot may be reclaimed and overwritten while the task runs).
-func (c Codec) Decode(src []byte) (Desc, error) {
+func (c Codec) Decode(src []byte) (Desc, error) { return c.DecodeTo(src, nil) }
+
+// DecodeTo is Decode with the payload copied into buf, which must hold
+// PayloadCap bytes, instead of a fresh allocation (nil buf allocates): for
+// a consumer that is done with one descriptor before it decodes the next.
+func (c Codec) DecodeTo(src, buf []byte) (Desc, error) {
 	if len(src) < c.SlotSize() {
 		return Desc{}, fmt.Errorf("task: source %d bytes, need %d", len(src), c.SlotSize())
 	}
@@ -86,9 +91,13 @@ func (c Codec) Decode(src []byte) (Desc, error) {
 	if n > c.payloadCap {
 		return Desc{}, fmt.Errorf("task: corrupt slot: payload length %d exceeds capacity %d", n, c.payloadCap)
 	}
-	payload := make([]byte, n)
-	copy(payload, src[headerSize:headerSize+n])
-	return Desc{Handle: h, Payload: payload}, nil
+	if buf == nil {
+		buf = make([]byte, n)
+	} else if n > len(buf) {
+		return Desc{}, fmt.Errorf("task: payload buffer %d bytes, need %d", len(buf), n)
+	}
+	copy(buf, src[headerSize:headerSize+n])
+	return Desc{Handle: h, Payload: buf[:n]}, nil
 }
 
 // Args packs small unsigned integer arguments into a payload, a

@@ -32,6 +32,7 @@ package term
 import (
 	"encoding/binary"
 	"errors"
+	"sync/atomic"
 
 	"sws/internal/shmem"
 )
@@ -43,6 +44,10 @@ type Detector struct {
 	countersAddr shmem.Addr // 2 words: spawned, executed
 	flagAddr     shmem.Addr // 1 word: see flag encoding below
 	activityAddr shmem.Addr // 1 word: degraded-mode activity beacon
+
+	// own is this PE's copy of those four words, as memory: publishing a
+	// count is one atomic store, twice per task (shmem.Ctx.OwnWords).
+	own []uint64
 
 	spawned  uint64
 	executed uint64
@@ -77,6 +82,15 @@ type Detector struct {
 	Lost     uint64
 }
 
+// The detector's symmetric words, as indices into Detector.own.
+const (
+	ownSpawned = iota
+	ownExecuted
+	ownFlag
+	ownActivity
+	numOwn
+)
+
 // Termination-flag encoding: 0 = running; otherwise bit 0 set and the
 // upper bits carry the lost-task count ((lost << 1) | 1). The fault-free
 // broadcast writes 1, i.e. lost = 0, so the encodings coincide.
@@ -85,14 +99,14 @@ type Detector struct {
 // same point in its allocation sequence.
 func New(ctx *shmem.Ctx) (*Detector, error) {
 	d := &Detector{ctx: ctx, lastClean: ^uint64(0)}
-	var err error
-	if d.countersAddr, err = ctx.Alloc(2 * shmem.WordSize); err != nil {
+	base, err := ctx.Alloc(numOwn * shmem.WordSize)
+	if err != nil {
 		return nil, err
 	}
-	if d.flagAddr, err = ctx.Alloc(shmem.WordSize); err != nil {
-		return nil, err
-	}
-	if d.activityAddr, err = ctx.Alloc(shmem.WordSize); err != nil {
+	d.countersAddr = base + ownSpawned*shmem.WordSize
+	d.flagAddr = base + ownFlag*shmem.WordSize
+	d.activityAddr = base + ownActivity*shmem.WordSize
+	if d.own, err = ctx.OwnWords(base, numOwn); err != nil {
 		return nil, err
 	}
 	d.lastKnown = make([][2]uint64, ctx.NumPEs())
@@ -116,19 +130,22 @@ func (d *Detector) StartJob() error {
 	d.prevVec = d.prevVec[:0]
 	d.curVec = d.curVec[:0]
 	d.Probes = 0
-	return d.ctx.Store64(d.ctx.Rank(), d.flagAddr, 0)
+	atomic.StoreUint64(&d.own[ownFlag], 0)
+	return nil
 }
 
 // TaskSpawned records n newly created tasks and publishes the counter.
 func (d *Detector) TaskSpawned(n int) error {
 	d.spawned += uint64(n)
-	return d.ctx.Store64(d.ctx.Rank(), d.countersAddr, d.spawned)
+	atomic.StoreUint64(&d.own[ownSpawned], d.spawned)
+	return nil
 }
 
 // TaskExecuted records n completed tasks and publishes the counter.
 func (d *Detector) TaskExecuted(n int) error {
 	d.executed += uint64(n)
-	return d.ctx.Store64(d.ctx.Rank(), d.countersAddr+shmem.WordSize, d.executed)
+	atomic.StoreUint64(&d.own[ownExecuted], d.executed)
+	return nil
 }
 
 // Counts returns this PE's local view of its own counters.
@@ -175,7 +192,7 @@ func (d *Detector) Publish(spawned, executed int) error {
 func (d *Detector) NoteActivity() error {
 	d.activity++
 	if lv := d.ctx.Liveness(); lv != nil && lv.AnyDead() {
-		return d.ctx.Store64(d.ctx.Rank(), d.activityAddr, d.activity)
+		atomic.StoreUint64(&d.own[ownActivity], d.activity)
 	}
 	return nil
 }
@@ -206,15 +223,7 @@ func (d *Detector) Check() (bool, error) {
 		epoch = lv.MemberEpoch()
 	}
 	if d.ctx.Rank() != leader {
-		v, err := d.ctx.Load64(d.ctx.Rank(), d.flagAddr)
-		if err != nil {
-			return false, err
-		}
-		if v != 0 {
-			d.done = true
-			d.Lost = v >> 1
-		}
-		return d.done, nil
+		return d.flagSet(), nil
 	}
 
 	d.Probes++
@@ -281,6 +290,16 @@ func (d *Detector) Check() (bool, error) {
 	return true, nil
 }
 
+// flagSet polls this PE's own termination flag, adopting the leader's
+// verdict once it has landed.
+func (d *Detector) flagSet() bool {
+	if v := atomic.LoadUint64(&d.own[ownFlag]); v != 0 {
+		d.done = true
+		d.Lost = v >> 1
+	}
+	return d.done
+}
+
 // transientPeerErr reports whether a detection-pass error means "membership
 // just changed under us" rather than "the run is broken": the probed peer
 // died (or stopped answering) between the liveness snapshot and the read.
@@ -312,17 +331,9 @@ func (d *Detector) checkDegraded(lv *shmem.Liveness) (bool, error) {
 	d.Degraded = true
 	// Publish our own quiescence evidence before probing: a PE inside
 	// Check has, by definition, nothing runnable right now.
-	if err := d.ctx.Store64(d.ctx.Rank(), d.activityAddr, d.activity); err != nil {
-		return false, err
-	}
+	atomic.StoreUint64(&d.own[ownActivity], d.activity)
 	// The flag may already carry a verdict from the leader.
-	v, err := d.ctx.Load64(d.ctx.Rank(), d.flagAddr)
-	if err != nil {
-		return false, err
-	}
-	if v != 0 {
-		d.done = true
-		d.Lost = v >> 1
+	if d.flagSet() {
 		return true, nil
 	}
 	d.liveBuf = lv.LiveRanks(d.liveBuf[:0])

@@ -13,8 +13,8 @@ import (
 // Workload wires a UTS tree into a task pool. Each task is one tree node:
 // executing it samples the child count from the node's digest and spawns
 // one task per child — the recursive expression of parallelism from the
-// paper's execution model (§2.1). Counters are process-local atomics
-// (every PE in a local-transport world shares them; under a multi-process
+// paper's execution model (§2.1). Counters are process-local (every PE in
+// a local-transport world shares the Workload; under a multi-process
 // deployment each process reports its own share).
 type Workload struct {
 	Params Params
@@ -32,8 +32,23 @@ type Workload struct {
 	handle     atomic.Uint32
 	registered atomic.Bool
 
-	nodes  atomic.Uint64
-	leaves atomic.Uint64
+	// counts is striped by worker: every task bumps a counter, and one
+	// shared pair would bounce its cache line — and Params and handle with
+	// it, hence the pad — between the cores at the task rate.
+	_      [64]byte
+	counts [countStripes]countStripe
+}
+
+const countStripes = 16
+
+// countStripe is one worker's node and leaf counts, alone on a cache line.
+type countStripe struct {
+	nodes, leaves atomic.Uint64
+	_             [48]byte
+}
+
+func (w *Workload) stripe(tc *pool.TaskCtx) *countStripe {
+	return &w.counts[(tc.Worker()*tc.NumPEs()+tc.Rank())%countStripes]
 }
 
 // NewWorkload validates the parameters and returns a workload.
@@ -75,7 +90,8 @@ func (w *Workload) runNode(tc *pool.TaskCtx, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	w.nodes.Add(1)
+	c := w.stripe(tc)
+	c.nodes.Add(1)
 	if w.NodeWork > 0 {
 		start := time.Now()
 		for time.Since(start) < w.NodeWork {
@@ -84,7 +100,7 @@ func (w *Workload) runNode(tc *pool.TaskCtx, payload []byte) error {
 	}
 	kids := w.Params.NumChildren(n)
 	if kids == 0 {
-		w.leaves.Add(1)
+		c.leaves.Add(1)
 		return nil
 	}
 	h := task.Handle(w.handle.Load())
@@ -114,7 +130,17 @@ func (w *Workload) RunNode(tc *pool.TaskCtx, payload []byte) error {
 }
 
 // Nodes returns the number of nodes this process has executed.
-func (w *Workload) Nodes() uint64 { return w.nodes.Load() }
+func (w *Workload) Nodes() (n uint64) {
+	for i := range w.counts {
+		n += w.counts[i].nodes.Load()
+	}
+	return n
+}
 
 // Leaves returns the number of leaves this process has executed.
-func (w *Workload) Leaves() uint64 { return w.leaves.Load() }
+func (w *Workload) Leaves() (n uint64) {
+	for i := range w.counts {
+		n += w.counts[i].leaves.Load()
+	}
+	return n
+}

@@ -73,7 +73,10 @@ type Queue interface {
 	Push(d task.Desc) error
 	// Pop dequeues the newest task from the local portion (LIFO). It
 	// returns ok=false when the local portion is empty — callers then
-	// Acquire or steal.
+	// Acquire or steal. The payload is valid until the next Pop: the
+	// queue decodes into one reused buffer so the owner's pop → execute
+	// cycle allocates nothing; a caller that keeps the descriptor longer
+	// (parks it in another queue) copies the payload.
 	Pop() (d task.Desc, ok bool, err error)
 	// Release moves roughly half of the local tasks to the shared
 	// portion. It reports the number of tasks exposed (0 if the shared
@@ -105,34 +108,57 @@ type Elastic interface {
 	SpillDepth() int
 }
 
+// OwnerOp names an owner method for OwnerGuard. The zero value means "no
+// owner op in flight".
+type OwnerOp uint32
+
+const (
+	OwnerPush OwnerOp = iota + 1
+	OwnerPop
+	OwnerRelease
+	OwnerAcquire
+	OwnerProgress
+)
+
+var ownerOpNames = [...]string{"none", "Push", "Pop", "Release", "Acquire", "Progress"}
+
+func (o OwnerOp) String() string {
+	if int(o) < len(ownerOpNames) {
+		return ownerOpNames[o]
+	}
+	return fmt.Sprintf("OwnerOp(%d)", uint32(o))
+}
+
 // OwnerGuard detects violations of the owner-serialization contract: two
-// goroutines concurrently inside owner methods of the same queue. Wrap
-// each owner op in Enter:
+// goroutines concurrently inside owner methods of the same queue. Bracket
+// each owner op:
 //
-//	defer guard.Enter("Push")()
+//	guard.Enter(wsq.OwnerPush)
+//	err := q.Push(d)
+//	guard.Exit()
 //
 // A violation panics with both op names — a scheduler bug, never a
 // recoverable condition, since an interleaved owner op can corrupt the
-// queue's owner-private state silently. The cost when uncontended is one
-// CAS and one store per op. The zero value is ready to use.
+// queue's owner-private state silently. The guard is one word holding the
+// op in flight, so an uncontended bracket is one CAS and one store: no
+// closure, no allocation, no pointer for the garbage collector to track —
+// it sits on the per-task path. An owner op that panics leaves the guard
+// held, which only ever turns one bug report into two. The zero value is
+// ready to use.
 type OwnerGuard struct {
-	// cur is nil when no owner op is in flight; otherwise it names the op.
-	cur atomic.Pointer[string]
+	cur atomic.Uint32
 }
 
-// Enter marks the calling goroutine as the active owner and returns the
-// function that releases the guard; it panics if another owner op is
-// already in flight.
-func (g *OwnerGuard) Enter(op string) func() {
-	if !g.cur.CompareAndSwap(nil, &op) {
-		other := "unknown"
-		if p := g.cur.Load(); p != nil {
-			other = *p
-		}
-		panic(fmt.Sprintf("wsq: owner-serialization violated: %s raced with %s (multi-worker PEs must route owner ops through the owner worker)", op, other))
+// Enter marks the calling goroutine as the active owner; it panics if
+// another owner op is already in flight.
+func (g *OwnerGuard) Enter(op OwnerOp) {
+	if !g.cur.CompareAndSwap(0, uint32(op)) {
+		panic(fmt.Sprintf("wsq: owner-serialization violated: %v raced with %v (multi-worker PEs must route owner ops through the owner worker)", op, OwnerOp(g.cur.Load())))
 	}
-	return func() { g.cur.Store(nil) }
 }
+
+// Exit releases the guard taken by Enter.
+func (g *OwnerGuard) Exit() { g.cur.Store(0) }
 
 // Policy selects the volume a steal claims from a shared block. The
 // paper uses steal-half throughout ("work stealing systems have been shown

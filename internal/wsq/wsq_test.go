@@ -1,6 +1,8 @@
 package wsq
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -124,4 +126,24 @@ func TestOutcomeString(t *testing.T) {
 	if Outcome(99).String() == "" {
 		t.Error("unknown outcome has empty string")
 	}
+}
+
+// The guard brackets owner ops: nesting one inside another (what a second
+// goroutine entering concurrently looks like) panics naming both ops, and
+// a released guard admits the next op.
+func TestOwnerGuardViolationNamesBothOps(t *testing.T) {
+	var g OwnerGuard
+	g.Enter(OwnerPush)
+	g.Exit()
+	g.Enter(OwnerRelease)
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{"owner-serialization violated", "Pop raced with Release"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("violation panic %q does not contain %q", msg, want)
+			}
+		}
+	}()
+	g.Enter(OwnerPop)
+	t.Error("second Enter did not panic")
 }
