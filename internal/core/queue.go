@@ -266,7 +266,7 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 		policy:    opts.Policy,
 		emptyMode: make([]bool, ctx.NumPEs()),
 		scratch:   make([]byte, codec.SlotSize()),
-		popBuf:    make([]byte, codec.PayloadCap()),
+		popBuf:    wsq.NewPopBuf(codec.PayloadCap()),
 	}
 	q.arena.init(codec.SlotSize(), opts.SpillBlock)
 	// Completion arrays are indexed by attempt number, so their size must
@@ -720,27 +720,33 @@ func (q *Queue) startEpoch(itasks int) error {
 	return q.publish(itasks, q.stail)
 }
 
+// ReleaseDue does the elastic upkeep — refill the ring from the arena so
+// spilled tasks become reachable (and eventually stealable), fold an
+// oversized ring back down when occupancy has collapsed — and reports
+// whether Release's preconditions hold: two or more local tasks in the
+// ring and an exhausted shared block.
+func (q *Queue) ReleaseDue() (bool, error) {
+	if q.opts.Growable {
+		if err := q.unspill(); err != nil {
+			return false, err
+		}
+		if err := q.maybeShrink(); err != nil {
+			return false, err
+		}
+	}
+	return q.ringLocal() >= 2 && q.SharedAvail() == 0, nil
+}
+
 // Release moves half of the local tasks into a fresh shared block when
 // the shared portion is empty (§4.1). Reports the number of tasks
 // exposed; 0 means the release did not apply (shared work remains, or
 // fewer than 2 local tasks, or — with epochs — both completion arrays are
 // still draining, in which case we simply retry later rather than poll).
 func (q *Queue) Release() (int, error) {
-	// Elastic maintenance first: refill the ring from the arena so
-	// spilled tasks become reachable (and eventually stealable), and
-	// fold an oversized ring back down when occupancy has collapsed.
-	if q.opts.Growable {
-		if err := q.unspill(); err != nil {
-			return 0, err
-		}
-		if err := q.maybeShrink(); err != nil {
-			return 0, err
-		}
+	if due, err := q.ReleaseDue(); err != nil || !due {
+		return 0, err
 	}
 	local := q.ringLocal()
-	if local < 2 || q.SharedAvail() > 0 {
-		return 0, nil
-	}
 	// Non-blocking variant of the parity wait: skip the release if the
 	// next parity is still draining. Work stays local and runnable.
 	if err := q.Progress(); err != nil {
@@ -761,7 +767,7 @@ func (q *Queue) Release() (int, error) {
 		return 0, err
 	}
 	if unclaimed != 0 {
-		// Claims only grow between the SharedAvail()==0 check above and
+		// Claims only grow between ReleaseDue's SharedAvail()==0 and
 		// the retire, so leftover unclaimed work is impossible here.
 		return 0, fmt.Errorf("core: release found %d unclaimed shared tasks", unclaimed)
 	}

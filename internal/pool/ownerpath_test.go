@@ -15,12 +15,13 @@ import (
 // The owner-path guards: counts that are exact on any box, so they gate
 // at 0 %. On a PE with no executors, spawning, popping and running a task
 // allocates nothing, issues no one-sided op on the PE's own heap, sleeps
-// never and reads the clock once in execSampleEvery tasks.
+// never, and reads the clock and cedes the processor once in
+// execSampleEvery tasks.
 
 // runTree runs a binary tree of the given depth on a 1-PE world (no peers,
 // so no steals) and returns the PE's statistics, its self-targeted op
-// count and its back-off step count over the run.
-func runTree(t *testing.T, depth uint64, cfg Config) (st stats.PE, local, pauses uint64) {
+// count, its back-off step count and its scheduler-yield count over the run.
+func runTree(t *testing.T, depth uint64, cfg Config) (st stats.PE, local, pauses, yields uint64) {
 	t.Helper()
 	runWorld(t, 1, shmem.TransportLocal, func(c *shmem.Ctx) error {
 		reg := NewRegistry()
@@ -44,17 +45,18 @@ func runTree(t *testing.T, depth uint64, cfg Config) (st stats.PE, local, pauses
 		if err := p.Add(h, task.Args(depth)); err != nil {
 			return err
 		}
-		local0, pauses0 := c.Counters().Snapshot().Local, c.Pauses()
+		local0, pauses0, yields0 := c.Counters().Snapshot().Local, c.Pauses(), c.Yields()
 		if err := p.Run(); err != nil {
 			return err
 		}
-		st, local, pauses = p.Stats(), c.Counters().Snapshot().Local-local0, c.Pauses()-pauses0
+		st, local = p.Stats(), c.Counters().Snapshot().Local-local0
+		pauses, yields = c.Pauses()-pauses0, c.Yields()-yields0
 		return nil
 	})
 	if want := uint64(1)<<(depth+1) - 1; st.TasksExecuted != want {
 		t.Fatalf("depth %d executed %d tasks, want %d", depth, st.TasksExecuted, want)
 	}
-	return st, local, pauses
+	return st, local, pauses, yields
 }
 
 // TestOwnerPathAllocs pins the owner's spawn -> pop -> execute cycle of a
@@ -94,7 +96,7 @@ func TestOwnerPathAllocs(t *testing.T) {
 // Ctx.do (counted as Local) follow jobs, releases and acquires — not tasks.
 func TestOwnerPathBypassesOpPipeline(t *testing.T) {
 	for _, depth := range []uint64{8, 14} {
-		st, local, _ := runTree(t, depth, Config{})
+		st, local, _, _ := runTree(t, depth, Config{})
 		if budget := 16 + 4*(st.Releases+st.Acquires); local > budget {
 			t.Errorf("depth %d: %d self-targeted ops through Ctx.do for %d tasks, %d releases, %d acquires (budget %d)",
 				depth, local, st.TasksExecuted, st.Releases, st.Acquires, budget)
@@ -108,13 +110,25 @@ func TestOwnerPathBypassesOpPipeline(t *testing.T) {
 // an executor the owner is the ring's feeder and keeps backing off per
 // task it runs itself.
 func TestBusyOwnerNeverSleeps(t *testing.T) {
-	st, _, pauses := runTree(t, 14, Config{Workers: 1})
+	st, _, pauses, _ := runTree(t, 14, Config{Workers: 1})
 	if pauses > st.IdleIters {
 		t.Errorf("Workers=1: %d back-off steps over %d tasks with %d idle iterations", pauses, st.TasksExecuted, st.IdleIters)
 	}
-	st, _, pauses = runTree(t, 14, Config{Workers: 2})
+	st, _, pauses, _ = runTree(t, 14, Config{Workers: 2})
 	if owner := st.Workers[0].TasksExecuted; owner == 0 || pauses < owner {
 		t.Errorf("Workers=2: %d back-off steps, want at least one per task the owner ran (%d)", pauses, owner)
+	}
+}
+
+// TestBusyOwnerYieldCadence: the scheduler yield takes the Go scheduler's
+// process-wide lock, so a PE that is its own only worker makes one on the
+// exec-sample beat, not one per task — and does make them: on a shared
+// core the beat is when a thief gets to run (uts.TestBusyPEsShareOneCore).
+func TestBusyOwnerYieldCadence(t *testing.T) {
+	st, _, _, yields := runTree(t, 14, Config{Workers: 1})
+	if budget := st.TasksExecuted/execSampleEvery + st.IdleIters + 1; yields == 0 || yields > budget {
+		t.Errorf("Workers=1: %d scheduler yields over %d tasks with %d idle iterations, want 1..%d",
+			yields, st.TasksExecuted, st.IdleIters, budget)
 	}
 }
 

@@ -185,8 +185,10 @@ func (c *Config) setDefaults() {
 
 // Func is a task body. It may spawn subtasks through the TaskCtx; per the
 // Scioto model it must run to completion without blocking on other tasks.
-// The payload is the runtime's buffer, valid for the duration of the call:
-// a body that keeps its input past its return copies it.
+// The payload is the runtime's buffer, the body's alone for the duration of
+// the call: a body may overwrite it (Spawn copies what it is given, so it
+// can serve as the encode buffer for the task's children), and one that
+// keeps its input past its return copies it.
 type Func func(tc *TaskCtx, payload []byte) error
 
 // Registry maps task handles to functions. Registration order must be
@@ -327,6 +329,13 @@ func (q *guardedQueue) Pop() (task.Desc, bool, error) {
 	d, ok, err := q.Queue.Pop()
 	q.g.Exit()
 	return d, ok, err
+}
+
+func (q *guardedQueue) ReleaseDue() (bool, error) {
+	q.g.Enter(wsq.OwnerRelease)
+	due, err := q.Queue.ReleaseDue()
+	q.g.Exit()
+	return due, err
 }
 
 func (q *guardedQueue) Release() (int, error) {

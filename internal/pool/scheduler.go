@@ -228,23 +228,20 @@ func (p *Pool) stepPublish(keep func(task.Desc) error) error {
 // (§3.1: release is invoked when the runtime discovers the imbalance).
 func (p *Pool) stepRelease() error {
 	// This step runs once per task on a busy PE, and almost never moves
-	// anything: read the clock only when the queue's own preconditions say
-	// a release is due. Release itself still runs every call — an elastic
-	// queue does its unspill/shrink maintenance there.
-	var t0 time.Time
-	if p.q.LocalCount() >= 2 && p.q.SharedAvail() == 0 {
-		t0 = time.Now()
+	// anything: ReleaseDue is the one read of the PE's own stealval a busy
+	// iteration makes, and the clock and Release follow only when it says a
+	// release is due.
+	due, err := p.q.ReleaseDue()
+	if err != nil || !due {
+		return err
 	}
+	t0 := time.Now()
 	released, err := p.q.Release()
 	if err != nil {
 		return err
 	}
 	if released > 0 {
-		// A thief can take the last shared task between the test above and
-		// Release's own; that release is counted but not timed.
-		if !t0.IsZero() {
-			p.lat.release.Record(p.cal.Since(t0))
-		}
+		p.lat.release.Record(p.cal.Since(t0))
 		p.st.Releases++
 		p.tr.Record(trace.Release, 0, int64(released))
 		p.recordEpochFlip(int64(released))
@@ -339,17 +336,19 @@ func (p *Pool) stepExecuteLocal() (bool, error) {
 	if err := p.executeOwned(d); err != nil {
 		return false, err
 	}
-	// One scheduling point per task keeps oversubscribed worlds fair:
-	// thieves get to run between a busy PE's tasks, which is what
-	// dedicated cores would give them. A PE that is its own only worker
-	// just yields — it is busy, and a back-off sleep would idle its core
-	// per task. With executors the owner is their feeder, and backing off
-	// here is what keeps it from competing with them for the ring
-	// (DESIGN §4.18).
+	// The scheduling point after a task. A PE that is its own only worker
+	// cedes the processor on the exec-sample beat — once in execSampleEvery
+	// tasks, not per task: Gosched takes the Go scheduler's process-wide
+	// lock, and busy PEs would contend on it at the task rate. A thief on an
+	// oversubscribed host still gets the core within execSampleEvery task
+	// bodies or the runtime's 10 ms preemption, whichever is sooner; the
+	// sim's hand-back stays per task (Ctx.Yield). With executors the owner
+	// is their feeder, and backing off per task is what keeps it from
+	// competing with them for the ring (DESIGN §4.18).
 	if executors {
 		p.ctx.Relax()
 	} else {
-		p.ctx.Yield()
+		p.ctx.Yield(p.exec.workers[0].executed.Load()%execSampleEvery == 0)
 	}
 	return true, nil
 }

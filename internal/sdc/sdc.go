@@ -138,7 +138,7 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 		opts:   opts,
 		codec:  codec,
 		ring:   rg,
-		popBuf: make([]byte, codec.PayloadCap()),
+		popBuf: wsq.NewPopBuf(codec.PayloadCap()),
 	}
 	if q.metaAddr, err = ctx.Alloc(numMeta * shmem.WordSize); err != nil {
 		return nil, err
@@ -218,16 +218,21 @@ func (q *Queue) Pop() (task.Desc, bool, error) {
 	return d, true, nil
 }
 
+// ReleaseDue reports whether Release would expose work: two or more local
+// tasks and an empty shared portion. It never fails.
+func (q *Queue) ReleaseDue() (bool, error) {
+	return q.LocalCount() >= 2 && q.SharedAvail() == 0, nil
+}
+
 // Release exposes half of the local tasks when the shared portion is
 // empty. Lock-free: a concurrent thief that fetched metadata before the
 // release sees the empty shared portion and aborts, so only the split
 // word needs an atomic update (§3.1).
 func (q *Queue) Release() (int, error) {
-	local := q.LocalCount()
-	if local < 2 || q.SharedAvail() > 0 {
+	if due, _ := q.ReleaseDue(); !due {
 		return 0, nil
 	}
-	moved := local / 2
+	moved := q.LocalCount() / 2
 	q.split += uint64(moved)
 	atomic.StoreUint64(&q.meta[splitWord], q.split)
 	return moved, nil

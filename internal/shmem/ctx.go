@@ -348,19 +348,31 @@ func (c *Ctx) Quiet() error { return c.w.transport.quiet(c.rank) }
 func (c *Ctx) Relax() { c.w.transport.relax(c.rank) }
 
 // Yield is the scheduling point of a PE that just made progress (ran a
-// task): it cedes the processor so an oversubscribed world stays fair, but
-// unlike Relax never backs off into a sleep — the caller is busy, not
-// polling. Under TransportSim it is the same lockstep hand-back as Relax.
-func (c *Ctx) Yield() {
+// task), called once per task. Under TransportSim every call hands the
+// lockstep token back, like Relax: virtual time moves only at scheduling
+// points, so the sim's schedule has one per task. On a wall-clock
+// transport the PE cedes the processor only when due — the caller's
+// cadence — because runtime.Gosched takes the Go scheduler's process-wide
+// lock: at one call per sub-microsecond task, every busy PE in the process
+// contends on that one lock at the task rate. Unlike Relax it never backs
+// off into a sleep — the caller is busy, not polling.
+func (c *Ctx) Yield(due bool) {
 	if c.w.sim != nil {
 		c.w.sim.relax(c.rank)
 		return
 	}
-	yield()
+	if due {
+		c.self.yields.Add(1)
+		yield()
+	}
 }
 
 // Pauses counts this PE's poll back-off steps, every 64th of which slept.
 func (c *Ctx) Pauses() uint64 { return c.self.pauses.Load() }
+
+// Yields counts the times Yield ceded the processor on a wall-clock
+// transport.
+func (c *Ctx) Yields() uint64 { return c.self.yields.Load() }
 
 // --- One-sided operations ---------------------------------------------------
 

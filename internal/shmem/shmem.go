@@ -279,6 +279,9 @@ type peState struct {
 	nbiPending atomic.Int64
 	// pauses counts this PE's poll-loop backoff steps (see pause).
 	pauses atomic.Uint64
+	// yields counts the busy-PE scheduling points that ceded the processor
+	// (see Ctx.Yield).
+	yields atomic.Uint64
 }
 
 func newPEState(rank, heapBytes int) *peState {

@@ -147,12 +147,18 @@ type Node struct {
 // PayloadSize is the encoded node size carried in a task payload.
 const PayloadSize = NodeStateSize + 4
 
-// Encode serializes the node into a task payload.
+// Encode serializes the node into a fresh task payload.
 func (n Node) Encode() []byte {
-	buf := make([]byte, PayloadSize)
-	copy(buf, n.State[:])
+	var buf [PayloadSize]byte
+	n.EncodeTo(&buf)
+	return buf[:]
+}
+
+// EncodeTo serializes the node into buf, for callers that hand the payload
+// to something that copies it (Spawn does) and so can reuse one buffer.
+func (n Node) EncodeTo(buf *[PayloadSize]byte) {
+	copy(buf[:], n.State[:])
 	binary.LittleEndian.PutUint32(buf[NodeStateSize:], n.Depth)
-	return buf
 }
 
 // DecodeNode parses a payload produced by Encode.

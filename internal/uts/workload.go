@@ -104,8 +104,14 @@ func (w *Workload) runNode(tc *pool.TaskCtx, payload []byte) error {
 		return nil
 	}
 	h := task.Handle(w.handle.Load())
+	// The node is decoded, so its payload buffer — this task's to overwrite
+	// (pool.Func) — holds the children one at a time: Spawn copies it into
+	// the queue slot. A local array would escape through the queue interface
+	// and cost an allocation per interior node.
+	buf := (*[PayloadSize]byte)(payload)
 	for i := 0; i < kids; i++ {
-		if err := tc.Spawn(h, Child(n, i).Encode()); err != nil {
+		Child(n, i).EncodeTo(buf)
+		if err := tc.Spawn(h, payload); err != nil {
 			return err
 		}
 	}

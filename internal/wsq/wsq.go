@@ -45,10 +45,10 @@ func (o Outcome) String() string {
 //
 // # Owner-serialization contract
 //
-// Owner methods (Push, Pop, Release, Acquire, Progress, and the read-side
-// LocalCount/SharedAvail) must be serialized: at most one goroutine may be
-// inside an owner method at a time, and successive calls must be ordered
-// by happens-before edges. In the classic one-goroutine-per-PE runtime
+// Owner methods (Push, Pop, ReleaseDue, Release, Acquire, Progress, and the
+// read-side LocalCount/SharedAvail) must be serialized: at most one goroutine
+// may be inside an owner method at a time, and successive calls must be
+// ordered by happens-before edges. In the classic one-goroutine-per-PE runtime
 // this holds trivially; a multi-worker PE must designate one owner worker
 // to perform all owner ops (the implementations keep owner-private state —
 // split points, epoch counters, steal plans — in plain fields on the
@@ -78,9 +78,16 @@ type Queue interface {
 	// cycle allocates nothing; a caller that keeps the descriptor longer
 	// (parks it in another queue) copies the payload.
 	Pop() (d task.Desc, ok bool, err error)
+	// ReleaseDue reports whether a Release would expose work now: at least
+	// two local tasks and nothing left in the shared portion. It is the
+	// per-task half of Release — one read of the owner's own shared-portion
+	// word, plus an elastic queue's upkeep (unspill, shrink) — so a runtime
+	// that calls it every scheduler pass need only call (and time) Release
+	// when it says yes.
+	ReleaseDue() (bool, error)
 	// Release moves roughly half of the local tasks to the shared
-	// portion. It reports the number of tasks exposed (0 if the shared
-	// portion was not empty or there was nothing to move).
+	// portion. It reports the number of tasks exposed (0 if no release
+	// was due, or the queue had to defer it).
 	Release() (int, error)
 	// Acquire moves roughly half of the shared, unclaimed tasks back to
 	// the local portion, reporting how many moved.
@@ -95,6 +102,18 @@ type Queue interface {
 	LocalCount() int
 	// SharedAvail returns the owner's view of unclaimed shared tasks.
 	SharedAvail() int
+}
+
+// NewPopBuf returns the n-byte buffer a queue reuses for Pop's payload,
+// alone on its cache lines. The owner writes it on every pop, and the task
+// body may write it again (pool.Func), so it is a per-task word — and Go
+// packs small objects of one size into one span, so two PEs' plain
+// make([]byte, 24) buffers can share a line. Whether they do is decided by
+// goroutine timing at construction; when they did, UTS T1 on 2 PEs ran
+// 70 ms per job instead of 50 for the life of the process. A multiple of
+// 128 bytes is its own, 128-aligned, size class.
+func NewPopBuf(n int) []byte {
+	return make([]byte, (n+127)&^127)[:n:n]
 }
 
 // Elastic is the optional interface of queues whose capacity changes at

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // The paper's worked example (§4): 150 initial tasks yield the steal
@@ -146,4 +147,21 @@ func TestOwnerGuardViolationNamesBothOps(t *testing.T) {
 	}()
 	g.Enter(OwnerPop)
 	t.Error("second Enter did not panic")
+}
+
+// TestPopBufOwnsItsCacheLines: a pop buffer is written per task, so two of
+// them — two PEs' — must never share a cache line, whatever the allocator
+// hands out next to each other: each starts its own 128-byte block.
+func TestPopBufOwnsItsCacheLines(t *testing.T) {
+	for _, n := range []int{0, 1, 24, 64, 128, 200} {
+		for i := 0; i < 8; i++ {
+			b := NewPopBuf(n)
+			if len(b) != n || cap(b) != n {
+				t.Fatalf("NewPopBuf(%d): len %d cap %d", n, len(b), cap(b))
+			}
+			if n > 0 && uintptr(unsafe.Pointer(&b[0]))%128 != 0 {
+				t.Errorf("NewPopBuf(%d) at %p is not 128-byte aligned", n, &b[0])
+			}
+		}
+	}
 }
