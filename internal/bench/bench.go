@@ -280,8 +280,8 @@ func SingleRunTable(name string, run stats.Run) *Table {
 		for _, w := range tot.Workers {
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("pe %d worker %d", w.PE, w.ID),
-				fmt.Sprintf("exec %d, spawn %d, exec time %s, idle %d",
-					w.TasksExecuted, w.TasksSpawned, fmtDur(w.ExecTime), w.IdleIters),
+				fmt.Sprintf("exec %d (%d from ring), spawn %d, exec time %s, idle %d",
+					w.TasksExecuted, w.FromRing, w.TasksSpawned, fmtDur(w.ExecTime), w.IdleIters),
 			})
 		}
 	}

@@ -1,24 +1,27 @@
-// Package ldeque provides the intra-PE work tier of the two-level
-// stealing hierarchy: a bounded, lock-free, multi-producer/multi-consumer
-// task ring shared by the worker goroutines of one multi-worker PE.
+// Package ldeque provides the shared part of a multi-worker PE's intra-PE
+// split: a bounded, lock-free, multi-producer/multi-consumer task ring.
 //
-// The two-level design (steal locally before going remote, as in Wimmer &
-// Träff's mixed-mode scheduling and the localized-stealing analysis of
-// Suksompong et al.) keeps the expensive SWS stealval protocol for the
-// inter-PE tier only: workers exchange tasks through this ring with plain
-// shared-memory atomics, while the designated owner worker alone drives
-// the symmetric-heap queue. A Chase–Lev deque would give the popping
-// owner a cheaper fast path, but it is single-producer; here every worker
-// both produces (spawns) and consumes (executes), so the ring is the
-// classic bounded MPMC queue with per-slot sequence numbers (Vyukov):
-// each operation is one CAS plus two loads, no locks, and every task is
-// handed to exactly one consumer — the property the pool's exactly-once
-// oracle rests on.
+// Inside a PE the pool applies the paper's split queue once more. Every
+// worker keeps its tasks in a private part only it touches (the owner in
+// the protocol queue's local portion, an executor in a deque of its own),
+// and a task enters this ring only when it changes hands: a worker with
+// two or more private tasks tops the ring up when it runs below one task
+// per worker, and a worker whose private part came up empty takes from it.
+// The ring is therefore not on a task's path — synchronization is paid per
+// transfer, a few per cent of tasks on a tree-shaped workload — and it
+// keeps the expensive SWS stealval protocol for the inter-PE tier only
+// (steal locally before going remote, as in Wimmer & Träff's mixed-mode
+// scheduling and the localized-stealing analysis of Suksompong et al.).
 //
-// The ring is bounded on purpose: local spawns beyond its capacity must
-// overflow into the protocol queue (via the owner), which is what makes a
-// PE's surplus visible to remote thieves. An unbounded local tier would
-// hoard work.
+// Any worker may be the producer and any worker the consumer, so the ring
+// is the classic bounded MPMC queue with per-slot sequence numbers
+// (Vyukov): each operation is one CAS plus two loads, no locks, and every
+// task is handed to exactly one consumer — the property the pool's
+// exactly-once oracle rests on.
+//
+// The ring is bounded and shallow on purpose: it carries work between
+// workers, it does not store it. A PE's surplus stays in the private
+// parts, and the owner's is the one remote thieves can see.
 package ldeque
 
 import (

@@ -72,7 +72,7 @@ func TestWrapAround(t *testing.T) {
 
 // TestExactlyOnceConcurrent hammers the ring from several producer and
 // consumer goroutines and checks that every pushed task is popped exactly
-// once — the invariant the pool's intra-PE tier depends on. Run with
+// once — the invariant the pool's intra-PE ring depends on. Run with
 // -race in CI.
 func TestExactlyOnceConcurrent(t *testing.T) {
 	const (

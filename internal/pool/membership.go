@@ -70,6 +70,7 @@ func (p *Pool) stepMembership() error {
 	default:
 		p.parked = false
 	}
+	p.exec.handoff.Store(p.parked) // a parked PE's executors take no work
 	p.reseatVictims(lv)
 	// Assigned after Complete* so a transition bumping the epoch again is
 	// not skipped: the next iteration re-reads whatever came after.
@@ -156,27 +157,26 @@ func (p *Pool) forwardTask(d task.Desc) error {
 }
 
 // flushWorkerTier forwards everything the execution layer holds: what
-// executors staged and the intra-PE ring. Every task in either was counted
-// by an executor and becomes remotely observable here, so the counts that
-// cover it are published first (the ordering term.Publish relies on) —
-// unconditionally, because a parked PE's executors may still be finishing
-// tasks they held when it left, and this is the only place their counts
-// reach the detector. Any output they stage afterwards is caught by the
+// executors staged — under handoff, their whole private deques — and the
+// intra-PE ring. Every task in either was counted by an executor and
+// becomes remotely observable here, so the counts that cover it are
+// published first (the ordering term.Publish relies on) — unconditionally,
+// because a parked PE's executors may still be finishing tasks they held
+// when it left, and this is the only place their counts reach the detector. Any output they stage afterwards is caught by the
 // next flush (drain loop or stepParked). A PE without executors holds
 // nothing here.
 func (p *Pool) flushWorkerTier() error {
-	if err := p.stepPublish(p.forwardTask); err != nil {
+	p.publishCounts()
+	if err := p.deliverStaged(p.forwardTask); err != nil {
 		return err
 	}
 	for {
-		d, ok := p.exec.dq.TryPop()
+		d, ok := p.exec.ring.TryPop()
 		if !ok {
 			return nil
 		}
 		// Spawned by an executor since the publish above, possibly.
-		if err := p.publishCounts(); err != nil {
-			return err
-		}
+		p.publishCounts()
 		if err := p.forwardTask(d); err != nil {
 			return err
 		}
@@ -184,13 +184,15 @@ func (p *Pool) flushWorkerTier() error {
 }
 
 // drainOut flushes this PE's entire task inventory — protocol queue
-// (local and shared portions), intra-PE ring and staging areas, and the
-// remote-spawn inbox — into the remaining members. Zero tasks are lost:
+// (local and shared portions), executors' private deques (handoff makes
+// them stage those), intra-PE ring and staging area, and the remote-spawn
+// inbox — into the remaining members. Zero tasks are lost:
 // forwarding moves already-counted descriptors, so the global
 // spawned/executed ledger stays apart until every forwarded task runs on
 // its new home, and the termination wave cannot pass early.
 func (p *Pool) drainOut() error {
 	t0 := time.Now()
+	p.exec.handoff.Store(true)
 	for {
 		if err := p.ctx.Err(); err != nil {
 			return err

@@ -27,10 +27,6 @@ type liveView struct {
 	queueGrows, queueShrinks, tasksSpilled atomic.Uint64
 	queueCap, spillDepth                   atomic.Int64
 
-	// refillTarget mirrors the adaptive intra-PE ring refill batch (stays
-	// zero on a PE without executors, which never refills).
-	refillTarget atomic.Int64
-
 	// Failure-handling counters (stay zero on fault-free runs).
 	stealTransportErrs, stealsQuarantined atomic.Uint64
 	quarantined                           atomic.Int64 // current victim count
@@ -65,9 +61,6 @@ func (p *Pool) metricsSource() obs.SourceFunc {
 			float64(executed), pe, proto)
 		e.Counter("sws_pool_tasks_spawned_total", "Tasks spawned by this PE.",
 			float64(spawned), pe, proto)
-		e.Gauge("sws_pool_ring_refill_target_tasks",
-			"Adaptive intra-PE ring refill batch (0 on a PE without executors).",
-			float64(lv.refillTarget.Load()), pe, proto)
 		for _, o := range []struct {
 			name string
 			v    uint64

@@ -12,11 +12,11 @@ import (
 	"sws/internal/trace"
 )
 
-// The owner-path guards: counts that are exact on any box, so they gate
-// at 0 %. On a PE with no executors, spawning, popping and running a task
-// allocates nothing, issues no one-sided op on the PE's own heap, sleeps
-// never, and reads the clock and cedes the processor once in
-// execSampleEvery tasks.
+// The task-path guards: counts that are exact on any box, so they gate at
+// 0 %. For the owner and for an executor alike, spawning, popping and
+// running a task allocates nothing; the owner issues no one-sided op on the
+// PE's own heap; and at every worker count a busy PE sleeps never, and
+// reads the clock and cedes the processor once in execSampleEvery tasks.
 
 // runTree runs a binary tree of the given depth on a 1-PE world (no peers,
 // so no steals) and returns the PE's statistics, its self-targeted op
@@ -91,6 +91,45 @@ func TestOwnerPathAllocs(t *testing.T) {
 	})
 }
 
+// TestExecutorPathAllocs pins an executor's spawn -> private pop -> execute
+// cycle of a 24-byte-payload task at zero allocations: the private deque
+// keeps the payload inline and pops into one reused buffer.
+func TestExecutorPathAllocs(t *testing.T) {
+	runWorld(t, 1, shmem.TransportLocal, func(c *shmem.Ctx) error {
+		reg := NewRegistry()
+		h := reg.MustRegister("leaf", func(*TaskCtx, []byte) error { return nil })
+		p, err := New(c, reg, Config{Workers: 2})
+		if err != nil {
+			return err
+		}
+		ws := p.exec.workers[1] // never started: this goroutine stands in for it
+		payload := make([]byte, 24)
+		cycle := func() {
+			if err := ws.tc.Spawn(h, payload); err != nil {
+				t.Error(err)
+			}
+			d, ok, err := p.nextTask(ws)
+			if err != nil || !ok || len(d.Payload) != len(payload) {
+				t.Errorf("pop: ok=%v payload=%d err=%v", ok, len(d.Payload), err)
+			}
+			if err := p.execute(ws, d); err != nil {
+				t.Error(err)
+			}
+			if err := p.share(ws); err != nil {
+				t.Error(err)
+			}
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
+			t.Errorf("executor spawn -> pop -> execute allocates %.2f objects/op, want 0", allocs)
+		}
+		if ws.fromRing != 0 || p.exec.ring.Len() != 0 {
+			t.Errorf("the cycle touched the ring: %d taken, %d queued", ws.fromRing, p.exec.ring.Len())
+		}
+		return nil
+	})
+}
+
 // TestOwnerPathBypassesOpPipeline: the owner's queue, detector and inbox
 // words are its own memory, so the self-targeted ops that do go through
 // Ctx.do (counted as Local) follow jobs, releases and acquires — not tasks.
@@ -104,31 +143,48 @@ func TestOwnerPathBypassesOpPipeline(t *testing.T) {
 	}
 }
 
-// TestBusyOwnerNeverSleeps: a PE that is its own only worker yields after a
-// task but never enters the poll back-off (every 64th step of which
-// sleeps), so its back-off steps are bounded by its idle iterations. With
-// an executor the owner is the ring's feeder and keeps backing off per
-// task it runs itself.
+// TestBusyOwnerNeverSleeps: the owner yields after a task but never enters
+// the poll back-off (every 64th step of which sleeps), so its back-off
+// steps are bounded by its idle iterations — with executors beside it too:
+// it is a worker among them, not a feeder that must keep out of their way.
 func TestBusyOwnerNeverSleeps(t *testing.T) {
-	st, _, pauses, _ := runTree(t, 14, Config{Workers: 1})
-	if pauses > st.IdleIters {
-		t.Errorf("Workers=1: %d back-off steps over %d tasks with %d idle iterations", pauses, st.TasksExecuted, st.IdleIters)
-	}
-	st, _, pauses, _ = runTree(t, 14, Config{Workers: 2})
-	if owner := st.Workers[0].TasksExecuted; owner == 0 || pauses < owner {
-		t.Errorf("Workers=2: %d back-off steps, want at least one per task the owner ran (%d)", pauses, owner)
+	for _, workers := range []int{1, 2} {
+		st, _, pauses, _ := runTree(t, 14, Config{Workers: workers})
+		if pauses > st.IdleIters {
+			t.Errorf("Workers=%d: %d back-off steps over %d tasks with %d idle iterations",
+				workers, pauses, st.TasksExecuted, st.IdleIters)
+		}
 	}
 }
 
 // TestBusyOwnerYieldCadence: the scheduler yield takes the Go scheduler's
-// process-wide lock, so a PE that is its own only worker makes one on the
-// exec-sample beat, not one per task — and does make them: on a shared
-// core the beat is when a thief gets to run (uts.TestBusyPEsShareOneCore).
+// process-wide lock, so a busy worker makes one on the exec-sample beat,
+// not one per task — and does make them: on a shared core the beat is when
+// a thief gets to run (uts.TestBusyPEsShareOneCore).
 func TestBusyOwnerYieldCadence(t *testing.T) {
-	st, _, _, yields := runTree(t, 14, Config{Workers: 1})
-	if budget := st.TasksExecuted/execSampleEvery + st.IdleIters + 1; yields == 0 || yields > budget {
-		t.Errorf("Workers=1: %d scheduler yields over %d tasks with %d idle iterations, want 1..%d",
-			yields, st.TasksExecuted, st.IdleIters, budget)
+	for _, workers := range []int{1, 2} {
+		st, _, _, yields := runTree(t, 14, Config{Workers: workers})
+		if budget := st.TasksExecuted/execSampleEvery + st.IdleIters + uint64(workers); yields == 0 || yields > budget {
+			t.Errorf("Workers=%d: %d scheduler yields over %d tasks with %d idle iterations, want 1..%d",
+				workers, yields, st.TasksExecuted, st.IdleIters, budget)
+		}
+	}
+}
+
+// TestRingCarriesTransfersNotTasks: synchronization inside a PE is paid per
+// task that changes hands, not per task — on a tree both workers take part
+// in, at most a tenth of the executions came through the shared ring.
+func TestRingCarriesTransfersNotTasks(t *testing.T) {
+	st, _, _, _ := runTree(t, 14, Config{Workers: 2})
+	var fromRing uint64
+	for _, w := range st.Workers {
+		if w.TasksExecuted == 0 {
+			t.Errorf("worker %d executed nothing: %+v", w.ID, st.Workers)
+		}
+		fromRing += w.FromRing
+	}
+	if fromRing == 0 || 10*fromRing > st.TasksExecuted {
+		t.Errorf("%d of %d tasks went through the ring, want 1..10 %%", fromRing, st.TasksExecuted)
 	}
 }
 
@@ -198,8 +254,8 @@ func TestExecTimeSampled(t *testing.T) {
 	}
 }
 
-// TestPerTaskWordsOwnTheirCacheLines pins the padding of the two small
-// heap objects a PE writes on every task. Go packs same-size objects into
+// TestPerTaskWordsOwnTheirCacheLines pins the padding of the small heap
+// objects a worker writes (execLayer: reads) on every task. Go packs same-size objects into
 // one span, so unpadded, two PEs' guards (or worker counters) can share a
 // cache line — whether they do is decided by goroutine timing at
 // construction, which made whole runs of the same binary 20 % apart. A
@@ -211,5 +267,11 @@ func TestPerTaskWordsOwnTheirCacheLines(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(workerState{}); n != 128 {
 		t.Errorf("workerState is %d bytes, want 128: adjust its pad", n)
+	}
+	if n := unsafe.Sizeof(execLayer{}); n != 128 {
+		t.Errorf("execLayer is %d bytes, want 128: adjust its pad", n)
+	}
+	if n := unsafe.Sizeof(privDeque{}); n != 128 {
+		t.Errorf("privDeque is %d bytes, want 128: adjust its pad", n)
 	}
 }

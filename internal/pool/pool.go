@@ -143,8 +143,9 @@ type Config struct {
 	// the owner, always exists: it runs the scheduler loop and alone drives
 	// the inter-PE SWS protocol. The default 1 is the paper's
 	// single-threaded PE; each worker beyond the first is an executor that
-	// only runs tasks, sharing work with the owner through an intra-PE
-	// ring (internal/ldeque). Executors require a transport whose PEs may
+	// only runs tasks, out of a private deque of its own, and trades work
+	// with the PE's other workers through an intra-PE ring
+	// (internal/ldeque). Executors require a transport whose PEs may
 	// issue operations from multiple goroutines (local, tcp, shm — not
 	// sim).
 	Workers int
@@ -259,7 +260,7 @@ type Pool struct {
 	// (zero value: inert until the first strike).
 	quar quarantine
 	// exec holds the PE's workers — worker 0, the owner, plus any
-	// executors — and the intra-PE tier they share.
+	// executors — and the intra-PE ring they share.
 	exec *execLayer
 
 	// st holds the counters the owner alone writes; Stats adds the task
@@ -372,8 +373,8 @@ type poolLat struct {
 
 // TaskCtx is the handle passed to task functions. Each worker has its own,
 // so a task's spawns are counted against — and routed by — the worker that
-// ran it: the owner pushes into the protocol queue, an executor into the
-// intra-PE tier.
+// ran it: the owner pushes into the protocol queue, an executor into its
+// private deque.
 type TaskCtx struct {
 	p *Pool
 	w *workerState
@@ -439,10 +440,13 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 		}
 		p.tr.EnableConcurrent()
 	}
-	p.exec = newExecLayer(p, cfg.Workers)
+	codec, err := task.NewCodec(cfg.PayloadCap)
+	if err != nil {
+		return nil, err
+	}
+	p.exec = newExecLayer(p, cfg.Workers, codec)
 	// Worker 0's random stream drives victim selection.
 	p.vic = newVictimSelector(cfg.Victim, ctx.Rank(), ctx.NumPEs(), p.exec.workers[0].rng)
-	var err error
 	switch cfg.Protocol {
 	case SWS, SWSFused:
 		p.rawQ, err = core.NewQueue(ctx, core.Options{
@@ -472,10 +476,6 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 	}
 	p.q = &guardedQueue{Queue: p.rawQ}
 	if p.det, err = term.New(ctx); err != nil {
-		return nil, err
-	}
-	codec, err := task.NewCodec(cfg.PayloadCap)
-	if err != nil {
 		return nil, err
 	}
 	if p.mbox, err = newMailbox(ctx, codec, cfg.MailboxSlots); err != nil {
@@ -576,7 +576,7 @@ func (p *Pool) Stats() stats.PE {
 		w := stats.Worker{
 			PE: p.ctx.Rank(), ID: ws.id,
 			TasksExecuted: ws.executed.Load(), TasksSpawned: ws.spawned.Load(),
-			IdleIters: ws.idleIters.Load(),
+			IdleIters: ws.idleIters.Load(), FromRing: ws.fromRing,
 		}
 		if ws.execSampled > 0 {
 			// The exec clock is sampled (see execute): scale the timed

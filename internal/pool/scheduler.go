@@ -1,14 +1,15 @@
 // Scheduler layer: the per-PE decision loop, decomposed into small
-// explicit steps. Each step is one scheduling decision — make executor
-// output visible, expose work, reclaim protocol space, drain the
-// remote-spawn inbox, run a local task, pull shared work back, steal,
-// probe termination — over the protocol layer (wsq.Queue) underneath.
-// There is one loop, run by the owner worker at every worker count: the
-// paper's one-goroutine PE is the PE with no executors, for which the
-// steps that serve executors find nothing to do.
+// explicit steps. Each step is one scheduling decision — serve the team,
+// expose work, reclaim protocol space, drain the remote-spawn inbox, run a
+// local task, pull shared work back (from the split queue, then from the
+// intra-PE ring), steal, probe termination — over the protocol layer
+// (wsq.Queue) underneath. There is one loop, run by the owner worker at
+// every worker count: the paper's one-goroutine PE is the PE with no
+// executors, for which the steps that serve executors find nothing to do.
 package pool
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -87,11 +88,15 @@ func (p *Pool) RunJob() (JobResult, error) {
 	return res, nil
 }
 
+// ErrStranded reports tasks still staged or in an executor's private deque
+// after global termination: the ledger balanced without them.
+var ErrStranded = errors.New("pool: tasks stranded after termination (accounting bug)")
+
 // run is the owner worker's scheduler loop for one job. The step order —
-// membership, executor output, release, periodic progress, inbox drain,
-// run one local task, acquire, search, termination check — is the paper's
-// single-threaded PE; executors, when the PE has any, run beside it for
-// the length of the job and only ever touch the intra-PE tier.
+// membership, team, release, periodic progress, inbox drain, run one local
+// task, acquire, take from the ring, search, termination check — is the
+// paper's single-threaded PE; executors, when the PE has any, run beside it
+// for the length of the job on their private deques and the intra-PE ring.
 func (p *Pool) run() (err error) {
 	ex := p.exec
 	owner := ex.workers[0]
@@ -110,10 +115,13 @@ func (p *Pool) run() (err error) {
 		if err == nil {
 			err = ex.firstErr()
 		}
-		// Global termination implies quiescence, so no executor output can
-		// have appeared after the final publish; verify the invariant held.
-		if staged := ex.takeStaged(); err == nil && len(staged) != 0 {
-			err = fmt.Errorf("pool: %d tasks staged after termination (accounting bug)", len(staged))
+		// Global termination implies quiescence: nothing staged, nothing held.
+		held := 0
+		for _, ws := range ex.workers[1:] {
+			held += ws.dq.n
+		}
+		if staged := len(ex.takeStaged()); err == nil && staged+held != 0 {
+			err = fmt.Errorf("%w: %d staged, %d in executors' private deques", ErrStranded, staged, held)
 		}
 	}()
 
@@ -141,7 +149,7 @@ func (p *Pool) run() (err error) {
 			p.ctx.Relax()
 			continue
 		}
-		if err := p.stepPublish(p.push); err != nil {
+		if err := p.stepTeam(); err != nil {
 			return err
 		}
 		if err := p.stepRelease(); err != nil {
@@ -171,6 +179,13 @@ func (p *Pool) run() (err error) {
 		if handled {
 			continue
 		}
+		handled, err = p.stepTakeShared()
+		if err != nil {
+			return err
+		}
+		if handled {
+			continue
+		}
 		found, err := p.search()
 		if err != nil {
 			return err
@@ -182,7 +197,9 @@ func (p *Pool) run() (err error) {
 		// (stolen tasks execute on a different rank than they spawned on);
 		// only the global sum does, and the publish ordering makes probing
 		// safe at any moment — outstanding work always keeps the global
-		// sums apart.
+		// sums apart. A PE with nothing left to do is the one whose ledger
+		// must be exact, so the executors' counts go first.
+		p.publishCounts()
 		done, err := p.stepCheckTermination()
 		if err != nil {
 			return err
@@ -198,18 +215,43 @@ func (p *Pool) run() (err error) {
 	}
 }
 
-// stepPublish makes executor output visible: take what executors staged,
-// publish the counts that cover it, and only then hand each local task to
-// keep (the protocol queue; a departing PE's forwarding) and send each
-// remote one — the order that keeps the detector from ever missing
-// outstanding work. It runs every iteration so remote probes see
-// executors' progress; a PE without executors has nothing staged and
-// nothing to publish.
-func (p *Pool) stepPublish(keep func(task.Desc) error) error {
-	staged := p.exec.takeStaged()
-	if err := p.publishCounts(); err != nil {
+// stepTeam is what the owner does for the PE's other workers once per
+// iteration: deliver what they staged, and pay the ring what its own private
+// part — the split queue's local portion — owes it (surplus). It shares its
+// newest tasks, the end Pop serves; the oldest are Release's, for other PEs.
+// The team of one has no one to serve.
+func (p *Pool) stepTeam() error {
+	ex := p.exec
+	if len(ex.workers) == 1 {
+		return nil
+	}
+	if err := p.deliverStaged(p.push); err != nil {
 		return err
 	}
+	for k := ex.surplus(p.q.LocalCount()); k > 0; k-- {
+		d, ok, err := p.q.Pop()
+		if err != nil || !ok {
+			return err
+		}
+		d.Payload = bytes.Clone(d.Payload) // Pop's buffer is reused; the ring keeps d
+		if !ex.ring.TryPush(d) {
+			return p.push(d) // another worker filled the ring first
+		}
+	}
+	return nil
+}
+
+// deliverStaged takes what executors staged, publishes the counts that
+// cover it, and only then sends each task for another PE and hands each
+// handed-over local one to keep (the protocol queue; a departing PE's
+// forwarding) — the order that keeps the detector from ever missing
+// outstanding work. With nothing staged it is one atomic load.
+func (p *Pool) deliverStaged(keep func(task.Desc) error) error {
+	staged := p.exec.takeStaged()
+	if len(staged) == 0 {
+		return nil
+	}
+	p.publishCounts()
 	for _, s := range staged {
 		var err error
 		if s.pe == p.ctx.Rank() {
@@ -253,11 +295,14 @@ func (p *Pool) stepRelease() error {
 }
 
 // stepProgress periodically reclaims queue space held by completed steals
-// and refreshes the live queue-depth gauges.
+// and refreshes what live readers see: the executors' published counts (a
+// busy owner's only publish; the leader's last read of them is what a PE
+// that dies is written off against) and the queue-depth gauges.
 func (p *Pool) stepProgress(iter int) error {
 	if iter%64 != 0 {
 		return nil
 	}
+	p.publishCounts()
 	if err := p.q.Progress(); err != nil {
 		return err
 	}
@@ -296,9 +341,7 @@ func (p *Pool) stepDrainInbox() (bool, error) {
 	if got == 0 {
 		return false, nil
 	}
-	if err := p.det.NoteActivity(); err != nil {
-		return false, err
-	}
+	p.det.NoteActivity()
 	p.st.RemoteSpawnsRecv += uint64(got)
 	p.tr.Record(trace.InboxDrain, 0, int64(got))
 	if p.live != nil {
@@ -307,49 +350,24 @@ func (p *Pool) stepDrainInbox() (bool, error) {
 	return true, nil
 }
 
-// stepExecuteLocal runs one local task on the owner, reporting whether
-// the step made progress. The paper's PE pops the newest task of its split
-// queue (LIFO); a PE with executors serves them first — it tops the ring up
-// from the split queue and takes its own task from the ring, the owner
-// being a worker too.
+// stepExecuteLocal runs the newest task of the owner's private part — the
+// split queue's local portion, popped LIFO as the paper's PE does —
+// reporting whether there was one.
 func (p *Pool) stepExecuteLocal() (bool, error) {
-	var (
-		d     task.Desc
-		ok    bool
-		moved int
-		err   error
-	)
-	executors := len(p.exec.workers) > 1
-	if executors {
-		// Does this PE have executors? Yes: local work reaches every
-		// worker, the owner included, through the ring.
-		moved, err = p.fillLocalTier()
-		if err == nil {
-			d, ok = p.exec.dq.TryPop()
-		}
-	} else {
-		d, ok, err = p.q.Pop()
-	}
+	d, ok, err := p.q.Pop()
 	if err != nil || !ok {
-		return moved > 0, err
+		return false, err
 	}
 	if err := p.executeOwned(d); err != nil {
 		return false, err
 	}
-	// The scheduling point after a task. A PE that is its own only worker
-	// cedes the processor on the exec-sample beat — once in execSampleEvery
-	// tasks, not per task: Gosched takes the Go scheduler's process-wide
-	// lock, and busy PEs would contend on it at the task rate. A thief on an
-	// oversubscribed host still gets the core within execSampleEvery task
-	// bodies or the runtime's 10 ms preemption, whichever is sooner; the
-	// sim's hand-back stays per task (Ctx.Yield). With executors the owner
-	// is their feeder, and backing off per task is what keeps it from
-	// competing with them for the ring (DESIGN §4.18).
-	if executors {
-		p.ctx.Relax()
-	} else {
-		p.ctx.Yield(p.exec.workers[0].executed.Load()%execSampleEvery == 0)
-	}
+	// The scheduling point after a task: a busy worker cedes the processor
+	// on the exec-sample beat — not per task, Gosched takes the Go
+	// scheduler's process-wide lock and busy workers would contend on it at
+	// the task rate. A thief on an oversubscribed host still gets the core
+	// within execSampleEvery task bodies or the runtime's 10 ms preemption;
+	// the sim's hand-back stays per task (Ctx.Yield).
+	p.ctx.Yield(p.exec.workers[0].executed.Load()%execSampleEvery == 0)
 	return true, nil
 }
 
@@ -372,6 +390,22 @@ func (p *Pool) stepAcquire() (bool, error) {
 		p.live.acquires.Add(1)
 	}
 	return true, nil
+}
+
+// stepTakeShared is stepAcquire one level in: with its local and shared
+// portions both empty the owner takes a task from the ring into its local
+// portion, like any worker whose private pop came up empty. It is also how
+// executor surplus reaches other PEs — the task and its children sit in the
+// split queue, where Release exposes them — so the counts go first: the
+// task's spawn may still be in an executor's unpublished counter.
+func (p *Pool) stepTakeShared() (bool, error) {
+	d, ok := p.exec.ring.TryPop()
+	if !ok {
+		return false, nil
+	}
+	p.exec.workers[0].fromRing++
+	p.publishCounts()
+	return true, p.push(d)
 }
 
 // stepCheckTermination runs one termination-detection probe, tracing

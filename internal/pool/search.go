@@ -302,9 +302,7 @@ func (p *Pool) search() (bool, error) {
 			// Publish activity before the stolen tasks become runnable so
 			// degraded-mode termination detection cannot read this PE as
 			// quiescent while it holds freshly stolen work.
-			if err := p.det.NoteActivity(); err != nil {
-				return false, err
-			}
+			p.det.NoteActivity()
 			for _, d := range tasks {
 				if err := p.push(d); err != nil {
 					return false, err

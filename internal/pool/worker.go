@@ -1,28 +1,33 @@
-// Execution layer: the workers of one PE. Every PE has worker 0, the
-// owner — the goroutine that runs the scheduler loop and alone drives every
-// protocol owner op (Release/Acquire/Progress/Push/Pop, epoch flips,
-// termination probes, mailbox sends), so the single-owner invariants of
-// internal/core hold at any worker count. Config.Workers > 1 adds executor
-// goroutines that spin on the intra-PE tier (an internal/ldeque MPMC ring)
-// running tasks. Work flows
+// Execution layer: the workers of one PE, organised as the paper's split
+// queue applied once more, inside the PE. Every worker has a private part
+// only it touches — no locking, no communication — and the PE has one
+// shared part, an internal/ldeque ring, that a task enters only when it
+// changes hands:
 //
-//	executor spawn -> ring -> (overflow, staged for the owner) -> wsq local -> shared,
-//	owner spawn    -> wsq local -> ring (owner refill)          -> executors,
+//	worker 0 (owner)  private part = the split queue's local portion (p.q)
+//	worker i > 0      private part = its own privDeque
+//	shared part       the ring: topped up, when below one task per worker,
+//	                  by any worker holding two or more private tasks (up to
+//	                  half of them); taken from by a worker whose private
+//	                  pop came up empty
 //
-// so the SWS stealval protocol remains the inter-PE tier only: local
-// workers exchange tasks with process atomics, and remote thieves see the
-// surplus the owner releases — the two-level scheme of Wimmer & Träff
-// style mixed-mode runtimes, with the paper's single-threaded PE as the
-// team of one: no executors, nothing ever staged, the ring never touched.
+// The owner is a full worker — it spawns into, pops and runs from p.q as
+// the paper's single-threaded PE does — that also runs the scheduler loop
+// and alone drives every protocol owner op (Release/Acquire/Progress/Push/
+// Pop, epoch flips, termination probes, mailbox sends), so the single-owner
+// invariants of internal/core hold at any worker count. Executor surplus
+// reaches remote thieves through it: what the owner takes from the ring
+// lands in p.q, where Release exposes it and its children. This is Wimmer &
+// Träff's mixed-mode team with the paper's PE as the team of one: no
+// executors, nothing ever staged, the ring never fed.
 //
 // Task accounting is one scheme at every worker count: each worker counts
-// its own spawns (before the task becomes visible anywhere) and executions
+// its own spawns (before the task is visible anywhere) and executions
 // (after the task body returns) in per-worker atomics, and Stats derives
-// the PE totals and the per-worker rows from them. The owner, which may
-// touch the termination detector, publishes its own counts the moment
-// they change; executors' counts reach the detector through publishCounts,
-// which the owner runs before anything an executor staged becomes remotely
-// observable and before it publishes an execution of its own.
+// the PE totals and the per-worker rows from them. The owner publishes its
+// own counts to the termination detector the moment they change;
+// executors' counts reach it through publishCounts, which the owner runs
+// where an executor-counted task changes hands — not per task.
 package pool
 
 import (
@@ -47,6 +52,9 @@ type workerState struct {
 	// rng is this worker's independent deterministic stream (worker 0's
 	// doubles as the PE's victim-selection stream).
 	rng *rand.Rand
+	// dq is an executor's private part; nil for the owner, whose private
+	// part is the split queue's local portion.
+	dq *privDeque
 
 	// Termination counters (see term.Publish): spawned is incremented
 	// before a spawned task becomes visible anywhere; executed after the
@@ -56,20 +64,22 @@ type workerState struct {
 	// idleIters counts loop passes that found nothing to run: scheduler
 	// iterations for the owner, empty ring polls for an executor.
 	idleIters atomic.Uint64
-	// execTime sums the bodies this worker timed and execSampled counts
-	// them (see execute); both are written by this worker only and read by
-	// Stats between jobs, when executors are stopped (run's WaitGroup
-	// orders the two).
+	// execTime sums the bodies this worker timed, execSampled counts them
+	// (see execute) and fromRing the tasks it took from the ring; all are
+	// written by this worker only and read by Stats between jobs, when
+	// executors are stopped (run's WaitGroup orders the two).
 	execTime    time.Duration
 	execSampled uint64
-	// Pad to two cache lines (72 -> 128 bytes): the counters above are
+	fromRing    uint64
+	// Pad to two cache lines (88 -> 128 bytes): the counters above are
 	// bumped per task, and unpadded workerStates — another PE's, or this
 	// PE's executors' — are neighbours in one allocation span.
-	_ [56]byte
+	_ [40]byte
 }
 
-// stagedTask is executor output awaiting the owner: a spawn the ring had
-// no room for (pe is this rank) or a SpawnOn for the owner to send.
+// stagedTask is executor output only the owner may deliver: a SpawnOn for
+// another PE's inbox, or (pe is this rank) a private task handed over by
+// the executor of a PE that is leaving the membership.
 type stagedTask struct {
 	pe int
 	d  task.Desc
@@ -77,7 +87,9 @@ type stagedTask struct {
 
 // execLayer holds a PE's workers and the state they share.
 type execLayer struct {
-	dq      *ldeque.Queue
+	// ring is the PE's shared part, shallow on purpose (4 slots per worker,
+	// at least 16): it carries tasks between workers, it does not store them.
+	ring    *ldeque.Queue
 	workers []*workerState
 
 	// mu guards staged. Executors append in short sections and raise
@@ -93,33 +105,30 @@ type execLayer struct {
 	// stop tells executors to exit (set at termination or on error;
 	// rearmed at the start of each job).
 	stop atomic.Bool
+	// handoff tells executors the PE is draining out or parked: they stage
+	// their private deques for the owner to forward and take no more work.
+	handoff atomic.Bool
 
 	// pubSpawned/pubExecuted are the executors' aggregate counts already
 	// published to the termination detector (owner-only; monotonic across
 	// jobs, like the detector's counters).
 	pubSpawned  uint64
 	pubExecuted uint64
-
-	// refillTarget is the adaptive ring-refill batch: how deep
-	// fillLocalTier fills the intra-PE ring, in tasks. It starts at the
-	// classic fixed batch (2x workers) and tracks observed executor
-	// starvation — bursty workloads that leave executors idling between
-	// refills push it toward the ring capacity; steady ones decay it back
-	// (owner-only).
-	refillTarget int
-	// refillIdleBase is the executor idle-iteration sum already accounted
-	// for by refill adaptation (owner-only).
-	refillIdleBase uint64
+	// Pad to two cache lines (104 -> 128 bytes): every scheduler iteration
+	// reads workers, pending and err, and a 112-byte object is neither its
+	// own size class nor line-aligned — uts_t1_local ran 10 % slower with
+	// whatever neighbours the allocator dealt it.
+	_ [24]byte
 }
 
-// newExecLayer builds the PE's workers. The ring is kept shallow on
-// purpose (4 slots per worker, at least 16) so surplus work lives in the
-// protocol queue where thieves can see it.
-func newExecLayer(p *Pool, workers int) *execLayer {
-	ex := &execLayer{dq: ldeque.MustNew(max(16, 4*workers)), refillTarget: 2 * workers}
+func newExecLayer(p *Pool, workers int, codec task.Codec) *execLayer {
+	ex := &execLayer{ring: ldeque.MustNew(max(16, 4*workers))}
 	for i := 0; i < workers; i++ {
 		ws := &workerState{id: i, rng: rngStream(p.cfg.Seed, p.ctx.Rank(), i)}
 		ws.tc = TaskCtx{p: p, w: ws}
+		if i > 0 {
+			ws.dq = newPrivDeque(codec)
+		}
 		ex.workers = append(ex.workers, ws)
 	}
 	return ex
@@ -143,9 +152,8 @@ func (ex *execLayer) stage(pe int, d task.Desc) {
 	ex.mu.Unlock()
 }
 
-// takeStaged swaps out the staging area, returning executor output for the
-// owner to publish and make visible. A PE whose executors staged nothing
-// (or that has none) pays one atomic load.
+// takeStaged swaps out the staging area. A PE whose executors staged
+// nothing (or that has none) pays one atomic load.
 func (ex *execLayer) takeStaged() []stagedTask {
 	if !ex.pending.Load() {
 		return nil
@@ -156,6 +164,20 @@ func (ex *execLayer) takeStaged() []stagedTask {
 	ex.pending.Store(false)
 	ex.mu.Unlock()
 	return staged
+}
+
+// surplus is the sharing rule, the same for every worker: with the shared
+// part below one task per worker, a worker holding two or more private
+// tasks owes it up to half of them, as many as fit.
+func (ex *execLayer) surplus(private int) int {
+	if private < 2 {
+		return 0
+	}
+	queued := ex.ring.Len()
+	if queued >= len(ex.workers) {
+		return 0
+	}
+	return min(private/2, ex.ring.Cap()-queued)
 }
 
 // spawn enqueues d on this PE on behalf of worker ws.
@@ -183,37 +205,32 @@ func (p *Pool) spawnOn(ws *workerState, pe int, d task.Desc) error {
 	if ws.id != 0 {
 		// Is the caller the owner goroutine? No: an executor may touch
 		// neither the protocol queue, the detector nor the mailbox. It
-		// counts the task, offers a local one to the ring, and stages the
-		// rest for the owner, which publishes the count before the task
-		// can be observed remotely.
-		if len(d.Payload) > 0 {
-			// The ring and the staging area keep a reference (the protocol
-			// queue and the mailbox would copy); copying here preserves
-			// Spawn's caller-may-reuse-buffer contract.
-			d.Payload = append([]byte(nil), d.Payload...)
-		}
+		// counts the task and keeps a local one in its private deque; one
+		// for another PE it stages (with a payload copy: Spawn's caller may
+		// reuse its buffer) for the owner, which publishes before sending.
 		ws.spawned.Add(1)
-		if pe != self || !p.exec.dq.TryPush(d) {
-			p.exec.stage(pe, d)
+		if pe == self {
+			return ws.dq.push(d)
 		}
+		d.Payload = bytes.Clone(d.Payload)
+		p.exec.stage(pe, d)
 		return nil
 	}
 	if pe == self {
 		// The local portion is owner-private until the owner itself
-		// releases it or refills the ring, so counting after the push (a
-		// full queue fails the spawn uncounted) hides nothing.
+		// releases or shares it, so counting after the push (a full queue
+		// fails the spawn uncounted) hides nothing.
 		if err := p.push(d); err != nil {
 			return err
 		}
 		ws.spawned.Add(1)
-		return p.det.TaskSpawned(1)
+		p.det.TaskSpawned(1)
+		return nil
 	}
 	// Count the spawn before sending so termination detection sees the
 	// task exist from the moment it can be observed anywhere.
 	ws.spawned.Add(1)
-	if err := p.det.TaskSpawned(1); err != nil {
-		return err
-	}
+	p.det.TaskSpawned(1)
 	return p.sendRemote(pe, d)
 }
 
@@ -235,6 +252,7 @@ func (p *Pool) sendRemote(pe int, d task.Desc) error {
 // task body in this many (two clock reads cost about as much as a UTS
 // node), and Stats scales the sampled sum back up. With a trace buffer
 // attached every task is timed, because every task gets a TaskExec event.
+// It is also the beat on which a busy worker cedes the processor.
 const execSampleEvery = 64
 
 // execute runs one task on behalf of worker ws and counts it.
@@ -259,63 +277,126 @@ func (p *Pool) execute(ws *workerState, d task.Desc) error {
 		p.tr.Record(trace.TaskExec, int64(d.Handle), int64(el))
 	}
 	// Executed counts only after the body returned — by then every child
-	// spawn is in some worker's spawned counter, so the owner's
+	// spawn is in this worker's spawned counter, so publishCounts'
 	// executed-before-spawned load order covers them.
 	ws.executed.Add(1)
 	return nil
 }
 
 // executeOwned runs one task on the owner goroutine and publishes its
-// execution. The task may have come off the ring with its spawn still in
-// an executor's unpublished counter, so the executors' counts go first:
-// the published pair must never show an execution whose spawn is missing.
+// execution. The task's own spawn is already published: nothing reaches
+// p.q, the inbox or forwardTask before the count that covers it.
 func (p *Pool) executeOwned(d task.Desc) error {
 	if err := p.execute(p.exec.workers[0], d); err != nil {
 		return err
 	}
-	if err := p.publishCounts(); err != nil {
-		return err
-	}
-	return p.det.TaskExecuted(1)
+	p.det.TaskExecuted(1)
+	return nil
 }
 
-// executorLoop is a non-owner worker: pop from the intra-PE ring, run,
-// repeat; yield (and occasionally sleep) when the ring is dry so
+// executorLoop is a non-owner worker: run the newest private task, or one
+// from the ring when there is none, then pay the ring what it owes; yield
+// (and, once a dry spell is long, occasionally sleep) when both are dry so
 // oversubscribed worlds stay live.
 func (p *Pool) executorLoop(ws *workerState) {
 	ex := p.exec
 	spins := 0
 	for !ex.stop.Load() {
-		d, ok := ex.dq.TryPop()
-		if !ok {
-			ws.idleIters.Add(1)
-			spins++
-			if spins%256 == 0 {
-				time.Sleep(20 * time.Microsecond)
-			} else {
-				runtime.Gosched()
+		d, ok, err := p.nextTask(ws)
+		if ok {
+			if err = p.execute(ws, d); err == nil {
+				err = p.share(ws)
 			}
-			continue
 		}
-		spins = 0
-		if err := p.execute(ws, d); err != nil {
+		if err != nil {
 			ex.fail(err)
 			return
 		}
+		if ok { // the scheduling point the owner ends a task with
+			spins = 0
+			p.ctx.Yield(ws.executed.Load()%execSampleEvery == 0)
+			continue
+		}
+		ws.idleIters.Add(1)
+		spins++
+		if spins >= idleSpinsBeforeSleep && spins%256 == 0 {
+			time.Sleep(20 * time.Microsecond)
+		} else {
+			runtime.Gosched()
+		}
 	}
+}
+
+// idleSpinsBeforeSleep is how many consecutive empty polls (about a
+// millisecond) an executor only yields for before it starts sleeping on
+// every 256th. A running job's empty spells are hundreds of polls long, and
+// a sleep there costs far more than its 20 µs: the executor's P goes idle,
+// every Gosched of the busy owner then wakes a thread to take it, and the
+// kernel parks each woken thread on the waker's core — a new process ran
+// both workers on one core for up to its first second (DESIGN §4.18).
+const idleSpinsBeforeSleep = 4096
+
+// nextTask is an executor's pop: its private deque, newest first, and the
+// ring when that came up empty. On a PE that is leaving the membership it
+// instead hands the deque to the owner — the only worker that can forward
+// tasks to another PE — and reports nothing to run.
+func (p *Pool) nextTask(ws *workerState) (task.Desc, bool, error) {
+	ex := p.exec
+	if ex.handoff.Load() {
+		for ws.dq.n > 0 {
+			d, err := ws.dq.takeOldest()
+			if err != nil {
+				return task.Desc{}, false, err
+			}
+			ex.stage(p.ctx.Rank(), d)
+		}
+		return task.Desc{}, false, nil
+	}
+	d, ok, err := ws.dq.pop()
+	if ok || err != nil {
+		return d, ok, err
+	}
+	if d, ok = ex.ring.TryPop(); ok {
+		ws.fromRing++
+	}
+	return d, ok, nil
+}
+
+// share moves what executor ws owes the ring (surplus), oldest first: a
+// depth-first worker's oldest tasks root its largest unexplored subtrees.
+func (p *Pool) share(ws *workerState) error {
+	for k := p.exec.surplus(ws.dq.n); k > 0; k-- {
+		d, err := ws.dq.takeOldest()
+		if err != nil {
+			return err
+		}
+		if !p.exec.ring.TryPush(d) {
+			return ws.dq.push(d) // another worker filled the ring first
+		}
+	}
+	return nil
 }
 
 // publishCounts aggregates the executors' termination counters and
 // publishes the deltas (the owner publishes its own counts directly). It
 // loads every executed counter before any spawned counter: a task's spawn
 // increment happens before it becomes poppable and its execution increment
-// happens after its body (and all its child spawns) finished, so this
-// order guarantees the published pair never shows an execution whose
-// spawn — or whose children's spawns — are missing. That invariant is what
-// makes termination probes safe at any moment, even with tasks mid-flight
-// in other workers' hands: every outstanding task keeps some PE's
-// published spawned ahead of the global executed sum.
-func (p *Pool) publishCounts() error {
+// after its body (and all its child spawns) finished, so the published pair
+// is a consistent cut — never an execution whose spawn, or whose children's
+// spawns, are missing. That makes termination probes safe at any moment:
+// every outstanding task keeps some PE's published spawned ahead of the
+// global executed sum.
+//
+// A cut that lags is as safe as a fresh one — unheard-of work only makes
+// the PE busier than its ledger says — provided no task counted only in an
+// unpublished counter is executed under the owner's immediately-published
+// count or shown to another PE. Those hand-offs are where the owner calls
+// this: before taking a ring task, before delivering staged tasks, in
+// every drain or park flush, before each termination probe (a quiescent
+// PE's ledger must be exact), and on the stepProgress beat for live
+// readers. Not per task: an owner reading its executors' counters at the
+// task rate takes each cache line from its writer once per task.
+func (p *Pool) publishCounts() {
 	ex := p.exec
 	var te, ts uint64
 	for _, ws := range ex.workers[1:] {
@@ -325,80 +406,7 @@ func (p *Pool) publishCounts() error {
 		ts += ws.spawned.Load()
 	}
 	if ts > ex.pubSpawned || te > ex.pubExecuted {
-		if err := p.det.Publish(int(ts-ex.pubSpawned), int(te-ex.pubExecuted)); err != nil {
-			return err
-		}
+		p.det.Publish(int(ts-ex.pubSpawned), int(te-ex.pubExecuted))
 		ex.pubSpawned, ex.pubExecuted = ts, te
 	}
-	return nil
-}
-
-// adaptRefill computes the next ring-refill batch from the previous one
-// and the executor idle iterations observed since the last refill, clamped
-// to [min, max]. Any observed starvation doubles the batch — idle
-// executors mean refills were not keeping up, so the next one should
-// stock deeper; an idle-free interval decays the batch halfway back
-// toward the classic fixed minimum, so a workload that stops bursting
-// stops hoarding (surplus returns to the protocol queue where thieves
-// can see it).
-func adaptRefill(prev int, idleDelta uint64, min, max int) int {
-	next := prev
-	if idleDelta > 0 {
-		next = prev * 2
-	} else {
-		next = min + (prev-min)/2
-	}
-	if next < min {
-		next = min
-	}
-	if next > max {
-		next = max
-	}
-	return next
-}
-
-// fillLocalTier keeps the ring fed from the protocol queue: when the ring
-// runs shallow (below one task per worker) the owner pops from the local
-// portion up to the adaptive refill target. The target starts at the
-// classic 2x-workers batch and tracks observed executor starvation
-// (adaptRefill), so bursty workloads keep the ring warm while steady ones
-// stay shallow — surplus work lives in the protocol queue where Release
-// can expose it to remote thieves; deep local tiers hoard.
-func (p *Pool) fillLocalTier() (int, error) {
-	ex := p.exec
-	w := len(ex.workers)
-	if ex.dq.Len() >= w {
-		return 0, nil
-	}
-	var idle uint64
-	for _, ws := range ex.workers[1:] {
-		idle += ws.idleIters.Load()
-	}
-	ex.refillTarget = adaptRefill(ex.refillTarget, idle-ex.refillIdleBase, 2*w, ex.dq.Cap())
-	ex.refillIdleBase = idle
-	if p.live != nil {
-		p.live.refillTarget.Store(int64(ex.refillTarget))
-	}
-	moved := 0
-	for ex.dq.Len() < ex.refillTarget {
-		d, ok, err := p.q.Pop()
-		if err != nil {
-			return moved, err
-		}
-		if !ok {
-			break
-		}
-		// The ring keeps the descriptor past the next Pop; Pop's payload
-		// buffer does not.
-		d.Payload = bytes.Clone(d.Payload)
-		if !ex.dq.TryPush(d) {
-			// Workers refilled the ring concurrently; put the task back.
-			if err := p.push(d); err != nil {
-				return moved, err
-			}
-			break
-		}
-		moved++
-	}
-	return moved, nil
 }

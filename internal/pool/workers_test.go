@@ -1,11 +1,15 @@
 package pool
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sws/internal/shmem"
 	"sws/internal/stats"
@@ -29,7 +33,7 @@ func testWorkerCounts(t *testing.T) []int {
 
 // TestMultiWorkerExactlyOnce runs a binary task tree over multi-worker
 // PEs and checks every node executed exactly once — the invariant that
-// the intra-PE ring, the overflow staging, and the aggregated termination
+// the private deques, the intra-PE ring, and the aggregated termination
 // accounting jointly guarantee. Runs under -race in CI.
 func TestMultiWorkerExactlyOnce(t *testing.T) {
 	const depth = 10 // 2^11 - 1 nodes
@@ -299,6 +303,217 @@ func TestDrainRunsInventoryLocally(t *testing.T) {
 	if sts[1].TasksExecuted == 0 || sts[1].TasksForwarded != 0 || sts[1].MemberDrains != 1 {
 		t.Fatalf("rank 1: executed %d, forwarded %d, drains %d; want a completed drain that ran its inventory locally",
 			sts[1].TasksExecuted, sts[1].TasksForwarded, sts[1].MemberDrains)
+	}
+}
+
+// TestDrainForwardsExecutorBacklog: a PE that begins draining while one of
+// its executors holds a deep private backlog still forwards its whole
+// inventory — the executor stages its deque for the owner, the owner
+// publishes the counts that cover it and sends it on — so every task runs
+// exactly once and most of the backlog runs on the remaining member.
+func TestDrainForwardsExecutorBacklog(t *testing.T) {
+	const gens, leaves = 8, 2000
+	const total = 1 + gens*(1+leaves)
+	w, err := shmem.NewWorld(shmem.Config{NumPEs: 2, HeapBytes: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran, draining atomic.Uint64
+	sts := make([]stats.PE, 2) // each PE writes its own element
+	err = w.Run(func(c *shmem.Ctx) error {
+		reg := NewRegistry()
+		leaf := reg.MustRegister("leaf", func(tc *TaskCtx, payload []byte) error {
+			ran.Add(1)
+			for t0 := time.Now(); time.Since(t0) < 10*time.Microsecond; {
+			}
+			return nil
+		})
+		gen := reg.MustRegister("gen", func(tc *TaskCtx, payload []byte) error {
+			ran.Add(1)
+			for i := 0; i < leaves; i++ {
+				if err := tc.Spawn(leaf, nil); err != nil {
+					return err
+				}
+			}
+			// The first generator an executor of rank 1 runs starts the
+			// drain, with its 2000 leaves in that executor's private deque.
+			if tc.Rank() == 1 && tc.Worker() != 0 && draining.CompareAndSwap(0, 1) {
+				return w.Live().BeginDrain(1)
+			}
+			return nil
+		})
+		root := reg.MustRegister("root", func(tc *TaskCtx, payload []byte) error {
+			ran.Add(1)
+			for i := 0; i < gens; i++ {
+				if err := tc.Spawn(gen, nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		p, err := New(c, reg, Config{Seed: 11, Workers: 2, QueueCapacity: 1 << 15})
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			if err := p.Add(root, nil); err != nil {
+				return err
+			}
+		}
+		if err := p.Run(); err != nil {
+			return err
+		}
+		sts[c.Rank()] = p.Stats()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ran.Load(); got != total {
+		t.Fatalf("ran %d tasks, want %d", got, total)
+	}
+	var sum stats.PE
+	for _, st := range sts {
+		sum.Add(st)
+	}
+	if sum.TasksSpawned != total || sum.TasksExecuted != total {
+		t.Fatalf("ledger: %d spawned, %d executed, want %d of each", sum.TasksSpawned, sum.TasksExecuted, total)
+	}
+	if draining.Load() == 0 {
+		t.Skip("no executor of rank 1 ran a generator: nothing was checked")
+	}
+	// The ring holds 16 tasks; a forward count beyond half a generator's
+	// leaves can only have come out of the executor's private deque.
+	if sts[1].MemberDrains != 1 || sts[1].TasksForwarded < leaves/2 {
+		t.Fatalf("rank 1: drains %d, forwarded %d; want 1 drain forwarding at least %d tasks",
+			sts[1].MemberDrains, sts[1].TasksForwarded, leaves/2)
+	}
+}
+
+// TestStrandedTaskFailsJob: a task left in an executor's private deque
+// after global termination means the ledger balanced without it. The job
+// must fail with ErrStranded rather than report success with work undone.
+// The bug is planted: an executor parks an uncounted task and exits.
+func TestStrandedTaskFailsJob(t *testing.T) {
+	runWorld(t, 1, shmem.TransportLocal, func(c *shmem.Ctx) error {
+		reg := NewRegistry()
+		var planted atomic.Bool
+		var h task.Handle
+		h = reg.MustRegister("node", func(tc *TaskCtx, payload []byte) error {
+			if len(payload) != 0 { // the root
+				for i := 0; i < 8; i++ {
+					if err := tc.Spawn(h, nil); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			if tc.Worker() != 0 {
+				if planted.CompareAndSwap(false, true) {
+					tc.p.exec.stop.Store(true)
+					return tc.w.dq.push(task.Desc{Handle: h})
+				}
+				return nil
+			}
+			// The owner holds its children until the executor has had one.
+			for t0 := time.Now(); !planted.Load() && time.Since(t0) < 5*time.Second; {
+				runtime.Gosched()
+			}
+			return nil
+		})
+		p, err := New(c, reg, Config{Workers: 2})
+		if err != nil {
+			return err
+		}
+		if err := p.Add(h, []byte{1}); err != nil {
+			return err
+		}
+		err = p.Run()
+		if !planted.Load() {
+			return fmt.Errorf("the executor never ran a task: %v", err)
+		}
+		if !errors.Is(err, ErrStranded) {
+			return fmt.Errorf("Run returned %v, want ErrStranded", err)
+		}
+		return nil
+	})
+}
+
+// TestPrivDeque checks the executor's private deque: LIFO pop, wrap-around,
+// growth preserving order, oldest-first removal, and that a popped payload
+// survives a push into the slot it came from (a body encodes its children
+// into its own payload buffer — Func's contract).
+func TestPrivDeque(t *testing.T) {
+	q := newPrivDeque(task.MustNewCodec(24))
+	push := func(v uint64) {
+		t.Helper()
+		if err := q.push(task.Desc{Handle: task.Handle(v), Payload: task.Args(v, v+1, v+2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(d task.Desc, err error, want uint64) {
+		t.Helper()
+		if err != nil || d.Handle != task.Handle(want) || !bytes.Equal(d.Payload, task.Args(want, want+1, want+2)) {
+			t.Fatalf("got handle %d payload %x (err %v), want task %d", d.Handle, d.Payload, err, want)
+		}
+	}
+	pop := func(want uint64) task.Desc {
+		t.Helper()
+		d, ok, err := q.pop()
+		if !ok {
+			t.Fatalf("pop: empty, want task %d", want)
+		}
+		check(d, err, want)
+		return d
+	}
+	if _, ok, _ := q.pop(); ok {
+		t.Fatal("pop from an empty deque succeeded")
+	}
+
+	// Wrap-around: drift the window several times round the initial buffer
+	// without ever filling it.
+	capacity := q.mask + 1
+	next, oldest := uint64(0), uint64(0)
+	for ; next < 10; next++ {
+		push(next)
+	}
+	for i := 0; i < 3*capacity; i++ {
+		d, err := q.takeOldest()
+		check(d, err, oldest)
+		oldest++
+		push(next)
+		next++
+	}
+	if q.mask+1 != capacity {
+		t.Fatalf("deque grew to %d slots holding 10 tasks", q.mask+1)
+	}
+
+	// Growth from a wrapped position keeps the order at both ends.
+	for q.n <= 2*capacity {
+		push(next)
+		next++
+	}
+	if q.mask+1 != 4*capacity {
+		t.Fatalf("deque has %d slots holding %d tasks, want %d", q.mask+1, q.n, 4*capacity)
+	}
+	d, err := q.takeOldest()
+	check(d, err, oldest)
+	oldest++
+
+	// A popped payload is the body's buffer: pushing into the freed slot
+	// (and overwriting the buffer's source) leaves it intact.
+	d = pop(next - 1)
+	push(999)
+	check(d, nil, next-1)
+	pop(999)
+	for v := next - 2; ; v-- {
+		pop(v)
+		if v == oldest {
+			break
+		}
+	}
+	if _, ok, _ := q.pop(); ok || q.n != 0 {
+		t.Fatalf("deque not empty after popping everything: n=%d", q.n)
 	}
 }
 

@@ -119,6 +119,10 @@ type Worker struct {
 	// IdleIters counts executor loop iterations that found the intra-PE
 	// tier empty (owner: scheduler iterations with nothing to do).
 	IdleIters uint64
+	// FromRing counts the tasks this worker took from the PE's shared ring
+	// rather than from its own private part: the intra-PE transfers, which
+	// is what the tier's synchronization is paid in proportion to.
+	FromRing uint64
 }
 
 // Add accumulates o into s.
@@ -231,6 +235,7 @@ func (s PE) Delta(prev PE) PE {
 				StealTime:     w.StealTime - p.StealTime,
 				SearchTime:    w.SearchTime - p.SearchTime,
 				IdleIters:     sub(w.IdleIters, p.IdleIters),
+				FromRing:      sub(w.FromRing, p.FromRing),
 			}
 		}
 	}

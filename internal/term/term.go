@@ -135,17 +135,15 @@ func (d *Detector) StartJob() error {
 }
 
 // TaskSpawned records n newly created tasks and publishes the counter.
-func (d *Detector) TaskSpawned(n int) error {
+func (d *Detector) TaskSpawned(n int) {
 	d.spawned += uint64(n)
 	atomic.StoreUint64(&d.own[ownSpawned], d.spawned)
-	return nil
 }
 
 // TaskExecuted records n completed tasks and publishes the counter.
-func (d *Detector) TaskExecuted(n int) error {
+func (d *Detector) TaskExecuted(n int) {
 	d.executed += uint64(n)
 	atomic.StoreUint64(&d.own[ownExecuted], d.executed)
-	return nil
 }
 
 // Counts returns this PE's local view of its own counters.
@@ -159,7 +157,8 @@ func (d *Detector) Counts() (spawned, executed uint64) {
 // caller, both load-side:
 //
 //   - Workers must increment their spawned counter before the task
-//     becomes visible anywhere (before it enters the intra-PE tier), and
+//     becomes visible anywhere (before it enters even the worker's own
+//     private deque), and
 //     their executed counter only after the task body returns.
 //   - The owner must read all workers' executed counters before reading
 //     their spawned counters. Then every executed task it counts has its
@@ -172,16 +171,13 @@ func (d *Detector) Counts() (spawned, executed uint64) {
 // ahead (treated as a torn snapshot and retried by Check). Tasks staged
 // for remote visibility (queue pushes, remote spawns) must be held back
 // until the Publish covering their spawn returns.
-func (d *Detector) Publish(spawned, executed int) error {
+func (d *Detector) Publish(spawned, executed int) {
 	if spawned > 0 {
-		if err := d.TaskSpawned(spawned); err != nil {
-			return err
-		}
+		d.TaskSpawned(spawned)
 	}
 	if executed > 0 {
-		return d.TaskExecuted(executed)
+		d.TaskExecuted(executed)
 	}
-	return nil
 }
 
 // NoteActivity records a work event invisible to the task counters —
@@ -189,12 +185,11 @@ func (d *Detector) Publish(spawned, executed int) error {
 // detection can tell "survivors quiescent" from "work still moving".
 // Fault-free runs pay one local increment and no communication; the beacon
 // word is only published once a peer has died.
-func (d *Detector) NoteActivity() error {
+func (d *Detector) NoteActivity() {
 	d.activity++
 	if lv := d.ctx.Liveness(); lv != nil && lv.AnyDead() {
 		atomic.StoreUint64(&d.own[ownActivity], d.activity)
 	}
-	return nil
 }
 
 // Check is called by an idle PE. It returns true once global termination
