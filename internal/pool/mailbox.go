@@ -7,49 +7,59 @@ import (
 
 	"sws/internal/shmem"
 	"sws/internal/task"
+	"sws/internal/wsq"
 )
 
 // mailbox implements remote task spawning (§3 of the paper: "a process
 // may spawn tasks onto remote queues, although with more overhead due to
 // communication"). Thieves cannot push into a victim's split queue — its
 // local portion is owner-private — so remote spawns go through a separate
-// one-sided inbox ring on the target:
+// one-sided inbox ring on the target. A spawn into a ring that is not full
+// is exactly two communications, and the owner's side is its own memory:
 //
 //   - the sender claims a ticket with a remote fetch-add on the write
-//     cursor, waits for its turn on the ticket's slot (it almost always
-//     has it already), puts the encoded descriptor, and marks the slot
-//     ready with an atomic store: 3–4 communications per remote spawn, vs
-//     0 for a local one;
-//   - the owner drains ready slots into its own queue during its regular
-//     progress work, handing each slot on to the next lap's sender.
+//     cursor and delivers with one put-with-signal: the encoded descriptor
+//     into slot ticket%slots, then ticket+1 into the slot's signal word;
+//   - the owner drains in ticket order during its regular progress work:
+//     it waits for its next slot's signal to read readCursor+1, decodes the
+//     task out of the slot and pushes it. It never writes the signal back.
 //
-// The slot word is the lap-ticket handoff of internal/ldeque's ring, with
-// turns numbered per slot so the zeroed heap is the initial state: ticket
-// t maps to slot t%slots on lap t/slots; the word reads 2*lap when the
-// slot is that lap's sender's to write, 2*lap+1 once its task is ready,
-// and the owner's drain stores 2*(lap+1). A sender one lap ahead of an
-// undrained slot therefore waits for the drain instead of mistaking
-// "someone else's free" for its own, which a two-state free/ready word
-// cannot tell apart. The state word hands the slot between sender and
-// owner with release/acquire ordering.
+// The sender does not probe the slot, it holds a credit. Drains are in
+// ticket order, so slot t%slots is free for ticket t iff the owner's read
+// cursor is past t-slots, and the cursor only grows: any copy a sender has
+// of it is a safe lower bound. The owner publishes the cursor into one word
+// of its heap once per drained batch — after the pushes, so a slot is never
+// rewritten while its task is still being read out of it — and a sender
+// fetches that word only when its ticket has run a full lap past its copy:
+// one probe in slots/senders sends instead of one per send.
+//
+// The signal is the ticket plus one, so it is never zero (the zeroed heap
+// is the initial state: no slot's first signal is 0) and never repeats on a
+// slot: a lap-old signal cannot pass for the one the owner waits for, which
+// is what lets the word have one writer per lap and no hand-back store.
+// Ticket, cursor and signal are full 64-bit words; nothing wraps.
 type mailbox struct {
-	ctx   *shmem.Ctx
-	codec task.Codec
-	slots int
+	ctx      *shmem.Ctx
+	codec    task.Codec
+	slots    uint64
+	slotSize int
 
-	writeAddr shmem.Addr // word: global write cursor (fetch-add by senders)
-	stateAddr shmem.Addr // slots words: turn numbers
-	dataAddr  shmem.Addr // slots * slotSize bytes
+	writeAddr  shmem.Addr // word: write cursor (senders fetch-add tickets)
+	signalAddr shmem.Addr // slots words: ticket+1 of the task each slot holds
+	dataAddr   shmem.Addr // slots * slotSize bytes
+	creditAddr shmem.Addr // word: the owner's published read cursor
 
-	readCursor uint64 // owner-local: the next ticket to drain
-	// turns is the state array in this PE's own heap, as memory: the owner
-	// polls its next slot's turn word once per scheduler iteration.
-	turns []uint64
+	// The owner's side, as memory of this PE's own heap: it polls its next
+	// slot's signal once per scheduler iteration.
+	readCursor uint64 // the next ticket to drain
+	signals    []uint64
+	data       []byte
+	credit     *uint64
 
-	// sendBuf and drainBuf stage one encoded descriptor each. Both send
-	// and drain run on the PE's owner goroutine only, but a drain may
-	// send (a departing PE forwards what it drains), so they are two.
-	sendBuf, drainBuf []byte
+	// The sender's side. known[pe] is a lower bound on pe's read cursor.
+	// Send and drain both run on the PE's owner goroutine only.
+	known   []uint64
+	sendBuf []byte
 }
 
 const defaultMailboxSlots = 256
@@ -59,30 +69,36 @@ func newMailbox(ctx *shmem.Ctx, codec task.Codec, slots int) (*mailbox, error) {
 	if slots < 1 {
 		return nil, fmt.Errorf("pool: mailbox needs at least 1 slot, got %d", slots)
 	}
-	m := &mailbox{ctx: ctx, codec: codec, slots: slots,
-		sendBuf: make([]byte, codec.SlotSize()), drainBuf: make([]byte, codec.SlotSize())}
+	// known and sendBuf are read, and sendBuf written, on every send: like
+	// a queue's pop buffer they get cache lines of their own.
+	n := ctx.NumPEs()
+	m := &mailbox{ctx: ctx, codec: codec, slots: uint64(slots), slotSize: codec.SlotSize(),
+		known: make([]uint64, n, (n+15)&^15), sendBuf: wsq.NewPopBuf(codec.SlotSize())}
 	var err error
 	if m.writeAddr, err = ctx.Alloc(shmem.WordSize); err != nil {
 		return nil, err
 	}
-	if m.stateAddr, err = ctx.Alloc(slots * shmem.WordSize); err != nil {
+	if m.signalAddr, err = ctx.Alloc(slots * shmem.WordSize); err != nil {
 		return nil, err
 	}
-	if m.dataAddr, err = ctx.Alloc(slots * codec.SlotSize()); err != nil {
+	if m.dataAddr, err = ctx.Alloc(slots * m.slotSize); err != nil {
 		return nil, err
 	}
-	if m.turns, err = ctx.OwnWords(m.stateAddr, slots); err != nil {
+	if m.creditAddr, err = ctx.Alloc(shmem.WordSize); err != nil {
 		return nil, err
 	}
+	if m.signals, err = ctx.OwnWords(m.signalAddr, slots); err != nil {
+		return nil, err
+	}
+	if m.data, err = ctx.OwnBytes(m.dataAddr, slots*m.slotSize); err != nil {
+		return nil, err
+	}
+	credit, err := ctx.OwnWords(m.creditAddr, 1)
+	if err != nil {
+		return nil, err
+	}
+	m.credit = &credit[0]
 	return m, nil
-}
-
-func (m *mailbox) slotState(i int) shmem.Addr {
-	return m.stateAddr + shmem.Addr(i*shmem.WordSize)
-}
-
-func (m *mailbox) slotData(i int) shmem.Addr {
-	return m.dataAddr + shmem.Addr(i*m.codec.SlotSize())
 }
 
 // send delivers a descriptor into pe's inbox.
@@ -94,20 +110,30 @@ func (m *mailbox) send(pe int, d task.Desc) error {
 	if err != nil {
 		return err
 	}
-	slot := int(ticket % uint64(m.slots))
-	turn := 2 * (ticket / uint64(m.slots))
-	// Wait for the previous lap's task to drain if a full ring lap is
-	// outstanding (a slot that stays full means the owner is not draining).
-	// The slot is almost always ours already, so the deadline is computed
-	// only once the wait actually waits.
+	if ticket-m.known[pe] >= m.slots {
+		if err := m.awaitCredit(pe, ticket); err != nil {
+			return err
+		}
+	}
+	slot := ticket % m.slots
+	return m.ctx.PutSignal(pe,
+		m.dataAddr+shmem.Addr(slot*uint64(m.slotSize)), m.sendBuf,
+		m.signalAddr+shmem.Addr(slot*shmem.WordSize), ticket+1)
+}
+
+// awaitCredit refreshes known[pe] until it covers ticket: the previous
+// lap's task has left the ticket's slot. A ring that stays full means the
+// owner is not draining.
+func (m *mailbox) awaitCredit(pe int, ticket uint64) error {
 	var deadline time.Time
 	for {
-		st, err := m.ctx.Load64(pe, m.slotState(slot))
+		cursor, err := m.ctx.Load64(pe, m.creditAddr)
 		if err != nil {
 			return err
 		}
-		if st == turn {
-			break
+		m.known[pe] = cursor
+		if ticket-cursor < m.slots {
+			return nil
 		}
 		if werr := m.ctx.Err(); werr != nil {
 			return werr
@@ -115,45 +141,38 @@ func (m *mailbox) send(pe int, d task.Desc) error {
 		if deadline.IsZero() {
 			deadline = time.Now().Add(pushTimeout)
 		} else if time.Now().After(deadline) {
-			return fmt.Errorf("pool: PE %d inbox slot %d stayed full for %v (receiver not draining?)",
-				pe, slot, pushTimeout)
+			return fmt.Errorf("pool: PE %d inbox stayed full for %v: ticket %d, read cursor %d, %d slots (receiver not draining?)",
+				pe, pushTimeout, ticket, cursor, m.slots)
 		}
 		m.ctx.Relax()
 	}
-	if err := m.ctx.Put(pe, m.slotData(slot), m.sendBuf); err != nil {
-		return err
-	}
-	// The ready store is the release edge the owner's drain acquires.
-	return m.ctx.Store64(pe, m.slotState(slot), turn+1)
 }
 
 // drain moves every ready inbox task into the owner's queue via push,
-// returning how many were delivered.
+// returning how many were delivered. push gets the descriptor as it lies
+// in the slot and must be done with it when it returns: the cursor that
+// frees the slot is published after the batch.
 func (m *mailbox) drain(push func(task.Desc) error) (int, error) {
-	me := m.ctx.Rank()
-	delivered := 0
+	first := m.readCursor
+	var err error
 	for {
-		slot := int(m.readCursor % uint64(m.slots))
-		turn := 2 * (m.readCursor / uint64(m.slots))
-		if atomic.LoadUint64(&m.turns[slot]) != turn+1 {
-			return delivered, nil
+		slot := int(m.readCursor % m.slots)
+		if atomic.LoadUint64(&m.signals[slot]) != m.readCursor+1 {
+			break
 		}
-		if err := m.ctx.Get(me, m.slotData(slot), m.drainBuf); err != nil {
-			return delivered, err
+		var d task.Desc
+		if d, err = m.codec.View(m.data[slot*m.slotSize:][:m.slotSize]); err != nil {
+			err = fmt.Errorf("pool: corrupt inbox slot %d: %w", slot, err)
+			break
 		}
-		// Decode copies the payload out, so the staging buffer is free
-		// again before push (which may re-enter send) runs.
-		d, err := m.codec.Decode(m.drainBuf)
-		if err != nil {
-			return delivered, fmt.Errorf("pool: corrupt inbox slot %d: %w", slot, err)
-		}
-		if err := push(d); err != nil {
-			return delivered, err
-		}
-		if err := m.ctx.Store64(me, m.slotState(slot), turn+2); err != nil {
-			return delivered, err
+		if err = push(d); err != nil {
+			break
 		}
 		m.readCursor++
-		delivered++
 	}
+	delivered := int(m.readCursor - first)
+	if delivered > 0 {
+		atomic.StoreUint64(m.credit, m.readCursor)
+	}
+	return delivered, err
 }

@@ -105,9 +105,17 @@ func TestSpawnOnRangeError(t *testing.T) {
 	})
 }
 
-// The inbox ring must survive wrapping many times (more sends than slots).
+// The inbox ring must survive wrapping many times (more sends than slots):
+// a power-of-two ring, one that is not, and a one-slot ring, where every
+// send after the first needs a fresh credit.
 func TestMailboxWraps(t *testing.T) {
-	const sends = 900 // MailboxSlots default 256 -> several laps
+	for _, slots := range []int{64, 3, 1} {
+		t.Run(fmt.Sprintf("slots=%d", slots), func(t *testing.T) { testMailboxWraps(t, slots) })
+	}
+}
+
+func testMailboxWraps(t *testing.T, slots int) {
+	const sends = 900
 	var ran atomic.Int64
 	runWorld(t, 2, shmem.TransportLocal, func(c *shmem.Ctx) error {
 		reg := NewRegistry()
@@ -115,7 +123,7 @@ func TestMailboxWraps(t *testing.T) {
 			ran.Add(1)
 			return nil
 		})
-		p, err := New(c, reg, Config{Seed: 1, MailboxSlots: 64})
+		p, err := New(c, reg, Config{Seed: 1, MailboxSlots: slots})
 		if err != nil {
 			return err
 		}
@@ -172,4 +180,77 @@ func TestMailboxPayloadIntegrity(t *testing.T) {
 	if want := uint64(sends * (sends + 1) / 2); sum.Load() != want {
 		t.Fatalf("sum = %d, want %d", sum.Load(), want)
 	}
+}
+
+// TestRemoteSpawnComms is the remote spawn's count guard, exact on any box:
+// a SpawnOn into a ring that is not full is one fetch-add and one
+// put-signal, the sender refreshes its credit once per lap of the ring, the
+// receiver's drain issues no op at all — its side of the inbox is its own
+// memory — and the whole send -> drain -> pop -> execute cycle allocates
+// nothing. One goroutine drives both pools (PE 1 waits in a barrier), so the
+// interleaving is fixed: the receiver drains on a beat that divides the
+// ring, which means every credit refresh finds it caught up. A receiver
+// that lags buys the sender fewer sends per refresh, and a full ring polls.
+func TestRemoteSpawnComms(t *testing.T) {
+	const sends, beat = 10_000, 64
+	receiver := make(chan *Pool, 1)
+	runWorld(t, 2, shmem.TransportLocal, func(c *shmem.Ctx) error {
+		reg := NewRegistry()
+		h := reg.MustRegister("leaf", func(*TaskCtx, []byte) error { return nil })
+		p, err := New(c, reg, Config{})
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			receiver <- p
+			return c.Barrier()
+		}
+		recv := <-receiver
+		payload := make([]byte, 24)
+		send := func() {
+			if err := p.SpawnOn(1, h, payload); err != nil {
+				t.Error(err)
+			}
+		}
+		drainAndRun := func(want int) {
+			if got, err := recv.mbox.drain(recv.push); err != nil || got != want {
+				t.Errorf("drained %d of %d, %v", got, want, err)
+			}
+			for i := 0; i < want; i++ {
+				d, ok, err := recv.q.Pop()
+				if err != nil || !ok || len(d.Payload) != len(payload) {
+					t.Errorf("pop: ok=%v payload=%d err=%v", ok, len(d.Payload), err)
+				}
+				if err := recv.executeOwned(d); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+
+		sent0, local0 := c.Counters().Snapshot(), recv.ctx.Counters().Snapshot().Local
+		for i := 1; i <= sends; i++ {
+			send()
+			if i%beat == 0 {
+				drainAndRun(beat)
+			}
+		}
+		drainAndRun(sends % beat)
+		sent := c.Counters().Snapshot().Sub(sent0)
+		if sent.Of(shmem.OpFetchAdd) != sends || sent.Of(shmem.OpPutSignal) != sends {
+			t.Errorf("%d remote spawns issued %v, want one fetch-add and one put-signal each", sends, sent)
+		}
+		if probes, most := sent.Of(shmem.OpLoad), uint64(sends/defaultMailboxSlots+1); probes > most ||
+			sent.Total() != 2*sends+probes {
+			t.Errorf("%d remote spawns issued %v: want at most %d credit fetches and nothing else", sends, sent, most)
+		}
+		if local := recv.ctx.Counters().Snapshot().Local - local0; local != 0 {
+			t.Errorf("the receiver issued %d self-targeted ops through Ctx.do draining %d tasks, want 0", local, sends)
+		}
+
+		cycle := func() { send(); drainAndRun(1) }
+		if allocs := testing.AllocsPerRun(2*defaultMailboxSlots, cycle); allocs != 0 {
+			t.Errorf("send -> drain -> pop -> execute allocates %.2f objects/op, want 0", allocs)
+		}
+		return c.Barrier()
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"sws/internal/obs"
@@ -114,5 +115,16 @@ func TestMetricsReferenceDocInSync(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("%s is stale; regenerate with:\n  go test ./internal/pool -run TestMetricsReferenceDocInSync -update-metrics-doc", path)
+	}
+}
+
+// TestMetricsReferenceNamesEveryOp: the op label's values are the shmem op
+// names, and the row that documents them lists each one.
+func TestMetricsReferenceNamesEveryOp(t *testing.T) {
+	help := metricDocByName()["sws_shmem_remote_ops_total"].Help
+	for _, op := range shmem.Ops() {
+		if !regexp.MustCompile(`[ ,]` + regexp.QuoteMeta(op.String()) + `[ ,.]`).MatchString(help) {
+			t.Errorf("sws_shmem_remote_ops_total does not document op=%q", op)
+		}
 	}
 }

@@ -25,6 +25,7 @@ const (
 	OpPutNBI
 	OpFetchAddGet
 	OpGetV
+	OpPutSignal
 	numOps
 )
 
@@ -41,6 +42,7 @@ var opNames = [...]string{
 	OpPutNBI:      "put-nbi",
 	OpFetchAddGet: "fetch-add-get",
 	OpGetV:        "getv",
+	OpPutSignal:   "put-signal",
 }
 
 // The trace package renders CommOp timeline events by op code; give it the
@@ -115,7 +117,7 @@ func (c *Counters) LatencySnapshots() map[string]obs.HistSnap {
 func (c *Counters) countRemote(op Op, payload int) {
 	c.ops[op].Add(1)
 	switch op {
-	case OpPut, OpPutNBI:
+	case OpPut, OpPutNBI, OpPutSignal:
 		c.bytesPut.Add(uint64(payload))
 	case OpGet, OpGetV:
 		c.bytesGot.Add(uint64(payload))

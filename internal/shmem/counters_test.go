@@ -8,7 +8,7 @@ import (
 func TestOpStringsAndBlocking(t *testing.T) {
 	blocking := map[Op]bool{
 		OpPut: true, OpGet: true, OpFetchAdd: true, OpSwap: true,
-		OpCompareSwap: true, OpLoad: true, OpStore: true,
+		OpCompareSwap: true, OpLoad: true, OpStore: true, OpPutSignal: true,
 		OpStoreNBI: false, OpAddNBI: false, OpPutNBI: false,
 	}
 	for op, want := range blocking {

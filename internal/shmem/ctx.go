@@ -315,7 +315,7 @@ func (c *Ctx) OwnWords(addr Addr, n int) ([]uint64, error) {
 
 // OwnBytes is OwnWords for a byte range: plain access is safe only where
 // the protocol orders it against peers' transfers (a queue slot outside
-// any advertised block, an inbox slot handed over by its turn word).
+// any advertised block, an inbox slot handed over by its signal word).
 func (c *Ctx) OwnBytes(addr Addr, n int) ([]byte, error) {
 	if err := c.self.checkRange(addr, n); err != nil {
 		return nil, err
@@ -423,6 +423,19 @@ func (c *Ctx) do(r *opReq) (uint64, []byte, error) {
 // Put copies src into PE pe's heap at addr and blocks until complete.
 func (c *Ctx) Put(pe int, addr Addr, src []byte) error {
 	_, _, err := c.do(&opReq{op: OpPut, to: pe, addr: addr, buf: src})
+	return err
+}
+
+// PutSignal copies src into PE pe's heap at addr and then release-stores
+// sig to the word at sigAddr there, as one blocking operation (OpenSHMEM
+// 1.5's shmem_put_signal): a reader on pe that acquires the signal word
+// sees the whole payload, with no second communication to say so. Both
+// addresses are validated before either is written. Unlike a plain put it
+// is never redelivered or retried once it may have reached the target —
+// the signal hands the bytes on, and a second copy could land on their
+// next occupant — so a lost one fails with a typed error instead.
+func (c *Ctx) PutSignal(pe int, addr Addr, src []byte, sigAddr Addr, sig uint64) error {
+	_, _, err := c.do(&opReq{op: OpPutSignal, to: pe, addr: addr, buf: src, v1: sig, v2: uint64(sigAddr)})
 	return err
 }
 

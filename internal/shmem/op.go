@@ -18,7 +18,8 @@ type opReq struct {
 	addr     Addr // target address; unused by OpGetV, whose ranges are spans
 	// v1 is the operand: the delta of a fetch-add/add, the value of a
 	// swap/store, the expected value of a compare-swap (v2 is its
-	// replacement).
+	// replacement), the signal of a put-signal (v2 is the signal word's
+	// address).
 	v1, v2 uint64
 	id     uint64 // fused-handler id (OpFetchAddGet)
 	buf    []byte // source of a put, destination of a get/getv
@@ -34,7 +35,7 @@ type opReq struct {
 // rather than acting on one 64-bit word.
 func (o Op) bulk() bool {
 	switch o {
-	case OpPut, OpGet, OpGetV, OpPutNBI:
+	case OpPut, OpGet, OpGetV, OpPutNBI, OpPutSignal:
 		return true
 	}
 	return false
@@ -43,7 +44,9 @@ func (o Op) bulk() bool {
 // redeliverable reports whether a Duplicate fault verdict re-applies the
 // op: stores and injected puts — the deliveries a fabric may retransmit
 // after a lost ack. Atomics are acknowledged with their fetch and never
-// blindly retried.
+// blindly retried, and a put-signal ends in one: its signal hands the bytes
+// to a reader that may hand them on, so a late second copy would overwrite
+// whatever the next writer put there.
 func (o Op) redeliverable() bool {
 	switch o {
 	case OpStore, OpStoreNBI, OpPutNBI:
@@ -83,14 +86,18 @@ func (r *opReq) checkBytes(pe *peState) error {
 // by the caller.
 func (w *World) apply(pe *peState, r *opReq, scratch *[]byte) (val uint64, data []byte, err error) {
 	// Validate first: alignment and bounds of the word an atomic acts on,
-	// bounds of every byte range a transfer touches.
+	// bounds of every byte range a transfer touches. A put-signal has both,
+	// and neither is written unless both are valid.
 	var word *uint64
+	wordAddr, hasWord := r.addr, true
 	if r.op.bulk() {
 		if err := r.checkBytes(pe); err != nil {
 			return 0, nil, err
 		}
-	} else {
-		i, err := pe.checkWord(r.addr)
+		wordAddr, hasWord = Addr(r.v2), r.op == OpPutSignal
+	}
+	if hasWord {
+		i, err := pe.checkWord(wordAddr)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -99,6 +106,13 @@ func (w *World) apply(pe *peState, r *opReq, scratch *[]byte) (val uint64, data 
 	switch r.op {
 	case OpPut, OpPutNBI:
 		pe.copyIn(r.addr, r.buf)
+	case OpPutSignal:
+		// The store is the release edge: whoever acquires the signal word
+		// sees the whole payload. That is all the ordering the bytes have
+		// and all they need, so they move as a plain copy, not as copyIn's
+		// word-by-word atomic stores.
+		copy(pe.bytes[r.addr:], r.buf)
+		atomic.StoreUint64(word, r.v1)
 	case OpGet:
 		pe.copyOut(r.addr, r.buf)
 		data = r.buf

@@ -386,10 +386,11 @@ func (t *tcpTransport) handle(rank int, conn net.Conn) {
 // success response should be read into. A get travels as its length (v1);
 // a getv as its span count and total (v1, v2) with the span table — staged
 // in a pooled buffer the caller recycles — as payload; a fused op carries
-// its handler id in v2.
+// its handler id in v2; a put-signal is a put whose header words (v1, v2)
+// are already its signal and signal address.
 func encodeOp(r *opReq) (payload, into []byte, tbl *[]byte) {
 	switch r.op {
-	case OpPut, OpPutNBI:
+	case OpPut, OpPutNBI, OpPutSignal:
 		payload = r.buf
 	case OpGet:
 		r.v1, into = uint64(len(r.buf)), r.buf
@@ -413,7 +414,7 @@ func encodeOp(r *opReq) (payload, into []byte, tbl *[]byte) {
 // connection's ops). Lengths are bounded before anything is sized by them.
 func decodeOp(r *opReq, payload []byte, heapBytes int, spans *[]Span, rsp *[]byte) error {
 	switch r.op {
-	case OpPut, OpPutNBI:
+	case OpPut, OpPutNBI, OpPutSignal:
 		r.buf = payload
 	case OpGet:
 		if r.v1 > uint64(heapBytes) {
@@ -671,7 +672,8 @@ func (e *remoteStatusErr) Error() string { return e.msg }
 // opIdempotent reports whether retrying op after its request may have
 // reached the target is safe. Atomics (fetch-add, swap, cas, fused) are
 // not: a lost *response* still applied the side effect, and a retry would
-// apply it twice. Pure reads and overwrites are.
+// apply it twice. Nor is a put-signal: the first copy's signal may already
+// have handed the bytes on. Pure reads and overwrites are.
 func opIdempotent(op Op) bool {
 	switch op {
 	case OpPut, OpGet, OpGetV, OpLoad, OpStore:

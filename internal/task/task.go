@@ -100,6 +100,22 @@ func (c Codec) DecodeTo(src, buf []byte) (Desc, error) {
 	return Desc{Handle: h, Payload: buf[:n]}, nil
 }
 
+// View is Decode without the copy: the returned payload aliases src, for a
+// consumer that is done with the descriptor before the slot can change.
+func (c Codec) View(src []byte) (Desc, error) {
+	if len(src) < c.SlotSize() {
+		return Desc{}, fmt.Errorf("task: source %d bytes, need %d", len(src), c.SlotSize())
+	}
+	n := int(binary.LittleEndian.Uint32(src[4:8]))
+	if n > c.payloadCap {
+		return Desc{}, fmt.Errorf("task: corrupt slot: payload length %d exceeds capacity %d", n, c.payloadCap)
+	}
+	return Desc{
+		Handle:  Handle(binary.LittleEndian.Uint32(src[0:4])),
+		Payload: src[headerSize : headerSize+n : headerSize+n],
+	}, nil
+}
+
 // Args packs small unsigned integer arguments into a payload, a
 // convenience for tasks whose state is a handful of counters (both paper
 // benchmarks fit this shape).

@@ -63,6 +63,31 @@ func TestDecodeCopiesPayload(t *testing.T) {
 	}
 }
 
+// View decodes what Decode decodes, without the copy: the payload is the
+// slot's own bytes, capped so an append cannot spill into the next slot.
+func TestViewAliasesSlot(t *testing.T) {
+	c := MustNewCodec(8)
+	slot := make([]byte, c.SlotSize())
+	if err := c.Encode(slot, Desc{Handle: 7, Payload: []byte("ABCD")}); err != nil {
+		t.Fatal(err)
+	}
+	d, err := c.View(slot)
+	if err != nil || d.Handle != 7 || string(d.Payload) != "ABCD" || cap(d.Payload) != 4 {
+		t.Fatalf("View = %+v (cap %d), %v", d, cap(d.Payload), err)
+	}
+	slot[8] = 'Z'
+	if d.Payload[0] != 'Z' {
+		t.Error("viewed payload is a copy")
+	}
+	if _, err := c.View(slot[:4]); err == nil {
+		t.Error("short source accepted")
+	}
+	slot[4] = 200
+	if _, err := c.View(slot); err == nil {
+		t.Error("corrupt slot accepted")
+	}
+}
+
 func TestEncodeErrors(t *testing.T) {
 	c := MustNewCodec(4)
 	if err := c.Encode(make([]byte, c.SlotSize()), Desc{Payload: make([]byte, 5)}); err == nil {
