@@ -649,9 +649,7 @@ func (q *Queue) waitParityFree(p int) error {
 				if deadSince.IsZero() {
 					deadSince = time.Now()
 				} else if time.Since(deadSince) > g {
-					if err := q.forceCloseStalled(); err != nil {
-						return err
-					}
+					q.forceCloseStalled()
 					continue // re-run Progress over the filled slots
 				}
 			}
@@ -680,7 +678,7 @@ func (q *Queue) waitParityFree(p int) error {
 // to land their stores first; a slot force-closed under a still-running
 // live thief is prevented by that bound, not detected — degraded-mode
 // accounting is at-least-once by design.
-func (q *Queue) forceCloseStalled() error {
+func (q *Queue) forceCloseStalled() {
 	for i := range q.recs {
 		rec := &q.recs[i]
 		if !rec.retired() {
@@ -701,7 +699,6 @@ func (q *Queue) forceCloseStalled() error {
 			q.forceClosed++
 		}
 	}
-	return nil
 }
 
 // startEpoch begins a new completion epoch: waits for its parity's

@@ -20,7 +20,7 @@ func TestSpawnOnDelivers(t *testing.T) {
 			ran[tc.Rank()].Add(1)
 			return nil
 		})
-		p, err := New(c, reg, Config{Seed: 3, StealTries: 1})
+		p, err := New(c, reg, Config{Seed: 3})
 		if err != nil {
 			return err
 		}

@@ -38,7 +38,13 @@ func (p *Pool) stepMembership() error {
 	if lv == nil || !lv.Elastic() {
 		return nil
 	}
-	if lv.MemberEpoch() == p.memberEpoch {
+	// The epoch is read BEFORE the state and is the value stamped as seen:
+	// a BeginDrain/BeginJoin on this rank that lands after the state read
+	// carries a later epoch, so the next iteration adopts it instead of
+	// finding it already marked seen. Our own Complete* below bumps the
+	// epoch too; the price is one more pass that finds nothing changed.
+	epoch := lv.MemberEpoch()
+	if epoch == p.memberEpoch {
 		return nil
 	}
 	self := p.ctx.Rank()
@@ -72,9 +78,7 @@ func (p *Pool) stepMembership() error {
 	}
 	p.exec.handoff.Store(p.parked) // a parked PE's executors take no work
 	p.reseatVictims(lv)
-	// Assigned after Complete* so a transition bumping the epoch again is
-	// not skipped: the next iteration re-reads whatever came after.
-	p.memberEpoch = lv.MemberEpoch()
+	p.memberEpoch = epoch
 	return nil
 }
 

@@ -125,9 +125,6 @@ type Config struct {
 	NoEpochs bool
 	// NoDamping disables steal damping (SWS only).
 	NoDamping bool
-	// StealTries is the number of victims tried per search round before
-	// re-checking termination. Default 2.
-	StealTries int
 	// StealPolicy selects the steal-volume schedule (default the paper's
 	// steal-half; steal-one and steal-all exist for ablations).
 	StealPolicy wsq.Policy
@@ -172,9 +169,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.PayloadCap == 0 {
 		c.PayloadCap = 24
-	}
-	if c.StealTries == 0 {
-		c.StealTries = 2
 	}
 	if c.MailboxSlots == 0 {
 		c.MailboxSlots = defaultMailboxSlots

@@ -240,7 +240,11 @@ func stealFailure(err error) (transient, dead bool) {
 	return false, false
 }
 
-// search makes up to StealTries steal attempts against selected victims,
+// stealTries is the number of victims tried per search round before
+// re-checking termination.
+const stealTries = 2
+
+// search makes up to stealTries steal attempts against selected victims,
 // enqueueing any stolen tasks locally. It reports whether work was found.
 // Stolen tasks were counted as spawned by their original spawner, so they
 // are pushed without touching the termination counters.
@@ -248,7 +252,7 @@ func (p *Pool) search() (bool, error) {
 	if p.ctx.NumPEs() == 1 || p.vic.victims() == 0 {
 		return false, nil
 	}
-	for i := 0; i < p.cfg.StealTries; i++ {
+	for i := 0; i < stealTries; i++ {
 		v := p.vic.next()
 		p.quar.clock++
 		if p.quar.blocked(v) {

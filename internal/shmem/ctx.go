@@ -33,17 +33,11 @@ type Ctx struct {
 	// must perform the same sequence of Alloc calls (SPMD style), which
 	// makes the returned offsets symmetric, as with shmem_malloc.
 	allocCursor Addr
-
-	// shared is set by EnableMultiWorker; it exists for introspection (the
-	// data paths are unconditionally safe once the trace buffer is
-	// concurrent-mode — counters and heap words are atomics).
-	shared bool
 }
 
 func (w *World) newCtx(rank int) *Ctx {
-	// The first words of every heap are reserved for runtime internals
-	// (distributed barrier state); user allocations start past them so
-	// addresses stay symmetric across deployment modes.
+	// User allocations start past the reserved words (see the table beside
+	// reservedHeapBytes).
 	w.attaches.Add(1)
 	return &Ctx{w: w, rank: rank, self: w.pes[rank], rec: w.cfg.Transport != TransportSim, allocCursor: reservedHeapBytes}
 }
@@ -81,7 +75,6 @@ func (c *Ctx) EnableMultiWorker() error {
 	if !c.MultiWorkerCapable() {
 		return fmt.Errorf("shmem: transport runs PEs in single-goroutine lockstep; multi-worker PEs need the local or tcp transport")
 	}
-	c.shared = true
 	return nil
 }
 
@@ -243,9 +236,8 @@ func (lv *Liveness) selfCheck(rank int) error {
 }
 
 // peerCheck gates a remote operation against the liveness view: a killed
-// initiator unwinds with ErrPEKilled, a dead target fails with ErrPeerDead,
-// and a crash-injected (not yet declared) target fails fast with
-// ErrOpTimeout. Inert (one atomic load) until the first failure event.
+// initiator unwinds with ErrPEKilled, and a target that is gone fails the
+// op (targetGone). Inert (one atomic load) until the first failure event.
 func (c *Ctx) peerCheck(op Op, pe int) error {
 	lv := c.w.live
 	if lv.events.Load() == 0 {
@@ -254,13 +246,22 @@ func (c *Ctx) peerCheck(op Op, pe int) error {
 	if lv.killed[c.rank].Load() {
 		return opError(op, c.rank, pe, ErrPEKilled)
 	}
-	if pe >= 0 && pe < len(lv.states) {
-		if PeerState(lv.states[pe].Load()) == PeerDead {
-			return opError(op, c.rank, pe, ErrPeerDead)
-		}
-		if lv.killed[pe].Load() {
-			return opError(op, c.rank, pe, ErrOpTimeout)
-		}
+	return lv.targetGone(op, c.rank, pe)
+}
+
+// targetGone fails an operation whose target can no longer complete the
+// round trip: ErrPeerDead once it is declared dead, a fast ErrOpTimeout
+// while it is crash-injected but not yet declared. An out-of-range target
+// passes; the range error surfaces where the op is applied.
+func (lv *Liveness) targetGone(op Op, from, to int) error {
+	if to < 0 || to >= len(lv.states) {
+		return nil
+	}
+	if !lv.Alive(to) {
+		return opError(op, from, to, ErrPeerDead)
+	}
+	if lv.killed[to].Load() {
+		return opError(op, from, to, ErrOpTimeout)
 	}
 	return nil
 }

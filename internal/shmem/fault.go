@@ -103,36 +103,46 @@ type DelayFaults struct {
 	// runs with the zero value inject identical faults.
 	Seed int64
 
+	dice dice
+}
+
+// Before implements FaultInjector.
+func (d *DelayFaults) Before(op Op, from, to int, addr Addr) Verdict {
+	if !matchOps(d.Ops, op) {
+		return Verdict{}
+	}
+	_, delay := d.dice.roll(d.Seed, d.Fraction, d.MaxDelay)
+	return Verdict{Delay: delay}
+}
+
+// dice is the seeded PRNG behind each fraction-based injector: built from
+// the injector's Seed on first use, and locked because every PE rolls it.
+type dice struct {
 	once sync.Once
 	mu   sync.Mutex
 	rng  *rand.Rand
 }
 
-func (d *DelayFaults) init() {
-	d.rng = rand.New(rand.NewSource(d.Seed))
-}
-
-// Before implements FaultInjector.
-func (d *DelayFaults) Before(op Op, from, to int, addr Addr) Verdict {
-	d.once.Do(d.init)
-	if !d.matches(op) {
-		return Verdict{}
-	}
+// roll reports whether this operation is hit (with probability fraction)
+// and, for a hit with max > 0, a uniformly random delay below max.
+func (d *dice) roll(seed int64, fraction float64, max time.Duration) (hit bool, delay time.Duration) {
+	d.once.Do(func() { d.rng = rand.New(rand.NewSource(seed)) })
 	d.mu.Lock()
-	hit := d.rng.Float64() < d.Fraction
-	var delay time.Duration
-	if hit && d.MaxDelay > 0 {
-		delay = time.Duration(d.rng.Int63n(int64(d.MaxDelay)))
+	defer d.mu.Unlock()
+	hit = d.rng.Float64() < fraction
+	if hit && max > 0 {
+		delay = time.Duration(d.rng.Int63n(int64(max)))
 	}
-	d.mu.Unlock()
-	return Verdict{Delay: delay}
+	return hit, delay
 }
 
-func (d *DelayFaults) matches(op Op) bool {
-	if len(d.Ops) == 0 {
+// matchOps reports whether an injector restricted to ops acts on op; an
+// empty restriction means every non-blocking kind.
+func matchOps(ops []Op, op Op) bool {
+	if len(ops) == 0 {
 		return !op.Blocking()
 	}
-	for _, o := range d.Ops {
+	for _, o := range ops {
 		if o == op {
 			return true
 		}
@@ -150,9 +160,7 @@ type DuplicateFaults struct {
 	Fraction float64
 	Seed     int64
 
-	once sync.Once
-	mu   sync.Mutex
-	rng  *rand.Rand
+	dice dice
 }
 
 // Before implements FaultInjector.
@@ -160,10 +168,7 @@ func (d *DuplicateFaults) Before(op Op, from, to int, addr Addr) Verdict {
 	if op != OpStoreNBI && op != OpStore {
 		return Verdict{}
 	}
-	d.once.Do(func() { d.rng = rand.New(rand.NewSource(d.Seed)) })
-	d.mu.Lock()
-	hit := d.rng.Float64() < d.Fraction
-	d.mu.Unlock()
+	hit, _ := d.dice.roll(d.Seed, d.Fraction, 0)
 	return Verdict{Duplicate: hit}
 }
 
@@ -184,41 +189,20 @@ type DropFaults struct {
 	// Seed makes the injection reproducible (0 is a fixed seed).
 	Seed int64
 
-	once    sync.Once
-	mu      sync.Mutex
-	rng     *rand.Rand
+	dice    dice
 	dropped atomic.Uint64
 }
 
 // Before implements FaultInjector.
 func (d *DropFaults) Before(op Op, from, to int, addr Addr) Verdict {
-	if !d.matches(op) {
+	if !matchOps(d.Ops, op) || d.Match != nil && !d.Match(op, from, to, addr) {
 		return Verdict{}
 	}
-	if d.Match != nil && !d.Match(op, from, to, addr) {
-		return Verdict{}
-	}
-	d.once.Do(func() { d.rng = rand.New(rand.NewSource(d.Seed)) })
-	d.mu.Lock()
-	hit := d.rng.Float64() < d.Fraction
-	d.mu.Unlock()
-	if !hit {
+	if hit, _ := d.dice.roll(d.Seed, d.Fraction, 0); !hit {
 		return Verdict{}
 	}
 	d.dropped.Add(1)
 	return Verdict{Drop: true}
-}
-
-func (d *DropFaults) matches(op Op) bool {
-	if len(d.Ops) == 0 {
-		return !op.Blocking()
-	}
-	for _, o := range d.Ops {
-		if o == op {
-			return true
-		}
-	}
-	return false
 }
 
 // Dropped returns how many operations have been dropped so far, letting

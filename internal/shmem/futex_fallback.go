@@ -6,10 +6,9 @@ import "time"
 
 const futexSupported = false
 
-// futexWait on hosts without futex(2) degrades to a bounded sleep — the
-// same adaptive-spin-with-sleep policy the other transports' poll loops
-// use. Liveness is unchanged (callers re-check their predicate at least
-// once per sleep); only wake latency differs.
+// futexWait on hosts without futex(2) degrades to a bounded sleep, so the
+// one wait loop polls there. Liveness is unchanged (it re-checks its word
+// at least once per sleep); only wake latency differs.
 func futexWait(_ *uint32, _ uint32, d time.Duration) {
 	if d > 50*time.Microsecond {
 		d = 50 * time.Microsecond

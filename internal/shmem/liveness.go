@@ -1,6 +1,7 @@
 package shmem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -81,11 +82,6 @@ func (s PeerState) String() string {
 		return fmt.Sprintf("PeerState(%d)", int32(s))
 	}
 }
-
-// heartbeatAddr is the reserved symmetric-heap word each PE bumps as its own
-// liveness beacon (distributed worlds only; it sits inside the existing
-// reserved region, so user allocations are unaffected).
-const heartbeatAddr Addr = 2 * WordSize
 
 // Liveness is the world's membership view. All methods are safe for
 // concurrent use; reads on the hot path are single atomic loads.
@@ -185,19 +181,26 @@ func (l *Liveness) OnDeath(fn func(rank int)) {
 // detector declares it dead after DeadAfter (immediately if DeadAfter <= 0
 // is configured). Intended for tests and supervision tooling.
 func (l *Liveness) Kill(rank int) {
-	if rank < 0 || rank >= len(l.killed) {
+	if rank < 0 || rank >= len(l.killed) || !l.crash(rank) {
 		return
 	}
-	if l.killed[rank].Swap(true) {
-		return
-	}
-	l.events.Add(1)
-	l.markSuspect(rank) // suspicion is instant on explicit kill
 	if d := l.w.cfg.DeadAfter; d > 0 {
 		time.AfterFunc(d, func() { l.MarkDead(rank) })
 	} else {
 		l.MarkDead(rank)
 	}
+}
+
+// crash flags rank crash-injected (suspicion is instant on an explicit
+// crash) and reports whether this call was the one that did; declaring it
+// dead DeadAfter later is the caller's clock's business.
+func (l *Liveness) crash(rank int) bool {
+	if l.killed[rank].Swap(true) {
+		return false
+	}
+	l.events.Add(1)
+	l.markSuspect(rank)
+	return true
 }
 
 // markSuspect moves rank to PeerSuspect unless it is already dead.
@@ -263,6 +266,7 @@ func (l *Liveness) startProber(selfRank int) {
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
 		var beat uint64
+		var probe [membershipAddr + WordSize - heartbeatAddr]byte
 		for {
 			select {
 			case <-l.stop:
@@ -273,23 +277,23 @@ func (l *Liveness) startProber(selfRank int) {
 			// probers via one-sided loads (every heap holds the reserved
 			// words; setDefaults rejects one that could not).
 			beat++
-			atomic.StoreUint64(l.w.pes[selfRank].word(int(heartbeatAddr/WordSize)), beat)
+			atomic.StoreUint64(&l.w.pes[selfRank].words[heartbeatAddr/WordSize], beat)
 			// Re-advertise our own membership state each tick (covers a
 			// transition that raced an earlier publish) and mirror the
 			// peers' advertised states into the local view, so elastic
-			// membership converges across process boundaries.
+			// membership converges across process boundaries. One Get
+			// fetches a peer's heartbeat and advertised state together.
 			l.publishMember(selfRank)
 			now := time.Now()
 			for r := 0; r < cfg.NumPEs; r++ {
 				if r == selfRank || !l.Alive(r) {
 					continue
 				}
-				probe := opReq{op: OpLoad, from: selfRank, to: r, addr: membershipAddr}
-				if mv, _, err := l.w.transport.blocking(probe); err == nil {
-					l.mirrorMember(r, PeerState(mv))
+				_, _, err := l.w.transport.blocking(opReq{op: OpGet, from: selfRank, to: r, addr: heartbeatAddr, buf: probe[:]})
+				v := binary.NativeEndian.Uint64(probe[:])
+				if err == nil {
+					l.mirrorMember(r, PeerState(binary.NativeEndian.Uint64(probe[WordSize:])))
 				}
-				probe.addr = heartbeatAddr
-				v, _, err := l.w.transport.blocking(probe)
 				p := &peers[r]
 				if err == nil && (!p.seen || v != p.lastVal) {
 					p.seen = true

@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// spinUntilKilled parks a crash-injected PE's body until the injection
+// unwindWhenKilled parks a crash-injected PE's body until the injection
 // surfaces through Ctx.Err, then returns the error (which Run tolerates).
-func spinUntilKilled(c *Ctx) error {
+func unwindWhenKilled(c *Ctx) error {
 	for {
 		if err := c.Err(); err != nil {
 			return err
@@ -43,7 +43,7 @@ func TestKillUnwindsSurvivors(t *testing.T) {
 			}
 			switch c.Rank() {
 			case 1:
-				return spinUntilKilled(c)
+				return unwindWhenKilled(c)
 			case 0:
 				w.Kill(1)
 				// The dead member can never arrive: the barrier must unwind
@@ -89,7 +89,7 @@ func TestKilledPeerOpsFailFast(t *testing.T) {
 		}
 		err = w.Run(func(c *Ctx) error {
 			if c.Rank() == 1 {
-				return spinUntilKilled(c)
+				return unwindWhenKilled(c)
 			}
 			w.Kill(1)
 			if _, err := c.Load64(1, 0); !errors.Is(err, ErrOpTimeout) {

@@ -53,17 +53,6 @@ const (
 	PeerParked PeerState = 5
 )
 
-// Reserved symmetric-heap words used by the membership layer (inside the
-// existing reserved region; user allocations are unaffected). Each rank
-// advertises its own membership state and epoch so remote probers can
-// mirror transitions across process boundaries.
-const (
-	// membershipAddr holds the rank's own advertised PeerState.
-	membershipAddr Addr = 3 * WordSize
-	// membershipEpochAddr holds the advertising process's epoch counter.
-	membershipEpochAddr Addr = 4 * WordSize
-)
-
 // Elastic reports whether membership transitions have ever been enabled
 // on this world (SetInitialMembers or any Begin* call). One atomic load;
 // false means the membership layer is fully inert.
@@ -144,7 +133,6 @@ func (l *Liveness) SetInitialMembers(n int) error {
 		l.publishMember(r)
 	}
 	l.memberEpoch.Add(1)
-	l.publishEpoch()
 	return nil
 }
 
@@ -244,32 +232,18 @@ func (l *Liveness) transitionLocked(rank int, from, to PeerState) bool {
 	l.memberEpoch.Add(1)
 	l.w.flightState(rank, to)
 	l.publishMember(rank)
-	l.publishEpoch()
 	return true
 }
 
-// publishMember mirrors rank's state into its reserved heap word, where
-// remote probers can read it. Best-effort: in a distributed world only
-// the local rank's heap exists in this process.
+// publishMember mirrors rank's state into its reserved heap word
+// (membershipAddr), where remote probers read it. Best-effort: over tcp
+// only the local rank's heap exists in this process.
 func (l *Liveness) publishMember(rank int) {
 	pe := l.w.pes[rank]
 	if pe == nil {
 		return
 	}
-	atomic.StoreUint64(pe.word(int(membershipAddr/WordSize)), uint64(l.states[rank].Load()))
-}
-
-// publishEpoch mirrors the local epoch counter into every reachable
-// rank's reserved epoch word (observability; the scheduler reads the
-// atomic directly).
-func (l *Liveness) publishEpoch() {
-	ep := l.memberEpoch.Load()
-	for _, pe := range l.w.pes {
-		if pe == nil {
-			continue
-		}
-		atomic.StoreUint64(pe.word(int(membershipEpochAddr/WordSize)), ep)
-	}
+	atomic.StoreUint64(&pe.words[membershipAddr/WordSize], uint64(l.states[rank].Load()))
 }
 
 // mirrorMember folds a peer's remotely advertised membership state into

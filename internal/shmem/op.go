@@ -3,6 +3,9 @@ package shmem
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
+
+	"sws/internal/trace"
 )
 
 // opReq describes one one-sided operation. It is the only representation
@@ -73,11 +76,45 @@ func (r *opReq) checkBytes(pe *peState) error {
 	return nil
 }
 
+// land is where a remote operation meets the target heap, the same way on
+// every back-end — the direct back-end's initiator, the tcp service loop
+// after wire decode, the sim scheduler's wake and delivery steps: apply
+// (twice on a duplicate verdict, for the ops a fabric may redeliver), wake
+// the waiters parked on the heap if it changed, and stamp the victim side
+// of a span-tagged op into the target's flight ring. at is the latency
+// wait's exit clock read if there was one (zero = read the clock now), so
+// both halves of a steal land under one span without a second read.
+func (w *World) land(pe *peState, r *opReq, dup bool, at time.Time, scratch *[]byte) (uint64, []byte, error) {
+	val, data, err := w.apply(pe, r, scratch)
+	if err != nil {
+		return 0, nil, err
+	}
+	if dup && r.op.redeliverable() {
+		w.apply(pe, r, nil)
+	}
+	if r.wrote(val) {
+		pe.wakeWaiters()
+	}
+	if r.span != 0 {
+		w.flight.PE(r.to).RecordTime(at, trace.VictimOp, int64(r.op), int64(r.from), r.span)
+	}
+	return val, data, nil
+}
+
+// wrote reports whether applying r (which fetched val) changed the heap.
+func (r *opReq) wrote(val uint64) bool {
+	switch r.op {
+	case OpGet, OpGetV, OpLoad:
+		return false
+	case OpCompareSwap:
+		return val == r.v1 // only a successful swap mutates
+	}
+	return true
+}
+
 // apply executes r against pe's heap — the one place an Op turns into
 // loads and stores on heap bytes. Every path that reaches a heap ends
-// here: Ctx's self-target short-circuit, the direct back-end (inline and
-// through its NBI appliers), the tcp service loop after wire decode, and
-// the sim scheduler's wake and delivery steps.
+// here: land, and Ctx's self-target short-circuit.
 //
 // val is the fetched word of an atomic; data is the bytes a get gathered
 // (r.buf) or a fused handler selected. Fused payloads are gathered into
@@ -97,11 +134,9 @@ func (w *World) apply(pe *peState, r *opReq, scratch *[]byte) (val uint64, data 
 		wordAddr, hasWord = Addr(r.v2), r.op == OpPutSignal
 	}
 	if hasWord {
-		i, err := pe.checkWord(wordAddr)
-		if err != nil {
+		if word, err = pe.checkWord(wordAddr); err != nil {
 			return 0, nil, err
 		}
-		word = pe.word(i)
 	}
 	switch r.op {
 	case OpPut, OpPutNBI:

@@ -13,15 +13,11 @@ package shmem
 //   - non-blocking operations complete at injection, so quiet is a no-op
 //     fence.
 //
-// Blocked waits (WaitUntil64, the heap barrier's generation poll) use a
-// bounded-spin-then-futex policy: spin shmDefaultSpin iterations on the
-// word, then park in the kernel on a per-PE wake sequence word that every
-// mutating transport op bumps. On linux the park is futex(2) on the
-// mapping (sub-microsecond cross-process wakeup); elsewhere it degrades
-// to a bounded sleep (futex_fallback.go). Every park is additionally
-// bounded by shmParkQuantum so stores that bypass the transport (a PE's
-// self-targeted fast path) cost at most one quantum of staleness, never
-// a hang.
+// Blocked waits are the one spin-then-park loop every heap uses
+// (hostWaits.waitWord); what the segment adds is that the per-PE wake
+// words it parks on are in the header, so the futex(2) wake crosses
+// processes (sub-microsecond; elsewhere than linux it degrades to a
+// bounded sleep, futex_fallback.go).
 //
 // Segment layout (all offsets in bytes):
 //
@@ -38,9 +34,7 @@ package shmem
 //                                       parked-waiter count
 //   [shmHeaderBytes + rank*HeapBytes, +HeapBytes)  rank's symmetric heap
 //
-// The wake words live in the header, NOT the heap: heap bytes — even the
-// reserved runtime words — are addressable by one-sided operations, and
-// the wake protocol must never be corruptible by (or mutate) user data.
+// The wake words live in the header, NOT the heap (see wakeWords).
 
 import (
 	"fmt"
@@ -83,16 +77,6 @@ const (
 // shmMaxPEs is how many ranks fit in the header: one attach word plus
 // two wake words (sequence, waiter count) per rank.
 const shmMaxPEs = (shmHeaderBytes/WordSize - shmHdrAttachBase) / 3
-
-const (
-	// shmDefaultSpin is the bounded-spin budget, in iterations, before a
-	// blocked wait parks in the kernel.
-	shmDefaultSpin = 512
-	// shmParkQuantum bounds every kernel park: a wakeup that bypasses
-	// the transport (self-targeted store fast path) is observed within
-	// one quantum.
-	shmParkQuantum = time.Millisecond
-)
 
 // shmSeqLowHalf indexes the 32-bit half of a uint64 that changes when the
 // word is incremented — the half futex(2) must watch.
@@ -246,13 +230,10 @@ func (s *shmSegment) heap(rank int) []byte {
 	return s.data[off : off+s.heapBytes : off+s.heapBytes]
 }
 
-// wakeSlot returns rank's wake words in the header: the futex sequence
-// (bumped by mutating ops while waiters are parked) and the parked-waiter
-// count (writers skip the bump and the wake syscall while it is zero —
-// the zero-syscall fast path).
-func (s *shmSegment) wakeSlot(rank int) (seq, waiters *uint64) {
-	base := shmHdrAttachBase + s.numPEs + 2*rank
-	return &s.hdr[base], &s.hdr[base+1]
+// wakeSlot returns rank's wake words, which for a mapped heap live in the
+// header so every attached process parks on and bumps the same pair.
+func (s *shmSegment) wakeSlot(rank int) *wakeWords {
+	return (*wakeWords)(unsafe.Pointer(&s.hdr[shmHdrAttachBase+s.numPEs+2*rank]))
 }
 
 // attachRank claims rank's attach slot; failure means another process
@@ -359,17 +340,6 @@ func SweepStaleShmSegments(dir string) ([]string, error) {
 		}
 	}
 	return removed, nil
-}
-
-// --- Mapped PE state -------------------------------------------------------
-
-// newPEStateMapped builds a peState whose heap words alias a shared
-// mapping instead of Go-allocated memory; World.apply and the Ctx fast
-// path work on it unchanged. The mapping is page-aligned, so the
-// word view is 8-byte aligned.
-func newPEStateMapped(rank int, mem []byte) *peState {
-	words := aliasWords(mem)
-	return &peState{rank: rank, words: words, bytes: mem[:len(words)*WordSize]}
 }
 
 // --- Opening a world's segment ---------------------------------------------

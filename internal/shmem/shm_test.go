@@ -1,7 +1,6 @@
 package shmem
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -225,72 +224,6 @@ func TestJoinOverShmExactlyOnce(t *testing.T) {
 	}
 }
 
-// runParked is run on an in-process shm world whose blocked waits park in
-// the kernel immediately, with no bounded spin first.
-func runParked(t *testing.T, numPEs int, body func(*Ctx) error) {
-	t.Helper()
-	w, err := NewWorld(Config{NumPEs: numPEs, Transport: TransportShm})
-	if err != nil {
-		t.Fatalf("NewWorld: %v", err)
-	}
-	w.transport.(*directTransport).spin = 0
-	if err := w.Run(body); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
-// TestShmWaitUntilFutexWake forces the park path and checks a peer's
-// one-sided store wakes the waiter with the satisfying value.
-func TestShmWaitUntilFutexWake(t *testing.T) {
-	requireShm(t)
-	runParked(t, 2, func(c *Ctx) error {
-		flag, err := c.Alloc(WordSize)
-		if err != nil {
-			return err
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			time.Sleep(5 * time.Millisecond)
-			if err := c.Store64(1, flag, 42); err != nil {
-				return err
-			}
-		} else {
-			v, err := c.WaitUntil64(flag, CmpEQ, 42, 10*time.Second)
-			if err != nil {
-				return err
-			}
-			if v != 42 {
-				return fmt.Errorf("woke with value %d, want 42", v)
-			}
-		}
-		return c.Barrier()
-	})
-}
-
-// TestShmWaitUntilTimeoutParked: the deadline must fire even while the
-// waiter is parked in the kernel (the park quantum bounds the check
-// interval), with the named error.
-func TestShmWaitUntilTimeoutParked(t *testing.T) {
-	requireShm(t)
-	runParked(t, 1, func(c *Ctx) error {
-		flag, err := c.Alloc(WordSize)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		_, werr := c.WaitUntil64(flag, CmpEQ, 1, 30*time.Millisecond)
-		if !errors.Is(werr, ErrOpTimeout) {
-			return fmt.Errorf("got %v, want ErrOpTimeout", werr)
-		}
-		if el := time.Since(start); el > 2*time.Second {
-			return fmt.Errorf("timeout surfaced after %v, want ~30ms", el)
-		}
-		return nil
-	})
-}
-
 // TestShmInProcLeavesNoSegmentFiles: in-process shm worlds unlink their
 // segment immediately, so however a test run dies, nothing can leak.
 func TestShmInProcLeavesNoSegmentFiles(t *testing.T) {
@@ -362,8 +295,12 @@ func TestShmFetchAddLatencyVsTCP(t *testing.T) {
 		}
 		return elapsed / iters
 	}
-	shm := measure(TransportShm)
-	tcp := measure(TransportTCP)
+	// Best of three each: the ratio is a property of the two paths, and a
+	// single sample under -race on a loaded runner is not.
+	best := func(kind TransportKind) time.Duration {
+		return min(measure(kind), measure(kind), measure(kind))
+	}
+	shm, tcp := best(TransportShm), best(TransportTCP)
 	t.Logf("blocking fetch-add: shm %v/op, tcp %v/op (%.0fx)", shm, tcp, float64(tcp)/float64(shm))
 	if shm*10 > tcp {
 		t.Errorf("shm fetch-add %v/op is not >= 10x faster than tcp %v/op", shm, tcp)

@@ -19,12 +19,13 @@
 //     overhead, so protocol-level communication counts translate into
 //     measured time the same way they do on a real fabric.
 //
-// An operation has one representation (opReq) and one implementation
-// (World.apply, see op.go); three back-ends carry it to where the target
-// heap is addressable. The direct back-end has the initiator apply it —
-// to heaps that are Go slices (TransportLocal: PEs are goroutines in one
-// address space; the default) or one mmap'd segment shared by goroutines
-// or processes (TransportShm). The TCP back-end marshals it over real
+// An operation has one representation (opReq), one implementation
+// (World.apply) and one way of landing on a heap (World.land, see op.go);
+// three back-ends carry it to where the target heap is addressable. The
+// direct back-end has the initiator land it, the same way on heaps that
+// are Go slices (TransportLocal: PEs are goroutines in one address space;
+// the default) and on one mmap'd segment shared by goroutines or
+// processes (TransportShm). The TCP back-end marshals it over real
 // sockets to a per-PE service goroutine, exercising a genuine network
 // path. The sim back-end applies it from a deterministic lockstep
 // scheduler in virtual time.
@@ -38,6 +39,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -81,8 +83,7 @@ const (
 	// segment file (typically in /dev/shm): one-sided operations are
 	// direct sync/atomic ops and memcpys on the mapping — zero syscalls,
 	// executed by the initiator exactly as under TransportLocal, and (via
-	// Join) cross-process. Blocked waits use a bounded-spin-then-futex
-	// policy; see shm.go and ShmSupported.
+	// Join) cross-process; see shm.go and ShmSupported.
 	TransportShm
 )
 
@@ -189,6 +190,37 @@ const (
 	barrierTimeout = 5 * time.Minute
 )
 
+// The reserved words: the first reservedHeapBytes of every heap belong to
+// the runtime, so user allocations start at the same offset on every world
+// and addresses stay symmetric across deployment modes. This is the whole
+// table — a new runtime word is a new row here, not a constant beside its
+// user:
+//
+//	word 0  barrierArriveAddr  on rank 0's heap
+//	        written: every heapBarrier arriver fetch-adds 1, the last stores 0
+//	        read:    only through those fetch-adds
+//	word 1  barrierGenAddr     on rank 0's heap
+//	        written: the last arriver fetch-adds 1
+//	        read:    the other arrivers, waiting for the release
+//	word 2  heartbeatAddr      on each rank's own heap
+//	        written: the rank's prober, every tick
+//	        read:    peers' probers
+//	word 3  membershipAddr     on each rank's own heap
+//	        written: the rank's membership transitions (publishMember)
+//	        read:    peers' probers
+//	words 4-7 free (4 is where a terminal voluntary state would be advertised)
+//
+// Words 2 and 3 are adjacent because they are read together: one two-word
+// Get per peer per tick. An in-process world never probes and never uses
+// heapBarrier, so there only word 3 is ever written.
+const (
+	barrierArriveAddr Addr = iota * WordSize
+	barrierGenAddr
+	heartbeatAddr
+	membershipAddr
+	reservedHeapBytes = 8 * WordSize
+)
+
 // setDefaults validates the description and fills in unset fields; at is
 // nil for an in-process world.
 func (c *Config) setDefaults(at *Endpoint) error {
@@ -263,20 +295,24 @@ type World struct {
 	// attaches counts Ctx creations (transport attachments); see Attaches.
 	attaches atomic.Uint64
 
+	// spin is the bounded-spin budget of a blocked wait (waitSpin; tests
+	// zero it to force the park path).
+	spin int
+
 	failed atomic.Bool
 	errMu  sync.Mutex
 	err    error
 }
 
-// peState is the per-PE symmetric heap plus NBI bookkeeping.
+// peState is one PE's symmetric heap, as this process addresses it.
 type peState struct {
 	rank  int
 	words []uint64 // backing store; guarantees 8-byte alignment
 	bytes []byte   // byte view over words
+	// wake is what blocked waits on this heap park on: Go memory beside a
+	// Go-slice heap, the segment header's slot beside a mapped one.
+	wake *wakeWords
 
-	// nbiPending counts non-blocking operations issued *by* this PE that
-	// have not yet been applied at their targets. Quiet spins on it.
-	nbiPending atomic.Int64
 	// pauses counts this PE's poll-loop backoff steps (see pause).
 	pauses atomic.Uint64
 	// yields counts the busy-PE scheduling points that ceded the processor
@@ -284,13 +320,47 @@ type peState struct {
 	yields atomic.Uint64
 }
 
-func newPEState(rank, heapBytes int) *peState {
-	words := make([]uint64, heapBytes/WordSize)
-	var bytes []byte
-	if len(words) > 0 {
-		bytes = unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*WordSize)
+// wakeWords is a heap's futex pair: a sequence that every landing bumps
+// while waiters are parked, and the parked-waiter count that lets writers
+// skip the bump and the wake syscall while it is zero. They sit beside the
+// heap, never in it: heap bytes — even the reserved runtime words — are
+// addressable by one-sided operations, and the wake protocol must never be
+// corruptible by (or mutate) user data.
+type wakeWords struct{ seq, waiters uint64 }
+
+// newPEState builds a PE over mem — goHeap's Go memory or a mapped heap,
+// both word-aligned — and the wake words beside it. World.apply, the wait
+// loop and Ctx's fast path cannot tell the two apart.
+func newPEState(rank int, mem []byte, wake *wakeWords) *peState {
+	return &peState{rank: rank, words: aliasWords(mem), bytes: mem, wake: wake}
+}
+
+// goHeap allocates an n-byte heap (n a positive word multiple) as words, so
+// it is 8-byte aligned.
+func goHeap(n int) []byte {
+	words := make([]uint64, n/WordSize)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), n)
+}
+
+// wakeWaiters unparks the waits blocked on this heap after a landing
+// changed it (or after a word watched through it moved: tcp's ack count).
+// The fast path — no one parked — is one atomic load, so a landing costs no
+// syscall in the common case. Otherwise bump the sequence (so a waiter
+// racing toward futexWait sees a changed value and retries) and wake.
+//
+// Seq-cst interleaving argument, the same for Go and mapped memory: the
+// waiter does inc(waiters), read seq, check word, futexWait(seq); the
+// writer does write(word), load(waiters), then bump seq + wake. If the
+// writer's waiters load sees 0, the waiter's inc had not happened, so its
+// later word check sees the write and it never parks on the stale value.
+// Otherwise the writer bumps seq and wakes: either the wake lands, or the
+// bump makes the waiter's futexWait return EAGAIN immediately.
+func (p *peState) wakeWaiters() {
+	if atomic.LoadUint64(&p.wake.waiters) == 0 {
+		return
 	}
-	return &peState{rank: rank, words: words, bytes: bytes}
+	atomic.AddUint64(&p.wake.seq, 1)
+	futexWake(futexHalf(&p.wake.seq), math.MaxInt32)
 }
 
 // NewWorld validates the configuration and builds a world whose PEs all
@@ -322,7 +392,7 @@ func newWorld(cfg Config, at *Endpoint) (*World, error) {
 	if err := cfg.setDefaults(at); err != nil {
 		return nil, err
 	}
-	w := &World{cfg: cfg, localRank: -1}
+	w := &World{cfg: cfg, localRank: -1, spin: waitSpin}
 	if at != nil {
 		w.localRank = at.Rank
 	}
@@ -339,9 +409,9 @@ func newWorld(cfg Config, at *Endpoint) (*World, error) {
 	for r := range w.pes {
 		switch {
 		case seg != nil:
-			w.pes[r] = newPEStateMapped(r, seg.heap(r))
+			w.pes[r] = newPEState(r, seg.heap(r), seg.wakeSlot(r))
 		case at == nil || r == at.Rank:
-			w.pes[r] = newPEState(r, cfg.HeapBytes)
+			w.pes[r] = newPEState(r, goHeap(cfg.HeapBytes), new(wakeWords))
 		}
 	}
 	w.flight = trace.NewFlightSet(cfg.NumPEs, flightCap)
@@ -358,7 +428,7 @@ func newWorld(cfg Config, at *Endpoint) (*World, error) {
 	})
 	switch cfg.Transport {
 	case TransportLocal:
-		w.transport = newDirectTransport(w, nil)
+		w.transport = &directTransport{hostWaits: hostWaits{w}}
 	case TransportTCP:
 		t, err := newTCPTransport(w, at)
 		if err != nil {
@@ -369,7 +439,7 @@ func newWorld(cfg Config, at *Endpoint) (*World, error) {
 		w.sim = newSimTransport(w)
 		w.transport = w.sim
 	case TransportShm:
-		w.transport = newDirectTransport(w, seg)
+		w.transport = &directTransport{hostWaits: hostWaits{w}, seg: seg}
 		if at != nil {
 			// All peers must be in the attach bitmap BEFORE the failure
 			// detector starts, or a slow-starting peer's zero heartbeat
@@ -395,17 +465,6 @@ func (w *World) NumPEs() int { return w.cfg.NumPEs }
 
 // Flight returns the world's flight-recorder rings.
 func (w *World) Flight() *trace.FlightSet { return w.flight }
-
-// flightVictim records the victim-side application of a span-tagged op
-// into the target PE's flight ring; every back-end calls it where it
-// applies an op so both halves of a steal land under one span. A
-// non-zero at (typically the latency wait's exit clock read) stamps the
-// event without another clock read; zero means "read the clock now".
-func (w *World) flightVictim(at time.Time, r *opReq) {
-	if r.span != 0 {
-		w.flight.PE(r.to).RecordTime(at, trace.VictimOp, int64(r.op), int64(r.from), r.span)
-	}
-}
 
 // flightState journals a failure-detector transition (peer -> new state)
 // into the observing process's flight ring: the local rank's in dist
@@ -485,7 +544,7 @@ func (w *World) fail(err error) {
 	}
 	w.errMu.Unlock()
 	w.failed.Store(true)
-	w.barrier.poison()
+	w.barrier.poisonWith(nil)
 }
 
 // Err returns the recorded fatal world error, if any.
@@ -554,16 +613,16 @@ func (w *World) Run(body func(*Ctx) error) error {
 	return errors.Join(errs...)
 }
 
-// checkWord validates a word-aligned, in-bounds atomic address.
-func (p *peState) checkWord(addr Addr) (int, error) {
+// checkWord validates a word-aligned, in-bounds atomic address and returns
+// its word.
+func (p *peState) checkWord(addr Addr) (*uint64, error) {
 	if addr%WordSize != 0 {
-		return 0, fmt.Errorf("shmem: unaligned atomic address %#x", uint64(addr))
+		return nil, fmt.Errorf("shmem: unaligned atomic address %#x", uint64(addr))
 	}
-	i := int(addr / WordSize)
-	if i < 0 || i >= len(p.words) {
-		return 0, fmt.Errorf("shmem: atomic address %#x out of heap bounds (%d bytes)", uint64(addr), len(p.bytes))
+	if addr/WordSize >= Addr(len(p.words)) {
+		return nil, fmt.Errorf("shmem: atomic address %#x out of heap bounds (%d bytes)", uint64(addr), len(p.bytes))
 	}
-	return i, nil
+	return &p.words[addr/WordSize], nil
 }
 
 // checkRange validates an in-bounds byte range.
@@ -577,10 +636,6 @@ func (p *peState) checkRange(addr Addr, n int) error {
 	}
 	return nil
 }
-
-// word returns the atomic word slot for addr; the caller must have
-// validated it with checkWord.
-func (p *peState) word(i int) *uint64 { return &p.words[i] }
 
 // copyIn writes src into the heap at addr. The word-aligned body of the
 // transfer is written with per-word atomic stores: heap regions are
@@ -612,22 +667,4 @@ func (p *peState) copyOut(addr Addr, dst []byte) {
 		}
 	}
 	copy(dst[i:], p.bytes[int(addr)+i:int(addr)+len(dst)])
-}
-
-// spinUntil busy-waits until cond returns true or the world fails.
-// A yield keeps oversubscribed worlds (more PEs than cores) live.
-func (w *World) spinUntil(cond func() bool) error {
-	for i := 0; ; i++ {
-		if cond() {
-			return nil
-		}
-		if w.failed.Load() {
-			return fmt.Errorf("shmem: world failed while waiting: %w", w.Err())
-		}
-		if i%64 == 63 {
-			time.Sleep(time.Microsecond)
-		} else {
-			yield()
-		}
-	}
 }

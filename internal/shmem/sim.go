@@ -413,26 +413,6 @@ func delayNS(d time.Duration) uint64 {
 	return uint64(d)
 }
 
-// targetCheck fails an in-flight blocking op whose target crashed: dead
-// targets yield ErrPeerDead, crashed-but-undeclared ones ErrOpTimeout.
-// Inert (one atomic load) while no failure events have fired.
-func (t *simTransport) targetCheck(r opReq) error {
-	lv := t.w.live
-	if lv.events.Load() == 0 {
-		return nil
-	}
-	if r.to < 0 || r.to >= len(t.pes) {
-		return nil // range error surfaces when the op is applied
-	}
-	if !lv.Alive(r.to) {
-		return opError(r.op, r.from, r.to, ErrPeerDead)
-	}
-	if lv.Killed(r.to) {
-		return opError(r.op, r.from, r.to, ErrOpTimeout)
-	}
-	return nil
-}
-
 func (t *simTransport) worldErr() error {
 	if err := t.w.Err(); err != nil {
 		return err
@@ -441,36 +421,32 @@ func (t *simTransport) worldErr() error {
 }
 
 func (t *simTransport) handle(r simReq) {
-	if t.failMode {
-		switch r.kind {
-		case simReqDone:
-			t.pes[r.rank].state = simPEDone
-			t.running--
-			t.done++
-			t.replies[r.rank] <- simReply{}
-		case simReqNBI:
-			// Swallowed; the world is already dead.
-		default:
-			t.replies[r.rank] <- simReply{err: t.worldErr()}
+	pe := &t.pes[r.rank]
+	if r.kind == simReqDone {
+		// Done completes the lockstep handshake whatever state the world or
+		// the PE is in.
+		pe.state = simPEDone
+		t.running--
+		t.done++
+		if !t.failMode {
+			pe.vclock = t.now
+			t.logf("%d %d don pe=%d\n", t.nextSeq(), t.now, r.rank)
 		}
+		t.replies[r.rank] <- simReply{}
 		return
 	}
-	pe := &t.pes[r.rank]
-	if t.w.live.Killed(r.rank) {
-		// Crash-injected PE: every operation it issues fails so its body
-		// unwinds promptly; Done still completes the lockstep handshake.
-		switch r.kind {
-		case simReqDone:
-			pe.state = simPEDone
-			pe.vclock = t.now
-			t.running--
-			t.done++
-			t.logf("%d %d don pe=%d\n", t.nextSeq(), t.now, r.rank)
-			t.replies[r.rank] <- simReply{}
-		case simReqNBI:
-			// Swallowed: a dead NIC injects nothing.
-		default:
-			t.replies[r.rank] <- simReply{err: fmt.Errorf("shmem: PE %d: %w", r.rank, ErrPEKilled)}
+	// A dead world, or a crash-injected PE, gets nothing done: injections
+	// are swallowed (a dead NIC injects nothing) and every other request
+	// fails, so the body unwinds promptly.
+	var refuse error
+	if t.failMode {
+		refuse = t.worldErr()
+	} else if t.w.live.Killed(r.rank) {
+		refuse = fmt.Errorf("shmem: PE %d: %w", r.rank, ErrPEKilled)
+	}
+	if refuse != nil {
+		if r.kind != simReqNBI {
+			t.replies[r.rank] <- simReply{err: refuse}
 		}
 		return
 	}
@@ -481,13 +457,6 @@ func (t *simTransport) handle(r simReq) {
 		pe.state = simPEBlockedOp
 		pe.req = r
 		t.running--
-	case simReqDone:
-		pe.state = simPEDone
-		pe.vclock = t.now
-		t.running--
-		t.done++
-		t.logf("%d %d don pe=%d\n", t.nextSeq(), t.now, r.rank)
-		t.replies[r.rank] <- simReply{}
 	case simReqOp:
 		v := t.w.verdict(&r.op)
 		pe.state = simPEBlockedOp
@@ -713,11 +682,10 @@ func (t *simTransport) deliver() {
 		// initiator's pending count still drains so its Quiet completes.
 		t.logf("%d %d dlv %v %d->%d a=%#x dropped\n", t.nextSeq(), t.now, r.op, r.from, r.to, uint64(r.addr))
 	} else {
-		if _, _, err := t.w.apply(t.w.pes[r.to], &r, nil); err != nil {
+		if _, _, err := t.w.land(t.w.pes[r.to], &r, false, time.Time{}, nil); err != nil {
 			t.failWorld(err.Error())
 			return
 		}
-		t.w.flightVictim(time.Time{}, &r)
 		t.logf("%d %d dlv %v %d->%d a=%#x v=%d\n", t.nextSeq(), t.now, r.op, r.from, r.to, uint64(r.addr), r.v1)
 	}
 	if ev.pendingDec {
@@ -729,19 +697,22 @@ func (t *simTransport) deliver() {
 // — since every PE is parked whenever the scheduler steps — the victim is
 // woken with ErrPEKilled so its body unwinds.
 func (t *simTransport) deliverKill(rank int) {
-	lv := t.w.live
-	if !lv.killed[rank].Swap(true) {
-		lv.events.Add(1)
-	}
-	lv.markSuspect(rank) // suspicion is instant on explicit crash injection
+	t.w.live.crash(rank)
 	t.logf("%d %d kil pe=%d\n", t.nextSeq(), t.now, rank)
+	t.unpark(rank, fmt.Errorf("shmem: PE %d: %w", rank, ErrPEKilled))
+}
+
+// unpark resumes a PE parked in the scheduler — in an op, a condition or
+// the barrier — with err, so its body unwinds. PEs that are running or
+// done are left alone.
+func (t *simTransport) unpark(rank int, err error) {
 	pe := &t.pes[rank]
 	switch pe.state {
 	case simPEBlockedOp, simPEBlockedCond, simPEBarrier:
 		pe.state = simPERunning
 		pe.vclock = t.now
 		t.running++
-		t.replies[rank] <- simReply{err: fmt.Errorf("shmem: PE %d: %w", rank, ErrPEKilled)}
+		t.replies[rank] <- simReply{err: err}
 	}
 }
 
@@ -778,20 +749,11 @@ func (t *simTransport) deliverDead(rank int) {
 		if i == rank {
 			continue
 		}
-		pe := &t.pes[i]
-		switch pe.state {
-		case simPEBarrier:
-			pe.state = simPERunning
-			pe.vclock = t.now
-			t.running++
-			t.replies[i] <- simReply{err: t.deadBarrierErr()}
-		case simPEBlockedCond:
-			if pe.req.kind == simReqWait {
-				pe.state = simPERunning
-				pe.vclock = t.now
-				t.running++
-				t.replies[i] <- simReply{err: pe.req.wait.deadErr()}
-			}
+		switch pe := &t.pes[i]; {
+		case pe.state == simPEBarrier:
+			t.unpark(i, t.deadBarrierErr())
+		case pe.state == simPEBlockedCond && pe.req.kind == simReqWait:
+			t.unpark(i, pe.req.wait.deadErr())
 		}
 	}
 }
@@ -821,7 +783,10 @@ func (t *simTransport) wake(rank int) {
 			r := pe.req.op
 			// A target that crashed while this op was in flight can never
 			// complete the round trip; a fault verdict fails it likewise.
-			err := t.targetCheck(r)
+			var err error
+			if lv := t.w.live; lv.events.Load() != 0 {
+				err = lv.targetGone(r.op, r.from, r.to)
+			}
 			if err == nil {
 				err = pe.failErr
 			}
@@ -865,12 +830,10 @@ func (t *simTransport) applyOp(r opReq) simReply {
 	if err != nil {
 		return simReply{err: err}
 	}
-	val, data, err := t.w.apply(pe, &r, nil)
-	if err != nil {
-		return simReply{err: err}
-	}
-	t.w.flightVictim(time.Time{}, &r)
-	return simReply{val: val, data: data}
+	// The sim redelivers only injections, each as a delivery event of its
+	// own (handleNBI), so nothing lands twice here.
+	val, data, err := t.w.land(pe, &r, false, time.Time{}, nil)
+	return simReply{val: val, data: data, err: err}
 }
 
 // failWorld records a scheduler-detected failure (deadlock, livelock,
@@ -891,13 +854,7 @@ func (t *simTransport) enterFailMode() {
 	t.events = nil
 	err := t.worldErr()
 	for i := range t.pes {
-		pe := &t.pes[i]
-		switch pe.state {
-		case simPEBlockedOp, simPEBlockedCond, simPEBarrier:
-			pe.state = simPERunning
-			t.running++
-			t.replies[i] <- simReply{err: err}
-		}
+		t.unpark(i, err)
 	}
 	t.flushLog()
 }

@@ -23,7 +23,7 @@ import (
 //     operations, and
 //   - an async connection carrying pipelined non-blocking operations whose
 //     acks are drained by a reader goroutine into the initiator's
-//     nbiPending counter (consumed by Quiet).
+//     pending count (which Quiet waits on).
 //
 // The wire path is allocation-free in steady state: each connection owns
 // header scratch and reusable payload staging, response payloads for get
@@ -40,6 +40,10 @@ type tcpTransport struct {
 	sync_       map[connKey]*syncConn
 	async       map[connKey]*asyncConn
 	asyncByFrom [][]*asyncConn // per initiator rank, for Quiet/flusher sweeps
+	// pending counts, per initiator rank, the injections not yet acked by
+	// their targets. Quiet waits for zero, parked on the initiator's wake
+	// words, which settle bumps.
+	pending []uint64
 
 	stop   chan struct{}
 	closed atomic.Bool
@@ -99,7 +103,7 @@ type asyncConn struct {
 
 	// outstanding counts this connection's injected-but-unacked ops. When
 	// the peer dies the acks never arrive; reconcile() credits the count
-	// back to the initiator's global nbiPending so Quiet completes.
+	// back to the initiator's pending total so Quiet completes.
 	outstanding atomic.Int64
 	// broken marks a connection whose peer is gone: writes are discarded
 	// and every inject is immediately reconciled.
@@ -157,8 +161,15 @@ func (ac *asyncConn) markBroken() {
 // sides move the same conserved quantity, so the net effect is exact.
 func (ac *asyncConn) reconcile() {
 	if rem := ac.outstanding.Swap(0); rem != 0 {
-		ac.t.w.pes[ac.from].nbiPending.Add(-rem)
+		ac.t.settle(ac.from, rem)
 	}
+}
+
+// settle takes k acked (or written-off) injections out of from's pending
+// count and wakes a Quiet parked on it.
+func (t *tcpTransport) settle(from int, k int64) {
+	atomic.AddUint64(&t.pending[from], uint64(-k))
+	t.w.pes[from].wakeWaiters()
 }
 
 // peerGone reports whether rank can no longer receive traffic: crashed or
@@ -168,6 +179,16 @@ func (t *tcpTransport) peerGone(rank int) bool {
 		return true
 	}
 	return t.w.live.Killed(rank) || !t.w.live.Alive(rank)
+}
+
+// connBug reports whether a connection to peer that broke with err is a
+// runtime bug rather than a casualty. An abruptly severed connection (RST,
+// not FIN) is survivable in a distributed world — the connection is the
+// first thing to die when a peer process crashes, often before the failure
+// detector notices — and for peers the detector already wrote off; only an
+// in-process world with a live peer treats it as a bug.
+func (t *tcpTransport) connBug(err error, peer int) bool {
+	return t.w.localRank < 0 && !t.peerGone(peer) && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed)
 }
 
 // Fixed wire-path parameters.
@@ -205,6 +226,7 @@ func newTCPTransport(w *World, at *Endpoint) (*tcpTransport, error) {
 		sync_:       make(map[connKey]*syncConn),
 		async:       make(map[connKey]*asyncConn),
 		asyncByFrom: make([][]*asyncConn, n),
+		pending:     make([]uint64, n),
 		stop:        make(chan struct{}),
 		listeners:   make([]net.Listener, n),
 		addrs:       make([]string, n),
@@ -332,13 +354,7 @@ func (t *tcpTransport) handle(rank int, conn net.Conn) {
 	for {
 		req, payload, err := readRequest(r, reqHdr[:], &reqBuf)
 		if err != nil {
-			// An abruptly severed connection from a crashed initiator
-			// (RST, not FIN) is survivable: in distributed worlds and for
-			// peers the failure detector already wrote off, just drop the
-			// connection. Only an in-process world with a live initiator
-			// treats it as a runtime bug.
-			if !t.closed.Load() && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) &&
-				!t.peerGone(from) && t.w.localRank < 0 {
+			if t.connBug(err, from) {
 				t.w.fail(fmt.Errorf("shmem/tcp: PE %d read request: %w", rank, err))
 			}
 			return
@@ -349,19 +365,18 @@ func (t *tcpTransport) handle(rank int, conn net.Conn) {
 		var rp []byte
 		aerr := decodeOp(&req, payload, len(pe.bytes), &spanBuf, &rspBuf)
 		if aerr == nil {
-			// Exactly what the direct back-end's initiator would run,
-			// gathering any response payload into this connection's
-			// staging (valid until its next op).
-			rv, rp, aerr = t.w.apply(pe, &req, &rspBuf)
+			// Exactly what the direct back-end's initiator would run (a
+			// duplicate verdict arrives as a second request), gathering any
+			// response payload into this connection's staging (valid until
+			// its next op).
+			rv, rp, aerr = t.w.land(pe, &req, false, time.Time{}, &rspBuf)
 		}
 		if aerr != nil {
 			status, rp = 1, []byte(aerr.Error())
-		} else {
-			t.w.flightVictim(time.Time{}, &req)
 		}
 		if kind == connSync {
 			if err := writeResponse(w, rspHdr[:], status, rv, rp); err != nil {
-				if !t.closed.Load() && !t.peerGone(from) && t.w.localRank < 0 {
+				if t.connBug(err, from) {
 					t.w.fail(fmt.Errorf("shmem/tcp: PE %d write response: %w", rank, err))
 				}
 				return
@@ -616,13 +631,7 @@ func (t *tcpTransport) asyncConn(from, to int) (*asyncConn, error) {
 		var frame [4]byte
 		for {
 			if _, err := io.ReadFull(r, frame[:]); err != nil {
-				if !t.closed.Load() && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) &&
-					!t.peerGone(to) && t.w.localRank < 0 {
-					// In-process worlds treat a broken ack stream to a live
-					// peer as a runtime bug. Distributed worlds can't: the
-					// connection is the first thing to die when a peer
-					// process crashes, often before the failure detector
-					// notices.
+				if t.connBug(err, to) {
 					t.w.fail(fmt.Errorf("shmem/tcp: ack reader %d->%d: %w", from, to, err))
 					return
 				}
@@ -633,21 +642,18 @@ func (t *tcpTransport) asyncConn(from, to int) (*asyncConn, error) {
 			}
 			k := int64(binary.LittleEndian.Uint32(frame[:]))
 			ac.outstanding.Add(-k)
-			t.w.pes[from].nbiPending.Add(-k)
+			t.settle(from, k)
 		}
 	}()
 	return ac, nil
 }
 
-// flushAsyncTo flushes the initiator's buffered injections to one target.
-func (t *tcpTransport) flushAsyncTo(from, to int) error {
+// asyncTo returns from's async connection to one target, nil if it never
+// injected there.
+func (t *tcpTransport) asyncTo(from, to int) *asyncConn {
 	t.mu.Lock()
-	ac := t.async[connKey{from, to, connAsync}]
-	t.mu.Unlock()
-	if ac == nil {
-		return nil
-	}
-	return ac.flush()
+	defer t.mu.Unlock()
+	return t.async[connKey{from, to, connAsync}]
 }
 
 // flushFrom flushes every async connection this initiator has open.
@@ -735,8 +741,10 @@ func (t *tcpTransport) blocking(r opReq) (uint64, []byte, error) {
 	// A blocking op must not overtake this initiator's coalesced
 	// injections to the same target: flush them first so buffering never
 	// reorders a completion notification after a later round trip.
-	if err := t.flushAsyncTo(r.from, r.to); err != nil {
-		return 0, nil, opError(r.op, r.from, r.to, fmt.Errorf("flushing injections: %w", err))
+	if ac := t.asyncTo(r.from, r.to); ac != nil {
+		if err := ac.flush(); err != nil {
+			return 0, nil, opError(r.op, r.from, r.to, fmt.Errorf("flushing injections: %w", err))
+		}
 	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -831,7 +839,7 @@ func (t *tcpTransport) nbi(r opReq) error {
 	if v.Duplicate && r.op.redeliverable() {
 		n = 2 // the retransmission is a second request on the wire
 	}
-	t.w.pes[from].nbiPending.Add(n)
+	atomic.AddUint64(&t.pending[from], uint64(n))
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
 	ac.outstanding.Add(n)
@@ -844,7 +852,7 @@ func (t *tcpTransport) nbi(r opReq) error {
 	for sent := int64(0); sent < n; sent++ {
 		if err := writeRequest(ac.w, ac.whdr[:], &r, payload); err != nil {
 			ac.outstanding.Add(sent - n)
-			t.w.pes[from].nbiPending.Add(sent - n)
+			t.settle(from, n-sent)
 			if t.peerGone(to) {
 				ac.markBrokenLocked()
 				return nil
@@ -861,27 +869,34 @@ func (t *tcpTransport) nbi(r opReq) error {
 	return nil
 }
 
+// quiet flushes the initiator's buffered injections and waits for their
+// acks in the one wait loop (injections raced in by the PE's other
+// goroutines after the sweep go out with the background flusher). An ack
+// that can no longer arrive ends the wait instead of hanging it: a target
+// declared dead with acks outstanding — socket open, service loop stalled,
+// so the ack reader never sees the connection break — fails the Quiet with
+// ErrPeerDead and is written off so the next one balances, and OpTimeout
+// bounds the wait like any other round trip.
 func (t *tcpTransport) quiet(from int) error {
-	pe := t.w.pes[from]
-	// Flush our buffered injections, then wait for their acks. The spin
-	// periodically re-flushes to cover injections raced in by concurrent
-	// goroutines on this PE after the initial sweep.
-	var ferr error
-	polls := 0
-	err := t.w.spinUntil(func() bool {
-		if pe.nbiPending.Load() == 0 {
-			return true
-		}
-		polls++
-		if polls&1023 == 1 {
-			if ferr = t.flushFrom(from); ferr != nil {
-				return true
+	if err := t.flushFrom(from); err != nil {
+		return err
+	}
+	_, err := t.waitWord(waitReq{
+		rank: from, on: from, word: &t.pending[from], cmp: CmpEQ, what: "Quiet",
+		timeout: max(t.w.cfg.OpTimeout, 0),
+		needs: func(rank int) bool {
+			ac := t.asyncTo(from, rank)
+			return ac != nil && ac.outstanding.Load() > 0
+		},
+	})
+	if errors.Is(err, ErrPeerDead) {
+		t.mu.Lock()
+		for _, ac := range t.asyncByFrom[from] {
+			if !t.w.live.Alive(ac.to) {
+				ac.markBroken()
 			}
 		}
-		return false
-	})
-	if ferr != nil {
-		return ferr
+		t.mu.Unlock()
 	}
 	return err
 }

@@ -25,8 +25,7 @@ type Span struct {
 //
 // Every back-end owns the same three duties on the op path, once each:
 // ask the fault injector for a verdict (World.verdict), charge the latency
-// model, and stamp the victim side of a span-tagged op into the target's
-// flight ring (World.flightVictim) where it applies.
+// model, and land the op (World.land) where the target heap is.
 type transport interface {
 	// blocking performs r and returns once it has been applied at the
 	// target: the fetched word of an atomic, the payload of a fused op.
@@ -39,9 +38,9 @@ type transport interface {
 	quiet(from int) error
 	close() error
 
-	// waitWord blocks r.rank until the heap word r names satisfies the
-	// comparison (returning the satisfying value), the world fails, a
-	// peer is declared dead, or the timeout expires.
+	// waitWord blocks r.rank until the word r names satisfies the
+	// comparison (returning the satisfying value) or r.giveUp says why it
+	// never will.
 	waitWord(r waitReq) (uint64, error)
 	// relax is one empty iteration of rank's poll loop.
 	relax(rank int)
@@ -49,19 +48,32 @@ type transport interface {
 	barrier(rank int) error
 }
 
-// waitReq describes one blocked wait on a heap word this process can
-// address: WaitUntil64 on the caller's own heap, or the heap barrier's
-// generation word on rank 0.
+// waitReq describes one blocked wait on a 64-bit word: WaitUntil64 on the
+// caller's own heap, the heap barrier's generation word on rank 0, or tcp
+// Quiet on the initiator's unacknowledged-injection count.
 type waitReq struct {
-	rank    int // the waiting PE
-	on      int // the PE whose heap holds the word
-	addr    Addr
+	rank int // the waiting PE
+	// The watched word lives at addr of PE on's heap. A heap this process
+	// cannot address (tcp, a remote rank 0) is polled with blocking loads;
+	// word, when set, is watched instead (it is not a heap word) and on
+	// names whose wake words its writers bump.
+	on   int
+	addr Addr
+	word *uint64
+
 	cmp     Cmp
 	operand uint64
 	timeout time.Duration // 0 = none
+	// what names the wait in errors ("" = the WaitUntil64 it describes) and
+	// expired is the sentinel a timeout wraps (nil = ErrOpTimeout).
+	what    string
+	expired error
 	// check, if non-nil, is an extra reason to give up, polled with the
 	// word (the heap barrier's poison state).
 	check func() error
+	// needs, if non-nil, narrows whose death dooms the wait (nil = any
+	// peer could have been the one to flip the word).
+	needs func(rank int) bool
 }
 
 // holds reports whether v satisfies the wait (the comparison was validated
@@ -71,21 +83,32 @@ func (r *waitReq) holds(v uint64) bool {
 	return ok
 }
 
+// String names the wait for its errors (by value use only: a waitReq
+// handed to fmt would escape and cost every wait an allocation).
+func (r *waitReq) String() string {
+	if r.what != "" {
+		return r.what
+	}
+	return fmt.Sprintf("WaitUntil64(%#x %v %d)", uint64(r.addr), r.cmp, r.operand)
+}
+
+// deadErr unwinds a wait one of whose peers is gone with a named error
+// instead of spinning out the timeout.
 func (r *waitReq) deadErr() error {
-	// A peer that could have flipped this word is gone; unwind with a
-	// named error instead of spinning out the timeout.
-	return fmt.Errorf("shmem: WaitUntil64(%#x %v %d) aborted, peer declared dead: %w",
-		uint64(r.addr), r.cmp, r.operand, ErrPeerDead)
+	return fmt.Errorf("shmem: %s aborted, peer declared dead: %w", r.String(), ErrPeerDead)
 }
 
 func (r *waitReq) timeoutErr(last uint64) error {
-	return fmt.Errorf("shmem: WaitUntil64(%#x %v %d) timed out after %v (last value %d): %w",
-		uint64(r.addr), r.cmp, r.operand, r.timeout, last, ErrOpTimeout)
+	expired := r.expired
+	if expired == nil {
+		expired = ErrOpTimeout
+	}
+	return fmt.Errorf("shmem: %s timed out after %v (last value %d): %w", r.String(), r.timeout, last, expired)
 }
 
-// giveUp is the per-iteration abort test of a wall-clock wait: the
-// caller's own check, world failure (or the waiter's own crash
-// injection), a dead peer, the deadline.
+// giveUp is the abort test every wall-clock wait polls with its word, in
+// this order: the caller's own check, world failure (or the waiter's own
+// crash injection), a dead peer the wait needs, the deadline.
 func (r *waitReq) giveUp(w *World, deadline time.Time, last uint64) error {
 	if r.check != nil {
 		if err := r.check(); err != nil {
@@ -95,8 +118,12 @@ func (r *waitReq) giveUp(w *World, deadline time.Time, last uint64) error {
 	if err := w.errFor(r.rank); err != nil {
 		return err
 	}
-	if w.live.AnyDead() {
-		return r.deadErr()
+	if lv := w.live; lv.AnyDead() {
+		for rank := 0; rank < w.cfg.NumPEs; rank++ {
+			if !lv.Alive(rank) && (r.needs == nil || r.needs(rank)) {
+				return r.deadErr()
+			}
+		}
 	}
 	if r.timeout > 0 && time.Now().After(deadline) {
 		return r.timeoutErr(last)
@@ -104,35 +131,84 @@ func (r *waitReq) giveUp(w *World, deadline time.Time, last uint64) error {
 	return nil
 }
 
-func (r *waitReq) deadline() time.Time {
-	if r.timeout > 0 {
-		return time.Now().Add(r.timeout)
-	}
-	return time.Time{}
-}
+// Blocked-wait parameters, fixed for every heap.
+const (
+	// waitSpin is the bounded-spin budget, in yields, before a blocked
+	// wait parks in the kernel.
+	waitSpin = 512
+	// parkQuantum bounds every park: a store that bypasses the transport
+	// (a PE's self-targeted fast path), a failure or a death declaration
+	// and a missed deadline are all observed within one quantum.
+	parkQuantum = time.Millisecond
+	// remotePoll paces the polling of a word on a heap this process
+	// cannot address, which has no wake words here to park on.
+	remotePoll = 5 * time.Microsecond
+)
 
 // hostWaits is how a PE blocks when PEs are free-running goroutines on the
-// host scheduler — every back-end but the sim: poll with a yield and an
-// occasional sleep, and synchronize through the world's barrier.
+// host scheduler — every back-end but the sim: Relax is a yield with an
+// occasional sleep, barriers go through the world's barrier, and every
+// blocked wait is the one loop below.
 type hostWaits struct{ w *World }
 
 func (h hostWaits) relax(rank int) { h.w.pes[rank].pause() }
 
 func (h hostWaits) barrier(int) error { return h.w.barrier.wait() }
 
+// waitWord is the one wall-clock blocking loop: spin w.spin yields on the
+// word, then park on the wake words of the heap its writers land on, so a
+// blocked PE sleeps in the kernel instead of burning a core and a peer's
+// one-sided store wakes it in sub-microsecond time (see peState.wakeWaiters).
+// Where the word lives decides only how it is read and what there is to
+// park on: a heap this process cannot address is loaded over the transport
+// and paced by a sleep.
 func (h hostWaits) waitWord(r waitReq) (uint64, error) {
-	pe := h.w.pes[r.on]
-	word := &pe.words[r.addr/WordSize]
-	deadline := r.deadline()
-	for {
-		v := atomic.LoadUint64(word)
-		if r.holds(v) {
-			return v, nil
+	w := h.w
+	pe, word := w.pes[r.on], r.word
+	if word == nil && pe != nil {
+		word = &pe.words[r.addr/WordSize]
+	}
+	var deadline time.Time
+	if r.timeout > 0 {
+		deadline = time.Now().Add(r.timeout)
+	}
+	for i := 0; ; i++ {
+		// Register as a waiter BEFORE sampling the sequence and checking the
+		// word; wakeWaiters says why this ordering closes the lost-wakeup
+		// window.
+		park := i >= w.spin && pe != nil
+		var seq uint32
+		if park {
+			atomic.AddUint64(&pe.wake.waiters, 1)
+			seq = atomic.LoadUint32(futexHalf(&pe.wake.seq))
 		}
-		if err := r.giveUp(h.w, deadline, v); err != nil {
-			return 0, err
+		var v uint64
+		var err error
+		if word != nil {
+			v = atomic.LoadUint64(word)
+		} else if v, _, err = w.transport.blocking(opReq{op: OpLoad, from: r.rank, to: r.on, addr: r.addr}); err != nil {
+			err = fmt.Errorf("shmem: %s poll: %w", r.String(), err)
 		}
-		h.w.pes[r.rank].pause()
+		done := err != nil || r.holds(v)
+		if !done {
+			err = r.giveUp(w, deadline, v)
+			done = err != nil
+		}
+		switch {
+		case done:
+		case park:
+			futexWait(futexHalf(&pe.wake.seq), seq, parkQuantum)
+		case pe == nil:
+			time.Sleep(remotePoll)
+		default:
+			yield()
+		}
+		if park {
+			atomic.AddUint64(&pe.wake.waiters, ^uint64(0))
+		}
+		if done {
+			return v, err
+		}
 	}
 }
 

@@ -177,8 +177,27 @@ func StealvalGeomConsistency(t *testing.T, f Factory) {
 			if _, err := ctx.WaitUntil64(ack, shmem.CmpEQ, 1, waitTimeout); err != nil {
 				return err
 			}
-			// The thief is quiet now: drain the epochs and fold the ladder
-			// back down, so the sweep provably exercised both directions.
+			// The thief is quiet now: empty the queue (what it left of the
+			// shared blocks comes back through Acquire — how much that is
+			// depends on how fast the thief ran, and an occupied ring never
+			// shrinks), drain the epochs and fold the ladder back down, so
+			// the sweep provably exercised both directions.
+			for {
+				for {
+					_, ok, err := q.Pop()
+					if err != nil {
+						return err
+					}
+					if !ok {
+						break
+					}
+				}
+				if n, err := q.Acquire(); err != nil {
+					return err
+				} else if n == 0 {
+					break
+				}
+			}
 			for q.Stats().Epochs > 1 {
 				if err := q.Progress(); err != nil {
 					return err

@@ -134,8 +134,6 @@ type Config struct {
 	NoEpochs bool
 	// NoDamping disables steal damping (SWS only).
 	NoDamping bool
-	// StealTries is the number of victims tried per search round.
-	StealTries int
 	// Workers is the number of worker goroutines per PE (default 1: the
 	// PE's owner alone, the paper's single-threaded PE). Each worker
 	// beyond the first is an executor sharing tasks with the owner over
@@ -211,7 +209,6 @@ func Run(cfg Config, job Job) (*Result, error) {
 			PayloadCap:    cfg.PayloadCap,
 			NoEpochs:      cfg.NoEpochs,
 			NoDamping:     cfg.NoDamping,
-			StealTries:    cfg.StealTries,
 			Workers:       cfg.Workers,
 			Seed:          cfg.Seed,
 			Trace:         cfg.Trace,
