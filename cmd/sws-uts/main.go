@@ -18,6 +18,7 @@ import (
 
 	"sws/internal/bench"
 	"sws/internal/cli"
+	"sws/internal/inspect"
 	"sws/internal/pool"
 	"sws/internal/trace"
 	"sws/internal/uts"
@@ -112,8 +113,9 @@ func main() {
 		fatal(err)
 	}
 	if tr != nil {
-		fmt.Println("--- scheduling trace (merged, oldest retained first) ---")
-		if err := tr.Dump(os.Stdout); err != nil {
+		r := inspect.Build(tr.Dumps("-trace"))
+		r.ShowTimeline = true
+		if err := r.WriteText(os.Stdout); err != nil {
 			fatal(err)
 		}
 	}
@@ -136,17 +138,8 @@ func main() {
 
 // parseTree resolves a preset name or an inline tree spec.
 func parseTree(s string) (uts.Params, error) {
-	switch strings.ToLower(s) {
-	case "tiny":
-		return uts.Tiny, nil
-	case "small":
-		return uts.Small, nil
-	case "t1":
-		return uts.T1, nil
-	case "tinybin":
-		return uts.TinyBin, nil
-	case "tinylinear":
-		return uts.TinyLinear, nil
+	if p, err := uts.Preset(strings.ToLower(s)); err == nil {
+		return p, nil
 	}
 	kind, rest, ok := strings.Cut(s, ":")
 	if !ok {

@@ -73,16 +73,19 @@ func RunOnce(cfg RunConfig, f Factory) (stats.Run, error) {
 // communication counters RunOnce's stats.Run does not carry.
 func runOnce(cfg RunConfig, f Factory, observe func(c *shmem.Ctx, p *pool.Pool)) (stats.Run, error) {
 	cfg.setDefaults()
+	// The workload first: only World.Run releases what NewWorld acquires
+	// (listeners and service goroutines, a sim scheduler, a mapping), so
+	// nothing may fail between building the world and running it.
+	wl, err := f()
+	if err != nil {
+		return stats.Run{}, err
+	}
 	w, err := shmem.NewWorld(shmem.Config{
 		NumPEs:    cfg.PEs,
 		HeapBytes: cfg.HeapBytes,
 		Latency:   cfg.Latency,
 		Transport: cfg.Transport,
 	})
-	if err != nil {
-		return stats.Run{}, err
-	}
-	wl, err := f()
 	if err != nil {
 		return stats.Run{}, err
 	}

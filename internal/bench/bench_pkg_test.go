@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"sws/internal/bpc"
 	"sws/internal/pool"
+	"sws/internal/shmem"
 	"sws/internal/uts"
 )
 
@@ -58,6 +61,24 @@ func TestRunOnceBPC(t *testing.T) {
 	}
 	if run.Protocol != "sws" {
 		t.Errorf("protocol label %q", run.Protocol)
+	}
+}
+
+// TestRunOnceFailingFactoryLeaksNothing: a workload factory that fails must
+// fail before a world exists — only World.Run releases a transport, and a
+// tcp world built and never run keeps its listeners and their goroutines.
+func TestRunOnceFailingFactoryLeaksNothing(t *testing.T) {
+	before := runtime.NumGoroutine()
+	boom := errors.New("no workload")
+	for i := 0; i < 3; i++ {
+		_, err := RunOnce(RunConfig{PEs: 2, Transport: shmem.TransportTCP},
+			func() (Workload, error) { return nil, boom })
+		if !errors.Is(err, boom) {
+			t.Fatalf("RunOnce = %v, want the factory's error", err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before, %d after three failed runs: the worlds were built and never closed", before, after)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"time"
 
+	"sws/internal/inspect"
 	"sws/internal/obs"
 	"sws/internal/trace"
 )
@@ -100,7 +101,7 @@ func (o *ObsFlags) Finish(tr *trace.Set) error {
 		keep(obs.WriteHeapProfile(o.MemProfile))
 	}
 	if tr != nil && o.TraceOut != "" {
-		keep(tr.WriteJSONFile(o.TraceOut))
+		keep(inspect.Build(tr.Dumps("-trace-out")).WritePerfettoFile(o.TraceOut))
 		if first == nil {
 			fmt.Fprintf(os.Stderr, "trace: wrote %s (load in https://ui.perfetto.dev or chrome://tracing)\n", o.TraceOut)
 		}

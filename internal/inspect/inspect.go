@@ -1,6 +1,7 @@
-// Package inspect turns flight-recorder dumps into a post-mortem
-// picture of a run: it merges the per-rank JSONL journals of one (or
-// several) processes into a single causal timeline, reassembles steal
+// Package inspect turns event rings — the flight journals a failed run
+// dumped, or the trace.Set a run recorded into (Set.Dumps) — into a
+// post-mortem picture of the run: it merges the per-rank journals of one
+// (or several) processes into a single causal timeline, reassembles steal
 // attempts into span trees — initiator-side sub-operations joined with
 // the victim-side applies that carried the same span ID over the wire —
 // and derives the tables an engineer reaches for after a failure:
@@ -119,6 +120,9 @@ type Report struct {
 	Dropped uint64
 	// TopSpans caps the slow-span detail in WriteText (0 = default 5).
 	TopSpans int
+	// ShowTimeline makes WriteText end with the merged timeline itself,
+	// one event per line.
+	ShowTimeline bool
 }
 
 // LoadDir reads every flight journal in dir (flight-*.jsonl — per-rank

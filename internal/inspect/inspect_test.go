@@ -3,6 +3,7 @@ package inspect
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -158,34 +159,136 @@ func TestWriteTextNamesDeadRankAndPhases(t *testing.T) {
 	}
 }
 
-func TestWritePerfettoIsValidTraceJSON(t *testing.T) {
-	r := Build(synthDumps())
-	var buf bytes.Buffer
-	if err := r.WritePerfetto(&buf); err != nil {
+// TestWriteTextTimeline: ShowTimeline (sws-uts -trace N) appends the merged
+// timeline, one event per line, oldest first; without it the report ends at
+// its tables.
+func TestWriteTextTimeline(t *testing.T) {
+	r := Build(tracedDumps(t))
+	var plain, full bytes.Buffer
+	if err := r.WriteText(&plain); err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+	r.ShowTimeline = true
+	if err := r.WriteText(&full); err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("perfetto output is not JSON: %v", err)
+	tail, ok := strings.CutPrefix(full.String(), plain.String())
+	if !ok || strings.Contains(plain.String(), "timeline") {
+		t.Fatalf("the timeline is not a suffix of the plain report:\n%s", full.String())
 	}
-	var haveSpanSlice, haveFlowStart, haveFlowEnd, haveVictimInstant bool
-	for _, e := range doc.TraceEvents {
-		switch {
-		case e["cat"] == "steal" && e["ph"] == "X":
-			haveSpanSlice = true
-		case e["cat"] == "steal" && e["ph"] == "s":
-			haveFlowStart = true
-		case e["cat"] == "steal" && e["ph"] == "f":
-			haveFlowEnd = true
-		case e["cat"] == "steal-victim" && e["ph"] == "i":
-			haveVictimInstant = true
+	lines := strings.Split(strings.TrimSpace(tail), "\n")
+	if len(lines) != 6 || !strings.Contains(lines[1], "exec") || !strings.Contains(lines[4], "steal-ok") || !strings.Contains(lines[5], "terminated") {
+		t.Errorf("timeline section = %q, want a heading and the 5 events in time order", lines)
+	}
+}
+
+// tracedDumps is what a traced two-PE run leaves in its trace set: PE 0
+// executes a task and releases; PE 1 runs a comm op outside any steal,
+// steals from PE 0, and the world terminates.
+func tracedDumps(t *testing.T) []trace.FlightDump {
+	t.Helper()
+	s, err := trace.NewSet(2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	us := time.Microsecond
+	s.PE(0).RecordAt(10*us, trace.TaskExec, 3, int64(5*us), 0)
+	s.PE(0).RecordAt(12*us, trace.Release, 0, 4, 0)
+	s.PE(1).RecordAt(15*us, trace.CommOp, int64(shmem.OpFetchAdd), int64(2*us), 0)
+	s.PE(1).RecordAt(20*us, trace.StealOK, 0, 2, 0)
+	s.PE(1).RecordAt(30*us, trace.Terminated, 0, 0, 0)
+	return s.Dumps("traced run")
+}
+
+// tiedDumps records identical timestamps on three PEs, out of rank order.
+func tiedDumps(t *testing.T) []trace.FlightDump {
+	t.Helper()
+	s, err := trace.NewSet(3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := 5 * time.Microsecond
+	s.PE(2).RecordAt(at, trace.StealEmpty, 0, 0, 0)
+	s.PE(0).RecordAt(at, trace.StealEmpty, 1, 0, 0)
+	s.PE(1).RecordAt(at, trace.StealEmpty, 2, 0, 0)
+	s.PE(1).RecordAt(at, trace.Release, 0, 1, 0) // same PE, same At: recording order
+	return s.Dumps("ties")
+}
+
+// TestWritePerfettoIsValidTraceJSON: the one Perfetto writer renders flight
+// journals and trace sets alike, into a valid trace-event document with one
+// named track per PE, and renders the same input to the same bytes.
+func TestWritePerfettoIsValidTraceJSON(t *testing.T) {
+	type event = map[string]any
+	has := func(evs []event, want event) bool {
+	next:
+		for _, e := range evs {
+			for k, v := range want {
+				if e[k] != v {
+					continue next
+				}
+			}
+			return true
+		}
+		return false
+	}
+	for _, tc := range []struct {
+		name  string
+		dumps []trace.FlightDump
+		want  []event // each must match some emitted event on every key given
+	}{
+		{"flight journals: span slice, paired flow, victim instants", synthDumps(), []event{
+			{"cat": "steal", "ph": "X"}, {"cat": "steal", "ph": "s"}, {"cat": "steal", "ph": "f"},
+			{"cat": "steal-victim", "ph": "i"},
+		}},
+		{"trace set: exec and comm-op slices end at their timestamps", tracedDumps(t), []event{
+			{"name": "exec", "ph": "X", "ts": 5.0, "dur": 5.0, "tid": 0.0},
+			{"name": "comm-op", "ph": "X", "ts": 13.0, "dur": 2.0, "tid": 1.0},
+		}},
+		{"trace set: a steal is an instant and a flow from victim to thief", tracedDumps(t), []event{
+			{"name": "steal", "ph": "i", "tid": 1.0},
+			{"name": "steal", "ph": "s", "tid": 0.0, "id": "steal-1"},
+			{"name": "steal", "ph": "f", "tid": 1.0, "id": "steal-1", "bp": "e"},
+			{"name": "release", "ph": "i", "tid": 0.0}, {"name": "terminated", "ph": "i", "tid": 1.0},
+		}},
+		{"ties on the timestamp break by PE, then recording order", tiedDumps(t), nil},
+	} {
+		r := Build(tc.dumps)
+		var buf, again bytes.Buffer
+		if err := r.WritePerfetto(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := Build(tc.dumps).WritePerfetto(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+			t.Errorf("%s: identical input rendered to different bytes", tc.name)
+		}
+		var doc struct {
+			TraceEvents []event `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatalf("%s: perfetto output is not JSON: %v", tc.name, err)
+		}
+		for pe := 0; pe < r.NumPEs; pe++ {
+			track := event{"name": "thread_name", "ph": "M", "tid": float64(pe)}
+			if !has(doc.TraceEvents, track) {
+				t.Errorf("%s: no thread_name metadata for PE %d", tc.name, pe)
+			}
+		}
+		for _, want := range tc.want {
+			if !has(doc.TraceEvents, want) {
+				t.Errorf("%s: no event like %v in:\n%s", tc.name, want, buf.String())
+			}
 		}
 	}
-	if !haveSpanSlice || !haveFlowStart || !haveFlowEnd || !haveVictimInstant {
-		t.Fatalf("perfetto trace missing shapes: slice=%v flowStart=%v flowEnd=%v victim=%v",
-			haveSpanSlice, haveFlowStart, haveFlowEnd, haveVictimInstant)
+
+	var order []string
+	for _, e := range Build(tiedDumps(t)).Timeline {
+		order = append(order, fmt.Sprintf("%d:%v", e.PE, e.Kind))
+	}
+	if got, want := strings.Join(order, " "), "0:steal-empty 1:steal-empty 1:release 2:steal-empty"; got != want {
+		t.Errorf("merged order of tied events = %q, want %q", got, want)
 	}
 }
 

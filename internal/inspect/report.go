@@ -112,6 +112,12 @@ func (r *Report) WriteText(w io.Writer) error {
 			return err
 		}
 	}
+	if r.ShowTimeline {
+		fmt.Fprintln(w, "\ntimeline (merged, oldest retained first):")
+		for _, e := range r.Timeline {
+			fmt.Fprintln(w, e)
+		}
+	}
 	return nil
 }
 
@@ -151,6 +157,7 @@ type perfettoEvent struct {
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
 	ID   string         `json:"id,omitempty"`
+	BP   string         `json:"bp,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -159,9 +166,13 @@ func usAt(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 func hexSpan(id uint64) string { return "0x" + strconv.FormatUint(id, 16) }
 
 // WritePerfetto exports the merged timeline as Chrome Trace Event JSON
-// (loadable in ui.perfetto.dev): one track per PE, steal spans as
-// slices enclosing their per-phase sub-op slices, victim applies as
-// instants on the victim's track, flow arrows joining the two sides.
+// (loadable in ui.perfetto.dev and chrome://tracing): one track per PE,
+// steal spans as slices enclosing their per-phase sub-op slices, victim
+// applies as instants on the victim's track, flow arrows joining the two
+// sides. What only a traced run records renders too: task executions and
+// comm ops outside a span as slices ending at their recorded timestamp, a
+// flow arrow from the victim's track to the thief's per successful steal,
+// every other scheduling event as an instant.
 func (r *Report) WritePerfetto(w io.Writer) error {
 	var evs []perfettoEvent
 	for pe := 0; pe < r.NumPEs; pe++ {
@@ -218,41 +229,52 @@ func (r *Report) WritePerfetto(w io.Writer) error {
 			}
 		}
 	}
+	slice := func(e trace.Event, name, cat string, args map[string]any) perfettoEvent {
+		// B is the duration and the event was recorded at completion, so
+		// the slice starts that much earlier.
+		start := max(e.At-time.Duration(e.B), 0)
+		return perfettoEvent{Name: name, Cat: cat, Ph: "X", Ts: usAt(start), Dur: usAt(e.At - start), Pid: 0, Tid: e.PE, Args: args}
+	}
+	steals := 0
 	for _, e := range r.Timeline {
+		instant := perfettoEvent{Name: e.Kind.String(), Cat: "sched", Ph: "i", Ts: usAt(e.At), Pid: 0, Tid: e.PE,
+			Args: map[string]any{"a": e.A, "b": e.B}}
 		switch e.Kind {
-		case trace.QueueDepth:
-			evs = append(evs, perfettoEvent{
-				Name: "queue-depth", Ph: "C", Ts: usAt(e.At), Pid: 0, Tid: e.PE,
-				Args: map[string]any{"local": e.A, "shared": e.B},
-			})
-		case trace.PeerState:
-			tid := e.PE
-			if tid < 0 {
-				tid = r.NumPEs
+		case trace.StealSpanStart, trace.StealSpanEnd, trace.VictimOp:
+			continue // drawn with their span above
+		case trace.CommOp:
+			if e.Span != 0 {
+				continue
 			}
-			evs = append(evs, perfettoEvent{
-				Name: fmt.Sprintf("peer %d -> %v", e.A, shmem.PeerState(e.B)), Cat: "liveness",
-				Ph: "i", Ts: usAt(e.At), Pid: 0, Tid: tid,
-				Args: map[string]any{"peer": e.A, "state": shmem.PeerState(e.B).String()},
-			})
+			instant = slice(e, "comm-op", "comm", map[string]any{"op": shmem.Op(e.A).String(), "ns": e.B})
+		case trace.TaskExec:
+			instant = slice(e, "exec", "task", map[string]any{"task": e.A})
+		case trace.StealOK:
+			steals++
+			id := "steal-" + strconv.Itoa(steals)
+			instant.Name, instant.Cat, instant.Args = "steal", "steal", map[string]any{"victim": e.A, "tasks": e.B}
+			evs = append(evs,
+				perfettoEvent{Name: "steal", Cat: "steal", Ph: "s", ID: id, Ts: usAt(e.At), Pid: 0, Tid: int(e.A)},
+				perfettoEvent{Name: "steal", Cat: "steal", Ph: "f", BP: "e", ID: id, Ts: usAt(e.At), Pid: 0, Tid: e.PE})
+		case trace.QueueDepth:
+			instant.Ph, instant.Cat, instant.Args = "C", "", map[string]any{"local": e.A, "shared": e.B}
+		case trace.PeerState:
+			if e.PE < 0 {
+				instant.Tid = r.NumPEs
+			}
+			instant.Name, instant.Cat = fmt.Sprintf("peer %d -> %v", e.A, shmem.PeerState(e.B)), "liveness"
+			instant.Args = map[string]any{"peer": e.A, "state": shmem.PeerState(e.B).String()}
 		case trace.EpochFlip:
-			evs = append(evs, perfettoEvent{
-				Name: "epoch-flip", Cat: "queue", Ph: "i", Ts: usAt(e.At), Pid: 0, Tid: e.PE,
-				Args: map[string]any{"epoch": e.A, "moved": e.B},
-			})
-		case trace.MemberJoin:
-			evs = append(evs, perfettoEvent{
-				Name: fmt.Sprintf("rank %d joined", e.A), Cat: "membership",
-				Ph: "i", Ts: usAt(e.At), Pid: 0, Tid: e.PE,
-				Args: map[string]any{"rank": e.A, "epoch": e.B},
-			})
-		case trace.MemberDrain:
-			evs = append(evs, perfettoEvent{
-				Name: fmt.Sprintf("rank %d drained", e.A), Cat: "membership",
-				Ph: "i", Ts: usAt(e.At), Pid: 0, Tid: e.PE,
-				Args: map[string]any{"rank": e.A, "epoch": e.B},
-			})
+			instant.Cat, instant.Args = "queue", map[string]any{"epoch": e.A, "moved": e.B}
+		case trace.MemberJoin, trace.MemberDrain:
+			verb := "joined"
+			if e.Kind == trace.MemberDrain {
+				verb = "drained"
+			}
+			instant.Name, instant.Cat = fmt.Sprintf("rank %d %s", e.A, verb), "membership"
+			instant.Args = map[string]any{"rank": e.A, "epoch": e.B}
 		}
+		evs = append(evs, instant)
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(map[string]any{

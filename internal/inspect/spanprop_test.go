@@ -2,12 +2,14 @@ package inspect
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"sws/internal/core"
 	"sws/internal/shmem"
 	"sws/internal/task"
+	"sws/internal/trace"
 	"sws/internal/wsq"
 )
 
@@ -18,6 +20,13 @@ import (
 // applies come back tagged with it.
 func stealAndDump(t *testing.T, kind shmem.TransportKind) *Report {
 	t.Helper()
+	return stealAndDumpInto(t, kind, nil)
+}
+
+// stealAndDumpInto is stealAndDump with tr, when non-nil, attached as the
+// two PEs' event rings before the steal.
+func stealAndDumpInto(t *testing.T, kind shmem.TransportKind, tr *trace.Set) *Report {
+	t.Helper()
 	dir := t.TempDir()
 	w, err := shmem.NewWorld(shmem.Config{
 		NumPEs: 2, HeapBytes: 8 << 20, Transport: kind, FlightDir: dir,
@@ -26,6 +35,7 @@ func stealAndDump(t *testing.T, kind shmem.TransportKind) *Report {
 		t.Fatal(err)
 	}
 	err = w.Run(func(c *shmem.Ctx) error {
+		c.AttachTrace(tr.PE(c.Rank()))
 		q, err := core.NewQueue(c, core.Options{Epochs: true})
 		if err != nil {
 			return err
@@ -161,6 +171,79 @@ func TestSpanPropagationRoundTrip(t *testing.T) {
 			}
 			if !strings.Contains(pbuf.String(), hexSpan(stolen.ID)) {
 				t.Error("perfetto trace does not mention the span ID")
+			}
+		})
+	}
+}
+
+// TestStealJournaledOnce: a PE has one event ring and a steal is written
+// to it once. With a trace set attached, one successful steal leaves its
+// span-start, claim, copy, completion store and span-end each exactly once
+// on the thief's ring and each victim-side apply once on the victim's —
+// and the trace set IS the world's ring, so a failure dump holds the same
+// events, not a second recording of them.
+func TestStealJournaledOnce(t *testing.T) {
+	kinds := []shmem.TransportKind{shmem.TransportLocal, shmem.TransportTCP, shmem.TransportSim}
+	if shmem.ShmSupported() {
+		kinds = append(kinds, shmem.TransportShm)
+	}
+	for _, kind := range kinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			tr, err := trace.NewSet(2, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dumped := stealAndDumpInto(t, kind, tr)
+
+			type entry struct {
+				pe   int
+				kind trace.Kind
+				op   shmem.Op // of a comm-op or victim-op
+			}
+			var span uint64
+			got := map[entry]int{}
+			for _, e := range tr.Merged() {
+				if e.Span == 0 {
+					t.Errorf("event outside any span on a world that only stole: %v", e)
+					continue
+				}
+				if span == 0 {
+					span = e.Span
+				}
+				if e.Span != span {
+					t.Errorf("a second span %#x beside %#x: %v", e.Span, span, e)
+				}
+				en := entry{pe: e.PE, kind: e.Kind}
+				if e.Kind == trace.CommOp || e.Kind == trace.VictimOp {
+					en.op = shmem.Op(e.A)
+				}
+				got[en]++
+			}
+			want := []entry{
+				{1, trace.StealSpanStart, 0},
+				{1, trace.CommOp, shmem.OpFetchAdd}, // the claim
+				{1, trace.CommOp, shmem.OpGet},      // the copy
+				{1, trace.CommOp, shmem.OpStoreNBI}, // the completion store
+				{1, trace.StealSpanEnd, 0},
+				{0, trace.VictimOp, shmem.OpFetchAdd},
+				{0, trace.VictimOp, shmem.OpGet},
+				{0, trace.VictimOp, shmem.OpStoreNBI},
+			}
+			for _, en := range want {
+				if got[en] != 1 {
+					t.Errorf("PE %d journaled %v %v %d times, want once", en.pe, en.kind, en.op, got[en])
+				}
+				delete(got, en)
+			}
+			for en, n := range got {
+				t.Errorf("PE %d journaled %v %v %d times, want never", en.pe, en.kind, en.op, n)
+			}
+
+			// The dump wrote the ring in use: event for event what the trace
+			// set holds.
+			if merged := tr.Merged(); !reflect.DeepEqual(dumped.Timeline, merged) {
+				t.Errorf("the dump holds %d events, the trace set %d:\n dump  %v\n trace %v",
+					len(dumped.Timeline), len(merged), dumped.Timeline, merged)
 			}
 		})
 	}

@@ -17,6 +17,128 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(k, v string) Label { return Label{K: k, V: v} }
 
+// Desc declares one metric family — the one place its name, kind, unit,
+// label keys and help text are written. The emitter takes it where it
+// used to take a name and a help string, /metrics prints its Help, and
+// docs/METRICS.md is WriteReference over the registered descriptors, so
+// the three cannot disagree.
+type Desc struct {
+	Name string
+	Kind string // "counter", "gauge" or "quantiles"
+	// Unit is what the value counts ("tasks", "seconds", ...), or
+	// "dimensionless (...)" for booleans, enums and indexes.
+	Unit   string
+	Labels string // label keys, comma-separated, in emission order
+	Help   string
+	// CountHelp describes the <Name>_count family of a quantiles
+	// descriptor (its sample counter).
+	CountHelp string
+}
+
+// families is the registration table, filled by package-level New* calls
+// at start-up.
+var families []*Desc
+
+// NewCounter, NewGauge and NewQuantiles declare and register a family. A
+// name that breaks the naming rules (check) or is taken is a programming
+// error and panics at start-up, before any scrape could show it.
+func NewCounter(name, unit, labels, help string) *Desc {
+	return register(&Desc{Name: name, Kind: "counter", Unit: unit, Labels: labels, Help: help})
+}
+
+func NewGauge(name, unit, labels, help string) *Desc {
+	return register(&Desc{Name: name, Kind: "gauge", Unit: unit, Labels: labels, Help: help})
+}
+
+func NewQuantiles(name, labels, help, countHelp string) *Desc {
+	return register(&Desc{Name: name, Kind: "quantiles", Unit: "seconds", Labels: labels, Help: help, CountHelp: countHelp})
+}
+
+func register(d *Desc) *Desc {
+	if err := d.check(); err != nil {
+		panic(err)
+	}
+	for _, f := range families {
+		if f.Name == d.Name {
+			panic(fmt.Sprintf("obs: metric family %s declared twice", d.Name))
+		}
+	}
+	families = append(families, d)
+	return d
+}
+
+// check enforces the naming rules: every family is prefixed sws_,
+// counters end in _total, and a gauge or quantile family ends in its
+// unit unless it is documented dimensionless.
+func (d *Desc) check() error {
+	unit, _, _ := strings.Cut(d.Unit, " ")
+	switch {
+	case !strings.HasPrefix(d.Name, "sws_"):
+		return fmt.Errorf("obs: %s: missing sws_ prefix", d.Name)
+	case d.Kind == "counter" && !strings.HasSuffix(d.Name, "_total"):
+		return fmt.Errorf("obs: %s: counter without _total suffix", d.Name)
+	case d.Kind != "counter" && unit != "dimensionless" && !strings.HasSuffix(d.Name, "_"+unit):
+		return fmt.Errorf("obs: %s: %s does not end with its unit %q", d.Name, d.Kind, d.Unit)
+	}
+	return nil
+}
+
+// rows expands the descriptor into its reference rows: one, or the
+// quantile gauges plus their _count sample counter.
+func (d *Desc) rows() []Desc {
+	if d.Kind != "quantiles" {
+		return []Desc{*d}
+	}
+	labels := "quantile"
+	if d.Labels != "" {
+		labels = d.Labels + ", quantile"
+	}
+	return []Desc{
+		{Name: d.Name, Kind: "gauge", Unit: d.Unit, Labels: labels, Help: d.Help},
+		{Name: d.Name + "_count", Kind: "counter", Unit: "samples", Labels: d.Labels, Help: d.CountHelp},
+	}
+}
+
+// Reference returns one row per family any linked package registered,
+// sorted by name (scrape order).
+func Reference() []Desc {
+	var out []Desc
+	for _, d := range families {
+		out = append(out, d.rows()...)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// WriteReference renders Reference as the markdown document committed at
+// docs/METRICS.md.
+func WriteReference(w io.Writer) error {
+	if _, err := fmt.Fprint(w, referenceHeader); err != nil {
+		return err
+	}
+	for _, d := range Reference() {
+		if _, err := fmt.Fprintf(w, "| `%s` | %s | %s | %s | %s |\n",
+			d.Name, d.Kind, d.Unit, d.Labels, d.Help); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+const referenceHeader = "# Metrics reference\n\n" +
+	"Every metric family exported on the /metrics endpoint (Prometheus text\n" +
+	"format; also available as JSON at /metrics.json). All families carry the\n" +
+	"`sws_` prefix; counters end in `_total` (or `_count` for histogram\n" +
+	"sample counts) and gauges either end in their unit or are documented as\n" +
+	"dimensionless below. Quantile families emit p50/p95/p99 as gauges\n" +
+	"labelled `quantile`.\n\n" +
+	"Generated from the `obs.Desc` descriptors declared beside the code that\n" +
+	"emits each family (`internal/pool/metrics.go`, `internal/serve/service.go`,\n" +
+	"`internal/shmem/counters.go`) — regenerate with:\n\n" +
+	"    go test ./internal/serve -run TestMetricsReferenceDocInSync -update-metrics-doc\n\n" +
+	"| name | kind | unit | labels | description |\n" +
+	"|------|------|------|--------|-------------|\n"
+
 // Metric is one sample produced by a source during a gather pass.
 type Metric struct {
 	Name   string
@@ -86,31 +208,32 @@ type Emitter struct {
 }
 
 // Counter emits a monotonically increasing value.
-func (e *Emitter) Counter(name, help string, v float64, labels ...Label) {
-	e.metrics = append(e.metrics, Metric{Name: name, Help: help, Kind: "counter", Labels: labels, Value: v})
+func (e *Emitter) Counter(d *Desc, v float64, labels ...Label) {
+	e.metrics = append(e.metrics, Metric{Name: d.Name, Help: d.Help, Kind: "counter", Labels: labels, Value: v})
 }
 
 // Gauge emits an instantaneous value.
-func (e *Emitter) Gauge(name, help string, v float64, labels ...Label) {
-	e.metrics = append(e.metrics, Metric{Name: name, Help: help, Kind: "gauge", Labels: labels, Value: v})
+func (e *Emitter) Gauge(d *Desc, v float64, labels ...Label) {
+	e.metrics = append(e.metrics, Metric{Name: d.Name, Help: d.Help, Kind: "gauge", Labels: labels, Value: v})
 }
 
 // Quantiles emits p50/p95/p99 of a histogram snapshot in seconds (as
-// gauges labelled quantile=...), plus a _count counter, under the given
-// base name. Empty snapshots emit nothing, keeping scrapes compact.
-func (e *Emitter) Quantiles(name, help string, s HistSnap, labels ...Label) {
+// gauges labelled quantile=...), plus the family's _count counter. Empty
+// snapshots emit nothing, keeping scrapes compact.
+func (e *Emitter) Quantiles(d *Desc, s HistSnap, labels ...Label) {
 	n := s.Count()
 	if n == 0 {
 		return
 	}
+	rows := d.rows()
 	for _, q := range []struct {
 		label string
 		q     float64
 	}{{"0.5", 0.50}, {"0.95", 0.95}, {"0.99", 0.99}} {
 		ls := append(append([]Label(nil), labels...), L("quantile", q.label))
-		e.Gauge(name, help, s.Quantile(q.q).Seconds(), ls...)
+		e.Gauge(&rows[0], s.Quantile(q.q).Seconds(), ls...)
 	}
-	e.Counter(name+"_count", help+" (sample count)", float64(n), labels...)
+	e.Counter(&rows[1], float64(n), labels...)
 }
 
 // escapeLabel escapes a Prometheus label value.

@@ -14,12 +14,70 @@ func testGatherer() *Gatherer {
 	var h Hist
 	h.RecordN(3*time.Microsecond, 100)
 	snap := h.Snapshot()
+	// Unregistered descriptors: the reference table is for the runtime's
+	// own families.
+	steals := &Desc{Name: "sws_steals_total", Kind: "counter", Unit: "attempts", Labels: "pe, outcome", Help: "Steal attempts."}
+	depth := &Desc{Name: "sws_queue_local_depth", Kind: "gauge", Unit: "dimensionless (index)", Labels: "pe", Help: "Local queue depth."}
+	lat := &Desc{Name: "sws_op_latency_seconds", Kind: "quantiles", Unit: "seconds", Labels: "op", Help: "Op latency.", CountHelp: "Op latency samples."}
 	g.Register(func(e *Emitter) {
-		e.Counter("sws_steals_total", "Steal attempts.", 42, L("pe", "0"), L("outcome", "ok"))
-		e.Gauge("sws_queue_local_depth", "Local queue depth.", 7, L("pe", "0"))
-		e.Quantiles("sws_op_latency_seconds", "Op latency.", snap, L("op", "put"))
+		e.Counter(steals, 42, L("pe", "0"), L("outcome", "ok"))
+		e.Gauge(depth, 7, L("pe", "0"))
+		e.Quantiles(lat, snap, L("op", "put"))
 	})
 	return g
+}
+
+// TestDescNamingRules: the rules every family obeys are checked on its
+// descriptor, where a broken name stops the program at start-up.
+func TestDescNamingRules(t *testing.T) {
+	for _, tc := range []struct {
+		d  Desc
+		ok bool
+	}{
+		{Desc{Name: "sws_x_total", Kind: "counter", Unit: "tasks"}, true},
+		{Desc{Name: "sws_x_tasks", Kind: "gauge", Unit: "tasks"}, true},
+		{Desc{Name: "sws_x_state", Kind: "gauge", Unit: "dimensionless (enum)"}, true},
+		{Desc{Name: "sws_x_seconds", Kind: "quantiles", Unit: "seconds"}, true},
+		{Desc{Name: "x_total", Kind: "counter", Unit: "tasks"}, false},
+		{Desc{Name: "sws_x", Kind: "counter", Unit: "tasks"}, false},
+		{Desc{Name: "sws_x_depth", Kind: "gauge", Unit: "tasks"}, false},
+		{Desc{Name: "sws_x_latency", Kind: "quantiles", Unit: "seconds"}, false},
+	} {
+		if err := tc.d.check(); (err == nil) != tc.ok {
+			t.Errorf("%s (%s, %s): check = %v, want ok=%v", tc.d.Name, tc.d.Kind, tc.d.Unit, err, tc.ok)
+		}
+	}
+	defer func(saved []*Desc) {
+		if recover() == nil {
+			t.Error("declaring a family twice did not panic")
+		}
+		families = saved
+	}(families)
+	NewCounter("sws_twice_total", "tasks", "", "First.")
+	NewCounter("sws_twice_total", "tasks", "", "Second.")
+}
+
+// A quantiles descriptor is two reference rows, the second with the
+// family's own count text, and the scrape prints those same texts.
+func TestQuantilesRowsAndHelp(t *testing.T) {
+	d := &Desc{Name: "sws_op_latency_seconds", Kind: "quantiles", Unit: "seconds", Labels: "op", Help: "Op latency.", CountHelp: "Op latency samples."}
+	rows := d.rows()
+	if len(rows) != 2 || rows[0].Labels != "op, quantile" || rows[0].Kind != "gauge" ||
+		rows[1].Name != "sws_op_latency_seconds_count" || rows[1].Kind != "counter" || rows[1].Unit != "samples" || rows[1].Labels != "op" {
+		t.Fatalf("rows = %+v", rows)
+	}
+	var sb strings.Builder
+	if err := testGatherer().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# HELP sws_op_latency_seconds Op latency.\n",
+		"# HELP sws_op_latency_seconds_count Op latency samples.\n",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("scrape missing %q:\n%s", want, sb.String())
+		}
+	}
 }
 
 func TestWritePrometheus(t *testing.T) {

@@ -58,20 +58,16 @@ func (p *Pool) stepMembership() error {
 		// way, so the race is benign.
 		if err := lv.CompleteDrain(self); err == nil {
 			p.parked = true
-			p.st.MemberDrains++
-			ep := int64(lv.MemberEpoch())
-			p.tr.Record(trace.MemberDrain, int64(self), ep)
-			p.ctx.FlightRecord(trace.MemberDrain, int64(self), ep)
+			p.bk.memberDrains.Add(1)
+			p.ctx.FlightRecord(trace.MemberDrain, int64(self), int64(lv.MemberEpoch()))
 		}
 	case shmem.PeerParked:
 		p.parked = true
 	case shmem.PeerJoining:
 		if err := lv.CompleteJoin(self); err == nil {
 			p.parked = false
-			p.st.MemberJoins++
-			ep := int64(lv.MemberEpoch())
-			p.tr.Record(trace.MemberJoin, int64(self), ep)
-			p.ctx.FlightRecord(trace.MemberJoin, int64(self), ep)
+			p.bk.memberJoins.Add(1)
+			p.ctx.FlightRecord(trace.MemberJoin, int64(self), int64(lv.MemberEpoch()))
 		}
 	default:
 		p.parked = false
@@ -114,11 +110,11 @@ func (p *Pool) reseatVictims(lv *shmem.Liveness) {
 		}
 		if p.nowMember[v] {
 			p.quar.readmit(v)
-			p.tr.Record(trace.MemberJoin, int64(v), ep)
+			p.tr.Record(trace.MemberJoin, int64(v), ep, 0)
 		} else if lv.Alive(v) {
 			// Voluntary departure only — deaths already have PeerDeath
 			// events and must keep their quarantine strikes.
-			p.tr.Record(trace.MemberDrain, int64(v), ep)
+			p.tr.Record(trace.MemberDrain, int64(v), ep, 0)
 		}
 	}
 	copy(p.wasMember, p.nowMember)
@@ -149,8 +145,8 @@ func (p *Pool) forwardTask(d task.Desc) error {
 		v := targets[(p.drainRR+i)%len(targets)]
 		if err := p.mbox.send(v, d); err == nil {
 			p.drainRR = (p.drainRR + i + 1) % len(targets)
-			p.st.TasksForwarded++
-			p.tr.Record(trace.RemoteSpawn, int64(v), 1)
+			p.bk.tasksForwarded.Add(1)
+			p.tr.Record(trace.RemoteSpawn, int64(v), 1, 0)
 			return nil
 		}
 	}

@@ -2,37 +2,103 @@ package pool
 
 import (
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"sws/internal/obs"
-	"sws/internal/shmem"
 )
 
-// liveView mirrors the pool's hot-path counters into atomics so the
-// metrics endpoint can read them while the PE goroutine is running. The
-// canonical stats.PE counters stay plain (single-writer, read post-run);
-// the mirror exists so live scrapes never race with the scheduler loop.
-type liveView struct {
+// book is the PE's one set of counters: each is written once, where the
+// event happens, by the owner goroutine (so an add never contends), and
+// read by Stats between jobs and by the metrics endpoint at any time —
+// atomics, because a scrape runs beside the scheduler loop. Nothing here is
+// written per task: task counts live in the workers' own atomics, and the
+// gauges are refreshed on the stepProgress beat, only when they moved.
+type book struct {
 	stealsOK, stealsEmpty, stealsDisabled, tasksStolen atomic.Uint64
+	stealTime, searchTime                              atomic.Int64 // ns
 	releases, acquires                                 atomic.Uint64
 	remoteSent, remoteRecv                             atomic.Uint64
 
-	// Gauges refreshed periodically by the scheduler loop.
-	qLocal, qShared, epoch atomic.Int64
-	terminated             atomic.Int64
+	// Failure handling and elastic membership (zero on fault-free, fixed-
+	// membership runs). quarantined is the current victim count.
+	stealTransportErrs, stealsQuarantined     atomic.Uint64
+	tasksForwarded, memberDrains, memberJoins atomic.Uint64
+	quarantined, degraded, terminated         atomic.Int64
+	tasksLost                                 atomic.Uint64
 
-	// Elastic-queue mirror (stays zero for fixed-capacity queues except
-	// queueCap, which reports the ring capacity on any SWS queue).
-	queueGrows, queueShrinks, tasksSpilled atomic.Uint64
+	// The queue's own figures as of the last stepProgress beat (the queue's
+	// fields are the owner's plain memory). The elastic ones stay zero for
+	// fixed-capacity queues except queueCap, the ring capacity of any SWS
+	// queue.
+	qLocal, qShared, epoch                 atomic.Int64
+	queueGrows, queueShrinks, tasksSpilled atomic.Int64
 	queueCap, spillDepth                   atomic.Int64
-
-	// Failure-handling counters (stay zero on fault-free runs).
-	stealTransportErrs, stealsQuarantined atomic.Uint64
-	quarantined                           atomic.Int64 // current victim count
-	degraded                              atomic.Int64
-	tasksLost                             atomic.Uint64
 }
+
+// move stores v into a gauge cell if it differs, reporting whether it did:
+// a refresh that changes nothing writes nothing.
+func move(cell *atomic.Int64, v int64) bool {
+	if cell.Load() == v {
+		return false
+	}
+	cell.Store(v)
+	return true
+}
+
+// The families a pool exports, per PE.
+var (
+	mWorkerExecuted = obs.NewCounter("sws_pool_worker_tasks_executed_total", "tasks", "pe, protocol, worker",
+		"Tasks executed per worker (worker 0 is the owner, present on every PE); sums to sws_pool_tasks_executed_total.")
+	mWorkerSpawned = obs.NewCounter("sws_pool_worker_tasks_spawned_total", "tasks", "pe, protocol, worker",
+		"Tasks spawned per worker (seeds and a departing PE's locally run inventory are worker 0's); sums to sws_pool_tasks_spawned_total.")
+	mWorkerIdle = obs.NewCounter("sws_pool_worker_idle_iterations_total", "iterations", "pe, protocol, worker",
+		"Loop passes that found nothing to run, per worker: scheduler iterations for worker 0 (the owner, present on every PE), empty ring polls for executors.")
+	mExecuted = obs.NewCounter("sws_pool_tasks_executed_total", "tasks", "pe, protocol",
+		"Tasks executed by this PE.")
+	mSpawned = obs.NewCounter("sws_pool_tasks_spawned_total", "tasks", "pe, protocol",
+		"Tasks spawned by this PE.")
+	mSteals = obs.NewCounter("sws_pool_steals_total", "attempts", "pe, protocol, outcome",
+		"Steal attempts by outcome (ok, empty, disabled).")
+	mStolen = obs.NewCounter("sws_pool_tasks_stolen_total", "tasks", "pe, protocol",
+		"Tasks obtained by stealing.")
+	mReleases = obs.NewCounter("sws_pool_releases_total", "transfers", "pe, protocol",
+		"Local->shared queue transfers.")
+	mAcquires = obs.NewCounter("sws_pool_acquires_total", "transfers", "pe, protocol",
+		"Shared->local queue transfers.")
+	mRemoteSpawns = obs.NewCounter("sws_pool_remote_spawns_total", "tasks", "pe, protocol, dir",
+		"Tasks pushed into / drained from remote-spawn mailboxes.")
+	mQueueDepth = obs.NewGauge("sws_pool_queue_depth_tasks", "tasks", "pe, protocol, portion",
+		"Queue depth by portion (refreshed periodically).")
+	mQueueGrows = obs.NewCounter("sws_pool_queue_grows_total", "reseats", "pe, protocol",
+		"Elastic-queue reseats into a larger region.")
+	mQueueShrinks = obs.NewCounter("sws_pool_queue_shrinks_total", "reseats", "pe, protocol",
+		"Elastic-queue reseats into a smaller region.")
+	mSpilled = obs.NewCounter("sws_pool_queue_spilled_tasks_total", "tasks", "pe, protocol",
+		"Tasks spilled past the largest ring region into the owner-local arena.")
+	mQueueCap = obs.NewGauge("sws_pool_queue_capacity_tasks", "tasks", "pe, protocol",
+		"Current ring capacity (refreshed periodically; grows/shrinks with elastic queues).")
+	mSpillDepth = obs.NewGauge("sws_pool_queue_spill_depth_tasks", "tasks", "pe, protocol",
+		"Tasks currently parked in the spill arena (refreshed periodically).")
+	mEpoch = obs.NewGauge("sws_pool_epoch", "dimensionless (index)", "pe, protocol",
+		"Completion-epoch number (SWS protocols).")
+	mTerminated = obs.NewGauge("sws_pool_terminated", "dimensionless (bool)", "pe, protocol",
+		"1 once this PE observed global termination.")
+	mTransportErrs = obs.NewCounter("sws_pool_steal_transport_errors_total", "attempts", "pe, protocol",
+		"Steal attempts absorbed as transport failures (victim quarantined).")
+	mQuarantinedSteals = obs.NewCounter("sws_pool_steals_quarantined_total", "attempts", "pe, protocol",
+		"Steal attempts skipped because the victim was quarantined.")
+	mQuarantined = obs.NewGauge("sws_pool_quarantined_victims", "victims", "pe, protocol",
+		"Victims currently quarantined by this PE.")
+	mDegraded = obs.NewGauge("sws_pool_degraded", "dimensionless (bool)", "pe, protocol",
+		"1 once this PE's run degraded to partial-membership termination.")
+	mLost = obs.NewCounter("sws_pool_tasks_lost_total", "tasks", "pe, protocol",
+		"Ledger estimate of tasks lost to dead PEs (degraded termination).")
+	mPeerState = obs.NewGauge("sws_liveness_peer_state", "dimensionless (enum)", "pe, peer",
+		"Failure-detector state per peer (0=alive, 1=suspect, 2=dead, 3=joining, 4=draining, 5=parked).")
+	mOpLatency = obs.NewQuantiles("sws_pool_op_latency_seconds", "pe, protocol, op",
+		"Scheduling-op latency quantiles (p50/p95/p99). op=exec holds the task bodies the exec clock timed: one in 64 per worker, every one with a trace buffer attached.",
+		"Scheduling-op latency sample count (op=exec: timed bodies, not tasks executed).")
+)
 
 // metricsSource returns the per-PE emitter registered with
 // Config.Metrics. Everything it reads is an atomic or a Hist snapshot,
@@ -40,130 +106,60 @@ type liveView struct {
 func (p *Pool) metricsSource() obs.SourceFunc {
 	pe := obs.L("pe", strconv.Itoa(p.ctx.Rank()))
 	proto := obs.L("protocol", p.cfg.Protocol.String())
-	lv := p.live
+	bk := &p.bk
 	return func(e *obs.Emitter) {
-		// Task counts come straight from the workers' own atomics (always
-		// safe to scrape mid-run): the PE totals and the per-worker rows.
+		// Task counts come straight from the workers' own atomics: the PE
+		// totals and the per-worker rows.
 		var executed, spawned uint64
 		for _, ws := range p.exec.workers {
 			wl := obs.L("worker", strconv.Itoa(ws.id))
 			exe, sp := ws.executed.Load(), ws.spawned.Load()
 			executed += exe
 			spawned += sp
-			e.Counter("sws_pool_worker_tasks_executed_total", "Tasks executed per worker.",
-				float64(exe), pe, proto, wl)
-			e.Counter("sws_pool_worker_tasks_spawned_total", "Tasks spawned per worker.",
-				float64(sp), pe, proto, wl)
-			e.Counter("sws_pool_worker_idle_iterations_total", "Loop passes that found nothing to run, per worker.",
-				float64(ws.idleIters.Load()), pe, proto, wl)
+			e.Counter(mWorkerExecuted, float64(exe), pe, proto, wl)
+			e.Counter(mWorkerSpawned, float64(sp), pe, proto, wl)
+			e.Counter(mWorkerIdle, float64(ws.idleIters.Load()), pe, proto, wl)
 		}
-		e.Counter("sws_pool_tasks_executed_total", "Tasks executed by this PE.",
-			float64(executed), pe, proto)
-		e.Counter("sws_pool_tasks_spawned_total", "Tasks spawned by this PE.",
-			float64(spawned), pe, proto)
-		for _, o := range []struct {
-			name string
-			v    uint64
-		}{
-			{"ok", lv.stealsOK.Load()},
-			{"empty", lv.stealsEmpty.Load()},
-			{"disabled", lv.stealsDisabled.Load()},
-		} {
-			e.Counter("sws_pool_steals_total", "Steal attempts by outcome.",
-				float64(o.v), pe, proto, obs.L("outcome", o.name))
-		}
-		e.Counter("sws_pool_tasks_stolen_total", "Tasks obtained by stealing.",
-			float64(lv.tasksStolen.Load()), pe, proto)
-		e.Counter("sws_pool_releases_total", "Local->shared queue transfers.",
-			float64(lv.releases.Load()), pe, proto)
-		e.Counter("sws_pool_acquires_total", "Shared->local queue transfers.",
-			float64(lv.acquires.Load()), pe, proto)
-		e.Counter("sws_pool_remote_spawns_total", "Remote spawns sent.",
-			float64(lv.remoteSent.Load()), pe, proto, obs.L("dir", "sent"))
-		e.Counter("sws_pool_remote_spawns_total", "Remote spawns received.",
-			float64(lv.remoteRecv.Load()), pe, proto, obs.L("dir", "recv"))
-		e.Gauge("sws_pool_queue_depth_tasks", "Queue depth by portion (refreshed periodically).",
-			float64(lv.qLocal.Load()), pe, proto, obs.L("portion", "local"))
-		e.Gauge("sws_pool_queue_depth_tasks", "Queue depth by portion (refreshed periodically).",
-			float64(lv.qShared.Load()), pe, proto, obs.L("portion", "shared"))
-		e.Counter("sws_pool_queue_grows_total", "Elastic-queue reseats into a larger region.",
-			float64(lv.queueGrows.Load()), pe, proto)
-		e.Counter("sws_pool_queue_shrinks_total", "Elastic-queue reseats into a smaller region.",
-			float64(lv.queueShrinks.Load()), pe, proto)
-		e.Counter("sws_pool_queue_spilled_tasks_total", "Tasks spilled past the largest ring region into the local arena.",
-			float64(lv.tasksSpilled.Load()), pe, proto)
-		e.Gauge("sws_pool_queue_capacity_tasks", "Current ring capacity (refreshed periodically; SWS protocols).",
-			float64(lv.queueCap.Load()), pe, proto)
-		e.Gauge("sws_pool_queue_spill_depth_tasks", "Tasks currently parked in the spill arena (refreshed periodically).",
-			float64(lv.spillDepth.Load()), pe, proto)
-		e.Gauge("sws_pool_epoch", "Completion-epoch number (SWS protocols).",
-			float64(lv.epoch.Load()), pe, proto)
-		e.Gauge("sws_pool_terminated", "1 once this PE observed global termination.",
-			float64(lv.terminated.Load()), pe, proto)
-		e.Counter("sws_pool_steal_transport_errors_total",
-			"Steal attempts absorbed as transport failures (victim quarantined).",
-			float64(lv.stealTransportErrs.Load()), pe, proto)
-		e.Counter("sws_pool_steals_quarantined_total",
-			"Steal attempts skipped because the victim was quarantined.",
-			float64(lv.stealsQuarantined.Load()), pe, proto)
-		e.Gauge("sws_pool_quarantined_victims",
-			"Victims currently quarantined by this PE.",
-			float64(lv.quarantined.Load()), pe, proto)
-		e.Gauge("sws_pool_degraded",
-			"1 once this PE's run degraded to partial-membership termination.",
-			float64(lv.degraded.Load()), pe, proto)
-		e.Counter("sws_pool_tasks_lost_total",
-			"Ledger estimate of tasks lost to dead PEs (degraded termination).",
-			float64(lv.tasksLost.Load()), pe, proto)
+		e.Counter(mExecuted, float64(executed), pe, proto)
+		e.Counter(mSpawned, float64(spawned), pe, proto)
+		e.Counter(mSteals, float64(bk.stealsOK.Load()), pe, proto, obs.L("outcome", "ok"))
+		e.Counter(mSteals, float64(bk.stealsEmpty.Load()), pe, proto, obs.L("outcome", "empty"))
+		e.Counter(mSteals, float64(bk.stealsDisabled.Load()), pe, proto, obs.L("outcome", "disabled"))
+		e.Counter(mStolen, float64(bk.tasksStolen.Load()), pe, proto)
+		e.Counter(mReleases, float64(bk.releases.Load()), pe, proto)
+		e.Counter(mAcquires, float64(bk.acquires.Load()), pe, proto)
+		e.Counter(mRemoteSpawns, float64(bk.remoteSent.Load()), pe, proto, obs.L("dir", "sent"))
+		e.Counter(mRemoteSpawns, float64(bk.remoteRecv.Load()), pe, proto, obs.L("dir", "recv"))
+		e.Gauge(mQueueDepth, float64(bk.qLocal.Load()), pe, proto, obs.L("portion", "local"))
+		e.Gauge(mQueueDepth, float64(bk.qShared.Load()), pe, proto, obs.L("portion", "shared"))
+		e.Counter(mQueueGrows, float64(bk.queueGrows.Load()), pe, proto)
+		e.Counter(mQueueShrinks, float64(bk.queueShrinks.Load()), pe, proto)
+		e.Counter(mSpilled, float64(bk.tasksSpilled.Load()), pe, proto)
+		e.Gauge(mQueueCap, float64(bk.queueCap.Load()), pe, proto)
+		e.Gauge(mSpillDepth, float64(bk.spillDepth.Load()), pe, proto)
+		e.Gauge(mEpoch, float64(bk.epoch.Load()), pe, proto)
+		e.Gauge(mTerminated, float64(bk.terminated.Load()), pe, proto)
+		e.Counter(mTransportErrs, float64(bk.stealTransportErrs.Load()), pe, proto)
+		e.Counter(mQuarantinedSteals, float64(bk.stealsQuarantined.Load()), pe, proto)
+		e.Gauge(mQuarantined, float64(bk.quarantined.Load()), pe, proto)
+		e.Gauge(mDegraded, float64(bk.degraded.Load()), pe, proto)
+		e.Counter(mLost, float64(bk.tasksLost.Load()), pe, proto)
 
-		// Failure-detector view of every peer (0 alive, 1 suspect, 2 dead).
 		if live := p.ctx.Liveness(); live != nil {
 			for r := 0; r < p.ctx.NumPEs(); r++ {
-				e.Gauge("sws_liveness_peer_state",
-					"Failure-detector state per peer (0=alive, 1=suspect, 2=dead).",
-					float64(live.State(r)), pe, obs.L("peer", strconv.Itoa(r)))
+				e.Gauge(mPeerState, float64(live.State(r)), pe, obs.L("peer", strconv.Itoa(r)))
 			}
 		}
 
-		for _, h := range []struct {
-			op   string
-			hist *obs.Hist
-		}{
-			{"exec", &p.lat.exec},
-			{"steal", &p.lat.steal},
-			{"search", &p.lat.search},
-			{"acquire", &p.lat.acquire},
-			{"release", &p.lat.release},
-			{"push-wait", &p.lat.pushWait},
-		} {
-			e.Quantiles("sws_pool_op_latency_seconds", "Scheduling-op latency quantiles.",
-				h.hist.Snapshot(), pe, proto, obs.L("op", h.op))
+		for op, hist := range p.lat.byName() {
+			if op != "drain" { // Stats only: the world's sws_membership_drain_seconds times a departure
+				e.Quantiles(mOpLatency, hist.Snapshot(), pe, proto, obs.L("op", op))
+			}
 		}
 		if p.coreQ != nil {
 			// Reseat latency lives in the core queue's own histogram.
-			e.Quantiles("sws_pool_op_latency_seconds", "Scheduling-op latency quantiles.",
-				p.coreQ.GrowLat(), pe, proto, obs.L("op", "grow"))
+			e.Quantiles(mOpLatency, p.coreQ.GrowLat(), pe, proto, obs.L("op", "grow"))
 		}
-
-		// Shmem-level communication counters and per-op latency.
-		cs := p.ctx.Counters()
-		snap := cs.Snapshot()
-		for _, op := range shmem.Ops() {
-			if n := snap.Of(op); n > 0 {
-				e.Counter("sws_shmem_remote_ops_total", "Remote one-sided operations by kind.",
-					float64(n), pe, obs.L("op", op.String()))
-			}
-		}
-		e.Counter("sws_shmem_local_ops_total", "Self-targeted one-sided operations.",
-			float64(snap.Local), pe)
-		e.Counter("sws_shmem_bytes_total", "Payload bytes moved by puts.",
-			float64(snap.BytesPut), pe, obs.L("dir", "put"))
-		e.Counter("sws_shmem_bytes_total", "Payload bytes moved by gets.",
-			float64(snap.BytesGot), pe, obs.L("dir", "got"))
-		for key, s := range cs.LatencySnapshots() {
-			op, target, _ := strings.Cut(key, "/")
-			e.Quantiles("sws_shmem_op_latency_seconds", "One-sided op latency quantiles.",
-				s, pe, obs.L("op", op), obs.L("target", target))
-		}
+		p.ctx.Counters().Emit(e, pe)
 	}
 }

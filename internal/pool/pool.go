@@ -148,14 +148,15 @@ type Config struct {
 	Workers int
 	// MailboxSlots sizes the remote-spawn inbox ring. Default 256.
 	MailboxSlots int
-	// Trace, if non-nil, records per-PE scheduling events into its ring
-	// buffers (see internal/trace). Nil disables tracing entirely. The
-	// pool also attaches the buffer to its shmem context, so blocking
-	// comm ops appear on the same timeline.
+	// Trace, if non-nil, becomes the PEs' event rings for the run (see
+	// internal/trace), in place of the world's small flight rings: besides
+	// what those always journal it takes every task execution (each body is
+	// then timed), every scheduling step and every blocking comm op. Nil
+	// leaves the flight rings in place.
 	Trace *trace.Set
 	// Metrics, if non-nil, receives a per-PE metrics source exposing live
 	// counters, queue depths, epoch numbers, and latency quantiles for
-	// the obs HTTP endpoint. Nil disables live mirroring entirely.
+	// the obs HTTP endpoint.
 	Metrics *obs.Gatherer
 }
 
@@ -257,15 +258,15 @@ type Pool struct {
 	// executors — and the intra-PE ring they share.
 	exec *execLayer
 
-	// st holds the counters the owner alone writes; Stats adds the task
+	// bk holds the counters the owner alone writes; Stats adds the task
 	// counts and per-worker rows, which live in the workers' atomics.
-	st      stats.PE
-	tr      *trace.Buffer
+	bk book
+	// tr is the PE's event ring when Config.Trace supplied it, nil
+	// otherwise: the sink of the events only a traced run records. What
+	// every run journals goes through ctx.FlightRecord, to the same ring.
+	tr      *trace.Flight
 	elapsed time.Duration
 
-	// flightQLocal/flightQShared are the last queue depths journaled to
-	// the flight recorder (dedup so idle polling does not flood the ring).
-	flightQLocal, flightQShared int64
 	// jobSeq numbers the jobs this pool has run (1-based during a job,
 	// 0 before the first). Mutated only between jobs by RunJob; tasks and
 	// executors read it freely during a job.
@@ -288,9 +289,6 @@ type Pool struct {
 	// lat holds this PE's scheduling-op latency histograms (always
 	// recorded; each record is one atomic add).
 	lat poolLat
-	// live mirrors key counters into atomics for the metrics endpoint;
-	// nil unless Config.Metrics was set.
-	live *liveView
 	// coreQ is the queue as *core.Queue when the protocol is SWS-family,
 	// for epoch introspection; nil under SDC.
 	coreQ *core.Queue
@@ -365,6 +363,15 @@ type poolLat struct {
 	drain obs.Hist
 }
 
+// byName is the one list of the histograms and the op names Stats and the
+// metrics endpoint report them under.
+func (l *poolLat) byName() map[string]*obs.Hist {
+	return map[string]*obs.Hist{
+		"exec": &l.exec, "steal": &l.steal, "search": &l.search, "acquire": &l.acquire,
+		"release": &l.release, "push-wait": &l.pushWait, "drain": &l.drain,
+	}
+}
+
 // TaskCtx is the handle passed to task functions. Each worker has its own,
 // so a task's spawns are counted against — and routed by — the worker that
 // ran it: the owner pushes into the protocol queue, an executor into its
@@ -426,13 +433,12 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 	p.tr = cfg.Trace.PE(ctx.Rank())
 	ctx.AttachTrace(p.tr)
 	if cfg.Workers > 1 {
-		// Will this PE have executors? Then they share the ctx (and any
-		// trace buffer) with the owner; both must opt in, and the transport
-		// must support it (the lockstep sim does not).
+		// Will this PE have executors? Then they share the ctx with the
+		// owner, and the transport must support it (the lockstep sim does
+		// not).
 		if err := ctx.EnableMultiWorker(); err != nil {
 			return nil, fmt.Errorf("pool: Workers=%d: %w", cfg.Workers, err)
 		}
-		p.tr.EnableConcurrent()
 	}
 	codec, err := task.NewCodec(cfg.PayloadCap)
 	if err != nil {
@@ -477,7 +483,6 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 	}
 	p.coreQ, _ = p.rawQ.(*core.Queue)
 	if cfg.Metrics != nil {
-		p.live = &liveView{}
 		cfg.Metrics.Register(p.metricsSource())
 	}
 	return p, nil
@@ -504,18 +509,15 @@ func (p *Pool) SpawnOn(pe int, h task.Handle, payload []byte) error {
 	return p.spawnOn(p.exec.workers[0], pe, task.Desc{Handle: h, Payload: payload})
 }
 
-// recordEpochFlip notes a new completion epoch on the trace timeline and
-// the live epoch gauge (SWS-family queues only; SDC has no epochs).
+// recordEpochFlip notes a new completion epoch in the event ring and the
+// epoch gauge (SWS-family queues only; SDC has no epochs).
 func (p *Pool) recordEpochFlip(moved int64) {
 	if p.coreQ == nil {
 		return
 	}
 	epoch := int64(p.coreQ.Epoch())
-	p.tr.Record(trace.EpochFlip, epoch, moved)
 	p.ctx.FlightRecord(trace.EpochFlip, epoch, moved)
-	if p.live != nil {
-		p.live.epoch.Store(epoch)
-	}
+	p.bk.epoch.Store(epoch)
 }
 
 func (p *Pool) push(d task.Desc) error {
@@ -561,7 +563,19 @@ func (p *Pool) push(d task.Desc) error {
 // per-job deltas (stats.PE.Delta) for job-scoped figures. Valid between
 // jobs.
 func (p *Pool) Stats() stats.PE {
-	st := p.st
+	bk := &p.bk
+	st := stats.PE{
+		StealsSuccessful: bk.stealsOK.Load(), StealsEmpty: bk.stealsEmpty.Load(),
+		StealsDisabled: bk.stealsDisabled.Load(), TasksStolen: bk.tasksStolen.Load(),
+		StealTransportErrs: bk.stealTransportErrs.Load(), StealsQuarantined: bk.stealsQuarantined.Load(),
+		TasksForwarded: bk.tasksForwarded.Load(), MemberDrains: bk.memberDrains.Load(), MemberJoins: bk.memberJoins.Load(),
+		Acquires: bk.acquires.Load(), Releases: bk.releases.Load(),
+		RemoteSpawnsSent: bk.remoteSent.Load(), RemoteSpawnsRecv: bk.remoteRecv.Load(),
+		StealTime: time.Duration(bk.stealTime.Load()), SearchTime: time.Duration(bk.searchTime.Load()),
+		TasksLost: p.det.Lost, Degraded: p.det.Degraded,
+	}
+	// Every steal call that reached its victim ended in one of the three.
+	st.StealsAttempted = st.StealsSuccessful + st.StealsEmpty + st.StealsDisabled
 	// Task counts live in the workers' own counters: fold them into the
 	// PE totals and one row per worker (worker 0, the owner, also carries
 	// the steal and search time — it does all inter-PE work).
@@ -584,15 +598,6 @@ func (p *Pool) Stats() stats.PE {
 	}
 	st.Workers[0].StealTime, st.Workers[0].SearchTime = st.StealTime, st.SearchTime
 	st.IdleIters = st.Workers[0].IdleIters
-	st.TasksLost = p.det.Lost
-	st.Degraded = p.det.Degraded
-	if p.coreQ != nil {
-		qs := p.coreQ.Stats()
-		st.TasksWrittenOff = qs.TasksWrittenOff
-		st.QueueGrows = qs.Grows
-		st.QueueShrinks = qs.Shrinks
-		st.TasksSpilled = qs.Spilled
-	}
 	if lv := p.ctx.Liveness(); lv != nil {
 		st.DeadPEs = uint64(lv.DeadCount())
 		if st.DeadPEs > 0 {
@@ -600,26 +605,26 @@ func (p *Pool) Stats() stats.PE {
 		}
 	}
 	st.Lat = make(map[string]obs.HistSnap)
-	for name, h := range map[string]*obs.Hist{
-		"exec":      &p.lat.exec,
-		"steal":     &p.lat.steal,
-		"search":    &p.lat.search,
-		"acquire":   &p.lat.acquire,
-		"release":   &p.lat.release,
-		"push-wait": &p.lat.pushWait,
-		"drain":     &p.lat.drain,
-	} {
+	for name, h := range p.lat.byName() {
 		if s := h.Snapshot(); !s.Empty() {
 			st.Lat[name] = s
 		}
 	}
 	if p.coreQ != nil {
+		qs := p.coreQ.Stats()
+		st.TasksWrittenOff = qs.TasksWrittenOff
+		st.QueueGrows = qs.Grows
+		st.QueueShrinks = qs.Shrinks
+		st.TasksSpilled = qs.Spilled
 		if s := p.coreQ.GrowLat(); !s.Empty() {
 			st.Lat["grow"] = s
 		}
 	}
-	for k, v := range p.ctx.Counters().LatencySnapshots() {
-		st.Lat["shmem/"+k] = v
+	cs := p.ctx.Counters()
+	for _, op := range shmem.Ops() {
+		if s := cs.Latency(op); !s.Empty() {
+			st.Lat["shmem/"+op.String()+"/remote"] = s
+		}
 	}
 	return st
 }

@@ -57,7 +57,7 @@ func (p *Pool) RunJob() (JobResult, error) {
 	if err := p.det.StartJob(); err != nil {
 		return JobResult{}, err
 	}
-	p.tr.Record(trace.JobStart, int64(p.jobSeq), 0)
+	p.tr.Record(trace.JobStart, int64(p.jobSeq), 0, 0)
 	if err := p.ctx.Barrier(); err != nil {
 		if !errors.Is(err, shmem.ErrPeerDead) {
 			return JobResult{}, err
@@ -72,7 +72,7 @@ func (p *Pool) RunJob() (JobResult, error) {
 	}
 	p.elapsed = time.Since(start)
 	res := JobResult{Seq: p.jobSeq, Elapsed: p.elapsed, Stats: p.Stats().Delta(prev)}
-	p.tr.Record(trace.JobEnd, int64(p.jobSeq), int64(res.Stats.TasksExecuted))
+	p.tr.Record(trace.JobEnd, int64(p.jobSeq), int64(res.Stats.TasksExecuted), 0)
 	if lv := p.ctx.Liveness(); lv != nil && lv.AnyDead() {
 		// The closing barrier can never complete over dead membership;
 		// the degraded termination broadcast already synchronized the
@@ -284,12 +284,9 @@ func (p *Pool) stepRelease() error {
 	}
 	if released > 0 {
 		p.lat.release.Record(p.cal.Since(t0))
-		p.st.Releases++
-		p.tr.Record(trace.Release, 0, int64(released))
+		p.bk.releases.Add(1)
+		p.tr.Record(trace.Release, 0, int64(released), 0)
 		p.recordEpochFlip(int64(released))
-		if p.live != nil {
-			p.live.releases.Add(1)
-		}
 	}
 	return nil
 }
@@ -306,26 +303,21 @@ func (p *Pool) stepProgress(iter int) error {
 	if err := p.q.Progress(); err != nil {
 		return err
 	}
+	// Refresh the gauges, each only if it moved, and journal the depth on
+	// the same condition: an idle PE polling Progress must neither write
+	// its book nor flood its ring with identical samples.
+	bk := &p.bk
 	local, shared := int64(p.q.LocalCount()), int64(p.q.SharedAvail())
-	if p.live != nil {
-		p.live.qLocal.Store(local)
-		p.live.qShared.Store(shared)
-		if p.coreQ != nil {
-			// Elastic mirror: this step runs on the owner goroutine, so
-			// reading owner-side queue stats here is race-free.
-			qs := p.coreQ.Stats()
-			p.live.queueGrows.Store(qs.Grows)
-			p.live.queueShrinks.Store(qs.Shrinks)
-			p.live.tasksSpilled.Store(qs.Spilled)
-			p.live.queueCap.Store(int64(qs.Capacity))
-			p.live.spillDepth.Store(int64(qs.SpillDepth))
-		}
-	}
-	// Journal the depth only when it moved: an idle PE polling Progress
-	// must not flood its flight ring with identical samples.
-	if local != p.flightQLocal || shared != p.flightQShared {
-		p.flightQLocal, p.flightQShared = local, shared
+	if moved := move(&bk.qLocal, local); move(&bk.qShared, shared) || moved {
 		p.ctx.FlightRecord(trace.QueueDepth, local, shared)
+	}
+	if p.coreQ != nil {
+		qs := p.coreQ.Stats()
+		move(&bk.queueGrows, int64(qs.Grows))
+		move(&bk.queueShrinks, int64(qs.Shrinks))
+		move(&bk.tasksSpilled, int64(qs.Spilled))
+		move(&bk.queueCap, int64(qs.Capacity))
+		move(&bk.spillDepth, int64(qs.SpillDepth))
 	}
 	return nil
 }
@@ -342,11 +334,8 @@ func (p *Pool) stepDrainInbox() (bool, error) {
 		return false, nil
 	}
 	p.det.NoteActivity()
-	p.st.RemoteSpawnsRecv += uint64(got)
-	p.tr.Record(trace.InboxDrain, 0, int64(got))
-	if p.live != nil {
-		p.live.remoteRecv.Add(uint64(got))
-	}
+	p.bk.remoteRecv.Add(uint64(got))
+	p.tr.Record(trace.InboxDrain, 0, int64(got), 0)
 	return true, nil
 }
 
@@ -383,12 +372,9 @@ func (p *Pool) stepAcquire() (bool, error) {
 		return false, err
 	}
 	p.lat.acquire.Record(p.cal.Since(t0))
-	p.st.Acquires++
-	p.tr.Record(trace.Acquire, 0, int64(moved))
+	p.bk.acquires.Add(1)
+	p.tr.Record(trace.Acquire, 0, int64(moved), 0)
 	p.recordEpochFlip(int64(moved))
-	if p.live != nil {
-		p.live.acquires.Add(1)
-	}
 	return true, nil
 }
 
@@ -421,18 +407,14 @@ func (p *Pool) stepCheckTermination() (bool, error) {
 		if done {
 			flag = 1
 		}
-		p.tr.Record(trace.TermWave, int64(pr), flag)
+		p.tr.Record(trace.TermWave, int64(pr), flag, 0)
 	}
 	if done {
-		p.tr.Record(trace.Terminated, 0, 0)
-		if p.live != nil {
-			p.live.terminated.Store(1)
-			if p.det.Degraded {
-				p.live.degraded.Store(1)
-				p.live.tasksLost.Store(p.det.Lost)
-			}
-		}
+		p.tr.Record(trace.Terminated, 0, 0, 0)
+		p.bk.terminated.Store(1)
 		if p.det.Degraded {
+			p.bk.degraded.Store(1)
+			p.bk.tasksLost.Store(p.det.Lost)
 			// Degraded termination means work was written off with dead
 			// PEs — exactly the post-mortem the journals exist for.
 			_ = p.ctx.FlightDump("degraded termination")

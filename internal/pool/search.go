@@ -256,10 +256,7 @@ func (p *Pool) search() (bool, error) {
 		v := p.vic.next()
 		p.quar.clock++
 		if p.quar.blocked(v) {
-			p.st.StealsQuarantined++
-			if p.live != nil {
-				p.live.stealsQuarantined.Add(1)
-			}
+			p.bk.stealsQuarantined.Add(1)
 			continue
 		}
 		t0 := time.Now()
@@ -275,33 +272,25 @@ func (p *Pool) search() (bool, error) {
 			// termination, not by wedging every thief on a corpse.
 			p.quar.init(p.ctx.NumPEs())
 			p.quar.strike(v, dead)
-			p.st.StealTransportErrs++
-			p.st.SearchTime += el
-			p.tr.Record(trace.PeerDeath, int64(v), 1)
+			p.bk.stealTransportErrs.Add(1)
+			p.bk.searchTime.Add(int64(el))
+			p.bk.quarantined.Store(int64(p.quar.active()))
+			p.tr.Record(trace.PeerDeath, int64(v), 1, 0)
 			if dead || errors.Is(err, shmem.ErrOpTimeout) {
 				// First peer-death/timeout observation dumps the journal
 				// (once per process): the ring still holds the protocol
 				// traffic leading up to the failure.
 				_ = p.ctx.FlightDump("steal failed: " + err.Error())
 			}
-			if p.live != nil {
-				p.live.stealTransportErrs.Add(1)
-				p.live.quarantined.Store(int64(p.quar.active()))
-			}
 			continue
 		}
-		p.st.StealsAttempted++
 		switch out {
 		case wsq.Stolen:
-			p.st.StealsSuccessful++
-			p.st.TasksStolen += uint64(len(tasks))
-			p.st.StealTime += el
+			p.bk.stealsOK.Add(1)
+			p.bk.tasksStolen.Add(uint64(len(tasks)))
+			p.bk.stealTime.Add(int64(el))
 			p.lat.steal.Record(el)
-			p.tr.Record(trace.StealOK, int64(v), int64(len(tasks)))
-			if p.live != nil {
-				p.live.stealsOK.Add(1)
-				p.live.tasksStolen.Add(uint64(len(tasks)))
-			}
+			p.tr.Record(trace.StealOK, int64(v), int64(len(tasks)), 0)
 			p.vic.noteSuccess(v)
 			// Publish activity before the stolen tasks become runnable so
 			// degraded-mode termination detection cannot read this PE as
@@ -314,21 +303,15 @@ func (p *Pool) search() (bool, error) {
 			}
 			return true, nil
 		case wsq.Empty:
-			p.st.StealsEmpty++
-			p.st.SearchTime += el
+			p.bk.stealsEmpty.Add(1)
+			p.bk.searchTime.Add(int64(el))
 			p.lat.search.Record(el)
-			p.tr.Record(trace.StealEmpty, int64(v), 0)
-			if p.live != nil {
-				p.live.stealsEmpty.Add(1)
-			}
+			p.tr.Record(trace.StealEmpty, int64(v), 0, 0)
 		case wsq.Disabled:
-			p.st.StealsDisabled++
-			p.st.SearchTime += el
+			p.bk.stealsDisabled.Add(1)
+			p.bk.searchTime.Add(int64(el))
 			p.lat.search.Record(el)
-			p.tr.Record(trace.StealDisabled, int64(v), 0)
-			if p.live != nil {
-				p.live.stealsDisabled.Add(1)
-			}
+			p.tr.Record(trace.StealDisabled, int64(v), 0, 0)
 		}
 	}
 	return false, nil

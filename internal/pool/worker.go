@@ -240,17 +240,14 @@ func (p *Pool) sendRemote(pe int, d task.Desc) error {
 	if err := p.mbox.send(pe, d); err != nil {
 		return err
 	}
-	p.st.RemoteSpawnsSent++
-	p.tr.Record(trace.RemoteSpawn, int64(pe), 0)
-	if p.live != nil {
-		p.live.remoteSent.Add(1)
-	}
+	p.bk.remoteSent.Add(1)
+	p.tr.Record(trace.RemoteSpawn, int64(pe), 0, 0)
 	return nil
 }
 
 // execSampleEvery is the exec clock's sampling period: a worker times one
 // task body in this many (two clock reads cost about as much as a UTS
-// node), and Stats scales the sampled sum back up. With a trace buffer
+// node), and Stats scales the sampled sum back up. With a trace ring
 // attached every task is timed, because every task gets a TaskExec event.
 // It is also the beat on which a busy worker cedes the processor.
 const execSampleEvery = 64
@@ -274,7 +271,7 @@ func (p *Pool) execute(ws *workerState, d task.Desc) error {
 		ws.execTime += el
 		ws.execSampled++
 		p.lat.exec.Record(el)
-		p.tr.Record(trace.TaskExec, int64(d.Handle), int64(el))
+		p.tr.Record(trace.TaskExec, int64(d.Handle), int64(el), 0)
 	}
 	// Executed counts only after the body returned — by then every child
 	// spawn is in this worker's spawned counter, so publishCounts'

@@ -698,6 +698,39 @@ func (s *Service) Resize(live int) error {
 	return s.fleet.Resize(live)
 }
 
+// The families the job service exports: its own, and the world's
+// elastic-membership view.
+var (
+	mSubmitted = obs.NewCounter("sws_serve_jobs_submitted_total", "jobs", "tenant",
+		"Jobs accepted by admission control, per tenant.")
+	mQueueDepth = obs.NewGauge("sws_serve_queue_depth_jobs", "jobs", "tenant",
+		"Jobs queued per tenant.")
+	mCompleted = obs.NewCounter("sws_serve_jobs_completed_total", "jobs", "outcome",
+		"Jobs finished, by outcome (ok, failed, expired).")
+	mRejected = obs.NewCounter("sws_serve_jobs_rejected_total", "jobs", "reason",
+		"Jobs rejected by admission control or queue deadline, by reason (inflight-limit, tenant-quota, deadline-expired).")
+	mInflight = obs.NewGauge("sws_serve_inflight_jobs", "jobs", "",
+		"Jobs queued or running in the job service.")
+	mJobTasks = obs.NewCounter("sws_serve_job_tasks_total", "tasks", "",
+		"Tasks executed by completed jobs.")
+	mAttaches = obs.NewCounter("sws_serve_fleet_attaches_total", "attachments", "",
+		"Transport attachments over the job service's fleet lifetime (stays at the PE count: warm start).")
+	mJobLatency = obs.NewQuantiles("sws_serve_job_latency_seconds", "stage",
+		"Per-job latency quantiles (p50/p95/p99) by stage (queue, run, e2e).",
+		"Per-job latency sample count by stage.")
+	mMemberEpoch = obs.NewGauge("sws_membership_epoch", "dimensionless (index)", "",
+		"Membership epoch; bumps once per join/drain transition phase, 0 while membership is fixed.")
+	mMemberPEs = obs.NewGauge("sws_membership_pes", "pes", "state",
+		"PEs by membership state (live, joining, draining, parked).")
+	mMemberJoins = obs.NewCounter("sws_membership_joins_total", "joins", "",
+		"Completed PE joins over the world's lifetime.")
+	mMemberDrains = obs.NewCounter("sws_membership_drains_total", "drains", "",
+		"Completed PE drains over the world's lifetime.")
+	mDrainSeconds = obs.NewQuantiles("sws_membership_drain_seconds", "",
+		"Drain duration quantiles (BeginDrain to parked).",
+		"Completed-drain duration sample count.")
+)
+
 // metricsSource emits the sws_serve_* family. Registered on the
 // Gatherer at New; reads only snapshots taken under s.mu plus lock-free
 // histograms, so it is safe concurrently with jobs in flight.
@@ -725,47 +758,34 @@ func (s *Service) metricsSource(e *obs.Emitter) {
 	s.mu.Unlock()
 
 	for _, t := range tenants {
-		e.Counter("sws_serve_jobs_submitted_total", "Jobs accepted by admission control.",
-			float64(t.submitted), obs.L("tenant", t.name))
-		e.Gauge("sws_serve_queue_depth_jobs", "Jobs queued per tenant.",
-			float64(t.depth), obs.L("tenant", t.name))
+		e.Counter(mSubmitted, float64(t.submitted), obs.L("tenant", t.name))
+		e.Gauge(mQueueDepth, float64(t.depth), obs.L("tenant", t.name))
 	}
 	for _, o := range []string{"ok", "failed", "expired"} {
-		e.Counter("sws_serve_jobs_completed_total", "Jobs finished, by outcome.",
-			float64(completed[o]), obs.L("outcome", o))
+		e.Counter(mCompleted, float64(completed[o]), obs.L("outcome", o))
 	}
 	for _, r := range []string{ReasonInflight, ReasonTenantQuota, ReasonDeadline} {
-		e.Counter("sws_serve_jobs_rejected_total", "Submissions rejected by admission control, by reason.",
-			float64(rejected[r]), obs.L("reason", r))
+		e.Counter(mRejected, float64(rejected[r]), obs.L("reason", r))
 	}
-	e.Gauge("sws_serve_inflight_jobs", "Jobs queued or running.", float64(inflight))
-	e.Counter("sws_serve_job_tasks_total", "Tasks executed by completed jobs.", float64(tasks))
-	e.Counter("sws_serve_fleet_attaches_total", "Transport attachments over the fleet's lifetime (stays at the PE count: warm start).",
-		float64(s.fleet.World().Attaches()))
-	e.Quantiles("sws_serve_job_latency_seconds", "Per-job latency quantiles by stage.",
-		s.queueHist.Snapshot(), obs.L("stage", "queue"))
-	e.Quantiles("sws_serve_job_latency_seconds", "Per-job latency quantiles by stage.",
-		s.runHist.Snapshot(), obs.L("stage", "run"))
-	e.Quantiles("sws_serve_job_latency_seconds", "Per-job latency quantiles by stage.",
-		s.e2eHist.Snapshot(), obs.L("stage", "e2e"))
+	e.Gauge(mInflight, float64(inflight))
+	e.Counter(mJobTasks, float64(tasks))
+	e.Counter(mAttaches, float64(s.fleet.World().Attaches()))
+	e.Quantiles(mJobLatency, s.queueHist.Snapshot(), obs.L("stage", "queue"))
+	e.Quantiles(mJobLatency, s.runHist.Snapshot(), obs.L("stage", "run"))
+	e.Quantiles(mJobLatency, s.e2eHist.Snapshot(), obs.L("stage", "e2e"))
 
 	// Elastic-membership family: zero-valued while the fleet runs at fixed
 	// membership, live once Resize (or LivePEs) engages the elastic layer.
 	lv := s.fleet.World().Live()
 	live, joining, draining, parked := lv.MembershipCounts()
-	e.Gauge("sws_membership_epoch", "Membership epoch (bumps once per join/drain transition phase).",
-		float64(lv.MemberEpoch()))
+	e.Gauge(mMemberEpoch, float64(lv.MemberEpoch()))
 	for _, st := range []struct {
 		state string
 		n     int
 	}{{"live", live}, {"joining", joining}, {"draining", draining}, {"parked", parked}} {
-		e.Gauge("sws_membership_pes", "PEs by membership state.",
-			float64(st.n), obs.L("state", st.state))
+		e.Gauge(mMemberPEs, float64(st.n), obs.L("state", st.state))
 	}
-	e.Counter("sws_membership_joins_total", "Completed PE joins over the world's lifetime.",
-		float64(lv.Joins()))
-	e.Counter("sws_membership_drains_total", "Completed PE drains over the world's lifetime.",
-		float64(lv.Drains()))
-	e.Quantiles("sws_membership_drain_seconds", "Drain duration quantiles (BeginDrain to parked).",
-		lv.DrainDurations())
+	e.Counter(mMemberJoins, float64(lv.Joins()))
+	e.Counter(mMemberDrains, float64(lv.Drains()))
+	e.Quantiles(mDrainSeconds, lv.DrainDurations())
 }

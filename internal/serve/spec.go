@@ -150,23 +150,6 @@ func (s JobSpec) withDefaults() JobSpec {
 	return s
 }
 
-// utsPreset resolves the preset tree names the service accepts.
-func utsPreset(name string) (uts.Params, error) {
-	switch name {
-	case "tiny":
-		return uts.Tiny, nil
-	case "small":
-		return uts.Small, nil
-	case "t1":
-		return uts.T1, nil
-	case "tinybin":
-		return uts.TinyBin, nil
-	case "tinylinear":
-		return uts.TinyLinear, nil
-	}
-	return uts.Params{}, fmt.Errorf("serve: unknown uts tree preset %q (tiny|small|t1|tinybin|tinylinear)", name)
-}
-
 // Validate checks a spec (after defaulting) without building workloads.
 // Jobs are validated at admission: Job.Seed must not fail on a warm
 // fleet, so everything that can be rejected is rejected here.
@@ -176,7 +159,7 @@ func (s JobSpec) Validate() error {
 	}
 	switch s.Kind {
 	case KindUTS:
-		if _, err := utsPreset(s.UTS.Tree); err != nil {
+		if _, err := uts.Preset(s.UTS.Tree); err != nil {
 			return err
 		}
 		if s.UTS.NodeWorkUS < 0 {
@@ -233,7 +216,7 @@ func (s JobSpec) Validate() error {
 func (s JobSpec) buildWork() (*activeWork, error) {
 	switch s.Kind {
 	case KindUTS:
-		params, err := utsPreset(s.UTS.Tree)
+		params, err := uts.Preset(s.UTS.Tree)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sws/internal/obs"
-	"sws/internal/trace"
 )
 
 // Op identifies a one-sided operation kind for counting and fault injection.
@@ -44,11 +43,6 @@ var opNames = [...]string{
 	OpGetV:        "getv",
 	OpPutSignal:   "put-signal",
 }
-
-// The trace package renders CommOp timeline events by op code; give it the
-// authoritative code→name table so Perfetto slices carry readable names
-// for every op, including ones added after the trace format shipped.
-func init() { trace.SetCommOpNames(opNames[:]) }
 
 func (o Op) String() string {
 	if o >= 0 && int(o) < len(opNames) {
@@ -101,17 +95,36 @@ type Counters struct {
 // recordLat adds one latency sample for a remote op.
 func (c *Counters) recordLat(op Op, d time.Duration) { c.lat[op].Record(d) }
 
-// LatencySnapshots returns the non-empty per-op latency distributions,
-// keyed "<op>/remote" (e.g. "fetch-add/remote"). Safe to call while the PE
-// is running.
-func (c *Counters) LatencySnapshots() map[string]obs.HistSnap {
-	out := make(map[string]obs.HistSnap)
+// Latency returns op's remote latency distribution (empty if none was
+// timed). Safe to call while the PE is running.
+func (c *Counters) Latency(op Op) obs.HistSnap { return c.lat[op].Snapshot() }
+
+// The families a PE's communication counters export.
+var (
+	mRemoteOps = obs.NewCounter("sws_shmem_remote_ops_total", "ops", "pe, op",
+		"Remote one-sided operations by kind; op is the shmem op name: put, get, getv, fetch-add, fetch-add-get, swap, compare-swap, atomic-fetch, atomic-store, put-signal (a remote spawn's put-with-signal) and the injections atomic-store-nbi, atomic-add-nbi, put-nbi.")
+	mLocalOps = obs.NewCounter("sws_shmem_local_ops_total", "ops", "pe",
+		"Self-targeted one-sided operations.")
+	mBytes = obs.NewCounter("sws_shmem_bytes_total", "bytes", "pe, dir",
+		"Payload bytes moved by puts (dir=put) and gets (dir=got).")
+	mOpLatency = obs.NewQuantiles("sws_shmem_op_latency_seconds", "pe, op, target",
+		"Remote one-sided op latency quantiles (p50/p95/p99); target is always remote — a PE's ops on its own heap are memory accesses and are not timed.",
+		"Remote one-sided op latency sample count.")
+)
+
+// Emit writes the counters' families for the PE labelled pe. Everything
+// it reads is an atomic, so it is safe at any point during the run.
+func (c *Counters) Emit(e *obs.Emitter, pe obs.Label) {
+	snap := c.Snapshot()
 	for op := Op(0); op < numOps; op++ {
-		if s := c.lat[op].Snapshot(); !s.Empty() {
-			out[op.String()+"/remote"] = s
+		if n := snap.Of(op); n > 0 {
+			e.Counter(mRemoteOps, float64(n), pe, obs.L("op", op.String()))
 		}
+		e.Quantiles(mOpLatency, c.Latency(op), pe, obs.L("op", op.String()), obs.L("target", "remote"))
 	}
-	return out
+	e.Counter(mLocalOps, float64(snap.Local), pe)
+	e.Counter(mBytes, float64(snap.BytesPut), pe, obs.L("dir", "put"))
+	e.Counter(mBytes, float64(snap.BytesGot), pe, obs.L("dir", "got"))
 }
 
 func (c *Counters) countRemote(op Op, payload int) {
@@ -149,27 +162,22 @@ func (c *Counters) Snapshot() CounterSnapshot {
 // Sub returns the per-op difference s - earlier, for attributing operation
 // counts to a window of activity (e.g. one steal).
 func (s CounterSnapshot) Sub(earlier CounterSnapshot) CounterSnapshot {
-	var d CounterSnapshot
-	for i := range s.Ops {
-		d.Ops[i] = s.Ops[i] - earlier.Ops[i]
-	}
-	d.BytesPut = s.BytesPut - earlier.BytesPut
-	d.BytesGot = s.BytesGot - earlier.BytesGot
-	d.Local = s.Local - earlier.Local
-	return d
+	return s.zip(earlier, func(a, b uint64) uint64 { return a - b })
 }
 
 // Add returns the element-wise sum s + other, for aggregating the
 // counters of several ranks into one world-level snapshot.
 func (s CounterSnapshot) Add(other CounterSnapshot) CounterSnapshot {
-	var d CounterSnapshot
+	return s.zip(other, func(a, b uint64) uint64 { return a + b })
+}
+
+// zip combines two snapshots field by field.
+func (s CounterSnapshot) zip(o CounterSnapshot, f func(a, b uint64) uint64) CounterSnapshot {
 	for i := range s.Ops {
-		d.Ops[i] = s.Ops[i] + other.Ops[i]
+		s.Ops[i] = f(s.Ops[i], o.Ops[i])
 	}
-	d.BytesPut = s.BytesPut + other.BytesPut
-	d.BytesGot = s.BytesGot + other.BytesGot
-	d.Local = s.Local + other.Local
-	return d
+	s.BytesPut, s.BytesGot, s.Local = f(s.BytesPut, o.BytesPut), f(s.BytesGot, o.BytesGot), f(s.Local, o.Local)
+	return s
 }
 
 // Total returns the total number of remote operations in the snapshot.

@@ -1,6 +1,7 @@
 package shmem
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -21,6 +22,16 @@ func TestOpStringsAndBlocking(t *testing.T) {
 	}
 	if Op(99).String() == "" {
 		t.Error("unknown op empty string")
+	}
+}
+
+// TestRemoteOpsHelpNamesEveryOp: the op label's values are the op names,
+// and the family's help text — the reference row — lists each one.
+func TestRemoteOpsHelpNamesEveryOp(t *testing.T) {
+	for _, op := range Ops() {
+		if !regexp.MustCompile(`[ ,]` + regexp.QuoteMeta(op.String()) + `[ ,.]`).MatchString(mRemoteOps.Help) {
+			t.Errorf("sws_shmem_remote_ops_total does not document op=%q", op)
+		}
 	}
 }
 

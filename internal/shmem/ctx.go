@@ -25,9 +25,12 @@ type Ctx struct {
 	// per blocking remote operation): on wherever ops take wall-clock time,
 	// off under the sim, where a wall-clock op latency means nothing.
 	rec bool
-	// tr, when attached, receives a trace.CommOp event per blocking
-	// remote operation (the runtime attaches its per-PE buffer).
-	tr *trace.Buffer
+	// ring is this PE's event ring, picked once: the world's flight ring,
+	// or the trace ring AttachTrace put in its place. traced says which:
+	// a trace ring also takes the events of operations outside any steal
+	// span and of injections.
+	ring   *trace.Flight
+	traced bool
 
 	// allocCursor is this PE's symmetric-allocation bump pointer. All PEs
 	// must perform the same sequence of Alloc calls (SPMD style), which
@@ -39,7 +42,7 @@ func (w *World) newCtx(rank int) *Ctx {
 	// User allocations start past the reserved words (see the table beside
 	// reservedHeapBytes).
 	w.attaches.Add(1)
-	return &Ctx{w: w, rank: rank, self: w.pes[rank], rec: w.cfg.Transport != TransportSim, allocCursor: reservedHeapBytes}
+	return &Ctx{w: w, rank: rank, self: w.pes[rank], rec: w.cfg.Transport != TransportSim, ring: w.Ring(rank), allocCursor: reservedHeapBytes}
 }
 
 // Attaches counts PE attachments to this world's transport — one per Ctx
@@ -51,10 +54,18 @@ func (w *World) Attaches() uint64 { return w.attaches.Load() }
 // multi-process world (built by Join) rather than all PEs in-process.
 func (w *World) Distributed() bool { return w.localRank >= 0 }
 
-// AttachTrace attaches a per-PE trace buffer; subsequent blocking remote
-// operations record trace.CommOp events (A = op code, B = duration ns)
-// into it. Pass nil to detach.
-func (c *Ctx) AttachTrace(b *trace.Buffer) { c.tr = b }
+// AttachTrace makes f this PE's event ring for the rest of the world's
+// life, in place of the world's own flight ring: everything the PE and
+// its peers journal about it — and a failure dump — goes to f, and every
+// blocking remote operation records a trace.CommOp event (A = op code,
+// B = duration ns), not only those inside a steal span. A nil f keeps the
+// ring in use.
+func (c *Ctx) AttachTrace(f *trace.Flight) {
+	if f != nil {
+		c.ring, c.traced = f, true
+		c.w.rings[c.rank].Store(f)
+	}
+}
 
 // MultiWorkerCapable reports whether this world's transport supports a PE
 // issuing operations from multiple goroutines. The deterministic
@@ -68,9 +79,8 @@ func (c *Ctx) MultiWorkerCapable() bool { return c.w.cfg.Transport != TransportS
 // plus executor workers). It must be called from the owner goroutine
 // before any worker goroutine starts. Heap words and communication
 // counters are atomics, so concurrent data-path operations are safe on
-// the local and tcp transports; any attached trace buffer must be put in
-// concurrent mode by the caller (trace.Buffer.EnableConcurrent). Returns
-// an error under the simulation transport — see MultiWorkerCapable.
+// the local and tcp transports, and so is the event ring. Returns an
+// error under the simulation transport — see MultiWorkerCapable.
 func (c *Ctx) EnableMultiWorker() error {
 	if !c.MultiWorkerCapable() {
 		return fmt.Errorf("shmem: transport runs PEs in single-goroutine lockstep; multi-worker PEs need the local or tcp transport")
@@ -86,29 +96,19 @@ func (c *Ctx) latStart() time.Time {
 	return time.Now()
 }
 
-// latEnd records one remote operation's latency sample and, with a trace
-// attached, a comm-op timeline event.
-func (c *Ctx) latEnd(op Op, t0 time.Time) {
-	if !c.rec {
+// latEnd records one remote operation's latency sample and, for a
+// span-tagged op — so the initiator side of a steal survives to a
+// post-mortem dump; the span groups the steal's sub-ops — and for every op
+// on a trace ring, its event. An op with an event reads the full clock
+// once, for the sample and the event's timestamp both; one without pays
+// only time.Since's monotonic read (two such ops are a remote spawn).
+func (c *Ctx) latEnd(op Op, t0 time.Time, span uint64) {
+	if span == 0 && !c.traced {
+		if c.rec {
+			c.counters.recordLat(op, time.Since(t0))
+		}
 		return
 	}
-	d := time.Since(t0)
-	c.counters.recordLat(op, d)
-	c.tr.Record(trace.CommOp, int64(op), int64(d))
-}
-
-// latEndSpan is latEnd for a span-tagged remote operation: besides the
-// latency sample and trace event, the op lands in this PE's flight
-// journal so the initiator side of a steal survives to a post-mortem
-// dump. The trace event carries the span so Perfetto groups the steal's
-// sub-ops.
-func (c *Ctx) latEndSpan(op Op, t0 time.Time, span uint64) {
-	if span == 0 {
-		c.latEnd(op, t0)
-		return
-	}
-	// One clock read serves both the latency sample and the journal
-	// timestamp; the flight ring converts it without reading again.
 	var d time.Duration
 	var end time.Time
 	if c.rec {
@@ -116,26 +116,22 @@ func (c *Ctx) latEndSpan(op Op, t0 time.Time, span uint64) {
 		d = end.Sub(t0)
 		c.counters.recordLat(op, d)
 	}
-	c.tr.RecordSpan(trace.CommOp, int64(op), int64(d), span)
-	c.w.flight.PE(c.rank).RecordTime(end, trace.CommOp, int64(op), int64(d), span)
+	if span != 0 || c.rec {
+		c.ring.RecordTime(end, trace.CommOp, int64(op), int64(d), span)
+	}
 }
 
-// RecordSpanEvent records a span lifecycle event (start/end) into both
-// the attached trace buffer and this PE's flight journal. The steal
-// implementation calls it around each attempt.
+// RecordSpanEvent records a span lifecycle event (start/end) into this
+// PE's ring. The steal implementation calls it around each attempt.
 func (c *Ctx) RecordSpanEvent(k trace.Kind, a, b int64, span uint64) {
-	c.tr.RecordSpan(k, a, b, span)
-	c.w.flight.PE(c.rank).Record(k, a, b, span)
+	c.ring.Record(k, a, b, span)
 }
 
 // FlightRecord records a non-span diagnostic event (queue depth, epoch
-// flip, peer transitions observed by the runtime) into this PE's flight
-// journal.
-func (c *Ctx) FlightRecord(k trace.Kind, a, b int64) {
-	c.w.flight.PE(c.rank).Record(k, a, b, 0)
-}
+// flip, membership transitions) into this PE's ring.
+func (c *Ctx) FlightRecord(k trace.Kind, a, b int64) { c.ring.Record(k, a, b, 0) }
 
-// FlightDump dumps every flight ring this process hosts to the world's
+// FlightDump dumps every ring this process records into to the world's
 // configured flight directory, tagged with reason. It is a no-op when no
 // directory is configured; the first dump wins and later calls return
 // nil (one failure produces one journal set, not one per observer).
@@ -400,21 +396,21 @@ func (c *Ctx) do(r *opReq) (uint64, []byte, error) {
 	c.counters.countRemote(r.op, len(r.buf))
 	if !r.op.Blocking() {
 		err := c.w.transport.nbi(*r)
-		if r.span != 0 {
-			// Non-blocking injection: no latency to attribute. The opt-in
-			// trace buffer shows the ack was issued (duration 0 = injected);
-			// the flight journal deliberately does not — the issue is implied
-			// by the span-end outcome, and the diagnostic that matters for
-			// weak ordering is the victim-side apply, which the transports
-			// record. Skipping it keeps the always-on steal path at two
-			// clock reads (span start and end).
-			c.tr.RecordSpan(trace.CommOp, int64(r.op), 0, r.span)
+		if c.traced && r.span != 0 {
+			// Non-blocking injection: no latency to attribute. A trace ring
+			// shows the ack was issued (duration 0 = injected); the flight
+			// ring deliberately does not — the issue is implied by the
+			// span-end outcome, and the diagnostic that matters for weak
+			// ordering is the victim-side apply, which land records.
+			// Skipping it keeps the always-on steal path at two clock reads
+			// (span start and end).
+			c.ring.Record(trace.CommOp, int64(r.op), 0, r.span)
 		}
 		return 0, nil, err
 	}
 	t0 := c.latStart()
 	val, data, err := c.w.transport.blocking(*r)
-	c.latEndSpan(r.op, t0, r.span)
+	c.latEnd(r.op, t0, r.span)
 	if r.op == OpFetchAddGet && err == nil {
 		c.counters.bytesGot.Add(uint64(len(data)))
 	}

@@ -81,7 +81,7 @@ func (r *opReq) checkBytes(pe *peState) error {
 // after wire decode, the sim scheduler's wake and delivery steps: apply
 // (twice on a duplicate verdict, for the ops a fabric may redeliver), wake
 // the waiters parked on the heap if it changed, and stamp the victim side
-// of a span-tagged op into the target's flight ring. at is the latency
+// of a span-tagged op into the target's event ring. at is the latency
 // wait's exit clock read if there was one (zero = read the clock now), so
 // both halves of a steal land under one span without a second read.
 func (w *World) land(pe *peState, r *opReq, dup bool, at time.Time, scratch *[]byte) (uint64, []byte, error) {
@@ -96,7 +96,7 @@ func (w *World) land(pe *peState, r *opReq, dup bool, at time.Time, scratch *[]b
 		pe.wakeWaiters()
 	}
 	if r.span != 0 {
-		w.flight.PE(r.to).RecordTime(at, trace.VictimOp, int64(r.op), int64(r.from), r.span)
+		w.Ring(r.to).RecordTime(at, trace.VictimOp, int64(r.op), int64(r.from), r.span)
 	}
 	return val, data, nil
 }

@@ -125,8 +125,7 @@ type Config struct {
 	Sim SimOptions
 	// FlightDir, when non-empty, is where flight journals are dumped on
 	// failure triggers (peer death, op timeout, degraded termination,
-	// sim deadlock detection). Empty means no automatic dumps; rings can
-	// still be dumped explicitly via World.Flight().
+	// sim deadlock detection). Empty means no dumps.
 	FlightDir string
 
 	// OpTimeout bounds each blocking round trip on the TCP transport
@@ -287,9 +286,12 @@ type World struct {
 	// live is the membership view / failure detector (liveness.go).
 	live *Liveness
 
-	// flight holds the always-on per-PE flight-recorder rings;
-	// flightDumped makes failure dumps once-only.
-	flight       *trace.FlightSet
+	// rings holds each PE's one event ring: the world's own always-on
+	// flight ring until the PE attaches a trace ring in its place
+	// (Ctx.AttachTrace; the pointer is atomic because peers stamp the
+	// victim side of their steals into it). flightDumped makes failure
+	// dumps once-only.
+	rings        []atomic.Pointer[trace.Flight]
 	flightDumped atomic.Bool
 
 	// attaches counts Ctx creations (transport attachments); see Attaches.
@@ -396,12 +398,19 @@ func newWorld(cfg Config, at *Endpoint) (*World, error) {
 	if at != nil {
 		w.localRank = at.Rank
 	}
+	flight, err := trace.NewSet(cfg.NumPEs, flightCap)
+	if err != nil {
+		return nil, err
+	}
+	w.rings = make([]atomic.Pointer[trace.Flight], cfg.NumPEs)
+	for r := range w.rings {
+		w.rings[r].Store(flight.PE(r))
+	}
 	// The heaps this process can address: all of them on a mapped segment
 	// or in an in-process world, only the local rank's over tcp.
 	w.pes = make([]*peState, cfg.NumPEs)
 	var seg *shmSegment
 	if cfg.Transport == TransportShm {
-		var err error
 		if seg, err = openShmSegment(cfg, at); err != nil {
 			return nil, fmt.Errorf("shmem: starting shm transport: %w", err)
 		}
@@ -414,7 +423,6 @@ func newWorld(cfg Config, at *Endpoint) (*World, error) {
 			w.pes[r] = newPEState(r, goHeap(cfg.HeapBytes), new(wakeWords))
 		}
 	}
-	w.flight = trace.NewFlightSet(cfg.NumPEs, flightCap)
 	w.live = newLiveness(w, cfg.NumPEs)
 	if at == nil {
 		w.barrier = newCentralBarrier(cfg.NumPEs)
@@ -463,70 +471,60 @@ func newWorld(cfg Config, at *Endpoint) (*World, error) {
 // NumPEs returns the number of processing elements in the world.
 func (w *World) NumPEs() int { return w.cfg.NumPEs }
 
-// Flight returns the world's flight-recorder rings.
-func (w *World) Flight() *trace.FlightSet { return w.flight }
+// Ring returns the event ring rank's PE currently records into.
+func (w *World) Ring(rank int) *trace.Flight { return w.rings[rank].Load() }
 
 // flightState journals a failure-detector transition (peer -> new state)
-// into the observing process's flight ring: the local rank's in dist
-// mode, ring 0 for in-process worlds (the detector is world-global
-// there, so one copy suffices).
+// into the observing process's ring: the local rank's in dist mode, ring
+// 0 for in-process worlds (the detector is world-global there, so one
+// copy suffices).
 func (w *World) flightState(peer int, s PeerState) {
-	obs := w.localRank
-	if obs < 0 {
-		obs = 0
-	}
-	w.flight.PE(obs).Record(trace.PeerState, int64(peer), int64(s), 0)
+	w.Ring(max(w.localRank, 0)).Record(trace.PeerState, int64(peer), int64(s), 0)
 }
 
-// DumpFlight writes this process's flight journals to Config.FlightDir,
-// tagged with reason. No-op when no directory is configured; only the
-// first call dumps (a failing run fires several triggers — peer-death
-// observations, op timeouts, degraded termination — and one journal set
-// per process is what post-mortem tooling wants).
+// DumpFlight writes the rings this process records into — whichever ring
+// each PE has in use — to Config.FlightDir, tagged with reason. No-op when
+// no directory is configured; only the first call dumps (a failing run
+// fires several triggers — peer-death observations, op timeouts, degraded
+// termination — and one journal set per process is what post-mortem
+// tooling wants).
 func (w *World) DumpFlight(reason string) error {
-	if w.cfg.FlightDir == "" {
+	if w.cfg.FlightDir == "" || !w.flightDumped.CompareAndSwap(false, true) {
 		return nil
 	}
-	if !w.flightDumped.CompareAndSwap(false, true) {
-		return nil
+	if err := os.MkdirAll(w.cfg.FlightDir, 0o755); err != nil {
+		return err
 	}
-	if w.localRank >= 0 {
-		// Distributed: this process hosts exactly one PE; dump its ring
-		// only (peers dump their own).
-		if err := os.MkdirAll(w.cfg.FlightDir, 0o755); err != nil {
-			return err
-		}
-		if _, err := w.flight.PE(w.localRank).DumpFile(w.cfg.FlightDir, w.cfg.NumPEs, reason); err != nil {
-			return err
-		}
-		// On the shm transport this process also records victim-side
-		// events for remote ranks (ops it applied to their mapped
-		// heaps). Dump those rings too, under via-tagged names so each
-		// process's files are distinct; event sets are disjoint across
-		// processes, so post-mortem merging is duplicate-free.
-		if w.cfg.Transport == TransportShm {
-			for r := 0; r < w.cfg.NumPEs; r++ {
-				f := w.flight.PE(r)
-				if r == w.localRank || f.Len() == 0 {
-					continue
-				}
-				name := fmt.Sprintf("flight-rank%d-via%d.jsonl", r, w.localRank)
-				out, err := os.Create(filepath.Join(w.cfg.FlightDir, name))
-				if err != nil {
-					return err
-				}
-				werr := f.WriteTo(out, w.cfg.NumPEs, reason)
-				if cerr := out.Close(); werr == nil {
-					werr = cerr
-				}
-				if werr != nil {
-					return werr
-				}
+	for r := range w.rings {
+		f := w.Ring(r)
+		switch {
+		case w.localRank < 0 || r == w.localRank:
+			// Every ring of an in-process world; a distributed process
+			// hosts one PE and peers dump their own.
+			if _, err := f.DumpFile(w.cfg.FlightDir, w.cfg.NumPEs, reason); err != nil {
+				return err
+			}
+		case f.Len() > 0:
+			// On the shm transport this process also recorded victim-side
+			// events for remote ranks (ops it applied to their mapped
+			// heaps). Dump those rings under via-tagged names so each
+			// process's files are distinct; event sets are disjoint across
+			// processes, so post-mortem merging is duplicate-free.
+			name := fmt.Sprintf("flight-rank%d-via%d.jsonl", r, w.localRank)
+			out, err := os.Create(filepath.Join(w.cfg.FlightDir, name))
+			if err != nil {
+				return err
+			}
+			werr := f.WriteTo(out, w.cfg.NumPEs, reason)
+			if cerr := out.Close(); werr == nil {
+				werr = cerr
+			}
+			if werr != nil {
+				return werr
 			}
 		}
-		return nil
 	}
-	return w.flight.DumpAll(w.cfg.FlightDir, reason)
+	return nil
 }
 
 // Config returns a copy of the world's (defaulted) configuration.

@@ -637,7 +637,7 @@ func TestVictimStampFollowsApply(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ring := w.Flight().PE(1)
+		ring := w.Ring(1)
 		err = w.Run(func(c *Ctx) error {
 			ctr, err := c.Alloc(2 * WordSize)
 			if err != nil {

@@ -125,42 +125,80 @@ type Worker struct {
 	FromRing uint64
 }
 
+// numeric is the one list of a counter struct's numeric fields, which Add
+// and Delta both walk: a field missing from it is a field neither carries,
+// and TestPEAdd checks by reflection that none is. The exceptions to "Add
+// sums, Delta subtracts" are data here, not code there. It is all arrays
+// and returned by value, so a walk allocates nothing (a fleet takes one per
+// PE per job); a struct with fewer fields leaves the tails nil.
+type numeric struct {
+	sums  [21]*uint64 // Delta saturates at zero
+	times [3]*time.Duration
+	// peak is a world-level figure, identical on every PE that observed
+	// it: Add takes the max, so Run.Total reports the world's count once.
+	peak *uint64
+	// level is a watermark, not a per-job rate: Add takes the max and
+	// Delta keeps the later value.
+	level *uint64
+}
+
+func (p *PE) numeric() numeric {
+	return numeric{
+		sums: [...]*uint64{
+			&p.TasksExecuted, &p.TasksSpawned, &p.StealsAttempted, &p.StealsSuccessful,
+			&p.StealsEmpty, &p.StealsDisabled, &p.TasksStolen, &p.StealTransportErrs,
+			&p.StealsQuarantined, &p.TasksWrittenOff, &p.TasksForwarded, &p.MemberDrains,
+			&p.MemberJoins, &p.Acquires, &p.Releases, &p.QueueGrows, &p.QueueShrinks,
+			&p.TasksSpilled, &p.RemoteSpawnsSent, &p.RemoteSpawnsRecv, &p.IdleIters,
+		},
+		times: [...]*time.Duration{&p.StealTime, &p.SearchTime, &p.ExecTime},
+		peak:  &p.TasksLost,
+		level: &p.DeadPEs,
+	}
+}
+
+func (w *Worker) numeric() numeric {
+	return numeric{
+		sums:  [21]*uint64{&w.TasksExecuted, &w.TasksSpawned, &w.IdleIters, &w.FromRing},
+		times: [...]*time.Duration{&w.ExecTime, &w.StealTime, &w.SearchTime},
+	}
+}
+
+// add accumulates o's fields into s's.
+func (s numeric) add(o numeric) {
+	for i, p := range s.sums {
+		if p != nil {
+			*p += *o.sums[i]
+		}
+	}
+	for i, p := range s.times {
+		*p += *o.times[i]
+	}
+	if s.peak != nil {
+		*s.peak, *s.level = max(*s.peak, *o.peak), max(*s.level, *o.level)
+	}
+}
+
+// sub turns d's fields, a copy of the later snapshot's, into their
+// difference from prev's.
+func (d numeric) sub(prev numeric) {
+	for i, p := range d.sums {
+		if p != nil {
+			*p -= min(*p, *prev.sums[i])
+		}
+	}
+	for i, p := range d.times {
+		*p -= *prev.times[i]
+	}
+	if d.peak != nil {
+		*d.peak -= min(*d.peak, *prev.peak)
+	}
+}
+
 // Add accumulates o into s.
 func (s *PE) Add(o PE) {
-	s.TasksExecuted += o.TasksExecuted
-	s.TasksSpawned += o.TasksSpawned
-	s.StealsAttempted += o.StealsAttempted
-	s.StealsSuccessful += o.StealsSuccessful
-	s.StealsEmpty += o.StealsEmpty
-	s.StealsDisabled += o.StealsDisabled
-	s.TasksStolen += o.TasksStolen
-	s.StealTransportErrs += o.StealTransportErrs
-	s.StealsQuarantined += o.StealsQuarantined
-	s.TasksWrittenOff += o.TasksWrittenOff
-	// TasksLost and DeadPEs are world-level figures, identical on every PE
-	// that observed the degraded termination: aggregate with max, not sum,
-	// so Run.Total reports the world's count once.
-	if o.TasksLost > s.TasksLost {
-		s.TasksLost = o.TasksLost
-	}
-	if o.DeadPEs > s.DeadPEs {
-		s.DeadPEs = o.DeadPEs
-	}
+	s.numeric().add(o.numeric())
 	s.Degraded = s.Degraded || o.Degraded
-	s.TasksForwarded += o.TasksForwarded
-	s.MemberDrains += o.MemberDrains
-	s.MemberJoins += o.MemberJoins
-	s.Acquires += o.Acquires
-	s.Releases += o.Releases
-	s.QueueGrows += o.QueueGrows
-	s.QueueShrinks += o.QueueShrinks
-	s.TasksSpilled += o.TasksSpilled
-	s.RemoteSpawnsSent += o.RemoteSpawnsSent
-	s.RemoteSpawnsRecv += o.RemoteSpawnsRecv
-	s.StealTime += o.StealTime
-	s.SearchTime += o.SearchTime
-	s.ExecTime += o.ExecTime
-	s.IdleIters += o.IdleIters
 	// Per-worker rows concatenate (each carries its PE), so Run.Total
 	// keeps the full breakdown.
 	s.Workers = append(s.Workers, o.Workers...)
@@ -179,64 +217,24 @@ func (s *PE) Add(o PE) {
 // Delta returns s minus prev, for scoping cumulative fleet counters to
 // one job: prev is the snapshot taken when the job started, s the
 // snapshot at its end. Counters subtract (saturating at zero, since
-// max-aggregated figures like TasksLost and DeadPEs are cumulative
-// watermarks rather than sums); latency histograms subtract bucket-wise;
-// worker rows are matched by (PE, ID) and differenced, so a warm
-// multi-worker fleet reports per-job worker breakdowns rather than
-// fleet-lifetime totals. Degraded is preserved from s: once a run has
-// seen a death the remaining jobs ran over partial membership.
+// max-aggregated figures like TasksLost are cumulative watermarks rather
+// than sums); latency histograms subtract bucket-wise; worker rows are
+// matched by (PE, ID) and differenced, so a warm multi-worker fleet
+// reports per-job worker breakdowns rather than fleet-lifetime totals.
+// DeadPEs and Degraded are preserved from s: once a run has seen a death
+// the remaining jobs ran over partial membership.
 func (s PE) Delta(prev PE) PE {
-	sub := func(a, b uint64) uint64 {
-		if a < b {
-			return 0
-		}
-		return a - b
-	}
 	d := s
-	d.TasksExecuted = sub(s.TasksExecuted, prev.TasksExecuted)
-	d.TasksSpawned = sub(s.TasksSpawned, prev.TasksSpawned)
-	d.StealsAttempted = sub(s.StealsAttempted, prev.StealsAttempted)
-	d.StealsSuccessful = sub(s.StealsSuccessful, prev.StealsSuccessful)
-	d.StealsEmpty = sub(s.StealsEmpty, prev.StealsEmpty)
-	d.StealsDisabled = sub(s.StealsDisabled, prev.StealsDisabled)
-	d.TasksStolen = sub(s.TasksStolen, prev.TasksStolen)
-	d.StealTransportErrs = sub(s.StealTransportErrs, prev.StealTransportErrs)
-	d.StealsQuarantined = sub(s.StealsQuarantined, prev.StealsQuarantined)
-	d.TasksLost = sub(s.TasksLost, prev.TasksLost)
-	d.TasksWrittenOff = sub(s.TasksWrittenOff, prev.TasksWrittenOff)
-	d.DeadPEs = s.DeadPEs // membership watermark, not a per-job rate
-	d.TasksForwarded = sub(s.TasksForwarded, prev.TasksForwarded)
-	d.MemberDrains = sub(s.MemberDrains, prev.MemberDrains)
-	d.MemberJoins = sub(s.MemberJoins, prev.MemberJoins)
-	d.Acquires = sub(s.Acquires, prev.Acquires)
-	d.Releases = sub(s.Releases, prev.Releases)
-	d.QueueGrows = sub(s.QueueGrows, prev.QueueGrows)
-	d.QueueShrinks = sub(s.QueueShrinks, prev.QueueShrinks)
-	d.TasksSpilled = sub(s.TasksSpilled, prev.TasksSpilled)
-	d.RemoteSpawnsSent = sub(s.RemoteSpawnsSent, prev.RemoteSpawnsSent)
-	d.RemoteSpawnsRecv = sub(s.RemoteSpawnsRecv, prev.RemoteSpawnsRecv)
-	d.StealTime = s.StealTime - prev.StealTime
-	d.SearchTime = s.SearchTime - prev.SearchTime
-	d.ExecTime = s.ExecTime - prev.ExecTime
-	d.IdleIters = sub(s.IdleIters, prev.IdleIters)
+	d.numeric().sub(prev.numeric())
 	if len(s.Workers) > 0 {
 		prevW := make(map[[2]int]Worker, len(prev.Workers))
 		for _, w := range prev.Workers {
 			prevW[[2]int{w.PE, w.ID}] = w
 		}
-		d.Workers = make([]Worker, len(s.Workers))
-		for i, w := range s.Workers {
-			p := prevW[[2]int{w.PE, w.ID}]
-			d.Workers[i] = Worker{
-				PE: w.PE, ID: w.ID,
-				TasksExecuted: sub(w.TasksExecuted, p.TasksExecuted),
-				TasksSpawned:  sub(w.TasksSpawned, p.TasksSpawned),
-				ExecTime:      w.ExecTime - p.ExecTime,
-				StealTime:     w.StealTime - p.StealTime,
-				SearchTime:    w.SearchTime - p.SearchTime,
-				IdleIters:     sub(w.IdleIters, p.IdleIters),
-				FromRing:      sub(w.FromRing, p.FromRing),
-			}
+		d.Workers = append([]Worker(nil), s.Workers...)
+		for i := range d.Workers {
+			p := prevW[[2]int{d.Workers[i].PE, d.Workers[i].ID}]
+			d.Workers[i].numeric().sub(p.numeric())
 		}
 	}
 	if len(s.Lat) > 0 {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -16,6 +17,47 @@ func TestPEAdd(t *testing.T) {
 	a.Add(b)
 	if a.TasksExecuted != 7 || a.StealTime != 3*time.Second || a.TasksStolen != 9 || a.StealsEmpty != 1 {
 		t.Errorf("Add result wrong: %+v", a)
+	}
+
+	// Every numeric field of PE and Worker is on the one list Add and Delta
+	// walk: filled with 3s, a struct adds into a zero one as itself and
+	// differs from itself by nothing (but the DeadPEs watermark, which a
+	// delta keeps).
+	fill := func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			switch v.Field(i).Kind() {
+			case reflect.Uint64:
+				v.Field(i).SetUint(3)
+			case reflect.Int64: // time.Duration
+				v.Field(i).SetInt(3)
+			}
+		}
+	}
+	check := func(what string, got any, want int64, except string) {
+		v := reflect.ValueOf(got)
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), v.Type().Field(i).Name
+			if name == except || (f.Kind() != reflect.Uint64 && f.Kind() != reflect.Int64) {
+				continue
+			}
+			if n := f.Convert(reflect.TypeOf(int64(0))).Int(); n != want {
+				t.Errorf("%s: %s = %d, want %d: the field is missing from numeric()", what, name, n, want)
+			}
+		}
+	}
+	var full PE
+	var row Worker
+	fill(reflect.ValueOf(&full).Elem())
+	fill(reflect.ValueOf(&row).Elem())
+	full.Workers = []Worker{row}
+	var sum PE
+	sum.Add(full)
+	check("PE.Add", sum, 3, "")
+	d := full.Delta(full)
+	check("PE.Delta", d, 0, "DeadPEs")
+	check("Worker delta", d.Workers[0], 0, "")
+	if d.DeadPEs != 3 {
+		t.Errorf("Delta lost the DeadPEs watermark: %d, want 3", d.DeadPEs)
 	}
 }
 

@@ -8,178 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
 	"time"
 )
-
-// Flight is one PE's always-on flight-recorder ring: a bounded,
-// overwrite-oldest journal of span events, queue-depth samples, epoch
-// flips, and liveness transitions, kept cheap enough to leave running in
-// production and dumped to disk only when something goes wrong.
-//
-// Unlike Buffer, a Flight has many writers — transport handler
-// goroutines record victim-side events into the target PE's ring while
-// the PE's own workers record initiator-side events — so slots are
-// claimed with a single atomic increment and written without further
-// synchronization. A writer lapped mid-store can leave a torn slot; the
-// ring is only ever read at dump time, after a failure has already
-// stopped the run, and the dump format is per-line JSON so a rare torn
-// slot corrupts one line, not the journal.
-type Flight struct {
-	pe     int
-	epoch  time.Time // monotonic base for Event.At
-	wall   int64     // epoch as wall-clock UnixNano, for cross-process alignment
-	events []Event   // length is a power of two, so slot index is a mask
-	mask   uint64    // len(events) - 1
-	n      atomic.Uint64
-}
-
-// Record claims the next slot and stores the event. Nil-safe and safe
-// for concurrent use; see the type comment for the torn-slot caveat.
-func (f *Flight) Record(k Kind, a, b int64, span uint64) {
-	if f == nil || len(f.events) == 0 {
-		return
-	}
-	f.RecordAt(time.Since(f.epoch), k, a, b, span)
-}
-
-// RecordTime records with an absolute timestamp the caller already
-// holds (e.g. the end of an op-latency measurement), avoiding a second
-// clock read on the hot path. A zero t reads the clock like Record.
-func (f *Flight) RecordTime(t time.Time, k Kind, a, b int64, span uint64) {
-	if f == nil || len(f.events) == 0 {
-		return
-	}
-	if t.IsZero() {
-		f.RecordAt(time.Since(f.epoch), k, a, b, span)
-		return
-	}
-	f.RecordAt(t.Sub(f.epoch), k, a, b, span)
-}
-
-// RecordAt records with an explicit timestamp relative to the ring's
-// epoch (for tests building synthetic journals).
-func (f *Flight) RecordAt(at time.Duration, k Kind, a, b int64, span uint64) {
-	if f == nil || len(f.events) == 0 {
-		return
-	}
-	pos := f.n.Add(1) - 1
-	f.events[pos&f.mask] = Event{
-		At: at, PE: f.pe, Kind: k, A: a, B: b, Span: span,
-	}
-}
-
-// Len reports the number of retained events.
-func (f *Flight) Len() int {
-	if f == nil {
-		return 0
-	}
-	n := f.n.Load()
-	if n < uint64(len(f.events)) {
-		return int(n)
-	}
-	return len(f.events)
-}
-
-// Dropped reports how many events were overwritten.
-func (f *Flight) Dropped() uint64 {
-	if f == nil {
-		return 0
-	}
-	n := f.n.Load()
-	if n <= uint64(len(f.events)) {
-		return 0
-	}
-	return n - uint64(len(f.events))
-}
-
-// Events returns the retained events, oldest first.
-func (f *Flight) Events() []Event {
-	if f == nil {
-		return nil
-	}
-	n := f.n.Load()
-	start := uint64(0)
-	if n > uint64(len(f.events)) {
-		start = n - uint64(len(f.events))
-	}
-	out := make([]Event, 0, n-start)
-	for i := start; i < n; i++ {
-		out = append(out, f.events[i%uint64(len(f.events))])
-	}
-	return out
-}
-
-// ceilPow2 rounds capacity up to a power of two so the hot-path slot
-// index is a mask, not a division.
-func ceilPow2(capacity int) int {
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	return n
-}
-
-// NewFlight returns one standalone ring outside any set. External
-// journal writers use it — e.g. the sws-dist supervisor, which records
-// the kill actions it performed on behalf of a process whose in-memory
-// ring died with it (a negative pe marks a non-rank observer). The
-// capacity is rounded up to a power of two.
-func NewFlight(pe, capacity int) *Flight {
-	if capacity < 1 {
-		return nil
-	}
-	capacity = ceilPow2(capacity)
-	epoch := time.Now()
-	return &Flight{
-		pe: pe, epoch: epoch, wall: epoch.UnixNano(),
-		events: make([]Event, capacity), mask: uint64(capacity - 1),
-	}
-}
-
-// FlightSet holds one flight ring per PE sharing an epoch, so event
-// timestamps are comparable across the rings of one process.
-type FlightSet struct {
-	rings []*Flight
-}
-
-// NewFlightSet creates per-PE rings of the given capacity (rounded up
-// to a power of two). A capacity < 1 returns a nil set, on which every
-// method (and Flight.Record via the nil PE) is a no-op — the "recorder
-// off" configuration.
-func NewFlightSet(pes, capacity int) *FlightSet {
-	if pes < 1 || capacity < 1 {
-		return nil
-	}
-	capacity = ceilPow2(capacity)
-	epoch := time.Now()
-	wall := epoch.UnixNano()
-	s := &FlightSet{rings: make([]*Flight, pes)}
-	for i := range s.rings {
-		s.rings[i] = &Flight{
-			pe: i, epoch: epoch, wall: wall,
-			events: make([]Event, capacity), mask: uint64(capacity - 1),
-		}
-	}
-	return s
-}
-
-// PE returns the ring for a rank (nil-safe, so call sites record
-// unconditionally).
-func (s *FlightSet) PE(rank int) *Flight {
-	if s == nil || rank < 0 || rank >= len(s.rings) {
-		return nil
-	}
-	return s.rings[rank]
-}
-
-// NumPEs returns the number of rings.
-func (s *FlightSet) NumPEs() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.rings)
-}
 
 // flightHeader is the first JSONL record of a dump: which rank's ring
 // this is, the world size, why it was dumped, and the ring's wall-clock
@@ -204,6 +34,15 @@ type flightLine struct {
 	Span uint64 `json:"span,omitempty"`
 }
 
+// Snapshot copies the ring into the parsed form of its journal.
+func (f *Flight) Snapshot(numPEs int, reason string) FlightDump {
+	evs, claimed := f.retained()
+	return FlightDump{
+		Rank: f.pe, NumPEs: numPEs, Reason: reason, WallNS: f.wall,
+		Dropped: claimed - uint64(len(evs)), Events: evs,
+	}
+}
+
 // WriteTo dumps one ring as JSONL: a header record, then one event per
 // line, oldest first.
 func (f *Flight) WriteTo(w io.Writer, numPEs int, reason string) error {
@@ -212,14 +51,14 @@ func (f *Flight) WriteTo(w io.Writer, numPEs int, reason string) error {
 	}
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	evs := f.Events()
+	d := f.Snapshot(numPEs, reason)
 	if err := enc.Encode(flightHeader{
-		Rank: f.pe, NumPEs: numPEs, Reason: reason,
-		WallNS: f.wall, Events: len(evs), Dropped: f.Dropped(),
+		Rank: d.Rank, NumPEs: d.NumPEs, Reason: d.Reason,
+		WallNS: d.WallNS, Events: len(d.Events), Dropped: d.Dropped,
 	}); err != nil {
 		return err
 	}
-	for _, e := range evs {
+	for _, e := range d.Events {
 		if err := enc.Encode(flightLine{
 			AtNS: int64(e.At), PE: e.PE, Kind: e.Kind.String(),
 			A: e.A, B: e.B, Span: e.Span,
@@ -251,24 +90,8 @@ func (f *Flight) DumpFile(dir string, numPEs int, reason string) (string, error)
 	return path, file.Close()
 }
 
-// DumpAll writes every ring's journal into dir (creating it), for
-// in-process worlds where one process hosts all PEs.
-func (s *FlightSet) DumpAll(dir, reason string) error {
-	if s == nil {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, f := range s.rings {
-		if _, err := f.DumpFile(dir, len(s.rings), reason); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// FlightDump is one parsed journal file.
+// FlightDump is one parsed journal: a file read back, or a live ring's
+// Snapshot.
 type FlightDump struct {
 	Rank    int
 	NumPEs  int

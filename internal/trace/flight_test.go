@@ -5,71 +5,22 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
-
-func TestFlightRingOverwrite(t *testing.T) {
-	f := NewFlight(0, 4)
-	for i := 0; i < 10; i++ {
-		f.RecordAt(time.Duration(i), CommOp, int64(i), 0, 7)
-	}
-	if f.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", f.Len())
-	}
-	if f.Dropped() != 6 {
-		t.Fatalf("Dropped = %d, want 6", f.Dropped())
-	}
-	evs := f.Events()
-	if evs[0].A != 6 || evs[3].A != 9 {
-		t.Fatalf("retained window = %v..%v, want 6..9", evs[0].A, evs[3].A)
-	}
-}
-
-func TestFlightOffIsNil(t *testing.T) {
-	if NewFlight(0, 0) != nil {
-		t.Fatal("capacity 0 should disable the ring")
-	}
-	if NewFlightSet(4, -1) != nil {
-		t.Fatal("negative capacity should disable the set")
-	}
-	// Every op on the nil forms must be a no-op, not a panic.
-	var f *Flight
-	f.Record(CommOp, 1, 2, 3)
-	var s *FlightSet
-	s.PE(0).Record(CommOp, 1, 2, 3)
-	if err := s.DumpAll(t.TempDir(), "off"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFlightConcurrentWriters(t *testing.T) {
-	f := NewFlight(0, 1024)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				f.Record(VictimOp, int64(g), int64(i), uint64(g+1))
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := f.Dropped() + uint64(f.Len()); got != 8000 {
-		t.Fatalf("recorded %d events, want 8000", got)
-	}
-}
 
 func TestFlightDumpRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s := NewFlightSet(2, 16)
+	s, err := NewSet(2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.PE(0).RecordAt(5, StealSpanStart, 1, 0, 42)
 	s.PE(0).RecordAt(9, StealSpanEnd, 1, 3, 42)
 	s.PE(1).RecordAt(7, VictimOp, 2, 0, 42)
-	if err := s.DumpAll(dir, "unit test"); err != nil {
-		t.Fatal(err)
+	for r := 0; r < s.NumPEs(); r++ {
+		if _, err := s.PE(r).DumpFile(dir, s.NumPEs(), "unit test"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	d0, err := ReadFlightDumpFile(filepath.Join(dir, FlightDumpName(0)))
 	if err != nil {
@@ -135,21 +86,5 @@ func TestFlightWriteToNilErrors(t *testing.T) {
 	var f *Flight
 	if err := f.WriteTo(os.Stderr, 1, "x"); err == nil {
 		t.Fatal("nil WriteTo should error")
-	}
-}
-
-func BenchmarkFlightRecord(b *testing.B) {
-	f := NewFlight(0, 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.Record(CommOp, 1, 2, 3)
-	}
-}
-
-func BenchmarkFlightRecordAt(b *testing.B) {
-	f := NewFlight(0, 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.RecordAt(time.Duration(i), CommOp, 1, 2, 3)
 	}
 }

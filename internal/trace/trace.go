@@ -1,16 +1,18 @@
-// Package trace records per-PE runtime events into fixed-size ring
-// buffers for post-mortem analysis of scheduling behaviour: who stole
-// from whom and when, when queues released or acquired work, how long
-// termination detection took. Tracing is off unless a Set is attached to
-// the pool configuration; each buffer has a single writer (its PE), so
-// recording is a few stores with no synchronization on the hot path.
+// Package trace records per-PE runtime events into fixed-size rings for
+// post-mortem analysis of scheduling behaviour: who stole from whom and
+// when, when queues released or acquired work, how long termination
+// detection took. There is one ring type, Flight, and every PE of a world
+// has exactly one: the world's own small always-on ring (the flight
+// recorder: steal spans, queue depths, epoch flips, liveness and membership
+// transitions), or — for a run that attached a Set through the pool
+// configuration — that Set's ring, which takes the same events plus the
+// per-task and per-scheduling-step kinds. flight.go is the JSONL journal a
+// ring is dumped to; internal/inspect renders journals and Sets alike.
 package trace
 
 import (
 	"fmt"
-	"io"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -151,183 +153,192 @@ func (e Event) String() string {
 	return fmt.Sprintf("%12v pe=%d %-14s a=%d b=%d", e.At, e.PE, e.Kind, e.A, e.B)
 }
 
-// Buffer is one PE's event ring. By default a single goroutine (the
-// owning PE) writes and recording is unsynchronized; a multi-worker PE
-// calls EnableConcurrent before starting its workers, after which
-// recording takes a mutex. Reads happen after the run either way.
-type Buffer struct {
-	pe     int
-	epoch  time.Time
-	events []Event
-	n      uint64 // total recorded (may exceed len(events))
-
-	// mu, when non-nil, serializes writers (see EnableConcurrent). Left
-	// nil in the default single-writer mode so the hot path stays a few
-	// plain stores.
-	mu *sync.Mutex
+// Flight is one PE's event ring: a bounded, overwrite-oldest journal,
+// cheap enough to leave running in production and read only after the
+// run or when something goes wrong.
+//
+// A ring has many writers — transport handler goroutines record
+// victim-side events into the target PE's ring while the PE's own workers
+// record initiator-side events — and may be read while they write (a
+// failure dump does not stop the world). A position is claimed with one
+// atomic increment; the slot it maps to is then held, for the length of a
+// 56-byte copy, by a try-lock nobody waits on: a writer that laps one
+// still inside the slot, or meets a reader there, drops its own event, and
+// a reader skips a slot it finds held or not yet written.
+type Flight struct {
+	pe    int
+	epoch time.Time // monotonic base for Event.At
+	wall  int64     // epoch as wall-clock UnixNano, for cross-process alignment
+	slots []slot    // length is a power of two, so slot index is a mask
+	mask  uint64    // len(slots) - 1
+	n     atomic.Uint64
 }
 
-// EnableConcurrent switches the buffer to mutex-guarded recording so the
-// worker goroutines of a multi-worker PE can all write to it. Call it
-// before the first concurrent Record; it is not itself safe to race with
-// recording. Nil-safe.
-func (b *Buffer) EnableConcurrent() {
-	if b == nil || b.mu != nil {
+type slot struct {
+	held atomic.Bool
+	pos  uint64 // 1 + the position of the event held (0: never written)
+	ev   Event
+}
+
+// newFlight builds a ring of at least capacity slots (rounded up to a
+// power of two so the hot-path slot index is a mask, not a division).
+func newFlight(pe, capacity int, epoch time.Time) *Flight {
+	n := 1
+	for n < capacity {
+		n <<= 1
+	}
+	return &Flight{pe: pe, epoch: epoch, wall: epoch.UnixNano(), slots: make([]slot, n), mask: uint64(n - 1)}
+}
+
+// NewFlight returns one standalone ring outside any set. External
+// journal writers use it — e.g. the sws-dist supervisor, which records
+// the kill actions it performed on behalf of a process whose in-memory
+// ring died with it (a negative pe marks a non-rank observer). A
+// capacity < 1 returns nil, on which every method is a no-op.
+func NewFlight(pe, capacity int) *Flight {
+	if capacity < 1 {
+		return nil
+	}
+	return newFlight(pe, capacity, time.Now())
+}
+
+// Record claims the next slot and stores the event, stamped now. Nil-safe
+// and safe for concurrent use.
+func (f *Flight) Record(k Kind, a, b int64, span uint64) {
+	if f != nil {
+		f.RecordAt(time.Since(f.epoch), k, a, b, span)
+	}
+}
+
+// RecordTime records with an absolute timestamp the caller already
+// holds (e.g. the end of an op-latency measurement), avoiding a second
+// clock read on the hot path. A zero t reads the clock like Record.
+func (f *Flight) RecordTime(t time.Time, k Kind, a, b int64, span uint64) {
+	switch {
+	case f == nil:
+	case t.IsZero():
+		f.RecordAt(time.Since(f.epoch), k, a, b, span)
+	default:
+		f.RecordAt(t.Sub(f.epoch), k, a, b, span)
+	}
+}
+
+// RecordAt records with an explicit timestamp relative to the ring's
+// epoch (for replaying externally timed events and synthetic journals).
+func (f *Flight) RecordAt(at time.Duration, k Kind, a, b int64, span uint64) {
+	if f == nil {
 		return
 	}
-	b.mu = &sync.Mutex{}
+	pos := f.n.Add(1)
+	if s := &f.slots[(pos-1)&f.mask]; s.held.CompareAndSwap(false, true) {
+		s.pos, s.ev = pos, Event{At: at, PE: f.pe, Kind: k, A: a, B: b, Span: span}
+		s.held.Store(false)
+	}
 }
 
-// Record appends an event, overwriting the oldest once the ring is full.
-func (b *Buffer) Record(k Kind, a, bval int64) {
-	if b == nil || len(b.events) == 0 {
-		return
+// window returns the positions [start, end) of the retained events.
+func (f *Flight) window() (start, end uint64) {
+	if f == nil {
+		return 0, 0
 	}
-	b.record(time.Since(b.epoch), k, a, bval, 0)
-}
-
-// RecordSpan appends a span-tagged event (see Event.Span).
-func (b *Buffer) RecordSpan(k Kind, a, bval int64, span uint64) {
-	if b == nil || len(b.events) == 0 {
-		return
+	end = f.n.Load()
+	if size := uint64(len(f.slots)); end > size {
+		start = end - size
 	}
-	b.record(time.Since(b.epoch), k, a, bval, span)
-}
-
-// RecordAt appends an event with an explicit timestamp relative to the
-// Set's epoch — for replaying externally timed events and for building
-// synthetic timelines in tests.
-func (b *Buffer) RecordAt(at time.Duration, k Kind, a, bval int64) {
-	if b == nil || len(b.events) == 0 {
-		return
-	}
-	b.record(at, k, a, bval, 0)
-}
-
-func (b *Buffer) record(at time.Duration, k Kind, a, bval int64, span uint64) {
-	if b.mu != nil {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-	}
-	b.events[b.n%uint64(len(b.events))] = Event{
-		At: at, PE: b.pe, Kind: k, A: a, B: bval, Span: span,
-	}
-	b.n++
+	return start, end
 }
 
 // Len reports the number of retained events.
-func (b *Buffer) Len() int {
-	if b == nil {
-		return 0
-	}
-	if b.n < uint64(len(b.events)) {
-		return int(b.n)
-	}
-	return len(b.events)
+func (f *Flight) Len() int {
+	start, end := f.window()
+	return int(end - start)
 }
 
 // Dropped reports how many events were overwritten.
-func (b *Buffer) Dropped() uint64 {
-	if b == nil || b.n <= uint64(len(b.events)) {
-		return 0
-	}
-	return b.n - uint64(len(b.events))
+func (f *Flight) Dropped() uint64 {
+	start, _ := f.window()
+	return start
 }
 
-// Events returns the retained events, oldest first.
-func (b *Buffer) Events() []Event {
-	if b == nil {
-		return nil
-	}
-	out := make([]Event, 0, b.Len())
-	start := uint64(0)
-	if b.n > uint64(len(b.events)) {
-		start = b.n - uint64(len(b.events))
-	}
-	for i := start; i < b.n; i++ {
-		out = append(out, b.events[i%uint64(len(b.events))])
-	}
-	return out
+// Events returns the retained events, oldest first (but those a writer
+// is still storing, or dropped).
+func (f *Flight) Events() []Event {
+	evs, _ := f.retained()
+	return evs
 }
 
-// Set holds one buffer per PE with a shared epoch, so event timestamps
-// are comparable across PEs.
+// retained is Events plus the number of positions claimed when it looked.
+func (f *Flight) retained() ([]Event, uint64) {
+	start, end := f.window()
+	out := make([]Event, 0, end-start)
+	for i := start; i < end; i++ {
+		if s := &f.slots[i&f.mask]; s.held.CompareAndSwap(false, true) {
+			if s.pos == i+1 {
+				out = append(out, s.ev)
+			}
+			s.held.Store(false)
+		}
+	}
+	return out, end
+}
+
+// Set holds one ring per PE with a shared epoch, so event timestamps are
+// comparable across PEs.
 type Set struct {
-	buffers []*Buffer
+	rings []*Flight
 }
 
-// NewSet creates per-PE buffers of the given capacity.
+// NewSet creates per-PE rings of the given capacity (rounded up to a
+// power of two).
 func NewSet(pes, capacity int) (*Set, error) {
 	if pes < 1 || capacity < 1 {
 		return nil, fmt.Errorf("trace: need pes >= 1 and capacity >= 1 (got %d, %d)", pes, capacity)
 	}
 	epoch := time.Now()
-	s := &Set{buffers: make([]*Buffer, pes)}
-	for i := range s.buffers {
-		s.buffers[i] = &Buffer{pe: i, epoch: epoch, events: make([]Event, capacity)}
+	s := &Set{rings: make([]*Flight, pes)}
+	for i := range s.rings {
+		s.rings[i] = newFlight(i, capacity, epoch)
 	}
 	return s, nil
 }
 
-// PE returns the buffer for a rank (nil-safe for a nil Set, so call sites
-// can record unconditionally).
-func (s *Set) PE(rank int) *Buffer {
-	if s == nil || rank < 0 || rank >= len(s.buffers) {
+// PE returns the ring for a rank (nil-safe for a nil Set and nil for a
+// rank outside it, so call sites can record unconditionally).
+func (s *Set) PE(rank int) *Flight {
+	if s == nil || rank < 0 || rank >= len(s.rings) {
 		return nil
 	}
-	return s.buffers[rank]
+	return s.rings[rank]
 }
 
-// Merged returns every PE's events merged into timestamp order. Ties on
-// the timestamp break by PE (and the per-PE order is the recording
-// order), so the merged timeline — and everything derived from it, like
-// Dump and WriteJSON — is deterministic.
-func (s *Set) Merged() []Event {
-	var all []Event
-	for _, b := range s.buffers {
-		all = append(all, b.Events()...)
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].At != all[j].At {
-			return all[i].At < all[j].At
-		}
-		return all[i].PE < all[j].PE
-	})
-	return all
-}
-
-// NumPEs returns the number of per-PE buffers in the set.
+// NumPEs returns the number of rings in the set.
 func (s *Set) NumPEs() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.buffers)
+	return len(s.rings)
 }
 
-// Dump writes the merged timeline.
-func (s *Set) Dump(w io.Writer) error {
-	for _, e := range s.Merged() {
-		if _, err := fmt.Fprintln(w, e); err != nil {
-			return err
-		}
+// Dumps snapshots every ring as the journal it would be dumped to, the
+// form internal/inspect builds its report from.
+func (s *Set) Dumps(reason string) []FlightDump {
+	out := make([]FlightDump, s.NumPEs())
+	for i := range out {
+		out[i] = s.rings[i].Snapshot(len(out), reason)
 	}
-	var dropped uint64
-	for _, b := range s.buffers {
-		dropped += b.Dropped()
-	}
-	if dropped > 0 {
-		if _, err := fmt.Fprintf(w, "(%d older events dropped)\n", dropped); err != nil {
-			return err
-		}
-	}
-	return nil
+	return out
 }
+
+// Merged returns every PE's events merged into timestamp order. Ties on
+// the timestamp break by PE (and the per-PE order is the recording
+// order), so the merged timeline is deterministic.
+func (s *Set) Merged() []Event { return MergeFlightDumps(s.Dumps("")) }
 
 // CountByKind tallies retained events per kind across all PEs.
 func (s *Set) CountByKind() map[Kind]int {
 	out := make(map[Kind]int)
-	for _, b := range s.buffers {
-		for _, e := range b.Events() {
+	for i := 0; i < s.NumPEs(); i++ {
+		for _, e := range s.rings[i].Events() {
 			out[e.Kind]++
 		}
 	}

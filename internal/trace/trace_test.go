@@ -1,9 +1,10 @@
 package trace
 
 import (
-	"bytes"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestNewSetValidation(t *testing.T) {
@@ -15,70 +16,93 @@ func TestNewSetValidation(t *testing.T) {
 	}
 }
 
-func TestRecordAndEvents(t *testing.T) {
-	s, err := NewSet(2, 8)
+// TestRing is the one ring's table: what it retains before and after it
+// wraps, how a capacity rounds, and that every nil form — no set, a rank
+// outside the set, a disabled standalone ring — records nothing and does
+// not panic.
+func TestRing(t *testing.T) {
+	set, err := NewSet(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := s.PE(0)
-	b.Record(StealOK, 1, 5)
-	b.Record(TaskExec, 7, 100)
-	if b.Len() != 2 || b.Dropped() != 0 {
-		t.Fatalf("len=%d dropped=%d", b.Len(), b.Dropped())
-	}
-	evs := b.Events()
-	if evs[0].Kind != StealOK || evs[0].A != 1 || evs[0].B != 5 {
-		t.Errorf("event 0 = %+v", evs[0])
-	}
-	if evs[1].Kind != TaskExec || evs[1].PE != 0 {
-		t.Errorf("event 1 = %+v", evs[1])
-	}
-	if evs[1].At < evs[0].At {
-		t.Error("timestamps not monotonic")
-	}
-}
-
-func TestRingOverwrite(t *testing.T) {
-	s, err := NewSet(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := s.PE(0)
-	for i := 0; i < 10; i++ {
-		b.Record(TaskExec, int64(i), 0)
-	}
-	if b.Len() != 4 || b.Dropped() != 6 {
-		t.Fatalf("len=%d dropped=%d", b.Len(), b.Dropped())
-	}
-	evs := b.Events()
-	for i, e := range evs {
-		if e.A != int64(6+i) {
-			t.Errorf("event %d: A=%d, want %d (oldest retained first)", i, e.A, 6+i)
+	var noSet *Set
+	for _, tc := range []struct {
+		name                string
+		ring                *Flight
+		records             int
+		wantLen, wantFirstA int
+		wantDropped         uint64
+	}{
+		{"partly filled", NewFlight(0, 8), 2, 2, 0, 0},
+		{"exactly full", NewFlight(0, 4), 4, 4, 0, 0},
+		{"wrapped: the oldest go first", NewFlight(0, 4), 10, 4, 6, 6},
+		{"a set's ring wraps alike", set.PE(1), 10, 4, 6, 6},
+		{"capacity rounds up to a power of two", NewFlight(0, 5), 10, 8, 2, 2},
+		{"capacity 1", NewFlight(0, 1), 3, 1, 2, 2},
+		{"capacity 0 disables the ring", NewFlight(0, 0), 3, 0, 0, 0},
+		{"negative capacity too", NewFlight(0, -1), 3, 0, 0, 0},
+		{"nil set", noSet.PE(0), 3, 0, 0, 0},
+		{"rank outside the set", set.PE(9), 3, 0, 0, 0},
+	} {
+		for i := 0; i < tc.records; i++ {
+			switch i % 3 { // all three entry points claim slots alike
+			case 0:
+				tc.ring.Record(StealOK, int64(i), 5, 7)
+			case 1:
+				tc.ring.RecordTime(time.Time{}, StealOK, int64(i), 5, 7)
+			default:
+				tc.ring.RecordTime(time.Now(), StealOK, int64(i), 5, 7)
+			}
+		}
+		evs := tc.ring.Events()
+		if tc.ring.Len() != tc.wantLen || len(evs) != tc.wantLen || tc.ring.Dropped() != tc.wantDropped {
+			t.Errorf("%s: Len %d, %d events, Dropped %d; want %d, %d, %d", tc.name,
+				tc.ring.Len(), len(evs), tc.ring.Dropped(), tc.wantLen, tc.wantLen, tc.wantDropped)
+			continue
+		}
+		for i, e := range evs {
+			if e.A != int64(tc.wantFirstA+i) || e.Kind != StealOK || e.B != 5 || e.Span != 7 {
+				t.Errorf("%s: event %d = %+v, want A=%d (oldest retained first)", tc.name, i, e, tc.wantFirstA+i)
+			}
+			if i > 0 && e.At < evs[i-1].At {
+				t.Errorf("%s: timestamps not monotonic at event %d", tc.name, i)
+			}
 		}
 	}
-}
-
-func TestNilSafety(t *testing.T) {
-	var s *Set
-	b := s.PE(0) // nil set -> nil buffer
-	b.Record(TaskExec, 1, 2)
-	if b.Len() != 0 {
-		t.Error("nil buffer recorded")
-	}
-	real, _ := NewSet(1, 4)
-	if real.PE(9) != nil {
-		t.Error("out-of-range PE not nil")
+	if evs := set.PE(1).Events(); evs[0].PE != 1 {
+		t.Errorf("a set's ring stamps PE %d, want its rank 1", evs[0].PE)
 	}
 }
 
-func TestMergedAndDump(t *testing.T) {
+// TestFlightConcurrentWriters: the slot claim serves many writers — a PE's
+// workers and the peers that stamp their steals into its ring — without
+// losing a claim (run under -race -count=10 in CI).
+func TestFlightConcurrentWriters(t *testing.T) {
+	f := NewFlight(0, 1024)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				f.Record(VictimOp, int64(g), int64(i), uint64(g+1))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := f.Dropped() + uint64(f.Len()); got != 8000 {
+		t.Fatalf("recorded %d events, want 8000", got)
+	}
+}
+
+func TestMergedAndCounts(t *testing.T) {
 	s, err := NewSet(2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.PE(0).Record(Release, 0, 4)
-	s.PE(1).Record(StealOK, 0, 2)
-	s.PE(0).Record(Acquire, 0, 1)
+	s.PE(0).Record(Release, 0, 4, 0)
+	s.PE(1).Record(StealOK, 0, 2, 0)
+	s.PE(0).Record(Acquire, 0, 1, 0)
 	merged := s.Merged()
 	if len(merged) != 3 {
 		t.Fatalf("merged %d events", len(merged))
@@ -88,14 +112,13 @@ func TestMergedAndDump(t *testing.T) {
 			t.Error("merge not time-ordered")
 		}
 	}
-	var buf bytes.Buffer
-	if err := s.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
 	for _, want := range []string{"release", "steal-ok", "acquire"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dump missing %q:\n%s", want, out)
+		found := false
+		for _, e := range merged {
+			found = found || strings.Contains(e.String(), want)
+		}
+		if !found {
+			t.Errorf("no merged event renders as %q: %v", want, merged)
 		}
 	}
 	counts := s.CountByKind()
@@ -112,5 +135,21 @@ func TestKindStrings(t *testing.T) {
 	}
 	if Kind(200).String() == "" {
 		t.Error("unknown kind empty")
+	}
+}
+
+func BenchmarkFlightRecord(b *testing.B) {
+	f := NewFlight(0, 4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f.Record(CommOp, 1, 2, 3)
+	}
+}
+
+func BenchmarkFlightRecordAt(b *testing.B) {
+	f := NewFlight(0, 4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f.RecordAt(time.Duration(i), CommOp, 1, 2, 3)
 	}
 }

@@ -297,3 +297,21 @@ var (
 	// TinyBin is a small binomial tree for tests.
 	TinyBin = Params{Type: Binomial, B0: 100, Seed: 42, Q: 0.2, M: 4}
 )
+
+// Preset resolves the name a command line or a job spec gives a standard
+// tree by.
+func Preset(name string) (Params, error) {
+	switch name {
+	case "tiny":
+		return Tiny, nil
+	case "small":
+		return Small, nil
+	case "t1":
+		return T1, nil
+	case "tinybin":
+		return TinyBin, nil
+	case "tinylinear":
+		return TinyLinear, nil
+	}
+	return Params{}, fmt.Errorf("uts: unknown tree preset %q (tiny|small|t1|tinybin|tinylinear)", name)
+}

@@ -98,8 +98,11 @@ func ParseArgs(payload []byte, n int) ([]uint64, error) { return task.ParseArgs(
 // NewRegistry returns an empty task registry.
 func NewRegistry() *Registry { return pool.NewRegistry() }
 
-// NewTrace builds per-PE event buffers to attach to Config.Trace; after
-// Run, inspect it with Merged, CountByKind, or Dump.
+// NewTrace builds per-PE event rings to attach to Config.Trace: they take
+// the place of the world's flight rings for the run and also record every
+// task execution and scheduling step. After Run, read it with Merged or
+// CountByKind, or render it like a flight journal: Dumps feeds
+// internal/inspect's text report and Perfetto export.
 func NewTrace(pes, capacity int) (*Trace, error) { return trace.NewSet(pes, capacity) }
 
 // Config describes a run of the task pool.
