@@ -11,8 +11,10 @@ import (
 // one schedule step (odd = thief steal, even = owner op, biased toward
 // Push so small rings are forced through grow, spill, and shrink). The
 // harness's reference model then checks exactly-once delivery and a fully
-// drained arena, so the mutator is free to hunt for op orders that tear
-// the reseat or lose a spilled task.
+// drained arena, and after every owner op that no idle completion slot
+// holds a stale count (idleSlotsZero), so the mutator is free to hunt for
+// op orders that tear the reseat, lose a spilled task or leave a slot
+// dirty for the next epoch of its parity.
 func FuzzGrowShrinkSpill(f *testing.F) {
 	// A push flood into a 4-slot ring (grow + spill), then steals and a
 	// drain; a mixed schedule; a shrink-heavy schedule.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"sws/internal/shmem"
@@ -15,7 +16,8 @@ import (
 // (PE 0) and a thief (PE 1) in randomized lockstep through every queue
 // operation, then checks the fundamental invariant against a reference
 // model — every pushed task is obtained exactly once, either by an owner
-// pop or a thief steal, and nothing else is ever produced.
+// pop or a thief steal, and nothing else is ever produced — and, after
+// every owner op, that completion slots no epoch record uses are zero.
 //
 // Unlike the free-running stress tests, lockstep scheduling explores
 // adversarial interleavings deterministically per seed (e.g. a steal
@@ -155,6 +157,9 @@ func runModelScheduleSteps(t *testing.T, opts Options, seed int64, schedule []mo
 						}
 					}
 				}
+				if me == 0 && oerr == nil {
+					oerr = idleSlotsZero(q)
+				}
 				done <- oerr
 			}
 			if me == 0 {
@@ -208,6 +213,29 @@ func runModelScheduleSteps(t *testing.T, opts Options, seed int64, schedule []mo
 		}
 	}
 	return ownerStats, nil
+}
+
+// idleSlotsZero checks, on the owner between its ops, the invariant that
+// lets startEpoch zero only the slots of its block's plan: every completion
+// slot no live epoch record can use is zero. A parity no record holds is
+// zero throughout — the records that drained out of it zeroed every slot
+// their claims used — and a held parity is zero past the longest plan of
+// the records holding it.
+func idleSlotsZero(q *Queue) error {
+	for p := 0; p < MaxEpochs; p++ {
+		inUse := 0
+		for _, rec := range q.recs {
+			if rec.parity == p {
+				inUse = max(inUse, q.policy.PlanLen(rec.itasks))
+			}
+		}
+		for b := inUse; b < q.maxSlots; b++ {
+			if w := atomic.LoadUint64(q.completionSlot(p, b)); w != 0 {
+				return fmt.Errorf("completion slot %d of parity %d holds %d with no epoch record using it (records %+v)", b, p, w, q.recs)
+			}
+		}
+	}
+	return nil
 }
 
 func TestModelInterleavingsV2(t *testing.T) {

@@ -191,6 +191,12 @@ type Queue struct {
 	curEpoch int        // monotonic epoch counter (parity indexes arrays)
 	recs     []epochRec // oldest-first; last entry is the current block
 	maxIT    int        // cap on an advertised block
+	// plan is the current block's steal plan as the owner reads it:
+	// plan[i] = Offset(itasks, i) for i = 0..PlanLen(itasks). startEpoch
+	// builds it when it publishes the block, so the per-task SharedAvail
+	// and retire index it instead of re-walking the plan; thieves derive
+	// their own plan from the word they fetched.
+	plan []int
 
 	// Thief-side damping state: per-victim mode (false=full, true=empty).
 	emptyMode []bool
@@ -341,6 +347,9 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 		}
 	}
 	// Publish an empty, valid block for epoch 0, and the initial geometry.
+	// The plan table never outgrows maxSlots+1 entries (MaxBlock bounds
+	// every block's plan by the completion slots).
+	q.plan = q.policy.Offsets(make([]int, 0, q.maxSlots+1), 0)
 	if err := q.publish(0, 0); err != nil {
 		return nil, err
 	}
@@ -402,8 +411,12 @@ func (q *Queue) SharedAvail() int {
 	if !v.Valid {
 		return 0
 	}
-	return v.ITasks - q.policy.Offset(v.ITasks, q.clampAttempts(v))
+	return v.ITasks - q.plan[q.ownClaims(v)]
 }
+
+// ownClaims is clampAttempts for the owner's own current block, read off
+// the plan table.
+func (q *Queue) ownClaims(v Stealval) int { return min(int(v.Asteals), len(q.plan)-1) }
 
 // clampAttempts bounds the raw asteals counter by the steal plan length.
 func (q *Queue) clampAttempts(v Stealval) int {
@@ -537,8 +550,8 @@ func (q *Queue) retire() (unclaimed int, err error) {
 	if v.ITasks != rec.itasks {
 		return 0, fmt.Errorf("core: stealval itasks %d does not match epoch record %d", v.ITasks, rec.itasks)
 	}
-	rec.claimedBlocks = q.clampAttempts(v)
-	rec.claimedTasks = q.policy.Offset(rec.itasks, rec.claimedBlocks)
+	rec.claimedBlocks = q.ownClaims(v)
+	rec.claimedTasks = q.plan[rec.claimedBlocks]
 	unclaimed = rec.itasks - rec.claimedTasks
 	// Advance stail past the claimed prefix; the unclaimed remainder is
 	// redistributed by the caller (acquire keeps/localizes it; release
@@ -702,15 +715,24 @@ func (q *Queue) forceCloseStalled() {
 }
 
 // startEpoch begins a new completion epoch: waits for its parity's
-// completion array to drain, zeroes it, and appends the record.
-// The caller must have retired the previous block.
+// completion array to drain, builds the block's plan table, zeroes the
+// slots that plan can use, and appends the record. The caller must have
+// retired the previous block.
+//
+// Only the plan's slots are zeroed: Progress already zeroed every slot a
+// drained record's claims used, so the rest of the parity is zero (the
+// model harness checks this after every owner op), and a slot past the
+// plan is one no thief of this block writes and Progress never reads. The
+// zeroing that is left covers a straggler whose store landed after a
+// force-close wrote its slot off.
 func (q *Queue) startEpoch(itasks int) error {
 	q.curEpoch++
 	p := q.parity()
 	if err := q.waitParityFree(p); err != nil {
 		return err
 	}
-	for b := 0; b < q.maxSlots; b++ {
+	q.plan = q.policy.Offsets(q.plan[:0], itasks)
+	for b := range len(q.plan) - 1 {
 		atomic.StoreUint64(q.completionSlot(p, b), 0)
 	}
 	q.recs = append(q.recs, epochRec{start: q.stail, itasks: itasks, parity: p, claimedBlocks: -1})

@@ -60,6 +60,16 @@ type mailbox struct {
 	// Send and drain both run on the PE's owner goroutine only.
 	known   []uint64
 	sendBuf []byte
+
+	// ownDrain is the owner's inbox drain (Pool.stepDrainInbox), run between
+	// credit polls while a send waits on a full ring: two PEs whose task
+	// bodies spawn onto each other with both rings full then each make room
+	// for the other instead of waiting out pushTimeout. draining is set for
+	// the length of a drain, so a send from inside one — a departing PE
+	// forwarding what it drains — does not start a second drain over the
+	// slot the first is still reading.
+	ownDrain func() (bool, error)
+	draining bool
 }
 
 const defaultMailboxSlots = 256
@@ -122,8 +132,9 @@ func (m *mailbox) send(pe int, d task.Desc) error {
 }
 
 // awaitCredit refreshes known[pe] until it covers ticket: the previous
-// lap's task has left the ticket's slot. A ring that stays full means the
-// owner is not draining.
+// lap's task has left the ticket's slot. Between polls the sender drains
+// its own inbox, since pe may be waiting on it the same way. A ring that
+// stays full means the owner is not draining.
 func (m *mailbox) awaitCredit(pe int, ticket uint64) error {
 	var deadline time.Time
 	for {
@@ -144,6 +155,11 @@ func (m *mailbox) awaitCredit(pe int, ticket uint64) error {
 			return fmt.Errorf("pool: PE %d inbox stayed full for %v: ticket %d, read cursor %d, %d slots (receiver not draining?)",
 				pe, pushTimeout, ticket, cursor, m.slots)
 		}
+		if m.ownDrain != nil && !m.draining {
+			if _, err := m.ownDrain(); err != nil {
+				return err
+			}
+		}
 		m.ctx.Relax()
 	}
 }
@@ -154,6 +170,7 @@ func (m *mailbox) awaitCredit(pe int, ticket uint64) error {
 // frees the slot is published after the batch.
 func (m *mailbox) drain(push func(task.Desc) error) (int, error) {
 	first := m.readCursor
+	m.draining = true
 	var err error
 	for {
 		slot := int(m.readCursor % m.slots)
@@ -170,6 +187,7 @@ func (m *mailbox) drain(push func(task.Desc) error) (int, error) {
 		}
 		m.readCursor++
 	}
+	m.draining = false
 	delivered := int(m.readCursor - first)
 	if delivered > 0 {
 		atomic.StoreUint64(m.credit, m.readCursor)

@@ -2,8 +2,10 @@ package pool
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sws/internal/shmem"
 	"sws/internal/task"
@@ -144,6 +146,76 @@ func testMailboxWraps(t *testing.T, slots int) {
 	})
 	if ran.Load() != sends {
 		t.Fatalf("ran %d, want %d", ran.Load(), sends)
+	}
+}
+
+// TestMailboxMutualFullWait: two PEs whose task bodies spawn onto each other
+// while both 2-slot inboxes are full make room for each other — a sender
+// waiting for credit drains its own inbox — instead of both waiting out
+// pushTimeout and failing a valid program with "inbox stayed full". The two
+// roots meet before sending, so both senders are inside a body, past their
+// rings' two free slots, at once.
+func TestMailboxMutualFullWait(t *testing.T) {
+	const rootFan, fan, depth = 8, 2, 2
+	// Each root sends rootFan subtrees of depth `depth` with fan-out fan.
+	const want = 2 * (1 + rootFan*(1+fan+fan*fan))
+	for _, kind := range []shmem.TransportKind{shmem.TransportLocal, shmem.TransportShm} {
+		t.Run(kind.String(), func(t *testing.T) {
+			if kind == shmem.TransportShm && !shmem.ShmSupported() {
+				t.Skip("shm transport unsupported on this platform")
+			}
+			var ran atomic.Int64
+			var met atomic.Int32
+			start := time.Now()
+			runWorld(t, 2, kind, func(c *shmem.Ctx) error {
+				reg := NewRegistry()
+				other := 1 - c.Rank()
+				var node task.Handle
+				node = reg.MustRegister("node", func(tc *TaskCtx, payload []byte) error {
+					ran.Add(1)
+					args, err := task.ParseArgs(payload, 1)
+					if err != nil || args[0] == 0 {
+						return err
+					}
+					for i := 0; i < fan; i++ {
+						if err := tc.SpawnOn(other, node, task.Args(args[0]-1)); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				root := reg.MustRegister("root", func(tc *TaskCtx, _ []byte) error {
+					ran.Add(1)
+					met.Add(1)
+					for deadline := time.Now().Add(5 * time.Second); met.Load() < 2; {
+						if time.Now().After(deadline) {
+							return fmt.Errorf("the other root never started")
+						}
+						runtime.Gosched()
+					}
+					for i := 0; i < rootFan; i++ {
+						if err := tc.SpawnOn(other, node, task.Args(depth)); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				p, err := New(c, reg, Config{Seed: 1, MailboxSlots: 2})
+				if err != nil {
+					return err
+				}
+				if err := p.Add(root, nil); err != nil {
+					return err
+				}
+				return p.Run()
+			})
+			if n := ran.Load(); n != want {
+				t.Errorf("ran %d tasks, want %d", n, want)
+			}
+			if el := time.Since(start); el > 2*time.Second {
+				t.Errorf("mutual full-inbox sends took %v, want well under 2s", el)
+			}
+		})
 	}
 }
 

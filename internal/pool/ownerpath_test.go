@@ -6,6 +6,7 @@ import (
 	"time"
 	"unsafe"
 
+	"sws/internal/obs"
 	"sws/internal/shmem"
 	"sws/internal/stats"
 	"sws/internal/task"
@@ -16,7 +17,7 @@ import (
 // 0 %. For the owner and for an executor alike, spawning, popping and
 // running a task allocates nothing; the owner issues no one-sided op on the
 // PE's own heap; and at every worker count a busy PE sleeps never, and
-// reads the clock and cedes the processor once in execSampleEvery tasks.
+// reads the clock and cedes the processor once in obs.SampleEvery tasks.
 
 // runTree runs a binary tree of the given depth on a 1-PE world (no peers,
 // so no steals) and returns the PE's statistics, its self-targeted op
@@ -164,7 +165,7 @@ func TestBusyOwnerNeverSleeps(t *testing.T) {
 func TestBusyOwnerYieldCadence(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		st, _, _, yields := runTree(t, 14, Config{Workers: workers})
-		if budget := st.TasksExecuted/execSampleEvery + st.IdleIters + uint64(workers); yields == 0 || yields > budget {
+		if budget := st.TasksExecuted/obs.SampleEvery + st.IdleIters + uint64(workers); yields == 0 || yields > budget {
 			t.Errorf("Workers=%d: %d scheduler yields over %d tasks with %d idle iterations, want 1..%d",
 				workers, yields, st.TasksExecuted, st.IdleIters, budget)
 		}
@@ -188,12 +189,12 @@ func TestRingCarriesTransfersNotTasks(t *testing.T) {
 	}
 }
 
-// TestExecTimeSampled: the exec clock times one body in execSampleEvery
+// TestExecTimeSampled: the exec clock times one body in obs.SampleEvery
 // and Stats scales the sum up, so ExecTime still estimates the time spent
 // in task bodies; with a trace buffer attached every task is timed and has
 // its TaskExec event.
 func TestExecTimeSampled(t *testing.T) {
-	const tasks, spin = 16 * execSampleEvery, 10 * time.Microsecond
+	const tasks, spin = 16 * obs.SampleEvery, 10 * time.Microsecond
 	run := func(tr *trace.Set) (st stats.PE, sampled uint64) {
 		runWorld(t, 1, shmem.TransportLocal, func(c *shmem.Ctx) error {
 			reg := NewRegistry()
@@ -233,8 +234,8 @@ func TestExecTimeSampled(t *testing.T) {
 	var got time.Duration
 	for attempt := 0; attempt < 20; attempt++ {
 		st, sampled := run(nil)
-		if st.TasksExecuted != tasks || sampled != tasks/execSampleEvery {
-			t.Fatalf("executed %d tasks and timed %d, want %d and %d", st.TasksExecuted, sampled, tasks, tasks/execSampleEvery)
+		if st.TasksExecuted != tasks || sampled != tasks/obs.SampleEvery {
+			t.Fatalf("executed %d tasks and timed %d, want %d and %d", st.TasksExecuted, sampled, tasks, tasks/obs.SampleEvery)
 		}
 		if got = st.ExecTime; got >= want && got <= want+want/4 {
 			break

@@ -481,6 +481,7 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 	if p.mbox, err = newMailbox(ctx, codec, cfg.MailboxSlots); err != nil {
 		return nil, err
 	}
+	p.mbox.ownDrain = p.stepDrainInbox
 	p.coreQ, _ = p.rawQ.(*core.Queue)
 	if cfg.Metrics != nil {
 		cfg.Metrics.Register(p.metricsSource())

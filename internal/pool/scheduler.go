@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"sws/internal/obs"
 	"sws/internal/shmem"
 	"sws/internal/stats"
 	"sws/internal/task"
@@ -354,9 +355,9 @@ func (p *Pool) stepExecuteLocal() (bool, error) {
 	// on the exec-sample beat — not per task, Gosched takes the Go
 	// scheduler's process-wide lock and busy workers would contend on it at
 	// the task rate. A thief on an oversubscribed host still gets the core
-	// within execSampleEvery task bodies or the runtime's 10 ms preemption;
+	// within obs.SampleEvery task bodies or the runtime's 10 ms preemption;
 	// the sim's hand-back stays per task (Ctx.Yield).
-	p.ctx.Yield(p.exec.workers[0].executed.Load()%execSampleEvery == 0)
+	p.ctx.Yield(p.exec.workers[0].executed.Load()%obs.SampleEvery == 0)
 	return true, nil
 }
 

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"sws/internal/ldeque"
+	"sws/internal/obs"
 	"sws/internal/task"
 	"sws/internal/trace"
 )
@@ -245,20 +246,17 @@ func (p *Pool) sendRemote(pe int, d task.Desc) error {
 	return nil
 }
 
-// execSampleEvery is the exec clock's sampling period: a worker times one
-// task body in this many (two clock reads cost about as much as a UTS
-// node), and Stats scales the sampled sum back up. With a trace ring
-// attached every task is timed, because every task gets a TaskExec event.
-// It is also the beat on which a busy worker cedes the processor.
-const execSampleEvery = 64
-
-// execute runs one task on behalf of worker ws and counts it.
+// execute runs one task on behalf of worker ws and counts it. The exec
+// clock times one body in obs.SampleEvery (two clock reads cost about as
+// much as a UTS node), and Stats scales the sampled sum back up; with a
+// trace ring attached every task is timed, because every task gets a
+// TaskExec event. The same beat is when a busy worker cedes the processor.
 func (p *Pool) execute(ws *workerState, d task.Desc) error {
 	fn, err := p.reg.fn(d.Handle)
 	if err != nil {
 		return err
 	}
-	timed := p.tr != nil || ws.executed.Load()%execSampleEvery == 0
+	timed := p.tr != nil || ws.executed.Load()%obs.SampleEvery == 0
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
@@ -311,7 +309,7 @@ func (p *Pool) executorLoop(ws *workerState) {
 		}
 		if ok { // the scheduling point the owner ends a task with
 			spins = 0
-			p.ctx.Yield(ws.executed.Load()%execSampleEvery == 0)
+			p.ctx.Yield(ws.executed.Load()%obs.SampleEvery == 0)
 			continue
 		}
 		ws.idleIters.Add(1)

@@ -79,10 +79,9 @@ func Ops() []Op {
 //
 // Alongside the counts, Counters holds one latency histogram per remote Op
 // (§5.3 of the paper attributes time, not just counts, to the steal
-// protocol's communications). A PE's operations on its own heap are plain
-// memory accesses and are not timed. Recording is a single atomic bucket
-// increment — no mutex on the hot path — so the histograms are safe to
-// scrape live while the PE runs.
+// protocol's communications), sampled as Ctx.latStart says: a histogram
+// counts timed ops, ops counts every op. Own-heap ops are not timed.
+// Recording is a single atomic bucket increment, safe to scrape live.
 type Counters struct {
 	ops      [numOps]atomic.Uint64
 	bytesPut atomic.Uint64
@@ -108,8 +107,8 @@ var (
 	mBytes = obs.NewCounter("sws_shmem_bytes_total", "bytes", "pe, dir",
 		"Payload bytes moved by puts (dir=put) and gets (dir=got).")
 	mOpLatency = obs.NewQuantiles("sws_shmem_op_latency_seconds", "pe, op, target",
-		"Remote one-sided op latency quantiles (p50/p95/p99); target is always remote — a PE's ops on its own heap are memory accesses and are not timed.",
-		"Remote one-sided op latency sample count.")
+		"Remote one-sided op latency quantiles (p50/p95/p99) over sampled ops: one in 64 per kind, every op inside a steal span or on a trace ring; target is always remote — a PE's ops on its own heap are memory accesses and are not timed.",
+		"Remote one-sided op latency sample count: sampled ops (1 in 64 per kind), not all ops; exact counts are in sws_shmem_remote_ops_total.")
 )
 
 // Emit writes the counters' families for the PE labelled pe. Everything
@@ -127,14 +126,17 @@ func (c *Counters) Emit(e *obs.Emitter, pe obs.Label) {
 	e.Counter(mBytes, float64(snap.BytesGot), pe, obs.L("dir", "got"))
 }
 
-func (c *Counters) countRemote(op Op, payload int) {
-	c.ops[op].Add(1)
+// countRemote counts one remote op and returns its number among this PE's
+// ops of its kind — unique even with several workers on one Ctx.
+func (c *Counters) countRemote(op Op, payload int) uint64 {
+	n := c.ops[op].Add(1)
 	switch op {
 	case OpPut, OpPutNBI, OpPutSignal:
 		c.bytesPut.Add(uint64(payload))
 	case OpGet, OpGetV:
 		c.bytesGot.Add(uint64(payload))
 	}
+	return n
 }
 
 func (c *Counters) countLocal() { c.local.Add(1) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"sws/internal/obs"
 	"sws/internal/trace"
 )
 
@@ -21,9 +22,8 @@ type Ctx struct {
 	self     *peState
 	counters Counters
 
-	// rec enables per-op latency histograms (two monotonic clock reads
-	// per blocking remote operation): on wherever ops take wall-clock time,
-	// off under the sim, where a wall-clock op latency means nothing.
+	// rec enables per-op latency histograms (see latStart): off under the
+	// sim, where a wall-clock op latency means nothing.
 	rec bool
 	// ring is this PE's event ring, picked once: the world's flight ring,
 	// or the trace ring AttachTrace put in its place. traced says which:
@@ -88,23 +88,25 @@ func (c *Ctx) EnableMultiWorker() error {
 	return nil
 }
 
-// latStart begins timing one operation (zero time when recording is off).
-func (c *Ctx) latStart() time.Time {
-	if !c.rec {
+// latStart begins timing the n-th blocking remote op of its kind (zero time:
+// not timed). Nothing is timed under the sim; a span-tagged or traced op
+// always is, as its event carries the duration; any other op one in
+// obs.SampleEvery of its kind, since two clock reads cost more than a shm
+// atomic.
+func (c *Ctx) latStart(n, span uint64) time.Time {
+	if !c.rec || (span == 0 && !c.traced && (n-1)%obs.SampleEvery != 0) {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
-// latEnd records one remote operation's latency sample and, for a
-// span-tagged op — so the initiator side of a steal survives to a
-// post-mortem dump; the span groups the steal's sub-ops — and for every op
-// on a trace ring, its event. An op with an event reads the full clock
-// once, for the sample and the event's timestamp both; one without pays
-// only time.Since's monotonic read (two such ops are a remote spawn).
+// latEnd records a timed op's latency sample and, for a span-tagged op (so
+// a steal's initiator side survives to a post-mortem dump) or any op on a
+// trace ring, its event. An op with an event reads the full clock once, for
+// sample and timestamp; one without pays only time.Since's monotonic read.
 func (c *Ctx) latEnd(op Op, t0 time.Time, span uint64) {
 	if span == 0 && !c.traced {
-		if c.rec {
+		if !t0.IsZero() {
 			c.counters.recordLat(op, time.Since(t0))
 		}
 		return
@@ -393,7 +395,7 @@ func (c *Ctx) do(r *opReq) (uint64, []byte, error) {
 	if err := c.peerCheck(r.op, r.to); err != nil {
 		return 0, nil, err
 	}
-	c.counters.countRemote(r.op, len(r.buf))
+	n := c.counters.countRemote(r.op, len(r.buf))
 	if !r.op.Blocking() {
 		err := c.w.transport.nbi(*r)
 		if c.traced && r.span != 0 {
@@ -408,7 +410,7 @@ func (c *Ctx) do(r *opReq) (uint64, []byte, error) {
 		}
 		return 0, nil, err
 	}
-	t0 := c.latStart()
+	t0 := c.latStart(n, r.span)
 	val, data, err := c.w.transport.blocking(*r)
 	c.latEnd(r.op, t0, r.span)
 	if r.op == OpFetchAddGet && err == nil {

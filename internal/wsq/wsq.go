@@ -282,6 +282,17 @@ func (p Policy) PlanLen(n int) int {
 	}
 }
 
+// Offsets appends the whole plan of a block of n tasks to dst —
+// Offset(n, i) for i = 0..PlanLen(n), so the last entry is n — for an owner
+// that reads its own block's plan once per task and computes it once per
+// block.
+func (p Policy) Offsets(dst []int, n int) []int {
+	for i, k := 0, p.PlanLen(n); i <= k; i++ {
+		dst = append(dst, p.Offset(n, i))
+	}
+	return dst
+}
+
 // MaxBlock bounds the largest advertisable block so that PlanLen(n) never
 // exceeds the completion-array slot budget.
 func (p Policy) MaxBlock(slots int) int {
