@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"sws"
 	"sws/internal/pool"
 	"sws/internal/shmem"
 )
@@ -29,7 +30,8 @@ func TestConfigFieldBudget(t *testing.T) {
 	}{
 		{reflect.TypeOf(shmem.Config{}), 0, 10},
 		{reflect.TypeOf(shmem.Endpoint{}), 4, 4},
-		{reflect.TypeOf(pool.Config{}), 0, 14},
+		{reflect.TypeOf(pool.Config{}), 0, 11},
+		{reflect.TypeOf(sws.Config{}), 0, 11},
 	} {
 		n := 0
 		for i := 0; i < b.typ.NumField(); i++ {

@@ -7,8 +7,6 @@ import (
 	"sws/internal/bpc"
 	"sws/internal/pool"
 	"sws/internal/stats"
-	"sws/internal/uts"
-	"sws/internal/wsq"
 )
 
 // Ablations isolate the design choices DESIGN.md §6 calls out, as tables
@@ -105,68 +103,11 @@ func AblationDamping(cfg AblationConfig) (*Table, error) {
 	return t, nil
 }
 
-// AblationPolicies compares steal-volume policies on UTS.
-func AblationPolicies(cfg AblationConfig) (*Table, error) {
-	t := &Table{
-		Title:  "Ablation: steal-volume policy",
-		Note:   "SWS on UTS; the paper argues for steal-half (§2)",
-		Header: []string{"policy", "mean runtime", "steals", "tasks stolen", "tasks/steal"},
-	}
-	for _, p := range []wsq.Policy{wsq.StealHalfPolicy, wsq.StealOnePolicy, wsq.StealAllPolicy} {
-		pcfg := pool.Config{PayloadCap: uts.PayloadSize, StealPolicy: p}
-		sum, tot, err := ablationRow(cfg, pcfg, func() (Workload, error) { return uts.NewWorkload(uts.Tiny) })
-		if err != nil {
-			return nil, err
-		}
-		perSteal := 0.0
-		if tot.StealsSuccessful > 0 {
-			perSteal = float64(tot.TasksStolen) / float64(tot.StealsSuccessful)
-		}
-		t.Rows = append(t.Rows, []string{
-			p.String(),
-			fmtDur(time.Duration(sum.Mean * float64(time.Second))),
-			fmt.Sprint(tot.StealsSuccessful),
-			fmt.Sprint(tot.TasksStolen),
-			fmtF(perSteal),
-		})
-	}
-	return t, nil
-}
-
-// AblationVictim compares victim-selection policies on BPC.
-func AblationVictim(cfg AblationConfig) (*Table, error) {
-	params := bpc.Params{Depth: 16, NConsumers: 64, ConsumerWork: 20 * time.Microsecond, ProducerWork: 4 * time.Microsecond}
-	t := &Table{
-		Title:  "Ablation: victim selection",
-		Note:   "SWS on BPC; the paper (and Blumofe-Leiserson) use uniform random",
-		Header: []string{"policy", "mean runtime", "attempts", "steals", "hit rate %"},
-	}
-	for _, v := range []pool.VictimPolicy{pool.VictimRandom, pool.VictimRoundRobin, pool.VictimSticky} {
-		pcfg := pool.Config{PayloadCap: 24, Victim: v}
-		sum, tot, err := ablationRow(cfg, pcfg, func() (Workload, error) { return bpc.NewWorkload(params) })
-		if err != nil {
-			return nil, err
-		}
-		rate := 0.0
-		if tot.StealsAttempted > 0 {
-			rate = 100 * float64(tot.StealsSuccessful) / float64(tot.StealsAttempted)
-		}
-		t.Rows = append(t.Rows, []string{
-			v.String(),
-			fmtDur(time.Duration(sum.Mean * float64(time.Second))),
-			fmt.Sprint(tot.StealsAttempted),
-			fmt.Sprint(tot.StealsSuccessful),
-			fmtF(rate),
-		})
-	}
-	return t, nil
-}
-
 // Ablations runs every ablation table.
 func Ablations(cfg AblationConfig) ([]*Table, error) {
 	var out []*Table
 	for _, f := range []func(AblationConfig) (*Table, error){
-		AblationEpochs, AblationDamping, AblationPolicies, AblationVictim,
+		AblationEpochs, AblationDamping,
 	} {
 		t, err := f(cfg)
 		if err != nil {

@@ -10,10 +10,9 @@ import (
 // pool.Config shares: executors per PE and the task queue's size and
 // elasticity.
 type PoolFlags struct {
-	Workers   int
-	Grow      bool
-	MaxGrowth int
-	QueueCap  int
+	Workers  int
+	Grow     bool
+	QueueCap int
 }
 
 // RegisterPoolFlags installs the shared scheduler flags on fs
@@ -25,7 +24,6 @@ func RegisterPoolFlags(fs *flag.FlagSet) *PoolFlags {
 	p := &PoolFlags{}
 	fs.IntVar(&p.Workers, "workers", 1, "executor goroutines per PE (two-level scheduling when >1)")
 	fs.BoolVar(&p.Grow, "grow", false, "elastic task queues: grow/spill instead of full-queue backpressure")
-	fs.IntVar(&p.MaxGrowth, "max-growth", 0, "capacity doublings an elastic queue may perform (0 = default 3)")
 	fs.IntVar(&p.QueueCap, "qcap", 0, "task queue capacity in slots (0 = library default; the starting size with -grow)")
 	return p
 }
@@ -34,6 +32,5 @@ func RegisterPoolFlags(fs *flag.FlagSet) *PoolFlags {
 func (p *PoolFlags) Apply(cfg *pool.Config) {
 	cfg.Workers = p.Workers
 	cfg.Growable = p.Grow
-	cfg.MaxGrowth = p.MaxGrowth
 	cfg.QueueCapacity = p.QueueCap
 }

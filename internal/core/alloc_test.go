@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"sws/internal/shmem"
@@ -16,50 +17,65 @@ import (
 func TestStealAllocs(t *testing.T) {
 	runWorld(t, 2, func(c *shmem.Ctx) error {
 		q, err := NewQueue(c, Options{
-			Capacity: 2048, PayloadCap: 16, Epochs: true, Policy: wsq.StealOnePolicy,
+			Capacity: 2048, PayloadCap: 16, Epochs: true,
 		})
 		if err != nil {
 			return err
 		}
-		if c.Rank() == 0 {
-			// Zero-length payloads so Decode's payload copy stays nil:
-			// the budget below is the steal machinery's own.
-			for i := 0; i < 1000; i++ {
-				if err := q.Push(task.Desc{}); err != nil {
-					return err
+		// Each round the owner pushes 2 tasks and releases 1, so every block
+		// is one task and every steal a single-task steal. Zero-length
+		// payloads so Decode's payload copy stays nil: the budget below is
+		// the steal machinery's own. The first rounds warm the reusable
+		// staging (stealBuf, NBI queue) out of band.
+		const warm, rounds = 5, 205
+		var ms0, ms1 runtime.MemStats
+		var mallocs uint64
+		for r := range rounds {
+			if c.Rank() == 0 {
+				for range 2 {
+					if err := q.Push(task.Desc{}); err != nil {
+						return err
+					}
 				}
-			}
-			if _, err := q.Release(); err != nil {
-				return err
+				if n, err := q.Release(); err != nil || n != 1 {
+					return fmt.Errorf("round %d: release n=%d err=%v", r, n, err)
+				}
 			}
 			if err := c.Barrier(); err != nil {
 				return err
 			}
-			// Park in the barrier (a cond wait, not a spin) while the
-			// thief measures: AllocsPerRun reads global malloc counters.
-			return c.Barrier()
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		steal := func() {
-			tasks, out, err := q.Steal(0)
-			if err != nil || out != wsq.Stolen || len(tasks) != 1 {
-				t.Errorf("steal: out=%v n=%d err=%v", out, len(tasks), err)
+			if c.Rank() == 1 {
+				// The owner parks in the barrier below (a cond wait, not a
+				// spin) while the malloc counters, which are global, are
+				// read around the steal.
+				runtime.ReadMemStats(&ms0)
+				tasks, out, err := q.Steal(0)
+				runtime.ReadMemStats(&ms1)
+				if err != nil || out != wsq.Stolen || len(tasks) != 1 {
+					return fmt.Errorf("round %d: steal out=%v n=%d err=%v", r, out, len(tasks), err)
+				}
+				if r >= warm {
+					mallocs += ms1.Mallocs - ms0.Mallocs
+				}
+				if err := c.Quiet(); err != nil {
+					return err
+				}
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				// Pop the task the release kept local, so the next round
+				// again pushes 2 and releases 1.
+				if _, ok, err := q.Pop(); err != nil || !ok {
+					return fmt.Errorf("round %d: pop ok=%v err=%v", r, ok, err)
+				}
 			}
 		}
-		// Warm the reusable staging (stealBuf, NBI queue) out of band.
-		for i := 0; i < 5; i++ {
-			steal()
-		}
-		allocs := testing.AllocsPerRun(200, steal)
-		if allocs > 2 {
+		if allocs := float64(mallocs) / (rounds - warm); allocs > 2 {
 			t.Errorf("steal hot path allocates %.1f objects/op, want <= 2", allocs)
 		}
-		if err := c.Quiet(); err != nil {
-			return err
-		}
-		return c.Barrier()
+		return nil
 	})
 }
 

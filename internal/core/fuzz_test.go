@@ -69,18 +69,34 @@ func FuzzStealPlan(f *testing.F) {
 		if n < 0 || n > 1<<19 || i < 0 || i > 1<<20 {
 			t.Skip()
 		}
-		for _, p := range []wsq.Policy{wsq.StealHalfPolicy, wsq.StealOnePolicy, wsq.StealAllPolicy} {
-			k := p.Block(n, i)
-			off := p.Offset(n, i)
-			if k < 0 || off < 0 || off > n {
-				t.Fatalf("%v(%d, %d): k=%d off=%d", p, n, i, k, off)
-			}
-			if off+k > n {
-				t.Fatalf("%v(%d, %d): block [%d, %d) exceeds n", p, n, i, off, off+k)
-			}
-			if k > 0 && p.Offset(n, i+1) != off+k {
-				t.Fatalf("%v(%d, %d): offsets do not telescope", p, n, i)
-			}
+		k := wsq.StealHalf(n, i)
+		off := wsq.StealOffset(n, i)
+		if k < 0 || off < 0 || off > n {
+			t.Fatalf("(%d, %d): k=%d off=%d", n, i, k, off)
+		}
+		if off+k > n {
+			t.Fatalf("(%d, %d): block [%d, %d) exceeds n", n, i, off, off+k)
+		}
+		if k > 0 && wsq.StealOffset(n, i+1) != off+k {
+			t.Fatalf("(%d, %d): offsets do not telescope", n, i)
+		}
+		if (k > 0) != (i < wsq.PlanLen(n)) {
+			t.Fatalf("(%d, %d): k=%d but PlanLen=%d", n, i, k, wsq.PlanLen(n))
 		}
 	})
+}
+
+// TestPlanLenBoundsEveryBlock: the completion arrays hold wsq.MaxPlanLen
+// slots per epoch, one per attempt, so the plan of the largest block any
+// stealval format can advertise must fit them — which is why a queue
+// needs no cap on its block size beyond the itasks field.
+func TestPlanLenBoundsEveryBlock(t *testing.T) {
+	for _, f := range []Format{FormatV1, FormatV2, FormatV3} {
+		if got := wsq.PlanLen(f.maxITasks()); got > wsq.MaxPlanLen {
+			t.Errorf("%v: PlanLen(%d) = %d exceeds MaxPlanLen %d", f, f.maxITasks(), got, wsq.MaxPlanLen)
+		}
+	}
+	if got := wsq.PlanLen(MaxITasksV2); got != 20 {
+		t.Errorf("PlanLen(MaxITasksV2) = %d, want 20", got)
+	}
 }

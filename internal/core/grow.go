@@ -103,11 +103,11 @@ func (q *Queue) CopyClaimedBlock(victim int, v Stealval) ([]task.Desc, error) {
 	if v.Class >= len(q.regions) {
 		return nil, fmt.Errorf("core: stealval names class %d, ladder has %d", v.Class, len(q.regions))
 	}
-	k := q.policy.Block(v.ITasks, int(v.Asteals))
+	k := wsq.StealHalf(v.ITasks, int(v.Asteals))
 	if k == 0 {
 		return nil, nil
 	}
-	start := uint64(v.Tail) + uint64(q.policy.Offset(v.ITasks, int(v.Asteals)))
+	start := uint64(v.Tail) + uint64(wsq.StealOffset(v.ITasks, int(v.Asteals)))
 	return q.copyBlock(victim, v.Class, start, k, q.ctx.WithSpan(q.nextSpan()))
 }
 

@@ -278,8 +278,8 @@ func TestReseatWaitsForStaleClaim(t *testing.T) {
 			if !v.Valid || v.Class != 0 || v.ITasks != 3 {
 				t.Fatalf("thief fetched %+v, want valid class-0 block of 3", v)
 			}
-			k := q.policy.Block(v.ITasks, int(v.Asteals))
-			off := q.policy.Offset(v.ITasks, int(v.Asteals))
+			k := wsq.StealHalf(v.ITasks, int(v.Asteals))
+			off := wsq.StealOffset(v.ITasks, int(v.Asteals))
 			close(claimed)
 			// The owner is now pushing toward a reseat that must wait for
 			// us. Copy the block from the OLD region the fetched class

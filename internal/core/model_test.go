@@ -68,15 +68,21 @@ func runModelSchedule(t *testing.T, opts Options, seed int64, steps int) error {
 	return err
 }
 
+// modelRun is what the owner saw over one schedule.
+type modelRun struct {
+	OwnerStats      // the queue's stats after the drain
+	longestPlan int // longest steal plan of any epoch record the owner held
+}
+
 // runModelScheduleSteps drives the 2-PE lockstep harness through an
 // explicit schedule (the fuzz target feeds synthesized ones) and returns
-// the owner's final queue stats alongside the exactly-once verdict.
-func runModelScheduleSteps(t *testing.T, opts Options, seed int64, schedule []modelStep) (OwnerStats, error) {
+// what the owner saw alongside the exactly-once verdict.
+func runModelScheduleSteps(t *testing.T, opts Options, seed int64, schedule []modelStep) (modelRun, error) {
 	t.Helper()
-	var ownerStats OwnerStats
+	var run modelRun
 	w, err := shmem.NewWorld(shmem.Config{NumPEs: 2, HeapBytes: 4 << 20})
 	if err != nil {
-		return ownerStats, err
+		return run, err
 	}
 
 	// Lockstep plumbing: turn[who] <- step; done <- result.
@@ -158,22 +164,24 @@ func runModelScheduleSteps(t *testing.T, opts Options, seed int64, schedule []mo
 					}
 				}
 				if me == 0 && oerr == nil {
-					oerr = idleSlotsZero(q)
+					var longest int
+					longest, oerr = idleSlotsZero(q)
+					run.longestPlan = max(run.longestPlan, longest)
 				}
 				done <- oerr
 			}
 			if me == 0 {
-				ownerStats = q.Stats()
+				run.OwnerStats = q.Stats()
 			}
 			return c.Barrier()
 		})
 	}()
 
-	fail := func(err error) (OwnerStats, error) {
+	fail := func(err error) (modelRun, error) {
 		close(turns[0])
 		close(turns[1])
 		<-runErr
-		return ownerStats, err
+		return run, err
 	}
 	for i, s := range schedule {
 		turns[s.who] <- s.op
@@ -202,17 +210,17 @@ func runModelScheduleSteps(t *testing.T, opts Options, seed int64, schedule []mo
 	close(turns[0])
 	close(turns[1])
 	if err := <-runErr; err != nil {
-		return ownerStats, err
+		return run, err
 	}
 	if len(got) != len(pushed) {
-		return ownerStats, fmt.Errorf("seed %d: pushed %d tasks, obtained %d", seed, len(pushed), len(got))
+		return run, fmt.Errorf("seed %d: pushed %d tasks, obtained %d", seed, len(pushed), len(got))
 	}
 	for id := range pushed {
 		if _, ok := got[id]; !ok {
-			return ownerStats, fmt.Errorf("seed %d: task %d lost", seed, id)
+			return run, fmt.Errorf("seed %d: task %d lost", seed, id)
 		}
 	}
-	return ownerStats, nil
+	return run, nil
 }
 
 // idleSlotsZero checks, on the owner between its ops, the invariant that
@@ -220,22 +228,23 @@ func runModelScheduleSteps(t *testing.T, opts Options, seed int64, schedule []mo
 // slot no live epoch record can use is zero. A parity no record holds is
 // zero throughout — the records that drained out of it zeroed every slot
 // their claims used — and a held parity is zero past the longest plan of
-// the records holding it.
-func idleSlotsZero(q *Queue) error {
+// the records holding it. It also reports the longest plan in use.
+func idleSlotsZero(q *Queue) (longest int, err error) {
 	for p := 0; p < MaxEpochs; p++ {
 		inUse := 0
 		for _, rec := range q.recs {
 			if rec.parity == p {
-				inUse = max(inUse, q.policy.PlanLen(rec.itasks))
+				inUse = max(inUse, wsq.PlanLen(rec.itasks))
 			}
 		}
-		for b := inUse; b < q.maxSlots; b++ {
+		longest = max(longest, inUse)
+		for b := inUse; b < wsq.MaxPlanLen; b++ {
 			if w := atomic.LoadUint64(q.completionSlot(p, b)); w != 0 {
-				return fmt.Errorf("completion slot %d of parity %d holds %d with no epoch record using it (records %+v)", b, p, w, q.recs)
+				return longest, fmt.Errorf("completion slot %d of parity %d holds %d with no epoch record using it (records %+v)", b, p, w, q.recs)
 			}
 		}
 	}
-	return nil
+	return longest, nil
 }
 
 func TestModelInterleavingsV2(t *testing.T) {
@@ -254,10 +263,26 @@ func TestModelInterleavingsV1(t *testing.T) {
 	}
 }
 
-func TestModelInterleavingsStealOne(t *testing.T) {
-	for seed := int64(1); seed <= 15; seed++ {
-		if err := runModelSchedule(t, Options{Capacity: 64, Epochs: true, Policy: wsq.StealOnePolicy}, seed, 250); err != nil {
+// TestModelInterleavingsLongPlan runs the schedule over blocks whose plans
+// reach deep into the completion arrays: a steal-half plan needs 12
+// attempts only from 2^11 tasks up, so the owner first pushes 4,200 tasks
+// and releases half of them as one block before the random schedule
+// starts claiming, releasing and acquiring around it.
+func TestModelInterleavingsLongPlan(t *testing.T) {
+	const pushes, wantPlan = 4200, 12
+	for seed := int64(1); seed <= 10; seed++ {
+		schedule := make([]modelStep, 0, pushes+1+300)
+		for range pushes {
+			schedule = append(schedule, modelStep{0, opPush})
+		}
+		schedule = append(schedule, modelStep{0, opRelease})
+		schedule = append(schedule, randomSchedule(seed, 300, false)...)
+		run, err := runModelScheduleSteps(t, Options{Capacity: 8192, Epochs: true, Damping: true}, seed, schedule)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if run.longestPlan < wantPlan {
+			t.Fatalf("seed %d: longest plan %d attempts, want >= %d", seed, run.longestPlan, wantPlan)
 		}
 	}
 }

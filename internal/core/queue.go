@@ -43,9 +43,6 @@ type Options struct {
 	// are accounted as written off, at-least-once). Default 25ms; negative
 	// disables force-closing.
 	ForceCloseGrace time.Duration
-	// Policy selects the steal-volume schedule (default steal-half, the
-	// paper's policy; steal-one and steal-all exist for ablations).
-	Policy wsq.Policy
 	// Fused enables single-round-trip steals through the substrate's
 	// programmable-NIC emulation (shmem.FetchAddGet): the claim fetch-add
 	// and the dependent task copy complete in ONE blocking communication,
@@ -152,12 +149,10 @@ type region struct {
 }
 
 type Queue struct {
-	ctx      *shmem.Ctx
-	opts     Options
-	format   Format
-	codec    task.Codec
-	policy   wsq.Policy
-	maxSlots int // completion-array slots per epoch
+	ctx    *shmem.Ctx
+	opts   Options
+	format Format
+	codec  task.Codec
 
 	// regions holds the task ring for every size class (one entry for
 	// non-growable queues); cls is the class currently in use. regions is
@@ -192,10 +187,10 @@ type Queue struct {
 	recs     []epochRec // oldest-first; last entry is the current block
 	maxIT    int        // cap on an advertised block
 	// plan is the current block's steal plan as the owner reads it:
-	// plan[i] = Offset(itasks, i) for i = 0..PlanLen(itasks). startEpoch
-	// builds it when it publishes the block, so the per-task SharedAvail
-	// and retire index it instead of re-walking the plan; thieves derive
-	// their own plan from the word they fetched.
+	// plan[i] = wsq.StealOffset(itasks, i) for i = 0..wsq.PlanLen(itasks).
+	// startEpoch builds it when it publishes the block, so the per-task
+	// SharedAvail and retire index it instead of re-walking the plan;
+	// thieves derive their own plan from the word they fetched.
 	plan []int
 
 	// Thief-side damping state: per-victim mode (false=full, true=empty).
@@ -269,22 +264,11 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 		opts:      opts,
 		format:    format,
 		codec:     codec,
-		policy:    opts.Policy,
 		emptyMode: make([]bool, ctx.NumPEs()),
 		scratch:   make([]byte, codec.SlotSize()),
 		popBuf:    wsq.NewPopBuf(codec.PayloadCap()),
 	}
 	q.arena.init(codec.SlotSize(), opts.SpillBlock)
-	// Completion arrays are indexed by attempt number, so their size must
-	// cover the policy's longest plan over any advertisable block.
-	switch opts.Policy {
-	case wsq.StealOnePolicy:
-		q.maxSlots = 512 // bounds blocks to 512 tasks per release
-	case wsq.StealAllPolicy:
-		q.maxSlots = 1
-	default:
-		q.maxSlots = wsq.MaxPlanLen
-	}
 	// §4.3: cap the advertised block so thieves' increments cannot
 	// overflow asteals into owner fields even if every PE piles on.
 	q.maxIT = format.maxITasks() - ctx.NumPEs()
@@ -294,16 +278,15 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 	if maxCap := opts.Capacity << maxCls; q.maxIT > maxCap {
 		q.maxIT = maxCap
 	}
-	if mb := q.policy.MaxBlock(q.maxSlots); q.maxIT > mb {
-		q.maxIT = mb
-	}
 	if q.stealvalAddr, err = ctx.Alloc(shmem.WordSize); err != nil {
 		return nil, err
 	}
 	if q.geomAddr, err = ctx.Alloc(shmem.WordSize); err != nil {
 		return nil, err
 	}
-	if q.completionAddr, err = ctx.Alloc(MaxEpochs * q.maxSlots * shmem.WordSize); err != nil {
+	// Completion arrays are indexed by attempt number: wsq.MaxPlanLen
+	// slots cover the plan of any block the itasks field can encode.
+	if q.completionAddr, err = ctx.Alloc(MaxEpochs * wsq.MaxPlanLen * shmem.WordSize); err != nil {
 		return nil, err
 	}
 	meta, err := ctx.OwnWords(q.stealvalAddr, 2)
@@ -311,7 +294,7 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 		return nil, err
 	}
 	q.stealval, q.geom = &meta[0], &meta[1]
-	if q.completion, err = ctx.OwnWords(q.completionAddr, MaxEpochs*q.maxSlots); err != nil {
+	if q.completion, err = ctx.OwnWords(q.completionAddr, MaxEpochs*wsq.MaxPlanLen); err != nil {
 		return nil, err
 	}
 	// Reserve the whole region ladder up front, collectively: every class
@@ -347,9 +330,8 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 		}
 	}
 	// Publish an empty, valid block for epoch 0, and the initial geometry.
-	// The plan table never outgrows maxSlots+1 entries (MaxBlock bounds
-	// every block's plan by the completion slots).
-	q.plan = q.policy.Offsets(make([]int, 0, q.maxSlots+1), 0)
+	// The plan table never outgrows MaxPlanLen+1 entries.
+	q.plan = wsq.Offsets(make([]int, 0, wsq.MaxPlanLen+1), 0)
 	if err := q.publish(0, 0); err != nil {
 		return nil, err
 	}
@@ -373,12 +355,12 @@ func (q *Queue) fusedRanges(old uint64) ([2]shmem.FusedSpan, int) {
 	if !v.Valid || v.Class >= len(q.regions) {
 		return out, 0
 	}
-	if int(v.Asteals) >= q.policy.PlanLen(v.ITasks) {
+	if int(v.Asteals) >= wsq.PlanLen(v.ITasks) {
 		return out, 0
 	}
 	reg := q.regions[v.Class]
-	k := q.policy.Block(v.ITasks, int(v.Asteals))
-	off := q.policy.Offset(v.ITasks, int(v.Asteals))
+	k := wsq.StealHalf(v.ITasks, int(v.Asteals))
+	off := wsq.StealOffset(v.ITasks, int(v.Asteals))
 	spans, n, err := reg.ring.Spans(uint64(v.Tail)+uint64(off), k)
 	if err != nil {
 		return out, 0
@@ -420,7 +402,7 @@ func (q *Queue) ownClaims(v Stealval) int { return min(int(v.Asteals), len(q.pla
 
 // clampAttempts bounds the raw asteals counter by the steal plan length.
 func (q *Queue) clampAttempts(v Stealval) int {
-	n := q.policy.PlanLen(v.ITasks)
+	n := wsq.PlanLen(v.ITasks)
 	if int(v.Asteals) < n {
 		return int(v.Asteals)
 	}
@@ -568,10 +550,10 @@ func (q *Queue) retire() (unclaimed int, err error) {
 // parity p (what a thief stores to); completionSlot is the same word in
 // the owner's own heap.
 func (q *Queue) completionSlotAddr(p, b int) shmem.Addr {
-	return q.completionAddr + shmem.Addr((p*q.maxSlots+b)*shmem.WordSize)
+	return q.completionAddr + shmem.Addr((p*wsq.MaxPlanLen+b)*shmem.WordSize)
 }
 
-func (q *Queue) completionSlot(p, b int) *uint64 { return &q.completion[p*q.maxSlots+b] }
+func (q *Queue) completionSlot(p, b int) *uint64 { return &q.completion[p*wsq.MaxPlanLen+b] }
 
 // StealvalAddr exposes the queue's stealval heap address so conformance
 // tests can script protocol steps (a manual fetch-add claim) exactly as a
@@ -604,7 +586,7 @@ func (q *Queue) Progress() error {
 			if w == 0 {
 				return nil // oldest outstanding steal still in flight
 			}
-			want := q.policy.Block(rec.itasks, b)
+			want := wsq.StealHalf(rec.itasks, b)
 			if int(w) != want {
 				return fmt.Errorf("core: completion slot %d of epoch parity %d holds %d, want %d tasks",
 					b, rec.parity, w, want)
@@ -703,7 +685,7 @@ func (q *Queue) forceCloseStalled() {
 			if atomic.LoadUint64(slot) != 0 {
 				continue
 			}
-			want := q.policy.Block(rec.itasks, b)
+			want := wsq.StealHalf(rec.itasks, b)
 			atomic.StoreUint64(slot, uint64(want))
 			q.writtenOff += uint64(want)
 			closed = true
@@ -731,7 +713,7 @@ func (q *Queue) startEpoch(itasks int) error {
 	if err := q.waitParityFree(p); err != nil {
 		return err
 	}
-	q.plan = q.policy.Offsets(q.plan[:0], itasks)
+	q.plan = wsq.Offsets(q.plan[:0], itasks)
 	for b := range len(q.plan) - 1 {
 		atomic.StoreUint64(q.completionSlot(p, b), 0)
 	}

@@ -261,6 +261,46 @@ func TestStealSequenceMatchesPlan(t *testing.T) {
 	})
 }
 
+// Steal-half is the queue's only volume, damping or not: with damping
+// off, a thief that walks a 150-task block still takes §4's sequence.
+func TestStealHalfPolicyQueueDefault(t *testing.T) {
+	want := []int{75, 37, 19, 9, 5, 2, 1, 1, 1}
+	var sizes []int
+	runWorld(t, 2, func(c *shmem.Ctx) error {
+		q, err := NewQueue(c, Options{Epochs: true})
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			for i := uint64(0); i < 300; i++ {
+				if err := q.Push(desc(i)); err != nil {
+					return err
+				}
+			}
+			if n, err := q.Release(); err != nil || n != 150 {
+				return fmt.Errorf("release: n=%d err=%v", n, err)
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		for c.Rank() == 1 {
+			tasks, out, err := q.Steal(0)
+			if err != nil {
+				return err
+			}
+			if out != wsq.Stolen {
+				break
+			}
+			sizes = append(sizes, len(tasks))
+		}
+		return c.Barrier()
+	})
+	if fmt.Sprint(sizes) != fmt.Sprint(want) {
+		t.Fatalf("steal sizes %v, want %v", sizes, want)
+	}
+}
+
 // Figure 2: an SWS steal is exactly 3 communications, 2 of them blocking.
 func TestStealCommunicationCount(t *testing.T) {
 	runWorld(t, 2, func(c *shmem.Ctx) error {

@@ -73,7 +73,7 @@ func (q *Queue) stealSpanned(victim int, sc shmem.SpanCtx) ([]task.Desc, wsq.Out
 		if !v.Valid {
 			return nil, wsq.Disabled, nil
 		}
-		if int(v.Asteals) >= q.policy.PlanLen(v.ITasks) {
+		if int(v.Asteals) >= wsq.PlanLen(v.ITasks) {
 			// Still exhausted: abort after the single read-only probe.
 			return nil, wsq.Empty, nil
 		}
@@ -103,7 +103,7 @@ func (q *Queue) stealSpanned(victim int, sc shmem.SpanCtx) ([]task.Desc, wsq.Out
 		return nil, wsq.Empty, fmt.Errorf("core: stealval from PE %d names class %d, ladder has %d",
 			victim, v.Class, len(q.regions))
 	}
-	plan := q.policy.PlanLen(v.ITasks)
+	plan := wsq.PlanLen(v.ITasks)
 	if int(v.Asteals) >= plan {
 		if q.opts.Damping && v.Asteals >= uint32(plan)+q.opts.DampThreshold {
 			q.emptyMode[victim] = true
@@ -112,8 +112,8 @@ func (q *Queue) stealSpanned(victim int, sc shmem.SpanCtx) ([]task.Desc, wsq.Out
 	}
 
 	// The fetched value fully determines the claimed block.
-	k := q.policy.Block(v.ITasks, int(v.Asteals))
-	off := q.policy.Offset(v.ITasks, int(v.Asteals))
+	k := wsq.StealHalf(v.ITasks, int(v.Asteals))
+	off := wsq.StealOffset(v.ITasks, int(v.Asteals))
 	start := uint64(v.Tail) + uint64(off)
 
 	var tasks []task.Desc
@@ -214,7 +214,7 @@ func (q *Queue) Probe(victim int) (int, error) {
 	if !v.Valid {
 		return 0, nil
 	}
-	return v.ITasks - q.policy.Offset(v.ITasks, q.clampAttempts(v)), nil
+	return v.ITasks - wsq.StealOffset(v.ITasks, q.clampAttempts(v)), nil
 }
 
 // EmptyMode reports whether damping currently has the victim in

@@ -7,7 +7,6 @@ import (
 
 	"sws/internal/shmem"
 	"sws/internal/task"
-	"sws/internal/wsq"
 )
 
 // chaosWorkload runs a full recursive workload with fault injection and
@@ -85,8 +84,7 @@ func TestChaosSDCDelayedAcks(t *testing.T) {
 	chaosWorkload(t, fault, Config{Protocol: SDC, Seed: 5, QueueCapacity: 1024}, 11)
 }
 
-// Everything at once: delays on a workload that also uses remote spawns
-// and the steal-one policy (maximum steal traffic).
+// Everything at once: delays on a workload that also uses remote spawns.
 func TestChaosKitchenSink(t *testing.T) {
 	fault := &shmem.DelayFaults{Fraction: 0.3, MaxDelay: 200 * time.Microsecond, Seed: 17}
 	var ran atomic.Int64
@@ -109,7 +107,7 @@ func TestChaosKitchenSink(t *testing.T) {
 			}
 			return nil
 		})
-		p, err := New(c, reg, Config{Seed: 5, StealPolicy: wsq.StealOnePolicy})
+		p, err := New(c, reg, Config{Seed: 5})
 		if err != nil {
 			return err
 		}

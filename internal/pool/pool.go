@@ -44,33 +44,6 @@ const (
 	SWSFused
 )
 
-// VictimPolicy selects how thieves choose steal targets.
-type VictimPolicy int
-
-const (
-	// VictimRandom picks a uniformly random peer per attempt (the
-	// paper's policy, optimal for many workloads per Blumofe-Leiserson).
-	VictimRandom VictimPolicy = iota
-	// VictimRoundRobin cycles deterministically through peers.
-	VictimRoundRobin
-	// VictimSticky retries the last productive victim before falling
-	// back to random — a minimal locality-style heuristic.
-	VictimSticky
-)
-
-func (v VictimPolicy) String() string {
-	switch v {
-	case VictimRandom:
-		return "random"
-	case VictimRoundRobin:
-		return "round-robin"
-	case VictimSticky:
-		return "sticky"
-	default:
-		return fmt.Sprintf("VictimPolicy(%d)", int(v))
-	}
-}
-
 func (p Protocol) String() string {
 	switch p {
 	case SWS:
@@ -108,30 +81,20 @@ type Config struct {
 	QueueCapacity int
 	// Growable makes each PE's queue elastic (SWS-family protocols only,
 	// requires epochs): instead of ErrFull backpressure the ring reseats
-	// into the next pre-registered symmetric-heap region, up to
-	// QueueCapacity<<MaxGrowth slots, and past that spills to an
+	// into the next pre-registered symmetric-heap region, up to 8x
+	// QueueCapacity (three doublings), and past that spills to an
 	// owner-local arena. Push then never fails with a full queue; the
 	// cost appears as the "grow" latency histogram and the spill counters
-	// in Stats and the live metrics.
-	Growable bool
-	// MaxGrowth is the number of capacity doublings a growable queue may
-	// perform (default 3). The whole region ladder is reserved in the
-	// symmetric heap at startup — roughly 2x the final capacity in task
+	// in Stats and the live metrics. The whole region ladder is reserved in
+	// the symmetric heap at startup — roughly 2x the final capacity in task
 	// slots — so size HeapBytes accordingly.
-	MaxGrowth int
+	Growable bool
 	// PayloadCap is the per-task payload capacity in bytes. Default 24.
 	PayloadCap int
 	// NoEpochs disables completion epochs (SWS only; stealval format V1).
 	NoEpochs bool
 	// NoDamping disables steal damping (SWS only).
 	NoDamping bool
-	// StealPolicy selects the steal-volume schedule (default the paper's
-	// steal-half; steal-one and steal-all exist for ablations).
-	StealPolicy wsq.Policy
-	// Victim selects how thieves pick targets (default uniform random,
-	// the paper's policy; alternatives echo the locality-aware work the
-	// paper cites as orthogonal, §2.2).
-	Victim VictimPolicy
 	// Seed makes victim selection reproducible; each worker goroutine
 	// derives its own independent stream from Seed, the PE's rank, and
 	// its worker id.
@@ -446,7 +409,7 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 	}
 	p.exec = newExecLayer(p, cfg.Workers, codec)
 	// Worker 0's random stream drives victim selection.
-	p.vic = newVictimSelector(cfg.Victim, ctx.Rank(), ctx.NumPEs(), p.exec.workers[0].rng)
+	p.vic = newVictimSelector(ctx.Rank(), ctx.NumPEs(), p.exec.workers[0].rng)
 	switch cfg.Protocol {
 	case SWS, SWSFused:
 		p.rawQ, err = core.NewQueue(ctx, core.Options{
@@ -454,10 +417,8 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 			PayloadCap: cfg.PayloadCap,
 			Epochs:     !cfg.NoEpochs,
 			Damping:    !cfg.NoDamping,
-			Policy:     cfg.StealPolicy,
 			Fused:      cfg.Protocol == SWSFused,
 			Growable:   cfg.Growable,
-			MaxGrowth:  cfg.MaxGrowth,
 		})
 	case SDC:
 		if cfg.Growable {
@@ -466,7 +427,6 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 		p.rawQ, err = sdc.NewQueue(ctx, sdc.Options{
 			Capacity:   cfg.QueueCapacity,
 			PayloadCap: cfg.PayloadCap,
-			Policy:     cfg.StealPolicy,
 		})
 	default:
 		err = fmt.Errorf("pool: unknown protocol %v", cfg.Protocol)

@@ -1,7 +1,7 @@
 // Search layer: victim selection and the steal loop. A PE that runs out
-// of local and acquirable work searches peers under the configured
-// VictimPolicy; the selector is a small self-contained state machine so
-// the policies are testable without bringing up a world.
+// of local and acquirable work steals from uniformly random peers (the
+// paper's policy); the selector is small and self-contained so its draw
+// is testable without bringing up a world.
 package pool
 
 import (
@@ -34,32 +34,27 @@ func rngStream(seed int64, rank, worker int) *rand.Rand {
 	return rand.New(rand.NewPCG(s1, s2))
 }
 
-// victimSelector picks steal targets for one thief under a VictimPolicy.
-// It is used only by the owner worker (victim choice is inter-PE work),
-// so it needs no synchronization.
+// victimSelector picks uniformly random steal targets for one thief. It is
+// used only by the owner worker (victim choice is inter-PE work), so it
+// needs no synchronization.
 //
 // Selection runs over a membership list — the engaged ranks, sorted
 // ascending, self included — rather than the raw world size, so elastic
-// worlds can reseat it when ranks drain or join. Every policy draws over
-// *positions* in the list and maps the drawn position back to a rank: on
-// a full membership (members[i] == i) that is draw-for-draw identical to
-// selecting over ranks directly, which keeps fixed-membership sim runs
-// bit-compatible with the pre-membership selector.
+// worlds can reseat it when ranks drain or join. The draw is over
+// *positions* in the list, mapped back to a rank: on a full membership
+// (members[i] == i) that is draw-for-draw identical to selecting over
+// ranks directly, which keeps fixed-membership sim runs bit-compatible
+// with the pre-membership selector.
 type victimSelector struct {
-	policy VictimPolicy
-	rank   int // the thief's own rank (never returned)
-	n      int // world size
-	rng    *rand.Rand
+	rank int // the thief's own rank (never returned)
+	rng  *rand.Rand
 
 	members []int // engaged ranks, sorted ascending, self included
 	mypos   int   // index of rank within members
-
-	rrNext int // round-robin cursor (over member positions)
-	sticky int // last productive victim rank, or -1
 }
 
-func newVictimSelector(policy VictimPolicy, rank, n int, rng *rand.Rand) *victimSelector {
-	s := &victimSelector{policy: policy, rank: rank, n: n, rng: rng, sticky: -1}
+func newVictimSelector(rank, n int, rng *rand.Rand) *victimSelector {
+	s := &victimSelector{rank: rank, rng: rng}
 	s.members = make([]int, n)
 	for i := range s.members {
 		s.members[i] = i
@@ -71,8 +66,7 @@ func newVictimSelector(policy VictimPolicy, rank, n int, rng *rand.Rand) *victim
 // reseat rebuilds the selector against a new membership (engaged ranks,
 // sorted ascending; the slice is copied). The selector's own rank is
 // inserted if absent — a thief always occupies a position in its own
-// view. A sticky victim that left the membership is forgotten; one that
-// stayed (or rejoined) is kept, so locality survives a reseat.
+// view.
 func (s *victimSelector) reseat(members []int) {
 	s.members = append(s.members[:0], members...)
 	pos := -1
@@ -93,61 +87,14 @@ func (s *victimSelector) reseat(members []int) {
 		}
 	}
 	s.mypos = pos
-	if s.sticky >= 0 {
-		keep := false
-		for _, v := range s.members {
-			if v == s.sticky {
-				keep = true
-				break
-			}
-		}
-		if !keep {
-			s.sticky = -1
-		}
-	}
 }
 
 // victims reports how many steal targets the current membership offers.
 func (s *victimSelector) victims() int { return len(s.members) - 1 }
 
-// next picks the next steal target. Callers must not invoke it with zero
-// victims (see victims).
+// next picks a uniformly random member other than this one. Callers must
+// not invoke it with zero victims (see victims).
 func (s *victimSelector) next() int {
-	switch s.policy {
-	case VictimRoundRobin:
-		s.rrNext++
-		pv := (s.mypos + s.rrNext) % len(s.members)
-		if pv == s.mypos {
-			s.rrNext++
-			pv = (pv + 1) % len(s.members)
-		}
-		return s.members[pv]
-	case VictimSticky:
-		// Re-try the last productive victim first; fall back to random.
-		// The sticky slot is consumed here and re-armed only by
-		// noteSuccess, so a victim that has gone dry (or died) is
-		// forgotten after one fruitless revisit.
-		if s.sticky >= 0 {
-			v := s.sticky
-			s.sticky = -1
-			return v
-		}
-		return s.randomVictim()
-	default:
-		return s.randomVictim()
-	}
-}
-
-// noteSuccess records a productive victim so sticky selection can revisit
-// it. A no-op under the other policies.
-func (s *victimSelector) noteSuccess(v int) {
-	if s.policy == VictimSticky {
-		s.sticky = v
-	}
-}
-
-// randomVictim picks a uniformly random member other than this one.
-func (s *victimSelector) randomVictim() int {
 	pv := s.rng.IntN(len(s.members) - 1)
 	if pv >= s.mypos {
 		pv++
@@ -291,7 +238,6 @@ func (p *Pool) search() (bool, error) {
 			p.bk.stealTime.Add(int64(el))
 			p.lat.steal.Record(el)
 			p.tr.Record(trace.StealOK, int64(v), int64(len(tasks)), 0)
-			p.vic.noteSuccess(v)
 			// Publish activity before the stolen tasks become runnable so
 			// degraded-mode termination detection cannot read this PE as
 			// quiescent while it holds freshly stolen work.

@@ -26,7 +26,8 @@ const (
 	numModelOps
 )
 
-func runModelSchedule(t *testing.T, opts Options, seed int64, steps int) error {
+// runModelSchedule runs `lead` owner pushes, then `steps` random steps.
+func runModelSchedule(t *testing.T, opts Options, seed int64, lead, steps int) error {
 	t.Helper()
 	w, err := shmem.NewWorld(shmem.Config{NumPEs: 2, HeapBytes: 4 << 20})
 	if err != nil {
@@ -37,12 +38,15 @@ func runModelSchedule(t *testing.T, opts Options, seed int64, steps int) error {
 		who int
 		op  modelOp
 	}
-	schedule := make([]step, steps)
+	schedule := make([]step, lead, lead+steps)
 	for i := range schedule {
+		schedule[i] = step{0, opPush}
+	}
+	for range steps {
 		if rng.Intn(3) == 0 {
-			schedule[i] = step{1, opSteal}
+			schedule = append(schedule, step{1, opSteal})
 		} else {
-			schedule[i] = step{0, modelOp(rng.Intn(int(numModelOps - 1)))}
+			schedule = append(schedule, step{0, modelOp(rng.Intn(int(numModelOps - 1)))})
 		}
 	}
 
@@ -164,7 +168,7 @@ func runModelSchedule(t *testing.T, opts Options, seed int64, steps int) error {
 
 func TestModelInterleavings(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
-		if err := runModelSchedule(t, Options{Capacity: 64}, seed, 300); err != nil {
+		if err := runModelSchedule(t, Options{Capacity: 64}, seed, 0, 300); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,15 +176,18 @@ func TestModelInterleavings(t *testing.T) {
 
 func TestModelInterleavingsTinyCapacity(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		if err := runModelSchedule(t, Options{Capacity: 4}, seed, 300); err != nil {
+		if err := runModelSchedule(t, Options{Capacity: 4}, seed, 0, 300); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-func TestModelInterleavingsStealAll(t *testing.T) {
+// TestModelInterleavingsLargeBlocks: 600 tasks pushed up front make the
+// first shared portions hundreds of tasks long, so steals copy large
+// blocks while the owner releases and acquires around them.
+func TestModelInterleavingsLargeBlocks(t *testing.T) {
 	for seed := int64(1); seed <= 15; seed++ {
-		if err := runModelSchedule(t, Options{Capacity: 64, Policy: wsq.StealAllPolicy}, seed, 250); err != nil {
+		if err := runModelSchedule(t, Options{Capacity: 1024}, seed, 600, 250); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -49,8 +49,6 @@ type Options struct {
 	// ProbeEvery is how many failed lock attempts pass between metadata
 	// polls while spinning (the aborting-steals optimization). Default 8.
 	ProbeEvery int
-	// Policy selects the steal-volume schedule (default steal-half).
-	Policy wsq.Policy
 }
 
 func (o *Options) setDefaults() {

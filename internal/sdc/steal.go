@@ -51,12 +51,9 @@ func (q *Queue) Steal(victim int) ([]task.Desc, wsq.Outcome, error) {
 		return nil, wsq.Empty, nil
 	}
 
-	// Volume under the configured policy (default steal-half, matching
-	// SWS so the comparison isolates the communication structure).
-	k := q.opts.Policy.Block(avail, 0)
-	if k < 1 {
-		k = 1
-	}
+	// Steal half, as SWS does, so the comparison isolates the
+	// communication structure.
+	k := wsq.StealHalf(avail, 0)
 
 	// (3) Advance tail and bump the steal sequence in one 16-byte put.
 	var upd [2 * shmem.WordSize]byte

@@ -179,156 +179,59 @@ func (g *OwnerGuard) Enter(op OwnerOp) {
 // Exit releases the guard taken by Enter.
 func (g *OwnerGuard) Exit() { g.cur.Store(0) }
 
-// Policy selects the volume a steal claims from a shared block. The
-// paper uses steal-half throughout ("work stealing systems have been shown
-// to perform best by stealing half of the available work", §2); StealOne
-// and StealAll exist for the ablation benches.
-//
-// A policy defines a deterministic *plan* over a block of n tasks: attempt
-// i (0-based) claims Block(n, i) tasks starting Offset(n, i) tasks past
-// the block's tail. Determinism is what lets an SWS thief derive its claim
-// purely from the fetched attempt counter.
-type Policy int
+// A steal claims half of what is left of a shared block, the paper's
+// policy throughout ("work stealing systems have been shown to perform
+// best by stealing half of the available work", §2). The volume defines a
+// deterministic *plan* over a block of n tasks: attempt i (0-based) claims
+// StealHalf(n, i) tasks starting StealOffset(n, i) tasks past the block's
+// tail. Determinism is what lets an SWS thief derive its claim purely from
+// the fetched attempt counter.
 
-const (
-	// StealHalfPolicy takes max(1, remaining/2) per attempt (default).
-	StealHalfPolicy Policy = iota
-	// StealOnePolicy takes one task per attempt.
-	StealOnePolicy
-	// StealAllPolicy takes the whole block in the first attempt.
-	StealAllPolicy
-)
-
-func (p Policy) String() string {
-	switch p {
-	case StealHalfPolicy:
-		return "steal-half"
-	case StealOnePolicy:
-		return "steal-one"
-	case StealAllPolicy:
-		return "steal-all"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
+// StealHalf returns the size of steal attempt i (0-based) against a block
+// that initially held n tasks — max(1, remaining/2) — or 0 when the plan
+// is exhausted. n=150 yields {75,37,19,9,5,2,1,1,1} (§4's example).
+func StealHalf(n, i int) int {
+	r := n - StealOffset(n, i)
+	if r <= 0 {
+		return 0
 	}
+	return half(r)
 }
 
-// Block returns the size of steal attempt i (0-based) against a block
-// that initially held n tasks, or 0 when the plan is exhausted. Under the
-// default policy, n=150 yields {75,37,19,9,5,2,1,1,1} (§4's example).
-func (p Policy) Block(n, i int) int {
-	switch p {
-	case StealOnePolicy:
-		if i < n {
-			return 1
-		}
-		return 0
-	case StealAllPolicy:
-		if i == 0 {
-			return n
-		}
-		return 0
-	default:
-		r := n
-		for ; i > 0 && r > 0; i-- {
-			r -= half(r)
-		}
-		if r <= 0 {
-			return 0
-		}
-		return half(r)
+// StealOffset returns the displacement from the block's tail at which
+// attempt i begins: the total volume of attempts 0..i-1.
+func StealOffset(n, i int) int {
+	r := n
+	for ; i > 0 && r > 0; i-- {
+		r -= half(r)
 	}
-}
-
-// Offset returns the displacement from the block's tail at which attempt
-// i begins: the total volume of attempts 0..i-1.
-func (p Policy) Offset(n, i int) int {
-	switch p {
-	case StealOnePolicy:
-		if i > n {
-			return n
-		}
-		return i
-	case StealAllPolicy:
-		if i == 0 {
-			return 0
-		}
-		return n
-	default:
-		r := n
-		for ; i > 0 && r > 0; i-- {
-			r -= half(r)
-		}
-		return n - r
-	}
+	return n - r
 }
 
 // PlanLen returns the number of attempts that exhaust a block of n tasks
-// (9 for n=150 under steal-half).
-func (p Policy) PlanLen(n int) int {
-	switch p {
-	case StealOnePolicy:
-		return n
-	case StealAllPolicy:
-		if n > 0 {
-			return 1
-		}
-		return 0
-	default:
-		count := 0
-		for r := n; r > 0; r -= half(r) {
-			count++
-		}
-		return count
+// (9 for n=150).
+func PlanLen(n int) int {
+	count := 0
+	for r := n; r > 0; r -= half(r) {
+		count++
 	}
+	return count
 }
 
 // Offsets appends the whole plan of a block of n tasks to dst —
-// Offset(n, i) for i = 0..PlanLen(n), so the last entry is n — for an owner
-// that reads its own block's plan once per task and computes it once per
-// block.
-func (p Policy) Offsets(dst []int, n int) []int {
-	for i, k := 0, p.PlanLen(n); i <= k; i++ {
-		dst = append(dst, p.Offset(n, i))
+// StealOffset(n, i) for i = 0..PlanLen(n), so the last entry is n — for an
+// owner that reads its own block's plan once per task and computes it once
+// per block.
+func Offsets(dst []int, n int) []int {
+	for i, k := 0, PlanLen(n); i <= k; i++ {
+		dst = append(dst, StealOffset(n, i))
 	}
 	return dst
 }
 
-// MaxBlock bounds the largest advertisable block so that PlanLen(n) never
-// exceeds the completion-array slot budget.
-func (p Policy) MaxBlock(slots int) int {
-	switch p {
-	case StealOnePolicy:
-		return slots
-	case StealAllPolicy:
-		return 1 << 30 // one slot is always enough
-	default:
-		// PlanLen grows logarithmically: find the largest n with
-		// PlanLen(n) <= slots. Halving from 2^k takes ~k+2 attempts.
-		n := 1
-		for p.PlanLen(n*2) <= slots {
-			n *= 2
-			if n >= 1<<30 {
-				break
-			}
-		}
-		return n
-	}
-}
-
-// StealHalf is Policy.Block under the paper's default policy, kept as a
-// named function because it is the schedule the paper's example walks.
-func StealHalf(n, i int) int { return StealHalfPolicy.Block(n, i) }
-
-// StealOffset is Policy.Offset under the default policy.
-func StealOffset(n, i int) int { return StealHalfPolicy.Offset(n, i) }
-
-// PlanLen is Policy.PlanLen under the default policy.
-func PlanLen(n int) int { return StealHalfPolicy.PlanLen(n) }
-
-// MaxPlanLen is an upper bound on the default policy's PlanLen for any
-// block size the queues can advertise (itasks is at most 19 bits).
-// Halving from 2^19 reaches 1 in 19 steps; a handful of trailing 1-task
-// steals follow. 32 leaves slack and keeps completion arrays small.
+// MaxPlanLen bounds PlanLen for any block size the queues can advertise:
+// itasks is at most 19 bits, and a block of 2^19-1 tasks is exhausted in
+// 20 attempts. It sizes the completion arrays, one slot per attempt.
 const MaxPlanLen = 32
 
 func half(r int) int {

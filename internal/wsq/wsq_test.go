@@ -85,6 +85,29 @@ func TestStealPlanPartitionProperty(t *testing.T) {
 	}
 }
 
+// Property: the owner's plan table is the same partition — Offsets(n)
+// holds StealOffset(n, i) for every attempt, its steps are the steal-half
+// volumes, and it ends at n after PlanLen(n) attempts.
+func TestPolicyPartitionProperty(t *testing.T) {
+	buf := make([]int, 0, MaxPlanLen+1)
+	f := func(n16 uint16) bool {
+		n := int(n16)
+		buf = Offsets(buf[:0], n)
+		if len(buf) != PlanLen(n)+1 || buf[0] != 0 || buf[len(buf)-1] != n {
+			return false
+		}
+		for i := 0; i+1 < len(buf); i++ {
+			if buf[i] != StealOffset(n, i) || buf[i+1]-buf[i] != StealHalf(n, i) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: each steal takes at most half the remainder (rounded down,
 // except the final single task), so the plan is geometric.
 func TestStealHalfNeverExceedsHalf(t *testing.T) {

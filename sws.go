@@ -123,20 +123,13 @@ type Config struct {
 	// starting size when Growable is set).
 	QueueCapacity int
 	// Growable makes each PE's queue elastic: it doubles into
-	// pre-reserved regions up to QueueCapacity<<MaxGrowth slots and then
-	// spills locally instead of ever failing a spawn with a full queue.
-	// SWS-family protocols only. The default 16 MiB heap comfortably
-	// holds the default ladder (8192 slots growing 8x is ~4 MiB).
+	// pre-reserved regions up to 8x QueueCapacity and then spills locally
+	// instead of ever failing a spawn with a full queue. SWS-family
+	// protocols only. The default 16 MiB heap comfortably holds the
+	// default ladder (8192 slots growing 8x is ~4 MiB).
 	Growable bool
-	// MaxGrowth is the number of doublings a growable queue may perform
-	// (default 3).
-	MaxGrowth int
 	// PayloadCap is the per-task payload capacity in bytes (default 24).
 	PayloadCap int
-	// NoEpochs disables completion epochs (SWS only).
-	NoEpochs bool
-	// NoDamping disables steal damping (SWS only).
-	NoDamping bool
 	// Workers is the number of worker goroutines per PE (default 1: the
 	// PE's owner alone, the paper's single-threaded PE). Each worker
 	// beyond the first is an executor sharing tasks with the owner over
@@ -208,10 +201,7 @@ func Run(cfg Config, job Job) (*Result, error) {
 			Protocol:      cfg.Protocol,
 			QueueCapacity: cfg.QueueCapacity,
 			Growable:      cfg.Growable,
-			MaxGrowth:     cfg.MaxGrowth,
 			PayloadCap:    cfg.PayloadCap,
-			NoEpochs:      cfg.NoEpochs,
-			NoDamping:     cfg.NoDamping,
 			Workers:       cfg.Workers,
 			Seed:          cfg.Seed,
 			Trace:         cfg.Trace,

@@ -69,19 +69,24 @@ func TestRunFacade(t *testing.T) {
 func TestRunFacadeSDCAndOptions(t *testing.T) {
 	var ran atomic.Int64
 	cfg := sws.Config{
-		PEs:      2,
-		Protocol: sws.SDC,
-		Seed:     5,
+		PEs:        2,
+		Protocol:   sws.SDC,
+		Seed:       5,
+		PayloadCap: 32, // four words: more than the default 24 bytes hold
 	}
 	_, err := sws.Run(cfg, sws.Job{
 		Register: func(reg *sws.Registry) (sws.Handle, error) {
 			return reg.Register("t", func(tc *sws.TaskCtx, payload []byte) error {
-				ran.Add(1)
+				args, err := sws.ParseArgs(payload, 4)
+				if err != nil {
+					return err
+				}
+				ran.Add(int64(args[3]))
 				return nil
 			})
 		},
 		Seed: func(p *sws.Pool, h sws.Handle, rank int) error {
-			return p.Add(h, nil) // every PE seeds one
+			return p.Add(h, sws.Args(0, 0, 0, 1)) // every PE seeds one
 		},
 	})
 	if err != nil {
