@@ -36,6 +36,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	fmt.Println(cli.Fingerprint())
 
 	bpcParams := bpc.Default()
 	utsParams := uts.Small

@@ -8,7 +8,7 @@
 // FIRST, which places it at the tail end of the split queue — the first
 // position thieves claim — so the producer "bounces" between processes,
 // dragging the work source around the machine. Consumers simulate fixed
-// task durations by spinning.
+// task durations with TaskCtx.Compute.
 //
 // The paper's configuration (8,192 consumers per producer, depth 500,
 // 5 ms consumer / 1 ms producer tasks) runs on 2,112 cores; the defaults
@@ -19,7 +19,6 @@ package bpc
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -155,13 +154,13 @@ func (w *Workload) runProducer(tc *pool.TaskCtx, payload []byte) error {
 			return err
 		}
 	}
-	spin(w.Params.ProducerWork)
+	tc.Compute(w.Params.ProducerWork)
 	w.producers.Add(1)
 	return nil
 }
 
 func (w *Workload) runConsumer(tc *pool.TaskCtx, payload []byte) error {
-	spin(w.Params.ConsumerWork)
+	tc.Compute(w.Params.ConsumerWork)
 	w.consumers.Add(1)
 	return nil
 }
@@ -192,16 +191,3 @@ func (w *Workload) Producers() uint64 { return w.producers.Load() }
 
 // Consumers returns the number of consumer tasks executed in-process.
 func (w *Workload) Consumers() uint64 { return w.consumers.Load() }
-
-// spin simulates d of task computation. Sub-scheduler-quantum durations
-// must busy-wait (a sleep would round up and distort the task-time
-// ratio); the loop stays preemptible.
-func spin(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	start := time.Now()
-	for time.Since(start) < d {
-		runtime.Gosched()
-	}
-}

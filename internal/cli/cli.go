@@ -1,10 +1,13 @@
 // Package cli holds small helpers shared by the command-line tools in
-// cmd/: flag parsing for PE lists and table emission.
+// cmd/: flag parsing for PE lists, table emission and the results
+// fingerprint.
 package cli
 
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 
@@ -27,6 +30,26 @@ func ParsePEList(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// Fingerprint is the machine and build identity a results file opens with,
+// one comment line with the benchmark module's fields: nproc, GOMAXPROCS, go
+// version and the commit the go tool stamped into the binary ("+dirty" for a
+// modified tree; `go run` stamps none, so "unknown" — build the command first).
+func Fingerprint() string {
+	commit, dirty := "unknown", ""
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch {
+			case s.Key == "vcs.revision":
+				commit = s.Value
+			case s.Key == "vcs.modified" && s.Value == "true":
+				dirty = "+dirty"
+			}
+		}
+	}
+	return fmt.Sprintf("# nproc=%d GOMAXPROCS=%d %s commit=%s%s",
+		runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), commit, dirty)
 }
 
 // Emit renders tables as aligned text or CSV.

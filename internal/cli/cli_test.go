@@ -43,3 +43,17 @@ func TestEmit(t *testing.T) {
 		t.Errorf("csv emit: %q", buf.String())
 	}
 }
+
+// TestFingerprint: one comment line naming the machine and the build, so a
+// results file says where its numbers came from.
+func TestFingerprint(t *testing.T) {
+	fp := Fingerprint()
+	for _, want := range []string{"# nproc=", " GOMAXPROCS=", " go", " commit="} {
+		if !strings.Contains(fp, want) {
+			t.Errorf("fingerprint %q lacks %q", fp, want)
+		}
+	}
+	if !strings.HasPrefix(fp, "# ") || strings.Contains(fp, "\n") {
+		t.Errorf("fingerprint %q is not one comment line", fp)
+	}
+}

@@ -364,6 +364,12 @@ func (tc *TaskCtx) NumPEs() int { return tc.p.ctx.NumPEs() }
 // space but may not wait on concurrent tasks).
 func (tc *TaskCtx) Shmem() *shmem.Ctx { return tc.p.ctx }
 
+// Compute simulates d of task computation — the one wait every workload's
+// simulated work goes through (shmem.Ctx.Compute): it holds the core like
+// real compute unless the process hosts more PE and executor goroutines than
+// GOMAXPROCS, where it yields on every iteration so PEs time-share the cores.
+func (tc *TaskCtx) Compute(d time.Duration) { tc.p.ctx.Compute(d) }
+
 // Spawn enqueues a new task on the executing PE's queue.
 func (tc *TaskCtx) Spawn(h task.Handle, payload []byte) error {
 	return tc.p.spawn(tc.w, task.Desc{Handle: h, Payload: payload})

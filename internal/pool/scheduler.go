@@ -105,8 +105,10 @@ func (p *Pool) run() (err error) {
 	var wg sync.WaitGroup
 	for _, ws := range ex.workers[1:] {
 		wg.Add(1)
+		shmem.Host(1) // an executor competes for a core like a PE (TaskCtx.Compute)
 		go func(ws *workerState) {
 			defer wg.Done()
+			defer shmem.Host(-1)
 			p.executorLoop(ws)
 		}(ws)
 	}

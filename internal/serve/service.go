@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -323,7 +322,7 @@ func (s *Service) runGraphNode(tc *pool.TaskCtx, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	spinFor(g.spin)
+	tc.Compute(g.spin)
 	if args[0] == 0 {
 		return nil
 	}
@@ -334,18 +333,6 @@ func (s *Service) runGraphNode(tc *pool.TaskCtx, payload []byte) error {
 		}
 	}
 	return nil
-}
-
-// spinFor simulates d of task computation with a preemptible busy-wait
-// (sub-quantum durations must not sleep; see bpc.spin).
-func spinFor(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	start := time.Now()
-	for time.Since(start) < d {
-		runtime.Gosched()
-	}
 }
 
 // Submit validates spec, applies admission control, and enqueues the

@@ -369,9 +369,16 @@ func (c *Ctx) Yield(due bool) {
 // Pauses counts this PE's poll back-off steps, every 64th of which slept.
 func (c *Ctx) Pauses() uint64 { return c.self.pauses.Load() }
 
-// Yields counts the times Yield ceded the processor on a wall-clock
-// transport.
+// Yields counts the times Yield (on a wall-clock transport) and Compute
+// ceded the processor.
 func (c *Ctx) Yields() uint64 { return c.self.yields.Load() }
+
+// Compute simulates d of task computation: spin at computeQuantum's cadence.
+func (c *Ctx) Compute(d time.Duration) {
+	if _, n := spin(d, computeQuantum()); n > 0 {
+		c.self.yields.Add(n)
+	}
+}
 
 // --- One-sided operations ---------------------------------------------------
 

@@ -61,31 +61,6 @@ type FaultInjector interface {
 	Before(op Op, from, to int, addr Addr) Verdict
 }
 
-// Compose chains injectors: delays add, duplicate/drop verdicts OR, and
-// the first non-nil Err wins.
-func Compose(injectors ...FaultInjector) FaultInjector {
-	return composed(injectors)
-}
-
-type composed []FaultInjector
-
-func (c composed) Before(op Op, from, to int, addr Addr) Verdict {
-	var out Verdict
-	for _, f := range c {
-		if f == nil {
-			continue
-		}
-		v := f.Before(op, from, to, addr)
-		out.Delay += v.Delay
-		out.Duplicate = out.Duplicate || v.Duplicate
-		out.Drop = out.Drop || v.Drop
-		if out.Err == nil {
-			out.Err = v.Err
-		}
-	}
-	return out
-}
-
 // DelayFaults injects a random delay into a fraction of non-blocking
 // operations. It stresses exactly the window the paper's completion epochs
 // exist for: steal-completion notifications that arrive long after the

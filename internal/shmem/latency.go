@@ -2,6 +2,8 @@ package shmem
 
 import (
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -28,15 +30,14 @@ type LatencyModel struct {
 	// bulk transfers (Put/Get), pro-rated by byte.
 	PerKB time.Duration
 	// Occupy controls what a waiting PE does with its processor. False
-	// (default): the wait yields, so on hosts with fewer cores than PEs
-	// the other PEs compute in the meantime — communication is overlap-
-	// friendly, as on a real cluster where a blocked core's time is only
-	// that core's loss. True: the wait spins without yielding, consuming
-	// simulated core time — on an oversubscribed host this surfaces
-	// protocol communication *counts* in wall-clock runtime (every
-	// round-trip anywhere slows the whole world), which is the right
-	// model for compute-bound workloads on a single-core host where
-	// overlapped waits would otherwise be invisible. See DESIGN.md §4.7.
+	// (default): Ctx.Compute's wait — it yields on every iteration in a crowded
+	// process (more PE and executor goroutines than GOMAXPROCS), so the other
+	// PEs compute meanwhile, as on a cluster where a blocked core's time is
+	// only its own loss, and holds the core otherwise. True: it never yields,
+	// so on an oversubscribed host every round-trip anywhere slows the whole
+	// world — protocol communication *counts* surface in wall-clock runtime,
+	// the right model for compute-bound workloads whose overlapped waits would
+	// otherwise be invisible. See DESIGN.md §4.7.
 	Occupy bool
 }
 
@@ -50,31 +51,25 @@ func (m LatencyModel) blockingCost(n int) time.Duration {
 	return m.BlockingRTT + m.bandwidth(n)
 }
 
-// charge waits out d under the model's occupancy mode. It returns the
-// clock value its wait loop last read — a timestamp the caller gets for
-// free, used by the flight recorder to stamp the op's apply without a
-// second clock read. A zero return means no wait happened (or the wait
+// charge waits out d of network time under the model's occupancy mode. It
+// returns the clock value its wait loop last read — a timestamp the caller
+// gets for free, used by the flight recorder to stamp the op's apply without
+// a second clock read. A zero return means no wait happened (or the wait
 // slept), so the caller must read the clock itself if it needs one.
 func (m LatencyModel) charge(d time.Duration) time.Time {
-	if m.Occupy {
-		return occupy(d)
-	}
-	return charge(d)
-}
-
-// occupy burns the processor for d without yielding (modulo Go's own
-// asynchronous preemption).
-func occupy(d time.Duration) time.Time {
-	if d <= 0 {
+	q := d // Occupy: no wait outlasts d since its last yield, so it never yields
+	switch {
+	case d <= 0: // the zero model, charged on every remote op: keep it free
 		return time.Time{}
+	case m.Occupy:
+	case d >= 200*time.Microsecond:
+		time.Sleep(d) // long enough for the scheduler to be accurate and courteous
+		return time.Time{}
+	default:
+		q = computeQuantum()
 	}
-	start := time.Now()
-	for {
-		now := time.Now()
-		if now.Sub(start) >= d {
-			return now
-		}
-	}
+	at, _ := spin(d, q)
+	return at
 }
 
 func (m LatencyModel) bandwidth(n int) time.Duration {
@@ -84,30 +79,52 @@ func (m LatencyModel) bandwidth(n int) time.Duration {
 	return time.Duration(int64(m.PerKB) * int64(n) / 1024)
 }
 
-// charge waits out d of network time. Durations at benchmark scale
-// (hundreds of ns to a few µs) are far below time.Sleep's scheduler
-// granularity, so the wait spins against the monotonic clock — but it
-// yields on every iteration: a PE waiting on a network round-trip is
-// blocked, not computing, and on hosts with fewer cores than PEs the
-// yield is what lets the other PEs use the core in the meantime (this is
-// how an oversubscribed world emulates dedicated cores).
-func charge(d time.Duration) time.Time {
+// spin is the one wait for simulated compute and modelled latency, on the
+// monotonic clock (time.Sleep is far too coarse), yielding once per quantum
+// (0: every iteration). It returns its last clock reading and yield count.
+func spin(d, quantum time.Duration) (now time.Time, yields uint64) {
 	if d <= 0 {
-		return time.Time{}
-	}
-	if d >= 200*time.Microsecond {
-		// Long enough for the scheduler to be accurate and courteous.
-		time.Sleep(d)
-		return time.Time{}
+		return now, 0
 	}
 	start := time.Now()
-	for {
-		now := time.Now()
-		if now.Sub(start) >= d {
-			return now
+	last := start
+	for now = start; now.Sub(start) < d; now = time.Now() {
+		if now.Sub(last) >= quantum {
+			yield()
+			yields, last = yields+1, now
 		}
-		runtime.Gosched()
 	}
+	return now, yields
+}
+
+// hosted counts the PE goroutines World.Run starts and the executors pools
+// run beside them, over every world; crowded caches hosted > GOMAXPROCS as
+// Host moves it, since runtime.GOMAXPROCS takes the scheduler's lock.
+var (
+	hostMu  sync.Mutex
+	hosted  int
+	crowded atomic.Bool
+)
+
+// Host counts a PE or executor goroutine in (+1) or out (-1) and returns the
+// count; a +1 without its -1 at exit leaves the process crowded for good.
+func Host(delta int) int {
+	hostMu.Lock()
+	defer hostMu.Unlock()
+	hosted += delta
+	crowded.Store(hosted > runtime.GOMAXPROCS(0))
+	return hosted
+}
+
+// computeQuantum is a compute wait's yield cadence. Crowded goroutines
+// time-share the cores, and a yield per iteration lets each run as on a
+// dedicated, slower core (DESIGN.md §4.7); otherwise it holds its core like
+// real compute, yielding once per 50 µs for goroutines outside the count.
+func computeQuantum() time.Duration {
+	if crowded.Load() {
+		return 0
+	}
+	return 50 * time.Microsecond
 }
 
 // yield cedes the processor to another goroutine.

@@ -566,8 +566,10 @@ func (w *World) Run(body func(*Ctx) error) error {
 			continue
 		}
 		wg.Add(1)
+		Host(1)
 		go func(rank int) {
 			defer wg.Done()
+			defer Host(-1)
 			defer func() {
 				if r := recover(); r != nil {
 					errs[rank] = fmt.Errorf("shmem: PE %d panicked: %v", rank, r)

@@ -823,7 +823,7 @@ func (t *tcpTransport) attemptSync(r *opReq, payload, respInto []byte) (uint64, 
 func (t *tcpTransport) nbi(r opReq) error {
 	from, to := r.from, r.to
 	v := t.w.verdict(&r)
-	charge(v.Delay)
+	LatencyModel{}.charge(v.Delay)
 	if v.dropped() {
 		// Silently lost before reaching the wire: nothing pending,
 		// Quiet unaffected.

@@ -186,7 +186,7 @@ func Run(p Params) ([]byte, error) {
 			return nil, err
 		}
 	}
-	// Zero task durations: bpc's spin() returns immediately, so the whole
+	// Zero task durations: TaskCtx.Compute returns immediately, so the whole
 	// run is protocol communication — exactly what the sim explores.
 	wl, err := bpc.NewWorkload(bpc.Params{Depth: p.Depth, NConsumers: p.Width})
 	if err != nil {

@@ -2,7 +2,6 @@ package uts
 
 import (
 	"errors"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -19,8 +18,8 @@ import (
 type Workload struct {
 	Params Params
 
-	// NodeWork, if nonzero, adds simulated per-node search work (a
-	// yielding wall-clock spin, like BPC's task durations). The paper's
+	// NodeWork, if nonzero, adds simulated per-node search work
+	// (TaskCtx.Compute, like BPC's task durations). The paper's
 	// UTS nodes are nearly pure traversal (~0.1 µs); this knob makes the
 	// workload latency-sensitive on hosts where real SHA-1 work would
 	// saturate the cores and mask communication effects.
@@ -93,10 +92,7 @@ func (w *Workload) runNode(tc *pool.TaskCtx, payload []byte) error {
 	c := w.stripe(tc)
 	c.nodes.Add(1)
 	if w.NodeWork > 0 {
-		start := time.Now()
-		for time.Since(start) < w.NodeWork {
-			runtime.Gosched()
-		}
+		tc.Compute(w.NodeWork)
 	}
 	kids := w.Params.NumChildren(n)
 	if kids == 0 {
