@@ -73,30 +73,55 @@ func TestConfigFieldBudget(t *testing.T) {
 
 // TestShmemLineBudget pins the size of the communication substrate. The
 // paper's steal is three one-sided communications; what emulates them
-// should do each job in exactly one place, and twice (PR 14, PR 29) the
-// package shrank by finding a job done in two. The bound is the last
-// collapse's result rounded up to the next 50 non-test lines (comments
-// included: `ls internal/shmem/*.go | grep -v _test.go | xargs cat | wc -l`).
+// should do each job in exactly one place, and each time the package
+// shrank it was by finding a job done in two: the op pipeline, the landing
+// path and the wait loop, then the barrier, the give-up rule, the liveness
+// transition and the tcp dial path. The bound is the last collapse's result
+// rounded up to the next 50 non-test lines, comments included
+// (`ls internal/shmem/*.go | grep -v _test.go | xargs cat | wc -l`).
 // Raising it takes naming, in the commit, what came back and why it could
 // not live in the place that already does that job.
 func TestShmemLineBudget(t *testing.T) {
-	const budget = 5850
+	const budget = 5750
 	files, err := filepath.Glob("internal/shmem/*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := 0
 	for _, f := range files {
-		if strings.HasSuffix(f, "_test.go") {
-			continue
+		if !strings.HasSuffix(f, "_test.go") {
+			lines += lineCount(t, f)
 		}
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines += bytes.Count(src, []byte("\n"))
 	}
 	if lines > budget {
 		t.Errorf("internal/shmem has %d non-test lines, budget %d", lines, budget)
 	}
+}
+
+// TestDocBudget pins the two long documents at their line counts, so prose
+// is cut before it is added: DESIGN.md describes what is (the history of a
+// change goes in its CHANGES.md entry), EXPERIMENTS.md holds recipes and
+// the measurements a change rests on. Raising a bound takes naming, in the
+// commit, what the new lines say that no existing line could.
+func TestDocBudget(t *testing.T) {
+	for _, d := range []struct {
+		file   string
+		budget int
+	}{
+		{"DESIGN.md", 1444},
+		{"EXPERIMENTS.md", 1830},
+	} {
+		if n := lineCount(t, d.file); n > d.budget {
+			t.Errorf("%s has %d lines, budget %d", d.file, n, d.budget)
+		}
+	}
+}
+
+func lineCount(t *testing.T, file string) int {
+	t.Helper()
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Count(src, []byte("\n"))
 }

@@ -10,7 +10,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -310,17 +309,4 @@ var latencyRowKeys = []string{
 	"exec", "steal", "acquire", "release", "grow", "push-wait",
 	"shmem/fetch-add/remote", "shmem/get/remote",
 	"shmem/compare-swap/remote", "shmem/fetch-add-get/remote",
-}
-
-// JSON renders the table as a JSON object with title, note, header, and
-// rows — for downstream plotting tools.
-func (t *Table) JSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Title  string     `json:"title"`
-		Note   string     `json:"note,omitempty"`
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-	}{t.Title, t.Note, t.Header, t.Rows})
 }

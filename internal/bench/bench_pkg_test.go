@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"runtime"
 	"strconv"
@@ -267,24 +266,5 @@ func TestAblations(t *testing.T) {
 				t.Errorf("%s: bad runtime %q", tb.Title, row[1])
 			}
 		}
-	}
-}
-
-func TestTableJSON(t *testing.T) {
-	tb := &Table{Title: "j", Header: []string{"a", "b"}, Rows: [][]string{{"1", "2"}}}
-	var buf bytes.Buffer
-	if err := tb.JSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got struct {
-		Title  string     `json:"title"`
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Title != "j" || len(got.Rows) != 1 || got.Rows[0][1] != "2" {
-		t.Errorf("json round trip: %+v", got)
 	}
 }

@@ -76,7 +76,7 @@ func Fig6(cfg Fig6Config) (*Table, error) {
 
 	t := &Table{
 		Title: "Figure 6: steal operation time vs steal volume",
-		Note: fmt.Sprintf("mean of %d steals per point; injected RTT %v; paper shape: SWS ~ half of SDC at small volumes, converging at large",
+		Note: fmt.Sprintf("median of %d steals per point; injected RTT %v; paper shape: SWS ~ half of SDC at small volumes, converging at large",
 			cfg.Reps, cfg.Latency.BlockingRTT),
 		Header: []string{"volume"},
 	}
@@ -90,7 +90,7 @@ func Fig6(cfg Fig6Config) (*Table, error) {
 		for _, slot := range cfg.SlotSizes {
 			for _, p := range protos {
 				s := results[key{slot, p.name}][vi]
-				row = append(row, fmtDur(time.Duration(s.Mean*float64(time.Second))))
+				row = append(row, fmtDur(time.Duration(s.Median*float64(time.Second))))
 			}
 		}
 		t.Rows = append(t.Rows, row)

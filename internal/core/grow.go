@@ -125,7 +125,7 @@ func (q *Queue) publishGeom() {
 // drain (the PR 5 force-close path covers dead thieves), copy the live
 // tasks into the new class's region rebased to position zero, publish
 // the new geometry, and reopen with the unclaimed remainder
-// re-advertised. Owner-side only; bounded by ResetPoll like any other
+// re-advertised. Owner-side only; bounded by resetPoll like any other
 // epoch wait.
 func (q *Queue) reseat(newCls int) error {
 	start := time.Now()

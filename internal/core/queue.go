@@ -32,17 +32,6 @@ type Options struct {
 	// DampThreshold is the asteals overshoot beyond the steal plan that
 	// flips a target into empty-mode. Default 4.
 	DampThreshold uint32
-	// ResetPoll is how long queue resets may poll for a free completion
-	// epoch before reporting an error (guards against lost thieves in
-	// fault-injection tests). Default 10s.
-	ResetPoll time.Duration
-	// ForceCloseGrace is how long a reset wait tolerates a stalled
-	// completion slot after a peer has been declared dead before force
-	// closing the epoch: the dead thief's completion store is never
-	// coming, so the owner writes the slot off itself (the claimed tasks
-	// are accounted as written off, at-least-once). Default 25ms; negative
-	// disables force-closing.
-	ForceCloseGrace time.Duration
 	// Fused enables single-round-trip steals through the substrate's
 	// programmable-NIC emulation (shmem.FetchAddGet): the claim fetch-add
 	// and the dependent task copy complete in ONE blocking communication,
@@ -78,12 +67,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.DampThreshold == 0 {
 		o.DampThreshold = 4
-	}
-	if o.ResetPoll == 0 {
-		o.ResetPoll = 10 * time.Second
-	}
-	if o.ForceCloseGrace == 0 {
-		o.ForceCloseGrace = 25 * time.Millisecond
 	}
 	if o.Growable && o.MaxGrowth == 0 {
 		o.MaxGrowth = 3
@@ -604,13 +587,38 @@ func (q *Queue) Progress() error {
 	return nil
 }
 
-// waitParityFree polls Progress until no draining record uses parity p
-// (V1: until every draining record is gone — the §4.1 wait-for-all).
-// p < 0 waits for every draining record regardless of parity — the
-// reseat's wait-for-all-in-flight-steals.
+// Reset-wait bounds, fixed for every queue.
+const (
+	// resetPoll is how long a queue reset may poll for a free completion
+	// parity before reporting an error (a lost thief).
+	resetPoll = 10 * time.Second
+	// forceCloseGrace is how long a reset wait tolerates a stalled
+	// completion slot after a peer has been declared dead before force
+	// closing the epoch: the dead thief's completion store is never coming,
+	// so the owner writes the slot off itself (the claimed tasks are
+	// accounted as written off, at-least-once).
+	forceCloseGrace = 25 * time.Millisecond
+)
+
+// parityBusy reports whether a retired record still draining holds parity
+// p: any draining record for V1 (its one parity) and for p < 0.
+func (q *Queue) parityBusy(p int) bool {
+	for i := range q.recs {
+		rec := &q.recs[i]
+		if rec.retired() && (p < 0 || q.format == FormatV1 || rec.parity == p) {
+			return true
+		}
+	}
+	return false
+}
+
+// waitParityFree polls Progress until parity p is not busy (V1: until every
+// draining record is gone — the §4.1 wait-for-all). p < 0 waits for every
+// draining record regardless of parity — the reseat's
+// wait-for-all-in-flight-steals.
 //
 // If a peer has been declared dead while the wait is stalled, the missing
-// completion store may never come: after ForceCloseGrace the owner force
+// completion store may never come: after forceCloseGrace the owner force
 // closes the stalled slots itself (see forceCloseStalled) instead of
 // wedging the queue forever.
 func (q *Queue) waitParityFree(p int) error {
@@ -621,43 +629,28 @@ func (q *Queue) waitParityFree(p int) error {
 		if err := q.Progress(); err != nil {
 			return err
 		}
-		busy := false
-		for i := range q.recs {
-			rec := &q.recs[i]
-			if !rec.retired() {
-				continue
-			}
-			if p < 0 || q.format == FormatV1 || rec.parity == p {
-				busy = true
-				break
-			}
-		}
-		if !busy {
+		if !q.parityBusy(p) {
 			return nil
 		}
 		q.resetPolls++
 		if werr := q.ctx.Err(); werr != nil {
 			return werr
 		}
-		if g := q.opts.ForceCloseGrace; g >= 0 {
-			if lv := q.ctx.Liveness(); lv != nil && lv.AnyDead() {
-				if deadSince.IsZero() {
-					deadSince = time.Now()
-				} else if time.Since(deadSince) > g {
-					q.forceCloseStalled()
-					continue // re-run Progress over the filled slots
-				}
+		if lv := q.ctx.Liveness(); lv != nil && lv.AnyDead() {
+			if deadSince.IsZero() {
+				deadSince = time.Now()
+			} else if time.Since(deadSince) > forceCloseGrace {
+				q.forceCloseStalled()
+				continue // re-run Progress over the filled slots
 			}
 		}
 		if deadline.IsZero() {
-			deadline = time.Now().Add(q.opts.ResetPoll)
+			deadline = time.Now().Add(resetPoll)
 		} else if time.Now().After(deadline) {
 			if p < 0 {
-				return fmt.Errorf("core: reseat stalled %v waiting for in-flight steals to drain (lost thief?)",
-					q.opts.ResetPoll)
+				return fmt.Errorf("core: reseat stalled %v waiting for in-flight steals to drain (lost thief?)", resetPoll)
 			}
-			return fmt.Errorf("core: reset stalled %v waiting for completion epoch parity %d (lost thief?)",
-				q.opts.ResetPoll, p)
+			return fmt.Errorf("core: reset stalled %v waiting for completion epoch parity %d (lost thief?)", resetPoll, p)
 		}
 		// Scheduler-visible yield: a thief's completion store is what ends
 		// this wait, and under the sim transport it only lands if the
@@ -748,20 +741,14 @@ func (q *Queue) Release() (int, error) {
 		return 0, err
 	}
 	local := q.ringLocal()
-	// Non-blocking variant of the parity wait: skip the release if the
-	// next parity is still draining. Work stays local and runnable.
+	// Non-blocking variant of startEpoch's parity wait: skip the release if
+	// the next epoch's parity is still draining. Work stays local and
+	// runnable.
 	if err := q.Progress(); err != nil {
 		return 0, err
 	}
-	nextParity := q.parity()
-	if q.format == FormatV2 {
-		nextParity = (q.curEpoch + 1) % MaxEpochs
-	}
-	for i := range q.recs[:len(q.recs)-1] {
-		rec := &q.recs[i]
-		if q.format == FormatV1 || rec.parity == nextParity {
-			return 0, nil
-		}
+	if q.parityBusy((q.curEpoch + 1) % MaxEpochs) {
+		return 0, nil
 	}
 	unclaimed, err := q.retire()
 	if err != nil {

@@ -785,6 +785,87 @@ func TestV1ResetWaitsForInFlight(t *testing.T) {
 	}
 }
 
+// A release whose next epoch's parity is still draining is deferred, not
+// waited out: the owner keeps the work local and returns at once, with the
+// fixed and the growable (V3) stealval alike. The thief claims every block
+// of two epochs with raw fetch-adds and withholds the completion stores
+// until well after the owner's third Release has answered.
+func TestReleaseDefersBusyParity(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"fixed", DefaultOptions()},
+		{"growable", Options{Capacity: 256, Epochs: true, Damping: true, Growable: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runWorld(t, 2, func(c *shmem.Ctx) error {
+				q, err := NewQueue(c, tc.opts)
+				if err != nil {
+					return err
+				}
+				if c.Rank() == 0 {
+					for i := uint64(0); i < 64; i++ {
+						if err := q.Push(desc(i)); err != nil {
+							return err
+						}
+					}
+					for round := 1; round <= 2; round++ {
+						if n, err := q.Release(); err != nil || n == 0 {
+							return fmt.Errorf("release %d: n=%d err=%v", round, n, err)
+						}
+						if err := c.Barrier(); err != nil { // block published
+							return err
+						}
+						if err := c.Barrier(); err != nil { // every block claimed
+							return err
+						}
+					}
+					polls := q.Stats().ResetPolls
+					if n, err := q.Release(); n != 0 || err != nil {
+						return fmt.Errorf("release 3 with the next parity draining: n=%d err=%v, want 0, nil", n, err)
+					}
+					if got := q.Stats().ResetPolls; got != polls {
+						return fmt.Errorf("release 3 polled %d times instead of deferring", got-polls)
+					}
+					return c.Barrier()
+				}
+				type claim struct{ epoch, attempt, k int }
+				var held []claim
+				for round := 1; round <= 2; round++ {
+					if err := c.Barrier(); err != nil {
+						return err
+					}
+					for {
+						old, err := c.FetchAdd64(0, q.StealvalAddr(), AstealsUnit)
+						if err != nil {
+							return err
+						}
+						v := q.format.Unpack(old)
+						if int(v.Asteals) >= wsq.PlanLen(v.ITasks) {
+							break
+						}
+						held = append(held, claim{v.Epoch, int(v.Asteals), wsq.StealHalf(v.ITasks, int(v.Asteals))})
+					}
+					if err := c.Barrier(); err != nil {
+						return err
+					}
+				}
+				// An owner that polls for these stores instead of deferring
+				// gets them here, and the test fails in a fraction of a
+				// second rather than at the reset-poll bound.
+				time.Sleep(200 * time.Millisecond)
+				for _, h := range held {
+					if err := c.Store64(0, q.CompletionSlotAddr(h.epoch, h.attempt), uint64(h.k)); err != nil {
+						return err
+					}
+				}
+				return c.Barrier()
+			})
+		})
+	}
+}
+
 // Concurrency stress: one producer, several thieves, no task lost or
 // duplicated. This is the package's core safety invariant.
 func TestConcurrentStealStress(t *testing.T) {

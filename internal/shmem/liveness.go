@@ -88,8 +88,9 @@ func (s PeerState) String() string {
 type Liveness struct {
 	w *World
 
-	// states holds a PeerState per rank. Transitions are monotone
-	// (alive -> suspect -> dead); dead is terminal.
+	// states holds a PeerState per rank, moved only by transition. The
+	// detector's moves are monotone (alive -> suspect -> dead); dead is
+	// terminal.
 	states []atomic.Int32
 	// killed marks crash-injected ranks: the rank's own operations fail
 	// with ErrPEKilled, and peers' operations against it fail fast with
@@ -115,8 +116,8 @@ type Liveness struct {
 	drains     atomic.Uint64
 	joins      atomic.Uint64
 
-	mu      sync.Mutex
-	onDeath []func(rank int)
+	// mu serializes voluntary transitions (membership.go).
+	mu sync.Mutex
 
 	// Prober goroutine state (distributed worlds only).
 	stop     chan struct{}
@@ -167,15 +168,6 @@ func (l *Liveness) LiveRanks(dst []int) []int {
 	return dst
 }
 
-// OnDeath registers fn to run (once, asynchronously with respect to the
-// failing op) when a rank is declared dead. Registration must happen before
-// the world runs.
-func (l *Liveness) OnDeath(fn func(rank int)) {
-	l.mu.Lock()
-	l.onDeath = append(l.onDeath, fn)
-	l.mu.Unlock()
-}
-
 // Kill crash-injects rank: its own operations fail with ErrPEKilled and its
 // peers' operations against it fail fast, as if the OS process died. The
 // detector declares it dead after DeadAfter (immediately if DeadAfter <= 0
@@ -199,43 +191,48 @@ func (l *Liveness) crash(rank int) bool {
 		return false
 	}
 	l.events.Add(1)
-	l.markSuspect(rank)
+	l.transition(rank, PeerAlive, PeerSuspect)
 	return true
 }
 
-// markSuspect moves rank to PeerSuspect unless it is already dead.
-func (l *Liveness) markSuspect(rank int) {
-	if l.states[rank].CompareAndSwap(int32(PeerAlive), int32(PeerSuspect)) {
-		l.events.Add(1)
-		l.w.flightState(rank, PeerSuspect)
-	}
-}
-
 // MarkDead declares rank dead (idempotent): peers' operations against it
-// fail with ErrPeerDead, barriers and WaitUntil64 waits unwind, and OnDeath
-// hooks fire.
+// fail with ErrPeerDead, and barriers and WaitUntil64 waits unwind.
 func (l *Liveness) MarkDead(rank int) {
 	if rank < 0 || rank >= len(l.states) {
 		return
 	}
 	for {
-		s := l.states[rank].Load()
-		if PeerState(s) == PeerDead {
+		s := l.State(rank)
+		if s == PeerDead || l.transition(rank, s, PeerDead) {
 			return
 		}
-		if l.states[rank].CompareAndSwap(s, int32(PeerDead)) {
-			break
+	}
+}
+
+// transition is the one way a rank's state moves, for the failure detector
+// and voluntary membership alike: CAS from → to, one journal record, then
+// the effects of the state entered. Suspect and Dead open the liveness
+// gate (events), and Dead is counted; a voluntary state enables the elastic
+// layer, bumps the membership epoch and is advertised in the rank's
+// membership word. Voluntary transitions hold l.mu; the detector's take no
+// lock and win any race through the CAS.
+func (l *Liveness) transition(rank int, from, to PeerState) bool {
+	if !l.states[rank].CompareAndSwap(int32(from), int32(to)) {
+		return false
+	}
+	l.w.flightState(rank, to)
+	switch to {
+	case PeerSuspect, PeerDead:
+		l.events.Add(1)
+		if to == PeerDead {
+			l.deadCount.Add(1)
 		}
+	default:
+		l.elastic.Store(true)
+		l.memberEpoch.Add(1)
+		l.publishMember(rank)
 	}
-	l.events.Add(1)
-	l.deadCount.Add(1)
-	l.w.flightState(rank, PeerDead)
-	l.mu.Lock()
-	hooks := append([]func(int){}, l.onDeath...)
-	l.mu.Unlock()
-	for _, fn := range hooks {
-		fn(rank)
-	}
+	return true
 }
 
 // startProber launches the heartbeat loop for a distributed world: bump our
@@ -303,10 +300,9 @@ func (l *Liveness) startProber(selfRank int) {
 				}
 				idle := now.Sub(p.lastChange)
 				if idle > cfg.DeadAfter {
-					l.events.Add(1) // ensure the gate opens even pre-hook
 					l.MarkDead(r)
 				} else if idle > cfg.SuspectAfter {
-					l.markSuspect(r)
+					l.transition(r, PeerAlive, PeerSuspect)
 				}
 			}
 		}

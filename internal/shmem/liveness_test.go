@@ -124,7 +124,7 @@ func TestHeapBarrierTimeoutNamedError(t *testing.T) {
 	}
 	// A 2-member barrier over a 1-PE world: the second member never
 	// arrives, so wait must expire.
-	b := newHeapBarrier(w, 0, 2)
+	b := newBarrier(w, 0, 2)
 	b.timeout = 30 * time.Millisecond
 	start := time.Now()
 	werr := b.wait()

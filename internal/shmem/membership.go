@@ -162,8 +162,8 @@ func (l *Liveness) BeginDrain(rank int) error {
 	if others == 0 {
 		return fmt.Errorf("shmem: draining rank %d would leave an empty membership", rank)
 	}
-	if !l.transitionLocked(rank, PeerAlive, PeerDraining) &&
-		!l.transitionLocked(rank, PeerSuspect, PeerDraining) {
+	if !l.transition(rank, PeerAlive, PeerDraining) &&
+		!l.transition(rank, PeerSuspect, PeerDraining) {
 		return fmt.Errorf("shmem: rank %d is %v, not a member; cannot drain", rank, l.State(rank))
 	}
 	if rank < len(l.drainStart) {
@@ -178,7 +178,7 @@ func (l *Liveness) BeginDrain(rank int) error {
 func (l *Liveness) CompleteDrain(rank int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.transitionLocked(rank, PeerDraining, PeerParked) {
+	if !l.transition(rank, PeerDraining, PeerParked) {
 		return fmt.Errorf("shmem: rank %d is %v, not draining", rank, l.State(rank))
 	}
 	if rank < len(l.drainStart) {
@@ -202,7 +202,7 @@ func (l *Liveness) BeginJoin(rank int) error {
 	if rank < 0 || rank >= len(l.states) {
 		return fmt.Errorf("shmem: join rank %d out of range", rank)
 	}
-	if !l.transitionLocked(rank, PeerParked, PeerJoining) {
+	if !l.transition(rank, PeerParked, PeerJoining) {
 		return fmt.Errorf("shmem: rank %d is %v, not parked; cannot join", rank, l.State(rank))
 	}
 	l.joins.Add(1)
@@ -214,25 +214,10 @@ func (l *Liveness) BeginJoin(rank int) error {
 func (l *Liveness) CompleteJoin(rank int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.transitionLocked(rank, PeerJoining, PeerAlive) {
+	if !l.transition(rank, PeerJoining, PeerAlive) {
 		return fmt.Errorf("shmem: rank %d is %v, not joining", rank, l.State(rank))
 	}
 	return nil
-}
-
-// transitionLocked CASes rank from → to, bumping the epoch and
-// publishing the new state on success. Caller holds l.mu (which
-// serializes voluntary transitions; failure-detector transitions remain
-// lock-free and win any race via the CAS).
-func (l *Liveness) transitionLocked(rank int, from, to PeerState) bool {
-	if !l.states[rank].CompareAndSwap(int32(from), int32(to)) {
-		return false
-	}
-	l.elastic.Store(true)
-	l.memberEpoch.Add(1)
-	l.w.flightState(rank, to)
-	l.publishMember(rank)
-	return true
 }
 
 // publishMember mirrors rank's state into its reserved heap word
@@ -259,10 +244,10 @@ func (l *Liveness) mirrorMember(rank int, adv PeerState) {
 	defer l.mu.Unlock()
 	switch adv {
 	case PeerJoining, PeerDraining, PeerParked:
-		l.transitionLocked(rank, cur, adv)
+		l.transition(rank, cur, adv)
 	case PeerAlive:
 		if cur == PeerJoining || cur == PeerDraining || cur == PeerParked {
-			l.transitionLocked(rank, cur, PeerAlive)
+			l.transition(rank, cur, PeerAlive)
 		}
 	}
 }

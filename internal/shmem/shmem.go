@@ -196,7 +196,7 @@ const (
 // user:
 //
 //	word 0  barrierArriveAddr  on rank 0's heap
-//	        written: every heapBarrier arriver fetch-adds 1, the last stores 0
+//	        written: every barrier arriver fetch-adds 1, the last stores 0
 //	        read:    only through those fetch-adds
 //	word 1  barrierGenAddr     on rank 0's heap
 //	        written: the last arriver fetch-adds 1
@@ -210,8 +210,8 @@ const (
 //	words 4-7 free (4 is where a terminal voluntary state would be advertised)
 //
 // Words 2 and 3 are adjacent because they are read together: one two-word
-// Get per peer per tick. An in-process world never probes and never uses
-// heapBarrier, so there only word 3 is ever written.
+// Get per peer per tick. Every world but the sim runs the one barrier on
+// words 0 and 1; an in-process world never probes, so word 2 stays zero.
 const (
 	barrierArriveAddr Addr = iota * WordSize
 	barrierGenAddr
@@ -273,8 +273,9 @@ type World struct {
 	transport transport
 	// sim is the transport again when it is the lockstep simulation, whose
 	// scheduler Run must hand each PE goroutine to and take it back from.
-	sim     *simTransport
-	barrier barrier
+	sim *simTransport
+	// bars holds each rank's handle on the world's one barrier.
+	bars []barrier
 
 	// localRank is >= 0 when this World hosts exactly one PE of a larger
 	// distributed world (see Join); -1 for fully local worlds.
@@ -387,9 +388,9 @@ func NewWorld(cfg Config) (*World, error) { return newWorld(cfg, nil) }
 // The returned world's Run executes the body once, for the local rank.
 func Join(cfg Config, at Endpoint) (*World, error) { return newWorld(cfg, &at) }
 
-// newWorld is the one assembly path: heaps, flight set, liveness, barrier
-// with its death hook, transport, prober. at is nil for an in-process
-// world and this process's endpoint for a multi-process one.
+// newWorld is the one assembly path: heaps, flight set, liveness, barrier,
+// transport, prober. at is nil for an in-process world and this process's
+// endpoint for a multi-process one.
 func newWorld(cfg Config, at *Endpoint) (*World, error) {
 	if err := cfg.setDefaults(at); err != nil {
 		return nil, err
@@ -424,16 +425,10 @@ func newWorld(cfg Config, at *Endpoint) (*World, error) {
 		}
 	}
 	w.live = newLiveness(w, cfg.NumPEs)
-	if at == nil {
-		w.barrier = newCentralBarrier(cfg.NumPEs)
-	} else {
-		w.barrier = newHeapBarrier(w, at.Rank, cfg.NumPEs)
+	w.bars = make([]barrier, cfg.NumPEs)
+	for r := range w.bars {
+		w.bars[r] = newBarrier(w, r, cfg.NumPEs)
 	}
-	// A dead member can never arrive: unwind current and future barrier
-	// waits with a named error instead of hanging the survivors.
-	w.live.OnDeath(func(rank int) {
-		w.barrier.poisonWith(fmt.Errorf("shmem: barrier member PE %d is dead: %w", rank, ErrPeerDead))
-	})
 	switch cfg.Transport {
 	case TransportLocal:
 		w.transport = &directTransport{hostWaits: hostWaits{w}}
@@ -530,8 +525,9 @@ func (w *World) DumpFlight(reason string) error {
 // Config returns a copy of the world's (defaulted) configuration.
 func (w *World) Config() Config { return w.cfg }
 
-// fail records the first fatal world error (e.g. a transport failure) and
-// poisons barriers so PEs do not deadlock waiting for a dead peer.
+// fail records the first fatal world error (e.g. a transport failure).
+// Every wait, the barrier's included, gives up on it (waitReq.giveUp), so
+// PEs do not deadlock waiting for a peer that will never arrive.
 func (w *World) fail(err error) {
 	if err == nil {
 		return
@@ -542,7 +538,6 @@ func (w *World) fail(err error) {
 	}
 	w.errMu.Unlock()
 	w.failed.Store(true)
-	w.barrier.poisonWith(nil)
 }
 
 // Err returns the recorded fatal world error, if any.

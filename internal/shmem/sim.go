@@ -34,13 +34,6 @@ type SimOptions struct {
 	// fault stream (when the injector is seeded from the same value).
 	// Seed 0 is a fixed seed, not a time-derived one.
 	Seed int64
-	// MinLatency/MaxLatency bound the virtual latency drawn per remote
-	// operation and per NBI delivery. Defaults 2µs and 8µs (virtual).
-	MinLatency time.Duration
-	MaxLatency time.Duration
-	// YieldCost is the virtual time a Relax hop or NBI injection costs,
-	// keeping the clock advancing through poll loops. Default 1µs.
-	YieldCost time.Duration
 	// MaxVirtualTime aborts the run (world failure with a scheduler state
 	// dump) when the virtual clock exceeds it — the livelock detector.
 	// Default 5s of virtual time.
@@ -96,16 +89,17 @@ type SimChurn struct {
 	Join bool          // true: BeginJoin; false: BeginDrain
 }
 
+// Virtual costs, fixed for every sim world: each remote operation and NBI
+// delivery draws its latency from [simMinLatency, simMaxLatency], and a
+// Relax hop or NBI injection costs simYieldCost (a Relax hop up to twice
+// that), keeping the clock advancing through poll loops.
+const (
+	simMinLatency = 2 * time.Microsecond
+	simMaxLatency = 8 * time.Microsecond
+	simYieldCost  = time.Microsecond
+)
+
 func (o *SimOptions) setDefaults() {
-	if o.MinLatency == 0 {
-		o.MinLatency = 2 * time.Microsecond
-	}
-	if o.MaxLatency < o.MinLatency {
-		o.MaxLatency = 4 * o.MinLatency
-	}
-	if o.YieldCost <= 0 {
-		o.YieldCost = time.Microsecond
-	}
 	if o.MaxVirtualTime == 0 {
 		o.MaxVirtualTime = 5 * time.Second
 	}
@@ -321,14 +315,10 @@ func (t *simTransport) barrier(rank int) error {
 	return t.call(simReq{kind: simReqBarrier, rank: rank}).err
 }
 
-var errSimWaitTimeout = fmt.Errorf("shmem/sim: wait timed out")
-
-// waitWord parks in the scheduler; the wait resolves in virtual time.
+// waitWord parks in the scheduler; the wait resolves in virtual time, and
+// the scheduler ends it early by waitReq.giveUp, as the wall-clock loop does.
 func (t *simTransport) waitWord(r waitReq) (uint64, error) {
 	rep := t.call(simReq{kind: simReqWait, rank: r.rank, wait: r})
-	if rep.err == errSimWaitTimeout {
-		return 0, r.timeoutErr(rep.val)
-	}
 	return rep.val, rep.err
 }
 
@@ -394,15 +384,12 @@ func (t *simTransport) run() {
 func (t *simTransport) nextSeq() uint64 { t.seq++; return t.seq }
 
 func (t *simTransport) drawLatency() uint64 {
-	lo, hi := uint64(t.opts.MinLatency), uint64(t.opts.MaxLatency)
-	if hi <= lo {
-		return lo
-	}
+	lo, hi := uint64(simMinLatency), uint64(simMaxLatency)
 	return lo + uint64(t.rng.Int63n(int64(hi-lo+1)))
 }
 
 func (t *simTransport) drawYield() uint64 {
-	y := int64(t.opts.YieldCost)
+	y := int64(simYieldCost)
 	return uint64(y) + uint64(t.rng.Int63n(y+1))
 }
 
@@ -470,11 +457,11 @@ func (t *simTransport) handle(r simReq) {
 	case simReqNBI:
 		t.handleNBI(r.op)
 	case simReqQuiet, simReqWait:
-		if r.kind == simReqWait && t.w.live.AnyDead() {
-			// The peer that could have flipped the word may be the dead
-			// one; unwind with a named error instead of parking forever.
-			t.replies[r.rank] <- simReply{err: r.wait.deadErr()}
-			return
+		if r.kind == simReqWait {
+			if err := r.wait.giveUp(t.w, false, 0); err != nil {
+				t.replies[r.rank] <- simReply{err: err}
+				return
+			}
 		}
 		pe.state = simPEBlockedCond
 		pe.req = r
@@ -489,8 +476,8 @@ func (t *simTransport) handle(r simReq) {
 		pe.readyAt = pe.vclock + t.drawYield()
 		t.running--
 	case simReqBarrier:
-		if t.w.live.AnyDead() {
-			t.replies[r.rank] <- simReply{err: t.deadBarrierErr()}
+		if err := t.w.bars[r.rank].failed(); err != nil {
+			t.replies[r.rank] <- simReply{err: err}
 			return
 		}
 		pe.state = simPEBarrier
@@ -498,17 +485,6 @@ func (t *simTransport) handle(r simReq) {
 		t.running--
 		t.maybeReleaseBarrier()
 	}
-}
-
-// deadBarrierErr names the dead PEs a barrier can no longer collect.
-func (t *simTransport) deadBarrierErr() error {
-	dead := make([]int, 0, 1)
-	for i := range t.pes {
-		if !t.w.live.Alive(i) {
-			dead = append(dead, i)
-		}
-	}
-	return fmt.Errorf("shmem: barrier cannot complete, PEs %v are dead: %w", dead, ErrPeerDead)
 }
 
 func (t *simTransport) handleNBI(r opReq) {
@@ -519,7 +495,7 @@ func (t *simTransport) handleNBI(r opReq) {
 	}
 	v := t.w.verdict(&r)
 	dup := v.Duplicate && r.op.redeliverable() && !v.dropped()
-	pe.vclock += uint64(t.opts.YieldCost) // injection overhead
+	pe.vclock += uint64(simYieldCost) // injection overhead
 	drop := v.dropped()
 	at := pe.vclock + t.drawLatency() + delayNS(v.Delay)
 	pe.pending++
@@ -624,7 +600,7 @@ func (t *simTransport) choose() (isEvent bool, rank int, at uint64, ok bool) {
 		// Reorder only among candidates close to the frontier; letting a
 		// far-future timeout jump the clock would fire it before the
 		// deliveries that satisfy it.
-		window := cands[best].at + 4*uint64(t.opts.MaxLatency)
+		window := cands[best].at + 4*uint64(simMaxLatency)
 		near := make([]int, 0, len(cands))
 		for i, c := range cands {
 			if c.at <= window {
@@ -741,19 +717,21 @@ func (t *simTransport) deliverChurn(rank int, join bool) {
 }
 
 // deliverDead declares a killed PE dead after the configured DeadAfter:
-// survivors parked in barriers or WaitUntil64 unwind with ErrPeerDead.
+// survivors parked in barriers or WaitUntil64 unwind by the give-up rule.
 func (t *simTransport) deliverDead(rank int) {
 	t.w.live.MarkDead(rank)
 	t.logf("%d %d ded pe=%d\n", t.nextSeq(), t.now, rank)
 	for i := range t.pes {
-		if i == rank {
-			continue
-		}
+		var err error
 		switch pe := &t.pes[i]; {
+		case i == rank:
 		case pe.state == simPEBarrier:
-			t.unpark(i, t.deadBarrierErr())
+			err = t.w.bars[i].failed()
 		case pe.state == simPEBlockedCond && pe.req.kind == simReqWait:
-			t.unpark(i, pe.req.wait.deadErr())
+			err = pe.req.wait.giveUp(t.w, false, t.waitedWord(pe))
+		}
+		if err != nil {
+			t.unpark(i, err)
 		}
 	}
 }
@@ -811,7 +789,8 @@ func (t *simTransport) wake(rank int) {
 				rep = simReply{val: v}
 				t.logf("%d %d wtu pe=%d a=%#x -> %d\n", t.nextSeq(), t.now, rank, uint64(pe.req.wait.addr), v)
 			} else {
-				rep = simReply{val: v, err: errSimWaitTimeout}
+				// Woken unsatisfied: the virtual deadline passed.
+				rep = simReply{err: pe.req.wait.giveUp(t.w, true, v)}
 				t.logf("%d %d wtu pe=%d a=%#x timeout\n", t.nextSeq(), t.now, rank, uint64(pe.req.wait.addr))
 			}
 		}

@@ -572,80 +572,78 @@ func (t *tcpTransport) dial(from, to int, kind byte) (net.Conn, error) {
 	return conn, nil
 }
 
-func (t *tcpTransport) syncConn(from, to int) (*syncConn, error) {
-	key := connKey{from, to, connSync}
+// cachedConn is the one lookup → dial → recheck → insert path of both
+// connection kinds: m caches them per key, wrap builds one around a fresh
+// connection, and a dial that lost a race for the same key is closed in
+// favour of the winner. added runs under t.mu for the connection that was
+// cached, so nothing can find it before what added registers.
+func cachedConn[C any](t *tcpTransport, m map[connKey]*C, key connKey, wrap func(net.Conn) *C, added func(*C)) (*C, error) {
 	t.mu.Lock()
-	if sc, ok := t.sync_[key]; ok {
-		t.mu.Unlock()
-		return sc, nil
-	}
+	c, ok := m[key]
 	t.mu.Unlock()
-	conn, err := t.dial(from, to, connSync)
+	if ok {
+		return c, nil
+	}
+	conn, err := t.dial(key.from, key.to, key.kind)
 	if err != nil {
 		return nil, err
 	}
-	sc := &syncConn{
-		rw: bufio.NewReadWriter(
-			bufio.NewReaderSize(conn, sockBufBytes),
-			bufio.NewWriterSize(conn, sockBufBytes)),
-		c: conn,
-	}
+	c = wrap(conn)
 	t.mu.Lock()
-	if prior, ok := t.sync_[key]; ok {
+	if prior, ok := m[key]; ok {
 		t.mu.Unlock()
 		conn.Close()
 		return prior, nil
 	}
-	t.sync_[key] = sc
+	m[key] = c
+	if added != nil {
+		added(c)
+	}
 	t.mu.Unlock()
-	return sc, nil
+	return c, nil
+}
+
+func (t *tcpTransport) syncConn(from, to int) (*syncConn, error) {
+	return cachedConn(t, t.sync_, connKey{from, to, connSync}, func(conn net.Conn) *syncConn {
+		return &syncConn{
+			rw: bufio.NewReadWriter(
+				bufio.NewReaderSize(conn, sockBufBytes),
+				bufio.NewWriterSize(conn, sockBufBytes)),
+			c: conn,
+		}
+	}, nil)
 }
 
 func (t *tcpTransport) asyncConn(from, to int) (*asyncConn, error) {
-	key := connKey{from, to, connAsync}
-	t.mu.Lock()
-	if ac, ok := t.async[key]; ok {
-		t.mu.Unlock()
-		return ac, nil
-	}
-	t.mu.Unlock()
-	conn, err := t.dial(from, to, connAsync)
-	if err != nil {
-		return nil, err
-	}
-	ac := &asyncConn{t: t, from: from, to: to, w: bufio.NewWriterSize(conn, sockBufBytes), c: conn}
-	t.mu.Lock()
-	if prior, ok := t.async[key]; ok {
-		t.mu.Unlock()
-		conn.Close()
-		return prior, nil
-	}
-	t.async[key] = ac
-	t.asyncByFrom[from] = append(t.asyncByFrom[from], ac)
-	t.mu.Unlock()
-	// Drain count-frame acks into the initiator's pending counter.
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		r := bufio.NewReaderSize(conn, 64)
-		var frame [4]byte
-		for {
-			if _, err := io.ReadFull(r, frame[:]); err != nil {
-				if t.connBug(err, to) {
-					t.w.fail(fmt.Errorf("shmem/tcp: ack reader %d->%d: %w", from, to, err))
-					return
-				}
-				// Whatever was still in flight will never be acked; credit
-				// it back so Quiet can complete without the peer.
-				ac.markBroken()
+	return cachedConn(t, t.async, connKey{from, to, connAsync}, func(conn net.Conn) *asyncConn {
+		return &asyncConn{t: t, from: from, to: to, w: bufio.NewWriterSize(conn, sockBufBytes), c: conn}
+	}, func(ac *asyncConn) {
+		t.asyncByFrom[from] = append(t.asyncByFrom[from], ac)
+		t.wg.Add(1)
+		go t.readAcks(ac)
+	})
+}
+
+// readAcks drains ac's count-frame acks into the initiator's pending count.
+func (t *tcpTransport) readAcks(ac *asyncConn) {
+	defer t.wg.Done()
+	r := bufio.NewReaderSize(ac.c, 64)
+	var frame [4]byte
+	for {
+		if _, err := io.ReadFull(r, frame[:]); err != nil {
+			if t.connBug(err, ac.to) {
+				t.w.fail(fmt.Errorf("shmem/tcp: ack reader %d->%d: %w", ac.from, ac.to, err))
 				return
 			}
-			k := int64(binary.LittleEndian.Uint32(frame[:]))
-			ac.outstanding.Add(-k)
-			t.settle(from, k)
+			// Whatever was still in flight will never be acked; credit
+			// it back so Quiet can complete without the peer.
+			ac.markBroken()
+			return
 		}
-	}()
-	return ac, nil
+		k := int64(binary.LittleEndian.Uint32(frame[:]))
+		ac.outstanding.Add(-k)
+		t.settle(ac.from, k)
+	}
 }
 
 // asyncTo returns from's async connection to one target, nil if it never

@@ -49,7 +49,7 @@ type transport interface {
 }
 
 // waitReq describes one blocked wait on a 64-bit word: WaitUntil64 on the
-// caller's own heap, the heap barrier's generation word on rank 0, or tcp
+// caller's own heap, the barrier's generation word on rank 0, or tcp
 // Quiet on the initiator's unacknowledged-injection count.
 type waitReq struct {
 	rank int // the waiting PE
@@ -68,9 +68,6 @@ type waitReq struct {
 	// expired is the sentinel a timeout wraps (nil = ErrOpTimeout).
 	what    string
 	expired error
-	// check, if non-nil, is an extra reason to give up, polled with the
-	// word (the heap barrier's poison state).
-	check func() error
 	// needs, if non-nil, narrows whose death dooms the wait (nil = any
 	// peer could have been the one to flip the word).
 	needs func(rank int) bool
@@ -106,15 +103,12 @@ func (r *waitReq) timeoutErr(last uint64) error {
 	return fmt.Errorf("shmem: %s timed out after %v (last value %d): %w", r.String(), r.timeout, last, expired)
 }
 
-// giveUp is the abort test every wall-clock wait polls with its word, in
-// this order: the caller's own check, world failure (or the waiter's own
-// crash injection), a dead peer the wait needs, the deadline.
-func (r *waitReq) giveUp(w *World, deadline time.Time, last uint64) error {
-	if r.check != nil {
-		if err := r.check(); err != nil {
-			return err
-		}
-	}
+// giveUp is the one rule that ends a wait short of its word, on either
+// clock, in this order: world failure (or the waiter's own crash
+// injection), a dead peer the wait needs, the deadline — expired says
+// whether it passed on the caller's clock (the wall clock in waitWord's
+// loop, virtual time in the sim's scheduler).
+func (r *waitReq) giveUp(w *World, expired bool, last uint64) error {
 	if err := w.errFor(r.rank); err != nil {
 		return err
 	}
@@ -125,7 +119,7 @@ func (r *waitReq) giveUp(w *World, deadline time.Time, last uint64) error {
 			}
 		}
 	}
-	if r.timeout > 0 && time.Now().After(deadline) {
+	if expired {
 		return r.timeoutErr(last)
 	}
 	return nil
@@ -147,13 +141,13 @@ const (
 
 // hostWaits is how a PE blocks when PEs are free-running goroutines on the
 // host scheduler — every back-end but the sim: Relax is a yield with an
-// occasional sleep, barriers go through the world's barrier, and every
-// blocked wait is the one loop below.
+// occasional sleep, and every blocked wait, the barrier's included, is the
+// one loop below.
 type hostWaits struct{ w *World }
 
 func (h hostWaits) relax(rank int) { h.w.pes[rank].pause() }
 
-func (h hostWaits) barrier(int) error { return h.w.barrier.wait() }
+func (h hostWaits) barrier(rank int) error { return h.w.bars[rank].wait() }
 
 // waitWord is the one wall-clock blocking loop: spin w.spin yields on the
 // word, then park on the wake words of the heap its writers land on, so a
@@ -191,7 +185,7 @@ func (h hostWaits) waitWord(r waitReq) (uint64, error) {
 		}
 		done := err != nil || r.holds(v)
 		if !done {
-			err = r.giveUp(w, deadline, v)
+			err = r.giveUp(w, r.timeout > 0 && time.Now().After(deadline), v)
 			done = err != nil
 		}
 		switch {

@@ -56,12 +56,17 @@ func TestNoFalseTermination(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		// The task exists before detection starts, as a job's roots do: a
+		// barrier releases its members one by one, so work first spawned
+		// after it could be missed by peers that are already checking.
+		if c.Rank() == 1 {
+			d.TaskSpawned(1)
+		}
 		if err := c.Barrier(); err != nil {
 			return err
 		}
 		if c.Rank() == 1 {
-			// Spawn a task, hold it in flight, then execute it.
-			d.TaskSpawned(1)
+			// Hold the task in flight, then execute it.
 			time.Sleep(20 * time.Millisecond)
 			executedAt.Store(time.Now().UnixNano())
 			d.TaskExecuted(1)
