@@ -25,7 +25,7 @@ func main() {
 	def := bpc.Default()
 	var (
 		pes       = flag.Int("pes", 8, "number of PEs for a single run")
-		protoName = flag.String("protocol", "sws", "steal protocol: sws or sdc")
+		protoName = flag.String("protocol", "sws", "steal protocol: sws, sdc or sws-fused")
 		depth     = flag.Int("depth", def.Depth, "producer chain depth (paper: 500)")
 		ncons     = flag.Int("consumers", def.NConsumers, "consumers per producer (paper: 8192)")
 		tc        = flag.Duration("consumer-work", def.ConsumerWork, "consumer task duration (paper: 5ms)")
@@ -59,8 +59,8 @@ func main() {
 		}
 		cfg := bench.Fig7(params, counts, *reps)
 		cfg.Base.Latency = lat
-		cfg.Base.Seed = *seed
-		cfg.Base.Pool.Workers = poolf.Workers
+		cfg.Base.Pool.Seed = *seed
+		poolf.Apply(&cfg.Base.Pool)
 		if err := obsf.Start(); err != nil {
 			fatal(err)
 		}
@@ -82,6 +82,7 @@ func main() {
 		fatal(err)
 	}
 	pcfg := pool.Config{PayloadCap: 24, Metrics: obsf.Gatherer()}
+	pcfg.Protocol, pcfg.Seed = proto, *seed
 	poolf.Apply(&pcfg)
 	if pcfg.Trace, err = obsf.NewTrace(*pes); err != nil {
 		fatal(err)
@@ -90,11 +91,9 @@ func main() {
 		fatal(err)
 	}
 	run, err := bench.RunOnce(bench.RunConfig{
-		PEs:      *pes,
-		Protocol: proto,
-		Latency:  lat,
-		Seed:     *seed,
-		Pool:     pcfg,
+		PEs:     *pes,
+		Latency: lat,
+		Pool:    pcfg,
 	}, func() (bench.Workload, error) { return bpc.NewWorkload(params) })
 	if err != nil {
 		fatal(err)

@@ -27,7 +27,7 @@ import (
 func main() {
 	var (
 		pes       = flag.Int("pes", 8, "number of PEs for a single run")
-		protoName = flag.String("protocol", "sws", "steal protocol: sws or sdc")
+		protoName = flag.String("protocol", "sws", "steal protocol: sws, sdc or sws-fused")
 		tree      = flag.String("tree", "small", "tree preset (tiny|small|t1|tinybin) or spec 'geo:b0=4,depth=10,seed=19[,linear]' / 'bin:b0=100,q=0.2,m=4,seed=42'")
 		verify    = flag.Bool("verify", false, "also run a serial traversal and compare node counts")
 		sweep     = flag.Bool("sweep", false, "sweep PE counts under both protocols (Figure 8)")
@@ -59,8 +59,8 @@ func main() {
 		}
 		cfg := bench.Fig8(params, counts, *reps)
 		cfg.Base.Latency = lat
-		cfg.Base.Seed = *seed
-		cfg.Base.Pool.Workers = poolf.Workers
+		cfg.Base.Pool.Seed = *seed
+		poolf.Apply(&cfg.Base.Pool)
 		if err := obsf.Start(); err != nil {
 			fatal(err)
 		}
@@ -86,6 +86,7 @@ func main() {
 		fatal(err)
 	}
 	pcfg := pool.Config{PayloadCap: uts.PayloadSize, Metrics: obsf.Gatherer()}
+	pcfg.Protocol, pcfg.Seed = proto, *seed
 	poolf.Apply(&pcfg)
 	var tr *trace.Set
 	if *traceN > 0 {
@@ -100,11 +101,9 @@ func main() {
 		fatal(err)
 	}
 	run, err := bench.RunOnce(bench.RunConfig{
-		PEs:      *pes,
-		Protocol: proto,
-		Latency:  lat,
-		Seed:     *seed,
-		Pool:     pcfg,
+		PEs:     *pes,
+		Latency: lat,
+		Pool:    pcfg,
 	}, func() (bench.Workload, error) { return wl, nil })
 	if err != nil {
 		fatal(err)

@@ -71,30 +71,39 @@ func TestConfigFieldBudget(t *testing.T) {
 	}
 }
 
-// TestShmemLineBudget pins the size of the communication substrate. The
-// paper's steal is three one-sided communications; what emulates them
-// should do each job in exactly one place, and each time the package
+// TestShmemLineBudget pins the size of the packages that do one job each.
+// The paper's steal is three one-sided communications; what emulates them
+// should do each job in exactly one place, and each time internal/shmem
 // shrank it was by finding a job done in two: the op pipeline, the landing
 // path and the wait loop, then the barrier, the give-up rule, the liveness
-// transition and the tcp dial path. The bound is the last collapse's result
-// rounded up to the next 50 non-test lines, comments included
+// transition and the tcp dial path. internal/bench writes each of the
+// paper's experiments once, over one victim/thief steal loop and one run
+// path. A bound is the last collapse's result rounded up to the next 50
+// non-test lines, comments included
 // (`ls internal/shmem/*.go | grep -v _test.go | xargs cat | wc -l`).
-// Raising it takes naming, in the commit, what came back and why it could
+// Raising one takes naming, in the commit, what came back and why it could
 // not live in the place that already does that job.
 func TestShmemLineBudget(t *testing.T) {
-	const budget = 5750
-	files, err := filepath.Glob("internal/shmem/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := 0
-	for _, f := range files {
-		if !strings.HasSuffix(f, "_test.go") {
-			lines += lineCount(t, f)
+	for _, b := range []struct {
+		pkg    string
+		budget int
+	}{
+		{"internal/shmem", 5750},
+		{"internal/bench", 1000},
+	} {
+		files, err := filepath.Glob(b.pkg + "/*.go")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if lines > budget {
-		t.Errorf("internal/shmem has %d non-test lines, budget %d", lines, budget)
+		lines := 0
+		for _, f := range files {
+			if !strings.HasSuffix(f, "_test.go") {
+				lines += lineCount(t, f)
+			}
+		}
+		if lines > b.budget {
+			t.Errorf("%s has %d non-test lines, budget %d", b.pkg, lines, b.budget)
+		}
 	}
 }
 
@@ -108,8 +117,8 @@ func TestDocBudget(t *testing.T) {
 		file   string
 		budget int
 	}{
-		{"DESIGN.md", 1444},
-		{"EXPERIMENTS.md", 1830},
+		{"DESIGN.md", 1442},
+		{"EXPERIMENTS.md", 1827},
 	} {
 		if n := lineCount(t, d.file); n > d.budget {
 			t.Errorf("%s has %d lines, budget %d", d.file, n, d.budget)

@@ -6,12 +6,11 @@ import (
 
 	"sws/internal/bpc"
 	"sws/internal/pool"
+	"sws/internal/shmem"
 	"sws/internal/stats"
 )
 
-// Ablations isolate the design choices DESIGN.md §6 calls out, as tables
-// (the bench_test.go Benchmark* variants report the same comparisons as
-// testing.B metrics).
+// Ablations isolate the design choices DESIGN.md §6 calls out, as tables.
 
 // AblationConfig scales the ablation workloads.
 type AblationConfig struct {
@@ -25,11 +24,11 @@ func DefaultAblation() AblationConfig { return AblationConfig{PEs: 4, Reps: 5} }
 // ablationRow measures one configuration: mean runtime, steal counts, and
 // attempt counts over reps.
 func ablationRow(cfg AblationConfig, pcfg pool.Config, f Factory) (stats.Summary, stats.PE, error) {
+	pcfg.Seed = 5
 	runs, err := RunReps(RunConfig{
 		PEs:     cfg.PEs,
 		Latency: DefaultLatency(),
 		Pool:    pcfg,
-		Seed:    5,
 	}, f, cfg.Reps)
 	if err != nil {
 		return stats.Summary{}, stats.PE{}, err
@@ -103,13 +102,45 @@ func AblationDamping(cfg AblationConfig) (*Table, error) {
 	return t, nil
 }
 
+// AblationRTT times one 16-task steal (24-byte slots) under each protocol
+// as the injected blocking round trip grows. A steal should cost what its
+// communications cost (Rito & Paulino), so the columns part by round
+// trips per steal: SDC 5, SWS 2, SWS-Fused 1.
+func AblationRTT() (*Table, error) {
+	const vol, steals = 16, 30
+	t := &Table{
+		Title:  "Ablation: steal time vs injected round trip",
+		Note:   fmt.Sprintf("median of %d steals of %d tasks, 24 B slots; blocking round trips per steal: SDC 5, SWS 2, SWS-Fused 1", steals, vol),
+		Header: []string{"RTT"},
+	}
+	for _, p := range protocols {
+		t.Header = append(t.Header, p.name)
+	}
+	for _, rtt := range []time.Duration{500 * time.Nanosecond, 2 * time.Microsecond, 8 * time.Microsecond} {
+		lat := DefaultLatency()
+		lat.BlockingRTT = rtt
+		row := []string{rtt.String()}
+		for _, p := range protocols {
+			durs, err := stealTimes(shmem.Config{Latency: lat}, p, 16, 4*vol, vol, steals)
+			if err != nil {
+				return nil, fmt.Errorf("bench: rtt %v %s: %w", rtt, p.name, err)
+			}
+			row = append(row, fmtDur(median(durs)))
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t, nil
+}
+
 // Ablations runs every ablation table.
 func Ablations(cfg AblationConfig) ([]*Table, error) {
 	var out []*Table
-	for _, f := range []func(AblationConfig) (*Table, error){
-		AblationEpochs, AblationDamping,
+	for _, f := range []func() (*Table, error){
+		func() (*Table, error) { return AblationEpochs(cfg) },
+		func() (*Table, error) { return AblationDamping(cfg) },
+		AblationRTT,
 	} {
-		t, err := f(cfg)
+		t, err := f()
 		if err != nil {
 			return nil, err
 		}

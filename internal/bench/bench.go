@@ -44,12 +44,10 @@ type Factory func() (Workload, error)
 // RunConfig describes one pool execution.
 type RunConfig struct {
 	PEs       int
-	Protocol  pool.Protocol
 	Latency   shmem.LatencyModel
 	Transport shmem.TransportKind
 	HeapBytes int
-	Pool      pool.Config // Protocol is overridden by the field above
-	Seed      int64
+	Pool      pool.Config
 }
 
 func (c *RunConfig) setDefaults() {
@@ -63,14 +61,6 @@ func (c *RunConfig) setDefaults() {
 
 // RunOnce executes one full pool run and gathers per-PE statistics.
 func RunOnce(cfg RunConfig, f Factory) (stats.Run, error) {
-	return runOnce(cfg, f, nil)
-}
-
-// runOnce is RunOnce with an optional per-rank observation hook, called
-// after the pool finishes but while the world (and its counters) is
-// still live — the machine-readable emitter uses it to read the
-// communication counters RunOnce's stats.Run does not carry.
-func runOnce(cfg RunConfig, f Factory, observe func(c *shmem.Ctx, p *pool.Pool)) (stats.Run, error) {
 	cfg.setDefaults()
 	// The workload first: only World.Run releases what NewWorld acquires
 	// (listeners and service goroutines, a sim scheduler, a mapping), so
@@ -88,47 +78,7 @@ func runOnce(cfg RunConfig, f Factory, observe func(c *shmem.Ctx, p *pool.Pool))
 	if err != nil {
 		return stats.Run{}, err
 	}
-	run := stats.Run{
-		PEs:      make([]stats.PE, cfg.PEs),
-		Protocol: cfg.Protocol.String(),
-	}
-	elapsed := make([]time.Duration, cfg.PEs)
-	pcfg := cfg.Pool
-	pcfg.Protocol = cfg.Protocol
-	if cfg.Seed != 0 {
-		pcfg.Seed = cfg.Seed
-	}
-	err = w.Run(func(c *shmem.Ctx) error {
-		reg := pool.NewRegistry()
-		if err := wl.Register(reg); err != nil {
-			return err
-		}
-		p, err := pool.New(c, reg, pcfg)
-		if err != nil {
-			return err
-		}
-		if err := wl.Seed(p, c.Rank()); err != nil {
-			return err
-		}
-		if err := p.Run(); err != nil {
-			return err
-		}
-		run.PEs[c.Rank()] = p.Stats()
-		elapsed[c.Rank()] = p.Elapsed()
-		if observe != nil {
-			observe(c, p)
-		}
-		return nil
-	})
-	if err != nil {
-		return stats.Run{}, err
-	}
-	for _, e := range elapsed {
-		if e > run.Elapsed {
-			run.Elapsed = e
-		}
-	}
-	return run, nil
+	return pool.RunOnce(w, cfg.Pool, func(_ int, reg *pool.Registry) error { return wl.Register(reg) }, wl.Seed, nil)
 }
 
 // RunReps executes reps independent runs (fresh world and workload each),
@@ -140,9 +90,9 @@ func RunReps(cfg RunConfig, f Factory, reps int) ([]stats.Run, error) {
 	out := make([]stats.Run, 0, reps)
 	for i := 0; i < reps; i++ {
 		c := cfg
-		c.Seed = cfg.Seed + int64(i)*7919
-		if c.Seed == 0 {
-			c.Seed = int64(i + 1)
+		c.Pool.Seed = cfg.Pool.Seed + int64(i)*7919
+		if c.Pool.Seed == 0 {
+			c.Pool.Seed = int64(i + 1)
 		}
 		r, err := RunOnce(c, f)
 		if err != nil {

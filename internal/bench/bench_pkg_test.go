@@ -47,7 +47,7 @@ func TestRunRepsValidation(t *testing.T) {
 
 func TestRunOnceBPC(t *testing.T) {
 	params := bpc.Params{Depth: 4, NConsumers: 16, ConsumerWork: 10 * time.Microsecond, ProducerWork: 2 * time.Microsecond}
-	run, err := RunOnce(RunConfig{PEs: 3, Protocol: pool.SWS},
+	run, err := RunOnce(RunConfig{PEs: 3, Pool: pool.Config{Protocol: pool.SWS}},
 		func() (Workload, error) { return bpc.NewWorkload(params) })
 	if err != nil {
 		t.Fatal(err)
@@ -253,12 +253,12 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 2 {
-		t.Fatalf("tables = %d, want 2 (epochs, damping)", len(tables))
+	if len(tables) != 3 {
+		t.Fatalf("tables = %d, want 3 (epochs, damping, rtt)", len(tables))
 	}
-	for _, tb := range tables {
-		if len(tb.Rows) != 2 {
-			t.Errorf("%s: rows = %d, want 2", tb.Title, len(tb.Rows))
+	for i, tb := range tables {
+		if want := []int{2, 2, 3}[i]; len(tb.Rows) != want {
+			t.Errorf("%s: rows = %d, want %d", tb.Title, len(tb.Rows), want)
 		}
 		for _, row := range tb.Rows {
 			d, err := time.ParseDuration(row[1])

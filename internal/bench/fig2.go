@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"sws/internal/core"
-	"sws/internal/sdc"
 	"sws/internal/shmem"
-	"sws/internal/task"
 	"sws/internal/wsq"
 )
 
@@ -16,114 +14,50 @@ import (
 // failed (empty) discovery costs SDC 3 communications vs a single 64-bit
 // fetch for SWS.
 func Fig2() (*Table, error) {
-	type audit struct {
-		protocol         string
-		kind             string
-		total, blocking  uint64
-		nonblocking      uint64
-		breakdownByCount string
-	}
-	var audits []audit
-
-	record := func(protocol, kind string, d shmem.CounterSnapshot) {
-		audits = append(audits, audit{
-			protocol:         protocol,
-			kind:             kind,
-			total:            d.Total(),
-			blocking:         d.Blocking(),
-			nonblocking:      d.NonBlocking(),
-			breakdownByCount: d.String(),
-		})
-	}
-
-	// One world per protocol: PE 0 is the victim, PE 1 the thief.
-	runSteal := func(name string, mk func(c *shmem.Ctx) (wsq.Queue, error)) error {
-		w, err := shmem.NewWorld(shmem.Config{NumPEs: 2, HeapBytes: 8 << 20})
-		if err != nil {
-			return err
-		}
-		return w.Run(func(c *shmem.Ctx) error {
-			q, err := mk(c)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				for i := 0; i < 64; i++ {
-					if err := q.Push(task.Desc{Handle: 0, Payload: task.Args(uint64(i))}); err != nil {
-						return err
-					}
-				}
-				if _, err := q.Release(); err != nil {
-					return err
-				}
-				if err := c.Barrier(); err != nil {
-					return err
-				}
-				return c.Barrier()
-			}
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-			before := c.Counters().Snapshot()
-			_, out, err := q.Steal(0)
-			if err != nil {
-				return err
-			}
-			if out != wsq.Stolen {
-				return fmt.Errorf("fig2: steal outcome %v", out)
-			}
-			record(name, "successful steal", c.Counters().Snapshot().Sub(before))
-
-			// Drain the victim's shared block, then audit an empty attempt.
-			for out == wsq.Stolen {
-				_, out, err = q.Steal(0)
-				if err != nil {
-					return err
-				}
-			}
-			before = c.Counters().Snapshot()
-			_, out, err = q.Steal(0)
-			if err != nil {
-				return err
-			}
-			if out != wsq.Empty {
-				return fmt.Errorf("fig2: discovery outcome %v", out)
-			}
-			record(name, "empty discovery", c.Counters().Snapshot().Sub(before))
-			return c.Barrier()
-		})
-	}
-
-	if err := runSteal("SDC", func(c *shmem.Ctx) (wsq.Queue, error) {
-		return sdc.NewQueue(c, sdc.Options{})
-	}); err != nil {
-		return nil, err
-	}
-	if err := runSteal("SWS", func(c *shmem.Ctx) (wsq.Queue, error) {
-		// Damping off so the audited empty discovery is the fetch-add
-		// path, as in Figure 2.
-		return core.NewQueue(c, core.Options{Epochs: true})
-	}); err != nil {
-		return nil, err
-	}
-	// Beyond the paper: the Portals-style fused claim+copy ablation.
-	if err := runSteal("SWS-Fused", func(c *shmem.Ctx) (wsq.Queue, error) {
-		return core.NewQueue(c, core.Options{Epochs: true, Fused: true})
-	}); err != nil {
-		return nil, err
-	}
-
 	t := &Table{
 		Title:  "Figure 2: steal communication structure (measured one-sided ops)",
 		Note:   "paper: SDC = 6 ops (5 blocking), SWS = 3 ops (2 blocking); SWS-Fused is the Portals-offload ablation beyond the paper",
 		Header: []string{"protocol", "operation", "comms", "blocking", "non-blocking", "breakdown"},
 	}
-	for _, a := range audits {
-		t.Rows = append(t.Rows, []string{
-			a.protocol, a.kind,
-			fmt.Sprint(a.total), fmt.Sprint(a.blocking), fmt.Sprint(a.nonblocking),
-			a.breakdownByCount,
-		})
+	for _, p := range protocols {
+		record := func(kind string, d shmem.CounterSnapshot) {
+			t.Rows = append(t.Rows, []string{
+				p.name, kind,
+				fmt.Sprint(d.Total()), fmt.Sprint(d.Blocking()), fmt.Sprint(d.NonBlocking()),
+				d.String(),
+			})
+		}
+		// One round: count a steal, drain the victim's shared block, then
+		// count an empty discovery.
+		_, err := stealRounds(shmem.Config{}, p, core.Options{Capacity: 128, PayloadCap: 8}, 1, 64,
+			func(c *shmem.Ctx, q wsq.Queue) error {
+				before := c.Counters().Snapshot()
+				_, out, err := q.Steal(0)
+				if err != nil {
+					return err
+				}
+				if out != wsq.Stolen {
+					return fmt.Errorf("steal outcome %v", out)
+				}
+				record("successful steal", c.Counters().Snapshot().Sub(before))
+				for out == wsq.Stolen {
+					if _, out, err = q.Steal(0); err != nil {
+						return err
+					}
+				}
+				before = c.Counters().Snapshot()
+				if _, out, err = q.Steal(0); err != nil {
+					return err
+				}
+				if out != wsq.Empty {
+					return fmt.Errorf("discovery outcome %v", out)
+				}
+				record("empty discovery", c.Counters().Snapshot().Sub(before))
+				return nil
+			})
+		if err != nil {
+			return nil, fmt.Errorf("bench: fig2 %s: %w", p.name, err)
+		}
 	}
 	return t, nil
 }

@@ -2,12 +2,8 @@ package bench
 
 import (
 	"sws/internal/bpc"
-	"sws/internal/core"
 	"sws/internal/pool"
-	"sws/internal/sdc"
-	"sws/internal/shmem"
 	"sws/internal/uts"
-	"sws/internal/wsq"
 )
 
 // DefaultPECounts is the default sweep x-axis. The paper sweeps 48–2,112
@@ -46,21 +42,4 @@ func Fig8(params uts.Params, peCounts []int, reps int) SweepConfig {
 		},
 		Factory: func() (Workload, error) { return uts.NewWorkload(params) },
 	}
-}
-
-// NewSDCQueue constructs a bare SDC queue for microbenchmarks.
-func NewSDCQueue(c *shmem.Ctx, capacity, payloadCap int) (wsq.Queue, error) {
-	return sdc.NewQueue(c, sdc.Options{Capacity: capacity, PayloadCap: payloadCap})
-}
-
-// NewSWSQueue constructs a bare SWS queue (epochs and damping on) for
-// microbenchmarks.
-func NewSWSQueue(c *shmem.Ctx, capacity, payloadCap int) (wsq.Queue, error) {
-	return core.NewQueue(c, core.Options{Capacity: capacity, PayloadCap: payloadCap, Epochs: true, Damping: true})
-}
-
-// NewFusedQueue constructs an SWS queue with single-round-trip fused
-// steals (the Portals-offload ablation).
-func NewFusedQueue(c *shmem.Ctx, capacity, payloadCap int) (wsq.Queue, error) {
-	return core.NewQueue(c, core.Options{Capacity: capacity, PayloadCap: payloadCap, Epochs: true, Damping: true, Fused: true})
 }

@@ -60,7 +60,7 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 		for _, proto := range []pool.Protocol{pool.SDC, pool.SWS} {
 			rc := cfg.Base
 			rc.PEs = pes
-			rc.Protocol = proto
+			rc.Pool.Protocol = proto
 			runs, err := RunReps(rc, cfg.Factory, cfg.Reps)
 			if err != nil {
 				return nil, fmt.Errorf("bench: sweep %s pes=%d proto=%v: %w", cfg.Name, pes, proto, err)

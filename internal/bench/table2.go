@@ -18,11 +18,6 @@ type Table2Config struct {
 	PEs int
 }
 
-// DefaultTable2 characterizes the default laptop-scale workloads.
-func DefaultTable2() Table2Config {
-	return Table2Config{BPC: bpc.Default(), UTS: uts.Small, PEs: 4}
-}
-
 // Table2 reproduces the workload-characteristics table: total tasks,
 // average task time, and task size for BPC and UTS (paper: 2,457,901
 // tasks / 5 ms / 32 B and 270 B tasks / 0.11 µs / 48 B — the totals here
@@ -33,52 +28,30 @@ func Table2(cfg Table2Config) (*Table, error) {
 		Note:   "paper: BPC 2,457,901 tasks / 5 ms / 32 B; UTS 2.7e11 tasks / 0.00011 ms / 48 B",
 		Header: []string{"benchmark", "total tasks", "avg task time", "task size"},
 	}
-
-	// BPC: run it and measure.
-	bw, err := bpc.NewWorkload(cfg.BPC)
-	if err != nil {
-		return nil, err
+	for _, w := range []struct {
+		name       string
+		payloadCap int
+		f          Factory
+	}{
+		{cfg.BPC.String(), 24, func() (Workload, error) { return bpc.NewWorkload(cfg.BPC) }},
+		{cfg.UTS.String(), uts.PayloadSize, func() (Workload, error) { return uts.NewWorkload(cfg.UTS) }},
+	} {
+		run, err := RunOnce(RunConfig{
+			PEs:     cfg.PEs,
+			Latency: DefaultLatency(),
+			Pool:    pool.Config{PayloadCap: w.payloadCap},
+		}, w.f)
+		if err != nil {
+			return nil, fmt.Errorf("bench: table2 %s: %w", w.name, err)
+		}
+		tot := run.Total()
+		t.Rows = append(t.Rows, []string{
+			w.name,
+			fmt.Sprint(tot.TasksExecuted),
+			fmtDurFine(avgTask(tot.ExecTime, tot.TasksExecuted)),
+			fmt.Sprintf("%d bytes", task.MustNewCodec(w.payloadCap).SlotSize()),
+		})
 	}
-	bpcRun, err := RunOnce(RunConfig{
-		PEs:      cfg.PEs,
-		Protocol: pool.SWS,
-		Latency:  DefaultLatency(),
-		Pool:     pool.Config{PayloadCap: 24},
-	}, func() (Workload, error) { return bw, nil })
-	if err != nil {
-		return nil, fmt.Errorf("bench: table2 bpc: %w", err)
-	}
-	bpcTotal := bpcRun.Total()
-	bpcCodec := task.MustNewCodec(24)
-	t.Rows = append(t.Rows, []string{
-		cfg.BPC.String(),
-		fmt.Sprint(bpcTotal.TasksExecuted),
-		fmtDurFine(avgTask(bpcTotal.ExecTime, bpcTotal.TasksExecuted)),
-		fmt.Sprintf("%d bytes", bpcCodec.SlotSize()),
-	})
-
-	// UTS likewise.
-	uw, err := uts.NewWorkload(cfg.UTS)
-	if err != nil {
-		return nil, err
-	}
-	utsRun, err := RunOnce(RunConfig{
-		PEs:      cfg.PEs,
-		Protocol: pool.SWS,
-		Latency:  DefaultLatency(),
-		Pool:     pool.Config{PayloadCap: uts.PayloadSize},
-	}, func() (Workload, error) { return uw, nil })
-	if err != nil {
-		return nil, fmt.Errorf("bench: table2 uts: %w", err)
-	}
-	utsTotal := utsRun.Total()
-	utsCodec := task.MustNewCodec(uts.PayloadSize)
-	t.Rows = append(t.Rows, []string{
-		cfg.UTS.String(),
-		fmt.Sprint(utsTotal.TasksExecuted),
-		fmtDurFine(avgTask(utsTotal.ExecTime, utsTotal.TasksExecuted)),
-		fmt.Sprintf("%d bytes", utsCodec.SlotSize()),
-	})
 	return t, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -381,5 +382,66 @@ func TestGrowableOptionValidation(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkQueueGrow measures the elastic queue's flood/drain cycle: one
+// op pushes a burst far past the starting ring (climbing the grow ladder
+// into the spill arena), then pops everything back out (unspilling and
+// shrinking). The presized sub-benchmark runs the same burst through a
+// fixed ring large enough to hold it — the price of elasticity is the
+// gap between the two. Metrics: ns/task plus the reseat and spill counts
+// that prove the elastic leg actually exercised the machinery.
+func BenchmarkQueueGrow(b *testing.B) {
+	const burst = 1000
+	for _, cfg := range []struct {
+		name     string
+		growable bool
+		capacity int
+	}{
+		// 64 slots, 3 doublings -> 512 max ring, so ~half the burst spills.
+		{"elastic-64", true, 64},
+		{"presized-1024", false, 1024},
+	} {
+		b.Run(cfg.name, func(b *testing.B) {
+			w, err := shmem.NewWorld(shmem.Config{NumPEs: 1, HeapBytes: 8 << 20})
+			if err != nil {
+				b.Fatal(err)
+			}
+			d := task.Desc{Payload: task.Args(42)}
+			berr := w.Run(func(c *shmem.Ctx) error {
+				q, err := NewQueue(c, Options{
+					Capacity: cfg.capacity, PayloadCap: 24, Epochs: true, Growable: cfg.growable,
+				})
+				if err != nil {
+					return err
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < burst; j++ {
+						if err := q.Push(d); err != nil {
+							return err
+						}
+					}
+					for j := 0; j < burst; j++ {
+						if _, ok, err := q.Pop(); err != nil || !ok {
+							return fmt.Errorf("pop %d failed: %v", j, err)
+						}
+					}
+				}
+				b.StopTimer()
+				st := q.Stats()
+				b.ReportMetric(float64(st.Grows)/float64(b.N), "grows/op")
+				b.ReportMetric(float64(st.Spilled)/float64(b.N), "spilled/op")
+				if cfg.growable && st.Grows == 0 {
+					return fmt.Errorf("elastic leg never grew (stats %+v)", st)
+				}
+				return nil
+			})
+			if berr != nil {
+				b.Fatal(berr)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/task")
+		})
 	}
 }

@@ -299,3 +299,32 @@ func TestFieldIndependenceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkStealvalPack measures the packed-metadata codec itself — the
+// owner-side cost the paper trades for fewer communications (§4: "adds
+// minimal processing to queue metadata upkeep").
+func BenchmarkStealvalPack(b *testing.B) {
+	v := Stealval{Asteals: 2, Valid: true, Epoch: 1, ITasks: 150, Tail: 500}
+	b.Run("pack-v2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := FormatV2.Pack(v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	w, _ := FormatV2.Pack(v)
+	b.Run("unpack-v2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if FormatV2.Unpack(w).ITasks != 150 {
+				b.Fatal("bad unpack")
+			}
+		}
+	})
+	b.Run("steal-plan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if wsq.StealHalf(150, 2) != 19 {
+				b.Fatal("bad plan")
+			}
+		}
+	})
+}

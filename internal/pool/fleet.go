@@ -22,10 +22,49 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"sws/internal/shmem"
 	"sws/internal/stats"
 )
+
+// RunOnce is the one-job lifecycle a Fleet hoists: it consumes w's single
+// Run, and on every PE builds a pool with cfg over the tasks register
+// installs, seeds it, runs it to global termination and then calls finish,
+// if non-nil. It returns each PE's Stats and the slowest PE's Elapsed (the
+// paper's whole-program timer); on failure, the PEs that finished are
+// filled in.
+func RunOnce(w *shmem.World, cfg Config, register func(rank int, reg *Registry) error, seed, finish func(p *Pool, rank int) error) (stats.Run, error) {
+	run := stats.Run{PEs: make([]stats.PE, w.NumPEs()), Protocol: cfg.Protocol.String()}
+	elapsed := make([]time.Duration, w.NumPEs())
+	err := w.Run(func(c *shmem.Ctx) error {
+		rank := c.Rank()
+		reg := NewRegistry()
+		if err := register(rank, reg); err != nil {
+			return err
+		}
+		p, err := New(c, reg, cfg)
+		if err != nil {
+			return err
+		}
+		if err := seed(p, rank); err != nil {
+			return err
+		}
+		if err := p.Run(); err != nil {
+			return err
+		}
+		run.PEs[rank] = p.Stats()
+		elapsed[rank] = p.Elapsed()
+		if finish != nil {
+			return finish(p, rank)
+		}
+		return nil
+	})
+	for _, e := range elapsed {
+		run.Elapsed = max(run.Elapsed, e)
+	}
+	return run, err
+}
 
 // Job is one unit of fleet work: a root-task injection plus the job
 // epoch that runs it to global termination.

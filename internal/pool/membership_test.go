@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sws/internal/shmem"
 	"sws/internal/stats"
@@ -15,7 +16,9 @@ import (
 // their range, and each leaf increments its own audit slot. trigger fires
 // once, from a task body, after threshold leaves have run — the hook the
 // tests use to begin a drain or join mid-job, guaranteed to land while
-// work is still in flight.
+// work is still in flight. Each leaf computes for 5 µs, so the job
+// outlasts the transition and the first steals that follow it even when
+// the PEs share their cores with other processes.
 func churnWorkload(t *testing.T, leaves, threshold int, world func(w *shmem.World), trigger func(w *shmem.World)) (*shmem.World, []stats.PE, []int32) {
 	t.Helper()
 	audit := make([]int32, leaves)
@@ -40,6 +43,7 @@ func churnWorkload(t *testing.T, leaves, threshold int, world func(w *shmem.Worl
 			}
 			lo, hi := int(args[0]), int(args[1])
 			if hi-lo == 1 {
+				tc.Compute(5 * time.Microsecond)
 				atomic.AddInt32(&audit[lo], 1)
 				if ran.Add(1) == int64(threshold) {
 					once.Do(func() { trigger(w) })

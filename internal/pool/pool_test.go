@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sws/internal/obs"
 	"sws/internal/shmem"
@@ -465,7 +466,9 @@ func TestTracing(t *testing.T) {
 // TestMetricsAndLatency runs a small workload with a Gatherer attached and
 // checks that (a) the live metrics endpoint data includes pool counters and
 // shmem per-op latency quantiles, and (b) Stats().Lat carries non-empty
-// pool-level and shmem-level histograms.
+// pool-level and shmem-level histograms. Every node computes for a few
+// microseconds, so the idle PEs find work to steal before rank 0 has run
+// the whole tree, whoever else shares the cores.
 func TestMetricsAndLatency(t *testing.T) {
 	g := obs.NewGatherer()
 	var latKeys sync.Map
@@ -477,6 +480,7 @@ func TestMetricsAndLatency(t *testing.T) {
 			if err != nil {
 				return err
 			}
+			tc.Compute(5 * time.Microsecond)
 			if args[0] == 0 {
 				return nil
 			}

@@ -192,37 +192,14 @@ func Run(p Params) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var statsMu sync.Mutex
-	var total stats.PE
-	err = w.Run(func(ctx *shmem.Ctx) error {
-		reg := pool.NewRegistry()
-		if err := wl.Register(reg); err != nil {
-			return err
-		}
-		pl, err := pool.New(ctx, reg, pool.Config{
-			Protocol:      p.Protocol,
-			Seed:          p.Seed,
-			Growable:      p.Grow,
-			QueueCapacity: p.QueueCap,
-		})
-		if err != nil {
-			return err
-		}
-		if err := wl.Seed(pl, ctx.Rank()); err != nil {
-			return err
-		}
-		if err := pl.Run(); err != nil {
-			return err
-		}
-		if p.Stats != nil {
-			statsMu.Lock()
-			total.Add(pl.Stats())
-			statsMu.Unlock()
-		}
-		return nil
-	})
+	run, err := pool.RunOnce(w, pool.Config{
+		Protocol:      p.Protocol,
+		Seed:          p.Seed,
+		Growable:      p.Grow,
+		QueueCapacity: p.QueueCap,
+	}, func(_ int, reg *pool.Registry) error { return wl.Register(reg) }, wl.Seed, nil)
 	if p.Stats != nil {
-		*p.Stats = total
+		*p.Stats = run.Total()
 	}
 	if err != nil {
 		// With a kill scheduled, the victim's own unwind is the expected

@@ -189,55 +189,39 @@ func Run(cfg Config, job Job) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	perPE := make([]PEStats, cfg.PEs)
-	elapsed := make([]time.Duration, cfg.PEs)
-	err = world.Run(func(c *shmem.Ctx) error {
-		reg := pool.NewRegistry()
-		h, err := job.Register(reg)
-		if err != nil {
-			return fmt.Errorf("sws: register on PE %d: %w", c.Rank(), err)
+	handles := make([]Handle, cfg.PEs)
+	run, err := pool.RunOnce(world, pool.Config{
+		Protocol:      cfg.Protocol,
+		QueueCapacity: cfg.QueueCapacity,
+		Growable:      cfg.Growable,
+		PayloadCap:    cfg.PayloadCap,
+		Workers:       cfg.Workers,
+		Seed:          cfg.Seed,
+		Trace:         cfg.Trace,
+	}, func(rank int, reg *Registry) (err error) {
+		handles[rank], err = job.Register(reg)
+		return peErr("register", rank, err)
+	}, func(p *Pool, rank int) error {
+		if job.Seed == nil {
+			return nil
 		}
-		p, err := pool.New(c, reg, pool.Config{
-			Protocol:      cfg.Protocol,
-			QueueCapacity: cfg.QueueCapacity,
-			Growable:      cfg.Growable,
-			PayloadCap:    cfg.PayloadCap,
-			Workers:       cfg.Workers,
-			Seed:          cfg.Seed,
-			Trace:         cfg.Trace,
-		})
-		if err != nil {
-			return err
+		return peErr("seed", rank, job.Seed(p, handles[rank], rank))
+	}, func(p *Pool, rank int) error {
+		if job.Finish == nil {
+			return nil
 		}
-		if job.Seed != nil {
-			if err := job.Seed(p, h, c.Rank()); err != nil {
-				return fmt.Errorf("sws: seed on PE %d: %w", c.Rank(), err)
-			}
-		}
-		if err := p.Run(); err != nil {
-			return err
-		}
-		perPE[c.Rank()] = p.Stats()
-		elapsed[c.Rank()] = p.Elapsed()
-		if job.Finish != nil {
-			if err := job.Finish(p, c.Rank()); err != nil {
-				return fmt.Errorf("sws: finish on PE %d: %w", c.Rank(), err)
-			}
-		}
-		return nil
+		return peErr("finish", rank, job.Finish(p, rank))
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{PEs: perPE}
-	for rank, pe := range perPE {
-		res.Total.Add(pe)
-		if elapsed[rank] > res.Elapsed {
-			res.Elapsed = elapsed[rank]
-		}
+	return &Result{Elapsed: run.Elapsed, PEs: run.PEs, Total: run.Total(), Throughput: run.Throughput()}, nil
+}
+
+// peErr names the job step and the PE an error came from.
+func peErr(step string, rank int, err error) error {
+	if err == nil {
+		return nil
 	}
-	if res.Elapsed > 0 {
-		res.Throughput = float64(res.Total.TasksExecuted) / res.Elapsed.Seconds()
-	}
-	return res, nil
+	return fmt.Errorf("sws: %s on PE %d: %w", step, rank, err)
 }
