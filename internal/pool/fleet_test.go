@@ -2,11 +2,13 @@ package pool
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"sws/internal/shmem"
+	"sws/internal/stats"
 	"sws/internal/task"
 )
 
@@ -113,6 +115,143 @@ func testFleetWarmJobs(t *testing.T, workers int) {
 	}
 	if err := f.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// A job's statistics are counters only, and they lose nothing: on every
+// job of a warm multi-worker fleet, the fleet's per-job figures equal the
+// difference of the full cumulative Stats taken at the job's baseline
+// (after Seed) and after it, counter for counter and worker row for worker
+// row. Lat is the one field allowed to differ: the job carries none.
+func TestFleetJobDeltaIsCounters(t *testing.T) {
+	const pes, workers, depth, jobs = 2, 2, 7, 3
+	w, err := shmem.NewWorld(shmem.Config{NumPEs: pes, HeapBytes: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cs fleetCounters
+	reg, h := treeRegister(&cs)
+	f, err := NewFleet(w, FleetOptions{Pool: Config{Seed: 1, Workers: workers}, Register: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for job := 1; job <= jobs; job++ {
+		var before [pes]stats.PE
+		seed := treeJob(h, depth).Seed
+		run, err := f.Run(Job{Seed: func(p *Pool, rank int) error {
+			err := seed(p, rank)
+			before[rank] = p.Stats() // where RunJob takes its baseline
+			return err
+		}})
+		if err != nil {
+			t.Fatalf("job %d: %v", job, err)
+		}
+		var want stats.PE
+		for rank := range before {
+			want.Add(f.Pool(rank).Stats().Delta(before[rank]))
+		}
+		if len(want.Lat) == 0 {
+			t.Fatalf("job %d: the cumulative snapshots carry no histograms: nothing to leave out", job)
+		}
+		got := run.Total()
+		if got.Lat != nil {
+			t.Errorf("job %d: the job's stats carry %d histograms, want none", job, len(got.Lat))
+		}
+		want.Lat = nil
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("job %d: per-job stats differ from the cumulative difference:\n got  %+v\n want %+v", job, got, want)
+		}
+		if got.TasksSpawned == 0 || len(got.Workers) != pes*workers {
+			t.Errorf("job %d: %d spawned over %d worker rows: the job did not exercise the rows", job, got.TasksSpawned, len(got.Workers))
+		}
+	}
+}
+
+// A no-op job on a warm shm fleet allocates at most 16 objects: the job's
+// bookkeeping (two counter snapshots per PE, their delta, the fleet's
+// result slots), not a copy of every latency histogram per snapshot.
+func TestFleetJobAllocs(t *testing.T) {
+	if !shmem.ShmSupported() {
+		t.Skip("shm transport unsupported on this platform")
+	}
+	const pes, budget = 2, 16
+	w, err := shmem.NewWorld(shmem.Config{NumPEs: pes, HeapBytes: 4 << 20, Transport: shmem.TransportShm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var noop atomic.Uint32
+	f, err := NewFleet(w, FleetOptions{Pool: Config{Seed: 1}, Register: func(rank int, r *Registry) error {
+		h, err := r.Register("noop", func(*TaskCtx, []byte) error { return nil })
+		noop.Store(uint32(h))
+		return err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	job := Job{Seed: func(p *Pool, rank int) error {
+		if rank != 0 {
+			return nil
+		}
+		return p.Add(task.Handle(noop.Load()), nil)
+	}}
+	var runErr error
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := f.Run(job); err != nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	t.Logf("a no-op job allocates %.1f objects", allocs)
+	if allocs > budget {
+		t.Errorf("a no-op job allocates %.1f objects, budget %d", allocs, budget)
+	}
+}
+
+// The terminated gauge belongs to the current job: a warm fleet resets it
+// before each job's opening barrier, so a task of the second job reads 0
+// on its PE, and every PE reads 1 again once the job has terminated.
+func TestTerminatedGaugeResetsPerJob(t *testing.T) {
+	const pes, jobs = 2, 3
+	w, err := shmem.NewWorld(shmem.Config{NumPEs: pes, HeapBytes: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen atomic.Int64
+	var probe atomic.Uint32
+	f, err := NewFleet(w, FleetOptions{Pool: Config{Seed: 1}, Register: func(rank int, r *Registry) error {
+		h, err := r.Register("probe", func(tc *TaskCtx, _ []byte) error {
+			seen.Store(tc.p.bk.terminated.Load())
+			return nil
+		})
+		probe.Store(uint32(h))
+		return err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for job := 1; job <= jobs; job++ {
+		seen.Store(-1)
+		if _, err := f.Run(Job{Seed: func(p *Pool, rank int) error {
+			if rank != 0 {
+				return nil
+			}
+			return p.Add(task.Handle(probe.Load()), nil)
+		}}); err != nil {
+			t.Fatalf("job %d: %v", job, err)
+		}
+		if got := seen.Load(); got != 0 {
+			t.Errorf("job %d: a running task read sws_pool_terminated = %d, want 0", job, got)
+		}
+		for rank := 0; rank < pes; rank++ {
+			if got := f.Pool(rank).bk.terminated.Load(); got != 1 {
+				t.Errorf("job %d: PE %d reads sws_pool_terminated = %d after the job, want 1", job, rank, got)
+			}
+		}
 	}
 }
 

@@ -82,7 +82,7 @@ var (
 	mEpoch = obs.NewGauge("sws_pool_epoch", "dimensionless (index)", "pe, protocol",
 		"Completion-epoch number (SWS protocols).")
 	mTerminated = obs.NewGauge("sws_pool_terminated", "dimensionless (bool)", "pe, protocol",
-		"1 once this PE observed global termination.")
+		"1 once this PE observed the current job's global termination.")
 	mTransportErrs = obs.NewCounter("sws_pool_steal_transport_errors_total", "attempts", "pe, protocol",
 		"Steal attempts absorbed as transport failures (victim quarantined).")
 	mQuarantinedSteals = obs.NewCounter("sws_pool_steals_quarantined_total", "attempts", "pe, protocol",

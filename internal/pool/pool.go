@@ -525,11 +525,37 @@ func (p *Pool) push(d task.Desc) error {
 
 // Stats returns this PE's counters, including the per-op latency
 // distributions (pool-level scheduling ops plus the shmem per-op
-// histograms under "shmem/" keys). Counters are cumulative over the
-// pool's lifetime — across every job a warm pool has run; RunJob returns
-// per-job deltas (stats.PE.Delta) for job-scoped figures. Valid between
-// jobs.
+// histograms under "shmem/" keys). Everything is cumulative over the
+// pool's lifetime — across every job a warm pool has run. RunJob's
+// per-job figures are deltas of the counters alone (stats.PE.Delta of two
+// counter snapshots): the histograms are lifetime-cumulative only, read
+// here and by the metrics endpoint. Valid between jobs.
 func (p *Pool) Stats() stats.PE {
+	st := p.counters()
+	st.Lat = make(map[string]obs.HistSnap)
+	for name, h := range p.lat.byName() {
+		if s := h.Snapshot(); !s.Empty() {
+			st.Lat[name] = s
+		}
+	}
+	if p.coreQ != nil {
+		if s := p.coreQ.GrowLat(); !s.Empty() {
+			st.Lat["grow"] = s
+		}
+	}
+	cs := p.ctx.Counters()
+	for _, op := range shmem.Ops() {
+		if s := cs.Latency(op); !s.Empty() {
+			st.Lat["shmem/"+op.String()+"/remote"] = s
+		}
+	}
+	return st
+}
+
+// counters is Stats without the latency histograms: every counter, time
+// and worker row, and a nil Lat. RunJob takes a job's two snapshots with
+// it, so a job pays for its counters and not for copying histograms.
+func (p *Pool) counters() stats.PE {
 	bk := &p.bk
 	st := stats.PE{
 		StealsSuccessful: bk.stealsOK.Load(), StealsEmpty: bk.stealsEmpty.Load(),
@@ -571,27 +597,12 @@ func (p *Pool) Stats() stats.PE {
 			st.Degraded = true
 		}
 	}
-	st.Lat = make(map[string]obs.HistSnap)
-	for name, h := range p.lat.byName() {
-		if s := h.Snapshot(); !s.Empty() {
-			st.Lat[name] = s
-		}
-	}
 	if p.coreQ != nil {
 		qs := p.coreQ.Stats()
 		st.TasksWrittenOff = qs.TasksWrittenOff
 		st.QueueGrows = qs.Grows
 		st.QueueShrinks = qs.Shrinks
 		st.TasksSpilled = qs.Spilled
-		if s := p.coreQ.GrowLat(); !s.Empty() {
-			st.Lat["grow"] = s
-		}
-	}
-	cs := p.ctx.Counters()
-	for _, op := range shmem.Ops() {
-		if s := cs.Latency(op); !s.Empty() {
-			st.Lat["shmem/"+op.String()+"/remote"] = s
-		}
 	}
 	return st
 }

@@ -27,7 +27,9 @@ type JobResult struct {
 	// Seq is the job's 1-based sequence number on this pool.
 	Seq uint64
 	// Stats is this PE's counter set scoped to the job: the delta of the
-	// pool's cumulative counters across the job's barriers.
+	// pool's cumulative counters across the job's barriers. It holds
+	// counters only, so Lat is nil: the latency histograms are
+	// lifetime-cumulative and read through Pool.Stats.
 	Stats stats.PE
 	// Elapsed is this PE's wall time between the job's barriers.
 	Elapsed time.Duration
@@ -49,12 +51,13 @@ func (p *Pool) Run() error {
 // with a barrier. Every PE must call it collectively, with the job's
 // root tasks seeded (Add/SpawnOn) beforehand. Whole-job timing covers
 // the span between the barriers, matching the paper's whole-program
-// timers; the returned stats are the job's deltas, so a long-lived fleet
-// reports per-job figures while Stats stays cumulative.
+// timers; the returned stats are the job's counter deltas, so a
+// long-lived fleet reports per-job figures while Stats stays cumulative.
 func (p *Pool) RunJob() (JobResult, error) {
 	p.jobSeq++
 	p.prevProbes = 0
-	prev := p.Stats()
+	p.bk.terminated.Store(0) // the gauge is this job's, not the last one's
+	prev := p.counters()
 	if err := p.det.StartJob(); err != nil {
 		return JobResult{}, err
 	}
@@ -72,7 +75,7 @@ func (p *Pool) RunJob() (JobResult, error) {
 		return JobResult{}, err
 	}
 	p.elapsed = time.Since(start)
-	res := JobResult{Seq: p.jobSeq, Elapsed: p.elapsed, Stats: p.Stats().Delta(prev)}
+	res := JobResult{Seq: p.jobSeq, Elapsed: p.elapsed, Stats: p.counters().Delta(prev)}
 	p.tr.Record(trace.JobEnd, int64(p.jobSeq), int64(res.Stats.TasksExecuted), 0)
 	if lv := p.ctx.Liveness(); lv != nil && lv.AnyDead() {
 		// The closing barrier can never complete over dead membership;

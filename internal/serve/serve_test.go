@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -91,6 +92,59 @@ func TestServeGraphJobs(t *testing.T) {
 	}
 	if got := s.Fleet().World().Attaches(); got != 2 {
 		t.Fatalf("attaches = %d, want 2 (warm start)", got)
+	}
+}
+
+// TestGraphNodeAllocs pins an interior graph node at zero allocations: the
+// depth is decoded in place and every child is spawned from the node's own
+// payload with the depth rewritten, not from a fresh argument slice. A
+// payload of the wrong length still fails with task.ParseArgs's error.
+func TestGraphNodeAllocs(t *testing.T) {
+	s := &Service{}
+	s.cur.Store(&activeWork{graph: &graphWork{breadth: 2, depth: 1}})
+	w, err := shmem.NewWorld(shmem.Config{NumPEs: 1, HeapBytes: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := -1.0
+	err = w.Run(func(c *shmem.Ctx) error {
+		reg := pool.NewRegistry()
+		h, err := reg.Register("serve.graph.node", s.runGraphNode)
+		if err != nil {
+			return err
+		}
+		s.graphH.Store(uint32(h))
+		// The measurement needs a live TaskCtx, so it runs inside a task: the
+		// probe expands a depth-1 node over and over (each run rewrites the
+		// payload, so each restores it), and the job then runs the leaves.
+		probe := reg.MustRegister("probe", func(tc *pool.TaskCtx, _ []byte) error {
+			if err := s.runGraphNode(tc, make([]byte, 3)); err == nil || !strings.Contains(err.Error(), "payload is 3 bytes") {
+				return fmt.Errorf("3-byte payload: err = %v, want task.ParseArgs's length error", err)
+			}
+			var buf [8]byte
+			var runErr error
+			allocs = testing.AllocsPerRun(100, func() {
+				binary.LittleEndian.PutUint64(buf[:], 1)
+				if err := s.runGraphNode(tc, buf[:]); err != nil {
+					runErr = err
+				}
+			})
+			return runErr
+		})
+		p, err := pool.New(c, reg, pool.Config{})
+		if err != nil {
+			return err
+		}
+		if err := p.Add(probe, nil); err != nil {
+			return err
+		}
+		return p.Run()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("one interior graph node allocates %.2f objects, want 0", allocs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -318,17 +319,22 @@ func (s *Service) runGraphNode(tc *pool.TaskCtx, payload []byte) error {
 		return errors.New("serve: graph task outside a graph job epoch")
 	}
 	g := w.graph
-	args, err := task.ParseArgs(payload, 1)
-	if err != nil {
+	if len(payload) != 8 {
+		_, err := task.ParseArgs(payload, 1) // its error names the lengths
 		return err
 	}
+	depth := binary.LittleEndian.Uint64(payload)
 	tc.Compute(g.spin)
-	if args[0] == 0 {
+	if depth == 0 {
 		return nil
 	}
+	// The payload is this task's to overwrite (pool.Func) and Spawn copies
+	// it, so every child is spawned from it with the depth rewritten in
+	// place: no argument slice, no encoded buffer per child.
+	binary.LittleEndian.PutUint64(payload, depth-1)
 	h := task.Handle(s.graphH.Load())
 	for i := 0; i < g.breadth; i++ {
-		if err := tc.Spawn(h, task.Args(args[0]-1)); err != nil {
+		if err := tc.Spawn(h, payload); err != nil {
 			return err
 		}
 	}

@@ -218,23 +218,22 @@ func (s *PE) Add(o PE) {
 // one job: prev is the snapshot taken when the job started, s the
 // snapshot at its end. Counters subtract (saturating at zero, since
 // max-aggregated figures like TasksLost are cumulative watermarks rather
-// than sums); latency histograms subtract bucket-wise; worker rows are
-// matched by (PE, ID) and differenced, so a warm multi-worker fleet
-// reports per-job worker breakdowns rather than fleet-lifetime totals.
-// DeadPEs and Degraded are preserved from s: once a run has seen a death
-// the remaining jobs ran over partial membership.
+// than sums); worker rows are differenced row by row — both snapshots
+// come from one pool, which lists its workers in the same (PE, ID) order
+// every time — so a warm multi-worker fleet reports per-job worker
+// breakdowns rather than fleet-lifetime totals. A job's own delta is
+// counters only (Pool.RunJob snapshots no histograms, so Lat is nil);
+// when both snapshots carry latency histograms, as full Pool.Stats
+// snapshots do, they subtract bucket-wise. DeadPEs and Degraded are
+// preserved from s: once a run has seen a death the remaining jobs ran
+// over partial membership.
 func (s PE) Delta(prev PE) PE {
 	d := s
 	d.numeric().sub(prev.numeric())
 	if len(s.Workers) > 0 {
-		prevW := make(map[[2]int]Worker, len(prev.Workers))
-		for _, w := range prev.Workers {
-			prevW[[2]int{w.PE, w.ID}] = w
-		}
 		d.Workers = append([]Worker(nil), s.Workers...)
-		for i := range d.Workers {
-			p := prevW[[2]int{d.Workers[i].PE, d.Workers[i].ID}]
-			d.Workers[i].numeric().sub(p.numeric())
+		for i := range min(len(d.Workers), len(prev.Workers)) {
+			d.Workers[i].numeric().sub(prev.Workers[i].numeric())
 		}
 	}
 	if len(s.Lat) > 0 {
