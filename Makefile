@@ -38,7 +38,6 @@ experiments:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStealvalRoundTrip$$' -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzStealPlan$$' -fuzztime 30s ./internal/core/
-	$(GO) test -run '^$$' -fuzz '^FuzzGrowShrinkSpill$$' -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 30s ./internal/task/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeArbitrary$$' -fuzztime 30s ./internal/task/
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"sws"
+	"sws/internal/core"
 	"sws/internal/pool"
 	"sws/internal/shmem"
 )
@@ -30,8 +31,9 @@ func TestConfigFieldBudget(t *testing.T) {
 	}{
 		{reflect.TypeOf(shmem.Config{}), 0, 10},
 		{reflect.TypeOf(shmem.Endpoint{}), 4, 4},
-		{reflect.TypeOf(pool.Config{}), 0, 11},
-		{reflect.TypeOf(sws.Config{}), 0, 11},
+		{reflect.TypeOf(pool.Config{}), 0, 10},
+		{reflect.TypeOf(sws.Config{}), 0, 10},
+		{reflect.TypeOf(core.Options{}), 0, 5},
 	} {
 		n := 0
 		for i := 0; i < b.typ.NumField(); i++ {
@@ -78,7 +80,9 @@ func TestConfigFieldBudget(t *testing.T) {
 // path and the wait loop, then the barrier, the give-up rule, the liveness
 // transition and the tcp dial path. internal/bench writes each of the
 // paper's experiments once, over one victim/thief steal loop and one run
-// path. A bound is the last collapse's result rounded up to the next 50
+// path. internal/core is the paper's one fixed split queue: a full ring is
+// the runtime's problem (internal/pool's overflow deque), not the queue's.
+// A bound is the last collapse's result rounded up to the next 50
 // non-test lines, comments included
 // (`ls internal/shmem/*.go | grep -v _test.go | xargs cat | wc -l`).
 // Raising one takes naming, in the commit, what came back and why it could
@@ -90,6 +94,7 @@ func TestShmemLineBudget(t *testing.T) {
 	}{
 		{"internal/shmem", 5750},
 		{"internal/bench", 1000},
+		{"internal/core", 1150},
 	} {
 		files, err := filepath.Glob(b.pkg + "/*.go")
 		if err != nil {
@@ -117,8 +122,8 @@ func TestDocBudget(t *testing.T) {
 		file   string
 		budget int
 	}{
-		{"DESIGN.md", 1442},
-		{"EXPERIMENTS.md", 1827},
+		{"DESIGN.md", 1379},
+		{"EXPERIMENTS.md", 1809},
 	} {
 		if n := lineCount(t, d.file); n > d.budget {
 			t.Errorf("%s has %d lines, budget %d", d.file, n, d.budget)

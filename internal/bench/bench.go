@@ -219,11 +219,9 @@ func SingleRunTable(name string, run stats.Run) *Table {
 			{"idle iterations", fmt.Sprint(tot.IdleIters)},
 		},
 	}
-	// Elastic-queue activity only shows up when the run configured it.
-	if tot.QueueGrows != 0 || tot.QueueShrinks != 0 || tot.TasksSpilled != 0 {
-		t.Rows = append(t.Rows,
-			[]string{"queue grows/shrinks", fmt.Sprintf("%d/%d", tot.QueueGrows, tot.QueueShrinks)},
-			[]string{"tasks spilled", fmt.Sprint(tot.TasksSpilled)})
+	// Overflow past a full split queue only shows up when it happened.
+	if tot.TasksSpilled != 0 {
+		t.Rows = append(t.Rows, []string{"tasks spilled", fmt.Sprint(tot.TasksSpilled)})
 	}
 	// Every PE reports a row per worker; surface them when some PE has
 	// executors, so the intra-PE load balance is visible alongside the PE
@@ -256,7 +254,7 @@ func SingleRunTable(name string, run stats.Run) *Table {
 // latencyRowKeys selects which per-op histograms SingleRunTable surfaces:
 // the pool-level scheduling ops plus the shmem ops on the steal path.
 var latencyRowKeys = []string{
-	"exec", "steal", "acquire", "release", "grow", "push-wait",
+	"exec", "steal", "acquire", "release",
 	"shmem/fetch-add/remote", "shmem/get/remote",
 	"shmem/compare-swap/remote", "shmem/fetch-add-get/remote",
 }

@@ -46,11 +46,7 @@ var protocols = []protocol{
 // freed (Progress). A barrier closes each of the three steps. It returns
 // PE 0's queue, for its owner-side counters.
 func stealRounds(w shmem.Config, p protocol, o core.Options, rounds, push int, thief func(c *shmem.Ctx, q wsq.Queue) error) (wsq.Queue, error) {
-	slots := o.Capacity
-	if o.Growable {
-		slots *= 16 // the whole growth ladder is registered up front
-	}
-	w.NumPEs, w.HeapBytes = 2, slots*(o.PayloadCap+64)+1<<16
+	w.NumPEs, w.HeapBytes = 2, o.Capacity*(o.PayloadCap+64)+1<<16
 	world, err := shmem.NewWorld(w)
 	if err != nil {
 		return nil, err

@@ -7,11 +7,9 @@ import (
 )
 
 // PoolFlags bundles the scheduler-shape flags every CLI that builds a
-// pool.Config shares: executors per PE and the task queue's size and
-// elasticity.
+// pool.Config shares: executors per PE and the split queue's size.
 type PoolFlags struct {
 	Workers  int
-	Grow     bool
 	QueueCap int
 }
 
@@ -23,14 +21,12 @@ func RegisterPoolFlags(fs *flag.FlagSet) *PoolFlags {
 	}
 	p := &PoolFlags{}
 	fs.IntVar(&p.Workers, "workers", 1, "executor goroutines per PE (two-level scheduling when >1)")
-	fs.BoolVar(&p.Grow, "grow", false, "elastic task queues: grow/spill instead of full-queue backpressure")
-	fs.IntVar(&p.QueueCap, "qcap", 0, "task queue capacity in slots (0 = library default; the starting size with -grow)")
+	fs.IntVar(&p.QueueCap, "qcap", 0, "split queue capacity in slots, what one PE can share (0 = library default 8192; spawns past it wait in the owner's private deque)")
 	return p
 }
 
 // Apply copies the flag values into cfg.
 func (p *PoolFlags) Apply(cfg *pool.Config) {
 	cfg.Workers = p.Workers
-	cfg.Growable = p.Grow
 	cfg.QueueCapacity = p.QueueCap
 }

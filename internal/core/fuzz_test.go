@@ -17,22 +17,16 @@ func FuzzStealvalRoundTrip(f *testing.F) {
 	f.Add(^uint64(0))
 	w0, _ := FormatV2.Pack(Stealval{Valid: true, Epoch: 1, ITasks: 150, Tail: 500, Asteals: 2})
 	f.Add(w0)
-	w1, _ := FormatV3.Pack(Stealval{Valid: true, Epoch: 1, Class: 5, ITasks: 150, Tail: 500, Asteals: 2})
+	w1, _ := FormatV1.Pack(Stealval{Valid: true, ITasks: 150, Tail: 500, Asteals: 2})
 	f.Add(w1)
 	f.Fuzz(func(t *testing.T, w uint64) {
-		for _, format := range []Format{FormatV1, FormatV2, FormatV3} {
+		for _, format := range []Format{FormatV1, FormatV2} {
 			v := format.Unpack(w)
 			if v.ITasks < 0 || v.Tail < 0 {
 				t.Fatalf("%v: negative fields from %#x: %+v", format, w, v)
 			}
 			if v.ITasks > format.maxITasks() || v.Tail > format.maxTail() {
 				t.Fatalf("%v: out-of-range fields from %#x: %+v", format, w, v)
-			}
-			if v.Class < 0 || v.Class >= MaxClasses {
-				t.Fatalf("%v: class out of range from %#x: %+v", format, w, v)
-			}
-			if format != FormatV3 && v.Class != 0 {
-				t.Fatalf("%v: class-less format decoded class %d from %#x", format, v.Class, w)
 			}
 			if format == FormatV1 {
 				v.Epoch = 0 // V1 carries no epoch
@@ -50,7 +44,7 @@ func FuzzStealvalRoundTrip(f *testing.F) {
 			}
 			// A thief's increment touches only asteals.
 			bumped := format.Unpack(repacked + AstealsUnit)
-			if bumped.ITasks != v.ITasks || bumped.Tail != v.Tail || bumped.Class != v.Class {
+			if bumped.ITasks != v.ITasks || bumped.Tail != v.Tail {
 				t.Fatalf("%v: increment corrupted owner fields: %+v -> %+v", format, v, bumped)
 			}
 		}
@@ -91,7 +85,7 @@ func FuzzStealPlan(f *testing.F) {
 // stealval format can advertise must fit them — which is why a queue
 // needs no cap on its block size beyond the itasks field.
 func TestPlanLenBoundsEveryBlock(t *testing.T) {
-	for _, f := range []Format{FormatV1, FormatV2, FormatV3} {
+	for _, f := range []Format{FormatV1, FormatV2} {
 		if got := wsq.PlanLen(f.maxITasks()); got > wsq.MaxPlanLen {
 			t.Errorf("%v: PlanLen(%d) = %d exceeds MaxPlanLen %d", f, f.maxITasks(), got, wsq.MaxPlanLen)
 		}

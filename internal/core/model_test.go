@@ -43,19 +43,14 @@ type modelStep struct {
 	op  modelOp
 }
 
-// randomSchedule pre-generates a lockstep schedule. pushBias skews the
-// owner's ops toward Push so small growable rings are forced through
-// their whole grow ladder and into the spill arena.
-func randomSchedule(seed int64, steps int, pushBias bool) []modelStep {
+// randomSchedule pre-generates a lockstep schedule.
+func randomSchedule(seed int64, steps int) []modelStep {
 	rng := rand.New(rand.NewSource(seed))
 	schedule := make([]modelStep, steps)
 	for i := range schedule {
-		switch {
-		case rng.Intn(3) == 0:
+		if rng.Intn(3) == 0 {
 			schedule[i] = modelStep{1, opSteal}
-		case pushBias && rng.Intn(2) == 0:
-			schedule[i] = modelStep{0, opPush}
-		default:
+		} else {
 			schedule[i] = modelStep{0, modelOp(rng.Intn(int(numModelOps - 1)))}
 		}
 	}
@@ -64,25 +59,18 @@ func randomSchedule(seed int64, steps int, pushBias bool) []modelStep {
 
 func runModelSchedule(t *testing.T, opts Options, seed int64, steps int) error {
 	t.Helper()
-	_, err := runModelScheduleSteps(t, opts, seed, randomSchedule(seed, steps, false))
+	_, err := runModelScheduleSteps(t, opts, seed, randomSchedule(seed, steps))
 	return err
 }
 
-// modelRun is what the owner saw over one schedule.
-type modelRun struct {
-	OwnerStats      // the queue's stats after the drain
-	longestPlan int // longest steal plan of any epoch record the owner held
-}
-
 // runModelScheduleSteps drives the 2-PE lockstep harness through an
-// explicit schedule (the fuzz target feeds synthesized ones) and returns
-// what the owner saw alongside the exactly-once verdict.
-func runModelScheduleSteps(t *testing.T, opts Options, seed int64, schedule []modelStep) (modelRun, error) {
+// explicit schedule and returns the longest steal plan of any epoch record
+// the owner held alongside the exactly-once verdict.
+func runModelScheduleSteps(t *testing.T, opts Options, seed int64, schedule []modelStep) (longestPlan int, err error) {
 	t.Helper()
-	var run modelRun
 	w, err := shmem.NewWorld(shmem.Config{NumPEs: 2, HeapBytes: 4 << 20})
 	if err != nil {
-		return run, err
+		return 0, err
 	}
 
 	// Lockstep plumbing: turn[who] <- step; done <- result.
@@ -166,22 +154,19 @@ func runModelScheduleSteps(t *testing.T, opts Options, seed int64, schedule []mo
 				if me == 0 && oerr == nil {
 					var longest int
 					longest, oerr = idleSlotsZero(q)
-					run.longestPlan = max(run.longestPlan, longest)
+					longestPlan = max(longestPlan, longest)
 				}
 				done <- oerr
-			}
-			if me == 0 {
-				run.OwnerStats = q.Stats()
 			}
 			return c.Barrier()
 		})
 	}()
 
-	fail := func(err error) (modelRun, error) {
+	fail := func(err error) (int, error) {
 		close(turns[0])
 		close(turns[1])
 		<-runErr
-		return run, err
+		return longestPlan, err
 	}
 	for i, s := range schedule {
 		turns[s.who] <- s.op
@@ -210,17 +195,17 @@ func runModelScheduleSteps(t *testing.T, opts Options, seed int64, schedule []mo
 	close(turns[0])
 	close(turns[1])
 	if err := <-runErr; err != nil {
-		return run, err
+		return longestPlan, err
 	}
 	if len(got) != len(pushed) {
-		return run, fmt.Errorf("seed %d: pushed %d tasks, obtained %d", seed, len(pushed), len(got))
+		return longestPlan, fmt.Errorf("seed %d: pushed %d tasks, obtained %d", seed, len(pushed), len(got))
 	}
 	for id := range pushed {
 		if _, ok := got[id]; !ok {
-			return run, fmt.Errorf("seed %d: task %d lost", seed, id)
+			return longestPlan, fmt.Errorf("seed %d: task %d lost", seed, id)
 		}
 	}
-	return run, nil
+	return longestPlan, nil
 }
 
 // idleSlotsZero checks, on the owner between its ops, the invariant that
@@ -276,13 +261,13 @@ func TestModelInterleavingsLongPlan(t *testing.T) {
 			schedule = append(schedule, modelStep{0, opPush})
 		}
 		schedule = append(schedule, modelStep{0, opRelease})
-		schedule = append(schedule, randomSchedule(seed, 300, false)...)
-		run, err := runModelScheduleSteps(t, Options{Capacity: 8192, Epochs: true, Damping: true}, seed, schedule)
+		schedule = append(schedule, randomSchedule(seed, 300)...)
+		longest, err := runModelScheduleSteps(t, Options{Capacity: 8192, Epochs: true, Damping: true}, seed, schedule)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if run.longestPlan < wantPlan {
-			t.Fatalf("seed %d: longest plan %d attempts, want >= %d", seed, run.longestPlan, wantPlan)
+		if longest < wantPlan {
+			t.Fatalf("seed %d: longest plan %d attempts, want >= %d", seed, longest, wantPlan)
 		}
 	}
 }
@@ -299,46 +284,6 @@ func TestModelInterleavingsTinyCapacity(t *testing.T) {
 	// Capacity 4 forces constant wraps and ErrFull paths.
 	for seed := int64(1); seed <= 20; seed++ {
 		if err := runModelSchedule(t, Options{Capacity: 4, Epochs: true}, seed, 300); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestModelInterleavingsGrowable(t *testing.T) {
-	// Tiny starting ring + push-biased schedules force the full ladder:
-	// reseats interleave with in-flight steals and Push overflows past the
-	// largest class into the spill arena. Exactly-once must survive it all.
-	opts := Options{Capacity: 4, Epochs: true, Damping: true, Growable: true, MaxGrowth: 2, SpillBlock: 4}
-	var grew, spilled, shrank bool
-	for seed := int64(1); seed <= 30; seed++ {
-		st, err := runModelScheduleSteps(t, opts, seed, randomSchedule(seed, 400, true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		grew = grew || st.Grows > 0
-		spilled = spilled || st.Spilled > 0
-		shrank = shrank || st.Shrinks > 0
-		// Every pushed task was obtained, so nothing may still be parked.
-		if st.SpillDepth != 0 {
-			t.Fatalf("seed %d: fully drained queue still parks %d tasks in the arena (spilled %d, unspilled %d)",
-				seed, st.SpillDepth, st.Spilled, st.Unspilled)
-		}
-	}
-	// The sweep is only exercising the machinery if the ladder was walked.
-	if !grew || !spilled {
-		t.Fatalf("sweep never exercised the elastic paths: grew=%v spilled=%v", grew, spilled)
-	}
-	if !shrank {
-		t.Log("note: no schedule triggered a shrink (pop-drained rings stayed busy)")
-	}
-}
-
-func TestModelInterleavingsGrowableFused(t *testing.T) {
-	// Fused steals resolve the victim region on the delivery goroutine
-	// from the fetched class; reseats must never hand it torn geometry.
-	opts := Options{Capacity: 4, Epochs: true, Fused: true, Growable: true, MaxGrowth: 2, SpillBlock: 4}
-	for seed := int64(1); seed <= 20; seed++ {
-		if _, err := runModelScheduleSteps(t, opts, seed, randomSchedule(seed, 400, true)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sws/internal/obs"
 	"sws/internal/ring"
 	"sws/internal/shmem"
 	"sws/internal/task"
@@ -29,9 +28,6 @@ type Options struct {
 	// Damping enables steal damping (§4.3): thieves probe targets that
 	// repeatedly turned up empty with a read-only fetch.
 	Damping bool
-	// DampThreshold is the asteals overshoot beyond the steal plan that
-	// flips a target into empty-mode. Default 4.
-	DampThreshold uint32
 	// Fused enables single-round-trip steals through the substrate's
 	// programmable-NIC emulation (shmem.FetchAddGet): the claim fetch-add
 	// and the dependent task copy complete in ONE blocking communication,
@@ -40,23 +36,11 @@ type Options struct {
 	// paper deliberately avoids assuming — provided here as an ablation
 	// beyond SWS.
 	Fused bool
-	// Growable makes the queue elastic: the ring doubles into the next
-	// pre-registered symmetric-heap region when full (an epoch-guarded
-	// reseat — see DESIGN §4.15), shrinks back when nearly empty, and
-	// spills to a local side arena instead of returning ErrFull once the
-	// largest region is exhausted. Requires Epochs; selects stealval
-	// format V3, whose class field carries the current region to thieves.
-	Growable bool
-	// MaxGrowth is the number of doublings a growable queue may perform:
-	// regions for classes 0..MaxGrowth (capacity<<class slots each) are
-	// all reserved in the symmetric heap at construction, ~2x the final
-	// capacity in total. Default 3 (8x the starting capacity); at most
-	// MaxClasses-1 and bounded by the V3 tail field.
-	MaxGrowth int
-	// SpillBlock is the number of task slots per spill-arena block.
-	// Default 512.
-	SpillBlock int
 }
+
+// DampThreshold is the asteals overshoot beyond the steal plan that flips
+// a target into empty-mode (§4.3).
+const DampThreshold = 4
 
 func (o *Options) setDefaults() {
 	if o.Capacity == 0 {
@@ -64,15 +48,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.PayloadCap == 0 {
 		o.PayloadCap = 24
-	}
-	if o.DampThreshold == 0 {
-		o.DampThreshold = 4
-	}
-	if o.Growable && o.MaxGrowth == 0 {
-		o.MaxGrowth = 3
-	}
-	if o.SpillBlock == 0 {
-		o.SpillBlock = 512
 	}
 }
 
@@ -83,16 +58,16 @@ func DefaultOptions() Options {
 }
 
 // ErrFull is returned (wrapped, with the queue's capacity and owning
-// rank) by Push when a non-growable queue has no free slot even after
-// reclaiming completed steals. Match with errors.Is; growable queues
-// never return it — they reseat into a larger region or spill instead.
+// rank) by Push when no slot is free even after reclaiming completed
+// steals. Match with errors.Is: the queue does nothing else about it, and
+// the runtime above keeps the task (internal/pool's overflow deque).
 var ErrFull = errors.New("core: task queue full")
 
 // errFull wraps ErrFull with the diagnostics a multi-PE log needs: which
 // rank's queue filled up, and at what capacity.
 func (q *Queue) errFull() error {
 	return fmt.Errorf("core: task queue full (capacity %d, rank %d): %w",
-		q.curRing().Cap(), q.ctx.Rank(), ErrFull)
+		q.ring.Cap(), q.ctx.Rank(), ErrFull)
 }
 
 // epochRec tracks one published shared block until all claims against it
@@ -119,43 +94,26 @@ func (r *epochRec) drained() bool {
 // in the symmetric heap, fronted by the packed stealval and per-epoch
 // completion arrays. Owner methods must only be called from the owning
 // PE's goroutine; Steal is thief-side.
-// region is one pre-registered ring: a symmetric task-slot array plus
-// its geometry. All regions are fixed at construction and never mutated,
-// so thief-side code may index them by a fetched stealval class with no
-// synchronization against owner reseats.
-type region struct {
-	addr shmem.Addr
-	ring ring.Ring
-	// own is the region's bytes in THIS PE's heap (shmem.Ctx.OwnBytes): the
-	// owner encodes into and decodes out of its slots in place.
-	own []byte
-}
-
 type Queue struct {
 	ctx    *shmem.Ctx
 	opts   Options
 	format Format
 	codec  task.Codec
-
-	// regions holds the task ring for every size class (one entry for
-	// non-growable queues); cls is the class currently in use. regions is
-	// immutable after NewQueue; cls is owner state — thieves never read
-	// it, they use the class in the stealval they fetched.
-	regions []region
-	cls     int
+	ring   ring.Ring
 
 	// Symmetric layout (identical offsets on every PE).
 	stealvalAddr   shmem.Addr
-	geomAddr       shmem.Addr // packed owner geometry, published at reseats
 	completionAddr shmem.Addr // MaxEpochs * wsq.MaxPlanLen words
+	taskAddr       shmem.Addr // Capacity task slots
 
-	// The same three objects in the owner's own heap, as memory: a PE's own
+	// The same objects in the owner's own heap, as memory: a PE's own
 	// symmetric heap needs no communication layer, so owner ops use
-	// sync/atomic on these words directly (thieves reach them through
-	// one-sided ops, hence atomic, never plain).
+	// sync/atomic on the words directly (thieves reach them through
+	// one-sided ops, hence atomic, never plain) and encode into and decode
+	// out of the slots in place.
 	stealval   *uint64
-	geom       *uint64
 	completion []uint64
+	slots      []byte
 
 	// Owner-side logical positions: rtail <= stail <= split <= head.
 	// [rtail, stail)  claimed by older epochs, awaiting completion;
@@ -183,32 +141,19 @@ type Queue struct {
 	// it forms the causal span ID stamped on each attempt's sub-ops.
 	spanSeq uint64
 
-	// scratch stages one encoded slot on its way into the spill arena;
 	// popBuf holds the payload of the last popped task (see Pop).
-	scratch []byte
-	popBuf  []byte
+	popBuf []byte
 
 	// stealBuf and stealSpans are thief-side staging reused across Steal
 	// calls (a Queue handle is driven by one goroutine, so reuse is safe).
 	stealBuf   []byte
 	stealSpans [2]shmem.Span
 
-	// arena is the owner-local spill store for tasks that overflow even
-	// the largest region (growable queues only).
-	arena spillArena
-
 	// ownerStats are maintained by owner operations for introspection.
 	releases, acquires, resetPolls uint64
 	// forceClosed/writtenOff track epochs force-closed after a thief died
 	// mid-steal and the tasks written off with them.
 	forceClosed, writtenOff uint64
-	// grows/shrinks count reseats by direction; spilled/unspilled count
-	// tasks through the arena.
-	grows, shrinks     uint64
-	spilled, unspilled uint64
-	// growLat is the reseat latency distribution (close + drain + copy +
-	// reopen), the cost a growable queue pays instead of ErrFull.
-	growLat obs.Hist
 }
 
 // NewQueue collectively constructs the queue: every PE must call it with
@@ -220,25 +165,18 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 	if opts.Epochs {
 		format = FormatV2
 	}
-	maxCls := 0
-	if opts.Growable {
-		if !opts.Epochs {
-			return nil, errors.New("core: growable queues require completion epochs (the reseat closes and reopens an epoch)")
-		}
-		format = FormatV3
-		maxCls = opts.MaxGrowth
-		if maxCls < 1 || maxCls >= MaxClasses {
-			return nil, fmt.Errorf("core: MaxGrowth %d out of range [1, %d)", maxCls, MaxClasses)
-		}
-	}
 	if opts.Capacity < 2 {
 		return nil, fmt.Errorf("core: capacity %d too small", opts.Capacity)
 	}
-	if maxCap := opts.Capacity << maxCls; maxCap > format.maxTail()+1 {
-		return nil, fmt.Errorf("core: capacity %d (x%d growth) exceeds stealval tail field of %v (max %d)",
-			opts.Capacity, 1<<maxCls, format, format.maxTail()+1)
+	if opts.Capacity > format.maxTail()+1 {
+		return nil, fmt.Errorf("core: capacity %d exceeds stealval tail field of %v (max %d)",
+			opts.Capacity, format, format.maxTail()+1)
 	}
 	codec, err := task.NewCodec(opts.PayloadCap)
+	if err != nil {
+		return nil, err
+	}
+	rg, err := ring.New(opts.Capacity)
 	if err != nil {
 		return nil, err
 	}
@@ -247,24 +185,26 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 		opts:      opts,
 		format:    format,
 		codec:     codec,
+		ring:      rg,
 		emptyMode: make([]bool, ctx.NumPEs()),
-		scratch:   make([]byte, codec.SlotSize()),
 		popBuf:    wsq.NewPopBuf(codec.PayloadCap()),
 	}
-	q.arena.init(codec.SlotSize(), opts.SpillBlock)
 	// §4.3: cap the advertised block so thieves' increments cannot
 	// overflow asteals into owner fields even if every PE piles on.
 	q.maxIT = format.maxITasks() - ctx.NumPEs()
 	if q.maxIT < 1 {
 		return nil, fmt.Errorf("core: %d PEs leave no itasks range", ctx.NumPEs())
 	}
-	if maxCap := opts.Capacity << maxCls; q.maxIT > maxCap {
-		q.maxIT = maxCap
+	if q.maxIT > opts.Capacity {
+		q.maxIT = opts.Capacity
 	}
 	if q.stealvalAddr, err = ctx.Alloc(shmem.WordSize); err != nil {
 		return nil, err
 	}
-	if q.geomAddr, err = ctx.Alloc(shmem.WordSize); err != nil {
+	// The word after the stealval is reserved and never read. The sim's
+	// event log prints every symmetric address, and TestSimLogGolden pins
+	// those logs, so the layout keeps it.
+	if _, err = ctx.Alloc(shmem.WordSize); err != nil {
 		return nil, err
 	}
 	// Completion arrays are indexed by attempt number: wsq.MaxPlanLen
@@ -272,37 +212,19 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 	if q.completionAddr, err = ctx.Alloc(MaxEpochs * wsq.MaxPlanLen * shmem.WordSize); err != nil {
 		return nil, err
 	}
-	meta, err := ctx.OwnWords(q.stealvalAddr, 2)
+	if q.taskAddr, err = ctx.Alloc(opts.Capacity * codec.SlotSize()); err != nil {
+		return nil, err
+	}
+	meta, err := ctx.OwnWords(q.stealvalAddr, 1)
 	if err != nil {
 		return nil, err
 	}
-	q.stealval, q.geom = &meta[0], &meta[1]
+	q.stealval = &meta[0]
 	if q.completion, err = ctx.OwnWords(q.completionAddr, MaxEpochs*wsq.MaxPlanLen); err != nil {
 		return nil, err
 	}
-	// Reserve the whole region ladder up front, collectively: every class
-	// a reseat may ever use exists at identical symmetric addresses on
-	// all PEs before the first task is pushed, which is what lets a thief
-	// resolve any fetched class without communication.
-	q.regions = make([]region, maxCls+1)
-	for c := range q.regions {
-		rg, err := ring.New(opts.Capacity << c)
-		if err != nil {
-			return nil, err
-		}
-		addr, err := ctx.Alloc((opts.Capacity << c) * codec.SlotSize())
-		if err != nil {
-			if opts.Growable {
-				return nil, fmt.Errorf("core: reserving grow region class %d (%d slots, %d remaining heap bytes): %w (raise shmem.Config.HeapBytes or lower MaxGrowth)",
-					c, opts.Capacity<<c, ctx.HeapRemaining(), err)
-			}
-			return nil, err
-		}
-		own, err := ctx.OwnBytes(addr, (opts.Capacity<<c)*codec.SlotSize())
-		if err != nil {
-			return nil, err
-		}
-		q.regions[c] = region{addr: addr, ring: rg, own: own}
+	if q.slots, err = ctx.OwnBytes(q.taskAddr, opts.Capacity*codec.SlotSize()); err != nil {
+		return nil, err
 	}
 	if opts.Fused {
 		// The fused handler is a pure function of the fetched stealval
@@ -312,46 +234,36 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 			return nil, err
 		}
 	}
-	// Publish an empty, valid block for epoch 0, and the initial geometry.
-	// The plan table never outgrows MaxPlanLen+1 entries.
+	// Publish an empty, valid block for epoch 0. The plan table never
+	// outgrows MaxPlanLen+1 entries.
 	q.plan = wsq.Offsets(make([]int, 0, wsq.MaxPlanLen+1), 0)
 	if err := q.publish(0, 0); err != nil {
 		return nil, err
 	}
-	q.publishGeom()
 	q.recs = []epochRec{{start: 0, itasks: 0, parity: 0, claimedBlocks: -1}}
 	return q, nil
 }
 
-// curRing returns the ring of the size class currently in use (owner
-// side; thieves use the class out of the stealval they fetched).
-func (q *Queue) curRing() ring.Ring { return q.regions[q.cls].ring }
-
 // fusedRanges is the target-side ("NIC") half of a fused steal: map the
 // fetched stealval to the claimed block's byte ranges. It runs on the
 // transport's delivery goroutine, concurrently with owner operations, so
-// it must only read immutable queue state: the region it addresses comes
-// from the fetched word's class, never from q.cls.
+// it must only read immutable queue state and the word it was handed.
 func (q *Queue) fusedRanges(old uint64) ([2]shmem.FusedSpan, int) {
 	var out [2]shmem.FusedSpan
 	v := q.format.Unpack(old)
-	if !v.Valid || v.Class >= len(q.regions) {
+	if !v.Valid || int(v.Asteals) >= wsq.PlanLen(v.ITasks) {
 		return out, 0
 	}
-	if int(v.Asteals) >= wsq.PlanLen(v.ITasks) {
-		return out, 0
-	}
-	reg := q.regions[v.Class]
 	k := wsq.StealHalf(v.ITasks, int(v.Asteals))
 	off := wsq.StealOffset(v.ITasks, int(v.Asteals))
-	spans, n, err := reg.ring.Spans(uint64(v.Tail)+uint64(off), k)
+	spans, n, err := q.ring.Spans(uint64(v.Tail)+uint64(off), k)
 	if err != nil {
 		return out, 0
 	}
 	slotSize := q.codec.SlotSize()
 	for i := 0; i < n; i++ {
 		out[i] = shmem.FusedSpan{
-			Addr: reg.addr + shmem.Addr(spans[i].Start*slotSize),
+			Addr: q.taskAddr + shmem.Addr(spans[i].Start*slotSize),
 			N:    spans[i].Count * slotSize,
 		}
 	}
@@ -361,13 +273,8 @@ func (q *Queue) fusedRanges(old uint64) ([2]shmem.FusedSpan, int) {
 // Format reports the stealval layout in use.
 func (q *Queue) Format() Format { return q.format }
 
-// LocalCount returns the number of tasks only the owner can reach: the
-// ring's local portion plus any spilled arena blocks.
-func (q *Queue) LocalCount() int { return q.ringLocal() + q.arena.len() }
-
-// ringLocal is the local portion of the ring alone — the pool Release
-// and Acquire geometry works on this, never on spilled tasks.
-func (q *Queue) ringLocal() int { return ring.Distance(q.split, q.head) }
+// LocalCount returns the number of tasks in the local portion.
+func (q *Queue) LocalCount() int { return ring.Distance(q.split, q.head) }
 
 // SharedAvail returns the owner's view of unclaimed shared tasks in the
 // current block (an atomic read of its own stealval).
@@ -392,48 +299,30 @@ func (q *Queue) clampAttempts(v Stealval) int {
 	return n
 }
 
-// free returns the number of unoccupied slots in the current ring.
-func (q *Queue) free() int { return q.curRing().Cap() - ring.Distance(q.rtail, q.head) }
+// free returns the number of unoccupied slots in the ring.
+func (q *Queue) free() int { return q.ring.Cap() - ring.Distance(q.rtail, q.head) }
 
-// slot returns the physical slot for a logical position in the current
-// ring, in the owner's own heap. Plain access is safe for positions outside
+// slot returns the physical slot for a logical position, in the owner's
+// own heap. Plain access is safe for positions outside
 // every advertised block: thieves read only what a stealval they fetched
 // covers, and the stealval's atomic publish/retire and the completion
 // words order those reads against the owner's writes.
 func (q *Queue) slot(pos uint64) []byte {
-	reg := &q.regions[q.cls]
 	n := q.codec.SlotSize()
-	off := reg.ring.Slot(pos) * n
-	return reg.own[off : off+n : off+n]
+	off := q.ring.Slot(pos) * n
+	return q.slots[off : off+n : off+n]
 }
 
 // Push enqueues a task at the head of the local portion. Purely local: no
 // locking, no communication (§3.1 / §4.1: enqueueing is unchanged and
-// lightweight). A growable queue that runs out of ring reseats into the
-// next size class, and past the largest class spills to the arena; only
-// a non-growable queue can return ErrFull.
+// lightweight). A full ring returns ErrFull.
 func (q *Queue) Push(d task.Desc) error {
-	if q.arena.len() > 0 {
-		// LIFO order invariant: everything in the arena is newer than
-		// everything in the ring, so while spilled tasks exist, newer
-		// pushes must join them rather than bypass them into the ring.
-		return q.spill(d)
-	}
 	if q.free() == 0 {
 		if err := q.Progress(); err != nil {
 			return err
 		}
 		if q.free() == 0 {
-			switch {
-			case q.opts.Growable && q.cls < len(q.regions)-1:
-				if err := q.reseat(q.cls + 1); err != nil {
-					return err
-				}
-			case q.opts.Growable:
-				return q.spill(d)
-			default:
-				return q.errFull()
-			}
+			return q.errFull()
 		}
 	}
 	if err := q.codec.Encode(q.slot(q.head), d); err != nil {
@@ -444,25 +333,18 @@ func (q *Queue) Push(d task.Desc) error {
 }
 
 // Pop removes the newest task from the local portion (LIFO, giving the
-// depth-first traversal that bounds pool space). Spilled tasks are newer
-// than everything in the ring, so the arena drains first. The payload is
-// decoded into a buffer the queue reuses: it is valid until the next Pop
-// (see wsq.Queue).
+// depth-first traversal that bounds pool space). The payload is decoded
+// into a buffer the queue reuses: it is valid until the next Pop (see
+// wsq.Queue).
 func (q *Queue) Pop() (task.Desc, bool, error) {
-	src, spilled := q.arena.popNewest()
-	if !spilled {
-		if q.head == q.split {
-			return task.Desc{}, false, nil
-		}
-		src = q.slot(q.head - 1)
+	if q.head == q.split {
+		return task.Desc{}, false, nil
 	}
-	d, err := q.codec.DecodeTo(src, q.popBuf)
+	d, err := q.codec.DecodeTo(q.slot(q.head-1), q.popBuf)
 	if err != nil {
 		return task.Desc{}, false, err
 	}
-	if !spilled {
-		q.head--
-	}
+	q.head--
 	return d, true, nil
 }
 
@@ -474,24 +356,14 @@ func (q *Queue) publish(itasks int, stail uint64) error {
 	w, err := q.format.Pack(Stealval{
 		Valid:  true,
 		Epoch:  q.parity(),
-		Class:  q.clsField(),
 		ITasks: itasks,
-		Tail:   q.curRing().Slot(stail),
+		Tail:   q.ring.Slot(stail),
 	})
 	if err != nil {
 		return err
 	}
 	atomic.StoreUint64(q.stealval, w)
 	return nil
-}
-
-// clsField is the class value packed into published stealvals: the
-// current class for V3, 0 for the classless formats.
-func (q *Queue) clsField() int {
-	if q.format != FormatV3 {
-		return 0
-	}
-	return q.cls
 }
 
 func (q *Queue) parity() int {
@@ -601,11 +473,11 @@ const (
 )
 
 // parityBusy reports whether a retired record still draining holds parity
-// p: any draining record for V1 (its one parity) and for p < 0.
+// p (for V1, its one parity: any draining record).
 func (q *Queue) parityBusy(p int) bool {
 	for i := range q.recs {
 		rec := &q.recs[i]
-		if rec.retired() && (p < 0 || q.format == FormatV1 || rec.parity == p) {
+		if rec.retired() && (q.format == FormatV1 || rec.parity == p) {
 			return true
 		}
 	}
@@ -613,9 +485,7 @@ func (q *Queue) parityBusy(p int) bool {
 }
 
 // waitParityFree polls Progress until parity p is not busy (V1: until every
-// draining record is gone — the §4.1 wait-for-all). p < 0 waits for every
-// draining record regardless of parity — the reseat's
-// wait-for-all-in-flight-steals.
+// draining record is gone — the §4.1 wait-for-all).
 //
 // If a peer has been declared dead while the wait is stalled, the missing
 // completion store may never come: after forceCloseGrace the owner force
@@ -647,9 +517,6 @@ func (q *Queue) waitParityFree(p int) error {
 		if deadline.IsZero() {
 			deadline = time.Now().Add(resetPoll)
 		} else if time.Now().After(deadline) {
-			if p < 0 {
-				return fmt.Errorf("core: reseat stalled %v waiting for in-flight steals to drain (lost thief?)", resetPoll)
-			}
 			return fmt.Errorf("core: reset stalled %v waiting for completion epoch parity %d (lost thief?)", resetPoll, p)
 		}
 		// Scheduler-visible yield: a thief's completion store is what ends
@@ -714,21 +581,10 @@ func (q *Queue) startEpoch(itasks int) error {
 	return q.publish(itasks, q.stail)
 }
 
-// ReleaseDue does the elastic upkeep — refill the ring from the arena so
-// spilled tasks become reachable (and eventually stealable), fold an
-// oversized ring back down when occupancy has collapsed — and reports
-// whether Release's preconditions hold: two or more local tasks in the
-// ring and an exhausted shared block.
-func (q *Queue) ReleaseDue() (bool, error) {
-	if q.opts.Growable {
-		if err := q.unspill(); err != nil {
-			return false, err
-		}
-		if err := q.maybeShrink(); err != nil {
-			return false, err
-		}
-	}
-	return q.ringLocal() >= 2 && q.SharedAvail() == 0, nil
+// ReleaseDue reports whether Release's preconditions hold: two or more
+// local tasks and an exhausted shared block.
+func (q *Queue) ReleaseDue() bool {
+	return q.LocalCount() >= 2 && q.SharedAvail() == 0
 }
 
 // Release moves half of the local tasks into a fresh shared block when
@@ -737,10 +593,10 @@ func (q *Queue) ReleaseDue() (bool, error) {
 // fewer than 2 local tasks, or — with epochs — both completion arrays are
 // still draining, in which case we simply retry later rather than poll).
 func (q *Queue) Release() (int, error) {
-	if due, err := q.ReleaseDue(); err != nil || !due {
-		return 0, err
+	if !q.ReleaseDue() {
+		return 0, nil
 	}
-	local := q.ringLocal()
+	local := q.LocalCount()
 	// Non-blocking variant of startEpoch's parity wait: skip the release if
 	// the next epoch's parity is still draining. Work stays local and
 	// runnable.
@@ -831,15 +687,6 @@ type OwnerStats struct {
 	// (lost or executed-but-unconfirmed: at-least-once).
 	ForceClosed     uint64
 	TasksWrittenOff uint64
-	// Grows/Shrinks count ring reseats by direction; Spilled counts tasks
-	// that overflowed into the side arena, SpillDepth the tasks currently
-	// parked there. Class and Capacity describe the ring in use.
-	Grows, Shrinks uint64
-	Spilled        uint64
-	Unspilled      uint64
-	SpillDepth     int
-	Class          int
-	Capacity       int
 }
 
 // Stats returns a snapshot of owner-side activity.
@@ -851,17 +698,5 @@ func (q *Queue) Stats() OwnerStats {
 		Epochs:          len(q.recs),
 		ForceClosed:     q.forceClosed,
 		TasksWrittenOff: q.writtenOff,
-		Grows:           q.grows,
-		Shrinks:         q.shrinks,
-		Spilled:         q.spilled,
-		Unspilled:       q.unspilled,
-		SpillDepth:      q.arena.len(),
-		Class:           q.cls,
-		Capacity:        q.curRing().Cap(),
 	}
 }
-
-// GrowLat returns the reseat latency distribution (empty for
-// non-growable queues): the price paid per grow/shrink instead of an
-// ErrFull failure.
-func (q *Queue) GrowLat() obs.HistSnap { return q.growLat.Snapshot() }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -398,7 +399,7 @@ func TestStealSelfAndRangeErrors(t *testing.T) {
 // the thief resumes fetch-add stealing.
 func TestStealDamping(t *testing.T) {
 	runWorld(t, 2, func(c *shmem.Ctx) error {
-		q, err := NewQueue(c, Options{Epochs: true, Damping: true, DampThreshold: 2})
+		q, err := NewQueue(c, Options{Epochs: true, Damping: true})
 		if err != nil {
 			return err
 		}
@@ -548,6 +549,33 @@ func TestQueueFull(t *testing.T) {
 		}
 		if err := q.Push(desc(100)); err != nil {
 			return err
+		}
+		return nil
+	})
+}
+
+// The full error must name capacity and rank while staying matchable with
+// errors.Is.
+func TestErrFullNamesCapacityAndRank(t *testing.T) {
+	runWorld(t, 1, func(c *shmem.Ctx) error {
+		q, err := NewQueue(c, Options{Capacity: 4, Epochs: true})
+		if err != nil {
+			return err
+		}
+		var full error
+		for i := uint64(0); i < 8 && full == nil; i++ {
+			full = q.Push(desc(i))
+		}
+		if full == nil {
+			return fmt.Errorf("capacity-4 queue accepted 8 pushes")
+		}
+		if !errors.Is(full, ErrFull) {
+			return fmt.Errorf("full error %v does not match ErrFull", full)
+		}
+		for _, want := range []string{"capacity 4", "rank 0"} {
+			if !strings.Contains(full.Error(), want) {
+				return fmt.Errorf("full error %q does not name %q", full, want)
+			}
 		}
 		return nil
 	})
@@ -786,17 +814,16 @@ func TestV1ResetWaitsForInFlight(t *testing.T) {
 }
 
 // A release whose next epoch's parity is still draining is deferred, not
-// waited out: the owner keeps the work local and returns at once, with the
-// fixed and the growable (V3) stealval alike. The thief claims every block
-// of two epochs with raw fetch-adds and withholds the completion stores
-// until well after the owner's third Release has answered.
+// waited out: the owner keeps the work local and returns at once. The thief
+// claims every block of two epochs with raw fetch-adds and withholds the
+// completion stores until well after the owner's third Release has
+// answered.
 func TestReleaseDefersBusyParity(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts Options
 	}{
 		{"fixed", DefaultOptions()},
-		{"growable", Options{Capacity: 256, Epochs: true, Damping: true, Growable: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runWorld(t, 2, func(c *shmem.Ctx) error {

@@ -97,15 +97,9 @@ func (q *Queue) stealSpanned(victim int, sc shmem.SpanCtx) ([]task.Desc, wsq.Out
 	if !v.Valid {
 		return nil, wsq.Disabled, nil
 	}
-	if v.Class >= len(q.regions) {
-		// A class beyond the ladder cannot come from a well-formed owner
-		// (options are symmetric); treat it as corruption, not emptiness.
-		return nil, wsq.Empty, fmt.Errorf("core: stealval from PE %d names class %d, ladder has %d",
-			victim, v.Class, len(q.regions))
-	}
 	plan := wsq.PlanLen(v.ITasks)
 	if int(v.Asteals) >= plan {
-		if q.opts.Damping && v.Asteals >= uint32(plan)+q.opts.DampThreshold {
+		if q.opts.Damping && v.Asteals >= uint32(plan)+DampThreshold {
 			q.emptyMode[victim] = true
 		}
 		return nil, wsq.Empty, nil
@@ -120,7 +114,7 @@ func (q *Queue) stealSpanned(victim int, sc shmem.SpanCtx) ([]task.Desc, wsq.Out
 	if q.opts.Fused {
 		tasks, err = q.decodeBlock(victim, fusedData, k)
 	} else {
-		tasks, err = q.copyBlock(victim, v.Class, start, k, sc)
+		tasks, err = q.copyBlock(victim, start, k, sc)
 	}
 	if err != nil {
 		return nil, wsq.Empty, err
@@ -158,32 +152,27 @@ func (q *Queue) decodeBlock(victim int, data []byte, k int) ([]task.Desc, error)
 // copyBlock performs the blocking one-sided copy of k task slots starting
 // at logical slot position start on the victim, unwrapping the circular
 // buffer as needed (wrapping is computed locally: queues are symmetric, so
-// no extra communication is required — §4, example point 1). The region
-// holding the block comes from the class in the fetched stealval, never
-// from this queue's own cls: regions are immutable and symmetric, so a
-// fetched class resolves the victim's geometry with no extra round trip
-// even if the victim reseats concurrently.
-func (q *Queue) copyBlock(victim, class int, start uint64, k int, sc shmem.SpanCtx) ([]task.Desc, error) {
-	reg := q.regions[class]
+// no extra communication is required — §4, example point 1).
+func (q *Queue) copyBlock(victim int, start uint64, k int, sc shmem.SpanCtx) ([]task.Desc, error) {
 	slotSize := q.codec.SlotSize()
 	if cap(q.stealBuf) < k*slotSize {
 		q.stealBuf = make([]byte, k*slotSize)
 	}
 	buf := q.stealBuf[:k*slotSize]
-	spans, n, err := reg.ring.Spans(start, k)
+	spans, n, err := q.ring.Spans(start, k)
 	if err != nil {
 		return nil, err
 	}
 	if n == 1 {
 		sp := spans[0]
-		addr := reg.addr + shmem.Addr(sp.Start*slotSize)
+		addr := q.taskAddr + shmem.Addr(sp.Start*slotSize)
 		if err := sc.Get(victim, addr, buf); err != nil {
 			return nil, err
 		}
 	} else {
 		for i := 0; i < n; i++ {
 			q.stealSpans[i] = shmem.Span{
-				Addr: reg.addr + shmem.Addr(spans[i].Start*slotSize),
+				Addr: q.taskAddr + shmem.Addr(spans[i].Start*slotSize),
 				N:    spans[i].Count * slotSize,
 			}
 		}

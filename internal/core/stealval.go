@@ -35,14 +35,6 @@ const (
 	// tail:19. Epoch values >= MaxEpochs mark the queue disabled,
 	// subsuming V1's valid bit. This is the default.
 	FormatV2
-	// FormatV3 is the growable-queue layout: asteals:24 | epoch:2 |
-	// class:3 | itasks:17 | tail:18. The class field names the size class
-	// (capacity = base << class) of the pre-registered region the block
-	// lives in, so the one fetched word still tells a thief the complete
-	// victim geometry: class -> {region base address, ring capacity} is a
-	// bijection over regions fixed at queue construction, and a stale
-	// thief can never pair a fresh tail with an old ring size.
-	FormatV3
 )
 
 func (f Format) String() string {
@@ -51,8 +43,6 @@ func (f Format) String() string {
 		return "v1"
 	case FormatV2:
 		return "v2-epochs"
-	case FormatV3:
-		return "v3-growable"
 	default:
 		return fmt.Sprintf("Format(%d)", int(f))
 	}
@@ -85,16 +75,6 @@ const (
 	v2ITasksShift = 19
 	v2ITasksBits  = 19
 	v2TailBits    = 19
-
-	// V3 field geometry (growable queues): the epoch keeps its V2
-	// position (so Disabled() is layout-compatible) and three bits are
-	// carved out of itasks/tail for the size class.
-	v3EpochShift  = v2EpochShift
-	v3ClassShift  = 35
-	v3ClassBits   = 3
-	v3ITasksShift = 18
-	v3ITasksBits  = 17
-	v3TailBits    = 18
 )
 
 // Limits of the owner-maintained fields for each format.
@@ -103,12 +83,6 @@ const (
 	MaxTailV1   = 1<<v1TailBits - 1
 	MaxITasksV2 = 1<<v2ITasksBits - 1
 	MaxTailV2   = 1<<v2TailBits - 1
-	MaxITasksV3 = 1<<v3ITasksBits - 1
-	MaxTailV3   = 1<<v3TailBits - 1
-	// MaxClasses bounds the size-class ladder of a growable queue: class
-	// c holds capacity base<<c, so the largest queue is base<<(MaxClasses-1)
-	// slots (tail width permitting).
-	MaxClasses = 1 << v3ClassBits
 )
 
 // Stealval is the decoded form of the packed queue metadata word.
@@ -121,10 +95,6 @@ type Stealval struct {
 	Valid bool
 	// Epoch is the completion epoch the block belongs to (always 0 in V1).
 	Epoch int
-	// Class is the size class of the ring region the block lives in
-	// (always 0 in V1/V2; growable queues advertise the current class so
-	// a thief derives the full victim geometry from this one word).
-	Class int
 	// ITasks is the number of tasks initially placed in the shared block.
 	ITasks int
 	// Tail is the physical slot index of the block's first task.
@@ -133,26 +103,18 @@ type Stealval struct {
 
 // maxITasks returns the largest encodable ITasks for the format.
 func (f Format) maxITasks() int {
-	switch f {
-	case FormatV1:
+	if f == FormatV1 {
 		return MaxITasksV1
-	case FormatV3:
-		return MaxITasksV3
-	default:
-		return MaxITasksV2
 	}
+	return MaxITasksV2
 }
 
 // maxTail returns the largest encodable tail index for the format.
 func (f Format) maxTail() int {
-	switch f {
-	case FormatV1:
+	if f == FormatV1 {
 		return MaxTailV1
-	case FormatV3:
-		return MaxTailV3
-	default:
-		return MaxTailV2
 	}
+	return MaxTailV2
 }
 
 // Pack encodes v in format f. It returns an error if a field exceeds the
@@ -166,9 +128,6 @@ func (f Format) Pack(v Stealval) (uint64, error) {
 	}
 	if v.Tail < 0 || v.Tail > f.maxTail() {
 		return 0, fmt.Errorf("core: tail %d out of range for %v", v.Tail, f)
-	}
-	if f != FormatV3 && v.Class != 0 {
-		return 0, fmt.Errorf("core: format %v has no class field (class=%d)", f, v.Class)
 	}
 	w := uint64(v.Asteals) << AstealsShift
 	switch f {
@@ -194,22 +153,6 @@ func (f Format) Pack(v Stealval) (uint64, error) {
 		w |= uint64(epoch) << v2EpochShift
 		w |= uint64(v.ITasks) << v2ITasksShift
 		w |= uint64(v.Tail)
-	case FormatV3:
-		epoch := v.Epoch
-		if v.Valid {
-			if epoch < 0 || epoch >= MaxEpochs {
-				return 0, fmt.Errorf("core: valid epoch %d out of range [0, %d)", epoch, MaxEpochs)
-			}
-		} else {
-			epoch = disabledEpoch
-		}
-		if v.Class < 0 || v.Class >= MaxClasses {
-			return 0, fmt.Errorf("core: class %d out of range [0, %d)", v.Class, MaxClasses)
-		}
-		w |= uint64(epoch) << v3EpochShift
-		w |= uint64(v.Class) << v3ClassShift
-		w |= uint64(v.ITasks) << v3ITasksShift
-		w |= uint64(v.Tail)
 	default:
 		return 0, fmt.Errorf("core: unknown format %v", f)
 	}
@@ -232,12 +175,6 @@ func (f Format) Unpack(w uint64) Stealval {
 		v.Valid = v.Epoch < MaxEpochs
 		v.ITasks = int(w >> v2ITasksShift & MaxITasksV2)
 		v.Tail = int(w & MaxTailV2)
-	case FormatV3:
-		v.Epoch = int(w >> v3EpochShift & (1<<v2EpochBits - 1))
-		v.Valid = v.Epoch < MaxEpochs
-		v.Class = int(w >> v3ClassShift & (MaxClasses - 1))
-		v.ITasks = int(w >> v3ITasksShift & MaxITasksV3)
-		v.Tail = int(w & MaxTailV3)
 	}
 	return v
 }

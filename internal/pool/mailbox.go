@@ -74,6 +74,9 @@ type mailbox struct {
 
 const defaultMailboxSlots = 256
 
+// pushTimeout bounds how long a remote spawn waits for its inbox slot.
+const pushTimeout = 10 * time.Second
+
 // newMailbox collectively allocates the inbox (same order on every PE).
 func newMailbox(ctx *shmem.Ctx, codec task.Codec, slots int) (*mailbox, error) {
 	if slots < 1 {

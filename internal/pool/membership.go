@@ -183,11 +183,11 @@ func (p *Pool) flushWorkerTier() error {
 	}
 }
 
-// drainOut flushes this PE's entire task inventory — protocol queue
-// (local and shared portions), executors' private deques (handoff makes
-// them stage those), intra-PE ring and staging area, and the remote-spawn
-// inbox — into the remaining members. Zero tasks are lost:
-// forwarding moves already-counted descriptors, so the global
+// drainOut flushes this PE's entire task inventory — the owner's private
+// deque, protocol queue (local and shared portions), executors' private
+// deques (handoff makes them stage those), intra-PE ring and staging area,
+// and the remote-spawn inbox — into the remaining members. Zero tasks are
+// lost: forwarding moves already-counted descriptors, so the global
 // spawned/executed ledger stays apart until every forwarded task runs on
 // its new home, and the termination wave cannot pass early.
 func (p *Pool) drainOut() error {
@@ -200,7 +200,7 @@ func (p *Pool) drainOut() error {
 		if err := p.flushWorkerTier(); err != nil {
 			return err
 		}
-		d, ok, err := p.q.Pop()
+		d, ok, err := p.popOwned()
 		if err != nil {
 			return err
 		}
@@ -248,7 +248,7 @@ func (p *Pool) stepParked() (bool, error) {
 		return false, err
 	}
 	for {
-		d, ok, err := p.q.Pop()
+		d, ok, err := p.popOwned()
 		if err != nil {
 			return false, err
 		}

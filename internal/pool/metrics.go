@@ -11,13 +11,15 @@ import (
 // event happens, by the owner goroutine (so an add never contends), and
 // read by Stats between jobs and by the metrics endpoint at any time —
 // atomics, because a scrape runs beside the scheduler loop. Nothing here is
-// written per task: task counts live in the workers' own atomics, and the
-// gauges are refreshed on the stepProgress beat, only when they moved.
+// written per task: task counts live in the workers' own atomics, the
+// gauges are refreshed on the stepProgress beat, only when they moved, and
+// tasksSpilled moves only while the split queue is full.
 type book struct {
 	stealsOK, stealsEmpty, stealsDisabled, tasksStolen atomic.Uint64
 	stealTime, searchTime                              atomic.Int64 // ns
 	releases, acquires                                 atomic.Uint64
 	remoteSent, remoteRecv                             atomic.Uint64
+	tasksSpilled                                       atomic.Uint64
 
 	// Failure handling and elastic membership (zero on fault-free, fixed-
 	// membership runs). quarantined is the current victim count.
@@ -27,12 +29,8 @@ type book struct {
 	tasksLost                                 atomic.Uint64
 
 	// The queue's own figures as of the last stepProgress beat (the queue's
-	// fields are the owner's plain memory). The elastic ones stay zero for
-	// fixed-capacity queues except queueCap, the ring capacity of any SWS
-	// queue.
-	qLocal, qShared, epoch                 atomic.Int64
-	queueGrows, queueShrinks, tasksSpilled atomic.Int64
-	queueCap, spillDepth                   atomic.Int64
+	// fields are the owner's plain memory), and the epoch at its last flip.
+	qLocal, qShared, epoch atomic.Int64
 }
 
 // move stores v into a gauge cell if it differs, reporting whether it did:
@@ -69,16 +67,8 @@ var (
 		"Tasks pushed into / drained from remote-spawn mailboxes.")
 	mQueueDepth = obs.NewGauge("sws_pool_queue_depth_tasks", "tasks", "pe, protocol, portion",
 		"Queue depth by portion (refreshed periodically).")
-	mQueueGrows = obs.NewCounter("sws_pool_queue_grows_total", "reseats", "pe, protocol",
-		"Elastic-queue reseats into a larger region.")
-	mQueueShrinks = obs.NewCounter("sws_pool_queue_shrinks_total", "reseats", "pe, protocol",
-		"Elastic-queue reseats into a smaller region.")
 	mSpilled = obs.NewCounter("sws_pool_queue_spilled_tasks_total", "tasks", "pe, protocol",
-		"Tasks spilled past the largest ring region into the owner-local arena.")
-	mQueueCap = obs.NewGauge("sws_pool_queue_capacity_tasks", "tasks", "pe, protocol",
-		"Current ring capacity (refreshed periodically; grows/shrinks with elastic queues).")
-	mSpillDepth = obs.NewGauge("sws_pool_queue_spill_depth_tasks", "tasks", "pe, protocol",
-		"Tasks currently parked in the spill arena (refreshed periodically).")
+		"Spawns that found the split queue full and went to the owner's private deque.")
 	mEpoch = obs.NewGauge("sws_pool_epoch", "dimensionless (index)", "pe, protocol",
 		"Completion-epoch number (SWS protocols).")
 	mTerminated = obs.NewGauge("sws_pool_terminated", "dimensionless (bool)", "pe, protocol",
@@ -132,11 +122,7 @@ func (p *Pool) metricsSource() obs.SourceFunc {
 		e.Counter(mRemoteSpawns, float64(bk.remoteRecv.Load()), pe, proto, obs.L("dir", "recv"))
 		e.Gauge(mQueueDepth, float64(bk.qLocal.Load()), pe, proto, obs.L("portion", "local"))
 		e.Gauge(mQueueDepth, float64(bk.qShared.Load()), pe, proto, obs.L("portion", "shared"))
-		e.Counter(mQueueGrows, float64(bk.queueGrows.Load()), pe, proto)
-		e.Counter(mQueueShrinks, float64(bk.queueShrinks.Load()), pe, proto)
 		e.Counter(mSpilled, float64(bk.tasksSpilled.Load()), pe, proto)
-		e.Gauge(mQueueCap, float64(bk.queueCap.Load()), pe, proto)
-		e.Gauge(mSpillDepth, float64(bk.spillDepth.Load()), pe, proto)
 		e.Gauge(mEpoch, float64(bk.epoch.Load()), pe, proto)
 		e.Gauge(mTerminated, float64(bk.terminated.Load()), pe, proto)
 		e.Counter(mTransportErrs, float64(bk.stealTransportErrs.Load()), pe, proto)
@@ -155,10 +141,6 @@ func (p *Pool) metricsSource() obs.SourceFunc {
 			if op != "drain" { // Stats only: the world's sws_membership_drain_seconds times a departure
 				e.Quantiles(mOpLatency, hist.Snapshot(), pe, proto, obs.L("op", op))
 			}
-		}
-		if p.coreQ != nil {
-			// Reseat latency lives in the core queue's own histogram.
-			e.Quantiles(mOpLatency, p.coreQ.GrowLat(), pe, proto, obs.L("op", "grow"))
 		}
 		p.ctx.Counters().Emit(e, pe)
 	}

@@ -76,19 +76,12 @@ func ParseProtocol(s string) (Protocol, error) {
 type Config struct {
 	// Protocol selects SWS (default) or SDC.
 	Protocol Protocol
-	// QueueCapacity is the task-slot count per PE. Default 8192. For a
-	// growable pool it is the STARTING capacity (class 0 of the ladder).
+	// QueueCapacity is the slot count of each PE's split queue, the part
+	// thieves can reach. Default 8192. A spawn that finds it full goes to
+	// the owner's private deque instead (Stats.TasksSpilled counts them)
+	// and is shared once the queue has room again, so the capacity bounds
+	// what one Release can expose, not how many tasks a PE may hold.
 	QueueCapacity int
-	// Growable makes each PE's queue elastic (SWS-family protocols only,
-	// requires epochs): instead of ErrFull backpressure the ring reseats
-	// into the next pre-registered symmetric-heap region, up to 8x
-	// QueueCapacity (three doublings), and past that spills to an
-	// owner-local arena. Push then never fails with a full queue; the
-	// cost appears as the "grow" latency histogram and the spill counters
-	// in Stats and the live metrics. The whole region ladder is reserved in
-	// the symmetric heap at startup — roughly 2x the final capacity in task
-	// slots — so size HeapBytes accordingly.
-	Growable bool
 	// PayloadCap is the per-task payload capacity in bytes. Default 24.
 	PayloadCap int
 	// NoEpochs disables completion epochs (SWS only; stealval format V1).
@@ -122,10 +115,6 @@ type Config struct {
 	// the obs HTTP endpoint.
 	Metrics *obs.Gatherer
 }
-
-// pushTimeout bounds how long a push may wait for queue space held by
-// in-flight steal completions, and a remote spawn for its inbox slot.
-const pushTimeout = 10 * time.Second
 
 func (c *Config) setDefaults() {
 	if c.QueueCapacity == 0 {
@@ -287,11 +276,11 @@ func (q *guardedQueue) Pop() (task.Desc, bool, error) {
 	return d, ok, err
 }
 
-func (q *guardedQueue) ReleaseDue() (bool, error) {
+func (q *guardedQueue) ReleaseDue() bool {
 	q.g.Enter(wsq.OwnerRelease)
-	due, err := q.Queue.ReleaseDue()
+	due := q.Queue.ReleaseDue()
 	q.g.Exit()
-	return due, err
+	return due
 }
 
 func (q *guardedQueue) Release() (int, error) {
@@ -316,11 +305,9 @@ func (q *guardedQueue) Progress() error {
 }
 
 // poolLat groups the pool-level latency histograms: task execution,
-// successful steals, failed searches, shared-queue transfers, and the
-// time spawns spend waiting out a full queue (non-growable backpressure).
+// successful steals, failed searches and shared-queue transfers.
 type poolLat struct {
 	exec, steal, search, acquire, release obs.Hist
-	pushWait                              obs.Hist
 	// drain times drainOut: how long a voluntary departure took to flush
 	// this PE's inventory into the remaining members.
 	drain obs.Hist
@@ -331,7 +318,7 @@ type poolLat struct {
 func (l *poolLat) byName() map[string]*obs.Hist {
 	return map[string]*obs.Hist{
 		"exec": &l.exec, "steal": &l.steal, "search": &l.search, "acquire": &l.acquire,
-		"release": &l.release, "push-wait": &l.pushWait, "drain": &l.drain,
+		"release": &l.release, "drain": &l.drain,
 	}
 }
 
@@ -424,12 +411,8 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 			Epochs:     !cfg.NoEpochs,
 			Damping:    !cfg.NoDamping,
 			Fused:      cfg.Protocol == SWSFused,
-			Growable:   cfg.Growable,
 		})
 	case SDC:
-		if cfg.Growable {
-			return nil, errors.New("pool: Growable requires an SWS-family protocol (the SDC baseline queue is fixed capacity)")
-		}
 		p.rawQ, err = sdc.NewQueue(ctx, sdc.Options{
 			Capacity:   cfg.QueueCapacity,
 			PayloadCap: cfg.PayloadCap,
@@ -487,40 +470,58 @@ func (p *Pool) recordEpochFlip(moved int64) {
 	p.bk.epoch.Store(epoch)
 }
 
+// push is the owner's one way into its private part. A task goes into the
+// split queue's local portion unless that is full; then it goes into the
+// owner's private deque, and so does every later push while the deque holds
+// anything: its tasks are newer than the queue's, so popOwned serves them
+// first and the owner's order stays LIFO. refill moves them back.
 func (p *Pool) push(d task.Desc) error {
-	err := p.q.Push(d)
-	if err == nil {
-		return nil
-	}
-	if !errors.Is(err, core.ErrFull) && !errors.Is(err, sdc.ErrFull) {
-		return err
-	}
-	// Non-growable backpressure: wait out transient fullness and surface
-	// the stall in the "push-wait" histogram (growable queues never reach
-	// here — their cost is the "grow" histogram instead).
-	t0 := time.Now()
-	defer func() { p.lat.pushWait.Record(time.Since(t0)) }()
-	deadline := t0.Add(pushTimeout)
-	for {
-		if err := p.q.Progress(); err != nil {
+	dq := p.exec.workers[0].dq
+	if dq.n == 0 {
+		err := p.q.Push(d)
+		if err == nil || !isFull(err) {
 			return err
 		}
-		err = p.q.Push(d)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, core.ErrFull) && !errors.Is(err, sdc.ErrFull) {
+	}
+	p.bk.tasksSpilled.Add(1)
+	return dq.push(d)
+}
+
+// isFull reports whether a push failed only because the queue is full.
+func isFull(err error) bool { return errors.Is(err, core.ErrFull) || errors.Is(err, sdc.ErrFull) }
+
+// popOwned pops the owner's newest task: its private deque's, which are
+// newer than anything in the split queue, then the local portion's.
+func (p *Pool) popOwned() (task.Desc, bool, error) {
+	if dq := p.exec.workers[0].dq; dq.n > 0 {
+		return dq.pop()
+	}
+	return p.q.Pop()
+}
+
+// ownedCount is the number of tasks only the owner can reach: its private
+// deque and the split queue's local portion.
+func (p *Pool) ownedCount() int { return p.exec.workers[0].dq.n + p.q.LocalCount() }
+
+// refill moves the private deque's oldest tasks into the split queue while
+// it has room, where Release can share them. They are newer than all of
+// the queue's tasks, so the owner's LIFO order holds.
+func (p *Pool) refill() error {
+	dq := p.exec.workers[0].dq
+	for dq.n > 0 {
+		d, err := dq.oldest()
+		if err != nil {
 			return err
 		}
-		if werr := p.ctx.Err(); werr != nil {
-			return werr
+		if err := p.q.Push(d); err != nil {
+			if isFull(err) {
+				return nil
+			}
+			return err
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("pool: queue full for %v (capacity %d too small for this workload): %w",
-				pushTimeout, p.cfg.QueueCapacity, err)
-		}
-		p.ctx.Relax()
+		dq.dropOldest()
 	}
+	return nil
 }
 
 // Stats returns this PE's counters, including the per-op latency
@@ -536,11 +537,6 @@ func (p *Pool) Stats() stats.PE {
 	for name, h := range p.lat.byName() {
 		if s := h.Snapshot(); !s.Empty() {
 			st.Lat[name] = s
-		}
-	}
-	if p.coreQ != nil {
-		if s := p.coreQ.GrowLat(); !s.Empty() {
-			st.Lat["grow"] = s
 		}
 	}
 	cs := p.ctx.Counters()
@@ -565,7 +561,7 @@ func (p *Pool) counters() stats.PE {
 		Acquires: bk.acquires.Load(), Releases: bk.releases.Load(),
 		RemoteSpawnsSent: bk.remoteSent.Load(), RemoteSpawnsRecv: bk.remoteRecv.Load(),
 		StealTime: time.Duration(bk.stealTime.Load()), SearchTime: time.Duration(bk.searchTime.Load()),
-		TasksLost: p.det.Lost, Degraded: p.det.Degraded,
+		TasksSpilled: bk.tasksSpilled.Load(), TasksLost: p.det.Lost, Degraded: p.det.Degraded,
 	}
 	// Every steal call that reached its victim ended in one of the three.
 	st.StealsAttempted = st.StealsSuccessful + st.StealsEmpty + st.StealsDisabled
@@ -598,11 +594,7 @@ func (p *Pool) counters() stats.PE {
 		}
 	}
 	if p.coreQ != nil {
-		qs := p.coreQ.Stats()
-		st.TasksWrittenOff = qs.TasksWrittenOff
-		st.QueueGrows = qs.Grows
-		st.QueueShrinks = qs.Shrinks
-		st.TasksSpilled = qs.Spilled
+		st.TasksWrittenOff = p.coreQ.Stats().TasksWrittenOff
 	}
 	return st
 }

@@ -132,6 +132,114 @@ func recursiveSumWorkload(t *testing.T, npes int, kind shmem.TransportKind, prot
 	}
 }
 
+// A task that spawns more children than the split queue holds runs them
+// all exactly once, on both protocols and with or without an executor:
+// spawns past a full queue go to the owner's private deque and flow back
+// into the queue as steals free space, instead of waiting for space that
+// only the spawner could make.
+func TestFullQueueOverflowsToOwnerDeque(t *testing.T) {
+	const children = 8192 + 1000 // the default QueueCapacity, overrun
+	for _, proto := range []Protocol{SWS, SDC} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%v/workers=%d", proto, workers), func(t *testing.T) {
+				var ran [children]atomic.Int32
+				var spilled atomic.Uint64
+				var elapsed time.Duration
+				runWorld(t, 2, shmem.TransportLocal, func(c *shmem.Ctx) error {
+					reg := NewRegistry()
+					child := reg.MustRegister("child", func(_ *TaskCtx, payload []byte) error {
+						args, err := task.ParseArgs(payload, 1)
+						if err != nil {
+							return err
+						}
+						ran[args[0]].Add(1)
+						return nil
+					})
+					root := reg.MustRegister("root", func(tc *TaskCtx, _ []byte) error {
+						for i := uint64(0); i < children; i++ {
+							if err := tc.Spawn(child, task.Args(i)); err != nil {
+								return err
+							}
+						}
+						return nil
+					})
+					p, err := New(c, reg, Config{Protocol: proto, Seed: 3, Workers: workers})
+					if err != nil {
+						return err
+					}
+					if c.Rank() == 0 {
+						if err := p.Add(root, nil); err != nil {
+							return err
+						}
+					}
+					if err := p.Run(); err != nil {
+						return err
+					}
+					spilled.Add(p.Stats().TasksSpilled)
+					if c.Rank() == 0 {
+						elapsed = p.Elapsed()
+					}
+					return nil
+				})
+				for i := range ran {
+					if n := ran[i].Load(); n != 1 {
+						t.Fatalf("child %d ran %d times, want 1", i, n)
+					}
+				}
+				if spilled.Load() == 0 {
+					t.Fatal("no spawn overflowed the queue; the test checks nothing")
+				}
+				if elapsed > pushTimeout/10 {
+					t.Fatalf("job took %v: a spawn waited for queue space", elapsed)
+				}
+			})
+		}
+	}
+}
+
+// Tasks that overflowed into the owner's private deque still reach
+// thieves: as steals free the split queue, the owner moves the deque's
+// oldest tasks back into it for Release to share, so the thief runs more
+// tasks than the queue ever held at once.
+func TestOverflowReachesThieves(t *testing.T) {
+	const capacity, children = 8, 400
+	var thiefRan atomic.Uint64
+	runWorld(t, 2, shmem.TransportLocal, func(c *shmem.Ctx) error {
+		reg := NewRegistry()
+		child := reg.MustRegister("child", func(tc *TaskCtx, _ []byte) error {
+			tc.Compute(20 * time.Microsecond)
+			return nil
+		})
+		root := reg.MustRegister("root", func(tc *TaskCtx, _ []byte) error {
+			for i := 0; i < children; i++ {
+				if err := tc.Spawn(child, nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		p, err := New(c, reg, Config{Seed: 5, QueueCapacity: capacity})
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			if err := p.Add(root, nil); err != nil {
+				return err
+			}
+		}
+		if err := p.Run(); err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			thiefRan.Store(p.Stats().TasksExecuted)
+		}
+		return nil
+	})
+	if n := thiefRan.Load(); n <= capacity {
+		t.Fatalf("thief ran %d of %d overflowed tasks, no more than one %d-slot queue holds", n, children, capacity)
+	}
+}
+
 func TestRecursiveWorkloadSWS(t *testing.T) {
 	recursiveSumWorkload(t, 4, shmem.TransportLocal, SWS, 12)
 }

@@ -5,11 +5,13 @@ import (
 	"sws/internal/wsq"
 )
 
-// privDeque is an executor's private part of the PE's split: a growable
-// circular buffer of encoded task slots (the protocol queue's format,
-// payload inline) that only its worker touches — plain memory. push encodes
-// in place and pop decodes the newest task into one reused buffer, so
-// spawn -> pop -> execute allocates nothing; takeOldest serves the ring.
+// privDeque is a worker's private deque: an executor's whole private part
+// of the PE's split, and the owner's overflow while its split queue is full
+// (Pool.push). It is a growable circular buffer of encoded task slots (the
+// protocol queue's format, payload inline) that only its worker touches —
+// plain memory. push encodes in place and pop decodes the newest task into
+// one reused buffer, so spawn -> pop -> execute allocates nothing; the
+// oldest end serves the ring and the owner's refill.
 // The indices are written per task, so like workerState it is padded to its
 // own 128-byte size class.
 type privDeque struct {
@@ -66,12 +68,20 @@ func (q *privDeque) pop() (task.Desc, bool, error) {
 	return d, err == nil, err
 }
 
+// oldest decodes the oldest task, with a payload of its own, and leaves it
+// in place; dropOldest removes it. The deque must not be empty.
+func (q *privDeque) oldest() (task.Desc, error) { return q.codec.Decode(q.at(0)) }
+
+func (q *privDeque) dropOldest() {
+	q.tail = (q.tail + 1) & q.mask
+	q.n--
+}
+
 // takeOldest removes the oldest task, with a payload of its own: the
 // caller parks it in the ring or the staging area. The deque must not be
 // empty.
 func (q *privDeque) takeOldest() (task.Desc, error) {
-	d, err := q.codec.Decode(q.at(0))
-	q.tail = (q.tail + 1) & q.mask
-	q.n--
+	d, err := q.oldest()
+	q.dropOldest()
 	return d, err
 }

@@ -92,7 +92,7 @@ func (p *Pool) RunJob() (JobResult, error) {
 	return res, nil
 }
 
-// ErrStranded reports tasks still staged or in an executor's private deque
+// ErrStranded reports tasks still staged or in a worker's private deque
 // after global termination: the ledger balanced without them.
 var ErrStranded = errors.New("pool: tasks stranded after termination (accounting bug)")
 
@@ -123,11 +123,11 @@ func (p *Pool) run() (err error) {
 		}
 		// Global termination implies quiescence: nothing staged, nothing held.
 		held := 0
-		for _, ws := range ex.workers[1:] {
+		for _, ws := range ex.workers {
 			held += ws.dq.n
 		}
 		if staged := len(ex.takeStaged()); err == nil && staged+held != 0 {
-			err = fmt.Errorf("%w: %d staged, %d in executors' private deques", ErrStranded, staged, held)
+			err = fmt.Errorf("%w: %d staged, %d in workers' private deques", ErrStranded, staged, held)
 		}
 	}()
 
@@ -223,9 +223,9 @@ func (p *Pool) run() (err error) {
 
 // stepTeam is what the owner does for the PE's other workers once per
 // iteration: deliver what they staged, and pay the ring what its own private
-// part — the split queue's local portion — owes it (surplus). It shares its
-// newest tasks, the end Pop serves; the oldest are Release's, for other PEs.
-// The team of one has no one to serve.
+// part owes it (surplus). It shares its newest tasks, the end popOwned
+// serves; the oldest are Release's, for other PEs. The team of one has no
+// one to serve.
 func (p *Pool) stepTeam() error {
 	ex := p.exec
 	if len(ex.workers) == 1 {
@@ -234,8 +234,8 @@ func (p *Pool) stepTeam() error {
 	if err := p.deliverStaged(p.push); err != nil {
 		return err
 	}
-	for k := ex.surplus(p.q.LocalCount()); k > 0; k-- {
-		d, ok, err := p.q.Pop()
+	for k := ex.surplus(p.ownedCount()); k > 0; k-- {
+		d, ok, err := p.popOwned()
 		if err != nil || !ok {
 			return err
 		}
@@ -279,9 +279,8 @@ func (p *Pool) stepRelease() error {
 	// anything: ReleaseDue is the one read of the PE's own stealval a busy
 	// iteration makes, and the clock and Release follow only when it says a
 	// release is due.
-	due, err := p.q.ReleaseDue()
-	if err != nil || !due {
-		return err
+	if !p.q.ReleaseDue() {
+		return nil
 	}
 	t0 := time.Now()
 	released, err := p.q.Release()
@@ -297,7 +296,8 @@ func (p *Pool) stepRelease() error {
 	return nil
 }
 
-// stepProgress periodically reclaims queue space held by completed steals
+// stepProgress periodically reclaims queue space held by completed steals,
+// refills the split queue from the owner's private deque into that space,
 // and refreshes what live readers see: the executors' published counts (a
 // busy owner's only publish; the leader's last read of them is what a PE
 // that dies is written off against) and the queue-depth gauges.
@@ -309,21 +309,16 @@ func (p *Pool) stepProgress(iter int) error {
 	if err := p.q.Progress(); err != nil {
 		return err
 	}
+	if err := p.refill(); err != nil {
+		return err
+	}
 	// Refresh the gauges, each only if it moved, and journal the depth on
 	// the same condition: an idle PE polling Progress must neither write
 	// its book nor flood its ring with identical samples.
 	bk := &p.bk
-	local, shared := int64(p.q.LocalCount()), int64(p.q.SharedAvail())
+	local, shared := int64(p.ownedCount()), int64(p.q.SharedAvail())
 	if moved := move(&bk.qLocal, local); move(&bk.qShared, shared) || moved {
 		p.ctx.FlightRecord(trace.QueueDepth, local, shared)
-	}
-	if p.coreQ != nil {
-		qs := p.coreQ.Stats()
-		move(&bk.queueGrows, int64(qs.Grows))
-		move(&bk.queueShrinks, int64(qs.Shrinks))
-		move(&bk.tasksSpilled, int64(qs.Spilled))
-		move(&bk.queueCap, int64(qs.Capacity))
-		move(&bk.spillDepth, int64(qs.SpillDepth))
 	}
 	return nil
 }
@@ -345,11 +340,10 @@ func (p *Pool) stepDrainInbox() (bool, error) {
 	return true, nil
 }
 
-// stepExecuteLocal runs the newest task of the owner's private part — the
-// split queue's local portion, popped LIFO as the paper's PE does —
-// reporting whether there was one.
+// stepExecuteLocal runs the newest task of the owner's private part —
+// popped LIFO as the paper's PE does — reporting whether there was one.
 func (p *Pool) stepExecuteLocal() (bool, error) {
-	d, ok, err := p.q.Pop()
+	d, ok, err := p.popOwned()
 	if err != nil || !ok {
 		return false, err
 	}

@@ -4,7 +4,8 @@
 // shared part, an internal/ldeque ring, that a task enters only when it
 // changes hands:
 //
-//	worker 0 (owner)  private part = the split queue's local portion (p.q)
+//	worker 0 (owner)  private part = the split queue's local portion (p.q),
+//	                  and its own privDeque while p.q is full
 //	worker i > 0      private part = its own privDeque
 //	shared part       the ring: topped up, when below one task per worker,
 //	                  by any worker holding two or more private tasks (up to
@@ -53,8 +54,8 @@ type workerState struct {
 	// rng is this worker's independent deterministic stream (worker 0's
 	// doubles as the PE's victim-selection stream).
 	rng *rand.Rand
-	// dq is an executor's private part; nil for the owner, whose private
-	// part is the split queue's local portion.
+	// dq is the worker's private deque: an executor's private part, the
+	// owner's overflow past a full split queue (Pool.push).
 	dq *privDeque
 
 	// Termination counters (see term.Publish): spawned is incremented
@@ -125,11 +126,8 @@ type execLayer struct {
 func newExecLayer(p *Pool, workers int, codec task.Codec) *execLayer {
 	ex := &execLayer{ring: ldeque.MustNew(max(16, 4*workers))}
 	for i := 0; i < workers; i++ {
-		ws := &workerState{id: i, rng: rngStream(p.cfg.Seed, p.ctx.Rank(), i)}
+		ws := &workerState{id: i, rng: rngStream(p.cfg.Seed, p.ctx.Rank(), i), dq: newPrivDeque(codec)}
 		ws.tc = TaskCtx{p: p, w: ws}
-		if i > 0 {
-			ws.dq = newPrivDeque(codec)
-		}
 		ex.workers = append(ex.workers, ws)
 	}
 	return ex
@@ -218,9 +216,9 @@ func (p *Pool) spawnOn(ws *workerState, pe int, d task.Desc) error {
 		return nil
 	}
 	if pe == self {
-		// The local portion is owner-private until the owner itself
-		// releases or shares it, so counting after the push (a full queue
-		// fails the spawn uncounted) hides nothing.
+		// The owner's private part is its own until it releases or shares
+		// it, so counting after the push (a failed push fails the spawn
+		// uncounted) hides nothing.
 		if err := p.push(d); err != nil {
 			return err
 		}
@@ -328,7 +326,7 @@ func (p *Pool) executorLoop(ws *workerState) {
 // a sleep there costs far more than its 20 µs: the executor's P goes idle,
 // every Gosched of the busy owner then wakes a thread to take it, and the
 // kernel parks each woken thread on the waker's core — a new process ran
-// both workers on one core for up to its first second (DESIGN §4.18).
+// both workers on one core for up to its first second (DESIGN §4.17).
 const idleSpinsBeforeSleep = 4096
 
 // nextTask is an executor's pop: its private deque, newest first, and the

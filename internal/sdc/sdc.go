@@ -217,9 +217,9 @@ func (q *Queue) Pop() (task.Desc, bool, error) {
 }
 
 // ReleaseDue reports whether Release would expose work: two or more local
-// tasks and an empty shared portion. It never fails.
-func (q *Queue) ReleaseDue() (bool, error) {
-	return q.LocalCount() >= 2 && q.SharedAvail() == 0, nil
+// tasks and an empty shared portion.
+func (q *Queue) ReleaseDue() bool {
+	return q.LocalCount() >= 2 && q.SharedAvail() == 0
 }
 
 // Release exposes half of the local tasks when the shared portion is
@@ -227,7 +227,7 @@ func (q *Queue) ReleaseDue() (bool, error) {
 // release sees the empty shared portion and aborts, so only the split
 // word needs an atomic update (§3.1).
 func (q *Queue) Release() (int, error) {
-	if due, _ := q.ReleaseDue(); !due {
+	if !q.ReleaseDue() {
 		return 0, nil
 	}
 	moved := q.LocalCount() / 2

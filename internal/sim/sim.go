@@ -55,15 +55,13 @@ type Params struct {
 	Choices []byte
 	// Protocol selects the queue protocol. Default pool.SWS.
 	Protocol pool.Protocol
-	// Grow makes every PE's queue elastic (grow/spill instead of a full
-	// failure), so seed sweeps explore steal claims racing reseats.
-	Grow bool
 	// QueueCap is the task-queue capacity in slots (0 = library default).
-	// Grow sweeps set it small so the workload forces constant reseats.
+	// Overflow sweeps set it small so spawns keep finding the queue full
+	// and overflow into the owner's private deque.
 	QueueCap int
 	// Stats, if non-nil, receives the element-wise sum of per-PE pool
 	// counters after the run — sweep tests use it to prove a configuration
-	// actually exercises the machinery under test (e.g. reseats).
+	// actually exercises the machinery under test (e.g. overflow).
 	Stats *stats.PE
 	// Fault, if non-nil, is built once per run from the seed, letting
 	// fault streams replay along with the schedule.
@@ -126,8 +124,8 @@ func (p Params) withDefaults() Params {
 
 func (p Params) String() string {
 	s := fmt.Sprintf("seed=%d pes=%d depth=%d width=%d chaos=%t", p.Seed, p.PEs, p.Depth, p.Width, p.Chaos)
-	if p.Grow {
-		s += fmt.Sprintf(" grow=true qcap=%d", p.QueueCap)
+	if p.QueueCap != 0 {
+		s += fmt.Sprintf(" qcap=%d", p.QueueCap)
 	}
 	for _, k := range p.Kill {
 		s += fmt.Sprintf(" kill=%d@%v", k.Rank, k.At)
@@ -195,7 +193,6 @@ func Run(p Params) ([]byte, error) {
 	run, err := pool.RunOnce(w, pool.Config{
 		Protocol:      p.Protocol,
 		Seed:          p.Seed,
-		Growable:      p.Grow,
 		QueueCapacity: p.QueueCap,
 	}, func(_ int, reg *pool.Registry) error { return wl.Register(reg) }, wl.Seed, nil)
 	if p.Stats != nil {
@@ -353,8 +350,8 @@ func ReproLine(p Params) string {
 	if p.Chaos {
 		s += " -sim.chaos"
 	}
-	if p.Grow {
-		s += fmt.Sprintf(" -sim.grow -sim.qcap=%d", p.QueueCap)
+	if p.QueueCap != 0 {
+		s += fmt.Sprintf(" -sim.qcap=%d", p.QueueCap)
 	}
 	if len(p.Kill) > 0 {
 		s += fmt.Sprintf(" -sim.killrank=%d -sim.killat=%v", p.Kill[0].Rank, p.Kill[0].At)

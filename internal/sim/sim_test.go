@@ -23,7 +23,6 @@ var (
 	flagDepth = flag.Int("sim.depth", 6, "BPC producer-chain depth")
 	flagWidth = flag.Int("sim.width", 12, "BPC consumers per producer")
 	flagChaos = flag.Bool("sim.chaos", false, "randomize schedule among near-simultaneous candidates")
-	flagGrow  = flag.Bool("sim.grow", false, "elastic queues: grow/spill instead of full-queue backpressure")
 	flagQCap  = flag.Int("sim.qcap", 0, "task-queue capacity in slots (0 = library default)")
 
 	// Crash-injection replay knobs (printed by ReproLine for kill-sweep
@@ -61,7 +60,6 @@ func flagParams() Params {
 		Width:    *flagWidth,
 		Seed:     *flagSeed,
 		Chaos:    *flagChaos,
-		Grow:     *flagGrow,
 		QueueCap: *flagQCap,
 	}
 	if *flagKillRank >= 0 {
@@ -255,19 +253,19 @@ func TestKillReplayDeterministic(t *testing.T) {
 	}
 }
 
-// growParams is the reseat-race configuration: rings that start at 8
-// slots under a BPC shape whose producers burst 25 pushes, so every PE
-// walks the ladder (8 -> 64) repeatedly while thieves steal — each round
-// a chance for a claim to straddle the epoch-closing reseat. Chaos
-// scheduling widens the interleavings each seed explores.
-func growParams(seed int64) Params {
-	return Params{PEs: 4, Depth: 6, Width: 24, Seed: seed, Chaos: true, Grow: true, QueueCap: 8}
+// overflowParams is the full-queue configuration: 8-slot queues under a
+// BPC shape whose producers burst 25 pushes, so every PE's spawns keep
+// overflowing into its private deque and refilling the queue while thieves
+// steal. Chaos scheduling widens the interleavings each seed explores.
+func overflowParams(seed int64) Params {
+	return Params{PEs: 4, Depth: 6, Width: 24, Seed: seed, Chaos: true, QueueCap: 8}
 }
 
-// TestGrowSameSeedByteIdentical: reseats are part of the deterministic
-// schedule — a growable run must replay byte-identically from its seed.
-func TestGrowSameSeedByteIdentical(t *testing.T) {
-	p := growParams(42)
+// TestOverflowSameSeedByteIdentical: overflow and refill are part of the
+// deterministic schedule — a full-queue run must replay byte-identically
+// from its seed.
+func TestOverflowSameSeedByteIdentical(t *testing.T) {
+	p := overflowParams(42)
 	log1, err := Run(p)
 	if err != nil {
 		t.Fatalf("run 1: %v", err)
@@ -278,32 +276,32 @@ func TestGrowSameSeedByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(log1, log2) {
 		d := firstDiff(log1, log2)
-		t.Fatalf("growable run not deterministic (first divergence at byte %d):\nrun1: %s\nrun2: %s",
+		t.Fatalf("overflowing run not deterministic (first divergence at byte %d):\nrun1: %s\nrun2: %s",
 			d, excerpt(log1, d), excerpt(log2, d))
 	}
 }
 
-// TestGrowReseatSweep sweeps seeds over the reseat-race configuration:
-// every run must stay exactly-once while queues grow, spill, and shrink
-// under concurrent steals. The nightly CI job runs this at -sim.seeds=1000;
-// failures print TestReplaySeed repro lines (with -sim.grow/-sim.qcap) and
-// minimize like any other sweep failure.
-func TestGrowReseatSweep(t *testing.T) {
+// TestOverflowSweep sweeps seeds over the full-queue configuration: every
+// run must stay exactly-once while spawns overflow into the owners'
+// private deques and flow back under concurrent steals. The nightly CI job
+// runs this at -sim.seeds=1000; failures print TestReplaySeed repro lines
+// (with -sim.qcap) and minimize like any other sweep failure.
+func TestOverflowSweep(t *testing.T) {
 	if testing.Short() {
-		t.Skip("grow sweep skipped in -short mode")
+		t.Skip("overflow sweep skipped in -short mode")
 	}
-	// The sweep is only evidence if the configuration actually reseats:
+	// The sweep is only evidence if the configuration actually overflows:
 	// prove it on the first seed before spending the rest.
-	probe := growParams(*flagSeed)
+	probe := overflowParams(*flagSeed)
 	var st stats.PE
 	probe.Stats = &st
 	if _, err := Run(probe); err != nil {
 		t.Fatalf("probe run: %v", err)
 	}
-	if st.QueueGrows == 0 {
-		t.Fatalf("grow-sweep configuration never grew a queue (stats: %+v) — the sweep would test nothing", st)
+	if st.TasksSpilled == 0 {
+		t.Fatalf("overflow-sweep configuration never filled a queue (stats: %+v) — the sweep would test nothing", st)
 	}
-	base := growParams(*flagSeed)
+	base := overflowParams(*flagSeed)
 	failures := Sweep(base, *flagSeed, *flagSeeds)
 	if len(failures) == 0 {
 		return
@@ -311,8 +309,8 @@ func TestGrowReseatSweep(t *testing.T) {
 	var report strings.Builder
 	for _, f := range failures {
 		min := Minimize(f)
-		if !min.Params.Grow || min.Params.QueueCap != base.QueueCap {
-			t.Errorf("minimizer dropped the grow configuration: %v -> %v", f.Params, min.Params)
+		if min.Params.QueueCap != base.QueueCap {
+			t.Errorf("minimizer dropped the queue capacity: %v -> %v", f.Params, min.Params)
 		}
 		fmt.Fprintf(&report, "%v\n", min)
 	}
@@ -325,7 +323,7 @@ func TestGrowReseatSweep(t *testing.T) {
 			t.Logf("failing seeds written to %s", path)
 		}
 	}
-	t.Fatalf("%d of %d grow-sweep seeds failed:\n%s", len(failures), *flagSeeds, report.String())
+	t.Fatalf("%d of %d overflow-sweep seeds failed:\n%s", len(failures), *flagSeeds, report.String())
 }
 
 // churnParams is the membership-churn configuration: a 4-PE world that

@@ -62,12 +62,8 @@ type PE struct {
 	Acquires uint64
 	Releases uint64
 
-	// Elastic-queue activity (zero unless the pool runs growable queues).
-	// QueueGrows/QueueShrinks count ring reseats by direction;
-	// TasksSpilled counts tasks that overflowed the largest ring region
-	// into the owner-local spill arena.
-	QueueGrows   uint64
-	QueueShrinks uint64
+	// TasksSpilled counts spawns that found the split queue full and went
+	// to the owner's private deque instead.
 	TasksSpilled uint64
 
 	// RemoteSpawnsSent/Recv count tasks pushed into / drained from the
@@ -132,7 +128,7 @@ type Worker struct {
 // and returned by value, so a walk allocates nothing (a fleet takes one per
 // PE per job); a struct with fewer fields leaves the tails nil.
 type numeric struct {
-	sums  [21]*uint64 // Delta saturates at zero
+	sums  [19]*uint64 // Delta saturates at zero
 	times [3]*time.Duration
 	// peak is a world-level figure, identical on every PE that observed
 	// it: Add takes the max, so Run.Total reports the world's count once.
@@ -148,8 +144,8 @@ func (p *PE) numeric() numeric {
 			&p.TasksExecuted, &p.TasksSpawned, &p.StealsAttempted, &p.StealsSuccessful,
 			&p.StealsEmpty, &p.StealsDisabled, &p.TasksStolen, &p.StealTransportErrs,
 			&p.StealsQuarantined, &p.TasksWrittenOff, &p.TasksForwarded, &p.MemberDrains,
-			&p.MemberJoins, &p.Acquires, &p.Releases, &p.QueueGrows, &p.QueueShrinks,
-			&p.TasksSpilled, &p.RemoteSpawnsSent, &p.RemoteSpawnsRecv, &p.IdleIters,
+			&p.MemberJoins, &p.Acquires, &p.Releases, &p.TasksSpilled,
+			&p.RemoteSpawnsSent, &p.RemoteSpawnsRecv, &p.IdleIters,
 		},
 		times: [...]*time.Duration{&p.StealTime, &p.SearchTime, &p.ExecTime},
 		peak:  &p.TasksLost,
@@ -159,7 +155,7 @@ func (p *PE) numeric() numeric {
 
 func (w *Worker) numeric() numeric {
 	return numeric{
-		sums:  [21]*uint64{&w.TasksExecuted, &w.TasksSpawned, &w.IdleIters, &w.FromRing},
+		sums:  [19]*uint64{&w.TasksExecuted, &w.TasksSpawned, &w.IdleIters, &w.FromRing},
 		times: [...]*time.Duration{&w.ExecTime, &w.StealTime, &w.SearchTime},
 	}
 }

@@ -58,18 +58,12 @@ func (o Outcome) String() string {
 // point of the protocol. Callers can enforce (and document violations of)
 // the contract with OwnerGuard.
 //
-// # Elastic queues
-//
-// An implementation may be elastic: instead of failing Push when full it
-// may grow (reseat its ring into a larger region) or spill overflow to
-// owner-local storage, and may shrink back when occupancy collapses. Any
-// such resizing happens inside owner methods and must be invisible to
-// concurrent thieves — a Steal racing a resize either claims from the old
-// geometry (and the resize waits for its copy to drain) or observes the
-// queue disabled and retries. Elastic implementations additionally expose
-// the Elastic interface so runtimes can report capacity and spill depth.
+// Both queues are the paper's fixed split circular buffer: Push on a full
+// ring fails with the implementation's ErrFull and does nothing else about
+// it. What to do with the task is the runtime's decision.
 type Queue interface {
-	// Push enqueues a task at the head of the local portion.
+	// Push enqueues a task at the head of the local portion, or fails
+	// with ErrFull when no slot is free after reclaiming completed steals.
 	Push(d task.Desc) error
 	// Pop dequeues the newest task from the local portion (LIFO). It
 	// returns ok=false when the local portion is empty — callers then
@@ -81,10 +75,9 @@ type Queue interface {
 	// ReleaseDue reports whether a Release would expose work now: at least
 	// two local tasks and nothing left in the shared portion. It is the
 	// per-task half of Release — one read of the owner's own shared-portion
-	// word, plus an elastic queue's upkeep (unspill, shrink) — so a runtime
-	// that calls it every scheduler pass need only call (and time) Release
-	// when it says yes.
-	ReleaseDue() (bool, error)
+	// word — so a runtime that calls it every scheduler pass need only call
+	// (and time) Release when it says yes.
+	ReleaseDue() bool
 	// Release moves roughly half of the local tasks to the shared
 	// portion. It reports the number of tasks exposed (0 if no release
 	// was due, or the queue had to defer it).
@@ -114,17 +107,6 @@ type Queue interface {
 // 128 bytes is its own, 128-aligned, size class.
 func NewPopBuf(n int) []byte {
 	return make([]byte, (n+127)&^127)[:n:n]
-}
-
-// Elastic is the optional interface of queues whose capacity changes at
-// runtime (see the Elastic queues section of the Queue contract). Both
-// methods are owner-side reads under the owner-serialization contract.
-type Elastic interface {
-	// CapacityNow returns the ring capacity currently in use.
-	CapacityNow() int
-	// SpillDepth returns the number of overflow tasks currently parked
-	// outside the ring (unreachable by thieves until unspilled).
-	SpillDepth() int
 }
 
 // OwnerOp names an owner method for OwnerGuard. The zero value means "no

@@ -119,15 +119,10 @@ type Config struct {
 	Latency LatencyModel
 	// HeapBytes is the symmetric heap per PE (default 16 MiB).
 	HeapBytes int
-	// QueueCapacity is the task queue size in slots (default 8192; the
-	// starting size when Growable is set).
+	// QueueCapacity is the split queue size in slots (default 8192). A
+	// spawn that finds the queue full goes to the owner's private deque
+	// and is shared once the queue has room again.
 	QueueCapacity int
-	// Growable makes each PE's queue elastic: it doubles into
-	// pre-reserved regions up to 8x QueueCapacity and then spills locally
-	// instead of ever failing a spawn with a full queue. SWS-family
-	// protocols only. The default 16 MiB heap comfortably holds the
-	// default ladder (8192 slots growing 8x is ~4 MiB).
-	Growable bool
 	// PayloadCap is the per-task payload capacity in bytes (default 24).
 	PayloadCap int
 	// Workers is the number of worker goroutines per PE (default 1: the
@@ -193,7 +188,6 @@ func Run(cfg Config, job Job) (*Result, error) {
 	run, err := pool.RunOnce(world, pool.Config{
 		Protocol:      cfg.Protocol,
 		QueueCapacity: cfg.QueueCapacity,
-		Growable:      cfg.Growable,
 		PayloadCap:    cfg.PayloadCap,
 		Workers:       cfg.Workers,
 		Seed:          cfg.Seed,
