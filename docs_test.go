@@ -17,6 +17,13 @@ import (
 // reads it next.
 var checkedDocs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
 
+// The documents, beside checkedDocs and the Go code, whose DESIGN §n.m
+// citations must resolve. The changelog is history and is left out.
+var citingDocs = []string{
+	"ROADMAP.md", "PAPER.md", "PAPERS.md", "SNIPPETS.md",
+	"docs/METRICS.md", "benchmark/README.md",
+}
+
 var (
 	fenceRE    = regexp.MustCompile("(?ms)^```.*?^```")
 	spanRE     = regexp.MustCompile("`([^`]+)`")
@@ -215,9 +222,8 @@ func (ix *goIndex) hasTest(name string) bool {
 
 // TestDocReferencesResolve fails when DESIGN.md, README.md or
 // EXPERIMENTS.md names, in backticks, a Go file, a pkg.Ident or a test
-// that no longer exists, or when a DESIGN §n.m citation anywhere in the
-// Go code or the documents has no heading of that number in DESIGN.md.
-// CHANGES.md is history and ISSUE.md a plan, so neither is held to it.
+// that no longer exists, or when a DESIGN §n.m citation in the Go code,
+// checkedDocs or citingDocs has no heading of that number in DESIGN.md.
 func TestDocReferencesResolve(t *testing.T) {
 	ix := indexGo(t)
 	for _, name := range checkedDocs {
@@ -238,17 +244,7 @@ func TestDocReferencesResolve(t *testing.T) {
 	for _, m := range headingRE.FindAllStringSubmatch(string(design), -1) {
 		sections[m[1]] = true
 	}
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || path == "CHANGES.md" || path == "ISSUE.md" ||
-			!(strings.HasSuffix(path, ".go") || strings.HasSuffix(path, ".md")) {
-			return nil
-		}
+	checkCitations := func(path string) error {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
@@ -261,6 +257,23 @@ func TestDocReferencesResolve(t *testing.T) {
 			}
 		}
 		return nil
+	}
+	for _, name := range append(append([]string{}, checkedDocs...), citingDocs...) {
+		if err := checkCitations(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		return checkCitations(path)
 	})
 	if err != nil {
 		t.Fatal(err)
