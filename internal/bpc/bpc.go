@@ -87,9 +87,14 @@ type Workload struct {
 	consumerH  atomic.Uint32
 	registered atomic.Bool
 
-	producers atomic.Uint64
-	consumers atomic.Uint64
+	counts pool.TaskTally // of kind countProducers and countConsumers
 }
+
+// The kinds of Workload.counts.
+const (
+	countProducers = iota
+	countConsumers
+)
 
 // NewWorkload validates the parameters and returns a workload.
 func NewWorkload(p Params) (*Workload, error) {
@@ -155,13 +160,13 @@ func (w *Workload) runProducer(tc *pool.TaskCtx, payload []byte) error {
 		}
 	}
 	tc.Compute(w.Params.ProducerWork)
-	w.producers.Add(1)
+	w.counts.Add(tc, countProducers)
 	return nil
 }
 
 func (w *Workload) runConsumer(tc *pool.TaskCtx, payload []byte) error {
 	tc.Compute(w.Params.ConsumerWork)
-	w.consumers.Add(1)
+	w.counts.Add(tc, countConsumers)
 	return nil
 }
 
@@ -187,7 +192,7 @@ func (w *Workload) RunConsumer(tc *pool.TaskCtx, payload []byte) error {
 }
 
 // Producers returns the number of producer tasks executed in-process.
-func (w *Workload) Producers() uint64 { return w.producers.Load() }
+func (w *Workload) Producers() uint64 { return w.counts.Sum(countProducers) }
 
 // Consumers returns the number of consumer tasks executed in-process.
-func (w *Workload) Consumers() uint64 { return w.consumers.Load() }
+func (w *Workload) Consumers() uint64 { return w.counts.Sum(countConsumers) }

@@ -59,42 +59,45 @@ func TestSeedUnregistered(t *testing.T) {
 }
 
 // A small end-to-end run: every producer and consumer must execute
-// exactly once, under both protocols.
+// exactly once, under both protocols, and the per-worker count stripes sum
+// to the totals with executors beside the owner too.
 func TestRunCounts(t *testing.T) {
 	for _, proto := range []pool.Protocol{pool.SWS, pool.SDC} {
 		proto := proto
 		t.Run(proto.String(), func(t *testing.T) {
-			params := Params{Depth: 8, NConsumers: 40, ConsumerWork: 20 * time.Microsecond, ProducerWork: 4 * time.Microsecond}
-			wl, err := NewWorkload(params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := shmem.NewWorld(shmem.Config{NumPEs: 3, HeapBytes: 8 << 20})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = w.Run(func(c *shmem.Ctx) error {
-				reg := pool.NewRegistry()
-				if err := wl.Register(reg); err != nil {
-					return err
-				}
-				p, err := pool.New(c, reg, pool.Config{Protocol: proto, Seed: 13})
+			for _, workers := range []int{1, 2} {
+				params := Params{Depth: 8, NConsumers: 40, ConsumerWork: 20 * time.Microsecond, ProducerWork: 4 * time.Microsecond}
+				wl, err := NewWorkload(params)
 				if err != nil {
-					return err
+					t.Fatal(err)
 				}
-				if err := wl.Seed(p, c.Rank()); err != nil {
-					return err
+				w, err := shmem.NewWorld(shmem.Config{NumPEs: 3, HeapBytes: 8 << 20})
+				if err != nil {
+					t.Fatal(err)
 				}
-				return p.Run()
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wl.Producers() != uint64(params.Depth) {
-				t.Errorf("producers = %d, want %d", wl.Producers(), params.Depth)
-			}
-			if wl.Consumers() != uint64(params.Depth*params.NConsumers) {
-				t.Errorf("consumers = %d, want %d", wl.Consumers(), params.Depth*params.NConsumers)
+				err = w.Run(func(c *shmem.Ctx) error {
+					reg := pool.NewRegistry()
+					if err := wl.Register(reg); err != nil {
+						return err
+					}
+					p, err := pool.New(c, reg, pool.Config{Protocol: proto, Seed: 13, Workers: workers})
+					if err != nil {
+						return err
+					}
+					if err := wl.Seed(p, c.Rank()); err != nil {
+						return err
+					}
+					return p.Run()
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wl.Producers() != uint64(params.Depth) {
+					t.Errorf("workers=%d: producers = %d, want %d", workers, wl.Producers(), params.Depth)
+				}
+				if wl.Consumers() != uint64(params.Depth*params.NConsumers) {
+					t.Errorf("workers=%d: consumers = %d, want %d", workers, wl.Consumers(), params.Depth*params.NConsumers)
+				}
 			}
 		})
 	}

@@ -293,7 +293,7 @@ func TestRemoteSpawnComms(t *testing.T) {
 				if err != nil || !ok || len(d.Payload) != len(payload) {
 					t.Errorf("pop: ok=%v payload=%d err=%v", ok, len(d.Payload), err)
 				}
-				if err := recv.executeOwned(d); err != nil {
+				if err := recv.execute(recv.exec.workers[0], d); err != nil {
 					t.Error(err)
 				}
 			}

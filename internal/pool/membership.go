@@ -143,7 +143,7 @@ func (p *Pool) forwardTask(d task.Desc) error {
 	}
 	for i := 0; i < len(targets); i++ {
 		v := targets[(p.drainRR+i)%len(targets)]
-		if err := p.mbox.send(v, d); err == nil {
+		if err := p.post(v, d); err == nil {
 			p.drainRR = (p.drainRR + i + 1) % len(targets)
 			p.bk.tasksForwarded.Add(1)
 			p.tr.Record(trace.RemoteSpawn, int64(v), 1, 0)
@@ -153,7 +153,7 @@ func (p *Pool) forwardTask(d task.Desc) error {
 	if werr := p.ctx.Err(); werr != nil {
 		return werr
 	}
-	return p.executeOwned(d)
+	return p.execute(p.exec.workers[0], d)
 }
 
 // flushWorkerTier forwards everything the execution layer holds: what

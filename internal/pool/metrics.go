@@ -11,7 +11,7 @@ import (
 // event happens, by the owner goroutine (so an add never contends), and
 // read by Stats between jobs and by the metrics endpoint at any time —
 // atomics, because a scrape runs beside the scheduler loop. Nothing here is
-// written per task: task counts live in the workers' own atomics, the
+// written per task: task counts live in the workers' own fields, the
 // gauges are refreshed on the stepProgress beat, only when they moved, and
 // tasksSpilled moves only while the split queue is full.
 type book struct {
@@ -46,15 +46,15 @@ func move(cell *atomic.Int64, v int64) bool {
 // The families a pool exports, per PE.
 var (
 	mWorkerExecuted = obs.NewCounter("sws_pool_worker_tasks_executed_total", "tasks", "pe, protocol, worker",
-		"Tasks executed per worker (worker 0 is the owner, present on every PE); sums to sws_pool_tasks_executed_total.")
+		"Tasks executed per worker (worker 0 is the owner, present on every PE; its count is as of the owner's last publish); sums to sws_pool_tasks_executed_total.")
 	mWorkerSpawned = obs.NewCounter("sws_pool_worker_tasks_spawned_total", "tasks", "pe, protocol, worker",
-		"Tasks spawned per worker (seeds and a departing PE's locally run inventory are worker 0's); sums to sws_pool_tasks_spawned_total.")
+		"Tasks spawned per worker (seeds and a departing PE's locally run inventory are worker 0's; its count is as of the owner's last publish); sums to sws_pool_tasks_spawned_total.")
 	mWorkerIdle = obs.NewCounter("sws_pool_worker_idle_iterations_total", "iterations", "pe, protocol, worker",
 		"Loop passes that found nothing to run, per worker: scheduler iterations for worker 0 (the owner, present on every PE), empty ring polls for executors.")
 	mExecuted = obs.NewCounter("sws_pool_tasks_executed_total", "tasks", "pe, protocol",
-		"Tasks executed by this PE.")
+		"Tasks executed by this PE (the owner's share as of its last publish).")
 	mSpawned = obs.NewCounter("sws_pool_tasks_spawned_total", "tasks", "pe, protocol",
-		"Tasks spawned by this PE.")
+		"Tasks spawned by this PE (the owner's share as of its last publish).")
 	mSteals = obs.NewCounter("sws_pool_steals_total", "attempts", "pe, protocol, outcome",
 		"Steal attempts by outcome (ok, empty, disabled).")
 	mStolen = obs.NewCounter("sws_pool_tasks_stolen_total", "tasks", "pe, protocol",
@@ -99,7 +99,9 @@ func (p *Pool) metricsSource() obs.SourceFunc {
 	bk := &p.bk
 	return func(e *obs.Emitter) {
 		// Task counts come straight from the workers' own atomics: the PE
-		// totals and the per-worker rows.
+		// totals and the per-worker rows. The owner's task path writes no
+		// shared word, so its atomics move when it publishes (at hand-offs
+		// and on the stepProgress beat), not per task.
 		var executed, spawned uint64
 		for _, ws := range p.exec.workers {
 			wl := obs.L("worker", strconv.Itoa(ws.id))

@@ -1,6 +1,9 @@
 package pool
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +14,7 @@ import (
 	"sws/internal/stats"
 	"sws/internal/task"
 	"sws/internal/trace"
+	"sws/internal/wsq"
 )
 
 // The task-path guards: counts that are exact on any box, so they gate at
@@ -20,9 +24,10 @@ import (
 // reads the clock and cedes the processor once in obs.SampleEvery tasks.
 
 // runTree runs a binary tree of the given depth on a 1-PE world (no peers,
-// so no steals) and returns the PE's statistics, its self-targeted op
-// count, its back-off step count and its scheduler-yield count over the run.
-func runTree(t *testing.T, depth uint64, cfg Config) (st stats.PE, local, pauses, yields uint64) {
+// so no steals), after setup (if non-nil) has seen the seeded pool, and
+// returns the pool, the PE's statistics, its self-targeted op count, its
+// back-off step count and its scheduler-yield count over the run.
+func runTree(t *testing.T, depth uint64, cfg Config, setup func(*Pool)) (p *Pool, st stats.PE, local, pauses, yields uint64) {
 	t.Helper()
 	runWorld(t, 1, shmem.TransportLocal, func(c *shmem.Ctx) error {
 		reg := NewRegistry()
@@ -39,12 +44,15 @@ func runTree(t *testing.T, depth uint64, cfg Config) (st stats.PE, local, pauses
 			}
 			return nil
 		})
-		p, err := New(c, reg, cfg)
-		if err != nil {
+		var err error
+		if p, err = New(c, reg, cfg); err != nil {
 			return err
 		}
 		if err := p.Add(h, task.Args(depth)); err != nil {
 			return err
+		}
+		if setup != nil {
+			setup(p)
 		}
 		local0, pauses0, yields0 := c.Counters().Snapshot().Local, c.Pauses(), c.Yields()
 		if err := p.Run(); err != nil {
@@ -57,7 +65,7 @@ func runTree(t *testing.T, depth uint64, cfg Config) (st stats.PE, local, pauses
 	if want := uint64(1)<<(depth+1) - 1; st.TasksExecuted != want {
 		t.Fatalf("depth %d executed %d tasks, want %d", depth, st.TasksExecuted, want)
 	}
-	return st, local, pauses, yields
+	return p, st, local, pauses, yields
 }
 
 // TestOwnerPathAllocs pins the owner's spawn -> pop -> execute cycle of a
@@ -80,7 +88,7 @@ func TestOwnerPathAllocs(t *testing.T) {
 			if err != nil || !ok || len(d.Payload) != len(payload) {
 				t.Errorf("pop: ok=%v payload=%d err=%v", ok, len(d.Payload), err)
 			}
-			if err := p.executeOwned(d); err != nil {
+			if err := p.execute(p.exec.workers[0], d); err != nil {
 				t.Error(err)
 			}
 		}
@@ -104,6 +112,8 @@ func TestExecutorPathAllocs(t *testing.T) {
 			return err
 		}
 		ws := p.exec.workers[1] // never started: this goroutine stands in for it
+		var touches int
+		p.q = &watchedQueue{Queue: p.q, touch: func(string) { touches++ }}
 		payload := make([]byte, 24)
 		cycle := func() {
 			if err := ws.tc.Spawn(h, payload); err != nil {
@@ -127,6 +137,9 @@ func TestExecutorPathAllocs(t *testing.T) {
 		if ws.fromRing != 0 || p.exec.ring.Len() != 0 {
 			t.Errorf("the cycle touched the ring: %d taken, %d queued", ws.fromRing, p.exec.ring.Len())
 		}
+		if touches != 0 {
+			t.Errorf("the executor's spawn, pop and run called the protocol queue %d times, want 0: it is the owner's", touches)
+		}
 		return nil
 	})
 }
@@ -136,7 +149,7 @@ func TestExecutorPathAllocs(t *testing.T) {
 // Ctx.do (counted as Local) follow jobs, releases and acquires — not tasks.
 func TestOwnerPathBypassesOpPipeline(t *testing.T) {
 	for _, depth := range []uint64{8, 14} {
-		st, local, _, _ := runTree(t, depth, Config{})
+		_, st, local, _, _ := runTree(t, depth, Config{}, nil)
 		if budget := 16 + 4*(st.Releases+st.Acquires); local > budget {
 			t.Errorf("depth %d: %d self-targeted ops through Ctx.do for %d tasks, %d releases, %d acquires (budget %d)",
 				depth, local, st.TasksExecuted, st.Releases, st.Acquires, budget)
@@ -150,7 +163,7 @@ func TestOwnerPathBypassesOpPipeline(t *testing.T) {
 // it is a worker among them, not a feeder that must keep out of their way.
 func TestBusyOwnerNeverSleeps(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		st, _, pauses, _ := runTree(t, 14, Config{Workers: workers})
+		_, st, _, pauses, _ := runTree(t, 14, Config{Workers: workers}, nil)
 		if pauses > st.IdleIters {
 			t.Errorf("Workers=%d: %d back-off steps over %d tasks with %d idle iterations",
 				workers, pauses, st.TasksExecuted, st.IdleIters)
@@ -164,7 +177,7 @@ func TestBusyOwnerNeverSleeps(t *testing.T) {
 // a thief gets to run (uts.TestBusyPEsShareOneCore).
 func TestBusyOwnerYieldCadence(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		st, _, _, yields := runTree(t, 14, Config{Workers: workers})
+		_, st, _, _, yields := runTree(t, 14, Config{Workers: workers}, nil)
 		if budget := st.TasksExecuted/obs.SampleEvery + st.IdleIters + uint64(workers); yields == 0 || yields > budget {
 			t.Errorf("Workers=%d: %d scheduler yields over %d tasks with %d idle iterations, want 1..%d",
 				workers, yields, st.TasksExecuted, st.IdleIters, budget)
@@ -176,7 +189,7 @@ func TestBusyOwnerYieldCadence(t *testing.T) {
 // task that changes hands, not per task — on a tree both workers take part
 // in, at most a tenth of the executions came through the shared ring.
 func TestRingCarriesTransfersNotTasks(t *testing.T) {
-	st, _, _, _ := runTree(t, 14, Config{Workers: 2})
+	_, st, _, _, _ := runTree(t, 14, Config{Workers: 2}, nil)
 	var fromRing uint64
 	for _, w := range st.Workers {
 		if w.TasksExecuted == 0 {
@@ -187,6 +200,206 @@ func TestRingCarriesTransfersNotTasks(t *testing.T) {
 	if fromRing == 0 || 10*fromRing > st.TasksExecuted {
 		t.Errorf("%d of %d tasks went through the ring, want 1..10 %%", fromRing, st.TasksExecuted)
 	}
+}
+
+// TestReleasePublishesFirst: a released block can be stolen and run on
+// another PE, which publishes the execution, so every spawn the owner has
+// counted is in the detector's ledger before Release exposes anything —
+// the owner counts its spawns in plain fields and publishes only at
+// hand-offs like this one.
+func TestReleasePublishesFirst(t *testing.T) {
+	var releases int
+	_, st, _, _, _ := runTree(t, 10, Config{}, func(p *Pool) {
+		p.q = &watchedQueue{Queue: p.q, touch: func(op string) {
+			if op != "Release" {
+				return
+			}
+			releases++
+			if published, _ := p.det.Counts(); published != p.exec.workers[0].nSpawned {
+				t.Errorf("release %d: the detector has %d spawns published, the owner counted %d",
+					releases, published, p.exec.workers[0].nSpawned)
+			}
+		}}
+	})
+	if releases == 0 || st.Releases == 0 {
+		t.Fatalf("%d Release calls, %d releases: nothing was checked", releases, st.Releases)
+	}
+}
+
+// TestOwnerPublishesAtHandOffs: the owner's counts reach the detector at
+// hand-offs — job start, releases, mailbox sends, termination probes — and
+// on the stepProgress beat, not per task. On one PE with no executors every
+// scheduler iteration runs a task, acquires, or idles into a probe.
+func TestOwnerPublishesAtHandOffs(t *testing.T) {
+	p, st, _, _, _ := runTree(t, 14, Config{}, nil)
+	iters := st.TasksExecuted + st.Acquires + st.IdleIters + 1
+	budget := st.Releases + st.RemoteSpawnsSent + p.det.Probes + iters/64 + 2
+	if pubs := p.det.Publishes; pubs == 0 || pubs > budget {
+		t.Errorf("%d detector publishes for %d tasks (%d releases, %d sends, %d probes, %d iterations), want 1..%d",
+			pubs, st.TasksExecuted, st.Releases, st.RemoteSpawnsSent, p.det.Probes, iters, budget)
+	}
+}
+
+// TestForeignAddDuringRunPanics: a job holds the owner guard from its start
+// to its end, so seeding from another goroutine while one runs panics every
+// time, naming both spans — not only when it happens to overlap a queue op.
+func TestForeignAddDuringRunPanics(t *testing.T) {
+	const tries = 100
+	runWorld(t, 1, shmem.TransportLocal, func(c *shmem.Ctx) error {
+		reg := NewRegistry()
+		var p *Pool
+		var msgs []string // appended by the task body, on the owner goroutine
+		leaf := reg.MustRegister("leaf", func(*TaskCtx, []byte) error { return nil })
+		h := reg.MustRegister("probe", func(*TaskCtx, []byte) error {
+			got := make(chan string)
+			go func() {
+				defer func() { got <- fmt.Sprint(recover()) }()
+				_ = p.Add(leaf, nil)
+			}()
+			msgs = append(msgs, <-got)
+			return nil
+		})
+		var err error
+		if p, err = New(c, reg, Config{}); err != nil {
+			return err
+		}
+		for i := 0; i < tries; i++ {
+			if err := p.Add(h, nil); err != nil {
+				return err
+			}
+			if _, err := p.RunJob(); err != nil {
+				return err
+			}
+		}
+		panicked := 0
+		for _, msg := range msgs {
+			if strings.Contains(msg, "owner-serialization violated: Add raced with RunJob") {
+				panicked++
+			}
+		}
+		if panicked != tries || len(msgs) != tries {
+			t.Errorf("%d of %d foreign Adds during a run panicked naming both (%d ran): %q", panicked, tries, len(msgs), msgs)
+		}
+		return nil
+	})
+}
+
+// TestSeedsPublishedBeforeTheJobOpens: a seed is counted in its owner's
+// plain fields, and RunJob publishes it before the opening barrier. Seeded
+// on PE 1 only, a root that runs for 20 ms keeps the leader, PE 0, idle and
+// probing all the while; without the seed in the ledger, two clean passes
+// over 0 = 0 would end the job under the running root.
+func TestSeedsPublishedBeforeTheJobOpens(t *testing.T) {
+	var leader atomic.Pointer[Pool]
+	var early atomic.Bool
+	runWorld(t, 2, shmem.TransportLocal, func(c *shmem.Ctx) error {
+		reg := NewRegistry()
+		root := reg.MustRegister("root", func(*TaskCtx, []byte) error {
+			for t0 := time.Now(); time.Since(t0) < 20*time.Millisecond; {
+				if leader.Load().bk.terminated.Load() != 0 {
+					early.Store(true)
+				}
+			}
+			return nil
+		})
+		p, err := New(c, reg, Config{})
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			leader.Store(p)
+		} else if err := p.Add(root, nil); err != nil {
+			return err
+		}
+		return p.Run()
+	})
+	if early.Load() {
+		t.Error("PE 0 saw termination while PE 1's seed was still running")
+	}
+}
+
+// TestDegradedVerdictWaitsForBusySurvivor: once a peer is dead the leader
+// calls the survivors quiescent when two of its passes read the same
+// counters, so a busy survivor's published counts must move with every task
+// it runs. PE 1 runs a chain — one task queued at a time, so nothing is ever
+// released or stolen — while PE 2, which never holds work, is killed: the
+// verdict must come after the chain's last link and write nothing off. On
+// the lockstep sim the leader makes a pass every few links, so counts
+// published only on the stepProgress beat end the job under the chain.
+func TestDegradedVerdictWaitsForBusySurvivor(t *testing.T) {
+	const links = 4000
+	w, err := shmem.NewWorld(shmem.Config{
+		NumPEs: 3, HeapBytes: 4 << 20, Transport: shmem.TransportSim,
+		SuspectAfter: 200 * time.Microsecond, DeadAfter: 500 * time.Microsecond,
+		Sim: shmem.SimOptions{Seed: 1, MaxVirtualTime: 30 * time.Second,
+			Kill: []shmem.SimKill{{Rank: 2, At: 100 * time.Microsecond}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran atomic.Int64
+	var atVerdict int64
+	var st stats.PE
+	err = w.Run(func(c *shmem.Ctx) error {
+		reg := NewRegistry()
+		var h task.Handle
+		h = reg.MustRegister("link", func(tc *TaskCtx, payload []byte) error {
+			ran.Add(1)
+			args, err := task.ParseArgs(payload, 1)
+			if err != nil || args[0] == 0 {
+				return err
+			}
+			return tc.Spawn(h, task.Args(args[0]-1))
+		})
+		p, err := New(c, reg, Config{Seed: 1})
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			if err := p.Add(h, task.Args(links-1)); err != nil {
+				return err
+			}
+		}
+		if err := p.Run(); err != nil {
+			return err // PE 2 unwinds with ErrPEKilled, which Run tolerates
+		}
+		if c.Rank() == 0 { // the lowest live rank leads the degraded wave
+			atVerdict, st = ran.Load(), p.Stats()
+		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, shmem.ErrPEKilled) {
+		t.Fatal(err)
+	}
+	if !st.Degraded {
+		t.Fatalf("the leader's verdict was not degraded (%d dead): the kill missed the chain", st.DeadPEs)
+	}
+	if atVerdict != links || st.TasksLost != 0 {
+		t.Errorf("the leader ended the job after %d of %d links and wrote off %d tasks, want all run and 0 lost",
+			atVerdict, links, st.TasksLost)
+	}
+}
+
+// watchedQueue reports every call into the protocol queue it wraps.
+type watchedQueue struct {
+	wsq.Queue
+	touch func(op string)
+}
+
+func (q *watchedQueue) Push(d task.Desc) error { q.touch("Push"); return q.Queue.Push(d) }
+func (q *watchedQueue) Pop() (task.Desc, bool, error) {
+	q.touch("Pop")
+	return q.Queue.Pop()
+}
+func (q *watchedQueue) ReleaseDue() bool      { q.touch("ReleaseDue"); return q.Queue.ReleaseDue() }
+func (q *watchedQueue) Release() (int, error) { q.touch("Release"); return q.Queue.Release() }
+func (q *watchedQueue) Acquire() (int, error) { q.touch("Acquire"); return q.Queue.Acquire() }
+func (q *watchedQueue) Progress() error       { q.touch("Progress"); return q.Queue.Progress() }
+func (q *watchedQueue) LocalCount() int       { q.touch("LocalCount"); return q.Queue.LocalCount() }
+func (q *watchedQueue) SharedAvail() int      { q.touch("SharedAvail"); return q.Queue.SharedAvail() }
+func (q *watchedQueue) Steal(v int) ([]task.Desc, wsq.Outcome, error) {
+	q.touch("Steal")
+	return q.Queue.Steal(v)
 }
 
 // TestExecTimeSampled: the exec clock times one body in obs.SampleEvery
@@ -256,16 +469,13 @@ func TestExecTimeSampled(t *testing.T) {
 }
 
 // TestPerTaskWordsOwnTheirCacheLines pins the padding of the small heap
-// objects a worker writes (execLayer: reads) on every task. Go packs same-size objects into
-// one span, so unpadded, two PEs' guards (or worker counters) can share a
-// cache line — whether they do is decided by goroutine timing at
+// objects a worker writes (execLayer: reads) on every task. Go packs
+// same-size objects into one span, so unpadded, two PEs' worker counters
+// can share a cache line — whether they do is decided by goroutine timing at
 // construction, which made whole runs of the same binary 20 % apart. A
 // 128-byte object is its own size class and 128-aligned; adding a field
 // without shrinking the pad would silently undo that.
 func TestPerTaskWordsOwnTheirCacheLines(t *testing.T) {
-	if n := unsafe.Sizeof(guardedQueue{}); n != 128 {
-		t.Errorf("guardedQueue is %d bytes, want 128: adjust its pad", n)
-	}
 	if n := unsafe.Sizeof(workerState{}); n != 128 {
 		t.Errorf("workerState is %d bytes, want 128: adjust its pad", n)
 	}

@@ -196,10 +196,13 @@ type Pool struct {
 	mbox *mailbox
 	cal  ptimer.Calibration
 
-	// q is the protocol layer, wrapped in an owner-serialization guard;
-	// rawQ is the unwrapped queue (for Queue() and epoch introspection).
-	q    wsq.Queue
-	rawQ wsq.Queue
+	// q is the protocol layer. Its owner ops are plain calls: guard holds
+	// the owner-serialization contract for a whole job (RunJob) or one
+	// seeding spawn (Add, SpawnOn), not per op, so the task path pays
+	// nothing for it. Executors reach owner state only through spawnOn's
+	// worker check.
+	q     wsq.Queue
+	guard wsq.OwnerGuard
 
 	// vic picks steal targets for the search layer.
 	vic *victimSelector
@@ -246,62 +249,6 @@ type Pool struct {
 	coreQ *core.Queue
 	// prevProbes tracks termination-detection passes for trace events.
 	prevProbes uint64
-}
-
-// guardedQueue wraps the protocol queue's owner methods in a
-// wsq.OwnerGuard, turning any violation of the owner-serialization
-// contract (two goroutines inside owner ops at once) into an immediate
-// panic instead of silent queue corruption. Steal and the read-side
-// counters pass through. The guard word is written twice per owner op, so
-// the struct is padded to two cache lines: unpadded, two PEs' guards can be
-// neighbours in one 24-byte allocation span and every push and pop of one
-// PE then takes the line from the other.
-type guardedQueue struct {
-	wsq.Queue
-	g wsq.OwnerGuard
-	_ [128 - 16 - 4]byte
-}
-
-func (q *guardedQueue) Push(d task.Desc) error {
-	q.g.Enter(wsq.OwnerPush)
-	err := q.Queue.Push(d)
-	q.g.Exit()
-	return err
-}
-
-func (q *guardedQueue) Pop() (task.Desc, bool, error) {
-	q.g.Enter(wsq.OwnerPop)
-	d, ok, err := q.Queue.Pop()
-	q.g.Exit()
-	return d, ok, err
-}
-
-func (q *guardedQueue) ReleaseDue() bool {
-	q.g.Enter(wsq.OwnerRelease)
-	due := q.Queue.ReleaseDue()
-	q.g.Exit()
-	return due
-}
-
-func (q *guardedQueue) Release() (int, error) {
-	q.g.Enter(wsq.OwnerRelease)
-	n, err := q.Queue.Release()
-	q.g.Exit()
-	return n, err
-}
-
-func (q *guardedQueue) Acquire() (int, error) {
-	q.g.Enter(wsq.OwnerAcquire)
-	n, err := q.Queue.Acquire()
-	q.g.Exit()
-	return n, err
-}
-
-func (q *guardedQueue) Progress() error {
-	q.g.Enter(wsq.OwnerProgress)
-	err := q.Queue.Progress()
-	q.g.Exit()
-	return err
 }
 
 // poolLat groups the pool-level latency histograms: task execution,
@@ -405,7 +352,7 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 	p.vic = newVictimSelector(ctx.Rank(), ctx.NumPEs(), p.exec.workers[0].rng)
 	switch cfg.Protocol {
 	case SWS, SWSFused:
-		p.rawQ, err = core.NewQueue(ctx, core.Options{
+		p.q, err = core.NewQueue(ctx, core.Options{
 			Capacity:   cfg.QueueCapacity,
 			PayloadCap: cfg.PayloadCap,
 			Epochs:     !cfg.NoEpochs,
@@ -413,7 +360,7 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 			Fused:      cfg.Protocol == SWSFused,
 		})
 	case SDC:
-		p.rawQ, err = sdc.NewQueue(ctx, sdc.Options{
+		p.q, err = sdc.NewQueue(ctx, sdc.Options{
 			Capacity:   cfg.QueueCapacity,
 			PayloadCap: cfg.PayloadCap,
 		})
@@ -423,7 +370,6 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.q = &guardedQueue{Queue: p.rawQ}
 	if p.det, err = term.New(ctx); err != nil {
 		return nil, err
 	}
@@ -431,7 +377,7 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 		return nil, err
 	}
 	p.mbox.ownDrain = p.stepDrainInbox
-	p.coreQ, _ = p.rawQ.(*core.Queue)
+	p.coreQ, _ = p.q.(*core.Queue)
 	if cfg.Metrics != nil {
 		cfg.Metrics.Register(p.metricsSource())
 	}
@@ -440,22 +386,28 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 
 // Queue exposes the underlying work-stealing queue (for diagnostics and
 // microbenchmarks).
-func (p *Pool) Queue() wsq.Queue { return p.rawQ }
+func (p *Pool) Queue() wsq.Queue { return p.q }
 
 // Shmem exposes the PGAS context, for collective allocations and global
 // address space use around a run.
 func (p *Pool) Shmem() *shmem.Ctx { return p.ctx }
 
-// Add seeds a task into this PE's queue before (or during) Run. Like every
-// Pool method it belongs to the PE's own goroutine — it is the owner
-// worker's spawn; task functions use their TaskCtx.
+// Add seeds a task into this PE's queue before Run. Like every Pool method
+// it belongs to the PE's own goroutine — it is the owner worker's spawn —
+// and it panics if a job is running: task functions spawn through their
+// TaskCtx.
 func (p *Pool) Add(h task.Handle, payload []byte) error {
+	p.guard.Enter(wsq.OwnerAdd)
+	defer p.guard.Exit()
 	return p.spawn(p.exec.workers[0], task.Desc{Handle: h, Payload: payload})
 }
 
 // SpawnOn delivers a task into PE pe's remote-spawn inbox, from seeding
-// code on the PE's own goroutine (task functions use TaskCtx.SpawnOn).
+// code on the PE's own goroutine before Run (task functions use
+// TaskCtx.SpawnOn); like Add it panics if a job is running.
 func (p *Pool) SpawnOn(pe int, h task.Handle, payload []byte) error {
+	p.guard.Enter(wsq.OwnerSpawnOn)
+	defer p.guard.Exit()
 	return p.spawnOn(p.exec.workers[0], pe, task.Desc{Handle: h, Payload: payload})
 }
 
@@ -567,12 +519,13 @@ func (p *Pool) counters() stats.PE {
 	st.StealsAttempted = st.StealsSuccessful + st.StealsEmpty + st.StealsDisabled
 	// Task counts live in the workers' own counters: fold them into the
 	// PE totals and one row per worker (worker 0, the owner, also carries
-	// the steal and search time — it does all inter-PE work).
+	// the steal and search time — it does all inter-PE work). Between jobs
+	// the plain counts are exact, the owner's included, published or not.
 	st.Workers = make([]stats.Worker, len(p.exec.workers))
 	for i, ws := range p.exec.workers {
 		w := stats.Worker{
 			PE: p.ctx.Rank(), ID: ws.id,
-			TasksExecuted: ws.executed.Load(), TasksSpawned: ws.spawned.Load(),
+			TasksExecuted: ws.nExecuted, TasksSpawned: ws.nSpawned,
 			IdleIters: ws.idleIters.Load(), FromRing: ws.fromRing,
 		}
 		if ws.execSampled > 0 {

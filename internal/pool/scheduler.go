@@ -20,6 +20,7 @@ import (
 	"sws/internal/stats"
 	"sws/internal/task"
 	"sws/internal/trace"
+	"sws/internal/wsq"
 )
 
 // JobResult summarizes one job's execution on this PE.
@@ -44,19 +45,26 @@ func (p *Pool) Run() error {
 	return err
 }
 
-// RunJob runs one job epoch to global termination: it rearms the
-// termination detector, opens with a barrier (which fences every PE's
-// detector reset against the job's eventual verdict broadcast), processes
-// tasks until the detector declares the global pool exhausted, and closes
-// with a barrier. Every PE must call it collectively, with the job's
-// root tasks seeded (Add/SpawnOn) beforehand. Whole-job timing covers
+// RunJob runs one job epoch to global termination: it publishes the seeds'
+// counts, rearms the termination detector, opens with a barrier (which
+// fences every PE's detector reset against the job's eventual verdict
+// broadcast), processes tasks until the detector declares the global pool
+// exhausted, and closes with a barrier. Every PE must call it collectively,
+// with the job's root tasks seeded (Add/SpawnOn) beforehand; for the length
+// of the job the PE's owner work is this goroutine's alone (a concurrent
+// Add, SpawnOn or RunJob panics). Whole-job timing covers
 // the span between the barriers, matching the paper's whole-program
 // timers; the returned stats are the job's counter deltas, so a
 // long-lived fleet reports per-job figures while Stats stays cumulative.
 func (p *Pool) RunJob() (JobResult, error) {
+	p.guard.Enter(wsq.OwnerRun)
+	defer p.guard.Exit()
 	p.jobSeq++
 	p.prevProbes = 0
 	p.bk.terminated.Store(0) // the gauge is this job's, not the last one's
+	// The seeds are counted in the owner's plain fields only. Published
+	// before the barrier, they are in the ledger before any PE can probe.
+	p.publishCounts()
 	prev := p.counters()
 	if err := p.det.StartJob(); err != nil {
 		return JobResult{}, err
@@ -203,9 +211,7 @@ func (p *Pool) run() (err error) {
 		// (stolen tasks execute on a different rank than they spawned on);
 		// only the global sum does, and the publish ordering makes probing
 		// safe at any moment — outstanding work always keeps the global
-		// sums apart. A PE with nothing left to do is the one whose ledger
-		// must be exact, so the executors' counts go first.
-		p.publishCounts()
+		// sums apart.
 		done, err := p.stepCheckTermination()
 		if err != nil {
 			return err
@@ -282,6 +288,9 @@ func (p *Pool) stepRelease() error {
 	if !p.q.ReleaseDue() {
 		return nil
 	}
+	// The block may hold tasks counted only in the owner's plain fields; a
+	// thief that runs one publishes its execution, so their spawns go first.
+	p.publishCounts()
 	t0 := time.Now()
 	released, err := p.q.Release()
 	if err != nil {
@@ -298,9 +307,9 @@ func (p *Pool) stepRelease() error {
 
 // stepProgress periodically reclaims queue space held by completed steals,
 // refills the split queue from the owner's private deque into that space,
-// and refreshes what live readers see: the executors' published counts (a
-// busy owner's only publish; the leader's last read of them is what a PE
-// that dies is written off against) and the queue-depth gauges.
+// and refreshes what live readers see: the published counts (a busy PE's
+// only publish between hand-offs; the leader's last read of them is what a
+// PE that dies is written off against) and the queue-depth gauges.
 func (p *Pool) stepProgress(iter int) error {
 	if iter%64 != 0 {
 		return nil
@@ -347,8 +356,15 @@ func (p *Pool) stepExecuteLocal() (bool, error) {
 	if err != nil || !ok {
 		return false, err
 	}
-	if err := p.executeOwned(d); err != nil {
+	if err := p.execute(p.exec.workers[0], d); err != nil {
 		return false, err
+	}
+	// Once a peer is dead the leader calls the survivors quiescent when two
+	// of its passes read the same counters (term's checkDegraded), so a busy
+	// PE's must move with every task it runs, not only on the stepProgress
+	// beat. Fault-free, the check is two loads.
+	if lv := p.ctx.Liveness(); lv != nil && lv.AnyDead() {
+		p.publishCounts()
 	}
 	// The scheduling point after a task: a busy worker cedes the processor
 	// on the exec-sample beat — not per task, Gosched takes the Go
@@ -356,7 +372,7 @@ func (p *Pool) stepExecuteLocal() (bool, error) {
 	// the task rate. A thief on an oversubscribed host still gets the core
 	// within obs.SampleEvery task bodies or the runtime's 10 ms preemption;
 	// the sim's hand-back stays per task (Ctx.Yield).
-	p.ctx.Yield(p.exec.workers[0].executed.Load()%obs.SampleEvery == 0)
+	p.ctx.Yield(p.exec.workers[0].nExecuted%obs.SampleEvery == 0)
 	return true, nil
 }
 
@@ -395,8 +411,10 @@ func (p *Pool) stepTakeShared() (bool, error) {
 }
 
 // stepCheckTermination runs one termination-detection probe, tracing
-// summation waves and the final termination event.
+// summation waves and the final termination event. A PE with nothing left
+// to do is the one whose ledger must be exact, so its counts go first.
 func (p *Pool) stepCheckTermination() (bool, error) {
+	p.publishCounts()
 	done, err := p.det.Check()
 	if err != nil {
 		return false, err

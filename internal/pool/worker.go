@@ -24,11 +24,12 @@
 //
 // Task accounting is one scheme at every worker count: each worker counts
 // its own spawns (before the task is visible anywhere) and executions
-// (after the task body returns) in per-worker atomics, and Stats derives
-// the PE totals and the per-worker rows from them. The owner publishes its
-// own counts to the termination detector the moment they change;
-// executors' counts reach it through publishCounts, which the owner runs
-// where an executor-counted task changes hands — not per task.
+// (after the task body returns) in plain fields of its own. An executor
+// copies them into its atomics as they change; the owner's task path
+// touches no shared word at all, and its counts, with the executors', reach
+// the termination detector — and the owner's atomics, which the metrics
+// read — through publishCounts, which the owner runs where a task
+// counted only locally changes hands: never per task.
 package pool
 
 import (
@@ -58,11 +59,17 @@ type workerState struct {
 	// owner's overflow past a full split queue (Pool.push).
 	dq *privDeque
 
-	// Termination counters (see term.Publish): spawned is incremented
-	// before a spawned task becomes visible anywhere; executed after the
-	// task body returns.
-	spawned  atomic.Uint64
-	executed atomic.Uint64
+	// nSpawned and nExecuted are this worker's termination counts (see
+	// term.Publish), plain memory written by the worker alone and read by
+	// Stats between jobs: nSpawned moves before a spawned task becomes
+	// visible anywhere, nExecuted after the task body returns. spawned and
+	// executed are the same counts as other goroutines read them during a
+	// job (publishCounts, the metrics scrape): an executor stores its own
+	// as they move, the owner's are as of its last publishCounts.
+	nSpawned  uint64
+	nExecuted uint64
+	spawned   atomic.Uint64
+	executed  atomic.Uint64
 	// idleIters counts loop passes that found nothing to run: scheduler
 	// iterations for the owner, empty ring polls for an executor.
 	idleIters atomic.Uint64
@@ -73,10 +80,10 @@ type workerState struct {
 	execTime    time.Duration
 	execSampled uint64
 	fromRing    uint64
-	// Pad to two cache lines (88 -> 128 bytes): the counters above are
+	// Pad to two cache lines (104 -> 128 bytes): the counters above are
 	// bumped per task, and unpadded workerStates — another PE's, or this
 	// PE's executors' — are neighbours in one allocation span.
-	_ [40]byte
+	_ [24]byte
 }
 
 // stagedTask is executor output only the owner may deliver: a SpawnOn for
@@ -111,7 +118,7 @@ type execLayer struct {
 	// their private deques for the owner to forward and take no more work.
 	handoff atomic.Bool
 
-	// pubSpawned/pubExecuted are the executors' aggregate counts already
+	// pubSpawned/pubExecuted are the PE's counts, all workers', already
 	// published to the termination detector (owner-only; monotonic across
 	// jobs, like the detector's counters).
 	pubSpawned  uint64
@@ -207,7 +214,8 @@ func (p *Pool) spawnOn(ws *workerState, pe int, d task.Desc) error {
 		// counts the task and keeps a local one in its private deque; one
 		// for another PE it stages (with a payload copy: Spawn's caller may
 		// reuse its buffer) for the owner, which publishes before sending.
-		ws.spawned.Add(1)
+		ws.nSpawned++
+		ws.spawned.Store(ws.nSpawned)
 		if pe == self {
 			return ws.dq.push(d)
 		}
@@ -218,30 +226,35 @@ func (p *Pool) spawnOn(ws *workerState, pe int, d task.Desc) error {
 	if pe == self {
 		// The owner's private part is its own until it releases or shares
 		// it, so counting after the push (a failed push fails the spawn
-		// uncounted) hides nothing.
+		// uncounted) hides nothing — and nothing publishes the count until
+		// a hand-off needs it (publishCounts).
 		if err := p.push(d); err != nil {
 			return err
 		}
-		ws.spawned.Add(1)
-		p.det.TaskSpawned(1)
+		ws.nSpawned++
 		return nil
 	}
-	// Count the spawn before sending so termination detection sees the
-	// task exist from the moment it can be observed anywhere.
-	ws.spawned.Add(1)
-	p.det.TaskSpawned(1)
+	// Count the spawn before sending; the send publishes it.
+	ws.nSpawned++
 	return p.sendRemote(pe, d)
 }
 
-// sendRemote delivers an already-counted (and published) task to pe's
-// inbox.
+// sendRemote delivers an already-counted task to pe's inbox.
 func (p *Pool) sendRemote(pe int, d task.Desc) error {
-	if err := p.mbox.send(pe, d); err != nil {
+	if err := p.post(pe, d); err != nil {
 		return err
 	}
 	p.bk.remoteSent.Add(1)
 	p.tr.Record(trace.RemoteSpawn, int64(pe), 0, 0)
 	return nil
+}
+
+// post is the one mailbox send path (sendRemote, forwardTask): it publishes
+// the counts that cover d — the receiver publishes d's execution, so d's
+// spawn must be in the ledger first — then puts d into pe's inbox.
+func (p *Pool) post(pe int, d task.Desc) error {
+	p.publishCounts()
+	return p.mbox.send(pe, d)
 }
 
 // execute runs one task on behalf of worker ws and counts it. The exec
@@ -254,7 +267,7 @@ func (p *Pool) execute(ws *workerState, d task.Desc) error {
 	if err != nil {
 		return err
 	}
-	timed := p.tr != nil || ws.executed.Load()%obs.SampleEvery == 0
+	timed := p.tr != nil || ws.nExecuted%obs.SampleEvery == 0
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
@@ -270,20 +283,9 @@ func (p *Pool) execute(ws *workerState, d task.Desc) error {
 		p.tr.Record(trace.TaskExec, int64(d.Handle), int64(el), 0)
 	}
 	// Executed counts only after the body returned — by then every child
-	// spawn is in this worker's spawned counter, so publishCounts'
+	// spawn is in this worker's spawned count, so publishCounts'
 	// executed-before-spawned load order covers them.
-	ws.executed.Add(1)
-	return nil
-}
-
-// executeOwned runs one task on the owner goroutine and publishes its
-// execution. The task's own spawn is already published: nothing reaches
-// p.q, the inbox or forwardTask before the count that covers it.
-func (p *Pool) executeOwned(d task.Desc) error {
-	if err := p.execute(p.exec.workers[0], d); err != nil {
-		return err
-	}
-	p.det.TaskExecuted(1)
+	ws.nExecuted++
 	return nil
 }
 
@@ -298,6 +300,7 @@ func (p *Pool) executorLoop(ws *workerState) {
 		d, ok, err := p.nextTask(ws)
 		if ok {
 			if err = p.execute(ws, d); err == nil {
+				ws.executed.Store(ws.nExecuted)
 				err = p.share(ws)
 			}
 		}
@@ -307,7 +310,7 @@ func (p *Pool) executorLoop(ws *workerState) {
 		}
 		if ok { // the scheduling point the owner ends a task with
 			spins = 0
-			p.ctx.Yield(ws.executed.Load()%obs.SampleEvery == 0)
+			p.ctx.Yield(ws.nExecuted%obs.SampleEvery == 0)
 			continue
 		}
 		ws.idleIters.Add(1)
@@ -370,27 +373,32 @@ func (p *Pool) share(ws *workerState) error {
 	return nil
 }
 
-// publishCounts aggregates the executors' termination counters and
-// publishes the deltas (the owner publishes its own counts directly). It
-// loads every executed counter before any spawned counter: a task's spawn
-// increment happens before it becomes poppable and its execution increment
-// after its body (and all its child spawns) finished, so the published pair
-// is a consistent cut — never an execution whose spawn, or whose children's
-// spawns, are missing. That makes termination probes safe at any moment:
-// every outstanding task keeps some PE's published spawned ahead of the
-// global executed sum.
+// publishCounts publishes the PE's counts, every worker's, to the
+// termination detector as one consistent cut, and refreshes the owner's
+// atomics. It loads every executor's executed counter before any spawned
+// counter: a task's spawn increment happens before it becomes poppable and
+// its execution increment after its body (and all its child spawns)
+// finished, so the published pair is a consistent cut — never an execution
+// whose spawn, or whose children's spawns, are missing. The owner's own
+// counts are exact where it reads them, on its own goroutine. That makes
+// termination probes safe at any moment: every outstanding task keeps some
+// PE's published spawned ahead of the global executed sum.
 //
 // A cut that lags is as safe as a fresh one — unheard-of work only makes
-// the PE busier than its ledger says — provided no task counted only in an
-// unpublished counter is executed under the owner's immediately-published
-// count or shown to another PE. Those hand-offs are where the owner calls
-// this: before taking a ring task, before delivering staged tasks, in
-// every drain or park flush, before each termination probe (a quiescent
-// PE's ledger must be exact), and on the stepProgress beat for live
-// readers. Not per task: an owner reading its executors' counters at the
-// task rate takes each cache line from its writer once per task.
+// the PE busier than its ledger says — provided no task counted only
+// locally is shown to another PE, which would publish its execution. Those
+// hand-offs are where the owner calls this: at job start (the seeds),
+// before Release exposes a block, on the one mailbox send path (post),
+// before taking a ring task, before delivering staged tasks, in every drain
+// or park flush, before each termination probe (a quiescent PE's ledger
+// must be exact), and on the stepProgress beat for live readers — and, once
+// a peer is dead, after every owner task (stepExecuteLocal). Fault-free, not
+// per task: the owner's task path then writes no shared word, and an owner
+// reading its executors' counters at the task rate would take each cache
+// line from its writer once per task.
 func (p *Pool) publishCounts() {
 	ex := p.exec
+	owner := ex.workers[0]
 	var te, ts uint64
 	for _, ws := range ex.workers[1:] {
 		te += ws.executed.Load()
@@ -398,8 +406,12 @@ func (p *Pool) publishCounts() {
 	for _, ws := range ex.workers[1:] {
 		ts += ws.spawned.Load()
 	}
+	te += owner.nExecuted
+	ts += owner.nSpawned
 	if ts > ex.pubSpawned || te > ex.pubExecuted {
 		p.det.Publish(int(ts-ex.pubSpawned), int(te-ex.pubExecuted))
 		ex.pubSpawned, ex.pubExecuted = ts, te
+		owner.spawned.Store(owner.nSpawned)
+		owner.executed.Store(owner.nExecuted)
 	}
 }

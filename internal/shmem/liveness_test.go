@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -112,6 +113,38 @@ func TestKilledPeerOpsFailFast(t *testing.T) {
 			t.Fatalf("Run: got %v, want error wrapping ErrPEKilled", err)
 		}
 	})
+}
+
+// TestTCPRefusedDialIsOpTimeout: a peer process that crashed takes its
+// listener with it, so until the failure detector declares it dead every
+// dial to it is refused. After its retries a blocking op against it fails
+// with ErrOpTimeout, as against any other peer that does not answer — the
+// error a thief quarantines a victim on — not an untyped one that fails the
+// caller's run.
+func TestTCPRefusedDialIsOpTimeout(t *testing.T) {
+	w, err := NewWorld(Config{NumPEs: 2, Transport: TransportTCP, DeadAfter: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.transport.(*tcpTransport).addrs[1] = gone.Addr().String()
+	gone.Close()
+	err = w.Run(func(c *Ctx) error {
+		if c.Rank() == 1 {
+			return nil
+		}
+		_, err := c.Load64(1, 0)
+		if !errors.Is(err, ErrOpTimeout) || !strings.Contains(err.Error(), "refused") {
+			return fmt.Errorf("Load64 from a peer refusing every dial: got %v, want ErrOpTimeout naming the refusal", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestHeapBarrierTimeoutNamedError drives the distributed barrier directly

@@ -10,6 +10,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -700,9 +701,13 @@ func retryBackoff(attempt int) time.Duration {
 	return base/2 + time.Duration(rand.Int63n(int64(base/2)+1))
 }
 
-func isNetTimeout(err error) bool {
+// unresponsive reports whether a failed round trip means the peer did not
+// answer: the op timed out, or the peer's listener refused the dial — a
+// crashed process the failure detector has not declared yet, which a
+// thief quarantines like any other unresponsive victim.
+func unresponsive(err error) bool {
 	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
+	return errors.As(err, &ne) && ne.Timeout() || errors.Is(err, syscall.ECONNREFUSED)
 }
 
 // evictSync closes and forgets a sync connection whose request/response
@@ -774,7 +779,7 @@ func (t *tcpTransport) blocking(r opReq) (uint64, []byte, error) {
 		}
 		time.Sleep(retryBackoff(attempt))
 	}
-	if isNetTimeout(lastErr) {
+	if unresponsive(lastErr) {
 		return 0, nil, opError(r.op, r.from, r.to, fmt.Errorf("%v: %w", lastErr, ErrOpTimeout))
 	}
 	return 0, nil, opError(r.op, r.from, r.to, lastErr)

@@ -8,7 +8,9 @@
 // consistent with the PGAS substrate:
 //
 //   - Every PE maintains monotonic (spawned, executed) counters in its
-//     symmetric heap, updated with local atomic stores as it runs tasks.
+//     symmetric heap, updated with local atomic stores when it publishes:
+//     not per task, but where a task it counted only locally could be
+//     seen or run by someone else, and before it probes (see Publish).
 //   - When idle, rank 0 sums all counters with one-sided gets. Two
 //     consecutive identical sums with spawned == executed imply global
 //     quiescence: any existing task keeps executed < spawned (tasks are
@@ -45,8 +47,10 @@ type Detector struct {
 	flagAddr     shmem.Addr // 1 word: see flag encoding below
 	activityAddr shmem.Addr // 1 word: degraded-mode activity beacon
 
-	// own is this PE's copy of those four words, as memory: publishing a
-	// count is one atomic store, twice per task (shmem.Ctx.OwnWords).
+	// own is this PE's copy of those four words, as memory: a Publish is
+	// one atomic store per counter it moves (shmem.Ctx.OwnWords). The pool
+	// publishes at hand-offs, not per task, so the task path stores nothing
+	// here.
 	own []uint64
 
 	spawned  uint64
@@ -71,8 +75,11 @@ type Detector struct {
 	// totals to the lost-task accounting.
 	lastKnown [][2]uint64
 
-	// Probes counts global summation passes, for diagnostics.
-	Probes uint64
+	// Probes counts global summation passes and Publishes the calls to
+	// Publish that moved a counter, each in the current job, for
+	// diagnostics.
+	Probes    uint64
+	Publishes uint64
 	// Degraded reports that detection ran (or finished) over partial
 	// membership; Lost is then the ledger estimate of spawned-but-
 	// unexecuted tasks (at-least-once: a "lost" task may have run on the
@@ -129,21 +136,9 @@ func (d *Detector) StartJob() error {
 	d.lastClean = ^uint64(0)
 	d.prevVec = d.prevVec[:0]
 	d.curVec = d.curVec[:0]
-	d.Probes = 0
+	d.Probes, d.Publishes = 0, 0
 	atomic.StoreUint64(&d.own[ownFlag], 0)
 	return nil
-}
-
-// TaskSpawned records n newly created tasks and publishes the counter.
-func (d *Detector) TaskSpawned(n int) {
-	d.spawned += uint64(n)
-	atomic.StoreUint64(&d.own[ownSpawned], d.spawned)
-}
-
-// TaskExecuted records n completed tasks and publishes the counter.
-func (d *Detector) TaskExecuted(n int) {
-	d.executed += uint64(n)
-	atomic.StoreUint64(&d.own[ownExecuted], d.executed)
 }
 
 // Counts returns this PE's local view of its own counters.
@@ -151,10 +146,11 @@ func (d *Detector) Counts() (spawned, executed uint64) {
 	return d.spawned, d.executed
 }
 
-// Publish records aggregated count deltas from a multi-worker PE: the
-// owner worker sums its workers' per-worker atomic counters and publishes
-// the deltas in one call. Correctness requires two orderings from the
-// caller, both load-side:
+// Publish is the detector's one counting entry: it adds count deltas and
+// publishes the counters it moved. The pool's owner sums its workers'
+// counts and publishes the deltas in one call, at hand-offs rather than per
+// task. Correctness requires two orderings from the caller, both
+// load-side:
 //
 //   - Workers must increment their spawned counter before the task
 //     becomes visible anywhere (before it enters even the worker's own
@@ -168,15 +164,24 @@ func (d *Detector) Counts() (spawned, executed uint64) {
 //
 // Publish itself stores spawned before executed, so a remote reader that
 // tears the pair sees either spawned ahead (not quiescent) or executed
-// ahead (treated as a torn snapshot and retried by Check). Tasks staged
-// for remote visibility (queue pushes, remote spawns) must be held back
-// until the Publish covering their spawn returns.
+// ahead (treated as a torn snapshot and retried by Check). A task counted
+// in an unpublished delta must not reach another PE — a released block, a
+// remote spawn, a forwarded task — until the Publish covering its spawn
+// returns. Published counts may lag the PE's own otherwise: a lagging
+// consistent cut leaves out executions together with every spawn they
+// covered, so it only ever shows the PE busier than it is, and a PE
+// publishes before it probes, when it has nothing left to run.
 func (d *Detector) Publish(spawned, executed int) {
 	if spawned > 0 {
-		d.TaskSpawned(spawned)
+		d.spawned += uint64(spawned)
+		atomic.StoreUint64(&d.own[ownSpawned], d.spawned)
 	}
 	if executed > 0 {
-		d.TaskExecuted(executed)
+		d.executed += uint64(executed)
+		atomic.StoreUint64(&d.own[ownExecuted], d.executed)
+	}
+	if spawned > 0 || executed > 0 {
+		d.Publishes++
 	}
 }
 
@@ -315,7 +320,9 @@ func transientPeerErr(err error) bool {
 //     vectors over an identical live set mean no survivor executed,
 //     spawned, stole, or received work in between: the survivors are
 //     quiescent, and whatever keeps spawned != executed is attributable
-//     to the dead.
+//     to the dead. That holds only if a busy survivor's counters move
+//     with every task it runs, so once a peer is dead the pool publishes
+//     per task.
 //   - The leader then broadcasts (lost << 1) | 1 to every live PE's flag,
 //     where lost = spawned - executed summed over live counters plus the
 //     dead PEs' last-known published values: a ledger estimate under

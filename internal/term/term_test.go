@@ -60,7 +60,7 @@ func TestNoFalseTermination(t *testing.T) {
 		// barrier releases its members one by one, so work first spawned
 		// after it could be missed by peers that are already checking.
 		if c.Rank() == 1 {
-			d.TaskSpawned(1)
+			d.Publish(1, 0)
 		}
 		if err := c.Barrier(); err != nil {
 			return err
@@ -69,7 +69,7 @@ func TestNoFalseTermination(t *testing.T) {
 			// Hold the task in flight, then execute it.
 			time.Sleep(20 * time.Millisecond)
 			executedAt.Store(time.Now().UnixNano())
-			d.TaskExecuted(1)
+			d.Publish(0, 1)
 		}
 		deadline := time.Now().Add(5 * time.Second)
 		for {
@@ -105,9 +105,9 @@ func TestCrossPECounting(t *testing.T) {
 		}
 		// PE 0 "spawned" 5 tasks; PE 1 "executed" them (stolen work).
 		if c.Rank() == 0 {
-			d.TaskSpawned(5)
+			d.Publish(5, 0)
 		} else {
-			d.TaskExecuted(5)
+			d.Publish(0, 5)
 		}
 		if err := c.Barrier(); err != nil {
 			return err
@@ -142,7 +142,7 @@ func TestOverExecutionNotTerminated(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		d.TaskExecuted(2)
+		d.Publish(0, 2)
 		for i := 0; i < 5; i++ {
 			done, cerr := d.Check()
 			if cerr != nil {
@@ -165,8 +165,8 @@ func TestCounts(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		d.TaskSpawned(3)
-		d.TaskExecuted(2)
+		d.Publish(3, 0)
+		d.Publish(0, 2)
 		s, e := d.Counts()
 		if s != 3 || e != 2 {
 			return fmt.Errorf("Counts = %d,%d want 3,2", s, e)
@@ -208,7 +208,7 @@ func TestMultiJobEpochs(t *testing.T) {
 			n := 0
 			if job%2 == 1 {
 				n = job + c.Rank()
-				d.TaskSpawned(n)
+				d.Publish(n, 0)
 			}
 			if err := d.StartJob(); err != nil {
 				return err
@@ -217,7 +217,7 @@ func TestMultiJobEpochs(t *testing.T) {
 				return err
 			}
 			if n > 0 {
-				d.TaskExecuted(n)
+				d.Publish(0, n)
 			}
 			if err := waitDone(job); err != nil {
 				return err

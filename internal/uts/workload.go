@@ -31,24 +31,14 @@ type Workload struct {
 	handle     atomic.Uint32
 	registered atomic.Bool
 
-	// counts is striped by worker: every task bumps a counter, and one
-	// shared pair would bounce its cache line — and Params and handle with
-	// it, hence the pad — between the cores at the task rate.
-	_      [64]byte
-	counts [countStripes]countStripe
+	counts pool.TaskTally // of kind countNodes and countLeaves
 }
 
-const countStripes = 16
-
-// countStripe is one worker's node and leaf counts, alone on a cache line.
-type countStripe struct {
-	nodes, leaves atomic.Uint64
-	_             [48]byte
-}
-
-func (w *Workload) stripe(tc *pool.TaskCtx) *countStripe {
-	return &w.counts[(tc.Worker()*tc.NumPEs()+tc.Rank())%countStripes]
-}
+// The kinds of Workload.counts.
+const (
+	countNodes = iota
+	countLeaves
+)
 
 // NewWorkload validates the parameters and returns a workload.
 func NewWorkload(p Params) (*Workload, error) {
@@ -89,14 +79,13 @@ func (w *Workload) runNode(tc *pool.TaskCtx, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	c := w.stripe(tc)
-	c.nodes.Add(1)
+	w.counts.Add(tc, countNodes)
 	if w.NodeWork > 0 {
 		tc.Compute(w.NodeWork)
 	}
 	kids := w.Params.NumChildren(n)
 	if kids == 0 {
-		c.leaves.Add(1)
+		w.counts.Add(tc, countLeaves)
 		return nil
 	}
 	h := task.Handle(w.handle.Load())
@@ -132,17 +121,7 @@ func (w *Workload) RunNode(tc *pool.TaskCtx, payload []byte) error {
 }
 
 // Nodes returns the number of nodes this process has executed.
-func (w *Workload) Nodes() (n uint64) {
-	for i := range w.counts {
-		n += w.counts[i].nodes.Load()
-	}
-	return n
-}
+func (w *Workload) Nodes() uint64 { return w.counts.Sum(countNodes) }
 
 // Leaves returns the number of leaves this process has executed.
-func (w *Workload) Leaves() (n uint64) {
-	for i := range w.counts {
-		n += w.counts[i].leaves.Load()
-	}
-	return n
-}
+func (w *Workload) Leaves() uint64 { return w.counts.Sum(countLeaves) }

@@ -56,7 +56,8 @@ func (o Outcome) String() string {
 // victim's symmetric heap through one-sided atomics, and may be called
 // concurrently with the victim's owner ops — that asymmetry is the whole
 // point of the protocol. Callers can enforce (and document violations of)
-// the contract with OwnerGuard.
+// the contract with OwnerGuard, around spans of owner work rather than
+// single ops.
 //
 // Both queues are the paper's fixed split circular buffer: Push on a full
 // ring fails with the implementation's ErrFull and does nothing else about
@@ -109,19 +110,17 @@ func NewPopBuf(n int) []byte {
 	return make([]byte, (n+127)&^127)[:n:n]
 }
 
-// OwnerOp names an owner method for OwnerGuard. The zero value means "no
-// owner op in flight".
+// OwnerOp names a span of owner work for OwnerGuard: a whole job, or one
+// spawn from seeding code. The zero value means "none in flight".
 type OwnerOp uint32
 
 const (
-	OwnerPush OwnerOp = iota + 1
-	OwnerPop
-	OwnerRelease
-	OwnerAcquire
-	OwnerProgress
+	OwnerRun OwnerOp = iota + 1
+	OwnerAdd
+	OwnerSpawnOn
 )
 
-var ownerOpNames = [...]string{"none", "Push", "Pop", "Release", "Acquire", "Progress"}
+var ownerOpNames = [...]string{"none", "RunJob", "Add", "SpawnOn"}
 
 func (o OwnerOp) String() string {
 	if int(o) < len(ownerOpNames) {
@@ -131,30 +130,28 @@ func (o OwnerOp) String() string {
 }
 
 // OwnerGuard detects violations of the owner-serialization contract: two
-// goroutines concurrently inside owner methods of the same queue. Bracket
-// each owner op:
+// goroutines doing a PE's owner work at once. Bracket each span of it:
 //
-//	guard.Enter(wsq.OwnerPush)
-//	err := q.Push(d)
-//	guard.Exit()
+//	guard.Enter(wsq.OwnerRun)
+//	defer guard.Exit()
 //
-// A violation panics with both op names — a scheduler bug, never a
-// recoverable condition, since an interleaved owner op can corrupt the
-// queue's owner-private state silently. The guard is one word holding the
-// op in flight, so an uncontended bracket is one CAS and one store: no
-// closure, no allocation, no pointer for the garbage collector to track —
-// it sits on the per-task path. An owner op that panics leaves the guard
-// held, which only ever turns one bug report into two. The zero value is
-// ready to use.
+// The span is as wide as the caller can make it — the pool enters once per
+// job and once per seeding spawn, never per queue op — so the guard costs
+// nothing per task while any foreign entry during the span is caught, not
+// only one that happens to overlap a single op. A violation panics with
+// both names — a scheduler bug, never a recoverable condition, since an
+// interleaved owner op can corrupt the queue's owner-private state
+// silently. The guard is one word holding the span in flight: a CAS to
+// enter, a store to exit. The zero value is ready to use.
 type OwnerGuard struct {
 	cur atomic.Uint32
 }
 
 // Enter marks the calling goroutine as the active owner; it panics if
-// another owner op is already in flight.
+// another owner span is already in flight.
 func (g *OwnerGuard) Enter(op OwnerOp) {
 	if !g.cur.CompareAndSwap(0, uint32(op)) {
-		panic(fmt.Sprintf("wsq: owner-serialization violated: %v raced with %v (multi-worker PEs must route owner ops through the owner worker)", op, OwnerOp(g.cur.Load())))
+		panic(fmt.Sprintf("wsq: owner-serialization violated: %v raced with %v (a PE's owner work belongs to one goroutine at a time)", op, OwnerOp(g.cur.Load())))
 	}
 }
 

@@ -152,23 +152,23 @@ func TestOutcomeString(t *testing.T) {
 	}
 }
 
-// The guard brackets owner ops: nesting one inside another (what a second
-// goroutine entering concurrently looks like) panics naming both ops, and
-// a released guard admits the next op.
+// The guard brackets spans of owner work: entering one inside another (what
+// a second goroutine entering concurrently looks like) panics naming both,
+// and a released guard admits the next span.
 func TestOwnerGuardViolationNamesBothOps(t *testing.T) {
 	var g OwnerGuard
-	g.Enter(OwnerPush)
+	g.Enter(OwnerAdd)
 	g.Exit()
-	g.Enter(OwnerRelease)
+	g.Enter(OwnerRun)
 	defer func() {
 		msg := fmt.Sprint(recover())
-		for _, want := range []string{"owner-serialization violated", "Pop raced with Release"} {
+		for _, want := range []string{"owner-serialization violated", "SpawnOn raced with RunJob"} {
 			if !strings.Contains(msg, want) {
 				t.Errorf("violation panic %q does not contain %q", msg, want)
 			}
 		}
 	}()
-	g.Enter(OwnerPop)
+	g.Enter(OwnerSpawnOn)
 	t.Error("second Enter did not panic")
 }
 
