@@ -201,12 +201,6 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 	if q.stealvalAddr, err = ctx.Alloc(shmem.WordSize); err != nil {
 		return nil, err
 	}
-	// The word after the stealval is reserved and never read. The sim's
-	// event log prints every symmetric address, and TestSimLogGolden pins
-	// those logs, so the layout keeps it.
-	if _, err = ctx.Alloc(shmem.WordSize); err != nil {
-		return nil, err
-	}
 	// Completion arrays are indexed by attempt number: wsq.MaxPlanLen
 	// slots cover the plan of any block the itasks field can encode.
 	if q.completionAddr, err = ctx.Alloc(MaxEpochs * wsq.MaxPlanLen * shmem.WordSize); err != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 	"unsafe"
 
+	"sws/internal/core"
 	"sws/internal/obs"
 	"sws/internal/shmem"
 	"sws/internal/stats"
@@ -484,5 +485,68 @@ func TestPerTaskWordsOwnTheirCacheLines(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(privDeque{}); n != 128 {
 		t.Errorf("privDeque is %d bytes, want 128: adjust its pad", n)
+	}
+}
+
+// TestSymmetricWordsOwnTheirLines is the same rule in the symmetric heap:
+// the words a peer reaches on the task path — the stealval and completion
+// array a thief fetch-adds and stores, the detector's words a leader reads,
+// the inbox write cursor a sender fetch-adds, the signals it puts and the
+// credit word it fetches — each start on a cache line, and the allocation
+// after each starts past its last line, on every back-end, with every
+// rank's heap line-aligned. Packed word by word, one line held a PE's
+// detector words, its inbox cursor and its first signals, and every remote
+// spawn moved it twice: the sender's ticket, then the receiver's publish.
+func TestSymmetricWordsOwnTheirLines(t *testing.T) {
+	lineEnd := func(a shmem.Addr) shmem.Addr { return (a + shmem.LineSize - 1) &^ (shmem.LineSize - 1) }
+	for _, kind := range []shmem.TransportKind{shmem.TransportLocal, shmem.TransportShm, shmem.TransportTCP, shmem.TransportSim} {
+		t.Run(kind.String(), func(t *testing.T) {
+			if kind == shmem.TransportShm && !shmem.ShmSupported() {
+				t.Skip("shm transport unsupported on this platform")
+			}
+			runWorld(t, 2, kind, func(c *shmem.Ctx) error {
+				heap, err := c.OwnBytes(0, shmem.LineSize)
+				if err != nil {
+					return err
+				}
+				if base := uintptr(unsafe.Pointer(&heap[0])); base%shmem.LineSize != 0 {
+					return fmt.Errorf("rank %d: heap base %#x is not on a cache line", c.Rank(), base)
+				}
+				reg := NewRegistry()
+				reg.MustRegister("noop", func(*TaskCtx, []byte) error { return nil })
+				p, err := New(c, reg, Config{Seed: 1})
+				if err != nil {
+					return err
+				}
+				after, err := c.Alloc(shmem.WordSize) // the allocation after the pool's last
+				if err != nil {
+					return err
+				}
+				det, detBytes := p.det.Region()
+				m := p.mbox
+				comp := p.coreQ.CompletionSlotAddr(0, 0)
+				compBytes := core.MaxEpochs * wsq.MaxPlanLen * shmem.WordSize
+				// Each region with the start of the allocation after it. The
+				// queue's slots follow the completion array at or past its end.
+				for _, r := range []struct {
+					name       string
+					addr, next shmem.Addr
+					bytes      int
+				}{
+					{"stealval", p.coreQ.StealvalAddr(), comp, shmem.WordSize},
+					{"completion array", comp, comp + shmem.Addr(compBytes), compBytes},
+					{"detector words", det, m.writeAddr, detBytes},
+					{"inbox write cursor", m.writeAddr, m.signalAddr, shmem.WordSize},
+					{"inbox signals", m.signalAddr, m.dataAddr, int(m.slots) * shmem.WordSize},
+					{"inbox credit word", m.creditAddr, after, shmem.WordSize},
+				} {
+					if r.addr%shmem.LineSize != 0 || r.next < lineEnd(r.addr+shmem.Addr(r.bytes)) {
+						return fmt.Errorf("rank %d: %s (%d bytes at %#x, next allocation at %#x) shares a cache line",
+							c.Rank(), r.name, r.bytes, uint64(r.addr), uint64(r.next))
+					}
+				}
+				return nil
+			})
+		})
 	}
 }

@@ -264,15 +264,16 @@ func (lv *Liveness) targetGone(op Op, from, to int) error {
 	return nil
 }
 
-// Alloc reserves n bytes of symmetric heap, aligned to WordSize, and
-// returns the offset. Alloc must be called collectively: every PE must
-// perform the same sequence of Alloc calls so the offsets coincide
-// (verified cheaply at the next Barrier when the world is local).
+// Alloc reserves n bytes of symmetric heap and returns the offset. Every
+// allocation owns whole cache lines (starts on one, is rounded up to
+// LineSize). Alloc must be called collectively: every PE must perform the
+// same sequence of Alloc calls so the offsets coincide (verified cheaply at
+// the next Barrier when the world is local).
 func (c *Ctx) Alloc(n int) (Addr, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("shmem: negative allocation %d", n)
 	}
-	size := Addr((n + WordSize - 1) &^ (WordSize - 1))
+	size := Addr((n + LineSize - 1) &^ (LineSize - 1))
 	if uint64(c.allocCursor)+uint64(size) > uint64(len(c.self.bytes)) {
 		return 0, fmt.Errorf("shmem: symmetric heap exhausted: want %d bytes at %#x, heap is %d bytes",
 			n, uint64(c.allocCursor), len(c.self.bytes))
@@ -280,12 +281,6 @@ func (c *Ctx) Alloc(n int) (Addr, error) {
 	addr := c.allocCursor
 	c.allocCursor += size
 	return addr, nil
-}
-
-// HeapRemaining reports the symmetric heap bytes still available to
-// Alloc, so out-of-heap errors can say how close the caller came.
-func (c *Ctx) HeapRemaining() int {
-	return len(c.self.bytes) - int(c.allocCursor)
 }
 
 // MustAlloc is Alloc that treats exhaustion as fatal, for setup code.

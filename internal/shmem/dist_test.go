@@ -105,8 +105,8 @@ func TestWorldValidation(t *testing.T) {
 				if err != nil {
 					t.Fatalf("rejected %+v: %v", tc.cfg, err)
 				}
-				if got := w.Config().HeapBytes; got%WordSize != 0 || got < tc.cfg.HeapBytes || got >= tc.cfg.HeapBytes+WordSize {
-					t.Errorf("HeapBytes %d became %d, want the next word multiple", tc.cfg.HeapBytes, got)
+				if got := w.Config().HeapBytes; got%LineSize != 0 || got < tc.cfg.HeapBytes || got >= tc.cfg.HeapBytes+LineSize {
+					t.Errorf("HeapBytes %d became %d, want the next line multiple", tc.cfg.HeapBytes, got)
 				}
 				if err := w.Run(func(c *Ctx) error { return c.Barrier() }); err != nil {
 					t.Errorf("barrier on an accepted world: %v", err)

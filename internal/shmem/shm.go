@@ -116,15 +116,14 @@ func shmValidateGeometry(numPEs, heapBytes int) error {
 	if numPEs < 1 || numPEs > shmMaxPEs {
 		return fmt.Errorf("shmem: shm segment NumPEs %d out of range [1, %d]", numPEs, shmMaxPEs)
 	}
-	if heapBytes < reservedHeapBytes || heapBytes%WordSize != 0 {
+	if heapBytes < reservedHeapBytes || heapBytes%LineSize != 0 {
 		return fmt.Errorf("shmem: shm heap size %d must be a multiple of %d and >= %d",
-			heapBytes, WordSize, reservedHeapBytes)
+			heapBytes, LineSize, reservedHeapBytes)
 	}
 	return nil
 }
 
 func aliasWords(mem []byte) []uint64 {
-	// The mapping is page-aligned, so word alignment is guaranteed.
 	return unsafe.Slice((*uint64)(unsafe.Pointer(&mem[0])), len(mem)/WordSize)
 }
 
@@ -409,13 +408,16 @@ type ShmSegment struct {
 }
 
 // CreateShmSegment creates and initializes a segment file for a world of
-// numPEs ranks with heapBytes-sized symmetric heaps (rounded up to a
-// word multiple; must be at least the reserved region).
+// numPEs ranks with heapBytes-sized symmetric heaps (sized as Config rules
+// HeapBytes: rounded up to a line multiple, at least the reserved region).
 func CreateShmSegment(path string, numPEs, heapBytes int) (*ShmSegment, error) {
 	if !shmSupported {
 		return nil, fmt.Errorf("shmem: shm transport is not supported on this platform")
 	}
-	heapBytes = (heapBytes + WordSize - 1) &^ (WordSize - 1)
+	heapBytes, err := heapSize(heapBytes)
+	if err != nil {
+		return nil, err
+	}
 	seg, err := createShmSegment(path, numPEs, heapBytes)
 	if err != nil {
 		return nil, err

@@ -58,6 +58,9 @@ type Addr uint64
 // act on 64-bit words at WordSize-aligned addresses.
 const WordSize = 8
 
+// LineSize is the symmetric heap's allocation granule, one cache line.
+const LineSize = 64
+
 // TransportKind selects the communication substrate.
 type TransportKind int
 
@@ -109,7 +112,7 @@ type Config struct {
 	// NumPEs is the number of processing elements. Must be >= 1.
 	NumPEs int
 	// HeapBytes is the symmetric heap size per PE, in bytes. Rounded up to
-	// a multiple of WordSize; the first reservedHeapBytes hold the
+	// a multiple of LineSize; the first reservedHeapBytes hold the
 	// runtime's own words. Default 1 MiB.
 	HeapBytes int
 	// Latency is the injected communication cost model.
@@ -189,11 +192,11 @@ const (
 	barrierTimeout = 5 * time.Minute
 )
 
-// The reserved words: the first reservedHeapBytes of every heap belong to
-// the runtime, so user allocations start at the same offset on every world
-// and addresses stay symmetric across deployment modes. This is the whole
-// table — a new runtime word is a new row here, not a constant beside its
-// user:
+// The reserved words: the first reservedHeapBytes (one line) of every heap
+// belong to the runtime, so user allocations — whole lines (Ctx.Alloc) —
+// start at the same offset on every world and addresses stay symmetric
+// across deployment modes. This is the whole table — a new runtime word is
+// a new row here, not a constant beside its user:
 //
 //	word 0  barrierArriveAddr  on rank 0's heap
 //	        written: every barrier arriver fetch-adds 1, the last stores 0
@@ -220,6 +223,15 @@ const (
 	reservedHeapBytes = 8 * WordSize
 )
 
+// heapSize is the one size rule for a requested n-byte heap, a Config's or
+// a segment's: n holds the reserved words, and is rounded up to whole lines.
+func heapSize(n int) (int, error) {
+	if (n+WordSize-1)/WordSize < reservedHeapBytes/WordSize {
+		return 0, fmt.Errorf("shmem: HeapBytes must be >= %d (the runtime's reserved words), got %d", reservedHeapBytes, n)
+	}
+	return (n + LineSize - 1) &^ (LineSize - 1), nil
+}
+
 // setDefaults validates the description and fills in unset fields; at is
 // nil for an in-process world.
 func (c *Config) setDefaults(at *Endpoint) error {
@@ -229,9 +241,9 @@ func (c *Config) setDefaults(at *Endpoint) error {
 	if c.HeapBytes == 0 {
 		c.HeapBytes = 1 << 20
 	}
-	c.HeapBytes = (c.HeapBytes + WordSize - 1) &^ (WordSize - 1)
-	if c.HeapBytes < reservedHeapBytes {
-		return fmt.Errorf("shmem: HeapBytes must be >= %d (the runtime's reserved words), got %d", reservedHeapBytes, c.HeapBytes)
+	var err error
+	if c.HeapBytes, err = heapSize(c.HeapBytes); err != nil {
+		return err
 	}
 	if c.OpTimeout == 0 {
 		c.OpTimeout = 10 * time.Second
@@ -332,17 +344,19 @@ type peState struct {
 type wakeWords struct{ seq, waiters uint64 }
 
 // newPEState builds a PE over mem — goHeap's Go memory or a mapped heap,
-// both word-aligned — and the wake words beside it. World.apply, the wait
+// both line-aligned — and the wake words beside it. World.apply, the wait
 // loop and Ctx's fast path cannot tell the two apart.
 func newPEState(rank int, mem []byte, wake *wakeWords) *peState {
 	return &peState{rank: rank, words: aliasWords(mem), bytes: mem, wake: wake}
 }
 
-// goHeap allocates an n-byte heap (n a positive word multiple) as words, so
-// it is 8-byte aligned.
+// goHeap allocates an n-byte heap (n a positive line multiple) that starts
+// on a cache line, as a mapped heap does: a spare line, sliced off.
 func goHeap(n int) []byte {
-	words := make([]uint64, n/WordSize)
-	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), n)
+	words := make([]uint64, (n+LineSize)/WordSize)
+	b := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*WordSize)
+	off := int(-uintptr(unsafe.Pointer(&b[0])) & (LineSize - 1))
+	return b[off : off+n : off+n]
 }
 
 // wakeWaiters unparks the waits blocked on this heap after a landing

@@ -317,18 +317,22 @@ func TestBoundsAndAlignmentErrors(t *testing.T) {
 
 func TestAllocSymmetricAndExhaustion(t *testing.T) {
 	run(t, Config{NumPEs: 4, HeapBytes: 1024}, func(c *Ctx) error {
-		a1, err := c.Alloc(10) // rounds to 16
+		a1, err := c.Alloc(10) // rounds to one line
 		if err != nil {
 			return err
 		}
-		a2, err := c.Alloc(8)
+		a2, err := c.Alloc(LineSize + 8) // rounds to two
 		if err != nil {
 			return err
 		}
-		// The first words are reserved for runtime internals; offsets are
-		// symmetric and word-aligned past them.
-		if a1%WordSize != 0 || a2 != a1+16 {
-			return fmt.Errorf("alloc offsets %d, %d; want aligned and 16 apart", a1, a2)
+		a3, err := c.Alloc(8)
+		if err != nil {
+			return err
+		}
+		// The first line is reserved for runtime internals; offsets are
+		// symmetric past it, and every allocation owns whole lines.
+		if a1 != reservedHeapBytes || a1%LineSize != 0 || a2 != a1+LineSize || a3 != a2+2*LineSize {
+			return fmt.Errorf("alloc offsets %d, %d, %d; want %d and whole lines apart (1, then 2)", a1, a2, a3, reservedHeapBytes)
 		}
 		if _, err := c.Alloc(2000); err == nil {
 			return fmt.Errorf("exhausted heap alloc accepted")

@@ -141,6 +141,12 @@ func (d *Detector) StartJob() error {
 	return nil
 }
 
+// Region returns the heap offset and length in bytes of the detector's
+// symmetric words (counters, flag, activity), which a leader's probes read
+// and its broadcast writes, so layout tests can check what shares their
+// cache lines.
+func (d *Detector) Region() (shmem.Addr, int) { return d.countersAddr, numOwn * shmem.WordSize }
+
 // Counts returns this PE's local view of its own counters.
 func (d *Detector) Counts() (spawned, executed uint64) {
 	return d.spawned, d.executed
