@@ -28,9 +28,9 @@ tables:
 # go tool stamps into a build.
 experiments:
 	mkdir -p results $(BIN)
-	$(GO) build -o $(BIN)/ ./cmd/sws-tables ./cmd/sws-uts
+	$(GO) build -o $(BIN)/ ./cmd/sws-tables
 	$(BIN)/sws-tables -reps 5 -pes-list 2,4,8,16 > results/tables.txt
-	$(BIN)/sws-uts -sweep -tree small -pes-list 2,4,8,16 -reps 5 > results/fig8.txt
+	$(BIN)/sws-tables -only fig8 -reps 20 > results/fig8.txt
 	$(BIN)/sws-tables -only ablations > results/ablations.txt
 	$(BIN)/sws-tables -only fig2 > results/fig2.txt
 
@@ -40,6 +40,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStealPlan$$' -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 30s ./internal/task/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeArbitrary$$' -fuzztime 30s ./internal/task/
+	$(GO) test -run '^$$' -fuzz '^FuzzChild$$' -fuzztime 30s ./internal/uts/
 
 clean:
 	$(GO) clean ./...

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"sws/internal/bench"
+	"sws/internal/uts"
 )
 
 // ParsePEList parses a comma-separated list of PE counts; an empty string
@@ -35,7 +36,8 @@ func ParsePEList(s string) ([]int, error) {
 // Fingerprint is the machine and build identity a results file opens with,
 // one comment line with the benchmark module's fields: nproc, GOMAXPROCS, go
 // version and the commit the go tool stamped into the binary ("+dirty" for a
-// modified tree; `go run` stamps none, so "unknown" — build the command first).
+// modified tree; `go run` stamps none, so "unknown" — build the command
+// first), then the SHA-1 kernel UTS digests ran on (uts.SHA1Kernel).
 func Fingerprint() string {
 	commit, dirty := "unknown", ""
 	if bi, ok := debug.ReadBuildInfo(); ok {
@@ -48,8 +50,8 @@ func Fingerprint() string {
 			}
 		}
 	}
-	return fmt.Sprintf("# nproc=%d GOMAXPROCS=%d %s commit=%s%s",
-		runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), commit, dirty)
+	return fmt.Sprintf("# nproc=%d GOMAXPROCS=%d %s commit=%s%s sha1=%s",
+		runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), commit, dirty, uts.SHA1Kernel())
 }
 
 // Emit renders tables as aligned text or CSV.

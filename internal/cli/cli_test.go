@@ -48,10 +48,13 @@ func TestEmit(t *testing.T) {
 // results file says where its numbers came from.
 func TestFingerprint(t *testing.T) {
 	fp := Fingerprint()
-	for _, want := range []string{"# nproc=", " GOMAXPROCS=", " go", " commit="} {
+	for _, want := range []string{"# nproc=", " GOMAXPROCS=", " go", " commit=", " sha1="} {
 		if !strings.Contains(fp, want) {
 			t.Errorf("fingerprint %q lacks %q", fp, want)
 		}
+	}
+	if !strings.HasSuffix(fp, " sha1=shani") && !strings.HasSuffix(fp, " sha1=generic") {
+		t.Errorf("fingerprint %q does not end with the SHA-1 kernel", fp)
 	}
 	if !strings.HasPrefix(fp, "# ") || strings.Contains(fp, "\n") {
 		t.Errorf("fingerprint %q is not one comment line", fp)

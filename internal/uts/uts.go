@@ -180,12 +180,36 @@ func Root(p Params) Node {
 }
 
 // Child returns child i of n: the digest of (state, i) — the SHA-1
-// splittable stream of the UTS specification.
+// splittable stream of the UTS specification. The index is hashed as a
+// uint32. Where the CPU has the SHA extensions the digest is one hardware
+// compression (childBlockSHANI); elsewhere it is crypto/sha1's.
 func Child(n Node, i int) Node {
+	c := Node{Depth: n.Depth + 1}
+	if hasSHANI {
+		childBlockSHANI(&c.State, &n.State, uint32(i))
+	} else {
+		c.State = childGeneric(&n.State, uint32(i))
+	}
+	return c
+}
+
+// childGeneric is Child's digest through crypto/sha1: the fallback, and the
+// reference the SHA-extension kernel is tested against.
+func childGeneric(state *[NodeStateSize]byte, i uint32) [NodeStateSize]byte {
 	var buf [NodeStateSize + 4]byte
-	copy(buf[:], n.State[:])
-	binary.BigEndian.PutUint32(buf[NodeStateSize:], uint32(i))
-	return Node{State: sha1.Sum(buf[:]), Depth: n.Depth + 1}
+	copy(buf[:], state[:])
+	binary.BigEndian.PutUint32(buf[NodeStateSize:], i)
+	return sha1.Sum(buf[:])
+}
+
+// SHA1Kernel names the digest Child computes with on this build and CPU:
+// "shani" for the SHA-extension kernel, "generic" for crypto/sha1. Results
+// files record it beside their machine fingerprint.
+func SHA1Kernel() string {
+	if hasSHANI {
+		return "shani"
+	}
+	return "generic"
 }
 
 // rand31 extracts the node's 31-bit uniform variate.
@@ -285,12 +309,12 @@ func CountSerial(p Params, limit uint64) (CountResult, error) {
 var (
 	// T1 is the standard UTS T1 tree: fixed-shape geometric with b0=4,
 	// depth 10, seed 19 (~4.1M nodes in the reference implementation;
-	// this generator's framing differs in low-level details, so tests
-	// assert the regime, not the exact count).
+	// this generator's framing differs in low-level details, so its
+	// realization is 305,793 nodes).
 	T1 = Params{Type: Geometric, Shape: ShapeFixed, B0: 4, Seed: 19, MaxDepth: 10}
-	// Small is a fixed-shape geometric tree in the ~100k-node regime.
+	// Small is a fixed-shape geometric tree of 18,796 nodes.
 	Small = Params{Type: Geometric, Shape: ShapeFixed, B0: 4, Seed: 19, MaxDepth: 8}
-	// Tiny is a few-thousand-node tree for tests.
+	// Tiny is a 440-node tree for tests.
 	Tiny = Params{Type: Geometric, Shape: ShapeFixed, B0: 3, Seed: 19, MaxDepth: 6}
 	// TinyLinear is a shallow bushy linear-shape tree for tests.
 	TinyLinear = Params{Type: Geometric, Shape: ShapeLinear, B0: 8, Seed: 19, MaxDepth: 8}

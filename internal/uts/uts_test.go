@@ -33,7 +33,10 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// Determinism: the tree is a pure function of its parameters.
+// Determinism: the tree is a pure function of its parameters, and this
+// generator's realizations are pinned exactly, so neither a refactor nor a
+// digest kernel (Child's SHA-extension path or crypto/sha1, see
+// TestChildMatchesSHA1) can change the workload without failing here.
 func TestDeterminism(t *testing.T) {
 	a, err := CountSerial(Tiny, 0)
 	if err != nil {
@@ -46,24 +49,30 @@ func TestDeterminism(t *testing.T) {
 	if a != b {
 		t.Errorf("two traversals disagree: %+v vs %+v", a, b)
 	}
-	if a.Nodes < 100 {
-		t.Errorf("Tiny tree suspiciously small: %+v", a)
+	pins := []struct {
+		name string
+		p    Params
+		want CountResult
+	}{
+		{"Tiny", Tiny, CountResult{Nodes: 440, Leaves: 335, MaxDepth: 6}},
+		{"TinyLinear", TinyLinear, CountResult{Nodes: 34_314, Leaves: 21_701, MaxDepth: 8}},
+		{"TinyBin", TinyBin, CountResult{Nodes: 625, Leaves: 493, MaxDepth: 11}},
+		{"Small", Small, CountResult{Nodes: 18_796, Leaves: 15_085, MaxDepth: 8}},
+		// The node count the benchmark's uts workloads check every job
+		// against.
+		{"T1", T1, CountResult{Nodes: 305_793, Leaves: 245_175, MaxDepth: 10}},
 	}
-	// Pin this generator's realizations so refactors cannot silently
-	// change the workload.
-	lin, err := CountSerial(TinyLinear, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lin.Nodes == 0 || lin.MaxDepth > 8 {
-		t.Errorf("TinyLinear degenerate: %+v", lin)
-	}
-	bin, err := CountSerial(TinyBin, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bin.Nodes <= 101 {
-		t.Errorf("TinyBin degenerate: %+v", bin)
+	for _, pin := range pins {
+		if pin.name == "T1" && testing.Short() {
+			continue // T1 traversal in -short mode, as TestT1Scale
+		}
+		got, err := CountSerial(pin.p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != pin.want {
+			t.Errorf("%s: %+v, want %+v", pin.name, got, pin.want)
+		}
 	}
 }
 
