@@ -18,6 +18,9 @@ import (
 // model — every pushed task is obtained exactly once, either by an owner
 // pop or a thief steal, and nothing else is ever produced — and, after
 // every owner op, that completion slots no epoch record uses are zero.
+// After every owner op and every steal claim it also checks the owner's
+// cached views: SharedAvail against a fresh unpack of the stealval, and
+// headSlot against ring.Slot(head).
 //
 // Unlike the free-running stress tests, lockstep scheduling explores
 // adversarial interleavings deterministically per seed (e.g. a steal
@@ -33,7 +36,9 @@ const (
 	opAcquire
 	opProgress
 	opSteal
-	numModelOps
+	// opCheck is never drawn at random: the harness runs it on the owner
+	// after every steal, to check the owner's views against the claim.
+	opCheck
 )
 
 // modelStep is one lockstep schedule entry: who acts (0 = owner, 1 =
@@ -51,26 +56,34 @@ func randomSchedule(seed int64, steps int) []modelStep {
 		if rng.Intn(3) == 0 {
 			schedule[i] = modelStep{1, opSteal}
 		} else {
-			schedule[i] = modelStep{0, modelOp(rng.Intn(int(numModelOps - 1)))}
+			schedule[i] = modelStep{0, modelOp(rng.Intn(int(opSteal)))}
 		}
 	}
 	return schedule
 }
 
-func runModelSchedule(t *testing.T, opts Options, seed int64, steps int) error {
+func runModelSchedule(t *testing.T, opts Options, seed int64, steps int) (modelRun, error) {
 	t.Helper()
-	_, err := runModelScheduleSteps(t, opts, seed, randomSchedule(seed, steps))
-	return err
+	return runModelScheduleSteps(t, opts, seed, randomSchedule(seed, steps))
+}
+
+// modelRun is what a schedule exercised besides its exactly-once verdict.
+type modelRun struct {
+	// longestPlan is the longest steal plan of any epoch record the owner
+	// held.
+	longestPlan int
+	// republished counts owner ops that published the very word
+	// SharedAvail had cached, so the view after them was a cache hit.
+	republished int
 }
 
 // runModelScheduleSteps drives the 2-PE lockstep harness through an
-// explicit schedule and returns the longest steal plan of any epoch record
-// the owner held alongside the exactly-once verdict.
-func runModelScheduleSteps(t *testing.T, opts Options, seed int64, schedule []modelStep) (longestPlan int, err error) {
+// explicit schedule.
+func runModelScheduleSteps(t *testing.T, opts Options, seed int64, schedule []modelStep) (run modelRun, err error) {
 	t.Helper()
 	w, err := shmem.NewWorld(shmem.Config{NumPEs: 2, HeapBytes: 4 << 20})
 	if err != nil {
-		return 0, err
+		return run, err
 	}
 
 	// Lockstep plumbing: turn[who] <- step; done <- result.
@@ -94,6 +107,7 @@ func runModelScheduleSteps(t *testing.T, opts Options, seed int64, schedule []mo
 			me := c.Rank()
 			for op := range turns[me] {
 				var oerr error
+				cached, epoch := q.svWord, q.curEpoch
 				switch op {
 				case opPush:
 					id := next
@@ -152,9 +166,15 @@ func runModelScheduleSteps(t *testing.T, opts Options, seed int64, schedule []mo
 					}
 				}
 				if me == 0 && oerr == nil {
+					if q.curEpoch != epoch && atomic.LoadUint64(q.stealval) == cached {
+						run.republished++
+					}
 					var longest int
 					longest, oerr = idleSlotsZero(q)
-					longestPlan = max(longestPlan, longest)
+					run.longestPlan = max(run.longestPlan, longest)
+					if oerr == nil {
+						oerr = ownerViewsExact(q)
+					}
 				}
 				done <- oerr
 			}
@@ -162,16 +182,22 @@ func runModelScheduleSteps(t *testing.T, opts Options, seed int64, schedule []mo
 		})
 	}()
 
-	fail := func(err error) (int, error) {
+	fail := func(err error) (modelRun, error) {
 		close(turns[0])
 		close(turns[1])
 		<-runErr
-		return longestPlan, err
+		return run, err
 	}
 	for i, s := range schedule {
 		turns[s.who] <- s.op
 		if err := <-done; err != nil {
 			return fail(fmt.Errorf("seed %d step %d (%v by PE %d): %w", seed, i, s.op, s.who, err))
+		}
+		if s.op == opSteal {
+			turns[0] <- opCheck
+			if err := <-done; err != nil {
+				return fail(fmt.Errorf("seed %d step %d (owner's view of the claim): %w", seed, i, err))
+			}
 		}
 	}
 	// Drain: the owner recovers everything that remains.
@@ -195,17 +221,36 @@ func runModelScheduleSteps(t *testing.T, opts Options, seed int64, schedule []mo
 	close(turns[0])
 	close(turns[1])
 	if err := <-runErr; err != nil {
-		return longestPlan, err
+		return run, err
 	}
 	if len(got) != len(pushed) {
-		return longestPlan, fmt.Errorf("seed %d: pushed %d tasks, obtained %d", seed, len(pushed), len(got))
+		return run, fmt.Errorf("seed %d: pushed %d tasks, obtained %d", seed, len(pushed), len(got))
 	}
 	for id := range pushed {
 		if _, ok := got[id]; !ok {
-			return longestPlan, fmt.Errorf("seed %d: task %d lost", seed, id)
+			return run, fmt.Errorf("seed %d: task %d lost", seed, id)
 		}
 	}
-	return longestPlan, nil
+	return run, nil
+}
+
+// ownerViewsExact checks, on the owner between its ops, the two views it
+// keeps instead of recomputing them per task: the availability SharedAvail
+// returns, cached or not, is a fresh unpack of the stealval word, and
+// headSlot is ring.Slot(head).
+func ownerViewsExact(q *Queue) error {
+	w := atomic.LoadUint64(q.stealval)
+	want := 0
+	if v := q.format.Unpack(w); v.Valid {
+		want = v.ITasks - wsq.StealOffset(v.ITasks, int(v.Asteals))
+	}
+	if got := q.SharedAvail(); got != want {
+		return fmt.Errorf("SharedAvail = %d, word %#x holds %d", got, w, want)
+	}
+	if q.headSlot != q.ring.Slot(q.head) {
+		return fmt.Errorf("headSlot %d, head %d is slot %d", q.headSlot, q.head, q.ring.Slot(q.head))
+	}
+	return nil
 }
 
 // idleSlotsZero checks, on the owner between its ops, the invariant that
@@ -234,17 +279,26 @@ func idleSlotsZero(q *Queue) (longest int, err error) {
 
 func TestModelInterleavingsV2(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
-		if err := runModelSchedule(t, Options{Capacity: 64, Epochs: true, Damping: true}, seed, 300); err != nil {
+		if _, err := runModelSchedule(t, Options{Capacity: 64, Epochs: true, Damping: true}, seed, 300); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
+// Without epochs an acquire that finds both portions empty publishes the
+// word it retired, so the schedules include republished words the cache
+// holds (with epochs the parity flips; TestSharedAvailRepublishedWord).
 func TestModelInterleavingsV1(t *testing.T) {
+	var republished int
 	for seed := int64(1); seed <= 20; seed++ {
-		if err := runModelSchedule(t, Options{Capacity: 64, Epochs: false}, seed, 250); err != nil {
+		run, err := runModelSchedule(t, Options{Capacity: 64, Epochs: false}, seed, 250)
+		if err != nil {
 			t.Fatal(err)
 		}
+		republished += run.republished
+	}
+	if republished == 0 {
+		t.Fatal("no owner op republished the word SharedAvail had cached")
 	}
 }
 
@@ -262,19 +316,19 @@ func TestModelInterleavingsLongPlan(t *testing.T) {
 		}
 		schedule = append(schedule, modelStep{0, opRelease})
 		schedule = append(schedule, randomSchedule(seed, 300)...)
-		longest, err := runModelScheduleSteps(t, Options{Capacity: 8192, Epochs: true, Damping: true}, seed, schedule)
+		run, err := runModelScheduleSteps(t, Options{Capacity: 8192, Epochs: true, Damping: true}, seed, schedule)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if longest < wantPlan {
-			t.Fatalf("seed %d: longest plan %d attempts, want >= %d", seed, longest, wantPlan)
+		if run.longestPlan < wantPlan {
+			t.Fatalf("seed %d: longest plan %d attempts, want >= %d", seed, run.longestPlan, wantPlan)
 		}
 	}
 }
 
 func TestModelInterleavingsFused(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		if err := runModelSchedule(t, Options{Capacity: 64, Epochs: true, Fused: true}, seed, 300); err != nil {
+		if _, err := runModelSchedule(t, Options{Capacity: 64, Epochs: true, Fused: true}, seed, 300); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,7 +337,7 @@ func TestModelInterleavingsFused(t *testing.T) {
 func TestModelInterleavingsTinyCapacity(t *testing.T) {
 	// Capacity 4 forces constant wraps and ErrFull paths.
 	for seed := int64(1); seed <= 20; seed++ {
-		if err := runModelSchedule(t, Options{Capacity: 4, Epochs: true}, seed, 300); err != nil {
+		if _, err := runModelSchedule(t, Options{Capacity: 4, Epochs: true}, seed, 300); err != nil {
 			t.Fatal(err)
 		}
 	}

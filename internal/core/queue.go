@@ -123,6 +123,9 @@ type Queue struct {
 	split uint64
 	stail uint64
 	rtail uint64
+	// headSlot is ring.Slot(head), stepped with head by a compare and
+	// wrap so that a push or pop divides nothing.
+	headSlot int
 
 	curEpoch int        // monotonic epoch counter (parity indexes arrays)
 	recs     []epochRec // oldest-first; last entry is the current block
@@ -133,6 +136,13 @@ type Queue struct {
 	// SharedAvail and retire index it instead of re-walking the plan;
 	// thieves derive their own plan from the word they fetched.
 	plan []int
+	// svWord is the last stealval word SharedAvail unpacked and svAvail
+	// the availability it read off it. Availability is a pure function of
+	// the word (plan is wsq.Offsets of the word's itasks), so an unchanged
+	// load reuses it, whichever block published the word. The zero value
+	// is exact too: word 0 shares no task in either format.
+	svWord  uint64
+	svAvail int
 
 	// Thief-side damping state: per-victim mode (false=full, true=empty).
 	emptyMode []bool
@@ -271,13 +281,17 @@ func (q *Queue) Format() Format { return q.format }
 func (q *Queue) LocalCount() int { return ring.Distance(q.split, q.head) }
 
 // SharedAvail returns the owner's view of unclaimed shared tasks in the
-// current block (an atomic read of its own stealval).
+// current block (an atomic read of its own stealval, unpacked only when it
+// changed since the last call).
 func (q *Queue) SharedAvail() int {
-	v := q.format.Unpack(atomic.LoadUint64(q.stealval))
-	if !v.Valid {
-		return 0
+	w := atomic.LoadUint64(q.stealval)
+	if w != q.svWord {
+		q.svWord, q.svAvail = w, 0
+		if v := q.format.Unpack(w); v.Valid {
+			q.svAvail = v.ITasks - q.plan[q.ownClaims(v)]
+		}
 	}
-	return v.ITasks - q.plan[q.ownClaims(v)]
+	return q.svAvail
 }
 
 // ownClaims is clampAttempts for the owner's own current block, read off
@@ -296,14 +310,14 @@ func (q *Queue) clampAttempts(v Stealval) int {
 // free returns the number of unoccupied slots in the ring.
 func (q *Queue) free() int { return q.ring.Cap() - ring.Distance(q.rtail, q.head) }
 
-// slot returns the physical slot for a logical position, in the owner's
-// own heap. Plain access is safe for positions outside
-// every advertised block: thieves read only what a stealval they fetched
-// covers, and the stealval's atomic publish/retire and the completion
-// words order those reads against the owner's writes.
-func (q *Queue) slot(pos uint64) []byte {
+// slot returns physical slot i in the owner's own heap. Plain access is
+// safe for positions outside every advertised block: thieves read only
+// what a stealval they fetched covers, and the stealval's atomic
+// publish/retire and the completion words order those reads against the
+// owner's writes.
+func (q *Queue) slot(i int) []byte {
 	n := q.codec.SlotSize()
-	off := q.ring.Slot(pos) * n
+	off := i * n
 	return q.slots[off : off+n : off+n]
 }
 
@@ -319,10 +333,13 @@ func (q *Queue) Push(d task.Desc) error {
 			return q.errFull()
 		}
 	}
-	if err := q.codec.Encode(q.slot(q.head), d); err != nil {
+	if err := q.codec.Encode(q.slot(q.headSlot), d); err != nil {
 		return err
 	}
 	q.head++
+	if q.headSlot++; q.headSlot == q.ring.Cap() {
+		q.headSlot = 0
+	}
 	return nil
 }
 
@@ -334,11 +351,17 @@ func (q *Queue) Pop() (task.Desc, bool, error) {
 	if q.head == q.split {
 		return task.Desc{}, false, nil
 	}
-	d, err := q.codec.DecodeTo(q.slot(q.head-1), q.popBuf)
+	i := q.headSlot
+	if i == 0 {
+		i = q.ring.Cap()
+	}
+	i--
+	d, err := q.codec.DecodeTo(q.slot(i), q.popBuf)
 	if err != nil {
 		return task.Desc{}, false, err
 	}
 	q.head--
+	q.headSlot = i
 	return d, true, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"sws/internal/shmem"
@@ -136,5 +137,67 @@ func TestSharedAvailTracksClaims(t *testing.T) {
 			return err
 		}
 		return c.Barrier()
+	})
+}
+
+// SharedAvail caches the word it last unpacked, keyed on the word alone.
+// With epochs a word can recur two epochs on while the cache still holds
+// it — here an empty block, republished by two acquires that never ask for
+// the availability — and a scripted claim moves the word past the cache;
+// both must read what a fresh unpack of the word reads.
+func TestSharedAvailRepublishedWord(t *testing.T) {
+	runWorld(t, 1, func(c *shmem.Ctx) error {
+		q, err := NewQueue(c, DefaultOptions())
+		if err != nil {
+			return err
+		}
+		for i := uint64(0); i < 8; i++ {
+			if err := q.Push(desc(i)); err != nil {
+				return err
+			}
+		}
+		if _, err := q.Release(); err != nil { // 4 shared
+			return err
+		}
+		if err := ownerViewsExact(q); err != nil {
+			return err
+		}
+		// A scripted claim of the block's first half, then its completion.
+		if _, err := c.FetchAdd64(0, q.StealvalAddr(), AstealsUnit); err != nil {
+			return err
+		}
+		if err := ownerViewsExact(q); err != nil {
+			return fmt.Errorf("after the claim: %w", err)
+		}
+		if err := c.Store64(0, q.CompletionSlotAddr(q.Epoch(), 0), uint64(wsq.StealHalf(4, 0))); err != nil {
+			return err
+		}
+		// Empty the local portion, then acquire until both portions are
+		// empty and an empty block is published.
+		for q.LocalCount() > 0 || q.SharedAvail() > 0 {
+			if q.LocalCount() == 0 {
+				if _, err := q.Acquire(); err != nil {
+					return err
+				}
+			} else if _, _, err := q.Pop(); err != nil {
+				return err
+			}
+		}
+		if _, err := q.Acquire(); err != nil {
+			return err
+		}
+		if err := ownerViewsExact(q); err != nil {
+			return err
+		}
+		cached, epoch := q.svWord, q.Epoch()
+		for range MaxEpochs {
+			if _, err := q.Acquire(); err != nil {
+				return err
+			}
+		}
+		if w := atomic.LoadUint64(q.stealval); w != cached || q.Epoch() != epoch+MaxEpochs {
+			return fmt.Errorf("epoch %d -> %d republished %#x, the cache holds %#x", epoch, q.Epoch(), w, cached)
+		}
+		return ownerViewsExact(q)
 	})
 }

@@ -52,6 +52,7 @@ type mailbox struct {
 	// The owner's side, as memory of this PE's own heap: it polls its next
 	// slot's signal once per scheduler iteration.
 	readCursor uint64 // the next ticket to drain
+	readSlot   int    // readCursor % slots, stepped by a compare and wrap
 	signals    []uint64
 	data       []byte
 	credit     *uint64
@@ -176,7 +177,7 @@ func (m *mailbox) drain(push func(task.Desc) error) (int, error) {
 	m.draining = true
 	var err error
 	for {
-		slot := int(m.readCursor % m.slots)
+		slot := m.readSlot
 		if atomic.LoadUint64(&m.signals[slot]) != m.readCursor+1 {
 			break
 		}
@@ -189,6 +190,9 @@ func (m *mailbox) drain(push func(task.Desc) error) (int, error) {
 			break
 		}
 		m.readCursor++
+		if m.readSlot++; m.readSlot == len(m.signals) {
+			m.readSlot = 0
+		}
 	}
 	m.draining = false
 	delivered := int(m.readCursor - first)

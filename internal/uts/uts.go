@@ -34,6 +34,7 @@ package uts
 import (
 	"crypto/sha1"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -144,32 +145,40 @@ type Node struct {
 	Depth uint32
 }
 
-// PayloadSize is the encoded node size carried in a task payload.
+// PayloadSize is the encoded node size carried in a task payload: the
+// state, then the depth as a little-endian uint32.
 const PayloadSize = NodeStateSize + 4
+
+// ErrPayloadSize is returned, wrapped with the size found, for a task
+// payload that is not one encoded node.
+var ErrPayloadSize = errors.New("uts: payload is not one encoded node")
+
+// nodeRecord views a payload as an encoded node, or fails typed.
+func nodeRecord(payload []byte) (*[PayloadSize]byte, error) {
+	if len(payload) != PayloadSize {
+		return nil, fmt.Errorf("%w: %d bytes, want %d", ErrPayloadSize, len(payload), PayloadSize)
+	}
+	return (*[PayloadSize]byte)(payload), nil
+}
 
 // Encode serializes the node into a fresh task payload.
 func (n Node) Encode() []byte {
-	var buf [PayloadSize]byte
-	n.EncodeTo(&buf)
-	return buf[:]
-}
-
-// EncodeTo serializes the node into buf, for callers that hand the payload
-// to something that copies it (Spawn does) and so can reuse one buffer.
-func (n Node) EncodeTo(buf *[PayloadSize]byte) {
-	copy(buf[:], n.State[:])
+	buf := make([]byte, PayloadSize)
+	copy(buf, n.State[:])
 	binary.LittleEndian.PutUint32(buf[NodeStateSize:], n.Depth)
+	return buf
 }
 
 // DecodeNode parses a payload produced by Encode.
 func DecodeNode(payload []byte) (Node, error) {
-	if len(payload) != PayloadSize {
-		return Node{}, fmt.Errorf("uts: payload is %d bytes, want %d", len(payload), PayloadSize)
+	rec, err := nodeRecord(payload)
+	if err != nil {
+		return Node{}, err
 	}
-	var n Node
-	copy(n.State[:], payload[:NodeStateSize])
-	n.Depth = binary.LittleEndian.Uint32(payload[NodeStateSize:])
-	return n, nil
+	return Node{
+		State: [NodeStateSize]byte(rec[:NodeStateSize]),
+		Depth: binary.LittleEndian.Uint32(rec[NodeStateSize:]),
+	}, nil
 }
 
 // Root returns the tree's root node: the digest of the 4-byte seed.
@@ -181,20 +190,27 @@ func Root(p Params) Node {
 
 // Child returns child i of n: the digest of (state, i) — the SHA-1
 // splittable stream of the UTS specification. The index is hashed as a
-// uint32. Where the CPU has the SHA extensions the digest is one hardware
-// compression (childBlockSHANI); elsewhere it is crypto/sha1's.
+// uint32.
 func Child(n Node, i int) Node {
 	c := Node{Depth: n.Depth + 1}
-	if hasSHANI {
-		childBlockSHANI(&c.State, &n.State, uint32(i))
-	} else {
-		c.State = childGeneric(&n.State, uint32(i))
-	}
+	childDigest(&c.State, &n.State, uint32(i))
 	return c
 }
 
-// childGeneric is Child's digest through crypto/sha1: the fallback, and the
-// reference the SHA-extension kernel is tested against.
+// childDigest writes child i's state of the node whose state is in to out.
+// Where the CPU has the SHA extensions the digest is one hardware
+// compression (childBlockSHANI); elsewhere it is crypto/sha1's. out may be
+// in: the kernel reads all of in before it writes out.
+func childDigest(out, in *[NodeStateSize]byte, i uint32) {
+	if hasSHANI {
+		childBlockSHANI(out, in, i)
+	} else {
+		*out = childGeneric(in, i)
+	}
+}
+
+// childGeneric is the child digest through crypto/sha1: the fallback, and
+// the reference the SHA-extension kernel is tested against.
 func childGeneric(state *[NodeStateSize]byte, i uint32) [NodeStateSize]byte {
 	var buf [NodeStateSize + 4]byte
 	copy(buf[:], state[:])
@@ -212,9 +228,9 @@ func SHA1Kernel() string {
 	return "generic"
 }
 
-// rand31 extracts the node's 31-bit uniform variate.
-func rand31(n Node) int32 {
-	return int32(binary.BigEndian.Uint32(n.State[16:20]) & 0x7FFFFFFF)
+// variate extracts a node's 31-bit uniform variate from its state.
+func variate(state *[NodeStateSize]byte) int32 {
+	return int32(binary.BigEndian.Uint32(state[16:20]) & 0x7FFFFFFF)
 }
 
 // toProb maps a 31-bit variate to [0, 1).
@@ -222,29 +238,79 @@ func toProb(v int32) float64 { return float64(v) / float64(1<<31) }
 
 // NumChildren samples the node's child count from its own digest.
 func (p Params) NumChildren(n Node) int {
-	switch p.Type {
-	case Binomial:
-		if n.Depth == 0 {
-			return int(p.B0)
-		}
-		if toProb(rand31(n)) < p.Q {
-			return p.M
-		}
-		return 0
-	default:
-		return p.geoChildren(n)
-	}
+	t := tree{p: p}
+	return t.numChildren(variate(&n.State), n.Depth)
 }
 
 // maxGeoChildren caps a single node's children, as the reference
 // implementation does (MAXNUMCHILDREN), bounding spawn bursts.
 const maxGeoChildren = 100
 
-func (p Params) geoChildren(n Node) int {
-	depth := int(n.Depth)
-	if depth >= p.MaxDepth {
+// geoTableDepths bounds the divisor table a tree precomputes; deeper
+// geometric nodes compute their divisor per node.
+const geoTableDepths = 256
+
+// tree is a tree's parameters with the geometric sample's divisor, which
+// depends on the depth alone, computed once per depth: logq[d] is
+// geoDivisor(d). A tree with no table computes every divisor per node, to
+// the same float64.
+type tree struct {
+	p    Params
+	logq []float64
+}
+
+func newTree(p Params) tree {
+	t := tree{p: p}
+	if p.Type == Geometric {
+		t.logq = make([]float64, min(max(p.MaxDepth, 0), geoTableDepths))
+		for d := range t.logq {
+			t.logq[d] = p.geoDivisor(d)
+		}
+	}
+	return t
+}
+
+// numChildren samples the child count of the node at depth whose variate
+// is r.
+func (t *tree) numChildren(r int32, depth uint32) int {
+	p := &t.p
+	if p.Type == Binomial {
+		if depth == 0 {
+			return int(p.B0)
+		}
+		if toProb(r) < p.Q {
+			return p.M
+		}
 		return 0
 	}
+	d := int(depth)
+	if d >= p.MaxDepth {
+		return 0
+	}
+	var div float64
+	if d < len(t.logq) {
+		div = t.logq[d]
+	} else {
+		div = p.geoDivisor(d)
+	}
+	if div == 0 {
+		return 0
+	}
+	k := int(math.Floor(math.Log(1-toProb(r)) / div))
+	if k < 0 {
+		k = 0
+	}
+	if k > maxGeoChildren {
+		k = maxGeoChildren
+	}
+	return k
+}
+
+// geoDivisor is math.Log(1-pr) for a geometric node at depth, where pr =
+// 1/(1+b) and b is the expected branching factor there: the child count
+// is a geometric sample with mean b, P(k) ~ (1-pr)^k * pr. It is 0 where b
+// is not positive (no children).
+func (p Params) geoDivisor(depth int) float64 {
 	b := p.B0
 	if p.Shape == ShapeLinear {
 		// Expected branching decays linearly to zero at MaxDepth.
@@ -253,17 +319,8 @@ func (p Params) geoChildren(n Node) int {
 	if b <= 0 {
 		return 0
 	}
-	// Geometric sample with mean b: P(k) ~ (1-pr)^k * pr, pr = 1/(1+b).
 	pr := 1.0 / (1.0 + b)
-	u := toProb(rand31(n))
-	k := int(math.Floor(math.Log(1-u) / math.Log(1-pr)))
-	if k < 0 {
-		k = 0
-	}
-	if k > maxGeoChildren {
-		k = maxGeoChildren
-	}
-	return k
+	return math.Log(1 - pr)
 }
 
 // CountResult summarizes a sequential traversal.
@@ -274,12 +331,14 @@ type CountResult struct {
 }
 
 // CountSerial walks the tree depth-first without the task pool, for
-// verifying parallel results. It stops with an error after limit nodes
-// (0 means no limit).
+// verifying parallel results and as the runtime's serial baseline: it
+// expands each node with the task body's own childDigest and numChildren.
+// It stops with an error after limit nodes (0 means no limit).
 func CountSerial(p Params, limit uint64) (CountResult, error) {
 	if err := p.Validate(); err != nil {
 		return CountResult{}, err
 	}
+	t := newTree(p)
 	var res CountResult
 	stack := []Node{Root(p)}
 	for len(stack) > 0 {
@@ -289,16 +348,15 @@ func CountSerial(p Params, limit uint64) (CountResult, error) {
 		if limit > 0 && res.Nodes > limit {
 			return res, fmt.Errorf("uts: tree exceeds node limit %d", limit)
 		}
-		if n.Depth > res.MaxDepth {
-			res.MaxDepth = n.Depth
-		}
-		kids := p.NumChildren(n)
+		res.MaxDepth = max(res.MaxDepth, n.Depth)
+		kids := t.numChildren(variate(&n.State), n.Depth)
 		if kids == 0 {
 			res.Leaves++
 			continue
 		}
-		for i := 0; i < kids; i++ {
-			stack = append(stack, Child(n, i))
+		for i := range kids {
+			stack = append(stack, Node{Depth: n.Depth + 1})
+			childDigest(&stack[len(stack)-1].State, &n.State, uint32(i))
 		}
 	}
 	return res, nil

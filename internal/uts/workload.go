@@ -1,6 +1,7 @@
 package uts
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync/atomic"
 	"time"
@@ -17,6 +18,7 @@ import (
 // deployment each process reports its own share).
 type Workload struct {
 	Params Params
+	tree   tree // Params with its per-depth constants, for runNode
 
 	// NodeWork, if nonzero, adds simulated per-node search work
 	// (TaskCtx.Compute, like BPC's task durations). The paper's
@@ -45,7 +47,7 @@ func NewWorkload(p Params) (*Workload, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Workload{Params: p}, nil
+	return &Workload{Params: p, tree: newTree(p)}, nil
 }
 
 // Register installs the node task on the registry. Must be called on
@@ -75,7 +77,7 @@ func (w *Workload) Seed(p *pool.Pool, rank int) error {
 }
 
 func (w *Workload) runNode(tc *pool.TaskCtx, payload []byte) error {
-	n, err := DecodeNode(payload)
+	rec, err := nodeRecord(payload)
 	if err != nil {
 		return err
 	}
@@ -83,19 +85,24 @@ func (w *Workload) runNode(tc *pool.TaskCtx, payload []byte) error {
 	if w.NodeWork > 0 {
 		tc.Compute(w.NodeWork)
 	}
-	kids := w.Params.NumChildren(n)
+	state := (*[NodeStateSize]byte)(rec[:NodeStateSize])
+	depth := binary.LittleEndian.Uint32(rec[NodeStateSize:])
+	kids := w.tree.numChildren(variate(state), depth)
 	if kids == 0 {
 		w.counts.Add(tc, countLeaves)
 		return nil
 	}
 	h := task.Handle(w.handle.Load())
-	// The node is decoded, so its payload buffer — this task's to overwrite
-	// (pool.Func) — holds the children one at a time: Spawn copies it into
-	// the queue slot. A local array would escape through the queue interface
-	// and cost an allocation per interior node.
-	buf := (*[PayloadSize]byte)(payload)
-	for i := 0; i < kids; i++ {
-		Child(n, i).EncodeTo(buf)
+	// The payload is this task's to overwrite (pool.Func), so it holds the
+	// children one at a time, in place: the parent's state is copied out
+	// once, the depth is written once, and each child's digest goes
+	// straight into the state for Spawn to copy into its queue slot. A
+	// local array would escape through the queue interface and cost an
+	// allocation per interior node.
+	parent := *state
+	binary.LittleEndian.PutUint32(rec[NodeStateSize:], depth+1)
+	for i := range kids {
+		childDigest(state, &parent, uint32(i))
 		if err := tc.Spawn(h, payload); err != nil {
 			return err
 		}
