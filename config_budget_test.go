@@ -92,7 +92,7 @@ func TestShmemLineBudget(t *testing.T) {
 		pkg    string
 		budget int
 	}{
-		{"internal/shmem", 5750},
+		{"internal/shmem", 5650},
 		{"internal/bench", 1000},
 		{"internal/core", 1150},
 	} {

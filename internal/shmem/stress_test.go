@@ -130,10 +130,11 @@ func TestUnalignedRanges(t *testing.T) {
 	})
 }
 
-// Vectored gets racing coalesced NBI traffic and Quiet on every PE: the
-// sync and async paths share initiator state (flush-before-blocking-op,
-// the background flusher, count-frame acks), so interleaving them hard is
-// what shakes out ordering and accounting bugs. Run under -race.
+// Vectored gets racing coalesced NBI traffic and Quiet on every PE: on tcp
+// both ride one connection per pair (injections buffered behind the
+// watermark, pushed out by the next blocking op, the background flusher or
+// Quiet's fence), so interleaving them hard is what shakes out ordering and
+// accounting bugs. Run under -race.
 func TestStressGetVNBIQuiet(t *testing.T) {
 	transports(t, func(t *testing.T, kind TransportKind) {
 		const n = 4

@@ -2,12 +2,14 @@ package shmem
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -19,47 +21,52 @@ import (
 // "emulate RMA over RPC" substitution: the service goroutine plays the role
 // of the NIC — the target PE's worker code is still never involved.
 //
-// Each (initiator, target) pair uses up to two connections:
-//   - a sync connection carrying request/response round-trips for blocking
-//     operations, and
-//   - an async connection carrying pipelined non-blocking operations whose
-//     acks are drained by a reader goroutine into the initiator's
-//     pending count (which Quiet waits on).
+// Each (initiator, target) pair is one connection. The target's service
+// goroutine applies its requests in stream order and answers only the
+// blocking ones, so a reply proves that every injection written ahead of it
+// has landed, and Quiet is a fence (see quiet). Injections buffer until
+// ackBatch of them, a blocking op to the same target, Quiet or the
+// background flusher push them out. A wait for a reply watches the
+// target's liveness in parkQuantum slices.
 //
 // The wire path is allocation-free in steady state: each connection owns
-// header scratch and reusable payload staging, response payloads for get
-// and getv are read directly into the caller's destination, and async
-// traffic is coalesced — injections buffer until ackBatch ops (or a
-// blocking op, Quiet, or the background flusher) force them out, and the
-// server acks batches with a single count frame instead of a byte per op.
+// header scratch and reusable payload staging, and response payloads for
+// get and getv are read directly into the caller's destination.
 type tcpTransport struct {
 	hostWaits
 	listeners []net.Listener
 	addrs     []string
-
-	mu          sync.Mutex
-	sync_       map[connKey]*syncConn
-	async       map[connKey]*asyncConn
-	asyncByFrom [][]*asyncConn // per initiator rank, for Quiet/flusher sweeps
-	// pending counts, per initiator rank, the injections not yet acked by
-	// their targets. Quiet waits for zero, parked on the initiator's wake
-	// words, which settle bumps.
-	pending []uint64
+	// conns[from][to] is the pair's connection, made with the transport
+	// for every rank this process initiates from and dialed on first use.
+	conns [][]*tcpConn
 
 	stop   chan struct{}
 	closed atomic.Bool
 	wg     sync.WaitGroup
 }
 
-type connKey struct {
+// tcpConn is one (initiator, target) pair's connection. Its lock is held
+// for a whole exchange — a round trip, so at most one reply is ever
+// outstanding — and by every caller of its methods.
+type tcpConn struct {
+	t        *tcpTransport
 	from, to int
-	kind     byte
-}
 
-const (
-	connSync  byte = 0
-	connAsync byte = 1
-)
+	mu   sync.Mutex
+	sock net.Conn          // nil until dialed, and again after a failure
+	rw   *bufio.ReadWriter // over c itself: see Read and Write
+	whdr [reqHdrSize]byte  // request header scratch
+	rhdr [rspHdrSize]byte  // response header scratch
+	// slice is where the socket's deadline stands, at most parkQuantum
+	// ahead; deadline ends the current exchange, OpTimeout after its first
+	// slice ran out (zero until then).
+	slice, deadline time.Time
+	// unflushed counts the injections buffered since the last flush,
+	// unfenced says some were written since the last reply, and lost that
+	// a broken connection to a live target took some with it.
+	unflushed      int
+	unfenced, lost bool
+}
 
 // spanWireSize is one getv span table entry: addr uint64, n uint32.
 const spanWireSize = 12
@@ -67,111 +74,21 @@ const spanWireSize = 12
 // Wire format. All integers little-endian.
 //
 // Connection preamble (initiator -> server):
-//   kind uint8, from uint32
+//   from uint32
 // Request:
 //   op uint8, addr uint64, val1 uint64, val2 uint64, span uint64,
 //   plen uint32, payload
 //   (for OpGetV: val1 = span count, val2 = total bytes, payload = span
 //   table of (addr uint64, n uint32) entries; span is the reserved
 //   causal-span word — zero for untagged traffic)
-// Sync response:
+// Response, to a blocking request only:
 //   status uint8, val uint64, plen uint32, payload
 //   (status 0 = ok; otherwise payload is an error string)
-// Async ack (server -> initiator): count uint32 per batch of applied ops.
 
 const (
 	reqHdrSize = 37
 	rspHdrSize = 13
 )
-
-type syncConn struct {
-	mu   sync.Mutex
-	rw   *bufio.ReadWriter
-	c    net.Conn
-	whdr [reqHdrSize]byte // request header scratch (guarded by mu)
-	rhdr [rspHdrSize]byte // response header scratch (guarded by mu)
-}
-
-type asyncConn struct {
-	t        *tcpTransport
-	from, to int
-
-	mu        sync.Mutex // serializes writers
-	w         *bufio.Writer
-	c         net.Conn
-	whdr      [reqHdrSize]byte // request header scratch (guarded by mu)
-	unflushed int              // ops buffered since the last flush (guarded by mu)
-
-	// outstanding counts this connection's injected-but-unacked ops. When
-	// the peer dies the acks never arrive; reconcile() credits the count
-	// back to the initiator's pending total so Quiet completes.
-	outstanding atomic.Int64
-	// broken marks a connection whose peer is gone: writes are discarded
-	// and every inject is immediately reconciled.
-	broken atomic.Bool
-}
-
-func (ac *asyncConn) flush() error {
-	ac.mu.Lock()
-	defer ac.mu.Unlock()
-	return ac.flushLocked()
-}
-
-func (ac *asyncConn) flushLocked() error {
-	if ac.unflushed == 0 {
-		return nil
-	}
-	ac.unflushed = 0
-	if ac.broken.Load() {
-		ac.reconcile()
-		return nil
-	}
-	if dl := ac.t.w.cfg.OpTimeout; dl > 0 {
-		_ = ac.c.SetWriteDeadline(time.Now().Add(dl))
-	}
-	err := ac.w.Flush()
-	if err != nil && ac.t.peerGone(ac.to) {
-		// The peer died with injections in flight: write them off (and
-		// credit the pending count back) instead of surfacing a fatal
-		// transport error for traffic no one can receive.
-		ac.markBrokenLocked()
-		return nil
-	}
-	return err
-}
-
-// markBrokenLocked points the writer at a discard sink (a bufio.Writer is
-// sticky-errored after a failed flush) and reconciles outstanding acks.
-// Caller holds ac.mu.
-func (ac *asyncConn) markBrokenLocked() {
-	if ac.broken.Swap(true) {
-		return
-	}
-	ac.w.Reset(io.Discard)
-	ac.reconcile()
-}
-
-func (ac *asyncConn) markBroken() {
-	ac.mu.Lock()
-	ac.markBrokenLocked()
-	ac.mu.Unlock()
-}
-
-// reconcile credits this connection's never-arriving acks back to the
-// initiator's global pending count. Safe to race with the ack reader: both
-// sides move the same conserved quantity, so the net effect is exact.
-func (ac *asyncConn) reconcile() {
-	if rem := ac.outstanding.Swap(0); rem != 0 {
-		ac.t.settle(ac.from, rem)
-	}
-}
-
-// settle takes k acked (or written-off) injections out of from's pending
-// count and wakes a Quiet parked on it.
-func (t *tcpTransport) settle(from int, k int64) {
-	atomic.AddUint64(&t.pending[from], uint64(-k))
-	t.w.pes[from].wakeWaiters()
-}
 
 // peerGone reports whether rank can no longer receive traffic: crashed or
 // declared dead (or the whole transport is shutting down).
@@ -182,28 +99,15 @@ func (t *tcpTransport) peerGone(rank int) bool {
 	return t.w.live.Killed(rank) || !t.w.live.Alive(rank)
 }
 
-// connBug reports whether a connection to peer that broke with err is a
-// runtime bug rather than a casualty. An abruptly severed connection (RST,
-// not FIN) is survivable in a distributed world — the connection is the
-// first thing to die when a peer process crashes, often before the failure
-// detector notices — and for peers the detector already wrote off; only an
-// in-process world with a live peer treats it as a bug.
-func (t *tcpTransport) connBug(err error, peer int) bool {
-	return t.w.localRank < 0 && !t.peerGone(peer) && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed)
-}
-
 // Fixed wire-path parameters.
 const (
 	// dialTimeout bounds connection establishment to a PE's service.
 	dialTimeout = 10 * time.Second
 	// sockBufBytes sizes the per-connection bufio buffers.
 	sockBufBytes = 16 << 10
-	// ackBatch caps how many async operations may ride behind one flush,
-	// in both directions: the initiator coalesces NBI injects (flushing on
-	// this watermark, before any blocking op to the same target, and in
-	// Quiet), and the target coalesces the corresponding completion acks
-	// into count frames (flushing on the watermark or when its request
-	// stream goes idle).
+	// ackBatch caps how many injections may ride behind one flush: the
+	// initiator coalesces them, flushing on this watermark, with any
+	// blocking op to the same target, and in Quiet.
 	ackBatch = 64
 	// flushInterval is the period of the background flusher, which pushes
 	// out coalesced NBI injects that never reach the ackBatch watermark —
@@ -223,14 +127,20 @@ const (
 func newTCPTransport(w *World, at *Endpoint) (*tcpTransport, error) {
 	n := len(w.pes)
 	t := &tcpTransport{
-		hostWaits:   hostWaits{w},
-		sync_:       make(map[connKey]*syncConn),
-		async:       make(map[connKey]*asyncConn),
-		asyncByFrom: make([][]*asyncConn, n),
-		pending:     make([]uint64, n),
-		stop:        make(chan struct{}),
-		listeners:   make([]net.Listener, n),
-		addrs:       make([]string, n),
+		hostWaits: hostWaits{w},
+		conns:     make([][]*tcpConn, n),
+		stop:      make(chan struct{}),
+		listeners: make([]net.Listener, n),
+		addrs:     make([]string, n),
+	}
+	for from := range t.conns {
+		if at != nil && from != at.Rank {
+			continue
+		}
+		t.conns[from] = make([]*tcpConn, n)
+		for to := range t.conns[from] {
+			t.conns[from][to] = &tcpConn{t: t, from: from, to: to}
+		}
 	}
 	var err error
 	if at != nil {
@@ -263,11 +173,11 @@ func (t *tcpTransport) listenLoopback() error {
 }
 
 // startFlusher launches the background goroutine that periodically flushes
-// every initiator-side async connection. Coalescing buffers completion
+// every initiator-side connection. Coalescing buffers completion
 // notifications, and an owner polling a completion word has no reverse
 // channel to request a flush — the flusher bounds how stale a buffered
 // notification can get when neither the watermark nor a blocking op forces
-// it out.
+// it out. It skips a connection whose lock is held: the holder flushes.
 func (t *tcpTransport) startFlusher() {
 	t.wg.Add(1)
 	go func() {
@@ -280,27 +190,40 @@ func (t *tcpTransport) startFlusher() {
 				return
 			case <-tick.C:
 			}
-			t.mu.Lock()
-			for _, acs := range t.asyncByFrom {
-				for _, ac := range acs {
-					if err := ac.flush(); err != nil {
-						// flushLocked already swallows dead-peer errors;
-						// anything left is a live-peer failure. Distributed
-						// worlds write the connection off (the crash will
-						// be detected shortly); in-process worlds fail.
-						if t.closed.Load() || t.w.localRank >= 0 {
-							ac.markBroken()
-							continue
-						}
-						t.w.fail(fmt.Errorf("shmem/tcp: background flush: %w", err))
-						t.mu.Unlock()
+			for _, row := range t.conns {
+				for _, c := range row {
+					if err := t.flushIdle(c); err != nil {
+						t.w.fail(err)
 						return
 					}
 				}
 			}
-			t.mu.Unlock()
 		}
 	}()
+}
+
+// flushIdle is the flusher's visit to c. A failed flush writes the
+// connection off; only an in-process world with a live target calls that
+// a failure (a joined world's crashed peer will be detected shortly).
+func (t *tcpTransport) flushIdle(c *tcpConn) error {
+	if !c.mu.TryLock() {
+		return nil
+	}
+	defer c.mu.Unlock()
+	if c.unflushed == 0 {
+		return nil
+	}
+	err := c.open()
+	if err == nil {
+		if err = c.flush(); err == nil {
+			return nil
+		}
+	}
+	c.drop()
+	if t.peerGone(c.to) || t.w.localRank >= 0 {
+		return nil
+	}
+	return fmt.Errorf("shmem/tcp: background flush %d→%d: %w", c.from, c.to, err)
 }
 
 func (t *tcpTransport) serve(rank int, ln net.Listener) {
@@ -318,82 +241,64 @@ func (t *tcpTransport) serve(rank int, ln net.Listener) {
 	}
 }
 
-// handle services one connection against this PE's heap. All scratch is
-// per-connection, so the service loop allocates nothing in steady state.
+// handle services one connection against this PE's heap, in stream order,
+// answering blocking requests only. All scratch is per-connection, so the
+// service loop allocates nothing in steady state.
 func (t *tcpTransport) handle(rank int, conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
 	r := bufio.NewReaderSize(conn, sockBufBytes)
 	w := bufio.NewWriterSize(conn, sockBufBytes)
-	var pre [5]byte
+	var pre [4]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return // peer vanished before preamble; nothing to clean up
 	}
-	kind := pre[0]
-	from := int(binary.LittleEndian.Uint32(pre[1:]))
+	from := int(binary.LittleEndian.Uint32(pre[:]))
 	pe := t.w.pes[rank]
 	var (
 		reqHdr  [reqHdrSize]byte
 		rspHdr  [rspHdrSize]byte
-		ackFrm  [4]byte
 		reqBuf  []byte // request payload staging
 		rspBuf  []byte // response payload staging (get/getv/fused gather)
 		spanBuf []Span // decoded getv span table
-		pending int    // applied async ops not yet acked
 	)
-	flushAcks := func() error {
-		if pending == 0 {
-			return nil
-		}
-		binary.LittleEndian.PutUint32(ackFrm[:], uint32(pending))
-		pending = 0
-		if _, err := w.Write(ackFrm[:]); err != nil {
-			return err
-		}
-		return w.Flush()
-	}
 	for {
 		req, payload, err := readRequest(r, reqHdr[:], &reqBuf)
+		if err == nil {
+			req.from, req.to = from, rank
+			var rv uint64
+			var rp []byte
+			aerr := decodeOp(&req, payload, len(pe.bytes), &spanBuf, &rspBuf)
+			if aerr == nil {
+				// Exactly what the direct back-end's initiator would run (a
+				// duplicate verdict arrives as a second request), gathering
+				// any response payload into this connection's staging (valid
+				// until its next op).
+				rv, rp, aerr = t.w.land(pe, &req, false, time.Time{}, &rspBuf)
+			}
+			switch {
+			case !req.op.Blocking():
+				if aerr != nil {
+					t.w.fail(fmt.Errorf("shmem/tcp: PE %d async op failed: %w", rank, aerr))
+				}
+				continue
+			case aerr != nil:
+				err = writeResponse(w, rspHdr[:], 1, 0, []byte(aerr.Error()))
+			default:
+				err = writeResponse(w, rspHdr[:], 0, rv, rp)
+			}
+		}
 		if err != nil {
-			if t.connBug(err, from) {
-				t.w.fail(fmt.Errorf("shmem/tcp: PE %d read request: %w", rank, err))
+			// An abruptly severed connection (RST, not FIN) is survivable in
+			// a distributed world — it is the first thing to die when a peer
+			// process crashes — and so is one whose initiator or target the
+			// detector already wrote off; only an in-process world between
+			// two live PEs treats it as a bug.
+			if t.w.localRank < 0 && !t.peerGone(from) && !t.peerGone(rank) &&
+				!errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+				t.w.fail(fmt.Errorf("shmem/tcp: PE %d serving PE %d: %w", rank, from, err))
 			}
 			return
-		}
-		req.from, req.to = from, rank
-		status := byte(0)
-		var rv uint64
-		var rp []byte
-		aerr := decodeOp(&req, payload, len(pe.bytes), &spanBuf, &rspBuf)
-		if aerr == nil {
-			// Exactly what the direct back-end's initiator would run (a
-			// duplicate verdict arrives as a second request), gathering any
-			// response payload into this connection's staging (valid until
-			// its next op).
-			rv, rp, aerr = t.w.land(pe, &req, false, time.Time{}, &rspBuf)
-		}
-		if aerr != nil {
-			status, rp = 1, []byte(aerr.Error())
-		}
-		if kind == connSync {
-			if err := writeResponse(w, rspHdr[:], status, rv, rp); err != nil {
-				if t.connBug(err, from) {
-					t.w.fail(fmt.Errorf("shmem/tcp: PE %d write response: %w", rank, err))
-				}
-				return
-			}
-		} else {
-			if status != 0 {
-				t.w.fail(fmt.Errorf("shmem/tcp: PE %d async op failed: %s", rank, rp))
-			}
-			// Coalesce acks: flush on the watermark or when the request
-			// stream goes idle (nothing more buffered to apply first).
-			pending++
-			if pending >= ackBatch || r.Buffered() == 0 {
-				if err := flushAcks(); err != nil {
-					return
-				}
-			}
 		}
 	}
 }
@@ -555,124 +460,151 @@ func readResponse(r *bufio.Reader, hdr []byte, into []byte) (byte, uint64, []byt
 	return status, val, payload, nil
 }
 
-func (t *tcpTransport) dial(from, to int, kind byte) (net.Conn, error) {
-	if to < 0 || to >= len(t.addrs) {
-		return nil, fmt.Errorf("shmem/tcp: target PE %d out of range [0, %d)", to, len(t.addrs))
+// open readies c for an exchange: a pair without a connection dials,
+// unless its target is gone, its preamble waiting in the buffer for the
+// first flush.
+func (c *tcpConn) open() error {
+	c.deadline = time.Time{}
+	if c.sock != nil {
+		return nil
 	}
-	conn, err := net.DialTimeout("tcp", t.addrs[to], dialTimeout)
+	if c.t.peerGone(c.to) {
+		return fmt.Errorf("shmem/tcp: PE %d: %w", c.to, ErrPeerDead)
+	}
+	conn, err := net.DialTimeout("tcp", c.t.addrs[c.to], dialTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("shmem/tcp: dial PE %d: %w", to, err)
+		return fmt.Errorf("shmem/tcp: dial PE %d: %w", c.to, err)
 	}
-	var pre [5]byte
-	pre[0] = kind
-	binary.LittleEndian.PutUint32(pre[1:], uint32(from))
-	if _, err := conn.Write(pre[:]); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("shmem/tcp: preamble to PE %d: %w", to, err)
+	if c.rw == nil {
+		c.rw = bufio.NewReadWriter(bufio.NewReaderSize(c, sockBufBytes), bufio.NewWriterSize(c, sockBufBytes))
+	} else {
+		c.rw.Reader.Reset(c)
+		c.rw.Writer.Reset(c)
 	}
-	return conn, nil
-}
-
-// cachedConn is the one lookup → dial → recheck → insert path of both
-// connection kinds: m caches them per key, wrap builds one around a fresh
-// connection, and a dial that lost a race for the same key is closed in
-// favour of the winner. added runs under t.mu for the connection that was
-// cached, so nothing can find it before what added registers.
-func cachedConn[C any](t *tcpTransport, m map[connKey]*C, key connKey, wrap func(net.Conn) *C, added func(*C)) (*C, error) {
-	t.mu.Lock()
-	c, ok := m[key]
-	t.mu.Unlock()
-	if ok {
-		return c, nil
-	}
-	conn, err := t.dial(key.from, key.to, key.kind)
-	if err != nil {
-		return nil, err
-	}
-	c = wrap(conn)
-	t.mu.Lock()
-	if prior, ok := m[key]; ok {
-		t.mu.Unlock()
-		conn.Close()
-		return prior, nil
-	}
-	m[key] = c
-	if added != nil {
-		added(c)
-	}
-	t.mu.Unlock()
-	return c, nil
-}
-
-func (t *tcpTransport) syncConn(from, to int) (*syncConn, error) {
-	return cachedConn(t, t.sync_, connKey{from, to, connSync}, func(conn net.Conn) *syncConn {
-		return &syncConn{
-			rw: bufio.NewReadWriter(
-				bufio.NewReaderSize(conn, sockBufBytes),
-				bufio.NewWriterSize(conn, sockBufBytes)),
-			c: conn,
-		}
-	}, nil)
-}
-
-func (t *tcpTransport) asyncConn(from, to int) (*asyncConn, error) {
-	return cachedConn(t, t.async, connKey{from, to, connAsync}, func(conn net.Conn) *asyncConn {
-		return &asyncConn{t: t, from: from, to: to, w: bufio.NewWriterSize(conn, sockBufBytes), c: conn}
-	}, func(ac *asyncConn) {
-		t.asyncByFrom[from] = append(t.asyncByFrom[from], ac)
-		t.wg.Add(1)
-		go t.readAcks(ac)
-	})
-}
-
-// readAcks drains ac's count-frame acks into the initiator's pending count.
-func (t *tcpTransport) readAcks(ac *asyncConn) {
-	defer t.wg.Done()
-	r := bufio.NewReaderSize(ac.c, 64)
-	var frame [4]byte
-	for {
-		if _, err := io.ReadFull(r, frame[:]); err != nil {
-			if t.connBug(err, ac.to) {
-				t.w.fail(fmt.Errorf("shmem/tcp: ack reader %d->%d: %w", ac.from, ac.to, err))
-				return
-			}
-			// Whatever was still in flight will never be acked; credit
-			// it back so Quiet can complete without the peer.
-			ac.markBroken()
-			return
-		}
-		k := int64(binary.LittleEndian.Uint32(frame[:]))
-		ac.outstanding.Add(-k)
-		t.settle(ac.from, k)
-	}
-}
-
-// asyncTo returns from's async connection to one target, nil if it never
-// injected there.
-func (t *tcpTransport) asyncTo(from, to int) *asyncConn {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.async[connKey{from, to, connAsync}]
-}
-
-// flushFrom flushes every async connection this initiator has open.
-func (t *tcpTransport) flushFrom(from int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, ac := range t.asyncByFrom[from] {
-		if err := ac.flush(); err != nil {
-			return err
-		}
-	}
+	c.sock = conn
+	c.nextSlice(time.Now())
+	var pre [4]byte
+	binary.LittleEndian.PutUint32(pre[:], uint32(c.from))
+	_, _ = c.rw.Write(pre[:]) // into an empty buffer: cannot fail
 	return nil
 }
 
-// remoteStatusErr marks an application-level failure reported by the
-// target: the op reached the target and was rejected there. Definitive,
-// never retried.
-type remoteStatusErr struct{ msg string }
+// Read and Write are the socket as c's buffers see it: a call that runs
+// into the socket's deadline checks on the exchange and, if it may, waits
+// on for another slice, so a target declared dead, a world failure and
+// OpTimeout all end a wait within a parkQuantum.
+func (c *tcpConn) Read(p []byte) (int, error) {
+	for {
+		n, err := c.sock.Read(p)
+		if n > 0 || err == nil {
+			return n, nil
+		}
+		if err = c.waitOn(err); err != nil {
+			return 0, err
+		}
+	}
+}
 
-func (e *remoteStatusErr) Error() string { return e.msg }
+func (c *tcpConn) Write(p []byte) (int, error) {
+	n := 0
+	for {
+		k, err := c.sock.Write(p[n:])
+		if n += k; err == nil {
+			return n, nil
+		}
+		if err = c.waitOn(err); err != nil {
+			return n, err
+		}
+	}
+}
+
+// waitOn returns nil if an I/O call that failed with err may wait on for
+// another slice, and otherwise why not.
+func (c *tcpConn) waitOn(err error) error {
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		return err
+	}
+	if c.t.peerGone(c.to) {
+		return fmt.Errorf("shmem/tcp: PE %d: %w", c.to, ErrPeerDead)
+	}
+	if ferr := c.t.w.errFor(c.from); ferr != nil {
+		return ferr
+	}
+	now := time.Now()
+	if dl := c.t.w.cfg.OpTimeout; dl > 0 {
+		if c.deadline.IsZero() {
+			c.deadline = now.Add(dl)
+		} else if now.After(c.deadline) {
+			return err
+		}
+	}
+	c.nextSlice(now)
+	return nil
+}
+
+func (c *tcpConn) nextSlice(now time.Time) {
+	c.slice = now.Add(parkQuantum)
+	_ = c.sock.SetDeadline(c.slice) // fails only on a closed socket, whose next call fails too
+}
+
+// drop closes c after a failure, discarding what it buffered (unfenced
+// injections to a live target are marked lost); the next op dials fresh.
+func (c *tcpConn) drop() {
+	if c.sock != nil {
+		c.sock.Close()
+		c.sock = nil
+	}
+	c.lost = (c.lost || c.unfenced) && !c.t.peerGone(c.to)
+	c.unflushed, c.unfenced = 0, false
+}
+
+// flush writes out everything c has buffered. It first moves the socket's
+// deadline a slice ahead if less than half a slice remains, so only a real
+// wait runs into it, and a busy connection moves it about twice a slice
+// rather than per op.
+func (c *tcpConn) flush() error {
+	if now := time.Now(); now.Add(parkQuantum / 2).After(c.slice) {
+		c.nextSlice(now)
+	}
+	c.unflushed = 0
+	return c.rw.Flush()
+}
+
+// send writes r behind whatever c has buffered and flushes (c open).
+func (c *tcpConn) send(r *opReq, payload []byte) error {
+	if err := writeRequest(c.rw.Writer, c.whdr[:], r, payload); err != nil {
+		return err
+	}
+	return c.flush()
+}
+
+// await reads c's next reply, which proves every injection written ahead
+// of it applied.
+func (c *tcpConn) await(into []byte) (byte, uint64, []byte, error) {
+	status, val, rp, err := readResponse(c.rw.Reader, c.rhdr[:], into)
+	if err == nil {
+		c.unfenced = false
+	}
+	return status, val, rp, err
+}
+
+// typed wraps a failed exchange with peer in the sentinel its caller acts
+// on: ErrPeerDead once the peer is gone, ErrOpTimeout when it did not
+// answer — the exchange timed out, or the peer's listener refused the dial
+// (a crashed process the failure detector has not declared yet, which a
+// thief quarantines like any other unresponsive victim).
+func (t *tcpTransport) typed(err error, peer int) error {
+	var ne net.Error
+	switch {
+	case errors.Is(err, ErrPeerDead):
+		return err
+	case t.peerGone(peer):
+		return fmt.Errorf("%v: %w", err, ErrPeerDead)
+	case errors.As(err, &ne) && ne.Timeout() || errors.Is(err, syscall.ECONNREFUSED):
+		return fmt.Errorf("%v: %w", err, ErrOpTimeout)
+	}
+	return err
+}
 
 // opIdempotent reports whether retrying op after its request may have
 // reached the target is safe. Atomics (fetch-add, swap, cas, fused) are
@@ -701,33 +633,10 @@ func retryBackoff(attempt int) time.Duration {
 	return base/2 + time.Duration(rand.Int63n(int64(base/2)+1))
 }
 
-// unresponsive reports whether a failed round trip means the peer did not
-// answer: the op timed out, or the peer's listener refused the dial — a
-// crashed process the failure detector has not declared yet, which a
-// thief quarantines like any other unresponsive victim.
-func unresponsive(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout() || errors.Is(err, syscall.ECONNREFUSED)
-}
-
-// evictSync closes and forgets a sync connection whose request/response
-// stream may be desynchronized (after a timeout the straggling response
-// could arrive later and be mistaken for the next op's). The next op to
-// this target dials fresh.
-func (t *tcpTransport) evictSync(from, to int, sc *syncConn) {
-	key := connKey{from, to, connSync}
-	t.mu.Lock()
-	if t.sync_[key] == sc {
-		delete(t.sync_, key)
-	}
-	t.mu.Unlock()
-	sc.c.Close()
-}
-
-// blocking performs one request/response on the sync connection, failing
-// fast on a per-op deadline and retrying transient connection errors with
-// bounded exponential backoff. A get's payload is read straight into the
-// caller's destination without an intermediate copy.
+// blocking performs one round trip on the pair's connection, behind and so
+// fencing the pair's buffered injections, retrying transient connection
+// errors with bounded exponential backoff. A get's payload is read
+// straight into the caller's destination without an intermediate copy.
 func (t *tcpTransport) blocking(r opReq) (uint64, []byte, error) {
 	v := t.w.verdict(&r)
 	payload, into, tbl := encodeOp(&r)
@@ -741,167 +650,169 @@ func (t *tcpTransport) blocking(r opReq) (uint64, []byte, error) {
 	if err := v.failure(); err != nil {
 		return 0, nil, opError(r.op, r.from, r.to, err)
 	}
-	// A blocking op must not overtake this initiator's coalesced
-	// injections to the same target: flush them first so buffering never
-	// reorders a completion notification after a later round trip.
-	if ac := t.asyncTo(r.from, r.to); ac != nil {
-		if err := ac.flush(); err != nil {
-			return 0, nil, opError(r.op, r.from, r.to, fmt.Errorf("flushing injections: %w", err))
-		}
+	c, err := t.conn(r.from, r.to)
+	if err != nil {
+		return 0, nil, err
 	}
-	var lastErr error
 	for attempt := 0; ; attempt++ {
-		val, rp, wrote, err := t.attemptSync(&r, payload, into)
+		val, rp, final, err := t.attempt(c, &r, payload, into)
 		if err == nil {
 			if into != nil && len(rp) != len(into) {
 				return 0, nil, fmt.Errorf("shmem/tcp: %v from PE %d returned %d bytes, want %d", r.op, r.to, len(rp), len(into))
 			}
 			return val, rp, nil
 		}
-		var rse *remoteStatusErr
-		if errors.As(err, &rse) {
-			// The target executed the request and said no; retrying
-			// cannot change the answer.
-			return 0, nil, opError(r.op, r.from, r.to, err)
-		}
-		lastErr = err
-		if t.peerGone(r.to) {
-			return 0, nil, opError(r.op, r.from, r.to, fmt.Errorf("%v: %w", err, ErrPeerDead))
-		}
-		if wrote && !opIdempotent(r.op) {
-			// The request bytes may have reached the target, which may or
-			// may not have applied the atomic — a retry risks applying it
-			// twice. Surface the failure instead.
-			break
-		}
-		if attempt >= opRetries || t.closed.Load() {
-			break
+		if final || attempt >= opRetries || t.peerGone(r.to) {
+			return 0, nil, opError(r.op, r.from, r.to, t.typed(err, r.to))
 		}
 		time.Sleep(retryBackoff(attempt))
 	}
-	if unresponsive(lastErr) {
-		return 0, nil, opError(r.op, r.from, r.to, fmt.Errorf("%v: %w", lastErr, ErrOpTimeout))
-	}
-	return 0, nil, opError(r.op, r.from, r.to, lastErr)
 }
 
-// attemptSync is one try of blocking's request/response exchange. wrote
-// reports whether any request bytes may have left this process (false only
-// when establishing the connection failed). Connection-level failures
-// evict the sync conn — its stream can no longer be trusted to be aligned.
-func (t *tcpTransport) attemptSync(r *opReq, payload, respInto []byte) (uint64, []byte, bool, error) {
-	from, to := r.from, r.to
-	sc, err := t.syncConn(from, to)
-	if err != nil {
+// attempt is one try of blocking's round trip. final says a retry is
+// futile or unsafe: the target rejected the op, the request may have
+// reached it and a second copy could apply twice, or the connection that
+// broke carried injections no reply had fenced, whose loss a fresh
+// connection would hide.
+func (t *tcpTransport) attempt(c *tcpConn, r *opReq, payload, into []byte) (uint64, []byte, bool, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.open(); err != nil {
 		return 0, nil, false, err
 	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if dl := t.w.cfg.OpTimeout; dl > 0 {
-		_ = sc.c.SetDeadline(time.Now().Add(dl))
+	final := c.unfenced || !opIdempotent(r.op)
+	err := c.send(r, payload)
+	if err == nil {
+		var status byte
+		var val uint64
+		var rp []byte
+		if status, val, rp, err = c.await(into); err == nil {
+			if status != 0 {
+				// The target executed the request and said no; retrying
+				// cannot change the answer.
+				return 0, nil, true, errors.New(string(rp))
+			}
+			return val, rp, false, nil
+		}
+		err = fmt.Errorf("response: %w", err)
 	}
-	if err := writeRequest(sc.rw.Writer, sc.whdr[:], r, payload); err != nil {
-		t.evictSync(from, to, sc)
-		return 0, nil, true, err
-	}
-	if err := sc.rw.Writer.Flush(); err != nil {
-		t.evictSync(from, to, sc)
-		return 0, nil, true, err
-	}
-	status, val, rp, err := readResponse(sc.rw.Reader, sc.rhdr[:], respInto)
-	if err != nil {
-		t.evictSync(from, to, sc)
-		return 0, nil, true, fmt.Errorf("response: %w", err)
-	}
-	if status != 0 {
-		return 0, nil, true, &remoteStatusErr{msg: string(rp)}
-	}
-	return val, rp, true, nil
+	// The stream may be desynchronized (a straggling reply could be taken
+	// for the next op's), so the connection goes.
+	c.drop()
+	return 0, nil, final, err
 }
 
-// nbi pipelines one non-blocking request. The write lands in the
-// connection's buffer; it is flushed once ackBatch ops accumulate, or
-// earlier by a blocking op to the same target, Quiet, or the background
-// flusher.
+// conn returns the (from, to) pair's connection.
+func (t *tcpTransport) conn(from, to int) (*tcpConn, error) {
+	if to < 0 || to >= len(t.addrs) {
+		return nil, fmt.Errorf("shmem/tcp: target PE %d out of range [0, %d)", to, len(t.addrs))
+	}
+	return t.conns[from][to], nil
+}
+
+// nbi buffers one non-blocking request on the pair's connection. It goes
+// out once ackBatch injections accumulate, or earlier with a blocking op
+// to the same target, Quiet, or the background flusher.
 func (t *tcpTransport) nbi(r opReq) error {
-	from, to := r.from, r.to
 	v := t.w.verdict(&r)
 	LatencyModel{}.charge(v.Delay)
 	if v.dropped() {
-		// Silently lost before reaching the wire: nothing pending,
-		// Quiet unaffected.
+		// Silently lost before reaching the wire.
 		return nil
 	}
 	t.w.cfg.Latency.charge(t.w.cfg.Latency.InjectOverhead)
-	ac, err := t.asyncConn(from, to)
+	c, err := t.conn(r.from, r.to)
 	if err != nil {
 		return err
 	}
 	payload, _, _ := encodeOp(&r)
-	n := int64(1)
+	n := 1
 	if v.Duplicate && r.op.redeliverable() {
 		n = 2 // the retransmission is a second request on the wire
 	}
-	atomic.AddUint64(&t.pending[from], uint64(n))
-	ac.mu.Lock()
-	defer ac.mu.Unlock()
-	ac.outstanding.Add(n)
-	if ac.broken.Load() {
-		// The peer is gone: the injection drops on the floor, exactly as a
-		// NIC drops packets to a vanished endpoint. Quiet stays balanced.
-		ac.reconcile()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	err = c.open()
+	for sent := 0; err == nil && sent < n; sent++ {
+		err = writeRequest(c.rw.Writer, c.whdr[:], &r, payload)
+	}
+	if err == nil {
+		c.unflushed += n
+		c.unfenced = true
+		if c.unflushed < ackBatch {
+			return nil
+		}
+		if err = c.flush(); err == nil {
+			return nil
+		}
+	}
+	c.drop()
+	if t.peerGone(r.to) {
+		// The injection drops on the floor, exactly as a NIC drops packets
+		// to a vanished endpoint.
 		return nil
 	}
-	for sent := int64(0); sent < n; sent++ {
-		if err := writeRequest(ac.w, ac.whdr[:], &r, payload); err != nil {
-			ac.outstanding.Add(sent - n)
-			t.settle(from, n-sent)
-			if t.peerGone(to) {
-				ac.markBrokenLocked()
-				return nil
+	return opError(r.op, r.from, r.to, err)
+}
+
+// quiet fences every connection this initiator wrote injections to since
+// their last reply: one load of the target's heartbeat word each, all
+// written before any reply is read, so k targets cost one round trip. The
+// fence carries no op of the caller's, so it asks for no fault verdict and
+// charges no latency. A target already gone is written off, as a NIC drops
+// traffic to a vanished endpoint. One declared dead while its fence is out
+// fails the Quiet with ErrPeerDead, injections lost with a live target's
+// broken connection with ErrOpTimeout, once every other fence is answered.
+func (t *tcpTransport) quiet(from int) error { return t.fence(t.conns[from]) }
+
+// fence sends the fence of the first of cs that needs one and recurses on
+// the rest before reading its reply, so the call stack holds the
+// connections awaiting one, each locked, taken in rank order.
+func (t *tcpTransport) fence(cs []*tcpConn) error {
+	for i, c := range cs {
+		c.mu.Lock()
+		if sent, err := c.sendFence(); sent || err != nil {
+			rest := t.fence(cs[i+1:])
+			if sent {
+				if _, _, _, err = c.await(nil); err != nil {
+					err = c.fenceFailed(err)
+				}
 			}
-			return opError(r.op, from, to, err)
+			c.mu.Unlock()
+			return cmp.Or(err, rest)
 		}
-	}
-	ac.unflushed += int(n)
-	if ac.unflushed >= ackBatch {
-		if err := ac.flushLocked(); err != nil {
-			return opError(r.op, from, to, fmt.Errorf("flushing: %w", err))
-		}
+		c.mu.Unlock()
 	}
 	return nil
 }
 
-// quiet flushes the initiator's buffered injections and waits for their
-// acks in the one wait loop (injections raced in by the PE's other
-// goroutines after the sweep go out with the background flusher). An ack
-// that can no longer arrive ends the wait instead of hanging it: a target
-// declared dead with acks outstanding — socket open, service loop stalled,
-// so the ack reader never sees the connection break — fails the Quiet with
-// ErrPeerDead and is written off so the next one balances, and OpTimeout
-// bounds the wait like any other round trip.
-func (t *tcpTransport) quiet(from int) error {
-	if err := t.flushFrom(from); err != nil {
-		return err
+// sendFence writes c's fence if c needs one (c locked), reporting whether
+// a reply is due, or why c's injections cannot be vouched for.
+func (c *tcpConn) sendFence() (bool, error) {
+	switch {
+	case !c.unfenced && !c.lost:
+		return false, nil
+	case c.t.peerGone(c.to):
+		c.drop()
+		return false, nil
+	case c.lost:
+		c.lost = false
+		return false, fmt.Errorf("shmem: Quiet %d→%d: injections lost with a broken connection: %w", c.from, c.to, ErrOpTimeout)
 	}
-	_, err := t.waitWord(waitReq{
-		rank: from, on: from, word: &t.pending[from], cmp: CmpEQ, what: "Quiet",
-		timeout: max(t.w.cfg.OpTimeout, 0),
-		needs: func(rank int) bool {
-			ac := t.asyncTo(from, rank)
-			return ac != nil && ac.outstanding.Load() > 0
-		},
-	})
-	if errors.Is(err, ErrPeerDead) {
-		t.mu.Lock()
-		for _, ac := range t.asyncByFrom[from] {
-			if !t.w.live.Alive(ac.to) {
-				ac.markBroken()
-			}
+	err := c.open()
+	if err == nil {
+		if err = c.send(&opReq{op: OpLoad, from: c.from, to: c.to, addr: heartbeatAddr}, nil); err == nil {
+			return true, nil
 		}
-		t.mu.Unlock()
 	}
-	return err
+	return false, c.fenceFailed(err)
+}
+
+// fenceFailed writes c off, reporting the injections lost with its fence.
+func (c *tcpConn) fenceFailed(err error) error {
+	c.drop()
+	c.lost = false
+	return fmt.Errorf("shmem: Quiet %d→%d: %w", c.from, c.to, c.t.typed(err, c.to))
 }
 
 func (t *tcpTransport) close() error {
@@ -917,14 +828,13 @@ func (t *tcpTransport) close() error {
 			}
 		}
 	}
-	t.mu.Lock()
-	for _, sc := range t.sync_ {
-		sc.c.Close()
+	for _, row := range t.conns {
+		for _, c := range row {
+			c.mu.Lock()
+			c.drop()
+			c.mu.Unlock()
+		}
 	}
-	for _, ac := range t.async {
-		ac.c.Close()
-	}
-	t.mu.Unlock()
 	t.wg.Wait()
 	return errors.Join(errs...)
 }

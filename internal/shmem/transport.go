@@ -49,17 +49,13 @@ type transport interface {
 }
 
 // waitReq describes one blocked wait on a 64-bit word: WaitUntil64 on the
-// caller's own heap, the barrier's generation word on rank 0, or tcp
-// Quiet on the initiator's unacknowledged-injection count.
+// caller's own heap, or the barrier's generation word on rank 0.
 type waitReq struct {
 	rank int // the waiting PE
 	// The watched word lives at addr of PE on's heap. A heap this process
-	// cannot address (tcp, a remote rank 0) is polled with blocking loads;
-	// word, when set, is watched instead (it is not a heap word) and on
-	// names whose wake words its writers bump.
+	// cannot address (tcp, a remote rank 0) is polled with blocking loads.
 	on   int
 	addr Addr
-	word *uint64
 
 	cmp     Cmp
 	operand uint64
@@ -68,9 +64,6 @@ type waitReq struct {
 	// expired is the sentinel a timeout wraps (nil = ErrOpTimeout).
 	what    string
 	expired error
-	// needs, if non-nil, narrows whose death dooms the wait (nil = any
-	// peer could have been the one to flip the word).
-	needs func(rank int) bool
 }
 
 // holds reports whether v satisfies the wait (the comparison was validated
@@ -105,19 +98,15 @@ func (r *waitReq) timeoutErr(last uint64) error {
 
 // giveUp is the one rule that ends a wait short of its word, on either
 // clock, in this order: world failure (or the waiter's own crash
-// injection), a dead peer the wait needs, the deadline — expired says
-// whether it passed on the caller's clock (the wall clock in waitWord's
-// loop, virtual time in the sim's scheduler).
+// injection), a dead peer (any could have been the one to flip the word),
+// the deadline — expired says whether it passed on the caller's clock (the
+// wall clock in waitWord's loop, virtual time in the sim's scheduler).
 func (r *waitReq) giveUp(w *World, expired bool, last uint64) error {
 	if err := w.errFor(r.rank); err != nil {
 		return err
 	}
-	if lv := w.live; lv.AnyDead() {
-		for rank := 0; rank < w.cfg.NumPEs; rank++ {
-			if !lv.Alive(rank) && (r.needs == nil || r.needs(rank)) {
-				return r.deadErr()
-			}
-		}
+	if w.live.AnyDead() {
+		return r.deadErr()
 	}
 	if expired {
 		return r.timeoutErr(last)
@@ -158,8 +147,9 @@ func (h hostWaits) barrier(rank int) error { return h.w.bars[rank].wait() }
 // and paced by a sleep.
 func (h hostWaits) waitWord(r waitReq) (uint64, error) {
 	w := h.w
-	pe, word := w.pes[r.on], r.word
-	if word == nil && pe != nil {
+	pe := w.pes[r.on]
+	var word *uint64
+	if pe != nil {
 		word = &pe.words[r.addr/WordSize]
 	}
 	var deadline time.Time
