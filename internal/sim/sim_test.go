@@ -253,6 +253,28 @@ func TestKillReplayDeterministic(t *testing.T) {
 	}
 }
 
+// TestSimKillBeforeStartGrant: a PE crashed before the scheduler grants
+// its start never runs its body, yet must still hand its slot back, or the
+// scheduler waits for it forever and no step budget can fire. The survivors
+// run the job to the end.
+func TestSimKillBeforeStartGrant(t *testing.T) {
+	p := Params{PEs: 4, Depth: 6, Width: 12, Seed: 3}
+	p.Kill = []shmem.SimKill{{Rank: 1, At: 0}}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := Run(p)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%v: run still going after 10s (the killed PE never released the scheduler)", p)
+	}
+}
+
 // overflowParams is the full-queue configuration: 8-slot queues under a
 // BPC shape whose producers burst 25 pushes, so every PE's spawns keep
 // overflowing into its private deque and refilling the queue while thieves
