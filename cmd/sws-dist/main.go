@@ -60,7 +60,7 @@ type options struct {
 
 	metricsAddr string
 
-	opTimeout, suspectAfter, deadAfter time.Duration
+	opTimeout, deadAfter time.Duration
 
 	flightDir string
 	killRank  int
@@ -89,7 +89,6 @@ func main() {
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live metrics/pprof; rank r listens on port+r (e.g. :9090 puts rank 2 on :9092)")
 
 	flag.DurationVar(&o.opTimeout, "op-timeout", 0, "per-operation transport deadline (0 = library default)")
-	flag.DurationVar(&o.suspectAfter, "suspect-after", 0, "heartbeat silence before a peer is suspected (0 = library default)")
 	flag.DurationVar(&o.deadAfter, "dead-after", 0, "heartbeat silence before a peer is declared dead (0 = library default)")
 
 	flag.StringVar(&o.flightDir, "flight-dir", "", "directory for flight-recorder journals, dumped on failure (empty = no dumps)")
@@ -177,13 +176,12 @@ func (o *options) validateChurn() error {
 // durations defer to the library defaults).
 func (o *options) world() shmem.Config {
 	cfg := shmem.Config{
-		NumPEs:       o.n,
-		HeapBytes:    distHeapBytes,
-		Transport:    shmem.TransportTCP,
-		OpTimeout:    o.opTimeout,
-		SuspectAfter: o.suspectAfter,
-		DeadAfter:    o.deadAfter,
-		FlightDir:    o.flightDir,
+		NumPEs:    o.n,
+		HeapBytes: distHeapBytes,
+		Transport: shmem.TransportTCP,
+		OpTimeout: o.opTimeout,
+		DeadAfter: o.deadAfter,
+		FlightDir: o.flightDir,
 	}
 	if o.transport == "shm" {
 		cfg.Transport = shmem.TransportShm

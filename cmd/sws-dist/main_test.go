@@ -179,7 +179,6 @@ func TestKillProducesFlightDump(t *testing.T) {
 	cmd := exec.Command(bin,
 		"-n", "4", "-depth", depth,
 		"-op-timeout", "500ms",
-		"-suspect-after", "300ms",
 		"-dead-after", "1s",
 		"-flight-dir", dumps,
 		"-kill-rank", "1",
@@ -235,7 +234,6 @@ func TestDistSurvivesSIGKILL(t *testing.T) {
 	cmd := exec.Command(bin,
 		"-n", "4", "-depth", calibrate(t, bin).depthFor(t, killDelay),
 		"-op-timeout", "500ms",
-		"-suspect-after", "300ms",
 		"-dead-after", deadAfter.String())
 	watcher := newLineWatcher()
 	stdout, err := cmd.StdoutPipe()
@@ -422,7 +420,6 @@ func TestShmSurvivesSIGKILL(t *testing.T) {
 	cmd := exec.Command(bin,
 		"-transport", "shm",
 		"-n", "4", "-depth", calibrate(t, bin, "-transport", "shm").depthFor(t, killDelay),
-		"-suspect-after", "300ms",
 		"-dead-after", deadAfter.String())
 	watcher := newLineWatcher()
 	stdout, err := cmd.StdoutPipe()

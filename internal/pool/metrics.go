@@ -84,7 +84,7 @@ var (
 	mLost = obs.NewCounter("sws_pool_tasks_lost_total", "tasks", "pe, protocol",
 		"Ledger estimate of tasks lost to dead PEs (degraded termination).")
 	mPeerState = obs.NewGauge("sws_liveness_peer_state", "dimensionless (enum)", "pe, peer",
-		"Failure-detector state per peer (0=alive, 1=suspect, 2=dead, 3=joining, 4=draining, 5=parked).")
+		"Failure-detector state per peer (0=alive, 2=dead, 3=joining, 4=draining, 5=parked).")
 	mOpLatency = obs.NewQuantiles("sws_pool_op_latency_seconds", "pe, protocol, op",
 		"Scheduling-op latency quantiles (p50/p95/p99). op=exec holds the task bodies the exec clock timed: one in 64 per worker, every one with a trace buffer attached.",
 		"Scheduling-op latency sample count (op=exec: timed bodies, not tasks executed).")

@@ -331,7 +331,7 @@ func TestDegradedVerdictWaitsForBusySurvivor(t *testing.T) {
 	const links = 4000
 	w, err := shmem.NewWorld(shmem.Config{
 		NumPEs: 3, HeapBytes: 4 << 20, Transport: shmem.TransportSim,
-		SuspectAfter: 200 * time.Microsecond, DeadAfter: 500 * time.Microsecond,
+		DeadAfter: 500 * time.Microsecond,
 		Sim: shmem.SimOptions{Seed: 1, MaxVirtualTime: 30 * time.Second,
 			Kill: []shmem.SimKill{{Rank: 2, At: 100 * time.Microsecond}}},
 	})

@@ -360,7 +360,7 @@ func (p *Pool) stepExecuteLocal() (bool, error) {
 		return false, err
 	}
 	// Once a peer is dead the leader calls the survivors quiescent when two
-	// of its passes read the same counters (term's checkDegraded), so a busy
+	// of its passes read the same counters (term.Detector.Check), so a busy
 	// PE's must move with every task it runs, not only on the stepProgress
 	// beat. Fault-free, the check is two loads.
 	if lv := p.ctx.Liveness(); lv != nil && lv.AnyDead() {

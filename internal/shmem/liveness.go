@@ -53,23 +53,21 @@ func opError(op Op, from, to int, err error) error {
 // PeerState is one peer's position in the failure detector's state machine.
 type PeerState int32
 
+// The numbers are what journals and sws_liveness_peer_state carry; 1 is
+// unused.
 const (
-	// PeerAlive: heartbeats (or explicit health evidence) current.
-	PeerAlive PeerState = iota
-	// PeerSuspect: no heartbeat progress for SuspectAfter; operations
-	// still attempted.
-	PeerSuspect
+	// PeerAlive: heartbeats (or explicit health evidence) current, or
+	// stalled for less than DeadAfter; operations still attempted.
+	PeerAlive PeerState = 0
 	// PeerDead: no heartbeat progress for DeadAfter (or explicit
 	// declaration). Terminal: a dead peer never comes back.
-	PeerDead
+	PeerDead PeerState = 2
 )
 
 func (s PeerState) String() string {
 	switch s {
 	case PeerAlive:
 		return "alive"
-	case PeerSuspect:
-		return "suspect"
 	case PeerDead:
 		return "dead"
 	case PeerJoining:
@@ -89,24 +87,22 @@ type Liveness struct {
 	w *World
 
 	// states holds a PeerState per rank, moved only by transition. The
-	// detector's moves are monotone (alive -> suspect -> dead); dead is
-	// terminal.
+	// detector's one move is to dead, which is terminal.
 	states []atomic.Int32
 	// killed marks crash-injected ranks: the rank's own operations fail
 	// with ErrPEKilled, and peers' operations against it fail fast with
 	// ErrOpTimeout until the detector declares it dead.
 	killed []atomic.Bool
 
-	// events counts kills plus death/suspect declarations. Zero means the
-	// whole layer is inert — the per-op gate checks only this.
+	// events counts kills plus death declarations. Zero means the whole
+	// layer is inert — the per-op gate checks only this.
 	events atomic.Uint64
 	// deadCount is the number of ranks in PeerDead.
 	deadCount atomic.Int64
 
-	// Elastic-membership state (membership.go). elastic gates the whole
-	// layer — false until SetInitialMembers or the first transition —
-	// and memberEpoch versions the membership view.
-	elastic     atomic.Bool
+	// memberEpoch versions the membership view (membership.go); zero
+	// until SetInitialMembers or the first voluntary transition, it is
+	// also the elastic layer's gate.
 	memberEpoch atomic.Uint64
 	// drainStart holds BeginDrain wall-clock stamps per rank (unix
 	// nanos, 0 = no drain in progress); drainHist/drains/joins feed the
@@ -158,16 +154,6 @@ func (l *Liveness) AnyDead() bool { return l.deadCount.Load() > 0 }
 // DeadCount returns the number of ranks declared dead.
 func (l *Liveness) DeadCount() int { return int(l.deadCount.Load()) }
 
-// LiveRanks appends the ranks not declared dead to dst and returns it.
-func (l *Liveness) LiveRanks(dst []int) []int {
-	for i := range l.states {
-		if PeerState(l.states[i].Load()) != PeerDead {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-
 // Kill crash-injects rank: its own operations fail with ErrPEKilled and its
 // peers' operations against it fail fast, as if the OS process died. The
 // detector declares it dead after DeadAfter (immediately if DeadAfter <= 0
@@ -183,15 +169,14 @@ func (l *Liveness) Kill(rank int) {
 	}
 }
 
-// crash flags rank crash-injected (suspicion is instant on an explicit
-// crash) and reports whether this call was the one that did; declaring it
-// dead DeadAfter later is the caller's clock's business.
+// crash flags rank crash-injected and reports whether this call was the
+// one that did; declaring it dead DeadAfter later is the caller's clock's
+// business.
 func (l *Liveness) crash(rank int) bool {
 	if l.killed[rank].Swap(true) {
 		return false
 	}
 	l.events.Add(1)
-	l.transition(rank, PeerAlive, PeerSuspect)
 	return true
 }
 
@@ -211,10 +196,10 @@ func (l *Liveness) MarkDead(rank int) {
 
 // transition is the one way a rank's state moves, for the failure detector
 // and voluntary membership alike: CAS from → to, one journal record, then
-// the effects of the state entered. Suspect and Dead open the liveness
-// gate (events), and Dead is counted; a voluntary state enables the elastic
-// layer, bumps the membership epoch and is advertised in the rank's
-// membership word. Voluntary transitions hold l.mu; the detector's take no
+// the effects of the state entered. Dead opens the liveness gate (events)
+// and is counted; a voluntary state bumps the membership epoch, which
+// enables the elastic layer, and is advertised in the rank's membership
+// word. Voluntary transitions hold l.mu; the detector's take no
 // lock and win any race through the CAS.
 func (l *Liveness) transition(rank int, from, to PeerState) bool {
 	if !l.states[rank].CompareAndSwap(int32(from), int32(to)) {
@@ -222,13 +207,10 @@ func (l *Liveness) transition(rank int, from, to PeerState) bool {
 	}
 	l.w.flightState(rank, to)
 	switch to {
-	case PeerSuspect, PeerDead:
+	case PeerDead:
 		l.events.Add(1)
-		if to == PeerDead {
-			l.deadCount.Add(1)
-		}
+		l.deadCount.Add(1)
 	default:
-		l.elastic.Store(true)
 		l.memberEpoch.Add(1)
 		l.publishMember(rank)
 	}
@@ -236,14 +218,14 @@ func (l *Liveness) transition(rank int, from, to PeerState) bool {
 }
 
 // startProber launches the heartbeat loop for a distributed world: bump our
-// own beacon word and remotely read each peer's, declaring peers suspect
-// after SuspectAfter without progress and dead after DeadAfter. Read errors
-// count as lack of progress (a SIGKILLed process stops answering at all).
-// The probe period follows SuspectAfter, so shortening the one can never
-// make a single late tick look like silence.
+// own beacon word and remotely read each peer's, declaring a peer dead
+// after DeadAfter without progress. Read errors count as lack of progress
+// (a SIGKILLed process stops answering at all). The probe period follows
+// DeadAfter, so shortening it can never make a single late tick look like
+// silence.
 func (l *Liveness) startProber(selfRank int) {
 	cfg := l.w.cfg
-	interval := cfg.SuspectAfter / heartbeatsPerSuspect
+	interval := cfg.DeadAfter / heartbeatsPerDead
 	if interval <= 0 || cfg.NumPEs < 2 {
 		return
 	}
@@ -298,11 +280,8 @@ func (l *Liveness) startProber(selfRank int) {
 					p.lastChange = now
 					continue
 				}
-				idle := now.Sub(p.lastChange)
-				if idle > cfg.DeadAfter {
+				if now.Sub(p.lastChange) > cfg.DeadAfter {
 					l.MarkDead(r)
-				} else if idle > cfg.SuspectAfter {
-					l.transition(r, PeerAlive, PeerSuspect)
 				}
 			}
 		}

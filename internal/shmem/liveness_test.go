@@ -178,12 +178,11 @@ func simKillWorld(t *testing.T, numPEs int, seed int64, kills []SimKill, log *by
 		opts.Log = log
 	}
 	w, err := NewWorld(Config{
-		NumPEs:       numPEs,
-		HeapBytes:    1 << 16,
-		Transport:    TransportSim,
-		SuspectAfter: 200 * time.Microsecond,
-		DeadAfter:    500 * time.Microsecond,
-		Sim:          opts,
+		NumPEs:    numPEs,
+		HeapBytes: 1 << 16,
+		Transport: TransportSim,
+		DeadAfter: 500 * time.Microsecond,
+		Sim:       opts,
 	})
 	if err != nil {
 		t.Fatalf("NewWorld: %v", err)
@@ -265,7 +264,6 @@ func TestLivenessInertWhenFaultFree(t *testing.T) {
 			Sim:       SimOptions{Seed: 42, MaxVirtualTime: 2 * time.Second, Log: &log},
 		}
 		if tuned {
-			cfg.SuspectAfter = 123 * time.Microsecond
 			cfg.DeadAfter = 456 * time.Microsecond
 			cfg.OpTimeout = time.Second
 		}

@@ -31,13 +31,13 @@ import (
 // it moves.
 //
 // Like the failure detector, the whole layer is inert until used: the
-// elastic gate stays false (one atomic load to check) until the first
+// membership epoch stays zero (one atomic load to check) until the first
 // transition or SetInitialMembers call, so fixed-membership runs take no
 // extra branches, draw no extra randomness, and replay byte-identically
 // under the sim transport.
 
-// Membership extensions of the PeerState machine. Unlike Suspect/Dead
-// these are voluntary and reversible: Parked is not a failure, and a
+// Membership extensions of the PeerState machine. Unlike Dead these are
+// voluntary and reversible: Parked is not a failure, and a
 // parked rank may later join again.
 const (
 	// PeerJoining: the rank has been asked to (re)enter the membership
@@ -56,7 +56,7 @@ const (
 // Elastic reports whether membership transitions have ever been enabled
 // on this world (SetInitialMembers or any Begin* call). One atomic load;
 // false means the membership layer is fully inert.
-func (l *Liveness) Elastic() bool { return l.elastic.Load() }
+func (l *Liveness) Elastic() bool { return l.memberEpoch.Load() != 0 }
 
 // MemberEpoch returns the current membership epoch. It starts at zero
 // and bumps on every membership transition; schedulers compare it
@@ -64,31 +64,26 @@ func (l *Liveness) Elastic() bool { return l.elastic.Load() }
 func (l *Liveness) MemberEpoch() uint64 { return l.memberEpoch.Load() }
 
 // Member reports whether rank is currently inside the membership: a
-// valid steal victim and spawn target. Suspect ranks still count (the
-// failure detector has not given up on them); Joining ranks do not until
-// they complete the join.
-func (l *Liveness) Member(rank int) bool {
-	s := l.State(rank)
-	return s == PeerAlive || s == PeerSuspect
-}
+// valid steal victim and spawn target. Joining ranks are not until they
+// complete the join.
+func (l *Liveness) Member(rank int) bool { return l.State(rank) == PeerAlive }
 
 // Members appends the current membership (sorted ascending) to dst.
 func (l *Liveness) Members(dst []int) []int {
 	for i := range l.states {
-		s := PeerState(l.states[i].Load())
-		if s == PeerAlive || s == PeerSuspect {
+		if PeerState(l.states[i].Load()) == PeerAlive {
 			dst = append(dst, i)
 		}
 	}
 	return dst
 }
 
-// MembershipCounts returns the rank counts per membership state
-// (suspect ranks count as live; dead ranks are none of these).
+// MembershipCounts returns the rank counts per membership state (dead
+// ranks are none of these).
 func (l *Liveness) MembershipCounts() (live, joining, draining, parked int) {
 	for i := range l.states {
 		switch PeerState(l.states[i].Load()) {
-		case PeerAlive, PeerSuspect:
+		case PeerAlive:
 			live++
 		case PeerJoining:
 			joining++
@@ -102,32 +97,34 @@ func (l *Liveness) MembershipCounts() (live, joining, draining, parked int) {
 }
 
 // Leader returns the rank that drives the termination wave: the lowest
-// rank currently engaged in the protocol (member or joining). It is 0
-// for non-elastic worlds — one atomic load, preserving the fixed-
-// membership fast path — and falls back to 0 if every rank is parked or
-// dead (termination is then moot).
+// engaged rank (member or joining) not declared dead, else the lowest live
+// one (0 if every rank is dead: termination is then moot). On a
+// fixed-membership world where nobody has died it is 0 after two atomic
+// loads.
 func (l *Liveness) Leader() int {
-	if !l.elastic.Load() {
+	if !l.Elastic() && !l.AnyDead() {
 		return 0
 	}
+	live := -1
 	for i := range l.states {
-		switch PeerState(l.states[i].Load()) {
-		case PeerAlive, PeerSuspect, PeerJoining:
+		switch s := PeerState(l.states[i].Load()); {
+		case s == PeerAlive || s == PeerJoining:
 			return i
+		case s != PeerDead && live < 0:
+			live = i
 		}
 	}
-	return 0
+	return max(live, 0)
 }
 
 // SetInitialMembers declares that only ranks [0, n) start inside the
 // membership; ranks [n, NumPEs) start Parked. It must be called before
 // the world runs (every process of a distributed world must pass the
-// same n), and it enables the elastic layer.
+// same n), and its epoch bump enables the elastic layer.
 func (l *Liveness) SetInitialMembers(n int) error {
 	if n < 1 || n > len(l.states) {
 		return fmt.Errorf("shmem: initial members %d outside [1, %d]", n, len(l.states))
 	}
-	l.elastic.Store(true)
 	for r := n; r < len(l.states); r++ {
 		l.states[r].Store(int32(PeerParked))
 		l.publishMember(r)
@@ -155,15 +152,14 @@ func (l *Liveness) BeginDrain(rank int) error {
 		if i == rank {
 			continue
 		}
-		if s := PeerState(l.states[i].Load()); s == PeerAlive || s == PeerSuspect {
+		if PeerState(l.states[i].Load()) == PeerAlive {
 			others++
 		}
 	}
 	if others == 0 {
 		return fmt.Errorf("shmem: draining rank %d would leave an empty membership", rank)
 	}
-	if !l.transition(rank, PeerAlive, PeerDraining) &&
-		!l.transition(rank, PeerSuspect, PeerDraining) {
+	if !l.transition(rank, PeerAlive, PeerDraining) {
 		return fmt.Errorf("shmem: rank %d is %v, not a member; cannot drain", rank, l.State(rank))
 	}
 	if rank < len(l.drainStart) {
@@ -234,7 +230,7 @@ func (l *Liveness) publishMember(rank int) {
 // mirrorMember folds a peer's remotely advertised membership state into
 // the local view (distributed worlds; the prober calls it). Voluntary
 // states copy over; Alive only overwrites another voluntary state, so
-// the heartbeat detector keeps sole authority over Suspect and Dead.
+// the heartbeat detector keeps sole authority over Dead.
 func (l *Liveness) mirrorMember(rank int, adv PeerState) {
 	cur := l.State(rank)
 	if cur == PeerDead || cur == adv {

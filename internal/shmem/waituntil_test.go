@@ -140,7 +140,7 @@ func TestBlockedWaits(t *testing.T) {
 			if cfg.Transport == TransportSim {
 				// Virtual time: the crash fires from the schedule, well
 				// after the opening barrier.
-				cfg.SuspectAfter, cfg.DeadAfter = 50*time.Microsecond, 100*time.Microsecond
+				cfg.DeadAfter = 100 * time.Microsecond
 				cfg.Sim.Kill = []SimKill{{Rank: 1, At: time.Millisecond}}
 			}
 		},

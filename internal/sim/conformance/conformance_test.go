@@ -22,11 +22,10 @@ var churnSeed = flag.Int64("churn.seed", -1, "replay one ExactlyOnceUnderChurn s
 func inProcKilled(kind shmem.TransportKind) func(numPEs, victim int, seed int64) (*shmem.World, error) {
 	return func(numPEs, victim int, seed int64) (*shmem.World, error) {
 		w, err := shmem.NewWorld(shmem.Config{
-			NumPEs:       numPEs,
-			HeapBytes:    1 << 20,
-			Transport:    kind,
-			SuspectAfter: 2 * time.Millisecond,
-			DeadAfter:    5 * time.Millisecond,
+			NumPEs:    numPEs,
+			HeapBytes: 1 << 20,
+			Transport: kind,
+			DeadAfter: 5 * time.Millisecond,
 		})
 		if err != nil {
 			return nil, err
@@ -87,11 +86,10 @@ func factories() []Factory {
 				// a failing seed replays exactly.
 				at := 50*time.Microsecond + time.Duration(uint64(seed)%16)*50*time.Microsecond
 				return shmem.NewWorld(shmem.Config{
-					NumPEs:       numPEs,
-					HeapBytes:    1 << 20,
-					Transport:    shmem.TransportSim,
-					SuspectAfter: 200 * time.Microsecond,
-					DeadAfter:    500 * time.Microsecond,
+					NumPEs:    numPEs,
+					HeapBytes: 1 << 20,
+					Transport: shmem.TransportSim,
+					DeadAfter: 500 * time.Microsecond,
 					Sim: shmem.SimOptions{
 						Seed:           seed,
 						MaxVirtualTime: 30 * time.Second,

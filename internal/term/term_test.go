@@ -1,6 +1,7 @@
 package term
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -237,4 +238,159 @@ func TestMultiJobEpochs(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// awaitVerdict polls Check until this PE sees the verdict. A PE crashed
+// under the test returns nil once its own Ctx says so; any other world
+// failure is returned.
+func awaitVerdict(c *shmem.Ctx, d *Detector) error {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if err := c.Err(); err != nil {
+			if errors.Is(err, shmem.ErrPEKilled) {
+				return nil
+			}
+			return err
+		}
+		done, err := d.Check()
+		if err != nil {
+			return err
+		}
+		if done {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("PE %d never saw the verdict", c.Rank())
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// killPeer crash-injects rank from inside a body and waits until the
+// detector has declared it dead.
+func killPeer(c *shmem.Ctx, w *shmem.World, rank int) error {
+	w.Kill(rank)
+	for deadline := time.Now().Add(5 * time.Second); c.Liveness().Alive(rank); {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("PE %d never declared dead", rank)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return nil
+}
+
+// A termination pass costs one blocking op per live peer, with or without
+// a dead one: the leader's own words are a local read, and a degraded pass
+// reads a peer's activity word in the same Get as its counters.
+func TestTermPassOneGetPerLivePeer(t *testing.T) {
+	w, err := shmem.NewWorld(shmem.Config{NumPEs: 4, DeadAfter: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(c *shmem.Ctx) error {
+		d, err := New(c)
+		if err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil || c.Rank() != 0 {
+			return err
+		}
+		pass := func() (uint64, error) {
+			before := c.Counters().Snapshot()
+			done, err := d.Check()
+			if done {
+				return 0, fmt.Errorf("a first pass reached a verdict")
+			}
+			return c.Counters().Snapshot().Sub(before).Blocking(), err
+		}
+		if n, err := pass(); err != nil || n != 3 {
+			return fmt.Errorf("fault-free pass: %d blocking ops (%v), want 3", n, err)
+		}
+		if err := killPeer(c, w, 3); err != nil {
+			return err
+		}
+		if n, err := pass(); err != nil || n != 2 {
+			return fmt.Errorf("degraded pass: %d blocking ops (%v), want 2", n, err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// killOnRead crash-injects PE victim when the leader's detection pass
+// reads PE next for the at-th time: that pass has already read victim and
+// goes on to a verdict victim can no longer receive.
+type killOnRead struct {
+	w            *shmem.World
+	base         atomic.Uint64 // the detector's words, once New has run
+	victim, next int
+	at           int32
+	reads        atomic.Int32
+}
+
+func (k *killOnRead) Before(op shmem.Op, from, to int, addr shmem.Addr) shmem.Verdict {
+	if b := k.base.Load(); b != 0 && op == shmem.OpGet && from == 0 && to == k.next &&
+		uint64(addr) == b && k.reads.Add(1) == k.at {
+		k.w.Kill(k.victim)
+	}
+	return shmem.Verdict{}
+}
+
+// A peer killed between the confirming pass and the broadcast can neither
+// fail the world nor keep the verdict from a live peer: the leader voids
+// the pass, waits out the death and broadcasts to every survivor before it
+// reports done, with or without a peer dead before detection started.
+func TestVerdictReachesEveryLivePeer(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		deadPeer int // killed before detection starts; -1 for none
+	}{{"fault-free", -1}, {"degraded", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := &killOnRead{victim: 1, next: 2, at: 2}
+			w, err := shmem.NewWorld(shmem.Config{NumPEs: 4, Fault: inj, DeadAfter: 20 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj.w = w
+			err = w.Run(func(c *shmem.Ctx) error {
+				d, err := New(c)
+				if err != nil {
+					return err
+				}
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+				if c.Rank() != 0 {
+					return awaitVerdict(c, d)
+				}
+				if tc.deadPeer >= 0 {
+					if err := killPeer(c, w, tc.deadPeer); err != nil {
+						return err
+					}
+				}
+				base, _ := d.Region()
+				inj.base.Store(uint64(base))
+				if err := awaitVerdict(c, d); err != nil {
+					return err
+				}
+				if inj.reads.Load() < inj.at {
+					return fmt.Errorf("verdict after %d reads of PE %d, before the kill", inj.reads.Load(), inj.next)
+				}
+				for pe := 1; pe < c.NumPEs(); pe++ {
+					if c.Liveness().Killed(pe) {
+						continue
+					}
+					if v, err := c.Load64(pe, d.flagAddr); err != nil || v == 0 {
+						return fmt.Errorf("leader reported done while live PE %d's flag is %d (%v)", pe, v, err)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
