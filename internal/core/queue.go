@@ -510,7 +510,7 @@ func (q *Queue) parityBusy(p int) bool {
 // wedging the queue forever.
 func (q *Queue) waitParityFree(p int) error {
 	// The parity is nearly always free already: the deadline is computed
-	// only once the wait actually waits.
+	// only once the wait actually waits, on the PE's own clock.
 	var deadline, deadSince time.Time
 	for {
 		if err := q.Progress(); err != nil {
@@ -525,15 +525,15 @@ func (q *Queue) waitParityFree(p int) error {
 		}
 		if lv := q.ctx.Liveness(); lv != nil && lv.AnyDead() {
 			if deadSince.IsZero() {
-				deadSince = time.Now()
-			} else if time.Since(deadSince) > forceCloseGrace {
+				deadSince = q.ctx.Now()
+			} else if q.ctx.Now().Sub(deadSince) > forceCloseGrace {
 				q.forceCloseStalled()
 				continue // re-run Progress over the filled slots
 			}
 		}
 		if deadline.IsZero() {
-			deadline = time.Now().Add(resetPoll)
-		} else if time.Now().After(deadline) {
+			deadline = q.ctx.Now().Add(resetPoll)
+		} else if q.ctx.Now().After(deadline) {
 			return fmt.Errorf("core: reset stalled %v waiting for completion epoch parity %d (lost thief?)", resetPoll, p)
 		}
 		// Scheduler-visible yield: a thief's completion store is what ends

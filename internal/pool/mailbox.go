@@ -154,8 +154,8 @@ func (m *mailbox) awaitCredit(pe int, ticket uint64) error {
 			return werr
 		}
 		if deadline.IsZero() {
-			deadline = time.Now().Add(pushTimeout)
-		} else if time.Now().After(deadline) {
+			deadline = m.ctx.Now().Add(pushTimeout)
+		} else if m.ctx.Now().After(deadline) {
 			return fmt.Errorf("pool: PE %d inbox stayed full for %v: ticket %d, read cursor %d, %d slots (receiver not draining?)",
 				pe, pushTimeout, ticket, cursor, m.slots)
 		}

@@ -218,6 +218,16 @@ func (w *World) errFor(rank int) error {
 	return fmt.Errorf("shmem: world failed")
 }
 
+// Now is this PE's clock for the protocol's poll deadlines: its virtual
+// clock under TransportSim, where the number of Relax hops a deadline
+// takes must not depend on the host's speed, and the wall clock elsewhere.
+func (c *Ctx) Now() time.Time {
+	if c.w.sim != nil {
+		return c.w.sim.clock(c.rank)
+	}
+	return time.Now()
+}
+
 // Liveness returns the world's membership view (failure detector).
 func (c *Ctx) Liveness() *Liveness { return c.w.live }
 
@@ -337,7 +347,7 @@ func (c *Ctx) Quiet() error { return c.w.transport.quiet(c.rank) }
 // state it expects a remote PE to change (queue slots, mailbox flags,
 // completion words) must call Relax once per empty iteration. Outside the
 // simulation transport it is a cheap yield with occasional sleep; under
-// TransportSim it hands the lockstep token back to the scheduler — a spin
+// TransportSim it passes the lockstep token on to the next PE — a spin
 // loop without it would stall virtual time forever.
 func (c *Ctx) Relax() { c.w.transport.relax(c.rank) }
 

@@ -78,7 +78,7 @@ func (r *opReq) checkBytes(pe *peState) error {
 
 // land is where a remote operation meets the target heap, the same way on
 // every back-end — the direct back-end's initiator, the tcp service loop
-// after wire decode, the sim scheduler's wake and delivery steps: apply
+// after wire decode, the sim's woken op and its delivery step: apply
 // (twice on a duplicate verdict, for the ops a fabric may redeliver), wake
 // the waiters parked on the heap if it changed, and stamp the victim side
 // of a span-tagged op into the target's event ring. at is the latency

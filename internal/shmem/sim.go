@@ -12,13 +12,21 @@ import (
 )
 
 // This file implements TransportSim: a deterministic simulation transport
-// in the FoundationDB tradition. A single scheduler goroutine owns a
-// virtual clock and runs the world in lockstep — at most one PE goroutine
-// executes at any moment; every other PE is parked inside a transport
-// operation, a barrier, a WaitUntil64, or a Relax yield point. Every
-// latency, delivery time, and schedule decision is drawn from one PRNG
-// seeded by SimOptions.Seed, so an entire multi-PE pool run — steals,
-// epoch flips, termination waves — replays bit-identically from the seed.
+// in the FoundationDB tradition. The world runs in lockstep on a virtual
+// clock — at most one PE goroutine executes at any moment; every other PE
+// is parked inside a transport operation, a barrier, a WaitUntil64, or a
+// Relax yield point. Every latency, delivery time, and schedule decision
+// is drawn from one PRNG seeded by SimOptions.Seed, so an entire multi-PE
+// pool run — steals, epoch flips, crashes, termination waves — replays
+// bit-identically from the seed.
+//
+// There is no scheduler goroutine. The lockstep token is one mutex that
+// guards all scheduler state, and the PEs pass it: a PE-side call takes
+// the mutex, records what it waits for and parks; when that leaves no PE
+// running, the same goroutine steps the scheduler (delivers the earliest
+// event or wakes the earliest PE) until it has woken one — possibly
+// itself. A woken call applies its own op and logs it at the virtual time
+// it was woken at. Injections and a finished body never park.
 //
 // PE code running under the sim must block only through shmem primitives
 // (blocking ops, Quiet, Barrier, WaitUntil64, or Ctx.Relax in poll loops):
@@ -108,35 +116,20 @@ func (o *SimOptions) setDefaults() {
 	}
 }
 
-// Scheduler request kinds.
+// What a parked PE waits for (simPE.kind).
 const (
-	simReqStart = iota // PE goroutine handshake before running its body
-	simReqOp           // blocking one-sided operation
-	simReqNBI          // non-blocking injection (fire and forget)
-	simReqQuiet
-	simReqWait // WaitUntil64 on local memory
-	simReqRelax
-	simReqBarrier
-	simReqDone // PE body finished (handshake, so logs drain before close)
+	simWaitStart   = iota // the start grant, before its body runs
+	simWaitOp             // a blocking one-sided operation
+	simWaitQuiet          // its NBI deliveries
+	simWaitWord           // WaitUntil64 on local memory
+	simWaitRelax          // a Relax yield
+	simWaitBarrier        // the barrier (and, once released, its wake)
 )
-
-type simReq struct {
-	kind int
-	rank int
-	op   opReq   // simReqOp, simReqNBI
-	wait waitReq // simReqWait
-}
-
-type simReply struct {
-	val  uint64
-	data []byte
-	err  error
-}
 
 // Per-PE scheduler states.
 const (
 	simPERunning     = iota
-	simPEBlockedOp   // parked in a blocking op / start / relax / barrier wake
+	simPEBlockedOp   // parked until readyAt
 	simPEBlockedCond // parked in quiet or wait-until
 	simPEBarrier     // arrived at the barrier, waiting for the others
 	simPEDone
@@ -146,12 +139,15 @@ var simStateNames = [...]string{"running", "blocked-op", "blocked-cond", "barrie
 
 type simPE struct {
 	state    int
-	req      simReq
-	readyAt  uint64 // virtual wake time for simPEBlockedOp
-	deadline uint64 // virtual timeout for simReqWait (0 = none)
-	failErr  error  // fault verdict for the parked blocking op
-	vclock   uint64 // PE-local virtual clock
-	pending  int    // NBI deliveries in flight from this PE
+	kind     int
+	op       opReq   // simWaitOp, for the state dump
+	wait     waitReq // simWaitWord
+	readyAt  uint64  // virtual wake time for simPEBlockedOp
+	deadline uint64  // virtual timeout for simWaitWord (0 = none)
+	err      error   // handed to the parked call by its wake: it unwinds
+	vclock   uint64  // PE-local virtual clock
+	pending  int     // NBI deliveries in flight from this PE
+	wake     sync.Cond
 }
 
 // Scheduler event kinds (simEvent.kind).
@@ -190,13 +186,8 @@ type simTransport struct {
 	w    *World
 	opts SimOptions
 
-	reqs    chan simReq
-	replies []chan simReply
-	stop    chan struct{}
-	stopped chan struct{}
-	once    sync.Once
-
-	// Everything below is owned by the scheduler goroutine.
+	// mu is the lockstep token and guards everything below.
+	mu       sync.Mutex
 	rng      *rand.Rand
 	pes      []simPE
 	events   simEventHeap
@@ -206,6 +197,7 @@ type simTransport struct {
 	running  int
 	done     int
 	forced   []byte
+	near     []int // chaos and forced choices: the near-frontier candidates
 	barGen   uint64
 	failMode bool
 	log      *bufio.Writer
@@ -219,26 +211,19 @@ func newSimTransport(w *World) *simTransport {
 	t := &simTransport{
 		w:       w,
 		opts:    opts,
-		reqs:    make(chan simReq, 4*n+64),
-		replies: make([]chan simReply, n),
-		stop:    make(chan struct{}),
-		stopped: make(chan struct{}),
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		pes:     make([]simPE, n),
 		running: n,
 		forced:  opts.Choices,
 	}
-	for i := range t.replies {
-		t.replies[i] = make(chan simReply, 1)
-	}
 	if opts.Log != nil {
 		t.log = bufio.NewWriterSize(opts.Log, 1<<16)
 	}
-	// Stagger the start grants deterministically BEFORE any request can
-	// arrive: the PE goroutines all launch at once, so their start
-	// requests arrive in nondeterministic order, and nothing about
-	// handling them may depend on that order.
+	// Stagger the start grants deterministically up front: the PE
+	// goroutines all launch at once and ask for them in nondeterministic
+	// order, and nothing about granting them may depend on that order.
 	for i := range t.pes {
+		t.pes[i].wake.L = &t.mu
 		t.pes[i].readyAt = t.drawLatency()
 	}
 	// Schedule crash injections (and their dead declarations) as virtual
@@ -248,7 +233,7 @@ func newSimTransport(w *World) *simTransport {
 		if k.Rank < 0 || k.Rank >= n {
 			continue
 		}
-		at := uint64(max64(0, int64(k.At)))
+		at := uint64(max(0, k.At))
 		heap.Push(&t.events, simEvent{at: at, seq: t.nextSeq(), kind: simEvKill, op: opReq{to: k.Rank}})
 		heap.Push(&t.events, simEvent{at: at + uint64(w.cfg.DeadAfter), seq: t.nextSeq(), kind: simEvDead, op: opReq{to: k.Rank}})
 	}
@@ -262,71 +247,206 @@ func newSimTransport(w *World) *simTransport {
 		if c.Join {
 			join = 1
 		}
-		at := uint64(max64(0, int64(c.At)))
+		at := uint64(max(0, c.At))
 		heap.Push(&t.events, simEvent{at: at, seq: t.nextSeq(), kind: simEvChurn, op: opReq{to: c.Rank, v1: join}})
 	}
-	go t.run()
 	return t
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
+// --- PE-side calls: each takes the token ------------------------------------
+
+// refuse says why rank's call must fail instead of parking. A dead world,
+// or a crash-injected PE, gets nothing done: injections are swallowed (a
+// dead NIC injects nothing) and every other call fails, so the body
+// unwinds promptly.
+func (t *simTransport) refuse(rank int) error {
+	if t.w.failed.Load() && !t.failMode {
+		t.enterFailMode()
 	}
-	return b
+	if t.failMode {
+		return t.worldErr()
+	}
+	if t.w.live.Killed(rank) {
+		return fmt.Errorf("shmem: PE %d: %w", rank, ErrPEKilled)
+	}
+	return nil
 }
 
-// --- PE-side API (any PE goroutine) ---------------------------------------
-
-func (t *simTransport) send(r simReq) {
-	select {
-	case t.reqs <- r:
-	case <-t.stopped:
+// park gives up the token: rank, whose state and wait the caller has
+// recorded, stops running, and if no PE runs now this goroutine steps the
+// world until one does. It returns once rank is woken, with the error its
+// wake handed it.
+func (t *simTransport) park(rank int) error {
+	pe := &t.pes[rank]
+	t.running--
+	t.schedule()
+	for pe.state != simPERunning {
+		pe.wake.Wait()
 	}
+	err := pe.err
+	pe.err = nil
+	return err
 }
 
-func (t *simTransport) call(r simReq) simReply {
-	select {
-	case t.reqs <- r:
-	case <-t.stopped:
-		return simReply{err: fmt.Errorf("shmem/sim: transport closed")}
-	}
-	select {
-	case rep := <-t.replies[r.rank]:
-		return rep
-	case <-t.stopped:
-		return simReply{err: fmt.Errorf("shmem/sim: transport closed")}
+// schedule steps the world while no PE runs and some PE is not done; once
+// every PE is done it applies the deliveries still in flight, so the log
+// is complete before close.
+func (t *simTransport) schedule() {
+	for t.running == 0 {
+		if t.w.failed.Load() && !t.failMode {
+			t.enterFailMode()
+			continue
+		}
+		if t.done == len(t.pes) {
+			for len(t.events) > 0 && !t.failMode {
+				t.deliver()
+			}
+			return
+		}
+		t.step()
 	}
 }
 
 func (t *simTransport) peStart(rank int) error {
-	return t.call(simReq{kind: simReqStart, rank: rank}).err
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.refuse(rank); err != nil {
+		return err
+	}
+	// readyAt was staggered at construction.
+	t.pes[rank].state, t.pes[rank].kind = simPEBlockedOp, simWaitStart
+	if err := t.park(rank); err != nil {
+		return err
+	}
+	t.logf("%d %d sta pe=%d\n", t.nextSeq(), t.now, rank)
+	return nil
 }
 
+// peDone hands the finished PE's slot back whatever state the world or the
+// PE is in.
 func (t *simTransport) peDone(rank int) {
-	t.call(simReq{kind: simReqDone, rank: rank})
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	pe := &t.pes[rank]
+	pe.state = simPEDone
+	t.running--
+	t.done++
+	if !t.failMode {
+		pe.vclock = t.now
+		t.logf("%d %d don pe=%d\n", t.nextSeq(), t.now, rank)
+	}
+	t.schedule()
 }
 
 func (t *simTransport) relax(rank int) {
-	t.call(simReq{kind: simReqRelax, rank: rank})
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.refuse(rank) != nil {
+		return
+	}
+	pe := &t.pes[rank]
+	pe.state, pe.kind = simPEBlockedOp, simWaitRelax
+	pe.readyAt = pe.vclock + t.drawYield()
+	t.park(rank)
 }
 
 func (t *simTransport) barrier(rank int) error {
-	return t.call(simReq{kind: simReqBarrier, rank: rank}).err
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.refuse(rank); err != nil {
+		return err
+	}
+	if err := t.w.bars[rank].failed(); err != nil {
+		return err
+	}
+	t.pes[rank].state, t.pes[rank].kind = simPEBarrier, simWaitBarrier
+	t.maybeReleaseBarrier()
+	return t.park(rank)
 }
 
-// waitWord parks in the scheduler; the wait resolves in virtual time, and
-// the scheduler ends it early by waitReq.giveUp, as the wall-clock loop does.
+// waitWord parks the caller until the word holds, resolving the wait in
+// virtual time and ending it early by waitReq.giveUp, as the wall-clock
+// loop does.
 func (t *simTransport) waitWord(r waitReq) (uint64, error) {
-	rep := t.call(simReq{kind: simReqWait, rank: r.rank, wait: r})
-	return rep.val, rep.err
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.refuse(r.rank); err != nil {
+		return 0, err
+	}
+	if err := r.giveUp(t.w, false, 0); err != nil {
+		return 0, err
+	}
+	pe := &t.pes[r.rank]
+	pe.state, pe.kind, pe.wait, pe.deadline = simPEBlockedCond, simWaitWord, r, 0
+	if r.timeout > 0 {
+		pe.deadline = pe.vclock + uint64(r.timeout)
+	}
+	if err := t.park(r.rank); err != nil {
+		return 0, err
+	}
+	v := t.waitedWord(pe)
+	if r.holds(v) {
+		t.logf("%d %d wtu pe=%d a=%#x -> %d\n", t.nextSeq(), t.now, r.rank, uint64(r.addr), v)
+		return v, nil
+	}
+	// Woken unsatisfied: the virtual deadline passed.
+	t.logf("%d %d wtu pe=%d a=%#x timeout\n", t.nextSeq(), t.now, r.rank, uint64(r.addr))
+	return 0, r.giveUp(t.w, true, v)
+}
+
+// clock is rank's virtual clock, for the protocol's own poll deadlines.
+func (t *simTransport) clock(rank int) time.Time {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return time.Unix(0, int64(t.pes[rank].vclock))
+}
+
+// SimSteps is the number of scheduler decisions a TransportSim world has
+// made so far (0 on every other transport).
+func (w *World) SimSteps() uint64 {
+	if w.sim == nil {
+		return 0
+	}
+	w.sim.mu.Lock()
+	defer w.sim.mu.Unlock()
+	return w.sim.steps
 }
 
 // --- transport interface ---------------------------------------------------
 
 func (t *simTransport) blocking(r opReq) (uint64, []byte, error) {
-	rep := t.call(simReq{kind: simReqOp, rank: r.from, op: r})
-	return rep.val, rep.data, rep.err
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.refuse(r.from); err != nil {
+		return 0, nil, err
+	}
+	pe := &t.pes[r.from]
+	v := t.w.verdict(&r)
+	pe.state, pe.kind, pe.op = simPEBlockedOp, simWaitOp, r
+	pe.readyAt = pe.vclock + t.drawLatency() + delayNS(v.Delay)
+	failErr := v.failure()
+	if failErr != nil {
+		failErr = opError(r.op, r.from, r.to, failErr)
+	}
+	if err := t.park(r.from); err != nil {
+		return 0, nil, err
+	}
+	// A target that crashed while this op was in flight can never complete
+	// the round trip; a fault verdict fails it likewise.
+	var err error
+	if lv := t.w.live; lv.events.Load() != 0 {
+		err = lv.targetGone(r.op, r.from, r.to)
+	}
+	if err == nil {
+		err = failErr
+	}
+	if err != nil {
+		t.logf("%d %d op %v %d->%d a=%#x err=%v\n", t.nextSeq(), t.now, r.op, r.from, r.to, uint64(r.addr), err)
+		return 0, nil, err
+	}
+	val, data, err := t.applyOp(r)
+	t.logf("%d %d op %v %d->%d a=%#x v=%d -> %d\n", t.nextSeq(), t.now, r.op, r.from, r.to, uint64(r.addr), r.v1, val)
+	return val, data, err
 }
 
 func (t *simTransport) nbi(r opReq) error {
@@ -334,52 +454,37 @@ func (t *simTransport) nbi(r opReq) error {
 	if r.buf != nil {
 		r.buf = append([]byte(nil), r.buf...)
 	}
-	t.send(simReq{kind: simReqNBI, rank: r.from, op: r})
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.refuse(r.from) == nil {
+		t.handleNBI(r)
+	}
 	return nil
 }
 
 func (t *simTransport) quiet(from int) error {
-	return t.call(simReq{kind: simReqQuiet, rank: from}).err
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.refuse(from); err != nil {
+		return err
+	}
+	pe := &t.pes[from]
+	pe.state, pe.kind, pe.deadline = simPEBlockedCond, simWaitQuiet, 0
+	if err := t.park(from); err != nil {
+		return err
+	}
+	t.logf("%d %d qui pe=%d\n", t.nextSeq(), t.now, from)
+	return nil
 }
 
 func (t *simTransport) close() error {
-	t.once.Do(func() { close(t.stop) })
-	<-t.stopped
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.flushLog()
 	return t.logErr
 }
 
-// --- Scheduler (single goroutine) ------------------------------------------
-
-func (t *simTransport) run() {
-	defer close(t.stopped)
-	for {
-		if t.w.failed.Load() && !t.failMode {
-			t.enterFailMode()
-		}
-		if t.done == len(t.pes) {
-			t.drainEvents()
-			select {
-			case r := <-t.reqs:
-				t.handle(r)
-			case <-t.stop:
-				t.flushLog()
-				return
-			}
-			continue
-		}
-		if t.running > 0 {
-			select {
-			case r := <-t.reqs:
-				t.handle(r)
-			case <-t.stop:
-				t.flushLog()
-				return
-			}
-			continue
-		}
-		t.step()
-	}
-}
+// --- Scheduler (run by whichever PE parks last) -----------------------------
 
 func (t *simTransport) nextSeq() uint64 { t.seq++; return t.seq }
 
@@ -405,86 +510,6 @@ func (t *simTransport) worldErr() error {
 		return err
 	}
 	return fmt.Errorf("shmem/sim: world failed")
-}
-
-func (t *simTransport) handle(r simReq) {
-	pe := &t.pes[r.rank]
-	if r.kind == simReqDone {
-		// Done completes the lockstep handshake whatever state the world or
-		// the PE is in.
-		pe.state = simPEDone
-		t.running--
-		t.done++
-		if !t.failMode {
-			pe.vclock = t.now
-			t.logf("%d %d don pe=%d\n", t.nextSeq(), t.now, r.rank)
-		}
-		t.replies[r.rank] <- simReply{}
-		return
-	}
-	// A dead world, or a crash-injected PE, gets nothing done: injections
-	// are swallowed (a dead NIC injects nothing) and every other request
-	// fails, so the body unwinds promptly.
-	var refuse error
-	if t.failMode {
-		refuse = t.worldErr()
-	} else if t.w.live.Killed(r.rank) {
-		refuse = fmt.Errorf("shmem: PE %d: %w", r.rank, ErrPEKilled)
-	}
-	if refuse != nil {
-		if r.kind != simReqNBI {
-			t.replies[r.rank] <- simReply{err: refuse}
-		}
-		return
-	}
-	switch r.kind {
-	case simReqStart:
-		// readyAt was staggered at construction (arrival order of start
-		// requests is nondeterministic, so no draws here).
-		pe.state = simPEBlockedOp
-		pe.req = r
-		t.running--
-	case simReqOp:
-		v := t.w.verdict(&r.op)
-		pe.state = simPEBlockedOp
-		pe.req = r
-		pe.readyAt = pe.vclock + t.drawLatency() + delayNS(v.Delay)
-		pe.failErr = nil
-		if err := v.failure(); err != nil {
-			pe.failErr = opError(r.op.op, r.rank, r.op.to, err)
-		}
-		t.running--
-	case simReqNBI:
-		t.handleNBI(r.op)
-	case simReqQuiet, simReqWait:
-		if r.kind == simReqWait {
-			if err := r.wait.giveUp(t.w, false, 0); err != nil {
-				t.replies[r.rank] <- simReply{err: err}
-				return
-			}
-		}
-		pe.state = simPEBlockedCond
-		pe.req = r
-		pe.deadline = 0
-		if r.kind == simReqWait && r.wait.timeout > 0 {
-			pe.deadline = pe.vclock + uint64(r.wait.timeout)
-		}
-		t.running--
-	case simReqRelax:
-		pe.state = simPEBlockedOp
-		pe.req = r
-		pe.readyAt = pe.vclock + t.drawYield()
-		t.running--
-	case simReqBarrier:
-		if err := t.w.bars[r.rank].failed(); err != nil {
-			t.replies[r.rank] <- simReply{err: err}
-			return
-		}
-		pe.state = simPEBarrier
-		pe.req = r
-		t.running--
-		t.maybeReleaseBarrier()
-	}
 }
 
 func (t *simTransport) handleNBI(r opReq) {
@@ -528,7 +553,6 @@ func (t *simTransport) maybeReleaseBarrier() {
 	for i := range t.pes {
 		pe := &t.pes[i]
 		pe.state = simPEBlockedOp
-		pe.req = simReq{kind: simReqBarrier, rank: i}
 		pe.readyAt = t.now + t.drawYield()
 	}
 }
@@ -537,7 +561,7 @@ func (t *simTransport) maybeReleaseBarrier() {
 // wake the chosen PE.
 func (t *simTransport) step() {
 	t.steps++
-	isEvent, rank, at, ok := t.choose()
+	rank, at, ok := t.choose()
 	if !ok {
 		t.failWorld("deadlock: no deliverable events and every PE is parked")
 		return
@@ -553,89 +577,85 @@ func (t *simTransport) step() {
 	if at > t.now {
 		t.now = at
 	}
-	if isEvent {
+	if rank < 0 {
 		t.deliver()
 		return
 	}
-	t.wake(rank)
+	t.wake(rank, nil)
 }
 
-// choose picks the next action: the earliest of the pending delivery (heap
-// top) and each eligible PE, unless a forced-choice prefix or chaos mode
-// overrides the pick among near-simultaneous candidates.
-func (t *simTransport) choose() (isEvent bool, rank int, at uint64, ok bool) {
-	type cand struct {
-		isEvent bool
-		rank    int
-		at      uint64
+// due is when candidate i can next be chosen: for -1 the earliest pending
+// delivery (heap top), for a parked PE its readyAt, now for a condition
+// that holds, the deadline of one that does not.
+func (t *simTransport) due(i int) (at uint64, ok bool) {
+	if i < 0 {
+		if len(t.events) == 0 {
+			return 0, false
+		}
+		return t.events[0].at, true
 	}
-	var cands []cand
-	if len(t.events) > 0 {
-		cands = append(cands, cand{isEvent: true, at: t.events[0].at})
+	switch pe := &t.pes[i]; pe.state {
+	case simPEBlockedOp:
+		return pe.readyAt, true
+	case simPEBlockedCond:
+		if t.condSatisfied(pe) {
+			return t.now, true
+		}
+		return pe.deadline, pe.deadline > 0
 	}
-	for i := range t.pes {
-		pe := &t.pes[i]
-		switch pe.state {
-		case simPEBlockedOp:
-			cands = append(cands, cand{rank: i, at: pe.readyAt})
-		case simPEBlockedCond:
-			if t.condSatisfied(pe) {
-				cands = append(cands, cand{rank: i, at: t.now})
-			} else if pe.deadline > 0 {
-				cands = append(cands, cand{rank: i, at: pe.deadline})
-			}
+	return 0, false
+}
+
+// choose picks the next action in one scan: the earliest candidate, the
+// event first and then the lowest rank on ties, unless a forced-choice
+// prefix or chaos mode overrides the pick among near-simultaneous
+// candidates.
+func (t *simTransport) choose() (rank int, at uint64, ok bool) {
+	for i := -1; i < len(t.pes); i++ {
+		if a, c := t.due(i); c && (!ok || a < at) {
+			rank, at, ok = i, a, true
 		}
 	}
-	if len(cands) == 0 {
-		return false, 0, 0, false
+	if !ok || (len(t.forced) == 0 && !t.opts.Chaos) {
+		return rank, at, ok
 	}
-	best := 0
-	for i, c := range cands[1:] {
-		if c.at < cands[best].at {
-			best = i + 1
+	// Reorder only among candidates close to the frontier; letting a
+	// far-future timeout jump the clock would fire it before the
+	// deliveries that satisfy it.
+	window := at + 4*uint64(simMaxLatency)
+	t.near = t.near[:0]
+	for i := -1; i < len(t.pes); i++ {
+		if a, c := t.due(i); c && a <= window {
+			t.near = append(t.near, i)
 		}
 	}
-	pick := best
-	if len(t.forced) > 0 || t.opts.Chaos {
-		// Reorder only among candidates close to the frontier; letting a
-		// far-future timeout jump the clock would fire it before the
-		// deliveries that satisfy it.
-		window := cands[best].at + 4*uint64(simMaxLatency)
-		near := make([]int, 0, len(cands))
-		for i, c := range cands {
-			if c.at <= window {
-				near = append(near, i)
-			}
-		}
-		if len(t.forced) > 0 {
-			pick = near[int(t.forced[0])%len(near)]
-			t.forced = t.forced[1:]
-		} else {
-			pick = near[t.rng.Intn(len(near))]
-		}
+	var pick int
+	if len(t.forced) > 0 {
+		pick = int(t.forced[0]) % len(t.near)
+		t.forced = t.forced[1:]
+	} else {
+		pick = t.rng.Intn(len(t.near))
 	}
-	c := cands[pick]
-	return c.isEvent, c.rank, c.at, true
+	rank = t.near[pick]
+	at, _ = t.due(rank)
+	return rank, at, true
 }
 
 func (t *simTransport) condSatisfied(pe *simPE) bool {
-	switch pe.req.kind {
-	case simReqQuiet:
+	if pe.kind == simWaitQuiet {
 		return pe.pending == 0
-	case simReqWait:
-		return pe.req.wait.holds(t.waitedWord(pe))
 	}
-	return false
+	return pe.wait.holds(t.waitedWord(pe))
 }
 
 // waitedWord loads the word a parked WaitUntil64 watches (address and
 // comparison were validated PE-side).
 func (t *simTransport) waitedWord(pe *simPE) uint64 {
-	return atomic.LoadUint64(&t.w.pes[pe.req.rank].words[pe.req.wait.addr/WordSize])
+	return atomic.LoadUint64(&t.w.pes[pe.wait.on].words[pe.wait.addr/WordSize])
 }
 
 // deliver pops and applies the earliest pending event (an NBI delivery, a
-// scheduled kill, or a dead declaration).
+// scheduled kill, a dead declaration or a churn transition).
 func (t *simTransport) deliver() {
 	ev := heap.Pop(&t.events).(simEvent)
 	if ev.at > t.now {
@@ -675,20 +695,22 @@ func (t *simTransport) deliver() {
 func (t *simTransport) deliverKill(rank int) {
 	t.w.live.crash(rank)
 	t.logf("%d %d kil pe=%d\n", t.nextSeq(), t.now, rank)
-	t.unpark(rank, fmt.Errorf("shmem: PE %d: %w", rank, ErrPEKilled))
+	t.wake(rank, fmt.Errorf("shmem: PE %d: %w", rank, ErrPEKilled))
 }
 
-// unpark resumes a PE parked in the scheduler — in an op, a condition or
-// the barrier — with err, so its body unwinds. PEs that are running or
-// done are left alone.
-func (t *simTransport) unpark(rank int, err error) {
-	pe := &t.pes[rank]
-	switch pe.state {
+// wake resumes rank, if it is parked, at the current virtual time: its
+// call returns err, or the error queued for it, or (both nil) goes on to
+// apply what it waited for.
+func (t *simTransport) wake(rank int, err error) {
+	switch pe := &t.pes[rank]; pe.state {
 	case simPEBlockedOp, simPEBlockedCond, simPEBarrier:
 		pe.state = simPERunning
 		pe.vclock = t.now
+		if err != nil {
+			pe.err = err
+		}
 		t.running++
-		t.replies[rank] <- simReply{err: err}
+		pe.wake.Signal()
 	}
 }
 
@@ -699,25 +721,21 @@ func (t *simTransport) unpark(rank int, err error) {
 // schedule) is logged and otherwise ignored — both outcomes are
 // deterministic, so replays stay byte-identical.
 func (t *simTransport) deliverChurn(rank int, join bool) {
-	var err error
+	kind, begin := "drain", t.w.live.BeginDrain
 	if join {
-		err = t.w.live.BeginJoin(rank)
-	} else {
-		err = t.w.live.BeginDrain(rank)
+		kind, begin = "join", t.w.live.BeginJoin
 	}
 	ok := 1
-	if err != nil {
+	if begin(rank) != nil {
 		ok = 0
 	}
-	if join {
-		t.logf("%d %d chn join pe=%d ok=%d\n", t.nextSeq(), t.now, rank, ok)
-	} else {
-		t.logf("%d %d chn drain pe=%d ok=%d\n", t.nextSeq(), t.now, rank, ok)
-	}
+	t.logf("%d %d chn %s pe=%d ok=%d\n", t.nextSeq(), t.now, kind, rank, ok)
 }
 
 // deliverDead declares a killed PE dead after the configured DeadAfter:
-// survivors parked in barriers or WaitUntil64 unwind by the give-up rule.
+// survivors parked in barriers or WaitUntil64 unwind by the give-up rule,
+// each queued for its turn at the current virtual time rather than woken
+// together, so they unwind one at a time in rank order.
 func (t *simTransport) deliverDead(rank int) {
 	t.w.live.MarkDead(rank)
 	t.logf("%d %d ded pe=%d\n", t.nextSeq(), t.now, rank)
@@ -727,92 +745,24 @@ func (t *simTransport) deliverDead(rank int) {
 		case i == rank:
 		case pe.state == simPEBarrier:
 			err = t.w.bars[i].failed()
-		case pe.state == simPEBlockedCond && pe.req.kind == simReqWait:
-			err = pe.req.wait.giveUp(t.w, false, t.waitedWord(pe))
+		case pe.state == simPEBlockedCond && pe.kind == simWaitWord:
+			err = pe.wait.giveUp(t.w, false, t.waitedWord(pe))
 		}
 		if err != nil {
-			t.unpark(i, err)
+			t.pes[i].state, t.pes[i].readyAt, t.pes[i].err = simPEBlockedOp, t.now, err
 		}
 	}
-}
-
-// drainEvents applies all remaining deliveries once every PE is done, so
-// the log is complete and deterministic before close.
-func (t *simTransport) drainEvents() {
-	for len(t.events) > 0 && !t.failMode {
-		t.deliver()
-	}
-}
-
-// wake resumes one parked PE: applies its blocking op (if any), replies,
-// and marks it running.
-func (t *simTransport) wake(rank int) {
-	pe := &t.pes[rank]
-	pe.vclock = t.now
-	var rep simReply
-	switch pe.state {
-	case simPEBlockedOp:
-		switch pe.req.kind {
-		case simReqStart:
-			t.logf("%d %d sta pe=%d\n", t.nextSeq(), t.now, rank)
-		case simReqRelax, simReqBarrier:
-			// Nothing to apply.
-		case simReqOp:
-			r := pe.req.op
-			// A target that crashed while this op was in flight can never
-			// complete the round trip; a fault verdict fails it likewise.
-			var err error
-			if lv := t.w.live; lv.events.Load() != 0 {
-				err = lv.targetGone(r.op, r.from, r.to)
-			}
-			if err == nil {
-				err = pe.failErr
-			}
-			if err != nil {
-				rep = simReply{err: err}
-				t.logf("%d %d op %v %d->%d a=%#x err=%v\n",
-					t.nextSeq(), t.now, r.op, rank, r.to, uint64(r.addr), err)
-			} else {
-				rep = t.applyOp(r)
-				t.logf("%d %d op %v %d->%d a=%#x v=%d -> %d\n",
-					t.nextSeq(), t.now, r.op, rank, r.to, uint64(r.addr), r.v1, rep.val)
-			}
-			pe.failErr = nil
-		}
-	case simPEBlockedCond:
-		switch pe.req.kind {
-		case simReqQuiet:
-			t.logf("%d %d qui pe=%d\n", t.nextSeq(), t.now, rank)
-		case simReqWait:
-			v := t.waitedWord(pe)
-			if pe.req.wait.holds(v) {
-				rep = simReply{val: v}
-				t.logf("%d %d wtu pe=%d a=%#x -> %d\n", t.nextSeq(), t.now, rank, uint64(pe.req.wait.addr), v)
-			} else {
-				// Woken unsatisfied: the virtual deadline passed.
-				rep = simReply{err: pe.req.wait.giveUp(t.w, true, v)}
-				t.logf("%d %d wtu pe=%d a=%#x timeout\n", t.nextSeq(), t.now, rank, uint64(pe.req.wait.addr))
-			}
-		}
-	default:
-		t.failWorld(fmt.Sprintf("woke PE %d in state %s", rank, simStateNames[pe.state]))
-		return
-	}
-	pe.state = simPERunning
-	t.running++
-	t.replies[rank] <- rep
 }
 
 // applyOp executes a woken blocking operation against the target heap.
-func (t *simTransport) applyOp(r opReq) simReply {
+func (t *simTransport) applyOp(r opReq) (uint64, []byte, error) {
 	pe, err := t.w.target(r.to)
 	if err != nil {
-		return simReply{err: err}
+		return 0, nil, err
 	}
 	// The sim redelivers only injections, each as a delivery event of its
 	// own (handleNBI), so nothing lands twice here.
-	val, data, err := t.w.land(pe, &r, false, time.Time{}, nil)
-	return simReply{val: val, data: data, err: err}
+	return t.w.land(pe, &r, false, time.Time{}, nil)
 }
 
 // failWorld records a scheduler-detected failure (deadlock, livelock,
@@ -833,7 +783,7 @@ func (t *simTransport) enterFailMode() {
 	t.events = nil
 	err := t.worldErr()
 	for i := range t.pes {
-		t.unpark(i, err)
+		t.wake(i, err)
 	}
 	t.flushLog()
 }
@@ -844,19 +794,15 @@ func (t *simTransport) stateDump() string {
 	for i := range t.pes {
 		pe := &t.pes[i]
 		s += fmt.Sprintf("  PE %d: %s", i, simStateNames[pe.state])
-		switch pe.state {
-		case simPEBlockedOp:
-			if pe.req.kind == simReqOp {
-				s += fmt.Sprintf(" op=%v to=%d a=%#x ready=%v", pe.req.op.op, pe.req.op.to, uint64(pe.req.op.addr), time.Duration(pe.readyAt))
-			} else {
-				s += fmt.Sprintf(" kind=%d ready=%v", pe.req.kind, time.Duration(pe.readyAt))
-			}
-		case simPEBlockedCond:
-			if pe.req.kind == simReqQuiet {
-				s += fmt.Sprintf(" quiet pending=%d", pe.pending)
-			} else {
-				s += fmt.Sprintf(" wait a=%#x %v %d deadline=%v", uint64(pe.req.wait.addr), pe.req.wait.cmp, pe.req.wait.operand, time.Duration(pe.deadline))
-			}
+		switch {
+		case pe.state == simPEBlockedOp && pe.kind == simWaitOp:
+			s += fmt.Sprintf(" op=%v to=%d a=%#x ready=%v", pe.op.op, pe.op.to, uint64(pe.op.addr), time.Duration(pe.readyAt))
+		case pe.state == simPEBlockedOp:
+			s += fmt.Sprintf(" kind=%d ready=%v", pe.kind, time.Duration(pe.readyAt))
+		case pe.state == simPEBlockedCond && pe.kind == simWaitQuiet:
+			s += fmt.Sprintf(" quiet pending=%d", pe.pending)
+		case pe.state == simPEBlockedCond:
+			s += fmt.Sprintf(" wait a=%#x %v %d deadline=%v", uint64(pe.wait.addr), pe.wait.cmp, pe.wait.operand, time.Duration(pe.deadline))
 		}
 		s += fmt.Sprintf(" vclock=%v pending=%d\n", time.Duration(pe.vclock), pe.pending)
 	}

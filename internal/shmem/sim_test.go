@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -96,6 +97,19 @@ func runSimChurn(t *testing.T, seed int64) []byte {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 	return log.Bytes()
+}
+
+// TestSimWorldWithoutRunLeaksNothing: a sim world is state behind a mutex
+// its PEs pass, not a scheduler goroutine, so building worlds and never
+// running them leaves no goroutine behind.
+func TestSimWorldWithoutRunLeaksNothing(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		simWorld(t, 4, int64(i), nil)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("50 unrun sim worlds left %d goroutines behind", after-before)
+	}
 }
 
 // TestSimDeterministicLog is the transport-level half of the acceptance

@@ -142,7 +142,11 @@ func (p Params) String() string {
 // log. The error is non-nil if the world failed (deadlock, livelock
 // budget, a PE body error) or the exactly-once oracle is violated:
 // executed producers+consumers must equal Depth*(Width+1).
-func Run(p Params) ([]byte, error) {
+func Run(p Params) ([]byte, error) { return runSteps(p, nil) }
+
+// runSteps is Run, also storing the world's scheduler decisions in *steps
+// when steps is non-nil.
+func runSteps(p Params, steps *uint64) ([]byte, error) {
 	p = p.withDefaults()
 	var log bytes.Buffer
 	var fault shmem.FaultInjector
@@ -191,6 +195,9 @@ func Run(p Params) ([]byte, error) {
 	}, func(_ int, reg *pool.Registry) error { return wl.Register(reg) }, wl.Seed, nil)
 	if p.Stats != nil {
 		*p.Stats = run.Total()
+	}
+	if steps != nil {
+		*steps = w.SimSteps()
 	}
 	if err != nil {
 		// With a kill scheduled, the victim's own unwind is the expected

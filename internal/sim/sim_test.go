@@ -195,9 +195,10 @@ func TestSeedSweep(t *testing.T) {
 // TestChaosKillSweep is the chaos kill-a-PE sweep: -sim.seeds seeds, each
 // with a seed-derived victim and virtual-time kill point, under chaos
 // scheduling. Every run must still terminate for the survivors with
-// at-most-once execution. Failures print repro lines (TestReplaySeed with
-// -sim.killrank/-sim.killat) and, when SIM_ARTIFACT_DIR is set (CI), land
-// in failing-seeds.txt for artifact upload.
+// at-most-once execution, and replay to the same event log byte for byte.
+// Failures print repro lines (TestReplaySeed with -sim.killrank/-sim.killat)
+// and, when SIM_ARTIFACT_DIR is set (CI), land in failing-seeds.txt for
+// artifact upload.
 func TestChaosKillSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos kill sweep skipped in -short mode")
@@ -209,7 +210,13 @@ func TestChaosKillSweep(t *testing.T) {
 		p := base
 		p.Seed = *flagSeed + int64(i)
 		p.Kill = []shmem.SimKill{KillForSeed(p.Seed, p.PEs)}
-		if _, err := Run(p); err != nil {
+		log, err := Run(p)
+		if err == nil {
+			if again, _ := Run(p); !bytes.Equal(log, again) {
+				err = fmt.Errorf("replay logged differently from byte %d", firstDiff(log, again))
+			}
+		}
+		if err != nil {
 			failures = append(failures, Failure{Params: p.withDefaults(), Err: err})
 		}
 	}
@@ -234,22 +241,32 @@ func TestChaosKillSweep(t *testing.T) {
 
 // TestKillReplayDeterministic: a killed run is still part of the
 // deterministic schedule — the same seed and kill point must produce
-// byte-identical event logs.
+// byte-identical event logs. The rows after the first once replayed
+// differently: a poll deadline read the wall clock, and a death
+// declaration woke every parked survivor at once, so whichever ran first
+// set the log order.
 func TestKillReplayDeterministic(t *testing.T) {
-	p := Params{PEs: 4, Depth: 6, Width: 12, Seed: 11}
-	p.Kill = []shmem.SimKill{KillForSeed(p.Seed, p.PEs)}
-	log1, err := Run(p)
-	if err != nil {
-		t.Fatalf("run 1: %v", err)
-	}
-	log2, err := Run(p)
-	if err != nil {
-		t.Fatalf("run 2: %v", err)
-	}
-	if !bytes.Equal(log1, log2) {
-		d := firstDiff(log1, log2)
-		t.Fatalf("killed run not deterministic (first divergence at byte %d):\nrun1: %s\nrun2: %s",
-			d, excerpt(log1, d), excerpt(log2, d))
+	for _, c := range []struct {
+		seed int64
+		pes  int
+	}{{11, 4}, {282, 4}, {128, 4}, {233, 6}, {124, 6}} {
+		p := Params{PEs: c.pes, Depth: 6, Width: 12, Seed: c.seed}
+		p.Kill = []shmem.SimKill{KillForSeed(p.Seed, p.PEs)}
+		want, err := Run(p)
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		for replay := 1; replay <= 4; replay++ {
+			got, err := Run(p)
+			if err != nil {
+				t.Fatalf("%v replay %d: %v", p, replay, err)
+			}
+			if !bytes.Equal(want, got) {
+				d := firstDiff(want, got)
+				t.Fatalf("%v: replay %d not deterministic (first divergence at byte %d):\nrun:    %s\nreplay: %s",
+					p, replay, d, excerpt(want, d), excerpt(got, d))
+			}
+		}
 	}
 }
 
@@ -490,4 +507,26 @@ func TestExplorerCatchesInjectedFault(t *testing.T) {
 		t.Fatalf("minimization grew the configuration: %v -> %v", f.Params, min.Params)
 	}
 	t.Logf("minimized: %v", min.Params)
+}
+
+// BenchmarkSimBPC times the sim's scheduler on BPC runs large enough that
+// it, not the pool, sets the pace, and reports the cost of one scheduler
+// decision (a delivery or a PE wake, with the PE's work up to its next
+// park).
+func BenchmarkSimBPC(b *testing.B) {
+	for _, p := range []Params{
+		{PEs: 16, Depth: 100, Width: 64, Seed: 1},
+		{PEs: 256, Depth: 50, Width: 64, Seed: 1},
+	} {
+		b.Run(fmt.Sprintf("pes=%d", p.PEs), func(b *testing.B) {
+			var steps, total uint64
+			for i := 0; i < b.N; i++ {
+				if _, err := runSteps(p, &steps); err != nil {
+					b.Fatal(err)
+				}
+				total += steps
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/step")
+		})
+	}
 }
