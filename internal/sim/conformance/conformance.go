@@ -21,6 +21,8 @@
 //     quiescence: all queues empty, every spawned task executed.
 //   - InboxExactlyOnce — four senders flooding one receiver's two-slot
 //     remote-spawn inbox neither lose a task nor deliver one twice.
+//   - InboxBatchesWrap — the same through a three-slot inbox, where the
+//     senders' batches split at the ring's end and lap it constantly.
 //   - ExactlyOnceOverflow — spawns past a full split queue wait in the
 //     owner's private deque and still execute exactly once.
 //   - ExactlyOncePerJob — a warm fleet serving back-to-back and
@@ -127,6 +129,7 @@ func RunAll(t *testing.T, f Factory) {
 			t.Run("exactly-once", func(t *testing.T) { ExactlyOnce(t, fw) })
 			t.Run("exactly-once-churn", func(t *testing.T) { ExactlyOnceUnderChurn(t, fw, 23) })
 			t.Run("inbox-exactly-once", func(t *testing.T) { InboxExactlyOnce(t, fw) })
+			t.Run("inbox-batches-wrap", func(t *testing.T) { InboxBatchesWrap(t, fw) })
 			t.Run("exactly-once-overflow", func(t *testing.T) { ExactlyOnceOverflow(t, fw) })
 		})
 	}

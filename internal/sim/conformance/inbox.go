@@ -17,9 +17,20 @@ import (
 // is a spawn the ring lost (two senders wrote one slot, the owner drained
 // it once), a slot above 1 a task delivered twice.
 func InboxExactlyOnce(t *testing.T, f Factory) {
+	inboxExactlyOnce(t, f, 2, 24) // 96 sends through 2 slots: 48 laps
+}
+
+// InboxBatchesWrap is InboxExactlyOnce through a three-slot ring, which
+// is also the senders' batch cap: a body's spawns leave in batches of up
+// to three, so most batches start mid-ring and split at its end into two
+// spans, each with its own head, and every ring lap is a few batches.
+func InboxBatchesWrap(t *testing.T, f Factory) {
+	inboxExactlyOnce(t, f, 3, 30) // 120 sends through 3 slots: 40 laps
+}
+
+func inboxExactlyOnce(t *testing.T, f Factory, mailboxSlots, perSender int) {
 	const senders = 4
-	const perSender = 24 // 96 sends through 2 slots: 48 laps
-	const total = senders * perSender
+	total := senders * perSender
 	run(t, f, senders+1, func(ctx *shmem.Ctx) error {
 		slots := ctx.MustAlloc(total * shmem.WordSize)
 		reg := pool.NewRegistry()
@@ -36,14 +47,14 @@ func InboxExactlyOnce(t *testing.T, f Factory) {
 			if err != nil {
 				return err
 			}
-			for i := uint64(0); i < perSender; i++ {
-				if err := tc.SpawnOn(0, probe, task.Args(args[0]*perSender+i)); err != nil {
+			for i := uint64(0); i < uint64(perSender); i++ {
+				if err := tc.SpawnOn(0, probe, task.Args(args[0]*uint64(perSender)+i)); err != nil {
 					return err
 				}
 			}
 			return nil
 		})
-		p, err := pool.New(ctx, reg, pool.Config{Protocol: pool.SWS, Seed: 11, MailboxSlots: 2, Workers: f.workers()})
+		p, err := pool.New(ctx, reg, pool.Config{Protocol: pool.SWS, Seed: 11, MailboxSlots: mailboxSlots, Workers: f.workers()})
 		if err != nil {
 			return err
 		}
