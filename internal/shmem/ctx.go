@@ -359,7 +359,7 @@ func (c *Ctx) Relax() { c.w.transport.relax(c.rank) }
 // cadence — because runtime.Gosched takes the Go scheduler's process-wide
 // lock: at one call per sub-microsecond task, every busy PE in the process
 // contends on that one lock at the task rate. Unlike Relax it never backs
-// off into a sleep — the caller is busy, not polling.
+// off into a sleep — the caller is busy, or its wait is still young.
 func (c *Ctx) Yield(due bool) {
 	if c.w.sim != nil {
 		c.w.sim.relax(c.rank)
