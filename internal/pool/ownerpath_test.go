@@ -172,6 +172,26 @@ func TestBusyOwnerNeverSleeps(t *testing.T) {
 	}
 }
 
+// TestBriefWaitNeverBacksOff: a wait's first relaxAfter polls in a row only
+// yield; the poll back-off, every 64th step of which sleeps, starts after
+// them.
+func TestBriefWaitNeverBacksOff(t *testing.T) {
+	runWorld(t, 1, shmem.TransportLocal, func(c *shmem.Ctx) error {
+		pauses0, yields0 := c.Pauses(), c.Yields()
+		for n := 0; n < relaxAfter; n++ {
+			backoff(c, n)
+		}
+		if p, y := c.Pauses()-pauses0, c.Yields()-yields0; p != 0 || y != relaxAfter {
+			t.Errorf("%d polls of a young wait: %d back-off steps, %d yields; want 0, %d", relaxAfter, p, y, relaxAfter)
+		}
+		backoff(c, relaxAfter)
+		if p := c.Pauses() - pauses0; p != 1 {
+			t.Errorf("poll %d of a wait: %d back-off steps, want 1", relaxAfter, p)
+		}
+		return nil
+	})
+}
+
 // TestBusyOwnerYieldCadence: the scheduler yield takes the Go scheduler's
 // process-wide lock, so a busy worker makes one on the exec-sample beat,
 // not one per task — and does make them: on a shared core the beat is when
