@@ -145,6 +145,83 @@ func TestExecutorPathAllocs(t *testing.T) {
 	})
 }
 
+// TestPlainTaskBodyAllocs pins a task body written the plain way —
+// task.ParseArgs, then SpawnOn(peer, h, task.Args(...)) and
+// Spawn(h, task.Args(...)) — and a seeding Add(h, task.Args(...)) at zero
+// allocations, through the whole seed -> run -> flush -> drain -> run cycle
+// on a 2-PE world: Args and ParseArgs inline into the caller's frame, and
+// no spawn entry point lets its payload escape. One goroutine drives both
+// pools (PE 1 waits in a barrier), as in TestRemoteSpawnComms.
+func TestPlainTaskBodyAllocs(t *testing.T) {
+	receiver := make(chan *Pool, 1)
+	var sum uint64 // both PEs' leaves run on this test's goroutine
+	runWorld(t, 2, shmem.TransportLocal, func(c *shmem.Ctx) error {
+		reg := NewRegistry()
+		leaf := reg.MustRegister("leaf", func(_ *TaskCtx, payload []byte) error {
+			args, err := task.ParseArgs(payload, 2)
+			if err != nil {
+				return err
+			}
+			sum += args[0] + args[1]
+			return nil
+		})
+		hop := reg.MustRegister("hop", func(tc *TaskCtx, payload []byte) error {
+			args, err := task.ParseArgs(payload, 2)
+			if err != nil {
+				return err
+			}
+			if err := tc.SpawnOn(1, leaf, task.Args(args[0]-1, args[1])); err != nil {
+				return err
+			}
+			return tc.Spawn(leaf, task.Args(args[0]+args[1], 0))
+		})
+		p, err := New(c, reg, Config{})
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			receiver <- p
+			return c.Barrier()
+		}
+		recv := <-receiver
+		runOwned := func(p *Pool, want int) {
+			for i := 0; i < want; i++ {
+				d, ok, err := p.popOwned()
+				if err != nil || !ok {
+					t.Errorf("pop %d of %d: ok=%v err=%v", i+1, want, ok, err)
+					return
+				}
+				if err := p.execute(p.exec.workers[0], d); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		cycle := func() {
+			if err := p.Add(hop, task.Args(3, 5)); err != nil {
+				t.Error(err)
+			}
+			runOwned(p, 2) // the hop, then the leaf it spawned here
+			if err := p.flushRemote(); err != nil {
+				t.Error(err)
+			}
+			if got, err := recv.mbox.drain(recv.push); err != nil || got != 1 {
+				t.Errorf("drained %d of 1, %v", got, err)
+			}
+			runOwned(recv, 1)
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
+			t.Errorf("ParseArgs -> SpawnOn(Args) + Spawn(Args), seeded by Add(Args), allocates %.2f objects/op, want 0", allocs)
+		}
+		// One warm-up plus AllocsPerRun's own warm-up and 500 runs; each
+		// cycle's leaves sum (3+5)+0 here and (3-1)+5 on PE 1.
+		if want := uint64(502 * 15); sum != want {
+			t.Errorf("leaves summed %d, want %d", sum, want)
+		}
+		return c.Barrier()
+	})
+}
+
 // TestOwnerPathBypassesOpPipeline: the owner's queue, detector and inbox
 // words are its own memory, so the self-targeted ops that do go through
 // Ctx.do (counted as Local) follow jobs, releases and acquires — not tasks.

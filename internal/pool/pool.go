@@ -15,6 +15,7 @@
 package pool
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -433,10 +434,23 @@ func (p *Pool) recordEpochFlip(moved int64) {
 // owner's private deque, and so does every later push while the deque holds
 // anything: its tasks are newer than the queue's, so popOwned serves them
 // first and the owner's order stays LIFO. refill moves them back.
+//
+// Both protocol queues copy d into a slot and keep nothing of it, and push
+// calls them directly so escape analysis sees that: a spawned payload stays
+// on its caller's stack. Any other wsq.Queue (a test's wrapper) is called
+// through the interface, which escapes its argument, so it gets a copy.
 func (p *Pool) push(d task.Desc) error {
 	dq := p.exec.workers[0].dq
 	if dq.n == 0 {
-		err := p.q.Push(d)
+		var err error
+		switch q := p.q.(type) {
+		case *core.Queue:
+			err = q.Push(d)
+		case *sdc.Queue:
+			err = q.Push(d)
+		default:
+			err = q.Push(task.Desc{Handle: d.Handle, Payload: bytes.Clone(d.Payload)})
+		}
 		if err == nil || !isFull(err) {
 			return err
 		}

@@ -219,8 +219,7 @@ func (p *Pool) spawnOn(ws *workerState, pe int, d task.Desc) error {
 		if pe == self {
 			return ws.dq.push(d)
 		}
-		d.Payload = bytes.Clone(d.Payload)
-		p.exec.stage(pe, d)
+		p.exec.stage(pe, task.Desc{Handle: d.Handle, Payload: bytes.Clone(d.Payload)})
 		return nil
 	}
 	if pe == self {

@@ -28,7 +28,6 @@ package sdc
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"sws/internal/ring"
@@ -258,11 +257,12 @@ func (q *Queue) Acquire() (int, error) {
 // lockOwn spins on the owner's own lock word (local atomics, cheap). It
 // must yield between attempts: the holder is a remote thief mid-protocol,
 // and on hosts with fewer cores than PEs the thief needs the core to
-// finish its critical section and release the lock.
+// finish its critical section and release the lock. Under the lockstep sim
+// only the PE's own Yield hands the turn to the thief.
 func (q *Queue) lockOwn() {
 	me := uint64(q.ctx.Rank() + 1)
 	for !atomic.CompareAndSwapUint64(&q.meta[lockWord], 0, me) {
-		runtime.Gosched()
+		q.ctx.Yield(true)
 	}
 }
 

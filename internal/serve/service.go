@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -319,22 +318,17 @@ func (s *Service) runGraphNode(tc *pool.TaskCtx, payload []byte) error {
 		return errors.New("serve: graph task outside a graph job epoch")
 	}
 	g := w.graph
-	if len(payload) != 8 {
-		_, err := task.ParseArgs(payload, 1) // its error names the lengths
+	args, err := task.ParseArgs(payload, 1)
+	if err != nil {
 		return err
 	}
-	depth := binary.LittleEndian.Uint64(payload)
 	tc.Compute(g.spin)
-	if depth == 0 {
+	if args[0] == 0 {
 		return nil
 	}
-	// The payload is this task's to overwrite (pool.Func) and Spawn copies
-	// it, so every child is spawned from it with the depth rewritten in
-	// place: no argument slice, no encoded buffer per child.
-	binary.LittleEndian.PutUint64(payload, depth-1)
-	h := task.Handle(s.graphH.Load())
+	h, child := task.Handle(s.graphH.Load()), task.Args(args[0]-1)
 	for i := 0; i < g.breadth; i++ {
-		if err := tc.Spawn(h, payload); err != nil {
+		if err := tc.Spawn(h, child); err != nil {
 			return err
 		}
 	}

@@ -139,12 +139,12 @@ func (h hostWaits) relax(rank int) { h.w.pes[rank].pause() }
 func (h hostWaits) barrier(rank int) error { return h.w.bars[rank].wait() }
 
 // waitWord is the one wall-clock blocking loop: spin w.spin yields on the
-// word, then park on the wake words of the heap its writers land on, so a
-// blocked PE sleeps in the kernel instead of burning a core and a peer's
-// one-sided store wakes it in sub-microsecond time (see peState.wakeWaiters).
-// Where the word lives decides only how it is read and what there is to
-// park on: a heap this process cannot address is loaded over the transport
-// and paced by a sleep.
+// word (reading the clock for a deadline once in 64), then park on the wake
+// words of the heap its writers land on, so a blocked PE sleeps in the
+// kernel instead of burning a core and a peer's one-sided store wakes it in
+// sub-microsecond time (see peState.wakeWaiters). Where the word lives
+// decides only how it is read and what there is to park on: a heap this
+// process cannot address is loaded over the transport and paced by a sleep.
 func (h hostWaits) waitWord(r waitReq) (uint64, error) {
 	w := h.w
 	pe := w.pes[r.on]
@@ -175,7 +175,7 @@ func (h hostWaits) waitWord(r waitReq) (uint64, error) {
 		}
 		done := err != nil || r.holds(v)
 		if !done {
-			err = r.giveUp(w, r.timeout > 0 && time.Now().After(deadline), v)
+			err = r.giveUp(w, r.timeout > 0 && (park || pe == nil || i%64 == 0) && time.Now().After(deadline), v)
 			done = err != nil
 		}
 		switch {

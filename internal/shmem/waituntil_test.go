@@ -3,6 +3,7 @@ package shmem
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -74,6 +75,39 @@ func TestWaitUntil64Comparisons(t *testing.T) {
 			return fmt.Errorf("unknown comparison accepted")
 		}
 		return nil
+	})
+}
+
+// TestSpinPhaseTimesOut: a wait reads the clock for its deadline once in 64
+// of its spin polls, and a deadline still fires while it spins: with a spin
+// budget no wait exhausts, a short wait times out without ever parking.
+func TestSpinPhaseTimesOut(t *testing.T) {
+	transports(t, func(t *testing.T, kind TransportKind) {
+		w, err := NewWorld(Config{NumPEs: 2, Transport: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.spin = math.MaxInt
+		err = w.Run(func(c *Ctx) error {
+			flag, err := c.Alloc(WordSize)
+			if err != nil {
+				return err
+			}
+			if err := c.Barrier(); err != nil || c.Rank() == 0 {
+				return err
+			}
+			start := time.Now()
+			if _, err := c.WaitUntil64(flag, CmpEQ, 1, 5*time.Millisecond); !errors.Is(err, ErrOpTimeout) {
+				return fmt.Errorf("got %v, want ErrOpTimeout", err)
+			}
+			if el := time.Since(start); el > 2*time.Second {
+				return fmt.Errorf("timeout surfaced after %v, want ~5ms", el)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 

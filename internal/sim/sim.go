@@ -354,6 +354,9 @@ func ReproLine(p Params) string {
 	if p.QueueCap != 0 {
 		s += fmt.Sprintf(" -sim.qcap=%d", p.QueueCap)
 	}
+	if p.Protocol != pool.SWS {
+		s += " -sim.protocol=" + p.Protocol.String()
+	}
 	if len(p.Kill) > 0 {
 		s += fmt.Sprintf(" -sim.killrank=%d -sim.killat=%v", p.Kill[0].Rank, p.Kill[0].At)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"sws/internal/pool"
 	"sws/internal/shmem"
 	"sws/internal/stats"
 )
@@ -24,6 +25,7 @@ var (
 	flagWidth = flag.Int("sim.width", 12, "BPC consumers per producer")
 	flagChaos = flag.Bool("sim.chaos", false, "randomize schedule among near-simultaneous candidates")
 	flagQCap  = flag.Int("sim.qcap", 0, "task-queue capacity in slots (0 = library default)")
+	flagProto = flag.String("sim.protocol", "sws", "queue protocol: sws, sdc or sws-fused")
 
 	// Crash-injection replay knobs (printed by ReproLine for kill-sweep
 	// failures): kill -sim.killrank at virtual time -sim.killat.
@@ -61,6 +63,10 @@ func flagParams() Params {
 		Seed:     *flagSeed,
 		Chaos:    *flagChaos,
 		QueueCap: *flagQCap,
+	}
+	var err error
+	if p.Protocol, err = pool.ParseProtocol(*flagProto); err != nil {
+		panic(err)
 	}
 	if *flagKillRank >= 0 {
 		p.Kill = []shmem.SimKill{{Rank: *flagKillRank, At: *flagKillAt}}
@@ -190,6 +196,22 @@ func TestSeedSweep(t *testing.T) {
 		}
 	}
 	t.Fatalf("%d of %d seeds failed:\n%s", len(failures), *flagSeeds, report.String())
+}
+
+// TestSDCSweep runs the Scioto baseline under the lockstep sim over 100
+// seeds at 2, 4 and 8 PEs. Its owner spins on its own lock word while a
+// thief holds it, and under the sim only that spin's Yield hands the thief
+// its turn: a spin that yields the goroutine instead never returns.
+func TestSDCSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("SDC sweep skipped in -short mode")
+	}
+	for _, pes := range []int{2, 4, 8} {
+		base := Params{PEs: pes, Depth: 8, Width: 8, Protocol: pool.SDC}
+		for _, f := range Sweep(base, 1, 100) {
+			t.Errorf("%v", f)
+		}
+	}
 }
 
 // TestChaosKillSweep is the chaos kill-a-PE sweep: -sim.seeds seeds, each

@@ -116,11 +116,23 @@ func (c Codec) View(src []byte) (Desc, error) {
 	}, nil
 }
 
+// argsWords is the most words Args and ParseArgs return in a caller-stack
+// array: both inline, so a result that does not escape the caller costs no
+// allocation (the plain task body, ParseArgs then Spawn(..., Args(...)),
+// allocates nothing). Longer results go to the heap.
+const argsWords = 4
+
 // Args packs small unsigned integer arguments into a payload, a
 // convenience for tasks whose state is a handful of counters (both paper
 // benchmarks fit this shape).
 func Args(vals ...uint64) []byte {
-	buf := make([]byte, 8*len(vals))
+	var small [8 * argsWords]byte
+	var buf []byte
+	if len(vals) <= argsWords {
+		buf = small[: 8*len(vals) : 8*len(vals)]
+	} else {
+		buf = make([]byte, 8*len(vals))
+	}
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(buf[8*i:], v)
 	}
@@ -131,11 +143,25 @@ func Args(vals ...uint64) []byte {
 // payload is not exactly n words long.
 func ParseArgs(payload []byte, n int) ([]uint64, error) {
 	if len(payload) != 8*n {
-		return nil, fmt.Errorf("task: payload is %d bytes, want %d words (%d bytes)", len(payload), n, 8*n)
+		return nil, argsLenError{len(payload), n}
 	}
-	out := make([]uint64, n)
+	var small [argsWords]uint64
+	var out []uint64
+	if n <= argsWords {
+		out = small[:n:n]
+	} else {
+		out = make([]uint64, n)
+	}
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint64(payload[8*i:])
 	}
 	return out, nil
+}
+
+// argsLenError is ParseArgs's length error, a value rather than a call so
+// that ParseArgs stays within the inlining budget.
+type argsLenError struct{ got, words int }
+
+func (e argsLenError) Error() string {
+	return fmt.Sprintf("task: payload is %d bytes, want %d words (%d bytes)", e.got, e.words, 8*e.words)
 }

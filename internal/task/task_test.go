@@ -2,6 +2,7 @@ package task
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -110,20 +111,60 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestArgsRoundTrip: Args and ParseArgs round-trip at every word count,
+// in the caller's stack array and past it, and a wrong length fails with
+// the message callers surface (and serve's tests grep) as is.
 func TestArgsRoundTrip(t *testing.T) {
-	vals := []uint64{0, 1, 1<<63 + 5, 42}
-	p := Args(vals...)
-	got, err := ParseArgs(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vals {
-		if got[i] != vals[i] {
-			t.Errorf("arg %d = %d, want %d", i, got[i], vals[i])
+	for _, n := range []int{0, 1, argsWords, argsWords + 1, 9} {
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = uint64(i)*(1<<63+5) + 42
+		}
+		p := Args(vals...)
+		got, err := ParseArgs(p, n)
+		if err != nil {
+			t.Fatalf("%d words: %v", n, err)
+		}
+		for i := range vals {
+			if got[i] != vals[i] {
+				t.Errorf("%d words: arg %d = %d, want %d", n, i, got[i], vals[i])
+			}
+		}
+		want := fmt.Sprintf("task: payload is %d bytes, want %d words (%d bytes)", 8*n, n+1, 8*n+8)
+		if got, err := ParseArgs(p, n+1); got != nil || err == nil || err.Error() != want {
+			t.Errorf("%d words parsed as %d: %v, %v; want nil, %q", n, n+1, got, err, want)
 		}
 	}
-	if _, err := ParseArgs(p, 3); err == nil {
-		t.Error("wrong arity accepted")
+	if _, err := ParseArgs(make([]byte, 3), 1); err == nil || err.Error() != "task: payload is 3 bytes, want 1 words (8 bytes)" {
+		t.Errorf("3-byte payload: %v", err)
+	}
+}
+
+// TestArgsOnCallerStack: Args and ParseArgs inline, so up to argsWords
+// words a result that does not escape its caller lives in the caller's
+// frame and costs no allocation; it is sliced to its own length, so an
+// append never writes past it.
+func TestArgsOnCallerStack(t *testing.T) {
+	in := []uint64{7, 1<<63 + 5, 0, 42}
+	for n := 0; n <= argsWords; n++ {
+		vals := in[:n]
+		var bad int
+		allocs := testing.AllocsPerRun(100, func() {
+			p := Args(vals...)
+			got, err := ParseArgs(p, n)
+			if err != nil || len(p) != 8*n || cap(p) != 8*n || cap(got) != n {
+				bad++
+				return
+			}
+			for i, v := range got {
+				if v != vals[i] {
+					bad++
+				}
+			}
+		})
+		if allocs != 0 || bad != 0 {
+			t.Errorf("%d words: Args -> ParseArgs allocates %.2f objects/op and mismatched %d times, want 0 and 0", n, allocs, bad)
+		}
 	}
 }
 

@@ -97,8 +97,8 @@ func (w *Workload) runNode(tc *pool.TaskCtx, payload []byte) error {
 	// children one at a time, in place: the parent's state is copied out
 	// once, the depth is written once, and each child's digest goes
 	// straight into the state for Spawn to copy into its queue slot. A
-	// local array would escape through the queue interface and cost an
-	// allocation per interior node.
+	// local array would cost no allocation (a spawned payload never
+	// escapes), only a copy of the record the payload already holds.
 	parent := *state
 	binary.LittleEndian.PutUint32(rec[NodeStateSize:], depth+1)
 	for i := range kids {
