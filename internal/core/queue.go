@@ -509,9 +509,8 @@ func (q *Queue) parityBusy(p int) bool {
 // closes the stalled slots itself (see forceCloseStalled) instead of
 // wedging the queue forever.
 func (q *Queue) waitParityFree(p int) error {
-	// The parity is nearly always free already: the deadline is computed
-	// only once the wait actually waits, on the PE's own clock.
-	var deadline, deadSince time.Time
+	wait := q.ctx.NewWait(resetPoll)
+	var deadSince time.Time
 	for {
 		if err := q.Progress(); err != nil {
 			return err
@@ -531,15 +530,11 @@ func (q *Queue) waitParityFree(p int) error {
 				continue // re-run Progress over the filled slots
 			}
 		}
-		if deadline.IsZero() {
-			deadline = q.ctx.Now().Add(resetPoll)
-		} else if q.ctx.Now().After(deadline) {
+		// A thief's completion store is what ends this wait, and under the
+		// sim transport it only lands if the owner hands the token back.
+		if wait.Poll() {
 			return fmt.Errorf("core: reset stalled %v waiting for completion epoch parity %d (lost thief?)", resetPoll, p)
 		}
-		// Scheduler-visible yield: a thief's completion store is what ends
-		// this wait, and under the sim transport it only lands if the
-		// owner hands the lockstep token back.
-		q.ctx.Relax()
 	}
 }
 

@@ -240,7 +240,7 @@ func (f *Fleet) runOne(p *Pool, rank int, fj *fleetJob) error {
 // awaitJob blocks until the next job (or fleet close). On the lockstep
 // sim transport a PE goroutine must never block outside the shmem
 // primitives — parking on a raw channel would hold the scheduler token
-// and freeze every other PE — so there it polls the channel with Relax
+// and freeze every other PE — so there it polls the channel with a Wait
 // as the scheduling point. Real transports block on the channel, so an
 // idle fleet burns no CPU.
 func (f *Fleet) awaitJob(c *shmem.Ctx, rank int) *fleetJob {
@@ -248,12 +248,13 @@ func (f *Fleet) awaitJob(c *shmem.Ctx, rank int) *fleetJob {
 	if c.MultiWorkerCapable() {
 		return <-ch
 	}
+	wait := c.NewWait(0)
 	for {
 		select {
 		case fj := <-ch:
 			return fj
 		default:
-			c.Relax()
+			wait.Poll()
 		}
 	}
 }

@@ -348,7 +348,7 @@ func TestFleetConcurrentSubmitters(t *testing.T) {
 }
 
 // The fleet must serve jobs on the lockstep sim transport too: awaitJob
-// polls through Relax there instead of parking on a channel (a parked PE
+// polls through a Wait there instead of parking on a channel (a parked PE
 // goroutine would hold the lockstep token and freeze the world).
 func TestFleetSimTransport(t *testing.T) {
 	const pes, depth, jobs = 3, 4, 3

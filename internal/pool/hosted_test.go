@@ -102,8 +102,9 @@ func TestHostedCountBalances(t *testing.T) {
 			w.Kill(1)
 			return nil
 		}
+		wait := c.NewWait(0)
 		for c.Err() == nil {
-			c.Relax()
+			wait.Poll()
 		}
 		return c.Err()
 	})

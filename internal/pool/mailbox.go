@@ -211,8 +211,8 @@ func (m *mailbox) sendBatch(pe int, enc []byte, n uint64) error {
 // its own inbox, since pe may be waiting on it the same way. A ring that
 // stays full means the owner is not draining.
 func (m *mailbox) awaitCredit(pe int, ticket uint64) error {
-	var deadline time.Time
-	for polls := 0; ; polls++ {
+	wait := m.ctx.NewWait(pushTimeout)
+	for {
 		cursor, err := m.ctx.Load64(pe, m.creditAddr)
 		if err != nil {
 			return err
@@ -224,18 +224,15 @@ func (m *mailbox) awaitCredit(pe int, ticket uint64) error {
 		if werr := m.ctx.Err(); werr != nil {
 			return werr
 		}
-		if deadline.IsZero() {
-			deadline = m.ctx.Now().Add(pushTimeout)
-		} else if m.ctx.Now().After(deadline) {
-			return fmt.Errorf("pool: PE %d inbox stayed full for %v: ticket %d, read cursor %d, %d slots (receiver not draining?)",
-				pe, pushTimeout, ticket, cursor, m.slots)
-		}
 		if m.ownDrain != nil && !m.draining {
 			if _, err := m.ownDrain(); err != nil {
 				return err
 			}
 		}
-		backoff(m.ctx, polls)
+		if wait.Poll() {
+			return fmt.Errorf("pool: PE %d inbox stayed full for %v: ticket %d, read cursor %d, %d slots (receiver not draining?)",
+				pe, pushTimeout, ticket, cursor, m.slots)
+		}
 	}
 }
 

@@ -199,6 +199,7 @@ func (p *Pool) flushWorkerTier() error {
 func (p *Pool) drainOut() error {
 	t0 := time.Now()
 	p.exec.handoff.Store(true)
+	wait := p.ctx.NewWait(0)
 	for {
 		if err := p.ctx.Err(); err != nil {
 			return err
@@ -229,7 +230,7 @@ func (p *Pool) drainOut() error {
 		if p.q.LocalCount() == 0 && p.q.SharedAvail() == 0 {
 			break
 		}
-		p.ctx.Relax()
+		wait.Poll()
 	}
 	// Stragglers that raced into the inbox while the queue flushed; later
 	// arrivals (a steal-era SpawnOn still in flight) are stepParked's job.

@@ -140,7 +140,8 @@ func (p *Pool) run() (err error) {
 		}
 	}()
 
-	iter, lastIdle, idleRun := 0, 0, 0
+	iter, lastIdle := 0, 0
+	wait := p.ctx.NewWait(0)
 	for {
 		iter++
 		if err := p.ctx.Err(); err != nil {
@@ -161,7 +162,7 @@ func (p *Pool) run() (err error) {
 				return nil
 			}
 			owner.idleIters.Add(1)
-			p.ctx.Relax()
+			wait.Poll()
 			continue
 		}
 		if err := p.stepTeam(); err != nil {
@@ -221,33 +222,14 @@ func (p *Pool) run() (err error) {
 			return nil
 		}
 		// Idle PEs keep searching aggressively (the paper's model has
-		// idle processes continuously looking for work); backoff keeps
+		// idle processes continuously looking for work); the wait keeps
 		// oversubscribed worlds live and is the sim's scheduling point.
 		owner.idleIters.Add(1)
 		if lastIdle != iter-1 {
-			idleRun = 0
+			wait.Reset()
 		}
 		lastIdle = iter
-		backoff(p.ctx, idleRun)
-		idleRun++
-	}
-}
-
-// relaxAfter is how many polls in a row a wait makes before it backs off
-// through Ctx.Relax, which sleeps on every 64th call; until then it only
-// yields. Most waits in a busy world are brief — a PE idle between two inbox
-// batches, a flush waiting for its target's next drain — and a sleep parks
-// the thread: on a loaded host its wake-up can take a millisecond, in which
-// the PE at the other end of a ring of spawns runs dry as well.
-const relaxAfter = 64
-
-// backoff is poll n, counted from 0, of one wait. Under TransportSim Yield
-// and Relax are the same lockstep hand-back.
-func backoff(c *shmem.Ctx, n int) {
-	if n < relaxAfter {
-		c.Yield(true)
-	} else {
-		c.Relax()
+		wait.Poll()
 	}
 }
 

@@ -36,7 +36,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -314,12 +313,11 @@ func (p *Pool) execute(ws *workerState, d task.Desc) error {
 }
 
 // executorLoop is a non-owner worker: run the newest private task, or one
-// from the ring when there is none, then pay the ring what it owes; yield
-// (and, once a dry spell is long, occasionally sleep) when both are dry so
-// oversubscribed worlds stay live.
+// from the ring when there is none, then pay the ring what it owes; poll
+// its wait when both are dry, so oversubscribed worlds stay live.
 func (p *Pool) executorLoop(ws *workerState) {
 	ex := p.exec
-	spins := 0
+	wait := p.ctx.NewWait(0)
 	for !ex.stop.Load() {
 		d, ok, err := p.nextTask(ws)
 		if ok {
@@ -333,28 +331,14 @@ func (p *Pool) executorLoop(ws *workerState) {
 			return
 		}
 		if ok { // the scheduling point the owner ends a task with
-			spins = 0
+			wait.Reset()
 			p.ctx.Yield(ws.nExecuted%obs.SampleEvery == 0)
 			continue
 		}
 		ws.idleIters.Add(1)
-		spins++
-		if spins >= idleSpinsBeforeSleep && spins%256 == 0 {
-			time.Sleep(20 * time.Microsecond)
-		} else {
-			runtime.Gosched()
-		}
+		wait.Poll()
 	}
 }
-
-// idleSpinsBeforeSleep is how many consecutive empty polls (about a
-// millisecond) an executor only yields for before it starts sleeping on
-// every 256th. A running job's empty spells are hundreds of polls long, and
-// a sleep there costs far more than its 20 µs: the executor's P goes idle,
-// every Gosched of the busy owner then wakes a thread to take it, and the
-// kernel parks each woken thread on the waker's core — a new process ran
-// both workers on one core for up to its first second (DESIGN §4.17).
-const idleSpinsBeforeSleep = 4096
 
 // nextTask is an executor's pop: its private deque, newest first, and the
 // ring when that came up empty. On a PE that is leaving the membership it

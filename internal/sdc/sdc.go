@@ -242,7 +242,9 @@ func (q *Queue) Acquire() (int, error) {
 	if q.LocalCount() != 0 {
 		return 0, nil
 	}
-	q.lockOwn()
+	if err := q.lockOwn(); err != nil {
+		return 0, err
+	}
 	defer q.unlockOwn()
 	avail := ring.Distance(q.loadTail(), q.split)
 	if avail == 0 {
@@ -254,16 +256,24 @@ func (q *Queue) Acquire() (int, error) {
 	return moved, nil
 }
 
-// lockOwn spins on the owner's own lock word (local atomics, cheap). It
-// must yield between attempts: the holder is a remote thief mid-protocol,
-// and on hosts with fewer cores than PEs the thief needs the core to
-// finish its critical section and release the lock. Under the lockstep sim
-// only the PE's own Yield hands the turn to the thief.
-func (q *Queue) lockOwn() {
+// lockOwn spins on the owner's own lock word (local atomics, cheap),
+// polling a Wait between attempts so the holder, a thief mid-protocol, gets
+// the core (or the sim's turn) to release it. A holder declared dead never
+// will: that fails with an error wrapping shmem.ErrPeerDead.
+func (q *Queue) lockOwn() error {
 	me := uint64(q.ctx.Rank() + 1)
+	wait := q.ctx.NewWait(0)
 	for !atomic.CompareAndSwapUint64(&q.meta[lockWord], 0, me) {
-		q.ctx.Yield(true)
+		if err := q.ctx.Err(); err != nil {
+			return err
+		}
+		lv := q.ctx.Liveness()
+		if holder := int(atomic.LoadUint64(&q.meta[lockWord])) - 1; lv.AnyDead() && holder >= 0 && !lv.Alive(holder) {
+			return fmt.Errorf("sdc: PE %d's queue lock is held by PE %d: %w", me-1, holder, shmem.ErrPeerDead)
+		}
+		wait.Poll()
 	}
+	return nil
 }
 
 func (q *Queue) unlockOwn() { atomic.StoreUint64(&q.meta[lockWord], 0) }

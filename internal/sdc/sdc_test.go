@@ -583,3 +583,48 @@ func TestWrappedSteals(t *testing.T) {
 		return nil
 	})
 }
+
+// TestAcquireFailsWhenLockHolderDies: a thief killed while it holds the
+// owner's queue lock never releases it, so the owner's Acquire must fail
+// with an error wrapping shmem.ErrPeerDead once the holder is declared
+// dead, not spin on the lock word forever.
+func TestAcquireFailsWhenLockHolderDies(t *testing.T) {
+	w, err := shmem.NewWorld(shmem.Config{NumPEs: 2, HeapBytes: 4 << 20, DeadAfter: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	locked := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- w.Run(func(c *shmem.Ctx) error {
+			q, err := NewQueue(c, Options{Capacity: 16})
+			if err != nil {
+				return err
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if c.Rank() == 1 {
+				defer close(locked)
+				if got, err := c.CompareSwap64(0, q.metaWordAddr(lockWord), 0, 2); err != nil || got != 0 {
+					return fmt.Errorf("taking PE 0's lock: held by %d, %v", got, err)
+				}
+				w.Kill(1)
+				return nil
+			}
+			<-locked
+			if _, err := q.Acquire(); !errors.Is(err, shmem.ErrPeerDead) {
+				return fmt.Errorf("Acquire under a dead holder's lock returned %v, want ErrPeerDead", err)
+			}
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Acquire still waiting on the lock of a PE killed 10 s ago")
+	}
+}

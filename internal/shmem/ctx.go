@@ -13,7 +13,7 @@ import (
 // Ctx is bound to the goroutine running its PE's body and is not safe for
 // concurrent use by multiple goroutines; a multi-worker runtime may opt
 // into shared use with EnableMultiWorker, after which data-path operations
-// (puts, gets, atomics, Relax, Quiet, WaitUntil64) may be issued from any
+// (puts, gets, atomics, Wait, Quiet, WaitUntil64) may be issued from any
 // of the PE's worker goroutines. Setup operations (Alloc, AttachTrace)
 // and Barrier remain owner-goroutine-only even then.
 type Ctx struct {
@@ -219,7 +219,7 @@ func (w *World) errFor(rank int) error {
 }
 
 // Now is this PE's clock for the protocol's poll deadlines: its virtual
-// clock under TransportSim, where the number of Relax hops a deadline
+// clock under TransportSim, where the number of Wait polls a deadline
 // takes must not depend on the host's speed, and the wall clock elsewhere.
 func (c *Ctx) Now() time.Time {
 	if c.w.sim != nil {
@@ -343,26 +343,16 @@ func (c *Ctx) Barrier() error {
 // been applied at their targets.
 func (c *Ctx) Quiet() error { return c.w.transport.quiet(c.rank) }
 
-// Relax is a scheduling point for poll loops: code that spins on local
-// state it expects a remote PE to change (queue slots, mailbox flags,
-// completion words) must call Relax once per empty iteration. Outside the
-// simulation transport it is a cheap yield with occasional sleep; under
-// TransportSim it passes the lockstep token on to the next PE — a spin
-// loop without it would stall virtual time forever.
-func (c *Ctx) Relax() { c.w.transport.relax(c.rank) }
-
 // Yield is the scheduling point of a PE that just made progress (ran a
 // task), called once per task. Under TransportSim every call hands the
-// lockstep token back, like Relax: virtual time moves only at scheduling
-// points, so the sim's schedule has one per task. On a wall-clock
-// transport the PE cedes the processor only when due — the caller's
-// cadence — because runtime.Gosched takes the Go scheduler's process-wide
-// lock: at one call per sub-microsecond task, every busy PE in the process
-// contends on that one lock at the task rate. Unlike Relax it never backs
-// off into a sleep — the caller is busy, or its wait is still young.
+// lockstep token back, as Wait.Poll does, so the sim's schedule has one per
+// task. On a wall clock the PE cedes the processor only when due — the
+// caller's cadence — because runtime.Gosched takes the Go scheduler's
+// process-wide lock, which busy PEs yielding per sub-microsecond task
+// contend on at the task rate. It never sleeps.
 func (c *Ctx) Yield(due bool) {
 	if c.w.sim != nil {
-		c.w.sim.relax(c.rank)
+		c.w.sim.yield(c.rank)
 		return
 	}
 	if due {
@@ -371,7 +361,57 @@ func (c *Ctx) Yield(due bool) {
 	}
 }
 
-// Pauses counts this PE's poll back-off steps, every 64th of which slept.
+// Wait is the one rule for a poll loop's empty iteration: make one per
+// wait, as a local of the polling goroutine (in a shared struct every Reset
+// moves a line others read), Poll once per empty iteration and Reset after
+// progress. Under TransportSim every Poll hands the lockstep token on. On
+// a wall clock the first waitYoung polls in a row only yield — most waits
+// are brief, and a sleeper can take a millisecond to wake on a loaded host
+// — and each later one is a back-off step, every 64th step of the PE a 1 µs
+// sleep so an oversubscribed host makes progress.
+type Wait struct {
+	c        *Ctx
+	timeout  time.Duration
+	deadline time.Time
+	polls    int
+}
+
+// waitYoung is how many polls in a row a Wait only yields for, and how
+// often on a wall clock it reads the clock for its deadline.
+const waitYoung = 64
+
+// NewWait starts a wait that expires timeout (on Ctx.Now) after its first
+// Poll; a timeout <= 0 never expires.
+func (c *Ctx) NewWait(timeout time.Duration) Wait { return Wait{c: c, timeout: timeout} }
+
+// Poll is one empty iteration. It reports whether the deadline has passed
+// — tested once in waitYoung polls, on every poll under the sim — and then
+// returns at once, without yielding.
+func (w *Wait) Poll() (expired bool) {
+	c := w.c
+	if w.timeout > 0 && (c.w.sim != nil || w.polls%waitYoung == 0) {
+		now := c.Now()
+		if w.deadline.IsZero() {
+			w.deadline = now.Add(w.timeout)
+		} else if now.After(w.deadline) {
+			return true
+		}
+	}
+	switch w.polls++; {
+	case c.w.sim != nil || w.polls <= waitYoung:
+		c.Yield(true)
+	case c.self.pauses.Add(1)%64 == 0:
+		time.Sleep(time.Microsecond)
+	default:
+		yield()
+	}
+	return false
+}
+
+// Reset ends the wait after progress: the next Poll starts a young one.
+func (w *Wait) Reset() { w.polls, w.deadline = 0, time.Time{} }
+
+// Pauses counts this PE's Wait back-off steps, every 64th of which slept.
 func (c *Ctx) Pauses() uint64 { return c.self.pauses.Load() }
 
 // Yields counts the times Yield (on a wall-clock transport) and Compute

@@ -13,11 +13,12 @@ import (
 // unwindWhenKilled parks a crash-injected PE's body until the injection
 // surfaces through Ctx.Err, then returns the error (which Run tolerates).
 func unwindWhenKilled(c *Ctx) error {
+	wait := c.NewWait(0)
 	for {
 		if err := c.Err(); err != nil {
 			return err
 		}
-		c.Relax()
+		wait.Poll()
 	}
 }
 
@@ -199,6 +200,7 @@ func simKillBody(c *Ctx) error {
 	if err := c.Barrier(); err != nil {
 		return err
 	}
+	wait := c.NewWait(0)
 	for i := 0; ; i++ {
 		if err := c.Err(); err != nil {
 			return err
@@ -208,12 +210,12 @@ func simKillBody(c *Ctx) error {
 		}
 		if _, err := c.FetchAdd64((me+i)%n, counter, 1); err != nil {
 			if errors.Is(err, ErrPeerDead) || errors.Is(err, ErrOpTimeout) {
-				c.Relax()
+				wait.Poll()
 				continue
 			}
 			return err
 		}
-		c.Relax()
+		wait.Poll()
 	}
 }
 

@@ -80,7 +80,7 @@ const (
 	// schedule decision is drawn from one PRNG (Config.Sim.Seed), so a
 	// whole multi-PE run replays bit-identically from the seed. See
 	// SimOptions. PE bodies must block only through shmem primitives
-	// (including Ctx.Relax in poll loops).
+	// (including Wait.Poll in poll loops).
 	TransportSim
 	// TransportShm maps every PE's symmetric heap into one MAP_SHARED
 	// segment file (typically in /dev/shm): one-sided operations are
@@ -318,7 +318,7 @@ type peState struct {
 	// Go-slice heap, the segment header's slot beside a mapped one.
 	wake *wakeWords
 
-	// pauses counts this PE's poll-loop backoff steps (see pause).
+	// pauses counts this PE's Wait back-off steps (see Wait.Poll).
 	pauses atomic.Uint64
 	// yields counts the busy-PE scheduling points that ceded the processor
 	// (see Ctx.Yield).

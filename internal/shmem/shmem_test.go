@@ -665,6 +665,7 @@ func TestVictimStampFollowsApply(t *testing.T) {
 					return err
 				}
 			} else {
+				wait := c.NewWait(0)
 				for {
 					stamped := ring.Len()
 					applied, err := c.Load64(1, ctr)
@@ -677,7 +678,7 @@ func TestVictimStampFollowsApply(t *testing.T) {
 					if applied == adds {
 						break
 					}
-					c.Relax()
+					wait.Poll()
 				}
 			}
 			if err := c.Barrier(); err != nil {

@@ -15,7 +15,7 @@ import (
 // in the FoundationDB tradition. The world runs in lockstep on a virtual
 // clock — at most one PE goroutine executes at any moment; every other PE
 // is parked inside a transport operation, a barrier, a WaitUntil64, or a
-// Relax yield point. Every latency, delivery time, and schedule decision
+// yield point. Every latency, delivery time, and schedule decision
 // is drawn from one PRNG seeded by SimOptions.Seed, so an entire multi-PE
 // pool run — steals, epoch flips, crashes, termination waves — replays
 // bit-identically from the seed.
@@ -29,10 +29,10 @@ import (
 // it was woken at. Injections and a finished body never park.
 //
 // PE code running under the sim must block only through shmem primitives
-// (blocking ops, Quiet, Barrier, WaitUntil64, or Ctx.Relax in poll loops):
+// (blocking ops, Quiet, Barrier, WaitUntil64, or a Ctx.NewWait in poll loops):
 // a raw spin on local memory is invisible to the scheduler and holds the
 // lockstep token forever. The runtime packages (core, pool, term) satisfy
-// this by routing their poll loops through Ctx.Relax.
+// this by routing their poll loops through Wait.Poll.
 
 // SimOptions configures the deterministic simulation transport
 // (TransportSim). The zero value gets usable defaults.
@@ -99,7 +99,7 @@ type SimChurn struct {
 
 // Virtual costs, fixed for every sim world: each remote operation and NBI
 // delivery draws its latency from [simMinLatency, simMaxLatency], and a
-// Relax hop or NBI injection costs simYieldCost (a Relax hop up to twice
+// yield or NBI injection costs simYieldCost (a yield up to twice
 // that), keeping the clock advancing through poll loops.
 const (
 	simMinLatency = 2 * time.Microsecond
@@ -122,7 +122,7 @@ const (
 	simWaitOp             // a blocking one-sided operation
 	simWaitQuiet          // its NBI deliveries
 	simWaitWord           // WaitUntil64 on local memory
-	simWaitRelax          // a Relax yield
+	simWaitYield          // a Yield or Wait.Poll hand-back
 	simWaitBarrier        // the barrier (and, once released, its wake)
 )
 
@@ -338,14 +338,14 @@ func (t *simTransport) peDone(rank int) {
 	t.schedule()
 }
 
-func (t *simTransport) relax(rank int) {
+func (t *simTransport) yield(rank int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.refuse(rank) != nil {
 		return
 	}
 	pe := &t.pes[rank]
-	pe.state, pe.kind = simPEBlockedOp, simWaitRelax
+	pe.state, pe.kind = simPEBlockedOp, simWaitYield
 	pe.readyAt = pe.vclock + t.drawYield()
 	t.park(rank)
 }

@@ -206,7 +206,7 @@ func TestSimDeadlockDetection(t *testing.T) {
 	}
 }
 
-// TestSimLivelockBudget: PEs that spin forever through Relax exhaust the
+// TestSimLivelockBudget: PEs that spin forever through a Wait exhaust the
 // virtual-time budget and fail with a diagnosis instead of hanging.
 func TestSimLivelockBudget(t *testing.T) {
 	w, err := NewWorld(Config{
@@ -219,11 +219,12 @@ func TestSimLivelockBudget(t *testing.T) {
 		t.Fatalf("NewWorld: %v", err)
 	}
 	err = w.Run(func(ctx *Ctx) error {
+		wait := ctx.NewWait(0)
 		for {
 			if werr := ctx.Err(); werr != nil {
 				return werr
 			}
-			ctx.Relax()
+			wait.Poll()
 		}
 	})
 	if err == nil {

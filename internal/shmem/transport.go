@@ -42,8 +42,6 @@ type transport interface {
 	// comparison (returning the satisfying value) or r.giveUp says why it
 	// never will.
 	waitWord(r waitReq) (uint64, error)
-	// relax is one empty iteration of rank's poll loop.
-	relax(rank int)
 	// barrier blocks rank until every PE has arrived.
 	barrier(rank int) error
 }
@@ -129,12 +127,9 @@ const (
 )
 
 // hostWaits is how a PE blocks when PEs are free-running goroutines on the
-// host scheduler — every back-end but the sim: Relax is a yield with an
-// occasional sleep, and every blocked wait, the barrier's included, is the
-// one loop below.
+// host scheduler — every back-end but the sim: every blocked wait, the
+// barrier's included, is the one loop below.
 type hostWaits struct{ w *World }
-
-func (h hostWaits) relax(rank int) { h.w.pes[rank].pause() }
 
 func (h hostWaits) barrier(rank int) error { return h.w.bars[rank].wait() }
 
@@ -193,16 +188,5 @@ func (h hostWaits) waitWord(r waitReq) (uint64, error) {
 		if done {
 			return v, err
 		}
-	}
-}
-
-// pause is one backoff step of a poll loop run by this PE: a yield, with
-// every 64th a short sleep so an oversubscribed host makes progress.
-// Atomic: in multi-worker mode any of the PE's goroutines may poll.
-func (p *peState) pause() {
-	if p.pauses.Add(1)%64 == 0 {
-		time.Sleep(time.Microsecond)
-	} else {
-		yield()
 	}
 }

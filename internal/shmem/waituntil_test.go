@@ -135,11 +135,12 @@ func TestBlockedWaits(t *testing.T) {
 				// words: it parked instead of polling, and the landing is
 				// what has to get it out.
 				deadline := time.Now().Add(10 * time.Second)
+				wait := c.NewWait(0)
 				for i := 0; w.sim && i < 10 || !w.sim && atomic.LoadUint64(&w.pes[1].wake.waiters) == 0; i++ {
 					if time.Now().After(deadline) {
 						return fmt.Errorf("the waiter never parked")
 					}
-					c.Relax()
+					wait.Poll()
 				}
 				return c.Store64(1, flag, 42)
 			}

@@ -54,16 +54,14 @@ func ExactlyOnceUnderChurn(t *testing.T, f Factory, seed int64) {
 	// The whole run is about a millisecond of work: on a loaded box the
 	// thread running the transitioning rank can sit descheduled for all of
 	// what is left, wake after the last task, and leave with the transition
-	// pending — an oracle that checked nothing. A short sleep per leaf makes
-	// the hundreds of leaves still to run outlast any scheduling hiccup, so
-	// the transition completes with work in flight, which is what the
-	// oracle is for; once it has, leaves run at full speed again. Sleeping,
-	// not waiting: an owner held in a task could not drain the inbox the
-	// draining rank is forwarding into. Not under the lockstep sim, which
-	// is deterministic and where a task may only block through shmem.
-	slowWhile := func(pending bool) {
+	// pending — an oracle that checked nothing. 200 µs of simulated work
+	// per leaf makes the hundreds of leaves still to run outlast any
+	// scheduling hiccup, so the transition completes with work in flight,
+	// which is what the oracle is for; once it has, leaves run at full
+	// speed again. Not under the lockstep sim, which is deterministic.
+	slowWhile := func(tc *pool.TaskCtx, pending bool) {
 		if pending && !f.Lockstep {
-			time.Sleep(200 * time.Microsecond)
+			tc.Compute(200 * time.Microsecond)
 		}
 	}
 	runErr := w.Run(func(ctx *shmem.Ctx) error {
@@ -87,8 +85,8 @@ func ExactlyOnceUnderChurn(t *testing.T, f Factory, seed int64) {
 			case drainAt:
 				drainOnce.Do(func() { _ = lv.BeginDrain(drainRank) })
 			}
-			slowWhile(n >= joinAt && !lv.Member(joinRank))
-			slowWhile(n >= drainAt && lv.Drains() == 0)
+			slowWhile(tc, n >= joinAt && !lv.Member(joinRank))
+			slowWhile(tc, n >= drainAt && lv.Drains() == 0)
 			return nil
 		})
 		var producer task.Handle
@@ -159,18 +157,9 @@ func ExactlyOnceUnderChurn(t *testing.T, f Factory, seed int64) {
 		} else if v != 0 {
 			return fmt.Errorf("%d PEs report degraded termination under voluntary churn", v)
 		}
-		var zero, multi int
-		for i := 0; i < total; i++ {
-			v, err := ctx.Load64(0, slots+shmem.Addr(i)*shmem.WordSize)
-			if err != nil {
-				return err
-			}
-			switch {
-			case v == 0:
-				zero++
-			case v > 1:
-				multi++
-			}
+		zero, multi, err := audit(ctx, slots, total)
+		if err != nil {
+			return err
 		}
 		if zero > 0 || multi > 0 {
 			return fmt.Errorf("exactly-once violated across churn: %d of %d tasks lost, %d doubled", zero, total, multi)

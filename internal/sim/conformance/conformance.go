@@ -31,7 +31,7 @@
 //     termination wave, and transports attach only once.
 //
 // All cross-PE synchronization inside the oracles goes through shmem
-// primitives (flag words + WaitUntil64 + Relax), never Go channels, so
+// primitives (flag words + WaitUntil64 + Wait), never Go channels, so
 // each test means the same thing on a real transport and under the sim
 // scheduler.
 package conformance
@@ -68,6 +68,9 @@ type Factory struct {
 	// Workers pins the worker count of the pool-driven oracles; RunAll
 	// sets it for the oracles it sweeps. Zero defers to SWS_TEST_WORKERS.
 	Workers int
+	// Protocol is the pool-driven oracles' queue (zero: SWS). RunAll runs
+	// them on SDC too, the baseline every figure divides by.
+	Protocol pool.Protocol
 }
 
 // waitTimeout bounds every flag wait in the suite. Under the sim
@@ -119,22 +122,33 @@ func (f Factory) workerSweep() []Factory {
 	return fs
 }
 
-// RunAll runs the whole suite against one transport factory.
+// RunAll runs the whole suite against one transport factory, and under
+// "sdc" its fault-free pool-driven oracles again on the SDC queue.
 func RunAll(t *testing.T, f Factory) {
 	t.Run("steal-comm-bounds", func(t *testing.T) { StealCommBounds(t, f) })
 	t.Run("stealval-consistency", func(t *testing.T) { StealvalConsistency(t, f) })
+	t.Run("epoch-safe-acquire", func(t *testing.T) { EpochSafeAcquire(t, f) })
+	t.Run("asteals-bounded", func(t *testing.T) { AstealsBounded(t, f) })
+	runPoolOracles(t, f)
+	f.Protocol = pool.SDC
+	t.Run("sdc", func(t *testing.T) { runPoolOracles(t, f) })
+}
+
+// runPoolOracles runs the pool-driven oracles on f.Protocol, the
+// exactly-once ones at each worker count of f's sweep; churn, like kill,
+// on SWS only.
+func runPoolOracles(t *testing.T, f Factory) {
 	for _, fw := range f.workerSweep() {
-		fw := fw
 		t.Run(fmt.Sprintf("workers=%d", fw.Workers), func(t *testing.T) {
 			t.Run("exactly-once", func(t *testing.T) { ExactlyOnce(t, fw) })
-			t.Run("exactly-once-churn", func(t *testing.T) { ExactlyOnceUnderChurn(t, fw, 23) })
+			if fw.Protocol == pool.SWS {
+				t.Run("exactly-once-churn", func(t *testing.T) { ExactlyOnceUnderChurn(t, fw, 23) })
+			}
 			t.Run("inbox-exactly-once", func(t *testing.T) { InboxExactlyOnce(t, fw) })
 			t.Run("inbox-batches-wrap", func(t *testing.T) { InboxBatchesWrap(t, fw) })
 			t.Run("exactly-once-overflow", func(t *testing.T) { ExactlyOnceOverflow(t, fw) })
 		})
 	}
-	t.Run("epoch-safe-acquire", func(t *testing.T) { EpochSafeAcquire(t, f) })
-	t.Run("asteals-bounded", func(t *testing.T) { AstealsBounded(t, f) })
 	t.Run("termination-quiescence", func(t *testing.T) { TerminationQuiescence(t, f) })
 	t.Run("exactly-once-per-job", func(t *testing.T) { ExactlyOncePerJob(t, f) })
 }
@@ -197,18 +211,9 @@ func ExactlyOnceUnderKill(t *testing.T, f Factory, seed int64) {
 		// reads stable memory. (Rank 0 is also the degraded-mode leader, so
 		// its own Stats carry the world's verdict.)
 		st := p.Stats()
-		var zero, multi int
-		for i := 0; i < total; i++ {
-			v, err := ctx.Load64(0, slots+shmem.Addr(i)*shmem.WordSize)
-			if err != nil {
-				return err
-			}
-			switch {
-			case v == 0:
-				zero++
-			case v > 1:
-				multi++
-			}
+		zero, multi, err := audit(ctx, slots, total)
+		if err != nil {
+			return err
 		}
 		if multi > 0 {
 			return fmt.Errorf("at-most-once violated: %d of %d tasks executed more than once", multi, total)
@@ -233,6 +238,24 @@ func run(t *testing.T, f Factory, numPEs int, body func(*shmem.Ctx) error) {
 	if err := w.Run(body); err != nil {
 		t.Fatalf("%s world: %v", f.Name, err)
 	}
+}
+
+// audit reads the n per-task slots at slots on rank 0, each bumped once
+// per execution, and counts the tasks that never ran and that ran twice.
+func audit(ctx *shmem.Ctx, slots shmem.Addr, n int) (zero, multi int, err error) {
+	for i := 0; i < n; i++ {
+		v, err := ctx.Load64(0, slots+shmem.Addr(i)*shmem.WordSize)
+		if err != nil {
+			return 0, 0, err
+		}
+		switch {
+		case v == 0:
+			zero++
+		case v > 1:
+			multi++
+		}
+	}
+	return zero, multi, nil
 }
 
 // dummyTask returns a descriptor with a payload tag, for queue-level tests
@@ -346,6 +369,7 @@ func StealvalConsistency(t *testing.T, f Factory) {
 		if err := ctx.Barrier(); err != nil {
 			return err
 		}
+		wait := ctx.NewWait(0)
 		if ctx.Rank() == 0 {
 			// Owner churn: repeatedly build up, share, drain, localize.
 			n := 0
@@ -371,7 +395,7 @@ func StealvalConsistency(t *testing.T, f Factory) {
 				if _, err := q.Acquire(); err != nil {
 					return err
 				}
-				ctx.Relax()
+				wait.Poll()
 			}
 			if err := ctx.Store64(0, stop, 1); err != nil {
 				return err
@@ -410,7 +434,7 @@ func StealvalConsistency(t *testing.T, f Factory) {
 			if s == 1 && checks >= 50 {
 				break
 			}
-			ctx.Relax()
+			wait.Poll()
 		}
 		return ctx.Barrier()
 	})
@@ -447,7 +471,7 @@ func ExactlyOnce(t *testing.T, f Factory) {
 			}
 			return nil
 		})
-		p, err := pool.New(ctx, reg, pool.Config{Protocol: pool.SWS, Seed: 7, Workers: f.workers()})
+		p, err := pool.New(ctx, reg, pool.Config{Protocol: f.Protocol, Seed: 7, Workers: f.workers()})
 		if err != nil {
 			return err
 		}
@@ -541,6 +565,7 @@ func EpochSafeAcquire(t *testing.T, f Factory) {
 			}
 			// The thief's late completion store must still drain the old
 			// epoch: poll Progress until only the current record remains.
+			wait := ctx.NewWait(0)
 			for q.Stats().Epochs > 1 {
 				if err := q.Progress(); err != nil {
 					return err
@@ -548,7 +573,7 @@ func EpochSafeAcquire(t *testing.T, f Factory) {
 				if werr := ctx.Err(); werr != nil {
 					return werr
 				}
-				ctx.Relax()
+				wait.Poll()
 			}
 			return ctx.Barrier()
 		}
@@ -640,11 +665,12 @@ func AstealsBounded(t *testing.T, f Factory) {
 		if _, err := ctx.WaitUntil64(ready, shmem.CmpEQ, 1, waitTimeout); err != nil {
 			return err
 		}
+		wait := ctx.NewWait(0)
 		for i := 0; i < 60; i++ {
 			if _, _, err := q.Steal(0); err != nil {
 				return err
 			}
-			ctx.Relax()
+			wait.Poll()
 		}
 		if !q.EmptyMode(0) {
 			return fmt.Errorf("thief %d never entered empty-mode after 60 steals of an exhausted queue", ctx.Rank())
@@ -700,7 +726,7 @@ func TerminationQuiescence(t *testing.T, f Factory) {
 			}
 			return nil
 		})
-		p, err := pool.New(ctx, reg, pool.Config{Protocol: pool.SWS, Seed: 11, Workers: f.workers()})
+		p, err := pool.New(ctx, reg, pool.Config{Protocol: f.Protocol, Seed: 11, Workers: f.workers()})
 		if err != nil {
 			return err
 		}

@@ -54,7 +54,7 @@ func inboxExactlyOnce(t *testing.T, f Factory, mailboxSlots, perSender int) {
 			}
 			return nil
 		})
-		p, err := pool.New(ctx, reg, pool.Config{Protocol: pool.SWS, Seed: 11, MailboxSlots: mailboxSlots, Workers: f.workers()})
+		p, err := pool.New(ctx, reg, pool.Config{Protocol: f.Protocol, Seed: 11, MailboxSlots: mailboxSlots, Workers: f.workers()})
 		if err != nil {
 			return err
 		}
@@ -69,14 +69,12 @@ func inboxExactlyOnce(t *testing.T, f Factory, mailboxSlots, perSender int) {
 		if ctx.Rank() == 0 {
 			// Termination means every execution's blocking fetch-add has
 			// landed, so the audit reads stable memory.
-			for i := 0; i < total; i++ {
-				v, err := ctx.Load64(0, slots+shmem.Addr(i)*shmem.WordSize)
-				if err != nil {
-					return err
-				}
-				if v != 1 {
-					return fmt.Errorf("inbox exactly-once violated: task %d delivered %d times", i, v)
-				}
+			zero, multi, err := audit(ctx, slots, total)
+			if err != nil {
+				return err
+			}
+			if zero > 0 || multi > 0 {
+				return fmt.Errorf("inbox exactly-once violated: %d of %d tasks lost, %d doubled", zero, total, multi)
 			}
 		}
 		return ctx.Barrier()

@@ -29,7 +29,7 @@ import (
 //
 // Cross-PE synchronization goes through shmem primitives only, so the
 // oracle means the same thing on local, tcp, shm, and the lockstep sim
-// (where the fleet's await loop polls through Relax).
+// (where the fleet's await loop polls through a Wait).
 func ExactlyOncePerJob(t *testing.T, f Factory) {
 	const peCount = 4
 	const depth = 3                 // binary tree: 2^(depth+1)-1 nodes
@@ -107,7 +107,7 @@ func ExactlyOncePerJob(t *testing.T, f Factory) {
 	}
 
 	fleet, err := pool.NewFleet(w, pool.FleetOptions{
-		Pool:     pool.Config{Protocol: pool.SWS, Seed: 13, Workers: f.workers()},
+		Pool:     pool.Config{Protocol: f.Protocol, Seed: 13, Workers: f.workers()},
 		Register: register,
 		Warmup: func(c *shmem.Ctx, p *pool.Pool) error {
 			execSlots.Store(uint64(c.MustAlloc(jobs * perJob * shmem.WordSize)))

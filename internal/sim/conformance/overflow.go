@@ -49,7 +49,7 @@ func ExactlyOnceOverflow(t *testing.T, f Factory) {
 			return nil
 		})
 		p, err := pool.New(ctx, reg, pool.Config{
-			Protocol:      pool.SWS,
+			Protocol:      f.Protocol,
 			Seed:          13,
 			Workers:       f.workers(),
 			QueueCapacity: queueCap,
@@ -79,18 +79,9 @@ func ExactlyOnceOverflow(t *testing.T, f Factory) {
 		if ctx.Rank() != 0 {
 			return ctx.Barrier()
 		}
-		var zero, multi int
-		for i := 0; i < total; i++ {
-			v, err := ctx.Load64(0, slots+shmem.Addr(i)*shmem.WordSize)
-			if err != nil {
-				return err
-			}
-			switch {
-			case v == 0:
-				zero++
-			case v > 1:
-				multi++
-			}
+		zero, multi, err := audit(ctx, slots, total)
+		if err != nil {
+			return err
 		}
 		if zero > 0 || multi > 0 {
 			return fmt.Errorf("exactly-once violated across overflow: %d of %d tasks lost, %d doubled", zero, total, multi)

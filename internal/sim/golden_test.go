@@ -30,7 +30,7 @@ import (
 // fault-free 4, 5, 7, chaos 1, 3, 7, kill 4, 5, 7 and churn 2, 5, 6, 8: the
 // leader's counter gets read lagged counts there, so its wave takes another
 // pass (fault-free 4 first differs after the get of PE 3's counters). No
-// op, Relax or PRNG draw moved before that point, and the other 19 rows
+// op, wait poll or PRNG draw moved before that point, and the other 19 rows
 // did not move with it. Giving every symmetric allocation whole cache lines
 // (shmem.LineSize) re-recorded all 32 rows and moved only addresses: with
 // a=0x[0-9a-f]+ masked, each row's dumped log is byte-identical to its
