@@ -2,6 +2,7 @@ package sws_test
 
 import (
 	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -128,15 +130,37 @@ func TestShmemLineBudget(t *testing.T) {
 // implements the rule, and the programs outside the runtime (cmd,
 // benchmark) may call them.
 func TestOneWaitRule(t *testing.T) {
+	skip := []string{"internal/shmem", "cmd", "benchmark"}
+	for _, c := range bannedCalls(t, []string{"."}, skip, map[string][]string{"runtime": {"Gosched"}, "time": {"Sleep"}}) {
+		t.Errorf("%s outside internal/shmem: poll through a shmem.Wait (Ctx.Compute for simulated work)", c)
+	}
+}
+
+// TestOneClock: every interval the runtime times reads Ctx.Now, the
+// monotonic clock on a wall-clock transport and the PE's virtual clock
+// under the sim, so the time columns of a sim run sum to its virtual
+// clock. A time.Now or time.Since in the pool, the queues, termination or
+// the paper's experiments is a second clock the sim cannot see.
+func TestOneClock(t *testing.T) {
+	timed := []string{"internal/pool", "internal/core", "internal/sdc", "internal/term", "internal/bench"}
+	for _, c := range bannedCalls(t, timed, nil, map[string][]string{"time": {"Now", "Since"}}) {
+		t.Errorf("%s: time an interval on Ctx.Now", c)
+	}
+}
+
+// bannedCalls lists, as "file:line: pkg.Fn", every reference to a banned
+// function (by import path) in the non-test Go files below roots, outside
+// the skipped directories.
+func bannedCalls(t *testing.T, roots, skip []string, banned map[string][]string) []string {
+	t.Helper()
+	var calls []string
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	walk := func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			switch {
-			case path == "internal/shmem", path == "cmd", path == "benchmark", d.Name() == "testdata",
-				path != "." && strings.HasPrefix(d.Name(), "."):
+			if slices.Contains(skip, path) || d.Name() == "testdata" || path != "." && strings.HasPrefix(d.Name(), ".") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -148,33 +172,31 @@ func TestOneWaitRule(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		banned := map[string]string{} // the file's name for a package -> its banned function
+		fns := map[string][]string{} // the file's name for a package -> its banned functions
 		for _, imp := range file.Imports {
 			pkg, _ := strconv.Unquote(imp.Path.Value)
-			fn := map[string]string{"runtime": "Gosched", "time": "Sleep"}[pkg]
-			if fn == "" {
-				continue
-			}
 			name := pkg
 			if imp.Name != nil {
 				name = imp.Name.Name
 			}
-			banned[name] = fn
+			fns[name] = banned[pkg]
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && banned[x.Name] == sel.Sel.Name {
-					t.Errorf("%s: %s.%s outside internal/shmem: poll through a shmem.Wait (Ctx.Compute for simulated work)",
-						fset.Position(sel.Pos()), x.Name, sel.Sel.Name)
+				if x, ok := sel.X.(*ast.Ident); ok && slices.Contains(fns[x.Name], sel.Sel.Name) {
+					calls = append(calls, fmt.Sprintf("%s: %s.%s", fset.Position(sel.Pos()), x.Name, sel.Sel.Name))
 				}
 			}
 			return true
 		})
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+	for _, root := range roots {
+		if err := filepath.WalkDir(root, walk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return calls
 }
 
 // TestDocBudget pins the two long documents at their line counts, so prose

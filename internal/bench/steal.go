@@ -120,9 +120,9 @@ func stealTimes(w shmem.Config, p protocol, payloadCap, push, vol, reps int) ([]
 	durs := make([]time.Duration, 0, reps)
 	_, err := stealRounds(w, p, core.Options{Capacity: max(2*push, 64), PayloadCap: payloadCap}, reps, push,
 		func(c *shmem.Ctx, q wsq.Queue) error {
-			start := time.Now()
+			start := c.Now()
 			tasks, out, err := q.Steal(0)
-			el := time.Since(start)
+			el := c.Now().Sub(start)
 			if err != nil {
 				return err
 			}

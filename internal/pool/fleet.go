@@ -261,7 +261,7 @@ func (f *Fleet) awaitJob(c *shmem.Ctx, rank int) *fleetJob {
 
 // Run executes one job over the warm fleet and returns the aggregated
 // per-job statistics (per-PE job-scoped deltas; Elapsed is the slowest
-// PE's wall time, the paper's whole-program timer). It is synchronous
+// PE's time on Ctx.Now, the paper's whole-program timer). It is synchronous
 // and safe for concurrent callers: jobs serialize on an internal mutex,
 // in arrival order.
 func (f *Fleet) Run(job Job) (stats.Run, error) {

@@ -22,8 +22,6 @@
 package pool
 
 import (
-	"time"
-
 	"sws/internal/shmem"
 	"sws/internal/task"
 	"sws/internal/trace"
@@ -197,7 +195,7 @@ func (p *Pool) flushWorkerTier() error {
 // spawned/executed ledger stays apart until every forwarded task runs on
 // its new home, and the termination wave cannot pass early.
 func (p *Pool) drainOut() error {
-	t0 := time.Now()
+	t0 := p.ctx.Now()
 	p.exec.handoff.Store(true)
 	wait := p.ctx.NewWait(0)
 	for {
@@ -237,7 +235,7 @@ func (p *Pool) drainOut() error {
 	if _, err := p.mbox.drain(p.forwardTask); err != nil {
 		return err
 	}
-	p.lat.drain.Record(time.Since(t0))
+	p.lat.drain.Record(p.ctx.Now().Sub(t0))
 	return nil
 }
 

@@ -22,7 +22,6 @@ import (
 
 	"sws/internal/core"
 	"sws/internal/obs"
-	"sws/internal/ptimer"
 	"sws/internal/sdc"
 	"sws/internal/shmem"
 	"sws/internal/stats"
@@ -195,7 +194,6 @@ type Pool struct {
 	reg  *Registry
 	det  *term.Detector
 	mbox *mailbox
-	cal  ptimer.Calibration
 
 	// q is the protocol layer. Its owner ops are plain calls: guard holds
 	// the owner-serialization contract for a whole job (RunJob) or one
@@ -334,7 +332,6 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 		ctx: ctx,
 		cfg: cfg,
 		reg: reg,
-		cal: ptimer.Calibrate(),
 	}
 	p.tr = cfg.Trace.PE(ctx.Rank())
 	ctx.AttachTrace(p.tr)
@@ -572,7 +569,7 @@ func (p *Pool) counters() stats.PE {
 	return st
 }
 
-// Elapsed returns this PE's wall time inside the most recent job
+// Elapsed returns this PE's time on Ctx.Now inside the most recent job
 // (between its barriers).
 func (p *Pool) Elapsed() time.Duration { return p.elapsed }
 

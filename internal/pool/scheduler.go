@@ -32,7 +32,7 @@ type JobResult struct {
 	// counters only, so Lat is nil: the latency histograms are
 	// lifetime-cumulative and read through Pool.Stats.
 	Stats stats.PE
-	// Elapsed is this PE's wall time between the job's barriers.
+	// Elapsed is this PE's time on Ctx.Now between the job's barriers.
 	Elapsed time.Duration
 }
 
@@ -78,11 +78,11 @@ func (p *Pool) RunJob() (JobResult, error) {
 		// happened in New; the barrier is only a timing fence, so the
 		// survivors proceed straight into a degraded job.
 	}
-	start := time.Now()
+	start := p.ctx.Now()
 	if err := p.run(); err != nil {
 		return JobResult{}, err
 	}
-	p.elapsed = time.Since(start)
+	p.elapsed = p.ctx.Now().Sub(start)
 	res := JobResult{Seq: p.jobSeq, Elapsed: p.elapsed, Stats: p.counters().Delta(prev)}
 	p.tr.Record(trace.JobEnd, int64(p.jobSeq), int64(res.Stats.TasksExecuted), 0)
 	if lv := p.ctx.Liveness(); lv != nil && lv.AnyDead() {
@@ -297,13 +297,13 @@ func (p *Pool) stepRelease() error {
 	// The block may hold tasks counted only in the owner's plain fields; a
 	// thief that runs one publishes its execution, so their spawns go first.
 	p.publishCounts()
-	t0 := time.Now()
+	t0 := p.ctx.Now()
 	released, err := p.q.Release()
 	if err != nil {
 		return err
 	}
 	if released > 0 {
-		p.lat.release.Record(p.cal.Since(t0))
+		p.lat.release.Record(p.ctx.Now().Sub(t0))
 		p.bk.releases.Add(1)
 		p.tr.Record(trace.Release, 0, int64(released), 0)
 		p.recordEpochFlip(int64(released))
@@ -396,12 +396,12 @@ func (p *Pool) stepAcquire() (bool, error) {
 	if p.q.LocalCount() != 0 {
 		return false, nil // Acquire applies to an empty local portion only
 	}
-	t0 := time.Now()
+	t0 := p.ctx.Now()
 	moved, err := p.q.Acquire()
 	if err != nil || moved == 0 {
 		return false, err
 	}
-	p.lat.acquire.Record(p.cal.Since(t0))
+	p.lat.acquire.Record(p.ctx.Now().Sub(t0))
 	p.bk.acquires.Add(1)
 	p.tr.Record(trace.Acquire, 0, int64(moved), 0)
 	p.recordEpochFlip(int64(moved))

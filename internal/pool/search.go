@@ -8,7 +8,6 @@ import (
 	"errors"
 	"math/rand/v2"
 	"sort"
-	"time"
 
 	"sws/internal/shmem"
 	"sws/internal/trace"
@@ -206,9 +205,9 @@ func (p *Pool) search() (bool, error) {
 			p.bk.stealsQuarantined.Add(1)
 			continue
 		}
-		t0 := time.Now()
+		t0 := p.ctx.Now()
 		tasks, out, err := p.q.Steal(v)
-		el := p.cal.Since(t0)
+		el := p.ctx.Now().Sub(t0)
 		if err != nil {
 			transient, dead := stealFailure(err)
 			if !transient {

@@ -293,13 +293,13 @@ func (p *Pool) execute(ws *workerState, d task.Desc) error {
 	timed := p.tr != nil || ws.nExecuted%obs.SampleEvery == 0
 	var t0 time.Time
 	if timed {
-		t0 = time.Now()
+		t0 = p.ctx.Now()
 	}
 	if err := fn(&ws.tc, d.Payload); err != nil {
 		return fmt.Errorf("pool: task %d failed: %w", d.Handle, err)
 	}
 	if timed {
-		el := p.cal.Since(t0)
+		el := p.ctx.Now().Sub(t0)
 		ws.execTime += el
 		ws.execSampled++
 		p.lat.exec.Record(el)

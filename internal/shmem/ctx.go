@@ -218,9 +218,9 @@ func (w *World) errFor(rank int) error {
 	return fmt.Errorf("shmem: world failed")
 }
 
-// Now is this PE's clock for the protocol's poll deadlines: its virtual
-// clock under TransportSim, where the number of Wait polls a deadline
-// takes must not depend on the host's speed, and the wall clock elsewhere.
+// Now is this PE's one clock, for poll deadlines and every timed interval:
+// its virtual clock under TransportSim, so no poll count or time column
+// depends on the host's speed, and the monotonic wall clock elsewhere.
 func (c *Ctx) Now() time.Time {
 	if c.w.sim != nil {
 		return c.w.sim.clock(c.rank)
@@ -352,7 +352,7 @@ func (c *Ctx) Quiet() error { return c.w.transport.quiet(c.rank) }
 // contend on at the task rate. It never sleeps.
 func (c *Ctx) Yield(due bool) {
 	if c.w.sim != nil {
-		c.w.sim.yield(c.rank)
+		c.w.sim.yield(c.rank, 0)
 		return
 	}
 	if due {
@@ -418,9 +418,13 @@ func (c *Ctx) Pauses() uint64 { return c.self.pauses.Load() }
 // ceded the processor.
 func (c *Ctx) Yields() uint64 { return c.self.yields.Load() }
 
-// Compute simulates d of task computation: spin at computeQuantum's cadence.
+// Compute simulates d of task computation: under TransportSim a virtual
+// charge (the PE parks until its clock is d later), else a spin at
+// computeQuantum's cadence.
 func (c *Ctx) Compute(d time.Duration) {
-	if _, n := spin(d, computeQuantum()); n > 0 {
+	if c.w.sim != nil && d > 0 {
+		c.w.sim.yield(c.rank, d)
+	} else if _, n := spin(d, computeQuantum()); n > 0 {
 		c.self.yields.Add(n)
 	}
 }

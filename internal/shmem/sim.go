@@ -122,7 +122,7 @@ const (
 	simWaitOp             // a blocking one-sided operation
 	simWaitQuiet          // its NBI deliveries
 	simWaitWord           // WaitUntil64 on local memory
-	simWaitYield          // a Yield or Wait.Poll hand-back
+	simWaitYield          // a Yield, Wait.Poll or Compute hand-back
 	simWaitBarrier        // the barrier (and, once released, its wake)
 )
 
@@ -338,7 +338,8 @@ func (t *simTransport) peDone(rank int) {
 	t.schedule()
 }
 
-func (t *simTransport) yield(rank int) {
+// yield parks rank for a Compute charge d, or a drawn yield cost if d is 0.
+func (t *simTransport) yield(rank int, d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.refuse(rank) != nil {
@@ -346,7 +347,9 @@ func (t *simTransport) yield(rank int) {
 	}
 	pe := &t.pes[rank]
 	pe.state, pe.kind = simPEBlockedOp, simWaitYield
-	pe.readyAt = pe.vclock + t.drawYield()
+	if pe.readyAt = pe.vclock + uint64(d); d == 0 {
+		pe.readyAt += t.drawYield()
+	}
 	t.park(rank)
 }
 
@@ -423,7 +426,7 @@ func (t *simTransport) blocking(r opReq) (uint64, []byte, error) {
 	pe := &t.pes[r.from]
 	v := t.w.verdict(&r)
 	pe.state, pe.kind, pe.op = simPEBlockedOp, simWaitOp, r
-	pe.readyAt = pe.vclock + t.drawLatency() + delayNS(v.Delay)
+	pe.readyAt = pe.vclock + t.drawLatency() + uint64(max(v.Delay, 0))
 	failErr := v.failure()
 	if failErr != nil {
 		failErr = opError(r.op, r.from, r.to, failErr)
@@ -498,13 +501,6 @@ func (t *simTransport) drawYield() uint64 {
 	return uint64(y) + uint64(t.rng.Int63n(y+1))
 }
 
-func delayNS(d time.Duration) uint64 {
-	if d <= 0 {
-		return 0
-	}
-	return uint64(d)
-}
-
 func (t *simTransport) worldErr() error {
 	if err := t.w.Err(); err != nil {
 		return err
@@ -522,7 +518,7 @@ func (t *simTransport) handleNBI(r opReq) {
 	dup := v.Duplicate && r.op.redeliverable() && !v.dropped()
 	pe.vclock += uint64(simYieldCost) // injection overhead
 	drop := v.dropped()
-	at := pe.vclock + t.drawLatency() + delayNS(v.Delay)
+	at := pe.vclock + t.drawLatency() + uint64(max(v.Delay, 0))
 	pe.pending++
 	ev := simEvent{at: at, seq: t.nextSeq(), op: r, drop: drop, pendingDec: true}
 	heap.Push(&t.events, ev)

@@ -248,7 +248,7 @@ func (s PE) Delta(prev PE) PE {
 // Run aggregates one whole-pool execution.
 type Run struct {
 	PEs      []PE
-	Elapsed  time.Duration // wall time of the slowest PE (paper: max runtime)
+	Elapsed  time.Duration // the slowest PE's time on Ctx.Now (paper: max runtime)
 	Protocol string
 }
 

@@ -153,7 +153,7 @@ type Job struct {
 
 // Result aggregates a completed run.
 type Result struct {
-	// Elapsed is the slowest PE's wall time between the start and
+	// Elapsed is the slowest PE's time on Ctx.Now between the start and
 	// termination barriers (the paper's whole-program timing).
 	Elapsed time.Duration
 	// PEs holds per-PE counters, indexed by rank.
