@@ -83,7 +83,9 @@ func TestConfigFieldBudget(t *testing.T) {
 // shrank it was by finding a job done in two: the op pipeline, the landing
 // path and the wait loop, then the barrier, the give-up rule, the liveness
 // transition and the tcp dial path, then the sim's lockstep hand-off
-// (a scheduler goroutine beside the PEs that already take turns). It grew
+// (a scheduler goroutine beside the PEs that already take turns), then the
+// sim's own barrier beside the world's one and tcp's held-back injections
+// (a watermark and a flusher goroutine beside the pair's stream). It grew
 // once by taking a job in: the one wait rule (shmem.Wait), which was
 // pool's, because core and sdc poll by it too and its sim hand-back is the
 // lockstep's. internal/bench writes each of the
@@ -101,7 +103,7 @@ func TestShmemLineBudget(t *testing.T) {
 		pkg    string
 		budget int
 	}{
-		{"internal/shmem", 5596},
+		{"internal/shmem", 5453},
 		{"internal/bench", 1000},
 		{"internal/core", 1150},
 		{"internal/term", 350},

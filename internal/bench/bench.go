@@ -199,10 +199,6 @@ func fmtDurFine(d time.Duration) string { return d.String() }
 // SingleRunTable renders one run's headline numbers, for the CLI tools.
 func SingleRunTable(name string, run stats.Run) *Table {
 	tot := run.Total()
-	avg := time.Duration(0)
-	if tot.TasksExecuted > 0 {
-		avg = tot.ExecTime / time.Duration(tot.TasksExecuted)
-	}
 	t := &Table{
 		Title:  fmt.Sprintf("%s (%s, %d PEs)", name, run.Protocol, len(run.PEs)),
 		Header: []string{"metric", "value"},
@@ -210,7 +206,7 @@ func SingleRunTable(name string, run stats.Run) *Table {
 			{"runtime", fmtDur(run.Elapsed)},
 			{"tasks executed", fmt.Sprint(tot.TasksExecuted)},
 			{"throughput (tasks/s)", fmtF(run.Throughput())},
-			{"avg task time", fmtDur(avg)},
+			{"avg task time", fmtDurFine(avgTask(tot.ExecTime, tot.TasksExecuted))},
 			{"steals ok/empty/disabled", fmt.Sprintf("%d/%d/%d", tot.StealsSuccessful, tot.StealsEmpty, tot.StealsDisabled)},
 			{"tasks stolen", fmt.Sprint(tot.TasksStolen)},
 			{"steal time (sum)", fmtDur(tot.StealTime)},

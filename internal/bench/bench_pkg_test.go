@@ -12,6 +12,7 @@ import (
 	"sws/internal/bpc"
 	"sws/internal/pool"
 	"sws/internal/shmem"
+	"sws/internal/stats"
 	"sws/internal/uts"
 )
 
@@ -37,6 +38,24 @@ func TestTableRendering(t *testing.T) {
 		!strings.Contains(csv.String(), `"has ""quotes"""`) {
 		t.Errorf("csv escaping wrong:\n%s", csv.String())
 	}
+}
+
+// A sub-microsecond task body (a UTS node is ~150 ns) must not print as a
+// zero average task time.
+func TestSingleRunTableSubMicrosecondTask(t *testing.T) {
+	run := stats.Run{
+		Elapsed: time.Millisecond,
+		PEs:     []stats.PE{{TasksExecuted: 1000, ExecTime: 154 * time.Microsecond}},
+	}
+	for _, row := range SingleRunTable("uts", run).Rows {
+		if row[0] == "avg task time" {
+			if row[1] != "154ns" {
+				t.Errorf("avg task time renders %q, want 154ns", row[1])
+			}
+			return
+		}
+	}
+	t.Fatal("no avg task time row")
 }
 
 func TestRunRepsValidation(t *testing.T) {

@@ -232,9 +232,9 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 	}
 	if opts.Fused {
 		// The fused handler is a pure function of the fetched stealval
-		// and the queue's symmetric geometry; the stealval's own address
-		// is the symmetric handler id.
-		if err := ctx.RegisterFused(uint64(q.stealvalAddr), q.fusedRanges); err != nil {
+		// and the queue's symmetric geometry, keyed by the stealval's
+		// symmetric address.
+		if err := ctx.RegisterFused(q.stealvalAddr, q.fusedRanges); err != nil {
 			return nil, err
 		}
 	}

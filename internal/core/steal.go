@@ -86,7 +86,7 @@ func (q *Queue) stealSpanned(victim int, sc shmem.SpanCtx) ([]task.Desc, wsq.Out
 	var err error
 	if q.opts.Fused {
 		// Single round trip: claim and copy together (see Options.Fused).
-		old, fusedData, err = sc.FetchAddGet(victim, q.stealvalAddr, AstealsUnit, uint64(q.stealvalAddr))
+		old, fusedData, err = sc.FetchAddGet(victim, q.stealvalAddr, AstealsUnit)
 	} else {
 		old, err = sc.FetchAdd64(victim, q.stealvalAddr, AstealsUnit)
 	}

@@ -245,7 +245,7 @@ func (f *Fleet) runOne(p *Pool, rank int, fj *fleetJob) error {
 // idle fleet burns no CPU.
 func (f *Fleet) awaitJob(c *shmem.Ctx, rank int) *fleetJob {
 	ch := f.chans[rank]
-	if c.MultiWorkerCapable() {
+	if !c.Lockstep() {
 		return <-ch
 	}
 	wait := c.NewWait(0)

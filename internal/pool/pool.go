@@ -335,13 +335,8 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 	}
 	p.tr = cfg.Trace.PE(ctx.Rank())
 	ctx.AttachTrace(p.tr)
-	if cfg.Workers > 1 {
-		// Will this PE have executors? Then they share the ctx with the
-		// owner, and the transport must support it (the lockstep sim does
-		// not).
-		if err := ctx.EnableMultiWorker(); err != nil {
-			return nil, fmt.Errorf("pool: Workers=%d: %w", cfg.Workers, err)
-		}
+	if cfg.Workers > 1 && ctx.Lockstep() {
+		return nil, fmt.Errorf("pool: Workers=%d: the lockstep sim runs one goroutine per PE; multi-worker PEs need a wall-clock transport", cfg.Workers)
 	}
 	codec, err := task.NewCodec(cfg.PayloadCap)
 	if err != nil {

@@ -151,8 +151,8 @@ func TestMultiWorkerSimRejected(t *testing.T) {
 		if _, err := New(c, reg, Config{Workers: 2}); err == nil {
 			return fmt.Errorf("New accepted Workers=2 under the sim transport")
 		}
-		if c.MultiWorkerCapable() {
-			return fmt.Errorf("sim ctx claims multi-worker capability")
+		if !c.Lockstep() {
+			return fmt.Errorf("sim ctx does not report lockstep")
 		}
 		return nil
 	})

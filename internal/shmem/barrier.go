@@ -6,19 +6,20 @@ import (
 )
 
 // barrier is one rank's handle on the world's one barrier, the same on
-// every wall-clock world — local, shm or tcp, in-process or joined: a
+// every world — local, shm, tcp or the sim, in-process or joined: a
 // sense-counting barrier on rank 0's reserved words. A PE arrives with a
 // fetch-add on barrierArriveAddr; the last arriver resets the count and
 // releases everyone by bumping barrierGenAddr, which the others wait on
-// through the one wait loop (hostWaits.waitWord). gen is the generation
-// this rank last saw released.
+// through the transport's one wait on a word (waitWord: hostWaits' loop on
+// a wall clock, a parked wait in the sim's virtual time). gen is the
+// generation this rank last saw released.
 //
 // The words are runtime memory, not traffic: where rank 0's heap is
 // addressable in this process the three ops land on it directly, with no
-// fault verdict and no latency charge; only a joined tcp rank other than 0
-// sends them over the transport. What ends a barrier early — world
-// failure, a crash injection, a dead member — is waitReq.giveUp's rule,
-// which the sim's lockstep barrier asks too (failed).
+// fault verdict, no latency charge and no sim schedule step; only a joined
+// tcp rank other than 0 sends them over the transport. What ends a barrier
+// early — world failure, a crash injection, a dead member — is
+// waitReq.giveUp's rule, as for any wait.
 type barrier struct {
 	w       *World
 	rank, n int
@@ -39,12 +40,6 @@ func (b *barrier) req() waitReq {
 	}
 }
 
-// failed reports why the barrier can no longer complete for b.rank, or nil.
-func (b *barrier) failed() error {
-	r := b.req()
-	return r.giveUp(b.w, false, b.gen)
-}
-
 // op applies one barrier op to rank 0's heap.
 func (b *barrier) op(op Op, addr Addr, v uint64) (uint64, error) {
 	r := opReq{op: op, from: b.rank, to: 0, addr: addr, v1: v}
@@ -62,7 +57,8 @@ func (b *barrier) op(op Op, addr Addr, v uint64) (uint64, error) {
 }
 
 func (b *barrier) wait() error {
-	if err := b.failed(); err != nil {
+	r := b.req()
+	if err := r.giveUp(b.w, false, b.gen); err != nil {
 		return err
 	}
 	prev, err := b.op(OpFetchAdd, barrierArriveAddr, 1)
@@ -82,7 +78,7 @@ func (b *barrier) wait() error {
 		b.gen++
 		return nil
 	}
-	g, err := b.w.transport.waitWord(b.req())
+	g, err := b.w.transport.waitWord(r)
 	if err == nil {
 		b.gen = g
 	}

@@ -9,13 +9,12 @@ import (
 )
 
 // Ctx is a PE's handle to the world: its identity, its symmetric heap, and
-// the one-sided operations it may perform on any PE's heap. By default a
-// Ctx is bound to the goroutine running its PE's body and is not safe for
-// concurrent use by multiple goroutines; a multi-worker runtime may opt
-// into shared use with EnableMultiWorker, after which data-path operations
-// (puts, gets, atomics, Wait, Quiet, WaitUntil64) may be issued from any
-// of the PE's worker goroutines. Setup operations (Alloc, AttachTrace)
-// and Barrier remain owner-goroutine-only even then.
+// the one-sided operations it may perform on any PE's heap. Heap words,
+// communication counters and the event ring are atomics, so unless the
+// world runs in Lockstep a multi-worker runtime may issue data-path
+// operations (puts, gets, atomics, Wait, Quiet, WaitUntil64) from any of
+// the PE's worker goroutines. Setup operations (Alloc, AttachTrace) and
+// Barrier stay on the goroutine running the PE's body.
 type Ctx struct {
 	w        *World
 	rank     int
@@ -67,26 +66,11 @@ func (c *Ctx) AttachTrace(f *trace.Flight) {
 	}
 }
 
-// MultiWorkerCapable reports whether this world's transport supports a PE
-// issuing operations from multiple goroutines. The deterministic
-// simulation transport does not: it runs PEs in lockstep, one scheduled
-// goroutine per PE, and a second goroutine entering the scheduler would
-// deadlock the virtual clock.
-func (c *Ctx) MultiWorkerCapable() bool { return c.w.cfg.Transport != TransportSim }
-
-// EnableMultiWorker declares that multiple goroutines of this PE will
-// issue data-path operations on this Ctx (a multi-worker pool: one owner
-// plus executor workers). It must be called from the owner goroutine
-// before any worker goroutine starts. Heap words and communication
-// counters are atomics, so concurrent data-path operations are safe on
-// the local and tcp transports, and so is the event ring. Returns an
-// error under the simulation transport — see MultiWorkerCapable.
-func (c *Ctx) EnableMultiWorker() error {
-	if !c.MultiWorkerCapable() {
-		return fmt.Errorf("shmem: transport runs PEs in single-goroutine lockstep; multi-worker PEs need the local or tcp transport")
-	}
-	return nil
-}
+// Lockstep reports whether this world runs its PEs in lockstep on a
+// virtual clock (TransportSim): one goroutine per PE, which blocks only
+// inside shmem primitives. A second goroutine of the PE entering the
+// scheduler, or the PE parked on a channel, would freeze the clock.
+func (c *Ctx) Lockstep() bool { return c.w.sim != nil }
 
 // latStart begins timing the n-th blocking remote op of its kind (zero time:
 // not timed). Nothing is timed under the sim; a span-tagged or traced op
@@ -183,8 +167,8 @@ func (s SpanCtx) Store64NBI(pe int, addr Addr, val uint64) error {
 }
 
 // FetchAddGet is Ctx.FetchAddGet carrying the view's span.
-func (s SpanCtx) FetchAddGet(pe int, addr Addr, delta uint64, id uint64) (uint64, []byte, error) {
-	return s.c.do(&opReq{op: OpFetchAddGet, to: pe, addr: addr, v1: delta, id: id, span: s.span})
+func (s SpanCtx) FetchAddGet(pe int, addr Addr, delta uint64) (uint64, []byte, error) {
+	return s.c.do(&opReq{op: OpFetchAddGet, to: pe, addr: addr, v1: delta, span: s.span})
 }
 
 // Rank returns this PE's rank in [0, NumPEs).
@@ -336,7 +320,7 @@ func (c *Ctx) Barrier() error {
 	if err := c.Quiet(); err != nil {
 		return err
 	}
-	return c.w.transport.barrier(c.rank)
+	return c.w.bars[c.rank].wait()
 }
 
 // Quiet blocks until all non-blocking operations issued by this PE have

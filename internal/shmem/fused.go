@@ -14,11 +14,12 @@ import (
 // one round trip.
 //
 // The range computation is a handler registered identically on every PE
-// (SPMD), addressed by a symmetric id, so nothing but plain data crosses
-// the wire: the initiator sends (word address, delta, handler id) and the
-// target-side service — the "NIC" — runs the handler on the fetched value
-// to decide which bytes to return. Handlers must be pure functions of the
-// fetched value: they run outside the owner's goroutine.
+// (SPMD), keyed by the symmetric address of the word it fetches, so
+// nothing but plain data crosses the wire: the initiator sends (word
+// address, delta) and the target-side service — the "NIC" — runs the
+// word's handler on the fetched value to decide which bytes to return.
+// Handlers must be pure functions of the fetched value: they run outside
+// the owner's goroutine.
 
 // FusedRange maps a fetched word to at most two heap ranges to read (two
 // because a circular-buffer block may wrap). Return n=0 spans for "no
@@ -29,52 +30,51 @@ type FusedRange func(old uint64) (ranges [2]FusedSpan, n int)
 // Span, so fused handlers and vectored gets speak the same geometry).
 type FusedSpan = Span
 
-// fusedRegistry holds the world's handlers.
+// fusedRegistry holds the world's handlers, by word address.
 type fusedRegistry struct {
 	mu sync.RWMutex
-	m  map[uint64]FusedRange
+	m  map[Addr]FusedRange
 }
 
-func (r *fusedRegistry) register(id uint64, f FusedRange) error {
+func (r *fusedRegistry) register(addr Addr, f FusedRange) error {
 	if f == nil {
 		return fmt.Errorf("shmem: nil fused handler")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.m == nil {
-		r.m = make(map[uint64]FusedRange)
+		r.m = make(map[Addr]FusedRange)
 	}
-	if _, dup := r.m[id]; dup {
+	if _, dup := r.m[addr]; dup {
 		// SPMD worlds register the same symmetric handler once per PE;
-		// keep the first copy. Handlers must be identical per id.
+		// keep the first copy. Handlers must be identical per word.
 		return nil
 	}
-	r.m[id] = f
+	r.m[addr] = f
 	return nil
 }
 
-func (r *fusedRegistry) lookup(id uint64) (FusedRange, bool) {
+func (r *fusedRegistry) lookup(addr Addr) (FusedRange, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	f, ok := r.m[id]
+	f, ok := r.m[addr]
 	return f, ok
 }
 
-// RegisterFused installs a fused-range handler under a symmetric id.
-// Every PE must register the same handler under the same id (SPMD);
-// duplicate registrations keep the first copy. A convenient unique id is
-// the symmetric address of the word the fused op targets. Registering on
-// one PE of a local world is visible to all; each process of a
-// distributed world registers its own copy.
-func (c *Ctx) RegisterFused(id uint64, f FusedRange) error {
-	return c.w.fused.register(id, f)
+// RegisterFused installs the fused-range handler of the word at symmetric
+// address addr. Every PE must register the same handler for the same word
+// (SPMD); duplicate registrations keep the first copy. Registering on one
+// PE of a local world is visible to all; each process of a distributed
+// world registers its own copy.
+func (c *Ctx) RegisterFused(addr Addr, f FusedRange) error {
+	return c.w.fused.register(addr, f)
 }
 
 // FetchAddGet atomically adds delta to the word at addr on PE pe and, in
-// the same round trip, returns the bytes selected by the registered
+// the same round trip, returns the bytes selected by the word's registered
 // handler applied to the prior value. One blocking communication.
-func (c *Ctx) FetchAddGet(pe int, addr Addr, delta uint64, id uint64) (uint64, []byte, error) {
-	return c.do(&opReq{op: OpFetchAddGet, to: pe, addr: addr, v1: delta, id: id})
+func (c *Ctx) FetchAddGet(pe int, addr Addr, delta uint64) (uint64, []byte, error) {
+	return c.WithSpan(0).FetchAddGet(pe, addr, delta)
 }
 
 // applyFused runs the handler against a target heap and gathers the
@@ -84,10 +84,10 @@ func (c *Ctx) FetchAddGet(pe int, addr Addr, delta uint64, id uint64) (uint64, [
 // aliases buf only if cap(buf) covered the spans' total, and is otherwise
 // freshly allocated; callers that own a reusable response scratch pass it
 // here to keep the fused path allocation-free.
-func (w *World) applyFused(pe *peState, old uint64, id uint64, buf []byte) ([]byte, error) {
-	f, ok := w.fused.lookup(id)
+func (w *World) applyFused(pe *peState, old uint64, addr Addr, buf []byte) ([]byte, error) {
+	f, ok := w.fused.lookup(addr)
 	if !ok {
-		return nil, fmt.Errorf("shmem: fused handler %d not registered", id)
+		return nil, fmt.Errorf("shmem: no fused handler registered for %#x", uint64(addr))
 	}
 	ranges, n, total := fusedSpans(f, old)
 	if n == 0 {
@@ -102,7 +102,7 @@ func (w *World) applyFused(pe *peState, old uint64, id uint64, buf []byte) ([]by
 	for i := 0; i < n; i++ {
 		sp := ranges[i]
 		if err := pe.checkRange(sp.Addr, sp.N); err != nil {
-			return nil, fmt.Errorf("shmem: fused handler %d produced bad range: %w", id, err)
+			return nil, fmt.Errorf("shmem: fused handler of %#x produced bad range: %w", uint64(addr), err)
 		}
 		pe.copyOut(sp.Addr, out[off:off+sp.N])
 		off += sp.N

@@ -13,7 +13,7 @@ import (
 // back-ends carry it to where the target heap is addressable, and
 // World.apply executes it there. It crosses the transport interface by
 // value so the op path allocates nothing; below that boundary it travels
-// as a pointer to the callee's copy, because copying its 14 words at
+// as a pointer to the callee's copy, because copying its 13 words at
 // every layer is most of what a shared-memory fetch-add costs.
 type opReq struct {
 	op       Op
@@ -24,7 +24,6 @@ type opReq struct {
 	// replacement), the signal of a put-signal (v2 is the signal word's
 	// address).
 	v1, v2 uint64
-	id     uint64 // fused-handler id (OpFetchAddGet)
 	buf    []byte // source of a put, destination of a get/getv
 	spans  []Span // OpGetV: the ranges gathered into buf, in order
 	// span is the causal span ID (zero = untagged). The back-ends deliver
@@ -183,7 +182,7 @@ func (w *World) apply(pe *peState, r *opReq, scratch *[]byte) (val uint64, data 
 		// The handler is SPMD-registered in every process, so whoever
 		// applies the op runs it against the heap directly — the
 		// "NIC-side" gather, with no target CPU involved.
-		if data, err = w.applyFused(pe, val, r.id, stage); err != nil {
+		if data, err = w.applyFused(pe, val, r.addr, stage); err != nil {
 			return 0, nil, err
 		}
 		if scratch != nil && data != nil {

@@ -206,8 +206,8 @@ const (
 //	words 4-7 free (4 is where a terminal voluntary state would be advertised)
 //
 // Words 2 and 3 are adjacent because they are read together: one two-word
-// Get per peer per tick. Every world but the sim runs the one barrier on
-// words 0 and 1; an in-process world never probes, so word 2 stays zero.
+// Get per peer per tick. Every world runs the one barrier on words 0 and
+// 1; an in-process world never probes, so word 2 stays zero.
 const (
 	barrierArriveAddr Addr = iota * WordSize
 	barrierGenAddr

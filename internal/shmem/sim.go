@@ -14,11 +14,12 @@ import (
 // This file implements TransportSim: a deterministic simulation transport
 // in the FoundationDB tradition. The world runs in lockstep on a virtual
 // clock — at most one PE goroutine executes at any moment; every other PE
-// is parked inside a transport operation, a barrier, a WaitUntil64, or a
-// yield point. Every latency, delivery time, and schedule decision
-// is drawn from one PRNG seeded by SimOptions.Seed, so an entire multi-PE
-// pool run — steals, epoch flips, crashes, termination waves — replays
-// bit-identically from the seed.
+// is parked inside a transport operation, a wait on a word (WaitUntil64,
+// or the barrier's generation word on rank 0), or a yield point. Every
+// latency, delivery time, and schedule decision is drawn from one PRNG
+// seeded by SimOptions.Seed, so an entire multi-PE pool run — steals,
+// epoch flips, crashes, termination waves — replays bit-identically from
+// the seed.
 //
 // There is no scheduler goroutine. The lockstep token is one mutex that
 // guards all scheduler state, and the PEs pass it: a PE-side call takes
@@ -62,8 +63,8 @@ type SimOptions struct {
 	// interleavings around a point of interest.
 	Choices []byte
 	// Log, if non-nil, receives the deterministic event log: one line per
-	// scheduler action (grants, op applications, NBI deliveries, barrier
-	// releases). Byte-identical across runs with identical inputs.
+	// scheduler action (grants, op applications, NBI deliveries, satisfied
+	// waits). Byte-identical across runs with identical inputs.
 	Log io.Writer
 	// Kill schedules crash injections: each entry kills one PE at a
 	// virtual time. The victim's pending and future operations fail with
@@ -118,12 +119,11 @@ func (o *SimOptions) setDefaults() {
 
 // What a parked PE waits for (simPE.kind).
 const (
-	simWaitStart   = iota // the start grant, before its body runs
-	simWaitOp             // a blocking one-sided operation
-	simWaitQuiet          // its NBI deliveries
-	simWaitWord           // WaitUntil64 on local memory
-	simWaitYield          // a Yield, Wait.Poll or Compute hand-back
-	simWaitBarrier        // the barrier (and, once released, its wake)
+	simWaitStart = iota // the start grant, before its body runs
+	simWaitOp           // a blocking one-sided operation
+	simWaitQuiet        // its NBI deliveries
+	simWaitWord         // WaitUntil64 or the barrier's generation word
+	simWaitYield        // a Yield, Wait.Poll or Compute hand-back
 )
 
 // Per-PE scheduler states.
@@ -131,11 +131,10 @@ const (
 	simPERunning     = iota
 	simPEBlockedOp   // parked until readyAt
 	simPEBlockedCond // parked in quiet or wait-until
-	simPEBarrier     // arrived at the barrier, waiting for the others
 	simPEDone
 )
 
-var simStateNames = [...]string{"running", "blocked-op", "blocked-cond", "barrier", "done"}
+var simStateNames = [...]string{"running", "blocked-op", "blocked-cond", "done"}
 
 type simPE struct {
 	state    int
@@ -198,7 +197,6 @@ type simTransport struct {
 	done     int
 	forced   []byte
 	near     []int // chaos and forced choices: the near-frontier candidates
-	barGen   uint64
 	failMode bool
 	log      *bufio.Writer
 	logErr   error
@@ -351,20 +349,6 @@ func (t *simTransport) yield(rank int, d time.Duration) {
 		pe.readyAt += t.drawYield()
 	}
 	t.park(rank)
-}
-
-func (t *simTransport) barrier(rank int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.refuse(rank); err != nil {
-		return err
-	}
-	if err := t.w.bars[rank].failed(); err != nil {
-		return err
-	}
-	t.pes[rank].state, t.pes[rank].kind = simPEBarrier, simWaitBarrier
-	t.maybeReleaseBarrier()
-	return t.park(rank)
 }
 
 // waitWord parks the caller until the word holds, resolving the wait in
@@ -532,27 +516,6 @@ func (t *simTransport) handleNBI(r opReq) {
 	}
 }
 
-func (t *simTransport) maybeReleaseBarrier() {
-	arrived := 0
-	for i := range t.pes {
-		if t.pes[i].state == simPEBarrier {
-			arrived++
-		}
-	}
-	if arrived < len(t.pes) {
-		return
-	}
-	t.barGen++
-	t.logf("%d %d bar gen=%d\n", t.nextSeq(), t.now, t.barGen)
-	// Release one at a time: each PE gets a staggered wake so at most one
-	// runs at once (drawn in rank order — deterministic).
-	for i := range t.pes {
-		pe := &t.pes[i]
-		pe.state = simPEBlockedOp
-		pe.readyAt = t.now + t.drawYield()
-	}
-}
-
 // step makes exactly one scheduler decision: deliver the chosen event or
 // wake the chosen PE.
 func (t *simTransport) step() {
@@ -582,7 +545,9 @@ func (t *simTransport) step() {
 
 // due is when candidate i can next be chosen: for -1 the earliest pending
 // delivery (heap top), for a parked PE its readyAt, now for a condition
-// that holds, the deadline of one that does not.
+// that holds, the deadline of one that does not — unless it lies past the
+// virtual-time budget (the barrier's), which leaves a world whose every PE
+// waits on a word no one will write diagnosed as deadlocked.
 func (t *simTransport) due(i int) (at uint64, ok bool) {
 	if i < 0 {
 		if len(t.events) == 0 {
@@ -597,7 +562,7 @@ func (t *simTransport) due(i int) (at uint64, ok bool) {
 		if t.condSatisfied(pe) {
 			return t.now, true
 		}
-		return pe.deadline, pe.deadline > 0
+		return pe.deadline, pe.deadline > 0 && pe.deadline <= uint64(t.opts.MaxVirtualTime)
 	}
 	return 0, false
 }
@@ -699,7 +664,7 @@ func (t *simTransport) deliverKill(rank int) {
 // apply what it waited for.
 func (t *simTransport) wake(rank int, err error) {
 	switch pe := &t.pes[rank]; pe.state {
-	case simPEBlockedOp, simPEBlockedCond, simPEBarrier:
+	case simPEBlockedOp, simPEBlockedCond:
 		pe.state = simPERunning
 		pe.vclock = t.now
 		if err != nil {
@@ -729,9 +694,9 @@ func (t *simTransport) deliverChurn(rank int, join bool) {
 }
 
 // deliverDead declares a killed PE dead after the configured DeadAfter:
-// survivors parked in barriers or WaitUntil64 unwind by the give-up rule,
-// each queued for its turn at the current virtual time rather than woken
-// together, so they unwind one at a time in rank order.
+// survivors parked on a word (a WaitUntil64, the barrier's) unwind by the
+// give-up rule, each queued for its turn at the current virtual time
+// rather than woken together, so they unwind one at a time in rank order.
 func (t *simTransport) deliverDead(rank int) {
 	t.w.live.MarkDead(rank)
 	t.logf("%d %d ded pe=%d\n", t.nextSeq(), t.now, rank)
@@ -739,8 +704,6 @@ func (t *simTransport) deliverDead(rank int) {
 		var err error
 		switch pe := &t.pes[i]; {
 		case i == rank:
-		case pe.state == simPEBarrier:
-			err = t.w.bars[i].failed()
 		case pe.state == simPEBlockedCond && pe.kind == simWaitWord:
 			err = pe.wait.giveUp(t.w, false, t.waitedWord(pe))
 		}

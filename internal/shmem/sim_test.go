@@ -212,6 +212,30 @@ func TestSimDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestSimBarrierDeadlock: a PE that returns before a barrier its peer waits
+// at leaves the peer on the barrier's generation word forever. The
+// barrier's own timeout lies past the virtual-time budget, so it is no
+// schedulable deadline: the world is diagnosed as deadlocked, with the
+// waiter's wait in the state dump, not as a livelock.
+func TestSimBarrierDeadlock(t *testing.T) {
+	w := simWorld(t, 2, 1, nil)
+	err := w.Run(func(ctx *Ctx) error {
+		if ctx.Rank() == 1 {
+			return nil
+		}
+		return ctx.Barrier()
+	})
+	if err == nil {
+		t.Fatal("a barrier PE 1 never reached returned nil error")
+	}
+	if !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("want deadlock diagnosis, got: %v", err)
+	}
+	if want := fmt.Sprintf("PE 0: blocked-cond wait a=%#x", uint64(barrierGenAddr)); !strings.Contains(err.Error(), want) {
+		t.Fatalf("want %q in the state dump, got: %v", want, err)
+	}
+}
+
 // TestSimLivelockBudget: PEs that spin forever through a Wait exhaust the
 // virtual-time budget and fail with a diagnosis instead of hanging.
 func TestSimLivelockBudget(t *testing.T) {

@@ -130,18 +130,18 @@ func TestUnalignedRanges(t *testing.T) {
 	})
 }
 
-// Vectored gets racing coalesced NBI traffic and Quiet on every PE: on tcp
-// both ride one connection per pair (injections buffered behind the
-// watermark, pushed out by the next blocking op, the background flusher or
-// Quiet's fence), so interleaving them hard is what shakes out ordering and
-// accounting bugs. Run under -race.
+// Vectored gets racing bursts of NBI traffic and Quiet on every PE: on tcp
+// both ride one connection per pair (each injection written as issued,
+// fenced by the next blocking op's reply or Quiet's fence), so
+// interleaving them hard is what shakes out ordering and accounting bugs.
+// Run under -race.
 func TestStressGetVNBIQuiet(t *testing.T) {
 	transports(t, func(t *testing.T, kind TransportKind) {
 		const n = 4
 		const rounds = 60
-		// Each burst overruns the coalescing watermark, so injections
-		// flush mid-burst as well as before the blocking GetV and in Quiet.
-		const burst = ackBatch + 16
+		// Each burst writes 80 injections ahead of the blocking GetV, whose
+		// reply fences them all.
+		const burst = 80
 		run(t, Config{NumPEs: n, Transport: kind}, func(c *Ctx) error {
 			// Layout: a static pattern region plus one accumulator word
 			// per peer writer.

@@ -24,10 +24,9 @@ import (
 // Each (initiator, target) pair is one connection. The target's service
 // goroutine applies its requests in stream order and answers only the
 // blocking ones, so a reply proves that every injection written ahead of it
-// has landed, and Quiet is a fence (see quiet). Injections buffer until
-// ackBatch of them, a blocking op to the same target, Quiet or the
-// background flusher push them out. A wait for a reply watches the
-// target's liveness in parkQuantum slices.
+// has landed, and Quiet is a fence (see quiet). An injection is written
+// out as it is issued and forgotten, as the paper's completion store is. A
+// wait for a reply watches the target's liveness in parkQuantum slices.
 //
 // The wire path is allocation-free in steady state: each connection owns
 // header scratch and reusable payload staging, and response payloads for
@@ -40,7 +39,6 @@ type tcpTransport struct {
 	// for every rank this process initiates from and dialed on first use.
 	conns [][]*tcpConn
 
-	stop   chan struct{}
 	closed atomic.Bool
 	wg     sync.WaitGroup
 }
@@ -61,10 +59,8 @@ type tcpConn struct {
 	// ahead; deadline ends the current exchange, OpTimeout after its first
 	// slice ran out (zero until then).
 	slice, deadline time.Time
-	// unflushed counts the injections buffered since the last flush,
-	// unfenced says some were written since the last reply, and lost that
-	// a broken connection to a live target took some with it.
-	unflushed      int
+	// unfenced says injections were written since the last reply, and lost
+	// that a broken connection to a live target took some with it.
 	unfenced, lost bool
 }
 
@@ -105,15 +101,6 @@ const (
 	dialTimeout = 10 * time.Second
 	// sockBufBytes sizes the per-connection bufio buffers.
 	sockBufBytes = 16 << 10
-	// ackBatch caps how many injections may ride behind one flush: the
-	// initiator coalesces them, flushing on this watermark, with any
-	// blocking op to the same target, and in Quiet.
-	ackBatch = 64
-	// flushInterval is the period of the background flusher, which pushes
-	// out coalesced NBI injects that never reach the ackBatch watermark —
-	// bounding how stale a fire-and-forget notification can go without the
-	// initiator calling Quiet.
-	flushInterval = 200 * time.Microsecond
 	// opRetries is how many times a failed round trip is retried (with
 	// exponential backoff and jitter) before giving up. Only idempotent
 	// operations are retried once a request may have reached the peer;
@@ -129,7 +116,6 @@ func newTCPTransport(w *World, at *Endpoint) (*tcpTransport, error) {
 	t := &tcpTransport{
 		hostWaits: hostWaits{w},
 		conns:     make([][]*tcpConn, n),
-		stop:      make(chan struct{}),
 		listeners: make([]net.Listener, n),
 		addrs:     make([]string, n),
 	}
@@ -152,7 +138,6 @@ func newTCPTransport(w *World, at *Endpoint) (*tcpTransport, error) {
 		_ = t.close()
 		return nil, err
 	}
-	t.startFlusher()
 	return t, nil
 }
 
@@ -170,60 +155,6 @@ func (t *tcpTransport) listenLoopback() error {
 		go t.serve(i, ln)
 	}
 	return nil
-}
-
-// startFlusher launches the background goroutine that periodically flushes
-// every initiator-side connection. Coalescing buffers completion
-// notifications, and an owner polling a completion word has no reverse
-// channel to request a flush — the flusher bounds how stale a buffered
-// notification can get when neither the watermark nor a blocking op forces
-// it out. It skips a connection whose lock is held: the holder flushes.
-func (t *tcpTransport) startFlusher() {
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		tick := time.NewTicker(flushInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-t.stop:
-				return
-			case <-tick.C:
-			}
-			for _, row := range t.conns {
-				for _, c := range row {
-					if err := t.flushIdle(c); err != nil {
-						t.w.fail(err)
-						return
-					}
-				}
-			}
-		}
-	}()
-}
-
-// flushIdle is the flusher's visit to c. A failed flush writes the
-// connection off; only an in-process world with a live target calls that
-// a failure (a joined world's crashed peer will be detected shortly).
-func (t *tcpTransport) flushIdle(c *tcpConn) error {
-	if !c.mu.TryLock() {
-		return nil
-	}
-	defer c.mu.Unlock()
-	if c.unflushed == 0 {
-		return nil
-	}
-	err := c.open()
-	if err == nil {
-		if err = c.flush(); err == nil {
-			return nil
-		}
-	}
-	c.drop()
-	if t.peerGone(c.to) || t.w.localRank >= 0 {
-		return nil
-	}
-	return fmt.Errorf("shmem/tcp: background flush %d→%d: %w", c.from, c.to, err)
 }
 
 func (t *tcpTransport) serve(rank int, ln net.Listener) {
@@ -306,9 +237,9 @@ func (t *tcpTransport) handle(rank int, conn net.Conn) {
 // encodeOp puts r into wire form: the request payload, and the buffer a
 // success response should be read into. A get travels as its length (v1);
 // a getv as its span count and total (v1, v2) with the span table — staged
-// in a pooled buffer the caller recycles — as payload; a fused op carries
-// its handler id in v2; a put-signal is a put whose header words (v1, v2)
-// are already its signal and signal address.
+// in a pooled buffer the caller recycles — as payload; a put-signal is a
+// put whose header words (v1, v2) are already its signal and signal
+// address, and a fused op an atomic whose handler its word address names.
 func encodeOp(r *opReq) (payload, into []byte, tbl *[]byte) {
 	switch r.op {
 	case OpPut, OpPutNBI, OpPutSignal:
@@ -323,8 +254,6 @@ func encodeOp(r *opReq) (payload, into []byte, tbl *[]byte) {
 		}
 		r.v1, r.v2 = uint64(len(r.spans)), uint64(len(r.buf))
 		payload, into = *tbl, r.buf
-	case OpFetchAddGet:
-		r.v2 = r.id
 	}
 	return payload, into, tbl
 }
@@ -363,8 +292,6 @@ func decodeOp(r *opReq, payload []byte, heapBytes int, spans *[]Span, rsp *[]byt
 			return fmt.Errorf("shmem/tcp: getv spans cover %d bytes, header claims %d", total, r.v2)
 		}
 		r.spans, r.buf = *spans, growScratch(rsp, int(total))
-	case OpFetchAddGet:
-		r.id = r.v2
 	}
 	return nil
 }
@@ -396,8 +323,7 @@ func readRequest(r *bufio.Reader, hdr []byte, payloadBuf *[]byte) (opReq, []byte
 }
 
 // writeRequest buffers one request using the caller's header scratch. It
-// does NOT flush: sync callers flush before awaiting the response, async
-// callers coalesce (watermark, blocking op, Quiet, or background flusher).
+// does NOT flush: its callers flush once the whole exchange is written.
 func writeRequest(w *bufio.Writer, hdr []byte, r *opReq, payload []byte) error {
 	hdr = hdr[:reqHdrSize]
 	hdr[0] = byte(r.op)
@@ -462,7 +388,7 @@ func readResponse(r *bufio.Reader, hdr []byte, into []byte) (byte, uint64, []byt
 
 // open readies c for an exchange: a pair without a connection dials,
 // unless its target is gone, its preamble waiting in the buffer for the
-// first flush.
+// exchange's flush.
 func (c *tcpConn) open() error {
 	c.deadline = time.Time{}
 	if c.sock != nil {
@@ -555,7 +481,7 @@ func (c *tcpConn) drop() {
 		c.sock = nil
 	}
 	c.lost = (c.lost || c.unfenced) && !c.t.peerGone(c.to)
-	c.unflushed, c.unfenced = 0, false
+	c.unfenced = false
 }
 
 // flush writes out everything c has buffered. It first moves the socket's
@@ -566,7 +492,6 @@ func (c *tcpConn) flush() error {
 	if now := time.Now(); now.Add(parkQuantum / 2).After(c.slice) {
 		c.nextSlice(now)
 	}
-	c.unflushed = 0
 	return c.rw.Flush()
 }
 
@@ -634,7 +559,7 @@ func retryBackoff(attempt int) time.Duration {
 }
 
 // blocking performs one round trip on the pair's connection, behind and so
-// fencing the pair's buffered injections, retrying transient connection
+// fencing the pair's earlier injections, retrying transient connection
 // errors with bounded exponential backoff. A get's payload is read
 // straight into the caller's destination without an intermediate copy.
 func (t *tcpTransport) blocking(r opReq) (uint64, []byte, error) {
@@ -710,9 +635,8 @@ func (t *tcpTransport) conn(from, to int) (*tcpConn, error) {
 	return t.conns[from][to], nil
 }
 
-// nbi buffers one non-blocking request on the pair's connection. It goes
-// out once ackBatch injections accumulate, or earlier with a blocking op
-// to the same target, Quiet, or the background flusher.
+// nbi writes one non-blocking request out on the pair's connection and
+// returns without a reply; the pair's next reply fences it.
 func (t *tcpTransport) nbi(r opReq) error {
 	v := t.w.verdict(&r)
 	LatencyModel{}.charge(v.Delay)
@@ -737,11 +661,7 @@ func (t *tcpTransport) nbi(r opReq) error {
 		err = writeRequest(c.rw.Writer, c.whdr[:], &r, payload)
 	}
 	if err == nil {
-		c.unflushed += n
 		c.unfenced = true
-		if c.unflushed < ackBatch {
-			return nil
-		}
 		if err = c.flush(); err == nil {
 			return nil
 		}
@@ -819,7 +739,6 @@ func (t *tcpTransport) close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
-	close(t.stop)
 	var errs []error
 	for _, ln := range t.listeners {
 		if ln != nil {

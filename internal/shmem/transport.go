@@ -42,8 +42,6 @@ type transport interface {
 	// comparison (returning the satisfying value) or r.giveUp says why it
 	// never will.
 	waitWord(r waitReq) (uint64, error)
-	// barrier blocks rank until every PE has arrived.
-	barrier(rank int) error
 }
 
 // waitReq describes one blocked wait on a 64-bit word: WaitUntil64 on the
@@ -130,8 +128,6 @@ const (
 // host scheduler — every back-end but the sim: every blocked wait, the
 // barrier's included, is the one loop below.
 type hostWaits struct{ w *World }
-
-func (h hostWaits) barrier(rank int) error { return h.w.bars[rank].wait() }
 
 // waitWord is the one wall-clock blocking loop: spin w.spin yields on the
 // word (reading the clock for a deadline once in 64), then park on the wake

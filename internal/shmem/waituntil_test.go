@@ -305,7 +305,7 @@ func TestTCPQuietUnwindsOnDeadTarget(t *testing.T) {
 }
 
 // An in-process world over Go-slice heaps is memory and nothing else: no
-// applier, prober, flusher or service goroutine stands between an
+// applier, prober or service goroutine stands between an
 // initiator and a heap.
 func TestLocalWorldStartsNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()

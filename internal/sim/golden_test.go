@@ -41,46 +41,51 @@ import (
 // activity word after the get of its counters (one get reads both; each
 // row first differs there, or, in kill 7, where a pass begun before the
 // death declaration reads past the newly dead PE instead of failing on it).
+// Running the sim's barrier as the world's one (barrier.go) re-recorded all
+// 32 rows: each dumped log first differs from its parent's at the parent's
+// first "bar gen=" line, where the sim's own barrier logged its release and
+// drew a staggered wake per PE; the one barrier lands its ops on rank 0's
+// heap unlogged and releases the PEs parked on its generation word.
 var simLogGolden = map[string][8]string{
 	"fault-free": {
-		"86741381ace51257effa7e2b8d3289a3d5c8a77ec0bf00a168600d1486fed1c6",
-		"505ea72d45922bc1c67d3f4e0b9fd5e67516e89caa9e2c682d8d26b16cf8447f",
-		"59b1b22e35c006914c65ebb6a2f01b712b5ef7e174137405caa441965245d945",
-		"7ea8fcb85a3e95f0689a999069e8b80bd8f389f3d4e665e837fc96a469ac307c",
-		"cd6b7f6623f6b91afae4ab54ed5de2066f11936745d521ebc5af8db1cd939e00",
-		"7f11e45405e4f09ecbe0bfa71593526aefedbf0a89736a34ac9a3c9b318ebe8a",
-		"f8d7798bb5fc7334c8c8a9b9184cc5bfd9b79b453c76e9a7694abe5e9606f609",
-		"8bd1f74d777b765b8ef924c6b50b6e4e1d7e59582cf995f922a4a05b90762ee1",
+		"3d5c300f0c3cf58e9b42ba8fe47ea103db93bd61c1062c3fd0439a6625b86580",
+		"cf1918f018d55ecca60ef09f5c756c4edb66691e5082f715bce7f72656c73f6c",
+		"635de5e65d714de8ead7f8b1195cf5a5ebfba2712047cc1dd92708f16e2235b2",
+		"f02afc4a3e98b6aaf3e6d4d8163c6ff2dd08bc60494ffe5f56f02ed22f373c23",
+		"58c598152f413513c80ee2e4b96d78b206abe78529766154f574aabefe5ac12d",
+		"a34c4b65ef45c35c7827b7cb869c1f907ba38ea4eac51b73b5b0f8e07930d53f",
+		"4110f1879d913f6fbc902c301885e2decc9832f0f1fdc80295b301e1953bb2b0",
+		"0634f1cc4b6fa85d25ae75e1deb2c79859383e42dfb1f96327c19d1d205bcdaf",
 	},
 	"chaos": {
-		"82501fd1632df14730c943ea802b8a506d0d1bf64ccac54c228a333fd46062aa",
-		"51a249f43f05adcd3a94827fe3aa556898ab4e85be42861a2a2a9b88dc50e31d",
-		"8b4e4ae91f48eb6e5d27a0483c29f1f85e8fe6f9debfa3f0cad18557d183f8f8",
-		"5d8d02275df5fe2613c1285901870b54ec55998247818671a0d32738ca305b04",
-		"286462713040fa68f8eb9558b8de4c474f27c430eee76f1469f09672b2e4774e",
-		"fa8d89873325d6d7df493b7baac183fea56a77d36882616399d7fc082576603e",
-		"970c0f599873c4e9b2557a7077c8e773167240c4169d4a55e978cf9b38185dbb",
-		"7ba0da3c8d1f7a928b722d9d07adb9020cb7f1c035d708d7f127721c2794fcd6",
+		"4d7c45e11ce694486d242f23343d9bb8ac867bbe6edef9e56b28e77ce82fb855",
+		"f39777f4b5ba7208ab3f7cdc96d806506f04bda936e375edd1a5c0028ef713ca",
+		"127df84824ba32edf0f6a9c7479c737343db0763b1cbaa256c2286a58d4ee8a5",
+		"a97d2dbd4d338bea04dc9298c6b1310fb4b2a6a7a2bed055c1f542129acc5ecb",
+		"f14df7feb2770e69d5d351018ef7e3eecb62040cf7c31f0edf58a7f3422c0f5e",
+		"cd5eb9c93fec931ed6897554b9de092c1bbcf937804fefe94131ee7de7c34de4",
+		"efe6e8d6cbba29664667eadf181c157dd2e2f0bdedf19ab21dfaa96f7f9b7e0d",
+		"341d78879b05b5fd9ab0722b695638f37ba487ef4aaa2f330f9f9b375f90b548",
 	},
 	"kill": {
-		"24d8a4c373c3f3d0fc70ba5fca813f92ddf0f0a89d54d56edb8cd1247f6211df",
-		"170b5946ebc760eea84af73408594bc34c74f062246da39ada9113deaf29ef3c",
-		"c46bbd4f9d2e488914737fa17b346073642d3959e98c056ff600854b3f878bb2",
-		"05a0443f74b4d87fb65f8b521d521f073e617425bcd9414e8d7c771bd17ea97c",
-		"f8252fed45ab3b1c98210279a9d98650d924fefbabbd5e5e389858a53393b610",
-		"d1db2204e739ae6b961be904f8c9c92a88193fcf2364f40b406ccf02f2e01113",
-		"9c8173ba92949a0c28346c7a52b6a5c11847c177f6e5f35b713e76449834b76d",
-		"697ab853674c0ae1003c9b345d639902d92cbcbcb5d0b4e925fc090f7de69044",
+		"10558ce03b4bfe5cb54331adf2a9914a3d94a940caeb603d118e63c1c671c605",
+		"52a8042e93f78f4f92f53642fb86018ccd13ef4b82ee569eff4bd983f7a17ee3",
+		"3f58130c80c006798d653b346ad49be183a85111f5e58db815b13fed0b8de488",
+		"a2e6103396728491a355897abead6338ce59e0652d17dcb04851959035b78db2",
+		"9db0332c7d523cbf5c5cabc701a9f974be163741063a9d820c1362f10bdb87d5",
+		"dc542225efcaedd7e4c0620acb8a0c7e53704ccac5b3c2a6d47573fe6b1885ee",
+		"314bfeafe6c4860e02de01499b45c386519694285a14ae3258cee89223aca58a",
+		"da7be8be93b2a9f6c3dbff9649a486c59e3fbd76d6e93130bbf28afdcfc9c8ac",
 	},
 	"churn": {
-		"a1ea8ef689dfe3dc37efb2538cb921289b374a411a248ecfe0c41088bf7dc37f",
-		"d2621e4530a0b923825e8cde6263c14c05622de50641b31d89a8e6969509d607",
-		"f24dee9c45ed09a78fd65c926fc064a8032d8edf5c65a1d551df837c717fc3fc",
-		"1e968a30bea1457226bdfd479585f17dcbcc8c29f94c560d68c18285676936b6",
-		"78157558497cb244164828eb7d081ebd4dcc6cbc28088bbf7d9b06d89c27e31f",
-		"daac240d2ceb26f7520774f239a449ddb21190d7a1324a907486fc4d153b5091",
-		"79ece1bb987d3be0d6fc3d097cadb0aae8b426ceef3d8f237db118703810d573",
-		"dbf66df6bb95dfe786daf10ac0aecc2394bf392f9fe45313a0202ad228ab5c23",
+		"36649d4709e50bd87f43277072b8424c7ecb333703ee0846581d515d9e5e05cb",
+		"efabf61b727f68f6446341a8bd9f6d6cf2770684b8ec9a5f0aab9802e5f24c2c",
+		"46a48f6caa0d5e74fa7c61d98be1c660427c0d511e733e2019c41ee600046a0f",
+		"42ee8e3e4b9daa081fa5b71e8ea74c7c19e6d0c6b90fbc9ed270215df5625bbe",
+		"2be63c19e6066ed49ece37399c395ed05dc202029f13fd0a9d4d0fafcf0ca1b1",
+		"77b84ec847dea1bf483a2ad7b16efc5d58badf864445f77c41f7e934f3d5aa13",
+		"5de8f67863c53c3a1e5ab156bb02a72a2deafe6d528bcfba4e81015b89db1b3a",
+		"056737898aaae1ca497ccaa111cbaca4764df7814a2b0be2d3b69a7ba96ea016",
 	},
 }
 
