@@ -86,6 +86,7 @@ type mailbox struct {
 	// slot the first is still reading.
 	ownDrain func() (bool, error)
 	draining bool
+	hold     func(bool) // term.Detector.Hold, while gone waits out a verdict
 }
 
 const defaultMailboxSlots = 256
@@ -153,43 +154,84 @@ func (m *mailbox) add(pe int, d task.Desc) (bool, error) {
 // which must go before a task for pe goes in.
 func (m *mailbox) holdsOther(pe int) bool { return m.outN != 0 && m.outPE != pe }
 
-// send delivers d into pe's inbox now. The outbox must be empty.
+// send delivers d into pe's inbox now, or fails. The outbox must be empty.
 func (m *mailbox) send(pe int, d task.Desc) error {
 	if _, err := m.add(pe, d); err != nil {
 		return err
 	}
-	_, err := m.flush()
+	_, err := m.flush(nil)
 	return err
 }
 
 // flush sends the outbox as one batch, returning how many tasks went. It
-// empties the outbox whatever happens: the tasks are counted as spawned,
-// so a batch that fails is the run's failure, not a retry.
-func (m *mailbox) flush() (int, error) {
+// empties the outbox whatever happens: the tasks are counted as spawned.
+// With a home (the sender's own queue), a batch whose target is gone is not
+// the run's failure: unclaimed, it wrote nothing the rank reads and lands
+// home; claimed, it is written off with its target (at most once). Any
+// other failure is the run's, not a retry.
+func (m *mailbox) flush(home func(task.Desc) error) (int, error) {
 	n := m.outN
 	if n == 0 {
 		return 0, nil
 	}
 	m.outN = 0
-	if err := m.sendBatch(m.outPE, m.out, uint64(n)); err != nil {
+	claimed, err := m.sendBatch(m.outPE, m.out, uint64(n))
+	switch {
+	case err == nil:
+		return n, nil
+	case home == nil || !m.gone(m.outPE, err):
 		return 0, fmt.Errorf("pool: remote spawn batch of %d to PE %d: %w", n, m.outPE, err)
+	case claimed:
+		return n, nil // written off with its target
 	}
-	return n, nil
+	for i := 0; i < n; i++ {
+		d, err := m.codec.View(m.out[i*m.slotSize:][:m.slotSize])
+		if err == nil {
+			err = home(d)
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	return 0, nil
+}
+
+// gone reports whether pe is dead after a send to it failed with err. An
+// unanswered one (ErrOpTimeout: a crash the detector has not declared, or
+// a slow live peer whose side may have applied) waits for the verdict,
+// holding the batch and draining as awaitCredit does, up to pushTimeout.
+// A live target, draining or partitioned included, is never gone.
+func (m *mailbox) gone(pe int, err error) bool {
+	lv := m.ctx.Liveness()
+	if errors.Is(err, shmem.ErrOpTimeout) {
+		m.hold(true)
+		defer m.hold(false)
+		wait := m.ctx.NewWait(pushTimeout)
+		for lv.Alive(pe) && m.ctx.Err() == nil && !wait.Poll() {
+			if !m.draining {
+				if _, err := m.ownDrain(); err != nil {
+					return false
+				}
+			}
+		}
+	}
+	return !lv.Alive(pe)
 }
 
 // sendBatch claims the tickets of the first n encoded slots in enc with one
 // fetch-add and writes them with one put-with-signal per contiguous span
-// of pe's ring. A batch holds at most slots tasks, so the credit its last
-// ticket needs is a cursor of at most its first: earlier tickets only.
-func (m *mailbox) sendBatch(pe int, enc []byte, n uint64) error {
+// of pe's ring, reporting whether the claim went through. A batch holds at
+// most slots tasks, so the credit its last ticket needs is a cursor of at
+// most its first: earlier tickets only.
+func (m *mailbox) sendBatch(pe int, enc []byte, n uint64) (bool, error) {
 	first, err := m.ctx.FetchAdd64(pe, m.writeAddr, n)
 	if err != nil {
-		return err
+		return false, err
 	}
 	end := first + n
 	if end-1-m.known[pe] >= m.slots {
 		if err := m.awaitCredit(pe, end-1); err != nil {
-			return err
+			return true, err
 		}
 	}
 	for t := first; t < end; {
@@ -199,11 +241,11 @@ func (m *mailbox) sendBatch(pe int, enc []byte, n uint64) error {
 		if err := m.ctx.PutSignal(pe,
 			m.dataAddr+shmem.Addr(slot*uint64(m.slotSize)), enc[at:at+int(span)*m.slotSize],
 			m.signalAddr+shmem.Addr(slot*shmem.WordSize), t+span); err != nil {
-			return err
+			return true, err
 		}
 		t += span
 	}
-	return nil
+	return true, nil
 }
 
 // awaitCredit refreshes known[pe] until it covers ticket: the previous

@@ -440,7 +440,7 @@ func inboxHeadSignals(t *testing.T, slots int) {
 					return err
 				}
 			}
-			if got, err := m.flush(); err != nil || got != int(k) {
+			if got, err := m.flush(nil); err != nil || got != int(k) {
 				return fmt.Errorf("flush sent %d of %d: %v", got, k, err)
 			}
 			for tk := next; tk < next+k; tk++ {
@@ -703,6 +703,68 @@ func TestRemoteSpawnFlushFailsTyped(t *testing.T) {
 			want := fmt.Sprintf("batch of %d to PE 1", row.k)
 			if !errors.Is(senderErr, shmem.ErrPartitioned) || !strings.Contains(fmt.Sprint(senderErr), want) {
 				t.Fatalf("sender's run ended with %v, want ErrPartitioned naming %q", senderErr, want)
+			}
+		})
+	}
+}
+
+// TestDrainingTargetFlushFailsTyped: a batch that fails against a target
+// which is draining, not dead, is the run's failure, as against any live
+// target. The leaf is spawned while PE 1 is a member, PE 1 begins to drain
+// before the flush, and every ticket claim (unclaimed: the fetch-add might
+// have applied) or every put-with-signal (claimed) is dropped. Landing such
+// a batch home could leave a hole in a live inbox's ticket order; writing
+// it off would lose it with no dead rank to account for it. Either ends in
+// a hang, so the sender must fail with ErrDropped naming the batch.
+func TestDrainingTargetFlushFailsTyped(t *testing.T) {
+	for _, op := range []shmem.Op{shmem.OpFetchAdd, shmem.OpPutSignal} {
+		t.Run(op.String(), func(t *testing.T) {
+			var ticketAddr atomic.Uint64
+			drop := &shmem.DropFaults{Fraction: 1, Ops: []shmem.Op{op},
+				Match: func(op shmem.Op, from, to int, addr shmem.Addr) bool {
+					return op == shmem.OpPutSignal || uint64(addr) == ticketAddr.Load()
+				}}
+			w, err := shmem.NewWorld(shmem.Config{NumPEs: 2, HeapBytes: 8 << 20, Fault: drop})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var senderErr error
+			done := make(chan error, 1)
+			go func() {
+				done <- w.Run(func(c *shmem.Ctx) error {
+					reg := NewRegistry()
+					leaf := reg.MustRegister("leaf", func(*TaskCtx, []byte) error { return nil })
+					root := reg.MustRegister("root", func(tc *TaskCtx, _ []byte) error {
+						if err := tc.SpawnOn(1, leaf, nil); err != nil {
+							return err
+						}
+						return w.Live().BeginDrain(1)
+					})
+					p, err := New(c, reg, Config{Seed: 1})
+					if err != nil {
+						return err
+					}
+					if c.Rank() != 0 {
+						return p.Run()
+					}
+					ticketAddr.Store(uint64(p.mbox.writeAddr))
+					if err := p.Add(root, nil); err != nil {
+						return err
+					}
+					senderErr = p.Run()
+					return senderErr
+				})
+			}()
+			select {
+			case <-done:
+			case <-time.After(20 * time.Second):
+				t.Fatal("the run hung after a failed flush to a draining target")
+			}
+			if !errors.Is(senderErr, shmem.ErrDropped) || !strings.Contains(fmt.Sprint(senderErr), "batch of 1 to PE 1") {
+				t.Fatalf("sender's run ended with %v, want ErrDropped naming the batch", senderErr)
+			}
+			if drop.Dropped() == 0 {
+				t.Fatal("no operation was dropped: the fault missed the flush")
 			}
 		})
 	}

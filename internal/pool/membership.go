@@ -13,7 +13,8 @@
 //   - a PE whose own rank was moved to Joining completes its join and
 //     resumes the normal loop;
 //   - every PE rebuilds its victim sets against the new membership
-//     (reseatVictims), readmitting rejoined ranks from steal quarantine.
+//     (reseatVictims), the view a thief that finds a victim dead also
+//     reseats from.
 //
 // All of it is gated behind a single Elastic() load, so worlds that never
 // engage the membership layer take no new branches, no new communication,
@@ -29,8 +30,9 @@ import (
 
 // stepMembership folds membership-epoch changes into the scheduler. It
 // costs one atomic load when the world is not elastic and two when it is
-// but nothing changed; only an epoch change does real work. Returns with
-// p.parked set for the caller to divert into stepParked.
+// but nothing changed; only an epoch change does real work (a death moves
+// none: the steal that finds the rank dead reseats). Returns with p.parked
+// set for the caller to divert into stepParked.
 func (p *Pool) stepMembership() error {
 	lv := p.ctx.Liveness()
 	if lv == nil || !lv.Elastic() {
@@ -77,10 +79,10 @@ func (p *Pool) stepMembership() error {
 }
 
 // reseatVictims rebuilds the victim selector against the current
-// membership and diffs it with the previous view: ranks that rejoined are
-// readmitted from steal quarantine (their strikes recorded steals racing
-// a voluntary departure, not ill health), and both directions land on the
-// trace timeline so sws-inspect can show when each PE adopted the change.
+// membership (lv.Members) and diffs it with the previous view: joins and
+// voluntary departures land on the trace timeline so sws-inspect can show
+// when each PE adopted the change. An epoch change calls it, and so does a
+// steal that found its victim dead.
 func (p *Pool) reseatVictims(lv *shmem.Liveness) {
 	n := p.ctx.NumPEs()
 	if p.wasMember == nil {
@@ -107,11 +109,9 @@ func (p *Pool) reseatVictims(lv *shmem.Liveness) {
 			continue
 		}
 		if p.nowMember[v] {
-			p.quar.readmit(v)
 			p.tr.Record(trace.MemberJoin, int64(v), ep, 0)
 		} else if lv.Alive(v) {
-			// Voluntary departure only — deaths already have PeerDeath
-			// events and must keep their quarantine strikes.
+			// Voluntary departure only: deaths have PeerDeath events.
 			p.tr.Record(trace.MemberDrain, int64(v), ep, 0)
 		}
 	}

@@ -22,11 +22,10 @@ type book struct {
 	tasksSpilled                                       atomic.Uint64
 
 	// Failure handling and elastic membership (zero on fault-free, fixed-
-	// membership runs). quarantined is the current victim count.
-	stealTransportErrs, stealsQuarantined     atomic.Uint64
+	// membership runs).
+	stealTransportErrs, tasksLost             atomic.Uint64
 	tasksForwarded, memberDrains, memberJoins atomic.Uint64
-	quarantined, degraded, terminated         atomic.Int64
-	tasksLost                                 atomic.Uint64
+	degraded, terminated                      atomic.Int64
 
 	// The queue's own figures as of the last stepProgress beat (the queue's
 	// fields are the owner's plain memory), and the epoch at its last flip.
@@ -74,11 +73,7 @@ var (
 	mTerminated = obs.NewGauge("sws_pool_terminated", "dimensionless (bool)", "pe, protocol",
 		"1 once this PE observed the current job's global termination.")
 	mTransportErrs = obs.NewCounter("sws_pool_steal_transport_errors_total", "attempts", "pe, protocol",
-		"Steal attempts absorbed as transport failures (victim quarantined).")
-	mQuarantinedSteals = obs.NewCounter("sws_pool_steals_quarantined_total", "attempts", "pe, protocol",
-		"Steal attempts skipped because the victim was quarantined.")
-	mQuarantined = obs.NewGauge("sws_pool_quarantined_victims", "victims", "pe, protocol",
-		"Victims currently quarantined by this PE.")
+		"Steal attempts that failed at the transport layer (victim dead, unresponsive, or cut off); the search goes on, and a dead victim leaves the draw.")
 	mDegraded = obs.NewGauge("sws_pool_degraded", "dimensionless (bool)", "pe, protocol",
 		"1 once this PE's run degraded to partial-membership termination.")
 	mLost = obs.NewCounter("sws_pool_tasks_lost_total", "tasks", "pe, protocol",
@@ -128,8 +123,6 @@ func (p *Pool) metricsSource() obs.SourceFunc {
 		e.Gauge(mEpoch, float64(bk.epoch.Load()), pe, proto)
 		e.Gauge(mTerminated, float64(bk.terminated.Load()), pe, proto)
 		e.Counter(mTransportErrs, float64(bk.stealTransportErrs.Load()), pe, proto)
-		e.Counter(mQuarantinedSteals, float64(bk.stealsQuarantined.Load()), pe, proto)
-		e.Gauge(mQuarantined, float64(bk.quarantined.Load()), pe, proto)
 		e.Gauge(mDegraded, float64(bk.degraded.Load()), pe, proto)
 		e.Counter(mLost, float64(bk.tasksLost.Load()), pe, proto)
 

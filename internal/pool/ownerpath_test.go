@@ -470,6 +470,96 @@ func TestDegradedVerdictWaitsForBusySurvivor(t *testing.T) {
 	}
 }
 
+// TestSpawnOnKilledRankStaysHome: a SpawnOn names a rank, it does not
+// require it. PE 1 runs the same chain, and every link also spawns a leaf
+// onto PE 2, which is killed early and declared dead DeadAfter later. A
+// batch whose send fails lands on its sender once the detector has ruled
+// (the sender waits for the verdict), instead of failing the survivors,
+// and the world ends without an error. Under the lockstep sim PE 2 is
+// killed 100 µs in, and every link runs with nothing written off. Over
+// tcp it is killed before the chain is seeded, so no batch can claim a
+// ticket: every leaf must land home (no survivor counts one sent). The
+// wall-clock row does not require TasksLost == 0: a degraded wave may
+// still end the job under a survivor that holds queued work but sat
+// descheduled through two of the leader's passes.
+func TestSpawnOnKilledRankStaysHome(t *testing.T) {
+	const links = 4000
+	for _, row := range []struct {
+		name string
+		cfg  shmem.Config
+	}{
+		{"sim", shmem.Config{Transport: shmem.TransportSim, DeadAfter: 500 * time.Microsecond,
+			Sim: shmem.SimOptions{Seed: 1, MaxVirtualTime: 30 * time.Second,
+				Kill: []shmem.SimKill{{Rank: 2, At: 100 * time.Microsecond}}}}},
+		{"tcp", shmem.Config{Transport: shmem.TransportTCP, DeadAfter: 200 * time.Millisecond}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := row.cfg
+			cfg.NumPEs, cfg.HeapBytes = 3, 4<<20
+			w, err := shmem.NewWorld(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ran atomic.Int64
+			sts := make([]stats.PE, 3) // each survivor writes its own element
+			err = w.Run(func(c *shmem.Ctx) error {
+				reg := NewRegistry()
+				leaf := reg.MustRegister("leaf", func(*TaskCtx, []byte) error { return nil })
+				var h task.Handle
+				h = reg.MustRegister("link", func(tc *TaskCtx, payload []byte) error {
+					args, err := task.ParseArgs(payload, 1)
+					if err != nil {
+						return err
+					}
+					if ran.Add(1); args[0] == 0 {
+						return nil
+					}
+					if err := tc.SpawnOn(2, leaf, nil); err != nil {
+						return err
+					}
+					return tc.Spawn(h, task.Args(args[0]-1))
+				})
+				p, err := New(c, reg, Config{Seed: 1})
+				if err != nil {
+					return err
+				}
+				if c.Rank() == 1 {
+					if cfg.Transport == shmem.TransportTCP {
+						w.Kill(2) // every pool is built: PE 2 holds no work
+					}
+					if err := p.Add(h, task.Args(links-1)); err != nil {
+						return err
+					}
+				}
+				if err := p.Run(); err != nil {
+					return err
+				}
+				sts[c.Rank()] = p.Stats()
+				return nil
+			})
+			if err != nil && !errors.Is(err, shmem.ErrPEKilled) {
+				t.Fatal(err)
+			}
+			if werr := w.Err(); werr != nil {
+				t.Fatalf("world failed: %v", werr)
+			}
+			st := sts[0]
+			if !st.Degraded {
+				t.Fatalf("the leader's verdict was not degraded (%d dead): the kill missed the chain", st.DeadPEs)
+			}
+			if cfg.Transport == shmem.TransportTCP {
+				if sent := sts[0].RemoteSpawnsSent + sts[1].RemoteSpawnsSent; sent != 0 {
+					t.Errorf("survivors counted %d leaves sent to a rank killed before the first spawn, want all landed home", sent)
+				}
+				t.Logf("%d of %d links ran, %d tasks written off", ran.Load(), links, st.TasksLost)
+			} else if ran.Load() != links || st.TasksLost != 0 {
+				t.Errorf("%d of %d links ran and %d tasks were written off, want all run and 0 lost",
+					ran.Load(), links, st.TasksLost)
+			}
+		})
+	}
+}
+
 // watchedQueue reports every call into the protocol queue it wraps.
 type watchedQueue struct {
 	wsq.Queue

@@ -205,9 +205,6 @@ type Pool struct {
 
 	// vic picks steal targets for the search layer.
 	vic *victimSelector
-	// quar blacklists victims whose steals failed at the transport layer
-	// (zero value: inert until the first strike).
-	quar quarantine
 	// exec holds the PE's workers — worker 0, the owner, plus any
 	// executors — and the intra-PE ring they share.
 	exec *execLayer
@@ -371,7 +368,7 @@ func New(ctx *shmem.Ctx, reg *Registry, cfg Config) (*Pool, error) {
 	if p.mbox, err = newMailbox(ctx, codec, cfg.MailboxSlots); err != nil {
 		return nil, err
 	}
-	p.mbox.ownDrain = p.stepDrainInbox
+	p.mbox.ownDrain, p.mbox.hold = p.stepDrainInbox, p.det.Hold
 	p.coreQ, _ = p.q.(*core.Queue)
 	if cfg.Metrics != nil {
 		cfg.Metrics.Register(p.metricsSource())
@@ -520,8 +517,8 @@ func (p *Pool) counters() stats.PE {
 	st := stats.PE{
 		StealsSuccessful: bk.stealsOK.Load(), StealsEmpty: bk.stealsEmpty.Load(),
 		StealsDisabled: bk.stealsDisabled.Load(), TasksStolen: bk.tasksStolen.Load(),
-		StealTransportErrs: bk.stealTransportErrs.Load(), StealsQuarantined: bk.stealsQuarantined.Load(),
-		TasksForwarded: bk.tasksForwarded.Load(), MemberDrains: bk.memberDrains.Load(), MemberJoins: bk.memberJoins.Load(),
+		StealTransportErrs: bk.stealTransportErrs.Load(), TasksForwarded: bk.tasksForwarded.Load(),
+		MemberDrains: bk.memberDrains.Load(), MemberJoins: bk.memberJoins.Load(),
 		Acquires: bk.acquires.Load(), Releases: bk.releases.Load(),
 		RemoteSpawnsSent: bk.remoteSent.Load(), RemoteSpawnsRecv: bk.remoteRecv.Load(),
 		StealTime: time.Duration(bk.stealTime.Load()), SearchTime: time.Duration(bk.searchTime.Load()),

@@ -367,8 +367,9 @@ func (p *Pool) stepExecuteLocal() (bool, error) {
 	}
 	if !ok {
 		// Nothing to run: what the PE's tasks spawned elsewhere goes out
-		// before it acquires, searches or probes.
-		return false, p.flushRemote()
+		// before it acquires, searches or probes (a batch sent home runs first).
+		err := p.flushRemote()
+		return err == nil && p.ownedCount() > 0, err
 	}
 	if err := p.execute(p.exec.workers[0], d); err != nil {
 		return false, err

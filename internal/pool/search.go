@@ -7,7 +7,7 @@ package pool
 import (
 	"errors"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"sws/internal/shmem"
 	"sws/internal/trace"
@@ -68,22 +68,9 @@ func newVictimSelector(rank, n int, rng *rand.Rand) *victimSelector {
 // view.
 func (s *victimSelector) reseat(members []int) {
 	s.members = append(s.members[:0], members...)
-	pos := -1
-	for i, v := range s.members {
-		if v == s.rank {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 {
-		s.members = append(s.members, s.rank)
-		sort.Ints(s.members)
-		for i, v := range s.members {
-			if v == s.rank {
-				pos = i
-				break
-			}
-		}
+	pos, in := slices.BinarySearch(s.members, s.rank)
+	if !in {
+		s.members = slices.Insert(s.members, pos, s.rank)
 	}
 	s.mypos = pos
 }
@@ -101,79 +88,10 @@ func (s *victimSelector) next() int {
 	return s.members[pv]
 }
 
-// quarantine blacklists victims whose steals failed at the transport
-// layer, so a PE does not burn its steal attempts (each a full timeout
-// against an unresponsive peer) re-probing a crashed victim. Entries decay
-// on an attempt-count clock — deterministic, no randomness, no wall time —
-// with the hold doubling per consecutive strike; a victim declared dead by
-// the failure detector is quarantined permanently. The zero value is
-// inert: fault-free runs never touch it beyond one nil-slice check.
-type quarantine struct {
-	until   []uint64 // attempt-clock tick until which the victim is skipped
-	strikes []uint8
-	clock   uint64
-}
-
-const (
-	quarantineBase    = 16   // attempts held after the first strike
-	quarantineMaxHold = 1024 // decay cap (strikes keep doubling up to this)
-)
-
-func (qr *quarantine) init(n int) {
-	if qr.until == nil {
-		qr.until = make([]uint64, n)
-		qr.strikes = make([]uint8, n)
-	}
-}
-
-// strike records a transport failure against victim v; permanent strikes
-// (dead victims) never decay.
-func (qr *quarantine) strike(v int, permanent bool) {
-	hold := uint64(quarantineBase) << qr.strikes[v]
-	if hold > quarantineMaxHold {
-		hold = quarantineMaxHold
-	}
-	if qr.strikes[v] < 8 {
-		qr.strikes[v]++
-	}
-	qr.until[v] = qr.clock + hold
-	if permanent {
-		qr.until[v] = ^uint64(0)
-	}
-}
-
-// readmit clears victim v's quarantine record. A rank that drained out
-// voluntarily and later rejoins starts with a clean slate: its previous
-// strikes said nothing about its health, only that steals raced its
-// departure.
-func (qr *quarantine) readmit(v int) {
-	if qr.until == nil || v < 0 || v >= len(qr.until) {
-		return
-	}
-	qr.until[v] = 0
-	qr.strikes[v] = 0
-}
-
-// blocked reports whether victim v is currently quarantined.
-func (qr *quarantine) blocked(v int) bool {
-	return qr.until != nil && qr.until[v] > qr.clock
-}
-
-// active counts currently quarantined victims (metrics).
-func (qr *quarantine) active() int {
-	n := 0
-	for _, u := range qr.until {
-		if u > qr.clock {
-			n++
-		}
-	}
-	return n
-}
-
 // stealFailure classifies a Steal error: transport-layer failures (dead or
-// unresponsive peer, injected drop/partition) quarantine the victim and
-// the search continues; anything else (protocol corruption, world failure)
-// stays fatal.
+// unresponsive peer, injected drop/partition) end the attempt and the
+// search continues, a dead victim leaving the draw; anything else
+// (protocol corruption, world failure) stays fatal.
 func stealFailure(err error) (transient, dead bool) {
 	switch {
 	case errors.Is(err, shmem.ErrPeerDead):
@@ -195,16 +113,8 @@ const stealTries = 2
 // Stolen tasks were counted as spawned by their original spawner, so they
 // are pushed without touching the termination counters.
 func (p *Pool) search() (bool, error) {
-	if p.ctx.NumPEs() == 1 || p.vic.victims() == 0 {
-		return false, nil
-	}
-	for i := 0; i < stealTries; i++ {
+	for i := 0; i < stealTries && p.vic.victims() > 0; i++ {
 		v := p.vic.next()
-		p.quar.clock++
-		if p.quar.blocked(v) {
-			p.bk.stealsQuarantined.Add(1)
-			continue
-		}
 		t0 := p.ctx.Now()
 		tasks, out, err := p.q.Steal(v)
 		el := p.ctx.Now().Sub(t0)
@@ -213,20 +123,21 @@ func (p *Pool) search() (bool, error) {
 			if !transient {
 				return false, err
 			}
-			// The victim, not the world, is broken: quarantine it and keep
-			// searching. Its unexecuted work is accounted by degraded
-			// termination, not by wedging every thief on a corpse.
-			p.quar.init(p.ctx.NumPEs())
-			p.quar.strike(v, dead)
+			// The victim, not the world, is broken: the attempt was search,
+			// as against an empty victim. A dead one leaves the draw for
+			// good (the liveness view is the one authority on who can be
+			// stolen from); degraded termination accounts for its work.
 			p.bk.stealTransportErrs.Add(1)
 			p.bk.searchTime.Add(int64(el))
-			p.bk.quarantined.Store(int64(p.quar.active()))
-			p.tr.Record(trace.PeerDeath, int64(v), 1, 0)
+			p.tr.Record(trace.PeerDeath, int64(v), 0, 0)
 			if dead || errors.Is(err, shmem.ErrOpTimeout) {
 				// First peer-death/timeout observation dumps the journal
 				// (once per process): the ring still holds the protocol
 				// traffic leading up to the failure.
 				_ = p.ctx.FlightDump("steal failed: " + err.Error())
+			}
+			if dead {
+				p.reseatVictims(p.ctx.Liveness())
 			}
 			continue
 		}

@@ -1,7 +1,11 @@
 package pool
 
 import (
+	"fmt"
+	"sync"
 	"testing"
+
+	"sws/internal/shmem"
 )
 
 // selector builds a victimSelector directly (no world needed): selection
@@ -72,6 +76,56 @@ func TestReseatPartialMembership(t *testing.T) {
 			t.Fatalf("departed-rank selector picked %d", v)
 		}
 	}
+}
+
+// TestDeadVictimLeavesVictimSet: the liveness view is the one authority on
+// who can be stolen from. A steal that finds its victim declared dead
+// reseats the thief's selector from that view, so the dead rank leaves the
+// draw for good after one failed attempt, which counts as one transport
+// error, and no later draw spends a steal on it.
+func TestDeadVictimLeavesVictimSet(t *testing.T) {
+	const dead = 2
+	var built sync.WaitGroup
+	built.Add(2)
+	runWorld(t, 3, shmem.TransportLocal, func(c *shmem.Ctx) error {
+		reg := NewRegistry()
+		reg.MustRegister("noop", func(*TaskCtx, []byte) error { return nil })
+		p, err := New(c, reg, Config{Seed: 3})
+		if err != nil {
+			return err
+		}
+		if c.Rank() != 0 {
+			built.Done()
+			return nil
+		}
+		built.Wait() // every queue is built before the thief looks at one
+		c.Liveness().MarkDead(dead)
+		if got := p.vic.victims(); got != 2 {
+			return fmt.Errorf("victims() = %d before any steal, want 2", got)
+		}
+		for i := 0; i < 1000 && p.bk.stealTransportErrs.Load() == 0; i++ {
+			if _, err := p.search(); err != nil {
+				return err
+			}
+		}
+		if got := p.vic.victims(); got != 1 {
+			return fmt.Errorf("victims() = %d after a steal failed on dead PE %d, want 1", got, dead)
+		}
+		for i := 0; i < 10000; i++ {
+			if v := p.vic.next(); v == dead {
+				return fmt.Errorf("draw %d picked dead PE %d", i, dead)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			if _, err := p.search(); err != nil {
+				return err
+			}
+		}
+		if got := p.Stats().StealTransportErrs; got != 1 {
+			return fmt.Errorf("StealTransportErrs = %d, want exactly 1", got)
+		}
+		return nil
+	})
 }
 
 // Per-worker random streams must be independent and deterministic:

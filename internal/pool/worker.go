@@ -193,7 +193,8 @@ func (p *Pool) spawn(ws *workerState, d task.Desc) error {
 // spawnOn is the one spawn path: validate, count the task against ws, and
 // make it runnable on PE pe. A target outside an elastic world's
 // membership lands here instead, and stealing redistributes it: placement
-// was a hint; the rank it named is draining, parked, or gone.
+// was a hint; the rank it named is draining, parked, or gone. So does a
+// batch whose target died (mailbox.flush).
 func (p *Pool) spawnOn(ws *workerState, pe int, d task.Desc) error {
 	self := p.ctx.Rank()
 	if pe != self {
@@ -264,7 +265,8 @@ func (p *Pool) sendRemote(pe int, d task.Desc) error {
 // waiting: a full outbox, a spawn to another target, an iteration with
 // nothing to run, the stepProgress beat, a termination probe, a drain or
 // park flush (flushWorkerTier); so a spawn reaches its target within 64 of
-// the sender's iterations. A failed flush fails the run. The empty test
+// the sender's iterations. A batch whose target died lands home
+// (landHome); any other failed flush fails the run. The empty test
 // inlines: most of those points find nothing to send.
 func (p *Pool) flushRemote() error {
 	if p.mbox.outN == 0 {
@@ -275,9 +277,16 @@ func (p *Pool) flushRemote() error {
 
 func (p *Pool) sendOutbox() error {
 	p.publishCounts()
-	n, err := p.mbox.flush()
+	n, err := p.mbox.flush(p.landHome)
 	p.bk.remoteSent.Add(uint64(n))
 	return err
+}
+
+// landHome queues a task whose target died here, uncounted (its spawn is
+// in the ledger); work moved, so a degraded wave must see activity.
+func (p *Pool) landHome(d task.Desc) error {
+	p.det.NoteActivity()
+	return p.push(d)
 }
 
 // execute runs one task on behalf of worker ws and counts it. The exec

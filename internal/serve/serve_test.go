@@ -440,8 +440,8 @@ func TestScrapeHelpMatchesReference(t *testing.T) {
 			rows[strings.Trim(cells[0], "|` ")] = row{cells[1], cells[3], strings.TrimSuffix(cells[4], " |")}
 		}
 	}
-	if len(rows) != 42 {
-		t.Fatalf("parsed %d reference rows, want 42", len(rows))
+	if len(rows) != 40 {
+		t.Fatalf("parsed %d reference rows, want 40", len(rows))
 	}
 
 	g := obs.NewGatherer()

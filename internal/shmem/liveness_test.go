@@ -118,10 +118,9 @@ func TestKilledPeerOpsFailFast(t *testing.T) {
 
 // TestTCPRefusedDialIsOpTimeout: a peer process that crashed takes its
 // listener with it, so until the failure detector declares it dead every
-// dial to it is refused. After its retries a blocking op against it fails
-// with ErrOpTimeout, as against any other peer that does not answer — the
-// error a thief quarantines a victim on — not an untyped one that fails the
-// caller's run.
+// dial to it is refused. A blocking op against it fails with ErrOpTimeout, as against any other peer that does not answer — the
+// error on which a thief moves on to another victim — not an untyped one
+// that fails the caller's run.
 func TestTCPRefusedDialIsOpTimeout(t *testing.T) {
 	w, err := NewWorld(Config{NumPEs: 2, Transport: TransportTCP, DeadAfter: time.Hour})
 	if err != nil {
@@ -140,6 +139,41 @@ func TestTCPRefusedDialIsOpTimeout(t *testing.T) {
 		_, err := c.Load64(1, 0)
 		if !errors.Is(err, ErrOpTimeout) || !strings.Contains(err.Error(), "refused") {
 			return fmt.Errorf("Load64 from a peer refusing every dial: got %v, want ErrOpTimeout naming the refusal", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTCPRefusedDialIsFinal: a refused dial ends the op's attempt as
+// final. Nothing reached the peer, and its listener is gone until the
+// detector rules; the retry back-off (1.5–3 ms) would only hold the caller
+// (a thief that drew a crashed victim) on every such draw.
+func TestTCPRefusedDialIsFinal(t *testing.T) {
+	w, err := NewWorld(Config{NumPEs: 2, Transport: TransportTCP, DeadAfter: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt := w.transport.(*tcpTransport)
+	tt.addrs[1] = gone.Addr().String()
+	gone.Close()
+	err = w.Run(func(c *Ctx) error {
+		if c.Rank() == 1 {
+			return nil
+		}
+		conn, err := tt.conn(0, 1)
+		if err != nil {
+			return err
+		}
+		_, _, final, err := tt.attempt(conn, &opReq{op: OpLoad, from: 0, to: 1}, nil, nil)
+		if err == nil || !final {
+			return fmt.Errorf("attempt against a refused dial: final=%v err=%v, want a final error", final, err)
 		}
 		return nil
 	})

@@ -149,10 +149,7 @@ func (l *Liveness) BeginDrain(rank int) error {
 	}
 	others := 0
 	for i := range l.states {
-		if i == rank {
-			continue
-		}
-		if PeerState(l.states[i].Load()) == PeerAlive {
+		if i != rank && PeerState(l.states[i].Load()) == PeerAlive {
 			others++
 		}
 	}
@@ -162,9 +159,7 @@ func (l *Liveness) BeginDrain(rank int) error {
 	if !l.transition(rank, PeerAlive, PeerDraining) {
 		return fmt.Errorf("shmem: rank %d is %v, not a member; cannot drain", rank, l.State(rank))
 	}
-	if rank < len(l.drainStart) {
-		atomic.StoreInt64(&l.drainStart[rank], time.Now().UnixNano())
-	}
+	atomic.StoreInt64(&l.drainStart[rank], time.Now().UnixNano())
 	return nil
 }
 
@@ -177,14 +172,12 @@ func (l *Liveness) CompleteDrain(rank int) error {
 	if !l.transition(rank, PeerDraining, PeerParked) {
 		return fmt.Errorf("shmem: rank %d is %v, not draining", rank, l.State(rank))
 	}
-	if rank < len(l.drainStart) {
-		if t0 := atomic.SwapInt64(&l.drainStart[rank], 0); t0 != 0 {
-			// Wall-clock observability only: the recording draws no
-			// randomness and gates no scheduling, so sim replays are
-			// unaffected.
-			l.drainHist.Record(time.Duration(time.Now().UnixNano() - t0))
-			l.drains.Add(1)
-		}
+	if t0 := atomic.SwapInt64(&l.drainStart[rank], 0); t0 != 0 {
+		// Wall-clock observability only: the recording draws no
+		// randomness and gates no scheduling, so sim replays are
+		// unaffected.
+		l.drainHist.Record(time.Duration(time.Now().UnixNano() - t0))
+		l.drains.Add(1)
 	}
 	return nil
 }

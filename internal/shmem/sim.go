@@ -761,7 +761,7 @@ func (t *simTransport) stateDump() string {
 		case pe.state == simPEBlockedCond && pe.kind == simWaitQuiet:
 			s += fmt.Sprintf(" quiet pending=%d", pe.pending)
 		case pe.state == simPEBlockedCond:
-			s += fmt.Sprintf(" wait a=%#x %v %d deadline=%v", uint64(pe.wait.addr), pe.wait.cmp, pe.wait.operand, time.Duration(pe.deadline))
+			s += fmt.Sprintf(" %s on=%d deadline=%v", pe.wait.String(), pe.wait.on, time.Duration(pe.deadline))
 		}
 		s += fmt.Sprintf(" vclock=%v pending=%d\n", time.Duration(pe.vclock), pe.pending)
 	}

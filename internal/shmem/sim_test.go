@@ -215,8 +215,9 @@ func TestSimDeadlockDetection(t *testing.T) {
 // TestSimBarrierDeadlock: a PE that returns before a barrier its peer waits
 // at leaves the peer on the barrier's generation word forever. The
 // barrier's own timeout lies past the virtual-time budget, so it is no
-// schedulable deadline: the world is diagnosed as deadlocked, with the
-// waiter's wait in the state dump, not as a livelock.
+// schedulable deadline: the world is diagnosed as deadlocked, not as a
+// livelock, and the state dump names the waiter's wait and the heap it
+// watches (the barrier on rank 0's), not a bare word address.
 func TestSimBarrierDeadlock(t *testing.T) {
 	w := simWorld(t, 2, 1, nil)
 	err := w.Run(func(ctx *Ctx) error {
@@ -231,7 +232,7 @@ func TestSimBarrierDeadlock(t *testing.T) {
 	if !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("want deadlock diagnosis, got: %v", err)
 	}
-	if want := fmt.Sprintf("PE 0: blocked-cond wait a=%#x", uint64(barrierGenAddr)); !strings.Contains(err.Error(), want) {
+	if want := "PE 0: blocked-cond barrier on=0"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("want %q in the state dump, got: %v", want, err)
 	}
 }

@@ -517,7 +517,7 @@ func (c *tcpConn) await(into []byte) (byte, uint64, []byte, error) {
 // on: ErrPeerDead once the peer is gone, ErrOpTimeout when it did not
 // answer — the exchange timed out, or the peer's listener refused the dial
 // (a crashed process the failure detector has not declared yet, which a
-// thief quarantines like any other unresponsive victim).
+// thief passes over like any other unresponsive victim).
 func (t *tcpTransport) typed(err error, peer int) error {
 	var ne net.Error
 	switch {
@@ -595,15 +595,17 @@ func (t *tcpTransport) blocking(r opReq) (uint64, []byte, error) {
 }
 
 // attempt is one try of blocking's round trip. final says a retry is
-// futile or unsafe: the target rejected the op, the request may have
-// reached it and a second copy could apply twice, or the connection that
-// broke carried injections no reply had fenced, whose loss a fresh
-// connection would hide.
+// futile or unsafe: the target rejected the op, its listener refused the
+// dial (the process is gone; backing off would only hold the caller, a
+// thief say, until the detector rules), the request may have reached it
+// and a second copy could apply twice, or the connection that broke
+// carried injections no reply had fenced, whose loss a fresh connection
+// would hide.
 func (t *tcpTransport) attempt(c *tcpConn, r *opReq, payload, into []byte) (uint64, []byte, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.open(); err != nil {
-		return 0, nil, false, err
+		return 0, nil, errors.Is(err, syscall.ECONNREFUSED), err
 	}
 	final := c.unfenced || !opIdempotent(r.op)
 	err := c.send(r, payload)

@@ -45,7 +45,12 @@ import (
 // 32 rows: each dumped log first differs from its parent's at the parent's
 // first "bar gen=" line, where the sim's own barrier logged its release and
 // drew a staggered wake per PE; the one barrier lands its ops on rank 0's
-// heap unlogged and releases the PEs parked on its generation word.
+// heap unlogged and releases the PEs parked on its generation word. The
+// kill rows moved once more when a thief whose steal finds its victim dead
+// reseated its victim set instead of drawing the rank and skipping it: each
+// first differs a few lines after its "ded" line (kill 1: line 283 of a
+// log whose "ded" is line 275), where a survivor's draw sees one victim
+// fewer; before it every line, op and draw is the parent's.
 var simLogGolden = map[string][8]string{
 	"fault-free": {
 		"3d5c300f0c3cf58e9b42ba8fe47ea103db93bd61c1062c3fd0439a6625b86580",
@@ -68,14 +73,14 @@ var simLogGolden = map[string][8]string{
 		"341d78879b05b5fd9ab0722b695638f37ba487ef4aaa2f330f9f9b375f90b548",
 	},
 	"kill": {
-		"10558ce03b4bfe5cb54331adf2a9914a3d94a940caeb603d118e63c1c671c605",
-		"52a8042e93f78f4f92f53642fb86018ccd13ef4b82ee569eff4bd983f7a17ee3",
-		"3f58130c80c006798d653b346ad49be183a85111f5e58db815b13fed0b8de488",
-		"a2e6103396728491a355897abead6338ce59e0652d17dcb04851959035b78db2",
-		"9db0332c7d523cbf5c5cabc701a9f974be163741063a9d820c1362f10bdb87d5",
-		"dc542225efcaedd7e4c0620acb8a0c7e53704ccac5b3c2a6d47573fe6b1885ee",
-		"314bfeafe6c4860e02de01499b45c386519694285a14ae3258cee89223aca58a",
-		"da7be8be93b2a9f6c3dbff9649a486c59e3fbd76d6e93130bbf28afdcfc9c8ac",
+		"a8199fc926e6420789947643cd7b7bda01e29ec9e5c3306d3a943a502c0d0137",
+		"9bd3ff925995de644a33a7da854f924a3836e689bdf7ed116ca9e02133ba9722",
+		"92be5e4ebdc1be9473ef7ebb8e8c03174c9dc20e3450036d9da06faa56c0cd38",
+		"59474d0138c9bbdcc7f29b61d97905047bc462d2a1a106423f3854cbef8d5f0a",
+		"6dc81cb072d28ebd0bdc1f404444c52b344b4aeeb79cb414ae79678fd41a54c7",
+		"201c049899d245e0b7025f6e02d1f41b086cc058134f07c73f37b58442129631",
+		"b975e8c30718a7f149e9c02bc993da91e13361280caecd2e3ad1d9df879342ca",
+		"41f4d35fb369372ba58ba03f5b6a0c19b517f0b402165db0a765c7d6b12cf279",
 	},
 	"churn": {
 		"36649d4709e50bd87f43277072b8424c7ecb333703ee0846581d515d9e5e05cb",

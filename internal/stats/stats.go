@@ -28,12 +28,9 @@ type PE struct {
 	// Failure-handling counters (zero on fault-free runs).
 	//
 	// StealTransportErrs counts steal attempts that failed at the transport
-	// layer (peer dead, op timeout, injected drop/partition) and were
-	// absorbed by quarantining the victim instead of failing the run.
+	// layer (peer dead, op timeout, injected drop/partition): searching,
+	// not a failed run; a dead victim leaves the thief's victim set.
 	StealTransportErrs uint64
-	// StealsQuarantined counts steal attempts skipped because the chosen
-	// victim was quarantined.
-	StealsQuarantined uint64
 	// TasksLost is the detector's ledger estimate (sum spawned minus sum
 	// executed, using the last counters read from dead PEs) of tasks lost
 	// when the run terminated in degraded mode. It is an estimate, not a
@@ -128,7 +125,7 @@ type Worker struct {
 // and returned by value, so a walk allocates nothing (a fleet takes one per
 // PE per job); a struct with fewer fields leaves the tails nil.
 type numeric struct {
-	sums  [19]*uint64 // Delta saturates at zero
+	sums  [18]*uint64 // Delta saturates at zero
 	times [3]*time.Duration
 	// peak is a world-level figure, identical on every PE that observed
 	// it: Add takes the max, so Run.Total reports the world's count once.
@@ -143,9 +140,9 @@ func (p *PE) numeric() numeric {
 		sums: [...]*uint64{
 			&p.TasksExecuted, &p.TasksSpawned, &p.StealsAttempted, &p.StealsSuccessful,
 			&p.StealsEmpty, &p.StealsDisabled, &p.TasksStolen, &p.StealTransportErrs,
-			&p.StealsQuarantined, &p.TasksWrittenOff, &p.TasksForwarded, &p.MemberDrains,
-			&p.MemberJoins, &p.Acquires, &p.Releases, &p.TasksSpilled,
-			&p.RemoteSpawnsSent, &p.RemoteSpawnsRecv, &p.IdleIters,
+			&p.TasksWrittenOff, &p.TasksForwarded, &p.MemberDrains, &p.MemberJoins,
+			&p.Acquires, &p.Releases, &p.TasksSpilled, &p.RemoteSpawnsSent,
+			&p.RemoteSpawnsRecv, &p.IdleIters,
 		},
 		times: [...]*time.Duration{&p.StealTime, &p.SearchTime, &p.ExecTime},
 		peak:  &p.TasksLost,
@@ -155,7 +152,7 @@ func (p *PE) numeric() numeric {
 
 func (w *Worker) numeric() numeric {
 	return numeric{
-		sums:  [19]*uint64{&w.TasksExecuted, &w.TasksSpawned, &w.IdleIters, &w.FromRing},
+		sums:  [18]*uint64{&w.TasksExecuted, &w.TasksSpawned, &w.IdleIters, &w.FromRing},
 		times: [...]*time.Duration{&w.ExecTime, &w.StealTime, &w.SearchTime},
 	}
 }

@@ -57,6 +57,7 @@ type Detector struct {
 	spawned  uint64
 	executed uint64
 	activity uint64 // work events not visible in the counters (see NoteActivity)
+	held     uint64 // heldBit while the PE holds work no counter shows (Hold)
 	done     bool
 
 	// The leader's pass memory: the membership epoch, then (rank, spawned,
@@ -192,8 +193,25 @@ func (d *Detector) Publish(spawned, executed int) {
 func (d *Detector) NoteActivity() {
 	d.activity++
 	if lv := d.ctx.Liveness(); lv != nil && lv.AnyDead() {
-		atomic.StoreUint64(&d.own[ownActivity], d.activity)
+		atomic.StoreUint64(&d.own[ownActivity], d.activity|d.held)
 	}
+}
+
+// heldBit marks a published activity beacon whose PE holds work.
+const heldBit = 1 << 63
+
+// Hold publishes that this PE holds, or no longer holds, counted work that
+// is in no queue: a remote-spawn batch whose target stopped answering,
+// kept until the failure detector rules on it. No pass that reads a held
+// beacon is a verdict, so a degraded wave cannot write the batch off while
+// its sender waits; either call moves the beacon.
+func (d *Detector) Hold(on bool) {
+	d.held = 0
+	if on {
+		d.held = heldBit
+	}
+	d.activity++
+	atomic.StoreUint64(&d.own[ownActivity], d.activity|d.held)
 }
 
 // Check is called by an idle PE. It returns true once global termination
@@ -216,7 +234,8 @@ func (d *Detector) NoteActivity() {
 //     balance (spawned == executed; a torn pass never repeats). Once a
 //     peer has died the balance can never be restored — the dead took
 //     claimed work with them — and the pool publishes per task, so equal
-//     passes alone mean the survivors are quiescent.
+//     passes alone mean the survivors are quiescent, unless one holds work
+//     outside every queue and says so (Hold): a held beacon is no verdict.
 //   - The leader broadcasts (lost << 1) | 1 to every other PE of the pass,
 //     where lost is spawned - executed over the live counters plus the
 //     dead PEs' last-known ones: a ledger estimate under at-least-once
@@ -244,6 +263,7 @@ func (d *Detector) Check() (bool, error) {
 	epoch := lv.MemberEpoch()
 	vec := append(d.curVec[:0], epoch)
 	var spawned, executed uint64
+	held := false
 	buf := d.buf[:]
 	for pe := range d.lastKnown {
 		if !lv.Alive(pe) {
@@ -261,13 +281,14 @@ func (d *Detector) Check() (bool, error) {
 		spawned += sp
 		executed += ex
 		vec = append(vec, uint64(pe), sp, ex, act)
+		held = held || act&heldBit != 0
 	}
 	if lv.MemberEpoch() != epoch {
 		return false, d.void(nil)
 	}
 	same := slices.Equal(vec, d.prevVec)
 	d.prevVec, d.curVec = vec, d.prevVec
-	if !same || !dead && spawned != executed {
+	if !same || !dead && spawned != executed || held {
 		return false, nil
 	}
 	var lost uint64

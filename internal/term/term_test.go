@@ -394,3 +394,62 @@ func TestVerdictReachesEveryLivePeer(t *testing.T) {
 		})
 	}
 }
+
+// A held beacon is no verdict: once a peer is dead, two equal passes call
+// the survivors quiescent, but not while one of them says it holds work
+// outside every queue (a remote-spawn batch waiting on its target's
+// verdict). Released, the same survivors end the job.
+func TestHeldBeaconIsNoVerdict(t *testing.T) {
+	w, err := shmem.NewWorld(shmem.Config{NumPEs: 3, DeadAfter: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held, release, released atomic.Bool
+	err = w.Run(func(c *shmem.Ctx) error {
+		d, err := New(c)
+		if err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		switch c.Rank() {
+		case 1:
+			d.Hold(true)
+			held.Store(true)
+			for !release.Load() {
+				time.Sleep(50 * time.Microsecond)
+			}
+			d.Hold(false)
+			released.Store(true)
+			return nil
+		case 2:
+			return nil
+		}
+		defer release.Store(true) // a failed leader must not strand PE 1
+		for !held.Load() {
+			time.Sleep(50 * time.Microsecond)
+		}
+		if err := killPeer(c, w, 2); err != nil {
+			return err
+		}
+		for i := 0; i < 50; i++ {
+			if done, err := d.Check(); done || err != nil {
+				return fmt.Errorf("pass %d over a held beacon: done=%v, %v", i, done, err)
+			}
+		}
+		release.Store(true)
+		for !released.Load() {
+			time.Sleep(50 * time.Microsecond)
+		}
+		for i := 0; i < 50; i++ {
+			if done, err := d.Check(); done || err != nil {
+				return err
+			}
+		}
+		return fmt.Errorf("no verdict in 50 passes after the beacon was released")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

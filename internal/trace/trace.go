@@ -49,9 +49,9 @@ const (
 	// TermWave: a termination-detection summation pass finished.
 	// A = cumulative probe count, B = 1 if it declared termination.
 	TermWave
-	// PeerDeath: this PE observed a peer's death (failure detector
-	// declaration or a failed op against it). A = the dead peer's rank,
-	// B = 1 if the observation quarantined the peer as a steal victim.
+	// PeerDeath: a steal against a peer failed at the transport layer
+	// (declared dead, crash-injected or unresponsive, or an injected drop
+	// or partition). A = the peer's rank.
 	PeerDeath
 	// StealSpanStart: a steal attempt began at the initiator. A = victim
 	// rank. Span carries the attempt's span ID; every sub-operation of
