@@ -10,9 +10,9 @@ import (
 // RDMA/atomic offload: the target PE's worker code (and, across
 // processes, its CPU) is never involved. It serves every heap whose bytes
 // the initiator can address, and behaves one way on all of them: where the
-// bytes live — Go slices (TransportLocal) or one MAP_SHARED segment
+// bytes live — a private mapping (TransportLocal) or one MAP_SHARED segment
 // (TransportShm, in-process or joined; see shm.go) — is decided when the
-// world is built and matters again only when the mapping is released.
+// world is built and matters again only when the memory is released.
 //
 // Every operation runs the same sequence exactly once: resolve the target,
 // fault verdict, latency charge, World.land. Blocking operations charge
@@ -27,7 +27,7 @@ import (
 // the store themselves.
 type directTransport struct {
 	hostWaits
-	seg *shmSegment // the mapping to release on close; nil for Go-slice heaps
+	seg *shmSegment // the mapping to release on close; nil for private heaps
 
 	closeOnce sync.Once
 	closeErr  error

@@ -4,7 +4,7 @@ package shmem
 // one MAP_SHARED file (typically in /dev/shm), the closest a multi-process
 // Go deployment gets to the paper's NIC-offloaded one-sided operations.
 // Every process maps the same segment and the direct back-end (direct.go)
-// applies operations to it exactly as it does to a Go-slice heap, so
+// applies operations to it exactly as it does to a private heap, so
 //
 //   - atomics are direct sync/atomic operations on the mapping: zero
 //     syscalls, executed by the initiator, never involving the target

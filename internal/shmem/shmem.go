@@ -45,7 +45,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"sws/internal/trace"
 )
@@ -111,8 +110,9 @@ func (k TransportKind) String() string {
 type Config struct {
 	// NumPEs is the number of processing elements. Must be >= 1.
 	NumPEs int
-	// HeapBytes is the symmetric heap size per PE, in bytes. Rounded up to
-	// a multiple of LineSize; the first reservedHeapBytes hold the
+	// HeapBytes is the symmetric heap size per PE, in bytes: on linux,
+	// address space reserved, a page committed at its first touch. Rounded
+	// up to a multiple of LineSize; the first reservedHeapBytes hold the
 	// runtime's own words. Default 1 MiB.
 	HeapBytes int
 	// Latency is the injected communication cost model.
@@ -272,6 +272,7 @@ func (c *Config) setDefaults(at *Endpoint) error {
 type World struct {
 	cfg       Config
 	pes       []*peState
+	heaps     *heapMapping // nil on a segment
 	transport transport
 	// sim is the transport again when it is the lockstep simulation, whose
 	// scheduler Run must hand each PE goroutine to and take it back from.
@@ -315,7 +316,7 @@ type peState struct {
 	words []uint64 // backing store; guarantees 8-byte alignment
 	bytes []byte   // byte view over words
 	// wake is what blocked waits on this heap park on: Go memory beside a
-	// Go-slice heap, the segment header's slot beside a mapped one.
+	// private heap, the segment header's slot beside a shared one.
 	wake *wakeWords
 
 	// pauses counts this PE's Wait back-off steps (see Wait.Poll).
@@ -333,21 +334,18 @@ type peState struct {
 // corruptible by (or mutate) user data.
 type wakeWords struct{ seq, waiters uint64 }
 
-// newPEState builds a PE over mem — goHeap's Go memory or a mapped heap,
-// both line-aligned — and the wake words beside it. World.apply, the wait
-// loop and Ctx's fast path cannot tell the two apart.
+// newPEState builds a PE over mem — a slice of the world's own heaps
+// (anonHeaps) or of a segment, both line-aligned — and the wake words beside
+// it. World.apply, the wait loop and Ctx's fast path cannot tell them apart.
 func newPEState(rank int, mem []byte, wake *wakeWords) *peState {
 	return &peState{rank: rank, words: aliasWords(mem), bytes: mem, wake: wake}
 }
 
-// goHeap allocates an n-byte heap (n a positive line multiple) that starts
-// on a cache line, as a mapped heap does: a spare line, sliced off.
-func goHeap(n int) []byte {
-	words := make([]uint64, (n+LineSize)/WordSize)
-	b := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*WordSize)
-	off := int(-uintptr(unsafe.Pointer(&b[0])) & (LineSize - 1))
-	return b[off : off+n : off+n]
-}
+// heapMapping holds the heaps of a world without a segment (anonHeaps).
+// Only the World points to it, and every Ctx — so every holder of an
+// OwnWords view — to the World, so a finalizer on it runs only once no
+// heap byte can be reached.
+type heapMapping struct{ data []byte }
 
 // wakeWaiters unparks the waits blocked on this heap after a landing
 // changed it (or after a word watched through it moved: tcp's ack count).
@@ -412,20 +410,32 @@ func newWorld(cfg Config, at *Endpoint) (*World, error) {
 		w.rings[r].Store(flight.PE(r))
 	}
 	// The heaps this process can address: all of them on a mapped segment
-	// or in an in-process world, only the local rank's over tcp.
+	// or in an in-process world, only the local rank's over tcp; without a
+	// segment, one anonymous mapping (anonHeaps).
 	w.pes = make([]*peState, cfg.NumPEs)
 	var seg *shmSegment
+	var own []byte
 	if cfg.Transport == TransportShm {
 		if seg, err = openShmSegment(cfg, at); err != nil {
 			return nil, fmt.Errorf("shmem: starting shm transport: %w", err)
 		}
+	} else {
+		n := cfg.NumPEs
+		if at != nil {
+			n = 1
+		}
+		if w.heaps, err = anonHeaps(n * cfg.HeapBytes); err != nil {
+			return nil, fmt.Errorf("shmem: mapping %d heaps of %d bytes: %w", n, cfg.HeapBytes, err)
+		}
+		own = w.heaps.data
 	}
 	for r := range w.pes {
 		switch {
 		case seg != nil:
 			w.pes[r] = newPEState(r, seg.heap(r), seg.wakeSlot(r))
 		case at == nil || r == at.Rank:
-			w.pes[r] = newPEState(r, goHeap(cfg.HeapBytes), new(wakeWords))
+			w.pes[r] = newPEState(r, own[:cfg.HeapBytes:cfg.HeapBytes], new(wakeWords))
+			own = own[cfg.HeapBytes:]
 		}
 	}
 	w.live = newLiveness(w, cfg.NumPEs)

@@ -19,7 +19,7 @@ type Span struct {
 // the target heap is addressable (and World.apply runs), and how a PE of
 // this kind of world blocks. Self-targeted operations never reach it —
 // Ctx.do short-circuits them onto local memory. There are three: direct
-// (the initiator applies the op itself, to a Go-slice or mmap'd heap), tcp
+// (the initiator applies the op itself, to a private or shared heap), tcp
 // (a service goroutine at the target applies it after wire decode) and sim
 // (the lockstep scheduler applies it in virtual time).
 //

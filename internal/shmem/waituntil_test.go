@@ -113,7 +113,7 @@ func TestSpinPhaseTimesOut(t *testing.T) {
 
 // TestBlockedWaits pins how a PE blocks, the same on every back-end: with
 // the spin budget zeroed the wall-clock ones park at once on the heap's
-// wake words — Go-slice and tcp heaps exactly like a mapped one — and the
+// wake words — private and tcp heaps exactly like a shared one — and the
 // sim parks in its scheduler.
 func TestBlockedWaits(t *testing.T) {
 	type world struct {
@@ -304,7 +304,7 @@ func TestTCPQuietUnwindsOnDeadTarget(t *testing.T) {
 	}
 }
 
-// An in-process world over Go-slice heaps is memory and nothing else: no
+// An in-process world over private heaps is memory and nothing else: no
 // applier, prober or service goroutine stands between an
 // initiator and a heap.
 func TestLocalWorldStartsNoGoroutines(t *testing.T) {

@@ -117,7 +117,8 @@ type Config struct {
 	// Latency injects communication costs (zero by default; see
 	// bench.DefaultLatency for the benchmark model).
 	Latency LatencyModel
-	// HeapBytes is the symmetric heap per PE (default 16 MiB).
+	// HeapBytes is the symmetric heap per PE (default 16 MiB). On linux it
+	// is address space reserved, each page committed at its first touch.
 	HeapBytes int
 	// QueueCapacity is the split queue size in slots (default 8192). A
 	// spawn that finds the queue full goes to the owner's private deque
