@@ -7,7 +7,7 @@ import (
 	"syscall"
 )
 
-// anonHeaps maps size bytes of heap, private and anonymous: reserved
+// anonHeaps maps size bytes of heaps and rings, private and anonymous: reserved
 // without a charge (MAP_NORESERVE), a page committed and zeroed by the
 // kernel at its first touch, the whole unmapped by heapMapping's finalizer.
 func anonHeaps(size int) (*heapMapping, error) {

@@ -9,10 +9,13 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 	"unsafe"
+
+	"sws/internal/trace"
 )
 
 // residentBytes reads this process's resident set from /proc/self/statm,
@@ -102,50 +105,142 @@ func mappedAt(t *testing.T, addrs []uintptr) []uintptr {
 	return in
 }
 
-// A world nothing references any more gives its heap mapping back, run or
-// not. The heaps are found by base address rather than by region size:
-// the kernel merges adjacent anonymous mappings of equal flags, so several
-// worlds' heaps can show as one region. A finalizer never registered, or
-// one that a reference cycle through its owner keeps from running, leaves
-// a base mapped.
+// A world nothing references any more gives its mapping back, run or not.
+// The mappings are found by base address rather than by region size: the
+// kernel merges adjacent anonymous mappings of equal flags, so several
+// worlds' mappings can show as one region. A finalizer never registered, or
+// one that a reference cycle through its owner keeps from running, leaves a
+// base mapped. A shm world's heaps are its segment, which Run unmaps, and
+// its mapping holds its rings alone; each such world runs, so that no
+// segment outlives the test.
 func TestDroppedWorldReleasesHeap(t *testing.T) {
 	const worlds = 8
-	var ws []*World
-	var bases []uintptr
-	for i := 0; i < worlds; i++ {
-		w, err := NewWorld(Config{NumPEs: 3, HeapBytes: 5<<20 + 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws = append(ws, w)
-		bases = append(bases, uintptr(unsafe.Pointer(&w.pes[0].bytes[0])))
-		if i%2 == 0 {
-			body := func(c *Ctx) error {
-				words, err := c.OwnWords(c.MustAlloc(WordSize), 1)
-				if err == nil {
-					words[0] = uint64(c.Rank())
+	for _, kind := range []TransportKind{TransportLocal, TransportShm} {
+		t.Run(kind.String(), func(t *testing.T) {
+			var ws []*World
+			var bases []uintptr
+			for i := 0; i < worlds; i++ {
+				w, err := NewWorld(Config{NumPEs: 3, HeapBytes: 5<<20 + 64, Transport: kind})
+				if err != nil {
+					t.Fatal(err)
 				}
-				return err
+				ws = append(ws, w)
+				bases = append(bases, uintptr(unsafe.Pointer(&w.heaps.data[0])))
+				if i%2 == 0 || kind == TransportShm {
+					body := func(c *Ctx) error {
+						words, err := c.OwnWords(c.MustAlloc(WordSize), 1)
+						if err == nil {
+							words[0] = uint64(c.Rank())
+						}
+						return err
+					}
+					if err := w.Run(body); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			if err := w.Run(body); err != nil {
-				t.Fatal(err)
+			if in := mappedAt(t, bases); len(in) != worlds {
+				t.Fatalf("%d of %d live worlds' mappings are mapped", len(in), worlds)
 			}
-		}
+			runtime.KeepAlive(ws)
+			ws = nil
+			if left := awaitUnmapped(t, bases); len(left) > 0 {
+				t.Errorf("%d of %d dropped worlds still map their heaps (bases %#x)", len(left), worlds, left)
+			}
+		})
 	}
-	if in := mappedAt(t, bases); len(in) != worlds {
-		t.Fatalf("%d of %d live worlds' heap bases are mapped", len(in), worlds)
-	}
-	runtime.KeepAlive(ws)
-	ws = nil
-	var left []uintptr
-	for i := 0; i < 50; i++ {
+}
+
+// awaitUnmapped collects garbage until no base is mapped, for up to half a
+// second, and returns the bases still mapped.
+func awaitUnmapped(t *testing.T, bases []uintptr) []uintptr {
+	t.Helper()
+	left := mappedAt(t, bases)
+	for i := 0; i < 50 && len(left) > 0; i++ {
 		runtime.GC()
-		if left = mappedAt(t, bases); len(left) == 0 {
-			return
-		}
+		time.Sleep(10 * time.Millisecond)
+		left = mappedAt(t, bases)
+	}
+	return left
+}
+
+// A world's rings lie in its mapping and commit on touch too: 64 PEs' rings
+// reserve 12 MB and cost Go no allocation. As Go slices, the rings of a
+// world built after another had freed its own were 64 × 256 KB that Go
+// zeroed, so resident memory grew 16 MB and Go allocated 16 MB here.
+func TestRingsCommitOnTouch(t *testing.T) {
+	cfg := Config{NumPEs: 64, HeapBytes: 64 << 10}
+	residentBytes(t)
+	run(t, cfg, func(c *Ctx) error { return c.Barrier() })
+	runtime.GC()
+	debug.FreeOSMemory()
+
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before, allocBefore := residentBytes(t), ms.TotalAlloc
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	alloc := ms.TotalAlloc - allocBefore
+	if alloc >= 1<<20 {
+		t.Errorf("NewWorld allocated %d KB of Go memory for %d PEs; want < 1 MB", alloc>>10, cfg.NumPEs)
+	}
+	if err := w.Run(func(c *Ctx) error { return c.Barrier() }); err != nil {
+		t.Fatal(err)
+	}
+	grew := residentBytes(t) - before
+	runtime.KeepAlive(w)
+	if grew >= 4<<20 {
+		t.Errorf("resident memory grew %d MB for a %d-PE world running one barrier; want < 4 MB", grew>>20, cfg.NumPEs)
+	}
+	t.Logf("%d PEs: NewWorld allocated %d KB of Go memory; resident memory grew %d KB", cfg.NumPEs, alloc>>10, grew>>10)
+}
+
+// A ring held past its World keeps the world's mapping, so it never reads
+// unmapped memory, and lets it go once dropped itself. The world is gone
+// when its PE state's finalizer has run (nothing but the World and its
+// Ctxs points to a peState).
+func TestRingOutlivesWorld(t *testing.T) {
+	ring, base, gone := ringOfDroppedWorld(t)
+	for i := 0; i < 50 && !gone.Load(); i++ {
+		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Errorf("%d of %d dropped worlds still map their heaps (bases %#x)", len(left), worlds, left)
+	if !gone.Load() {
+		t.Fatal("the dropped world was never collected")
+	}
+	runtime.GC()
+	if len(mappedAt(t, []uintptr{base})) == 0 {
+		t.Fatal("the world's mapping left while one of its rings is held")
+	}
+	evs := ring.Snapshot(2, "held").Events
+	if n := len(evs); n == 0 || evs[n-1].Kind != trace.JobStart || evs[n-1].A != 7 || evs[n-1].PE != 1 {
+		t.Fatalf("held ring's events %v; want the recorded job-start 7 of PE 1 last", evs)
+	}
+	// ring is not used past this point, so nothing holds the mapping now.
+	if left := awaitUnmapped(t, []uintptr{base}); len(left) > 0 {
+		t.Errorf("the world's mapping %#x stays mapped after its last ring was dropped", base)
+	}
+}
+
+// ringOfDroppedWorld runs a 2-PE world, records an event on PE 1's ring and
+// returns that ring, the world's mapping base, and a flag set once the
+// world has been collected.
+func ringOfDroppedWorld(t *testing.T) (*trace.Flight, uintptr, *atomic.Bool) {
+	w, err := NewWorld(Config{NumPEs: 2, HeapBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(func(c *Ctx) error { return c.Barrier() }); err != nil {
+		t.Fatal(err)
+	}
+	ring := w.Ring(1)
+	ring.Record(trace.JobStart, 7, 0, 0)
+	gone := new(atomic.Bool)
+	runtime.SetFinalizer(w.pes[1], func(*peState) { gone.Store(true) })
+	return ring, uintptr(unsafe.Pointer(&w.heaps.data[0])), gone
 }
 
 // A world may reserve more heap than the machine has memory: the mapping

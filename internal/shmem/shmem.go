@@ -272,7 +272,7 @@ func (c *Config) setDefaults(at *Endpoint) error {
 type World struct {
 	cfg       Config
 	pes       []*peState
-	heaps     *heapMapping // nil on a segment
+	heaps     *heapMapping // the heaps no segment holds, then the rings
 	transport transport
 	// sim is the transport again when it is the lockstep simulation, whose
 	// scheduler Run must hand each PE goroutine to and take it back from.
@@ -341,10 +341,10 @@ func newPEState(rank int, mem []byte, wake *wakeWords) *peState {
 	return &peState{rank: rank, words: aliasWords(mem), bytes: mem, wake: wake}
 }
 
-// heapMapping holds the heaps of a world without a segment (anonHeaps).
-// Only the World points to it, and every Ctx — so every holder of an
-// OwnWords view — to the World, so a finalizer on it runs only once no
-// heap byte can be reached.
+// heapMapping is a world's one anonymous mapping (anonHeaps): the heaps no
+// segment holds, then every PE's ring. The World and each of its rings point
+// to it, and every Ctx — so every holder of an OwnWords view — to the World,
+// so its finalizer runs only once no heap or ring byte can be reached.
 type heapMapping struct{ data []byte }
 
 // wakeWaiters unparks the waits blocked on this heap after a landing
@@ -401,34 +401,33 @@ func newWorld(cfg Config, at *Endpoint) (*World, error) {
 	if at != nil {
 		w.localRank = at.Rank
 	}
-	flight, err := trace.NewSet(cfg.NumPEs, flightCap)
-	if err != nil {
-		return nil, err
+	// The memory this process addresses: the heaps — all of them on a
+	// mapped segment or in an in-process world, only the local rank's over
+	// tcp — and every PE's ring. One anonymous mapping (anonHeaps) holds the
+	// heaps no segment holds, then the rings.
+	heaps := cfg.NumPEs
+	if cfg.Transport == TransportShm {
+		heaps = 0
+	} else if at != nil {
+		heaps = 1
 	}
+	size := heaps*cfg.HeapBytes + cfg.NumPEs*trace.RingBytes(flightCap)
+	var err error
+	if w.heaps, err = anonHeaps(size); err != nil {
+		return nil, fmt.Errorf("shmem: mapping %d heaps of %d bytes and %d rings: %w", heaps, cfg.HeapBytes, cfg.NumPEs, err)
+	}
+	own := w.heaps.data
 	w.rings = make([]atomic.Pointer[trace.Flight], cfg.NumPEs)
-	for r := range w.rings {
-		w.rings[r].Store(flight.PE(r))
+	for r, f := range trace.NewRings(own[heaps*cfg.HeapBytes:], w.heaps, 0, cfg.NumPEs, flightCap) {
+		w.rings[r].Store(f)
 	}
-	// The heaps this process can address: all of them on a mapped segment
-	// or in an in-process world, only the local rank's over tcp; without a
-	// segment, one anonymous mapping (anonHeaps).
-	w.pes = make([]*peState, cfg.NumPEs)
 	var seg *shmSegment
-	var own []byte
 	if cfg.Transport == TransportShm {
 		if seg, err = openShmSegment(cfg, at); err != nil {
 			return nil, fmt.Errorf("shmem: starting shm transport: %w", err)
 		}
-	} else {
-		n := cfg.NumPEs
-		if at != nil {
-			n = 1
-		}
-		if w.heaps, err = anonHeaps(n * cfg.HeapBytes); err != nil {
-			return nil, fmt.Errorf("shmem: mapping %d heaps of %d bytes: %w", n, cfg.HeapBytes, err)
-		}
-		own = w.heaps.data
 	}
+	w.pes = make([]*peState, cfg.NumPEs)
 	for r := range w.pes {
 		switch {
 		case seg != nil:
@@ -480,7 +479,8 @@ func newWorld(cfg Config, at *Endpoint) (*World, error) {
 // NumPEs returns the number of processing elements in the world.
 func (w *World) NumPEs() int { return w.cfg.NumPEs }
 
-// Ring returns the event ring rank's PE currently records into.
+// Ring returns the event ring rank's PE currently records into. A world's
+// own ring holds its mapping, so it reads mapped memory past the World.
 func (w *World) Ring(rank int) *trace.Flight { return w.rings[rank].Load() }
 
 // flightState journals a failure-detector transition (peer -> new state)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Kind classifies an event.
@@ -161,8 +162,8 @@ func (e Event) String() string {
 // victim-side events into the target PE's ring while the PE's own workers
 // record initiator-side events — and may be read while they write (a
 // failure dump does not stop the world). A position is claimed with one
-// atomic increment; the slot it maps to is then held, for the length of a
-// 56-byte copy, by a try-lock nobody waits on: a writer that laps one
+// atomic increment; the slot it maps to is then held, for the length of
+// six stores, by a try-lock nobody waits on: a writer that laps one
 // still inside the slot, or meets a reader there, drops its own event, and
 // a reader skips a slot it finds held or not yet written.
 type Flight struct {
@@ -172,22 +173,57 @@ type Flight struct {
 	slots []slot    // length is a power of two, so slot index is a mask
 	mask  uint64    // len(slots) - 1
 	n     atomic.Uint64
+	owner any // what must outlive slots' memory (NewRings)
 }
 
+// slot is one event in 48 bytes: its PE is the ring's, filled in when a
+// reader copies the slot out, and its kind shares the try-lock's word.
 type slot struct {
 	held atomic.Bool
+	kind Kind
 	pos  uint64 // 1 + the position of the event held (0: never written)
-	ev   Event
+	at   time.Duration
+	a, b int64
+	span uint64
 }
 
-// newFlight builds a ring of at least capacity slots (rounded up to a
-// power of two so the hot-path slot index is a mask, not a division).
-func newFlight(pe, capacity int, epoch time.Time) *Flight {
+// ringLen is a capacity rounded up to a power of two, so the hot-path slot
+// index is a mask, not a division.
+func ringLen(capacity int) int {
 	n := 1
 	for n < capacity {
 		n <<= 1
 	}
-	return &Flight{pe: pe, epoch: epoch, wall: epoch.UnixNano(), slots: make([]slot, n), mask: uint64(n - 1)}
+	return n
+}
+
+// RingBytes is the memory NewRings lays one ring of capacity events over.
+func RingBytes(capacity int) int { return ringLen(capacity) * int(unsafe.Sizeof(slot{})) }
+
+// NewRings lays n rings of at least capacity events each over mem, one
+// RingBytes(capacity) after another, for PEs pe, pe+1, ..., on one epoch
+// so their timestamps compare. mem must be zeroed, 8-byte aligned and
+// n*RingBytes(capacity) long. Every ring holds owner, so memory released
+// once owner is unreachable (a world's mapping) outlives each ring over it.
+func NewRings(mem []byte, owner any, pe, n, capacity int) []*Flight {
+	size := RingBytes(capacity)
+	if len(mem) < n*size || uintptr(unsafe.Pointer(unsafe.SliceData(mem)))%8 != 0 {
+		panic(fmt.Sprintf("trace: %d rings of %d bytes over %d bytes at %p", n, size, len(mem), unsafe.SliceData(mem)))
+	}
+	epoch := time.Now()
+	rings := make([]*Flight, n)
+	for i := range rings {
+		slots := unsafe.Slice((*slot)(unsafe.Pointer(&mem[i*size])), ringLen(capacity))
+		rings[i] = &Flight{pe: pe + i, epoch: epoch, wall: epoch.UnixNano(),
+			slots: slots, mask: uint64(len(slots) - 1), owner: owner}
+	}
+	return rings
+}
+
+// goRings is NewRings over Go memory.
+func goRings(pe, n, capacity int) []*Flight {
+	words := make([]uint64, n*RingBytes(capacity)/8)
+	return NewRings(unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*8), nil, pe, n, capacity)
 }
 
 // NewFlight returns one standalone ring outside any set. External
@@ -199,7 +235,7 @@ func NewFlight(pe, capacity int) *Flight {
 	if capacity < 1 {
 		return nil
 	}
-	return newFlight(pe, capacity, time.Now())
+	return goRings(pe, 1, capacity)[0]
 }
 
 // Record claims the next slot and stores the event, stamped now. Nil-safe
@@ -231,7 +267,7 @@ func (f *Flight) RecordAt(at time.Duration, k Kind, a, b int64, span uint64) {
 	}
 	pos := f.n.Add(1)
 	if s := &f.slots[(pos-1)&f.mask]; s.held.CompareAndSwap(false, true) {
-		s.pos, s.ev = pos, Event{At: at, PE: f.pe, Kind: k, A: a, B: b, Span: span}
+		s.kind, s.pos, s.at, s.a, s.b, s.span = k, pos, at, a, b, span
 		s.held.Store(false)
 	}
 }
@@ -274,7 +310,7 @@ func (f *Flight) retained() ([]Event, uint64) {
 	for i := start; i < end; i++ {
 		if s := &f.slots[i&f.mask]; s.held.CompareAndSwap(false, true) {
 			if s.pos == i+1 {
-				out = append(out, s.ev)
+				out = append(out, Event{At: s.at, PE: f.pe, Kind: s.kind, A: s.a, B: s.b, Span: s.span})
 			}
 			s.held.Store(false)
 		}
@@ -294,12 +330,7 @@ func NewSet(pes, capacity int) (*Set, error) {
 	if pes < 1 || capacity < 1 {
 		return nil, fmt.Errorf("trace: need pes >= 1 and capacity >= 1 (got %d, %d)", pes, capacity)
 	}
-	epoch := time.Now()
-	s := &Set{rings: make([]*Flight, pes)}
-	for i := range s.rings {
-		s.rings[i] = newFlight(i, capacity, epoch)
-	}
-	return s, nil
+	return &Set{rings: goRings(0, pes, capacity)}, nil
 }
 
 // PE returns the ring for a rank (nil-safe for a nil Set and nil for a

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestNewSetValidation(t *testing.T) {
@@ -92,6 +93,18 @@ func TestFlightConcurrentWriters(t *testing.T) {
 	wg.Wait()
 	if got := f.Dropped() + uint64(f.Len()); got != 8000 {
 		t.Fatalf("recorded %d events, want 8000", got)
+	}
+}
+
+// A slot is 48 bytes: the ring, not the slot, knows its PE, and the kind
+// rides in the try-lock's word. A 64-byte slot made every world's rings a
+// third larger.
+func TestSlotIs48Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n != 48 {
+		t.Errorf("slot is %d bytes, want 48", n)
+	}
+	if RingBytes(4096) != 192<<10 {
+		t.Errorf("a 4,096-event ring is %d bytes, want 192 KB", RingBytes(4096))
 	}
 }
 
