@@ -343,6 +343,23 @@ func (q *Queue) Push(d task.Desc) error {
 	return nil
 }
 
+// PushSlots lands n encoded tasks at the head of the local portion in one
+// copy per contiguous span (see wsq.Queue). Like Push it reclaims completed
+// steals before it gives up for lack of room.
+func (q *Queue) PushSlots(enc []byte, n int) (bool, error) {
+	if q.free() < n {
+		if err := q.Progress(); err != nil || q.free() < n {
+			return false, err
+		}
+	}
+	if err := q.ring.CopyIn(q.slots, q.codec.SlotSize(), q.head, enc, n); err != nil {
+		return false, err
+	}
+	q.head += uint64(n)
+	q.headSlot = q.ring.Slot(q.head)
+	return true, nil
+}
+
 // Pop removes the newest task from the local portion (LIFO, giving the
 // depth-first traversal that bounds pool space). The payload is decoded
 // into a buffer the queue reuses: it is valid until the next Pop (see

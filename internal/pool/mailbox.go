@@ -29,8 +29,8 @@ import (
 //     slot, its head;
 //   - the owner drains in ticket order during its regular progress work:
 //     at a batch boundary it reads the next slot's signal, and a value past
-//     its read cursor says how many slots from there are ready; it decodes
-//     each task out of its slot and pushes it. It never writes a signal.
+//     its read cursor says how many slots from there are ready; it moves
+//     them into its queue, whole or task by task. It never writes a signal.
 //
 // The sender does not probe the slots, it holds a credit. Drains are in
 // ticket order, so slot t%slots is free for ticket t iff the owner's read
@@ -60,7 +60,7 @@ type mailbox struct {
 	creditAddr shmem.Addr // word: the owner's published read cursor
 
 	// The owner's side, as memory of this PE's own heap: it polls its next
-	// slot's signal once per scheduler iteration at a batch boundary.
+	// slot's signal on the scheduler's beat and whenever it runs dry.
 	readCursor uint64 // the next ticket to drain
 	batchEnd   uint64 // the ticket past the batch being drained: the next head
 	readSlot   int    // readCursor % slots, stepped by a compare and wrap
@@ -77,16 +77,17 @@ type mailbox struct {
 	outPE int
 	outN  int
 
-	// ownDrain is the owner's inbox drain (Pool.stepDrainInbox), run between
-	// credit polls while a flush waits on a full ring: two PEs whose task
-	// bodies spawn onto each other with both rings full then each make room
-	// for the other instead of waiting out pushTimeout. draining is set for
-	// the length of a drain, so a send from inside one — a departing PE
-	// forwarding what it drains — does not start a second drain over the
-	// slot the first is still reading.
+	// ownDrain is the owner's inbox drain (Pool.stepDrainInbox): the
+	// scheduler's poll, and what a flush waiting on a full ring runs between
+	// credit polls, so two PEs whose task bodies spawn onto each other with
+	// both rings full each make room for the other instead of waiting out
+	// pushTimeout. draining is set for the length of a drain, so a send from
+	// inside one — a departing PE forwarding what it drains — does not start
+	// a second drain over the slot the first is still reading.
 	ownDrain func() (bool, error)
 	draining bool
 	hold     func(bool) // term.Detector.Hold, while gone waits out a verdict
+	_        [24]byte   // outN is written per task: a 256-byte size class of its own
 }
 
 const defaultMailboxSlots = 256
@@ -278,12 +279,14 @@ func (m *mailbox) awaitCredit(pe int, ticket uint64) error {
 	}
 }
 
-// drain moves every ready inbox task into the owner's queue via push,
-// returning how many were delivered. push gets the descriptor as it lies
-// in the slot and must be done with it when it returns: the cursor that
-// frees the slot is published after the batch. A signal is read only at a
-// batch boundary, so a drain that stops inside a batch resumes there.
-func (m *mailbox) drain(push func(task.Desc) error) (int, error) {
+// drain moves every ready inbox task into the owner's queue, returning how
+// many were delivered: a batch's span of checked slots in one bulk call
+// (wsq.Queue.PushSlots) while bulk takes them, else task by task via push,
+// which gets the descriptor as it lies in the slot and must be done with
+// it when it returns. The cursor that frees the slots is published after
+// the batch. A signal is read only at a batch boundary, so a drain that
+// stops inside a batch resumes there.
+func (m *mailbox) drain(push func(task.Desc) error, bulk func(enc []byte, n int) (bool, error)) (int, error) {
 	first := m.readCursor
 	m.draining = true
 	var err error
@@ -301,16 +304,26 @@ func (m *mailbox) drain(push func(task.Desc) error) (int, error) {
 			}
 			m.batchEnd = end
 		}
-		var d task.Desc
-		if d, err = m.codec.View(m.data[slot*m.slotSize:][:m.slotSize]); err != nil {
-			err = fmt.Errorf("%w %d: %w", errCorruptInbox, slot, err)
-			break
+		n, at := int(m.batchEnd-m.readCursor), slot*m.slotSize
+		landed := false
+		if bulk != nil && m.codec.Fits(m.data[at:], n) {
+			if landed, err = bulk(m.data[at:at+n*m.slotSize], n); err != nil {
+				break
+			}
 		}
-		if err = push(d); err != nil {
-			break
+		if !landed {
+			bulk, n = nil, 1
+			var d task.Desc
+			if d, err = m.codec.View(m.data[at:][:m.slotSize]); err != nil {
+				err = fmt.Errorf("%w %d: %w", errCorruptInbox, slot, err)
+				break
+			}
+			if err = push(d); err != nil {
+				break
+			}
 		}
-		m.readCursor++
-		if m.readSlot++; m.readSlot == len(m.signals) {
+		m.readCursor += uint64(n)
+		if m.readSlot += n; m.readSlot == len(m.signals) {
 			m.readSlot = 0
 		}
 	}

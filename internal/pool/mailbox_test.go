@@ -308,7 +308,7 @@ func remoteSpawnComms(t *testing.T, body bool) {
 		}
 		recv := <-receiver
 		drainAndRun := func(want int) {
-			if got, err := recv.mbox.drain(recv.push); err != nil || got != want {
+			if got, err := recv.mbox.drain(recv.push, recv.q.PushSlots); err != nil || got != want {
 				t.Errorf("drained %d of %d, %v", got, want, err)
 			}
 			for i := 0; i < want; i++ {
@@ -461,24 +461,183 @@ func inboxHeadSignals(t *testing.T, slots int) {
 					}
 					want++
 					return nil
-				})
+				}, nil)
 				if got == 0 || (err != nil && !errors.Is(err, errRefused)) {
 					return fmt.Errorf("drain at ticket %d of %d: %d delivered, %v", want, next, got, err)
 				}
 			}
 			// Caught up: the boundary word is a stale head, at most the cursor.
 			atomic.StoreUint64(&recv.signals[recv.readSlot], recv.readCursor)
-			if got, err := recv.drain(func(task.Desc) error { return errRefused }); got != 0 || err != nil {
+			if got, err := recv.drain(func(task.Desc) error { return errRefused }, nil); got != 0 || err != nil {
 				return fmt.Errorf("a stale head at ticket %d passed: %d delivered, %v", want, got, err)
 			}
 		}
 		left := uint64(slots - recv.readSlot)
 		atomic.StoreUint64(&recv.signals[recv.readSlot], recv.readCursor+left+1)
-		if _, err := recv.drain(func(task.Desc) error { return nil }); !errors.Is(err, errCorruptInbox) {
+		if _, err := recv.drain(func(task.Desc) error { return nil }, nil); !errors.Is(err, errCorruptInbox) {
 			return fmt.Errorf("a head spanning %d slots with %d left drained with %v, want a corrupt-slot error", left+1, left, err)
 		}
 		return c.Barrier()
 	})
+}
+
+// TestInboxBatchLandsInOneCopy: the owner's drain hands each contiguous
+// span of a batch to its split queue still encoded (wsq.Queue.PushSlots),
+// one copy where a decode, an encode and a push per task were, and the
+// tasks land as those pushes would have put them: in ticket order, popped
+// LIFO. A batch that wraps the inbox ring's end is two spans; one that
+// wraps the queue ring's end is one span, copied in two pieces. A
+// non-empty private deque, or a ring without room for the whole span,
+// takes the per-task path, the second spilling into the deque as pushes
+// do; and a slot whose length word exceeds the payload cap fails the drain
+// typed, after the slots before it landed one by one, as before. An 8-slot
+// inbox and an 8-slot queue ring, on both protocols.
+func TestInboxBatchLandsInOneCopy(t *testing.T) {
+	for _, proto := range []Protocol{SWS, SDC} {
+		t.Run(proto.String(), func(t *testing.T) { inboxBatchLandsInOneCopy(t, proto) })
+	}
+}
+
+func inboxBatchLandsInOneCopy(t *testing.T, proto Protocol) {
+	receiver := make(chan *Pool, 1)
+	runWorld(t, 2, shmem.TransportLocal, func(c *shmem.Ctx) error {
+		reg := NewRegistry()
+		h := reg.MustRegister("t", func(*TaskCtx, []byte) error { return nil })
+		p, err := New(c, reg, Config{Protocol: proto, QueueCapacity: 8, MailboxSlots: 8})
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			receiver <- p
+			return c.Barrier()
+		}
+		recv := <-receiver
+		calls := map[string]int{}
+		recv.q = &watchedQueue{Queue: recv.q, touch: func(op string) { calls[op]++ }}
+		desc := func(v uint64) task.Desc { return task.Desc{Handle: h, Payload: task.Args(v)} }
+		// send delivers tickets' worth of tasks valued from..from+n-1 to
+		// PE 1 as one batch.
+		send := func(from, n uint64) error {
+			for v := from; v < from+n; v++ {
+				if _, err := p.mbox.add(1, desc(v)); err != nil {
+					return err
+				}
+			}
+			_, err := p.mbox.flush(nil)
+			return err
+		}
+		local := func(vals ...uint64) error {
+			for _, v := range vals {
+				if err := recv.push(desc(v)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		// drain runs the receiver's inbox step and reports the queue calls
+		// it made and the tasks it delivered.
+		drain := func() (string, error) {
+			clear(calls)
+			recv0 := recv.bk.remoteRecv.Load()
+			_, err := recv.stepDrainInbox()
+			return fmt.Sprintf("PushSlots %d Push %d got %d", calls["PushSlots"], calls["Push"], recv.bk.remoteRecv.Load()-recv0), err
+		}
+		popAll := func() ([]uint64, error) {
+			var got []uint64
+			for {
+				d, ok, err := recv.popOwned()
+				if err != nil || !ok {
+					return got, err
+				}
+				v, err := task.ParseArgs(d.Payload, 1)
+				if err != nil {
+					return got, err
+				}
+				got = append(got, v[0])
+			}
+		}
+		for _, row := range []struct {
+			name        string
+			before      func() error // receiver state before the batch lands
+			from, n     uint64
+			calls, pops string
+		}{
+			// Tickets 0-4 into slots 0-4, then 5-10 into slots 5-7 and 0-2.
+			{"fits", nil, 0, 5, "PushSlots 1 Push 0 got 5", "[4 3 2 1 0]"},
+			{"inbox-wrap", nil, 5, 6, "PushSlots 2 Push 0 got 6", "[10 9 8 7 6 5]"},
+			// The queue's slots 0-2 are stolen and reclaimed and 3-6 hold
+			// tasks, so slots 3-6 of the inbox land in the queue's 7, 0, 1, 2.
+			{"queue-wrap", func() error { return freeQueueHead(p, recv, local) }, 11, 4,
+				"PushSlots 1 Push 0 got 4", "[14 13 12 11 109 108 107 106]"},
+			{"deque", func() error { return recv.exec.workers[0].dq.push(desc(200)) }, 15, 3,
+				"PushSlots 0 Push 0 got 3", "[17 16 15 200]"},
+			// Six held leave two free slots: two tasks fit, the third finds
+			// the ring full and spills, and the fourth follows it.
+			{"full", func() error { return local(300, 301, 302, 303, 304, 305) }, 18, 4,
+				"PushSlots 1 Push 3 got 4", "[21 20 19 18 305 304 303 302 301 300]"},
+		} {
+			if row.before != nil {
+				if err := row.before(); err != nil {
+					return fmt.Errorf("%s: %w", row.name, err)
+				}
+			}
+			if err := send(row.from, row.n); err != nil {
+				return fmt.Errorf("%s: %w", row.name, err)
+			}
+			got, err := drain()
+			if err != nil || got != row.calls {
+				return fmt.Errorf("%s: drain made %s (%v), want %s", row.name, got, err, row.calls)
+			}
+			if pops, err := popAll(); err != nil || fmt.Sprint(pops) != row.pops {
+				return fmt.Errorf("%s: popped %v (%v), want %s", row.name, pops, err, row.pops)
+			}
+		}
+		// Tickets 22-24 go to slots 6, 7 and 0; slot 7 claims a payload
+		// past the cap.
+		if err := send(22, 3); err != nil {
+			return err
+		}
+		slot := recv.mbox.data[7*recv.mbox.slotSize:]
+		binary.LittleEndian.PutUint32(slot[4:], uint32(recv.cfg.PayloadCap+1))
+		clear(calls)
+		got, err := recv.mbox.drain(recv.push, recv.q.PushSlots)
+		if !errors.Is(err, errCorruptInbox) || got != 1 || calls["PushSlots"] != 0 || calls["Push"] != 1 {
+			return fmt.Errorf("corrupt slot: drain delivered %d with %v through queue calls %v, want the slot before it pushed and a corrupt-slot error", got, err, calls)
+		}
+		return c.Barrier()
+	})
+}
+
+// freeQueueHead leaves recv's 8-slot queue with its head at slot 7 and
+// room for four more: six tasks pushed, the oldest three released and
+// stolen by p, the newest three popped, the stolen space reclaimed, four
+// more (106-109) pushed.
+func freeQueueHead(p, recv *Pool, local func(...uint64) error) error {
+	if err := local(100, 101, 102, 103, 104, 105); err != nil {
+		return err
+	}
+	if moved, err := recv.q.Release(); moved != 3 || err != nil {
+		return fmt.Errorf("released %d, want 3: %v", moved, err)
+	}
+	for stolen, tries := 0, 0; stolen < 3; tries++ {
+		ds, _, err := p.q.Steal(1)
+		if err != nil || tries == 16 {
+			return fmt.Errorf("stole %d of 3 in %d tries: %v", stolen, tries, err)
+		}
+		stolen += len(ds)
+	}
+	for range 3 {
+		if _, ok, err := recv.popOwned(); !ok || err != nil {
+			return fmt.Errorf("pop: %v, %v", ok, err)
+		}
+	}
+	if _, err := recv.q.Acquire(); err != nil {
+		return err
+	}
+	if err := recv.q.Progress(); err != nil {
+		return err
+	}
+	return local(106, 107, 108, 109)
 }
 
 // TestOutboxTargetSwitch: the owner keeps one outbox, so a body's spawn to
@@ -532,7 +691,7 @@ func TestOutboxTargetSwitch(t *testing.T) {
 				v, err := task.ParseArgs(d.Payload, 1)
 				got = append(got, v...)
 				return err
-			}); err != nil {
+			}, nil); err != nil {
 				return err
 			}
 			var want []uint64
@@ -551,9 +710,13 @@ func TestOutboxTargetSwitch(t *testing.T) {
 
 // TestRemoteSpawnDeliveryBound: a body's remote spawn waits in the outbox at
 // most until the sender's stepProgress beat, 64 iterations, however much
-// local work the sender has (beat, under the sim); and a sender with
-// nothing left to run flushes in its next iteration, the first that finds
-// the queue empty, before it acquires, searches or probes (idle).
+// local work the sender has (beat, under the sim); a sender with nothing
+// left to run flushes in its next iteration, the first that finds the
+// queue empty, before it acquires, searches or probes (idle); and a batch
+// that has landed waits in the receiver's inbox for at most 64 of the
+// receiver's tasks, its beat, however much local work the receiver has
+// (receiver, under the sim). A receiver with none drains in its next pass:
+// a pass that finds no local work is never a busy one.
 func TestRemoteSpawnDeliveryBound(t *testing.T) {
 	t.Run("beat", func(t *testing.T) {
 		const siblings = 400
@@ -604,12 +767,69 @@ func TestRemoteSpawnDeliveryBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Each owner iteration runs at most one sibling.
+		// A sibling is a pass: between two of PE 0's beats it runs at most
+		// 63 of them.
 		if n := waited.Load(); !ran.Load() || n >= 64 {
 			t.Errorf("PE 0 ran %d siblings while its remote spawn waited in the outbox (ran: %v), want fewer than 64", n, ran.Load())
 		}
 		if n := onZero.Load(); n < 128 {
 			t.Errorf("PE 0 ran only %d siblings: the bound was never tested", n)
+		}
+	})
+	t.Run("receiver", func(t *testing.T) {
+		const siblings = 400
+		var onOne, waited atomic.Int64 // siblings PE 1 ran, those while a landed batch waited
+		var ran atomic.Bool
+		w, err := shmem.NewWorld(shmem.Config{NumPEs: 2, HeapBytes: 4 << 20,
+			Transport: shmem.TransportSim, Sim: shmem.SimOptions{Seed: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Run(func(c *shmem.Ctx) error {
+			reg := NewRegistry()
+			sib := reg.MustRegister("sibling", func(tc *TaskCtx, _ []byte) error {
+				if m := tc.p.mbox; tc.Rank() == 1 {
+					onOne.Add(1)
+					if atomic.LoadUint64(&m.signals[m.readSlot]) > m.readCursor {
+						waited.Add(1) // a head is ready at the read cursor
+					}
+				}
+				return nil
+			})
+			remote := reg.MustRegister("remote", func(*TaskCtx, []byte) error {
+				ran.Store(true)
+				return nil
+			})
+			root := reg.MustRegister("root", func(tc *TaskCtx, _ []byte) error {
+				for i := 0; i < siblings; i++ {
+					if err := tc.Spawn(sib, nil); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			driver := reg.MustRegister("driver", func(tc *TaskCtx, _ []byte) error { return tc.SpawnOn(1, remote, nil) })
+			p, err := New(c, reg, Config{Seed: 1})
+			if err != nil {
+				return err
+			}
+			seed := driver
+			if c.Rank() == 1 {
+				seed = root
+			}
+			if err := p.Add(seed, nil); err != nil {
+				return err
+			}
+			return p.Run()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := waited.Load(); !ran.Load() || n == 0 || n >= 64 {
+			t.Errorf("PE 1 ran %d siblings while a landed batch waited in its inbox (ran: %v), want 1..63", n, ran.Load())
+		}
+		if n := onOne.Load(); n < 128 {
+			t.Errorf("PE 1 ran only %d siblings: the bound was never tested", n)
 		}
 	})
 	t.Run("idle", func(t *testing.T) {
@@ -633,13 +853,13 @@ func TestRemoteSpawnDeliveryBound(t *testing.T) {
 			if ran, err := p.stepExecuteLocal(); !ran || err != nil {
 				return fmt.Errorf("the hop did not run: %v", err)
 			}
-			if got, err := recv.mbox.drain(recv.push); p.mbox.outN != 1 || got != 0 || err != nil {
+			if got, err := recv.mbox.drain(recv.push, recv.q.PushSlots); p.mbox.outN != 1 || got != 0 || err != nil {
 				return fmt.Errorf("the hop's spawn went out inside its body: %d buffered, %d delivered, %v", p.mbox.outN, got, err)
 			}
 			if ran, err := p.stepExecuteLocal(); ran || err != nil {
 				return fmt.Errorf("idle step: ran=%v, %v", ran, err)
 			}
-			if got, err := recv.mbox.drain(recv.push); got != 1 || err != nil {
+			if got, err := recv.mbox.drain(recv.push, recv.q.PushSlots); got != 1 || err != nil {
 				return fmt.Errorf("the sender's idle step delivered %d of 1, %v", got, err)
 			}
 			return c.Barrier()

@@ -232,7 +232,7 @@ func (p *Pool) drainOut() error {
 	}
 	// Stragglers that raced into the inbox while the queue flushed; later
 	// arrivals (a steal-era SpawnOn still in flight) are stepParked's job.
-	if _, err := p.mbox.drain(p.forwardTask); err != nil {
+	if _, err := p.mbox.drain(p.forwardTask, nil); err != nil {
 		return err
 	}
 	p.lat.drain.Record(p.ctx.Now().Sub(t0))
@@ -249,7 +249,7 @@ func (p *Pool) stepParked() (bool, error) {
 	if err := p.flushWorkerTier(); err != nil {
 		return false, err
 	}
-	if _, err := p.mbox.drain(p.forwardTask); err != nil {
+	if _, err := p.mbox.drain(p.forwardTask, nil); err != nil {
 		return false, err
 	}
 	for {

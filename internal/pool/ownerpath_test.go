@@ -204,7 +204,7 @@ func TestPlainTaskBodyAllocs(t *testing.T) {
 			if err := p.flushRemote(); err != nil {
 				t.Error(err)
 			}
-			if got, err := recv.mbox.drain(recv.push); err != nil || got != 1 {
+			if got, err := recv.mbox.drain(recv.push, recv.q.PushSlots); err != nil || got != 1 {
 				t.Errorf("drained %d of 1, %v", got, err)
 			}
 			runOwned(recv, 1)
@@ -272,6 +272,25 @@ func TestBusyOwnerYieldCadence(t *testing.T) {
 			t.Errorf("Workers=%d: %d scheduler yields over %d tasks with %d idle iterations, want 1..%d",
 				workers, yields, st.TasksExecuted, idle, budget)
 		}
+	}
+}
+
+// TestBusyOwnerReadsInboxOnBeat: the inbox's head signal is a line its
+// senders write, so a busy PE reads it on the obs.SampleEvery beat and in
+// the passes that find no local work, not once per task. On one PE with no
+// executors those passes open the job, acquire, idle into a probe, or end
+// the job, and every pass is one of them or runs a task
+// (TestOwnerPublishesAtHandOffs).
+func TestBusyOwnerReadsInboxOnBeat(t *testing.T) {
+	var polls uint64
+	_, st, _, _, _ := runTree(t, 14, Config{}, func(p *Pool) {
+		drain := p.mbox.ownDrain
+		p.mbox.ownDrain = func() (bool, error) { polls++; return drain() }
+	})
+	dry := 1 + st.Acquires + st.IdleIters + 1
+	if budget := (st.TasksExecuted+dry)/obs.SampleEvery + dry; polls == 0 || polls > budget {
+		t.Errorf("%d inbox polls for %d tasks, %d acquires and %d idle iterations, want 1..%d",
+			polls, st.TasksExecuted, st.Acquires, st.IdleIters, budget)
 	}
 }
 
@@ -567,6 +586,10 @@ type watchedQueue struct {
 }
 
 func (q *watchedQueue) Push(d task.Desc) error { q.touch("Push"); return q.Queue.Push(d) }
+func (q *watchedQueue) PushSlots(enc []byte, n int) (bool, error) {
+	q.touch("PushSlots")
+	return q.Queue.PushSlots(enc, n)
+}
 func (q *watchedQueue) Pop() (task.Desc, bool, error) {
 	q.touch("Pop")
 	return q.Queue.Pop()
@@ -649,7 +672,8 @@ func TestExecTimeSampled(t *testing.T) {
 }
 
 // TestPerTaskWordsOwnTheirCacheLines pins the padding of the small heap
-// objects a worker writes (execLayer: reads) on every task. Go packs
+// objects a worker writes (execLayer: reads; mailbox: the owner's outbox
+// count, as it sends) on every task. Go packs
 // same-size objects into one span, so unpadded, two PEs' worker counters
 // can share a cache line — whether they do is decided by goroutine timing at
 // construction, which made whole runs of the same binary 20 % apart. A
@@ -664,6 +688,9 @@ func TestPerTaskWordsOwnTheirCacheLines(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(privDeque{}); n != 128 {
 		t.Errorf("privDeque is %d bytes, want 128: adjust its pad", n)
+	}
+	if n := unsafe.Sizeof(mailbox{}); n != 256 {
+		t.Errorf("mailbox is %d bytes, want 256: adjust its pad", n)
 	}
 }
 

@@ -3,9 +3,13 @@
 // expose work, reclaim protocol space, drain the remote-spawn inbox, run a
 // local task, pull shared work back (from the split queue, then from the
 // intra-PE ring), steal, probe termination — over the protocol layer
-// (wsq.Queue) underneath. There is one loop, run by the owner worker at
-// every worker count: the paper's one-goroutine PE is the PE with no
-// executors, for which the steps that serve executors find nothing to do.
+// (wsq.Queue) underneath. A PE with local work runs its tasks back to
+// back: a pass between two beats of obs.SampleEvery is the membership
+// check, the team, the release check and one task, and the other steps
+// wait for the beat or for a pass that finds no local work. There is one
+// loop, run by the owner worker at every worker count: the paper's
+// one-goroutine PE is the PE with no executors, for which the steps that
+// serve executors find nothing to do.
 package pool
 
 import (
@@ -105,10 +109,10 @@ func (p *Pool) RunJob() (JobResult, error) {
 var ErrStranded = errors.New("pool: tasks stranded after termination (accounting bug)")
 
 // run is the owner worker's scheduler loop for one job. The step order —
-// membership, team, release, periodic progress, inbox drain, run one local
-// task, acquire, take from the ring, search, termination check — is the
-// paper's single-threaded PE; executors, when the PE has any, run beside it
-// for the length of the job on their private deques and the intra-PE ring.
+// membership, team, release, (on the beat or with no local work) progress
+// and inbox drain, one local task, acquire, take from the ring, search,
+// termination check — is the paper's single-threaded PE; executors, when
+// the PE has any, run beside it on their private deques and the ring.
 func (p *Pool) run() (err error) {
 	ex := p.exec
 	owner := ex.workers[0]
@@ -140,26 +144,29 @@ func (p *Pool) run() (err error) {
 		}
 	}()
 
-	iter, lastIdle := 0, 0
+	iter, lastIdle, found := 0, 0, false
 	wait := p.ctx.NewWait(0)
 	for {
 		iter++
-		if err := p.ctx.Err(); err != nil {
-			return fmt.Errorf("pool: world failed: %w", err)
-		}
-		if err := ex.firstErr(); err != nil {
-			return err
+		// A pass after one that found work is busy until the beat: the
+		// membership check, the team, the release check and one task. The
+		// rest waits for the beat, or for a pass that finds no local work.
+		busy := found && iter%obs.SampleEvery != 0
+		if !busy {
+			if err := p.ctx.Err(); err != nil {
+				return fmt.Errorf("pool: world failed: %w", err)
+			}
+			if err := ex.firstErr(); err != nil {
+				return err
+			}
 		}
 		if err := p.stepMembership(); err != nil {
 			return err
 		}
 		if p.parked {
 			done, err := p.stepParked()
-			if err != nil {
+			if err != nil || done {
 				return err
-			}
-			if done {
-				return nil
 			}
 			owner.idleIters.Add(1)
 			wait.Poll()
@@ -171,42 +178,34 @@ func (p *Pool) run() (err error) {
 		if err := p.stepRelease(); err != nil {
 			return err
 		}
-		if err := p.stepProgress(iter); err != nil {
-			return err
+		handled, err := false, error(nil)
+		if !busy {
+			if err = p.stepProgress(iter); err == nil {
+				handled, err = p.mbox.ownDrain()
+			}
 		}
-		handled, err := p.stepDrainInbox()
-		if err != nil {
-			return err
+		if !handled && err == nil {
+			handled, err = p.stepExecuteLocal()
 		}
-		if handled {
+		if !handled && err == nil && busy {
+			// The local work ran out inside a burst: the pass runs again in
+			// full under its own number, so the beat still counts passes.
+			iter, found = iter-1, false
 			continue
 		}
-		handled, err = p.stepExecuteLocal()
+		if !handled && err == nil {
+			handled, err = p.stepAcquire()
+		}
+		if !handled && err == nil {
+			handled, err = p.stepTakeShared()
+		}
+		if !handled && err == nil {
+			handled, err = p.search()
+		}
 		if err != nil {
 			return err
 		}
-		if handled {
-			continue
-		}
-		handled, err = p.stepAcquire()
-		if err != nil {
-			return err
-		}
-		if handled {
-			continue
-		}
-		handled, err = p.stepTakeShared()
-		if err != nil {
-			return err
-		}
-		if handled {
-			continue
-		}
-		found, err := p.search()
-		if err != nil {
-			return err
-		}
-		if found {
+		if found = handled; handled {
 			continue
 		}
 		// Probe termination. Per-PE counts do not balance individually
@@ -215,11 +214,8 @@ func (p *Pool) run() (err error) {
 		// safe at any moment — outstanding work always keeps the global
 		// sums apart.
 		done, err := p.stepCheckTermination()
-		if err != nil {
+		if err != nil || done {
 			return err
-		}
-		if done {
-			return nil
 		}
 		// Idle PEs keep searching aggressively (the paper's model has
 		// idle processes continuously looking for work); the wait keeps
@@ -317,7 +313,7 @@ func (p *Pool) stepRelease() error {
 // only publish between hand-offs; the leader's last read of them is what a
 // PE that dies is written off against) and the queue-depth gauges.
 func (p *Pool) stepProgress(iter int) error {
-	if iter%64 != 0 {
+	if iter%obs.SampleEvery != 0 {
 		return nil
 	}
 	p.publishCounts()
@@ -345,7 +341,11 @@ func (p *Pool) stepProgress(iter int) error {
 // local queue (already counted as spawned by their senders), reporting
 // whether any arrived.
 func (p *Pool) stepDrainInbox() (bool, error) {
-	got, err := p.mbox.drain(p.push)
+	bulk := p.q.PushSlots // one copy a span, unless the private deque holds newer tasks
+	if p.exec.workers[0].dq.n != 0 {
+		bulk = nil
+	}
+	got, err := p.mbox.drain(p.push, bulk)
 	if err != nil {
 		return false, err
 	}

@@ -82,6 +82,23 @@ func (r Ring) Spans(pos uint64, n int) ([2]Span, int, error) {
 	return out, 2, nil
 }
 
+// CopyIn copies n slots of slotSize bytes from src into buf, the ring's
+// slot storage, from logical position pos on: one copy per physical span,
+// two when the run wraps the buffer's end.
+func (r Ring) CopyIn(buf []byte, slotSize int, pos uint64, src []byte, n int) error {
+	spans, k, err := r.Spans(pos, n)
+	if err != nil {
+		return err
+	}
+	if len(src) < n*slotSize {
+		return fmt.Errorf("ring: %d source bytes for %d slots of %d", len(src), n, slotSize)
+	}
+	for _, s := range spans[:k] {
+		src = src[copy(buf[s.Start*slotSize:(s.Start+s.Count)*slotSize], src):]
+	}
+	return nil
+}
+
 // Contains reports whether logical position p lies in [lo, hi), where lo
 // and hi are logical positions with lo <= hi and hi-lo <= Cap.
 func (r Ring) Contains(lo, hi, p uint64) bool {

@@ -202,6 +202,21 @@ func (q *Queue) Push(d task.Desc) error {
 	return nil
 }
 
+// PushSlots lands n encoded tasks at the head of the local portion in one
+// copy per contiguous span (see wsq.Queue), local-only like Push.
+func (q *Queue) PushSlots(enc []byte, n int) (bool, error) {
+	if q.free() < n {
+		if err := q.Progress(); err != nil || q.free() < n {
+			return false, err
+		}
+	}
+	if err := q.ring.CopyIn(q.slots, q.codec.SlotSize(), q.head, enc, n); err != nil {
+		return false, err
+	}
+	q.head += uint64(n)
+	return true, nil
+}
+
 // Pop removes the newest local task (LIFO, local-only, no lock — §3.1).
 func (q *Queue) Pop() (task.Desc, bool, error) {
 	if q.head == q.split {

@@ -105,20 +105,21 @@ func mappedAt(t *testing.T, addrs []uintptr) []uintptr {
 	return in
 }
 
-// A world nothing references any more gives its mapping back, run or not.
+// A world nothing references any more gives its mappings back, run or not.
 // The mappings are found by base address rather than by region size: the
 // kernel merges adjacent anonymous mappings of equal flags, so several
 // worlds' mappings can show as one region. A finalizer never registered, or
 // one that a reference cycle through its owner keeps from running, leaves a
 // base mapped. A shm world's heaps are its segment, which Run unmaps, and
-// its mapping holds its rings alone; each such world runs, so that no
-// segment outlives the test.
+// its anonymous mapping holds its rings alone; the segment of a shm world
+// never run is unmapped once the world is dropped, like that mapping (the
+// file itself is unlinked at creation).
 func TestDroppedWorldReleasesHeap(t *testing.T) {
 	const worlds = 8
 	for _, kind := range []TransportKind{TransportLocal, TransportShm} {
 		t.Run(kind.String(), func(t *testing.T) {
 			var ws []*World
-			var bases []uintptr
+			var bases, segs []uintptr
 			for i := 0; i < worlds; i++ {
 				w, err := NewWorld(Config{NumPEs: 3, HeapBytes: 5<<20 + 64, Transport: kind})
 				if err != nil {
@@ -126,26 +127,36 @@ func TestDroppedWorldReleasesHeap(t *testing.T) {
 				}
 				ws = append(ws, w)
 				bases = append(bases, uintptr(unsafe.Pointer(&w.heaps.data[0])))
-				if i%2 == 0 || kind == TransportShm {
-					body := func(c *Ctx) error {
-						words, err := c.OwnWords(c.MustAlloc(WordSize), 1)
-						if err == nil {
-							words[0] = uint64(c.Rank())
-						}
-						return err
+				if i%2 != 0 {
+					if kind == TransportShm {
+						segs = append(segs, uintptr(unsafe.Pointer(&w.transport.(*directTransport).seg.data[0])))
 					}
-					if err := w.Run(body); err != nil {
-						t.Fatal(err)
+					continue
+				}
+				body := func(c *Ctx) error {
+					words, err := c.OwnWords(c.MustAlloc(WordSize), 1)
+					if err == nil {
+						words[0] = uint64(c.Rank())
 					}
+					return err
+				}
+				if err := w.Run(body); err != nil {
+					t.Fatal(err)
 				}
 			}
 			if in := mappedAt(t, bases); len(in) != worlds {
 				t.Fatalf("%d of %d live worlds' mappings are mapped", len(in), worlds)
 			}
+			if in := mappedAt(t, segs); len(in) != len(segs) {
+				t.Fatalf("%d of %d live unrun worlds' segments are mapped", len(in), len(segs))
+			}
 			runtime.KeepAlive(ws)
 			ws = nil
 			if left := awaitUnmapped(t, bases); len(left) > 0 {
 				t.Errorf("%d of %d dropped worlds still map their heaps (bases %#x)", len(left), worlds, left)
+			}
+			if left := awaitUnmapped(t, segs); len(left) > 0 {
+				t.Errorf("%d of %d dropped unrun shm worlds still map their segments (bases %#x)", len(left), len(segs), left)
 			}
 		})
 	}

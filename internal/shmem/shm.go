@@ -108,9 +108,7 @@ type shmSegment struct {
 	unmapErr  error
 }
 
-func shmSegmentSize(numPEs, heapBytes int) int {
-	return shmHeaderBytes + numPEs*heapBytes
-}
+func shmSegmentSize(numPEs, heapBytes int) int { return shmHeaderBytes + numPEs*heapBytes }
 
 func shmValidateGeometry(numPEs, heapBytes int) error {
 	if numPEs < 1 || numPEs > shmMaxPEs {

@@ -42,6 +42,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -426,6 +427,7 @@ func newWorld(cfg Config, at *Endpoint) (*World, error) {
 		if seg, err = openShmSegment(cfg, at); err != nil {
 			return nil, fmt.Errorf("shmem: starting shm transport: %w", err)
 		}
+		runtime.SetFinalizer(seg, (*shmSegment).unmap) // for a world dropped unrun; Run unmaps it
 	}
 	w.pes = make([]*peState, cfg.NumPEs)
 	for r := range w.pes {

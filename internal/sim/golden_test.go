@@ -50,7 +50,14 @@ import (
 // reseated its victim set instead of drawing the rank and skipping it: each
 // first differs a few lines after its "ded" line (kill 1: line 283 of a
 // log whose "ded" is line 275), where a survivor's draw sees one victim
-// fewer; before it every line, op and draw is the parent's.
+// fewer; before it every line, op and draw is the parent's. Churn 1 and 3
+// moved when a busy PE began reading its inbox on the obs.SampleEvery beat
+// instead of every pass: a batch a departing PE forwards now waits for the
+// receiver's beat, so the next steal from the receiver finds a different
+// block: churn 1 first differs at line 36 (seq 38), a thief's fetch-add
+// five lines after the forwarded batch's put-signal lands on line 31, and
+// churn 3 at line 59 (seq 61), four lines after its put-signal. Every line
+// before those is the parent's.
 var simLogGolden = map[string][8]string{
 	"fault-free": {
 		"3d5c300f0c3cf58e9b42ba8fe47ea103db93bd61c1062c3fd0439a6625b86580",
@@ -83,9 +90,9 @@ var simLogGolden = map[string][8]string{
 		"41f4d35fb369372ba58ba03f5b6a0c19b517f0b402165db0a765c7d6b12cf279",
 	},
 	"churn": {
-		"36649d4709e50bd87f43277072b8424c7ecb333703ee0846581d515d9e5e05cb",
+		"b5ef11fc5ff94a926785b76e544f800bf622e4a94dd9b58109895eee399f3456",
 		"efabf61b727f68f6446341a8bd9f6d6cf2770684b8ec9a5f0aab9802e5f24c2c",
-		"46a48f6caa0d5e74fa7c61d98be1c660427c0d511e733e2019c41ee600046a0f",
+		"0591593e27f50d8780d5fb357ba4aca7f7206a83eead6569cfba86f096fa1cd1",
 		"42ee8e3e4b9daa081fa5b71e8ea74c7c19e6d0c6b90fbc9ed270215df5625bbe",
 		"2be63c19e6066ed49ece37399c395ed05dc202029f13fd0a9d4d0fafcf0ca1b1",
 		"77b84ec847dea1bf483a2ad7b16efc5d58badf864445f77c41f7e934f3d5aa13",

@@ -116,6 +116,18 @@ func (c Codec) View(src []byte) (Desc, error) {
 	}, nil
 }
 
+// Fits reports whether each of the n slots encoded back to back in src
+// declares a payload within PayloadCap: the check Decode and View make, for
+// a reader that moves encoded slots whole.
+func (c Codec) Fits(src []byte, n int) bool {
+	for i := range n {
+		if int(binary.LittleEndian.Uint32(src[i*c.SlotSize()+4:])) > c.payloadCap {
+			return false
+		}
+	}
+	return true
+}
+
 // argsWords is the most words Args and ParseArgs return in a caller-stack
 // array: both inline, so a result that does not escape the caller costs no
 // allocation (the plain task body, ParseArgs then Spawn(..., Args(...)),

@@ -45,19 +45,19 @@ func (o Outcome) String() string {
 //
 // # Owner-serialization contract
 //
-// Owner methods (Push, Pop, ReleaseDue, Release, Acquire, Progress, and the
-// read-side LocalCount/SharedAvail) must be serialized: at most one goroutine
-// may be inside an owner method at a time, and successive calls must be
-// ordered by happens-before edges. In the classic one-goroutine-per-PE runtime
-// this holds trivially; a multi-worker PE must designate one owner worker
-// to perform all owner ops (the implementations keep owner-private state —
-// split points, epoch counters, steal plans — in plain fields on the
-// strength of this contract). Steal is initiator-side, touches only the
-// victim's symmetric heap through one-sided atomics, and may be called
-// concurrently with the victim's owner ops — that asymmetry is the whole
-// point of the protocol. Callers can enforce (and document violations of)
-// the contract with OwnerGuard, around spans of owner work rather than
-// single ops.
+// Owner methods (Push, PushSlots, Pop, ReleaseDue, Release, Acquire,
+// Progress, and the read-side LocalCount/SharedAvail) must be serialized: at
+// most one goroutine may be inside an owner method at a time, and successive
+// calls must be ordered by happens-before edges. In the classic
+// one-goroutine-per-PE runtime this holds trivially; a multi-worker PE must
+// designate one owner worker to perform all owner ops (the implementations
+// keep owner-private state — split points, epoch counters, steal plans — in
+// plain fields on the strength of this contract). Steal is initiator-side,
+// touches only the victim's symmetric heap through one-sided atomics, and
+// may be called concurrently with the victim's owner ops — that asymmetry is
+// the whole point of the protocol. Callers can enforce (and document
+// violations of) the contract with OwnerGuard, around spans of owner work
+// rather than single ops.
 //
 // Both queues are the paper's fixed split circular buffer: Push on a full
 // ring fails with the implementation's ErrFull and does nothing else about
@@ -66,6 +66,12 @@ type Queue interface {
 	// Push enqueues a task at the head of the local portion, or fails
 	// with ErrFull when no slot is free after reclaiming completed steals.
 	Push(d task.Desc) error
+	// PushSlots is n Pushes of tasks still in the queue's slot encoding,
+	// enc's first the oldest, made with one copy per contiguous span of
+	// the ring. It reports false and lands none when the ring lacks room
+	// for all n. The caller has checked each slot's payload length
+	// (task.Codec.Fits).
+	PushSlots(enc []byte, n int) (bool, error)
 	// Pop dequeues the newest task from the local portion (LIFO). It
 	// returns ok=false when the local portion is empty — callers then
 	// Acquire or steal. The payload is valid until the next Pop: the
