@@ -19,9 +19,10 @@ type Table2Config struct {
 }
 
 // Table2 reproduces the workload-characteristics table: total tasks,
-// average task time, and task size for BPC and UTS (paper: 2,457,901
-// tasks / 5 ms / 32 B and 270 B tasks / 0.11 µs / 48 B — the totals here
-// reflect the scaled default workloads; see DESIGN.md §2).
+// average task time (run time per task, ExecTime / tasks), and task size
+// for BPC and UTS (paper: 2,457,901 tasks / 5 ms / 32 B and 270 B tasks /
+// 0.11 µs / 48 B — the totals here reflect the scaled default workloads;
+// see DESIGN.md §2).
 func Table2(cfg Table2Config) (*Table, error) {
 	t := &Table{
 		Title:  "Table 2: benchmarking workload characteristics (measured)",

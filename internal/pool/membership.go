@@ -96,9 +96,7 @@ func (p *Pool) reseatVictims(lv *shmem.Liveness) {
 		p.nowMember = make([]bool, n)
 	}
 	p.memberBuf = lv.Members(p.memberBuf[:0])
-	for i := range p.nowMember {
-		p.nowMember[i] = false
-	}
+	clear(p.nowMember)
 	for _, v := range p.memberBuf {
 		p.nowMember[v] = true
 	}

@@ -81,8 +81,8 @@ var (
 	mPeerState = obs.NewGauge("sws_liveness_peer_state", "dimensionless (enum)", "pe, peer",
 		"Failure-detector state per peer (0=alive, 2=dead, 3=joining, 4=draining, 5=parked).")
 	mOpLatency = obs.NewQuantiles("sws_pool_op_latency_seconds", "pe, protocol, op",
-		"Scheduling-op latency quantiles (p50/p95/p99). op=exec holds the task bodies the exec clock timed: one in 64 per worker, every one with a trace buffer attached.",
-		"Scheduling-op latency sample count (op=exec: timed bodies, not tasks executed).")
+		"Scheduling-op latency quantiles (p50/p95/p99). op=exec holds task bodies, which only a run with a trace buffer attached times: every body then, none without.",
+		"Scheduling-op latency sample count (op=exec: bodies a trace timed, 0 in an untraced run).")
 )
 
 // metricsSource returns the per-PE emitter registered with

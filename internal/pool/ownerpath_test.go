@@ -22,7 +22,7 @@ import (
 // 0 %. For the owner and for an executor alike, spawning, popping and
 // running a task allocates nothing; the owner issues no one-sided op on the
 // PE's own heap; and at every worker count a busy PE sleeps never, and
-// reads the clock and cedes the processor once in obs.SampleEvery tasks.
+// cedes the processor once in obs.SampleEvery tasks.
 
 // runTree runs a binary tree of the given depth on a 1-PE world (no peers,
 // so no steals), after setup (if non-nil) has seen the seeded pool, and
@@ -605,13 +605,16 @@ func (q *watchedQueue) Steal(v int) ([]task.Desc, wsq.Outcome, error) {
 	return q.Queue.Steal(v)
 }
 
-// TestExecTimeSampled: the exec clock times one body in obs.SampleEvery
-// and Stats scales the sum up, so ExecTime still estimates the time spent
-// in task bodies; with a trace buffer attached every task is timed and has
-// its TaskExec event.
-func TestExecTimeSampled(t *testing.T) {
-	const tasks, spin = 16 * obs.SampleEvery, 10 * time.Microsecond
-	run := func(tr *trace.Set) (st stats.PE, sampled uint64) {
+// TestExecTimeIsRunTime: a worker's ExecTime is its bursts of back-to-back
+// tasks, bodies included, so whatever the host's load it holds every body
+// the worker ran and fits in the job: tasks × spin ≤ ExecTime ≤ Elapsed for
+// every worker, at one worker and at two. A traced run also times every
+// body on its own, one TaskExec event per task.
+func TestExecTimeIsRunTime(t *testing.T) {
+	const tasks, roots, spin = 16 * obs.SampleEvery, 8, 10 * time.Microsecond
+	run := func(workers int, tr *trace.Set) {
+		var st stats.PE
+		var elapsed time.Duration
 		runWorld(t, 1, shmem.TransportLocal, func(c *shmem.Ctx) error {
 			reg := NewRegistry()
 			var left atomic.Int64
@@ -619,55 +622,48 @@ func TestExecTimeSampled(t *testing.T) {
 			h = reg.MustRegister("spin", func(tc *TaskCtx, _ []byte) error {
 				for t0 := time.Now(); time.Since(t0) < spin; {
 				}
-				if left.Add(-1) > 0 {
+				if left.Add(-1) >= roots { // roots chains, tasks bodies in all
 					return tc.Spawn(h, nil)
 				}
 				return nil
 			})
-			p, err := New(c, reg, Config{Trace: tr})
+			p, err := New(c, reg, Config{Workers: workers, Trace: tr})
 			if err != nil {
 				return err
 			}
 			left.Store(tasks)
-			if err := p.Add(h, nil); err != nil {
-				return err
+			for range roots {
+				if err := p.Add(h, nil); err != nil {
+					return err
+				}
 			}
 			if err := p.Run(); err != nil {
 				return err
 			}
-			st, sampled = p.Stats(), p.exec.workers[0].execSampled
+			st, elapsed = p.Stats(), p.Elapsed()
 			return nil
 		})
-		return st, sampled
-	}
-
-	// A sampled estimate is exact only in expectation: one descheduled
-	// sample is scaled up 64-fold, and on a box running the other packages'
-	// tests beside this one a 4 ms timeslice lands inside one of the timed
-	// bodies in a good share of attempts. Attempts are short (10 ms of
-	// spinning) and stop at the first clean one.
-	want := tasks * spin
-	var got time.Duration
-	for attempt := 0; attempt < 20; attempt++ {
-		st, sampled := run(nil)
-		if st.TasksExecuted != tasks || sampled != tasks/obs.SampleEvery {
-			t.Fatalf("executed %d tasks and timed %d, want %d and %d", st.TasksExecuted, sampled, tasks, tasks/obs.SampleEvery)
+		if st.TasksExecuted != tasks {
+			t.Fatalf("workers=%d: executed %d tasks, want %d", workers, st.TasksExecuted, tasks)
 		}
-		if got = st.ExecTime; got >= want && got <= want+want/4 {
-			break
+		for _, w := range st.Workers {
+			if lo := time.Duration(w.TasksExecuted) * spin; w.ExecTime < lo || w.ExecTime > elapsed {
+				t.Errorf("workers=%d: worker %d ran %d tasks spinning %v each and booked %v, want within [%v, Elapsed %v]",
+					workers, w.ID, w.TasksExecuted, spin, w.ExecTime, lo, elapsed)
+			}
 		}
 	}
-	if got < want || got > want+want/4 {
-		t.Errorf("ExecTime = %v for %d tasks spinning %v each, want within 25%% above %v", got, tasks, spin, want)
+	for _, workers := range []int{1, 2} {
+		run(workers, nil)
 	}
 
-	tr, err := trace.NewSet(1, 2*tasks)
+	tr, err := trace.NewSet(1, 4*tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, sampled := run(tr)
-	if n := tr.CountByKind()[trace.TaskExec]; sampled != tasks || n != tasks {
-		t.Errorf("traced run timed %d of %d tasks and recorded %d TaskExec events", sampled, st.TasksExecuted, n)
+	run(1, tr)
+	if n := tr.CountByKind()[trace.TaskExec]; n != tasks {
+		t.Errorf("traced run recorded %d TaskExec events for %d tasks", n, tasks)
 	}
 }
 

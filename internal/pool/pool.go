@@ -535,12 +535,7 @@ func (p *Pool) counters() stats.PE {
 		w := stats.Worker{
 			PE: p.ctx.Rank(), ID: ws.id,
 			TasksExecuted: ws.nExecuted, TasksSpawned: ws.nSpawned,
-			IdleIters: ws.idleIters.Load(), FromRing: ws.fromRing,
-		}
-		if ws.execSampled > 0 {
-			// The exec clock is sampled (see execute): scale the timed
-			// bodies' sum up to every body this worker ran.
-			w.ExecTime = time.Duration(float64(ws.execTime) * float64(w.TasksExecuted) / float64(ws.execSampled))
+			IdleIters: ws.idleIters.Load(), FromRing: ws.fromRing, ExecTime: ws.execTime,
 		}
 		st.TasksExecuted += w.TasksExecuted
 		st.TasksSpawned += w.TasksSpawned
@@ -551,9 +546,7 @@ func (p *Pool) counters() stats.PE {
 	st.IdleIters = st.Workers[0].IdleIters
 	if lv := p.ctx.Liveness(); lv != nil {
 		st.DeadPEs = uint64(lv.DeadCount())
-		if st.DeadPEs > 0 {
-			st.Degraded = true
-		}
+		st.Degraded = st.Degraded || st.DeadPEs > 0
 	}
 	if p.coreQ != nil {
 		st.TasksWrittenOff = p.coreQ.Stats().TasksWrittenOff

@@ -580,9 +580,14 @@ func TestTracing(t *testing.T) {
 // shmem per-op latency quantiles, and (b) Stats().Lat carries non-empty
 // pool-level and shmem-level histograms. Every node computes for a few
 // microseconds, so the idle PEs find work to steal before rank 0 has run
-// the whole tree, whoever else shares the cores.
+// the whole tree, whoever else shares the cores. The run is traced: only a
+// trace times task bodies one by one, so only a traced run fills "exec".
 func TestMetricsAndLatency(t *testing.T) {
 	g := obs.NewGatherer()
+	tr, err := trace.NewSet(3, 1<<12)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var latKeys sync.Map
 	runWorld(t, 3, shmem.TransportLocal, func(c *shmem.Ctx) error {
 		reg := NewRegistry()
@@ -603,7 +608,7 @@ func TestMetricsAndLatency(t *testing.T) {
 			}
 			return nil
 		})
-		p, err := New(c, reg, Config{Seed: 7, Metrics: g})
+		p, err := New(c, reg, Config{Seed: 7, Metrics: g, Trace: tr})
 		if err != nil {
 			return err
 		}
@@ -662,6 +667,9 @@ func TestMetricsAndLatency(t *testing.T) {
 	})
 	if !foundShmem {
 		t.Error("Stats().Lat has no shmem/ op histograms")
+	}
+	if _, st, _, _, _ := runTree(t, 6, Config{}, nil); !st.Lat["exec"].Empty() {
+		t.Errorf("an untraced run timed %d task bodies", st.Lat["exec"].Count())
 	}
 }
 

@@ -145,12 +145,10 @@ func (p *Pool) run() (err error) {
 	}()
 
 	iter, lastIdle, found := 0, 0, false
+	var burst time.Time // the owner's open burst (clockBurst)
 	wait := p.ctx.NewWait(0)
 	for {
 		iter++
-		// A pass after one that found work is busy until the beat: the
-		// membership check, the team, the release check and one task. The
-		// rest waits for the beat, or for a pass that finds no local work.
 		busy := found && iter%obs.SampleEvery != 0
 		if !busy {
 			if err := p.ctx.Err(); err != nil {
@@ -164,6 +162,7 @@ func (p *Pool) run() (err error) {
 			return err
 		}
 		if p.parked {
+			p.clockBurst(owner, &burst, false)
 			done, err := p.stepParked()
 			if err != nil || done {
 				return err
@@ -185,7 +184,7 @@ func (p *Pool) run() (err error) {
 			}
 		}
 		if !handled && err == nil {
-			handled, err = p.stepExecuteLocal()
+			handled, err = p.stepExecuteLocal(&burst)
 		}
 		if !handled && err == nil && busy {
 			// The local work ran out inside a burst: the pass runs again in
@@ -358,13 +357,14 @@ func (p *Pool) stepDrainInbox() (bool, error) {
 	return true, nil
 }
 
-// stepExecuteLocal runs the newest task of the owner's private part —
+// stepExecuteLocal runs the owner's newest private task in its burst —
 // popped LIFO as the paper's PE does — reporting whether there was one.
-func (p *Pool) stepExecuteLocal() (bool, error) {
+func (p *Pool) stepExecuteLocal(burst *time.Time) (bool, error) {
 	d, ok, err := p.popOwned()
 	if err != nil {
 		return false, err
 	}
+	p.clockBurst(p.exec.workers[0], burst, ok)
 	if !ok {
 		// Nothing to run: what the PE's tasks spawned elsewhere goes out
 		// before it acquires, searches or probes (a batch sent home runs first).
@@ -376,18 +376,11 @@ func (p *Pool) stepExecuteLocal() (bool, error) {
 	}
 	// Once a peer is dead the leader calls the survivors quiescent when two
 	// of its passes read the same counters (term.Detector.Check), so a busy
-	// PE's must move with every task it runs, not only on the stepProgress
-	// beat. Fault-free, the check is two loads.
+	// PE's move with every task it runs. Fault-free, the check is two loads.
 	if lv := p.ctx.Liveness(); lv != nil && lv.AnyDead() {
 		p.publishCounts()
 	}
-	// The scheduling point after a task: a busy worker cedes the processor
-	// on the exec-sample beat — not per task, Gosched takes the Go
-	// scheduler's process-wide lock and busy workers would contend on it at
-	// the task rate. A thief on an oversubscribed host still gets the core
-	// within obs.SampleEvery task bodies or the runtime's 10 ms preemption;
-	// the sim's hand-back stays per task (Ctx.Yield).
-	p.ctx.Yield(p.exec.workers[0].nExecuted%obs.SampleEvery == 0)
+	p.yieldAfterTask(p.exec.workers[0], burst)
 	return true, nil
 }
 

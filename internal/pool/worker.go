@@ -22,14 +22,13 @@
 // Träff's mixed-mode team with the paper's PE as the team of one: no
 // executors, nothing ever staged, the ring never fed.
 //
-// Task accounting is one scheme at every worker count: each worker counts
-// its own spawns (before the task is visible anywhere) and executions
-// (after the task body returns) in plain fields of its own. An executor
-// copies them into its atomics as they change; the owner's task path
-// touches no shared word at all, and its counts, with the executors', reach
-// the termination detector — and the owner's atomics, which the metrics
-// read — through publishCounts, which the owner runs where a task
-// counted only locally changes hands: never per task.
+// Accounting is one scheme at every worker count. Each worker counts its
+// spawns (before the task is visible anywhere) and executions (after the
+// body returns) in plain fields of its own, and books its run time per
+// burst of back-to-back tasks (clockBurst). An executor copies its counts
+// into its atomics; the owner's task path touches no shared word, and the
+// counts reach the termination detector and the owner's atomics through
+// publishCounts, run where a task counted only locally changes hands.
 package pool
 
 import (
@@ -72,17 +71,15 @@ type workerState struct {
 	// idleIters counts loop passes that found nothing to run: scheduler
 	// iterations for the owner, empty ring polls for an executor.
 	idleIters atomic.Uint64
-	// execTime sums the bodies this worker timed, execSampled counts them
-	// (see execute) and fromRing the tasks it took from the ring; all are
-	// written by this worker only and read by Stats between jobs, when
-	// executors are stopped (run's WaitGroup orders the two).
-	execTime    time.Duration
-	execSampled uint64
-	fromRing    uint64
-	// Pad to two cache lines (104 -> 128 bytes): the counters above are
+	// execTime is this worker's run time (clockBurst), fromRing the tasks it
+	// took from the ring: written by this worker only and read by Stats
+	// between jobs, when executors are stopped (run's WaitGroup orders it).
+	execTime time.Duration
+	fromRing uint64
+	// Pad to two cache lines (96 -> 128 bytes): the counters above are
 	// bumped per task, and unpadded workerStates — another PE's, or this
 	// PE's executors' — are neighbours in one allocation span.
-	_ [24]byte
+	_ [32]byte
 }
 
 // stagedTask is executor output only the owner may deliver: a SpawnOn for
@@ -289,28 +286,22 @@ func (p *Pool) landHome(d task.Desc) error {
 	return p.push(d)
 }
 
-// execute runs one task on behalf of worker ws and counts it. The exec
-// clock times one body in obs.SampleEvery (two clock reads cost about as
-// much as a UTS node), and Stats scales the sampled sum back up; with a
-// trace ring attached every task is timed, because every task gets a
-// TaskExec event. The same beat is when a busy worker cedes the processor.
+// execute runs one task on behalf of worker ws and counts it. A traced
+// run also times each body, for its TaskExec event and op=exec histogram.
 func (p *Pool) execute(ws *workerState, d task.Desc) error {
 	fn, err := p.reg.fn(d.Handle)
 	if err != nil {
 		return err
 	}
-	timed := p.tr != nil || ws.nExecuted%obs.SampleEvery == 0
 	var t0 time.Time
-	if timed {
+	if p.tr != nil {
 		t0 = p.ctx.Now()
 	}
 	if err := fn(&ws.tc, d.Payload); err != nil {
 		return fmt.Errorf("pool: task %d failed: %w", d.Handle, err)
 	}
-	if timed {
+	if p.tr != nil {
 		el := p.ctx.Now().Sub(t0)
-		ws.execTime += el
-		ws.execSampled++
 		p.lat.exec.Record(el)
 		p.tr.Record(trace.TaskExec, int64(d.Handle), int64(el), 0)
 	}
@@ -321,14 +312,42 @@ func (p *Pool) execute(ws *workerState, d task.Desc) error {
 	return nil
 }
 
+// clockBurst is ws's exec clock at a pop: a task opens a burst at *burst
+// unless one is open (zero between bursts), and an empty pop books the open
+// one, its bodies and per-task path, as ws's run time.
+func (p *Pool) clockBurst(ws *workerState, burst *time.Time, ran bool) {
+	switch {
+	case ran && burst.IsZero():
+		*burst = p.ctx.Now()
+	case !ran && !burst.IsZero():
+		ws.execTime += p.ctx.Now().Sub(*burst)
+		*burst = time.Time{}
+	}
+}
+
+// yieldAfterTask is a worker's scheduling point (Ctx.Yield) after a task, due
+// on the obs.SampleEvery beat, which its burst is cut around.
+func (p *Pool) yieldAfterTask(ws *workerState, burst *time.Time) {
+	if ws.nExecuted%obs.SampleEvery != 0 {
+		p.ctx.Yield(false)
+		return
+	}
+	p.clockBurst(ws, burst, false)
+	p.ctx.Yield(true)
+	p.clockBurst(ws, burst, true)
+}
+
 // executorLoop is a non-owner worker: run the newest private task, or one
 // from the ring when there is none, then pay the ring what it owes; poll
 // its wait when both are dry, so oversubscribed worlds stay live.
 func (p *Pool) executorLoop(ws *workerState) {
 	ex := p.exec
 	wait := p.ctx.NewWait(0)
+	var burst time.Time
+	defer p.clockBurst(ws, &burst, false) // stop can land inside a burst
 	for !ex.stop.Load() {
 		d, ok, err := p.nextTask(ws)
+		p.clockBurst(ws, &burst, ok)
 		if ok {
 			if err = p.execute(ws, d); err == nil {
 				ws.executed.Store(ws.nExecuted)
@@ -341,7 +360,7 @@ func (p *Pool) executorLoop(ws *workerState) {
 		}
 		if ok { // the scheduling point the owner ends a task with
 			wait.Reset()
-			p.ctx.Yield(ws.nExecuted%obs.SampleEvery == 0)
+			p.yieldAfterTask(ws, &burst)
 			continue
 		}
 		ws.idleIters.Add(1)
@@ -404,16 +423,13 @@ func (p *Pool) share(ws *workerState) error {
 // A cut that lags is as safe as a fresh one — unheard-of work only makes
 // the PE busier than its ledger says — provided no task counted only
 // locally is shown to another PE, which would publish its execution. Those
-// hand-offs are where the owner calls this: at job start (the seeds),
-// before Release exposes a block, on every outbox flush (flushRemote) and
-// forward (forwardTask), before taking a ring task, before delivering
-// staged tasks, in every drain or park flush, before each termination probe
-// (a quiescent PE's ledger must be exact), and on the stepProgress beat for
-// live readers — and, once a peer is dead, after every owner task
-// (stepExecuteLocal). Fault-free, not
-// per task: the owner's task path then writes no shared word, and an owner
-// reading its executors' counters at the task rate would take each cache
-// line from its writer once per task.
+// hand-offs are where the owner calls this: job start (the seeds), before
+// Release, every outbox flush and forward (forwardTask), a ring take,
+// staged delivery, every drain or park flush and termination probe (a
+// quiescent PE's ledger must be exact), the stepProgress beat for live
+// readers, and once a peer is dead after every owner task. Fault-free never
+// per task: reading its executors' counters at the task rate, the owner
+// would take each cache line from its writer once per task.
 func (p *Pool) publishCounts() {
 	ex := p.exec
 	owner := ex.workers[0]

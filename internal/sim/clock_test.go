@@ -12,9 +12,9 @@ import (
 )
 
 // runTimedBPC runs one BPC workload on a pes-PE sim world under protocol
-// proto and returns its stats; traced attaches a trace set, so the pool
-// times every body instead of one in 64.
-func runTimedBPC(t *testing.T, pes int, seed int64, proto pool.Protocol, params bpc.Params, traced bool) stats.Run {
+// proto and returns its stats; a non-nil tr becomes the pool's trace set,
+// which also times every body on its own (TaskExec events).
+func runTimedBPC(t *testing.T, pes int, seed int64, proto pool.Protocol, params bpc.Params, tr *trace.Set) stats.Run {
 	t.Helper()
 	w, err := shmem.NewWorld(shmem.Config{
 		NumPEs:    pes,
@@ -25,12 +25,7 @@ func runTimedBPC(t *testing.T, pes int, seed int64, proto pool.Protocol, params 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pool.Config{Protocol: proto, Seed: seed}
-	if traced {
-		if cfg.Trace, err = trace.NewSet(pes, 1<<12); err != nil {
-			t.Fatal(err)
-		}
-	}
+	cfg := pool.Config{Protocol: proto, Seed: seed, Trace: tr}
 	wl, err := bpc.NewWorkload(params)
 	if err != nil {
 		t.Fatal(err)
@@ -46,15 +41,43 @@ func runTimedBPC(t *testing.T, pes int, seed int64, proto pool.Protocol, params 
 }
 
 // TestExecTimeIsVirtual: under the sim, Compute is a virtual charge and the
-// exec clock reads Ctx.Now, so with every body timed the summed exec time
-// is exactly the work the bodies were asked to simulate, on either queue.
+// exec clock reads Ctx.Now. ExecTime is run time, each burst of
+// back-to-back tasks booked whole, so it has one definition: a traced run
+// books what an untraced run of the same seed books, on either queue. The
+// trace's own TaskExec durations sum to exactly the work the bodies were
+// asked to simulate, and run time holds all of it and fits in the run.
 func TestExecTimeIsVirtual(t *testing.T) {
+	const pes = 4
 	params := bpc.Params{Depth: 8, NConsumers: 16, ProducerWork: 40 * time.Microsecond, ConsumerWork: 200 * time.Microsecond}
 	want := time.Duration(params.Depth)*params.ProducerWork +
 		time.Duration(params.Depth*params.NConsumers)*params.ConsumerWork
 	for _, proto := range []pool.Protocol{pool.SWS, pool.SDC} {
-		if got := runTimedBPC(t, 4, 1, proto, params, true).Total().ExecTime; got != want {
-			t.Errorf("%v: exec time %v, want exactly %v", proto, got, want)
+		tr, err := trace.NewSet(pes, 1<<12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traced := runTimedBPC(t, pes, 1, proto, params, tr)
+		untraced := runTimedBPC(t, pes, 1, proto, params, nil)
+		got := traced.Total().ExecTime
+		if u := untraced.Total().ExecTime; u != got {
+			t.Errorf("%v: untraced exec time %v, traced %v: want one definition", proto, u, got)
+		}
+		var bodies time.Duration
+		for _, e := range tr.Merged() {
+			if e.Kind == trace.TaskExec {
+				bodies += time.Duration(e.B)
+			}
+		}
+		for pe := range pes {
+			if n := tr.PE(pe).Dropped(); n != 0 {
+				t.Fatalf("%v: PE %d's trace ring dropped %d events", proto, pe, n)
+			}
+		}
+		if bodies != want {
+			t.Errorf("%v: TaskExec durations sum to %v, want exactly %v", proto, bodies, want)
+		}
+		if limit := pes * traced.Elapsed; got < want || got > limit {
+			t.Errorf("%v: exec time %v, want within [%v, %d PEs × Elapsed %v]", proto, got, want, pes, traced.Elapsed)
 		}
 	}
 }
@@ -71,8 +94,8 @@ func TestVirtualFig7Shape(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		prev := 0.0
 		for _, pes := range []int{4, 16, 64} {
-			sws := runTimedBPC(t, pes, seed, pool.SWS, params, false)
-			sdc := runTimedBPC(t, pes, seed, pool.SDC, params, false)
+			sws := runTimedBPC(t, pes, seed, pool.SWS, params, nil)
+			sdc := runTimedBPC(t, pes, seed, pool.SDC, params, nil)
 			ratio := float64(sdc.Elapsed) / float64(sws.Elapsed)
 			swsSteal, sdcSteal := sws.Total().StealTime, sdc.Total().StealTime
 			t.Logf("seed %d, %2d PEs: SDC/SWS %.1f%% (%v / %v), steal time SWS %v, SDC %v",

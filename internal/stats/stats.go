@@ -72,14 +72,15 @@ type PE struct {
 	// is time spent in failed attempts (the paper's split).
 	StealTime  time.Duration
 	SearchTime time.Duration
-	// ExecTime estimates the time spent in task bodies: the pool times one
-	// body in 64 per worker (every body when tracing) and scales the sum
-	// by executed/timed.
+	// ExecTime is run time, unscaled and one rule with or without a trace:
+	// each worker books every burst of tasks it runs back to back, the
+	// bodies plus its per-task path, cut around its beat's yield. Steal and
+	// search run only between bursts, so the three columns never overlap.
 	ExecTime time.Duration
 
 	// IdleIters counts scheduler iterations that found nothing to do —
 	// no local work, no acquirable shared work, no stealable victim — and
-	// ended in a relax. A high ratio of IdleIters to TasksExecuted means
+	// ended in a wait poll. A high ratio of IdleIters to TasksExecuted means
 	// the PE spent the run starved rather than working.
 	IdleIters uint64
 
