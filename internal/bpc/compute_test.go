@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"sws/internal/obs"
+	"sws/internal/core"
 	"sws/internal/pool"
 	"sws/internal/shmem"
 )
@@ -18,11 +18,12 @@ import (
 // between yields (shmem's computeQuantum).
 const computeQuantum = 50 * time.Microsecond
 
-// computePE is what one PE of runComputeJob did: its job statistics, its
-// scheduler and compute yields, and its wall time between the job's barriers.
+// computePE is what one PE of runComputeJob did: its job statistics, the
+// polls its queue made waiting for a thief's completion, its scheduler and
+// compute yields, and its wall time between the job's barriers.
 type computePE struct {
-	executed, idle, yields uint64
-	wall                   time.Duration
+	executed, idle, resetPolls, yields uint64
+	wall                               time.Duration
 }
 
 // runComputeJob runs one BPC job of 1 µs bodies on 2 one-worker PEs under
@@ -57,7 +58,8 @@ func runComputeJob(t *testing.T, procs int) [2]computePE {
 		if err != nil {
 			return err
 		}
-		pes[c.Rank()] = computePE{res.Stats.TasksExecuted, res.Stats.IdleIters, c.Yields() - y0, res.Elapsed}
+		resetPolls := p.Queue().(*core.Queue).Stats().ResetPolls
+		pes[c.Rank()] = computePE{res.Stats.TasksExecuted, res.Stats.IdleIters, resetPolls, c.Yields() - y0, res.Elapsed}
 		return nil
 	})
 	if err != nil {
@@ -71,16 +73,17 @@ func runComputeJob(t *testing.T, procs int) [2]computePE {
 
 // TestComputeHoldsCoreWhenNotCrowded: with a core per PE a 1 µs body holds
 // it — Gosched would take the Go scheduler's process-wide lock at the task
-// rate — so a PE's yields are its scheduler beat (one in obs.SampleEvery
-// tasks, plus idle iterations and one per worker, TestBusyOwnerYieldCadence's
-// budget) and at most one per compute quantum of body time, which the PE's
-// job wall time bounds.
+// rate. The bodies' waits and the scheduler beat cede by one rule on one
+// last-cede time, so however many tasks a PE ran its yields are its waits'
+// polls (idle iterations, and polls for a thief's completion), one for its
+// worker and at most one per compute quantum of its job wall time
+// (TestBusyOwnerYieldCadence's budget).
 func TestComputeHoldsCoreWhenNotCrowded(t *testing.T) {
 	for rank, pe := range runComputeJob(t, 4) {
 		quanta := uint64((pe.wall + computeQuantum - 1) / computeQuantum)
-		if budget := pe.executed/obs.SampleEvery + pe.idle + 1 + quanta; pe.yields > budget {
-			t.Errorf("PE %d: %d yields over %d tasks (%d idle iterations, %v), want <= %d",
-				rank, pe.yields, pe.executed, pe.idle, pe.wall, budget)
+		if budget := pe.idle + pe.resetPolls + 1 + quanta; pe.yields > budget {
+			t.Errorf("PE %d: %d yields over %d tasks (%d idle iterations, %d completion polls, %v), want <= %d",
+				rank, pe.yields, pe.executed, pe.idle, pe.resetPolls, pe.wall, budget)
 		}
 	}
 }

@@ -25,12 +25,14 @@ import (
 const NumBuckets = 40
 
 // SampleEvery is the runtime's one clock-sampling period. A hot path whose
-// event costs about as much as two clock reads — a blocking remote op —
+// event costs about as much as its two clock reads — a blocking remote op —
 // times one event in this many (the first and every SampleEvery-th after
 // it) and records it as one unweighted sample; the exact event count is
 // kept beside the histogram. With a trace ring attached every event is
 // timed, because every event gets its own record. It is also a busy
-// worker's beat; task bodies are not sampled (the pool books bursts).
+// worker's beat, one clock read that cedes the core only once the PE has
+// held it for a compute quantum; task bodies are not sampled (the pool
+// books bursts).
 const SampleEvery = 64
 
 // Hist is a lock-free latency histogram. The zero value is ready to use.

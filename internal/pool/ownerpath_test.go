@@ -3,6 +3,7 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -261,17 +262,35 @@ func TestBusyOwnerNeverSleeps(t *testing.T) {
 }
 
 // TestBusyOwnerYieldCadence: the scheduler yield takes the Go scheduler's
-// process-wide lock, so a busy worker makes one on the exec-sample beat,
-// not one per task — and does make them: on a shared core the beat is when
-// a thief gets to run (uts.TestBusyPEsShareOneCore).
+// process-wide lock, so a busy worker makes one only on the exec-sample beat,
+// not per task, and there only once the PE has held its core for the compute
+// quantum since it last ceded (50 µs; the wait of TaskCtx.Compute follows the
+// same rule). With a core per goroutine that is at most one per quantum of
+// the job's wall time beside the idle iterations' yields and one per worker.
 func TestBusyOwnerYieldCadence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, workers := range []int{1, 2} {
-		_, st, _, _, yields := runTree(t, 14, Config{Workers: workers}, nil)
-		idle := idleIters(st)
-		if budget := st.TasksExecuted/obs.SampleEvery + idle + uint64(workers); yields == 0 || yields > budget {
-			t.Errorf("Workers=%d: %d scheduler yields over %d tasks with %d idle iterations, want 1..%d",
-				workers, yields, st.TasksExecuted, idle, budget)
+		p, st, _, _, yields := runTree(t, 14, Config{Workers: workers}, nil)
+		idle, quanta := idleIters(st), uint64((p.Elapsed()+50*time.Microsecond-1)/(50*time.Microsecond))
+		if budget := idle + uint64(workers) + quanta; yields == 0 || yields > budget {
+			t.Errorf("Workers=%d: %d scheduler yields over %d tasks in %v with %d idle iterations, want 1..%d",
+				workers, yields, st.TasksExecuted, p.Elapsed(), idle, budget)
 		}
+	}
+}
+
+// TestBusyOwnerYieldCadenceCrowded: when the PE's goroutines outnumber
+// GOMAXPROCS the quantum is 0, and every beat cedes: on a shared core the
+// beat is when another PE gets to run (uts.TestBusyPEsShareOneCore). Each
+// worker then cedes once in obs.SampleEvery of its tasks, no more.
+func TestBusyOwnerYieldCadenceCrowded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const workers = 2 // the owner and one executor on one P
+	_, st, _, _, yields := runTree(t, 14, Config{Workers: workers}, nil)
+	idle, beats := idleIters(st), st.TasksExecuted/obs.SampleEvery
+	if budget := beats + idle + workers; yields+workers < beats || yields > budget {
+		t.Errorf("%d scheduler yields over %d tasks with %d idle iterations, want %d..%d",
+			yields, st.TasksExecuted, idle, beats-workers, budget)
 	}
 }
 

@@ -407,14 +407,15 @@ func (p *Pool) SpawnOn(pe int, h task.Handle, payload []byte) error {
 	return p.flushRemote()
 }
 
-// recordEpochFlip notes a new completion epoch in the event ring and the
-// epoch gauge (SWS-family queues only; SDC has no epochs).
-func (p *Pool) recordEpochFlip(moved int64) {
+// recordEpochFlip notes a new completion epoch in the event ring, stamped at
+// the release or acquire's end read, and the epoch gauge (SWS-family queues
+// only; SDC has no epochs).
+func (p *Pool) recordEpochFlip(at time.Time, moved int64) {
 	if p.coreQ == nil {
 		return
 	}
 	epoch := int64(p.coreQ.Epoch())
-	p.ctx.FlightRecord(trace.EpochFlip, epoch, moved)
+	p.ctx.FlightRecordAt(at, trace.EpochFlip, epoch, moved)
 	p.bk.epoch.Store(epoch)
 }
 

@@ -298,10 +298,11 @@ func (p *Pool) stepRelease() error {
 		return err
 	}
 	if released > 0 {
-		p.lat.release.Record(p.ctx.Now().Sub(t0))
+		end := p.ctx.Now()
+		p.lat.release.Record(end.Sub(t0))
 		p.bk.releases.Add(1)
 		p.tr.Record(trace.Release, 0, int64(released), 0)
-		p.recordEpochFlip(int64(released))
+		p.recordEpochFlip(end, int64(released))
 	}
 	return nil
 }
@@ -395,10 +396,11 @@ func (p *Pool) stepAcquire() (bool, error) {
 	if err != nil || moved == 0 {
 		return false, err
 	}
-	p.lat.acquire.Record(p.ctx.Now().Sub(t0))
+	end := p.ctx.Now()
+	p.lat.acquire.Record(end.Sub(t0))
 	p.bk.acquires.Add(1)
 	p.tr.Record(trace.Acquire, 0, int64(moved), 0)
-	p.recordEpochFlip(int64(moved))
+	p.recordEpochFlip(end, int64(moved))
 	return true, nil
 }
 

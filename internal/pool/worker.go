@@ -326,15 +326,12 @@ func (p *Pool) clockBurst(ws *workerState, burst *time.Time, ran bool) {
 }
 
 // yieldAfterTask is a worker's scheduling point (Ctx.Yield) after a task, due
-// on the obs.SampleEvery beat, which its burst is cut around.
+// on the obs.SampleEvery beat; its burst is cut around each cede.
 func (p *Pool) yieldAfterTask(ws *workerState, burst *time.Time) {
-	if ws.nExecuted%obs.SampleEvery != 0 {
-		p.ctx.Yield(false)
-		return
+	if ceded, resumed := p.ctx.Yield(ws.nExecuted%obs.SampleEvery == 0); !resumed.IsZero() {
+		ws.execTime += ceded.Sub(*burst)
+		*burst = resumed
 	}
-	p.clockBurst(ws, burst, false)
-	p.ctx.Yield(true)
-	p.clockBurst(ws, burst, true)
 }
 
 // executorLoop is a non-owner worker: run the newest private task, or one

@@ -79,8 +79,9 @@ func (b *barrier) wait() error {
 		return nil
 	}
 	g, err := b.w.transport.waitWord(r)
-	if err == nil {
+	if err == nil { // waiting for the release ceded the core (cede)
 		b.gen = g
+		b.w.pes[b.rank].held.Store(int64(mono()))
 	}
 	return err
 }

@@ -44,23 +44,20 @@ var opNames = [...]string{
 	OpPutSignal:   "put-signal",
 }
 
-func (o Op) String() string {
-	if o >= 0 && int(o) < len(opNames) {
-		return opNames[o]
+func (o Op) String() string { return enumName(opNames[:], int(o), "Op") }
+
+// enumName is the name of an enum's value v from its table, or type(v) for
+// a value the table does not name.
+func enumName(names []string, v int, typ string) string {
+	if v >= 0 && v < len(names) && names[v] != "" {
+		return names[v]
 	}
-	return fmt.Sprintf("Op(%d)", int(o))
+	return fmt.Sprintf("%s(%d)", typ, v)
 }
 
 // Blocking reports whether the operation blocks the initiator until it
 // completes at the target.
-func (o Op) Blocking() bool {
-	switch o {
-	case OpStoreNBI, OpAddNBI, OpPutNBI:
-		return false
-	default:
-		return true
-	}
-}
+func (o Op) Blocking() bool { return o != OpStoreNBI && o != OpAddNBI && o != OpPutNBI }
 
 // Ops returns every operation kind, for callers that iterate per-op
 // metrics (counts, latency histograms) without knowing the enum bounds.

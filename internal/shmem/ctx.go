@@ -72,38 +72,32 @@ func (c *Ctx) AttachTrace(f *trace.Flight) {
 // scheduler, or the PE parked on a channel, would freeze the clock.
 func (c *Ctx) Lockstep() bool { return c.w.sim != nil }
 
-// latStart begins timing the n-th blocking remote op of its kind (zero time:
-// not timed). Nothing is timed under the sim; a span-tagged or traced op
-// always is, as its event carries the duration; any other op one in
-// obs.SampleEvery of its kind, since two clock reads cost more than a shm
-// atomic.
-func (c *Ctx) latStart(n, span uint64) time.Time {
+// latStart begins timing the n-th blocking remote op of its kind on mono
+// (zero: not timed). Nothing is timed under the sim; a span-tagged or traced
+// op always is, as its event carries the duration; any other op one in
+// obs.SampleEvery of its kind: its two reads cost more than a shm atomic.
+func (c *Ctx) latStart(n, span uint64) time.Duration {
 	if !c.rec || (span == 0 && !c.traced && (n-1)%obs.SampleEvery != 0) {
-		return time.Time{}
+		return 0
 	}
-	return time.Now()
+	return mono()
 }
 
 // latEnd records a timed op's latency sample and, for a span-tagged op (so
 // a steal's initiator side survives to a post-mortem dump) or any op on a
-// trace ring, its event. An op with an event reads the full clock once, for
-// sample and timestamp; one without pays only time.Since's monotonic read.
-func (c *Ctx) latEnd(op Op, t0 time.Time, span uint64) {
-	if span == 0 && !c.traced {
-		if !t0.IsZero() {
-			c.counters.recordLat(op, time.Since(t0))
+// trace ring, its event, stamped with the sample's one read (under the sim
+// a span-tagged op's event has no duration).
+func (c *Ctx) latEnd(op Op, t0 time.Duration, span uint64) {
+	if t0 == 0 {
+		if span != 0 {
+			c.ring.Record(trace.CommOp, int64(op), 0, span)
 		}
 		return
 	}
-	var d time.Duration
-	var end time.Time
-	if c.rec {
-		end = time.Now()
-		d = end.Sub(t0)
-		c.counters.recordLat(op, d)
-	}
-	if span != 0 || c.rec {
-		c.ring.RecordTime(end, trace.CommOp, int64(op), int64(d), span)
+	end := mono()
+	c.counters.recordLat(op, end-t0)
+	if span != 0 || c.traced {
+		c.ring.RecordTime(epoch.Add(end), trace.CommOp, int64(op), int64(end-t0), span)
 	}
 }
 
@@ -116,6 +110,15 @@ func (c *Ctx) RecordSpanEvent(k trace.Kind, a, b int64, span uint64) {
 // FlightRecord records a non-span diagnostic event (queue depth, epoch
 // flip, membership transitions) into this PE's ring.
 func (c *Ctx) FlightRecord(k trace.Kind, a, b int64) { c.ring.Record(k, a, b, 0) }
+
+// FlightRecordAt is FlightRecord stamped at t, a Ctx.Now reading; under the
+// sim, whose virtual clock is not the ring's, the ring reads its own.
+func (c *Ctx) FlightRecordAt(t time.Time, k trace.Kind, a, b int64) {
+	if c.w.sim != nil {
+		t = time.Time{}
+	}
+	c.ring.RecordTime(t, k, a, b, 0)
+}
 
 // FlightDump dumps every ring this process records into to the world's
 // configured flight directory, tagged with reason. It is a no-op when no
@@ -204,12 +207,13 @@ func (w *World) errFor(rank int) error {
 
 // Now is this PE's one clock, for poll deadlines and every timed interval:
 // its virtual clock under TransportSim, so no poll count or time column
-// depends on the host's speed, and the monotonic wall clock elsewhere.
+// depends on the host's speed, and elsewhere mono, the monotonic clock
+// alone, as a Time that orders with time.Now.
 func (c *Ctx) Now() time.Time {
 	if c.w.sim != nil {
 		return c.w.sim.clock(c.rank)
 	}
-	return time.Now()
+	return epoch.Add(mono())
 }
 
 // Liveness returns the world's membership view (failure detector).
@@ -328,31 +332,40 @@ func (c *Ctx) Barrier() error {
 func (c *Ctx) Quiet() error { return c.w.transport.quiet(c.rank) }
 
 // Yield is the scheduling point of a PE that just made progress (ran a
-// task), called once per task. Under TransportSim every call hands the
-// lockstep token back, as Wait.Poll does, so the sim's schedule has one per
-// task. On a wall clock the PE cedes the processor only when due — the
-// caller's cadence — because runtime.Gosched takes the Go scheduler's
-// process-wide lock, which busy PEs yielding per sub-microsecond task
-// contend on at the task rate. It never sleeps.
-func (c *Ctx) Yield(due bool) {
+// task), called once per task, due on the caller's beat. Under TransportSim
+// every call hands the lockstep token back, as Wait.Poll does, so the sim's
+// schedule has one per task. On a wall clock only a due call may cede the
+// processor (runtime.Gosched takes the Go scheduler's process-wide lock),
+// and only once the PE has held it for computeQuantum since it last ceded
+// anywhere (cede). A due call that cedes, and every due call under the sim,
+// returns Ctx.Now before and after, so the caller can cut a timed interval
+// around it (zero: no cede); one that does not reads the clock once.
+func (c *Ctx) Yield(due bool) (ceded, resumed time.Time) {
 	if c.w.sim != nil {
+		if due {
+			ceded = c.Now()
+		}
 		c.w.sim.yield(c.rank, 0)
-		return
+		if due {
+			resumed = c.Now()
+		}
+	} else if due {
+		if at := mono(); cede(&c.self.held, at, computeQuantum()) {
+			c.self.yields.Add(1)
+			ceded, resumed = epoch.Add(at), c.Now()
+		}
 	}
-	if due {
-		c.self.yields.Add(1)
-		yield()
-	}
+	return ceded, resumed
 }
 
 // Wait is the one rule for a poll loop's empty iteration: make one per
 // wait, as a local of the polling goroutine (in a shared struct every Reset
 // moves a line others read), Poll once per empty iteration and Reset after
 // progress. Under TransportSim every Poll hands the lockstep token on. On
-// a wall clock the first waitYoung polls in a row only yield — most waits
-// are brief, and a sleeper can take a millisecond to wake on a loaded host
-// — and each later one is a back-off step, every 64th step of the PE a 1 µs
-// sleep so an oversubscribed host makes progress.
+// a wall clock the first waitYoung polls in a row only yield, each a cede
+// that restarts the PE's hold (most waits are brief, and a sleeper can take
+// a millisecond to wake on a loaded host), and each later one is a back-off
+// step, every 64th step of the PE a 1 µs sleep so a crowded host progresses.
 type Wait struct {
 	c        *Ctx
 	timeout  time.Duration
@@ -382,8 +395,12 @@ func (w *Wait) Poll() (expired bool) {
 		}
 	}
 	switch w.polls++; {
-	case c.w.sim != nil || w.polls <= waitYoung:
-		c.Yield(true)
+	case c.w.sim != nil:
+		c.w.sim.yield(c.rank, 0)
+	case w.polls <= waitYoung:
+		c.self.yields.Add(1)
+		yield()
+		c.self.held.Store(int64(mono()))
 	case c.self.pauses.Add(1)%64 == 0:
 		time.Sleep(time.Microsecond)
 	default:
@@ -398,17 +415,18 @@ func (w *Wait) Reset() { w.polls, w.deadline = 0, time.Time{} }
 // Pauses counts this PE's Wait back-off steps, every 64th of which slept.
 func (c *Ctx) Pauses() uint64 { return c.self.pauses.Load() }
 
-// Yields counts the times Yield (on a wall-clock transport) and Compute
-// ceded the processor.
+// Yields counts the times Yield and Wait.Poll (on a wall-clock transport)
+// and Compute ceded the processor.
 func (c *Ctx) Yields() uint64 { return c.self.yields.Load() }
 
 // Compute simulates d of task computation: under TransportSim a virtual
-// charge (the PE parks until its clock is d later), else a spin at
-// computeQuantum's cadence.
+// charge (the PE parks until its clock is d later), else a spin that cedes
+// once the PE has held its core for computeQuantum, on the last-cede time
+// the beat's Yield shares.
 func (c *Ctx) Compute(d time.Duration) {
 	if c.w.sim != nil && d > 0 {
 		c.w.sim.yield(c.rank, d)
-	} else if _, n := spin(d, computeQuantum()); n > 0 {
+	} else if _, n := spin(d, computeQuantum(), &c.self.held); n > 0 {
 		c.self.yields.Add(n)
 	}
 }
@@ -553,24 +571,9 @@ const (
 	CmpLE
 )
 
-func (c Cmp) String() string {
-	switch c {
-	case CmpEQ:
-		return "=="
-	case CmpNE:
-		return "!="
-	case CmpGT:
-		return ">"
-	case CmpGE:
-		return ">="
-	case CmpLT:
-		return "<"
-	case CmpLE:
-		return "<="
-	default:
-		return fmt.Sprintf("Cmp(%d)", int(c))
-	}
-}
+var cmpNames = [...]string{CmpEQ: "==", CmpNE: "!=", CmpGT: ">", CmpGE: ">=", CmpLT: "<", CmpLE: "<="}
+
+func (c Cmp) String() string { return enumName(cmpNames[:], int(c), "Cmp") }
 
 func (c Cmp) eval(a, b uint64) (bool, error) {
 	switch c {

@@ -68,7 +68,7 @@ func (m LatencyModel) charge(d time.Duration) time.Time {
 	default:
 		q = computeQuantum()
 	}
-	at, _ := spin(d, q)
+	at, _ := spin(d, q, new(atomic.Int64))
 	return at
 }
 
@@ -79,23 +79,44 @@ func (m LatencyModel) bandwidth(n int) time.Duration {
 	return time.Duration(int64(m.PerKB) * int64(n) / 1024)
 }
 
-// spin is the one wait for simulated compute and modelled latency, on the
-// monotonic clock (time.Sleep is far too coarse), yielding once per quantum
-// (0: every iteration). It returns its last clock reading and yield count.
-func spin(d, quantum time.Duration) (now time.Time, yields uint64) {
+// spin is the one wait for simulated compute and modelled latency, on mono
+// (time.Sleep is far too coarse), ceding the core whenever its holder has
+// held it for q since *last (cede; a zero *last starts the hold here). It
+// returns its last clock reading and yield count.
+func spin(d, q time.Duration, last *atomic.Int64) (now time.Time, yields uint64) {
 	if d <= 0 {
 		return now, 0
 	}
-	start := time.Now()
-	last := start
-	for now = start; now.Sub(start) < d; now = time.Now() {
-		if now.Sub(last) >= quantum {
-			yield()
-			yields, last = yields+1, now
+	start := mono()
+	if last.Load() == 0 {
+		last.Store(int64(start))
+	}
+	at := start
+	for ; at-start < d; at = mono() {
+		if cede(last, at, q) {
+			yields++
 		}
 	}
-	return now, yields
+	return epoch.Add(at), yields
 }
+
+// cede yields the processor once its holder has held it for q since last
+// (q == 0: at once), at the mono reading now, and reports whether it did.
+// Of a PE's goroutines one claims each quantum, so a PE cedes once per q.
+func cede(last *atomic.Int64, now, q time.Duration) bool {
+	if l := last.Load(); q > 0 && (now-time.Duration(l) < q || !last.CompareAndSwap(l, int64(now))) {
+		return false
+	}
+	yield()
+	return true
+}
+
+// epoch anchors mono, the package's clock for every timed edge: time.Since
+// reads only the monotonic clock, one vDSO call where time.Now makes two
+// (wall and monotonic).
+var epoch = time.Now()
+
+func mono() time.Duration { return time.Since(epoch) }
 
 // hosted counts the PE goroutines World.Run starts and the executors pools
 // run beside them, over every world; crowded caches hosted > GOMAXPROCS as

@@ -64,22 +64,9 @@ const (
 	PeerDead PeerState = 2
 )
 
-func (s PeerState) String() string {
-	switch s {
-	case PeerAlive:
-		return "alive"
-	case PeerDead:
-		return "dead"
-	case PeerJoining:
-		return "joining"
-	case PeerDraining:
-		return "draining"
-	case PeerParked:
-		return "parked"
-	default:
-		return fmt.Sprintf("PeerState(%d)", int32(s))
-	}
-}
+var peerStateNames = [...]string{PeerAlive: "alive", PeerDead: "dead", PeerJoining: "joining", PeerDraining: "draining", PeerParked: "parked"}
+
+func (s PeerState) String() string { return enumName(peerStateNames[:], int(s), "PeerState") }
 
 // Liveness is the world's membership view. All methods are safe for
 // concurrent use; reads on the hot path are single atomic loads.
@@ -238,7 +225,7 @@ func (l *Liveness) startProber(selfRank int) {
 			seen       bool
 		}
 		peers := make([]peer, cfg.NumPEs)
-		start := time.Now()
+		start := epoch.Add(mono())
 		for i := range peers {
 			peers[i].lastChange = start
 		}
@@ -263,7 +250,7 @@ func (l *Liveness) startProber(selfRank int) {
 			// membership converges across process boundaries. One Get
 			// fetches a peer's heartbeat and advertised state together.
 			l.publishMember(selfRank)
-			now := time.Now()
+			now := epoch.Add(mono())
 			for r := 0; r < cfg.NumPEs; r++ {
 				if r == selfRank || !l.Alive(r) {
 					continue

@@ -159,7 +159,7 @@ func (l *Liveness) BeginDrain(rank int) error {
 	if !l.transition(rank, PeerAlive, PeerDraining) {
 		return fmt.Errorf("shmem: rank %d is %v, not a member; cannot drain", rank, l.State(rank))
 	}
-	atomic.StoreInt64(&l.drainStart[rank], time.Now().UnixNano())
+	atomic.StoreInt64(&l.drainStart[rank], int64(mono()))
 	return nil
 }
 
@@ -176,7 +176,7 @@ func (l *Liveness) CompleteDrain(rank int) error {
 		// Wall-clock observability only: the recording draws no
 		// randomness and gates no scheduling, so sim replays are
 		// unaffected.
-		l.drainHist.Record(time.Duration(time.Now().UnixNano() - t0))
+		l.drainHist.Record(mono() - time.Duration(t0))
 		l.drains.Add(1)
 	}
 	return nil

@@ -90,20 +90,9 @@ const (
 	TransportShm
 )
 
-func (k TransportKind) String() string {
-	switch k {
-	case TransportLocal:
-		return "local"
-	case TransportTCP:
-		return "tcp"
-	case TransportSim:
-		return "sim"
-	case TransportShm:
-		return "shm"
-	default:
-		return fmt.Sprintf("TransportKind(%d)", int(k))
-	}
-}
+var transportNames = [...]string{TransportLocal: "local", TransportTCP: "tcp", TransportSim: "sim", TransportShm: "shm"}
+
+func (k TransportKind) String() string { return enumName(transportNames[:], int(k), "TransportKind") }
 
 // Config describes a world of PEs. It is the whole description: identical
 // on every PE however the world is launched (NewWorld hosts all PEs in this
@@ -323,8 +312,10 @@ type peState struct {
 	// pauses counts this PE's Wait back-off steps (see Wait.Poll).
 	pauses atomic.Uint64
 	// yields counts the busy-PE scheduling points that ceded the processor
-	// (see Ctx.Yield).
+	// (see Ctx.Yields); held is the mono reading of the PE's last cede: a
+	// beat's or a compute wait's (cede), a young poll's, a barrier wait's.
 	yields atomic.Uint64
+	held   atomic.Int64
 }
 
 // wakeWords is a heap's futex pair: a sequence that every landing bumps

@@ -408,7 +408,7 @@ func (c *tcpConn) open() error {
 		c.rw.Writer.Reset(c)
 	}
 	c.sock = conn
-	c.nextSlice(time.Now())
+	c.nextSlice(epoch.Add(mono()))
 	var pre [4]byte
 	binary.LittleEndian.PutUint32(pre[:], uint32(c.from))
 	_, _ = c.rw.Write(pre[:]) // into an empty buffer: cannot fail
@@ -456,7 +456,7 @@ func (c *tcpConn) waitOn(err error) error {
 	if ferr := c.t.w.errFor(c.from); ferr != nil {
 		return ferr
 	}
-	now := time.Now()
+	now := epoch.Add(mono())
 	if dl := c.t.w.cfg.OpTimeout; dl > 0 {
 		if c.deadline.IsZero() {
 			c.deadline = now.Add(dl)
@@ -489,7 +489,7 @@ func (c *tcpConn) drop() {
 // wait runs into it, and a busy connection moves it about twice a slice
 // rather than per op.
 func (c *tcpConn) flush() error {
-	if now := time.Now(); now.Add(parkQuantum / 2).After(c.slice) {
+	if now := epoch.Add(mono()); now.Add(parkQuantum / 2).After(c.slice) {
 		c.nextSlice(now)
 	}
 	return c.rw.Flush()

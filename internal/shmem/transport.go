@@ -143,9 +143,9 @@ func (h hostWaits) waitWord(r waitReq) (uint64, error) {
 	if pe != nil {
 		word = &pe.words[r.addr/WordSize]
 	}
-	var deadline time.Time
+	var deadline time.Duration // on mono
 	if r.timeout > 0 {
-		deadline = time.Now().Add(r.timeout)
+		deadline = mono() + r.timeout
 	}
 	for i := 0; ; i++ {
 		// Register as a waiter BEFORE sampling the sequence and checking the
@@ -166,7 +166,7 @@ func (h hostWaits) waitWord(r waitReq) (uint64, error) {
 		}
 		done := err != nil || r.holds(v)
 		if !done {
-			err = r.giveUp(w, r.timeout > 0 && (park || pe == nil || i%64 == 0) && time.Now().After(deadline), v)
+			err = r.giveUp(w, r.timeout > 0 && (park || pe == nil || i%64 == 0) && mono() > deadline, v)
 			done = err != nil
 		}
 		switch {

@@ -74,7 +74,7 @@ type PE struct {
 	SearchTime time.Duration
 	// ExecTime is run time, unscaled and one rule with or without a trace:
 	// each worker books every burst of tasks it runs back to back, the
-	// bodies plus its per-task path, cut around its beat's yield. Steal and
+	// bodies plus its per-task path, cut around each yield. Steal and
 	// search run only between bursts, so the three columns never overlap.
 	ExecTime time.Duration
 
