@@ -95,6 +95,10 @@ func TestConfigFieldBudget(t *testing.T) {
 // of the paper's experiments once, over one victim/thief steal loop and one
 // run path. internal/core is the paper's one fixed split queue: a full ring is
 // the runtime's problem (internal/pool's overflow deque), not the queue's.
+// internal/core and internal/sdc shrank by their second copy of one split
+// buffer: the slots, the owner's push and pop, the full-ring rule and the
+// thief's block copy are internal/wsq's (wsq.Slots), and each protocol
+// keeps only how a thief claims a block.
 // internal/term is one termination pass for every world: fault-free,
 // elastic and degraded. A bound is the last collapse's result rounded up to the next 50
 // non-test lines, comments included, and internal/shmem's its exact count
@@ -108,7 +112,9 @@ func TestShmemLineBudget(t *testing.T) {
 	}{
 		{"internal/shmem", 5495},
 		{"internal/bench", 1000},
-		{"internal/core", 1150},
+		{"internal/core", 950},
+		{"internal/sdc", 400},
+		{"internal/wsq", 500},
 		{"internal/term", 350},
 		{"internal/pool", 2900},
 	} {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"sws/internal/sdc"
 	"sws/internal/shmem"
 	"sws/internal/task"
 	"sws/internal/wsq"
@@ -180,6 +181,90 @@ func TestWrappedStealRoundTrips(t *testing.T) {
 			}
 			if wrapped == 0 {
 				t.Fatal("no steal ever wrapped the ring: the vectored-get path went unexercised")
+			}
+		})
+	}
+}
+
+// TestWrappedSDCStealRoundTrips holds the SDC baseline to Figure 2's count
+// when the claimed block wraps the ring, as TestWrappedStealRoundTrips holds
+// SWS to its 3: lock, metadata get, tail put, unlock, ONE block copy (a
+// vectored get when it wraps) and the non-blocking completion record — 6
+// communications, 5 of them blocking. The copy is the buffer's
+// (wsq.Slots.CopyBlock), the same code an SWS thief copies with.
+func TestWrappedSDCStealRoundTrips(t *testing.T) {
+	for _, kind := range []shmem.TransportKind{shmem.TransportLocal, shmem.TransportTCP} {
+		t.Run(kind.String(), func(t *testing.T) {
+			w, err := shmem.NewWorld(shmem.Config{NumPEs: 2, HeapBytes: 4 << 20, Transport: kind})
+			if err != nil {
+				t.Fatalf("NewWorld: %v", err)
+			}
+			wrapped := 0
+			err = w.Run(func(c *shmem.Ctx) error {
+				q, err := sdc.NewQueue(c, sdc.Options{Capacity: 16, PayloadCap: 16})
+				if err != nil {
+					return err
+				}
+				// As above: 10 tasks a round, 5 shared, so the shared
+				// block's tail walks the 16-slot ring and its steals wrap.
+				for r := range 48 {
+					if c.Rank() == 0 {
+						for range 10 {
+							if err := q.Push(task.Desc{}); err != nil {
+								return err
+							}
+						}
+						if _, err := q.Release(); err != nil {
+							return err
+						}
+					}
+					if err := c.Barrier(); err != nil {
+						return err
+					}
+					for c.Rank() == 1 {
+						before := c.Counters().Snapshot()
+						_, out, err := q.Steal(0)
+						if err != nil {
+							return err
+						}
+						if out != wsq.Stolen {
+							break
+						}
+						d := c.Counters().Snapshot().Sub(before)
+						if d.Total() != 6 || d.Blocking() != 5 || d.Of(shmem.OpGet)+d.Of(shmem.OpGetV) != 2 {
+							return fmt.Errorf("round %d: steal used %d comms, %d blocking, want 6 and 5 with 2 gets (%v)", r, d.Total(), d.Blocking(), d)
+						}
+						wrapped += int(d.Of(shmem.OpGetV))
+					}
+					if err := c.Quiet(); err != nil {
+						return err
+					}
+					if err := c.Barrier(); err != nil {
+						return err
+					}
+					if c.Rank() == 0 {
+						for {
+							if _, ok, err := q.Pop(); err != nil {
+								return err
+							} else if !ok {
+								break
+							}
+						}
+						if _, err := q.Acquire(); err != nil {
+							return err
+						}
+						if err := q.Progress(); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wrapped == 0 {
+				t.Fatal("no SDC steal wrapped the ring: the vectored-get path went unexercised")
 			}
 		})
 	}

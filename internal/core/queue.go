@@ -1,14 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
 
 	"sws/internal/ring"
 	"sws/internal/shmem"
-	"sws/internal/task"
 	"sws/internal/wsq"
 )
 
@@ -16,10 +14,10 @@ import (
 // defaults; see the field comments.
 type Options struct {
 	// Capacity is the number of task slots in the circular buffer.
-	// Default 8192. Bounded by the stealval tail-field width.
+	// Default wsq.DefaultCapacity. Bounded by the stealval tail-field width.
 	Capacity int
-	// PayloadCap is the per-task payload capacity in bytes. Default 24
-	// (with the 8-byte header that is the paper's 32-byte BPC task).
+	// PayloadCap is the per-task payload capacity in bytes. Default
+	// wsq.DefaultPayloadCap.
 	PayloadCap int
 	// Epochs selects completion epochs (stealval format V2, the paper's
 	// §4.2 refinement). Disable to get the §4.1 behaviour: the owner
@@ -42,32 +40,10 @@ type Options struct {
 // a target into empty-mode (§4.3).
 const DampThreshold = 4
 
-func (o *Options) setDefaults() {
-	if o.Capacity == 0 {
-		o.Capacity = 8192
-	}
-	if o.PayloadCap == 0 {
-		o.PayloadCap = 24
-	}
-}
-
 // DefaultOptions returns the options used by the paper-style benchmarks:
 // epochs and damping on.
 func DefaultOptions() Options {
 	return Options{Epochs: true, Damping: true}
-}
-
-// ErrFull is returned (wrapped, with the queue's capacity and owning
-// rank) by Push when no slot is free even after reclaiming completed
-// steals. Match with errors.Is: the queue does nothing else about it, and
-// the runtime above keeps the task (internal/pool's overflow deque).
-var ErrFull = errors.New("core: task queue full")
-
-// errFull wraps ErrFull with the diagnostics a multi-PE log needs: which
-// rank's queue filled up, and at what capacity.
-func (q *Queue) errFull() error {
-	return fmt.Errorf("core: task queue full (capacity %d, rank %d): %w",
-		q.ring.Cap(), q.ctx.Rank(), ErrFull)
 }
 
 // epochRec tracks one published shared block until all claims against it
@@ -90,42 +66,34 @@ func (r *epochRec) drained() bool {
 	return r.retired() && r.reclaimedBlocks == r.claimedBlocks
 }
 
-// Queue is one PE's SWS task queue: a split circular buffer of task slots
-// in the symmetric heap, fronted by the packed stealval and per-epoch
-// completion arrays. Owner methods must only be called from the owning
-// PE's goroutine; Steal is thief-side.
+// Queue is one PE's SWS task queue: the split buffer both protocols share
+// (wsq.Slots: slots, owner push and pop, the thief's block copy), claimed
+// through the packed stealval and reclaimed through per-epoch completion
+// arrays. Owner methods must only be called from the owning PE's goroutine;
+// Steal is thief-side.
 type Queue struct {
+	wsq.Slots
+
 	ctx    *shmem.Ctx
 	opts   Options
 	format Format
-	codec  task.Codec
-	ring   ring.Ring
 
-	// Symmetric layout (identical offsets on every PE).
+	// Symmetric layout (identical offsets on every PE); the task slots
+	// follow them.
 	stealvalAddr   shmem.Addr
 	completionAddr shmem.Addr // MaxEpochs * wsq.MaxPlanLen words
-	taskAddr       shmem.Addr // Capacity task slots
 
-	// The same objects in the owner's own heap, as memory: a PE's own
+	// The same words in the owner's own heap, as memory: a PE's own
 	// symmetric heap needs no communication layer, so owner ops use
-	// sync/atomic on the words directly (thieves reach them through
-	// one-sided ops, hence atomic, never plain) and encode into and decode
-	// out of the slots in place.
+	// sync/atomic on them directly (thieves reach them through one-sided
+	// ops, hence atomic, never plain).
 	stealval   *uint64
 	completion []uint64
-	slots      []byte
 
-	// Owner-side logical positions: rtail <= stail <= split <= head.
-	// [rtail, stail)  claimed by older epochs, awaiting completion;
-	// [stail, split)  the current shared block;
-	// [split, head)   the local portion.
-	head  uint64
-	split uint64
+	// stail splits the buffer's shared range: RTail <= stail <= Split.
+	// [RTail, stail)  claimed by older epochs, awaiting completion;
+	// [stail, Split)  the current shared block.
 	stail uint64
-	rtail uint64
-	// headSlot is ring.Slot(head), stepped with head by a compare and
-	// wrap so that a push or pop divides nothing.
-	headSlot int
 
 	curEpoch int        // monotonic epoch counter (parity indexes arrays)
 	recs     []epochRec // oldest-first; last entry is the current block
@@ -151,14 +119,6 @@ type Queue struct {
 	// it forms the causal span ID stamped on each attempt's sub-ops.
 	spanSeq uint64
 
-	// popBuf holds the payload of the last popped task (see Pop).
-	popBuf []byte
-
-	// stealBuf and stealSpans are thief-side staging reused across Steal
-	// calls (a Queue handle is driven by one goroutine, so reuse is safe).
-	stealBuf   []byte
-	stealSpans [2]shmem.Span
-
 	// ownerStats are maintained by owner operations for introspection.
 	releases, acquires, resetPolls uint64
 	// forceClosed/writtenOff track epochs force-closed after a thief died
@@ -170,34 +130,18 @@ type Queue struct {
 // identical options. It allocates the symmetric regions and publishes an
 // empty-but-valid stealval.
 func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
-	opts.setDefaults()
 	format := FormatV1
 	if opts.Epochs {
 		format = FormatV2
 	}
-	if opts.Capacity < 2 {
-		return nil, fmt.Errorf("core: capacity %d too small", opts.Capacity)
+	q := &Queue{ctx: ctx, opts: opts, format: format, emptyMode: make([]bool, ctx.NumPEs())}
+	if err := q.Init(ctx, opts.Capacity, opts.PayloadCap, q); err != nil {
+		return nil, err
 	}
-	if opts.Capacity > format.maxTail()+1 {
+	capacity := q.Ring().Cap()
+	if capacity > format.maxTail()+1 {
 		return nil, fmt.Errorf("core: capacity %d exceeds stealval tail field of %v (max %d)",
-			opts.Capacity, format, format.maxTail()+1)
-	}
-	codec, err := task.NewCodec(opts.PayloadCap)
-	if err != nil {
-		return nil, err
-	}
-	rg, err := ring.New(opts.Capacity)
-	if err != nil {
-		return nil, err
-	}
-	q := &Queue{
-		ctx:       ctx,
-		opts:      opts,
-		format:    format,
-		codec:     codec,
-		ring:      rg,
-		emptyMode: make([]bool, ctx.NumPEs()),
-		popBuf:    wsq.NewPopBuf(codec.PayloadCap()),
+			capacity, format, format.maxTail()+1)
 	}
 	// §4.3: cap the advertised block so thieves' increments cannot
 	// overflow asteals into owner fields even if every PE piles on.
@@ -205,18 +149,14 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 	if q.maxIT < 1 {
 		return nil, fmt.Errorf("core: %d PEs leave no itasks range", ctx.NumPEs())
 	}
-	if q.maxIT > opts.Capacity {
-		q.maxIT = opts.Capacity
-	}
+	q.maxIT = min(q.maxIT, capacity)
+	var err error
 	if q.stealvalAddr, err = ctx.Alloc(shmem.WordSize); err != nil {
 		return nil, err
 	}
 	// Completion arrays are indexed by attempt number: wsq.MaxPlanLen
 	// slots cover the plan of any block the itasks field can encode.
 	if q.completionAddr, err = ctx.Alloc(MaxEpochs * wsq.MaxPlanLen * shmem.WordSize); err != nil {
-		return nil, err
-	}
-	if q.taskAddr, err = ctx.Alloc(opts.Capacity * codec.SlotSize()); err != nil {
 		return nil, err
 	}
 	meta, err := ctx.OwnWords(q.stealvalAddr, 1)
@@ -227,7 +167,7 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 	if q.completion, err = ctx.OwnWords(q.completionAddr, MaxEpochs*wsq.MaxPlanLen); err != nil {
 		return nil, err
 	}
-	if q.slots, err = ctx.OwnBytes(q.taskAddr, opts.Capacity*codec.SlotSize()); err != nil {
+	if err := q.AllocSlots(); err != nil {
 		return nil, err
 	}
 	if opts.Fused {
@@ -253,32 +193,18 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 // transport's delivery goroutine, concurrently with owner operations, so
 // it must only read immutable queue state and the word it was handed.
 func (q *Queue) fusedRanges(old uint64) ([2]shmem.FusedSpan, int) {
-	var out [2]shmem.FusedSpan
 	v := q.format.Unpack(old)
 	if !v.Valid || int(v.Asteals) >= wsq.PlanLen(v.ITasks) {
-		return out, 0
+		return [2]shmem.FusedSpan{}, 0
 	}
 	k := wsq.StealHalf(v.ITasks, int(v.Asteals))
 	off := wsq.StealOffset(v.ITasks, int(v.Asteals))
-	spans, n, err := q.ring.Spans(uint64(v.Tail)+uint64(off), k)
-	if err != nil {
-		return out, 0
-	}
-	slotSize := q.codec.SlotSize()
-	for i := 0; i < n; i++ {
-		out[i] = shmem.FusedSpan{
-			Addr: q.taskAddr + shmem.Addr(spans[i].Start*slotSize),
-			N:    spans[i].Count * slotSize,
-		}
-	}
-	return out, n
+	spans, n, _ := q.BlockSpans(uint64(v.Tail)+uint64(off), k) // n is 0 on error
+	return spans, n
 }
 
 // Format reports the stealval layout in use.
 func (q *Queue) Format() Format { return q.format }
-
-// LocalCount returns the number of tasks in the local portion.
-func (q *Queue) LocalCount() int { return ring.Distance(q.split, q.head) }
 
 // SharedAvail returns the owner's view of unclaimed shared tasks in the
 // current block (an atomic read of its own stealval, unpacked only when it
@@ -307,81 +233,6 @@ func (q *Queue) clampAttempts(v Stealval) int {
 	return n
 }
 
-// free returns the number of unoccupied slots in the ring.
-func (q *Queue) free() int { return q.ring.Cap() - ring.Distance(q.rtail, q.head) }
-
-// slot returns physical slot i in the owner's own heap. Plain access is
-// safe for positions outside every advertised block: thieves read only
-// what a stealval they fetched covers, and the stealval's atomic
-// publish/retire and the completion words order those reads against the
-// owner's writes.
-func (q *Queue) slot(i int) []byte {
-	n := q.codec.SlotSize()
-	off := i * n
-	return q.slots[off : off+n : off+n]
-}
-
-// Push enqueues a task at the head of the local portion. Purely local: no
-// locking, no communication (§3.1 / §4.1: enqueueing is unchanged and
-// lightweight). A full ring returns ErrFull.
-func (q *Queue) Push(d task.Desc) error {
-	if q.free() == 0 {
-		if err := q.Progress(); err != nil {
-			return err
-		}
-		if q.free() == 0 {
-			return q.errFull()
-		}
-	}
-	if err := q.codec.Encode(q.slot(q.headSlot), d); err != nil {
-		return err
-	}
-	q.head++
-	if q.headSlot++; q.headSlot == q.ring.Cap() {
-		q.headSlot = 0
-	}
-	return nil
-}
-
-// PushSlots lands n encoded tasks at the head of the local portion in one
-// copy per contiguous span (see wsq.Queue). Like Push it reclaims completed
-// steals before it gives up for lack of room.
-func (q *Queue) PushSlots(enc []byte, n int) (bool, error) {
-	if q.free() < n {
-		if err := q.Progress(); err != nil || q.free() < n {
-			return false, err
-		}
-	}
-	if err := q.ring.CopyIn(q.slots, q.codec.SlotSize(), q.head, enc, n); err != nil {
-		return false, err
-	}
-	q.head += uint64(n)
-	q.headSlot = q.ring.Slot(q.head)
-	return true, nil
-}
-
-// Pop removes the newest task from the local portion (LIFO, giving the
-// depth-first traversal that bounds pool space). The payload is decoded
-// into a buffer the queue reuses: it is valid until the next Pop (see
-// wsq.Queue).
-func (q *Queue) Pop() (task.Desc, bool, error) {
-	if q.head == q.split {
-		return task.Desc{}, false, nil
-	}
-	i := q.headSlot
-	if i == 0 {
-		i = q.ring.Cap()
-	}
-	i--
-	d, err := q.codec.DecodeTo(q.slot(i), q.popBuf)
-	if err != nil {
-		return task.Desc{}, false, err
-	}
-	q.head--
-	q.headSlot = i
-	return d, true, nil
-}
-
 // cur returns the current (last) epoch record.
 func (q *Queue) cur() *epochRec { return &q.recs[len(q.recs)-1] }
 
@@ -391,7 +242,7 @@ func (q *Queue) publish(itasks int, stail uint64) error {
 		Valid:  true,
 		Epoch:  q.parity(),
 		ITasks: itasks,
-		Tail:   q.ring.Slot(stail),
+		Tail:   q.Ring().Slot(stail),
 	})
 	if err != nil {
 		return err
@@ -480,7 +331,7 @@ func (q *Queue) Progress() error {
 				return fmt.Errorf("core: completion slot %d of epoch parity %d holds %d, want %d tasks",
 					b, rec.parity, w, want)
 			}
-			q.rtail += uint64(want)
+			q.RTail += uint64(want)
 			rec.reclaimedBlocks++
 		}
 		// Fully drained: zero its completion slots so the parity can be
@@ -651,10 +502,10 @@ func (q *Queue) Release() (int, error) {
 	// The new block is the bottom `moved` tasks of the local portion:
 	// [split, split+moved). stail has already advanced to split's old
 	// claimed boundary; after a clean retire stail == split.
-	if q.stail != q.split {
-		return 0, fmt.Errorf("core: release with stail %d != split %d", q.stail, q.split)
+	if q.stail != q.Split {
+		return 0, fmt.Errorf("core: release with stail %d != split %d", q.stail, q.Split)
 	}
-	q.split += uint64(moved)
+	q.Split += uint64(moved)
 	q.releases++
 	if err := q.startEpoch(moved); err != nil {
 		return 0, err
@@ -691,11 +542,11 @@ func (q *Queue) Acquire() (int, error) {
 	}
 	// Unclaimed region is [stail, split); keep the bottom `remain` shared
 	// and absorb the top `moved` into the local portion.
-	if ring.Distance(q.stail, q.split) != unclaimed {
+	if ring.Distance(q.stail, q.Split) != unclaimed {
 		return 0, fmt.Errorf("core: acquire sees %d unclaimed, geometry says %d",
-			unclaimed, ring.Distance(q.stail, q.split))
+			unclaimed, ring.Distance(q.stail, q.Split))
 	}
-	q.split -= uint64(moved)
+	q.Split -= uint64(moved)
 	q.acquires++
 	if err := q.startEpoch(remain); err != nil {
 		return 0, err

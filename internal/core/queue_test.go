@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sws/internal/sdc"
 	"sws/internal/shmem"
 	"sws/internal/task"
 	"sws/internal/wsq"
@@ -540,7 +541,7 @@ func TestQueueFull(t *testing.T) {
 				return err
 			}
 		}
-		if err := q.Push(desc(99)); !errors.Is(err, ErrFull) {
+		if err := q.Push(desc(99)); !errors.Is(err, wsq.ErrFull) {
 			return fmt.Errorf("push into full queue: %v, want ErrFull", err)
 		}
 		// Draining one task frees a slot.
@@ -555,26 +556,32 @@ func TestQueueFull(t *testing.T) {
 }
 
 // The full error must name capacity and rank while staying matchable with
-// errors.Is.
+// errors.Is, on both protocols: the full-ring rule is the buffer's.
 func TestErrFullNamesCapacityAndRank(t *testing.T) {
 	runWorld(t, 1, func(c *shmem.Ctx) error {
-		q, err := NewQueue(c, Options{Capacity: 4, Epochs: true})
+		sws, err := NewQueue(c, Options{Capacity: 4, Epochs: true})
 		if err != nil {
 			return err
 		}
-		var full error
-		for i := uint64(0); i < 8 && full == nil; i++ {
-			full = q.Push(desc(i))
+		sdcq, err := sdc.NewQueue(c, sdc.Options{Capacity: 4})
+		if err != nil {
+			return err
 		}
-		if full == nil {
-			return fmt.Errorf("capacity-4 queue accepted 8 pushes")
-		}
-		if !errors.Is(full, ErrFull) {
-			return fmt.Errorf("full error %v does not match ErrFull", full)
-		}
-		for _, want := range []string{"capacity 4", "rank 0"} {
-			if !strings.Contains(full.Error(), want) {
-				return fmt.Errorf("full error %q does not name %q", full, want)
+		for _, q := range []wsq.Queue{sws, sdcq} {
+			var full error
+			for i := uint64(0); i < 8 && full == nil; i++ {
+				full = q.Push(desc(i))
+			}
+			if full == nil {
+				return fmt.Errorf("%T: capacity-4 queue accepted 8 pushes", q)
+			}
+			if !errors.Is(full, wsq.ErrFull) {
+				return fmt.Errorf("%T: full error %v does not match ErrFull", q, full)
+			}
+			for _, want := range []string{"capacity 4", "rank 0"} {
+				if !strings.Contains(full.Error(), want) {
+					return fmt.Errorf("%T: full error %q does not name %q", q, full, want)
+				}
 			}
 		}
 		return nil
@@ -927,7 +934,7 @@ func TestConcurrentStealStress(t *testing.T) {
 				// Keep the queue supplied and shared.
 				for i := 0; i < 64 && next < total; i++ {
 					if err := q.Push(desc(next)); err != nil {
-						if errors.Is(err, ErrFull) {
+						if errors.Is(err, wsq.ErrFull) {
 							break
 						}
 						return err
@@ -1015,7 +1022,7 @@ func TestConcurrentStealStressV1(t *testing.T) {
 			for got.Load() < total {
 				for i := 0; i < 32 && next < total; i++ {
 					if err := q.Push(desc(next)); err != nil {
-						if errors.Is(err, ErrFull) {
+						if errors.Is(err, wsq.ErrFull) {
 							break
 						}
 						return err
@@ -1098,14 +1105,14 @@ func TestTaskStateLifecycle(t *testing.T) {
 			// Finished: once the completion lands, progress reclaims the
 			// space (rtail advances past the stolen block).
 			deadline := time.Now().Add(2 * time.Second)
-			for q.rtail != 2 {
+			for q.RTail != 2 {
 				if err := q.Progress(); err != nil {
 					return err
 				}
 				// Progress only drains *retired* epochs; retire this one
 				// by acquiring after draining local work.
 				if time.Now().After(deadline) {
-					return fmt.Errorf("rtail = %d, want 2", q.rtail)
+					return fmt.Errorf("rtail = %d, want 2", q.RTail)
 				}
 				if q.LocalCount() == 0 {
 					if _, err := q.Acquire(); err != nil {

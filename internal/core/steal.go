@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"sws/internal/shmem"
 	"sws/internal/task"
 	"sws/internal/trace"
@@ -28,11 +26,8 @@ import (
 // fetch-add path resumes only once the probe shows fresh work, bounding
 // asteals growth on empty queues.
 func (q *Queue) Steal(victim int) ([]task.Desc, wsq.Outcome, error) {
-	if victim == q.ctx.Rank() {
-		return nil, wsq.Empty, fmt.Errorf("core: PE %d cannot steal from itself", victim)
-	}
-	if victim < 0 || victim >= q.ctx.NumPEs() {
-		return nil, wsq.Empty, fmt.Errorf("core: victim %d out of range [0, %d)", victim, q.ctx.NumPEs())
+	if err := q.CheckVictim(victim); err != nil {
+		return nil, wsq.Empty, err
 	}
 	// Every attempt gets a fresh causal span: the sub-operations below
 	// (probe, claim, copy, ack) all carry it on the wire, so the victim's
@@ -112,9 +107,9 @@ func (q *Queue) stealSpanned(victim int, sc shmem.SpanCtx) ([]task.Desc, wsq.Out
 
 	var tasks []task.Desc
 	if q.opts.Fused {
-		tasks, err = q.decodeBlock(victim, fusedData, k)
+		tasks, err = q.DecodeBlock(victim, fusedData, k)
 	} else {
-		tasks, err = q.copyBlock(victim, start, k, sc)
+		tasks, err = q.CopyBlock(sc, victim, start, k)
 	}
 	if err != nil {
 		return nil, wsq.Empty, err
@@ -129,66 +124,6 @@ func (q *Queue) stealSpanned(victim int, sc shmem.SpanCtx) ([]task.Desc, wsq.Out
 		return nil, wsq.Empty, err
 	}
 	return tasks, wsq.Stolen, nil
-}
-
-// decodeBlock parses the task slots a fused steal brought back.
-func (q *Queue) decodeBlock(victim int, data []byte, k int) ([]task.Desc, error) {
-	slotSize := q.codec.SlotSize()
-	if len(data) != k*slotSize {
-		return nil, fmt.Errorf("core: fused steal from PE %d returned %d bytes, want %d (k=%d)",
-			victim, len(data), k*slotSize, k)
-	}
-	tasks := make([]task.Desc, k)
-	for i := range tasks {
-		d, err := q.codec.Decode(data[i*slotSize:])
-		if err != nil {
-			return nil, fmt.Errorf("core: fused slot %d from PE %d: %w", i, victim, err)
-		}
-		tasks[i] = d
-	}
-	return tasks, nil
-}
-
-// copyBlock performs the blocking one-sided copy of k task slots starting
-// at logical slot position start on the victim, unwrapping the circular
-// buffer as needed (wrapping is computed locally: queues are symmetric, so
-// no extra communication is required — §4, example point 1).
-func (q *Queue) copyBlock(victim int, start uint64, k int, sc shmem.SpanCtx) ([]task.Desc, error) {
-	slotSize := q.codec.SlotSize()
-	if cap(q.stealBuf) < k*slotSize {
-		q.stealBuf = make([]byte, k*slotSize)
-	}
-	buf := q.stealBuf[:k*slotSize]
-	spans, n, err := q.ring.Spans(start, k)
-	if err != nil {
-		return nil, err
-	}
-	if n == 1 {
-		sp := spans[0]
-		addr := q.taskAddr + shmem.Addr(sp.Start*slotSize)
-		if err := sc.Get(victim, addr, buf); err != nil {
-			return nil, err
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			q.stealSpans[i] = shmem.Span{
-				Addr: q.taskAddr + shmem.Addr(spans[i].Start*slotSize),
-				N:    spans[i].Count * slotSize,
-			}
-		}
-		if err := sc.GetV(victim, q.stealSpans[:n], buf); err != nil {
-			return nil, err
-		}
-	}
-	tasks := make([]task.Desc, k)
-	for i := range tasks {
-		d, err := q.codec.Decode(buf[i*slotSize:])
-		if err != nil {
-			return nil, fmt.Errorf("core: stolen slot %d from PE %d: %w", i, victim, err)
-		}
-		tasks[i] = d
-	}
-	return tasks, nil
 }
 
 // Probe reads the victim's stealval without claiming anything and reports

@@ -118,10 +118,10 @@ type Config struct {
 
 func (c *Config) setDefaults() {
 	if c.QueueCapacity == 0 {
-		c.QueueCapacity = 8192
+		c.QueueCapacity = wsq.DefaultCapacity
 	}
 	if c.PayloadCap == 0 {
-		c.PayloadCap = 24
+		c.PayloadCap = wsq.DefaultPayloadCap
 	}
 	if c.MailboxSlots == 0 {
 		c.MailboxSlots = defaultMailboxSlots
@@ -450,7 +450,7 @@ func (p *Pool) push(d task.Desc) error {
 }
 
 // isFull reports whether a push failed only because the queue is full.
-func isFull(err error) bool { return errors.Is(err, core.ErrFull) || errors.Is(err, sdc.ErrFull) }
+func isFull(err error) bool { return errors.Is(err, wsq.ErrFull) }
 
 // popOwned pops the owner's newest task: its private deque's, which are
 // newer than anything in the split queue, then the local portion's.

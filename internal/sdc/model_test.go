@@ -1,6 +1,7 @@
 package sdc
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -73,7 +74,7 @@ func runModelSchedule(t *testing.T, opts Options, seed int64, lead, steps int) e
 				case opPush:
 					id := next
 					if err := q.Push(task.Desc{Handle: 1, Payload: task.Args(id)}); err != nil {
-						if err != ErrFull {
+						if !errors.Is(err, wsq.ErrFull) {
 							oerr = err
 						}
 					} else {

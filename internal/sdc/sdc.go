@@ -2,15 +2,16 @@
 // compares against: Scioto's best-performing configuration, "Split Queues
 // with Deferred Copies and Aborting Steals" (§3).
 //
-// The queue is a split circular buffer in the symmetric heap, guarded for
-// remote access by an application-level spinlock. A steal requires six
-// one-sided communications, five of them blocking (Figure 2):
+// The queue is the split circular buffer of internal/wsq (wsq.Slots, shared
+// with the SWS queue), guarded for remote access by an application-level
+// spinlock. A steal requires six one-sided communications, five of them
+// blocking (Figure 2):
 //
 //  1. acquire the remote queue lock        (atomic compare-and-swap)
 //  2. fetch tail/sequence/split metadata   (get, 24 bytes)
 //  3. advance the tail past the claim      (put, 16 bytes incl. sequence)
 //  4. release the lock                     (atomic store)
-//  5. copy the stolen task slots           (get)
+//  5. copy the stolen task slots           (get; getv when it wraps)
 //  6. signal steal completion              (non-blocking atomic store)
 //
 // The "deferred copy" is step 6: the thief copies tasks after unlocking
@@ -26,21 +27,20 @@
 package sdc
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 
 	"sws/internal/ring"
 	"sws/internal/shmem"
-	"sws/internal/task"
 	"sws/internal/wsq"
 )
 
 // Options configures an SDC queue.
 type Options struct {
-	// Capacity is the number of task slots. Default 8192.
+	// Capacity is the number of task slots. Default wsq.DefaultCapacity.
 	Capacity int
-	// PayloadCap is the per-task payload capacity in bytes. Default 24.
+	// PayloadCap is the per-task payload capacity in bytes. Default
+	// wsq.DefaultPayloadCap.
 	PayloadCap int
 	// LockAttempts bounds how long a thief spins on a contended lock
 	// before abandoning the steal attempt. Default 256.
@@ -51,12 +51,6 @@ type Options struct {
 }
 
 func (o *Options) setDefaults() {
-	if o.Capacity == 0 {
-		o.Capacity = 8192
-	}
-	if o.PayloadCap == 0 {
-		o.PayloadCap = 24
-	}
 	if o.LockAttempts == 0 {
 		o.LockAttempts = 256
 	}
@@ -64,10 +58,6 @@ func (o *Options) setDefaults() {
 		o.ProbeEvery = 8
 	}
 }
-
-// ErrFull is returned by Push when no slot is free even after reclaiming
-// completed steals.
-var ErrFull = errors.New("sdc: task queue full")
 
 // Metadata word layout within the symmetric region.
 const (
@@ -78,35 +68,33 @@ const (
 	numMeta   = 4
 )
 
-// Queue is one PE's SDC task queue. Owner methods are single-goroutine;
-// Steal is thief-side and touches only the victim's heap.
+// Queue is one PE's SDC task queue: the split buffer both protocols share
+// (wsq.Slots: slots, owner push and pop, the thief's block copy), claimed
+// under a lock through the metadata words and reclaimed through steal
+// records. Owner methods are single-goroutine; Steal is thief-side and
+// touches only the victim's heap.
 type Queue struct {
-	ctx   *shmem.Ctx
-	opts  Options
-	codec task.Codec
-	ring  ring.Ring
+	wsq.Slots
 
+	ctx  *shmem.Ctx
+	opts Options
+
+	// Symmetric layout (identical offsets on every PE); the task slots
+	// follow them.
 	metaAddr shmem.Addr // numMeta words
 	recsAddr shmem.Addr // Capacity words: completion records, seq % cap
-	taskAddr shmem.Addr
 
-	// The same three objects in the owner's own heap, as memory (see
-	// shmem.Ctx.OwnWords): owner ops use sync/atomic on the words thieves
-	// also reach, and plain access on slots of the local portion.
-	meta  []uint64
-	recs  []uint64
-	slots []byte
-
-	// Owner-side logical positions. tail lives in the heap (thieves
-	// advance it under the lock); split is mirrored in the heap for
-	// thieves but only the owner writes it.
-	head  uint64
-	split uint64
-	rtail uint64 // reclaim boundary (trails the heap tail)
+	// The same words in the owner's own heap, as memory (see
+	// shmem.Ctx.OwnWords): owner ops use sync/atomic on them, as thieves
+	// also reach them. The heap tail trails Split (thieves advance it under
+	// the lock) and RTail trails the tail; Split is mirrored in the heap
+	// for thieves, but only the owner writes it.
+	meta []uint64
+	recs []uint64
 
 	reclaimSeq uint64 // completion records consumed so far
 
-	popBuf []byte // payload of the last popped task (see wsq.Queue.Pop)
+	wire [3 * shmem.WordSize]byte // a thief's metadata get and put, reused
 
 	// Owner/thief statistics.
 	lockContended uint64
@@ -119,40 +107,25 @@ var _ wsq.Queue = (*Queue)(nil)
 // identical options.
 func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 	opts.setDefaults()
-	if opts.Capacity < 2 {
-		return nil, fmt.Errorf("sdc: capacity %d too small", opts.Capacity)
-	}
-	codec, err := task.NewCodec(opts.PayloadCap)
+	q := &Queue{ctx: ctx, opts: opts}
+	err := q.Init(ctx, opts.Capacity, opts.PayloadCap, q)
 	if err != nil {
 		return nil, err
 	}
-	rg, err := ring.New(opts.Capacity)
-	if err != nil {
-		return nil, err
-	}
-	q := &Queue{
-		ctx:    ctx,
-		opts:   opts,
-		codec:  codec,
-		ring:   rg,
-		popBuf: wsq.NewPopBuf(codec.PayloadCap()),
-	}
+	capacity := q.Ring().Cap()
 	if q.metaAddr, err = ctx.Alloc(numMeta * shmem.WordSize); err != nil {
 		return nil, err
 	}
-	if q.recsAddr, err = ctx.Alloc(opts.Capacity * shmem.WordSize); err != nil {
-		return nil, err
-	}
-	if q.taskAddr, err = ctx.Alloc(opts.Capacity * codec.SlotSize()); err != nil {
+	if q.recsAddr, err = ctx.Alloc(capacity * shmem.WordSize); err != nil {
 		return nil, err
 	}
 	if q.meta, err = ctx.OwnWords(q.metaAddr, numMeta); err != nil {
 		return nil, err
 	}
-	if q.recs, err = ctx.OwnWords(q.recsAddr, opts.Capacity); err != nil {
+	if q.recs, err = ctx.OwnWords(q.recsAddr, capacity); err != nil {
 		return nil, err
 	}
-	if q.slots, err = ctx.OwnBytes(q.taskAddr, opts.Capacity*codec.SlotSize()); err != nil {
+	if err := q.AllocSlots(); err != nil {
 		return nil, err
 	}
 	return q, nil
@@ -163,72 +136,14 @@ func (q *Queue) metaWordAddr(w int) shmem.Addr {
 }
 
 func (q *Queue) recAddr(seq uint64) shmem.Addr {
-	return q.recsAddr + shmem.Addr(int(seq%uint64(q.opts.Capacity))*shmem.WordSize)
-}
-
-// slot returns the owner's own memory for the slot at a logical position.
-func (q *Queue) slot(pos uint64) []byte {
-	n := q.codec.SlotSize()
-	off := q.ring.Slot(pos) * n
-	return q.slots[off : off+n : off+n]
+	return q.recsAddr + shmem.Addr(q.Ring().Slot(seq)*shmem.WordSize)
 }
 
 // loadTail reads the heap tail (an atomic on the owner's own heap).
 func (q *Queue) loadTail() uint64 { return atomic.LoadUint64(&q.meta[tailWord]) }
 
-// LocalCount returns the number of tasks in the local portion.
-func (q *Queue) LocalCount() int { return ring.Distance(q.split, q.head) }
-
 // SharedAvail returns the owner's view of unclaimed shared tasks.
-func (q *Queue) SharedAvail() int { return ring.Distance(q.loadTail(), q.split) }
-
-func (q *Queue) free() int { return q.ring.Cap() - ring.Distance(q.rtail, q.head) }
-
-// Push enqueues a task at the head of the local portion (local-only, no
-// lock — §3.1).
-func (q *Queue) Push(d task.Desc) error {
-	if q.free() == 0 {
-		if err := q.Progress(); err != nil {
-			return err
-		}
-		if q.free() == 0 {
-			return ErrFull
-		}
-	}
-	if err := q.codec.Encode(q.slot(q.head), d); err != nil {
-		return err
-	}
-	q.head++
-	return nil
-}
-
-// PushSlots lands n encoded tasks at the head of the local portion in one
-// copy per contiguous span (see wsq.Queue), local-only like Push.
-func (q *Queue) PushSlots(enc []byte, n int) (bool, error) {
-	if q.free() < n {
-		if err := q.Progress(); err != nil || q.free() < n {
-			return false, err
-		}
-	}
-	if err := q.ring.CopyIn(q.slots, q.codec.SlotSize(), q.head, enc, n); err != nil {
-		return false, err
-	}
-	q.head += uint64(n)
-	return true, nil
-}
-
-// Pop removes the newest local task (LIFO, local-only, no lock — §3.1).
-func (q *Queue) Pop() (task.Desc, bool, error) {
-	if q.head == q.split {
-		return task.Desc{}, false, nil
-	}
-	d, err := q.codec.DecodeTo(q.slot(q.head-1), q.popBuf)
-	if err != nil {
-		return task.Desc{}, false, err
-	}
-	q.head--
-	return d, true, nil
-}
+func (q *Queue) SharedAvail() int { return ring.Distance(q.loadTail(), q.Split) }
 
 // ReleaseDue reports whether Release would expose work: two or more local
 // tasks and an empty shared portion.
@@ -245,8 +160,8 @@ func (q *Queue) Release() (int, error) {
 		return 0, nil
 	}
 	moved := q.LocalCount() / 2
-	q.split += uint64(moved)
-	atomic.StoreUint64(&q.meta[splitWord], q.split)
+	q.Split += uint64(moved)
+	atomic.StoreUint64(&q.meta[splitWord], q.Split)
 	return moved, nil
 }
 
@@ -261,13 +176,13 @@ func (q *Queue) Acquire() (int, error) {
 		return 0, err
 	}
 	defer q.unlockOwn()
-	avail := ring.Distance(q.loadTail(), q.split)
+	avail := ring.Distance(q.loadTail(), q.Split)
 	if avail == 0 {
 		return 0, nil
 	}
 	moved := (avail + 1) / 2
-	q.split -= uint64(moved)
-	atomic.StoreUint64(&q.meta[splitWord], q.split)
+	q.Split -= uint64(moved)
+	atomic.StoreUint64(&q.meta[splitWord], q.Split)
 	return moved, nil
 }
 
@@ -298,16 +213,16 @@ func (q *Queue) unlockOwn() { atomic.StoreUint64(&q.meta[lockWord], 0) }
 // §3.1). Local-only.
 func (q *Queue) Progress() error {
 	for {
-		rec := &q.recs[q.reclaimSeq%uint64(q.opts.Capacity)]
+		rec := &q.recs[q.Ring().Slot(q.reclaimSeq)]
 		v := atomic.LoadUint64(rec)
 		if v == 0 {
 			return nil // oldest steal not yet acknowledged
 		}
 		atomic.StoreUint64(rec, 0)
-		q.rtail += v
+		q.RTail += v
 		q.reclaimSeq++
-		if q.rtail > q.split {
-			return fmt.Errorf("sdc: reclaim boundary %d passed split %d", q.rtail, q.split)
+		if q.RTail > q.Split {
+			return fmt.Errorf("sdc: reclaim boundary %d passed split %d", q.RTail, q.Split)
 		}
 	}
 }

@@ -267,7 +267,7 @@ func TestQueueFull(t *testing.T) {
 				return err
 			}
 		}
-		if err := q.Push(desc(9)); !errors.Is(err, ErrFull) {
+		if err := q.Push(desc(9)); !errors.Is(err, wsq.ErrFull) {
 			return fmt.Errorf("push into full queue: %v", err)
 		}
 		return nil
@@ -298,12 +298,12 @@ func TestDeferredCopyReclaim(t *testing.T) {
 				return err
 			}
 			deadline := time.Now().Add(2 * time.Second)
-			for q.rtail != 2 {
+			for q.RTail != 2 {
 				if err := q.Progress(); err != nil {
 					return err
 				}
 				if time.Now().After(deadline) {
-					return fmt.Errorf("rtail=%d, want 2", q.rtail)
+					return fmt.Errorf("rtail=%d, want 2", q.RTail)
 				}
 				time.Sleep(50 * time.Microsecond)
 			}
@@ -452,7 +452,7 @@ func TestConcurrentStealStress(t *testing.T) {
 			for got.Load() < total {
 				for i := 0; i < 64 && next < total; i++ {
 					if err := q.Push(desc(next)); err != nil {
-						if errors.Is(err, ErrFull) {
+						if errors.Is(err, wsq.ErrFull) {
 							break
 						}
 						return err

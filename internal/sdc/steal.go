@@ -14,11 +14,8 @@ import (
 // Empty if the victim advertised no work, and Disabled if the lock stayed
 // contended past Options.LockAttempts.
 func (q *Queue) Steal(victim int) ([]task.Desc, wsq.Outcome, error) {
-	if victim == q.ctx.Rank() {
-		return nil, wsq.Empty, fmt.Errorf("sdc: PE %d cannot steal from itself", victim)
-	}
-	if victim < 0 || victim >= q.ctx.NumPEs() {
-		return nil, wsq.Empty, fmt.Errorf("sdc: victim %d out of range [0, %d)", victim, q.ctx.NumPEs())
+	if err := q.CheckVictim(victim); err != nil {
+		return nil, wsq.Empty, err
 	}
 
 	// (1) Acquire the remote lock, polling metadata while contended so an
@@ -32,8 +29,8 @@ func (q *Queue) Steal(victim int) ([]task.Desc, wsq.Outcome, error) {
 	}
 
 	// (2) Fetch tail, sequence, and split in one 24-byte get.
-	var meta [3 * shmem.WordSize]byte
-	if err := q.ctx.Get(victim, q.metaWordAddr(tailWord), meta[:]); err != nil {
+	meta := q.wire[:]
+	if err := q.ctx.Get(victim, q.metaWordAddr(tailWord), meta); err != nil {
 		q.unlockRemote(victim)
 		return nil, wsq.Empty, err
 	}
@@ -56,10 +53,10 @@ func (q *Queue) Steal(victim int) ([]task.Desc, wsq.Outcome, error) {
 	k := wsq.StealHalf(avail, 0)
 
 	// (3) Advance tail and bump the steal sequence in one 16-byte put.
-	var upd [2 * shmem.WordSize]byte
+	upd := q.wire[:2*shmem.WordSize]
 	binary.NativeEndian.PutUint64(upd[0:8], tail+uint64(k))
 	binary.NativeEndian.PutUint64(upd[8:16], seq+1)
-	if err := q.ctx.Put(victim, q.metaWordAddr(tailWord), upd[:]); err != nil {
+	if err := q.ctx.Put(victim, q.metaWordAddr(tailWord), upd); err != nil {
 		q.unlockRemote(victim)
 		return nil, wsq.Empty, err
 	}
@@ -69,8 +66,8 @@ func (q *Queue) Steal(victim int) ([]task.Desc, wsq.Outcome, error) {
 		return nil, wsq.Empty, err
 	}
 
-	// (5) Copy the claimed block (wrap-aware).
-	tasks, err := q.copyBlock(victim, tail, k)
+	// (5) Copy the claimed block: one get, or one getv when it wraps.
+	tasks, err := q.CopyBlock(q.ctx.WithSpan(0), victim, tail, k)
 	if err != nil {
 		return nil, wsq.Empty, err
 	}
@@ -103,8 +100,8 @@ func (q *Queue) lockRemote(victim int) (bool, wsq.Outcome, error) {
 		if (attempt+1)%q.opts.ProbeEvery == 0 {
 			// Aborting steals: poll the metadata without the lock; if the
 			// shared portion emptied, give up now.
-			var meta [3 * shmem.WordSize]byte
-			if err := q.ctx.Get(victim, q.metaWordAddr(tailWord), meta[:]); err != nil {
+			meta := q.wire[:]
+			if err := q.ctx.Get(victim, q.metaWordAddr(tailWord), meta); err != nil {
 				return false, wsq.Empty, err
 			}
 			tail := binary.NativeEndian.Uint64(meta[0:8])
@@ -123,33 +120,4 @@ func (q *Queue) unlockRemote(victim int) {
 	// Best-effort: the address is validated, and a transport failure has
 	// already poisoned the world.
 	_ = q.ctx.Store64(victim, q.metaWordAddr(lockWord), 0)
-}
-
-// copyBlock fetches k slots starting at logical position tail from the
-// victim, unwrapping the ring as needed.
-func (q *Queue) copyBlock(victim int, start uint64, k int) ([]task.Desc, error) {
-	slotSize := q.codec.SlotSize()
-	buf := make([]byte, k*slotSize)
-	spans, n, err := q.ring.Spans(start, k)
-	if err != nil {
-		return nil, err
-	}
-	got := 0
-	for i := 0; i < n; i++ {
-		sp := spans[i]
-		addr := q.taskAddr + shmem.Addr(sp.Start*slotSize)
-		if err := q.ctx.Get(victim, addr, buf[got:got+sp.Count*slotSize]); err != nil {
-			return nil, err
-		}
-		got += sp.Count * slotSize
-	}
-	tasks := make([]task.Desc, k)
-	for i := range tasks {
-		d, err := q.codec.Decode(buf[i*slotSize:])
-		if err != nil {
-			return nil, fmt.Errorf("sdc: stolen slot %d from PE %d: %w", i, victim, err)
-		}
-		tasks[i] = d
-	}
-	return tasks, nil
 }

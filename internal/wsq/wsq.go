@@ -1,10 +1,11 @@
-// Package wsq defines the common contract for the two work-stealing task
-// queues in this repository (the SDC baseline in internal/sdc and the SWS
-// queue in internal/core), plus the steal-half arithmetic they share.
-//
-// Keeping the contract in a leaf package lets the pool runtime drive
-// either protocol, and lets the benchmarks swap protocols with a flag —
-// exactly the comparison the paper's evaluation performs.
+// Package wsq is what the two work-stealing task queues in this repository
+// (the SDC baseline in internal/sdc and the SWS queue in internal/core)
+// share: the contract the pool runtime drives either protocol through, the
+// steal-half arithmetic, and the split buffer itself (Slots: task slots,
+// owner push and pop, ErrFull, the thief's block copy). The protocols
+// differ only in how a thief discovers and claims a block, so the
+// benchmarks' protocol flag swaps exactly what the paper's evaluation
+// compares.
 package wsq
 
 import (
@@ -59,9 +60,9 @@ func (o Outcome) String() string {
 // violations of) the contract with OwnerGuard, around spans of owner work
 // rather than single ops.
 //
-// Both queues are the paper's fixed split circular buffer: Push on a full
-// ring fails with the implementation's ErrFull and does nothing else about
-// it. What to do with the task is the runtime's decision.
+// Both queues are the paper's fixed split circular buffer (Slots): Push on
+// a full ring fails with ErrFull and does nothing else about it. What to
+// do with the task is the runtime's decision.
 type Queue interface {
 	// Push enqueues a task at the head of the local portion, or fails
 	// with ErrFull when no slot is free after reclaiming completed steals.

@@ -2,10 +2,14 @@ package wsq
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"sws/internal/shmem"
+	"sws/internal/task"
 )
 
 // The paper's worked example (§4): 150 initial tasks yield the steal
@@ -186,5 +190,57 @@ func TestPopBufOwnsItsCacheLines(t *testing.T) {
 				t.Errorf("NewPopBuf(%d) at %p is not 128-byte aligned", n, &b[0])
 			}
 		}
+	}
+}
+
+// reclaimAll stands in for a protocol whose every claimed block has been
+// copied: its Progress reclaims the whole shared range.
+type reclaimAll struct{ s *Slots }
+
+func (r reclaimAll) Progress() error { r.s.RTail = r.s.Split; return nil }
+
+// TestHeadSlotTracksHead: the owner steps headSlot with head instead of
+// dividing, so after any run of pushes, pops, slot runs, releases and
+// reclaims on a ring that wraps constantly, headSlot is ring.Slot(head).
+func TestHeadSlotTracksHead(t *testing.T) {
+	w, err := shmem.NewWorld(shmem.Config{NumPEs: 1, HeapBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(c *shmem.Ctx) error {
+		var s Slots
+		if err := s.Init(c, 5, 8, reclaimAll{&s}); err != nil {
+			return err
+		}
+		if err := s.AllocSlots(); err != nil {
+			return err
+		}
+		enc := make([]byte, 3*s.codec.SlotSize())
+		rng := rand.New(rand.NewSource(1))
+		for i := range 2000 {
+			switch rng.Intn(5) {
+			case 0, 1:
+				if err := s.Push(task.Desc{Handle: 1}); err != nil && s.free() != 0 {
+					return err
+				}
+			case 2:
+				if _, err := s.PushSlots(enc, 1+rng.Intn(3)); err != nil {
+					return err
+				}
+			case 3:
+				if _, _, err := s.Pop(); err != nil {
+					return err
+				}
+			case 4:
+				s.Split += uint64(s.LocalCount() / 2) // a release
+			}
+			if s.headSlot != s.ring.Slot(s.head) {
+				return fmt.Errorf("step %d: headSlot %d, head %d is slot %d", i, s.headSlot, s.head, s.ring.Slot(s.head))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
