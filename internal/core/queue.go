@@ -115,10 +115,6 @@ type Queue struct {
 	// Thief-side damping state: per-victim mode (false=full, true=empty).
 	emptyMode []bool
 
-	// spanSeq numbers this thief's steal attempts; combined with the rank
-	// it forms the causal span ID stamped on each attempt's sub-ops.
-	spanSeq uint64
-
 	// ownerStats are maintained by owner operations for introspection.
 	releases, acquires, resetPolls uint64
 	// forceClosed/writtenOff track epochs force-closed after a thief died

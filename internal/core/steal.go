@@ -3,7 +3,6 @@ package core
 import (
 	"sws/internal/shmem"
 	"sws/internal/task"
-	"sws/internal/trace"
 	"sws/internal/wsq"
 )
 
@@ -26,38 +25,13 @@ import (
 // fetch-add path resumes only once the probe shows fresh work, bounding
 // asteals growth on empty queues.
 func (q *Queue) Steal(victim int) ([]task.Desc, wsq.Outcome, error) {
-	if err := q.CheckVictim(victim); err != nil {
-		return nil, wsq.Empty, err
-	}
-	// Every attempt gets a fresh causal span: the sub-operations below
-	// (probe, claim, copy, ack) all carry it on the wire, so the victim's
-	// flight journal files its half of the protocol under the same ID and
-	// post-mortem tooling can reassemble the full span tree.
-	span := q.nextSpan()
-	q.ctx.RecordSpanEvent(trace.StealSpanStart, int64(victim), 0, span)
-	tasks, out, err := q.stealSpanned(victim, q.ctx.WithSpan(span))
-	outcome := int64(len(tasks))
-	switch {
-	case err != nil:
-		outcome = -2
-	case out == wsq.Disabled:
-		outcome = -1
-	}
-	q.ctx.RecordSpanEvent(trace.StealSpanEnd, int64(victim), outcome, span)
-	return tasks, out, err
+	return q.Attempt(victim, q.stealSpanned)
 }
 
-// nextSpan returns a fresh span ID for one steal attempt. IDs are
-// deterministic per thief — (rank+1)<<48 | sequence — so the initiator is
-// recoverable from the high bits, IDs never collide across ranks, and a
-// span is never zero (zero marks untagged traffic).
-func (q *Queue) nextSpan() uint64 {
-	q.spanSeq++
-	return uint64(q.ctx.Rank()+1)<<48 | (q.spanSeq & (1<<48 - 1))
-}
-
-// stealSpanned is the steal protocol body; every remote operation goes
-// through the span-tagged view.
+// stealSpanned is the steal protocol body (see wsq.Slots.Attempt). Every
+// remote operation goes through the span-tagged view, so the victim's
+// flight journal files its half of the protocol (probe, claim, copy, ack)
+// under the ID of the thief's one record of the attempt.
 func (q *Queue) stealSpanned(victim int, sc shmem.SpanCtx) ([]task.Desc, wsq.Outcome, error) {
 	if q.opts.Damping && q.emptyMode[victim] {
 		w, err := sc.Load64(victim, q.stealvalAddr)
@@ -66,10 +40,12 @@ func (q *Queue) stealSpanned(victim int, sc shmem.SpanCtx) ([]task.Desc, wsq.Out
 		}
 		v := q.format.Unpack(w)
 		if !v.Valid {
+			q.Claimed(shmem.OpLoad)
 			return nil, wsq.Disabled, nil
 		}
 		if int(v.Asteals) >= wsq.PlanLen(v.ITasks) {
 			// Still exhausted: abort after the single read-only probe.
+			q.Claimed(shmem.OpLoad)
 			return nil, wsq.Empty, nil
 		}
 		// Fresh work appeared: back to full-mode and steal for real.
@@ -79,8 +55,10 @@ func (q *Queue) stealSpanned(victim int, sc shmem.SpanCtx) ([]task.Desc, wsq.Out
 	var old uint64
 	var fusedData []byte
 	var err error
+	op := shmem.OpFetchAdd
 	if q.opts.Fused {
 		// Single round trip: claim and copy together (see Options.Fused).
+		op = shmem.OpFetchAddGet
 		old, fusedData, err = sc.FetchAddGet(victim, q.stealvalAddr, AstealsUnit)
 	} else {
 		old, err = sc.FetchAdd64(victim, q.stealvalAddr, AstealsUnit)
@@ -88,6 +66,7 @@ func (q *Queue) stealSpanned(victim int, sc shmem.SpanCtx) ([]task.Desc, wsq.Out
 	if err != nil {
 		return nil, wsq.Empty, err
 	}
+	q.Claimed(op)
 	v := q.format.Unpack(old)
 	if !v.Valid {
 		return nil, wsq.Disabled, nil

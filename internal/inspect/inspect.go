@@ -2,8 +2,8 @@
 // dumped, or the trace.Set a run recorded into (Set.Dumps) — into a
 // post-mortem picture of the run: it merges the per-rank journals of one
 // (or several) processes into a single causal timeline, reassembles steal
-// attempts into span trees — initiator-side sub-operations joined with
-// the victim-side applies that carried the same span ID over the wire —
+// attempts into span trees — the thief's one record of the attempt joined
+// with the victim-side applies that carried its span ID over the wire —
 // and derives the tables an engineer reaches for after a failure:
 // per-phase steal latency, victim heatmaps, starvation, and which ranks
 // died (and who saw them die).
@@ -20,47 +20,51 @@ import (
 )
 
 // Span is one reassembled steal attempt: everything recorded under one
-// span ID, on both sides of the wire.
+// span ID, on both sides of the wire. The thief's trace.Steal record gives
+// its start, end, victim, outcome and Ops; a span seen only through its
+// victim's applies (the thief died mid-steal, or its record was
+// overwritten) has neither start nor end, and reads as lost.
 type Span struct {
 	ID        uint64
 	Initiator int // recovered from the ID's high bits
-	Victim    int // from the span-start event (-1 if the start was lost)
+	Victim    int // -1 if neither side's record names it
 	Start     time.Duration
 	End       time.Duration
 	HasStart  bool
 	HasEnd    bool
-	// Outcome is the span-end verdict: tasks obtained if > 0, 0 = empty,
+	// Outcome is the attempt's verdict: tasks obtained if > 0, 0 = empty,
 	// -1 = disabled, -2 = error (meaningless unless HasEnd).
 	Outcome int64
-	// Ops are the initiator-side sub-operations (probe, claim, copy,
-	// ack), in timeline order; VictimOps are the victim-side applies of
-	// the same wire traffic.
+	// Ops are the thief's phases: the claim (the probe, when only the
+	// damping probe answered; claim+copy when fused) and the copy, which
+	// holds the completion store too; VictimOps are the victim-side
+	// applies of the same wire traffic.
 	Ops       []OpSample
 	VictimOps []OpSample
 }
 
 // OpSample is one recorded sub-operation of a span.
 type OpSample struct {
-	At    time.Duration
-	PE    int // recording PE (initiator for Ops, victim for VictimOps)
+	At    time.Duration // when it ended
+	PE    int           // recording PE (initiator for Ops, victim for VictimOps)
 	Op    shmem.Op
 	Phase string
-	Dur   time.Duration // initiator-side round-trip; 0 for victim applies
+	Dur   time.Duration // the initiator's phase time; 0 for victim applies
 }
 
 // SpanInitiator recovers the initiating rank from a span ID
-// ((rank+1) << 48 | seq, assigned in core.Queue.Steal).
+// ((rank+1) << 48 | seq, assigned in wsq.Slots.Attempt).
 func SpanInitiator(id uint64) int { return int(id>>48) - 1 }
 
 // Phase names the steal-protocol phase an op code implements: the probe
-// (damping read), the claim (fetch-add on the stealval), the copy (get
-// or vectored get of the task block), the ack (non-blocking completion
-// store), or the fused claim+copy.
+// (damping read), the claim (fetch-add on the stealval; SDC's lock), the
+// copy (get or vectored get of the task block), the ack (non-blocking
+// completion store), or the fused claim+copy.
 func Phase(op shmem.Op) string {
 	switch op {
 	case shmem.OpLoad:
 		return "probe"
-	case shmem.OpFetchAdd:
+	case shmem.OpFetchAdd, shmem.OpCompareSwap:
 		return "claim"
 	case shmem.OpGet, shmem.OpGetV:
 		return "copy"
@@ -168,25 +172,16 @@ func Build(dumps []trace.FlightDump) *Report {
 	}
 	for _, e := range r.Timeline {
 		switch e.Kind {
-		case trace.StealSpanStart:
-			s := span(e.Span)
-			s.Start, s.HasStart = e.At, true
-			s.Victim = int(e.A)
-		case trace.StealSpanEnd:
-			s := span(e.Span)
-			s.End, s.HasEnd = e.At, true
-			s.Outcome = e.B
-			if s.Victim < 0 {
-				s.Victim = int(e.A)
+		case trace.Steal:
+			st, s := trace.UnpackSteal(e.A, e.B), span(e.Span)
+			s.Victim, s.Outcome = st.Victim, st.Outcome
+			s.Start, s.End, s.HasStart, s.HasEnd = e.At-st.Claim-st.Rest, e.At, true, true
+			if op := shmem.Op(st.ClaimOp); st.ClaimOp >= 0 {
+				s.Ops = append(s.Ops, OpSample{At: s.Start + st.Claim, PE: e.PE, Op: op, Phase: Phase(op), Dur: st.Claim})
 			}
-		case trace.CommOp:
-			if e.Span == 0 {
-				continue
+			if op := shmem.Op(st.CopyOp); st.CopyOp >= 0 {
+				s.Ops = append(s.Ops, OpSample{At: e.At, PE: e.PE, Op: op, Phase: Phase(op), Dur: st.Rest})
 			}
-			op := shmem.Op(e.A)
-			span(e.Span).Ops = append(span(e.Span).Ops, OpSample{
-				At: e.At, PE: e.PE, Op: op, Phase: Phase(op), Dur: time.Duration(e.B),
-			})
 		case trace.VictimOp:
 			op := shmem.Op(e.A)
 			s := span(e.Span)
@@ -338,14 +333,10 @@ func (r *Report) PhaseStats() []PhaseStat {
 		for _, d := range ds {
 			sum += d
 		}
-		p95 := ds[(len(ds)*95)/100]
-		if (len(ds)*95)/100 >= len(ds) {
-			p95 = ds[len(ds)-1]
-		}
 		out = append(out, PhaseStat{
 			Phase: phase, Count: len(ds),
 			Min: ds[0], Mean: sum / time.Duration(len(ds)),
-			P95: p95, Max: ds[len(ds)-1],
+			P95: ds[len(ds)*95/100], Max: ds[len(ds)-1],
 		})
 	}
 	for _, p := range phaseOrder {

@@ -14,21 +14,26 @@ import (
 	"sws/internal/trace"
 )
 
-// synthDumps builds a two-rank journal pair for one complete steal
-// (rank 0 stealing from rank 1), a dangling span (its end lost to a
-// crash), a dead-rank observation from each side of the world, and a
-// supervisor kill journal.
+// stealRec is the A and B words of a trace.Steal event.
+func stealRec(victim int, outcome int64, claimOp, copyOp shmem.Op, claim, rest time.Duration) (a, b int64) {
+	return trace.StealRecord{Victim: victim, Outcome: outcome, ClaimOp: int(claimOp), CopyOp: int(copyOp), Claim: claim, Rest: rest}.Pack()
+}
+
+// synthDumps builds a two-rank journal pair for one complete steal (rank 0
+// stealing three tasks from rank 1 after a damping probe), one attempt that
+// only the probe answered (rank 1 finding rank 2 still empty), a steal of
+// rank 2's that only its victim's applies witness (rank 2 died mid-steal),
+// a dead-rank observation from each side of the world, and a supervisor
+// kill journal.
 func synthDumps() []trace.FlightDump {
-	span := uint64(1)<<48 | 7 // initiator rank 0, seq 7
-	lost := uint64(2)<<48 | 1 // initiator rank 1, never ended
+	span := uint64(1)<<48 | 7  // initiator rank 0, seq 7
+	probe := uint64(2)<<48 | 1 // initiator rank 1, seq 1
+	lost := uint64(3)<<48 | 4  // initiator rank 2, which died
 	ns := func(n int64) time.Duration { return time.Duration(n) }
+	a, b := stealRec(1, 3, shmem.OpFetchAdd, shmem.OpGetV, 150, 200)
+	pa, pb := stealRec(2, 0, shmem.OpLoad, -1, 55, 5)
 	r0 := trace.FlightDump{Rank: 0, NumPEs: 3, Reason: "steal failed: peer dead", WallNS: 1000, Events: []trace.Event{
-		{At: ns(100), PE: 0, Kind: trace.StealSpanStart, A: 1, Span: span},
-		{At: ns(150), PE: 0, Kind: trace.CommOp, A: int64(shmem.OpLoad), B: 40, Span: span},
-		{At: ns(250), PE: 0, Kind: trace.CommOp, A: int64(shmem.OpFetchAdd), B: 60, Span: span},
-		{At: ns(380), PE: 0, Kind: trace.CommOp, A: int64(shmem.OpGetV), B: 90, Span: span},
-		{At: ns(430), PE: 0, Kind: trace.CommOp, A: int64(shmem.OpStoreNBI), B: 20, Span: span},
-		{At: ns(450), PE: 0, Kind: trace.StealSpanEnd, A: 1, B: 3, Span: span},
+		{At: ns(450), PE: 0, Kind: trace.Steal, A: a, B: b, Span: span},
 		{At: ns(500), PE: 0, Kind: trace.QueueDepth, A: 0, B: 0},
 		{At: ns(600), PE: 0, Kind: trace.PeerState, A: 2, B: int64(shmem.PeerDead)},
 	}}
@@ -37,8 +42,8 @@ func synthDumps() []trace.FlightDump {
 		{At: ns(230), PE: 1, Kind: trace.VictimOp, A: int64(shmem.OpFetchAdd), B: 0, Span: span},
 		{At: ns(360), PE: 1, Kind: trace.VictimOp, A: int64(shmem.OpGetV), B: 0, Span: span},
 		{At: ns(420), PE: 1, Kind: trace.VictimOp, A: int64(shmem.OpStoreNBI), B: 0, Span: span},
-		{At: ns(700), PE: 1, Kind: trace.StealSpanStart, A: 2, Span: lost},
-		{At: ns(710), PE: 1, Kind: trace.CommOp, A: int64(shmem.OpLoad), B: 55, Span: lost},
+		{At: ns(560), PE: 1, Kind: trace.VictimOp, A: int64(shmem.OpFetchAdd), B: 2, Span: lost},
+		{At: ns(710), PE: 1, Kind: trace.Steal, A: pa, B: pb, Span: probe},
 		{At: ns(720), PE: 1, Kind: trace.PeerState, A: 2, B: int64(shmem.PeerDead)},
 	}}
 	sup := trace.FlightDump{Rank: -1, NumPEs: 3, Reason: "supervisor: SIGKILLed rank 2", WallNS: 1000, Events: []trace.Event{
@@ -52,8 +57,8 @@ func TestBuildMergesSpanTree(t *testing.T) {
 	if r.NumPEs != 3 {
 		t.Fatalf("NumPEs = %d, want 3", r.NumPEs)
 	}
-	if len(r.Spans) != 2 {
-		t.Fatalf("spans = %d, want 2", len(r.Spans))
+	if len(r.Spans) != 3 {
+		t.Fatalf("spans = %d, want 3", len(r.Spans))
 	}
 	s := r.Spans[0]
 	if s.Initiator != 0 || s.Victim != 1 {
@@ -63,28 +68,50 @@ func TestBuildMergesSpanTree(t *testing.T) {
 		t.Fatalf("span completion = start %v end %v outcome %d, want complete stolen(3)",
 			s.HasStart, s.HasEnd, s.Outcome)
 	}
-	if s.Duration() != 350 {
-		t.Fatalf("span duration = %v, want 350ns", s.Duration())
+	if s.Start != 100 || s.Duration() != 350 {
+		t.Fatalf("span = %v from %v, want 350ns from 100ns", s.Duration(), s.Start)
 	}
-	if len(s.Ops) != 4 || len(s.VictimOps) != 4 {
-		t.Fatalf("ops = %d initiator + %d victim, want 4 + 4", len(s.Ops), len(s.VictimOps))
+	if len(s.Ops) != 2 || len(s.VictimOps) != 4 {
+		t.Fatalf("ops = %d initiator + %d victim, want 2 + 4", len(s.Ops), len(s.VictimOps))
 	}
-	wantPhases := []string{"probe", "claim", "copy", "ack"}
-	for i, p := range wantPhases {
-		if s.Ops[i].Phase != p {
-			t.Errorf("initiator op %d phase = %q, want %q", i, s.Ops[i].Phase, p)
+	for i, want := range []OpSample{
+		{At: 250, PE: 0, Op: shmem.OpFetchAdd, Phase: "claim", Dur: 150},
+		{At: 450, PE: 0, Op: shmem.OpGetV, Phase: "copy", Dur: 200},
+	} {
+		if s.Ops[i] != want {
+			t.Errorf("initiator op %d = %+v, want %+v", i, s.Ops[i], want)
 		}
+	}
+	for i, p := range []string{"probe", "claim", "copy", "ack"} {
 		if s.VictimOps[i].Phase != p {
 			t.Errorf("victim op %d phase = %q, want %q", i, s.VictimOps[i].Phase, p)
 		}
 	}
-
-	dangling := r.Spans[1]
-	if dangling.HasEnd || dangling.OutcomeString() != "lost" {
-		t.Fatalf("dangling span = end %v %q, want lost", dangling.HasEnd, dangling.OutcomeString())
+	if p := r.Spans[1]; p.Initiator != 1 || p.Victim != 2 || p.OutcomeString() != "empty" || len(p.Ops) != 1 || p.Ops[0].Phase != "probe" {
+		t.Fatalf("probe-only span = %+v, want 1 -> 2, empty, one probe op", p)
 	}
-	if dangling.Initiator != 1 || dangling.Victim != 2 {
-		t.Fatalf("dangling endpoints = %d -> %d, want 1 -> 2", dangling.Initiator, dangling.Victim)
+}
+
+// TestVictimOnlySpanIsLost: a steal whose thief died before its record was
+// written is seen only through its victim's applies. It is a span all the
+// same, against the victim that journaled them, and it reads as lost: an
+// error in the thief's starvation row, and no slowest-span candidate.
+func TestVictimOnlySpanIsLost(t *testing.T) {
+	r := Build(synthDumps())
+	lost := r.Spans[2]
+	if lost.HasStart || lost.HasEnd || lost.OutcomeString() != "lost" {
+		t.Fatalf("victim-only span = start %v end %v %q, want lost", lost.HasStart, lost.HasEnd, lost.OutcomeString())
+	}
+	if lost.Initiator != 2 || lost.Victim != 1 || len(lost.Ops) != 0 || len(lost.VictimOps) != 1 {
+		t.Fatalf("victim-only span = %+v, want 2 -> 1 with one victim apply", lost)
+	}
+	if st := r.Starvation()[2]; st.Attempts != 1 || st.Errors != 1 {
+		t.Fatalf("rank 2 starvation = %+v, want 1 attempt counted as an error", st)
+	}
+	for _, s := range r.SlowestSpans(0) {
+		if s == lost {
+			t.Fatal("a lost span is among the slowest")
+		}
 	}
 }
 
@@ -118,22 +145,25 @@ func TestPhaseStatsAndHeatmap(t *testing.T) {
 	for _, p := range ps {
 		byPhase[p.Phase] = p
 	}
-	if p := byPhase["probe"]; p.Count != 2 || p.Min != 40 || p.Max != 55 {
-		t.Fatalf("probe stat = %+v, want count 2, min 40ns, max 55ns", p)
+	if p := byPhase["probe"]; p.Count != 1 || p.Min != 55 {
+		t.Fatalf("probe stat = %+v, want count 1, 55ns", p)
 	}
-	if p := byPhase["copy"]; p.Count != 1 || p.Mean != 90 {
-		t.Fatalf("copy stat = %+v, want count 1, mean 90ns", p)
+	if p := byPhase["claim"]; p.Count != 1 || p.Mean != 150 {
+		t.Fatalf("claim stat = %+v, want count 1, mean 150ns", p)
+	}
+	if p := byPhase["copy"]; p.Count != 1 || p.Mean != 200 {
+		t.Fatalf("copy stat = %+v, want count 1, mean 200ns", p)
 	}
 	hm := r.VictimHeatmap()
-	if hm[0][1] != 1 || hm[1][2] != 1 || hm[0][2] != 0 {
-		t.Fatalf("heatmap = %v, want [0][1]=1 [1][2]=1 [0][2]=0", hm)
+	if hm[0][1] != 1 || hm[1][2] != 1 || hm[2][1] != 1 || hm[0][2] != 0 {
+		t.Fatalf("heatmap = %v, want [0][1]=1 [1][2]=1 [2][1]=1 [0][2]=0", hm)
 	}
 	st := r.Starvation()
 	if st[0].Attempts != 1 || st[0].Stolen != 1 || st[0].IdleSamples != 1 {
 		t.Fatalf("rank 0 starvation = %+v, want 1 attempt, 1 stolen, 1 idle sample", st[0])
 	}
-	if st[1].Attempts != 1 || st[1].Errors != 1 {
-		t.Fatalf("rank 1 starvation = %+v, want 1 attempt counted as error (lost span)", st[1])
+	if st[1].Attempts != 1 || st[1].Empty != 1 {
+		t.Fatalf("rank 1 starvation = %+v, want 1 attempt, found empty", st[1])
 	}
 }
 
@@ -177,7 +207,7 @@ func TestWriteTextTimeline(t *testing.T) {
 		t.Fatalf("the timeline is not a suffix of the plain report:\n%s", full.String())
 	}
 	lines := strings.Split(strings.TrimSpace(tail), "\n")
-	if len(lines) != 6 || !strings.Contains(lines[1], "exec") || !strings.Contains(lines[4], "steal-ok") || !strings.Contains(lines[5], "terminated") {
+	if len(lines) != 6 || !strings.Contains(lines[1], "exec") || !strings.Contains(lines[4], "steal") || !strings.Contains(lines[5], "terminated") {
 		t.Errorf("timeline section = %q, want a heading and the 5 events in time order", lines)
 	}
 }
@@ -195,7 +225,8 @@ func tracedDumps(t *testing.T) []trace.FlightDump {
 	s.PE(0).RecordAt(10*us, trace.TaskExec, 3, int64(5*us), 0)
 	s.PE(0).RecordAt(12*us, trace.Release, 0, 4, 0)
 	s.PE(1).RecordAt(15*us, trace.CommOp, int64(shmem.OpFetchAdd), int64(2*us), 0)
-	s.PE(1).RecordAt(20*us, trace.StealOK, 0, 2, 0)
+	a, b := stealRec(0, 2, shmem.OpFetchAdd, shmem.OpGet, us, 2*us)
+	s.PE(1).RecordAt(20*us, trace.Steal, a, b, uint64(2)<<48|1)
 	s.PE(1).RecordAt(30*us, trace.Terminated, 0, 0, 0)
 	return s.Dumps("traced run")
 }
@@ -208,9 +239,9 @@ func tiedDumps(t *testing.T) []trace.FlightDump {
 		t.Fatal(err)
 	}
 	at := 5 * time.Microsecond
-	s.PE(2).RecordAt(at, trace.StealEmpty, 0, 0, 0)
-	s.PE(0).RecordAt(at, trace.StealEmpty, 1, 0, 0)
-	s.PE(1).RecordAt(at, trace.StealEmpty, 2, 0, 0)
+	s.PE(2).RecordAt(at, trace.TaskSpawn, 0, 0, 0)
+	s.PE(0).RecordAt(at, trace.TaskSpawn, 1, 0, 0)
+	s.PE(1).RecordAt(at, trace.TaskSpawn, 2, 0, 0)
 	s.PE(1).RecordAt(at, trace.Release, 0, 1, 0) // same PE, same At: recording order
 	return s.Dumps("ties")
 }
@@ -245,8 +276,8 @@ func TestWritePerfettoIsValidTraceJSON(t *testing.T) {
 			{"name": "exec", "ph": "X", "ts": 5.0, "dur": 5.0, "tid": 0.0},
 			{"name": "comm-op", "ph": "X", "ts": 13.0, "dur": 2.0, "tid": 1.0},
 		}},
-		{"trace set: a steal is an instant and a flow from victim to thief", tracedDumps(t), []event{
-			{"name": "steal", "ph": "i", "tid": 1.0},
+		{"trace set: a steal is a slice and a flow from victim to thief", tracedDumps(t), []event{
+			{"name": "steal stolen(2)", "ph": "X", "ts": 17.0, "dur": 3.0, "tid": 1.0},
 			{"name": "steal", "ph": "s", "tid": 0.0, "id": "steal-1"},
 			{"name": "steal", "ph": "f", "tid": 1.0, "id": "steal-1", "bp": "e"},
 			{"name": "release", "ph": "i", "tid": 0.0}, {"name": "terminated", "ph": "i", "tid": 1.0},
@@ -287,7 +318,7 @@ func TestWritePerfettoIsValidTraceJSON(t *testing.T) {
 	for _, e := range Build(tiedDumps(t)).Timeline {
 		order = append(order, fmt.Sprintf("%d:%v", e.PE, e.Kind))
 	}
-	if got, want := strings.Join(order, " "), "0:steal-empty 1:steal-empty 1:release 2:steal-empty"; got != want {
+	if got, want := strings.Join(order, " "), "0:spawn 1:spawn 1:release 2:spawn"; got != want {
 		t.Errorf("merged order of tied events = %q, want %q", got, want)
 	}
 }
@@ -421,8 +452,8 @@ func TestLoadDirRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Dumps) != 3 || len(r.Spans) != 2 {
-		t.Fatalf("loaded %d dumps, %d spans; want 3 dumps, 2 spans", len(r.Dumps), len(r.Spans))
+	if len(r.Dumps) != 3 || len(r.Spans) != 3 {
+		t.Fatalf("loaded %d dumps, %d spans; want 3 dumps, 3 spans", len(r.Dumps), len(r.Spans))
 	}
 	if got := r.DeadRanks(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("DeadRanks after round-trip = %v, want [2]", got)

@@ -132,7 +132,7 @@ func (r *Report) writeSpanTree(w io.Writer, s *Span) {
 	}
 	var lines []line
 	for _, op := range s.Ops {
-		lines = append(lines, line{op.At, fmt.Sprintf("├─ [initiator %d] %-10s %-12v rtt=%v", op.PE, op.Phase, op.Op, op.Dur)})
+		lines = append(lines, line{op.At, fmt.Sprintf("├─ [initiator %d] %-10s %-12v took=%v", op.PE, op.Phase, op.Op, op.Dur)})
 	}
 	for _, op := range s.VictimOps {
 		lines = append(lines, line{op.At, fmt.Sprintf("│    └─ [victim %d] %-10s %-12v applied", op.PE, op.Phase, op.Op)})
@@ -167,12 +167,12 @@ func hexSpan(id uint64) string { return "0x" + strconv.FormatUint(id, 16) }
 
 // WritePerfetto exports the merged timeline as Chrome Trace Event JSON
 // (loadable in ui.perfetto.dev and chrome://tracing): one track per PE,
-// steal spans as slices enclosing their per-phase sub-op slices, victim
-// applies as instants on the victim's track, flow arrows joining the two
-// sides. What only a traced run records renders too: task executions and
-// comm ops outside a span as slices ending at their recorded timestamp, a
-// flow arrow from the victim's track to the thief's per successful steal,
-// every other scheduling event as an instant.
+// steal spans as slices enclosing their per-phase slices, victim applies
+// as instants on the victim's track, flow arrows joining the two sides,
+// and one from the victim's track to the thief's per successful steal.
+// What only a traced run records renders too: task executions and comm ops
+// outside a span as slices ending at their recorded timestamp, every other
+// scheduling event as an instant.
 func (r *Report) WritePerfetto(w io.Writer) error {
 	var evs []perfettoEvent
 	for pe := 0; pe < r.NumPEs; pe++ {
@@ -185,6 +185,7 @@ func (r *Report) WritePerfetto(w io.Writer) error {
 		Name: "thread_name", Ph: "M", Pid: 0, Tid: r.NumPEs,
 		Args: map[string]any{"name": "supervisor"},
 	})
+	steals := 0
 	for _, s := range r.Spans {
 		sid := hexSpan(s.ID)
 		if s.HasStart && s.HasEnd {
@@ -195,9 +196,16 @@ func (r *Report) WritePerfetto(w io.Writer) error {
 				Args: map[string]any{"span": sid, "victim": s.Victim, "outcome": s.OutcomeString()},
 			})
 		}
+		if s.HasEnd && s.Outcome > 0 {
+			steals++
+			id := "steal-" + strconv.Itoa(steals)
+			evs = append(evs,
+				perfettoEvent{Name: "steal", Cat: "steal", Ph: "s", ID: id, Ts: usAt(s.End), Pid: 0, Tid: s.Victim},
+				perfettoEvent{Name: "steal", Cat: "steal", Ph: "f", BP: "e", ID: id, Ts: usAt(s.End), Pid: 0, Tid: s.Initiator})
+		}
 		for _, op := range s.Ops {
 			// The journal records completion time; the slice starts one
-			// round-trip earlier.
+			// phase earlier.
 			start := op.At - op.Dur
 			if start < 0 {
 				start = 0
@@ -235,27 +243,16 @@ func (r *Report) WritePerfetto(w io.Writer) error {
 		start := max(e.At-time.Duration(e.B), 0)
 		return perfettoEvent{Name: name, Cat: cat, Ph: "X", Ts: usAt(start), Dur: usAt(e.At - start), Pid: 0, Tid: e.PE, Args: args}
 	}
-	steals := 0
 	for _, e := range r.Timeline {
 		instant := perfettoEvent{Name: e.Kind.String(), Cat: "sched", Ph: "i", Ts: usAt(e.At), Pid: 0, Tid: e.PE,
 			Args: map[string]any{"a": e.A, "b": e.B}}
 		switch e.Kind {
-		case trace.StealSpanStart, trace.StealSpanEnd, trace.VictimOp:
+		case trace.Steal, trace.VictimOp:
 			continue // drawn with their span above
 		case trace.CommOp:
-			if e.Span != 0 {
-				continue
-			}
 			instant = slice(e, "comm-op", "comm", map[string]any{"op": shmem.Op(e.A).String(), "ns": e.B})
 		case trace.TaskExec:
 			instant = slice(e, "exec", "task", map[string]any{"task": e.A})
-		case trace.StealOK:
-			steals++
-			id := "steal-" + strconv.Itoa(steals)
-			instant.Name, instant.Cat, instant.Args = "steal", "steal", map[string]any{"victim": e.A, "tasks": e.B}
-			evs = append(evs,
-				perfettoEvent{Name: "steal", Cat: "steal", Ph: "s", ID: id, Ts: usAt(e.At), Pid: 0, Tid: int(e.A)},
-				perfettoEvent{Name: "steal", Cat: "steal", Ph: "f", BP: "e", ID: id, Ts: usAt(e.At), Pid: 0, Tid: e.PE})
 		case trace.QueueDepth:
 			instant.Ph, instant.Cat, instant.Args = "C", "", map[string]any{"local": e.A, "shared": e.B}
 		case trace.PeerState:

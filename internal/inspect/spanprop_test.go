@@ -7,11 +7,45 @@ import (
 	"testing"
 
 	"sws/internal/core"
+	"sws/internal/sdc"
 	"sws/internal/shmem"
 	"sws/internal/task"
 	"sws/internal/trace"
 	"sws/internal/wsq"
 )
+
+// protocol is one steal protocol under test: how a PE opens its queue, and
+// what one successful steal journals about its ops.
+type protocol struct {
+	name string
+	open func(c *shmem.Ctx) (wsq.Queue, error)
+	// claim and copy are the ops the thief's record names (-1: none);
+	// victim are the ops the victim applies under the steal's span, and
+	// untagged the blocking ops that carry none (traffic outside any span,
+	// which a trace ring journals as comm-ops).
+	claim, copy      shmem.Op
+	victim, untagged []shmem.Op
+}
+
+var protocols = []protocol{{
+	name:  "sws",
+	open:  func(c *shmem.Ctx) (wsq.Queue, error) { return core.NewQueue(c, core.Options{Epochs: true}) },
+	claim: shmem.OpFetchAdd, copy: shmem.OpGet,
+	victim: []shmem.Op{shmem.OpFetchAdd, shmem.OpGet, shmem.OpStoreNBI},
+}, {
+	name: "sws-fused",
+	open: func(c *shmem.Ctx) (wsq.Queue, error) {
+		return core.NewQueue(c, core.Options{Epochs: true, Fused: true})
+	},
+	claim: shmem.OpFetchAddGet, copy: -1,
+	victim: []shmem.Op{shmem.OpFetchAddGet, shmem.OpStoreNBI},
+}, {
+	name:  "sdc",
+	open:  func(c *shmem.Ctx) (wsq.Queue, error) { return sdc.NewQueue(c, sdc.Options{}) },
+	claim: shmem.OpCompareSwap, copy: shmem.OpGet,
+	// lock, metadata get, tail put, unlock, block copy
+	untagged: []shmem.Op{shmem.OpCompareSwap, shmem.OpGet, shmem.OpPut, shmem.OpStore, shmem.OpGet},
+}}
 
 // stealAndDump performs one real steal (rank 1 from rank 0) on the given
 // transport with the flight recorder on, dumps the journals, and returns
@@ -20,12 +54,12 @@ import (
 // applies come back tagged with it.
 func stealAndDump(t *testing.T, kind shmem.TransportKind) *Report {
 	t.Helper()
-	return stealAndDumpInto(t, kind, nil)
+	return stealAndDumpInto(t, kind, protocols[0], nil)
 }
 
-// stealAndDumpInto is stealAndDump with tr, when non-nil, attached as the
-// two PEs' event rings before the steal.
-func stealAndDumpInto(t *testing.T, kind shmem.TransportKind, tr *trace.Set) *Report {
+// stealAndDumpInto is stealAndDump on protocol p's queues, with tr, when
+// non-nil, attached as the two PEs' event rings before the steal.
+func stealAndDumpInto(t *testing.T, kind shmem.TransportKind, p protocol, tr *trace.Set) *Report {
 	t.Helper()
 	dir := t.TempDir()
 	w, err := shmem.NewWorld(shmem.Config{
@@ -36,7 +70,7 @@ func stealAndDumpInto(t *testing.T, kind shmem.TransportKind, tr *trace.Set) *Re
 	}
 	err = w.Run(func(c *shmem.Ctx) error {
 		c.AttachTrace(tr.PE(c.Rank()))
-		q, err := core.NewQueue(c, core.Options{Epochs: true})
+		q, err := p.open(c)
 		if err != nil {
 			return err
 		}
@@ -176,12 +210,15 @@ func TestSpanPropagationRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStealJournaledOnce: a PE has one event ring and a steal is written
-// to it once. With a trace set attached, one successful steal leaves its
-// span-start, claim, copy, completion store and span-end each exactly once
-// on the thief's ring and each victim-side apply once on the victim's —
-// and the trace set IS the world's ring, so a failure dump holds the same
-// events, not a second recording of them.
+// TestStealJournaledOnce: a PE has one event ring and a steal attempt is
+// one record on it. On every protocol, on the world's flight ring and on an
+// attached trace set alike, one successful steal leaves exactly one Steal
+// record on the thief's ring — naming the victim, the tasks it brought and
+// the ops that claimed and copied them — and, where its ops carry the
+// span (SWS, SWS-Fused), each victim-side apply once on the victim's, and
+// nothing else anywhere but, on a wall-clock trace ring, one comm-op per
+// blocking op that carries no span (SDC's). With a trace set the set IS the world's ring, so a
+// failure dump holds the same events, not a second recording of them.
 func TestStealJournaledOnce(t *testing.T) {
 	kinds := []shmem.TransportKind{shmem.TransportLocal, shmem.TransportTCP, shmem.TransportSim}
 	if shmem.ShmSupported() {
@@ -189,63 +226,90 @@ func TestStealJournaledOnce(t *testing.T) {
 	}
 	for _, kind := range kinds {
 		t.Run(kind.String(), func(t *testing.T) {
-			tr, err := trace.NewSet(2, 256)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dumped := stealAndDumpInto(t, kind, tr)
-
-			type entry struct {
-				pe   int
-				kind trace.Kind
-				op   shmem.Op // of a comm-op or victim-op
-			}
-			var span uint64
-			got := map[entry]int{}
-			for _, e := range tr.Merged() {
-				if e.Span == 0 {
-					t.Errorf("event outside any span on a world that only stole: %v", e)
-					continue
+			for _, p := range protocols {
+				for _, traced := range []bool{false, true} {
+					name := p.name + "/flight"
+					if traced {
+						name = p.name + "/trace"
+					}
+					t.Run(name, func(t *testing.T) { stealJournaledOnce(t, kind, p, traced) })
 				}
-				if span == 0 {
-					span = e.Span
-				}
-				if e.Span != span {
-					t.Errorf("a second span %#x beside %#x: %v", e.Span, span, e)
-				}
-				en := entry{pe: e.PE, kind: e.Kind}
-				if e.Kind == trace.CommOp || e.Kind == trace.VictimOp {
-					en.op = shmem.Op(e.A)
-				}
-				got[en]++
-			}
-			want := []entry{
-				{1, trace.StealSpanStart, 0},
-				{1, trace.CommOp, shmem.OpFetchAdd}, // the claim
-				{1, trace.CommOp, shmem.OpGet},      // the copy
-				{1, trace.CommOp, shmem.OpStoreNBI}, // the completion store
-				{1, trace.StealSpanEnd, 0},
-				{0, trace.VictimOp, shmem.OpFetchAdd},
-				{0, trace.VictimOp, shmem.OpGet},
-				{0, trace.VictimOp, shmem.OpStoreNBI},
-			}
-			for _, en := range want {
-				if got[en] != 1 {
-					t.Errorf("PE %d journaled %v %v %d times, want once", en.pe, en.kind, en.op, got[en])
-				}
-				delete(got, en)
-			}
-			for en, n := range got {
-				t.Errorf("PE %d journaled %v %v %d times, want never", en.pe, en.kind, en.op, n)
-			}
-
-			// The dump wrote the ring in use: event for event what the trace
-			// set holds.
-			if merged := tr.Merged(); !reflect.DeepEqual(dumped.Timeline, merged) {
-				t.Errorf("the dump holds %d events, the trace set %d:\n dump  %v\n trace %v",
-					len(dumped.Timeline), len(merged), dumped.Timeline, merged)
 			}
 		})
+	}
+}
+
+func stealJournaledOnce(t *testing.T, kind shmem.TransportKind, p protocol, traced bool) {
+	var tr *trace.Set
+	if traced {
+		var err error
+		if tr, err = trace.NewSet(2, 256); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dumped := stealAndDumpInto(t, kind, p, tr)
+	journal := dumped.Timeline
+	if traced {
+		journal = tr.Merged()
+		// The dump wrote the ring in use: event for event what the trace
+		// set holds.
+		if !reflect.DeepEqual(journal, dumped.Timeline) {
+			t.Errorf("the dump holds %d events, the trace set %d:\n dump  %v\n trace %v",
+				len(dumped.Timeline), len(journal), dumped.Timeline, journal)
+		}
+	}
+
+	type entry struct {
+		pe   int
+		kind trace.Kind
+		op   shmem.Op // of a victim-op or comm-op
+	}
+	var span uint64
+	got := map[entry]int{}
+	for _, e := range journal {
+		if e.Span == 0 {
+			if traced && e.Kind == trace.CommOp {
+				got[entry{e.PE, e.Kind, shmem.Op(e.A)}]++
+			} else {
+				t.Errorf("event outside any span on a world that only stole: %v", e)
+			}
+			continue
+		}
+		if span == 0 {
+			span = e.Span
+		}
+		if e.Span != span {
+			t.Errorf("a second span %#x beside %#x: %v", e.Span, span, e)
+		}
+		en := entry{pe: e.PE, kind: e.Kind}
+		switch e.Kind {
+		case trace.VictimOp:
+			en.op = shmem.Op(e.A)
+		case trace.Steal:
+			r := trace.UnpackSteal(e.A, e.B)
+			if r.Victim != 0 || r.Outcome <= 0 || r.ClaimOp != int(p.claim) || r.CopyOp != int(p.copy) {
+				t.Errorf("steal record %+v, want victim 0, tasks, claim %d, copy %d", r, p.claim, p.copy)
+			}
+		}
+		got[en]++
+	}
+	want := map[entry]int{{1, trace.Steal, 0}: 1}
+	for _, op := range p.victim {
+		want[entry{0, trace.VictimOp, op}]++
+	}
+	for _, op := range p.untagged {
+		if traced && kind != shmem.TransportSim { // the sim times no op
+			want[entry{1, trace.CommOp, op}]++
+		}
+	}
+	for en, n := range want {
+		if got[en] != n {
+			t.Errorf("PE %d journaled %v %v %d times, want %d", en.pe, en.kind, en.op, got[en], n)
+		}
+		delete(got, en)
+	}
+	for en, n := range got {
+		t.Errorf("PE %d journaled %v %v %d times, want never", en.pe, en.kind, en.op, n)
 	}
 }
 

@@ -109,7 +109,7 @@ func (p *Pool) reseatVictims(lv *shmem.Liveness) {
 		if p.nowMember[v] {
 			p.tr.Record(trace.MemberJoin, int64(v), ep, 0)
 		} else if lv.Alive(v) {
-			// Voluntary departure only: deaths have PeerDeath events.
+			// Voluntary departure only: a death is journaled as its PeerState.
 			p.tr.Record(trace.MemberDrain, int64(v), ep, 0)
 		}
 	}

@@ -415,7 +415,7 @@ func (p *Pool) recordEpochFlip(at time.Time, moved int64) {
 		return
 	}
 	epoch := int64(p.coreQ.Epoch())
-	p.ctx.FlightRecordAt(at, trace.EpochFlip, epoch, moved)
+	p.ctx.FlightRecordAt(at, trace.EpochFlip, epoch, moved, 0)
 	p.bk.epoch.Store(epoch)
 }
 

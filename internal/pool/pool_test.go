@@ -568,7 +568,7 @@ func TestTracing(t *testing.T) {
 	}
 	// The trace set is the PEs' one ring: what every run journals — steal
 	// spans with both their sides, epoch flips — is on the same timeline.
-	for _, k := range []trace.Kind{trace.StealSpanStart, trace.StealSpanEnd, trace.VictimOp, trace.EpochFlip} {
+	for _, k := range []trace.Kind{trace.Steal, trace.VictimOp, trace.EpochFlip} {
 		if counts[k] == 0 {
 			t.Errorf("no %v events in the trace: the always-on events went to another ring", k)
 		}

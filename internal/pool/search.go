@@ -10,7 +10,6 @@ import (
 	"slices"
 
 	"sws/internal/shmem"
-	"sws/internal/trace"
 	"sws/internal/wsq"
 )
 
@@ -111,13 +110,12 @@ const stealTries = 2
 // search makes up to stealTries steal attempts against selected victims,
 // enqueueing any stolen tasks locally. It reports whether work was found.
 // Stolen tasks were counted as spawned by their original spawner, so they
-// are pushed without touching the termination counters.
+// are pushed without touching the termination counters. An attempt is
+// booked by the clock reads its journal record holds (StealElapsed).
 func (p *Pool) search() (bool, error) {
 	for i := 0; i < stealTries && p.vic.victims() > 0; i++ {
-		v := p.vic.next()
-		t0 := p.ctx.Now()
-		tasks, out, err := p.q.Steal(v)
-		el := p.ctx.Now().Sub(t0)
+		tasks, out, err := p.q.Steal(p.vic.next())
+		el := p.q.StealElapsed()
 		if err != nil {
 			transient, dead := stealFailure(err)
 			if !transient {
@@ -129,7 +127,6 @@ func (p *Pool) search() (bool, error) {
 			// stolen from); degraded termination accounts for its work.
 			p.bk.stealTransportErrs.Add(1)
 			p.bk.searchTime.Add(int64(el))
-			p.tr.Record(trace.PeerDeath, int64(v), 0, 0)
 			if dead || errors.Is(err, shmem.ErrOpTimeout) {
 				// First peer-death/timeout observation dumps the journal
 				// (once per process): the ring still holds the protocol
@@ -141,34 +138,30 @@ func (p *Pool) search() (bool, error) {
 			}
 			continue
 		}
-		switch out {
-		case wsq.Stolen:
-			p.bk.stealsOK.Add(1)
-			p.bk.tasksStolen.Add(uint64(len(tasks)))
-			p.bk.stealTime.Add(int64(el))
-			p.lat.steal.Record(el)
-			p.tr.Record(trace.StealOK, int64(v), int64(len(tasks)), 0)
-			// Publish activity before the stolen tasks become runnable so
-			// degraded-mode termination detection cannot read this PE as
-			// quiescent while it holds freshly stolen work.
-			p.det.NoteActivity()
-			for _, d := range tasks {
-				if err := p.push(d); err != nil {
-					return false, err
-				}
+		if out != wsq.Stolen {
+			if out == wsq.Empty {
+				p.bk.stealsEmpty.Add(1)
+			} else {
+				p.bk.stealsDisabled.Add(1)
 			}
-			return true, nil
-		case wsq.Empty:
-			p.bk.stealsEmpty.Add(1)
 			p.bk.searchTime.Add(int64(el))
 			p.lat.search.Record(el)
-			p.tr.Record(trace.StealEmpty, int64(v), 0, 0)
-		case wsq.Disabled:
-			p.bk.stealsDisabled.Add(1)
-			p.bk.searchTime.Add(int64(el))
-			p.lat.search.Record(el)
-			p.tr.Record(trace.StealDisabled, int64(v), 0, 0)
+			continue
 		}
+		p.bk.stealsOK.Add(1)
+		p.bk.tasksStolen.Add(uint64(len(tasks)))
+		p.bk.stealTime.Add(int64(el))
+		p.lat.steal.Record(el)
+		// Publish activity before the stolen tasks become runnable so
+		// degraded-mode termination detection cannot read this PE as
+		// quiescent while it holds freshly stolen work.
+		p.det.NoteActivity()
+		for _, d := range tasks {
+			if err := p.push(d); err != nil {
+				return false, err
+			}
+		}
+		return true, nil
 	}
 	return false, nil
 }

@@ -14,10 +14,13 @@ import (
 // Empty if the victim advertised no work, and Disabled if the lock stayed
 // contended past Options.LockAttempts.
 func (q *Queue) Steal(victim int) ([]task.Desc, wsq.Outcome, error) {
-	if err := q.CheckVictim(victim); err != nil {
-		return nil, wsq.Empty, err
-	}
+	return q.Attempt(victim, q.steal)
+}
 
+// steal is Steal's protocol body (see wsq.Slots.Attempt). Its ops carry no
+// span, so the victim journals none of them; the thief's record stands
+// alone.
+func (q *Queue) steal(victim int, _ shmem.SpanCtx) ([]task.Desc, wsq.Outcome, error) {
 	// (1) Acquire the remote lock, polling metadata while contended so an
 	// emptied queue aborts the attempt early.
 	ok, out, err := q.lockRemote(victim)
@@ -65,6 +68,7 @@ func (q *Queue) Steal(victim int) ([]task.Desc, wsq.Outcome, error) {
 	if err := q.ctx.Store64(victim, q.metaWordAddr(lockWord), 0); err != nil {
 		return nil, wsq.Empty, err
 	}
+	q.Claimed(shmem.OpCompareSwap)
 
 	// (5) Copy the claimed block: one get, or one getv when it wraps.
 	tasks, err := q.CopyBlock(q.ctx.WithSpan(0), victim, tail, k)

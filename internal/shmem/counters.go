@@ -104,7 +104,7 @@ var (
 	mBytes = obs.NewCounter("sws_shmem_bytes_total", "bytes", "pe, dir",
 		"Payload bytes moved by puts (dir=put) and gets (dir=got).")
 	mOpLatency = obs.NewQuantiles("sws_shmem_op_latency_seconds", "pe, op, target",
-		"Remote one-sided op latency quantiles (p50/p95/p99) over sampled ops: one in 64 per kind, every op inside a steal span or on a trace ring; target is always remote — a PE's ops on its own heap are memory accesses and are not timed.",
+		"Remote one-sided op latency quantiles (p50/p95/p99) over sampled ops: one in 64 per kind, every op on a trace ring; target is always remote — a PE's ops on its own heap are memory accesses and are not timed.",
 		"Remote one-sided op latency sample count: sampled ops (1 in 64 per kind), not all ops; exact counts are in sws_shmem_remote_ops_total.")
 )
 

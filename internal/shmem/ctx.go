@@ -26,8 +26,8 @@ type Ctx struct {
 	rec bool
 	// ring is this PE's event ring, picked once: the world's flight ring,
 	// or the trace ring AttachTrace put in its place. traced says which:
-	// a trace ring also takes the events of operations outside any steal
-	// span and of injections.
+	// a trace ring also takes the events of blocking operations outside
+	// any steal.
 	ring   *trace.Flight
 	traced bool
 
@@ -55,9 +55,9 @@ func (w *World) Distributed() bool { return w.localRank >= 0 }
 
 // AttachTrace makes f this PE's event ring for the rest of the world's
 // life, in place of the world's own flight ring: everything the PE and
-// its peers journal about it — and a failure dump — goes to f, and every
-// blocking remote operation records a trace.CommOp event (A = op code,
-// B = duration ns), not only those inside a steal span. A nil f keeps the
+// its peers journal about it — and a failure dump — goes to f, every
+// blocking remote operation is timed, and one outside a steal span records
+// a trace.CommOp event (A = op code, B = duration ns). A nil f keeps the
 // ring in use.
 func (c *Ctx) AttachTrace(f *trace.Flight) {
 	if f != nil {
@@ -73,51 +73,42 @@ func (c *Ctx) AttachTrace(f *trace.Flight) {
 func (c *Ctx) Lockstep() bool { return c.w.sim != nil }
 
 // latStart begins timing the n-th blocking remote op of its kind on mono
-// (zero: not timed). Nothing is timed under the sim; a span-tagged or traced
-// op always is, as its event carries the duration; any other op one in
+// (zero: not timed). Nothing is timed under the sim; an op on a trace ring
+// always is, as its event carries the duration; any other op one in
 // obs.SampleEvery of its kind: its two reads cost more than a shm atomic.
-func (c *Ctx) latStart(n, span uint64) time.Duration {
-	if !c.rec || (span == 0 && !c.traced && (n-1)%obs.SampleEvery != 0) {
+func (c *Ctx) latStart(n uint64) time.Duration {
+	if !c.rec || (!c.traced && (n-1)%obs.SampleEvery != 0) {
 		return 0
 	}
 	return mono()
 }
 
-// latEnd records a timed op's latency sample and, for a span-tagged op (so
-// a steal's initiator side survives to a post-mortem dump) or any op on a
-// trace ring, its event, stamped with the sample's one read (under the sim
-// a span-tagged op's event has no duration).
+// latEnd records a timed op's latency sample and, for an op on a trace ring
+// outside any steal (a steal journals itself once, as it ends), its event,
+// stamped with the sample's one read.
 func (c *Ctx) latEnd(op Op, t0 time.Duration, span uint64) {
 	if t0 == 0 {
-		if span != 0 {
-			c.ring.Record(trace.CommOp, int64(op), 0, span)
-		}
 		return
 	}
 	end := mono()
 	c.counters.recordLat(op, end-t0)
-	if span != 0 || c.traced {
-		c.ring.RecordTime(epoch.Add(end), trace.CommOp, int64(op), int64(end-t0), span)
+	if c.traced && span == 0 {
+		c.ring.RecordTime(epoch.Add(end), trace.CommOp, int64(op), int64(end-t0), 0)
 	}
-}
-
-// RecordSpanEvent records a span lifecycle event (start/end) into this
-// PE's ring. The steal implementation calls it around each attempt.
-func (c *Ctx) RecordSpanEvent(k trace.Kind, a, b int64, span uint64) {
-	c.ring.Record(k, a, b, span)
 }
 
 // FlightRecord records a non-span diagnostic event (queue depth, epoch
 // flip, membership transitions) into this PE's ring.
 func (c *Ctx) FlightRecord(k trace.Kind, a, b int64) { c.ring.Record(k, a, b, 0) }
 
-// FlightRecordAt is FlightRecord stamped at t, a Ctx.Now reading; under the
-// sim, whose virtual clock is not the ring's, the ring reads its own.
-func (c *Ctx) FlightRecordAt(t time.Time, k trace.Kind, a, b int64) {
+// FlightRecordAt is FlightRecord stamped at t, a Ctx.Now reading, and
+// tagged with span (zero: none); under the sim, whose virtual clock is not
+// the ring's, the ring reads its own.
+func (c *Ctx) FlightRecordAt(t time.Time, k trace.Kind, a, b int64, span uint64) {
 	if c.w.sim != nil {
 		t = time.Time{}
 	}
-	c.ring.RecordTime(t, k, a, b, 0)
+	c.ring.RecordTime(t, k, a, b, span)
 }
 
 // FlightDump dumps every ring this process records into to the world's
@@ -434,8 +425,8 @@ func (c *Ctx) Compute(d time.Duration) {
 // --- One-sided operations ---------------------------------------------------
 
 // do is the one front-end of every one-sided operation: the liveness
-// gate, the communication counters, the latency sample and span-tagged
-// journal entry, and the self-target short-circuit (a PE's operations on
+// gate, the communication counters, the latency sample and trace-ring
+// entry, and the self-target short-circuit (a PE's operations on
 // its own heap are plain memory operations: they never reach the
 // transport and are counted but not timed). r.from is filled in here. The descriptor comes in by
 // pointer (to the wrapper's stack temporary, which does not escape) and
@@ -455,20 +446,9 @@ func (c *Ctx) do(r *opReq) (uint64, []byte, error) {
 	}
 	n := c.counters.countRemote(r.op, len(r.buf))
 	if !r.op.Blocking() {
-		err := c.w.transport.nbi(*r)
-		if c.traced && r.span != 0 {
-			// Non-blocking injection: no latency to attribute. A trace ring
-			// shows the ack was issued (duration 0 = injected); the flight
-			// ring deliberately does not — the issue is implied by the
-			// span-end outcome, and the diagnostic that matters for weak
-			// ordering is the victim-side apply, which land records.
-			// Skipping it keeps the always-on steal path at two clock reads
-			// (span start and end).
-			c.ring.Record(trace.CommOp, int64(r.op), 0, r.span)
-		}
-		return 0, nil, err
+		return 0, nil, c.w.transport.nbi(*r)
 	}
-	t0 := c.latStart(n, r.span)
+	t0 := c.latStart(n)
 	val, data, err := c.w.transport.blocking(*r)
 	c.latEnd(r.op, t0, r.span)
 	if r.op == OpFetchAddGet && err == nil {

@@ -9,10 +9,10 @@ import (
 )
 
 // TestOpClockSampled is the count guard of the op clock: an untraced
-// blocking remote op outside any steal span is timed once in
+// blocking remote op, a steal's span-tagged ones too, is timed once in
 // obs.SampleEvery of its kind (the first and every SampleEvery-th after
-// it), while the op counts stay exact; on a trace ring, or carrying a span,
-// every op is timed; under the sim none is.
+// it), while the op counts stay exact; on a trace ring every op is timed;
+// under the sim none is.
 func TestOpClockSampled(t *testing.T) {
 	const n = 1000
 	everyTransport(t, func(t *testing.T, cfg Config) {
@@ -22,7 +22,7 @@ func TestOpClockSampled(t *testing.T) {
 				switch {
 				case cfg.Transport == TransportSim:
 					timed = 0
-				case mode == "sampled":
+				case mode != "traced":
 					timed = (n + obs.SampleEvery - 1) / obs.SampleEvery
 				}
 				// The span view has no put-signal: a span tags a steal's sub-ops.

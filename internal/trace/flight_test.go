@@ -14,8 +14,8 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.PE(0).RecordAt(5, StealSpanStart, 1, 0, 42)
-	s.PE(0).RecordAt(9, StealSpanEnd, 1, 3, 42)
+	s.PE(0).RecordAt(5, QueueDepth, 1, 0, 0)
+	s.PE(0).RecordAt(9, Steal, 1, 3, 42)
 	s.PE(1).RecordAt(7, VictimOp, 2, 0, 42)
 	for r := 0; r < s.NumPEs(); r++ {
 		if _, err := s.PE(r).DumpFile(dir, s.NumPEs(), "unit test"); err != nil {
@@ -40,7 +40,7 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	if len(merged) != 3 {
 		t.Fatalf("merged %d events, want 3", len(merged))
 	}
-	if merged[0].Kind != StealSpanStart || merged[1].Kind != VictimOp || merged[2].Kind != StealSpanEnd {
+	if merged[0].Kind != QueueDepth || merged[1].Kind != VictimOp || merged[2].Kind != Steal {
 		t.Fatalf("merge order wrong: %v", merged)
 	}
 }

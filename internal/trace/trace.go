@@ -3,7 +3,8 @@
 // when, when queues released or acquired work, how long termination
 // detection took. There is one ring type, Flight, and every PE of a world
 // has exactly one: the world's own small always-on ring (the flight
-// recorder: steal spans, queue depths, epoch flips, liveness and membership
+// recorder: one record per steal attempt, the victim side of its ops,
+// queue depths, epoch flips, liveness and membership
 // transitions), or — for a run that attached a Set through the pool
 // configuration — that Set's ring, which takes the same events plus the
 // per-task and per-scheduling-step kinds. flight.go is the JSONL journal a
@@ -25,12 +26,10 @@ const (
 	TaskExec Kind = iota
 	// TaskSpawn: a task was enqueued locally. A = task handle.
 	TaskSpawn
-	// StealOK: a steal succeeded. A = victim, B = tasks obtained.
-	StealOK
-	// StealEmpty: a steal attempt found no work. A = victim.
-	StealEmpty
-	// StealDisabled: the victim's queue was locked/disabled. A = victim.
-	StealDisabled
+	// Steal: a steal attempt ended at the thief, the attempt's one record.
+	// Span is its span ID, which its sub-operations carry to the victim
+	// (VictimOp); A and B pack a StealRecord.
+	Steal
 	// Release: tasks moved local -> shared. B = count.
 	Release
 	// Acquire: tasks moved shared -> local. B = count.
@@ -41,8 +40,8 @@ const (
 	InboxDrain
 	// Terminated: global termination observed.
 	Terminated
-	// CommOp: a blocking one-sided communication completed. A = op code
-	// (shmem.Op), B = duration ns.
+	// CommOp: a blocking one-sided communication outside any steal
+	// completed (trace rings only). A = op code (shmem.Op), B = duration ns.
 	CommOp
 	// EpochFlip: the queue started a new completion epoch. A = epoch
 	// number, B = tasks in the new shared block.
@@ -50,19 +49,6 @@ const (
 	// TermWave: a termination-detection summation pass finished.
 	// A = cumulative probe count, B = 1 if it declared termination.
 	TermWave
-	// PeerDeath: a steal against a peer failed at the transport layer
-	// (declared dead, crash-injected or unresponsive, or an injected drop
-	// or partition). A = the peer's rank.
-	PeerDeath
-	// StealSpanStart: a steal attempt began at the initiator. A = victim
-	// rank. Span carries the attempt's span ID; every sub-operation of
-	// the attempt records the same span so initiator- and victim-side
-	// events merge into one tree.
-	StealSpanStart
-	// StealSpanEnd: a steal attempt completed at the initiator.
-	// A = victim rank, B = outcome (tasks obtained if > 0, 0 = empty,
-	// -1 = disabled, -2 = error). Span matches the StealSpanStart.
-	StealSpanEnd
 	// VictimOp: a span-tagged one-sided operation was applied at its
 	// target (the victim side of a steal sub-op). A = op code (shmem.Op),
 	// B = the initiating rank.
@@ -92,29 +78,24 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	TaskExec:       "exec",
-	TaskSpawn:      "spawn",
-	StealOK:        "steal-ok",
-	StealEmpty:     "steal-empty",
-	StealDisabled:  "steal-disabled",
-	Release:        "release",
-	Acquire:        "acquire",
-	RemoteSpawn:    "remote-spawn",
-	InboxDrain:     "inbox-drain",
-	Terminated:     "terminated",
-	CommOp:         "comm-op",
-	EpochFlip:      "epoch-flip",
-	TermWave:       "term-wave",
-	PeerDeath:      "peer-death",
-	StealSpanStart: "span-start",
-	StealSpanEnd:   "span-end",
-	VictimOp:       "victim-op",
-	QueueDepth:     "queue-depth",
-	PeerState:      "peer-state",
-	JobStart:       "job-start",
-	JobEnd:         "job-end",
-	MemberJoin:     "member-join",
-	MemberDrain:    "member-drain",
+	TaskExec:    "exec",
+	TaskSpawn:   "spawn",
+	Steal:       "steal",
+	Release:     "release",
+	Acquire:     "acquire",
+	RemoteSpawn: "remote-spawn",
+	InboxDrain:  "inbox-drain",
+	Terminated:  "terminated",
+	CommOp:      "comm-op",
+	EpochFlip:   "epoch-flip",
+	TermWave:    "term-wave",
+	VictimOp:    "victim-op",
+	QueueDepth:  "queue-depth",
+	PeerState:   "peer-state",
+	JobStart:    "job-start",
+	JobEnd:      "job-end",
+	MemberJoin:  "member-join",
+	MemberDrain: "member-drain",
 }
 
 // KindByName resolves a kind name (as produced by Kind.String) back to
@@ -136,6 +117,42 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
+// StealRecord is what a Steal event holds: the victim, what came of the
+// attempt, the ops that made its claim and its copy, and how long the two
+// phases took on the thief's clock: the claim, from the start to the
+// claim's answer (SWS's fetch-add, SDC's lock through its unlock), and the
+// rest, the copy and the completion store.
+type StealRecord struct {
+	Victim int
+	// Outcome is tasks obtained if > 0, 0 = empty, -1 = disabled,
+	// -2 = error.
+	Outcome int64
+	// ClaimOp and CopyOp are op codes (shmem.Op), -1 for none: the attempt
+	// ended before its claim was answered, or it copied nothing, or the
+	// claim brought the tasks back (a fused claim and copy).
+	ClaimOp, CopyOp int
+	Claim, Rest     time.Duration
+}
+
+// Pack lays r out in an event's two words. A is the victim in its low 24
+// bits, ClaimOp+1 and CopyOp+1 in the next two bytes, and Outcome, signed,
+// in the top 24; B is Claim and Rest in ns, 32 bits each, saturating at
+// 4.29 s, so the 48-byte slot does not grow.
+func (r StealRecord) Pack() (a, b int64) {
+	ns := func(d time.Duration) uint64 { return uint64(min(max(d, 0), 1<<32-1)) }
+	a = r.Outcome<<40 | int64(r.CopyOp+1)&0xff<<32 | int64(r.ClaimOp+1)&0xff<<24 | int64(r.Victim)&(1<<24-1)
+	return a, int64(ns(r.Claim)<<32 | ns(r.Rest))
+}
+
+// UnpackSteal reads the StealRecord a Steal event's words hold.
+func UnpackSteal(a, b int64) StealRecord {
+	return StealRecord{
+		Victim: int(a & (1<<24 - 1)), Outcome: a >> 40,
+		ClaimOp: int(a>>24&0xff) - 1, CopyOp: int(a>>32&0xff) - 1,
+		Claim: time.Duration(uint64(b) >> 32), Rest: time.Duration(uint32(b)),
+	}
+}
+
 // Event is one recorded occurrence. Span, when non-zero, ties the event
 // to one cross-PE causal span (a steal attempt); all events carrying the
 // same span merge into one tree regardless of which PE recorded them.
@@ -148,10 +165,14 @@ type Event struct {
 }
 
 func (e Event) String() string {
-	if e.Span != 0 {
-		return fmt.Sprintf("%12v pe=%d %-14s a=%d b=%d span=%#x", e.At, e.PE, e.Kind, e.A, e.B, e.Span)
+	s := fmt.Sprintf("%12v pe=%d %-14s a=%d b=%d", e.At, e.PE, e.Kind, e.A, e.B)
+	if e.Kind == Steal {
+		s = fmt.Sprintf("%12v pe=%d %-14s %+v", e.At, e.PE, e.Kind, UnpackSteal(e.A, e.B))
 	}
-	return fmt.Sprintf("%12v pe=%d %-14s a=%d b=%d", e.At, e.PE, e.Kind, e.A, e.B)
+	if e.Span != 0 {
+		s += fmt.Sprintf(" span=%#x", e.Span)
+	}
+	return s
 }
 
 // Flight is one PE's event ring: a bounded, overwrite-oldest journal,

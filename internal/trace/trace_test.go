@@ -48,11 +48,11 @@ func TestRing(t *testing.T) {
 		for i := 0; i < tc.records; i++ {
 			switch i % 3 { // all three entry points claim slots alike
 			case 0:
-				tc.ring.Record(StealOK, int64(i), 5, 7)
+				tc.ring.Record(Steal, int64(i), 5, 7)
 			case 1:
-				tc.ring.RecordTime(time.Time{}, StealOK, int64(i), 5, 7)
+				tc.ring.RecordTime(time.Time{}, Steal, int64(i), 5, 7)
 			default:
-				tc.ring.RecordTime(time.Now(), StealOK, int64(i), 5, 7)
+				tc.ring.RecordTime(time.Now(), Steal, int64(i), 5, 7)
 			}
 		}
 		evs := tc.ring.Events()
@@ -62,7 +62,7 @@ func TestRing(t *testing.T) {
 			continue
 		}
 		for i, e := range evs {
-			if e.A != int64(tc.wantFirstA+i) || e.Kind != StealOK || e.B != 5 || e.Span != 7 {
+			if e.A != int64(tc.wantFirstA+i) || e.Kind != Steal || e.B != 5 || e.Span != 7 {
 				t.Errorf("%s: event %d = %+v, want A=%d (oldest retained first)", tc.name, i, e, tc.wantFirstA+i)
 			}
 			if i > 0 && e.At < evs[i-1].At {
@@ -114,7 +114,7 @@ func TestMergedAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.PE(0).Record(Release, 0, 4, 0)
-	s.PE(1).Record(StealOK, 0, 2, 0)
+	s.PE(1).Record(Steal, 0, 2, 0)
 	s.PE(0).Record(Acquire, 0, 1, 0)
 	merged := s.Merged()
 	if len(merged) != 3 {
@@ -125,7 +125,7 @@ func TestMergedAndCounts(t *testing.T) {
 			t.Error("merge not time-ordered")
 		}
 	}
-	for _, want := range []string{"release", "steal-ok", "acquire"} {
+	for _, want := range []string{"release", "steal", "acquire"} {
 		found := false
 		for _, e := range merged {
 			found = found || strings.Contains(e.String(), want)
@@ -135,8 +135,28 @@ func TestMergedAndCounts(t *testing.T) {
 		}
 	}
 	counts := s.CountByKind()
-	if counts[Release] != 1 || counts[StealOK] != 1 || counts[Acquire] != 1 {
+	if counts[Release] != 1 || counts[Steal] != 1 || counts[Acquire] != 1 {
 		t.Errorf("counts = %v", counts)
+	}
+}
+
+// TestStealRecordPacks: a Steal event's two words carry its record both
+// ways, a negative outcome and op "none" included, and a phase longer
+// than 32 bits of nanoseconds saturates instead of wrapping.
+func TestStealRecordPacks(t *testing.T) {
+	for _, r := range []StealRecord{
+		{Victim: 3, Outcome: 75, ClaimOp: 2, CopyOp: 11, Claim: 1500, Rest: 2300},
+		{Victim: 1<<24 - 1, Outcome: -2, ClaimOp: -1, CopyOp: -1},
+		{Victim: 0, Outcome: -1, ClaimOp: 10, CopyOp: -1, Claim: 7, Rest: 0},
+		{Victim: 255, Outcome: 1<<23 - 1, ClaimOp: 4, CopyOp: 1, Claim: 1<<32 - 1, Rest: 1},
+	} {
+		if got := UnpackSteal(r.Pack()); got != r {
+			t.Errorf("%+v came back as %+v", r, got)
+		}
+	}
+	long := StealRecord{Claim: 10 * time.Second, Rest: -1}
+	if got := UnpackSteal(long.Pack()); got.Claim != 1<<32-1 || got.Rest != 0 {
+		t.Errorf("durations out of range came back as %v and %v, want %v and 0", got.Claim, got.Rest, time.Duration(1<<32-1))
 	}
 }
 

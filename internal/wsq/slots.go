@@ -1,12 +1,15 @@
 package wsq
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"time"
 
 	"sws/internal/ring"
 	"sws/internal/shmem"
 	"sws/internal/task"
+	"sws/internal/trace"
 )
 
 // The buffer's geometry when a queue's options leave it zero: 8192 slots,
@@ -58,18 +61,19 @@ type Slots struct {
 	// (a Queue handle is driven by one goroutine, so reuse is safe).
 	stealBuf   []byte
 	stealSpans [2]shmem.Span
+	// The attempt in flight (see Attempt): seq numbers the thief's
+	// attempts, rec is its journal record in the making.
+	seq      uint64
+	rec      trace.StealRecord
+	answered time.Time
+	elapsed  time.Duration
 }
 
 // Init sets the buffer's geometry: capacity slots (at least 2) for payloads
 // of payloadCap bytes, zero taking the defaults. progress is the embedding
 // protocol. Init allocates nothing symmetric; AllocSlots does.
 func (s *Slots) Init(ctx *shmem.Ctx, capacity, payloadCap int, progress interface{ Progress() error }) error {
-	if capacity == 0 {
-		capacity = DefaultCapacity
-	}
-	if payloadCap == 0 {
-		payloadCap = DefaultPayloadCap
-	}
+	capacity, payloadCap = cmp.Or(capacity, DefaultCapacity), cmp.Or(payloadCap, DefaultPayloadCap)
 	if capacity < 2 {
 		return fmt.Errorf("wsq: capacity %d too small", capacity)
 	}
@@ -177,17 +181,42 @@ func (s *Slots) Pop() (task.Desc, bool, error) {
 	return d, true, nil
 }
 
-// CheckVictim rejects a steal from the thief's own queue or from a rank
-// outside the world.
-func (s *Slots) CheckVictim(victim int) error {
-	if victim == s.ctx.Rank() {
-		return fmt.Errorf("wsq: PE %d cannot steal from itself", victim)
+// Attempt is one steal attempt on victim by steal, the protocol's half (its
+// ops through sc carry the attempt's span; it calls Claimed on the claim's
+// answer), journaled once: it reads the clock at the start, on the claim's
+// answer and at the end, and writes one trace.Steal record on the thief's
+// ring. The span ID is (rank+1)<<48 | sequence: the thief is in the high
+// bits, IDs never collide across ranks, and zero stays untagged traffic's.
+func (s *Slots) Attempt(victim int, steal func(int, shmem.SpanCtx) ([]task.Desc, Outcome, error)) ([]task.Desc, Outcome, error) {
+	if victim == s.ctx.Rank() || victim < 0 || victim >= s.ctx.NumPEs() {
+		return nil, Empty, fmt.Errorf("wsq: PE %d cannot steal from PE %d of [0, %d)", s.ctx.Rank(), victim, s.ctx.NumPEs())
 	}
-	if victim < 0 || victim >= s.ctx.NumPEs() {
-		return fmt.Errorf("wsq: victim %d out of range [0, %d)", victim, s.ctx.NumPEs())
+	s.seq++
+	span := uint64(s.ctx.Rank()+1)<<48 | s.seq&(1<<48-1)
+	s.rec = trace.StealRecord{Victim: victim, ClaimOp: -1, CopyOp: -1}
+	start := s.ctx.Now()
+	tasks, out, err := steal(victim, s.ctx.WithSpan(span))
+	end, r := s.ctx.Now(), &s.rec
+	if r.ClaimOp < 0 {
+		s.answered = end
 	}
-	return nil
+	s.elapsed = end.Sub(start)
+	r.Claim, r.Rest, r.Outcome = s.answered.Sub(start), end.Sub(s.answered), int64(len(tasks))
+	if err != nil {
+		r.Outcome = -2
+	} else if out == Disabled {
+		r.Outcome = -1
+	}
+	a, b := r.Pack()
+	s.ctx.FlightRecordAt(end, trace.Steal, a, b, span)
+	return tasks, out, err
 }
+
+// Claimed reads the clock on the claim's answer, which op brought.
+func (s *Slots) Claimed(op shmem.Op) { s.rec.ClaimOp, s.answered = int(op), s.ctx.Now() }
+
+// StealElapsed is how long the last steal attempt took, on Ctx.Now.
+func (s *Slots) StealElapsed() time.Duration { return s.elapsed }
 
 // BlockSpans maps the k slots from logical position start on to at most two
 // byte ranges of the slot region. Wrapping is computed locally: queues are
@@ -220,9 +249,9 @@ func (s *Slots) CopyBlock(sc shmem.SpanCtx, victim int, start uint64, k int) ([]
 	}
 	buf := s.stealBuf[:size]
 	if n == 1 {
-		err = sc.Get(victim, s.stealSpans[0].Addr, buf)
+		s.rec.CopyOp, err = int(shmem.OpGet), sc.Get(victim, s.stealSpans[0].Addr, buf)
 	} else {
-		err = sc.GetV(victim, s.stealSpans[:n], buf)
+		s.rec.CopyOp, err = int(shmem.OpGetV), sc.GetV(victim, s.stealSpans[:n], buf)
 	}
 	if err != nil {
 		return nil, err

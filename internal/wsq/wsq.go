@@ -2,7 +2,8 @@
 // (the SDC baseline in internal/sdc and the SWS queue in internal/core)
 // share: the contract the pool runtime drives either protocol through, the
 // steal-half arithmetic, and the split buffer itself (Slots: task slots,
-// owner push and pop, ErrFull, the thief's block copy). The protocols
+// owner push and pop, ErrFull, the thief's block copy and the one journal
+// record of each steal attempt). The protocols
 // differ only in how a thief discovers and claims a block, so the
 // benchmarks' protocol flag swaps exactly what the paper's evaluation
 // compares.
@@ -11,6 +12,7 @@ package wsq
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"sws/internal/task"
 )
@@ -28,17 +30,13 @@ const (
 	Disabled
 )
 
+var outcomeNames = [...]string{"stolen", "empty", "disabled"}
+
 func (o Outcome) String() string {
-	switch o {
-	case Stolen:
-		return "stolen"
-	case Empty:
-		return "empty"
-	case Disabled:
-		return "disabled"
-	default:
-		return fmt.Sprintf("Outcome(%d)", int(o))
+	if o >= 0 && int(o) < len(outcomeNames) {
+		return outcomeNames[o]
 	}
+	return fmt.Sprintf("Outcome(%d)", int(o))
 }
 
 // Queue is one PE's view of its own task queue plus the ability to steal
@@ -59,10 +57,6 @@ func (o Outcome) String() string {
 // the whole point of the protocol. Callers can enforce (and document
 // violations of) the contract with OwnerGuard, around spans of owner work
 // rather than single ops.
-//
-// Both queues are the paper's fixed split circular buffer (Slots): Push on
-// a full ring fails with ErrFull and does nothing else about it. What to
-// do with the task is the runtime's decision.
 type Queue interface {
 	// Push enqueues a task at the head of the local portion, or fails
 	// with ErrFull when no slot is free after reclaiming completed steals.
@@ -97,8 +91,10 @@ type Queue interface {
 	// called periodically by the runtime.
 	Progress() error
 	// Steal attempts to steal from victim's queue, returning the stolen
-	// descriptors on success.
+	// descriptors on success, and journals the attempt once as it ends.
 	Steal(victim int) ([]task.Desc, Outcome, error)
+	// StealElapsed is how long the last Steal took, on Ctx.Now.
+	StealElapsed() time.Duration
 	// LocalCount returns the number of tasks in the local portion.
 	LocalCount() int
 	// SharedAvail returns the owner's view of unclaimed shared tasks.
@@ -109,10 +105,9 @@ type Queue interface {
 // alone on its cache lines. The owner writes it on every pop, and the task
 // body may write it again (pool.Func), so it is a per-task word — and Go
 // packs small objects of one size into one span, so two PEs' plain
-// make([]byte, 24) buffers can share a line. Whether they do is decided by
-// goroutine timing at construction; when they did, UTS T1 on 2 PEs ran
-// 70 ms per job instead of 50 for the life of the process. A multiple of
-// 128 bytes is its own, 128-aligned, size class.
+// make([]byte, 24) buffers can share a line (goroutine timing at
+// construction decides; UTS T1 on 2 PEs then ran 70 ms per job, not 50).
+// A multiple of 128 bytes is its own, 128-aligned, size class.
 func NewPopBuf(n int) []byte {
 	return make([]byte, (n+127)&^127)[:n:n]
 }
