@@ -102,7 +102,8 @@ func TestConfigFieldBudget(t *testing.T) {
 // record, written in one place (wsq.Slots.Attempt) for every protocol:
 // internal/trace has one kind for it and internal/inspect reads it back.
 // internal/term is one termination pass for every world: fault-free,
-// elastic and degraded. A bound is the last collapse's result rounded up to the next 50
+// elastic and degraded, over words of the reserved line that internal/shmem
+// declares and decodes once for the prober and the leader alike. A bound is the last collapse's result rounded up to the next 50
 // non-test lines, comments included, and internal/shmem's its exact count
 // (`ls internal/shmem/*.go | grep -v _test.go | xargs cat | wc -l`).
 // Raising one takes naming, in the commit, what came back and why it could
@@ -112,7 +113,7 @@ func TestShmemLineBudget(t *testing.T) {
 		pkg    string
 		budget int
 	}{
-		{"internal/shmem", 5475},
+		{"internal/shmem", 5473},
 		{"internal/bench", 1000},
 		{"internal/core", 950},
 		{"internal/sdc", 400},
@@ -225,7 +226,7 @@ func TestDocBudget(t *testing.T) {
 		file   string
 		budget int
 	}{
-		{"DESIGN.md", 1378},
+		{"DESIGN.md", 1377},
 		{"EXPERIMENTS.md", 1767},
 	} {
 		if n := lineCount(t, d.file); n > d.budget {

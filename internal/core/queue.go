@@ -188,10 +188,10 @@ func NewQueue(ctx *shmem.Ctx, opts Options) (*Queue, error) {
 // fetched stealval to the claimed block's byte ranges. It runs on the
 // transport's delivery goroutine, concurrently with owner operations, so
 // it must only read immutable queue state and the word it was handed.
-func (q *Queue) fusedRanges(old uint64) ([2]shmem.FusedSpan, int) {
+func (q *Queue) fusedRanges(old uint64) ([2]shmem.Span, int) {
 	v := q.format.Unpack(old)
 	if !v.Valid || int(v.Asteals) >= wsq.PlanLen(v.ITasks) {
-		return [2]shmem.FusedSpan{}, 0
+		return [2]shmem.Span{}, 0
 	}
 	k := wsq.StealHalf(v.ITasks, int(v.Asteals))
 	off := wsq.StealOffset(v.ITasks, int(v.Asteals))

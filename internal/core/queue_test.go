@@ -485,7 +485,7 @@ func TestStealFromDisabledQueue(t *testing.T) {
 			}
 			// Simulate the mid-reset window: disable the stealval exactly
 			// as retire() does.
-			if _, err := c.Swap64(c.Rank(), q.stealvalAddr, q.format.Disabled()); err != nil {
+			if err := c.Store64(c.Rank(), q.stealvalAddr, q.format.Disabled()); err != nil {
 				return err
 			}
 			if err := c.Barrier(); err != nil {

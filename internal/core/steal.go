@@ -59,7 +59,7 @@ func (q *Queue) stealSpanned(victim int, sc shmem.SpanCtx) ([]task.Desc, wsq.Out
 	if q.opts.Fused {
 		// Single round trip: claim and copy together (see Options.Fused).
 		op = shmem.OpFetchAddGet
-		old, fusedData, err = sc.FetchAddGet(victim, q.stealvalAddr, AstealsUnit)
+		old, fusedData, err = sc.FetchAddGet(victim, q.stealvalAddr, AstealsUnit, q.Staging(0))
 	} else {
 		old, err = sc.FetchAdd64(victim, q.stealvalAddr, AstealsUnit)
 	}

@@ -32,14 +32,12 @@ type book struct {
 	qLocal, qShared, epoch atomic.Int64
 }
 
-// move stores v into a gauge cell if it differs, reporting whether it did:
-// a refresh that changes nothing writes nothing.
-func move(cell *atomic.Int64, v int64) bool {
-	if cell.Load() == v {
-		return false
+// move stores v into a gauge cell if it differs: a refresh that changes
+// nothing writes nothing.
+func move(cell *atomic.Int64, v int64) {
+	if cell.Load() != v {
+		cell.Store(v)
 	}
-	cell.Store(v)
-	return true
 }
 
 // The families a pool exports, per PE.

@@ -368,6 +368,54 @@ func TestOwnerPublishesAtHandOffs(t *testing.T) {
 	}
 }
 
+// TestDepthSamplesMarkIdleEdges: a PE journals a queue-depth sample only as
+// it turns runnable or idle, not on every beat its depth moved, so a busy
+// PE's samples do not push the rest of its history out of the flight ring.
+// A one-PE chain whose every link leaves a leaf behind moves the depth on
+// every beat; it journals at most the two edges.
+func TestDepthSamplesMarkIdleEdges(t *testing.T) {
+	const links = 20000
+	w, err := shmem.NewWorld(shmem.Config{NumPEs: 1, HeapBytes: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(c *shmem.Ctx) error {
+		reg := NewRegistry()
+		leaf := reg.MustRegister("leaf", func(*TaskCtx, []byte) error { return nil })
+		var link task.Handle
+		link = reg.MustRegister("link", func(tc *TaskCtx, payload []byte) error {
+			args, err := task.ParseArgs(payload, 1)
+			if err != nil || args[0] == 0 {
+				return err
+			}
+			if err := tc.Spawn(leaf, nil); err != nil {
+				return err
+			}
+			return tc.Spawn(link, task.Args(args[0]-1))
+		})
+		p, err := New(c, reg, Config{})
+		if err != nil {
+			return err
+		}
+		if err := p.Add(link, task.Args(links)); err != nil {
+			return err
+		}
+		return p.Run()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := 0
+	for _, e := range w.Ring(0).Events() {
+		if e.Kind == trace.QueueDepth {
+			samples++
+		}
+	}
+	if samples > 2 {
+		t.Errorf("a %d-link chain journaled %d queue-depth samples, want at most 2 (turning runnable, turning idle)", links, samples)
+	}
+}
+
 // TestForeignAddDuringRunPanics: a job holds the owner guard from its start
 // to its end, so seeding from another goroutine while one runs panics every
 // time, naming both spans — not only when it happens to overlap a queue op.
@@ -711,9 +759,9 @@ func TestPerTaskWordsOwnTheirCacheLines(t *testing.T) {
 
 // TestSymmetricWordsOwnTheirLines is the same rule in the symmetric heap:
 // the words a peer reaches on the task path — the stealval and completion
-// array a thief fetch-adds and stores, the detector's words a leader reads,
-// the inbox write cursor a sender fetch-adds, the signals it puts and the
-// credit word it fetches — each start on a cache line, and the allocation
+// array a thief fetch-adds and stores, the reserved line that holds the
+// detector's words a leader reads, the inbox write cursor a sender
+// fetch-adds, the signals it puts and the credit word it fetches — each start on a cache line, and the allocation
 // after each starts past its last line, on every back-end, with every
 // rank's heap line-aligned. Packed word by word, one line held a PE's
 // detector words, its inbox cursor and its first signals, and every remote
@@ -743,7 +791,6 @@ func TestSymmetricWordsOwnTheirLines(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				det, detBytes := p.det.Region()
 				m := p.mbox
 				comp := p.coreQ.CompletionSlotAddr(0, 0)
 				compBytes := core.MaxEpochs * wsq.MaxPlanLen * shmem.WordSize
@@ -754,9 +801,9 @@ func TestSymmetricWordsOwnTheirLines(t *testing.T) {
 					addr, next shmem.Addr
 					bytes      int
 				}{
+					{"reserved line", 0, p.coreQ.StealvalAddr(), shmem.LineSize},
 					{"stealval", p.coreQ.StealvalAddr(), comp, shmem.WordSize},
 					{"completion array", comp, comp + shmem.Addr(compBytes), compBytes},
-					{"detector words", det, m.writeAddr, detBytes},
 					{"inbox write cursor", m.writeAddr, m.signalAddr, shmem.WordSize},
 					{"inbox signals", m.signalAddr, m.dataAddr, int(m.slots) * shmem.WordSize},
 					{"inbox credit word", m.creditAddr, after, shmem.WordSize},

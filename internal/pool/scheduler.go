@@ -326,12 +326,14 @@ func (p *Pool) stepProgress(iter int) error {
 	if err := p.refill(); err != nil {
 		return err
 	}
-	// Refresh the gauges, each only if it moved, and journal the depth on
-	// the same condition: an idle PE polling Progress must neither write
-	// its book nor flood its ring with identical samples.
+	// Refresh the gauges, each only if it moved; journal the depth only as
+	// the PE turns idle or runnable (a busy PE's moves nearly every beat).
 	bk := &p.bk
 	local, shared := int64(p.ownedCount()), int64(p.q.SharedAvail())
-	if moved := move(&bk.qLocal, local); move(&bk.qShared, shared) || moved {
+	wasIdle := bk.qLocal.Load()+bk.qShared.Load() == 0
+	move(&bk.qLocal, local)
+	move(&bk.qShared, shared)
+	if wasIdle != (local+shared == 0) {
 		p.ctx.FlightRecord(trace.QueueDepth, local, shared)
 	}
 	return nil

@@ -8,8 +8,8 @@ import (
 // barrier is one rank's handle on the world's one barrier, the same on
 // every world — local, shm, tcp or the sim, in-process or joined: a
 // sense-counting barrier on rank 0's reserved words. A PE arrives with a
-// fetch-add on barrierArriveAddr; the last arriver resets the count and
-// releases everyone by bumping barrierGenAddr, which the others wait on
+// fetch-add on WordBarrierArrive; the last arriver resets the count and
+// releases everyone by bumping WordBarrierGen, which the others wait on
 // through the transport's one wait on a word (waitWord: hostWaits' loop on
 // a wall clock, a parked wait in the sim's virtual time). gen is the
 // generation this rank last saw released.
@@ -35,7 +35,7 @@ func newBarrier(w *World, rank, n int) barrier {
 // peer the detector has not noticed surfaces as ErrBarrierTimeout.
 func (b *barrier) req() waitReq {
 	return waitReq{
-		rank: b.rank, on: 0, addr: barrierGenAddr, cmp: CmpGT, operand: b.gen,
+		rank: b.rank, on: 0, addr: WordBarrierGen.Addr(), cmp: CmpGT, operand: b.gen,
 		what: "barrier", timeout: b.timeout, expired: ErrBarrierTimeout,
 	}
 }
@@ -61,7 +61,7 @@ func (b *barrier) wait() error {
 	if err := r.giveUp(b.w, false, b.gen); err != nil {
 		return err
 	}
-	prev, err := b.op(OpFetchAdd, barrierArriveAddr, 1)
+	prev, err := b.op(OpFetchAdd, WordBarrierArrive.Addr(), 1)
 	if err != nil {
 		return err
 	}
@@ -69,10 +69,10 @@ func (b *barrier) wait() error {
 		// Last arriver: reset the count for the next generation, then
 		// release everyone. The order matters — the count must be clean
 		// before any released PE can arrive at the next barrier.
-		if _, err := b.op(OpStore, barrierArriveAddr, 0); err != nil {
+		if _, err := b.op(OpStore, WordBarrierArrive.Addr(), 0); err != nil {
 			return err
 		}
-		if _, err := b.op(OpFetchAdd, barrierGenAddr, 1); err != nil {
+		if _, err := b.op(OpFetchAdd, WordBarrierGen.Addr(), 1); err != nil {
 			return err
 		}
 		b.gen++

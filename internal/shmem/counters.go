@@ -15,13 +15,11 @@ const (
 	OpPut Op = iota
 	OpGet
 	OpFetchAdd
-	OpSwap
 	OpCompareSwap
 	OpLoad
 	OpStore
 	OpStoreNBI
 	OpAddNBI
-	OpPutNBI
 	OpFetchAddGet
 	OpGetV
 	OpPutSignal
@@ -32,13 +30,11 @@ var opNames = [...]string{
 	OpPut:         "put",
 	OpGet:         "get",
 	OpFetchAdd:    "fetch-add",
-	OpSwap:        "swap",
 	OpCompareSwap: "compare-swap",
 	OpLoad:        "atomic-fetch",
 	OpStore:       "atomic-store",
 	OpStoreNBI:    "atomic-store-nbi",
 	OpAddNBI:      "atomic-add-nbi",
-	OpPutNBI:      "put-nbi",
 	OpFetchAddGet: "fetch-add-get",
 	OpGetV:        "getv",
 	OpPutSignal:   "put-signal",
@@ -57,7 +53,7 @@ func enumName(names []string, v int, typ string) string {
 
 // Blocking reports whether the operation blocks the initiator until it
 // completes at the target.
-func (o Op) Blocking() bool { return o != OpStoreNBI && o != OpAddNBI && o != OpPutNBI }
+func (o Op) Blocking() bool { return o != OpStoreNBI && o != OpAddNBI }
 
 // Ops returns every operation kind, for callers that iterate per-op
 // metrics (counts, latency histograms) without knowing the enum bounds.
@@ -98,7 +94,7 @@ func (c *Counters) Latency(op Op) obs.HistSnap { return c.lat[op].Snapshot() }
 // The families a PE's communication counters export.
 var (
 	mRemoteOps = obs.NewCounter("sws_shmem_remote_ops_total", "ops", "pe, op",
-		"Remote one-sided operations by kind; op is the shmem op name: put, get, getv, fetch-add, fetch-add-get, swap, compare-swap, atomic-fetch, atomic-store, put-signal (a remote spawn's put-with-signal) and the injections atomic-store-nbi, atomic-add-nbi, put-nbi.")
+		"Remote one-sided operations by kind; op is the shmem op name: put, get, getv, fetch-add, fetch-add-get, compare-swap, atomic-fetch, atomic-store, put-signal (a remote spawn's put-with-signal) and the injections atomic-store-nbi, atomic-add-nbi.")
 	mLocalOps = obs.NewCounter("sws_shmem_local_ops_total", "ops", "pe",
 		"Self-targeted one-sided operations.")
 	mBytes = obs.NewCounter("sws_shmem_bytes_total", "bytes", "pe, dir",
@@ -128,7 +124,7 @@ func (c *Counters) Emit(e *obs.Emitter, pe obs.Label) {
 func (c *Counters) countRemote(op Op, payload int) uint64 {
 	n := c.ops[op].Add(1)
 	switch op {
-	case OpPut, OpPutNBI, OpPutSignal:
+	case OpPut, OpPutSignal:
 		c.bytesPut.Add(uint64(payload))
 	case OpGet, OpGetV:
 		c.bytesGot.Add(uint64(payload))

@@ -8,9 +8,9 @@ import (
 
 func TestOpStringsAndBlocking(t *testing.T) {
 	blocking := map[Op]bool{
-		OpPut: true, OpGet: true, OpFetchAdd: true, OpSwap: true,
+		OpPut: true, OpGet: true, OpFetchAdd: true,
 		OpCompareSwap: true, OpLoad: true, OpStore: true, OpPutSignal: true,
-		OpStoreNBI: false, OpAddNBI: false, OpPutNBI: false,
+		OpStoreNBI: false, OpAddNBI: false,
 	}
 	for op, want := range blocking {
 		if op.Blocking() != want {

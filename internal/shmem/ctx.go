@@ -161,8 +161,8 @@ func (s SpanCtx) Store64NBI(pe int, addr Addr, val uint64) error {
 }
 
 // FetchAddGet is Ctx.FetchAddGet carrying the view's span.
-func (s SpanCtx) FetchAddGet(pe int, addr Addr, delta uint64) (uint64, []byte, error) {
-	return s.c.do(&opReq{op: OpFetchAddGet, to: pe, addr: addr, v1: delta, span: s.span})
+func (s SpanCtx) FetchAddGet(pe int, addr Addr, delta uint64, dst []byte) (uint64, []byte, error) {
+	return s.c.do(&opReq{op: OpFetchAddGet, to: pe, addr: addr, v1: delta, buf: dst[:0], span: s.span})
 }
 
 // Rank returns this PE's rank in [0, NumPEs).
@@ -494,13 +494,6 @@ func (c *Ctx) FetchAdd64(pe int, addr Addr, delta uint64) (uint64, error) {
 	return c.WithSpan(0).FetchAdd64(pe, addr, delta)
 }
 
-// Swap64 atomically replaces the word at addr on PE pe with val and
-// returns the previous value.
-func (c *Ctx) Swap64(pe int, addr Addr, val uint64) (uint64, error) {
-	v, _, err := c.do(&opReq{op: OpSwap, to: pe, addr: addr, v1: val})
-	return v, err
-}
-
 // CompareSwap64 atomically replaces the word at addr on PE pe with new if
 // it equals old, returning the previous value (OpenSHMEM fetching CAS).
 func (c *Ctx) CompareSwap64(pe int, addr Addr, old, new uint64) (uint64, error) {
@@ -528,12 +521,6 @@ func (c *Ctx) Store64NBI(pe int, addr Addr, val uint64) error {
 // Add64NBI injects a non-fetching atomic add and returns immediately.
 func (c *Ctx) Add64NBI(pe int, addr Addr, delta uint64) error {
 	_, _, err := c.do(&opReq{op: OpAddNBI, to: pe, addr: addr, v1: delta})
-	return err
-}
-
-// PutNBI injects a bulk put and returns immediately.
-func (c *Ctx) PutNBI(pe int, addr Addr, src []byte) error {
-	_, _, err := c.do(&opReq{op: OpPutNBI, to: pe, addr: addr, buf: src})
 	return err
 }
 

@@ -24,11 +24,7 @@ import (
 // FusedRange maps a fetched word to at most two heap ranges to read (two
 // because a circular-buffer block may wrap). Return n=0 spans for "no
 // data" (e.g. the word shows nothing claimable).
-type FusedRange func(old uint64) (ranges [2]FusedSpan, n int)
-
-// FusedSpan is one contiguous heap range (an alias of the transport-level
-// Span, so fused handlers and vectored gets speak the same geometry).
-type FusedSpan = Span
+type FusedRange func(old uint64) (ranges [2]Span, n int)
 
 // fusedRegistry holds the world's handlers, by word address.
 type fusedRegistry struct {
@@ -72,9 +68,11 @@ func (c *Ctx) RegisterFused(addr Addr, f FusedRange) error {
 
 // FetchAddGet atomically adds delta to the word at addr on PE pe and, in
 // the same round trip, returns the bytes selected by the word's registered
-// handler applied to the prior value. One blocking communication.
-func (c *Ctx) FetchAddGet(pe int, addr Addr, delta uint64) (uint64, []byte, error) {
-	return c.WithSpan(0).FetchAddGet(pe, addr, delta)
+// handler applied to the prior value, gathered into dst's backing array
+// when its capacity covers them (else into a fresh one). One blocking
+// communication.
+func (c *Ctx) FetchAddGet(pe int, addr Addr, delta uint64, dst []byte) (uint64, []byte, error) {
+	return c.WithSpan(0).FetchAddGet(pe, addr, delta, dst)
 }
 
 // applyFused runs the handler against a target heap and gathers the
@@ -82,16 +80,23 @@ func (c *Ctx) FetchAddGet(pe int, addr Addr, delta uint64) (uint64, []byte, erro
 // array when its capacity suffices (one pass, no per-span staging — the
 // wrapped-block case is a single vectored gather). The returned slice
 // aliases buf only if cap(buf) covered the spans' total, and is otherwise
-// freshly allocated; callers that own a reusable response scratch pass it
-// here to keep the fused path allocation-free.
+// freshly allocated: buf is the initiator's dst, or the tcp service's
+// response scratch.
 func (w *World) applyFused(pe *peState, old uint64, addr Addr, buf []byte) ([]byte, error) {
 	f, ok := w.fused.lookup(addr)
 	if !ok {
 		return nil, fmt.Errorf("shmem: no fused handler registered for %#x", uint64(addr))
 	}
-	ranges, n, total := fusedSpans(f, old)
-	if n == 0 {
-		return nil, nil
+	ranges, n := f(old)
+	if n < 0 || n > len(ranges) {
+		return nil, fmt.Errorf("shmem: fused handler of %#x returned %d ranges", uint64(addr), n)
+	}
+	total := 0
+	for _, sp := range ranges[:n] {
+		if err := pe.checkRange(sp.Addr, sp.N); err != nil {
+			return nil, fmt.Errorf("shmem: fused handler of %#x produced bad range: %w", uint64(addr), err)
+		}
+		total += sp.N
 	}
 	out := buf
 	if cap(out) < total {
@@ -99,32 +104,9 @@ func (w *World) applyFused(pe *peState, old uint64, addr Addr, buf []byte) ([]by
 	}
 	out = out[:total]
 	off := 0
-	for i := 0; i < n; i++ {
-		sp := ranges[i]
-		if err := pe.checkRange(sp.Addr, sp.N); err != nil {
-			return nil, fmt.Errorf("shmem: fused handler of %#x produced bad range: %w", uint64(addr), err)
-		}
+	for _, sp := range ranges[:n] {
 		pe.copyOut(sp.Addr, out[off:off+sp.N])
 		off += sp.N
 	}
 	return out, nil
-}
-
-// fusedSpans normalizes a handler's output.
-func fusedSpans(f FusedRange, old uint64) ([2]FusedSpan, int, int) {
-	ranges, n := f(old)
-	if n < 0 {
-		n = 0
-	}
-	if n > 2 {
-		n = 2
-	}
-	total := 0
-	for i := 0; i < n; i++ {
-		if ranges[i].N < 0 {
-			ranges[i].N = 0
-		}
-		total += ranges[i].N
-	}
-	return ranges, n, total
 }

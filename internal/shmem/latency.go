@@ -21,10 +21,10 @@ import (
 // The zero value charges nothing and is what correctness tests use.
 type LatencyModel struct {
 	// BlockingRTT is charged to every blocking remote operation
-	// (Put, Get, FetchAdd64, Swap64, CompareSwap64, Load64, Store64).
+	// (Put, Get, FetchAdd64, CompareSwap64, Load64, Store64).
 	BlockingRTT time.Duration
 	// InjectOverhead is charged to every non-blocking remote injection
-	// (Store64NBI, Add64NBI, PutNBI).
+	// (Store64NBI, Add64NBI).
 	InjectOverhead time.Duration
 	// PerKB is an additional bandwidth charge per KiB of payload on
 	// bulk transfers (Put/Get), pro-rated by byte.

@@ -1,7 +1,6 @@
 package shmem
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -53,18 +52,21 @@ func opError(op Op, from, to int, err error) error {
 // PeerState is one peer's position in the failure detector's state machine.
 type PeerState int32
 
-// The numbers are what journals and sws_liveness_peer_state carry; 1 is
-// unused.
+// The numbers are what journals and sws_liveness_peer_state carry.
 const (
 	// PeerAlive: heartbeats (or explicit health evidence) current, or
 	// stalled for less than DeadAfter; operations still attempted.
 	PeerAlive PeerState = 0
+	// PeerExited: the rank's PE returned cleanly from World.Run on a
+	// joined world and said so in its state word. Terminal like Dead, but no failure: peers stop
+	// probing it and never declare it dead.
+	PeerExited PeerState = 1
 	// PeerDead: no heartbeat progress for DeadAfter (or explicit
 	// declaration). Terminal: a dead peer never comes back.
 	PeerDead PeerState = 2
 )
 
-var peerStateNames = [...]string{PeerAlive: "alive", PeerDead: "dead", PeerJoining: "joining", PeerDraining: "draining", PeerParked: "parked"}
+var peerStateNames = [...]string{PeerAlive: "alive", PeerExited: "exited", PeerDead: "dead", PeerJoining: "joining", PeerDraining: "draining", PeerParked: "parked"}
 
 func (s PeerState) String() string { return enumName(peerStateNames[:], int(s), "PeerState") }
 
@@ -126,8 +128,11 @@ func (l *Liveness) State(rank int) PeerState {
 	return PeerState(l.states[rank].Load())
 }
 
-// Alive reports whether rank has not been declared dead.
-func (l *Liveness) Alive(rank int) bool { return l.State(rank) != PeerDead }
+// Alive reports whether rank has neither been declared dead nor exited.
+func (l *Liveness) Alive(rank int) bool {
+	s := l.State(rank)
+	return s != PeerDead && s != PeerExited
+}
 
 // Killed reports whether rank has been crash-injected (it may not yet be
 // declared dead).
@@ -169,13 +174,12 @@ func (l *Liveness) crash(rank int) bool {
 
 // MarkDead declares rank dead (idempotent): peers' operations against it
 // fail with ErrPeerDead, and barriers and WaitUntil64 waits unwind.
-func (l *Liveness) MarkDead(rank int) {
-	if rank < 0 || rank >= len(l.states) {
-		return
-	}
-	for {
-		s := l.State(rank)
-		if s == PeerDead || l.transition(rank, s, PeerDead) {
+func (l *Liveness) MarkDead(rank int) { l.end(rank, PeerDead) }
+
+// end moves rank to a terminal state, Dead or Exited, unless it is in one.
+func (l *Liveness) end(rank int, to PeerState) {
+	for rank >= 0 && rank < len(l.states) {
+		if s := l.State(rank); s == PeerDead || s == PeerExited || l.transition(rank, s, to) {
 			return
 		}
 	}
@@ -232,7 +236,8 @@ func (l *Liveness) startProber(selfRank int) {
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
 		var beat uint64
-		var probe [membershipAddr + WordSize - heartbeatAddr]byte
+		var probe [LineSize]byte
+		var line Line
 		for {
 			select {
 			case <-l.stop:
@@ -243,27 +248,27 @@ func (l *Liveness) startProber(selfRank int) {
 			// probers via one-sided loads (every heap holds the reserved
 			// words; setDefaults rejects one that could not).
 			beat++
-			atomic.StoreUint64(&l.w.pes[selfRank].words[heartbeatAddr/WordSize], beat)
+			atomic.StoreUint64(&l.w.pes[selfRank].words[WordHeartbeat], beat)
 			// Re-advertise our own membership state each tick (covers a
 			// transition that raced an earlier publish) and mirror the
 			// peers' advertised states into the local view, so elastic
-			// membership converges across process boundaries. One Get
-			// fetches a peer's heartbeat and advertised state together.
+			// membership converges across process boundaries. One Get of
+			// a peer's line fetches its heartbeat and state together.
 			l.publishMember(selfRank)
 			now := epoch.Add(mono())
 			for r := 0; r < cfg.NumPEs; r++ {
 				if r == selfRank || !l.Alive(r) {
 					continue
 				}
-				_, _, err := l.w.transport.blocking(opReq{op: OpGet, from: selfRank, to: r, addr: heartbeatAddr, buf: probe[:]})
-				v := binary.NativeEndian.Uint64(probe[:])
+				_, _, err := l.w.transport.blocking(opReq{op: OpGet, from: selfRank, to: r, buf: probe[:]})
 				if err == nil {
-					l.mirrorMember(r, PeerState(binary.NativeEndian.Uint64(probe[WordSize:])))
+					line.Decode(probe[:])
+					l.mirrorMember(r, PeerState(line[WordState]))
 				}
 				p := &peers[r]
-				if err == nil && (!p.seen || v != p.lastVal) {
+				if err == nil && (!p.seen || line[WordHeartbeat] != p.lastVal) {
 					p.seen = true
-					p.lastVal = v
+					p.lastVal = line[WordHeartbeat]
 					p.lastChange = now
 					continue
 				}

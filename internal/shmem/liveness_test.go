@@ -5,9 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"sws/internal/trace"
 )
 
 // unwindWhenKilled parks a crash-injected PE's body until the injection
@@ -316,5 +320,64 @@ func TestLivenessInertWhenFaultFree(t *testing.T) {
 	tuned := run(true)
 	if !bytes.Equal(base, tuned) {
 		t.Fatalf("failure-detector tuning perturbed a fault-free schedule (%d vs %d bytes)", len(base), len(tuned))
+	}
+}
+
+// A PE whose body returns cleanly on a joined world says so in its state
+// word before its beats stop: peers that run on for three DeadAfter horizons
+// read it as exited and never journal it dead, over tcp (its service
+// answers two more probe periods) and shm (the word stays in the segment).
+func TestExitedPeerIsNotDeclaredDead(t *testing.T) {
+	for _, kind := range []TransportKind{TransportTCP, TransportShm} {
+		t.Run(kind.String(), func(t *testing.T) {
+			const n, deadAfter = 3, 200 * time.Millisecond
+			cfg := Config{NumPEs: n, HeapBytes: 1 << 16, Transport: kind, DeadAfter: deadAfter}
+			at := Endpoint{Coordinator: freeAddr(t)}
+			if kind == TransportShm {
+				requireShm(t)
+				at = Endpoint{Segment: filepath.Join(t.TempDir(), ShmSegmentName())}
+				seg, err := CreateShmSegment(at.Segment, n, cfg.HeapBytes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer seg.Close()
+			}
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			for rank := range n {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					at := at
+					at.Rank = rank
+					w, err := Join(cfg, at)
+					if err != nil {
+						errs[rank] = err
+						return
+					}
+					errs[rank] = w.Run(func(c *Ctx) error {
+						if err := c.Barrier(); err != nil || rank == n-1 {
+							return err
+						}
+						time.Sleep(3 * deadAfter)
+						if s := w.Live().State(n - 1); s != PeerExited {
+							return fmt.Errorf("rank %d reads rank %d as %v, want exited", rank, n-1, s)
+						}
+						for _, e := range w.Ring(rank).Events() {
+							if e.Kind == trace.PeerState && PeerState(e.B) == PeerDead {
+								return fmt.Errorf("rank %d journaled rank %d dead", rank, e.A)
+							}
+						}
+						return nil
+					})
+				}()
+			}
+			wg.Wait()
+			for r, err := range errs {
+				if err != nil {
+					t.Errorf("rank %d: %v", r, err)
+				}
+			}
+		})
 	}
 }

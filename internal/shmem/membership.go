@@ -110,7 +110,7 @@ func (l *Liveness) Leader() int {
 		switch s := PeerState(l.states[i].Load()); {
 		case s == PeerAlive || s == PeerJoining:
 			return i
-		case s != PeerDead && live < 0:
+		case s != PeerDead && s != PeerExited && live < 0:
 			live = i
 		}
 	}
@@ -209,30 +209,30 @@ func (l *Liveness) CompleteJoin(rank int) error {
 	return nil
 }
 
-// publishMember mirrors rank's state into its reserved heap word
-// (membershipAddr), where remote probers read it. Best-effort: over tcp
-// only the local rank's heap exists in this process.
+// publishMember mirrors rank's state into its reserved word (WordState),
+// where remote probers read it. Best-effort: over tcp only the local
+// rank's heap exists in this process.
 func (l *Liveness) publishMember(rank int) {
 	pe := l.w.pes[rank]
 	if pe == nil {
 		return
 	}
-	atomic.StoreUint64(&pe.words[membershipAddr/WordSize], uint64(l.states[rank].Load()))
+	atomic.StoreUint64(&pe.words[WordState], uint64(l.states[rank].Load()))
 }
 
 // mirrorMember folds a peer's remotely advertised membership state into
 // the local view (distributed worlds; the prober calls it). Voluntary
-// states copy over; Alive only overwrites another voluntary state, so
-// the heartbeat detector keeps sole authority over Dead.
+// states and an exit copy over; Alive only overwrites another voluntary
+// state, so the heartbeat detector keeps sole authority over Dead.
 func (l *Liveness) mirrorMember(rank int, adv PeerState) {
 	cur := l.State(rank)
-	if cur == PeerDead || cur == adv {
+	if cur == PeerDead || cur == PeerExited || cur == adv {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	switch adv {
-	case PeerJoining, PeerDraining, PeerParked:
+	case PeerJoining, PeerDraining, PeerParked, PeerExited:
 		l.transition(rank, cur, adv)
 	case PeerAlive:
 		if cur == PeerJoining || cur == PeerDraining || cur == PeerParked {

@@ -20,7 +20,7 @@ type opReq struct {
 	from, to int  // initiator and target ranks
 	addr     Addr // target address; unused by OpGetV, whose ranges are spans
 	// v1 is the operand: the delta of a fetch-add/add, the value of a
-	// swap/store, the expected value of a compare-swap (v2 is its
+	// store, the expected value of a compare-swap (v2 is its
 	// replacement), the signal of a put-signal (v2 is the signal word's
 	// address).
 	v1, v2 uint64
@@ -37,7 +37,7 @@ type opReq struct {
 // rather than acting on one 64-bit word.
 func (o Op) bulk() bool {
 	switch o {
-	case OpPut, OpGet, OpGetV, OpPutNBI, OpPutSignal:
+	case OpPut, OpGet, OpGetV, OpPutSignal:
 		return true
 	}
 	return false
@@ -51,7 +51,7 @@ func (o Op) bulk() bool {
 // whatever the next writer put there.
 func (o Op) redeliverable() bool {
 	switch o {
-	case OpStore, OpStoreNBI, OpPutNBI:
+	case OpStore, OpStoreNBI:
 		return true
 	}
 	return false
@@ -118,8 +118,8 @@ func (r *opReq) wrote(val uint64) bool {
 // val is the fetched word of an atomic; data is the bytes a get gathered
 // (r.buf) or a fused handler selected. Fused payloads are gathered into
 // *scratch when the caller owns a reusable staging buffer (kept grown for
-// the next op); with a nil scratch they are freshly allocated and owned
-// by the caller.
+// the next op); with a nil scratch, into r.buf's capacity (the initiator's
+// destination), else into fresh memory the caller owns.
 func (w *World) apply(pe *peState, r *opReq, scratch *[]byte) (val uint64, data []byte, err error) {
 	// Validate first: alignment and bounds of the word an atomic acts on,
 	// bounds of every byte range a transfer touches. A put-signal has both,
@@ -138,7 +138,7 @@ func (w *World) apply(pe *peState, r *opReq, scratch *[]byte) (val uint64, data 
 		}
 	}
 	switch r.op {
-	case OpPut, OpPutNBI:
+	case OpPut:
 		pe.copyIn(r.addr, r.buf)
 	case OpPutSignal:
 		// The store is the release edge: whoever acquires the signal word
@@ -159,8 +159,6 @@ func (w *World) apply(pe *peState, r *opReq, scratch *[]byte) (val uint64, data 
 		data = r.buf
 	case OpFetchAdd, OpAddNBI:
 		val = atomic.AddUint64(word, r.v1) - r.v1
-	case OpSwap:
-		val = atomic.SwapUint64(word, r.v1)
 	case OpCompareSwap:
 		// SHMEM's fetching compare-and-swap: returns the prior value.
 		for {
@@ -175,7 +173,7 @@ func (w *World) apply(pe *peState, r *opReq, scratch *[]byte) (val uint64, data 
 		atomic.StoreUint64(word, r.v1)
 	case OpFetchAddGet:
 		val = atomic.AddUint64(word, r.v1) - r.v1
-		var stage []byte
+		stage := r.buf
 		if scratch != nil {
 			stage = (*scratch)[:0]
 		}

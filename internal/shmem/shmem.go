@@ -10,8 +10,8 @@
 //   - Every processing element (PE) owns a symmetric heap. Collective
 //     allocations performed in the same order on every PE yield the same
 //     offset everywhere, as with shmem_malloc.
-//   - One-sided operations (Put, Get, FetchAdd64, Swap64, CompareSwap64,
-//     Load64, Store64, and their non-blocking variants) act on a target
+//   - One-sided operations (Put, Get, FetchAdd64, CompareSwap64, Load64,
+//     Store64, and their non-blocking variants) act on a target
 //     PE's heap without any cooperation from the target's worker code,
 //     mirroring NIC-side RDMA and atomic offload.
 //   - A configurable latency model charges each blocking operation a
@@ -175,36 +175,52 @@ const (
 	barrierTimeout = 5 * time.Minute
 )
 
-// The reserved words: the first reservedHeapBytes (one line) of every heap
-// belong to the runtime, so user allocations — whole lines (Ctx.Alloc) —
-// start at the same offset on every world and addresses stay symmetric
-// across deployment modes. This is the whole table — a new runtime word is
-// a new row here, not a constant beside its user:
+// The reserved line: the first LineSize bytes of every heap belong to the
+// runtime, so user allocations — whole lines (Ctx.Alloc) — start at the
+// same offset on every world and addresses stay symmetric across
+// deployment modes. This is the whole table of runtime words (heap: who
+// writes it; who reads it) — a new one is a new row here:
 //
-//	word 0  barrierArriveAddr  on rank 0's heap
-//	        written: every barrier arriver fetch-adds 1, the last stores 0
-//	        read:    only through those fetch-adds
-//	word 1  barrierGenAddr     on rank 0's heap
-//	        written: the last arriver fetch-adds 1
-//	        read:    the other arrivers, waiting for the release
-//	word 2  heartbeatAddr      on each rank's own heap
-//	        written: the rank's prober, every tick
-//	        read:    peers' probers
-//	word 3  membershipAddr     on each rank's own heap
-//	        written: the rank's membership transitions (publishMember)
-//	        read:    peers' probers
-//	words 4-7 free (4 is where a terminal voluntary state would be advertised)
+//	0  WordBarrierArrive  rank 0's: each barrier arriver fetch-adds 1, the last stores 0
+//	1  WordBarrierGen     rank 0's: the last arriver fetch-adds 1; the others wait on it
+//	2  WordHeartbeat      own: the rank's prober, every tick; peers' probers
+//	3  WordState          own: the rank's transitions and exit (publishMember); peers' probers
+//	4  WordSpawned        own: the rank's term.Detector.Publish; the termination leader
+//	5  WordExecuted       own: likewise
+//	6  WordFlag           own: the leader's verdict broadcast, StartJob's reset; the rank's Check
+//	7  WordActivity       own: the rank's NoteActivity and Hold; the termination leader
 //
-// Words 2 and 3 are adjacent because they are read together: one two-word
-// Get per peer per tick. Every world runs the one barrier on words 0 and
-// 1; an in-process world never probes, so word 2 stays zero.
+// A peer reads a rank's words with one Get of the whole line, decoded by
+// Line.Decode: the prober, words 2 and 3 every tick, and the termination
+// leader, words 4-7 every pass. Every world runs the one barrier on words
+// 0 and 1; an in-process world never probes, so word 2 stays zero.
 const (
-	barrierArriveAddr Addr = iota * WordSize
-	barrierGenAddr
-	heartbeatAddr
-	membershipAddr
-	reservedHeapBytes = 8 * WordSize
+	WordBarrierArrive LineWord = iota
+	WordBarrierGen
+	WordHeartbeat
+	WordState
+	WordSpawned
+	WordExecuted
+	WordFlag
+	WordActivity
+	reservedHeapBytes = LineSize
 )
+
+// LineWord names a word of the reserved line.
+type LineWord int
+
+// Addr is w's heap address, the same on every PE.
+func (w LineWord) Addr() Addr { return Addr(w) * WordSize }
+
+// Line is a copy of one PE's reserved line, indexed by LineWord.
+type Line [LineSize / WordSize]uint64
+
+// Decode fills l from b, the bytes a Get of a peer's line returned.
+func (l *Line) Decode(b []byte) {
+	for i := range l {
+		l[i] = binary.NativeEndian.Uint64(b[i*WordSize:])
+	}
+}
 
 // heapSize is the one size rule for a requested n-byte heap, a Config's or
 // a segment's: n holds the reserved words, and is rounded up to whole lines.
@@ -608,6 +624,18 @@ func (w *World) Run(body func(*Ctx) error) error {
 		}(rank)
 	}
 	wg.Wait()
+	if r := w.localRank; r >= 0 {
+		// Publish a clean exit while the prober still beats, so peers read
+		// it rather than declare this PE dead: a tcp rank answers their
+		// probes for two more periods; a segment keeps the word readable.
+		// A failed or killed PE is left to the detector.
+		if errs[r] == nil {
+			w.live.end(r, PeerExited)
+		}
+		if w.cfg.Transport == TransportTCP && w.cfg.NumPEs > 1 {
+			time.Sleep(2 * w.cfg.DeadAfter / heartbeatsPerDead)
+		}
+	}
 	w.live.stopProber()
 	if cerr := w.transport.close(); cerr != nil {
 		errs = append(errs, fmt.Errorf("shmem: closing transport: %w", cerr))

@@ -242,10 +242,12 @@ func (t *tcpTransport) handle(rank int, conn net.Conn) {
 // address, and a fused op an atomic whose handler its word address names.
 func encodeOp(r *opReq) (payload, into []byte, tbl *[]byte) {
 	switch r.op {
-	case OpPut, OpPutNBI, OpPutSignal:
+	case OpPut, OpPutSignal:
 		payload = r.buf
 	case OpGet:
 		r.v1, into = uint64(len(r.buf)), r.buf
+	case OpFetchAddGet:
+		into = r.buf // empty: the reply lands in its capacity
 	case OpGetV:
 		tbl = getBuf(len(r.spans) * spanWireSize)
 		for i, sp := range r.spans {
@@ -264,7 +266,7 @@ func encodeOp(r *opReq) (payload, into []byte, tbl *[]byte) {
 // connection's ops). Lengths are bounded before anything is sized by them.
 func decodeOp(r *opReq, payload []byte, heapBytes int, spans *[]Span, rsp *[]byte) error {
 	switch r.op {
-	case OpPut, OpPutNBI, OpPutSignal:
+	case OpPut, OpPutSignal:
 		r.buf = payload
 	case OpGet:
 		if r.v1 > uint64(heapBytes) {
@@ -374,8 +376,8 @@ func readResponse(r *bufio.Reader, hdr []byte, into []byte) (byte, uint64, []byt
 	plen := binary.LittleEndian.Uint32(hdr[9:13])
 	var payload []byte
 	if plen > 0 {
-		if status == 0 && len(into) == int(plen) {
-			payload = into
+		if status == 0 && cap(into) >= int(plen) {
+			payload = into[:plen]
 		} else {
 			payload = make([]byte, plen)
 		}
@@ -532,7 +534,7 @@ func (t *tcpTransport) typed(err error, peer int) error {
 }
 
 // opIdempotent reports whether retrying op after its request may have
-// reached the target is safe. Atomics (fetch-add, swap, cas, fused) are
+// reached the target is safe. Atomics (fetch-add, cas, fused) are
 // not: a lost *response* still applied the side effect, and a retry would
 // apply it twice. Nor is a put-signal: the first copy's signal may already
 // have handed the bytes on. Pure reads and overwrites are.
@@ -582,7 +584,7 @@ func (t *tcpTransport) blocking(r opReq) (uint64, []byte, error) {
 	for attempt := 0; ; attempt++ {
 		val, rp, final, err := t.attempt(c, &r, payload, into)
 		if err == nil {
-			if into != nil && len(rp) != len(into) {
+			if len(into) > 0 && len(rp) != len(into) {
 				return 0, nil, fmt.Errorf("shmem/tcp: %v from PE %d returned %d bytes, want %d", r.op, r.to, len(rp), len(into))
 			}
 			return val, rp, nil
@@ -723,7 +725,7 @@ func (c *tcpConn) sendFence() (bool, error) {
 	}
 	err := c.open()
 	if err == nil {
-		if err = c.send(&opReq{op: OpLoad, from: c.from, to: c.to, addr: heartbeatAddr}, nil); err == nil {
+		if err = c.send(&opReq{op: OpLoad, from: c.from, to: c.to, addr: WordHeartbeat.Addr()}, nil); err == nil {
 			return true, nil
 		}
 	}

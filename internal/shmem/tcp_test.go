@@ -111,8 +111,8 @@ func TestTCPBlockingOpUnwindsOnDeadTarget(t *testing.T) {
 
 // One Quiet fences a silent-then-dead target and a live one at once: it
 // fails with ErrPeerDead, yet every injection to the live target has
-// landed when it returns — behind a large put, so the target is still
-// applying them when the fences go out — and the next Quiet balances.
+// landed when it returns — behind a long run of stores, so the target is
+// still applying them when the fences go out — and the next Quiet balances.
 func TestTCPQuietFencesLiveTargetPastDeadOne(t *testing.T) {
 	w, err := NewWorld(Config{NumPEs: 3, Transport: TransportTCP})
 	if err != nil {
@@ -128,8 +128,10 @@ func TestTCPQuietFencesLiveTargetPastDeadOne(t *testing.T) {
 		if err := c.Store64NBI(1, addr, 1); err != nil {
 			return err
 		}
-		if err := c.PutNBI(2, addr+LineSize, make([]byte, 512<<10)); err != nil {
-			return err
+		for i := range 1 << 13 {
+			if err := c.Store64NBI(2, addr+LineSize+Addr(i*WordSize), 1); err != nil {
+				return err
+			}
 		}
 		for i := 0; i < k; i++ {
 			if err := c.Add64NBI(2, addr, 1); err != nil {

@@ -54,18 +54,6 @@ func BenchmarkTransportOps(b *testing.B) {
 				return nil
 			})
 		})
-		b.Run(kind.String()+"/put-nbi/64B/quiet64", func(b *testing.B) {
-			src := make([]byte, 64)
-			benchTransportOp(b, kind, func(c *Ctx, addr Addr, i int) error {
-				if err := c.PutNBI(0, addr, src); err != nil {
-					return err
-				}
-				if i%64 == 63 {
-					return c.Quiet()
-				}
-				return nil
-			})
-		})
 	}
 }
 

@@ -57,47 +57,53 @@ import (
 // block: churn 1 first differs at line 36 (seq 38), a thief's fetch-add
 // five lines after the forwarded batch's put-signal lands on line 31, and
 // churn 3 at line 59 (seq 61), four lines after its put-signal. Every line
-// before those is the parent's.
+// before those is the parent's. Moving the termination detector's words
+// into each heap's reserved line (words 4-7, shmem.WordSpawned on), where
+// they no longer take an allocation of their own, re-recorded all 32 rows
+// and moved only addresses: the leader's get and flag stores name line 0,
+// the inbox allocated after the detector sits one line lower, and with
+// a=0x[0-9a-f]+ masked each row's dumped log is byte-identical to its
+// parent's.
 var simLogGolden = map[string][8]string{
 	"fault-free": {
-		"3d5c300f0c3cf58e9b42ba8fe47ea103db93bd61c1062c3fd0439a6625b86580",
-		"cf1918f018d55ecca60ef09f5c756c4edb66691e5082f715bce7f72656c73f6c",
-		"635de5e65d714de8ead7f8b1195cf5a5ebfba2712047cc1dd92708f16e2235b2",
-		"f02afc4a3e98b6aaf3e6d4d8163c6ff2dd08bc60494ffe5f56f02ed22f373c23",
-		"58c598152f413513c80ee2e4b96d78b206abe78529766154f574aabefe5ac12d",
-		"a34c4b65ef45c35c7827b7cb869c1f907ba38ea4eac51b73b5b0f8e07930d53f",
-		"4110f1879d913f6fbc902c301885e2decc9832f0f1fdc80295b301e1953bb2b0",
-		"0634f1cc4b6fa85d25ae75e1deb2c79859383e42dfb1f96327c19d1d205bcdaf",
+		"a73b1b7fae0f557f21d6d9b32b81874ec6813ad6134bee4e44724b4dfae85a87",
+		"7b1be890114d838fc6be0cceefce410809124995e91577272d37b75ad2bf287a",
+		"b7071df8a4096595fded557e89394fafef6b3774162346c4026d76ba48d55171",
+		"c076b001d44834adad4851fe9ca1c382f6bb4c301a3f9fb85c1ec05897b03b6a",
+		"21c3348388ff15552cc22e402c3183bf4ba42583a45a307452be2776adafc695",
+		"f37748485ef3c5893452fc894207492f854052d19e148bfe48e1a2a5ef687fe6",
+		"8a51944ad8e50c88ddfeb1f046776ac6f73910510214a60d7de002c255bed57c",
+		"3c6ea72e05de9e6298b2dd8a34a2be3e7df38e8e0136adf6b979fbc9285b9855",
 	},
 	"chaos": {
-		"4d7c45e11ce694486d242f23343d9bb8ac867bbe6edef9e56b28e77ce82fb855",
-		"f39777f4b5ba7208ab3f7cdc96d806506f04bda936e375edd1a5c0028ef713ca",
-		"127df84824ba32edf0f6a9c7479c737343db0763b1cbaa256c2286a58d4ee8a5",
-		"a97d2dbd4d338bea04dc9298c6b1310fb4b2a6a7a2bed055c1f542129acc5ecb",
-		"f14df7feb2770e69d5d351018ef7e3eecb62040cf7c31f0edf58a7f3422c0f5e",
-		"cd5eb9c93fec931ed6897554b9de092c1bbcf937804fefe94131ee7de7c34de4",
-		"efe6e8d6cbba29664667eadf181c157dd2e2f0bdedf19ab21dfaa96f7f9b7e0d",
-		"341d78879b05b5fd9ab0722b695638f37ba487ef4aaa2f330f9f9b375f90b548",
+		"23193c5aff367c0959b4dee0d7821c1e5c4f02afd4725a857361309ac1e6a9d2",
+		"87ca3e849a954c98c77c075116347a7b334bbbe90e5b919e832b470f1a8ec1f6",
+		"faa4957c65583e7a0e54f76986586a2f5d383fa2f1509242018f37857351dfc9",
+		"a2ae62d404833d40bd338cc81ffe1873fc3b73d6f4b5bdd2ff4bd23fabe9ffb3",
+		"aca352eccc19c454ea7522029a81a49934f19a9a3503d1f4361f7e0681ad261b",
+		"e4f6d940f2f4da047aedd41ccd193231f31b22d2bf66e06c12050c4e92525204",
+		"dc9998bf303e1be1225b365c7251de0d3e05aca8b9814438820356a6e7e8ef4a",
+		"8b1cf1248ab4e308ab9754c645e0f1855b5ef0c265cdd858b258ec1b5ece9683",
 	},
 	"kill": {
-		"a8199fc926e6420789947643cd7b7bda01e29ec9e5c3306d3a943a502c0d0137",
-		"9bd3ff925995de644a33a7da854f924a3836e689bdf7ed116ca9e02133ba9722",
-		"92be5e4ebdc1be9473ef7ebb8e8c03174c9dc20e3450036d9da06faa56c0cd38",
-		"59474d0138c9bbdcc7f29b61d97905047bc462d2a1a106423f3854cbef8d5f0a",
-		"6dc81cb072d28ebd0bdc1f404444c52b344b4aeeb79cb414ae79678fd41a54c7",
-		"201c049899d245e0b7025f6e02d1f41b086cc058134f07c73f37b58442129631",
-		"b975e8c30718a7f149e9c02bc993da91e13361280caecd2e3ad1d9df879342ca",
-		"41f4d35fb369372ba58ba03f5b6a0c19b517f0b402165db0a765c7d6b12cf279",
+		"f6ca35fb811caadf4460873ea337bcbb29537156c833157ff7c613d3421cd915",
+		"3b325f443c13e26c64acb4a8c428384e2423982aa1d4bab5a702be1ceff8ec6e",
+		"1122877cd34a1a5c226a26aa6a4a04ee78eaaf0c0ca961e1ce553bf0c6944f07",
+		"09fcd370c23c39855108a02525666087e77212bdf436e3d300c0a9590d2a660a",
+		"7cf60949062a2574f1ce32ea16d2caa5158b0527b4f441d70127b74ea8ee1d79",
+		"41e70b9d4fe54c38061cc969797f356b38b9936cf1b87df11a60c7da59f446dc",
+		"1aef6ece800fabd7741072516c97b5fa7de01ab45000bc7a63d04036a996f592",
+		"4cb483713cf596148a35e7c431ae2bef3136713353b35bb4290d0fcd4ba2938d",
 	},
 	"churn": {
-		"b5ef11fc5ff94a926785b76e544f800bf622e4a94dd9b58109895eee399f3456",
-		"efabf61b727f68f6446341a8bd9f6d6cf2770684b8ec9a5f0aab9802e5f24c2c",
-		"0591593e27f50d8780d5fb357ba4aca7f7206a83eead6569cfba86f096fa1cd1",
-		"42ee8e3e4b9daa081fa5b71e8ea74c7c19e6d0c6b90fbc9ed270215df5625bbe",
-		"2be63c19e6066ed49ece37399c395ed05dc202029f13fd0a9d4d0fafcf0ca1b1",
-		"77b84ec847dea1bf483a2ad7b16efc5d58badf864445f77c41f7e934f3d5aa13",
-		"5de8f67863c53c3a1e5ab156bb02a72a2deafe6d528bcfba4e81015b89db1b3a",
-		"056737898aaae1ca497ccaa111cbaca4764df7814a2b0be2d3b69a7ba96ea016",
+		"686878084afb3bf172103e87c53b0c07f2c3fb1ddde62b6aeb448bd6c0b44e4f",
+		"44d56fcc37e576cd9af0fc613ac72a08d04d51868e44e1650c4957c0ab352406",
+		"f3444cf5bd67aab3ea4ee7552e20d5531e12bb0f5efd67c5f134d3b8dfc62000",
+		"2fbeebd8b7f3806f56f44f7bb447b3b6eea77fef00eab6b7d126f395cf838ad4",
+		"639bd1032f7bcdf14b27e50614cafb1b116e3b8d758f4afbf7d336d8cabc8a01",
+		"dca4d3faf94e2123613b2228168d2c0a8072d1708e24001750a4261382b8d620",
+		"ce22b5dae3cd218fe05658c2ca6e30e28c3024aa9798414766582e2ec33ea35a",
+		"d29a92cf8f7f15ca88ca5451d458c6e86ba59b7a981be0db1e861a64925c2217",
 	},
 }
 

@@ -8,7 +8,8 @@
 // consistent with the PGAS substrate:
 //
 //   - Every PE maintains monotonic (spawned, executed) counters in its
-//     symmetric heap, updated with local atomic stores when it publishes:
+//     reserved line (shmem.WordSpawned, shmem.WordExecuted), updated with
+//     local atomic stores when it publishes:
 //     not per task, but where a task it counted only locally could be
 //     seen or run by someone else, and before it probes (see Publish).
 //   - When idle, the wave leader (rank 0 on a fixed world) reads every
@@ -23,17 +24,16 @@
 //     PE's heap with non-blocking stores; idle PEs poll their own flag
 //     locally (free) while continuing to search for work.
 //
-// A Detector is built once per pool (its heap slots are collective
-// allocations) and serves a sequence of jobs: counters are monotonic
-// across the fleet's lifetime — at every job boundary the global spawned
-// and executed sums are equal, so quiescence detection for job N+1 is
-// unaffected by the totals accumulated through job N — and the per-job
+// A Detector is built once per pool (New clears its words, so every PE
+// builds one before a barrier) and serves a sequence of jobs: counters are
+// monotonic across the fleet's lifetime — at every job boundary the global
+// spawned and executed sums are equal, so quiescence detection for job N+1
+// is unaffected by the totals accumulated through job N — and the per-job
 // verdict state (flag word, pass memory) is reset by StartJob between
 // jobs.
 package term
 
 import (
-	"encoding/binary"
 	"errors"
 	"slices"
 	"sync/atomic"
@@ -45,13 +45,9 @@ import (
 type Detector struct {
 	ctx *shmem.Ctx
 
-	base     shmem.Addr // numOwn words: spawned, executed, flag, activity
-	flagAddr shmem.Addr
-
-	// own is this PE's copy of those four words, as memory: a Publish is
-	// one atomic store per counter it moves (shmem.Ctx.OwnWords). The pool
-	// publishes at hand-offs, not per task, so the task path stores nothing
-	// here.
+	// own is this PE's reserved line, as memory: a Publish is one atomic
+	// store per counter it moves (shmem.Ctx.OwnWords). The pool publishes
+	// at hand-offs, not per task, so the task path stores nothing here.
 	own []uint64
 
 	spawned  uint64
@@ -63,10 +59,10 @@ type Detector struct {
 	// The leader's pass memory: the membership epoch, then (rank, spawned,
 	// executed, activity) per live PE, of the previous pass and the
 	// current one, their buffers reused across calls, as is buf, where a
-	// Get lands a peer's four words.
+	// Get lands a peer's reserved line.
 	prevVec []uint64
 	curVec  []uint64
-	buf     [numOwn * shmem.WordSize]byte
+	buf     [shmem.LineSize]byte
 	// lastKnown caches the most recent counters read from each PE, so a
 	// PE that dies between probes still contributes its last published
 	// totals to the lost-task accounting.
@@ -86,34 +82,22 @@ type Detector struct {
 	Lost     uint64
 }
 
-// The detector's symmetric words, as indices into Detector.own.
-const (
-	ownSpawned = iota
-	ownExecuted
-	ownFlag
-	ownActivity
-	numOwn
-)
-
 // Termination-flag encoding: 0 = running; otherwise bit 0 set and the
 // upper bits carry the lost-task count ((lost << 1) | 1), so a fault-free
 // verdict is 1.
 
-// New collectively constructs a detector; every PE must call it at the
-// same point in its allocation sequence.
+// New constructs this PE's detector over words 4-7 of its reserved line,
+// clearing what an earlier detector of the world left there. Every PE
+// calls it before a barrier that precedes the first job.
 func New(ctx *shmem.Ctx) (*Detector, error) {
-	d := &Detector{ctx: ctx}
-	base, err := ctx.Alloc(numOwn * shmem.WordSize)
+	own, err := ctx.OwnWords(0, len(shmem.Line{}))
 	if err != nil {
 		return nil, err
 	}
-	d.base = base
-	d.flagAddr = base + ownFlag*shmem.WordSize
-	if d.own, err = ctx.OwnWords(base, numOwn); err != nil {
-		return nil, err
+	for w := shmem.WordSpawned; w <= shmem.WordActivity; w++ {
+		atomic.StoreUint64(&own[w], 0)
 	}
-	d.lastKnown = make([][2]uint64, ctx.NumPEs())
-	return d, nil
+	return &Detector{ctx: ctx, own: own, lastKnown: make([][2]uint64, ctx.NumPEs())}, nil
 }
 
 // StartJob rearms the detector for the next job on a warm fleet. Every PE
@@ -131,15 +115,9 @@ func (d *Detector) StartJob() error {
 	d.done = false
 	d.prevVec = d.prevVec[:0]
 	d.Probes, d.Publishes = 0, 0
-	atomic.StoreUint64(&d.own[ownFlag], 0)
+	atomic.StoreUint64(&d.own[shmem.WordFlag], 0)
 	return nil
 }
-
-// Region returns the heap offset and length in bytes of the detector's
-// symmetric words (counters, flag, activity), which a leader's probes read
-// and its broadcast writes, so layout tests can check what shares their
-// cache lines.
-func (d *Detector) Region() (shmem.Addr, int) { return d.base, numOwn * shmem.WordSize }
 
 // Counts returns this PE's local view of its own counters.
 func (d *Detector) Counts() (spawned, executed uint64) {
@@ -174,11 +152,11 @@ func (d *Detector) Counts() (spawned, executed uint64) {
 func (d *Detector) Publish(spawned, executed int) {
 	if spawned > 0 {
 		d.spawned += uint64(spawned)
-		atomic.StoreUint64(&d.own[ownSpawned], d.spawned)
+		atomic.StoreUint64(&d.own[shmem.WordSpawned], d.spawned)
 	}
 	if executed > 0 {
 		d.executed += uint64(executed)
-		atomic.StoreUint64(&d.own[ownExecuted], d.executed)
+		atomic.StoreUint64(&d.own[shmem.WordExecuted], d.executed)
 	}
 	if spawned > 0 || executed > 0 {
 		d.Publishes++
@@ -193,7 +171,7 @@ func (d *Detector) Publish(spawned, executed int) {
 func (d *Detector) NoteActivity() {
 	d.activity++
 	if lv := d.ctx.Liveness(); lv != nil && lv.AnyDead() {
-		atomic.StoreUint64(&d.own[ownActivity], d.activity|d.held)
+		atomic.StoreUint64(&d.own[shmem.WordActivity], d.activity|d.held)
 	}
 }
 
@@ -211,7 +189,7 @@ func (d *Detector) Hold(on bool) {
 		d.held = heldBit
 	}
 	d.activity++
-	atomic.StoreUint64(&d.own[ownActivity], d.activity|d.held)
+	atomic.StoreUint64(&d.own[shmem.WordActivity], d.activity|d.held)
 }
 
 // Check is called by an idle PE. It returns true once global termination
@@ -219,8 +197,8 @@ func (d *Detector) Hold(on bool) {
 // fixed world) performs one pass per call; every other PE polls its local
 // flag (no communication). One pass serves every world:
 //
-//   - It reads each live PE's four words — counters, flag, activity — with
-//     one Get (the leader's own is a local read) and records (rank,
+//   - It reads each live PE's reserved line — counters, flag, activity —
+//     with one Get (the leader's own is a local read) and records (rank,
 //     spawned, executed, activity) for each, after the membership epoch.
 //     The sum runs over parked ranks too: counters are monotonic for the
 //     fleet's lifetime, and tasks a rank executed before draining out must
@@ -254,7 +232,7 @@ func (d *Detector) Check() (bool, error) {
 		// A PE inside Check has nothing runnable: its beacon is current
 		// before any pass compares it (NoteActivity stores only once a
 		// peer has died).
-		atomic.StoreUint64(&d.own[ownActivity], d.activity)
+		atomic.StoreUint64(&d.own[shmem.WordActivity], d.activity)
 	}
 	if lv.Leader() != d.ctx.Rank() {
 		return false, nil
@@ -265,18 +243,18 @@ func (d *Detector) Check() (bool, error) {
 	var spawned, executed uint64
 	held := false
 	buf := d.buf[:]
+	var line shmem.Line
 	for pe := range d.lastKnown {
 		if !lv.Alive(pe) {
 			spawned += d.lastKnown[pe][0]
 			executed += d.lastKnown[pe][1]
 			continue
 		}
-		if err := d.ctx.Get(pe, d.base, buf); err != nil {
+		if err := d.ctx.Get(pe, 0, buf); err != nil {
 			return false, d.void(err)
 		}
-		sp := binary.NativeEndian.Uint64(buf[ownSpawned*shmem.WordSize:])
-		ex := binary.NativeEndian.Uint64(buf[ownExecuted*shmem.WordSize:])
-		act := binary.NativeEndian.Uint64(buf[ownActivity*shmem.WordSize:])
+		line.Decode(buf)
+		sp, ex, act := line[shmem.WordSpawned], line[shmem.WordExecuted], line[shmem.WordActivity]
 		d.lastKnown[pe] = [2]uint64{sp, ex}
 		spawned += sp
 		executed += ex
@@ -297,7 +275,7 @@ func (d *Detector) Check() (bool, error) {
 	}
 	for i := 1; i < len(vec); i += 4 {
 		if pe := int(vec[i]); pe != d.ctx.Rank() {
-			if err := d.ctx.Store64NBI(pe, d.flagAddr, lost<<1|1); err != nil {
+			if err := d.ctx.Store64NBI(pe, shmem.WordFlag.Addr(), lost<<1|1); err != nil {
 				return false, d.void(err)
 			}
 		}
@@ -324,7 +302,7 @@ func (d *Detector) void(err error) error {
 // flagSet polls this PE's own termination flag, adopting the leader's
 // verdict once it has landed.
 func (d *Detector) flagSet() bool {
-	if v := atomic.LoadUint64(&d.own[ownFlag]); v != 0 {
+	if v := atomic.LoadUint64(&d.own[shmem.WordFlag]); v != 0 {
 		d.done = true
 		d.Lost = v >> 1
 	}

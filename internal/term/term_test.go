@@ -324,15 +324,15 @@ func TestTermPassOneGetPerLivePeer(t *testing.T) {
 // goes on to a verdict victim can no longer receive.
 type killOnRead struct {
 	w            *shmem.World
-	base         atomic.Uint64 // the detector's words, once New has run
+	armed        atomic.Bool // once the leader's passes may count
 	victim, next int
 	at           int32
 	reads        atomic.Int32
 }
 
 func (k *killOnRead) Before(op shmem.Op, from, to int, addr shmem.Addr) shmem.Verdict {
-	if b := k.base.Load(); b != 0 && op == shmem.OpGet && from == 0 && to == k.next &&
-		uint64(addr) == b && k.reads.Add(1) == k.at {
+	if k.armed.Load() && op == shmem.OpGet && from == 0 && to == k.next &&
+		addr == 0 && k.reads.Add(1) == k.at {
 		k.w.Kill(k.victim)
 	}
 	return shmem.Verdict{}
@@ -370,8 +370,7 @@ func TestVerdictReachesEveryLivePeer(t *testing.T) {
 						return err
 					}
 				}
-				base, _ := d.Region()
-				inj.base.Store(uint64(base))
+				inj.armed.Store(true)
 				if err := awaitVerdict(c, d); err != nil {
 					return err
 				}
@@ -382,7 +381,7 @@ func TestVerdictReachesEveryLivePeer(t *testing.T) {
 					if c.Liveness().Killed(pe) {
 						continue
 					}
-					if v, err := c.Load64(pe, d.flagAddr); err != nil || v == 0 {
+					if v, err := c.Load64(pe, shmem.WordFlag.Addr()); err != nil || v == 0 {
 						return fmt.Errorf("leader reported done while live PE %d's flag is %d (%v)", pe, v, err)
 					}
 				}

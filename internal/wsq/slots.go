@@ -117,8 +117,7 @@ func (s *Slots) reclaim(n int) (bool, error) {
 // slot returns physical slot i in the owner's own heap.
 func (s *Slots) slot(i int) []byte {
 	n := s.codec.SlotSize()
-	off := i * n
-	return s.own[off : off+n : off+n]
+	return s.own[i*n : (i+1)*n : (i+1)*n]
 }
 
 // Push enqueues a task at the head of the local portion. Purely local: no
@@ -243,11 +242,7 @@ func (s *Slots) CopyBlock(sc shmem.SpanCtx, victim int, start uint64, k int) ([]
 	if s.stealSpans, n, err = s.BlockSpans(start, k); err != nil {
 		return nil, err
 	}
-	size := k * s.codec.SlotSize()
-	if cap(s.stealBuf) < size {
-		s.stealBuf = make([]byte, size)
-	}
-	buf := s.stealBuf[:size]
+	buf := s.Staging(k * s.codec.SlotSize())
 	if n == 1 {
 		s.rec.CopyOp, err = int(shmem.OpGet), sc.Get(victim, s.stealSpans[0].Addr, buf)
 	} else {
@@ -259,12 +254,22 @@ func (s *Slots) CopyBlock(sc shmem.SpanCtx, victim int, start uint64, k int) ([]
 	return s.DecodeBlock(victim, buf, k)
 }
 
-// DecodeBlock parses the k task slots a steal from victim brought back.
+// Staging returns n bytes of the thief's staging, reused across steals.
+func (s *Slots) Staging(n int) []byte {
+	if cap(s.stealBuf) < n {
+		s.stealBuf = make([]byte, n)
+	}
+	return s.stealBuf[:n]
+}
+
+// DecodeBlock parses the k task slots a steal from victim brought back into
+// the staging (or into a larger buffer, which becomes the staging).
 func (s *Slots) DecodeBlock(victim int, data []byte, k int) ([]task.Desc, error) {
 	size := s.codec.SlotSize()
 	if len(data) != k*size {
 		return nil, fmt.Errorf("wsq: steal from PE %d returned %d bytes, want %d (k=%d)", victim, len(data), k*size, k)
 	}
+	s.stealBuf = data[:0]
 	tasks := make([]task.Desc, k)
 	for i := range tasks {
 		d, err := s.codec.Decode(data[i*size:])

@@ -215,9 +215,4 @@ func Offsets(dst []int, n int) []int {
 // 20 attempts. It sizes the completion arrays, one slot per attempt.
 const MaxPlanLen = 32
 
-func half(r int) int {
-	if r == 1 {
-		return 1
-	}
-	return r / 2
-}
+func half(r int) int { return max(r/2, 1) }
