@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"os"
 	"os/exec"
@@ -369,8 +370,23 @@ func rankMetricsAddr(base string, rank int) (string, error) {
 	return net.JoinHostPort(host, strconv.Itoa(port+rank)), nil
 }
 
-// pickCoordinator reserves a port on the bind address for the rendezvous.
+// pickCoordinator picks a free port on the bind address for the
+// rendezvous. It draws from [10000, low) below the kernel's ephemeral range,
+// where no other process's ephemeral bind or outgoing connect can take the
+// port before rank 0 listens on it, and checks it is free by binding it. A
+// range that leaves no room below it (or no free port found there) falls
+// back to a kernel-chosen ephemeral port.
 func pickCoordinator(bind string) (string, error) {
+	const lowest = 10000
+	low, _ := ephemeralPorts()
+	for try := 0; try < 64 && low > lowest; try++ {
+		port := lowest + rand.IntN(low-lowest)
+		if ln, err := net.Listen("tcp", net.JoinHostPort(bind, strconv.Itoa(port))); err == nil {
+			addr := ln.Addr().String()
+			ln.Close()
+			return addr, nil
+		}
+	}
 	ln, err := net.Listen("tcp", net.JoinHostPort(bind, "0"))
 	if err != nil {
 		return "", fmt.Errorf("reserving coordinator port on %s: %w", bind, err)
@@ -378,6 +394,21 @@ func pickCoordinator(bind string) (string, error) {
 	addr := ln.Addr().String()
 	ln.Close()
 	return addr, nil
+}
+
+// ephemeralPorts returns the kernel's ephemeral port range, or Linux's
+// default 32768-60999 when it cannot be read.
+func ephemeralPorts() (low, high int) {
+	low, high = 32768, 60999
+	b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range")
+	if err != nil {
+		return low, high
+	}
+	var l, h int
+	if n, _ := fmt.Sscan(string(b), &l, &h); n == 2 && 0 < l && l <= h {
+		return l, h
+	}
+	return low, high
 }
 
 // runWorker is one PE's process: join the world, run the pool, publish

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -129,6 +130,26 @@ func (c calibration) depthFor(t *testing.T, lastEvent time.Duration) string {
 	}
 	t.Logf("calibration: depth %d ran %v (+%v start-up); last event at %v -> depth %d", c.depth, c.run, c.startup, lastEvent, depth)
 	return fmt.Sprint(depth)
+}
+
+// The rendezvous port lies below the kernel's ephemeral range, where no
+// other process's ephemeral bind or outgoing connect can take it between
+// the pick and rank 0's listen.
+func TestCoordinatorPortBelowEphemeralRange(t *testing.T) {
+	low, high := ephemeralPorts()
+	for range 50 {
+		addr, err := pickCoordinator("127.0.0.1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, p, err := net.SplitHostPort(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if port, _ := strconv.Atoi(p); low <= port && port <= high {
+			t.Fatalf("picked %s, inside the ephemeral range %d-%d", addr, low, high)
+		}
+	}
 }
 
 // TestDistSmoke runs a small fault-free 2-PE world end to end and expects

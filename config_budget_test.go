@@ -113,13 +113,13 @@ func TestShmemLineBudget(t *testing.T) {
 		pkg    string
 		budget int
 	}{
-		{"internal/shmem", 5473},
+		{"internal/shmem", 5466},
 		{"internal/bench", 1000},
 		{"internal/core", 950},
 		{"internal/sdc", 400},
 		{"internal/wsq", 500},
-		{"internal/term", 350},
-		{"internal/pool", 2893},
+		{"internal/term", 300},
+		{"internal/pool", 2890},
 		{"internal/trace", 600},
 		{"internal/inspect", 750},
 	} {

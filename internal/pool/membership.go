@@ -9,7 +9,8 @@
 //     parks;
 //   - a parked PE stops scheduling entirely and runs stepParked instead:
 //     forward stragglers that raced its departure, keep answering
-//     termination probes, and wait to be rejoined;
+//     termination probes (or lead them, as the lowest live rank), and
+//     wait to be rejoined;
 //   - a PE whose own rank was moved to Joining completes its join and
 //     resumes the normal loop;
 //   - every PE rebuilds its victim sets against the new membership
@@ -35,7 +36,7 @@ import (
 // set for the caller to divert into stepParked.
 func (p *Pool) stepMembership() error {
 	lv := p.ctx.Liveness()
-	if lv == nil || !lv.Elastic() {
+	if !lv.Elastic() {
 		return nil
 	}
 	// The epoch is read BEFORE the state and is the value stamped as seen:
@@ -129,12 +130,8 @@ func (p *Pool) forwardTask(d task.Desc) error {
 	if err := p.flushRemote(); err != nil {
 		return err
 	}
-	lv := p.ctx.Liveness()
 	self := p.ctx.Rank()
-	p.fwdBuf = p.fwdBuf[:0]
-	if lv != nil {
-		p.fwdBuf = lv.Members(p.fwdBuf)
-	}
+	p.fwdBuf = p.ctx.Liveness().Members(p.fwdBuf[:0])
 	targets := p.fwdBuf[:0]
 	for _, v := range p.fwdBuf {
 		if v != self {
@@ -239,10 +236,10 @@ func (p *Pool) drainOut() error {
 
 // stepParked is a parked PE's whole scheduler iteration: forward any
 // stragglers that raced its departure (inbox arrivals, late executor
-// output, children of a locally-run fallback task)
-// and keep answering termination probes so the wave that excludes this
-// rank from new work still counts its history. Reports job termination
-// like stepCheckTermination.
+// output, children of a locally-run fallback task) and keep answering
+// termination probes so the wave that excludes this rank from new work
+// still counts its history; a parked lowest live rank leads the wave from
+// here. Reports job termination like stepCheckTermination.
 func (p *Pool) stepParked() (bool, error) {
 	if err := p.flushWorkerTier(); err != nil {
 		return false, err

@@ -21,6 +21,13 @@ import (
 // the PEs share their cores with other processes.
 func churnWorkload(t *testing.T, leaves, threshold int, world func(w *shmem.World), trigger func(w *shmem.World)) (*shmem.World, []stats.PE, []int32) {
 	t.Helper()
+	w, sts, _, audit := churnRun(t, leaves, threshold, world, trigger)
+	return w, sts, audit
+}
+
+// churnRun is churnWorkload, also returning each PE's termination passes.
+func churnRun(t *testing.T, leaves, threshold int, world func(w *shmem.World), trigger func(w *shmem.World)) (*shmem.World, []stats.PE, []uint64, []int32) {
+	t.Helper()
 	audit := make([]int32, leaves)
 	var ran atomic.Int64
 	var once sync.Once
@@ -32,7 +39,7 @@ func churnWorkload(t *testing.T, leaves, threshold int, world func(w *shmem.Worl
 		world(w)
 	}
 	var mu sync.Mutex
-	sts := make([]stats.PE, 4)
+	sts, probes := make([]stats.PE, 4), make([]uint64, 4)
 	err = w.Run(func(c *shmem.Ctx) error {
 		reg := NewRegistry()
 		var h task.Handle
@@ -69,14 +76,14 @@ func churnWorkload(t *testing.T, leaves, threshold int, world func(w *shmem.Worl
 			return err
 		}
 		mu.Lock()
-		sts[c.Rank()] = p.Stats()
+		sts[c.Rank()], probes[c.Rank()] = p.Stats(), p.det.Probes
 		mu.Unlock()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w, sts, audit
+	return w, sts, probes, audit
 }
 
 // auditExactlyOnce fails unless every leaf executed exactly once.
@@ -164,6 +171,66 @@ func TestJoinMidRun(t *testing.T) {
 	}
 	if n := len(lv.Members(nil)); n != 4 {
 		t.Fatalf("membership size = %d after join, want 4", n)
+	}
+}
+
+// A parked rank 0 keeps the termination wave: drained mid-job, it runs
+// the passes from stepParked, no other rank runs one, and the job still
+// ends exactly-once.
+func TestParkedLeaderRunsTheWave(t *testing.T) {
+	w, sts, probes, audit := churnRun(t, 4096, 400, nil, func(w *shmem.World) {
+		if err := w.Live().BeginDrain(0); err != nil {
+			t.Errorf("BeginDrain(0): %v", err)
+		}
+	})
+	auditExactlyOnce(t, audit)
+	if s := w.Live().State(0); s != shmem.PeerParked || sts[0].MemberDrains != 1 {
+		t.Fatalf("rank 0 is %v after %d drains, want parked after 1", s, sts[0].MemberDrains)
+	}
+	if probes[0] == 0 {
+		t.Fatal("parked rank 0 ran no termination pass")
+	}
+	for r, n := range probes[1:] {
+		if n != 0 {
+			t.Errorf("rank %d ran %d termination passes while rank 0 lived", r+1, n)
+		}
+	}
+}
+
+// A drain that begins on a rank after its last membership step of the job
+// (here inside its final search, after the leader's last pass read it)
+// completes before Run returns: the rank ends the job parked, not
+// draining. The virtual time is this seed's final wave, read off its log.
+func TestTransitionEndsWithTheJob(t *testing.T) {
+	w, err := shmem.NewWorld(shmem.Config{NumPEs: 3, HeapBytes: 1 << 20, Transport: shmem.TransportSim,
+		Sim: shmem.SimOptions{Seed: 1, Churn: []shmem.SimChurn{{Rank: 2, At: 99 * time.Microsecond}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SetInitialMembers(3); err != nil {
+		t.Fatal(err)
+	}
+	var h task.Handle
+	_, err = RunOnce(w, Config{Seed: 1}, func(_ int, reg *Registry) error {
+		h = reg.MustRegister("fan", func(tc *TaskCtx, payload []byte) error {
+			args, err := task.ParseArgs(payload, 1)
+			for i := uint64(0); err == nil && i < args[0]; i++ {
+				err = tc.Spawn(h, task.Args(0))
+			}
+			return err
+		})
+		return nil
+	}, func(p *Pool, rank int) error {
+		if rank != 0 {
+			return nil
+		}
+		return p.Add(h, task.Args(40))
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := w.Live().State(2); s != shmem.PeerParked {
+		t.Fatalf("rank 2 is %v after Run, want parked", s)
 	}
 }
 

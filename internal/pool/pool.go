@@ -545,10 +545,8 @@ func (p *Pool) counters() stats.PE {
 	}
 	st.Workers[0].StealTime, st.Workers[0].SearchTime = st.StealTime, st.SearchTime
 	st.IdleIters = st.Workers[0].IdleIters
-	if lv := p.ctx.Liveness(); lv != nil {
-		st.DeadPEs = uint64(lv.DeadCount())
-		st.Degraded = st.Degraded || st.DeadPEs > 0
-	}
+	st.DeadPEs = uint64(p.ctx.Liveness().DeadCount())
+	st.Degraded = st.Degraded || st.DeadPEs > 0
 	if p.coreQ != nil {
 		st.TasksWrittenOff = p.coreQ.Stats().TasksWrittenOff
 	}

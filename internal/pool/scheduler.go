@@ -86,10 +86,19 @@ func (p *Pool) RunJob() (JobResult, error) {
 	if err := p.run(); err != nil {
 		return JobResult{}, err
 	}
+	degraded := p.ctx.Liveness().AnyDead()
+	if !degraded {
+		// A drain or join begun on this rank after its last membership
+		// step ends with the job: at a fault-free verdict every queue is
+		// empty, so the drain forwards nothing.
+		if err := p.stepMembership(); err != nil {
+			return JobResult{}, err
+		}
+	}
 	p.elapsed = p.ctx.Now().Sub(start)
 	res := JobResult{Seq: p.jobSeq, Elapsed: p.elapsed, Stats: p.counters().Delta(prev)}
 	p.tr.Record(trace.JobEnd, int64(p.jobSeq), int64(res.Stats.TasksExecuted), 0)
-	if lv := p.ctx.Liveness(); lv != nil && lv.AnyDead() {
+	if degraded {
 		// The closing barrier can never complete over dead membership;
 		// the degraded termination broadcast already synchronized the
 		// survivors' decision to stop.
@@ -380,7 +389,7 @@ func (p *Pool) stepExecuteLocal(burst *time.Time) (bool, error) {
 	// Once a peer is dead the leader calls the survivors quiescent when two
 	// of its passes read the same counters (term.Detector.Check), so a busy
 	// PE's move with every task it runs. Fault-free, the check is two loads.
-	if lv := p.ctx.Liveness(); lv != nil && lv.AnyDead() {
+	if p.ctx.Liveness().AnyDead() {
 		p.publishCounts()
 	}
 	p.yieldAfterTask(p.exec.workers[0], burst)

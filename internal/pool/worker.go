@@ -113,17 +113,11 @@ type execLayer struct {
 	// handoff tells executors the PE is draining out or parked: they stage
 	// their private deques for the owner to forward and take no more work.
 	handoff atomic.Bool
-
-	// pubSpawned/pubExecuted are the PE's counts, all workers', already
-	// published to the termination detector (owner-only; monotonic across
-	// jobs, like the detector's counters).
-	pubSpawned  uint64
-	pubExecuted uint64
-	// Pad to two cache lines (104 -> 128 bytes): every scheduler iteration
+	// Pad to two cache lines (88 -> 128 bytes): every scheduler iteration
 	// reads workers, pending and err, and a 112-byte object is neither its
 	// own size class nor line-aligned — uts_t1_local ran 10 % slower with
 	// whatever neighbours the allocator dealt it.
-	_ [24]byte
+	_ [40]byte
 }
 
 func newExecLayer(p *Pool, workers int, codec task.Codec) *execLayer {
@@ -198,7 +192,7 @@ func (p *Pool) spawnOn(ws *workerState, pe int, d task.Desc) error {
 		if pe < 0 || pe >= p.ctx.NumPEs() {
 			return fmt.Errorf("pool: SpawnOn target %d out of range [0, %d)", pe, p.ctx.NumPEs())
 		}
-		if lv := p.ctx.Liveness(); lv != nil && lv.Elastic() && !lv.Member(pe) {
+		if lv := p.ctx.Liveness(); lv.Elastic() && !lv.Member(pe) {
 			pe = self
 		}
 	}
@@ -439,9 +433,8 @@ func (p *Pool) publishCounts() {
 	}
 	te += owner.nExecuted
 	ts += owner.nSpawned
-	if ts > ex.pubSpawned || te > ex.pubExecuted {
-		p.det.Publish(int(ts-ex.pubSpawned), int(te-ex.pubExecuted))
-		ex.pubSpawned, ex.pubExecuted = ts, te
+	if ps, pe := p.det.Counts(); ts > ps || te > pe {
+		p.det.Publish(int(ts-ps), int(te-pe))
 		owner.spawned.Store(owner.nSpawned)
 		owner.executed.Store(owner.nExecuted)
 	}

@@ -323,6 +323,45 @@ func TestLivenessInertWhenFaultFree(t *testing.T) {
 	}
 }
 
+// runJoined runs body on n ranks that each Join one world over kind from
+// this process, as n processes would.
+func runJoined(t *testing.T, kind TransportKind, n int, deadAfter time.Duration, body func(w *World, c *Ctx) error) {
+	t.Helper()
+	cfg := Config{NumPEs: n, HeapBytes: 1 << 16, Transport: kind, DeadAfter: deadAfter}
+	at := Endpoint{Coordinator: freeAddr(t)}
+	if kind == TransportShm {
+		requireShm(t)
+		at = Endpoint{Segment: filepath.Join(t.TempDir(), ShmSegmentName())}
+		seg, err := CreateShmSegment(at.Segment, n, cfg.HeapBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer seg.Close()
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for rank := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			at := at
+			at.Rank = rank
+			w, err := Join(cfg, at)
+			if err != nil {
+				errs[rank] = err
+				return
+			}
+			errs[rank] = w.Run(func(c *Ctx) error { return body(w, c) })
+		}()
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Errorf("rank %d: %v", r, err)
+		}
+	}
+}
+
 // A PE whose body returns cleanly on a joined world says so in its state
 // word before its beats stop: peers that run on for three DeadAfter horizons
 // read it as exited and never journal it dead, over tcp (its service
@@ -331,53 +370,66 @@ func TestExitedPeerIsNotDeclaredDead(t *testing.T) {
 	for _, kind := range []TransportKind{TransportTCP, TransportShm} {
 		t.Run(kind.String(), func(t *testing.T) {
 			const n, deadAfter = 3, 200 * time.Millisecond
-			cfg := Config{NumPEs: n, HeapBytes: 1 << 16, Transport: kind, DeadAfter: deadAfter}
-			at := Endpoint{Coordinator: freeAddr(t)}
-			if kind == TransportShm {
-				requireShm(t)
-				at = Endpoint{Segment: filepath.Join(t.TempDir(), ShmSegmentName())}
-				seg, err := CreateShmSegment(at.Segment, n, cfg.HeapBytes)
-				if err != nil {
-					t.Fatal(err)
+			runJoined(t, kind, n, deadAfter, func(w *World, c *Ctx) error {
+				rank := c.Rank()
+				if err := c.Barrier(); err != nil || rank == n-1 {
+					return err
 				}
-				defer seg.Close()
-			}
-			errs := make([]error, n)
-			var wg sync.WaitGroup
-			for rank := range n {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					at := at
-					at.Rank = rank
-					w, err := Join(cfg, at)
-					if err != nil {
-						errs[rank] = err
-						return
+				time.Sleep(3 * deadAfter)
+				if s := w.Live().State(n - 1); s != PeerExited {
+					return fmt.Errorf("rank %d reads rank %d as %v, want exited", rank, n-1, s)
+				}
+				for _, e := range w.Ring(rank).Events() {
+					if e.Kind == trace.PeerState && PeerState(e.B) == PeerDead {
+						return fmt.Errorf("rank %d journaled rank %d dead", rank, e.A)
 					}
-					errs[rank] = w.Run(func(c *Ctx) error {
-						if err := c.Barrier(); err != nil || rank == n-1 {
-							return err
-						}
-						time.Sleep(3 * deadAfter)
-						if s := w.Live().State(n - 1); s != PeerExited {
-							return fmt.Errorf("rank %d reads rank %d as %v, want exited", rank, n-1, s)
-						}
-						for _, e := range w.Ring(rank).Events() {
-							if e.Kind == trace.PeerState && PeerState(e.B) == PeerDead {
-								return fmt.Errorf("rank %d journaled rank %d dead", rank, e.A)
-							}
-						}
-						return nil
-					})
-				}()
-			}
-			wg.Wait()
-			for r, err := range errs {
-				if err != nil {
-					t.Errorf("rank %d: %v", r, err)
 				}
-			}
+				return nil
+			})
+		})
+	}
+}
+
+// Every process of a joined world names the same termination leader at
+// every instant: the rule reads deaths, not the membership mirror, so once
+// rank 0 drains and parks in its own process, that process and the others
+// (whose mirrors still read it alive until the next probe tick, and parked
+// after it) all name rank 0. DeadAfter is long enough that no tick lands
+// between the park and the first check.
+func TestJoinedWorldAgreesOnLeader(t *testing.T) {
+	for _, kind := range []TransportKind{TransportTCP, TransportShm} {
+		t.Run(kind.String(), func(t *testing.T) {
+			const n, deadAfter = 3, 10 * time.Second
+			runJoined(t, kind, n, deadAfter, func(w *World, c *Ctx) error {
+				lv := w.Live()
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+				if c.Rank() == 0 {
+					if err := lv.BeginDrain(0); err != nil {
+						return err
+					}
+					if err := lv.CompleteDrain(0); err != nil {
+						return err
+					}
+				}
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+				if l := lv.Leader(); l != 0 {
+					return fmt.Errorf("rank %d names leader %d with rank 0 %v here, want 0", c.Rank(), l, lv.State(0))
+				}
+				for deadline := time.Now().Add(2 * deadAfter / heartbeatsPerDead); lv.State(0) != PeerParked; {
+					if time.Now().After(deadline) {
+						return fmt.Errorf("rank %d never mirrored rank 0 parked (%v)", c.Rank(), lv.State(0))
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if l := lv.Leader(); l != 0 {
+					return fmt.Errorf("rank %d names leader %d after the tick, want 0", c.Rank(), l)
+				}
+				return c.Barrier()
+			})
 		})
 	}
 }

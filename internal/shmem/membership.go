@@ -27,8 +27,8 @@ import (
 // affected PE itself once it has flushed its queue (drain) or rebuilt
 // its scheduler state (join). Every transition bumps the membership
 // epoch; schedulers watch the epoch with one atomic load per loop
-// iteration and rebuild victim sets / re-form the termination wave when
-// it moves.
+// iteration and rebuild victim sets when it moves. The termination wave
+// reads each rank's state word in its own pass instead.
 //
 // Like the failure detector, the whole layer is inert until used: the
 // membership epoch stays zero (one atomic load to check) until the first
@@ -97,24 +97,17 @@ func (l *Liveness) MembershipCounts() (live, joining, draining, parked int) {
 }
 
 // Leader returns the rank that drives the termination wave: the lowest
-// engaged rank (member or joining) not declared dead, else the lowest live
-// one (0 if every rank is dead: termination is then moot). On a
-// fixed-membership world where nobody has died it is 0 after two atomic
-// loads.
+// one neither dead nor exited (0 if none is: termination is then moot). A
+// draining or parked rank keeps the wave, so the rule reads deaths only and
+// every process of a joined world names the same leader whatever its
+// membership mirror says. While rank 0 lives it is one atomic load.
 func (l *Liveness) Leader() int {
-	if !l.Elastic() && !l.AnyDead() {
-		return 0
-	}
-	live := -1
 	for i := range l.states {
-		switch s := PeerState(l.states[i].Load()); {
-		case s == PeerAlive || s == PeerJoining:
+		if l.Alive(i) {
 			return i
-		case s != PeerDead && s != PeerExited && live < 0:
-			live = i
 		}
 	}
-	return max(live, 0)
+	return 0
 }
 
 // SetInitialMembers declares that only ranks [0, n) start inside the
@@ -198,8 +191,8 @@ func (l *Liveness) BeginJoin(rank int) error {
 	return nil
 }
 
-// CompleteJoin makes a joining rank a full member (steal victim, spawn
-// target, part of the termination wave).
+// CompleteJoin makes a joining rank a full member (steal victim and spawn
+// target).
 func (l *Liveness) CompleteJoin(rank int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

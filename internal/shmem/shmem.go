@@ -184,15 +184,15 @@ const (
 //	0  WordBarrierArrive  rank 0's: each barrier arriver fetch-adds 1, the last stores 0
 //	1  WordBarrierGen     rank 0's: the last arriver fetch-adds 1; the others wait on it
 //	2  WordHeartbeat      own: the rank's prober, every tick; peers' probers
-//	3  WordState          own: the rank's transitions and exit (publishMember); peers' probers
-//	4  WordSpawned        own: the rank's term.Detector.Publish; the termination leader
+//	3  WordState          own: the rank's transitions and exit (publishMember); peers' probers, the termination leader
+//	4  WordSpawned        own: the rank's term.Detector.Publish; the rank's Counts, the termination leader
 //	5  WordExecuted       own: likewise
-//	6  WordFlag           own: the leader's verdict broadcast, StartJob's reset; the rank's Check
+//	6  WordFlag           own: the leader's verdict (its own too), StartJob's reset; the rank's Check
 //	7  WordActivity       own: the rank's NoteActivity and Hold; the termination leader
 //
 // A peer reads a rank's words with one Get of the whole line, decoded by
 // Line.Decode: the prober, words 2 and 3 every tick, and the termination
-// leader, words 4-7 every pass. Every world runs the one barrier on words
+// leader, words 3-7 every pass. Every world runs the one barrier on words
 // 0 and 1; an in-process world never probes, so word 2 stays zero.
 const (
 	WordBarrierArrive LineWord = iota

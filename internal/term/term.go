@@ -8,21 +8,23 @@
 // consistent with the PGAS substrate:
 //
 //   - Every PE maintains monotonic (spawned, executed) counters in its
-//     reserved line (shmem.WordSpawned, shmem.WordExecuted), updated with
-//     local atomic stores when it publishes:
-//     not per task, but where a task it counted only locally could be
-//     seen or run by someone else, and before it probes (see Publish).
-//   - When idle, the wave leader (rank 0 on a fixed world) reads every
-//     live PE's counters with one one-sided get each. Two consecutive
-//     identical passes with spawned == executed imply global quiescence:
-//     any existing task keeps executed < spawned (tasks are counted
-//     spawned at creation and executed only after running, so in-flight
-//     stolen tasks hold the sums apart), and any activity between the two
-//     passes perturbs a monotonic counter, breaking the equality of the
-//     passes.
+//     reserved line (shmem.WordSpawned, shmem.WordExecuted), moved with
+//     local atomics when it publishes: not per task, but where a task it
+//     counted only locally could be seen or run by someone else, and
+//     before it probes (see Publish).
+//   - When idle, the wave leader (the lowest rank neither dead nor
+//     exited) reads every live PE's reserved line with one one-sided get
+//     each. Two consecutive identical passes with spawned == executed
+//     imply global quiescence: any existing task keeps executed < spawned
+//     (tasks are counted spawned at creation and executed only after
+//     running, so in-flight stolen tasks hold the sums apart), and any
+//     activity between the two passes perturbs a monotonic counter, or a
+//     membership transition the PE's state word, breaking the equality of
+//     the passes.
 //   - The leader then broadcasts a termination flag into every other live
-//     PE's heap with non-blocking stores; idle PEs poll their own flag
-//     locally (free) while continuing to search for work.
+//     PE's heap with non-blocking stores, then stores its own; every PE
+//     adopts the verdict from its own flag. The detector keeps no copy of
+//     what a line says: it reads lines, and deaths from the liveness view.
 //
 // A Detector is built once per pool (New clears its words, so every PE
 // builds one before a barrier) and serves a sequence of jobs: counters are
@@ -45,21 +47,19 @@ import (
 type Detector struct {
 	ctx *shmem.Ctx
 
-	// own is this PE's reserved line, as memory: a Publish is one atomic
-	// store per counter it moves (shmem.Ctx.OwnWords). The pool publishes
-	// at hand-offs, not per task, so the task path stores nothing here.
+	// own is this PE's reserved line, as memory: its counts and verdict
+	// live there alone, and a Publish is one atomic add per counter it
+	// moves (shmem.Ctx.OwnWords). The pool publishes at hand-offs, not per
+	// task, so the task path stores nothing here.
 	own []uint64
 
-	spawned  uint64
-	executed uint64
 	activity uint64 // work events not visible in the counters (see NoteActivity)
 	held     uint64 // heldBit while the PE holds work no counter shows (Hold)
-	done     bool
 
-	// The leader's pass memory: the membership epoch, then (rank, spawned,
-	// executed, activity) per live PE, of the previous pass and the
-	// current one, their buffers reused across calls, as is buf, where a
-	// Get lands a peer's reserved line.
+	// The leader's pass memory: (rank, state, spawned, executed, activity)
+	// per live PE, of the previous pass and the current one, their buffers
+	// reused across calls, as is buf, where a Get lands a peer's reserved
+	// line.
 	prevVec []uint64
 	curVec  []uint64
 	buf     [shmem.LineSize]byte
@@ -82,9 +82,8 @@ type Detector struct {
 	Lost     uint64
 }
 
-// Termination-flag encoding: 0 = running; otherwise bit 0 set and the
-// upper bits carry the lost-task count ((lost << 1) | 1), so a fault-free
-// verdict is 1.
+// Termination-flag encoding: 0 = running; otherwise (lost << 1) | 1, so a
+// fault-free verdict is 1.
 
 // New constructs this PE's detector over words 4-7 of its reserved line,
 // clearing what an earlier detector of the world left there. Every PE
@@ -112,16 +111,15 @@ func New(ctx *shmem.Ctx) (*Detector, error) {
 // so Lost accumulates across degraded jobs; callers wanting per-job lost
 // counts must difference it.
 func (d *Detector) StartJob() error {
-	d.done = false
 	d.prevVec = d.prevVec[:0]
 	d.Probes, d.Publishes = 0, 0
 	atomic.StoreUint64(&d.own[shmem.WordFlag], 0)
 	return nil
 }
 
-// Counts returns this PE's local view of its own counters.
+// Counts returns this PE's published counters, words 4-5 of its line.
 func (d *Detector) Counts() (spawned, executed uint64) {
-	return d.spawned, d.executed
+	return atomic.LoadUint64(&d.own[shmem.WordSpawned]), atomic.LoadUint64(&d.own[shmem.WordExecuted])
 }
 
 // Publish is the detector's one counting entry: it adds count deltas and
@@ -132,8 +130,7 @@ func (d *Detector) Counts() (spawned, executed uint64) {
 //
 //   - Workers must increment their spawned counter before the task
 //     becomes visible anywhere (before it enters even the worker's own
-//     private deque), and
-//     their executed counter only after the task body returns.
+//     private deque), and their executed counter only after its body.
 //   - The owner must read all workers' executed counters before reading
 //     their spawned counters. Then every executed task it counts has its
 //     spawn (and, transitively, the spawns of all its children created
@@ -151,12 +148,10 @@ func (d *Detector) Counts() (spawned, executed uint64) {
 // publishes before it probes, when it has nothing left to run.
 func (d *Detector) Publish(spawned, executed int) {
 	if spawned > 0 {
-		d.spawned += uint64(spawned)
-		atomic.StoreUint64(&d.own[shmem.WordSpawned], d.spawned)
+		atomic.AddUint64(&d.own[shmem.WordSpawned], uint64(spawned))
 	}
 	if executed > 0 {
-		d.executed += uint64(executed)
-		atomic.StoreUint64(&d.own[shmem.WordExecuted], d.executed)
+		atomic.AddUint64(&d.own[shmem.WordExecuted], uint64(executed))
 	}
 	if spawned > 0 || executed > 0 {
 		d.Publishes++
@@ -170,7 +165,7 @@ func (d *Detector) Publish(spawned, executed int) {
 // word is only published once a peer has died.
 func (d *Detector) NoteActivity() {
 	d.activity++
-	if lv := d.ctx.Liveness(); lv != nil && lv.AnyDead() {
+	if d.ctx.Liveness().AnyDead() {
 		atomic.StoreUint64(&d.own[shmem.WordActivity], d.activity|d.held)
 	}
 }
@@ -193,34 +188,36 @@ func (d *Detector) Hold(on bool) {
 }
 
 // Check is called by an idle PE. It returns true once global termination
-// has been detected. The wave leader (shmem.Liveness.Leader: rank 0 on a
-// fixed world) performs one pass per call; every other PE polls its local
-// flag (no communication). One pass serves every world:
+// has been detected, which every PE learns from its own flag word. The
+// wave leader (shmem.Liveness.Leader: the lowest rank neither dead nor
+// exited, so a draining or parked rank 0 keeps the wave) performs one pass
+// per call; every other PE polls its local flag (no communication). One
+// pass serves every world:
 //
-//   - It reads each live PE's reserved line — counters, flag, activity —
+//   - It reads each live PE's reserved line — state, counters, activity —
 //     with one Get (the leader's own is a local read) and records (rank,
-//     spawned, executed, activity) for each, after the membership epoch.
-//     The sum runs over parked ranks too: counters are monotonic for the
-//     fleet's lifetime, and tasks a rank executed before draining out must
-//     stay in the executed sum, which makes a drain loss-free.
-//   - A pass the epoch moved under is void (a drain began flushing work
-//     sideways, a join added a steal target), so a verdict is only ever
-//     reached over one membership.
+//     state, spawned, executed, activity) for each. The sum runs over
+//     parked ranks too: counters are monotonic for the fleet's lifetime,
+//     and tasks a rank executed before draining out must stay in the
+//     executed sum, which makes a drain loss-free.
 //   - Two equal consecutive passes are a verdict: no live PE executed,
-//     spawned, stole or received work between its two reads, so the
-//     values are one consistent cut. With every PE live the cut must also
-//     balance (spawned == executed; a torn pass never repeats). Once a
-//     peer has died the balance can never be restored — the dead took
-//     claimed work with them — and the pool publishes per task, so equal
-//     passes alone mean the survivors are quiescent, unless one holds work
-//     outside every queue and says so (Hold): a held beacon is no verdict.
+//     spawned, stole or received work, nor began or completed a
+//     membership transition, between its two reads, so the values are
+//     one consistent cut over one membership. With every PE live the cut
+//     must also balance (spawned == executed; a torn pass never repeats).
+//     Once a peer has died the balance can never be restored — the dead
+//     took claimed work with them — and the pool publishes per task, so
+//     equal passes alone mean the survivors are quiescent, unless one
+//     holds work outside every queue and says so (Hold): a held beacon is
+//     no verdict.
 //   - The leader broadcasts (lost << 1) | 1 to every other PE of the pass,
 //     where lost is spawned - executed over the live counters plus the
 //     dead PEs' last-known ones: a ledger estimate under at-least-once
 //     accounting (stale dead-PE counters shift it either way), reported
-//     rather than silently dropped. It reports done only after Quiet, so a
-//     peer dying between verdict and broadcast voids the pass instead of
-//     failing the world or leaving a survivor without the flag.
+//     rather than silently dropped. Only after Quiet does it store the
+//     verdict into its own flag, so a peer dying between verdict and
+//     broadcast voids the pass instead of failing the world or leaving a
+//     survivor without the flag.
 func (d *Detector) Check() (bool, error) {
 	if d.flagSet() {
 		return true, nil
@@ -238,11 +235,9 @@ func (d *Detector) Check() (bool, error) {
 		return false, nil
 	}
 	d.Probes++
-	epoch := lv.MemberEpoch()
-	vec := append(d.curVec[:0], epoch)
+	vec := d.curVec[:0]
 	var spawned, executed uint64
 	held := false
-	buf := d.buf[:]
 	var line shmem.Line
 	for pe := range d.lastKnown {
 		if !lv.Alive(pe) {
@@ -250,30 +245,24 @@ func (d *Detector) Check() (bool, error) {
 			executed += d.lastKnown[pe][1]
 			continue
 		}
-		if err := d.ctx.Get(pe, 0, buf); err != nil {
+		if err := d.ctx.Get(pe, 0, d.buf[:]); err != nil {
 			return false, d.void(err)
 		}
-		line.Decode(buf)
+		line.Decode(d.buf[:])
 		sp, ex, act := line[shmem.WordSpawned], line[shmem.WordExecuted], line[shmem.WordActivity]
 		d.lastKnown[pe] = [2]uint64{sp, ex}
 		spawned += sp
 		executed += ex
-		vec = append(vec, uint64(pe), sp, ex, act)
+		vec = append(vec, uint64(pe), line[shmem.WordState], sp, ex, act)
 		held = held || act&heldBit != 0
-	}
-	if lv.MemberEpoch() != epoch {
-		return false, d.void(nil)
 	}
 	same := slices.Equal(vec, d.prevVec)
 	d.prevVec, d.curVec = vec, d.prevVec
 	if !same || !dead && spawned != executed || held {
 		return false, nil
 	}
-	var lost uint64
-	if spawned > executed {
-		lost = spawned - executed
-	}
-	for i := 1; i < len(vec); i += 4 {
+	lost := spawned - min(spawned, executed)
+	for i := 0; i < len(vec); i += 5 {
 		if pe := int(vec[i]); pe != d.ctx.Rank() {
 			if err := d.ctx.Store64NBI(pe, shmem.WordFlag.Addr(), lost<<1|1); err != nil {
 				return false, d.void(err)
@@ -283,8 +272,8 @@ func (d *Detector) Check() (bool, error) {
 	if err := d.ctx.Quiet(); err != nil {
 		return false, d.void(err)
 	}
-	d.done, d.Lost = true, lost
-	return true, nil
+	atomic.StoreUint64(&d.own[shmem.WordFlag], lost<<1|1)
+	return d.flagSet(), nil
 }
 
 // void forgets the previous pass after one that cannot stand. A peer that
@@ -299,12 +288,12 @@ func (d *Detector) void(err error) error {
 	return err
 }
 
-// flagSet polls this PE's own termination flag, adopting the leader's
-// verdict once it has landed.
+// flagSet polls this PE's own termination flag, the one place any PE —
+// the leader too — adopts a verdict.
 func (d *Detector) flagSet() bool {
-	if v := atomic.LoadUint64(&d.own[shmem.WordFlag]); v != 0 {
-		d.done = true
+	v := atomic.LoadUint64(&d.own[shmem.WordFlag])
+	if v != 0 {
 		d.Lost = v >> 1
 	}
-	return d.done
+	return v != 0
 }

@@ -240,6 +240,49 @@ func TestMultiJobEpochs(t *testing.T) {
 	})
 }
 
+// A pass entry carries each PE's state word: with counts balanced and
+// unchanged, a word that moves between two passes (a transition the
+// leader's process has not mirrored yet) is no verdict, and the next two
+// equal passes are one.
+func TestStateWordInThePass(t *testing.T) {
+	var move, moved atomic.Bool
+	runWorld(t, 2, func(c *shmem.Ctx) error {
+		d, err := New(c)
+		if err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			own, err := c.OwnWords(0, len(shmem.Line{}))
+			if err != nil {
+				return err
+			}
+			for !move.Load() {
+				time.Sleep(50 * time.Microsecond)
+			}
+			atomic.StoreUint64(&own[shmem.WordState], uint64(shmem.PeerDraining))
+			moved.Store(true)
+			return awaitVerdict(c, d)
+		}
+		if done, err := d.Check(); done || err != nil {
+			return fmt.Errorf("first pass: done=%v, %v", done, err)
+		}
+		move.Store(true)
+		for !moved.Load() {
+			time.Sleep(50 * time.Microsecond)
+		}
+		if done, err := d.Check(); done || err != nil {
+			return fmt.Errorf("pass over a moved state word: done=%v, %v", done, err)
+		}
+		if done, err := d.Check(); !done || err != nil {
+			return fmt.Errorf("second equal pass: done=%v, %v", done, err)
+		}
+		return nil
+	})
+}
+
 // awaitVerdict polls Check until this PE sees the verdict. A PE crashed
 // under the test returns nil once its own Ctx says so; any other world
 // failure is returned.
