@@ -19,6 +19,7 @@ import (
 	"sws/internal/bpc"
 	"sws/internal/cli"
 	"sws/internal/pool"
+	"sws/internal/shmem"
 )
 
 func main() {
@@ -58,7 +59,7 @@ func main() {
 			fatal(err)
 		}
 		cfg := bench.Fig7(params, counts, *reps)
-		cfg.Base.Latency = lat
+		cfg.Base.World.Latency = lat
 		cfg.Base.Pool.Seed = *seed
 		poolf.Apply(&cfg.Base.Pool)
 		if err := obsf.Start(); err != nil {
@@ -91,9 +92,8 @@ func main() {
 		fatal(err)
 	}
 	run, err := bench.RunOnce(bench.RunConfig{
-		PEs:     *pes,
-		Latency: lat,
-		Pool:    pcfg,
+		World: shmem.Config{NumPEs: *pes, Latency: lat},
+		Pool:  pcfg,
 	}, func() (bench.Workload, error) { return bpc.NewWorkload(params) })
 	if err != nil {
 		fatal(err)

@@ -19,6 +19,7 @@ import (
 	"sws/internal/bench"
 	"sws/internal/bpc"
 	"sws/internal/cli"
+	"sws/internal/shmem"
 	"sws/internal/uts"
 )
 
@@ -72,7 +73,8 @@ func main() {
 		emit(t)
 	}
 	if want("table2") {
-		t, err := bench.Table2(bench.Table2Config{BPC: bpcParams, UTS: utsParams, PEs: 4})
+		world := shmem.Config{NumPEs: 4, Latency: bench.DefaultLatency()}
+		t, err := bench.Table2(bench.Table2Config{BPC: bpcParams, UTS: utsParams, World: world})
 		if err != nil {
 			fatal(fmt.Errorf("table2: %w", err))
 		}

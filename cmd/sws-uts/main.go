@@ -20,6 +20,7 @@ import (
 	"sws/internal/cli"
 	"sws/internal/inspect"
 	"sws/internal/pool"
+	"sws/internal/shmem"
 	"sws/internal/trace"
 	"sws/internal/uts"
 )
@@ -58,7 +59,7 @@ func main() {
 			fatal(err)
 		}
 		cfg := bench.Fig8(params, counts, *reps)
-		cfg.Base.Latency = lat
+		cfg.Base.World.Latency = lat
 		cfg.Base.Pool.Seed = *seed
 		poolf.Apply(&cfg.Base.Pool)
 		if err := obsf.Start(); err != nil {
@@ -101,9 +102,8 @@ func main() {
 		fatal(err)
 	}
 	run, err := bench.RunOnce(bench.RunConfig{
-		PEs:     *pes,
-		Latency: lat,
-		Pool:    pcfg,
+		World: shmem.Config{NumPEs: *pes, Latency: lat},
+		Pool:  pcfg,
 	}, func() (bench.Workload, error) { return wl, nil })
 	if err != nil {
 		fatal(err)

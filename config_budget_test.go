@@ -16,9 +16,11 @@ import (
 	"testing"
 
 	"sws"
+	"sws/internal/bench"
 	"sws/internal/core"
 	"sws/internal/pool"
 	"sws/internal/shmem"
+	"sws/internal/sim"
 )
 
 // TestConfigFieldBudget pins how many independently settable values the
@@ -38,6 +40,8 @@ func TestConfigFieldBudget(t *testing.T) {
 		{reflect.TypeOf(pool.Config{}), 0, 10},
 		{reflect.TypeOf(sws.Config{}), 0, 10},
 		{reflect.TypeOf(core.Options{}), 0, 5},
+		{reflect.TypeOf(sim.Params{}), 0, 7},
+		{reflect.TypeOf(bench.RunConfig{}), 2, 2},
 	} {
 		n := 0
 		for i := 0; i < b.typ.NumField(); i++ {
@@ -53,23 +57,50 @@ func TestConfigFieldBudget(t *testing.T) {
 	// shmem.Config is the only description of a world: a second *Config
 	// struct in the package is how the same knob came to be declared three
 	// times.
-	pkgs, err := parser.ParseDir(token.NewFileSet(), "internal/shmem", nil, parser.SkipObjectResolution)
+	structs(t, "internal/shmem", func(file, name string, _ *ast.StructType) {
+		if strings.HasSuffix(name, "Config") && name != "Config" {
+			t.Errorf("%s declares %s: shmem.Config is the one world description", file, name)
+		}
+	})
+	// The harnesses describe a run as a shmem.Config and a pool.Config: a
+	// field of one of theirs in a harness's own config is a second copy of
+	// the knob, which its repro line and its defaults then miss.
+	world := []string{"PEs", "NumPEs", "Seed", "Chaos", "Choices", "MaxVirtualTime", "MaxSteps", "Kill", "Churn",
+		"DeadAfter", "HeapBytes", "Latency", "Transport", "Protocol", "QueueCap", "QueueCapacity"}
+	for _, dir := range []string{"internal/sim", "internal/bench"} {
+		structs(t, dir, func(file, name string, st *ast.StructType) {
+			if !strings.HasSuffix(name, "Config") && name != "Params" {
+				return
+			}
+			for _, f := range st.Fields.List {
+				for _, id := range f.Names {
+					if slices.Contains(world, id.Name) {
+						t.Errorf("%s: %s.%s copies a shmem.Config, SimOptions or pool.Config field: carry the World or the Pool", file, name, id.Name)
+					}
+				}
+			}
+		})
+	}
+}
+
+// structs calls fn for every exported struct type the non-test files of
+// package dir declare.
+func structs(t *testing.T, dir string, fn func(file, name string, st *ast.StructType)) {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, nil, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pkg := range pkgs {
-		for name, file := range pkg.Files {
-			if strings.HasSuffix(name, "_test.go") {
+		for file, f := range pkg.Files {
+			if strings.HasSuffix(file, "_test.go") {
 				continue
 			}
-			ast.Inspect(file, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok {
-					return true
-				}
-				if _, isStruct := ts.Type.(*ast.StructType); isStruct && ts.Name.IsExported() &&
-					strings.HasSuffix(ts.Name.Name, "Config") && ts.Name.Name != "Config" {
-					t.Errorf("%s declares %s: shmem.Config is the one world description", name, ts.Name.Name)
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.IsExported() {
+					if st, ok := ts.Type.(*ast.StructType); ok {
+						fn(file, ts.Name.Name, st)
+					}
 				}
 				return true
 			})

@@ -12,24 +12,23 @@ import (
 
 // Ablations isolate the design choices DESIGN.md §6 calls out, as tables.
 
-// AblationConfig scales the ablation workloads.
+// AblationConfig scales the ablation workloads: the world they run on
+// (AblationRTT varies its blocking round trip) and the repetitions.
 type AblationConfig struct {
-	PEs  int
-	Reps int
+	World shmem.Config
+	Reps  int
 }
 
 // DefaultAblation returns the laptop-scale configuration.
-func DefaultAblation() AblationConfig { return AblationConfig{PEs: 4, Reps: 5} }
+func DefaultAblation() AblationConfig {
+	return AblationConfig{World: shmem.Config{NumPEs: 4, Latency: DefaultLatency()}, Reps: 5}
+}
 
 // ablationRow measures one configuration: mean runtime, steal counts, and
 // attempt counts over reps.
 func ablationRow(cfg AblationConfig, pcfg pool.Config, f Factory) (stats.Summary, stats.PE, error) {
 	pcfg.Seed = 5
-	runs, err := RunReps(RunConfig{
-		PEs:     cfg.PEs,
-		Latency: DefaultLatency(),
-		Pool:    pcfg,
-	}, f, cfg.Reps)
+	runs, err := RunReps(RunConfig{World: cfg.World, Pool: pcfg}, f, cfg.Reps)
 	if err != nil {
 		return stats.Summary{}, stats.PE{}, err
 	}
@@ -106,7 +105,7 @@ func AblationDamping(cfg AblationConfig) (*Table, error) {
 // as the injected blocking round trip grows. A steal should cost what its
 // communications cost (Rito & Paulino), so the columns part by round
 // trips per steal: SDC 5, SWS 2, SWS-Fused 1.
-func AblationRTT() (*Table, error) {
+func AblationRTT(cfg AblationConfig) (*Table, error) {
 	const vol, steals = 16, 30
 	t := &Table{
 		Title:  "Ablation: steal time vs injected round trip",
@@ -117,11 +116,11 @@ func AblationRTT() (*Table, error) {
 		t.Header = append(t.Header, p.name)
 	}
 	for _, rtt := range []time.Duration{500 * time.Nanosecond, 2 * time.Microsecond, 8 * time.Microsecond} {
-		lat := DefaultLatency()
-		lat.BlockingRTT = rtt
+		w := cfg.World
+		w.Latency.BlockingRTT = rtt
 		row := []string{rtt.String()}
 		for _, p := range protocols {
-			durs, err := stealTimes(shmem.Config{Latency: lat}, p, 16, 4*vol, vol, steals)
+			durs, err := stealTimes(w, p, 16, 4*vol, vol, steals)
 			if err != nil {
 				return nil, fmt.Errorf("bench: rtt %v %s: %w", rtt, p.name, err)
 			}
@@ -135,12 +134,8 @@ func AblationRTT() (*Table, error) {
 // Ablations runs every ablation table.
 func Ablations(cfg AblationConfig) ([]*Table, error) {
 	var out []*Table
-	for _, f := range []func() (*Table, error){
-		func() (*Table, error) { return AblationEpochs(cfg) },
-		func() (*Table, error) { return AblationDamping(cfg) },
-		AblationRTT,
-	} {
-		t, err := f()
+	for _, f := range []func(AblationConfig) (*Table, error){AblationEpochs, AblationDamping, AblationRTT} {
+		t, err := f(cfg)
 		if err != nil {
 			return nil, err
 		}

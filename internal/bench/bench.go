@@ -41,21 +41,20 @@ type Workload interface {
 // so they are not reusable across runs).
 type Factory func() (Workload, error)
 
-// RunConfig describes one pool execution.
+// RunConfig describes one pool execution: the world it runs on and the
+// pool it runs. A figure on the simulator is a choice of World, not a
+// mode of its own.
 type RunConfig struct {
-	PEs       int
-	Latency   shmem.LatencyModel
-	Transport shmem.TransportKind
-	HeapBytes int
-	Pool      pool.Config
+	World shmem.Config
+	Pool  pool.Config
 }
 
 func (c *RunConfig) setDefaults() {
-	if c.PEs == 0 {
-		c.PEs = 4
+	if c.World.NumPEs == 0 {
+		c.World.NumPEs = 4
 	}
-	if c.HeapBytes == 0 {
-		c.HeapBytes = 16 << 20
+	if c.World.HeapBytes == 0 {
+		c.World.HeapBytes = 16 << 20
 	}
 }
 
@@ -69,12 +68,7 @@ func RunOnce(cfg RunConfig, f Factory) (stats.Run, error) {
 	if err != nil {
 		return stats.Run{}, err
 	}
-	w, err := shmem.NewWorld(shmem.Config{
-		NumPEs:    cfg.PEs,
-		HeapBytes: cfg.HeapBytes,
-		Latency:   cfg.Latency,
-		Transport: cfg.Transport,
-	})
+	w, err := shmem.NewWorld(cfg.World)
 	if err != nil {
 		return stats.Run{}, err
 	}
@@ -82,7 +76,8 @@ func RunOnce(cfg RunConfig, f Factory) (stats.Run, error) {
 }
 
 // RunReps executes reps independent runs (fresh world and workload each),
-// varying the victim-selection seed per repetition.
+// moving the victim-selection seed and, with it, a simulated world's seed
+// per repetition, so each rep on the sim draws its own schedule.
 func RunReps(cfg RunConfig, f Factory, reps int) ([]stats.Run, error) {
 	if reps < 1 {
 		return nil, fmt.Errorf("bench: reps %d < 1", reps)
@@ -90,10 +85,12 @@ func RunReps(cfg RunConfig, f Factory, reps int) ([]stats.Run, error) {
 	out := make([]stats.Run, 0, reps)
 	for i := 0; i < reps; i++ {
 		c := cfg
-		c.Pool.Seed = cfg.Pool.Seed + int64(i)*7919
+		step := int64(i) * 7919
+		c.Pool.Seed += step
 		if c.Pool.Seed == 0 {
 			c.Pool.Seed = int64(i + 1)
 		}
+		c.World.Sim.Seed += step
 		r, err := RunOnce(c, f)
 		if err != nil {
 			return nil, fmt.Errorf("bench: rep %d: %w", i, err)

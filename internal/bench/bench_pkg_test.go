@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -66,7 +67,7 @@ func TestRunRepsValidation(t *testing.T) {
 
 func TestRunOnceBPC(t *testing.T) {
 	params := bpc.Params{Depth: 4, NConsumers: 16, ConsumerWork: 10 * time.Microsecond, ProducerWork: 2 * time.Microsecond}
-	run, err := RunOnce(RunConfig{PEs: 3, Pool: pool.Config{Protocol: pool.SWS}},
+	run, err := RunOnce(RunConfig{World: shmem.Config{NumPEs: 3}, Pool: pool.Config{Protocol: pool.SWS}},
 		func() (Workload, error) { return bpc.NewWorkload(params) })
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +90,7 @@ func TestRunOnceFailingFactoryLeaksNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
 	boom := errors.New("no workload")
 	for i := 0; i < 3; i++ {
-		_, err := RunOnce(RunConfig{PEs: 2, Transport: shmem.TransportTCP},
+		_, err := RunOnce(RunConfig{World: shmem.Config{NumPEs: 2, Transport: shmem.TransportTCP}},
 			func() (Workload, error) { return nil, boom })
 		if !errors.Is(err, boom) {
 			t.Fatalf("RunOnce = %v, want the factory's error", err)
@@ -136,7 +137,7 @@ func TestFig6Mini(t *testing.T) {
 		Volumes:   []int{1, 8},
 		SlotSizes: []int{24},
 		Reps:      10,
-		Latency:   DefaultLatency(),
+		World:     shmem.Config{Latency: DefaultLatency()},
 	}
 	tb, err := Fig6(cfg)
 	if err != nil {
@@ -203,6 +204,34 @@ func TestSweepMini(t *testing.T) {
 	}
 }
 
+// TestSweepOnSim: the figure code runs on the simulator by its World
+// alone. The same sweep twice is one result, in virtual time, and its two
+// reps draw different schedules, so the sweep's spread is the schedule's.
+func TestSweepOnSim(t *testing.T) {
+	params := bpc.Params{Depth: 4, NConsumers: 24, ConsumerWork: 20 * time.Microsecond, ProducerWork: 4 * time.Microsecond}
+	cfg := Fig7(params, []int{4, 8}, 2)
+	cfg.Base.World.Transport = shmem.TransportSim
+	cfg.Base.World.Sim.Seed, cfg.Base.Pool.Seed = 1, 1
+	var res [2]*SweepResult
+	for i := range res {
+		r, err := RunSweep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res[i] = r
+	}
+	if !reflect.DeepEqual(res[0], res[1]) {
+		t.Fatalf("one sweep on the sim, two results:\n%+v\n%+v", res[0], res[1])
+	}
+	for _, pt := range res[0].Points {
+		for _, pp := range []ProtoPoint{pt.SDC, pt.SWS} {
+			if pp.Runtime.Min == pp.Runtime.Max && pp.Attempts.Min == pp.Attempts.Max {
+				t.Errorf("pes=%d: both reps ran %v with %v steal attempts: one schedule twice", pt.PEs, pp.Runtime.Min, pp.Attempts.Min)
+			}
+		}
+	}
+}
+
 func TestSweepValidation(t *testing.T) {
 	if _, err := RunSweep(SweepConfig{}); err == nil {
 		t.Error("empty sweep accepted")
@@ -231,9 +260,9 @@ func TestFig8Mini(t *testing.T) {
 // Table 2 characterization must report the configured totals.
 func TestTable2(t *testing.T) {
 	cfg := Table2Config{
-		BPC: bpc.Params{Depth: 4, NConsumers: 16, ConsumerWork: 20 * time.Microsecond, ProducerWork: 4 * time.Microsecond},
-		UTS: uts.Tiny,
-		PEs: 2,
+		BPC:   bpc.Params{Depth: 4, NConsumers: 16, ConsumerWork: 20 * time.Microsecond, ProducerWork: 4 * time.Microsecond},
+		UTS:   uts.Tiny,
+		World: shmem.Config{NumPEs: 2, Latency: DefaultLatency()},
 	}
 	tb, err := Table2(cfg)
 	if err != nil {
@@ -268,7 +297,7 @@ func TestTable2(t *testing.T) {
 
 // Ablation tables must produce a row per variant with sane runtimes.
 func TestAblations(t *testing.T) {
-	tables, err := Ablations(AblationConfig{PEs: 2, Reps: 1})
+	tables, err := Ablations(AblationConfig{World: shmem.Config{NumPEs: 2, Latency: DefaultLatency()}, Reps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,10 @@ type Fig6Config struct {
 	SlotSizes []int
 	// Reps is the number of timed steals per point.
 	Reps int
-	// Latency is the injected communication model.
-	Latency shmem.LatencyModel
+	// World is the two-PE world each steal runs in (its NumPEs and
+	// HeapBytes are the microbenchmark's): the injected latency model, or
+	// the transport.
+	World shmem.Config
 }
 
 // DefaultFig6 returns the paper's sweep.
@@ -24,7 +26,7 @@ func DefaultFig6() Fig6Config {
 		Volumes:   []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024},
 		SlotSizes: []int{24, 192},
 		Reps:      30,
-		Latency:   DefaultLatency(),
+		World:     shmem.Config{Latency: DefaultLatency()},
 	}
 }
 
@@ -40,7 +42,7 @@ func Fig6(cfg Fig6Config) (*Table, error) {
 	t := &Table{
 		Title: "Figure 6: steal operation time vs steal volume",
 		Note: fmt.Sprintf("median of %d steals per point; injected RTT %v; paper shape: SWS ~ half of SDC at small volumes, converging at large",
-			cfg.Reps, cfg.Latency.BlockingRTT),
+			cfg.Reps, cfg.World.Latency.BlockingRTT),
 		Header: []string{"volume"},
 	}
 	for _, slot := range cfg.SlotSizes {
@@ -55,7 +57,7 @@ func Fig6(cfg Fig6Config) (*Table, error) {
 		row := []string{fmt.Sprint(v)}
 		for _, slot := range cfg.SlotSizes {
 			for _, p := range protos {
-				durs, err := stealTimes(shmem.Config{Latency: cfg.Latency}, p, slot-8, 4*v, v, cfg.Reps)
+				durs, err := stealTimes(cfg.World, p, slot-8, 4*v, v, cfg.Reps)
 				if err != nil {
 					return nil, fmt.Errorf("bench: fig6 %s/%dB vol %d: %w", p.name, slot, v, err)
 				}

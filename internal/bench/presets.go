@@ -3,6 +3,7 @@ package bench
 import (
 	"sws/internal/bpc"
 	"sws/internal/pool"
+	"sws/internal/shmem"
 	"sws/internal/uts"
 )
 
@@ -17,8 +18,8 @@ func Fig7(params bpc.Params, peCounts []int, reps int) SweepConfig {
 		PECounts: peCounts,
 		Reps:     reps,
 		Base: RunConfig{
-			Latency: DefaultLatency(),
-			Pool:    pool.Config{PayloadCap: 24},
+			World: shmem.Config{Latency: DefaultLatency()},
+			Pool:  pool.Config{PayloadCap: 24},
 		},
 		Factory: func() (Workload, error) { return bpc.NewWorkload(params) },
 	}
@@ -37,8 +38,8 @@ func Fig8(params uts.Params, peCounts []int, reps int) SweepConfig {
 		PECounts: peCounts,
 		Reps:     reps,
 		Base: RunConfig{
-			Latency: lat,
-			Pool:    pool.Config{PayloadCap: uts.PayloadSize},
+			World: shmem.Config{Latency: lat},
+			Pool:  pool.Config{PayloadCap: uts.PayloadSize},
 		},
 		Factory: func() (Workload, error) { return uts.NewWorkload(params) },
 	}

@@ -59,7 +59,7 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 		pt := SweepPoint{PEs: pes, Runs: cfg.Reps}
 		for _, proto := range []pool.Protocol{pool.SDC, pool.SWS} {
 			rc := cfg.Base
-			rc.PEs = pes
+			rc.World.NumPEs = pes
 			rc.Pool.Protocol = proto
 			runs, err := RunReps(rc, cfg.Factory, cfg.Reps)
 			if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"sws/internal/bpc"
 	"sws/internal/pool"
+	"sws/internal/shmem"
 	"sws/internal/task"
 	"sws/internal/uts"
 )
@@ -14,8 +15,8 @@ import (
 type Table2Config struct {
 	BPC bpc.Params
 	UTS uts.Params
-	// PEs for the characterization runs.
-	PEs int
+	// World is the world of the characterization runs.
+	World shmem.Config
 }
 
 // Table2 reproduces the workload-characteristics table: total tasks,
@@ -37,11 +38,7 @@ func Table2(cfg Table2Config) (*Table, error) {
 		{cfg.BPC.String(), 24, func() (Workload, error) { return bpc.NewWorkload(cfg.BPC) }},
 		{cfg.UTS.String(), uts.PayloadSize, func() (Workload, error) { return uts.NewWorkload(cfg.UTS) }},
 	} {
-		run, err := RunOnce(RunConfig{
-			PEs:     cfg.PEs,
-			Latency: DefaultLatency(),
-			Pool:    pool.Config{PayloadCap: w.payloadCap},
-		}, w.f)
+		run, err := RunOnce(RunConfig{World: cfg.World, Pool: pool.Config{PayloadCap: w.payloadCap}}, w.f)
 		if err != nil {
 			return nil, fmt.Errorf("bench: table2 %s: %w", w.name, err)
 		}

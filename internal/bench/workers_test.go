@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sws/internal/pool"
+	"sws/internal/shmem"
 	"sws/internal/uts"
 )
 
@@ -15,8 +16,8 @@ func runUTSAt(t *testing.T, workers int, work time.Duration) (time.Duration, uin
 	t.Helper()
 	var wl *uts.Workload
 	run, err := RunOnce(RunConfig{
-		PEs:  2,
-		Pool: pool.Config{PayloadCap: uts.PayloadSize, Workers: workers, Seed: 9},
+		World: shmem.Config{NumPEs: 2},
+		Pool:  pool.Config{PayloadCap: uts.PayloadSize, Workers: workers, Seed: 9},
 	}, func() (Workload, error) {
 		w, err := uts.NewWorkload(uts.Tiny)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"sws/internal/bench"
 	"sws/internal/bpc"
 	"sws/internal/pool"
 	"sws/internal/shmem"
@@ -11,30 +12,25 @@ import (
 	"sws/internal/trace"
 )
 
-// runTimedBPC runs one BPC workload on a pes-PE sim world under protocol
-// proto and returns its stats; a non-nil tr becomes the pool's trace set,
-// which also times every body on its own (TaskExec events).
-func runTimedBPC(t *testing.T, pes int, seed int64, proto pool.Protocol, params bpc.Params, tr *trace.Set) stats.Run {
+// virtualBPC runs one BPC workload through the figure code's run path
+// (bench.RunOnce) on a pes-PE sim world under protocol proto and returns
+// its stats; a non-nil tr becomes the pool's trace set, which also times
+// every body on its own (TaskExec events).
+func virtualBPC(t *testing.T, pes int, seed int64, proto pool.Protocol, params bpc.Params, tr *trace.Set) stats.Run {
 	t.Helper()
-	w, err := shmem.NewWorld(shmem.Config{
-		NumPEs:    pes,
-		HeapBytes: 1 << 20,
-		Transport: shmem.TransportSim,
-		Sim:       shmem.SimOptions{Seed: seed, MaxVirtualTime: time.Hour},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := pool.Config{Protocol: proto, Seed: seed, Trace: tr}
-	wl, err := bpc.NewWorkload(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := pool.RunOnce(w, cfg, func(_ int, reg *pool.Registry) error { return wl.Register(reg) }, wl.Seed, nil)
+	run, err := bench.RunOnce(bench.RunConfig{
+		World: shmem.Config{
+			NumPEs:    pes,
+			HeapBytes: 1 << 20,
+			Transport: shmem.TransportSim,
+			Sim:       shmem.SimOptions{Seed: seed, MaxVirtualTime: time.Hour},
+		},
+		Pool: pool.Config{Protocol: proto, Seed: seed, Trace: tr},
+	}, func() (bench.Workload, error) { return bpc.NewWorkload(params) })
 	if err != nil {
 		t.Fatalf("%v %d PEs seed %d: %v", proto, pes, seed, err)
 	}
-	if got, want := wl.Producers()+wl.Consumers(), params.TotalTasks(); got != want {
+	if got, want := run.Total().TasksExecuted, params.TotalTasks(); got != want {
 		t.Fatalf("%v %d PEs seed %d: executed %d tasks, want %d", proto, pes, seed, got, want)
 	}
 	return run
@@ -56,8 +52,8 @@ func TestExecTimeIsVirtual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		traced := runTimedBPC(t, pes, 1, proto, params, tr)
-		untraced := runTimedBPC(t, pes, 1, proto, params, nil)
+		traced := virtualBPC(t, pes, 1, proto, params, tr)
+		untraced := virtualBPC(t, pes, 1, proto, params, nil)
 		got := traced.Total().ExecTime
 		if u := untraced.Total().ExecTime; u != got {
 			t.Errorf("%v: untraced exec time %v, traced %v: want one definition", proto, u, got)
@@ -94,8 +90,8 @@ func TestVirtualFig7Shape(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		prev := 0.0
 		for _, pes := range []int{4, 16, 64} {
-			sws := runTimedBPC(t, pes, seed, pool.SWS, params, nil)
-			sdc := runTimedBPC(t, pes, seed, pool.SDC, params, nil)
+			sws := virtualBPC(t, pes, seed, pool.SWS, params, nil)
+			sdc := virtualBPC(t, pes, seed, pool.SDC, params, nil)
 			ratio := float64(sdc.Elapsed) / float64(sws.Elapsed)
 			swsSteal, sdcSteal := sws.Total().StealTime, sdc.Total().StealTime
 			t.Logf("seed %d, %2d PEs: SDC/SWS %.1f%% (%v / %v), steal time SWS %v, SDC %v",

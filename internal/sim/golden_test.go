@@ -112,11 +112,15 @@ var goldenModes = []struct {
 	name   string
 	params func(seed int64) Params
 }{
-	{"fault-free", func(seed int64) Params { return Params{PEs: 4, Depth: 6, Width: 12, Seed: seed} }},
-	{"chaos", func(seed int64) Params { return Params{PEs: 4, Depth: 6, Width: 12, Seed: seed, Chaos: true} }},
+	{"fault-free", func(seed int64) Params {
+		return Params{World: shmem.Config{NumPEs: 4, Sim: shmem.SimOptions{Seed: seed}}, Depth: 6, Width: 12}
+	}},
+	{"chaos", func(seed int64) Params {
+		return Params{World: shmem.Config{NumPEs: 4, Sim: shmem.SimOptions{Seed: seed, Chaos: true}}, Depth: 6, Width: 12}
+	}},
 	{"kill", func(seed int64) Params {
-		p := Params{PEs: 4, Depth: 6, Width: 12, Seed: seed}
-		p.Kill = []shmem.SimKill{KillForSeed(seed, p.PEs)}
+		p := Params{World: shmem.Config{NumPEs: 4, Sim: shmem.SimOptions{Seed: seed}}, Depth: 6, Width: 12}
+		p.World.Sim.Kill = []shmem.SimKill{KillForSeed(seed, p.World.NumPEs)}
 		return p
 	}},
 	{"churn", churnParams},

@@ -25,8 +25,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -37,67 +39,47 @@ import (
 )
 
 // Params configures one simulated run: a BPC workload (zero task
-// durations, so all time is protocol time) on a sim-transport world.
+// durations, so all time is protocol time) on a sim-transport world. The
+// world and the pool are described the way every other program describes
+// them, by a shmem.Config and a pool.Config; Params adds only what those
+// cannot say.
 type Params struct {
-	// PEs is the number of simulated processing elements. Default 4.
-	PEs int
+	// World is the simulated world: NumPEs (default 4), DeadAfter (default
+	// 500µs of virtual time when a kill is scheduled: the wall-clock
+	// library default would blow the virtual-time budget) and Sim — the
+	// seed that drives the whole run, chaos, a forced schedule-choice
+	// prefix, the virtual-time and step budgets, and the kill and churn
+	// schedules. Transport is always TransportSim and Sim.Log the
+	// harness's; Params.Fault, when set, builds Fault. With a kill
+	// scheduled the exactly-once oracle relaxes to at-most-once plus
+	// survivor termination: executed <= total, no hang, and the victim's
+	// own unwind is the only tolerated error. Churn transitions are
+	// voluntary and loss-free, so the oracle stays strict under them.
+	World shmem.Config
+	// Pool configures the pool (Protocol, QueueCapacity); its Seed is
+	// World.Sim.Seed, so one seed replays the whole run.
+	Pool pool.Config
 	// Depth is the BPC producer-chain length. Default 6.
 	Depth int
 	// Width is the number of consumers per producer. Default 12.
 	Width int
-	// Seed drives the entire simulation (schedule, latencies, and any
-	// seeded fault injector constructed from it).
-	Seed int64
-	// Chaos randomizes schedule choice among near-simultaneous candidates
-	// (more interleavings per seed).
-	Chaos bool
-	// Choices forces a schedule-decision prefix (bounded systematic mode).
-	Choices []byte
-	// Protocol selects the queue protocol. Default pool.SWS.
-	Protocol pool.Protocol
-	// QueueCap is the task-queue capacity in slots (0 = library default).
-	// Overflow sweeps set it small so spawns keep finding the queue full
-	// and overflow into the owner's private deque.
-	QueueCap int
+	// Fault, if non-nil, is built once per run from the seed, letting
+	// fault streams replay along with the schedule.
+	Fault func(seed int64) shmem.FaultInjector
+	// InitialMembers engages elastic membership with only ranks
+	// [0, InitialMembers) starting live; the rest start parked (a Join
+	// churn entry needs its rank parked first). Zero means all PEs start
+	// live (membership still engages when World.Sim.Churn is non-empty).
+	InitialMembers int
 	// Stats, if non-nil, receives the element-wise sum of per-PE pool
 	// counters after the run — sweep tests use it to prove a configuration
 	// actually exercises the machinery under test (e.g. overflow).
 	Stats *stats.PE
-	// Fault, if non-nil, is built once per run from the seed, letting
-	// fault streams replay along with the schedule.
-	Fault func(seed int64) shmem.FaultInjector
-	// MaxVirtualTime bounds the run in virtual time (livelock detector).
-	// Default 2s.
-	MaxVirtualTime time.Duration
-	// MaxSteps bounds the run in scheduler decisions. Default 2,000,000.
-	MaxSteps uint64
-	// Kill schedules virtual-time crash injections (passed through to
-	// shmem.SimOptions.Kill). When non-empty the failure-detector windows
-	// default to virtual-time scale and the exactly-once oracle relaxes to
-	// at-most-once plus survivor termination: executed <= total, no hang,
-	// and the victim's own unwind is the only tolerated error.
-	Kill []shmem.SimKill
-	// DeadAfter overrides the failure-detector window in virtual time.
-	// Zero means 500µs when Kill is non-empty (the wall-clock library
-	// default would blow the virtual-time budget) and the library default
-	// otherwise.
-	DeadAfter time.Duration
-	// Churn schedules virtual-time membership transitions (passed through
-	// to shmem.SimOptions.Churn): drains and joins begin at exact virtual
-	// times and the affected PE completes them from its scheduler loop, so
-	// churned runs replay byte-identically from the seed. Transitions are
-	// voluntary and loss-free, so the exactly-once oracle stays strict.
-	Churn []shmem.SimChurn
-	// InitialMembers engages elastic membership with only ranks
-	// [0, InitialMembers) starting live; the rest start parked (a Join
-	// churn entry needs its rank parked first). Zero means all PEs start
-	// live (membership still engages when Churn is non-empty).
-	InitialMembers int
 }
 
 func (p Params) withDefaults() Params {
-	if p.PEs == 0 {
-		p.PEs = 4
+	if p.World.NumPEs == 0 {
+		p.World.NumPEs = 4
 	}
 	if p.Depth == 0 {
 		p.Depth = 6
@@ -105,37 +87,74 @@ func (p Params) withDefaults() Params {
 	if p.Width == 0 {
 		p.Width = 12
 	}
-	if p.MaxVirtualTime == 0 {
-		p.MaxVirtualTime = 2 * time.Second
-	}
-	if p.MaxSteps == 0 {
-		p.MaxSteps = 2_000_000
-	}
-	if len(p.Kill) > 0 && p.DeadAfter == 0 {
-		p.DeadAfter = 500 * time.Microsecond
+	if len(p.World.Sim.Kill) > 0 && p.World.DeadAfter == 0 {
+		p.World.DeadAfter = 500 * time.Microsecond
 	}
 	return p
 }
 
-func (p Params) String() string {
-	s := fmt.Sprintf("seed=%d pes=%d depth=%d width=%d chaos=%t", p.Seed, p.PEs, p.Depth, p.Width, p.Chaos)
-	if p.QueueCap != 0 {
-		s += fmt.Sprintf(" qcap=%d", p.QueueCap)
+// flags lists p's run as the -sim.* flags TestReplaySeed reads, without
+// their "-sim." prefix; replayable is false when p sets something no flag
+// names (a Fault factory, a pool or world field the sim tests never vary).
+func (p Params) flags() (flags []string, replayable bool) {
+	p = p.withDefaults()
+	sim := p.World.Sim
+	flags = []string{fmt.Sprintf("seed=%d", sim.Seed), fmt.Sprintf("pes=%d", p.World.NumPEs),
+		fmt.Sprintf("depth=%d", p.Depth), fmt.Sprintf("width=%d", p.Width)}
+	if sim.Chaos {
+		flags = append(flags, "chaos")
 	}
-	for _, k := range p.Kill {
-		s += fmt.Sprintf(" kill=%d@%v", k.Rank, k.At)
+	if len(sim.Choices) > 0 {
+		choices := make([]string, len(sim.Choices))
+		for i, c := range sim.Choices {
+			choices[i] = fmt.Sprint(c)
+		}
+		flags = append(flags, "choices="+strings.Join(choices, ","))
+	}
+	if p.Pool.Protocol != pool.SWS {
+		flags = append(flags, "protocol="+p.Pool.Protocol.String())
+	}
+	if p.Pool.QueueCapacity != 0 {
+		flags = append(flags, fmt.Sprintf("qcap=%d", p.Pool.QueueCapacity))
+	}
+	for i, k := range sim.Kill {
+		if i == 0 {
+			flags = append(flags, fmt.Sprintf("killrank=%d", k.Rank), fmt.Sprintf("killat=%v", k.At))
+		} else {
+			flags = append(flags, fmt.Sprintf("kill=%d@%v", k.Rank, k.At))
+		}
+	}
+	if p.World.DeadAfter != 0 {
+		flags = append(flags, fmt.Sprintf("deadafter=%v", p.World.DeadAfter))
 	}
 	if p.InitialMembers > 0 {
-		s += fmt.Sprintf(" members=%d", p.InitialMembers)
+		flags = append(flags, fmt.Sprintf("members=%d", p.InitialMembers))
 	}
-	for _, c := range p.Churn {
+	for _, c := range sim.Churn {
 		kind := "drain"
 		if c.Join {
 			kind = "join"
 		}
-		s += fmt.Sprintf(" %s=%d@%v", kind, c.Rank, c.At)
+		flags = append(flags, fmt.Sprintf("%s=%d@%v", kind, c.Rank, c.At))
 	}
-	return s
+	if sim.MaxVirtualTime != 0 {
+		flags = append(flags, fmt.Sprintf("maxtime=%v", sim.MaxVirtualTime))
+	}
+	if sim.MaxSteps != 0 {
+		flags = append(flags, fmt.Sprintf("maxsteps=%d", sim.MaxSteps))
+	}
+	// What is left once every flagged field is cleared no flag can name.
+	// Transport, Sim.Log and Pool.Seed are the harness's own.
+	rest := p
+	rest.World.NumPEs, rest.World.DeadAfter, rest.World.Transport, rest.World.Sim = 0, 0, 0, shmem.SimOptions{}
+	rest.Pool.Protocol, rest.Pool.QueueCapacity, rest.Pool.Seed = 0, 0, 0
+	rest.Depth, rest.Width, rest.InitialMembers, rest.Stats = 0, 0, 0, nil
+	return flags, reflect.DeepEqual(rest, Params{})
+}
+
+func (p Params) String() string {
+	flags, _ := p.flags()
+	return strings.Join(flags, " ")
 }
 
 // Run executes one simulated BPC run and returns the deterministic event
@@ -149,34 +168,19 @@ func Run(p Params) ([]byte, error) { return runSteps(p, nil) }
 func runSteps(p Params, steps *uint64) ([]byte, error) {
 	p = p.withDefaults()
 	var log bytes.Buffer
-	var fault shmem.FaultInjector
+	wc := p.World
+	wc.Transport, wc.Sim.Log = shmem.TransportSim, &log
 	if p.Fault != nil {
-		fault = p.Fault(p.Seed)
+		wc.Fault = p.Fault(wc.Sim.Seed)
 	}
-	w, err := shmem.NewWorld(shmem.Config{
-		NumPEs:    p.PEs,
-		HeapBytes: 4 << 20,
-		Transport: shmem.TransportSim,
-		Fault:     fault,
-		DeadAfter: p.DeadAfter,
-		Sim: shmem.SimOptions{
-			Seed:           p.Seed,
-			Chaos:          p.Chaos,
-			Choices:        p.Choices,
-			MaxVirtualTime: p.MaxVirtualTime,
-			MaxSteps:       p.MaxSteps,
-			Log:            &log,
-			Kill:           p.Kill,
-			Churn:          p.Churn,
-		},
-	})
+	w, err := shmem.NewWorld(wc)
 	if err != nil {
 		return nil, err
 	}
-	if p.InitialMembers > 0 || len(p.Churn) > 0 {
+	if p.InitialMembers > 0 || len(wc.Sim.Churn) > 0 {
 		n := p.InitialMembers
 		if n == 0 {
-			n = p.PEs
+			n = wc.NumPEs
 		}
 		if err := w.SetInitialMembers(n); err != nil {
 			return nil, err
@@ -188,11 +192,9 @@ func runSteps(p Params, steps *uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	run, err := pool.RunOnce(w, pool.Config{
-		Protocol:      p.Protocol,
-		Seed:          p.Seed,
-		QueueCapacity: p.QueueCap,
-	}, func(_ int, reg *pool.Registry) error { return wl.Register(reg) }, wl.Seed, nil)
+	pc := p.Pool
+	pc.Seed = wc.Sim.Seed
+	run, err := pool.RunOnce(w, pc, func(_ int, reg *pool.Registry) error { return wl.Register(reg) }, wl.Seed, nil)
 	if p.Stats != nil {
 		*p.Stats = run.Total()
 	}
@@ -203,13 +205,13 @@ func runSteps(p Params, steps *uint64) ([]byte, error) {
 		// With a kill scheduled, the victim's own unwind is the expected
 		// outcome; anything beyond it (a world failure, a survivor error)
 		// is a real failure.
-		if len(p.Kill) == 0 || !errors.Is(err, shmem.ErrPEKilled) || w.Err() != nil {
+		if len(wc.Sim.Kill) == 0 || !errors.Is(err, shmem.ErrPEKilled) || w.Err() != nil {
 			return log.Bytes(), err
 		}
 	}
 	want := wl.Params.TotalTasks()
 	got := wl.Producers() + wl.Consumers()
-	if len(p.Kill) > 0 {
+	if len(wc.Sim.Kill) > 0 {
 		if got > want {
 			return log.Bytes(), fmt.Errorf("sim: at-most-once violated under kill: executed %d tasks, spawn budget %d", got, want)
 		}
@@ -253,7 +255,7 @@ func Sweep(base Params, startSeed int64, n int) []Failure {
 			defer wg.Done()
 			for j := range jobs {
 				p := base
-				p.Seed = j.seed
+				p.World.Sim.Seed = j.seed
 				p.Stats = nil // parallel runs must not share one stats sink
 				if _, err := Run(p); err != nil {
 					mu.Lock()
@@ -268,7 +270,7 @@ func Sweep(base Params, startSeed int64, n int) []Failure {
 	}
 	close(jobs)
 	wg.Wait()
-	sort.Slice(failures, func(i, j int) bool { return failures[i].Params.Seed < failures[j].Params.Seed })
+	sort.Slice(failures, func(i, j int) bool { return failures[i].Params.World.Sim.Seed < failures[j].Params.World.Sim.Seed })
 	return failures
 }
 
@@ -294,7 +296,7 @@ func Systematic(base Params, horizon, fanout int) []Failure {
 			x /= fanout
 		}
 		p := base
-		p.Choices = append([]byte(nil), prefix...)
+		p.World.Sim.Choices = append([]byte(nil), prefix...)
 		if _, err := Run(p); err != nil {
 			failures = append(failures, Failure{Params: p.withDefaults(), Err: err})
 		}
@@ -306,36 +308,42 @@ func Systematic(base Params, horizon, fanout int) []Failure {
 // producer chain, narrower fan-out — re-running after each candidate
 // reduction and keeping it only if the run still fails. The result is the
 // smallest configuration (under this greedy order) that still reproduces
-// a failure from the same seed.
+// a failure from the same seed. It keeps every rank the run schedules a
+// kill or churn on, or starts live: a world too small for one would drop
+// it and fail, or pass, for another reason.
 func Minimize(f Failure) Failure {
 	cur := f.Params.withDefaults()
 	cur.Stats = nil
-	stillFails := func(p Params) (error, bool) {
-		_, err := Run(p)
-		return err, err != nil
+	minPEs := max(2, cur.InitialMembers)
+	for _, k := range cur.World.Sim.Kill {
+		minPEs = max(minPEs, k.Rank+1)
 	}
+	for _, c := range cur.World.Sim.Churn {
+		minPEs = max(minPEs, c.Rank+1)
+	}
+	// Six candidates a round, in order: PEs halved, PEs less one, then the
+	// same for Depth and for Width. The first that still fails is taken.
 	for improved := true; improved; {
 		improved = false
-		for _, cand := range []Params{
-			{PEs: cur.PEs / 2}, {PEs: cur.PEs - 1},
-			{Depth: cur.Depth / 2}, {Depth: cur.Depth - 1},
-			{Width: cur.Width / 2}, {Width: cur.Width - 1},
-		} {
+		for i := 0; i < 6 && !improved; i++ {
 			next := cur
-			if cand.PEs > 0 && cand.PEs >= 2 && cand.PEs < cur.PEs {
-				next.PEs = cand.PEs
-			} else if cand.Depth > 0 && cand.Depth < cur.Depth {
-				next.Depth = cand.Depth
-			} else if cand.Width > 0 && cand.Width < cur.Width {
-				next.Width = cand.Width
+			v, least := &next.World.NumPEs, minPEs
+			switch i / 2 {
+			case 1:
+				v, least = &next.Depth, 1
+			case 2:
+				v, least = &next.Width, 1
+			}
+			if i%2 == 0 {
+				*v /= 2
 			} else {
+				*v--
+			}
+			if *v < least {
 				continue
 			}
-			if err, bad := stillFails(next); bad {
-				cur = next
-				f = Failure{Params: next, Err: err}
-				improved = true
-				break
+			if _, err := Run(next); err != nil {
+				cur, f, improved = next, Failure{Params: next, Err: err}, true
 			}
 		}
 	}
@@ -343,32 +351,12 @@ func Minimize(f Failure) Failure {
 }
 
 // ReproLine returns the one-line command that replays a configuration
-// through the TestReplaySeed entry point.
+// through the TestReplaySeed entry point, or says why flags cannot.
 func ReproLine(p Params) string {
-	p = p.withDefaults()
-	s := fmt.Sprintf("go test ./internal/sim -run 'TestReplaySeed' -sim.seed=%d -sim.pes=%d -sim.depth=%d -sim.width=%d",
-		p.Seed, p.PEs, p.Depth, p.Width)
-	if p.Chaos {
-		s += " -sim.chaos"
-	}
-	if p.QueueCap != 0 {
-		s += fmt.Sprintf(" -sim.qcap=%d", p.QueueCap)
-	}
-	if p.Protocol != pool.SWS {
-		s += " -sim.protocol=" + p.Protocol.String()
-	}
-	if len(p.Kill) > 0 {
-		s += fmt.Sprintf(" -sim.killrank=%d -sim.killat=%v", p.Kill[0].Rank, p.Kill[0].At)
-	}
-	if p.InitialMembers > 0 {
-		s += fmt.Sprintf(" -sim.members=%d", p.InitialMembers)
-	}
-	for _, c := range p.Churn {
-		if c.Join {
-			s += fmt.Sprintf(" -sim.join=%d@%v", c.Rank, c.At)
-		} else {
-			s += fmt.Sprintf(" -sim.drain=%d@%v", c.Rank, c.At)
-		}
+	flags, replayable := p.flags()
+	s := "go test ./internal/sim -run 'TestReplaySeed' -sim." + strings.Join(flags, " -sim.")
+	if !replayable {
+		s += "  # not a replay: the run sets what no -sim flag names (a Fault factory)"
 	}
 	return s
 }

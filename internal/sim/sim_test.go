@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,81 +20,93 @@ import (
 // Explorer knobs, settable from the command line. ReproLine prints the
 // matching invocation for any failing configuration.
 var (
-	flagSeed  = flag.Int64("sim.seed", 1, "base seed for sim runs / sweeps")
-	flagSeeds = flag.Int("sim.seeds", 64, "number of seeds TestSeedSweep explores")
-	flagPEs   = flag.Int("sim.pes", 4, "simulated PEs")
-	flagDepth = flag.Int("sim.depth", 6, "BPC producer-chain depth")
-	flagWidth = flag.Int("sim.width", 12, "BPC consumers per producer")
-	flagChaos = flag.Bool("sim.chaos", false, "randomize schedule among near-simultaneous candidates")
-	flagQCap  = flag.Int("sim.qcap", 0, "task-queue capacity in slots (0 = library default)")
-	flagProto = flag.String("sim.protocol", "sws", "queue protocol: sws, sdc or sws-fused")
-
-	// Crash-injection replay knobs (printed by ReproLine for kill-sweep
-	// failures): kill -sim.killrank at virtual time -sim.killat.
-	flagKillRank = flag.Int("sim.killrank", -1, "crash-inject this rank (virtual-time kill; -1 disables)")
-	flagKillAt   = flag.Duration("sim.killat", 0, "virtual time of the crash injection")
-
-	// Membership-churn replay knobs (printed by ReproLine for churn-sweep
-	// failures): engage elastic membership with -sim.members live ranks,
-	// then join/drain "rank@virtualtime" entries.
-	flagMembers = flag.Int("sim.members", 0, "initial live members (0 = all PEs; engages elastic membership)")
-	flagJoin    = flag.String("sim.join", "", "join churn as rank@virtualtime (e.g. 3@500µs)")
-	flagDrain   = flag.String("sim.drain", "", "drain churn as rank@virtualtime (e.g. 1@1ms)")
+	flagSeeds  = flag.Int("sim.seeds", 64, "number of seeds TestSeedSweep explores")
+	flagParams = simFlags(flag.CommandLine)
 )
 
-// parseChurn parses a "rank@virtualtime" churn flag.
-func parseChurn(t *testing.T, s string, join bool) shmem.SimChurn {
-	t.Helper()
-	var rank int
-	var at string
-	if _, err := fmt.Sscanf(s, "%d@%s", &rank, &at); err != nil {
-		t.Fatalf("churn flag %q: want rank@duration: %v", s, err)
+// flagSeed is -sim.seed: the replayed seed, and the first seed of a sweep.
+func flagSeed() int64 { return flagParams().World.Sim.Seed }
+
+// simFlags registers on fs the -sim.* flags that name one run — the ones
+// ReproLine prints — and returns what reads them back as Params.
+func simFlags(fs *flag.FlagSet) func() Params {
+	var p Params
+	sim := &p.World.Sim
+	fs.Int64Var(&sim.Seed, "sim.seed", 1, "base seed for sim runs / sweeps")
+	fs.IntVar(&p.World.NumPEs, "sim.pes", 4, "simulated PEs")
+	fs.IntVar(&p.Depth, "sim.depth", 6, "BPC producer-chain depth")
+	fs.IntVar(&p.Width, "sim.width", 12, "BPC consumers per producer")
+	fs.BoolVar(&sim.Chaos, "sim.chaos", false, "randomize schedule among near-simultaneous candidates")
+	fs.Func("sim.choices", "forced schedule-choice prefix, comma-separated (e.g. 0,2,1)", func(s string) error {
+		sim.Choices = nil
+		for _, c := range strings.Split(s, ",") {
+			v, err := strconv.ParseUint(c, 10, 8)
+			if err != nil {
+				return err
+			}
+			sim.Choices = append(sim.Choices, byte(v))
+		}
+		return nil
+	})
+	fs.IntVar(&p.Pool.QueueCapacity, "sim.qcap", 0, "task-queue capacity in slots (0 = library default)")
+	fs.Func("sim.protocol", "queue protocol: sws, sdc or sws-fused", func(s string) (err error) {
+		p.Pool.Protocol, err = pool.ParseProtocol(s)
+		return err
+	})
+	// Crash injections: -sim.killrank at virtual time -sim.killat, then any
+	// further ones as -sim.kill=rank@virtualtime.
+	killRank := fs.Int("sim.killrank", -1, "crash-inject this rank (virtual-time kill; -1 disables)")
+	killAt := fs.Duration("sim.killat", 0, "virtual time of the crash injection")
+	var kills []shmem.SimKill
+	fs.Func("sim.kill", "a further crash injection as rank@virtualtime (repeatable)", func(s string) error {
+		rank, at, err := parseRankAt(s)
+		kills = append(kills, shmem.SimKill{Rank: rank, At: at})
+		return err
+	})
+	fs.DurationVar(&p.World.DeadAfter, "sim.deadafter", 0, "failure-detector window in virtual time (0 = harness default)")
+	// Membership churn: -sim.members live ranks at the start, then join and
+	// drain entries in the order given.
+	fs.IntVar(&p.InitialMembers, "sim.members", 0, "initial live members (0 = all PEs; engages elastic membership)")
+	churn := func(join bool) func(string) error {
+		return func(s string) error {
+			rank, at, err := parseRankAt(s)
+			sim.Churn = append(sim.Churn, shmem.SimChurn{Rank: rank, At: at, Join: join})
+			return err
+		}
+	}
+	fs.Func("sim.join", "join churn as rank@virtualtime, e.g. 3@500µs (repeatable)", churn(true))
+	fs.Func("sim.drain", "drain churn as rank@virtualtime, e.g. 1@1ms (repeatable)", churn(false))
+	fs.DurationVar(&sim.MaxVirtualTime, "sim.maxtime", 0, "virtual-time budget (0 = world default)")
+	fs.Uint64Var(&sim.MaxSteps, "sim.maxsteps", 0, "scheduler-decision budget (0 = world default)")
+	return func() Params {
+		q := p
+		q.World.Sim.Kill = kills
+		if *killRank >= 0 {
+			q.World.Sim.Kill = append([]shmem.SimKill{{Rank: *killRank, At: *killAt}}, kills...)
+		}
+		return q
+	}
+}
+
+// parseRankAt parses a "rank@virtualtime" flag value.
+func parseRankAt(s string) (int, time.Duration, error) {
+	rank, at, ok := strings.Cut(s, "@")
+	if !ok {
+		return 0, 0, fmt.Errorf("%q: want rank@duration", s)
+	}
+	r, err := strconv.Atoi(rank)
+	if err != nil {
+		return 0, 0, err
 	}
 	d, err := time.ParseDuration(at)
-	if err != nil {
-		t.Fatalf("churn flag %q: %v", s, err)
-	}
-	return shmem.SimChurn{Rank: rank, At: d, Join: join}
-}
-
-func flagParams() Params {
-	p := Params{
-		PEs:      *flagPEs,
-		Depth:    *flagDepth,
-		Width:    *flagWidth,
-		Seed:     *flagSeed,
-		Chaos:    *flagChaos,
-		QueueCap: *flagQCap,
-	}
-	var err error
-	if p.Protocol, err = pool.ParseProtocol(*flagProto); err != nil {
-		panic(err)
-	}
-	if *flagKillRank >= 0 {
-		p.Kill = []shmem.SimKill{{Rank: *flagKillRank, At: *flagKillAt}}
-	}
-	return p
-}
-
-// churnFlagParams folds the -sim.members/-sim.join/-sim.drain knobs in
-// (separate from flagParams so the non-churn sweeps stay agnostic).
-func churnFlagParams(t *testing.T) Params {
-	p := flagParams()
-	p.InitialMembers = *flagMembers
-	if *flagJoin != "" {
-		p.Churn = append(p.Churn, parseChurn(t, *flagJoin, true))
-	}
-	if *flagDrain != "" {
-		p.Churn = append(p.Churn, parseChurn(t, *flagDrain, false))
-	}
-	return p
+	return r, d, err
 }
 
 // TestSameSeedByteIdentical is the headline acceptance criterion: the
 // same seed produces byte-identical event logs across two full 4-PE BPC
 // pool runs under the sim transport.
 func TestSameSeedByteIdentical(t *testing.T) {
-	p := Params{PEs: 4, Depth: 6, Width: 12, Seed: 42}
+	p := Params{World: shmem.Config{NumPEs: 4, Sim: shmem.SimOptions{Seed: 42}}, Depth: 6, Width: 12}
 	log1, err := Run(p)
 	if err != nil {
 		t.Fatalf("run 1: %v", err)
@@ -137,11 +151,11 @@ func excerpt(b []byte, at int) string {
 
 // TestSeedsDiffer: different seeds must explore different schedules.
 func TestSeedsDiffer(t *testing.T) {
-	log1, err := Run(Params{PEs: 4, Depth: 4, Width: 8, Seed: 1})
+	log1, err := Run(Params{World: shmem.Config{NumPEs: 4, Sim: shmem.SimOptions{Seed: 1}}, Depth: 4, Width: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	log2, err := Run(Params{PEs: 4, Depth: 4, Width: 8, Seed: 2})
+	log2, err := Run(Params{World: shmem.Config{NumPEs: 4, Sim: shmem.SimOptions{Seed: 2}}, Depth: 4, Width: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +167,7 @@ func TestSeedsDiffer(t *testing.T) {
 // TestChaosRun: chaos mode must complete and stay exactly-once.
 func TestChaosRun(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		if _, err := Run(Params{PEs: 4, Depth: 4, Width: 8, Seed: seed, Chaos: true}); err != nil {
+		if _, err := Run(Params{World: shmem.Config{NumPEs: 4, Sim: shmem.SimOptions{Seed: seed, Chaos: true}}, Depth: 4, Width: 8}); err != nil {
 			t.Fatalf("chaos seed %d: %v", seed, err)
 		}
 	}
@@ -162,9 +176,66 @@ func TestChaosRun(t *testing.T) {
 // TestReplaySeed is the repro entry point printed by ReproLine: it runs
 // exactly the configuration given by the -sim.* flags.
 func TestReplaySeed(t *testing.T) {
-	p := churnFlagParams(t)
+	p := flagParams()
 	if _, err := Run(p); err != nil {
 		t.Fatalf("replay %v failed:\n%v", p, err)
+	}
+}
+
+// TestReproLineRoundTrip: the line ReproLine prints, read back by
+// TestReplaySeed's flags, names exactly the run it was printed for — a
+// forced prefix, every kill, the budgets and the detector window included.
+// A run with a Fault factory cannot be named by flags, and its line says so.
+func TestReproLineRoundTrip(t *testing.T) {
+	for _, p := range []Params{
+		{World: shmem.Config{NumPEs: 3, Sim: shmem.SimOptions{Seed: 7, Choices: []byte{0, 2, 1, 1}}}, Depth: 3, Width: 4},
+		{World: shmem.Config{NumPEs: 5, Sim: shmem.SimOptions{Seed: 11, Chaos: true, Kill: []shmem.SimKill{
+			{Rank: 1, At: 30 * time.Microsecond}, {Rank: 4, At: 90 * time.Microsecond}}}}},
+		{World: shmem.Config{DeadAfter: time.Millisecond, Sim: shmem.SimOptions{Seed: 5, MaxVirtualTime: 100 * time.Millisecond, MaxSteps: 300_000}},
+			Pool: pool.Config{Protocol: pool.SDC, QueueCapacity: 8}},
+		churnParams(3),
+	} {
+		line := ReproLine(p)
+		fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+		read := simFlags(fs)
+		if err := fs.Parse(strings.Fields(line[strings.Index(line, " -sim."):])); err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		if got, want := read().withDefaults(), p.withDefaults(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s\nreads back as %v\nwant         %v", line, got, want)
+		}
+	}
+	faulty := Params{Fault: func(int64) shmem.FaultInjector { return nil }}
+	if line := ReproLine(faulty); !strings.Contains(line, "not a replay") {
+		t.Errorf("a run with a Fault factory prints %q as its replay", line)
+	}
+}
+
+// TestMinimizeKeepsItsKill: shrinking a failing kill run never drops the
+// world below its victim's rank, where the sim would skip the kill and
+// the minimized line would replay a fault-free run.
+func TestMinimizeKeepsItsKill(t *testing.T) {
+	p := Params{
+		World: shmem.Config{NumPEs: 4, Sim: shmem.SimOptions{
+			Seed: 1, MaxVirtualTime: 100 * time.Millisecond, MaxSteps: 300_000,
+			Kill: []shmem.SimKill{{Rank: 3, At: 50 * time.Microsecond}},
+		}},
+		Depth: 4, Width: 8,
+		// Every NBI store vanishes, so every configuration fails.
+		Fault: func(seed int64) shmem.FaultInjector {
+			return &shmem.DropFaults{Fraction: 1.0, Ops: []shmem.Op{shmem.OpStoreNBI}, Seed: seed}
+		},
+	}
+	_, err := Run(p)
+	if err == nil {
+		t.Fatal("a run that drops every NBI store passed")
+	}
+	min := Minimize(Failure{Params: p, Err: err})
+	if min.Params.World.NumPEs < 4 {
+		t.Fatalf("minimized to %v: the kill of rank 3 no longer runs", min.Params)
+	}
+	if min.Params.Depth >= p.Depth && min.Params.Width >= p.Width {
+		t.Errorf("minimized to %v: nothing shrank", min.Params)
 	}
 }
 
@@ -177,7 +248,7 @@ func TestSeedSweep(t *testing.T) {
 		t.Skip("seed sweep skipped in -short mode")
 	}
 	base := flagParams()
-	failures := Sweep(base, *flagSeed, *flagSeeds)
+	failures := Sweep(base, flagSeed(), *flagSeeds)
 	if len(failures) == 0 {
 		return
 	}
@@ -207,7 +278,7 @@ func TestSDCSweep(t *testing.T) {
 		t.Skip("SDC sweep skipped in -short mode")
 	}
 	for _, pes := range []int{2, 4, 8} {
-		base := Params{PEs: pes, Depth: 8, Width: 8, Protocol: pool.SDC}
+		base := Params{World: shmem.Config{NumPEs: pes}, Depth: 8, Width: 8, Pool: pool.Config{Protocol: pool.SDC}}
 		for _, f := range Sweep(base, 1, 100) {
 			t.Errorf("%v", f)
 		}
@@ -226,12 +297,12 @@ func TestChaosKillSweep(t *testing.T) {
 		t.Skip("chaos kill sweep skipped in -short mode")
 	}
 	base := flagParams()
-	base.Chaos = true
+	base.World.Sim.Chaos = true
 	var failures []Failure
 	for i := 0; i < *flagSeeds; i++ {
 		p := base
-		p.Seed = *flagSeed + int64(i)
-		p.Kill = []shmem.SimKill{KillForSeed(p.Seed, p.PEs)}
+		p.World.Sim.Seed = flagSeed() + int64(i)
+		p.World.Sim.Kill = []shmem.SimKill{KillForSeed(p.World.Sim.Seed, p.World.NumPEs)}
 		log, err := Run(p)
 		if err == nil {
 			if again, _ := Run(p); !bytes.Equal(log, again) {
@@ -272,8 +343,8 @@ func TestKillReplayDeterministic(t *testing.T) {
 		seed int64
 		pes  int
 	}{{11, 4}, {282, 4}, {128, 4}, {233, 6}, {124, 6}} {
-		p := Params{PEs: c.pes, Depth: 6, Width: 12, Seed: c.seed}
-		p.Kill = []shmem.SimKill{KillForSeed(p.Seed, p.PEs)}
+		p := Params{World: shmem.Config{NumPEs: c.pes, Sim: shmem.SimOptions{Seed: c.seed}}, Depth: 6, Width: 12}
+		p.World.Sim.Kill = []shmem.SimKill{KillForSeed(p.World.Sim.Seed, p.World.NumPEs)}
 		want, err := Run(p)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
@@ -297,8 +368,8 @@ func TestKillReplayDeterministic(t *testing.T) {
 // scheduler waits for it forever and no step budget can fire. The survivors
 // run the job to the end.
 func TestSimKillBeforeStartGrant(t *testing.T) {
-	p := Params{PEs: 4, Depth: 6, Width: 12, Seed: 3}
-	p.Kill = []shmem.SimKill{{Rank: 1, At: 0}}
+	p := Params{World: shmem.Config{NumPEs: 4, Sim: shmem.SimOptions{Seed: 3}}, Depth: 6, Width: 12}
+	p.World.Sim.Kill = []shmem.SimKill{{Rank: 1, At: 0}}
 	errc := make(chan error, 1)
 	go func() {
 		_, err := Run(p)
@@ -319,7 +390,7 @@ func TestSimKillBeforeStartGrant(t *testing.T) {
 // overflowing into its private deque and refilling the queue while thieves
 // steal. Chaos scheduling widens the interleavings each seed explores.
 func overflowParams(seed int64) Params {
-	return Params{PEs: 4, Depth: 6, Width: 24, Seed: seed, Chaos: true, QueueCap: 8}
+	return Params{World: shmem.Config{NumPEs: 4, Sim: shmem.SimOptions{Seed: seed, Chaos: true}}, Depth: 6, Width: 24, Pool: pool.Config{QueueCapacity: 8}}
 }
 
 // TestOverflowSameSeedByteIdentical: overflow and refill are part of the
@@ -353,7 +424,7 @@ func TestOverflowSweep(t *testing.T) {
 	}
 	// The sweep is only evidence if the configuration actually overflows:
 	// prove it on the first seed before spending the rest.
-	probe := overflowParams(*flagSeed)
+	probe := overflowParams(flagSeed())
 	var st stats.PE
 	probe.Stats = &st
 	if _, err := Run(probe); err != nil {
@@ -362,15 +433,15 @@ func TestOverflowSweep(t *testing.T) {
 	if st.TasksSpilled == 0 {
 		t.Fatalf("overflow-sweep configuration never filled a queue (stats: %+v) — the sweep would test nothing", st)
 	}
-	base := overflowParams(*flagSeed)
-	failures := Sweep(base, *flagSeed, *flagSeeds)
+	base := overflowParams(flagSeed())
+	failures := Sweep(base, flagSeed(), *flagSeeds)
 	if len(failures) == 0 {
 		return
 	}
 	var report strings.Builder
 	for _, f := range failures {
 		min := Minimize(f)
-		if min.Params.QueueCap != base.QueueCap {
+		if min.Params.Pool.QueueCapacity != base.Pool.QueueCapacity {
 			t.Errorf("minimizer dropped the queue capacity: %v -> %v", f.Params, min.Params)
 		}
 		fmt.Fprintf(&report, "%v\n", min)
@@ -393,8 +464,8 @@ func TestOverflowSweep(t *testing.T) {
 // under chaos scheduling, with the strict exactly-once oracle (voluntary
 // transitions are loss-free, so nothing may be dropped or re-run).
 func churnParams(seed int64) Params {
-	p := Params{PEs: 4, Depth: 6, Width: 12, Seed: seed, Chaos: true}
-	p.InitialMembers, p.Churn = ChurnForSeed(seed, p.PEs)
+	p := Params{World: shmem.Config{NumPEs: 4, Sim: shmem.SimOptions{Seed: seed, Chaos: true}}, Depth: 6, Width: 12}
+	p.InitialMembers, p.World.Sim.Churn = ChurnForSeed(seed, p.World.NumPEs)
 	return p
 }
 
@@ -432,7 +503,7 @@ func TestChurnSweep(t *testing.T) {
 	}
 	// The sweep is only evidence if the churn actually happens: prove a
 	// drain and a join complete on the first seed before spending the rest.
-	probe := churnParams(*flagSeed)
+	probe := churnParams(flagSeed())
 	var st stats.PE
 	probe.Stats = &st
 	if _, err := Run(probe); err != nil {
@@ -446,7 +517,7 @@ func TestChurnSweep(t *testing.T) {
 	}
 	var failures []Failure
 	for i := 0; i < *flagSeeds; i++ {
-		p := churnParams(*flagSeed + int64(i))
+		p := churnParams(flagSeed() + int64(i))
 		if _, err := Run(p); err != nil {
 			failures = append(failures, Failure{Params: p.withDefaults(), Err: err})
 		}
@@ -477,7 +548,7 @@ func TestSystematicSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("systematic sweep skipped in -short mode")
 	}
-	failures := Systematic(Params{PEs: 3, Depth: 3, Width: 4, Seed: *flagSeed}, 4, 3)
+	failures := Systematic(Params{World: shmem.Config{NumPEs: 3, Sim: shmem.SimOptions{Seed: flagSeed()}}, Depth: 3, Width: 4}, 4, 3)
 	if len(failures) > 0 {
 		t.Fatalf("%d forced-prefix runs failed; first: %v", len(failures), failures[0])
 	}
@@ -490,7 +561,7 @@ func TestSystematicSmoke(t *testing.T) {
 // that minimization shrinks the configuration.
 func TestExplorerCatchesInjectedFault(t *testing.T) {
 	base := Params{
-		PEs: 4, Depth: 4, Width: 8,
+		Depth: 4, Width: 8,
 		// Every NBI store vanishes: completion notifications never land,
 		// termination flags never arrive — the world must detectably
 		// stall (virtual-time budget or reset-stall error), never
@@ -498,8 +569,10 @@ func TestExplorerCatchesInjectedFault(t *testing.T) {
 		Fault: func(seed int64) shmem.FaultInjector {
 			return &shmem.DropFaults{Fraction: 1.0, Ops: []shmem.Op{shmem.OpStoreNBI}, Seed: seed}
 		},
-		MaxVirtualTime: 100_000_000, // 100ms virtual: fail fast
-		MaxSteps:       300_000,
+		World: shmem.Config{NumPEs: 4, Sim: shmem.SimOptions{
+			MaxVirtualTime: 100_000_000, // 100ms virtual: fail fast
+			MaxSteps:       300_000,
+		}},
 	}
 	failures := Sweep(base, 1, 4)
 	if len(failures) == 0 {
@@ -525,7 +598,7 @@ func TestExplorerCatchesInjectedFault(t *testing.T) {
 	if min.Err == nil {
 		t.Fatal("minimized configuration does not fail")
 	}
-	if min.Params.PEs > f.Params.PEs || min.Params.Depth > f.Params.Depth || min.Params.Width > f.Params.Width {
+	if min.Params.World.NumPEs > f.Params.World.NumPEs || min.Params.Depth > f.Params.Depth || min.Params.Width > f.Params.Width {
 		t.Fatalf("minimization grew the configuration: %v -> %v", f.Params, min.Params)
 	}
 	t.Logf("minimized: %v", min.Params)
@@ -537,10 +610,10 @@ func TestExplorerCatchesInjectedFault(t *testing.T) {
 // park).
 func BenchmarkSimBPC(b *testing.B) {
 	for _, p := range []Params{
-		{PEs: 16, Depth: 100, Width: 64, Seed: 1},
-		{PEs: 256, Depth: 50, Width: 64, Seed: 1},
+		{World: shmem.Config{NumPEs: 16, Sim: shmem.SimOptions{Seed: 1}}, Depth: 100, Width: 64},
+		{World: shmem.Config{NumPEs: 256, Sim: shmem.SimOptions{Seed: 1}}, Depth: 50, Width: 64},
 	} {
-		b.Run(fmt.Sprintf("pes=%d", p.PEs), func(b *testing.B) {
+		b.Run(fmt.Sprintf("pes=%d", p.World.NumPEs), func(b *testing.B) {
 			var steps, total uint64
 			for i := 0; i < b.N; i++ {
 				if _, err := runSteps(p, &steps); err != nil {
