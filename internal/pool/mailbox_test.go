@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"sws/internal/obs"
 	"sws/internal/shmem"
 	"sws/internal/task"
 )
@@ -338,7 +339,7 @@ func remoteSpawnComms(t *testing.T, body bool) {
 			if err := p.execute(p.exec.workers[0], task.Desc{Handle: spray, Payload: arg}); err != nil {
 				t.Error(err)
 			}
-			if ran, err := p.stepExecuteLocal(new(time.Time)); ran || err != nil || p.mbox.outN != 0 {
+			if _, ran, err := p.stepExecuteLocal(0, new(time.Time)); ran || err != nil || p.mbox.outN != 0 {
 				t.Errorf("idle step: ran=%v, %d spawns left unsent, %v", ran, p.mbox.outN, err)
 			}
 		}
@@ -679,7 +680,7 @@ func TestOutboxTargetSwitch(t *testing.T) {
 		if p.mbox.outN != 1 || p.mbox.outPE != 1 {
 			return fmt.Errorf("after the body the outbox holds %d for PE %d, want the last spawn's 1 for PE 1", p.mbox.outN, p.mbox.outPE)
 		}
-		if ran, err := p.stepExecuteLocal(new(time.Time)); ran || err != nil {
+		if _, ran, err := p.stepExecuteLocal(0, new(time.Time)); ran || err != nil {
 			return fmt.Errorf("idle step: ran=%v, %v", ran, err)
 		}
 		if sent := c.Counters().Snapshot().Sub(sent0); sent.Of(shmem.OpFetchAdd) != batches || sent.Of(shmem.OpPutSignal) != batches {
@@ -850,13 +851,14 @@ func TestRemoteSpawnDeliveryBound(t *testing.T) {
 			if err := p.Add(hop, nil); err != nil {
 				return err
 			}
-			if ran, err := p.stepExecuteLocal(new(time.Time)); !ran || err != nil {
+			// A burst of one pass: the next is the beat's.
+			if _, ran, err := p.stepExecuteLocal(obs.SampleEvery-1, new(time.Time)); !ran || err != nil {
 				return fmt.Errorf("the hop did not run: %v", err)
 			}
 			if got, err := recv.mbox.drain(recv.push, recv.q.PushSlots); p.mbox.outN != 1 || got != 0 || err != nil {
 				return fmt.Errorf("the hop's spawn went out inside its body: %d buffered, %d delivered, %v", p.mbox.outN, got, err)
 			}
-			if ran, err := p.stepExecuteLocal(new(time.Time)); ran || err != nil {
+			if _, ran, err := p.stepExecuteLocal(0, new(time.Time)); ran || err != nil {
 				return fmt.Errorf("idle step: ran=%v, %v", ran, err)
 			}
 			if got, err := recv.mbox.drain(recv.push, recv.q.PushSlots); got != 1 || err != nil {

@@ -1,26 +1,20 @@
 // Membership glue: how a running pool reacts to elastic-membership
-// transitions (internal/shmem/membership.go). The scheduler folds
-// membership changes in at the top of each iteration:
+// transitions (internal/shmem/membership.go). The scheduler folds them in
+// at the top of each pass, and an epoch change ends a burst:
 //
 //   - a PE whose own rank was moved to Draining flushes everything it
-//     holds into the remaining members (drainOut — loss-free: every task
-//     was already counted by its spawner, forwarding moves descriptors
-//     without touching the termination ledger), completes its drain, and
-//     parks;
-//   - a parked PE stops scheduling entirely and runs stepParked instead:
-//     forward stragglers that raced its departure, keep answering
-//     termination probes (or lead them, as the lowest live rank), and
-//     wait to be rejoined;
-//   - a PE whose own rank was moved to Joining completes its join and
-//     resumes the normal loop;
+//     holds into the remaining members (drainOut — loss-free: forwarding
+//     moves counted descriptors without touching the ledger), completes
+//     its drain, and parks;
+//   - a parked PE runs stepParked instead of scheduling: it forwards
+//     stragglers, keeps answering (or, lowest live, leading) termination
+//     probes, and waits to be rejoined;
+//   - a PE whose own rank was moved to Joining completes its join;
 //   - every PE rebuilds its victim sets against the new membership
-//     (reseatVictims), the view a thief that finds a victim dead also
-//     reseats from.
+//     (reseatVictims), as a thief that finds a victim dead does.
 //
-// All of it is gated behind a single Elastic() load, so worlds that never
-// engage the membership layer take no new branches, no new communication,
-// and no new randomness — the property the byte-identical sim replay
-// tests pin.
+// A world that never engages the membership layer pays one load of the
+// epoch word: no new branch, communication or randomness.
 package pool
 
 import (
@@ -156,14 +150,11 @@ func (p *Pool) forwardTask(d task.Desc) error {
 
 // flushWorkerTier forwards everything the execution layer holds — what
 // executors staged (under handoff, their whole private deques) and the
-// intra-PE ring — and sends the outbox. Every task in the first two was
-// counted by an executor and becomes remotely observable here, so the
-// counts that cover it are published first (the ordering term.Publish
-// relies on) — unconditionally, because a parked PE's executors may still
-// be finishing tasks they held when it left, and this is the only place
-// their counts reach the detector. Any output they stage afterwards is caught by the
-// next flush (drain loop or stepParked). A PE without executors holds
-// nothing here.
+// intra-PE ring — and sends the outbox. Those tasks were counted by
+// executors, so their counts are published first, unconditionally: a
+// parked PE's executors may still be finishing tasks, and this is the only
+// place their counts reach the detector. Later output waits for the next
+// flush (drain loop or stepParked).
 func (p *Pool) flushWorkerTier() error {
 	p.publishCounts()
 	if err := p.deliverStaged(p.forwardTask); err != nil {

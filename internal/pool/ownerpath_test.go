@@ -755,6 +755,9 @@ func TestPerTaskWordsOwnTheirCacheLines(t *testing.T) {
 	if n := unsafe.Sizeof(mailbox{}); n != 256 {
 		t.Errorf("mailbox is %d bytes, want 256: adjust its pad", n)
 	}
+	if n := unsafe.Sizeof(tallyChunk{}); n != 2048 {
+		t.Errorf("tallyChunk is %d bytes, want 2048: adjust its pad", n)
+	}
 }
 
 // TestSymmetricWordsOwnTheirLines is the same rule in the symmetric heap:

@@ -212,23 +212,19 @@ type Pool struct {
 	// bk holds the counters the owner alone writes; Stats adds the task
 	// counts and per-worker rows, which live in the workers' atomics.
 	bk book
-	// tr is the PE's event ring when Config.Trace supplied it, nil
-	// otherwise: the sink of the events only a traced run records. What
-	// every run journals goes through ctx.FlightRecord, to the same ring.
+	// tr is the PE's event ring when Config.Trace supplied it, else nil:
+	// the events only a traced run records (ctx.FlightRecord has the rest).
 	tr      *trace.Flight
 	elapsed time.Duration
 
-	// jobSeq numbers the jobs this pool has run (1-based during a job,
-	// 0 before the first). Mutated only between jobs by RunJob; tasks and
-	// executors read it freely during a job.
+	// jobSeq numbers the jobs this pool has run (1-based during a job, 0
+	// before the first), moved by RunJob between jobs only.
 	jobSeq uint64
 
-	// Elastic-membership scheduler state (membership.go). memberEpoch is
-	// the last membership epoch folded into the victim sets; parked
-	// diverts the loop into stepParked; wasMember/nowMember/memberBuf/
-	// fwdBuf are reseat and forwarding scratch; drainRR rotates forwarding
-	// targets. All inert (one atomic load per iteration) unless the
-	// world's membership layer is engaged.
+	// Elastic-membership state (membership.go): memberEpoch is the last
+	// epoch folded into the victim sets; parked diverts the loop into
+	// stepParked; the slices are reseat and forwarding scratch; drainRR
+	// rotates forwarding targets.
 	memberEpoch uint64
 	parked      bool
 	wasMember   []bool
@@ -423,12 +419,11 @@ func (p *Pool) recordEpochFlip(at time.Time, moved int64) {
 // split queue's local portion unless that is full; then it goes into the
 // owner's private deque, and so does every later push while the deque holds
 // anything: its tasks are newer than the queue's, so popOwned serves them
-// first and the owner's order stays LIFO. refill moves them back.
-//
-// Both protocol queues copy d into a slot and keep nothing of it, and push
-// calls them directly so escape analysis sees that: a spawned payload stays
-// on its caller's stack. Any other wsq.Queue (a test's wrapper) is called
-// through the interface, which escapes its argument, so it gets a copy.
+// first and the owner's order stays LIFO. refill moves them back. Both
+// protocol queues copy d into a slot and keep nothing of it, and push calls
+// them directly so escape analysis sees that: a spawned payload stays on its
+// caller's stack. Any other wsq.Queue (a test's wrapper) is called through
+// the interface, which escapes its argument, so it gets a copy.
 func (p *Pool) push(d task.Desc) error {
 	dq := p.exec.workers[0].dq
 	if dq.n == 0 {

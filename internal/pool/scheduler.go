@@ -3,13 +3,12 @@
 // expose work, reclaim protocol space, drain the remote-spawn inbox, run a
 // local task, pull shared work back (from the split queue, then from the
 // intra-PE ring), steal, probe termination — over the protocol layer
-// (wsq.Queue) underneath. A PE with local work runs its tasks back to
-// back: a pass between two beats of obs.SampleEvery is the membership
-// check, the team, the release check and one task, and the other steps
-// wait for the beat or for a pass that finds no local work. There is one
-// loop, run by the owner worker at every worker count: the paper's
-// one-goroutine PE is the PE with no executors, for which the steps that
-// serve executors find nothing to do.
+// (wsq.Queue) underneath. A PE with local work runs its tasks back to back
+// in a burst (stepExecuteLocal), a pass each, to the obs.SampleEvery beat:
+// the other steps wait for the beat or for a pass that finds no local work.
+// There is one loop, run by the owner worker at every worker count: the
+// paper's one-goroutine PE is the PE with no executors, for which the steps
+// that serve executors find nothing to do.
 package pool
 
 import (
@@ -51,15 +50,13 @@ func (p *Pool) Run() error {
 
 // RunJob runs one job epoch to global termination: it publishes the seeds'
 // counts, rearms the termination detector, opens with a barrier (which
-// fences every PE's detector reset against the job's eventual verdict
-// broadcast), processes tasks until the detector declares the global pool
-// exhausted, and closes with a barrier. Every PE must call it collectively,
-// with the job's root tasks seeded (Add/SpawnOn) beforehand; for the length
-// of the job the PE's owner work is this goroutine's alone (a concurrent
-// Add, SpawnOn or RunJob panics). Whole-job timing covers
-// the span between the barriers, matching the paper's whole-program
-// timers; the returned stats are the job's counter deltas, so a
-// long-lived fleet reports per-job figures while Stats stays cumulative.
+// fences every PE's detector reset against the job's verdict broadcast),
+// processes tasks until the detector declares the global pool exhausted,
+// and closes with a barrier. Every PE calls it collectively, with the job's
+// roots seeded (Add/SpawnOn) beforehand; during the job the PE's owner work
+// is this goroutine's alone (a concurrent Add, SpawnOn or RunJob panics).
+// Whole-job timing covers the span between the barriers, as the paper's
+// timers do; the returned stats are the job's counter deltas.
 func (p *Pool) RunJob() (JobResult, error) {
 	p.guard.Enter(wsq.OwnerRun)
 	defer p.guard.Exit()
@@ -193,7 +190,10 @@ func (p *Pool) run() (err error) {
 			}
 		}
 		if !handled && err == nil {
-			handled, err = p.stepExecuteLocal(&burst)
+			var passes int
+			if passes, handled, err = p.stepExecuteLocal(iter, &burst); passes > 1 {
+				iter, busy = iter+passes-1, true
+			}
 		}
 		if !handled && err == nil && busy {
 			// The local work ran out inside a burst: the pass runs again in
@@ -216,17 +216,14 @@ func (p *Pool) run() (err error) {
 		if found = handled; handled {
 			continue
 		}
-		// Probe termination. Per-PE counts do not balance individually
-		// (stolen tasks execute on a different rank than they spawned on);
-		// only the global sum does, and the publish ordering makes probing
-		// safe at any moment — outstanding work always keeps the global
-		// sums apart.
+		// Probe termination: only the global sums balance (a stolen task
+		// runs on another rank than it was spawned on), and outstanding
+		// work always keeps them apart, so probing is safe at any moment.
 		done, err := p.stepCheckTermination()
 		if err != nil || done {
 			return err
 		}
-		// Idle PEs keep searching aggressively (the paper's model has
-		// idle processes continuously looking for work); the wait keeps
+		// Idle PEs keep looking for work, as the paper's do; the wait keeps
 		// oversubscribed worlds live and is the sim's scheduling point.
 		owner.idleIters.Add(1)
 		if lastIdle != iter-1 {
@@ -237,11 +234,9 @@ func (p *Pool) run() (err error) {
 	}
 }
 
-// stepTeam is what the owner does for the PE's other workers once per
-// iteration: deliver what they staged, and pay the ring what its own private
-// part owes it (surplus). It shares its newest tasks, the end popOwned
-// serves; the oldest are Release's, for other PEs. The team of one has no
-// one to serve.
+// stepTeam is what the owner does for the PE's other workers once a pass:
+// deliver what they staged, and pay the ring what its private part owes it
+// (surplus), from its newest end (the oldest are Release's, for other PEs).
 func (p *Pool) stepTeam() error {
 	ex := p.exec
 	if len(ex.workers) == 1 {
@@ -289,12 +284,10 @@ func (p *Pool) deliverStaged(keep func(task.Desc) error) error {
 }
 
 // stepRelease exposes work to thieves when the shared portion has run dry
-// (§3.1: release is invoked when the runtime discovers the imbalance).
+// (§3.1: release is invoked when the runtime discovers the imbalance). It
+// runs once per task on a busy PE and almost never moves anything:
+// ReleaseDue is the one read of the PE's own stealval a task pays for.
 func (p *Pool) stepRelease() error {
-	// This step runs once per task on a busy PE, and almost never moves
-	// anything: ReleaseDue is the one read of the PE's own stealval a busy
-	// iteration makes, and the clock and Release follow only when it says a
-	// release is due.
 	if !p.q.ReleaseDue() {
 		return nil
 	}
@@ -316,11 +309,10 @@ func (p *Pool) stepRelease() error {
 	return nil
 }
 
-// stepProgress periodically reclaims queue space held by completed steals,
-// refills the split queue from the owner's private deque into that space,
-// and refreshes what live readers see: the published counts (a busy PE's
-// only publish between hand-offs; the leader's last read of them is what a
-// PE that dies is written off against) and the queue-depth gauges.
+// stepProgress, on the beat, reclaims queue space held by completed steals,
+// refills it from the owner's private deque, and refreshes what live readers
+// see: the published counts (a busy PE's only publish between hand-offs,
+// what a PE that dies is written off against) and the queue-depth gauges.
 func (p *Pool) stepProgress(iter int) error {
 	if iter%obs.SampleEvery != 0 {
 		return nil
@@ -369,31 +361,43 @@ func (p *Pool) stepDrainInbox() (bool, error) {
 	return true, nil
 }
 
-// stepExecuteLocal runs the owner's newest private task in its burst —
-// popped LIFO as the paper's PE does — reporting whether there was one.
-func (p *Pool) stepExecuteLocal(burst *time.Time) (bool, error) {
-	d, ok, err := p.popOwned()
-	if err != nil {
-		return false, err
+// stepExecuteLocal is the owner's burst: its newest private tasks, popped
+// LIFO as the paper's PE pops them, run back to back, one a pass; it reports
+// the passes taken and whether the last ran a task. A team of one has no one
+// to serve between two tasks, so each later pass is the release check and a
+// task, until the beat's pass (iter+passes) or a membership change; a larger
+// team's burst is one task, as its ring wants serving after each.
+func (p *Pool) stepExecuteLocal(iter int, burst *time.Time) (passes int, ran bool, err error) {
+	owner, lv := p.exec.workers[0], p.ctx.Liveness()
+	for passes = 1; ; passes++ {
+		d, ok, err := p.popOwned()
+		if err != nil {
+			return passes, false, err
+		}
+		p.clockBurst(owner, burst, ok)
+		if !ok {
+			// Nothing to run: what the PE's tasks spawned elsewhere goes out
+			// before it acquires, searches or probes (a batch sent home runs first).
+			err := p.flushRemote()
+			return passes, err == nil && p.ownedCount() > 0, err
+		}
+		if err := p.execute(owner, d); err != nil {
+			return passes, false, err
+		}
+		// Once a peer is dead the leader calls the survivors quiescent when
+		// two of its passes read the same counters (term.Detector.Check), so
+		// a busy PE's move with every task. Fault-free, this is a load.
+		if lv.AnyDead() {
+			p.publishCounts()
+		}
+		p.yieldAfterTask(owner, burst)
+		if len(p.exec.workers) > 1 || (iter+passes)%obs.SampleEvery == 0 || lv.MemberEpoch() != p.memberEpoch {
+			return passes, true, nil
+		}
+		if err := p.stepRelease(); err != nil {
+			return passes, false, err
+		}
 	}
-	p.clockBurst(p.exec.workers[0], burst, ok)
-	if !ok {
-		// Nothing to run: what the PE's tasks spawned elsewhere goes out
-		// before it acquires, searches or probes (a batch sent home runs first).
-		err := p.flushRemote()
-		return err == nil && p.ownedCount() > 0, err
-	}
-	if err := p.execute(p.exec.workers[0], d); err != nil {
-		return false, err
-	}
-	// Once a peer is dead the leader calls the survivors quiescent when two
-	// of its passes read the same counters (term.Detector.Check), so a busy
-	// PE's move with every task it runs. Fault-free, the check is two loads.
-	if p.ctx.Liveness().AnyDead() {
-		p.publishCounts()
-	}
-	p.yieldAfterTask(p.exec.workers[0], burst)
-	return true, nil
 }
 
 // stepAcquire pulls shared work back once the local portion is empty,

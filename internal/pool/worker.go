@@ -14,21 +14,16 @@
 //
 // The owner is a full worker — it spawns into, pops and runs from p.q as
 // the paper's single-threaded PE does — that also runs the scheduler loop
-// and alone drives every protocol owner op (Release/Acquire/Progress/Push/
-// Pop, epoch flips, termination probes, mailbox sends), so the single-owner
-// invariants of internal/core hold at any worker count. Executor surplus
-// reaches remote thieves through it: what the owner takes from the ring
-// lands in p.q, where Release exposes it and its children. This is Wimmer &
-// Träff's mixed-mode team with the paper's PE as the team of one: no
-// executors, nothing ever staged, the ring never fed.
+// and alone drives every protocol owner op, so the single-owner invariants
+// of internal/core hold at any worker count. What it takes from the ring
+// lands in p.q, where Release exposes it to remote thieves. This is Wimmer
+// & Träff's mixed-mode team with the paper's PE as the team of one.
 //
-// Accounting is one scheme at every worker count. Each worker counts its
-// spawns (before the task is visible anywhere) and executions (after the
-// body returns) in plain fields of its own, and books its run time per
-// burst of back-to-back tasks (clockBurst). An executor copies its counts
-// into its atomics; the owner's task path touches no shared word, and the
-// counts reach the termination detector and the owner's atomics through
-// publishCounts, run where a task counted only locally changes hands.
+// Each worker counts its spawns (before the task is visible anywhere) and
+// executions (after the body returns) in plain fields of its own, and books
+// its run time per burst (clockBurst). An executor copies its counts into
+// its atomics; the owner's task path touches no shared word, and its counts
+// reach the detector through publishCounts where a task changes hands.
 package pool
 
 import (
@@ -57,13 +52,11 @@ type workerState struct {
 	// owner's overflow past a full split queue (Pool.push).
 	dq *privDeque
 
-	// nSpawned and nExecuted are this worker's termination counts (see
-	// term.Publish), plain memory written by the worker alone and read by
-	// Stats between jobs: nSpawned moves before a spawned task becomes
-	// visible anywhere, nExecuted after the task body returns. spawned and
+	// nSpawned and nExecuted are this worker's termination counts, plain
+	// memory it alone writes, read by Stats between jobs. spawned and
 	// executed are the same counts as other goroutines read them during a
-	// job (publishCounts, the metrics scrape): an executor stores its own
-	// as they move, the owner's are as of its last publishCounts.
+	// job: an executor stores its own as they move, the owner's are as of
+	// its last publishCounts.
 	nSpawned  uint64
 	nExecuted uint64
 	spawned   atomic.Uint64
@@ -76,10 +69,13 @@ type workerState struct {
 	// between jobs, when executors are stopped (run's WaitGroup orders it).
 	execTime time.Duration
 	fromRing uint64
-	// Pad to two cache lines (96 -> 128 bytes): the counters above are
+	// cell is the worker's own in the TaskTally it last counted in, tally.
+	tally *TaskTally
+	cell  *[2]uint64
+	// Pad to two cache lines (112 -> 128 bytes): the counters above are
 	// bumped per task, and unpadded workerStates — another PE's, or this
 	// PE's executors' — are neighbours in one allocation span.
-	_ [32]byte
+	_ [16]byte
 }
 
 // stagedTask is executor output only the owner may deliver: a SpawnOn for
@@ -97,9 +93,8 @@ type execLayer struct {
 	ring    *ldeque.Queue
 	workers []*workerState
 
-	// mu guards staged. Executors append in short sections and raise
-	// pending; the owner swaps the slice out wholesale, and takes the lock
-	// only when pending says there is something to take.
+	// mu guards staged: executors append and raise pending; the owner
+	// swaps the slice out, locking only when pending says to.
 	mu      sync.Mutex
 	staged  []stagedTask
 	pending atomic.Bool
@@ -107,16 +102,13 @@ type execLayer struct {
 	// err is the first executor failure; the owner surfaces it.
 	err atomic.Pointer[error]
 
-	// stop tells executors to exit (set at termination or on error;
-	// rearmed at the start of each job).
-	stop atomic.Bool
+	stop atomic.Bool // executors exit (termination, error; rearmed per job)
 	// handoff tells executors the PE is draining out or parked: they stage
 	// their private deques for the owner to forward and take no more work.
 	handoff atomic.Bool
-	// Pad to two cache lines (88 -> 128 bytes): every scheduler iteration
-	// reads workers, pending and err, and a 112-byte object is neither its
-	// own size class nor line-aligned — uts_t1_local ran 10 % slower with
-	// whatever neighbours the allocator dealt it.
+	// Pad to two cache lines (88 -> 128 bytes), its own size class: every
+	// pass reads workers, pending and err (uts_t1_local ran 10 % slower
+	// with whatever neighbours the allocator dealt a 112-byte object).
 	_ [40]byte
 }
 
@@ -249,15 +241,13 @@ func (p *Pool) sendRemote(pe int, d task.Desc) error {
 	return nil
 }
 
-// flushRemote sends what the outbox holds as one batch. It publishes the
-// counts that cover it first — the receiver publishes their
-// execution, so their spawns must be in the ledger — and counts them sent
-// with one add. The owner flushes where it would otherwise leave them
-// waiting: a full outbox, a spawn to another target, an iteration with
-// nothing to run, the stepProgress beat, a termination probe, a drain or
-// park flush (flushWorkerTier); so a spawn reaches its target within 64 of
-// the sender's iterations. A batch whose target died lands home
-// (landHome); any other failed flush fails the run. The empty test
+// flushRemote sends what the outbox holds as one batch, after publishing
+// the counts that cover it (the receiver publishes their execution). The
+// owner flushes where it would otherwise leave them waiting: a full outbox,
+// a spawn to another target, a pass with nothing to run, the stepProgress
+// beat, a termination probe, a drain or park flush; so a spawn reaches its
+// target within 64 of the sender's passes. A batch whose target died lands
+// home (landHome); any other failed flush fails the run. The empty test
 // inlines: most of those points find nothing to send.
 func (p *Pool) flushRemote() error {
 	if p.mbox.outN == 0 {
@@ -299,9 +289,8 @@ func (p *Pool) execute(ws *workerState, d task.Desc) error {
 		p.lat.exec.Record(el)
 		p.tr.Record(trace.TaskExec, int64(d.Handle), int64(el), 0)
 	}
-	// Executed counts only after the body returned — by then every child
-	// spawn is in this worker's spawned count, so publishCounts'
-	// executed-before-spawned load order covers them.
+	// Counted after the body, whose child spawns are counted by now (the
+	// order publishCounts' cut rests on).
 	ws.nExecuted++
 	return nil
 }
@@ -319,12 +308,15 @@ func (p *Pool) clockBurst(ws *workerState, burst *time.Time, ran bool) {
 	}
 }
 
-// yieldAfterTask is a worker's scheduling point (Ctx.Yield) after a task, due
-// on the obs.SampleEvery beat; its burst is cut around each cede.
+// yieldAfterTask is a worker's scheduling point after a task: Ctx.Yield, due
+// on the obs.SampleEvery beat, called then and, under the lockstep sim, after
+// every task; its burst is cut around each cede.
 func (p *Pool) yieldAfterTask(ws *workerState, burst *time.Time) {
-	if ceded, resumed := p.ctx.Yield(ws.nExecuted%obs.SampleEvery == 0); !resumed.IsZero() {
-		ws.execTime += ceded.Sub(*burst)
-		*burst = resumed
+	if due := ws.nExecuted%obs.SampleEvery == 0; due || p.ctx.Lockstep() {
+		if ceded, resumed := p.ctx.Yield(due); !resumed.IsZero() {
+			ws.execTime += ceded.Sub(*burst)
+			*burst = resumed
+		}
 	}
 }
 
@@ -403,24 +395,17 @@ func (p *Pool) share(ws *workerState) error {
 // publishCounts publishes the PE's counts, every worker's, to the
 // termination detector as one consistent cut, and refreshes the owner's
 // atomics. It loads every executor's executed counter before any spawned
-// counter: a task's spawn increment happens before it becomes poppable and
-// its execution increment after its body (and all its child spawns)
-// finished, so the published pair is a consistent cut — never an execution
-// whose spawn, or whose children's spawns, are missing. The owner's own
-// counts are exact where it reads them, on its own goroutine. That makes
-// termination probes safe at any moment: every outstanding task keeps some
-// PE's published spawned ahead of the global executed sum.
+// counter: a spawn is counted before its task is poppable and an execution
+// after its body and child spawns, so no execution is published without its
+// own and its children's spawns, and a probe is safe at any moment.
 //
-// A cut that lags is as safe as a fresh one — unheard-of work only makes
-// the PE busier than its ledger says — provided no task counted only
+// A lagging cut is as safe as a fresh one provided no task counted only
 // locally is shown to another PE, which would publish its execution. Those
-// hand-offs are where the owner calls this: job start (the seeds), before
-// Release, every outbox flush and forward (forwardTask), a ring take,
-// staged delivery, every drain or park flush and termination probe (a
-// quiescent PE's ledger must be exact), the stepProgress beat for live
-// readers, and once a peer is dead after every owner task. Fault-free never
-// per task: reading its executors' counters at the task rate, the owner
-// would take each cache line from its writer once per task.
+// hand-offs are where the owner calls this: job start, before Release, every
+// outbox flush and forward, a ring take, staged delivery, every drain or
+// park flush and termination probe, the stepProgress beat for live readers,
+// and once a peer is dead after every owner task. Fault-free never per task:
+// the owner would take each executor's counter line once per task.
 func (p *Pool) publishCounts() {
 	ex := p.exec
 	owner := ex.workers[0]

@@ -250,6 +250,16 @@ func (c *Config) setDefaults(at *Endpoint) error {
 	if c.DeadAfter == 0 {
 		c.DeadAfter = DefaultDeadAfter
 	}
+	for i, k := range c.Sim.Kill {
+		if k.Rank < 0 || k.Rank >= c.NumPEs {
+			return fmt.Errorf("shmem: Sim.Kill[%d] %d@%v: rank outside [0, %d)", i, k.Rank, k.At, c.NumPEs)
+		}
+	}
+	for i, ch := range c.Sim.Churn {
+		if ch.Rank < 0 || ch.Rank >= c.NumPEs {
+			return fmt.Errorf("shmem: Sim.Churn[%d] %d@%v: rank outside [0, %d)", i, ch.Rank, ch.At, c.NumPEs)
+		}
+	}
 	if at == nil {
 		return nil
 	}

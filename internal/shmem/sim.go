@@ -66,13 +66,12 @@ type SimOptions struct {
 	// scheduler action (grants, op applications, NBI deliveries, satisfied
 	// waits). Byte-identical across runs with identical inputs.
 	Log io.Writer
-	// Kill schedules crash injections: each entry kills one PE at a
-	// virtual time. The victim's pending and future operations fail with
-	// ErrPEKilled; peers' operations against it fail fast; after
-	// Config.DeadAfter of virtual time the detector declares it dead,
-	// unwinding barriers and waits with ErrPeerDead. An empty schedule
-	// adds no events and draws no randomness, so fault-free runs stay
-	// byte-identical.
+	// Kill schedules crash injections: each entry kills one PE, a rank of
+	// the world (NewWorld rejects any other, as it does for Churn), at a
+	// virtual time. Its pending and future operations fail with ErrPEKilled,
+	// peers' against it fail fast, and after Config.DeadAfter of virtual
+	// time the detector declares it dead, unwinding barriers and waits with
+	// ErrPeerDead. An empty schedule adds no events and draws no randomness.
 	Kill []SimKill
 	// Churn schedules voluntary membership transitions at virtual times:
 	// each entry begins a drain (Join=false, against a member rank) or a
@@ -224,28 +223,19 @@ func newSimTransport(w *World) *simTransport {
 		t.pes[i].wake.L = &t.mu
 		t.pes[i].readyAt = t.drawLatency()
 	}
-	// Schedule crash injections (and their dead declarations) as virtual
-	// events. An empty schedule pushes nothing and draws nothing, keeping
-	// fault-free runs byte-identical.
+	// Crash injections (with their dead declarations) and membership churn
+	// are virtual events, on ranks NewWorld checked. An empty schedule
+	// pushes nothing and draws nothing: fault-free runs stay byte-identical.
 	for _, k := range opts.Kill {
-		if k.Rank < 0 || k.Rank >= n {
-			continue
-		}
 		at := uint64(max(0, k.At))
 		heap.Push(&t.events, simEvent{at: at, seq: t.nextSeq(), kind: simEvKill, op: opReq{to: k.Rank}})
 		heap.Push(&t.events, simEvent{at: at + uint64(w.cfg.DeadAfter), seq: t.nextSeq(), kind: simEvDead, op: opReq{to: k.Rank}})
 	}
-	// Membership churn schedules work the same way: virtual events, no
-	// randomness drawn, nothing pushed for an empty schedule.
 	for _, c := range opts.Churn {
-		if c.Rank < 0 || c.Rank >= n {
-			continue
-		}
-		var join uint64
+		at, join := uint64(max(0, c.At)), uint64(0)
 		if c.Join {
 			join = 1
 		}
-		at := uint64(max(0, c.At))
 		heap.Push(&t.events, simEvent{at: at, seq: t.nextSeq(), kind: simEvChurn, op: opReq{to: c.Rank, v1: join}})
 	}
 	return t

@@ -120,6 +120,29 @@ func TestSimWorldWithoutRunLeaksNothing(t *testing.T) {
 
 // TestSimDeterministicLog is the transport-level half of the acceptance
 // criterion: the same seed yields a byte-identical event log.
+// TestSimScheduleRanksInWorld: a kill or churn entry names a rank of the
+// world, or NewWorld refuses it, naming the entry — a replay of
+// -sim.killrank=7 on 4 PEs is not a fault-free run.
+func TestSimScheduleRanksInWorld(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		opts       SimOptions
+	}{
+		{"kill", "Sim.Kill[1] 7@20µs", SimOptions{Kill: []SimKill{{Rank: 1, At: time.Microsecond}, {Rank: 7, At: 20 * time.Microsecond}}}},
+		{"kill-negative", "Sim.Kill[0] -1@0s", SimOptions{Kill: []SimKill{{Rank: -1}}}},
+		{"churn", "Sim.Churn[0] 4@20µs", SimOptions{Churn: []SimChurn{{Rank: 4, At: 20 * time.Microsecond}}}},
+	} {
+		_, err := NewWorld(Config{NumPEs: 4, HeapBytes: 1 << 16, Transport: TransportSim, Sim: tc.opts})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: NewWorld error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+	opts := SimOptions{Kill: []SimKill{{Rank: 3}}, Churn: []SimChurn{{Rank: 0, At: time.Microsecond}}}
+	if _, err := NewWorld(Config{NumPEs: 4, HeapBytes: 1 << 16, Transport: TransportSim, Sim: opts}); err != nil {
+		t.Errorf("ranks inside the world: %v", err)
+	}
+}
+
 func TestSimDeterministicLog(t *testing.T) {
 	a := runSimChurn(t, 42)
 	b := runSimChurn(t, 42)
