@@ -274,6 +274,9 @@ func idleSlotsZero(q *Queue) (longest int, err error) {
 	return longest, nil
 }
 
+// TestModelInterleavingsV2: 30 lockstep schedules of owner ops and steal
+// claims on an epoch queue lose and duplicate no task, and after every step
+// the owner's cached views equal a fresh computation (runModelSchedule).
 func TestModelInterleavingsV2(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		if _, err := runModelSchedule(t, Options{Capacity: 64, Epochs: true, Damping: true}, seed, 300); err != nil {

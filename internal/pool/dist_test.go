@@ -85,7 +85,9 @@ func TestPoolOverDistributedWorld(t *testing.T) {
 }
 
 // Many concurrent remote-spawners hammering one receiver's inbox: no task
-// may be lost or duplicated even when the ring wraps under contention.
+// may be lost or duplicated even when the ring wraps under contention. CI
+// repeats it 200 times under -race: a slot handed to two senders at once
+// lost or doubled a task in only about one run in five.
 func TestMailboxMultiSenderStress(t *testing.T) {
 	const senders = 4
 	const perSender = 400

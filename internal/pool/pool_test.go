@@ -582,6 +582,9 @@ func TestTracing(t *testing.T) {
 // microseconds, so the idle PEs find work to steal before rank 0 has run
 // the whole tree, whoever else shares the cores. The run is traced: only a
 // trace times task bodies one by one, so only a traced run fills "exec".
+// CI repeats it 20 times under -race: a run whose tree is gone before the
+// first steal fills no steal histogram, and how soon that is depends on
+// the schedule.
 func TestMetricsAndLatency(t *testing.T) {
 	g := obs.NewGatherer()
 	tr, err := trace.NewSet(3, 1<<12)

@@ -167,6 +167,8 @@ func runModelSchedule(t *testing.T, opts Options, seed int64, lead, steps int) e
 	return nil
 }
 
+// TestModelInterleavings: 30 lockstep schedules of owner ops and steals
+// over the locked metadata lose and duplicate no task.
 func TestModelInterleavings(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		if err := runModelSchedule(t, Options{Capacity: 64}, seed, 0, 300); err != nil {
@@ -175,6 +177,8 @@ func TestModelInterleavings(t *testing.T) {
 	}
 }
 
+// TestModelInterleavingsTinyCapacity is TestModelInterleavings on a
+// 4-slot ring, where every few pushes wrap it and some find it full.
 func TestModelInterleavingsTinyCapacity(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		if err := runModelSchedule(t, Options{Capacity: 4}, seed, 0, 300); err != nil {

@@ -366,6 +366,8 @@ func runJoined(t *testing.T, kind TransportKind, n int, deadAfter time.Duration,
 // word before its beats stop: peers that run on for three DeadAfter horizons
 // read it as exited and never journal it dead, over tcp (its service
 // answers two more probe periods) and shm (the word stays in the segment).
+// CI repeats it 20 times under -race: where the exit falls between the
+// peers' probe ticks differs from run to run.
 func TestExitedPeerIsNotDeclaredDead(t *testing.T) {
 	for _, kind := range []TransportKind{TransportTCP, TransportShm} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -395,7 +397,9 @@ func TestExitedPeerIsNotDeclaredDead(t *testing.T) {
 // rank 0 drains and parks in its own process, that process and the others
 // (whose mirrors still read it alive until the next probe tick, and parked
 // after it) all name rank 0. DeadAfter is long enough that no tick lands
-// between the park and the first check.
+// between the park and the first check. CI repeats it 20 times under
+// -race: which process reads its mirror first after the park differs from
+// run to run.
 func TestJoinedWorldAgreesOnLeader(t *testing.T) {
 	for _, kind := range []TransportKind{TransportTCP, TransportShm} {
 		t.Run(kind.String(), func(t *testing.T) {

@@ -248,11 +248,14 @@ func TestShmInProcLeavesNoSegmentFiles(t *testing.T) {
 	}
 }
 
-// TestShmFetchAddLatencyVsTCP is the tentpole's acceptance gate: a
+// TestShmFetchAddLatencyVsTCP guards what the shm transport is for: a
 // blocking remote fetch-add on the shared mapping must be at least 10x
-// faster than the same op over the loopback TCP transport. (In practice
-// the gap is 2-3 orders of magnitude; 10x keeps the assertion robust on
-// loaded CI runners.)
+// faster than the same op over loopback TCP (without -race the gap reads
+// 31-301x). It is a wall-clock rate, and under -race on a 2-core box the
+// ratio reads 9-13x, so it fails about one run in four there: CI's race x3
+// step skips it by name, and its shuffled race step and the plain runs keep
+// it. It leaves CI when the comparison becomes a benchmark probe row with a
+// paired bound (ROADMAP item 28).
 func TestShmFetchAddLatencyVsTCP(t *testing.T) {
 	requireShm(t)
 	if testing.Short() {

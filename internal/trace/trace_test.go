@@ -77,7 +77,7 @@ func TestRing(t *testing.T) {
 
 // TestFlightConcurrentWriters: the slot claim serves many writers — a PE's
 // workers and the peers that stamp their steals into its ring — without
-// losing a claim (run under -race -count=10 in CI).
+// losing a claim (CI runs its package under -race, x3).
 func TestFlightConcurrentWriters(t *testing.T) {
 	f := NewFlight(0, 1024)
 	var wg sync.WaitGroup

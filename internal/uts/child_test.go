@@ -18,7 +18,8 @@ func refChild(state [NodeStateSize]byte, i uint32) [NodeStateSize]byte {
 // Both digest kernels agree with crypto/sha1: on a long chain of children
 // (each digest the next one's state, so every input is a fresh digest), on
 // the index edges Child's int-to-uint32 conversion reaches, and through
-// Child itself, whichever kernel this CPU selects.
+// Child itself, whichever kernel this CPU selects. Deterministic: CI
+// repeats it 5 times under -race only beside the body's other tests.
 func TestChildMatchesSHA1(t *testing.T) {
 	kernels := []struct {
 		name string

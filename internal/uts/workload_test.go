@@ -13,7 +13,9 @@ import (
 
 // TestRunNodeSpawnLoopAllocs pins an interior node's spawn loop at zero
 // allocations: the children are written one at a time into the node's own
-// payload buffer, not into a fresh slice each.
+// payload buffer, not into a fresh slice each. CI repeats it 5 times under
+// -race: it counts inside a live job, and what else allocates during the
+// window differs from run to run.
 func TestRunNodeSpawnLoopAllocs(t *testing.T) {
 	wl, err := NewWorkload(Tiny)
 	if err != nil {
@@ -71,7 +73,9 @@ func TestRunNodeSpawnLoopAllocs(t *testing.T) {
 // NumChildren(n)-1, in that order, on each tree class — the root and the
 // first interior node of depth 1. The body runs inside a probe task with
 // its spawns bound to a recorder; one PE runs its queue newest first, so
-// the recorder sees the children in reverse spawn order.
+// the recorder sees the children in reverse spawn order. It is
+// deterministic: CI repeats it 5 times under -race only beside the body's
+// other tests, so a repeat that fails where one passed is a data race.
 func TestRunNodeSpawnsChildren(t *testing.T) {
 	for _, params := range []Params{Tiny, TinyLinear, TinyBin} {
 		t.Run(params.String(), func(t *testing.T) {
@@ -139,7 +143,8 @@ func spawnsOf(t *testing.T, params Params, n Node) [][]byte {
 }
 
 // A payload that is not one encoded node fails typed, in the body and in
-// DecodeNode, before the body touches its task context.
+// DecodeNode, before the body touches its task context. Deterministic: CI
+// repeats it 5 times under -race only beside the body's other tests.
 func TestRunNodeRejectsPayloadSize(t *testing.T) {
 	wl, err := NewWorkload(Tiny)
 	if err != nil {
@@ -159,7 +164,9 @@ func TestRunNodeRejectsPayloadSize(t *testing.T) {
 // (pool.TestBusyOwnerYieldCadence is the cost half): four PEs on one core,
 // task bodies that never yield. A busy PE cedes the core only on its
 // cadence, and that must still be often enough for every thief to get in,
-// find work and run some of it before the tree is gone.
+// find work and run some of it before the tree is gone. CI repeats it 5
+// times under -race: where the cedes fall, and so which thief gets in
+// first, differs from run to run.
 func TestBusyPEsShareOneCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const npes = 4

@@ -299,7 +299,10 @@ func TestWrappedStealSameOnEveryProtocol(t *testing.T) {
 
 // TestStealAllocs' budget on every protocol: a single-task steal allocates
 // no more than the returned task slice and its payload, so the block copy
-// stages in a buffer it reuses.
+// stages in a buffer it reuses. CI repeats it 20 times without -race (the
+// detector allocates on its own): an allocation elsewhere in the process
+// during the window shows in some runs only, as it did while a fused steal
+// sat exactly at its bound.
 func TestStealAllocsEveryProtocol(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.name, func(t *testing.T) {
